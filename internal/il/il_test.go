@@ -333,7 +333,10 @@ func TestAdaptiveRTTTracksMedium(t *testing.T) {
 			dc.Write([]byte("measure me"))
 			v.Sleep(30 * time.Millisecond)
 		}
-		rtt := dc.(*Conn).RTT()
+		c := dc.(*Conn)
+		c.Mu.Lock()
+		rtt := c.RTT.SRTT
+		c.Mu.Unlock()
 		if rtt < 10*time.Millisecond {
 			t.Errorf("smoothed RTT %v on a 20ms-latency medium", rtt)
 		}
@@ -398,7 +401,7 @@ func TestHeaderRoundTripQuick(t *testing.T) {
 			data = data[:1024]
 		}
 		h := header{typ: typ % 6, spec: spec, src: src, dst: dst, id: id, ack: ack}
-		g, d, ok := unmarshal(marshal(h, data))
+		g, d, ok := unmarshal(marshalBlock(h, data).Bytes())
 		return ok && g == h && bytes.Equal(d, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -407,7 +410,7 @@ func TestHeaderRoundTripQuick(t *testing.T) {
 }
 
 func TestUnmarshalRejectsCorruption(t *testing.T) {
-	pkt := marshal(header{typ: msgData, src: 1, dst: 2, id: 3, ack: 4}, []byte("x"))
+	pkt := marshalBlock(header{typ: msgData, src: 1, dst: 2, id: 3, ack: 4}, []byte("x")).Bytes()
 	pkt[6] ^= 0x10
 	if _, _, ok := unmarshal(pkt); ok {
 		t.Error("corrupted IL packet accepted (checksum)")
@@ -427,7 +430,7 @@ func TestWindowLimitsOutstandingMessages(t *testing.T) {
 	_ = sc
 	// Now make every data packet vanish by closing the server stack's
 	// segment... simplest: write from a conn whose peer is gone.
-	sc.(*Conn).proto.stack.Close()
+	sc.(*Conn).proto.Stack.Close()
 	done := make(chan int, 1)
 	go func() {
 		sent := 0
@@ -555,8 +558,8 @@ func TestCorruptionOnTheWireIsDetected(t *testing.T) {
 // all single-bit corruption (the Internet checksum's guarantee): no
 // flipped packet may parse.
 func TestUnmarshalRejectsEverySingleBitFlip(t *testing.T) {
-	pkt := marshal(header{typ: msgData, spec: specEOM, src: 17008, dst: 5757, id: 99, ack: 42},
-		[]byte("the quick brown fox jumps over the lazy dog"))
+	pkt := marshalBlock(header{typ: msgData, spec: specEOM, src: 17008, dst: 5757, id: 99, ack: 42},
+		[]byte("the quick brown fox jumps over the lazy dog")).Bytes()
 	if _, _, ok := unmarshal(pkt); !ok {
 		t.Fatal("pristine packet rejected")
 	}

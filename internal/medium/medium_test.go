@@ -156,23 +156,3 @@ func TestDuplex(t *testing.T) {
 		t.Errorf("unlimited MTU = %d", a.MTU())
 	}
 }
-
-func TestSleepUntilPrecision(t *testing.T) {
-	for _, d := range []time.Duration{100 * time.Microsecond, 1 * time.Millisecond, 5 * time.Millisecond} {
-		target := time.Now().Add(d)
-		SleepUntil(target)
-		over := time.Since(target)
-		if over < 0 {
-			t.Errorf("woke %v early for %v", -over, d)
-		}
-		if over > 2*time.Millisecond {
-			t.Errorf("woke %v late for %v", over, d)
-		}
-	}
-	// Past deadlines return immediately.
-	start := time.Now()
-	SleepUntil(start.Add(-time.Second))
-	if time.Since(start) > time.Millisecond {
-		t.Error("past deadline slept")
-	}
-}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/ether"
 	"repro/internal/ip"
 	"repro/internal/vfs"
@@ -322,7 +323,7 @@ func TestHeaderRoundTripQuick(t *testing.T) {
 			data = data[:1024]
 		}
 		h := header{src: src, dst: dst, seq: seq, ack: ack, flags: flags, win: win}
-		g, d, ok := unmarshal(marshal(h, data))
+		g, d, ok := unmarshal(marshalBlock(h, data).Bytes())
 		return ok && g == h && bytes.Equal(d, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -331,13 +332,49 @@ func TestHeaderRoundTripQuick(t *testing.T) {
 }
 
 func TestUnmarshalRejectsCorruption(t *testing.T) {
-	pkt := marshal(header{src: 1, dst: 2, seq: 3, ack: 4, flags: flagACK}, []byte("zz"))
+	pkt := marshalBlock(header{src: 1, dst: 2, seq: 3, ack: 4, flags: flagACK}, []byte("zz")).Bytes()
 	pkt[5] ^= 0x01
 	if _, _, ok := unmarshal(pkt); ok {
 		t.Error("corrupted TCP segment accepted")
 	}
 	if _, _, ok := unmarshal(pkt[:8]); ok {
 		t.Error("short segment accepted")
+	}
+}
+
+// unmarshal verifies the checksum where the segment lies: the sum over
+// the packet with the carried field included must be zero. No flipped
+// bit may get past that — the checksum field's own bits included — for
+// even and odd lengths alike.
+func TestUnmarshalRejectsEverySingleBitFlip(t *testing.T) {
+	for _, payload := range []string{"", "odd", "the quick brown fox jumps over the lazy dog!"} {
+		pkt := marshalBlock(header{src: 5001, dst: 564, seq: 99, ack: 42, flags: flagACK, win: 4096}, []byte(payload)).Bytes()
+		if _, data, ok := unmarshal(pkt); !ok || string(data) != payload {
+			t.Fatalf("pristine %d-byte segment rejected", len(pkt))
+		}
+		for bit := 0; bit < len(pkt)*8; bit++ {
+			cp := append([]byte(nil), pkt...)
+			cp[bit/8] ^= 1 << (bit % 8)
+			if _, _, ok := unmarshal(cp); ok {
+				t.Fatalf("%d-byte segment with bit %d flipped accepted", len(pkt), bit)
+			}
+		}
+	}
+}
+
+// Receiving a segment must not copy it: unmarshal used to duplicate
+// every packet just to zero the checksum field before summing.
+func TestAllocsUnmarshal(t *testing.T) {
+	if block.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	pkt := marshalBlock(header{src: 5001, dst: 564, seq: 99, ack: 42, flags: flagACK}, make([]byte, 1400)).Bytes()
+	if got := testing.AllocsPerRun(1000, func() {
+		if _, _, ok := unmarshal(pkt); !ok {
+			t.Fatal("segment rejected")
+		}
+	}); got != 0 {
+		t.Fatalf("unmarshal allocates %.1f objects per segment, want 0", got)
 	}
 }
 

@@ -31,16 +31,16 @@ const AddrHdrLen = 6
 type Proto struct {
 	stack *ip.Stack
 
-	mu        sync.Mutex
-	bound     map[uint16]*Conn // local port -> conversation
-	nextEphem uint16
+	mu    sync.Mutex
+	bound map[uint16]*Conn // local port -> conversation
+	ports xport.Ports
 }
 
 var _ xport.Proto = (*Proto)(nil)
 
 // New creates the UDP device on a stack and registers its demux.
 func New(stack *ip.Stack) *Proto {
-	p := &Proto{stack: stack, bound: make(map[uint16]*Conn), nextEphem: 5000}
+	p := &Proto{stack: stack, bound: make(map[uint16]*Conn), ports: xport.NewPorts(5000)}
 	stack.Register(ip.ProtoUDP, p.recv)
 	return p
 }
@@ -58,33 +58,29 @@ func (p *Proto) NewConn() (xport.Conn, error) {
 	return c, nil
 }
 
+// allocPort binds c to the port it asked for, or to an ephemeral one
+// when it asked for none (want 0).
 func (p *Proto) allocPort(want uint16, c *Conn) (uint16, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if want != 0 {
-		if _, taken := p.bound[want]; taken {
-			return 0, xport.ErrInUse
+	if want == 0 {
+		var err error
+		if want, err = p.ports.Ephemeral(); err != nil {
+			return 0, err
 		}
-		p.bound[want] = c
-		return want, nil
+	} else if _, taken := p.bound[want]; taken {
+		return 0, xport.ErrInUse
 	}
-	for range 60000 {
-		p.nextEphem++
-		if p.nextEphem < 5000 {
-			p.nextEphem = 5000
-		}
-		if _, taken := p.bound[p.nextEphem]; !taken {
-			p.bound[p.nextEphem] = c
-			return p.nextEphem, nil
-		}
-	}
-	return 0, xport.ErrInUse
+	p.bound[want] = c
+	p.ports.Hold(want)
+	return want, nil
 }
 
 func (p *Proto) release(port uint16, c *Conn) {
 	p.mu.Lock()
 	if p.bound[port] == c {
 		delete(p.bound, port)
+		p.ports.Release(port)
 	}
 	p.mu.Unlock()
 }
@@ -152,11 +148,12 @@ func (c *Conn) Connect(addr string) error {
 	return nil
 }
 
-// Announce implements xport.Conn.
+// Announce implements xport.Conn. UDP has no announce-all listener:
+// "*" binds an ephemeral port.
 func (c *Conn) Announce(addr string) error {
-	_, port, err := ip.ParseHostPort(addr)
+	port, err := xport.AnnouncePort(addr)
 	if err != nil {
-		return xport.ErrBadAddress
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -248,6 +248,26 @@ func TestRealSleepUntilParks(t *testing.T) {
 	}
 }
 
+func TestRealSleepUntilPrecision(t *testing.T) {
+	for _, d := range []time.Duration{100 * time.Microsecond, 1 * time.Millisecond, 5 * time.Millisecond} {
+		target := time.Now().Add(d)
+		Real.SleepUntil(target)
+		over := time.Since(target)
+		if over < 0 {
+			t.Errorf("woke %v early for %v", -over, d)
+		}
+		if over > 2*time.Millisecond {
+			t.Errorf("woke %v late for %v", over, d)
+		}
+	}
+	// Past deadlines return immediately.
+	start := time.Now()
+	Real.SleepUntil(start.Add(-time.Second))
+	if time.Since(start) > time.Millisecond {
+		t.Error("past deadline slept")
+	}
+}
+
 func TestRealCondSmoke(t *testing.T) {
 	var mu sync.Mutex
 	c := NewCond(nil, &mu)

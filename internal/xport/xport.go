@@ -1,9 +1,17 @@
-// Package xport defines the uniform transport-conversation interface
-// behind the paper's protocol devices (§2.3): "All protocol devices
-// look identical so user programs contain no network-specific code."
-// TCP, UDP, IL, URP/Datakit, and the Cyclone link all implement Proto
-// and Conn; the netdev package serves any Proto as the standard
-// clone/n/{ctl,data,listen,local,remote,status} file tree.
+// Package xport is the transport skeleton behind the paper's protocol
+// devices (§2.3): "All protocol devices look identical so user programs
+// contain no network-specific code."
+//
+// Proto and Conn are the interface TCP, UDP, IL, URP/Datakit, and the
+// Cyclone link all implement and the netdev package serves as the
+// standard clone/n/{ctl,data,listen,local,remote,status} file tree.
+//
+// Table, Conv and RTT are the scaffold IL and TCP embed by value so
+// that il.go and tcp.go hold only their protocols: a machine's endpoint
+// table for one protocol, one conversation's share of it, and the
+// round-trip estimator both retransmission timers read. UDP has no
+// calls, timers or round trips; it borrows only the port allocator and
+// the announce-address parser.
 package xport
 
 import "errors"
