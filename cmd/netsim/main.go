@@ -7,16 +7,20 @@
 //	netsim -table1     measure Table 1 on calibrated media (see also bench_test.go)
 //	netsim -chaos      torture IL, TCP, URP, 9P and Cyclone across impaired media
 //	netsim -virtual    boot a 1000-machine Datakit world on the discrete-event
-//	                   clock and run the registry storm (see -machines, -simtime)
-//	netsim -virtual -gateway
-//	                   same world, but every machine repeatedly imports one
-//	                   exporter's tree through the multi-tenant gateway and
-//	                   reads a shared file; reports the shared-cache bill
-//	netsim -virtual -registry
-//	                   same world, but with no stagger: every machine dials
-//	                   the registry by symbolic name at t=0, several dialers
-//	                   apiece, and the run reports the merged /net/cs books
-//	                   (hit rates, negative cache, query-latency p50/p99)
+//	                   clock and run a storm over it (see -machines, -simtime).
+//	                   internal/storm's one harness boots the same world for
+//	                   all three scenarios; a flag picks the scenario:
+//	                     (none)     the registry storm: every machine staggers
+//	                                in and repeatedly calls one echo service
+//	                     -gateway   every machine repeatedly imports one
+//	                                exporter's tree through the multi-tenant
+//	                                gateway and reads a shared file; reports
+//	                                the shared-cache bill
+//	                     -registry  no stagger: every machine dials the
+//	                                registry by symbolic name at t=0, several
+//	                                dialers apiece; reports the merged /net/cs
+//	                                books (hit rates, negative cache,
+//	                                query-latency p50/p99)
 package main
 
 import (
@@ -121,27 +125,17 @@ func main() {
 			Seed:     *seed,
 			Virtual:  true,
 		}
-		if *gateway {
-			res, err := storm.RunGateway(cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "netsim:", err)
-				exitCode = 1
-				return
-			}
-			fmt.Println(res)
-			return
+		// One harness, three scenarios: the flag picks which.
+		var res fmt.Stringer
+		var err error
+		switch {
+		case *gateway:
+			res, err = storm.RunGateway(cfg)
+		case *registry:
+			res, err = storm.RunRegistry(cfg)
+		default:
+			res, err = storm.Run(cfg)
 		}
-		if *registry {
-			res, err := storm.RunRegistry(cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "netsim:", err)
-				exitCode = 1
-				return
-			}
-			fmt.Println(res)
-			return
-		}
-		res, err := storm.Run(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "netsim:", err)
 			exitCode = 1

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dialer"
 	"repro/internal/mnt"
+	"repro/internal/ninep"
 	"repro/internal/ns"
 	"repro/internal/obs"
 	"repro/internal/vfs"
@@ -509,5 +510,60 @@ func TestImportOverDisciplinedConversation(t *testing.T) {
 	}
 	if !found {
 		t.Error("no conversation shows module stats on the importing machine")
+	}
+}
+
+// TestImportCyclesForgetDeadMounts is the tenant of a gateway storm: a
+// machine that imports, reads and unmounts per operation. Its books
+// must not grow with the operations — a closed mount leaves the
+// teardown list at the next one — while /net/mnt/stats goes on summing
+// every mount ever made, exactly as the per-client figures add up.
+func TestImportCyclesForgetDeadMounts(t *testing.T) {
+	w := paperWorld(t)
+	bootes := w.Machine("bootes")
+	helix := w.Machine("helix")
+	if err := bootes.Root.WriteFile("lib/motd", []byte("plan 9 from bell labs\n"), 0664); err != nil {
+		t.Fatal(err)
+	}
+	nclosers := func() int {
+		helix.mu.Lock()
+		defer helix.mu.Unlock()
+		return len(helix.closers)
+	}
+	base := nclosers()
+	const cycles = 500
+	var cls []*ninep.Client
+	for i := range cycles {
+		cl, err := helix.Import("il!bootes!9fs", "/lib", "/n/bootes", ns.MREPL)
+		if err != nil {
+			t.Fatalf("import %d: %v", i, err)
+		}
+		if b, err := helix.NS.ReadFile("/n/bootes/motd"); err != nil || string(b) != "plan 9 from bell labs\n" {
+			t.Fatalf("read %d: %q, %v", i, b, err)
+		}
+		cl.Close()
+		cls = append(cls, cl)
+		// Only the mount just closed may still be on the list.
+		if n := nclosers(); n > base+1 {
+			t.Fatalf("after %d cycles the machine holds %d closers, want at most %d", i+1, n, base+1)
+		}
+	}
+	b, err := helix.NS.ReadFile("/net/mnt/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want mntBooks
+	for _, cl := range cls {
+		want.add(cl)
+	}
+	st := obs.ParseStats(string(b))
+	hist := obs.ParseHistSnap(string(b), "rpc")
+	if st["mounts"] != cycles || st["rpcs"] != want.rpcs || st["flushes"] != want.flushes ||
+		st["window-max"] != want.wmax || hist.Count != want.hist.Count || hist.Buckets != want.hist.Buckets {
+		t.Errorf("/net/mnt/stats does not sum the %d clients (%d rpcs, %d flushes, window %d, %d latencies):\n%s",
+			cycles, want.rpcs, want.flushes, want.wmax, want.hist.Count, b)
+	}
+	if want.rpcs < 3*cycles {
+		t.Errorf("%d rpcs over %d mounts: the imports did no work", want.rpcs, cycles)
 	}
 }

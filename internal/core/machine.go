@@ -68,44 +68,81 @@ type Machine struct {
 	Resolver *dnssrv.Resolver
 
 	mu      sync.Mutex
-	closers []func()
+	closers []closer
+	mntGone mntBooks // what mounts since dropped from closers did
 	nextCyc int
 	uartDev *uart.Dev
-	mntCls  []*ninep.Client  // mount-driver clients, for /net/mnt/stats
 	export  *exportfs.Server // shared gateway server, for /net/export/stats
 }
 
-// addMntClient records a mount-driver client so /net/mnt/stats can
-// aggregate its RPC figures.
-func (m *Machine) addMntClient(cl *ninep.Client) {
+// closer is one teardown hook. A mount's hook carries its client: the
+// live mounts are the machine's mount table, for /net/mnt/stats.
+type closer struct {
+	f  func()
+	cl *ninep.Client
+}
+
+// mntBooks sums mount-driver clients' RPC figures: mounts made, rpcs,
+// flushes, the deepest in-flight window, the RPC latency histogram.
+type mntBooks struct {
+	mounts, rpcs, flushes, wmax int64
+	hist                        obs.HistSnap
+}
+
+func (b *mntBooks) add(cl *ninep.Client) {
+	b.mounts++
+	b.rpcs += cl.RPCs.Load()
+	b.flushes += cl.Flushes.Load()
+	b.wmax = max(b.wmax, cl.WindowHW.Load())
+	b.hist.Merge(cl.RPCHist.SnapshotHist())
+}
+
+// addMount books a new mount and its teardown. A machine that imports
+// per operation would otherwise grow by one dead client per import, so
+// mounts that have died since the last one leave the list here, their
+// figures folded into mntGone: /net/mnt/stats reads as if every client
+// were still held (bar an RPC tried on a mount after it has left, which
+// fails at once without touching the wire). They are closed on the way
+// out — a client can die of a transport error with its conversation
+// still open — outside m.mu, since a hangup can park on the wire.
+func (m *Machine) addMount(cl *ninep.Client) {
+	var dead []*ninep.Client
 	m.mu.Lock()
-	m.mntCls = append(m.mntCls, cl)
+	live := m.closers[:0]
+	for _, c := range m.closers {
+		if c.cl != nil && c.cl.Dead() {
+			m.mntGone.add(c.cl)
+			dead = append(dead, c.cl)
+		} else {
+			live = append(live, c)
+		}
+	}
+	clear(m.closers[len(live):])
+	m.closers = append(live, closer{f: func() { cl.Close() }, cl: cl})
 	m.mu.Unlock()
+	for _, d := range dead {
+		d.Close()
+	}
 }
 
 // mntStats renders /net/mnt/stats: the mount driver's process-wide
 // readahead/write-behind counters, then the RPC engine figures summed
-// over this machine's mount clients (rpcs, flushes, the deepest
+// over every mount this machine has made (rpcs, flushes, the deepest
 // in-flight window seen, and the merged RPC latency histogram).
 func (m *Machine) mntStats() string {
 	var b strings.Builder
 	b.WriteString(mnt.StatsGroup().Render())
 	m.mu.Lock()
-	cls := append([]*ninep.Client(nil), m.mntCls...)
-	m.mu.Unlock()
-	var rpcs, flushes, wmax int64
-	var hist obs.HistSnap
-	for _, cl := range cls {
-		rpcs += cl.RPCs.Load()
-		flushes += cl.Flushes.Load()
-		if w := cl.WindowHW.Load(); w > wmax {
-			wmax = w
+	sum := m.mntGone
+	for _, c := range m.closers {
+		if c.cl != nil {
+			sum.add(c.cl)
 		}
-		hist.Merge(cl.RPCHist.SnapshotHist())
 	}
+	m.mu.Unlock()
 	fmt.Fprintf(&b, "mounts: %d\nrpcs: %d\nflushes: %d\nwindow-max: %d\n",
-		len(cls), rpcs, flushes, wmax)
-	b.WriteString(hist.Render("rpc"))
+		sum.mounts, sum.rpcs, sum.flushes, sum.wmax)
+	b.WriteString(sum.hist.Render("rpc"))
 	return b.String()
 }
 
@@ -319,7 +356,7 @@ func (m *Machine) AttachCyclone(end *cyclone.End) (string, error) {
 func (m *Machine) onClose(f func()) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.closers = append(m.closers, f)
+	m.closers = append(m.closers, closer{f: f})
 }
 
 // Close shuts the machine down.
@@ -329,7 +366,7 @@ func (m *Machine) Close() {
 	m.closers = nil
 	m.mu.Unlock()
 	for i := len(closers) - 1; i >= 0; i-- {
-		closers[i]()
+		closers[i].f()
 	}
 	// Kill the protocol engines before the stack: dying conversations
 	// wake their timers and any reader still blocked in a service

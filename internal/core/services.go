@@ -188,28 +188,11 @@ func (m *Machine) Import(dest, remotePath, old string, flag int) (*ninep.Client,
 // ImportConfig is Import with an explicit mount-driver configuration —
 // mnt.FileConfig() (windowed transfers, readahead, write-behind) for a
 // plain file tree; the zero Config is the serial RPC-per-fragment
-// driver.
+// driver. An import is a remote mount whose attach name is the path to
+// export.
 func (m *Machine) ImportConfig(dest, remotePath, old string, flag int, cfg mnt.Config) (*ninep.Client, error) {
-	if cfg.Client.Clock == nil {
-		cfg.Client.Clock = m.World.Clock()
-	}
-	conn, err := dialer.Dial(m.NS, dest)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.Push(cfg.Push...); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	remotePath = strings.TrimPrefix(ns.Clean(remotePath), "/")
-	cl, err := exportfs.ImportConfig(m.NS, msgConnFor(conn), remotePath, old, flag, cfg)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	m.addMntClient(cl)
-	m.onClose(func() { cl.Close() })
-	return cl, nil
+	aname := strings.TrimPrefix(ns.Clean(remotePath), "/")
+	return m.MountRemoteConfig(dest, aname, old, flag, cfg)
 }
 
 // MountRemote dials dest and mounts the 9P tree served there (e.g. a
@@ -219,7 +202,10 @@ func (m *Machine) MountRemote(dest, aname, old string, flag int) (*ninep.Client,
 }
 
 // MountRemoteConfig is MountRemote with an explicit mount-driver
-// configuration.
+// configuration: dial dest on the machine's clock, push the configured
+// line disciplines, attach and bind over the conversation, and book the
+// client with the machine. A failed mount leaves the conversation
+// closed.
 func (m *Machine) MountRemoteConfig(dest, aname, old string, flag int, cfg mnt.Config) (*ninep.Client, error) {
 	if cfg.Client.Clock == nil {
 		cfg.Client.Clock = m.World.Clock()
@@ -232,18 +218,12 @@ func (m *Machine) MountRemoteConfig(dest, aname, old string, flag int, cfg mnt.C
 		conn.Close()
 		return nil, err
 	}
-	root, cl, err := mnt.MountConfig(msgConnFor(conn), m.NS.User(), aname, cfg)
+	cl, err := exportfs.ImportConfig(m.NS, msgConnFor(conn), aname, old, flag, cfg)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	if err := m.NS.MountNode(root, old, flag); err != nil {
-		cl.Close()
-		conn.Close()
-		return nil, err
-	}
-	m.addMntClient(cl)
-	m.onClose(func() { cl.Close() })
+	m.addMount(cl)
 	return cl, nil
 }
 

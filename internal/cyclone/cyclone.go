@@ -87,6 +87,8 @@ type Conn struct {
 	attached  bool
 	announced bool
 	closed    bool
+	rest      []byte // message a short read left unfinished, pool-owned
+	restOff   int    // how much of rest has been read
 }
 
 var _ xport.Conn = (*Conn)(nil)
@@ -178,21 +180,36 @@ func (c *Conn) isClosed() bool {
 	return c.closed
 }
 
-// Read implements xport.Conn: one framed message per read.
+// Read implements xport.Conn: one framed message per read. A message
+// longer than p is handed over in pieces — the remainder waits for the
+// next Read — and a read never crosses a message boundary.
 func (c *Conn) Read(p []byte) (int, error) {
 	c.mu.Lock()
 	ok := c.attached && !c.closed
+	msg, off := c.rest, c.restOff
+	if ok {
+		c.rest = nil
+	}
 	c.mu.Unlock()
 	if !ok {
 		return 0, xport.ErrNotConnected
 	}
-	msg, err := c.end.wire.Recv()
-	if err != nil {
-		return 0, vfs.ErrHungup
+	if msg == nil {
+		var err error
+		if msg, err = c.end.wire.Recv(); err != nil {
+			return 0, vfs.ErrHungup
+		}
+		off = 0
+	}
+	n := copy(p, msg[off:])
+	if off+n < len(msg) {
+		c.mu.Lock()
+		c.rest, c.restOff = msg, off+n
+		c.mu.Unlock()
+		return n, nil
 	}
 	// The wire hands over the buffer (the impairer copies per
-	// delivery), so after the copy out it goes back to the pool.
-	n := copy(p, msg)
+	// delivery), so once it is copied out it goes back to the pool.
 	block.PutBytes(msg)
 	return n, nil
 }

@@ -59,6 +59,41 @@ func TestLargeMessage(t *testing.T) {
 	}
 }
 
+// TestShortReadsKeepTheTail reads a 16 KiB message through the 8 KiB
+// buffer ServeEcho uses: every byte must arrive, in order, over as many
+// reads as it takes, and a read must still stop at the message
+// boundary rather than run on into the next frame.
+func TestShortReadsKeepTheTail(t *testing.T) {
+	l := NewLink("cyc0", medium.Profile{})
+	defer l.Close()
+	ea, eb := l.Ends()
+	ca, _ := ea.NewConn()
+	cb, _ := eb.NewConn()
+	ca.Connect("")
+	cb.Connect("")
+	msg := make([]byte, 16*1024)
+	for i := range msg {
+		msg[i] = byte(i * 7 / 5)
+	}
+	ca.Write(msg)
+	ca.Write([]byte("next frame"))
+	buf := make([]byte, 8*1024)
+	var got []byte
+	for range 2 {
+		n, err := cb.Read(buf)
+		if err != nil || n != len(buf) {
+			t.Fatalf("short read: %d bytes, %v", n, err)
+		}
+		got = append(got, buf[:n]...)
+	}
+	if !bytes.Equal(got, msg) {
+		t.Errorf("16 KiB message came back changed through 8 KiB reads")
+	}
+	if n, err := cb.Read(buf); err != nil || string(buf[:n]) != "next frame" {
+		t.Errorf("read after the tail: %q, %v", buf[:n], err)
+	}
+}
+
 func TestSingleConversation(t *testing.T) {
 	l := NewLink("cyc0", medium.Profile{})
 	defer l.Close()

@@ -79,9 +79,14 @@ func (d *Dev) Attach(spec string) (vfs.Node, error) {
 	return d.Root(), nil
 }
 
-// alloc reserves a conversation slot, creating the protocol
-// conversation behind it.
-func (d *Dev) alloc() (*conv, error) {
+// place claims the lowest free conversation slot for the conversation
+// src yields: a fresh one from the protocol (the clone file) or the one
+// a listen accepted. src runs only once a slot is found, so a full
+// table costs the protocol nothing. The caller of a refused accept
+// hangs the call up after place returns — outside the device lock —
+// because closing a conversation can park on the wire, and the device
+// must stay walkable meanwhile.
+func (d *Dev) place(src func() (xport.Conn, error)) (*conv, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for id := range MaxConvs {
@@ -92,51 +97,21 @@ func (d *Dev) alloc() (*conv, error) {
 		}
 		//netvet:ignore lock-across-send fixed hierarchy: device before conversation, never reversed
 		c.mu.Lock()
-		free := c.inuse == 0
-		if free {
-			conn, err := d.proto.NewConn()
-			if err != nil {
-				c.mu.Unlock()
-				return nil, err
-			}
+		if c.inuse != 0 {
+			c.mu.Unlock()
+			continue
+		}
+		conn, err := src()
+		if err == nil {
 			c.conn = conn
 			c.inuse = 1
 		}
 		c.mu.Unlock()
-		if free {
-			return c, nil
+		if err != nil {
+			return nil, err
 		}
+		return c, nil
 	}
-	return nil, vfs.ErrInUse
-}
-
-// adopt places an accepted conversation into a fresh slot (the new
-// connection a listen returns).
-func (d *Dev) adopt(conn xport.Conn) (*conv, error) {
-	d.mu.Lock()
-	for id := range MaxConvs {
-		c := d.convs[id]
-		if c == nil {
-			c = &conv{dev: d, id: id}
-			d.convs[id] = c
-		}
-		//netvet:ignore lock-across-send fixed hierarchy: device before conversation, never reversed
-		c.mu.Lock()
-		free := c.inuse == 0
-		if free {
-			c.conn = conn
-			c.inuse = 1
-		}
-		c.mu.Unlock()
-		if free {
-			d.mu.Unlock()
-			return c, nil
-		}
-	}
-	d.mu.Unlock()
-	// Hang up outside the device lock: closing a conversation can park
-	// on the wire, and the device must stay walkable meanwhile.
-	conn.Close()
 	return nil, vfs.ErrInUse
 }
 
@@ -245,7 +220,7 @@ func (d *Dev) Root() vfs.Node {
 			return &devtree.FileNode{
 				Entry: devtree.MkFile("clone", d.owner, 0666),
 				OpenFn: func(mode int) (vfs.Handle, error) {
-					c, err := d.alloc()
+					c, err := d.place(d.proto.NewConn)
 					if err != nil {
 						return nil, err
 					}
@@ -391,7 +366,7 @@ func (d *Dev) convDir(c *conv) vfs.Node {
 		Entry: mk("data", 0666),
 		OpenFn: func(mode int) (vfs.Handle, error) {
 			c.incref()
-			return &dataHandle{c: c}, nil
+			return &dataHandle{c: c, conn: c.xconn()}, nil
 		},
 	}
 	listen := &devtree.FileNode{
@@ -407,8 +382,9 @@ func (d *Dev) convDir(c *conv) vfs.Node {
 			if err != nil {
 				return nil, err
 			}
-			nc, err := d.adopt(nconn)
+			nc, err := d.place(func() (xport.Conn, error) { return nconn, nil })
 			if err != nil {
+				nconn.Close() // no slot: refuse the call, with the device lock released
 				return nil, err
 			}
 			return d.ctlHandle(nc), nil
@@ -459,23 +435,42 @@ func (d *Dev) convDir(c *conv) vfs.Node {
 }
 
 // dataHandle is the data file: the process end of the conversation's
-// stream.
-type dataHandle struct{ c *conv }
+// stream. It remembers the conversation it was opened on. The slot is
+// recycled when its last handle closes, and a process can come round to
+// a read on a handle it has already closed — a 9P client's demux loop
+// does, when Close overtakes it; that read must fail, not drain the
+// slot's next tenant.
+type dataHandle struct {
+	c    *conv
+	conn xport.Conn
+}
 
 var _ vfs.Handle = (*dataHandle)(nil)
+
+// ends returns the conversation's line discipline, if one is pushed,
+// and its protocol end; both are nil once the slot has let go of the
+// conversation the handle was opened on.
+func (h *dataHandle) ends() (*streams.Line, xport.Conn) {
+	h.c.mu.Lock()
+	defer h.c.mu.Unlock()
+	if h.c.conn != h.conn {
+		return nil, nil
+	}
+	return h.c.line, h.conn
+}
 
 // Read implements vfs.Handle (offset ignored; stream semantics).
 // When the conversation wears a line discipline, reads come off the
 // top of its stream; otherwise straight from the protocol.
 func (h *dataHandle) Read(p []byte, off int64) (int, error) {
-	if l := h.c.xline(); l != nil {
+	l, conn := h.ends()
+	if l != nil {
 		n, err := l.Read(p)
 		if err == io.EOF {
 			return n, nil
 		}
 		return n, err
 	}
-	conn := h.c.xconn()
 	if conn == nil {
 		return 0, vfs.ErrHungup
 	}
@@ -488,10 +483,10 @@ func (h *dataHandle) Read(p []byte, off int64) (int, error) {
 
 // Write implements vfs.Handle.
 func (h *dataHandle) Write(p []byte, off int64) (int, error) {
-	if l := h.c.xline(); l != nil {
+	l, conn := h.ends()
+	if l != nil {
 		return l.Write(p)
 	}
-	conn := h.c.xconn()
 	if conn == nil {
 		return 0, vfs.ErrHungup
 	}

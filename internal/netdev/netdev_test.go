@@ -1,6 +1,7 @@
 package netdev
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/ramfs"
 	"repro/internal/tcp"
 	"repro/internal/vfs"
+	"repro/internal/xport"
 )
 
 // world builds two machines with TCP and IL devices mounted in their
@@ -447,5 +449,158 @@ func TestPushedModulesThroughCtl(t *testing.T) {
 	}
 	if _, err := ctl.WriteString("pop"); err == nil {
 		t.Error("pop on an empty stack accepted")
+	}
+}
+
+// fakeConn is a scripted conversation for the tests that need to hold
+// the device at an exact point: its reads come from msgs, its Listen
+// yields accept, and its Close parks on closeGate when one is set.
+type fakeConn struct {
+	msgs      chan string
+	accept    *fakeConn
+	closeGate chan struct{}
+}
+
+func (c *fakeConn) Connect(string) error        { return nil }
+func (c *fakeConn) Announce(string) error       { return nil }
+func (c *fakeConn) Listen() (xport.Conn, error) { return c.accept, nil }
+func (c *fakeConn) Read(p []byte) (int, error) {
+	select {
+	case m := <-c.msgs:
+		return copy(p, m), nil
+	default:
+		return 0, io.EOF
+	}
+}
+func (c *fakeConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c *fakeConn) LocalAddr() string           { return "fake!0" }
+func (c *fakeConn) RemoteAddr() string          { return "fake!1" }
+func (c *fakeConn) Status() string              { return "Established" }
+func (c *fakeConn) Close() error {
+	if c.closeGate != nil {
+		<-c.closeGate
+	}
+	return nil
+}
+
+// fakeProto clones the scripted conversations in order, then blank ones.
+type fakeProto struct{ script []*fakeConn }
+
+func (p *fakeProto) Name() string { return "fake" }
+func (p *fakeProto) NewConn() (xport.Conn, error) {
+	if len(p.script) == 0 {
+		return &fakeConn{}, nil
+	}
+	c := p.script[0]
+	p.script = p.script[1:]
+	return c, nil
+}
+
+func fakeNS(script ...*fakeConn) *ns.Namespace {
+	nsp := ns.New("bootes", ramfs.New("bootes").Root())
+	nsp.MountDevice(New(&fakeProto{script: script}, "bootes"), "", "/net/fake", ns.MREPL)
+	return nsp
+}
+
+// TestRefusedAcceptHangsUpOutsideDeviceLock fills the conversation
+// table and lets one more call arrive. The device must refuse it with
+// ErrInUse and hang it up — and since a hangup can park on the wire
+// (here: until the test opens the gate), it must do so without holding
+// the device lock, or every walk of the device parks behind it.
+func TestRefusedAcceptHangsUpOutsideDeviceLock(t *testing.T) {
+	call := &fakeConn{closeGate: make(chan struct{})}
+	nsp := fakeNS(&fakeConn{accept: call})
+	for i := range MaxConvs {
+		ctl, err := nsp.Open("/net/fake/clone", vfs.ORDWR)
+		if err != nil {
+			t.Fatalf("clone %d: %v", i, err)
+		}
+		defer ctl.Close()
+	}
+	refused := make(chan error, 1)
+	go func() {
+		fd, err := nsp.Open("/net/fake/0/listen", vfs.ORDWR)
+		if err == nil {
+			fd.Close()
+		}
+		refused <- err
+	}()
+	// The listen is now either on its way to the refusal or parked in
+	// the call's Close; the tree must list all the same.
+	walked := make(chan int, 1)
+	go func() {
+		for range 50 {
+			ents, _ := nsp.ReadDir("/net/fake")
+			if len(ents) != MaxConvs+2 { // clone + stats + the conversations
+				walked <- len(ents)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+		walked <- MaxConvs + 2
+	}()
+	select {
+	case n := <-walked:
+		if n != MaxConvs+2 {
+			t.Errorf("device lists %d entries with the table full, want %d", n, MaxConvs+2)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("device walk parked behind a refused call's hangup")
+	}
+	select {
+	case err := <-refused:
+		t.Errorf("listen returned (%v) before the call's hangup finished", err)
+	default:
+	}
+	close(call.closeGate)
+	if err := <-refused; !vfs.SameError(err, vfs.ErrInUse) {
+		t.Errorf("listen on a full table: %v, want %v", err, vfs.ErrInUse)
+	}
+}
+
+// TestStaleDataHandleCannotReadNextTenant closes a conversation, lets
+// the slot be cloned again, and then reads through the data handle of
+// the first one — what a 9P client's demux loop does when its Close
+// overtakes it. The read must report a hangup and leave the new
+// conversation's message where it is.
+func TestStaleDataHandleCannotReadNextTenant(t *testing.T) {
+	second := &fakeConn{msgs: make(chan string, 1)}
+	second.msgs <- "for the second tenant"
+	nsp := fakeNS(&fakeConn{}, second)
+
+	ctl, err := nsp.Open("/net/fake/clone", vfs.ORDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := nsp.Open("/net/fake/0/data", vfs.ORDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := data.Handle()
+	data.Close()
+	ctl.Close()
+
+	ctl2, err := nsp.Open("/net/fake/clone", vfs.ORDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl2.Close()
+	buf := make([]byte, 64)
+	if n, _ := ctl2.Read(buf); string(buf[:n]) != "0" {
+		t.Fatalf("slot not reused: got %q", buf[:n])
+	}
+	if n, err := stale.Read(buf, 0); !vfs.SameError(err, vfs.ErrHungup) {
+		t.Errorf("read through a closed handle: %q, %v; want %v", buf[:n], err, vfs.ErrHungup)
+	}
+	if _, err := stale.Write([]byte("x"), 0); !vfs.SameError(err, vfs.ErrHungup) {
+		t.Errorf("write through a closed handle: %v, want %v", err, vfs.ErrHungup)
+	}
+	data2, err := nsp.Open("/net/fake/0/data", vfs.ORDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer data2.Close()
+	if n, err := data2.Read(buf); err != nil || string(buf[:n]) != "for the second tenant" {
+		t.Errorf("second tenant read %q, %v", buf[:n], err)
 	}
 }

@@ -8,10 +8,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/medium"
 	"repro/internal/mnt"
 	"repro/internal/ns"
-	"repro/internal/vclock"
 )
 
 // GatewayResult is what the gateway storm did: the import-side tallies
@@ -50,118 +48,66 @@ func (r *GatewayResult) String() string {
 // protocol fragments.
 const sharedSize = 64 << 10
 
-// RunGateway boots the world and drives the gateway storm: one
-// exporter announces exportfs, every other machine repeatedly imports
-// its /lib and reads the shared file through the multi-tenant server.
-// On the virtual clock the run is deterministic per seed, cache
-// counters included.
+// RunGateway boots the world and drives the gateway storm: the registry
+// machine holds the shared file and announces exportfs, and every other
+// machine repeatedly imports its /lib through the multi-tenant server.
+// One tenant's life: stagger in, then import, read the shared file with
+// the windowed file driver, verify it, unmount, and pause. On the
+// virtual clock the run is deterministic per seed, cache counters
+// included.
 func RunGateway(cfg Config) (*GatewayResult, error) {
 	cfg = cfg.withDefaults()
-	res := &GatewayResult{Machines: cfg.Machines}
-	wall := time.Now() //netvet:ignore realtime wall-clock half of the simulation report
-	var err error
-	if cfg.Virtual {
-		v := vclock.NewVirtual()
-		v.Run(func() { err = runGateway(v, cfg, res) })
-	} else {
-		err = runGateway(vclock.Real, cfg, res)
+	res := &GatewayResult{Machines: cfg.Machines, Simulated: cfg.Sim}
+	payload := make([]byte, sharedSize)
+	rand.New(rand.NewSource(cfg.Seed)).Read(payload)
+	serve := func(reg *core.Machine) error {
+		if err := reg.Root.MkdirAll("lib", 0775); err != nil {
+			return err
+		}
+		if err := reg.Root.WriteFile("lib/shared", payload, 0444); err != nil {
+			return err
+		}
+		_, err := reg.ServeExportfs("dk!*!exportfs")
+		return err
 	}
-	res.Wall = time.Since(wall) //netvet:ignore realtime wall-clock half of the simulation report
+	var reads, errors, nbytes atomic.Int64
+	var err error
+	res.Wall, err = runOn(cfg, serve, func(w *world) error {
+		w.fanOut(1, func(m *core.Machine, rng *rand.Rand) {
+			start := w.ck.Now()
+			w.ck.Sleep(time.Duration(rng.Int63n(int64(w.interval))))
+			for w.ck.Since(start) < cfg.Sim {
+				cl, err := m.ImportConfig("dk!nj/astro/registry!exportfs", "/lib", "/n/gw",
+					ns.MREPL, mnt.FileConfig())
+				if err != nil {
+					errors.Add(1)
+					w.ck.Sleep(w.interval / 4)
+					continue
+				}
+				b, err := m.NS.ReadFile("/n/gw/shared")
+				// Close explicitly: under the virtual clock nothing runs
+				// finalizers, and a storm of leaked imports would pin the
+				// gateway's connection table.
+				cl.Close()
+				if err == nil && bytes.Equal(b, payload) {
+					reads.Add(1)
+					nbytes.Add(int64(len(b)))
+				} else {
+					errors.Add(1)
+				}
+				w.pause(rng, w.interval)
+			}
+		})
+		// Close the books: the exporter's connection and cache tallies.
+		srv := w.reg.Exportfs()
+		res.Conns = srv.Ninep().Conns.Load()
+		res.CacheHits = srv.Cache().Hits.Load()
+		res.CacheMisses = srv.Cache().Misses.Load()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	res.Reads, res.Errors, res.Bytes = reads.Load(), errors.Load(), nbytes.Load()
 	return res, nil
-}
-
-func runGateway(ck vclock.Clock, cfg Config, res *GatewayResult) error {
-	w, err := core.NewWorldClock(ndbText(cfg.Machines), ck)
-	if err != nil {
-		return err
-	}
-	defer w.Close()
-	w.AddDatakit(medium.Profile{
-		Latency:   cfg.Latency,
-		Bandwidth: cfg.Bandwidth,
-		MTU:       2048,
-		Seed:      cfg.Seed,
-	})
-
-	// The exporter: the shared file in its tree, exportfs announced.
-	reg, err := w.NewMachine(core.MachineConfig{Name: "registry", Datakit: true}) //netvet:ignore unclosed-resource the world closes its machines
-	if err != nil {
-		return fmt.Errorf("storm: boot registry: %w", err)
-	}
-	payload := make([]byte, sharedSize)
-	rand.New(rand.NewSource(cfg.Seed)).Read(payload)
-	if err := reg.Root.MkdirAll("lib", 0775); err != nil {
-		return err
-	}
-	if err := reg.Root.WriteFile("lib/shared", payload, 0444); err != nil {
-		return err
-	}
-	if _, err := reg.ServeExportfs("dk!*!exportfs"); err != nil {
-		return fmt.Errorf("storm: announce exportfs: %w", err)
-	}
-
-	machines := make([]*core.Machine, cfg.Machines)
-	for i := range machines {
-		m, err := w.NewMachine(core.MachineConfig{Name: machineName(i), Datakit: true})
-		if err != nil {
-			return fmt.Errorf("storm: boot %s: %w", machineName(i), err)
-		}
-		machines[i] = m
-	}
-
-	var reads, errors, nbytes atomic.Int64
-	wg := vclock.NewWaitGroup(ck)
-	for i, m := range machines {
-		wg.Add(1)
-		m := m
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
-		ck.Go(func() {
-			defer wg.Done()
-			gatewayClient(ck, cfg, m, payload, rng, &reads, &errors, &nbytes)
-		})
-	}
-	wg.Wait()
-	res.Reads = reads.Load()
-	res.Errors = errors.Load()
-	res.Bytes = nbytes.Load()
-	res.Simulated = cfg.Sim
-	srv := reg.Exportfs()
-	res.Conns = srv.Ninep().Conns.Load()
-	res.CacheHits = srv.Cache().Hits.Load()
-	res.CacheMisses = srv.Cache().Misses.Load()
-	return nil
-}
-
-// gatewayClient is one tenant's life during the storm: stagger in,
-// then import the exporter's /lib through the gateway, read the shared
-// file with the windowed file driver, verify it, unmount, and pause.
-func gatewayClient(ck vclock.Clock, cfg Config, m *core.Machine, payload []byte,
-	rng *rand.Rand, reads, errors, nbytes *atomic.Int64) {
-	start := ck.Now()
-	ck.Sleep(time.Duration(rng.Int63n(int64(cfg.Interval))))
-	for ck.Since(start) < cfg.Sim {
-		cl, err := m.ImportConfig("dk!nj/astro/registry!exportfs", "/lib", "/n/gw",
-			ns.MREPL, mnt.FileConfig())
-		if err != nil {
-			errors.Add(1)
-			ck.Sleep(cfg.Interval / 4)
-			continue
-		}
-		b, err := m.NS.ReadFile("/n/gw/shared")
-		// Close explicitly: under the virtual clock nothing runs
-		// finalizers, and a storm of leaked imports would pin the
-		// gateway's connection table.
-		cl.Close()
-		if err == nil && bytes.Equal(b, payload) {
-			reads.Add(1)
-			nbytes.Add(int64(len(b)))
-		} else {
-			errors.Add(1)
-		}
-		pause := cfg.Interval/2 + time.Duration(rng.Int63n(int64(cfg.Interval)))
-		ck.Sleep(pause)
-	}
 }

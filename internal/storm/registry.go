@@ -2,29 +2,14 @@ package storm
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dialer"
-	"repro/internal/medium"
-	"repro/internal/ns"
 	"repro/internal/obs"
-	"repro/internal/vclock"
-	"repro/internal/vfs"
 )
-
-// The registry dial storm is the connection-server half of the
-// thousand-machine exercise: where Run staggers machines over the
-// first interval, RunRegistry has every machine wake at t=0 and dial
-// by symbolic name — "net!registry!registry" — so every call walks
-// /net/cs. Each machine runs several dialers concurrently, which is
-// what the sharded cache and the singleflight are for; the run ends
-// by reading every machine's /net/cs/stats and merging the books, so
-// the result carries CS hit rates and the query-latency histogram
-// (p50/p99) alongside the call tallies.
 
 // regDialers is how many concurrent dial loops each machine runs.
 const regDialers = 3
@@ -65,200 +50,82 @@ func (r *RegistryResult) String() string {
 		r.Simulated.Round(time.Millisecond), r.Wall.Round(time.Millisecond))
 }
 
-// RunRegistry boots the world and drives the dial storm to
-// completion. On the virtual clock the run — counters, histogram,
-// and all — is deterministic per seed.
+// RunRegistry boots the world and drives the dial storm, the
+// connection-server half of the exercise: where Run staggers machines
+// over the first interval, here the whole building wakes at t=0 and
+// dials by symbolic name, so every call walks /net/cs — several dialers
+// per machine, which is what the sharded cache and the singleflight are
+// for. One dial loop's life: call, verify the echo, pause, repeat; a few
+// times per loop it asks for a machine that does not exist, exercising
+// the negative cache the way fat-fingered boot scripts do. The run ends
+// by merging every machine's /net/cs/stats into the result. On the
+// virtual clock all of it — counters, histogram — is deterministic per
+// seed.
 func RunRegistry(cfg Config) (*RegistryResult, error) {
 	cfg = cfg.withDefaults()
-	res := &RegistryResult{Machines: cfg.Machines}
-	wall := time.Now() //netvet:ignore realtime wall-clock half of the simulation report
+	res := &RegistryResult{Machines: cfg.Machines, Simulated: cfg.Sim}
+	var calls, retries, errors, nbytes atomic.Int64
 	var err error
-	if cfg.Virtual {
-		v := vclock.NewVirtual()
-		v.Run(func() { err = runRegistry(v, cfg, res) })
-	} else {
-		err = runRegistry(vclock.Real, cfg, res)
-	}
-	res.Wall = time.Since(wall) //netvet:ignore realtime wall-clock half of the simulation report
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-func runRegistry(ck vclock.Clock, cfg Config, res *RegistryResult) error {
-	w, err := core.NewWorldClock(ndbText(cfg.Machines), ck)
-	if err != nil {
-		return err
-	}
-	defer w.Close()
-	w.AddDatakit(medium.Profile{
-		Latency:   cfg.Latency,
-		Bandwidth: cfg.Bandwidth,
-		MTU:       2048,
-		Seed:      cfg.Seed,
-	})
-
-	reg, err := w.NewMachine(core.MachineConfig{Name: "registry", Datakit: true}) //netvet:ignore unclosed-resource the world closes its machines
-	if err != nil {
-		return fmt.Errorf("storm: boot registry: %w", err)
-	}
-	if _, err := reg.ServeEcho("dk!*!registry"); err != nil {
-		return fmt.Errorf("storm: announce registry: %w", err)
-	}
-
-	machines := make([]*core.Machine, cfg.Machines)
-	for i := range machines {
-		m, err := w.NewMachine(core.MachineConfig{Name: machineName(i), Datakit: true})
-		if err != nil {
-			return fmt.Errorf("storm: boot %s: %w", machineName(i), err)
-		}
-		machines[i] = m
-	}
-
-	var calls, retries, errors, bytes atomic.Int64
-	wg := vclock.NewWaitGroup(ck)
-	for i, m := range machines {
-		for d := 0; d < regDialers; d++ {
-			wg.Add(1)
-			m := m
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919 + int64(d)*104729))
-			ck.Go(func() {
-				defer wg.Done()
-				registryClient(ck, cfg, m.NS, rng, &calls, &retries, &errors, &bytes)
-			})
-		}
-	}
-	wg.Wait()
-
-	res.Calls = calls.Load()
-	res.Retries = retries.Load()
-	res.Errors = errors.Load()
-	res.Bytes = bytes.Load()
-	res.Simulated = cfg.Sim
-
-	// Close the books: every machine's /net/cs/stats, merged. The
-	// registry's own CS answered its announce, so it counts too.
-	for _, m := range append([]*core.Machine{reg}, machines...) {
-		text, err := readFileText(m.NS, "/net/cs/stats")
-		if err != nil {
-			return fmt.Errorf("storm: read %s cs stats: %w", m.Name, err)
-		}
-		st := obs.ParseStats(text)
-		res.CSQueries += st["queries"]
-		res.CSHits += st["cache-hits"]
-		res.CSNegHits += st["neg-hits"]
-		res.CSWaits += st["singleflight-waits"]
-		res.CSMisses += st["misses"]
-		res.CSErrors += st["errors"]
-		res.CSEvictions += st["evictions"]
-		lat := obs.ParseHistSnap(text, "lat")
-		res.CSLat.Merge(lat)
-	}
-	return nil
-}
-
-// registryClient is one dial loop: no stagger — the whole building
-// dials at once — then call, verify the echo, pause, repeat. Most
-// dials go by name through CS; a few per loop ask for a machine that
-// does not exist, exercising the negative cache the way fat-fingered
-// boot scripts do.
-func registryClient(ck vclock.Clock, cfg Config, nsp *ns.Namespace, rng *rand.Rand,
-	calls, retries, errors, bytes *atomic.Int64) {
-	start := ck.Now()
-	buf := make([]byte, 512)
-	// Refused dials (the switch's accept backlog is finite, and the
-	// whole building dials at t=0) back off with jitter, doubling up
-	// to the call interval — lockstep retries would just re-collide.
-	backoff := 4 * time.Millisecond
-	for ck.Since(start) < cfg.Sim {
-		if rng.Intn(16) == 0 {
-			// A dead name: CS answers from the negative cache after
-			// the first walk.
-			if _, err := ndbQuery(nsp, "net!no-such-machine!registry"); err == nil {
-				errors.Add(1) // should not resolve
-			}
-		}
-		conn, err := dialer.Dial(nsp, "net!registry!registry")
-		if err != nil {
-			retries.Add(1)
-			ck.Sleep(backoff/2 + time.Duration(rng.Int63n(int64(backoff))))
-			if backoff < cfg.Interval {
-				backoff *= 2
-			}
-			continue
-		}
-		backoff = 4 * time.Millisecond
-		n := 64 + rng.Intn(192)
-		msg := make([]byte, n)
-		rng.Read(msg)
-		ok := false
-		if _, err := conn.Write(msg); err == nil {
-			got := buf[:0]
-			for len(got) < n {
-				k, err := conn.Read(buf[len(got):n])
-				if k > 0 {
-					got = buf[:len(got)+k]
+	res.Wall, err = runOn(cfg, serveEcho, func(w *world) error {
+		w.fanOut(regDialers, func(m *core.Machine, rng *rand.Rand) {
+			start := w.ck.Now()
+			// Refused dials (the switch's accept backlog is finite, and
+			// the whole building dials at t=0) back off with jitter,
+			// doubling up to the call interval — lockstep retries would
+			// just re-collide.
+			backoff := 4 * time.Millisecond
+			for w.ck.Since(start) < cfg.Sim {
+				if rng.Intn(16) == 0 {
+					// A dead name: CS answers from the negative cache
+					// after the first walk.
+					if _, err := m.NdbQuery("net!no-such-machine!registry"); err == nil {
+						errors.Add(1) // should not resolve
+					}
 				}
+				conn, err := dialer.Dial(m.NS, "net!registry!registry")
 				if err != nil {
-					break
+					retries.Add(1)
+					w.pause(rng, backoff)
+					if backoff < w.interval {
+						backoff *= 2
+					}
+					continue
 				}
+				backoff = 4 * time.Millisecond
+				n, ok := echoCall(conn, rng)
+				conn.Close()
+				if ok {
+					calls.Add(1)
+					nbytes.Add(int64(n))
+				} else {
+					errors.Add(1)
+				}
+				w.pause(rng, w.interval)
 			}
-			ok = len(got) == n && string(got) == string(msg)
+		})
+		// Close the books: every machine's /net/cs/stats, merged. The
+		// registry's own CS answered its announce, so it counts too.
+		for _, m := range append([]*core.Machine{w.reg}, w.machines...) {
+			b, err := m.NS.ReadFile("/net/cs/stats")
+			if err != nil {
+				return fmt.Errorf("storm: read %s cs stats: %w", m.Name, err)
+			}
+			text := string(b)
+			st := obs.ParseStats(text)
+			res.CSQueries += st["queries"]
+			res.CSHits += st["cache-hits"]
+			res.CSNegHits += st["neg-hits"]
+			res.CSWaits += st["singleflight-waits"]
+			res.CSMisses += st["misses"]
+			res.CSErrors += st["errors"]
+			res.CSEvictions += st["evictions"]
+			res.CSLat.Merge(obs.ParseHistSnap(text, "lat"))
 		}
-		conn.Close()
-		if ok {
-			calls.Add(1)
-			bytes.Add(int64(n))
-		} else {
-			errors.Add(1)
-		}
-		pause := cfg.Interval/2 + time.Duration(rng.Int63n(int64(cfg.Interval)))
-		ck.Sleep(pause)
-	}
-}
-
-// ndbQuery runs one translation through the machine's /net/cs/cs.
-func ndbQuery(nsp *ns.Namespace, q string) ([]string, error) {
-	fd, err := nsp.Open("/net/cs/cs", vfs.ORDWR)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer fd.Close()
-	if _, err := fd.WriteString(q); err != nil {
-		return nil, err
-	}
-	var lines []string
-	buf := make([]byte, 512)
-	for {
-		n, err := fd.ReadAt(buf, 0)
-		if n == 0 || err != nil {
-			return lines, nil
-		}
-		lines = append(lines, string(buf[:n]))
-	}
-}
-
-// readFileText slurps one file out of a namespace.
-func readFileText(nsp *ns.Namespace, path string) (string, error) {
-	fd, err := nsp.Open(path, vfs.OREAD)
-	if err != nil {
-		return "", err
-	}
-	defer fd.Close()
-	var out []byte
-	buf := make([]byte, 4096)
-	for {
-		n, err := fd.Read(buf)
-		out = append(out, buf[:n]...)
-		if err == io.EOF {
-			return string(out), nil
-		}
-		if err != nil {
-			return "", err
-		}
-		if n == 0 {
-			return string(out), nil
-		}
-	}
+	res.Calls, res.Retries, res.Errors, res.Bytes = calls.Load(), retries.Load(), errors.Load(), nbytes.Load()
+	return res, nil
 }

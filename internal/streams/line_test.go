@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/medium"
 	"repro/internal/obs"
 )
 
@@ -112,6 +113,18 @@ func TestLineCloseMidWindow(t *testing.T) {
 	l2.Close()
 }
 
+// duplexConn is a medium.Duplex — an in-memory link that queues what
+// is sent, as every real transport here queues at least a window — in
+// the shape NewLine wraps. Messages are far shorter than a pump read.
+type duplexConn struct{ *medium.Duplex }
+
+func (c duplexConn) Write(p []byte) (int, error) { return len(p), c.Send(p) }
+func (c duplexConn) Close() error                { c.Duplex.Close(); return nil }
+func (c duplexConn) Read(p []byte) (int, error) {
+	m, err := c.Recv()
+	return copy(p, m), err
+}
+
 // TestPushPopMidTraffic churns transparent modules on and off both
 // ends of a live conversation while full-duplex traffic flows. Pushing
 // mid-traffic is the hard case: the splice happens between two blocks
@@ -120,9 +133,12 @@ func TestLineCloseMidWindow(t *testing.T) {
 // sequence error here. Pops exercise the Drain path under load the
 // same way.
 func TestPushPopMidTraffic(t *testing.T) {
-	c1, c2 := net.Pipe()
-	l1 := NewLine(c1, nil, 0)
-	l2 := NewLine(c2, nil, 0)
+	// A queued link, not net.Pipe: a rendezvous write completes only
+	// when the peer's pump reads, and the pump can be parked at
+	// DeviceUp behind a waiting push — see chainLock.
+	d1, d2 := medium.NewDuplex(medium.Profile{})
+	l1 := NewLine(duplexConn{d1}, nil, 0)
+	l2 := NewLine(duplexConn{d2}, nil, 0)
 	// frame restores boundaries over the byte pipe; it stays put while
 	// trace churns above it.
 	for _, l := range []*Line{l1, l2} {

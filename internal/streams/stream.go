@@ -411,7 +411,14 @@ func (s *Stream) QueuedBytes() int { return s.topRead.Len() }
 // scheduler token and would wedge a discrete-event run (the same rule
 // ninep.wlock follows). Writers have priority over new readers, so a
 // pop under continuous traffic is bounded by the chains already in
-// flight, not starved by new ones.
+// flight, not starved by new ones — which relies on every chain in
+// flight finishing on its own: a device write must not wait on the
+// peer's upstream put chain. Over a rendezvous transport (net.Pipe) it
+// does — the write completes only when the peer's pump reads, and that
+// pump can be a new reader held at DeviceUp behind the peer's own
+// waiting writer, whose in-flight chain is in turn waiting on this
+// end's pump: four parties, each waiting on the next. Every transport
+// in this tree queues at least a window, so the write returns.
 type chainLock struct {
 	mu      sync.Mutex
 	rcond   vclock.Cond // readers waiting for the writer to leave

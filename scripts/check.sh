@@ -28,6 +28,11 @@ go test -race ./...
 echo "== netvet ./..."
 go run ./cmd/netvet ./...
 
+echo "== bench module: vet + tests (race)"
+# The benchmark is a module of its own (repro/bench, replace repro =>
+# ../), so the ./... patterns above do not reach it.
+(cd bench && go vet ./... && go test -race ./...)
+
 echo "== block discipline: AllocsPerRun gates (race off)"
 # The race detector's instrumentation allocates, so these self-skip
 # under -race above and run here without it: a copy or pool bypass
@@ -89,6 +94,7 @@ tcp=$(lines internal/tcp/tcp.go)
 udp=$(lines internal/udp/udp.go)
 xport=$(lines $(ls internal/xport/*.go | grep -v _test.go))
 echo "il.go $il  tcp.go $tcp  udp.go $udp  xport/*.go $xport  total $((il + tcp + udp + xport))"
+echo "storm/*.go $(lines $(ls internal/storm/*.go | grep -v _test.go))  cmd/netsim/main.go $(lines cmd/netsim/main.go)"
 if [ "$il" -gt 847 ]; then
     echo "internal/il/il.go is $il lines, over the paper's 847" >&2
     exit 1
