@@ -3,18 +3,15 @@ package cs
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/ndb"
-	"repro/internal/obs"
 )
 
-// Benchmarks for the tentpole: the sharded lock-free cache vs the
-// seed's single RWMutex + 128-entry wholesale-drop map. seedCache
-// below reimplements the seed's exact hit/miss discipline (string key
-// built per query, RLock'd map, copied answer, cap-128 drop) over the
-// same compute path, so the comparison isolates the cache design.
+// Benchmarks of the sharded lock-free answer cache. The rows that set
+// it against the seed's single-RWMutex, 128-entry wholesale-drop cache
+// are on record in BENCH_PR9.json; DESIGN "Connection server at scale"
+// quotes them and names the commit at which they can be re-run.
 
 // benchNdb synthesizes a database with n dialable systems, each on
 // both IP and Datakit like the paper's dual-homed machines.
@@ -52,82 +49,6 @@ func benchServer(tb testing.TB, systems, cacheEntries int) *Server {
 	return New(cfg)
 }
 
-// seedCache is the pre-PR9 answer cache, verbatim in shape: one
-// RWMutex, a string key of query + reachable net names, a copied
-// answer on hit, and a wholesale drop at 128 entries.
-type seedCache struct {
-	s     *Server
-	mu    sync.RWMutex
-	cache map[string][]string
-}
-
-func newSeedCache(s *Server) *seedCache {
-	return &seedCache{s: s, cache: make(map[string][]string)}
-}
-
-const seedCacheCap = 128
-
-func (c *seedCache) translate(query string) ([]string, error) {
-	s := c.s
-	s.Queries.Inc()
-	s.trace.Emit(obs.EvQuery, int64(len(query)), 0)
-	parts := strings.Split(strings.TrimSpace(query), "!")
-	if len(parts) < 2 {
-		return nil, errBench
-	}
-	netName, host := parts[0], parts[1]
-	service := ""
-	if len(parts) >= 3 {
-		service = parts[2]
-	}
-	if host == "" {
-		return nil, errBench
-	}
-	available := func(n Network) bool {
-		return s.cfg.Probe == nil || s.cfg.Probe(n.Clone)
-	}
-	var nets []Network
-	var mask uint64
-	for i, n := range s.cfg.Networks {
-		if (netName == "net" || n.Name == netName) && available(n) {
-			nets = append(nets, n)
-			mask |= uint64(1) << uint(i)
-		}
-	}
-	if len(nets) == 0 {
-		return nil, errBench
-	}
-	var kb strings.Builder
-	kb.WriteString(strings.TrimSpace(query))
-	for _, n := range nets {
-		kb.WriteByte(0)
-		kb.WriteString(n.Name)
-	}
-	key := kb.String()
-	c.mu.RLock()
-	cached, hit := c.cache[key]
-	c.mu.RUnlock()
-	if hit {
-		s.CacheHits.Inc()
-		s.trace.Emit(obs.EvCacheHit, int64(len(cached)), 0)
-		return append([]string(nil), cached...), nil
-	}
-	lines, err := s.compute(netName, host, service, mask)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if len(c.cache) >= seedCacheCap {
-		c.cache = make(map[string][]string)
-	}
-	c.cache[key] = append([]string(nil), lines...)
-	c.mu.Unlock()
-	s.trace.Emit(obs.EvAnswer, int64(len(lines)), 0)
-	return lines, nil
-}
-
-var errBench = fmt.Errorf("bench: bad query")
-
 // runParallel16 runs body from 16 goroutines per core — the shape the
 // acceptance criterion names (hot-hit throughput at 16 goroutines).
 func runParallel16(b *testing.B, body func(i int)) {
@@ -157,25 +78,8 @@ func BenchmarkCSTranslateHot(b *testing.B) {
 	})
 }
 
-// BenchmarkCSTranslateHotSeed: the same hot query through the seed
-// cache discipline.
-func BenchmarkCSTranslateHotSeed(b *testing.B) {
-	c := newSeedCache(benchServer(b, 1024, 0))
-	if _, err := c.translate("net!h0001!9fs"); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	runParallel16(b, func(int) {
-		if _, err := c.translate("net!h0001!9fs"); err != nil {
-			b.Fatal(err)
-		}
-	})
-}
-
 // A 512-query working set: a serving machine's realistic hot set. The
-// sharded cache (4096 entries) holds all of it; the seed cache
-// (128 entries, wholesale drop) thrashes into full recomputation.
+// sharded cache (4096 entries) holds all of it.
 func hotSet(n int) []string {
 	qs := make([]string, n)
 	for i := range qs {
@@ -196,18 +100,6 @@ func BenchmarkCSTranslateHotSet512(b *testing.B) {
 	b.ResetTimer()
 	runParallel16(b, func(i int) {
 		if _, err := s.Translate(qs[i&511]); err != nil {
-			b.Fatal(err)
-		}
-	})
-}
-
-func BenchmarkCSTranslateHotSet512Seed(b *testing.B) {
-	c := newSeedCache(benchServer(b, 1024, 0))
-	qs := hotSet(512)
-	b.ReportAllocs()
-	b.ResetTimer()
-	runParallel16(b, func(i int) {
-		if _, err := c.translate(qs[i&511]); err != nil {
 			b.Fatal(err)
 		}
 	})

@@ -8,7 +8,10 @@
 // directories of a protocol device) and FileNode (files whose open
 // produces a Handle). Common handle shapes — read-only generated text,
 // ctl files parsing ASCII commands, byte streams — have ready-made
-// adapters so drivers contain only their own semantics.
+// adapters so drivers contain only their own semantics. The devices
+// with a clone file and numbered conversation directories, the
+// Ethernet driver and the protocol devices, share one conversation
+// table as well: Table.
 package devtree
 
 import (
@@ -270,6 +273,3 @@ func (h *CtlHandle) Close() error {
 	}
 	return nil
 }
-
-// ParseCmd splits an ASCII ctl command into fields.
-func ParseCmd(cmd string) []string { return strings.Fields(cmd) }

@@ -183,15 +183,6 @@ func TestReadAtString(t *testing.T) {
 	}
 }
 
-func TestParseCmd(t *testing.T) {
-	if f := ParseCmd("connect  2048 "); len(f) != 2 || f[0] != "connect" || f[1] != "2048" {
-		t.Errorf("ParseCmd %v", f)
-	}
-	if f := ParseCmd(""); len(f) != 0 {
-		t.Errorf("empty ParseCmd %v", f)
-	}
-}
-
 func TestDirNodeNilHooks(t *testing.T) {
 	d := &DirNode{Entry: MkDir("x", "u", 0555)}
 	if _, err := d.Walk("a"); !vfs.SameError(err, vfs.ErrNotExist) {

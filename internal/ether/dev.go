@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/devtree"
+	"repro/internal/netmsg"
 	"repro/internal/vfs"
 )
 
@@ -43,90 +44,31 @@ func (d *Dev) Attach(spec string) (vfs.Node, error) {
 
 // Root returns the top directory of the tree.
 func (d *Dev) Root() vfs.Node {
-	root := &devtree.DirNode{Entry: devtree.MkDir(d.ifc.name, d.owner, 0555)}
-	root.List = func() ([]vfs.Dir, error) {
-		ents := []vfs.Dir{devtree.MkFile("clone", d.owner, 0666)}
-		d.ifc.mu.Lock()
-		defer d.ifc.mu.Unlock()
-		for id := 1; id <= MaxConns; id++ {
-			if c := d.ifc.conns[id]; c != nil {
-				//netvet:ignore lock-across-send fixed hierarchy: interface before conversation, never reversed
-				c.mu.Lock()
-				live := c.inuse > 0
-				c.mu.Unlock()
-				if live {
-					ents = append(ents, devtree.MkDir(strconv.Itoa(id), d.owner, 0555))
-				}
-			}
-		}
-		return ents, nil
-	}
-	root.Lookup = func(name string) (vfs.Node, error) {
-		if name == "clone" {
-			return d.cloneNode(), nil
-		}
-		id, err := strconv.Atoi(name)
-		if err != nil || id < 1 || id > MaxConns {
-			return nil, vfs.ErrNotExist
-		}
-		d.ifc.mu.Lock()
-		c := d.ifc.conns[id]
-		d.ifc.mu.Unlock()
-		if c == nil {
-			return nil, vfs.ErrNotExist
-		}
-		c.mu.Lock()
-		live := c.inuse > 0
-		c.mu.Unlock()
-		if !live {
-			return nil, vfs.ErrNotExist
-		}
-		return d.connDir(c), nil
-	}
-	return root
+	return d.ifc.convs.Root(d.ifc.name, d.owner, d.clone, d.connDir)
 }
 
-// cloneNode is the clone file: opening it reserves a conversation and
+// clone is the clone file's open: it reserves a conversation and
 // behaves as that conversation's ctl file.
-func (d *Dev) cloneNode() vfs.Node {
-	return &devtree.FileNode{
-		Entry: devtree.MkFile("clone", d.owner, 0666),
-		OpenFn: func(mode int) (vfs.Handle, error) {
-			c, err := d.ifc.OpenConn()
-			if err != nil {
-				return nil, err
-			}
-			return d.ctlHandle(c), nil
-		},
+func (d *Dev) clone(int) (vfs.Handle, error) {
+	ref, err := d.ifc.claim()
+	if err != nil {
+		return nil, err
 	}
-}
-
-func (d *Dev) ctlHandle(c *Conn) vfs.Handle {
-	return &devtree.CtlHandle{
-		Get:   func() (string, error) { return strconv.Itoa(c.id), nil },
-		Cmd:   func(cmd string) error { return d.connCtl(c, cmd) },
-		OnEnd: func() { c.Close() },
-	}
+	return ref.Ctl(connCtl), nil
 }
 
 // connCtl parses the ASCII control commands of §2.2.
-func (d *Dev) connCtl(c *Conn, cmd string) error {
-	f := devtree.ParseCmd(cmd)
-	if len(f) == 0 {
-		return vfs.ErrBadCtl
-	}
-	switch f[0] {
-	case "connect":
-		if len(f) != 2 {
-			return vfs.ErrBadCtl
-		}
-		t, err := strconv.Atoi(f[1])
+func connCtl(c *Conn, cmd string) error {
+	verb, arg := netmsg.Parse(cmd)
+	switch verb {
+	case netmsg.VerbConnect:
+		t, err := strconv.Atoi(arg)
 		if err != nil || t < -1 || t > 0xffff {
 			return vfs.ErrBadCtl
 		}
 		c.SetType(t)
 		return nil
-	case "promiscuous":
+	case netmsg.VerbPromiscuous:
 		c.SetPromiscuous(true)
 		return nil
 	default:
@@ -135,56 +77,54 @@ func (d *Dev) connCtl(c *Conn, cmd string) error {
 }
 
 // connDir serves one numbered connection directory.
-func (d *Dev) connDir(c *Conn) vfs.Node {
-	name := strconv.Itoa(c.id)
-	mk := func(n string, perm uint32) vfs.Dir { return devtree.MkFile(n, d.owner, perm) }
-	ctl := &devtree.FileNode{
-		Entry: mk("ctl", 0666),
-		OpenFn: func(mode int) (vfs.Handle, error) {
-			c.incref()
-			return d.ctlHandle(c), nil
-		},
-	}
-	data := &devtree.FileNode{
-		Entry: mk("data", 0666),
-		OpenFn: func(mode int) (vfs.Handle, error) {
-			c.incref()
-			return &dataHandle{c: c}, nil
-		},
-	}
-	stats := devtree.TextFile(mk("stats", 0444), func() (string, error) {
+func (d *Dev) connDir(n devtree.Tenancy[*Conn]) vfs.Node {
+	mk := func(name string, perm uint32) vfs.Dir { return devtree.MkFile(name, d.owner, perm) }
+	ctl := n.File(mk("ctl", 0666), func(r devtree.Ref[*Conn]) vfs.Handle { return r.Ctl(connCtl) })
+	data := n.File(mk("data", 0666), func(r devtree.Ref[*Conn]) vfs.Handle { return &dataHandle{ref: r} })
+	stats := n.Text(mk("stats", 0444), func(c *Conn) string {
 		return d.ifc.Stats() + fmt.Sprintf("conn %d: type %d in %d out %d\n",
-			c.id, c.Type(), c.inPackets.Load(), c.outPackets.Load()), nil
+			c.id, c.Type(), c.inPackets.Load(), c.outPackets.Load())
 	})
-	typ := devtree.TextFile(mk("type", 0444), func() (string, error) {
-		return strconv.Itoa(c.Type()), nil
-	})
-	return devtree.StaticDir(devtree.MkDir(name, d.owner, 0555),
+	typ := n.Text(mk("type", 0444), func(c *Conn) string { return strconv.Itoa(c.Type()) })
+	return devtree.StaticDir(devtree.MkDir(strconv.Itoa(n.ID()), d.owner, 0555),
 		map[string]vfs.Node{"ctl": ctl, "data": data, "stats": stats, "type": typ},
 		[]string{"ctl", "data", "stats", "type"})
 }
 
 // dataHandle accesses the media: reading returns the next packet of
-// the selected type, writing queues a packet for transmission.
-type dataHandle struct{ c *Conn }
+// the selected type, writing queues a packet for transmission. It
+// holds a reference to the tenancy it was opened on; once closed it
+// reaches no conversation, whoever has the slot by then.
+type dataHandle struct{ ref devtree.Ref[*Conn] }
 
 var _ vfs.Handle = (*dataHandle)(nil)
 
 // Read implements vfs.Handle; the offset is ignored (stream semantics).
 func (h *dataHandle) Read(p []byte, off int64) (int, error) {
-	return h.c.Read(p)
+	c, err := h.ref.Conv()
+	if err != nil {
+		return 0, err
+	}
+	return c.Read(p)
 }
 
 // Write implements vfs.Handle.
 func (h *dataHandle) Write(p []byte, off int64) (int, error) {
+	c, err := h.ref.Conv()
+	if err != nil {
+		return 0, err
+	}
 	if len(p) < 6 {
 		return len(p), nil
 	}
 	var dst Addr
 	copy(dst[:], p[:6])
-	h.c.Transmit(dst, p[6:])
+	c.Transmit(dst, p[6:])
 	return len(p), nil
 }
 
 // Close implements vfs.Handle.
-func (h *dataHandle) Close() error { return h.c.Close() }
+func (h *dataHandle) Close() error {
+	h.ref.Release()
+	return nil
+}

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/devtree"
 	"repro/internal/medium"
 	"repro/internal/streams"
 	"repro/internal/vclock"
@@ -63,33 +64,16 @@ func (a Addr) String() string {
 // Broadcast is the all-ones broadcast address.
 var Broadcast = Addr{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 
-// Profile characterizes a medium for the simulator.
-type Profile struct {
-	// Latency is the propagation delay applied to every frame.
-	Latency time.Duration
-	// Bandwidth in bytes per second paces transmission; 0 means
-	// unlimited (no pacing sleeps at all).
-	Bandwidth int64
-	// MTU is the largest payload (not counting the header); 0 means
-	// 1500.
-	MTU int
-	// Loss is the probability in [0,1) that a frame is dropped.
-	Loss float64
-	// Seed seeds the impairment generator for reproducibility.
-	Seed int64
-	// Impair extends Loss into the full fault model (duplication,
-	// reordering, corruption, jitter, bursty loss, partitions), all
-	// replayable from Seed. See medium.Impairment. Corrupted frames
-	// fail the FCS at every receiving interface, so corruption
-	// surfaces as loss plus a crc errs count — as on real hardware.
-	Impair medium.Impairment
-	// Clock schedules pacing, propagation, and jitter; nil means the
-	// real clock. A vclock.Virtual turns the segment into a
-	// discrete-event component.
-	Clock vclock.Clock
-}
+// Profile characterizes the segment's medium. It is the point-to-point
+// media's profile, read for a broadcast domain: MTU is the largest
+// payload, not counting the frame header, and 0 means 1500; frames the
+// impairment model corrupts fail the FCS at every receiving interface,
+// so corruption surfaces as loss plus a crc errs count — as on real
+// hardware.
+type Profile = medium.Profile
 
-func (p Profile) mtu() int {
+// mtu is the segment's MTU: the profile's, or the Ethernet's 1500.
+func mtu(p Profile) int {
 	if p.MTU <= 0 {
 		return 1500
 	}
@@ -164,7 +148,7 @@ func (seg *Segment) ImpairCounts() medium.Counts {
 func (seg *Segment) Name() string { return seg.name }
 
 // MTU returns the medium MTU.
-func (seg *Segment) MTU() int { return seg.profile.mtu() }
+func (seg *Segment) MTU() int { return mtu(seg.profile) }
 
 // Close shuts the medium down; interfaces stop receiving.
 func (seg *Segment) Close() {
@@ -214,21 +198,15 @@ func (seg *Segment) transmitter() {
 		}
 	})
 	defer sched.Close()
-	var lineFree time.Time
+	var line medium.Pacer
 	for {
 		tx, ok := seg.txq.Recv()
 		if !ok {
 			return
 		}
 		p := seg.profile
-		now := seg.ck.Now()
 		if p.Bandwidth > 0 {
-			d := time.Duration(int64(len(tx.frame)) * int64(time.Second) / p.Bandwidth)
-			if lineFree.Before(now) {
-				lineFree = now
-			}
-			lineFree = lineFree.Add(d)
-			seg.ck.SleepUntil(lineFree)
+			seg.ck.SleepUntil(line.Reserve(seg.ck.Now(), medium.TransmitTime(len(tx.frame), p.Bandwidth)))
 		}
 		if seg.im != nil {
 			// The impairer decides drop/duplicate/corrupt/hold
@@ -253,10 +231,9 @@ func (seg *Segment) transmitter() {
 // into the block's tailroom in place (elided on an ideal medium).
 // Ownership of b transfers to the segment.
 func (seg *Segment) transmitBlock(from *Interface, b *block.Block) error {
-	if b.Len()-HdrLen > seg.profile.mtu() {
-		n := b.Len() - HdrLen
+	if n := b.Len() - HdrLen; n > seg.MTU() {
 		b.Free()
-		return fmt.Errorf("ether: packet exceeds MTU (%d > %d)", n, seg.profile.mtu())
+		return fmt.Errorf("ether: packet exceeds MTU (%d > %d)", n, seg.MTU())
 	}
 	if seg.ideal {
 		// Synchronous fast path for an ideal medium: no pacing, no
@@ -316,9 +293,9 @@ type Interface struct {
 	addr Addr
 	name string
 
-	mu     sync.Mutex
-	conns  [MaxConns + 1]*Conn     // index 1..MaxConns, as in the file tree
-	active atomic.Pointer[[]*Conn] // snapshot of allocated conns, for the lock-free demux
+	convs  *devtree.Table[*Conn]   // conversations 1 … MaxConns, as in the file tree
+	mu     sync.Mutex              // serializes publishers of active
+	active atomic.Pointer[[]*Conn] // snapshot of the live conns, for the lock-free demux
 
 	in *vclock.Mailbox[*block.Block]
 
@@ -338,10 +315,11 @@ func (ifc *Interface) CRCErrs() int64 { return ifc.crcErrs.Load() }
 func (seg *Segment) NewInterface(name string) *Interface {
 	n := macCounter.Add(1)
 	ifc := &Interface{
-		seg:  seg,
-		name: name,
-		addr: Addr{0x08, 0x00, 0x69, byte(n >> 16), byte(n >> 8), byte(n)},
-		in:   vclock.NewMailbox[*block.Block](seg.ck, 512),
+		seg:   seg,
+		name:  name,
+		addr:  Addr{0x08, 0x00, 0x69, byte(n >> 16), byte(n >> 8), byte(n)},
+		convs: devtree.NewTable(1, MaxConns, (*Conn).hangup),
+		in:    vclock.NewMailbox[*block.Block](seg.ck, 512),
 	}
 	seg.ck.Go(ifc.reader)
 	seg.mu.Lock()
@@ -444,27 +422,23 @@ func (ifc *Interface) demux(frame []byte) {
 		// is a read-mostly snapshot rebuilt on the rare configuration
 		// changes, so the per-frame demultiplex loop takes no locks.
 		st := c.rx.Load()
-		if st == nil || !st.inuse {
-			continue
+		if st == nil {
+			continue // hung up since the list was published
 		}
 		match := st.prom ||
 			(toMe && (st.etype == TypeAll || st.etype == etype))
-		deliver := st.deliver
-		s := st.stream
 		if !match {
 			continue
 		}
-		if deliver != nil {
+		if st.deliver != nil {
 			// Kernel hooks borrow the frame for the duration of the
 			// call; the IP stack slices it in place and copies only
 			// what it retains.
 			c.inPackets.Add(1)
-			deliver(frame)
+			st.deliver(frame)
 			continue
 		}
-		if s == nil {
-			continue
-		}
+		s := st.stream
 		// A conversation nobody reads must not wedge the interface:
 		// the driver drops, like real input-ring overflow. The
 		// threshold sits below the stream's own flow-control limit
@@ -480,100 +454,99 @@ func (ifc *Interface) demux(frame []byte) {
 	}
 }
 
-// Conn is a conversation on the interface: one numbered connection
-// directory of Figure 1.
+// Conn is a conversation on the interface: one tenancy of a numbered
+// connection directory of Figure 1.
 type Conn struct {
 	ifc *Interface
 	id  int
+	ref devtree.Ref[*Conn] // the kernel user's reference (OpenConn); zero for a cloned conversation
 
-	mu      sync.Mutex
-	inuse   int // reference count of open files on the conversation
-	etype   int // 0 = unconfigured, -1 = all
-	prom    bool
-	stream  *streams.Stream
-	deliver func(frame []byte) // kernel hook bypassing the stream
-
-	// rx is the demultiplexer's view of the fields above: an immutable
-	// snapshot republished under mu whenever they change, so the
-	// per-frame receive path reads one atomic pointer instead of taking
-	// the conversation lock. Configuration changes are rare; frames are
-	// not.
+	// rx is the conversation's packet-type match state, and the
+	// demultiplexer's view of it: an immutable snapshot replaced under
+	// mu whenever it changes, so the per-frame receive path reads one
+	// atomic pointer instead of taking the conversation lock.
+	// Configuration changes are rare; frames are not. nil once the
+	// conversation has hung up.
+	mu sync.Mutex
 	rx atomic.Pointer[rxState]
 
 	inPackets  atomic.Int64
 	outPackets atomic.Int64
 }
 
-// rxState is a Conn's frozen match state as the demultiplexer sees it.
+// rxState is a Conn's frozen match state.
 type rxState struct {
-	inuse   bool
 	prom    bool
-	etype   int
+	etype   int // 0 = unconfigured, -1 = all
 	stream  *streams.Stream
-	deliver func(frame []byte)
+	deliver func(frame []byte) // kernel hook bypassing the stream
 }
 
-// refreshRx republishes the demux snapshot. Callers hold c.mu.
-func (c *Conn) refreshRx() {
-	c.rx.Store(&rxState{
-		inuse:   c.inuse > 0,
-		prom:    c.prom,
-		etype:   c.etype,
-		stream:  c.stream,
-		deliver: c.deliver,
-	})
+// update replaces the match state with a changed copy. A conversation
+// that has hung up stays hung up.
+func (c *Conn) update(change func(*rxState)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old := c.rx.Load(); old != nil {
+		st := *old
+		change(&st)
+		c.rx.Store(&st)
+	}
 }
 
 // OpenConn reserves a conversation programmatically (the kernel path
 // used by the IP stack, equivalent to opening the clone file).
 func (ifc *Interface) OpenConn() (*Conn, error) {
-	ifc.mu.Lock()
-	defer ifc.mu.Unlock()
-	for id := 1; id <= MaxConns; id++ {
-		c := ifc.conns[id]
-		if c == nil {
-			c = &Conn{ifc: ifc, id: id}
-			ifc.conns[id] = c
-			// Republish the demux's conversation list. Conn slots are
-			// allocated once and reused forever after, so the list only
-			// grows, and growing it is the only time it changes.
-			var lst []*Conn
-			for _, cc := range ifc.conns[1:] {
-				if cc != nil {
-					lst = append(lst, cc)
-				}
-			}
-			ifc.active.Store(&lst)
-		}
-		//netvet:ignore lock-across-send fixed hierarchy: interface before conversation, never reversed
-		c.mu.Lock()
-		free := c.inuse == 0
-		if free {
-			c.inuse = 1
-			c.etype = 0
-			c.prom = false
-			c.deliver = nil
-			c.stream = c.newStreamLocked()
-			c.refreshRx()
-		}
-		c.mu.Unlock()
-		if free {
-			return c, nil
-		}
+	ref, err := ifc.claim()
+	if err != nil {
+		return nil, err
 	}
-	return nil, vfs.ErrInUse
+	c, _ := ref.Conv()
+	c.ref = ref
+	return c, nil
 }
 
-// newStreamLocked builds the conversation's stream; the device end
-// transmits frames.
-func (c *Conn) newStreamLocked() *streams.Stream {
-	return streams.New(0, func(b *streams.Block) {
-		if b.Type != streams.BlockData {
-			b.Free()
-			return
-		}
-		c.transmit(b)
+// claim reserves the lowest free conversation, unconfigured, and lists
+// it for the demultiplexer.
+func (ifc *Interface) claim() (devtree.Ref[*Conn], error) {
+	ref, err := ifc.convs.Claim(func(id int) (*Conn, error) {
+		c := &Conn{ifc: ifc, id: id}
+		// The device end of the conversation's stream transmits frames.
+		c.rx.Store(&rxState{stream: streams.New(0, func(b *streams.Block) {
+			if b.Type != streams.BlockData {
+				b.Free()
+				return
+			}
+			c.transmit(b)
+		})})
+		return c, nil
 	})
+	if err == nil {
+		ifc.publish()
+	}
+	return ref, err
+}
+
+// publish hands the demultiplexer the list of live conversations, in
+// id order. It runs after every claim and hangup; between a change and
+// its publication the demultiplexer at worst skips an unconfigured
+// conversation or visits one whose rx is already nil.
+func (ifc *Interface) publish() {
+	ifc.mu.Lock()
+	defer ifc.mu.Unlock()
+	var live []*Conn
+	ifc.convs.Each(func(_ int, c *Conn) { live = append(live, c) })
+	ifc.active.Store(&live)
+}
+
+// hangup resets the conversation when the final file in its connection
+// directory is clunked.
+func (c *Conn) hangup() {
+	c.mu.Lock()
+	st := c.rx.Swap(nil)
+	c.mu.Unlock()
+	st.stream.Close()
+	c.ifc.publish()
 }
 
 // ID returns the conversation number.
@@ -581,25 +554,20 @@ func (c *Conn) ID() int { return c.id }
 
 // SetType configures the packet type ("connect N" on the ctl file).
 func (c *Conn) SetType(etype int) {
-	c.mu.Lock()
-	c.etype = etype
-	c.refreshRx()
-	c.mu.Unlock()
+	c.update(func(st *rxState) { st.etype = etype })
 }
 
 // Type returns the configured packet type.
 func (c *Conn) Type() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.etype
+	if st := c.rx.Load(); st != nil {
+		return st.etype
+	}
+	return 0
 }
 
 // SetPromiscuous turns promiscuous reception on ("promiscuous").
 func (c *Conn) SetPromiscuous(on bool) {
-	c.mu.Lock()
-	c.prom = on
-	c.refreshRx()
-	c.mu.Unlock()
+	c.update(func(st *rxState) { st.prom = on })
 }
 
 // SetDeliver installs a kernel delivery hook: received frames go to fn
@@ -608,10 +576,7 @@ func (c *Conn) SetPromiscuous(on bool) {
 // aliases a receive buffer recycled after fn returns — so the hook
 // must copy anything it keeps.
 func (c *Conn) SetDeliver(fn func(frame []byte)) {
-	c.mu.Lock()
-	c.deliver = fn
-	c.refreshRx()
-	c.mu.Unlock()
+	c.update(func(st *rxState) { st.deliver = fn })
 }
 
 // Transmit sends payload p to dst with the conversation's packet type,
@@ -628,10 +593,7 @@ func (c *Conn) TransmitBlock(dst Addr, payload *block.Block) error {
 	hdr := payload.Prepend(HdrLen)
 	copy(hdr[0:6], dst[:])
 	copy(hdr[6:12], c.ifc.addr[:])
-	etype := 0
-	if st := c.rx.Load(); st != nil {
-		etype = st.etype
-	}
+	etype := c.Type()
 	hdr[12] = byte(etype >> 8)
 	hdr[13] = byte(etype)
 	c.outPackets.Add(1)
@@ -658,50 +620,27 @@ func (c *Conn) transmit(w *streams.Block) {
 // Read returns the next received frame (header included), via the
 // conversation stream. Used by the file tree's data file.
 func (c *Conn) Read(p []byte) (int, error) {
-	c.mu.Lock()
-	s := c.stream
-	c.mu.Unlock()
+	s := c.Stream()
 	if s == nil {
 		return 0, vfs.ErrHungup
 	}
 	return s.Read(p)
 }
 
-// Stream exposes the conversation stream (for pushing modules).
+// Stream exposes the conversation stream (for pushing modules); nil
+// once the conversation has hung up.
 func (c *Conn) Stream() *streams.Stream {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stream
+	if st := c.rx.Load(); st != nil {
+		return st.stream
+	}
+	return nil
 }
 
-// incref takes another reference on the conversation.
-func (c *Conn) incref() {
-	c.mu.Lock()
-	c.inuse++
-	c.refreshRx()
-	c.mu.Unlock()
-}
-
-// Close drops one reference; on the last, the conversation resets, as
-// when the final file in the connection directory is clunked.
+// Close drops the kernel user's reference; on the last reference, the
+// conversation resets, as when the final file in the connection
+// directory is clunked.
 func (c *Conn) Close() error {
-	c.mu.Lock()
-	c.inuse--
-	if c.inuse > 0 {
-		c.mu.Unlock()
-		return nil
-	}
-	c.inuse = 0
-	s := c.stream
-	c.stream = nil
-	c.etype = 0
-	c.prom = false
-	c.deliver = nil
-	c.refreshRx()
-	c.mu.Unlock()
-	if s != nil {
-		s.Close()
-	}
+	c.ref.Release()
 	return nil
 }
 

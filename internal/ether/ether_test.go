@@ -1,6 +1,7 @@
 package ether
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -568,5 +569,143 @@ func TestCorruptFramesFailFCS(t *testing.T) {
 	}
 	if !strings.Contains(i2.Stats(), "crc-errs: 20") {
 		t.Errorf("stats file does not report the crc errors:\n%s", i2.Stats())
+	}
+}
+
+// cloneConn opens the clone file and checks which conversation it got.
+func cloneConn(t *testing.T, nsp *ns.Namespace, want string) *ns.FD {
+	t.Helper()
+	ctl, err := nsp.Open("/net/ether0/clone", vfs.ORDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 16)
+	if n, _ := ctl.Read(buf); string(buf[:n]) != want {
+		t.Fatalf("clone gave conversation %q, want %q", buf[:n], want)
+	}
+	return ctl
+}
+
+// TestStaleDataHandleCannotReadNextTenant is the Ethernet twin of the
+// protocol devices' test of the same name: a conversation's files are
+// closed, the clone file hands its slot to someone else, a frame
+// arrives for the new tenant, and then the old data handle is used
+// again. It must get a hangup, and the frame must still be there for
+// the conversation it was sent to.
+func TestStaleDataHandleCannotReadNextTenant(t *testing.T) {
+	seg := newSeg(t, Profile{})
+	nsp, ifc := etherNS(t, seg)
+	tx, _ := seg.NewInterface("ether1").OpenConn()
+	defer tx.Close()
+	tx.SetType(0x900)
+
+	ctl := cloneConn(t, nsp, "1")
+	data, err := nsp.Open("/net/ether0/1/data", vfs.ORDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := data.Handle()
+	data.Close()
+	ctl.Close()
+
+	ctl2 := cloneConn(t, nsp, "1")
+	defer ctl2.Close()
+	if _, err := ctl2.WriteString("connect 2304"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Transmit(ifc.Addr(), []byte("for the second tenant")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the frame to reach conversation 1", func() bool {
+		b, _ := nsp.ReadFile("/net/ether0/1/stats")
+		return strings.Contains(string(b), "conn 1: type 2304 in 1 ")
+	})
+
+	buf := make([]byte, 256)
+	if n, err := stale.Read(buf, 0); !vfs.SameError(err, vfs.ErrHungup) {
+		t.Errorf("read through a closed handle: %q, %v; want %v", buf[:n], err, vfs.ErrHungup)
+	}
+	frame := append(append([]byte{}, Broadcast[:]...), "x"...)
+	if _, err := stale.Write(frame, 0); !vfs.SameError(err, vfs.ErrHungup) {
+		t.Errorf("write through a closed handle: %v, want %v", err, vfs.ErrHungup)
+	}
+	data2, err := nsp.Open("/net/ether0/1/data", vfs.ORDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer data2.Close()
+	got := make(chan string, 1)
+	go func() {
+		n, err := data2.Read(buf)
+		got <- fmt.Sprintf("%q, %v", buf[min(n, HdrLen):n], err)
+	}()
+	select {
+	case s := <-got:
+		if s != `"for the second tenant", <nil>` {
+			t.Errorf("second tenant read %s", s)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("second tenant's frame is gone")
+	}
+}
+
+// TestSecondCloseLeavesNextTenantAlone closes a handle a second time
+// after its slot has changed hands. The reference it held is spent; the
+// new tenant's reference count, and so its directory, must not move.
+func TestSecondCloseLeavesNextTenantAlone(t *testing.T) {
+	for _, file := range []string{"ctl", "data"} {
+		seg := newSeg(t, Profile{})
+		nsp, _ := etherNS(t, seg)
+		ctl := cloneConn(t, nsp, "1")
+		f, err := nsp.Open("/net/ether0/1/"+file, vfs.ORDWR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale := f.Handle()
+		f.Close()
+		ctl.Close()
+
+		ctl2 := cloneConn(t, nsp, "1")
+		stale.Close()
+		if _, err := nsp.Stat("/net/ether0/1"); err != nil {
+			t.Errorf("second close of a released %s handle took the next tenant's directory: %v", file, err)
+		}
+		ctl2.Close()
+	}
+}
+
+// TestConnCtlGrammar pins the §2.2 ctl vocabulary as netmsg parses it.
+func TestConnCtlGrammar(t *testing.T) {
+	seg := newSeg(t, Profile{})
+	c, _ := seg.NewInterface("e").OpenConn()
+	defer c.Close()
+	for _, tc := range []struct {
+		cmd  string
+		ok   bool
+		typ  int
+		prom bool
+	}{
+		{"connect 2048", true, 2048, false},
+		{"connect  2054 ", true, 2054, false},
+		{"connect -1", true, TypeAll, false},
+		{"connect 0", true, 0, false},
+		{"connect 65535", true, 0xffff, false},
+		{"connect 70000", false, 0xffff, false},
+		{"connect -2", false, 0xffff, false},
+		{"connect banana", false, 0xffff, false},
+		{"connect 2048 2054", false, 0xffff, false},
+		{"connect", false, 0xffff, false},
+		{"", false, 0xffff, false},
+		{"announce 2048", false, 0xffff, false},
+		{"Connect 2048", false, 0xffff, false},
+		{"promiscuous", true, 0xffff, true},
+	} {
+		err := connCtl(c, tc.cmd)
+		if tc.ok && err != nil || !tc.ok && !vfs.SameError(err, vfs.ErrBadCtl) {
+			t.Errorf("ctl %q: %v", tc.cmd, err)
+		}
+		if st := c.rx.Load(); st.etype != tc.typ || st.prom != tc.prom {
+			t.Errorf("after ctl %q: type %d promiscuous %v, want %d %v", tc.cmd, st.etype, st.prom, tc.typ, tc.prom)
+		}
 	}
 }

@@ -301,8 +301,34 @@ func TestPipeSendCloseHammer(t *testing.T) {
 	}
 }
 
+// TestPacerInstants pins the one serialization rule every paced medium
+// shares: a transmission starts when the line comes free, never before
+// now, and an idle line does not save up credit.
+func TestPacerInstants(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	at := func(d time.Duration) time.Time { return t0.Add(d) }
+	var p Pacer
+	steps := []struct {
+		now, busy, want time.Duration
+	}{
+		{0, 3 * time.Millisecond, 3 * time.Millisecond},                                                    // idle line: now + busy
+		{1 * time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond},                                 // queues behind the first
+		{5 * time.Millisecond, 0, 5 * time.Millisecond},                                                    // unpaced message on a free line
+		{20 * time.Millisecond, 1 * time.Millisecond, 21 * time.Millisecond},                               // idle gap is not credit
+		{20 * time.Millisecond, 4 * time.Millisecond, 25 * time.Millisecond},                               // back to back
+		{10 * time.Millisecond, 1 * time.Millisecond, 26 * time.Millisecond},                               // a stale now cannot rewind the line
+		{26 * time.Millisecond, 10 * time.Millisecond, 36 * time.Millisecond},                              // exactly at the free instant
+		{26 * time.Millisecond, TransmitTime(10*10, 9600), 36*time.Millisecond + 10416666*time.Nanosecond}, // ten UART bytes at 9600 baud
+	}
+	for i, s := range steps {
+		if got := p.Reserve(at(s.now), s.busy); !got.Equal(at(s.want)) {
+			t.Errorf("step %d: Reserve(t0+%v, %v) = t0+%v, want t0+%v", i, s.now, s.busy, got.Sub(t0), s.want)
+		}
+	}
+}
+
 // TestPacingMath covers the serialization-time arithmetic and the
-// nextFree accumulation for zero, calibrated, and jittered profiles.
+// pacer's accumulation for zero, calibrated, and jittered profiles.
 func TestPacingMath(t *testing.T) {
 	ttCases := []struct {
 		name string
@@ -317,12 +343,12 @@ func TestPacingMath(t *testing.T) {
 		{"one-byte-1Bps", 1, 1, time.Second},
 	}
 	for _, c := range ttCases {
-		if got := transmitTime(c.n, c.bw); got != c.want {
-			t.Errorf("transmitTime(%s) = %v, want %v", c.name, got, c.want)
+		if got := TransmitTime(c.n, c.bw); got != c.want {
+			t.Errorf("TransmitTime(%s) = %v, want %v", c.name, got, c.want)
 		}
 	}
 
-	// nextFree must advance by exactly the summed serialization times,
+	// The pipe's pacer must advance by exactly the summed serialization times,
 	// pacing the sender, for calibrated profiles with and without
 	// jitter (jitter delays delivery, never transmission).
 	nfCases := []struct {
@@ -341,16 +367,16 @@ func TestPacingMath(t *testing.T) {
 			if err := p.Send(make([]byte, n)); err != nil {
 				t.Fatalf("%s: send: %v", c.name, err)
 			}
-			want += transmitTime(n, c.prof.Bandwidth)
+			want += TransmitTime(n, c.prof.Bandwidth)
 		}
-		p.mu.Lock()
-		free := p.nextFree
-		p.mu.Unlock()
+		p.line.mu.Lock()
+		free := p.line.free
+		p.line.mu.Unlock()
 		got := free.Sub(start)
 		if got < want || got > want+30*time.Millisecond {
-			t.Errorf("%s: nextFree advanced %v, want ~%v", c.name, got, want)
+			t.Errorf("%s: line's next-free instant advanced %v, want ~%v", c.name, got, want)
 		}
-		if el := time.Since(start); el < want-transmitTime(c.sizes[len(c.sizes)-1], c.prof.Bandwidth) {
+		if el := time.Since(start); el < want-TransmitTime(c.sizes[len(c.sizes)-1], c.prof.Bandwidth) {
 			t.Errorf("%s: sender paced only %v for %v of wire time", c.name, el, want)
 		}
 		p.Close()

@@ -49,12 +49,9 @@ type Pipe struct {
 	ck      vclock.Clock
 	im      *Impairer // nil on an unimpaired, lossless link
 
-	mu    sync.Mutex
 	queue *vclock.Mailbox[[]byte]
 	sched *vclock.Mailbox[timedMsg]
-	// nextFree models the serialization point of the wire: the time
-	// at which the transmitter becomes free.
-	nextFree time.Time
+	line  Pacer
 }
 
 type timedMsg struct {
@@ -95,13 +92,38 @@ func (p *Pipe) deliverer() {
 	}
 }
 
-// transmitTime is the serialization time of n bytes at bw bytes/s:
-// how long the transmitter stays busy before the line is free again.
-func transmitTime(n int, bw int64) time.Duration {
-	if bw <= 0 {
+// Pacer is the serialization point of a wire: the instant at which its
+// transmitter is next free. Every paced medium — a pipe, the Ethernet
+// segment, a UART — books its transmissions through one, so what goes
+// out back to back queues behind what is already on the line. The zero
+// Pacer is an idle line.
+type Pacer struct {
+	mu   sync.Mutex
+	free time.Time
+}
+
+// Reserve books the line for busy, starting when it comes free and no
+// earlier than now, and returns the instant the transmission ends; the
+// sender sleeps until then.
+func (p *Pacer) Reserve(now time.Time, busy time.Duration) time.Time {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.free.Before(now) {
+		p.free = now
+	}
+	p.free = p.free.Add(busy)
+	return p.free
+}
+
+// TransmitTime is the serialization time of n units at rate units per
+// second — bytes at a bandwidth, or bits at a baud rate: how long the
+// transmitter stays busy before the line is free again. A rate of 0 is
+// an unpaced line.
+func TransmitTime(n int, rate int64) time.Duration {
+	if rate <= 0 {
 		return 0
 	}
-	return time.Duration(int64(n) * int64(time.Second) / bw)
+	return time.Duration(int64(n) * int64(time.Second) / rate)
 }
 
 // Send queues one message, applying MTU, bandwidth pacing, the
@@ -127,16 +149,7 @@ func (p *Pipe) send(msg []byte, owned bool) error {
 		return ErrClosed
 	}
 	if prof.Bandwidth > 0 {
-		d := transmitTime(len(msg), prof.Bandwidth)
-		p.mu.Lock()
-		now := p.ck.Now()
-		if p.nextFree.Before(now) {
-			p.nextFree = now
-		}
-		p.nextFree = p.nextFree.Add(d)
-		free := p.nextFree
-		p.mu.Unlock()
-		p.ck.SleepUntil(free)
+		p.ck.SleepUntil(p.line.Reserve(p.ck.Now(), TransmitTime(len(msg), prof.Bandwidth)))
 	}
 	if p.im != nil {
 		// The impairment path must copy even an owned buffer: the

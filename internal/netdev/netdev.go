@@ -25,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/devtree"
 	"repro/internal/netmsg"
@@ -42,30 +43,29 @@ const MaxConvs = 64
 type Dev struct {
 	proto xport.Proto
 	owner string
-
-	mu    sync.Mutex
-	convs [MaxConvs]*conv
+	convs *devtree.Table[*conv] // conversations 0 … MaxConvs-1
 }
 
+// conv is what the device keeps per conversation: the protocol's end
+// and the line discipline pushed on it.
 type conv struct {
 	dev  *Dev
-	id   int
 	conn xport.Conn
-
-	mu    sync.Mutex
-	inuse int
 	// line is the conversation's pushable module chain, materialized
 	// lazily by the first "push" ctl (§2.4.1). Once present, the data
 	// file's reads and writes pass through it instead of the bare
 	// conversation.
-	line *streams.Line
+	line atomic.Pointer[streams.Line]
+
+	mu   sync.Mutex // orders the first push against the hangup
+	hung bool
 }
 
 var _ vfs.Device = (*Dev)(nil)
 
 // New wraps proto in its file tree.
 func New(proto xport.Proto, owner string) *Dev {
-	return &Dev{proto: proto, owner: owner}
+	return &Dev{proto: proto, owner: owner, convs: devtree.NewTable(0, MaxConvs, (*conv).hangup)}
 }
 
 // Name implements vfs.Device ("tcp", "il", "udp", "dk", "cyc").
@@ -79,87 +79,46 @@ func (d *Dev) Attach(spec string) (vfs.Node, error) {
 	return d.Root(), nil
 }
 
-// place claims the lowest free conversation slot for the conversation
-// src yields: a fresh one from the protocol (the clone file) or the one
-// a listen accepted. src runs only once a slot is found, so a full
-// table costs the protocol nothing. The caller of a refused accept
-// hangs the call up after place returns — outside the device lock —
-// because closing a conversation can park on the wire, and the device
-// must stay walkable meanwhile.
-func (d *Dev) place(src func() (xport.Conn, error)) (*conv, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for id := range MaxConvs {
-		c := d.convs[id]
-		if c == nil {
-			c = &conv{dev: d, id: id}
-			d.convs[id] = c
-		}
-		//netvet:ignore lock-across-send fixed hierarchy: device before conversation, never reversed
-		c.mu.Lock()
-		if c.inuse != 0 {
-			c.mu.Unlock()
-			continue
-		}
+// Root returns the device's top directory.
+func (d *Dev) Root() vfs.Node {
+	return d.convs.Root(d.proto.Name(), d.owner, d.clone, d.convDir,
+		devtree.TextFile(devtree.MkFile("stats", d.owner, 0444),
+			func() (string, error) { return d.statsText(), nil }))
+}
+
+// clone is the clone file's open: it reserves a fresh conversation from
+// the protocol and returns its ctl file.
+func (d *Dev) clone(int) (vfs.Handle, error) {
+	return d.place(d.proto.NewConn)
+}
+
+// place claims a slot for the conversation src yields — a fresh one
+// from the protocol, or the one a listen accepted — and returns its ctl
+// file.
+func (d *Dev) place(src func() (xport.Conn, error)) (vfs.Handle, error) {
+	ref, err := d.convs.Claim(func(int) (*conv, error) {
 		conn, err := src()
-		if err == nil {
-			c.conn = conn
-			c.inuse = 1
-		}
-		c.mu.Unlock()
 		if err != nil {
 			return nil, err
 		}
-		return c, nil
+		return &conv{dev: d, conn: conn}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, vfs.ErrInUse
+	return ref.Ctl((*conv).ctl), nil
 }
 
-func (c *conv) incref() {
+// hangup ends the conversation when its last file closes.
+func (c *conv) hangup() {
 	c.mu.Lock()
-	c.inuse++
+	c.hung = true
 	c.mu.Unlock()
-}
-
-func (c *conv) decref() {
-	c.mu.Lock()
-	c.inuse--
-	done := c.inuse <= 0
-	conn := c.conn
-	line := c.line
-	if done {
-		c.inuse = 0
-		c.conn = nil
-		c.line = nil
-	}
-	c.mu.Unlock()
-	if done && line != nil {
-		line.Close() // pop-drains pending module data, then closes conn
+	if l := c.line.Load(); l != nil {
+		l.Close() // pop-drains pending module data, then closes conn
 		return
 	}
-	if done && conn != nil {
-		conn.Close()
-	}
-}
-
-func (c *conv) live() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inuse > 0
-}
-
-func (c *conv) xconn() xport.Conn {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.conn
-}
-
-// xline returns the conversation's module chain, nil before the first
-// push.
-func (c *conv) xline() *streams.Line {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.line
+	c.conn.Close()
 }
 
 // clock returns the protocol's time source when it exposes one (every
@@ -182,65 +141,17 @@ func (c *conv) pushLine(ck vclock.Clock, spec string) error {
 		return vfs.ErrBadCtl
 	}
 	c.mu.Lock()
-	if c.conn == nil {
+	if c.hung {
 		c.mu.Unlock()
 		return vfs.ErrHungup
 	}
-	if c.line == nil {
-		c.line = streams.NewLine(c.conn, ck, 0)
+	l := c.line.Load()
+	if l == nil {
+		l = streams.NewLine(c.conn, ck, 0)
+		c.line.Store(l)
 	}
-	l := c.line
 	c.mu.Unlock()
 	return l.WriteCtl(netmsg.Push(spec))
-}
-
-// Root returns the device's top directory.
-func (d *Dev) Root() vfs.Node {
-	root := &devtree.DirNode{Entry: devtree.MkDir(d.proto.Name(), d.owner, 0555)}
-	root.List = func() ([]vfs.Dir, error) {
-		ents := []vfs.Dir{
-			devtree.MkFile("clone", d.owner, 0666),
-			devtree.MkFile("stats", d.owner, 0444),
-		}
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		for id := range MaxConvs {
-			if c := d.convs[id]; c != nil && c.live() {
-				ents = append(ents, devtree.MkDir(strconv.Itoa(id), d.owner, 0555))
-			}
-		}
-		return ents, nil
-	}
-	root.Lookup = func(name string) (vfs.Node, error) {
-		if name == "stats" {
-			return devtree.TextFile(devtree.MkFile("stats", d.owner, 0444),
-				func() (string, error) { return d.statsText(), nil }), nil
-		}
-		if name == "clone" {
-			return &devtree.FileNode{
-				Entry: devtree.MkFile("clone", d.owner, 0666),
-				OpenFn: func(mode int) (vfs.Handle, error) {
-					c, err := d.place(d.proto.NewConn)
-					if err != nil {
-						return nil, err
-					}
-					return d.ctlHandle(c), nil
-				},
-			}, nil
-		}
-		id, err := strconv.Atoi(name)
-		if err != nil || id < 0 || id >= MaxConvs {
-			return nil, vfs.ErrNotExist
-		}
-		d.mu.Lock()
-		c := d.convs[id]
-		d.mu.Unlock()
-		if c == nil || !c.live() {
-			return nil, vfs.ErrNotExist
-		}
-		return d.convDir(c), nil
-	}
-	return root
 }
 
 // statsText renders one line per live conversation, netstat style,
@@ -248,20 +159,10 @@ func (d *Dev) Root() vfs.Node {
 // exposes an obs.Group — the "name: value" body of /net/PROTO/stats.
 func (d *Dev) statsText() string {
 	var b strings.Builder
-	d.mu.Lock()
-	for id := range MaxConvs {
-		c := d.convs[id]
-		if c == nil {
-			continue
-		}
-		conn := c.xconn()
-		if conn == nil {
-			continue
-		}
+	d.convs.Each(func(id int, c *conv) {
 		fmt.Fprintf(&b, "%s/%d %s %s %s\n",
-			d.proto.Name(), id, conn.Status(), conn.LocalAddr(), conn.RemoteAddr())
-	}
-	d.mu.Unlock()
+			d.proto.Name(), id, c.conn.Status(), c.conn.LocalAddr(), c.conn.RemoteAddr())
+	})
 	if sp, ok := d.proto.(interface{ StatsGroup() *obs.Group }); ok {
 		if g := sp.StatsGroup(); g != nil {
 			b.WriteString(g.Render())
@@ -270,20 +171,9 @@ func (d *Dev) statsText() string {
 	return b.String()
 }
 
-func (d *Dev) ctlHandle(c *conv) vfs.Handle {
-	return &devtree.CtlHandle{
-		Get:   func() (string, error) { return strconv.Itoa(c.id), nil },
-		Cmd:   func(cmd string) error { return d.convCtl(c, cmd) },
-		OnEnd: func() { c.decref() },
-	}
-}
-
-// convCtl parses the ASCII control requests of §2.3.
-func (d *Dev) convCtl(c *conv, cmd string) error {
-	conn := c.xconn()
-	if conn == nil {
-		return vfs.ErrHungup
-	}
+// ctl parses the ASCII control requests of §2.3.
+func (c *conv) ctl(cmd string) error {
+	conn := c.conn
 	verb, arg := netmsg.Parse(cmd)
 	switch verb {
 	case netmsg.VerbConnect:
@@ -301,16 +191,16 @@ func (d *Dev) convCtl(c *conv, cmd string) error {
 		}
 		return conn.Announce(arg)
 	case netmsg.VerbHangup:
-		if l := c.xline(); l != nil {
+		if l := c.line.Load(); l != nil {
 			return l.Close()
 		}
 		return conn.Close()
 	case netmsg.VerbPush:
 		// "push batch 2048 2ms", "push compress": dress the
 		// conversation in a line discipline (§2.4.1).
-		return c.pushLine(d.clock(), arg)
+		return c.pushLine(c.dev.clock(), arg)
 	case netmsg.VerbPop:
-		l := c.xline()
+		l := c.line.Load()
 		if l == nil {
 			return streams.ErrNothingToPop
 		}
@@ -344,157 +234,111 @@ func (d *Dev) convCtl(c *conv, cmd string) error {
 }
 
 // convDir serves one numbered connection directory.
-func (d *Dev) convDir(c *conv) vfs.Node {
-	mk := func(n string, perm uint32) vfs.Dir { return devtree.MkFile(n, d.owner, perm) }
-	get := func(f func(xport.Conn) string) func() (string, error) {
-		return func() (string, error) {
-			conn := c.xconn()
-			if conn == nil {
-				return "", vfs.ErrHungup
-			}
-			return f(conn), nil
-		}
-	}
-	ctl := &devtree.FileNode{
-		Entry: mk("ctl", 0666),
-		OpenFn: func(mode int) (vfs.Handle, error) {
-			c.incref()
-			return d.ctlHandle(c), nil
-		},
-	}
-	data := &devtree.FileNode{
-		Entry: mk("data", 0666),
-		OpenFn: func(mode int) (vfs.Handle, error) {
-			c.incref()
-			return &dataHandle{c: c, conn: c.xconn()}, nil
-		},
-	}
+func (d *Dev) convDir(n devtree.Tenancy[*conv]) vfs.Node {
+	mk := func(name string, perm uint32) vfs.Dir { return devtree.MkFile(name, d.owner, perm) }
+	ctl := n.File(mk("ctl", 0666), func(r devtree.Ref[*conv]) vfs.Handle { return r.Ctl((*conv).ctl) })
+	data := n.File(mk("data", 0666), func(r devtree.Ref[*conv]) vfs.Handle { return &dataHandle{ref: r} })
 	listen := &devtree.FileNode{
 		Entry: mk("listen", 0666),
 		OpenFn: func(mode int) (vfs.Handle, error) {
-			conn := c.xconn()
-			if conn == nil {
-				return nil, vfs.ErrHungup
+			c, err := n.Conv()
+			if err != nil {
+				return nil, err
 			}
 			// Block until a call arrives; the returned handle is
 			// the ctl file of the new connection.
-			nconn, err := conn.Listen()
+			call, err := c.conn.Listen()
 			if err != nil {
 				return nil, err
 			}
-			nc, err := d.place(func() (xport.Conn, error) { return nconn, nil })
+			h, err := d.place(func() (xport.Conn, error) { return call, nil })
 			if err != nil {
-				nconn.Close() // no slot: refuse the call, with the device lock released
-				return nil, err
+				call.Close() // no slot: refuse the call, with the table unlocked
 			}
-			return d.ctlHandle(nc), nil
+			return h, err
 		},
 	}
-	local := devtree.TextFile(mk("local", 0444),
-		get(func(cn xport.Conn) string { return cn.LocalAddr() + "\n" }))
-	remote := devtree.TextFile(mk("remote", 0444),
-		get(func(cn xport.Conn) string { return cn.RemoteAddr() + "\n" }))
-	status := devtree.TextFile(mk("status", 0444),
-		get(func(cn xport.Conn) string {
-			return d.proto.Name() + "/" + strconv.Itoa(c.id) + " " + cn.Status() + "\n"
-		}))
+	local := n.Text(mk("local", 0444), func(c *conv) string { return c.conn.LocalAddr() + "\n" })
+	remote := n.Text(mk("remote", 0444), func(c *conv) string { return c.conn.RemoteAddr() + "\n" })
+	status := n.Text(mk("status", 0444), func(c *conv) string {
+		return d.proto.Name() + "/" + strconv.Itoa(n.ID()) + " " + c.conn.Status() + "\n"
+	})
 	// The conversation's stats file: one counter group per pushed
 	// module, rendered top first — the per-conversation bill for its
 	// line disciplines. Empty until something is pushed.
-	stats := devtree.TextFile(mk("stats", 0444), func() (string, error) {
-		if !c.live() {
-			return "", vfs.ErrHungup
+	stats := n.Text(mk("stats", 0444), func(c *conv) string {
+		if l := c.line.Load(); l != nil {
+			return l.StatsText()
 		}
-		l := c.xline()
-		if l == nil {
-			return "", nil
-		}
-		return l.StatsText(), nil
+		return ""
 	})
 	nodes := map[string]vfs.Node{
 		"ctl": ctl, "data": data, "listen": listen,
 		"local": local, "remote": remote, "stats": stats, "status": status,
 	}
 	order := []string{"ctl", "data", "listen", "local", "remote", "stats", "status"}
-	if _, ok := c.xconn().(obs.Tracer); ok {
-		// The conversation carries an event ring: serve it as the
-		// trace file (§6.1's remote diagnosis — arm with "trace on",
-		// read the events back, locally or over an imported /net).
-		nodes["trace"] = devtree.TextFile(mk("trace", 0444),
-			get(func(cn xport.Conn) string {
-				r := cn.(obs.Tracer).Trace()
+	if c, err := n.Conv(); err == nil {
+		if _, ok := c.conn.(obs.Tracer); ok {
+			// The conversation carries an event ring: serve it as the
+			// trace file (§6.1's remote diagnosis — arm with "trace on",
+			// read the events back, locally or over an imported /net).
+			nodes["trace"] = n.Text(mk("trace", 0444), func(c *conv) string {
+				r := c.conn.(obs.Tracer).Trace()
 				if r == nil {
 					return ""
 				}
 				return r.TraceText()
-			}))
-		order = append(order, "trace")
+			})
+			order = append(order, "trace")
+		}
 	}
-	return devtree.StaticDir(devtree.MkDir(strconv.Itoa(c.id), d.owner, 0555),
+	return devtree.StaticDir(devtree.MkDir(strconv.Itoa(n.ID()), d.owner, 0555),
 		nodes, order)
 }
 
 // dataHandle is the data file: the process end of the conversation's
-// stream. It remembers the conversation it was opened on. The slot is
-// recycled when its last handle closes, and a process can come round to
-// a read on a handle it has already closed — a 9P client's demux loop
-// does, when Close overtakes it; that read must fail, not drain the
-// slot's next tenant.
-type dataHandle struct {
-	c    *conv
-	conn xport.Conn
-}
+// stream. It holds a reference to the tenancy it was opened on, not to
+// the slot: a process can come round to a read on a handle it has
+// already closed — a 9P client's demux loop does, when Close overtakes
+// it — and that read must fail, not drain the slot's next tenant.
+type dataHandle struct{ ref devtree.Ref[*conv] }
 
 var _ vfs.Handle = (*dataHandle)(nil)
 
-// ends returns the conversation's line discipline, if one is pushed,
-// and its protocol end; both are nil once the slot has let go of the
-// conversation the handle was opened on.
-func (h *dataHandle) ends() (*streams.Line, xport.Conn) {
-	h.c.mu.Lock()
-	defer h.c.mu.Unlock()
-	if h.c.conn != h.conn {
-		return nil, nil
-	}
-	return h.c.line, h.conn
-}
-
 // Read implements vfs.Handle (offset ignored; stream semantics).
 // When the conversation wears a line discipline, reads come off the
-// top of its stream; otherwise straight from the protocol.
-func (h *dataHandle) Read(p []byte, off int64) (int, error) {
-	l, conn := h.ends()
-	if l != nil {
-		n, err := l.Read(p)
-		if err == io.EOF {
-			return n, nil
-		}
-		return n, err
+// top of its stream; otherwise straight from the protocol. EOF is a
+// zero-length read at the file boundary.
+func (h *dataHandle) Read(p []byte, off int64) (n int, err error) {
+	c, err := h.ref.Conv()
+	if err != nil {
+		return 0, err
 	}
-	if conn == nil {
-		return 0, vfs.ErrHungup
+	if l := c.line.Load(); l != nil {
+		n, err = l.Read(p)
+	} else {
+		n, err = c.conn.Read(p)
 	}
-	n, err := conn.Read(p)
 	if err == io.EOF {
-		return n, nil // EOF is a zero-length read at the file boundary
+		err = nil
 	}
 	return n, err
 }
 
 // Write implements vfs.Handle.
 func (h *dataHandle) Write(p []byte, off int64) (int, error) {
-	l, conn := h.ends()
-	if l != nil {
+	c, err := h.ref.Conv()
+	if err != nil {
+		return 0, err
+	}
+	if l := c.line.Load(); l != nil {
 		return l.Write(p)
 	}
-	if conn == nil {
-		return 0, vfs.ErrHungup
-	}
-	return conn.Write(p)
+	return c.conn.Write(p)
 }
 
 // Close implements vfs.Handle.
 func (h *dataHandle) Close() error {
-	h.c.decref()
+	h.ref.Release()
 	return nil
 }

@@ -604,3 +604,33 @@ func TestStaleDataHandleCannotReadNextTenant(t *testing.T) {
 		t.Errorf("second tenant read %q, %v", buf[:n], err)
 	}
 }
+
+// TestSecondCloseLeavesNextTenantAlone closes a handle a second time
+// after its slot has changed hands. The reference it held is spent; the
+// new tenant's reference count, and so its directory, must not move.
+func TestSecondCloseLeavesNextTenantAlone(t *testing.T) {
+	for _, file := range []string{"ctl", "data"} {
+		nsp := fakeNS()
+		ctl, err := nsp.Open("/net/fake/clone", vfs.ORDWR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := nsp.Open("/net/fake/0/"+file, vfs.ORDWR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale := f.Handle()
+		f.Close()
+		ctl.Close()
+
+		ctl2, err := nsp.Open("/net/fake/clone", vfs.ORDWR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale.Close()
+		if _, err := nsp.Stat("/net/fake/0"); err != nil {
+			t.Errorf("second close of a released %s handle took the next tenant's directory: %v", file, err)
+		}
+		ctl2.Close()
+	}
+}

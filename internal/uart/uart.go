@@ -19,9 +19,9 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/devtree"
+	"repro/internal/medium"
 	"repro/internal/streams"
 	"repro/internal/vclock"
 	"repro/internal/vfs"
@@ -65,10 +65,10 @@ type End struct {
 	ck   vclock.Clock
 	baud atomic.Int64
 
+	tx medium.Pacer // the transmitter's serialization point
+
 	mu     sync.Mutex
 	stream *streams.Stream
-	// txFree is the transmitter's serialization point.
-	txFree time.Time
 	closed bool
 
 	inBytes  atomic.Int64
@@ -109,15 +109,8 @@ func (e *End) transmit(b *streams.Block) {
 		return
 	}
 	n := len(b.Buf)
-	bits := int64(n) * 10
-	d := time.Duration(bits * int64(time.Second) / e.baud.Load())
+	free := e.tx.Reserve(e.ck.Now(), medium.TransmitTime(n*10, e.baud.Load()))
 	e.mu.Lock()
-	now := e.ck.Now()
-	if e.txFree.Before(now) {
-		e.txFree = now
-	}
-	e.txFree = e.txFree.Add(d)
-	free := e.txFree
 	closed := e.closed
 	e.mu.Unlock()
 	if closed {

@@ -23,7 +23,7 @@ fi
 # pkg:Benchmark pairs. The root package carries the end-to-end figures
 # — including the WAN goodput rows for the line disciplines (baseline
 # vs batch vs batch+compress, small messages and bulk); internal/cs the
-# connection-server cache (new vs seed discipline); internal/ndb the
+# connection-server cache; internal/ndb the
 # §4.1 hash-vs-scan experiment at 1× and 10× scale.
 benches='
 .:BenchmarkTable1LatencyILEther
@@ -44,9 +44,7 @@ benches='
 .:BenchmarkWANBulkGoodputBatch
 .:BenchmarkWANBulkGoodputBatchCompress
 internal/cs:BenchmarkCSTranslateHot
-internal/cs:BenchmarkCSTranslateHotSeed
 internal/cs:BenchmarkCSTranslateHotSet512
-internal/cs:BenchmarkCSTranslateHotSet512Seed
 internal/cs:BenchmarkCSTranslateMissSingleflight
 internal/cs:BenchmarkCSTranslateMixed
 internal/ndb:BenchmarkNdbLookupHashed

@@ -68,10 +68,11 @@ echo "== coverage floors"
 # itself load-bearing (this script trusts its verdicts); exportfs is the
 # serving stack's front door; ccache hands out refcounted memory on the
 # gateway's hot path; xport is the scaffold every IL and TCP
-# conversation stands on. Two floors are higher: the line disciplines
-# in streams rewrite every byte a dressed conversation carries, and cs
-# answers every symbolic dial, so a silent miscount there skews every
-# experiment.
+# conversation stands on, and devtree the conversation table every
+# Ethernet and protocol-device conversation lives in. Two floors are
+# higher: the line disciplines in streams rewrite every byte a dressed
+# conversation carries, and cs answers every symbolic dial, so a silent
+# miscount there skews every experiment.
 floor() {
     cov=$(go test -cover "./internal/$1" | awk '{ for (i = 1; i <= NF; i++) if ($i == "coverage:") print $(i+1) }' | tr -d '%')
     if [ -z "$cov" ] || [ "$(printf '%.0f' "$cov")" -lt "$2" ]; then
@@ -80,7 +81,7 @@ floor() {
     fi
     echo "internal/$1 coverage ${cov}% (floor $2%)"
 }
-for f in obs:80 analysis:80 exportfs:80 ccache:80 xport:80 streams:85 cs:85; do
+for f in obs:80 analysis:80 exportfs:80 ccache:80 xport:80 devtree:80 streams:85 cs:85; do
     floor "${f%:*}" "${f#*:}"
 done
 
@@ -95,6 +96,7 @@ udp=$(lines internal/udp/udp.go)
 xport=$(lines $(ls internal/xport/*.go | grep -v _test.go))
 echo "il.go $il  tcp.go $tcp  udp.go $udp  xport/*.go $xport  total $((il + tcp + udp + xport))"
 echo "storm/*.go $(lines $(ls internal/storm/*.go | grep -v _test.go))  cmd/netsim/main.go $(lines cmd/netsim/main.go)"
+echo "ether.go $(lines internal/ether/ether.go)  ether/dev.go $(lines internal/ether/dev.go)  netdev.go $(lines internal/netdev/netdev.go)  devtree/*.go $(lines $(ls internal/devtree/*.go | grep -v _test.go))  medium.go $(lines internal/medium/medium.go)  uart.go $(lines internal/uart/uart.go)"
 if [ "$il" -gt 847 ]; then
     echo "internal/il/il.go is $il lines, over the paper's 847" >&2
     exit 1
@@ -124,11 +126,11 @@ echo "== bench smoke (benchmarks still run)"
 sh scripts/bench.sh -smoke
 
 echo "== fuzz smoke (10s per parser)"
-# -fuzzminimizetime 5x: a crasher found during a smoke should minimize
-# in a handful of runs, not stall the gate for the default 60s.
-go test -run '^$' -fuzz '^FuzzParseHeader$' -fuzztime 10s -fuzzminimizetime 5x ./internal/il
-go test -run '^$' -fuzz '^Fuzz9PMessage$' -fuzztime 10s -fuzzminimizetime 5x ./internal/ninep
-go test -run '^$' -fuzz '^FuzzCompressFrame$' -fuzztime 10s -fuzzminimizetime 5x ./internal/streams
-go test -run '^$' -fuzz '^FuzzBatchReassembly$' -fuzztime 10s -fuzzminimizetime 5x ./internal/streams
+# One list, one loop. -fuzzminimizetime 5x: a crasher found during a
+# smoke should minimize in a handful of runs, not stall the gate for the
+# default 60s.
+for f in il:FuzzParseHeader ninep:Fuzz9PMessage streams:FuzzCompressFrame streams:FuzzBatchReassembly; do
+    go test -run '^$' -fuzz "^${f#*:}\$" -fuzztime 10s -fuzzminimizetime 5x "./internal/${f%:*}"
+done
 
 echo "check.sh: all gates passed"
