@@ -367,7 +367,7 @@ func mount9PBench(b *testing.B, dest string, profiles core.PaperProfiles, size, 
 	helix := w.Machine("helix")
 	payload := make([]byte, size)
 	bootes.Root.WriteFile("lib/bench", payload, 0664)
-	cfg := mnt.Config{Client: ninep.ClientConfig{WindowedTransfers: true, Window: window}}
+	cfg := mnt.Config{Client: ninep.ClientConfig{FileTree: true, Window: window}}
 	if _, err := helix.ImportConfig(dest, "/", "/n/b", ns.MREPL, cfg); err != nil {
 		b.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func bench9PRelay(b *testing.B, window int) {
 	bootes.Root.WriteFile("lib/bench", payload, 0664)
 	// helix mounts bootes; gnot imports helix's whole tree (which
 	// includes that mount) over the Datakit.
-	cfg := mnt.Config{Client: ninep.ClientConfig{WindowedTransfers: true, Window: window}}
+	cfg := mnt.Config{Client: ninep.ClientConfig{FileTree: true, Window: window}}
 	if _, err := helix.ImportConfig("il!bootes!9fs", "/", "/n/bootes", ns.MREPL, cfg); err != nil {
 		b.Fatal(err)
 	}

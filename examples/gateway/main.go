@@ -19,13 +19,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/dialer"
 	"repro/internal/mnt"
-	"repro/internal/ninep"
 	"repro/internal/ns"
 )
 
 func main() {
-	window := flag.Int("window", ninep.DefaultWindow,
-		"9P fragment window for write-behind depth on the import's client")
 	clients := flag.Int("clients", 0,
 		"extra tenants: each imports helix's /lib/ndb through the gateway and reads the database; afterwards the per-connection bill is read from helix's /net/export/stats — through the import")
 	flag.Parse()
@@ -56,17 +53,10 @@ func main() {
 
 	// import -a helix /net — over the Datakit, since that is all the
 	// terminal has. The union places remote entries after local ones.
-	// A /net import is a live device tree, so it deliberately does NOT
-	// opt into windowed transfers: fanning a read into speculative
-	// Treads would consume stream data past a message boundary. The
-	// pipelining a device import does get is tag-level — every process
-	// using the import runs its RPCs concurrently across both hops of
-	// the relay — plus the window as write-behind depth if a mount
-	// opts in. Mount a plain file tree with mnt.FileConfig() to fan
-	// large transfers into concurrent fragments as well.
-	fmt.Printf("philw-gnot$ import -a helix /net  # window %d\n", *window)
-	cfg := mnt.Config{Client: ninep.ClientConfig{Window: *window}}
-	if _, err := gnot.ImportConfig("dk!nj/astro/helix!exportfs", "/net", "/net", ns.MAFTER, cfg); err != nil {
+	// A /net import is a device tree and stays serial; a file tree
+	// mounts with mnt.FileConfig().
+	fmt.Println("philw-gnot$ import -a helix /net")
+	if _, err := gnot.Import("dk!nj/astro/helix!exportfs", "/net", "/net", ns.MAFTER); err != nil {
 		log.Fatal(err)
 	}
 

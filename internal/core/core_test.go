@@ -455,8 +455,8 @@ func TestNdbVisibleInNamespace(t *testing.T) {
 func TestImportOverDisciplinedConversation(t *testing.T) {
 	// A 9P mount whose transport conversation runs the batch+compress
 	// line disciplines: the server announces with mods, the client
-	// pushes the same stack via mnt.Config.Push, and the tree works
-	// exactly as over a bare conversation.
+	// pushes the same stack via MountRemoteConfig's mods, and the tree
+	// works exactly as over a bare conversation.
 	w := paperWorld(t)
 	bootes := w.Machine("bootes")
 	helix := w.Machine("helix")
@@ -471,7 +471,7 @@ func TestImportOverDisciplinedConversation(t *testing.T) {
 	}
 	defer stop()
 	if _, err := helix.MountRemoteConfig("tcp!bootes!9990", "", "/n/bootes",
-		ns.MREPL, mnt.Config{Push: mods}); err != nil {
+		ns.MREPL, mnt.Config{}, mods...); err != nil {
 		t.Fatal(err)
 	}
 	b, err := helix.NS.ReadFile("/n/bootes/lib/motd")

@@ -178,21 +178,19 @@ func (m *Machine) Exportfs() *exportfs.Server {
 // Import dials the exportfs service on a remote machine and mounts
 // its subtree at old with the given bind flag: the import command of
 // §6.1. dest is a dial string such as "net!helix!exportfs". The mount
-// keeps the serial driver's exact RPC mapping — windowed fan-out,
-// readahead, and write-behind stay off because imports usually carry
-// live device trees (see ImportConfig).
+// is a device tree — one fragment RPC at a time, nothing speculative —
+// because imports usually carry live device files (see ImportConfig).
 func (m *Machine) Import(dest, remotePath, old string, flag int) (*ninep.Client, error) {
 	return m.ImportConfig(dest, remotePath, old, flag, mnt.Config{})
 }
 
-// ImportConfig is Import with an explicit mount-driver configuration —
-// mnt.FileConfig() (windowed transfers, readahead, write-behind) for a
-// plain file tree; the zero Config is the serial RPC-per-fragment
-// driver. An import is a remote mount whose attach name is the path to
-// export.
-func (m *Machine) ImportConfig(dest, remotePath, old string, flag int, cfg mnt.Config) (*ninep.Client, error) {
+// ImportConfig is Import with an explicit mount profile —
+// mnt.FileConfig() for a plain file tree, the zero Config for a device
+// tree — and the line disciplines to push on the conversation. An
+// import is a remote mount whose attach name is the path to export.
+func (m *Machine) ImportConfig(dest, remotePath, old string, flag int, cfg mnt.Config, mods ...string) (*ninep.Client, error) {
 	aname := strings.TrimPrefix(ns.Clean(remotePath), "/")
-	return m.MountRemoteConfig(dest, aname, old, flag, cfg)
+	return m.MountRemoteConfig(dest, aname, old, flag, cfg, mods...)
 }
 
 // MountRemote dials dest and mounts the 9P tree served there (e.g. a
@@ -201,12 +199,14 @@ func (m *Machine) MountRemote(dest, aname, old string, flag int) (*ninep.Client,
 	return m.MountRemoteConfig(dest, aname, old, flag, mnt.Config{})
 }
 
-// MountRemoteConfig is MountRemote with an explicit mount-driver
-// configuration: dial dest on the machine's clock, push the configured
-// line disciplines, attach and bind over the conversation, and book the
-// client with the machine. A failed mount leaves the conversation
-// closed.
-func (m *Machine) MountRemoteConfig(dest, aname, old string, flag int, cfg mnt.Config) (*ninep.Client, error) {
+// MountRemoteConfig is MountRemote with an explicit mount profile: dial
+// dest on the machine's clock, push the line disciplines mods (§2.4.1)
+// bottom-up before the 9P session starts — {"compress", "batch 2048
+// 2ms"} puts compress nearest the wire, and the serving end must push
+// the same specs in the same order, as Serve9P(addr, root, mods...)
+// does — attach and bind over the conversation, and book the client
+// with the machine. A failed mount leaves the conversation closed.
+func (m *Machine) MountRemoteConfig(dest, aname, old string, flag int, cfg mnt.Config, mods ...string) (*ninep.Client, error) {
 	if cfg.Client.Clock == nil {
 		cfg.Client.Clock = m.World.Clock()
 	}
@@ -214,7 +214,7 @@ func (m *Machine) MountRemoteConfig(dest, aname, old string, flag int, cfg mnt.C
 	if err != nil {
 		return nil, err
 	}
-	if err := conn.Push(cfg.Push...); err != nil {
+	if err := conn.Push(mods...); err != nil {
 		conn.Close()
 		return nil, err
 	}

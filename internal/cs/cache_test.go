@@ -19,7 +19,7 @@ import (
 // through the file interface, and the counter balance under a
 // concurrent hammer.
 
-// TestShortReadResumesMidLine pins the csHandle.Read fix: a reader
+// TestShortReadResumesMidLine pins the query file's short reads: a reader
 // with a buffer shorter than the destination line must receive the
 // whole line across several reads, not a truncated prefix.
 func TestShortReadResumesMidLine(t *testing.T) {

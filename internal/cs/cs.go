@@ -447,63 +447,16 @@ func (s *Server) hostAddrs(n *Network, host, service string) []string {
 // server's counters and latency histogram in the same shape as the
 // protocol devices' stats files.
 func (s *Server) Node(owner string) vfs.Node {
-	query := &devtree.FileNode{
-		Entry: devtree.MkFile("cs", owner, 0666),
-		OpenFn: func(mode int) (vfs.Handle, error) {
-			return &csHandle{srv: s}, nil
-		},
-	}
+	query := devtree.QueryFile(devtree.MkFile("cs", owner, 0666),
+		func(req string) ([]string, error) {
+			// The answer's lines are the cache's own, shared and
+			// immutable; the query file serves them without a copy.
+			ans, err := s.Translate(req)
+			return ans.lines, err
+		})
 	stats := devtree.TextFile(devtree.MkFile("stats", owner, 0444),
 		func() (string, error) { return s.stats.Render(), nil })
 	return devtree.StaticDir(devtree.MkDir("cs", owner, 0555),
 		map[string]vfs.Node{"cs": query, "stats": stats},
 		[]string{"cs", "stats"})
 }
-
-// csHandle is one client's query context: a write translates, reads
-// return one line each.
-type csHandle struct {
-	srv *Server
-
-	mu  sync.Mutex
-	ans Answer
-	idx int    // next line to serve
-	rem string // unread tail of the current line: short reads resume
-}
-
-var _ vfs.Handle = (*csHandle)(nil)
-
-// Write implements vfs.Handle.
-func (h *csHandle) Write(p []byte, off int64) (int, error) {
-	ans, err := h.srv.Translate(string(p))
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.idx, h.rem = 0, ""
-	if err != nil {
-		h.ans = Answer{}
-		return 0, err
-	}
-	h.ans = ans
-	return len(p), nil
-}
-
-// Read implements vfs.Handle: one destination line per read. A buffer
-// shorter than the line gets the prefix that fits and the next read
-// resumes mid-line, so no byte of an address is ever silently lost.
-func (h *csHandle) Read(p []byte, off int64) (int, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.rem == "" {
-		if h.idx >= h.ans.Len() {
-			return 0, nil
-		}
-		h.rem = h.ans.Line(h.idx) + "\n"
-		h.idx++
-	}
-	n := copy(p, h.rem)
-	h.rem = h.rem[n:]
-	return n, nil
-}
-
-// Close implements vfs.Handle.
-func (h *csHandle) Close() error { return nil }

@@ -273,3 +273,63 @@ func (h *CtlHandle) Close() error {
 	}
 	return nil
 }
+
+// QueryFile is the query-file shape of §4.2's /net/cs and /net/dns: a
+// client writes a request and reads the answer back one line per read.
+// Each write runs query and replaces the handle's answer; a failed
+// query leaves nothing to read. The lines are served as returned, not
+// copied, so query may hand out a slice it shares as long as nobody
+// writes to it.
+func QueryFile(entry vfs.Dir, query func(req string) ([]string, error)) *FileNode {
+	return &FileNode{
+		Entry: entry,
+		OpenFn: func(mode int) (vfs.Handle, error) {
+			return &queryHandle{query: query}, nil
+		},
+	}
+}
+
+// queryHandle is one client's query context.
+type queryHandle struct {
+	query func(req string) ([]string, error)
+
+	mu    sync.Mutex
+	lines []string // answer lines not yet started
+	rem   string   // unread tail of the current line: short reads resume
+}
+
+var _ vfs.Handle = (*queryHandle)(nil)
+
+// Write implements vfs.Handle: one query per write.
+func (h *queryHandle) Write(p []byte, off int64) (int, error) {
+	lines, err := h.query(string(p))
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.lines, h.rem = nil, ""
+	if err != nil {
+		return 0, err
+	}
+	h.lines = lines
+	return len(p), nil
+}
+
+// Read implements vfs.Handle: one answer line per read. A buffer
+// shorter than the line gets the prefix that fits and the next read
+// resumes mid-line, so no byte of an answer is ever silently lost.
+func (h *queryHandle) Read(p []byte, off int64) (int, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.rem == "" {
+		if len(h.lines) == 0 {
+			return 0, nil
+		}
+		h.rem = h.lines[0] + "\n"
+		h.lines = h.lines[1:]
+	}
+	n := copy(p, h.rem)
+	h.rem = h.rem[n:]
+	return n, nil
+}
+
+// Close implements vfs.Handle.
+func (h *queryHandle) Close() error { return nil }

@@ -154,6 +154,64 @@ func TestCtlHandle(t *testing.T) {
 	}
 }
 
+// TestQueryFile: one line per read, a short buffer resumes mid-line, a
+// new query drops what was left of the old answer, and a failed query
+// leaves nothing to read.
+func TestQueryFile(t *testing.T) {
+	answers := map[string][]string{
+		"two":   {"first line", "second"},
+		"other": {"third"},
+	}
+	h, err := QueryFile(MkFile("q", "glenda", 0666), func(req string) ([]string, error) {
+		lines, ok := answers[req]
+		if !ok {
+			return []string{"not to be served"}, vfs.ErrNotExist
+		}
+		return lines, nil
+	}).Open(vfs.ORDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	read := func(n int) string {
+		t.Helper()
+		buf := make([]byte, n)
+		n, err := h.Read(buf, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(buf[:n])
+	}
+	if n := read(64); n != "" {
+		t.Errorf("read before any query = %q", n)
+	}
+	if n, err := h.Write([]byte("two"), 0); n != 3 || err != nil {
+		t.Fatalf("write = %d, %v", n, err)
+	}
+	for _, want := range []string{"first ", "line\n", "second", "\n", ""} {
+		if got := read(6); got != want {
+			t.Errorf("6-byte read = %q, want %q", got, want)
+		}
+	}
+	if answers["two"][0] != "first line" {
+		t.Error("serving the answer wrote to the query's lines")
+	}
+	// Abandon an answer mid-line.
+	h.Write([]byte("two"), 0)
+	read(3)
+	h.Write([]byte("other"), 0)
+	if got := read(64); got != "third\n" {
+		t.Errorf("after a new query read %q, want the new answer from its start", got)
+	}
+	h.Write([]byte("two"), 0)
+	if _, err := h.Write([]byte("unknown"), 0); !vfs.SameError(err, vfs.ErrNotExist) {
+		t.Errorf("failed query = %v", err)
+	}
+	if got := read(64); got != "" {
+		t.Errorf("read after a failed query = %q", got)
+	}
+}
+
 func TestCtlHandleNilHooks(t *testing.T) {
 	h := &CtlHandle{}
 	if _, err := h.Write([]byte("x"), 0); !vfs.SameError(err, vfs.ErrPerm) {

@@ -2,7 +2,6 @@ package dnssrv
 
 import (
 	"strings"
-	"sync"
 
 	"repro/internal/devtree"
 	"repro/internal/vfs"
@@ -12,63 +11,24 @@ import (
 // the form domain-name type ... The client reads /net/dns to retrieve
 // the records", one line per read.
 func Node(res *Resolver, owner string) vfs.Node {
-	return &devtree.FileNode{
-		Entry: devtree.MkFile("dns", owner, 0666),
-		OpenFn: func(mode int) (vfs.Handle, error) {
-			return &dnsHandle{res: res}, nil
-		},
-	}
+	return devtree.QueryFile(devtree.MkFile("dns", owner, 0666),
+		func(req string) ([]string, error) {
+			name, typStr, ok := strings.Cut(strings.TrimSpace(req), " ")
+			if !ok {
+				typStr = "ip"
+			}
+			qtype, okT := ParseType(strings.TrimSpace(typStr))
+			if name == "" || !okT {
+				return nil, vfs.ErrBadArg
+			}
+			rrs, err := res.Lookup(name, qtype)
+			if err != nil {
+				return nil, err
+			}
+			lines := make([]string, len(rrs))
+			for i, rr := range rrs {
+				lines[i] = rr.String()
+			}
+			return lines, nil
+		})
 }
-
-type dnsHandle struct {
-	res *Resolver
-
-	mu    sync.Mutex
-	lines []string
-	err   error
-}
-
-var _ vfs.Handle = (*dnsHandle)(nil)
-
-// Write implements vfs.Handle: one query per write.
-func (h *dnsHandle) Write(p []byte, off int64) (int, error) {
-	req := strings.TrimSpace(string(p))
-	name, typStr, ok := strings.Cut(req, " ")
-	if !ok {
-		typStr = "ip"
-	}
-	qtype, okT := ParseType(strings.TrimSpace(typStr))
-	if name == "" || !okT {
-		return 0, vfs.ErrBadArg
-	}
-	rrs, err := h.res.Lookup(name, qtype)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.lines = nil
-	h.err = err
-	if err != nil {
-		return 0, err
-	}
-	for _, rr := range rrs {
-		h.lines = append(h.lines, rr.String()+"\n")
-	}
-	return len(p), nil
-}
-
-// Read implements vfs.Handle: one record line per read.
-func (h *dnsHandle) Read(p []byte, off int64) (int, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.err != nil {
-		return 0, h.err
-	}
-	if len(h.lines) == 0 {
-		return 0, nil
-	}
-	line := h.lines[0]
-	h.lines = h.lines[1:]
-	return copy(p, line), nil
-}
-
-// Close implements vfs.Handle.
-func (h *dnsHandle) Close() error { return nil }

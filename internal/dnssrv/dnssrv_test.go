@@ -249,6 +249,35 @@ func TestDevNode(t *testing.T) {
 	}
 }
 
+// TestDevNodeShortReads: a buffer shorter than the record gets the
+// prefix that fits and the next read resumes mid-line; reading
+// /net/dns 16 bytes at a time reassembles the whole record.
+func TestDevNodeShortReads(t *testing.T) {
+	h, err := Node(resolverWorld(t), "glenda").Open(vfs.ORDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if _, err := h.Write([]byte("www.example.com ip"), 0); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	buf := make([]byte, 16)
+	for {
+		n, err := h.Read(buf, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+		got = append(got, buf[:n]...)
+	}
+	if want := "www.example.com ip 93.184.216.34\n"; string(got) != want {
+		t.Fatalf("16-byte reads of /net/dns reassembled %q, want %q", got, want)
+	}
+}
+
 func TestParseTypeAndNames(t *testing.T) {
 	for s, want := range map[string]uint16{"ip": TypeA, "A": TypeA, "ns": TypeNS, "cname": TypeCNAME, "ptr": TypePTR, "txt": TypeTXT} {
 		got, ok := ParseType(s)

@@ -23,20 +23,13 @@ import (
 )
 
 // Config sizes a multi-tenant export server; the zero value exports
-// "/" on the real clock with the default worker pool, budgets, and
-// cache.
+// "/" on the real clock with the default cache.
 type Config struct {
 	// Root is the exported subtree; "" means "/". The attach name is
 	// joined beneath it.
 	Root string
 	// Clock drives the server's goroutines; nil means real time.
 	Clock vclock.Clock
-	// Workers bounds the shared dispatch pool; 0 means the ninep
-	// default.
-	Workers int
-	// ConnBudget bounds one connection's concurrently running
-	// requests; 0 means the ninep default.
-	ConnBudget int
 	// CacheBytes bounds the shared read cache; 0 means the ccache
 	// default, negative disables caching entirely.
 	CacheBytes int64
@@ -65,11 +58,7 @@ func NewServer(nsp *ns.Namespace, cfg Config) *Server {
 			FragSize: ninep.MaxFData,
 		})
 	}
-	s.srv = ninep.NewServer(s.attach, ninep.ServerConfig{
-		Clock:      cfg.Clock,
-		Workers:    cfg.Workers,
-		ConnBudget: cfg.ConnBudget,
-	})
+	s.srv = ninep.NewServer(s.attach, cfg.Clock)
 	return s
 }
 
@@ -140,16 +129,15 @@ func ServeClock(conn ninep.MsgConn, nsp *ns.Namespace, root string, ck vclock.Cl
 // §6.1. It returns the 9P client so the caller can Close it to
 // unmount.
 //
-// Import keeps the serial mount driver's exact RPC mapping — no
-// windowed fan-out, readahead, or write-behind: an import typically
-// carries live device files — /net of a gateway — where speculative
-// I/O is unsafe. Use ImportConfig (e.g. with mnt.FileConfig) to opt a
-// plain file-tree import into pipelining.
+// Import mounts a device tree — one fragment RPC at a time, nothing
+// speculative: an import typically carries live device files — /net of
+// a gateway — where speculative I/O is unsafe. Use ImportConfig with
+// mnt.FileConfig for a plain file tree.
 func Import(nsp *ns.Namespace, conn ninep.MsgConn, aname, old string, flag int) (*ninep.Client, error) {
 	return ImportConfig(nsp, conn, aname, old, flag, mnt.Config{})
 }
 
-// ImportConfig is Import with an explicit mount-driver configuration.
+// ImportConfig is Import with an explicit mount profile.
 func ImportConfig(nsp *ns.Namespace, conn ninep.MsgConn, aname, old string, flag int, cfg mnt.Config) (*ninep.Client, error) {
 	root, cl, err := mnt.MountConfig(conn, nsp.User(), aname, cfg)
 	if err != nil {

@@ -5,14 +5,13 @@
 // yields a vfs.Node that can be mounted into a name space; every
 // operation on the subtree becomes a 9P message.
 //
-// The driver can pipeline: a mount may opt into fanning large reads
-// and writes into a sliding window of concurrent RPCs
-// (ninep.ClientConfig.WindowedTransfers), plus sequential-pattern
-// readahead and coalescing write-behind (Config). All three reorder or
-// speculate I/O, so they are only safe on trees of plain files —
-// FileConfig enables them together. The zero Config issues exactly the
-// serial driver's RPCs in exactly its order, and is what imported
-// device trees use.
+// A mount is one of two profiles. The zero Config mounts a device
+// tree: every Read and Write maps onto the same RPCs, in the same order,
+// as one-fragment-at-a-time 9P — what imported device trees need.
+// FileConfig mounts a tree of plain files: large transfers fan into a
+// sliding window of concurrent RPCs, sequential reads are read ahead
+// and sequential writes written behind. All three reorder or speculate
+// I/O and all three run on one mechanism, ninep.Window.
 package mnt
 
 import (
@@ -24,61 +23,39 @@ import (
 	"repro/internal/vfs"
 )
 
-// Config tunes the mount driver for one mount.
+// Config selects the mount's profile.
 //
-// The zero value is the serial driver: every Read and Write maps onto
-// the same RPCs, in the same order, as one-fragment-at-a-time 9P —
-// safe for any server, including live device trees where a Tread has
-// side effects (a listen file, a stream's data file).
+// The zero value is the device-tree profile, the serial driver — safe
+// for any server, including live device trees where a Tread has side
+// effects (a listen file, a stream's data file).
 type Config struct {
-	// Client tunes the RPC engine: the in-flight cap, and whether
-	// large transfers fan into a window of concurrent fragment RPCs
-	// (WindowedTransfers — plain file trees only); see
-	// ninep.ClientConfig.
+	// Client configures the RPC engine; Client.FileTree selects the
+	// file-tree profile. See ninep.ClientConfig.
 	Client ninep.ClientConfig
-	// Readahead is how many MaxFData fragments of speculative Tread
-	// to keep in flight once a handle establishes a sequential read
-	// pattern (two consecutive sequential reads). 0 disables.
-	// Unsafe on delimited or blocking devices: a speculative read
-	// consumes stream data that is discarded if the pattern breaks.
-	Readahead int
-	// WriteBehind coalesces sequential writes into MaxFData
-	// fragments acknowledged asynchronously. The first write on a
-	// handle is always synchronous (so a ctl-file handshake keeps
-	// its ordering); errors surface on a later operation or Close.
-	WriteBehind bool
-	// Push lists line-discipline module specs (§2.4.1) to push on
-	// the mount's transport conversation before the 9P session
-	// starts, bottom-up: {"compress", "batch 2048 2ms"} puts
-	// compress nearest the wire. The mount driver itself does not
-	// act on this field — the code that dials the conversation
-	// (core.Machine.ImportConfig and friends) writes the push
-	// control messages, and the serving end must push the same
-	// specs in the same order.
-	Push []string
 }
 
-// FileConfig is the aggressive profile for mounts of plain file trees
-// (a dump file system, a source tree): windowed transfers plus
-// readahead and write-behind.
+// FileConfig is the profile for mounts of plain file trees (a dump
+// file system, a source tree): windowed transfers, readahead and
+// write-behind.
 func FileConfig() Config {
-	return Config{
-		Client:      ninep.ClientConfig{WindowedTransfers: true},
-		Readahead:   4,
-		WriteBehind: true,
-	}
+	return Config{Client: ninep.ClientConfig{FileTree: true}}
 }
+
+// readahead is how many MaxFData fragments of speculative Tread a
+// file-tree handle keeps ahead of a sequential reader, the partly read
+// one included.
+const readahead = 4
 
 // Mount dials a 9P server over conn, authenticates uname, attaches to
 // aname, and returns the remote root as a mountable node. Closing the
 // returned client tears down the connection and every fid on it. The
-// mount uses the serial driver's exact RPC mapping; pass FileConfig to
-// MountConfig to pipeline a plain file tree.
+// mount is a device tree; pass FileConfig to MountConfig for a plain
+// file tree.
 func Mount(conn ninep.MsgConn, uname, aname string) (vfs.Node, *ninep.Client, error) {
 	return MountConfig(conn, uname, aname, Config{})
 }
 
-// MountConfig is Mount with an explicit pipelining configuration.
+// MountConfig is Mount with an explicit profile.
 func MountConfig(conn ninep.MsgConn, uname, aname string, cfg Config) (vfs.Node, *ninep.Client, error) {
 	cl, err := ninep.NewClientConfig(conn, cfg.Client)
 	if err != nil {
@@ -89,15 +66,15 @@ func MountConfig(conn ninep.MsgConn, uname, aname string, cfg Config) (vfs.Node,
 		cl.Close()
 		return nil, nil, err
 	}
-	return newNode(root, cfg), cl, nil
+	return newNode(root, cfg.Client.FileTree), cl, nil
 }
 
 // node is an unopened remote file; it holds a walked fid. Fids are
 // clunked by a finalizer when the node is collected, mirroring how the
 // kernel clunks a channel on the last close of its references.
 type node struct {
-	fid *ninep.Fid
-	cfg Config
+	fid  *ninep.Fid
+	file bool // file-tree profile
 }
 
 var (
@@ -107,8 +84,8 @@ var (
 	_ vfs.Wstater = (*node)(nil)
 )
 
-func newNode(fid *ninep.Fid, cfg Config) *node {
-	n := &node{fid: fid, cfg: cfg}
+func newNode(fid *ninep.Fid, file bool) *node {
+	n := &node{fid: fid, file: file}
 	if fid.Client().Clock().Virtual() {
 		// Finalizers run on GC goroutines the virtual scheduler has
 		// no hold on; under a simulated clock the client dies with
@@ -136,7 +113,7 @@ func (n *node) Walk(name string) (vfs.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newNode(nf, n.cfg), nil
+	return newNode(nf, n.file), nil
 }
 
 // Open implements vfs.Node. The node's fid stays unopened (so the node
@@ -150,7 +127,7 @@ func (n *node) Open(mode int) (vfs.Handle, error) {
 		f.Clunk()
 		return nil, err
 	}
-	return newHandle(f, n.cfg), nil
+	return newHandle(f, n.file), nil
 }
 
 // Create implements vfs.Creator (Tcreate).
@@ -170,7 +147,7 @@ func (n *node) Create(name string, perm uint32, mode int) (vfs.Node, vfs.Handle,
 		f.Clunk()
 		return nil, nil, err
 	}
-	return newNode(nn, n.cfg), newHandle(f, n.cfg), nil
+	return newNode(nn, n.file), newHandle(f, n.file), nil
 }
 
 // Remove implements vfs.Remover (Tremove). The fid is clunked by the
@@ -183,82 +160,66 @@ func (n *node) Remove() error {
 // Wstat implements vfs.Wstater (Twstat).
 func (n *node) Wstat(d vfs.Dir) error { return n.fid.Wstat(d) }
 
-// frag is one readahead fragment: an in-flight Tread (pend != nil) or
-// its buffered, partially consumed reply.
-type frag struct {
-	pend  *ninep.Pending
-	asked int
-	data  []byte
-	used  int
-	short bool
-}
-
-// wfrag is one write-behind fragment in flight.
-type wfrag struct {
-	pend *ninep.Pending
-	n    int
-}
-
 // handle is an open remote file.
 type handle struct {
-	fid *ninep.Fid
-	ra  int  // readahead fragments (0 = off)
-	wb  bool // write-behind enabled
+	fid  *ninep.Fid
+	file bool // file-tree profile: read ahead and write behind
 
 	mu     sync.Mutex
 	closed bool
 
-	// Readahead. frags buffer prefetched data contiguous from
-	// seqOff, the offset where the handle's sequential read pattern
-	// continues; seqRun counts consecutive sequential reads, and
-	// raStop latches after a short reply (EOF) until the pattern
+	// Readahead. ra holds the speculative Treads in flight and rest
+	// the unread bytes of the last fragment reaped from it (restShort:
+	// that fragment came back short); together they continue the file
+	// from seqOff, the offset where the handle's sequential read
+	// pattern continues. seqRun counts consecutive sequential reads,
+	// and raStop latches after a short reply (EOF) until the pattern
 	// resets.
-	seqOff int64
-	seqRun int
-	frags  []*frag
-	raStop bool
+	seqOff    int64
+	seqRun    int
+	ra        ninep.Window
+	rest      []byte
+	restShort bool
+	raStop    bool
 
 	// Write-behind. buf coalesces sequential writes (always shorter
 	// than MaxFData) starting at file offset bufOff; wEnd is where
-	// the sequential pattern continues; wpend are fragments in
+	// the sequential pattern continues; wb holds the fragments in
 	// flight; werr is the first asynchronous error, surfaced on the
 	// next operation or Close.
 	wrote  bool
 	wEnd   int64
 	buf    []byte
 	bufOff int64
-	wpend  []wfrag
+	wb     ninep.Window
 	werr   error
 }
 
 var _ vfs.Handle = (*handle)(nil)
 
-func newHandle(f *ninep.Fid, cfg Config) *handle {
-	return &handle{fid: f, ra: cfg.Readahead, wb: cfg.WriteBehind}
+func newHandle(f *ninep.Fid, file bool) *handle {
+	return &handle{fid: f, file: file, ra: f.NewWindow(), wb: f.NewWindow()}
 }
 
-// Read implements vfs.Handle (Tread). With readahead off it is a
-// direct windowed read; otherwise sequential reads are served from the
-// prefetch queue, which is topped up behind them.
+// Read implements vfs.Handle (Tread). On a device tree it is a direct
+// read; on a file tree sequential reads are served from the readahead
+// window, which is topped up behind them.
 func (h *handle) Read(p []byte, off int64) (int, error) {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
 		return 0, vfs.ErrClosed
 	}
-	if h.wb {
-		// Read-your-writes: drain write-behind first. A deferred
-		// write error surfaces here.
-		if err := h.barrierLocked(); err != nil {
-			h.mu.Unlock()
-			return 0, err
-		}
-	}
-	if h.ra <= 0 {
+	if !h.file {
 		h.mu.Unlock()
 		return h.fid.Read(p, off)
 	}
 	defer h.mu.Unlock()
+	// Read-your-writes: drain write-behind first. A deferred write
+	// error surfaces here.
+	if err := h.barrierLocked(); err != nil {
+		return 0, err
+	}
 	return h.readLocked(p, off)
 }
 
@@ -278,14 +239,15 @@ func (h *handle) readLocked(p []byte, off int64) (int, error) {
 	}
 	total := 0
 	short := false
-	fromFrags := 0
-	for total < len(p) && len(h.frags) > 0 {
-		fr := h.frags[0]
-		if fr.pend != nil {
-			r, err := fr.pend.Wait()
-			fr.pend = nil
+	for total < len(p) && (len(h.rest) > 0 || h.ra.Len() > 0) {
+		if len(h.rest) == 0 {
+			var err error
+			h.rest, _, h.restShort, err = h.ra.Reap()
 			if err != nil {
-				h.cancelRALocked()
+				// The failed fragment is an abandoned readahead
+				// even when nothing was in flight behind it.
+				RACancels.Inc()
+				h.ra.Cancel()
 				h.raStop = true
 				if total > 0 {
 					break
@@ -293,25 +255,23 @@ func (h *handle) readLocked(p []byte, off int64) (int, error) {
 				h.seqRun = 0
 				return 0, err
 			}
-			fr.data = r.Data
-			fr.short = len(r.Data) < fr.asked
 		}
-		n := copy(p[total:], fr.data[fr.used:])
+		n := copy(p[total:], h.rest)
 		total += n
-		fromFrags += n
-		fr.used += n
-		if fr.used < len(fr.data) {
+		h.rest = h.rest[n:]
+		if len(h.rest) > 0 {
 			break // p is full
 		}
-		h.frags = h.frags[1:]
-		if fr.short {
-			// EOF or boundary: fragments beyond it are invalid.
+		if h.restShort {
+			// EOF or boundary, and the reader has reached it:
+			// fragments beyond it are invalid.
 			h.cancelRALocked()
 			h.raStop = true
 			short = true
 			break
 		}
 	}
+	fromRA := total
 	if total < len(p) && !short {
 		n, err := h.fid.Read(p[total:], off+int64(total))
 		total += n
@@ -320,14 +280,10 @@ func (h *handle) readLocked(p []byte, off int64) (int, error) {
 			h.seqRun = 0
 			return total, err
 		}
-		if total < len(p) {
-			short = true // EOF for now; re-probe directly next time
-			h.raStop = true
-		} else {
-			h.raStop = false
-		}
+		// Short is EOF for now; re-probe directly next time.
+		h.raStop = total < len(p)
 	}
-	if fromFrags > 0 {
+	if fromRA > 0 {
 		RAHits.Inc()
 	} else {
 		RAMisses.Inc()
@@ -342,51 +298,38 @@ func (h *handle) readLocked(p []byte, off int64) (int, error) {
 	return total, nil
 }
 
-// fillRALocked tops the prefetch queue up to the configured depth,
-// starting just past everything already buffered or in flight.
+// fillRALocked tops the readahead up to its depth, starting just past
+// everything already buffered or in flight.
 func (h *handle) fillRALocked() {
-	next := h.seqOff
-	for _, fr := range h.frags {
-		if fr.pend != nil {
-			next += int64(fr.asked)
-		} else {
-			next += int64(len(fr.data) - fr.used)
-		}
+	held := h.ra.Len()
+	if len(h.rest) > 0 {
+		held++
 	}
-	for len(h.frags) < h.ra {
-		pr, err := h.fid.ReadAsync(next, ninep.MaxFData)
-		if err != nil {
+	next := h.seqOff + int64(len(h.rest)) + int64(h.ra.Len())*ninep.MaxFData
+	for ; held < readahead; held++ {
+		if err := h.ra.Read(next, ninep.MaxFData); err != nil {
 			h.raStop = true
 			return
 		}
 		RAIssued.Inc()
-		h.frags = append(h.frags, &frag{pend: pr, asked: ninep.MaxFData})
 		next += ninep.MaxFData
 	}
 }
 
-// cancelRALocked abandons the prefetch queue, flushing the in-flight
-// Treads (pipelined Tflushes, one round trip) and dropping buffered
-// data.
+// cancelRALocked abandons the readahead: the Treads in flight are
+// flushed (one batch of Tflushes, one round trip) and buffered data
+// dropped.
 func (h *handle) cancelRALocked() {
-	if len(h.frags) > 0 {
+	if len(h.rest) > 0 || h.ra.Len() > 0 {
 		RACancels.Inc()
 	}
-	var ps []*ninep.Pending
-	for _, fr := range h.frags {
-		if fr.pend != nil {
-			ps = append(ps, fr.pend)
-		}
-	}
-	h.frags = nil
-	if len(ps) > 0 {
-		h.fid.Client().FlushAll(ps)
-	}
+	h.rest = nil
+	h.ra.Cancel()
 }
 
-// Write implements vfs.Handle (Twrite). With write-behind off it is a
-// direct windowed write; otherwise sequential writes coalesce into
-// MaxFData fragments issued asynchronously, the window bounding how
+// Write implements vfs.Handle (Twrite). On a device tree it is a direct
+// write; on a file tree sequential writes coalesce into MaxFData
+// fragments issued asynchronously, the client's window bounding how
 // many ride unacknowledged.
 func (h *handle) Write(p []byte, off int64) (int, error) {
 	h.mu.Lock()
@@ -394,23 +337,22 @@ func (h *handle) Write(p []byte, off int64) (int, error) {
 		h.mu.Unlock()
 		return 0, vfs.ErrClosed
 	}
-	if h.werr != nil {
-		err := h.werr
-		h.werr = nil
-		h.mu.Unlock()
-		return 0, err
-	}
-	// A write under buffered readahead would let stale prefetched
-	// data satisfy a later read; drop it.
-	if len(h.frags) > 0 {
-		h.cancelRALocked()
-		h.seqRun = 0
-	}
-	if !h.wb {
+	if !h.file {
 		h.mu.Unlock()
 		return h.fid.Write(p, off)
 	}
 	defer h.mu.Unlock()
+	if h.werr != nil {
+		err := h.werr
+		h.werr = nil
+		return 0, err
+	}
+	// A write under buffered readahead would let stale prefetched
+	// data satisfy a later read; drop it.
+	if len(h.rest) > 0 || h.ra.Len() > 0 {
+		h.cancelRALocked()
+		h.seqRun = 0
+	}
 	if !h.wrote || len(p) == 0 {
 		// The first write on a handle is synchronous: a dialer
 		// writes "connect" to a ctl file and expects the side
@@ -435,7 +377,6 @@ func (h *handle) Write(p []byte, off int64) (int, error) {
 	h.buf = append(h.buf, p...)
 	for len(h.buf) >= ninep.MaxFData {
 		h.issueWBLocked(h.buf[:ninep.MaxFData])
-		h.bufOff += ninep.MaxFData
 		h.buf = h.buf[ninep.MaxFData:]
 	}
 	if len(h.buf) == 0 {
@@ -445,53 +386,48 @@ func (h *handle) Write(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// issueWBLocked sends one write-behind fragment, first reaping the
-// oldest in-flight fragment if the window is full. The fragment data
-// is copied into the wire buffer before this returns.
+// issueWBLocked sends one write-behind fragment at bufOff and advances
+// it, first reaping the oldest fragment in flight if the window is
+// full. The fragment data is copied into the wire buffer before this
+// returns.
 func (h *handle) issueWBLocked(data []byte) {
-	win := h.fid.Client().Window()
-	for len(h.wpend) >= win {
+	for h.wb.Len() >= h.fid.Client().Window() {
 		h.reapWBLocked()
 	}
+	off := h.bufOff
+	h.bufOff += int64(len(data))
 	if h.werr != nil {
 		return // don't keep writing past a failure
 	}
-	pr, err := h.fid.WriteAsync(data, h.bufOff)
-	if err != nil {
-		h.werr = err
-		return
+	if h.werr = h.wb.Write(data, off); h.werr == nil {
+		WBIssued.Inc()
 	}
-	WBIssued.Inc()
-	h.wpend = append(h.wpend, wfrag{pend: pr, n: len(data)})
 }
 
 // reapWBLocked waits for the oldest write-behind fragment and records
 // its error, if any.
 func (h *handle) reapWBLocked() {
-	w := h.wpend[0]
-	h.wpend = h.wpend[1:]
-	r, err := w.pend.Wait()
-	if err == nil && int(r.Count) < w.n {
+	_, _, short, err := h.wb.Reap()
+	if err == nil && short {
 		err = io.ErrShortWrite
 	}
-	if err != nil && h.werr == nil {
+	if h.werr == nil {
 		h.werr = err
 	}
 }
 
 // barrierLocked drains write-behind: the coalescing buffer is issued,
-// every in-flight fragment is awaited, and the first deferred error is
+// every fragment in flight is awaited, and the first deferred error is
 // returned (and cleared).
 func (h *handle) barrierLocked() error {
-	if len(h.buf) > 0 || len(h.wpend) > 0 {
+	if len(h.buf) > 0 || h.wb.Len() > 0 {
 		WBBarriers.Inc()
 	}
 	if len(h.buf) > 0 {
 		h.issueWBLocked(h.buf)
-		h.bufOff += int64(len(h.buf))
 		h.buf = nil
 	}
-	for len(h.wpend) > 0 {
+	for h.wb.Len() > 0 {
 		h.reapWBLocked()
 	}
 	err := h.werr

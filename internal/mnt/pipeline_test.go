@@ -253,7 +253,7 @@ func TestFlushRacesReadahead(t *testing.T) {
 	}()
 	before := block.Snapshot()
 
-	root, cl, err := MountConfig(a, "glenda", "", Config{Readahead: 4})
+	root, cl, err := MountConfig(a, "glenda", "", FileConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

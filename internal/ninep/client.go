@@ -12,15 +12,15 @@ import (
 	"repro/internal/vfs"
 )
 
-// Pipelining defaults. The window is how many fragment RPCs a large
+// Pipelining constants. DefaultWindow is how many fragment RPCs a large
 // Fid.Read or Fid.Write keeps in flight at once — the mount driver's
-// sliding window — on clients that opt into WindowedTransfers.
-// MaxInFlight bounds the tags outstanding on the whole client; when it
-// is reached, new RPCs block until a reply frees a tag (tag-exhaustion
-// backpressure) rather than spinning over the tag space.
+// sliding window — on a file-tree client. maxInFlight bounds the tags
+// outstanding on the whole client; when it is reached, new RPCs block
+// until a reply frees a tag (tag-exhaustion backpressure) rather than
+// spinning over the tag space.
 const (
-	DefaultWindow      = 8
-	DefaultMaxInFlight = 64
+	DefaultWindow = 8
+	maxInFlight   = 64
 
 	// maxTags is the number of usable tags: 1..NoTag-1. Tag 0 is
 	// avoided by convention and NoTag is reserved.
@@ -28,46 +28,42 @@ const (
 )
 
 // ClientConfig tunes the mount driver's RPC engine. The zero value is
-// safe for any server, including live device trees: every Fid.Read and
-// Fid.Write maps onto the same RPCs, in the same order, as the serial
-// driver. Fanning a large transfer into concurrent fragment RPCs is an
-// explicit opt-in (WindowedTransfers) because it is only correct on
-// trees of plain files — on a delimited or stream device a speculative
-// Tread past a message boundary consumes data the caller never asked
-// for, even if its reply is later flushed.
+// the device-tree profile, safe for any server, including live device
+// trees: every Fid.Read and Fid.Write issues one fragment RPC at a
+// time, in order. FileTree is the other profile.
 type ClientConfig struct {
-	// Window is the number of concurrent fragment RPCs a large
-	// read or write fans into when WindowedTransfers is set, and the
+	// Window is the number of fragment RPCs in flight at once on a
+	// file-tree client: the fan-out of a large read or write and the
 	// depth of the mount driver's write-behind. 0 means
-	// DefaultWindow; 1 forces every fragment to wait for the
-	// previous reply even where fan-out is enabled.
+	// DefaultWindow; 1 makes every fragment wait for the previous
+	// reply even on a file tree.
 	Window int
-	// MaxInFlight caps outstanding tags on the client across all
-	// processes. 0 means DefaultMaxInFlight.
-	MaxInFlight int
-	// WindowedTransfers fans Fid.Read/Fid.Write calls larger than
-	// MaxFData into up to Window concurrent fragment RPCs on
-	// plain-file fids. Off by default: only opt a client in when the
-	// served tree holds plain files (mnt.FileConfig does), never for
-	// an imported device tree.
-	WindowedTransfers bool
+	// FileTree says the served tree holds plain files (a dump file
+	// system, a source tree; mnt.FileConfig sets it): transfers larger
+	// than MaxFData on plain-file fids fan into up to Window
+	// concurrent fragment RPCs, and the mount driver reads ahead and
+	// writes behind. All three speculate or reorder I/O, so never set
+	// it for an imported device tree — on a delimited or stream device
+	// a speculative Tread past a message boundary consumes data the
+	// caller never asked for, even if its reply is later flushed.
+	FileTree bool
 	// Clock drives the client's goroutines and latency measurements;
 	// nil means the real clock.
 	Clock vclock.Clock
+
+	// inFlightCap lowers maxInFlight for this package's tests.
+	inFlightCap int
 }
 
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.Window <= 0 {
 		c.Window = DefaultWindow
 	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = DefaultMaxInFlight
+	if c.inFlightCap <= 0 {
+		c.inFlightCap = maxInFlight
 	}
-	if c.MaxInFlight > maxTags {
-		c.MaxInFlight = maxTags
-	}
-	if c.Window > c.MaxInFlight {
-		c.Window = c.MaxInFlight
+	if c.Window > c.inFlightCap {
+		c.Window = c.inFlightCap
 	}
 	return c
 }
@@ -213,7 +209,7 @@ func (cl *Client) Close() error {
 func (cl *Client) allocTag(ch *vclock.Mailbox[*Fcall], flushExempt bool) (uint16, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	limit := cl.cfg.MaxInFlight
+	limit := cl.cfg.inFlightCap
 	if flushExempt {
 		limit = maxTags
 	}
@@ -253,8 +249,14 @@ type Pending struct {
 	cl    *Client
 	tag   uint16
 	req   uint8
+	asked uint16 // bytes a Window's fragment asked to move
 	ch    *vclock.Mailbox[*Fcall]
 	start time.Time
+
+	// A Window chains its fragments through the Pendings themselves,
+	// so queueing one allocates nothing.
+	next  *Pending
+	flush *Pending // the Tflush abandoning this RPC, while flushMany awaits it
 }
 
 // RPCAsync sends t now and returns a Pending whose Wait delivers the
@@ -327,36 +329,32 @@ func (p *Pending) abandon() bool {
 // when an interrupt is received"). It blocks until the Rflush arrives
 // so the tag is quiet before reuse.
 func (p *Pending) Flush() {
-	p.cl.flushMany([]*Pending{p})
+	p.cl.flushMany(p)
 }
 
-// flushMany abandons a batch of in-flight RPCs, pipelining the
-// Tflushes so a truncated windowed transfer pays one round trip, not
-// one per speculative fragment. Tflush allocation bypasses the
-// in-flight cap; it only needs a free tag in the 16-bit space.
-func (cl *Client) flushMany(ps []*Pending) {
-	flushes := make([]*Pending, 0, len(ps))
-	flushed := make([]*Pending, 0, len(ps))
-	for _, p := range ps {
-		if p == nil || !p.abandon() {
+// flushMany abandons a chain of in-flight RPCs, putting every Tflush
+// on the wire before awaiting the first Rflush so a truncated windowed
+// transfer pays one round trip, not one per speculative fragment.
+// Tflush allocation bypasses the in-flight cap; it only needs a free
+// tag in the 16-bit space.
+func (cl *Client) flushMany(head *Pending) {
+	for p := head; p != nil; p = p.next {
+		if !p.abandon() {
 			continue
 		}
 		cl.Flushes.Inc()
-		fp, err := cl.sendAsync(&Fcall{Type: Tflush, Oldtag: p.tag}, true)
-		if err != nil {
-			// Transport dead: fail() has already emptied the
-			// tag table; nothing left to release.
-			continue
-		}
-		flushes = append(flushes, fp)
-		flushed = append(flushed, p)
+		// On an error the transport is dead: fail() has already
+		// emptied the tag table; nothing left to release.
+		p.flush, _ = cl.sendAsync(&Fcall{Type: Tflush, Oldtag: p.tag}, true)
 	}
-	for i, fp := range flushes {
-		fp.Wait()
-		// The flush is answered: release the abandoned tag's
-		// reservation (demux may already have dropped a raced
-		// reply and freed it).
-		flushed[i].release()
+	for p := head; p != nil; p = p.next {
+		if p.flush != nil {
+			p.flush.Wait()
+			// The flush is answered: release the abandoned tag's
+			// reservation (demux may already have dropped a raced
+			// reply and freed it).
+			p.release()
+		}
 	}
 }
 
@@ -462,213 +460,156 @@ func (f *Fid) Create(name string, perm uint32, mode int) error {
 	return nil
 }
 
-// Read reads up to len(p) bytes at offset off. Reads of at most
-// MaxFData map to exactly one RPC, which is how message delimiters
-// survive the mount driver; larger reads issue one MaxFData Tread at a
-// time, a short reply ending the read — exactly the serial driver.
-// Only when the client opts into WindowedTransfers, and only on a
-// plain-file fid, does a larger read fan into up to Window concurrent
-// Treads reassembled strictly in offset order, a short reply
-// truncating the result there and the speculative fragments beyond it
-// flushed. The fan-out is never used on directories, append/exclusive
-// files, or clients without the opt-in, because a speculative Tread
-// past a boundary is executed by the server before the flush can reach
-// it — on a delimited or stream device that read consumes data.
+// Read reads up to len(p) bytes at offset off, one Tread per MaxFData
+// fragment, a short reply ending the read. Reads of at most MaxFData
+// map to exactly one RPC, which is how message delimiters survive the
+// mount driver. Each fragment waits for the reply to the one before —
+// the serial driver — except on a plain-file fid of a file-tree client,
+// where up to Window Treads ride at once, reassembled strictly in
+// offset order, a short reply truncating the result there and the
+// speculative fragments beyond it flushed. The fan-out is never used
+// on directories, append/exclusive files, or device-tree clients,
+// because a speculative Tread past a boundary is executed by the server
+// before the flush can reach it — on a delimited or stream device that
+// read consumes data.
 func (f *Fid) Read(p []byte, off int64) (int, error) {
-	if len(p) <= MaxFData || !f.windowed() {
-		return f.readSerial(p, off)
-	}
-	return f.readWindowed(p, off)
+	return f.transfer(Tread, p, off)
 }
 
-// windowed reports whether transfers on this fid may fan into
-// concurrent fragment RPCs: the client must opt in (WindowedTransfers,
-// with a window above 1) and the fid must name a plain file.
-func (f *Fid) windowed() bool {
-	return f.cl.cfg.WindowedTransfers && f.cl.cfg.Window > 1 && f.qid.Type == vfs.QTFILE
-}
-
-// readSerial is the pre-window mount driver: one MaxFData RPC at a
-// time, a short response ending the read.
-func (f *Fid) readSerial(p []byte, off int64) (int, error) {
-	total := 0
-	for total < len(p) {
-		n := len(p) - total
-		if n > MaxFData {
-			n = MaxFData
-		}
-		r, err := f.cl.RPC(&Fcall{Type: Tread, Fid: f.fid, Offset: off + int64(total), Count: uint16(n)})
-		if err != nil {
-			return total, err
-		}
-		copy(p[total:], r.Data)
-		total += len(r.Data)
-		if len(r.Data) < n {
-			break
-		}
-	}
-	return total, nil
-}
-
-// readWindowed keeps up to Window fragment Treads in flight and
-// reassembles replies in offset order.
-func (f *Fid) readWindowed(p []byte, off int64) (int, error) {
-	win := f.cl.cfg.Window
-	nfrag := (len(p) + MaxFData - 1) / MaxFData
-	pend := make([]*Pending, nfrag)
-	issued := 0
-	var issueErr error
-	total := 0
-	for seq := 0; seq < nfrag; seq++ {
-		for issued < nfrag && issued < seq+win && issueErr == nil {
-			n := min(len(p)-issued*MaxFData, MaxFData)
-			pr, err := f.cl.RPCAsync(&Fcall{
-				Type: Tread, Fid: f.fid,
-				Offset: off + int64(issued)*MaxFData,
-				Count:  uint16(n),
-			})
-			if err != nil {
-				issueErr = err
-				break
-			}
-			pend[issued] = pr
-			issued++
-		}
-		if seq >= issued {
-			return total, issueErr
-		}
-		asked := min(len(p)-seq*MaxFData, MaxFData)
-		r, err := pend[seq].Wait()
-		pend[seq] = nil
-		if err != nil {
-			f.cl.flushMany(pend[seq+1 : issued])
-			return total, err
-		}
-		copy(p[seq*MaxFData:], r.Data)
-		total += len(r.Data)
-		if len(r.Data) < asked {
-			// Short reply: EOF or a message boundary. The
-			// fragments beyond it were speculative; flush them
-			// so their data (if any) is discarded, exactly as
-			// if they were never issued.
-			f.cl.flushMany(pend[seq+1 : issued])
-			return total, nil
-		}
-	}
-	return total, issueErr
-}
-
-// Write writes p at offset off. Writes of at most MaxFData are one
-// RPC; larger writes issue one fragment at a time, stopping at the
-// first error or short Rwrite, exactly like the serial driver. On a
-// client that opts into WindowedTransfers, larger writes to plain-file
-// fids instead fan into up to Window concurrent Twrites, acknowledged
+// Write writes p at offset off, one Twrite per MaxFData fragment,
+// stopping at the first error or short Rwrite. On a plain-file fid of
+// a file-tree client up to Window Twrites ride at once, acknowledged
 // strictly in offset order, a short Rwrite count truncating the total.
-// The windowed fan-out relaxes the serial contract on failure: the
-// fragments ride as independent RPCs, so when one errors or comes up
-// short, fragments beyond the returned count may already have been
-// applied by the server (see writeWindowed). A caller that cannot
-// tolerate that — resuming a stream at the returned offset, say —
-// must not enable WindowedTransfers for that tree.
+// That fan-out relaxes the serial contract on failure: the fragments
+// are independent RPCs, so when one errors or comes up short, fragments
+// beyond the returned count may already have been applied by the
+// server. A caller that cannot tolerate that — resuming a stream at the
+// returned offset, say — must not mount that tree as a file tree.
 func (f *Fid) Write(p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		_, err := f.cl.RPC(&Fcall{Type: Twrite, Fid: f.fid, Offset: off})
 		return 0, err
 	}
-	if len(p) <= MaxFData || !f.windowed() {
-		return f.writeSerial(p, off)
-	}
-	return f.writeWindowed(p, off)
+	return f.transfer(Twrite, p, off)
 }
 
-func (f *Fid) writeSerial(p []byte, off int64) (int, error) {
-	total := 0
-	for total < len(p) {
-		n := len(p) - total
-		if n > MaxFData {
-			n = MaxFData
-		}
-		r, err := f.cl.RPC(&Fcall{Type: Twrite, Fid: f.fid, Offset: off + int64(total), Data: p[total : total+n]})
-		if err != nil {
-			return total, err
-		}
-		total += int(r.Count)
-		if int(r.Count) < n {
-			return total, nil
-		}
+// transfer moves p through one window of typ (Tread or Twrite)
+// fragments, at most depth in flight and reaped in offset order. At
+// depth 1 it is the serial driver: fragment n+1 is issued only after
+// the reply to fragment n. After an issue error the fragments already
+// issued are still reaped in order before the error is returned.
+func (f *Fid) transfer(typ uint8, p []byte, off int64) (int, error) {
+	depth := 1
+	if f.cl.cfg.FileTree && f.qid.Type == vfs.QTFILE {
+		depth = f.cl.cfg.Window
 	}
-	return total, nil
-}
-
-// writeWindowed keeps up to Window fragment Twrites in flight.
-// MarshalFcall copies the data into the wire buffer inside RPCAsync,
-// so p is not retained after issue. Fragments are independent RPCs: if
-// one fails or comes up short, later fragments may already have been
-// applied by the server even though the returned total excludes them
-// (the same is true of any interrupted multi-fragment write).
-func (f *Fid) writeWindowed(p []byte, off int64) (int, error) {
-	win := f.cl.cfg.Window
-	nfrag := (len(p) + MaxFData - 1) / MaxFData
-	pend := make([]*Pending, nfrag)
-	issued := 0
+	w := Window{f: f}
 	var issueErr error
-	total := 0
-	for seq := 0; seq < nfrag; seq++ {
-		for issued < nfrag && issued < seq+win && issueErr == nil {
-			lo := issued * MaxFData
-			hi := min(lo+MaxFData, len(p))
-			pr, err := f.cl.RPCAsync(&Fcall{
-				Type: Twrite, Fid: f.fid,
-				Offset: off + int64(lo),
-				Data:   p[lo:hi],
-			})
-			if err != nil {
-				issueErr = err
-				break
+	done, issued := 0, 0
+	for {
+		for issueErr == nil && issued < len(p) && w.n < depth {
+			n := min(len(p)-issued, MaxFData)
+			if typ == Tread {
+				issueErr = w.Read(off+int64(issued), n)
+			} else {
+				issueErr = w.Write(p[issued:issued+n], off+int64(issued))
 			}
-			pend[issued] = pr
-			issued++
+			if issueErr == nil {
+				issued += n
+			}
 		}
-		if seq >= issued {
-			return total, issueErr
+		if w.n == 0 {
+			return done, issueErr
 		}
-		asked := min(len(p)-seq*MaxFData, MaxFData)
-		r, err := pend[seq].Wait()
-		pend[seq] = nil
-		if err != nil {
-			f.cl.flushMany(pend[seq+1 : issued])
-			return total, err
-		}
-		total += int(r.Count)
-		if int(r.Count) < asked {
-			f.cl.flushMany(pend[seq+1 : issued])
-			return total, nil
+		data, n, short, err := w.Reap()
+		copy(p[done:], data)
+		done += n
+		if err != nil || short {
+			// EOF, a message boundary or a failure: the fragments
+			// beyond it were speculative; flush them so their data
+			// (if any) is discarded, as if they were never issued.
+			w.Cancel()
+			return done, err
 		}
 	}
-	return total, issueErr
 }
 
-// ReadAsync issues a single-fragment Tread without waiting: the mount
-// driver's readahead hook. count must be at most MaxFData.
-func (f *Fid) ReadAsync(off int64, count int) (*Pending, error) {
-	if count > MaxFData {
-		count = MaxFData
+// Window is a fid's FIFO of fragment RPCs in flight — the one sliding
+// window of the mount path. Fid.Read and Fid.Write run each transfer
+// through one; the mount driver keeps one per open file for readahead
+// and one for write-behind. Fragments are issued with Read or Write,
+// reaped oldest first with Reap, and whatever is left is abandoned in
+// one batch of Tflushes with Cancel. A Window is not safe for
+// concurrent use.
+type Window struct {
+	f          *Fid
+	head, tail *Pending
+	n          int
+}
+
+// NewWindow returns an empty window of fragment RPCs on f.
+func (f *Fid) NewWindow() Window { return Window{f: f} }
+
+// Len reports the number of fragments in flight.
+func (w *Window) Len() int { return w.n }
+
+// Read issues a Tread of count bytes (at most MaxFData) at off. The
+// request is on the wire when Read returns.
+func (w *Window) Read(off int64, count int) error {
+	return w.issue(&Fcall{Type: Tread, Fid: w.f.fid, Offset: off, Count: uint16(count)}, count)
+}
+
+// Write issues a Twrite of p (at most MaxFData bytes) at off. p is
+// copied into the wire buffer before Write returns.
+func (w *Window) Write(p []byte, off int64) error {
+	return w.issue(&Fcall{Type: Twrite, Fid: w.f.fid, Offset: off, Data: p}, len(p))
+}
+
+func (w *Window) issue(t *Fcall, asked int) error {
+	p, err := w.f.cl.RPCAsync(t)
+	if err != nil {
+		return err
 	}
-	return f.cl.RPCAsync(&Fcall{Type: Tread, Fid: f.fid, Offset: off, Count: uint16(count)})
-}
-
-// WriteAsync issues a single-fragment Twrite without waiting: the
-// mount driver's write-behind hook. len(p) must be at most MaxFData;
-// p is copied before WriteAsync returns.
-func (f *Fid) WriteAsync(p []byte, off int64) (*Pending, error) {
-	if len(p) > MaxFData {
-		return nil, ErrDataLen
+	p.asked = uint16(asked)
+	if w.tail == nil {
+		w.head = p
+	} else {
+		w.tail.next = p
 	}
-	return f.cl.RPCAsync(&Fcall{Type: Twrite, Fid: f.fid, Offset: off, Data: p})
+	w.tail = p
+	w.n++
+	return nil
 }
 
-// FlushAll abandons a batch of pending RPCs, pipelining the Tflushes.
-func (cl *Client) FlushAll(ps []*Pending) { cl.flushMany(ps) }
+// Reap waits for the reply to the oldest fragment and removes it from
+// the window, which must not be empty. It returns the bytes a Tread
+// brought back, the count moved (len(data), or the Rwrite's count),
+// and whether that fell short of what the fragment asked for.
+func (w *Window) Reap() (data []byte, n int, short bool, err error) {
+	p := w.head
+	w.head = p.next
+	if w.head == nil {
+		w.tail = nil
+	}
+	w.n--
+	r, err := p.Wait()
+	if err != nil {
+		return nil, 0, false, err
+	}
+	n = len(r.Data)
+	if r.Type == Rwrite {
+		n = int(r.Count)
+	}
+	return r.Data, n, n < int(p.asked), nil
+}
+
+// Cancel abandons every fragment in flight — all the Tflushes go out
+// before the first Rflush is awaited — and leaves the window empty.
+// On an empty window it sends nothing.
+func (w *Window) Cancel() {
+	w.f.cl.flushMany(w.head)
+	w.head, w.tail, w.n = nil, nil, 0
+}
 
 // Stat returns the file's directory entry (Tstat).
 func (f *Fid) Stat() (vfs.Dir, error) {

@@ -228,11 +228,11 @@ func TestFlushedQueuedReadSkipsHandle(t *testing.T) {
 
 	// First read parks in the handle; second queues behind it on the
 	// fid's read-ticket queue.
-	p1, err := f.ReadAsync(0, 64)
+	p1, err := cl.RPCAsync(&Fcall{Type: Tread, Fid: f.fid, Offset: 0, Count: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := f.ReadAsync(64, 64)
+	p2, err := cl.RPCAsync(&Fcall{Type: Tread, Fid: f.fid, Offset: 64, Count: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,30 +20,18 @@ import (
 // exporting process's name space.
 type AttachFunc func(uname, aname string) (vfs.Node, error)
 
-// Server defaults.
+// Server limits.
 const (
 	// DefaultWorkers bounds the shared request-dispatch pool.
 	DefaultWorkers = 16
 	// DefaultConnBudget bounds one connection's concurrently running
 	// requests. It is deliberately larger than a client engine's
-	// DefaultMaxInFlight (64): a well-behaved client can never fill
-	// its own budget, so the budget only bites when a connection
-	// floods past what the protocol engine would issue — the hot
-	// client the round-robin dispatcher is defending against.
+	// in-flight cap (64): a well-behaved client can never fill its own
+	// budget, so the budget only bites when a connection floods past
+	// what the protocol engine would issue — the hot client the
+	// round-robin dispatcher is defending against.
 	DefaultConnBudget = 128
 )
-
-// ServerConfig tunes a multi-connection server; the zero value is
-// ready to use on the real clock.
-type ServerConfig struct {
-	// Clock drives the per-request goroutines; nil means real time.
-	Clock vclock.Clock
-	// Workers bounds the shared dispatch pool; 0 means DefaultWorkers.
-	Workers int
-	// ConnBudget bounds one connection's concurrently running
-	// requests; 0 means DefaultConnBudget.
-	ConnBudget int
-}
 
 // Server serves a file tree over 9P to many connections at once — the
 // multi-tenant gateway of §6.1. Each connection keeps a private fid
@@ -55,10 +43,8 @@ type ServerConfig struct {
 // a read on a listen file blocks until a call arrives) escalates to
 // its own goroutine, and Tflush lets a client abandon it.
 type Server struct {
-	attach  AttachFunc
-	ck      vclock.Clock
-	workers int
-	budget  int
+	attach AttachFunc
+	ck     vclock.Clock
 
 	// Dispatcher state: connections with queued, in-budget work wait
 	// in ready; pool workers take the front connection, run one of its
@@ -78,21 +64,14 @@ type Server struct {
 	WorkerHW obs.Watermark // most pool workers alive at once
 }
 
-// NewServer returns a server ready to accept connections; each
+// NewServer returns a server ready to accept connections, its
+// per-request goroutines driven by ck (nil means real time); each
 // accepted transport is served by ServeConn.
-func NewServer(attach AttachFunc, cfg ServerConfig) *Server {
-	if cfg.Workers <= 0 {
-		cfg.Workers = DefaultWorkers
-	}
-	if cfg.ConnBudget <= 0 {
-		cfg.ConnBudget = DefaultConnBudget
-	}
+func NewServer(attach AttachFunc, ck vclock.Clock) *Server {
 	return &Server{
-		attach:  attach,
-		ck:      vclock.Or(cfg.Clock),
-		workers: cfg.Workers,
-		budget:  cfg.ConnBudget,
-		conns:   make(map[int64]*SrvConn),
+		attach: attach,
+		ck:     vclock.Or(ck),
+		conns:  make(map[int64]*SrvConn),
 	}
 }
 
@@ -214,7 +193,7 @@ func Serve(conn MsgConn, attach AttachFunc) error {
 // ServeClock is Serve with an explicit clock driving the per-request
 // goroutines; nil means the real clock.
 func ServeClock(conn MsgConn, attach AttachFunc, ck vclock.Clock) error {
-	return NewServer(attach, ServerConfig{Clock: ck}).ServeConn(conn)
+	return NewServer(attach, ck).ServeConn(conn)
 }
 
 // ServeConn serves one accepted transport, blocking until it fails or
@@ -318,11 +297,11 @@ func (s *Server) enqueue(c *SrvConn, st *srvReq) {
 	c.pend = append(c.pend, st)
 	s.npend++
 	c.pendHW.Note(int64(len(c.pend)))
-	if !c.inRing && c.running < s.budget {
+	if !c.inRing && c.running < DefaultConnBudget {
 		c.inRing = true
 		s.ready = append(s.ready, c)
 	}
-	spawn := s.nworkers < s.workers && s.nworkers < s.npend
+	spawn := s.nworkers < DefaultWorkers && s.nworkers < s.npend
 	if spawn {
 		s.nworkers++
 		s.WorkerHW.Note(int64(s.nworkers))
@@ -354,7 +333,7 @@ func (s *Server) worker() {
 		s.npend--
 		c.running++
 		c.inflightHW.Note(int64(c.running))
-		if len(c.pend) > 0 && c.running < s.budget {
+		if len(c.pend) > 0 && c.running < DefaultConnBudget {
 			s.ready = append(s.ready, c)
 		} else {
 			c.inRing = false
@@ -382,10 +361,10 @@ func (s *Server) release(c *SrvConn) {
 	s.dmu.Lock()
 	c.running--
 	spawn := false
-	if !c.inRing && len(c.pend) > 0 && c.running < s.budget {
+	if !c.inRing && len(c.pend) > 0 && c.running < DefaultConnBudget {
 		c.inRing = true
 		s.ready = append(s.ready, c)
-		if s.nworkers < s.workers && s.nworkers < s.npend {
+		if s.nworkers < DefaultWorkers && s.nworkers < s.npend {
 			s.nworkers++
 			s.WorkerHW.Note(int64(s.nworkers))
 			spawn = true

@@ -2,7 +2,6 @@ package ninep
 
 import (
 	"bytes"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,8 +27,9 @@ func (c *countingConn) WriteMsg(p []byte) error {
 func (c *countingConn) count(typ uint8) int64 { return c.counts[typ].Load() }
 
 // startCountingServer is startServer with a tap on the client's
-// outgoing messages and an explicit client configuration.
-func startCountingServer(t *testing.T, cfg ClientConfig) (*Client, *countingConn, *ramfs.FS) {
+// outgoing messages and an explicit client configuration. A non-nil
+// wrap puts one more layer between the client and the tap.
+func startCountingServer(t *testing.T, cfg ClientConfig, wrap func(MsgConn) MsgConn) (*Client, *countingConn, *ramfs.FS) {
 	t.Helper()
 	fs := ramfs.New("bootes")
 	a, b := NewPipe()
@@ -37,7 +37,11 @@ func startCountingServer(t *testing.T, cfg ClientConfig) (*Client, *countingConn
 		return fs.Root(), nil
 	})
 	cc := &countingConn{MsgConn: a}
-	cl, err := NewClientConfig(cc, cfg)
+	var conn MsgConn = cc
+	if wrap != nil {
+		conn = wrap(cc)
+	}
+	cl, err := NewClientConfig(conn, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +77,7 @@ func pattern(n int) []byte {
 // window returns exactly the serial result, for sizes on and off the
 // fragment boundary.
 func TestWindowedReadCorrectness(t *testing.T) {
-	cl, _, fs := startCountingServer(t, ClientConfig{WindowedTransfers: true, Window: 4})
+	cl, _, fs := startCountingServer(t, ClientConfig{FileTree: true, Window: 4}, nil)
 	for _, size := range []int{MaxFData + 1, 3 * MaxFData, 5*MaxFData - 77, 100 << 10} {
 		want := pattern(size)
 		fs.WriteFile("big", want, 0664)
@@ -95,7 +99,7 @@ func TestWindowedReadCorrectness(t *testing.T) {
 
 // TestWindowedWriteCorrectness: a multi-fragment write lands intact.
 func TestWindowedWriteCorrectness(t *testing.T) {
-	cl, _, fs := startCountingServer(t, ClientConfig{WindowedTransfers: true, Window: 4})
+	cl, _, fs := startCountingServer(t, ClientConfig{FileTree: true, Window: 4}, nil)
 	root, _ := cl.Attach("glenda", "")
 	f, err := root.Clone()
 	if err != nil {
@@ -117,7 +121,7 @@ func TestWindowedWriteCorrectness(t *testing.T) {
 // TestSmallReadSingleRPC pins the invariant that a read of at most
 // MaxFData bytes costs exactly one Tread, window or no window.
 func TestSmallReadSingleRPC(t *testing.T) {
-	cl, cc, fs := startCountingServer(t, ClientConfig{WindowedTransfers: true, Window: 8})
+	cl, cc, fs := startCountingServer(t, ClientConfig{FileTree: true, Window: 8}, nil)
 	fs.WriteFile("small", pattern(MaxFData), 0664)
 	f := openFile(t, cl, "small", vfs.OREAD)
 	before := cc.count(Tread)
@@ -182,7 +186,7 @@ func TestWindowedShortReadTruncates(t *testing.T) {
 	a, b := NewPipe()
 	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil })
 	cc := &countingConn{MsgConn: a}
-	cl, err := NewClientConfig(cc, ClientConfig{WindowedTransfers: true, Window: 8})
+	cl, err := NewClientConfig(cc, ClientConfig{FileTree: true, Window: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +250,8 @@ func (h streamHandle) Close() error                           { return nil }
 // contract on delimited and stream devices: a large read issues
 // exactly one Tread at a time and a short reply ends it, so no
 // speculative fragment ever reaches the server to consume stream data
-// it would then throw away. (Fan-out is an explicit opt-in —
-// WindowedTransfers — for plain file trees.)
+// it would then throw away. (Fan-out is an explicit opt-in — FileTree
+// — for plain file trees.)
 func TestDefaultConfigReadsSerial(t *testing.T) {
 	fs := &streamFS{}
 	a, b := NewPipe()
@@ -287,16 +291,16 @@ func TestDefaultConfigReadsSerial(t *testing.T) {
 }
 
 // TestTagExhaustionBlocks is the regression test for the tag
-// allocator: when every tag up to MaxInFlight is outstanding, the
+// allocator: when every tag up to the in-flight cap is outstanding, the
 // next RPC must park on the condition variable (not spin) and resume
 // as soon as a tag frees.
 func TestTagExhaustionBlocks(t *testing.T) {
 	fs := &blockingFS{release: make(chan struct{})}
 	a, b := NewPipe()
 	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") })
-	// Window 1 keeps Fid.Read serial; MaxInFlight 3 leaves room for
-	// the two parked reads plus the probe that must block.
-	cl, err := NewClientConfig(a, ClientConfig{Window: 1, MaxInFlight: 3})
+	// A cap of 3 is spent by the three parked reads; the probe must
+	// block.
+	cl, err := NewClientConfig(a, ClientConfig{inFlightCap: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,13 +318,11 @@ func TestTagExhaustionBlocks(t *testing.T) {
 	}
 
 	// Fill the in-flight budget with reads the server will hold.
-	var pends []*Pending
+	w := f.NewWindow()
 	for range 3 {
-		p, err := f.ReadAsync(0, 8)
-		if err != nil {
+		if err := w.Read(0, 8); err != nil {
 			t.Fatal(err)
 		}
-		pends = append(pends, p)
 	}
 
 	// The budget is spent: the next RPC must block in allocTag.
@@ -346,19 +348,18 @@ func TestTagExhaustionBlocks(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("rpc still blocked after tags freed")
 	}
-	var wg sync.WaitGroup
-	for _, p := range pends {
-		wg.Add(1)
-		go func() { defer wg.Done(); p.Wait() }()
+	for w.Len() > 0 {
+		if _, _, _, err := w.Reap(); err != nil {
+			t.Fatalf("parked read: %v", err)
+		}
 	}
-	wg.Wait()
 	f.Clunk()
 }
 
 // TestWindowClampedToMaxInFlight: the window can never exceed the tag
 // budget, or a single large read would deadlock against itself.
 func TestWindowClampedToMaxInFlight(t *testing.T) {
-	cfg := ClientConfig{Window: 64, MaxInFlight: 4}.withDefaults()
+	cfg := ClientConfig{Window: 64, inFlightCap: 4}.withDefaults()
 	if cfg.Window != 4 {
 		t.Fatalf("window = %d, want clamped to 4", cfg.Window)
 	}

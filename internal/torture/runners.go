@@ -508,7 +508,7 @@ func run9P(ck vclock.Clock, s Scenario, rep *Report) {
 // a ramfs of plain files, so the client opts into windowed transfers —
 // the windowed pass below must exercise the real fan-out path.
 func torture9P(ck vclock.Clock, s Scenario, rep *Report, dc io.ReadWriteCloser, blockMax int) {
-	cl, err := ninep.NewClientConfig(ninep.NewDelimConn(dc), ninep.ClientConfig{WindowedTransfers: true, Clock: ck})
+	cl, err := ninep.NewClientConfig(ninep.NewDelimConn(dc), ninep.ClientConfig{FileTree: true, Clock: ck})
 	if err != nil {
 		rep.violate("9p", "version: %v", err)
 		return

@@ -69,10 +69,11 @@ echo "== coverage floors"
 # serving stack's front door; ccache hands out refcounted memory on the
 # gateway's hot path; xport is the scaffold every IL and TCP
 # conversation stands on, and devtree the conversation table every
-# Ethernet and protocol-device conversation lives in. Two floors are
-# higher: the line disciplines in streams rewrite every byte a dressed
-# conversation carries, and cs answers every symbolic dial, so a silent
-# miscount there skews every experiment.
+# Ethernet and protocol-device conversation lives in; ninep and mnt are
+# the mount path, where one window carries every large transfer. Two
+# floors are higher: the line disciplines in streams rewrite every byte
+# a dressed conversation carries, and cs answers every symbolic dial, so
+# a silent miscount there skews every experiment.
 floor() {
     cov=$(go test -cover "./internal/$1" | awk '{ for (i = 1; i <= NF; i++) if ($i == "coverage:") print $(i+1) }' | tr -d '%')
     if [ -z "$cov" ] || [ "$(printf '%.0f' "$cov")" -lt "$2" ]; then
@@ -81,7 +82,7 @@ floor() {
     fi
     echo "internal/$1 coverage ${cov}% (floor $2%)"
 }
-for f in obs:80 analysis:80 exportfs:80 ccache:80 xport:80 devtree:80 streams:85 cs:85; do
+for f in obs:80 analysis:80 exportfs:80 ccache:80 xport:80 devtree:80 mnt:80 ninep:80 streams:85 cs:85; do
     floor "${f%:*}" "${f#*:}"
 done
 
@@ -96,6 +97,7 @@ udp=$(lines internal/udp/udp.go)
 xport=$(lines $(ls internal/xport/*.go | grep -v _test.go))
 echo "il.go $il  tcp.go $tcp  udp.go $udp  xport/*.go $xport  total $((il + tcp + udp + xport))"
 echo "storm/*.go $(lines $(ls internal/storm/*.go | grep -v _test.go))  cmd/netsim/main.go $(lines cmd/netsim/main.go)"
+echo "ninep/client.go $(lines internal/ninep/client.go)  mnt/mnt.go $(lines internal/mnt/mnt.go)  exportfs.go $(lines internal/exportfs/exportfs.go)  ninep/server.go $(lines internal/ninep/server.go)  core/services.go $(lines internal/core/services.go)"
 echo "ether.go $(lines internal/ether/ether.go)  ether/dev.go $(lines internal/ether/dev.go)  netdev.go $(lines internal/netdev/netdev.go)  devtree/*.go $(lines $(ls internal/devtree/*.go | grep -v _test.go))  medium.go $(lines internal/medium/medium.go)  uart.go $(lines internal/uart/uart.go)"
 if [ "$il" -gt 847 ]; then
     echo "internal/il/il.go is $il lines, over the paper's 847" >&2
