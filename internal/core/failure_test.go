@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -105,14 +107,16 @@ func TestMountDeathReportsErrors(t *testing.T) {
 	}
 }
 
-// TestOutOfWindowDiscard drives more data than the IL window while the
-// receiver's reader is wedged behind a full stream, then confirms the
-// "messages outside the window are discarded" path ran (§3).
+// TestWindowEnforcedUnderPressure pumps a hundred one-packet messages
+// at a server that never reads and, after every write, reads the
+// conversation's status file the way netstat would: the count of
+// unacknowledged packets it reports must never pass the window it
+// reports (§3's small outstanding-message window, which for one-packet
+// messages is also a window of packets).
 func TestWindowEnforcedUnderPressure(t *testing.T) {
 	w := paperWorld(t)
 	musca := w.Machine("musca")
 	helix := w.Machine("helix")
-	// A sink that reads slowly.
 	slowDone := make(chan struct{})
 	if _, err := helix.Serve("il!*!daytime", func(nsp *ns.Namespace, conn *dialer.Conn) {
 		<-slowDone // never reads until the test ends
@@ -125,20 +129,23 @@ func TestWindowEnforcedUnderPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Writers may block once Window messages are unacked... but acks
-	// flow even unread (the stream buffers), so pump enough to prove
-	// the window never lets more than Window messages be outstanding.
-	for range 100 {
+	for i := range 100 {
 		if _, err := conn.Write([]byte("pressure")); err != nil {
-			break
+			t.Fatalf("write %d: %v", i, err)
 		}
-	}
-	st, err := musca.NS.ReadFile(conn.Dir + "/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st) == 0 {
-		t.Fatal("empty status")
+		st, err := musca.NS.ReadFile(conn.Dir + "/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var unacked, window int
+		if at := strings.Index(string(st), "unacked "); at < 0 {
+			t.Fatalf("status %q has no window detail", st)
+		} else if _, err := fmt.Sscanf(string(st[at:]), "unacked %d window %d", &unacked, &window); err != nil {
+			t.Fatalf("status %q: %v", st, err)
+		}
+		if window != il.Window || unacked > window {
+			t.Fatalf("after write %d: %d unacknowledged, window %d (want at most %d)", i, unacked, window, il.Window)
+		}
 	}
 }
 

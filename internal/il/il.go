@@ -18,9 +18,12 @@
 //     the receiver can resequence out-of-order messages.
 //   - No blind retransmission: on timeout the sender transmits a
 //     query carrying its current sequence numbers; the peer answers
-//     with a state message and the missing messages are retransmitted.
-//     (A BlindRetransmit knob exists solely for the ablation benchmark
-//     that shows why the paper avoided it.)
+//     with a state message and the missing messages are retransmitted
+//     — those sent before the query that the answer does not
+//     acknowledge, one at a time as each ack uncovers the next, and
+//     nothing the peer already has. (A BlindRetransmit knob exists
+//     solely for the ablation benchmark that shows why the paper
+//     avoided it.)
 //   - Adaptive timeouts: a round-trip timer calculates acknowledge and
 //     retransmission times in terms of the network speed, so the
 //     protocol performs well on both local Ethernets and slow paths.
@@ -29,7 +32,10 @@
 // larger than the medium MTU. This stack does not fragment IP, so IL
 // itself splits large messages into MTU-sized packets and marks the
 // final packet with an end-of-message bit in the spec byte; the
-// receiver reassembles. Delimiter semantics are identical.
+// receiver reassembles. Delimiter semantics are identical. The paper's
+// IL never saw a fragment, so its window of 20 held twenty 8 KiB 9P
+// replies; the window here counts the same thing, whole messages.
+// Sequence numbers and acknowledgements stay per packet.
 package il
 
 import (
@@ -63,8 +69,13 @@ const (
 // specEOM marks the final packet of a message (delimiter).
 const specEOM = 0x01
 
-// Window is the small outstanding-message window.
+// Window is the small outstanding-message window: whole messages, as
+// in §3, however many packets each was cut into.
 const Window = 20
+
+// maxMsgPkts bounds one message the way the paper's IL was bounded, by
+// the largest IP datagram: 64 KiB of Ethernet packets.
+const maxMsgPkts = 45
 
 // Connection states: the four every xport conversation passes through,
 // under IL's names for them, then IL's own.
@@ -163,7 +174,9 @@ var _ xport.Proto = (*Proto)(nil)
 func New(stack *ip.Stack, cfg Config) *Proto {
 	p := &Proto{cfg: cfg}
 	p.Init(stack, ephemBase, stateNames, p.spawn)
-	p.txq = vclock.NewMailbox[txPkt](p.Ck, 256)
+	// The ring holds what one conversation's window may put in flight
+	// at once; it grows on demand, so an idle machine pays nothing.
+	p.txq = vclock.NewMailbox[txPkt](p.Ck, Window*maxMsgPkts)
 	p.Stats.
 		AddAtomic("msgs-sent", &p.MsgsSent).
 		AddAtomic("msgs-rcvd", &p.MsgsRcvd).
@@ -336,7 +349,6 @@ type unackedMsg struct {
 	id   uint32
 	spec byte
 	data []byte
-	sent time.Time
 }
 
 // Conn is an IL conversation. The embedded scaffold holds the lock,
@@ -351,6 +363,19 @@ type Conn struct {
 	sndNext uint32 // next id to assign
 	sndUna  uint32 // lowest unacknowledged id
 	unacked []unackedMsg
+	sndMsgs uint32 // whole messages (EOM packets) in unacked
+	// waitFrom is when the retransmission timer started waiting on the
+	// head of unacked: when it was sent into an empty window, when an
+	// ack made it the head, or when the timer last asked about it.
+	waitFrom time.Time
+	// Recovery (§3). A query travels the same queue and wire as the
+	// data sent before it, so the state message that answers it comes
+	// from a peer that has seen every earlier packet that was not lost.
+	// While a query is unanswered (querying), queryNext is sndNext as
+	// it stood when the first went out; the answer moves recover up to
+	// it, and an unacknowledged packet below recover is proven lost.
+	querying           bool
+	queryNext, recover uint32
 
 	// Receiver state.
 	rcvNext    uint32            // next expected id
@@ -431,8 +456,11 @@ func (c *Conn) Write(p []byte) (int, error) {
 			n = mtu
 		}
 		// The small outstanding-message window (§3): block while
-		// full rather than buffering more.
-		for c.sndNext-c.sndUna >= c.proto.cfg.window() && c.St != Closed && c.St != Closing {
+		// full rather than buffering more. Full is Window whole
+		// messages, or as many packets as Window of the largest could
+		// be cut into.
+		w := c.proto.cfg.window()
+		for (c.sndMsgs >= w || c.sndNext-c.sndUna >= w*maxMsgPkts) && c.St != Closed && c.St != Closing {
 			c.Cond.Wait()
 		}
 		if c.St == Closed || c.St == Closing {
@@ -453,7 +481,13 @@ func (c *Conn) Write(p []byte) (int, error) {
 		// when the ack drops it from the window.
 		data := block.GetBytes(n)
 		copy(data, p[total:total+n])
-		c.unacked = append(c.unacked, unackedMsg{id: id, spec: spec, data: data, sent: c.proto.Ck.Now()})
+		if len(c.unacked) == 0 {
+			c.waitFrom = c.proto.Ck.Now()
+		}
+		c.unacked = append(c.unacked, unackedMsg{id: id, spec: spec, data: data})
+		if spec&specEOM != 0 {
+			c.sndMsgs++
+		}
 		c.RTT.Start(id)
 		c.sendLocked(msgData, spec, id, data)
 		c.Ring.Emit(obs.EvSend, int64(id), int64(n))
@@ -506,11 +540,21 @@ func (c *Conn) input(h header, data []byte) {
 		c.ackLocked(h.ack)
 		c.sendLocked(msgState, 0, c.sndNext-1, nil)
 	case msgState:
+		// The query is answered: what it proves lost is resent ("the
+		// receiver responds to a query by retransmitting missing
+		// messages"), the head here or on the ack that uncovers it, the
+		// holes behind it as the acks of the resends uncover them. A
+		// state whose ack is behind sndUna is stale, and the answer to
+		// a query repeated while the first was in flight says nothing
+		// new: neither resends anything.
+		if c.querying {
+			c.querying = false
+			c.recover = c.queryNext
+			if h.ack+1 == c.sndUna {
+				c.resendLostHeadLocked()
+			}
+		}
 		c.ackLocked(h.ack)
-		// The peer lacks everything past h.ack: retransmit it
-		// ("the receiver responds to a query by retransmitting
-		// missing messages").
-		c.retransmitLocked()
 	case msgClose:
 		// Closes are sequenced like data: the hangup is delivered
 		// only after every earlier message has been consumed, so a
@@ -558,27 +602,45 @@ func (c *Conn) ackLocked(ack uint32) {
 	c.Ring.Emit(obs.EvAck, int64(ack), 0)
 	// Round-trip timing on the timed message (§3 adaptive timeouts).
 	c.RTT.Ack(ack)
+	// Release the acked retransmit copies and compact the window in
+	// place — no per-ack reallocation.
 	i := 0
-	for i < len(c.unacked) && c.unacked[i].id <= ack {
-		i++
-	}
-	if i > 0 {
-		// Release the acked retransmit copies and compact the
-		// window in place — no per-ack reallocation.
-		for j := 0; j < i; j++ {
-			block.PutBytes(c.unacked[j].data)
+	for ; i < len(c.unacked) && c.unacked[i].id <= ack; i++ {
+		if c.unacked[i].spec&specEOM != 0 {
+			c.sndMsgs--
 		}
-		n := copy(c.unacked, c.unacked[i:])
-		for j := n; j < len(c.unacked); j++ {
-			c.unacked[j] = unackedMsg{}
-		}
-		c.unacked = c.unacked[:n]
+		block.PutBytes(c.unacked[i].data)
 	}
+	n := copy(c.unacked, c.unacked[i:])
+	clear(c.unacked[n:])
+	c.unacked = c.unacked[:n]
 	c.sndUna = ack + 1
 	if c.sndUna > c.sndNext {
 		c.sndNext = c.sndUna
 	}
+	// Progress restarts the timer (RFC 6298 §5.3): the new head has been
+	// waiting for the wire, not for its peer.
+	c.waitFrom = c.proto.Ck.Now()
+	c.resendLostHeadLocked()
 	c.Cond.Broadcast()
+}
+
+// resendLostHeadLocked resends the oldest unacknowledged packet if the
+// last answered query proved it lost: it was sent before that query and
+// the peer still lacks it. One round trip per hole, not one timeout.
+func (c *Conn) resendLostHeadLocked() {
+	if len(c.unacked) > 0 && c.unacked[0].id < c.recover {
+		c.resendLocked(&c.unacked[0])
+	}
+}
+
+func (c *Conn) resendLocked(m *unackedMsg) {
+	c.waitFrom = c.proto.Ck.Now()
+	c.proto.Retransmits.Add(1)
+	c.Ring.Emit(obs.EvRetransmit, int64(m.id), 0)
+	c.sendLocked(msgData, m.spec, m.id, m.data)
+	// Retransmitted messages cannot be timed (Karn's rule).
+	c.RTT.Cancel()
 }
 
 // dataLocked handles a data packet: in-order delivery, out-of-order
@@ -607,7 +669,8 @@ func (c *Conn) dataLocked(h header, data []byte) {
 		c.proto.DupsReceived.Add(1)
 		c.Ring.Emit(obs.EvDup, int64(h.id), 0)
 		c.sendLocked(msgAck, 0, c.sndNext-1, nil)
-	case h.id < c.rcvNext+c.proto.cfg.window():
+	case h.id < c.rcvNext+c.proto.cfg.window()*maxMsgPkts:
+		// Whatever a conforming sender may have in flight.
 		if c.ooo == nil {
 			c.ooo = make(map[uint32][]byte)
 			c.oooSpec = make(map[uint32]byte)
@@ -655,17 +718,12 @@ func (c *Conn) rtoLocked() time.Duration {
 	return c.RTT.RTO(minRTO, maxRTO, synRetry)
 }
 
-// retransmitLocked resends every unacknowledged message.
+// retransmitLocked resends every unacknowledged message: the blind
+// retransmission of the ablation, which nothing else calls.
 func (c *Conn) retransmitLocked() {
 	for i := range c.unacked {
-		m := &c.unacked[i]
-		m.sent = c.proto.Ck.Now()
-		c.proto.Retransmits.Add(1)
-		c.Ring.Emit(obs.EvRetransmit, int64(m.id), 0)
-		c.sendLocked(msgData, m.spec, m.id, m.data)
+		c.resendLocked(&c.unacked[i])
 	}
-	// Retransmitted messages cannot be timed (Karn's rule).
-	c.RTT.Cancel()
 }
 
 // timer is the connection's helper kernel process: sync retries,
@@ -692,7 +750,7 @@ func (c *Conn) timer() {
 			ck.Sleep(synRetry - tickInterval)
 			continue
 		case Established, Closing:
-			if len(c.unacked) > 0 && now.Sub(c.unacked[0].sent) > c.rtoLocked() {
+			if len(c.unacked) > 0 && now.Sub(c.waitFrom) > c.rtoLocked() {
 				if now.Sub(c.lastProgress) > c.proto.cfg.deathTime() {
 					c.diedLocked(vfs.ErrTimedOut)
 					c.Mu.Unlock()
@@ -703,16 +761,19 @@ func (c *Conn) timer() {
 				} else {
 					// §3: send a query instead of retransmitting
 					// blindly. The query itself may be lost; if so
-					// this asks again after another RTO.
+					// this asks again after another RTO, and the
+					// answer to either proves no more than the first
+					// asked about.
+					if !c.querying {
+						c.querying, c.queryNext = true, c.sndNext
+					}
 					c.proto.QueriesSent.Add(1)
 					c.Ring.Emit(obs.EvQuery, 0, 0)
 					c.sendLocked(msgQuery, 0, c.sndNext-1, nil)
 				}
 				// Push the timeout forward so we do not spam
 				// queries every tick.
-				for i := range c.unacked {
-					c.unacked[i].sent = now
-				}
+				c.waitFrom = now
 			}
 			if c.St == Closing && len(c.unacked) == 0 {
 				c.sendLocked(msgClose, 0, c.sndNext-1, nil)

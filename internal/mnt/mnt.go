@@ -43,7 +43,8 @@ func FileConfig() Config {
 
 // readahead is how many MaxFData fragments of speculative Tread a
 // file-tree handle keeps ahead of a sequential reader, the partly read
-// one included.
+// one included. It does not shrink with the client's window, which
+// bounds only how many fragments of one request ride at once.
 const readahead = 4
 
 // Mount dials a 9P server over conn, authenticates uname, attaches to
@@ -168,13 +169,14 @@ type handle struct {
 	mu     sync.Mutex
 	closed bool
 
-	// Readahead. ra holds the speculative Treads in flight and rest
-	// the unread bytes of the last fragment reaped from it (restShort:
-	// that fragment came back short); together they continue the file
-	// from seqOff, the offset where the handle's sequential read
-	// pattern continues. seqRun counts consecutive sequential reads,
-	// and raStop latches after a short reply (EOF) until the pattern
-	// resets.
+	// Readahead. ra holds the Treads in flight — the speculative ones
+	// and, during a read, the fragments of the request itself — and
+	// rest the unread bytes of the last fragment reaped from it
+	// (restShort: that fragment came back short); together they continue
+	// the file from seqOff, the offset where the handle's sequential
+	// read pattern continues. seqRun counts consecutive sequential
+	// reads, and raStop latches after a short reply (EOF) until the
+	// pattern resets.
 	seqOff    int64
 	seqRun    int
 	ra        ninep.Window
@@ -202,8 +204,8 @@ func newHandle(f *ninep.Fid, file bool) *handle {
 }
 
 // Read implements vfs.Handle (Tread). On a device tree it is a direct
-// read; on a file tree sequential reads are served from the readahead
-// window, which is topped up behind them.
+// read; on a file tree sequential reads are served from one window that
+// carries what the request still lacks and the readahead behind it.
 func (h *handle) Read(p []byte, off int64) (int, error) {
 	h.mu.Lock()
 	if h.closed {
@@ -237,6 +239,11 @@ func (h *handle) readLocked(p []byte, off int64) (int, error) {
 		}
 		return n, err
 	}
+	// The fragments of this request that are not yet buffered or in
+	// flight join the window before the first reap: the caller asked for
+	// them, so they are not speculation.
+	end := off + int64(len(p))
+	h.fillRALocked(off, end)
 	total := 0
 	short := false
 	for total < len(p) && (len(h.rest) > 0 || h.ra.Len() > 0) {
@@ -270,9 +277,16 @@ func (h *handle) readLocked(p []byte, off int64) (int, error) {
 			short = true
 			break
 		}
+		// Fill the window before waiting on it. When the request ends
+		// inside the next fragment the top-up waits for the end of the
+		// read, which has seen whether that fragment came back short.
+		if pos := off + int64(total); pos+ninep.MaxFData <= end {
+			h.fillRALocked(pos, end)
+		}
 	}
 	fromRA := total
 	if total < len(p) && !short {
+		// Readahead is not armed, or failed to issue.
 		n, err := h.fid.Read(p[total:], off+int64(total))
 		total += n
 		if err != nil {
@@ -292,21 +306,25 @@ func (h *handle) readLocked(p []byte, off int64) (int, error) {
 	if total == len(p) && total > 0 {
 		h.seqRun++
 	}
-	if h.seqRun >= 2 && !h.raStop {
-		h.fillRALocked()
-	}
+	h.fillRALocked(h.seqOff, h.seqOff)
 	return total, nil
 }
 
-// fillRALocked tops the readahead up to its depth, starting just past
-// everything already buffered or in flight.
-func (h *handle) fillRALocked() {
+// fillRALocked, once two sequential reads have armed it, tops the one
+// window up for a reader at pos whose request runs to end, starting just
+// past everything already buffered or in flight: the readahead to its
+// depth, and the request's own fragments as far as the client's window
+// lets them ride. Past a short fragment lies EOF, and nothing is issued.
+func (h *handle) fillRALocked(pos, end int64) {
+	if h.seqRun < 2 || h.raStop || (h.restShort && len(h.rest) > 0) {
+		return
+	}
 	held := h.ra.Len()
 	if len(h.rest) > 0 {
 		held++
 	}
-	next := h.seqOff + int64(len(h.rest)) + int64(h.ra.Len())*ninep.MaxFData
-	for ; held < readahead; held++ {
+	next := pos + int64(len(h.rest)) + int64(h.ra.Len())*ninep.MaxFData
+	for ; held < readahead || (next < end && h.ra.Len() < h.fid.Client().Window()); held++ {
 		if err := h.ra.Read(next, ninep.MaxFData); err != nil {
 			h.raStop = true
 			return

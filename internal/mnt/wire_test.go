@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/ninep"
@@ -26,8 +27,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/wire_trace.golde
 // answer before the driver gives the fragment up would: a script holds
 // exactly the speculative fragments it expects to see flushed, so what
 // the driver sends depends on its own logic alone, never on how fast
-// the server happened to answer. And it can turn one Tread's reply into
-// an Rerror.
+// the server happened to answer. It can turn one Tread's reply into an
+// Rerror. And it can gate replies: withhold those to Treads in a range
+// until the driver has sent a Tread at a later offset, so a script that
+// finishes proves the driver sent the later request before it waited
+// for the earlier reply.
 type wireTap struct {
 	ninep.MsgConn
 	mu     sync.Mutex
@@ -37,11 +41,24 @@ type wireTap struct {
 	held   map[uint16]bool
 	failAt int64 // the next Tread at this offset is answered with an Rerror; -1 none
 	failed map[uint16]bool
+
+	gateLo, gateHi, gateUntil int64
+	gated                     map[uint16]bool
+	stash                     [][]byte // gated replies, delivered once the gate opens
 }
 
 func newWireTap(c ninep.MsgConn) *wireTap {
 	return &wireTap{MsgConn: c, byTag: make(map[uint16]int),
-		held: make(map[uint16]bool), failAt: -1, failed: make(map[uint16]bool)}
+		held: make(map[uint16]bool), failAt: -1, failed: make(map[uint16]bool),
+		gated: make(map[uint16]bool)}
+}
+
+// gate withholds the replies to Treads at offsets in [lo, hi) until a
+// Tread at offset until has gone out.
+func (w *wireTap) gate(lo, hi, until int64) {
+	w.mu.Lock()
+	w.gateLo, w.gateHi, w.gateUntil = lo, hi, until
+	w.mu.Unlock()
 }
 
 // hold swallows the replies to Treads at offsets in [lo, hi) from now
@@ -69,6 +86,15 @@ func (w *wireTap) WriteMsg(p []byte) error {
 			w.failed[f.Tag] = true
 			w.failAt = -1
 		}
+		if f.Offset >= w.gateLo && f.Offset < w.gateHi {
+			w.gated[f.Tag] = true
+		}
+		if f.Offset == w.gateUntil {
+			// The gate opens, for good: the trigger's own reply
+			// wakes ReadMsg, which then drains the stash.
+			w.gateLo, w.gateHi = 0, 0
+			clear(w.gated)
+		}
 	case ninep.Twrite:
 		line += fmt.Sprintf(" off=%d count=%d", f.Offset, len(f.Data))
 	case ninep.Tflush:
@@ -82,6 +108,14 @@ func (w *wireTap) WriteMsg(p []byte) error {
 
 func (w *wireTap) ReadMsg() ([]byte, error) {
 	for {
+		w.mu.Lock()
+		if n := len(w.stash); n > 0 && len(w.gated) == 0 {
+			m := w.stash[n-1]
+			w.stash = w.stash[:n-1]
+			w.mu.Unlock()
+			return m, nil
+		}
+		w.mu.Unlock()
 		m, err := w.MsgConn.ReadMsg()
 		if err != nil {
 			return nil, err
@@ -93,8 +127,14 @@ func (w *wireTap) ReadMsg() ([]byte, error) {
 		w.mu.Lock()
 		drop := f.Type == ninep.Rread && w.held[f.Tag]
 		fail := f.Type == ninep.Rread && w.failed[f.Tag]
+		gated := f.Type == ninep.Rread && w.gated[f.Tag]
+		if gated {
+			w.stash = append(w.stash, m)
+		}
 		w.mu.Unlock()
 		switch {
+		case gated:
+			continue
 		case fail:
 			block.PutBytes(m)
 			return ninep.MarshalFcall(&ninep.Fcall{Type: ninep.Rerror, Tag: f.Tag, Ename: errScripted.Error()})
@@ -107,11 +147,12 @@ func (w *wireTap) ReadMsg() ([]byte, error) {
 
 var errScripted = errors.New("scripted read failure")
 
-// TestMountWireTrace pins the mount driver's wire: the T-messages seven
+// TestMountWireTrace pins the mount driver's wire: the T-messages nine
 // scripted handles send, in order, and what each adds to the driver's
-// counters, against a golden recorded before the fragment windows were
-// unified. A change to the driver that moves one RPC, one count, one
-// Tflush or one counter shows up as a diff of the golden.
+// counters, against a golden whose first seven scripts were recorded
+// before the fragment windows were unified. A change to the driver that
+// moves one RPC, one count, one Tflush or one counter shows up as a diff
+// of the golden.
 func TestMountWireTrace(t *testing.T) {
 	const frag = ninep.MaxFData
 	const never = int64(1) << 62
@@ -211,6 +252,36 @@ func TestMountWireTrace(t *testing.T) {
 				tap.hold(0, 0)
 				wantRead(t, h, file, frag, 4*frag, frag)
 			}},
+		{"file profile, sequential 64 KiB reads: the request's missing fragments go out before the first reap, the top-up before the last", FileConfig(), 48 * frag, vfs.OREAD,
+			func(t *testing.T, tap *wireTap, h vfs.Handle, file []byte) {
+				wantRead(t, h, file, 8*frag, 0, 8*frag)
+				wantRead(t, h, file, 8*frag, 8*frag, 8*frag)
+				// Four fragments are read ahead. Their replies wait
+				// until the first fragment the request still lacks has
+				// been asked for.
+				tap.gate(16*frag, 20*frag, 20*frag)
+				wantRead(t, h, file, 8*frag, 16*frag, 8*frag)
+				// The reply to the request's last fragment waits
+				// until the readahead has been topped up past it.
+				tap.gate(31*frag, 32*frag, 32*frag)
+				tap.hold(40*frag, never)
+				wantRead(t, h, file, 8*frag, 24*frag, 8*frag)
+				wantRead(t, h, file, 8*frag, 32*frag, 8*frag)
+			}},
+		{"file profile at client window 2, sequential 64 KiB reads: the readahead stays four deep", func() Config {
+			cfg := FileConfig()
+			cfg.Client.Window = 2
+			return cfg
+		}(), 48 * frag, vfs.OREAD,
+			func(t *testing.T, tap *wireTap, h vfs.Handle, file []byte) {
+				wantRead(t, h, file, 8*frag, 0, 8*frag)
+				wantRead(t, h, file, 8*frag, 8*frag, 8*frag)
+				// The second fragment read ahead is not answered
+				// until the first has been used up and replaced.
+				tap.gate(17*frag, 18*frag, 20*frag)
+				tap.hold(24*frag, never)
+				wantRead(t, h, file, 8*frag, 16*frag, 8*frag)
+			}},
 	}
 	var got strings.Builder
 	for _, sc := range scenarios {
@@ -236,7 +307,11 @@ func TestMountWireTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		stuck := time.AfterFunc(10*time.Second, func() {
+			panic(sc.name + ": the driver waits for a reply gated behind a request it has not sent")
+		})
 		sc.script(t, tap, h, file)
+		stuck.Stop()
 		if err := h.Close(); err != nil {
 			t.Fatalf("%s: close: %v", sc.name, err)
 		}

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/datakit"
 	"repro/internal/ether"
 	"repro/internal/il"
@@ -227,6 +228,100 @@ func TestStatsConformanceIL(t *testing.T) {
 	}
 	if ce := il1["checksum-errs"] + il2["checksum-errs"]; ce != 0 {
 		t.Errorf("IL checksum-errs %d: corruption leaked past the ether FCS", ce)
+	}
+}
+
+// TestStatsConformanceCleanWire is the conformance identity of a wire
+// that loses nothing: IL's stats files must then show no retransmission,
+// no duplicate and nothing outside the window, however the timers fell.
+// Both ends burst sixty 8 KiB messages — six packets each, three windows
+// deep — at each other at once, on the calibrated Ethernet (where an ack
+// queues behind the burst it acknowledges for longer than the minimum
+// timeout) and on the WAN (where the window is smaller than the path),
+// on the virtual clock, so the verdict is exact.
+func TestStatsConformanceCleanWire(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prof ether.Profile
+	}{
+		{"calibrated Ethernet", core.CalibratedProfiles().Ether},
+		{"WAN", core.WANProfiles().Ether},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const msgs, size = 60, 8 << 10
+			var il1, il2 map[string]int64
+			v := vclock.NewVirtual()
+			v.Run(func() {
+				w, err := newEtherWorld(v, Scenario{Latency: tc.prof.Latency, Bandwidth: tc.prof.Bandwidth})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer w.close()
+				p1, p2 := il.New(w.st1, il.Config{}), il.New(w.st2, il.Config{})
+				defer p1.Close()
+				defer p2.Close()
+				rep := &Report{}
+				dc, ac, ok := dialAccept(v, rep, p1, p2, "17100", ip.HostPort(w.a2, 17100))
+				if !ok {
+					t.Errorf("connect: %v", rep.Violations)
+					return
+				}
+				defer dc.Close()
+				defer ac.Close()
+				// A few spaced one-byte exchanges first, as a 9P
+				// conversation's small requests would: the timeout
+				// settles at what an empty wire needs.
+				one := make([]byte, 1)
+				for range 8 {
+					dc.Write(one)
+					ac.Read(one)
+					ac.Write(one)
+					dc.Read(one)
+					v.Sleep(50 * time.Millisecond)
+				}
+				wg := vclock.NewWaitGroup(v)
+				for _, c := range []xport.Conn{dc, ac} {
+					wg.Add(2)
+					v.Go(func() {
+						defer wg.Done()
+						msg := make([]byte, size)
+						for i := range msgs {
+							if _, err := c.Write(msg); err != nil {
+								t.Errorf("write %d: %v", i, err)
+								return
+							}
+						}
+					})
+					v.Go(func() {
+						defer wg.Done()
+						buf := make([]byte, size)
+						for i := range msgs {
+							if n, err := c.Read(buf); err != nil || n != size {
+								t.Errorf("message %d: read %d, %v", i, n, err)
+								return
+							}
+						}
+					})
+				}
+				wg.Wait()
+				// The last acks are still on the wire.
+				v.Sleep(time.Second)
+				il1, il2 = devStats(t, p1), devStats(t, p2)
+			})
+			if t.Failed() {
+				return
+			}
+			if sent := il1["msgs-sent"] + il2["msgs-sent"]; sent < 2*msgs*6 {
+				t.Fatalf("only %d packets sent: the bursts did not run", sent)
+			}
+			for _, name := range []string{"retransmits", "dups-rcvd", "out-of-window", "checksum-errs"} {
+				if n := il1[name] + il2[name]; n != 0 {
+					t.Errorf("/net/il/stats %s = %d on a wire that lost nothing (queries sent: %d)",
+						name, n, il1["queries-sent"]+il2["queries-sent"])
+				}
+			}
+		})
 	}
 }
 

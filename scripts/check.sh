@@ -70,10 +70,11 @@ echo "== coverage floors"
 # gateway's hot path; xport is the scaffold every IL and TCP
 # conversation stands on, and devtree the conversation table every
 # Ethernet and protocol-device conversation lives in; ninep and mnt are
-# the mount path, where one window carries every large transfer. Two
+# the mount path, where one window carries every large transfer. Three
 # floors are higher: the line disciplines in streams rewrite every byte
-# a dressed conversation carries, and cs answers every symbolic dial, so
-# a silent miscount there skews every experiment.
+# a dressed conversation carries, cs answers every symbolic dial, so a
+# silent miscount there skews every experiment, and il's recovery path
+# runs only when a wire loses something, which is when it must be right.
 floor() {
     cov=$(go test -cover "./internal/$1" | awk '{ for (i = 1; i <= NF; i++) if ($i == "coverage:") print $(i+1) }' | tr -d '%')
     if [ -z "$cov" ] || [ "$(printf '%.0f' "$cov")" -lt "$2" ]; then
@@ -82,7 +83,7 @@ floor() {
     fi
     echo "internal/$1 coverage ${cov}% (floor $2%)"
 }
-for f in obs:80 analysis:80 exportfs:80 ccache:80 xport:80 devtree:80 mnt:80 ninep:80 streams:85 cs:85; do
+for f in obs:80 analysis:80 exportfs:80 ccache:80 xport:80 devtree:80 mnt:80 ninep:80 il:85 streams:85 cs:85; do
     floor "${f%:*}" "${f#*:}"
 done
 
