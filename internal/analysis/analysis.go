@@ -7,7 +7,8 @@
 // failure shapes such code grows at scale:
 //
 //	lock-across-send    a sync.Mutex/RWMutex held across a channel
-//	                    operation or known-blocking call
+//	                    operation or known-blocking call, the virtual
+//	                    clock's direct parks included
 //	unjoined-goroutine  a go statement whose body can never exit —
 //	                    a leak candidate with no shutdown path
 //	unclosed-resource   a closeable value created and dropped without

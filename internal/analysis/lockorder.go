@@ -244,28 +244,18 @@ func (l *lockScanCFG) moduleCallee(call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// mutexCall resolves a call to a sync.Mutex/RWMutex (R)Lock/(R)Unlock
-// and returns the lock's graph key.
+// mutexCall resolves a call to (R)Lock/(R)Unlock on a mutex the lock
+// checks track (sync's or vclock's) and returns the lock's graph key.
 func (l *lockScanCFG) mutexCall(call *ast.CallExpr) (key, method string, ok bool) {
-	sel, okSel := call.Fun.(*ast.SelectorExpr)
-	if !okSel {
-		return "", "", false
-	}
-	fn, okFn := l.p.Pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !okFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+	sel, _, ok := l.p.mutexMethod(call)
+	if !ok {
 		return "", "", false
 	}
 	switch sel.Sel.Name {
 	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", false
+		return l.lockKey(sel.X), sel.Sel.Name, true
 	}
-	if r := fn.Type().(*types.Signature).Recv(); r == nil {
-		return "", "", false
-	} else if n := typeName(r.Type()); n != "Mutex" && n != "RWMutex" {
-		return "", "", false
-	}
-	return l.lockKey(sel.X), sel.Sel.Name, true
+	return "", "", false
 }
 
 // lockKey names the lock x identifies, keyed by (type, field) for
@@ -309,8 +299,8 @@ func typeKey(t types.Type) string {
 	if !ok || n.Obj().Pkg() == nil {
 		return ""
 	}
-	if n.Obj().Pkg().Path() == "sync" {
-		return "" // a bare sync.Mutex value has no useful identity
+	if _, isMutex := mutexType(n); isMutex || n.Obj().Pkg().Path() == "sync" {
+		return "" // a bare mutex value has no useful identity
 	}
 	return n.Obj().Pkg().Name() + "." + n.Obj().Name()
 }

@@ -12,7 +12,14 @@ import (
 // classic deadlock shape: the send blocks for flow control, the peer
 // needs the lock to drain, and the machine wedges. Known-blocking
 // calls are select (without default), sync.WaitGroup.Wait, time.Sleep,
+// the virtual clock's direct parks (Clock.Sleep and SleepUntil,
+// Mailbox.Send and Recv, vclock.WaitGroup.Wait: a sync lock held across
+// one stops the token scheduler as soon as a second goroutine wants it),
 // and acquiring another mutex (lock-order inversions start here).
+//
+// A vclock.Mutex is the lock that may be held across a park, so the
+// blocking rules do not apply to it; it is tracked all the same, so
+// taking it under a sync lock, or a second lock under it, is reported.
 var lockAcrossSendCheck = &Check{
 	Name: "lock-across-send",
 	Doc:  "mutex held across a channel operation or blocking call",
@@ -22,7 +29,7 @@ var lockAcrossSendCheck = &Check{
 func runLockAcrossSend(p *Pass) {
 	for _, f := range p.Pkg.Files {
 		funcBodies(f, func(body *ast.BlockStmt) {
-			s := &lockScan{p: p, held: map[string]token.Pos{}}
+			s := &lockScan{p: p, held: map[string]heldLock{}}
 			s.stmts(body.List)
 		})
 	}
@@ -34,11 +41,16 @@ func runLockAcrossSend(p *Pass) {
 // region open to the end of the function, as at runtime.
 type lockScan struct {
 	p    *Pass
-	held map[string]token.Pos // receiver expr -> Lock position
+	held map[string]heldLock // receiver expr -> the Lock call
+}
+
+type heldLock struct {
+	pos   token.Pos
+	parks bool // a vclock.Mutex
 }
 
 func (s *lockScan) fork() *lockScan {
-	held := make(map[string]token.Pos, len(s.held))
+	held := make(map[string]heldLock, len(s.held))
 	for k, v := range s.held {
 		held[k] = v
 	}
@@ -55,11 +67,12 @@ func (s *lockScan) stmt(st ast.Stmt) {
 	switch st := st.(type) {
 	case *ast.ExprStmt:
 		if call, ok := st.X.(*ast.CallExpr); ok {
-			if recv, method, ok := s.p.mutexMethod(call); ok {
-				switch method {
+			if sel, parks, ok := s.p.mutexMethod(call); ok {
+				recv := types.ExprString(sel.X)
+				switch sel.Sel.Name {
 				case "Lock", "RLock":
 					s.lockWhileHeld(call, recv)
-					s.held[recv] = call.Pos()
+					s.held[recv] = heldLock{call.Pos(), parks}
 					return
 				case "Unlock", "RUnlock":
 					delete(s.held, recv)
@@ -69,9 +82,8 @@ func (s *lockScan) stmt(st ast.Stmt) {
 		}
 		s.scan(st)
 	case *ast.DeferStmt:
-		if recv, method, ok := s.p.mutexMethod(st.Call); ok && (method == "Unlock" || method == "RUnlock") {
-			_ = recv // releases only at return; the held region continues
-			return
+		if sel, _, ok := s.p.mutexMethod(st.Call); ok && (sel.Sel.Name == "Unlock" || sel.Sel.Name == "RUnlock") {
+			return // releases only at return; the held region continues
 		}
 		// The deferred call itself runs later; its arguments are
 		// evaluated now.
@@ -174,8 +186,8 @@ func (s *lockScan) scan(n ast.Node) {
 		case *ast.SendStmt:
 			s.report(n.Pos(), "channel send")
 		case *ast.CallExpr:
-			if recv, method, ok := s.p.mutexMethod(n); ok && (method == "Lock" || method == "RLock") {
-				s.lockWhileHeld(n, recv)
+			if sel, _, ok := s.p.mutexMethod(n); ok && (sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock") {
+				s.lockWhileHeld(n, types.ExprString(sel.X))
 				return false
 			}
 			if what, ok := s.p.blockingCall(n); ok {
@@ -189,19 +201,23 @@ func (s *lockScan) scan(n ast.Node) {
 // lockWhileHeld reports acquiring recv while a different mutex is
 // already held — the opening move of a lock-order inversion.
 func (s *lockScan) lockWhileHeld(call *ast.CallExpr, recv string) {
-	for other, pos := range s.held {
+	for other, h := range s.held {
 		if other != recv {
 			s.p.Reportf(call.Pos(), "acquiring %s while holding %s (locked at line %d)",
-				recv, other, s.p.Fset.Position(pos).Line)
+				recv, other, s.p.Fset.Position(h.pos).Line)
 			return
 		}
 	}
 }
 
+// report flags a blocking operation at pos against a held sync lock.
 func (s *lockScan) report(pos token.Pos, what string) {
-	for recv, lockPos := range s.held {
+	for recv, h := range s.held {
+		if h.parks {
+			continue
+		}
 		s.p.Reportf(pos, "%s while holding %s (locked at line %d)",
-			what, recv, s.p.Fset.Position(lockPos).Line)
+			what, recv, s.p.Fset.Position(h.pos).Line)
 		return // one finding per site is enough
 	}
 }
@@ -216,31 +232,49 @@ func blockingSelect(st *ast.SelectStmt) bool {
 	return true
 }
 
-// mutexMethod resolves call to a sync.Mutex/RWMutex method, returning
-// the receiver expression (the lock's identity) and the method name.
-// Promoted methods of embedded mutexes resolve too.
-func (p *Pass) mutexMethod(call *ast.CallExpr) (recv, method string, ok bool) {
+// mutexMethod resolves call to a method of a sync.Mutex, sync.RWMutex
+// or vclock.Mutex; sel.X is the lock's identity and parks reports the
+// vclock.Mutex. Promoted methods of embedded mutexes resolve too.
+func (p *Pass) mutexMethod(call *ast.CallExpr) (sel *ast.SelectorExpr, parks, ok bool) {
 	sel, okSel := call.Fun.(*ast.SelectorExpr)
 	if !okSel {
-		return "", "", false
+		return nil, false, false
 	}
 	fn, okFn := p.Pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !okFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
+	if !okFn {
+		return nil, false, false
 	}
 	r := fn.Type().(*types.Signature).Recv()
 	if r == nil {
-		return "", "", false
+		return nil, false, false
 	}
-	name := typeName(r.Type())
-	if name != "Mutex" && name != "RWMutex" {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), sel.Sel.Name, true
+	parks, ok = mutexType(r.Type())
+	return sel, parks, ok
 }
 
-// blockingCall classifies calls known to block: sync.WaitGroup.Wait
-// and time.Sleep. sync.Cond.Wait is deliberately excluded — it
+// mutexType reports whether t (or what it points to) is one of the
+// mutual-exclusion types the lock checks track, and whether it is the
+// vclock.Mutex, whose waiters park through the clock.
+func mutexType(t types.Type) (parks, ok bool) {
+	if p, isPtr := t.(*types.Pointer); isPtr {
+		t = p.Elem()
+	}
+	n, isNamed := t.(*types.Named)
+	if !isNamed || n.Obj().Pkg() == nil {
+		return false, false
+	}
+	switch pkg, name := n.Obj().Pkg(), n.Obj().Name(); {
+	case pkg.Path() == "sync" && (name == "Mutex" || name == "RWMutex"):
+		return false, true
+	case pkg.Name() == "vclock" && name == "Mutex":
+		return true, true
+	}
+	return false, false
+}
+
+// blockingCall classifies calls known to block: sync.WaitGroup.Wait,
+// time.Sleep, and the vclock primitives that park the caller directly.
+// Cond.Wait, sync's and vclock's, is deliberately excluded — it
 // releases its locker while waiting.
 func (p *Pass) blockingCall(call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -251,13 +285,20 @@ func (p *Pass) blockingCall(call *ast.CallExpr) (string, bool) {
 	if !ok || fn.Pkg() == nil {
 		return "", false
 	}
+	recv := ""
+	if r := fn.Type().(*types.Signature).Recv(); r != nil {
+		recv = typeName(r.Type())
+	}
+	pkg, name := fn.Pkg(), fn.Name()
 	switch {
-	case fn.Pkg().Path() == "sync" && fn.Name() == "Wait":
-		if r := fn.Type().(*types.Signature).Recv(); r != nil && typeName(r.Type()) == "WaitGroup" {
-			return "sync.WaitGroup.Wait", true
-		}
-	case fn.Pkg().Path() == "time" && fn.Name() == "Sleep":
+	case pkg.Path() == "sync" && recv == "WaitGroup" && name == "Wait":
+		return "sync.WaitGroup.Wait", true
+	case pkg.Path() == "time" && name == "Sleep":
 		return "time.Sleep", true
+	case pkg.Name() == "vclock" && (name == "Sleep" || name == "SleepUntil" ||
+		recv == "Mailbox" && (name == "Send" || name == "Recv") ||
+		recv == "WaitGroup" && name == "Wait"):
+		return "vclock." + recv + "." + name, true
 	}
 	return "", false
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/vclock"
 )
 
 type box struct {
@@ -75,7 +77,94 @@ func rlockSend(r *rbox) {
 	r.mu.RUnlock()
 }
 
+// A sync lock held across one of the virtual clock's direct parks: the
+// holder yields its token, the next goroutine to want the lock blocks
+// where the scheduler cannot see it, and simulated time stops. These
+// are the shapes of the 9P server's reply lock (PR 8) and the transport
+// write lock before they became a vclock.Mutex.
+
+type vbox struct {
+	mu  sync.Mutex
+	rw  sync.RWMutex
+	vmu vclock.Mutex
+	ck  vclock.Clock
+	mb  *vclock.Mailbox[int]
+	wg  *vclock.WaitGroup
+}
+
+func pacedWriteWhileLocked(b *vbox, d time.Duration) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.ck.Sleep(d) // want lock-across-send "vclock.Clock.Sleep while holding b.mu"
+}
+
+func sleepUntilWhileRLocked(b *vbox, t time.Time) {
+	b.rw.RLock()
+	b.ck.SleepUntil(t) // want lock-across-send "vclock.Clock.SleepUntil while holding b.rw"
+	b.rw.RUnlock()
+}
+
+func virtualSleepWhileLocked(b *vbox, v *vclock.Virtual) {
+	b.mu.Lock()
+	v.Sleep(time.Second) // want lock-across-send "vclock.Virtual.Sleep while holding b.mu"
+	b.mu.Unlock()
+}
+
+func mailboxWhileLocked(b *vbox) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.mb.Send(1)        // want lock-across-send "vclock.Mailbox.Send while holding b.mu"
+	v, _ := b.mb.Recv() // want lock-across-send "vclock.Mailbox.Recv while holding b.mu"
+	return v
+}
+
+func clockWaitGroupWhileLocked(b *vbox) {
+	b.mu.Lock()
+	b.wg.Wait() // want lock-across-send "vclock.WaitGroup.Wait while holding b.mu"
+	b.mu.Unlock()
+}
+
+func clockMutexWhileLocked(b *vbox) {
+	b.mu.Lock()
+	b.vmu.Lock() // want lock-across-send "acquiring b.vmu while holding b.mu"
+	b.vmu.Unlock()
+	b.mu.Unlock()
+}
+
+func lockUnderClockMutex(b *vbox) {
+	b.vmu.Lock()
+	defer b.vmu.Unlock()
+	b.mu.Lock() // want lock-across-send "acquiring b.mu while holding b.vmu" // want lock-order "lock-order cycle"
+	b.mu.Unlock()
+}
+
 // The rest must stay silent.
+
+// A vclock.Mutex is the lock that may be held across a park.
+func parkUnderClockMutex(b *vbox, d time.Duration) {
+	b.vmu.Lock()
+	defer b.vmu.Unlock()
+	b.ck.Sleep(d)
+	b.mb.Send(1)
+	b.wg.Wait()
+}
+
+func nonParkingClockCallsWhileLocked(b *vbox) time.Time {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.mb.TrySend(1)
+	b.mb.TryRecv()
+	b.wg.Add(1)
+	b.wg.Done()
+	return b.ck.Now()
+}
+
+func clockCondWaitReleases(b *vbox) {
+	c := vclock.NewCond(b.ck, &b.mu)
+	b.mu.Lock()
+	c.Wait() // Cond.Wait releases its locker
+	b.mu.Unlock()
+}
 
 func unlockBeforeSend(b *box) {
 	b.mu.Lock()

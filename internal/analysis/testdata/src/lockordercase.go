@@ -1,12 +1,17 @@
 // Corpus for the lock-order check: cycles in the module-wide lock
 // acquisition graph, keyed by (type, field). The first pair is the
 // cyclone Listen/Close inversion shape; the second goes through a
-// call; the third inverts an embedded mutex. The tail cases must stay
-// silent: consistent order, two instances of one type, and a local
-// mutex have no cross-function identity.
+// call; the third inverts an embedded mutex; the fourth inverts a
+// vclock.Mutex against a sync one. The tail cases must stay silent:
+// consistent order, two instances of one type, and a local mutex (of
+// either kind) have no cross-function identity.
 package lockordercase
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/vclock"
+)
 
 type cyclone struct {
 	mu    sync.Mutex
@@ -78,6 +83,29 @@ func expel(h *hub, c *conv) {
 	c.mu.Unlock()
 }
 
+// --- inversion against a clock-owned mutex ---
+
+// The 9P server's per-fid lock is a vclock.Mutex (it is held across a
+// Walk that may be an RPC); it stays in the lock graph all the same.
+
+type fidTable struct{ mu sync.Mutex }
+
+type fid struct{ mu vclock.Mutex }
+
+func (t *fidTable) attach(f *fid) {
+	t.mu.Lock()
+	f.mu.Lock() // want lock-across-send "acquiring"
+	f.mu.Unlock()
+	t.mu.Unlock()
+}
+
+func (f *fid) clunk(t *fidTable) {
+	f.mu.Lock()
+	t.mu.Lock() // want lock-order "lock-order cycle" // want lock-across-send "acquiring"
+	t.mu.Unlock()
+	f.mu.Unlock()
+}
+
 // --- silent cases ---
 
 var tableMu sync.Mutex
@@ -108,4 +136,24 @@ func scratch(c *conv) {
 	c.mu.Lock() // want lock-across-send "acquiring"
 	c.mu.Unlock()
 	mu.Unlock()
+}
+
+// Nor does a local clock-owned one: the two functions below would be a
+// cycle if every bare vclock.Mutex shared one key.
+func scratchClockFirst(c *conv, ck vclock.Clock) {
+	var mu vclock.Mutex
+	mu.Init(ck)
+	mu.Lock()
+	c.mu.Lock() // want lock-across-send "acquiring"
+	c.mu.Unlock()
+	mu.Unlock()
+}
+
+func scratchClockSecond(c *conv, ck vclock.Clock) {
+	var mu vclock.Mutex
+	mu.Init(ck)
+	c.mu.Lock()
+	mu.Lock() // want lock-across-send "acquiring"
+	mu.Unlock()
+	c.mu.Unlock()
 }

@@ -17,9 +17,9 @@ package mnt
 import (
 	"io"
 	"runtime"
-	"sync"
 
 	"repro/internal/ninep"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -166,7 +166,9 @@ type handle struct {
 	fid  *ninep.Fid
 	file bool // file-tree profile: read ahead and write behind
 
-	mu     sync.Mutex
+	// mu is held across the handle's RPCs on a file tree, so a second
+	// process on the handle parks through the clock.
+	mu     vclock.Mutex
 	closed bool
 
 	// Readahead. ra holds the Treads in flight — the speculative ones
@@ -200,7 +202,9 @@ type handle struct {
 var _ vfs.Handle = (*handle)(nil)
 
 func newHandle(f *ninep.Fid, file bool) *handle {
-	return &handle{fid: f, file: file, ra: f.NewWindow(), wb: f.NewWindow()}
+	h := &handle{fid: f, file: file, ra: f.NewWindow(), wb: f.NewWindow()}
+	h.mu.Init(f.Client().Clock())
+	return h
 }
 
 // Read implements vfs.Handle (Tread). On a device tree it is a direct

@@ -76,6 +76,11 @@ type Client struct {
 	cfg  ClientConfig
 	ck   vclock.Clock
 
+	// wmu serializes WriteMsg among the processes sharing the mount. A
+	// write may park on a paced medium, so its waiters park through
+	// the clock.
+	wmu vclock.Mutex
+
 	mu      sync.Mutex
 	tagFree vclock.Cond // signaled whenever a tag is released
 	// tags holds one entry per outstanding tag. A non-nil mailbox
@@ -113,6 +118,7 @@ func NewClientConfig(conn MsgConn, cfg ClientConfig) (*Client, error) {
 		ck:   vclock.Or(cfg.Clock),
 		tags: make(map[uint16]*vclock.Mailbox[*Fcall]),
 	}
+	cl.wmu.Init(cl.ck)
 	cl.tagFree.Init(cl.ck, &cl.mu)
 	cl.stats = new(obs.Group).
 		AddCounter("rpcs", &cl.RPCs).
@@ -279,7 +285,10 @@ func (cl *Client) sendAsync(t *Fcall, flushExempt bool) (*Pending, error) {
 		cl.freeTag(tag)
 		return nil, err
 	}
-	if err := cl.conn.WriteMsg(msg); err != nil {
+	cl.wmu.Lock()
+	err = cl.conn.WriteMsg(msg)
+	cl.wmu.Unlock()
+	if err != nil {
 		cl.freeTag(tag)
 		return nil, err
 	}

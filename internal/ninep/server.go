@@ -84,7 +84,9 @@ type SrvConn struct {
 	id   int64
 	conn MsgConn
 
-	wmu wlock // serializes response writes
+	// wmu serializes response writes. A write may park on a paced
+	// medium, so the lock's waiters park through the clock.
+	wmu vclock.Mutex
 
 	mu    sync.Mutex
 	uname string // first attach's uname, for the stats bill
@@ -127,7 +129,10 @@ type srvReq struct {
 }
 
 type srvFid struct {
-	mu   sync.Mutex
+	// mu is held across the node's Walk, Open, Stat and Create, which
+	// are RPCs when the served tree is itself a mount (a gateway), so
+	// a second request on the fid parks through the clock.
+	mu   vclock.Mutex
 	node vfs.Node
 	h    vfs.Handle
 	open bool
@@ -207,6 +212,7 @@ func (s *Server) ServeConn(conn MsgConn) error {
 		fids: make(map[uint32]*srvFid),
 		reqs: make(map[uint16]*srvReq),
 	}
+	c.wmu.Init(s.ck)
 	s.cmu.Lock()
 	s.nextID++
 	c.id = s.nextID
@@ -439,42 +445,6 @@ type blockReader interface {
 	ReadBlock(count int, off int64) (*block.Block, []byte, error)
 }
 
-// wlock is mutual exclusion whose waiters park through the clock. A
-// plain mutex here would wedge the virtual scheduler: a response write
-// can hold the lock across a virtual-time sleep (a bandwidth-paced
-// medium send), and a second writer blocked in sync.Mutex.Lock never
-// yields its scheduler token, so virtual time could not advance to
-// finish the first write. Waiters on a vclock.Cond park properly on
-// either clock.
-type wlock struct {
-	mu     sync.Mutex
-	cond   vclock.Cond
-	inited bool
-	held   bool
-}
-
-func (l *wlock) lock(ck vclock.Clock) {
-	l.mu.Lock()
-	for l.held {
-		if !l.inited {
-			l.cond.Init(ck, &l.mu)
-			l.inited = true
-		}
-		l.cond.Wait()
-	}
-	l.held = true
-	l.mu.Unlock()
-}
-
-func (l *wlock) unlock() {
-	l.mu.Lock()
-	l.held = false
-	if l.inited {
-		l.cond.Broadcast()
-	}
-	l.mu.Unlock()
-}
-
 // respond writes r under tag. st, non-nil for I/O requests, carries
 // the request's flush mark: the check sits under wmu, the same lock
 // that wrote the Rflush, so either the reply reaches the wire before
@@ -502,8 +472,8 @@ func (c *SrvConn) respond(tag uint16, r *Fcall, st *srvReq) {
 		r.blk.Free()
 		r.blk, r.Data = nil, nil
 	}
-	c.wmu.lock(c.s.ck)
-	defer c.wmu.unlock()
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	if st != nil && st.flushed.Load() {
 		// The reply of a flushed request is dropped; its pooled
 		// wire buffer is not.
@@ -586,6 +556,12 @@ func rerror(err error) *Fcall {
 	return &Fcall{Type: Rerror, Ename: e}
 }
 
+func (c *SrvConn) newFid(node vfs.Node) *srvFid {
+	sf := &srvFid{node: node}
+	sf.mu.Init(c.s.ck)
+	return sf
+}
+
 func (c *SrvConn) getFid(fid uint32) (*srvFid, *Fcall) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -637,7 +613,7 @@ func (c *SrvConn) process(t *Fcall) *Fcall {
 		if c.uname == "" {
 			c.uname = t.Uname
 		}
-		c.fids[t.Fid] = &srvFid{node: root}
+		c.fids[t.Fid] = c.newFid(root)
 		c.mu.Unlock()
 		return &Fcall{Type: Rattach, Fid: t.Fid, Qid: d.Qid}
 	case Tclone:
@@ -657,7 +633,7 @@ func (c *SrvConn) process(t *Fcall) *Fcall {
 			c.mu.Unlock()
 			return rerror(vfs.ErrInUse)
 		}
-		c.fids[t.Newfid] = &srvFid{node: node}
+		c.fids[t.Newfid] = c.newFid(node)
 		c.mu.Unlock()
 		return &Fcall{Type: Rclone, Fid: t.Fid}
 	case Twalk:
@@ -704,7 +680,7 @@ func (c *SrvConn) process(t *Fcall) *Fcall {
 			c.mu.Unlock()
 			return rerror(vfs.ErrInUse)
 		}
-		c.fids[t.Newfid] = &srvFid{node: n}
+		c.fids[t.Newfid] = c.newFid(n)
 		c.mu.Unlock()
 		return &Fcall{Type: Rclwalk, Fid: t.Newfid, Qid: d.Qid}
 	case Topen:

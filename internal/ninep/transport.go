@@ -16,6 +16,13 @@ import (
 // in-machine pipes provide it natively; byte streams such as TCP are
 // adapted with NewStreamConn.
 //
+// ReadMsg may run alongside WriteMsg, but WriteMsg calls must not
+// overlap one another: a write can park on a paced medium, and the lock
+// that may be held across a park belongs to the writer, not the
+// transport. Both in-tree writers hold one of their own — the Client
+// around every request, the server's SrvConn around every reply (each a
+// vclock.Mutex).
+//
 // Buffer discipline: WriteMsg takes ownership of p — the caller never
 // touches it afterwards — and ReadMsg hands ownership of the returned
 // buffer to the caller, who releases it with block.PutBytes once the
@@ -23,7 +30,8 @@ import (
 type MsgConn interface {
 	// ReadMsg returns the next whole message; the caller owns it.
 	ReadMsg() ([]byte, error)
-	// WriteMsg sends p as one message, taking ownership of p.
+	// WriteMsg sends p as one message, taking ownership of p. Calls
+	// must not overlap.
 	WriteMsg(p []byte) error
 	// Close tears the transport down; pending readers fail.
 	Close() error
@@ -105,7 +113,6 @@ func (p *pipe) Close() error {
 type streamConn struct {
 	rwc io.ReadWriteCloser
 	rmu sync.Mutex
-	wmu sync.Mutex
 }
 
 // NewStreamConn wraps a byte-stream connection as a MsgConn.
@@ -137,8 +144,6 @@ func (s *streamConn) ReadMsg() ([]byte, error) {
 // WriteMsg implements MsgConn. The underlying stream copies into its
 // send buffer before returning, so the owned message is recycled here.
 func (s *streamConn) WriteMsg(p []byte) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
 	_, err := s.rwc.Write(p)
 	block.PutBytes(p)
 	return err
@@ -153,7 +158,6 @@ func (s *streamConn) Close() error { return s.rwc.Close() }
 type delimConn struct {
 	rwc io.ReadWriteCloser
 	rmu sync.Mutex
-	wmu sync.Mutex
 }
 
 // NewDelimConn wraps a delimiter-preserving connection as a MsgConn.
@@ -181,8 +185,6 @@ func (d *delimConn) ReadMsg() ([]byte, error) {
 // WriteMsg implements MsgConn. The transport copies into its send
 // queue before returning, so the owned message is recycled here.
 func (d *delimConn) WriteMsg(p []byte) error {
-	d.wmu.Lock()
-	defer d.wmu.Unlock()
 	_, err := d.rwc.Write(p)
 	block.PutBytes(p)
 	return err

@@ -12,9 +12,11 @@
 package ns
 
 import (
+	"maps"
 	"path"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/vfs"
 )
@@ -29,14 +31,24 @@ const (
 )
 
 // Namespace is one process's view of the system. It is safe for
-// concurrent use; Clone gives a copy-on-write-free snapshot for a
-// child process.
+// concurrent use.
+//
+// The mount table is an immutable snapshot, replaced whole: resolve
+// loads it once and walks with no lock held, so a Walk that is an RPC
+// on a mounted server parks holding nothing a Bind needs. MountNode and
+// Unmount copy the table, change the copy and swap it in under mu;
+// neither the map nor any union slice is written once published, which
+// is what lets Clone share it.
 type Namespace struct {
-	mu   sync.RWMutex
 	user string
 	root vfs.Node
-	mnt  map[string][]entry
+
+	mu  sync.Mutex // serializes the writers
+	mnt atomic.Pointer[table]
 }
+
+// table maps a canonical mount point to the union mounted there.
+type table map[string][]entry
 
 type entry struct {
 	node   vfs.Node
@@ -45,21 +57,20 @@ type entry struct {
 
 // New returns a name space rooted at root for the given user.
 func New(user string, root vfs.Node) *Namespace {
-	return &Namespace{user: user, root: root, mnt: make(map[string][]entry)}
+	ns := &Namespace{user: user, root: root}
+	ns.mnt.Store(&table{})
+	return ns
 }
 
 // User returns the name space owner's name.
 func (ns *Namespace) User() string { return ns.user }
 
 // Clone returns an independent copy of the name space, as rfork(RFNAMEG)
-// gives a child its own copy of the parent's name space.
+// gives a child its own copy of the parent's name space. The two share
+// the current snapshot until either mounts.
 func (ns *Namespace) Clone() *Namespace {
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	c := New(ns.user, ns.root)
-	for p, es := range ns.mnt {
-		c.mnt[p] = append([]entry(nil), es...)
-	}
+	c := &Namespace{user: ns.user, root: ns.root}
+	c.mnt.Store(ns.mnt.Load())
 	return c
 }
 
@@ -88,37 +99,36 @@ func split(p string) []string {
 // union with the underlying directory, so `bind -a` unions with the
 // existing contents as in the kernel.
 func (ns *Namespace) MountNode(root vfs.Node, old string, flag int) error {
-	if root == nil {
+	order := flag & MORDER
+	if root == nil || order == MORDER {
 		return vfs.ErrBadArg
 	}
 	old = Clean(old)
 	var under vfs.Node
-	if flag&MORDER != MREPL {
-		ns.mu.RLock()
-		_, have := ns.mnt[old]
-		ns.mu.RUnlock()
-		if !have {
-			under, _ = ns.Walk(old)
-		}
+	if _, have := (*ns.mnt.Load())[old]; !have && order != MREPL {
+		under, _ = ns.Walk(old)
 	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if under != nil {
-		if _, have := ns.mnt[old]; !have {
-			ns.mnt[old] = []entry{{node: under}}
-		}
+	cur := *ns.mnt.Load()
+	es := cur[old]
+	if es == nil && under != nil {
+		es = []entry{{node: under}}
 	}
+	// Always a fresh slice: a resolver may still be reading es.
 	e := entry{node: root, create: flag&MCREATE != 0}
-	switch flag & MORDER {
+	union := make([]entry, 0, len(es)+1)
+	switch order {
 	case MREPL:
-		ns.mnt[old] = []entry{e}
+		union = append(union, e)
 	case MBEFORE:
-		ns.mnt[old] = append([]entry{e}, ns.mnt[old]...)
+		union = append(append(union, e), es...)
 	case MAFTER:
-		ns.mnt[old] = append(ns.mnt[old], e)
-	default:
-		return vfs.ErrBadArg
+		union = append(append(union, es...), e)
 	}
+	next := maps.Clone(cur)
+	next[old] = union
+	ns.mnt.Store(&next)
 	return nil
 }
 
@@ -146,17 +156,20 @@ func (ns *Namespace) Unmount(old string) error {
 	old = Clean(old)
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if _, ok := ns.mnt[old]; !ok {
+	cur := *ns.mnt.Load()
+	if _, ok := cur[old]; !ok {
 		return vfs.ErrNotExist
 	}
-	delete(ns.mnt, old)
+	next := maps.Clone(cur)
+	delete(next, old)
+	ns.mnt.Store(&next)
 	return nil
 }
 
 // candidates returns the union list in effect at canonical path p given
 // the node reached by walking, or just {n} when p is not a mount point.
-func (ns *Namespace) candidatesLocked(p string, n vfs.Node) []entry {
-	if es, ok := ns.mnt[p]; ok {
+func (t table) candidates(p string, n vfs.Node) []entry {
+	if es, ok := t[p]; ok {
 		return es
 	}
 	if n == nil {
@@ -166,13 +179,13 @@ func (ns *Namespace) candidatesLocked(p string, n vfs.Node) []entry {
 }
 
 // resolve walks name and returns the union candidate list at the final
-// element plus the canonical path.
+// element plus the canonical path. It walks one snapshot of the mount
+// table from start to finish and holds no lock.
 func (ns *Namespace) resolve(name string) ([]entry, string, error) {
 	cname := Clean(name)
 	elems := split(cname)
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	cur := ns.candidatesLocked("/", ns.root)
+	mnt := *ns.mnt.Load()
+	cur := mnt.candidates("/", ns.root)
 	walked := ""
 	var lastErr error
 	for _, el := range elems {
@@ -187,7 +200,7 @@ func (ns *Namespace) resolve(name string) ([]entry, string, error) {
 			lastErr = err
 		}
 		walked = walked + "/" + el
-		if es, ok := ns.mnt[walked]; ok {
+		if es, ok := mnt[walked]; ok {
 			// A mount on this exact path overrides the walk.
 			cur = es
 			continue
@@ -197,7 +210,7 @@ func (ns *Namespace) resolve(name string) ([]entry, string, error) {
 			// deeper down (a device mounted on a name that only
 			// exists in the mount table); keep descending with
 			// no underlying candidates.
-			if ns.mountsUnderLocked(walked) {
+			if mnt.mountsUnder(walked) {
 				cur = nil
 				continue
 			}
@@ -211,11 +224,11 @@ func (ns *Namespace) resolve(name string) ([]entry, string, error) {
 	return cur, cname, nil
 }
 
-// mountsUnderLocked reports whether any mount point lies strictly below
-// the canonical path p.
-func (ns *Namespace) mountsUnderLocked(p string) bool {
+// mountsUnder reports whether any mount point lies strictly below the
+// canonical path p.
+func (t table) mountsUnder(p string) bool {
 	prefix := p + "/"
-	for k := range ns.mnt {
+	for k := range t {
 		if strings.HasPrefix(k, prefix) {
 			return true
 		}

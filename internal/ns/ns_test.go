@@ -5,9 +5,11 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/devtree"
 	"repro/internal/ramfs"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -420,5 +422,189 @@ func TestCleanQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// unionNames lists the directory at p, in union order.
+func unionNames(t *testing.T, nsp *Namespace, p string) string {
+	t.Helper()
+	ents, err := nsp.ReadDir(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name)
+	}
+	return strings.Join(names, " ")
+}
+
+// A clone shares its parent's mount-table snapshot, so a bind on either
+// side must build a fresh union rather than append into the slice the
+// other still reads.
+func TestBindAfterCloneLeavesCloneUnchanged(t *testing.T) {
+	nsp, _ := newNS(t)
+	tree := func(name string) vfs.Node {
+		fs := ramfs.New("u")
+		fs.WriteFile(name, nil, 0664)
+		return fs.Root()
+	}
+	// Three mounts leave the union's backing array with room to spare,
+	// which is where an in-place append would land.
+	nsp.MountNode(tree("a"), "/u", MREPL)
+	nsp.MountNode(tree("b"), "/u", MAFTER)
+	nsp.MountNode(tree("c"), "/u", MAFTER)
+	child := nsp.Clone()
+	if got := unionNames(t, child, "/u"); got != "a b c" {
+		t.Fatalf("clone lists %q", got)
+	}
+	nsp.MountNode(tree("x"), "/u", MAFTER)
+	child.MountNode(tree("y"), "/u", MAFTER)
+	if got := unionNames(t, nsp, "/u"); got != "a b c x" {
+		t.Errorf("parent lists %q after the clone bound, want a b c x", got)
+	}
+	if got := unionNames(t, child, "/u"); got != "a b c y" {
+		t.Errorf("clone lists %q, want a b c y", got)
+	}
+	nsp.MountNode(tree("w"), "/u", MBEFORE)
+	nsp.Unmount("/u")
+	if got := unionNames(t, child, "/u"); got != "a b c y" {
+		t.Errorf("clone lists %q after the parent bound before and unmounted", got)
+	}
+}
+
+func TestMountNodeRejectsBadOrder(t *testing.T) {
+	nsp, fs := newNS(t)
+	fs.MkdirAll("u", 0775)
+	if err := nsp.MountNode(ramfs.New("u").Root(), "/u", MORDER); !vfs.SameError(err, vfs.ErrBadArg) {
+		t.Errorf("MountNode with order 3 = %v", err)
+	}
+	if err := nsp.Unmount("/u"); !vfs.SameError(err, vfs.ErrNotExist) {
+		t.Errorf("a refused mount left something at /u: Unmount = %v", err)
+	}
+}
+
+// slowDir is a directory whose Walk takes simulated time, as a mounted
+// server's does.
+type slowDir struct {
+	vfs.Node
+	ck vclock.Clock
+	d  time.Duration
+}
+
+func (s slowDir) Walk(name string) (vfs.Node, error) {
+	s.ck.Sleep(s.d)
+	return s.Node.Walk(name)
+}
+
+// A resolve parked in a server's Walk holds nothing a Bind needs: the
+// Bind completes at once, and the resolve finishes on the table it
+// started with.
+func TestBindCompletesWhileResolveIsParkedInWalk(t *testing.T) {
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		fs := ramfs.NewClock("glenda", v)
+		fs.WriteFile("srv/f", []byte("old"), 0664)
+		fs.WriteFile("dev/eia1", []byte("uart"), 0664)
+		nsp := New("glenda", fs.Root())
+		srv, err := fs.Root().Walk("srv")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		nsp.MountNode(slowDir{srv, v, time.Second}, "/srv", MREPL)
+
+		start := v.Now()
+		done := vclock.NewWaitGroup(v)
+		done.Add(1)
+		var walked time.Duration
+		v.Go(func() {
+			defer done.Done()
+			b, err := nsp.ReadFile("/srv/f")
+			if err != nil || string(b) != "old" {
+				t.Errorf("read through the slow mount: %q, %v", b, err)
+			}
+			walked = v.Since(start)
+		})
+		v.Sleep(500 * time.Millisecond) // the resolver is parked in Walk
+		other := ramfs.NewClock("glenda", v)
+		other.WriteFile("f", []byte("new"), 0664)
+		if err := nsp.MountNode(other.Root(), "/srv", MREPL); err != nil {
+			t.Error(err)
+		}
+		if err := nsp.Bind("/dev", "/serial", MREPL); err != nil {
+			t.Error(err)
+		}
+		if at := v.Since(start); at != 500*time.Millisecond {
+			t.Errorf("the binds finished at T+%v, want T+500ms: they waited for the walk", at)
+		}
+		done.Wait()
+		if walked != time.Second {
+			t.Errorf("the parked resolve finished at T+%v, want T+1s", walked)
+		}
+		if b, err := nsp.ReadFile("/srv/f"); err != nil || string(b) != "new" {
+			t.Errorf("read after the remount: %q, %v", b, err)
+		}
+	})
+}
+
+// rawDir is a directory as the mount driver relays one: its handle has
+// no ReadDir, only raw reads of marshaled records.
+type rawDir struct{ vfs.Node }
+
+type rawHandle struct{ h vfs.Handle }
+
+func (r rawDir) Open(mode int) (vfs.Handle, error) {
+	h, err := r.Node.Open(mode)
+	return rawHandle{h}, err
+}
+func (r rawHandle) Read(p []byte, off int64) (int, error)  { return r.h.Read(p, off) }
+func (r rawHandle) Write(p []byte, off int64) (int, error) { return r.h.Write(p, off) }
+func (r rawHandle) Close() error                           { return r.h.Close() }
+
+// A remote directory lists by decoding the records its raw reads
+// return, alone and as a member of a union.
+func TestRemoteDirectoryListsFromRawRecords(t *testing.T) {
+	nsp, fs := newNS(t)
+	fs.WriteFile("n/local", nil, 0664)
+	remote := ramfs.New("musca")
+	for i := range 20 { // more than one 16-record read
+		remote.WriteFile("r"+strings.Repeat("x", i), nil, 0664)
+	}
+	if err := nsp.MountNode(rawDir{remote.Root()}, "/r", MREPL); err != nil {
+		t.Fatal(err)
+	}
+	if ents, err := nsp.ReadDir("/r"); err != nil || len(ents) != 20 {
+		t.Errorf("remote listing: %d entries, %v", len(ents), err)
+	}
+	if err := nsp.MountNode(rawDir{remote.Root()}, "/n", MAFTER); err != nil {
+		t.Fatal(err)
+	}
+	fd, err := nsp.Open("/n", vfs.OREAD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fd.Close()
+	if ents, err := fd.ReadDir(); err != nil || len(ents) != 21 || ents[0].Name != "local" {
+		t.Errorf("union listing: %d entries, %v", len(ents), err)
+	}
+	buf := make([]byte, 32*vfs.DirRecLen)
+	if n, err := fd.Read(buf); err != nil || n != 21*vfs.DirRecLen {
+		t.Errorf("raw union read = %d, %v", n, err)
+	}
+	if _, err := fd.Write([]byte("x")); err == nil {
+		t.Error("write to a union directory succeeded")
+	}
+}
+
+func TestMountDevice(t *testing.T) {
+	nsp, _ := newNS(t)
+	dev := ramfs.New("u")
+	dev.WriteFile("f", []byte("dev"), 0664)
+	if err := nsp.MountDevice(dev, "", "/dev", MREPL); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := nsp.ReadFile("/dev/f"); err != nil || string(b) != "dev" {
+		t.Errorf("read through a mounted device: %q, %v", b, err)
 	}
 }

@@ -409,7 +409,7 @@ func (s *Stream) QueuedBytes() int { return s.topRead.Len() }
 // bandwidth-paced device write — so the waiters must park through the
 // stream's clock: a plain sync.RWMutex waiter never yields its virtual
 // scheduler token and would wedge a discrete-event run (the same rule
-// ninep.wlock follows). Writers have priority over new readers, so a
+// vclock.Mutex follows). Writers have priority over new readers, so a
 // pop under continuous traffic is bounded by the chains already in
 // flight, not starved by new ones — which relies on every chain in
 // flight finishing on its own: a device write must not wait on the

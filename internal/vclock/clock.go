@@ -7,21 +7,21 @@
 // created with Clock.Go (and the root function passed to Virtual.Run)
 // are "machine goroutines": exactly one runs at a time, and a running
 // goroutine keeps the token until it blocks in a vclock primitive —
-// Sleep, Cond.Wait, Mailbox send/receive, WaitGroup.Wait. When the
-// runnable queue drains, every machine goroutine is parked and the
-// scheduler advances virtual time to the earliest pending event
-// (a Sleep expiry or AfterFunc). Because hand-off order is a FIFO and
-// timer order is a (time, sequence) heap, a fixed seed replays the
-// identical interleaving: same wire order, same impairment schedule,
-// same stats.
+// Sleep, Cond.Wait, Mailbox send/receive, WaitGroup.Wait, Mutex.Lock.
+// When the runnable queue drains, every machine goroutine is parked and
+// the scheduler advances virtual time to the earliest pending event (a
+// Sleep expiry or AfterFunc). Because hand-off order is a FIFO and timer
+// order is a (time, sequence) heap, a fixed seed replays the identical
+// interleaving: same wire order, same impairment schedule, same stats.
 //
 // The price of determinism is that machine goroutines must never block
 // on a raw channel, sync.Cond, or sync.WaitGroup that only another
 // machine goroutine can satisfy: the scheduler cannot see such a park,
 // so the simulation stalls (and, if the waker needs virtual time to
-// advance, deadlocks — Run panics when it detects that). Mutexes are
-// fine: a machine goroutine never holds one while parked, so mutex
-// waits always resolve without the clock's help.
+// advance, deadlocks — Run panics when it detects that). A sync.Mutex
+// is fine only while no holder parks with it held, so its waits resolve
+// without the clock's help; a lock that may be held across a park is a
+// Mutex from this package.
 package vclock
 
 import "time"

@@ -33,8 +33,14 @@ func NewCond(ck Clock, l sync.Locker) *Cond {
 // allocation of NewCond. It must be called before any other method
 // and never after the Cond is in use.
 func (c *Cond) Init(ck Clock, l sync.Locker) {
+	v, _ := Or(ck).(*Virtual)
+	c.init(v, l)
+}
+
+// init is Init with the clock already told apart: nil means Real.
+func (c *Cond) init(v *Virtual, l sync.Locker) {
 	c.l = l
-	if v, ok := Or(ck).(*Virtual); ok {
+	if v != nil {
 		c.v = v
 	} else {
 		c.sc.L = l

@@ -37,7 +37,7 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # The race detector's instrumentation allocates, so these self-skip
 # under -race above and run here without it: a copy or pool bypass
 # creeping back into the hot paths fails the gate.
-go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/cs ./internal/tcp
+go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/cs ./internal/tcp ./internal/vclock
 
 echo "== chaos: real-clock torture pass (fixed seed)"
 go run ./cmd/netsim -chaos -seed 1 -msgs 40
@@ -70,7 +70,10 @@ echo "== coverage floors"
 # gateway's hot path; xport is the scaffold every IL and TCP
 # conversation stands on, and devtree the conversation table every
 # Ethernet and protocol-device conversation lives in; ninep and mnt are
-# the mount path, where one window carries every large transfer. Three
+# the mount path, where one window carries every large transfer; vclock
+# holds every primitive a simulated machine may block in, the one lock
+# that may be held across a park among them, and ns resolves every path
+# on a mount-table snapshot its writers replace under its readers. Three
 # floors are higher: the line disciplines in streams rewrite every byte
 # a dressed conversation carries, cs answers every symbolic dial, so a
 # silent miscount there skews every experiment, and il's recovery path
@@ -83,7 +86,7 @@ floor() {
     fi
     echo "internal/$1 coverage ${cov}% (floor $2%)"
 }
-for f in obs:80 analysis:80 exportfs:80 ccache:80 xport:80 devtree:80 mnt:80 ninep:80 il:85 streams:85 cs:85; do
+for f in obs:80 analysis:80 exportfs:80 ccache:80 xport:80 devtree:80 mnt:80 ninep:80 vclock:80 ns:80 il:85 streams:85 cs:85; do
     floor "${f%:*}" "${f#*:}"
 done
 
@@ -99,6 +102,7 @@ xport=$(lines $(ls internal/xport/*.go | grep -v _test.go))
 echo "il.go $il  tcp.go $tcp  udp.go $udp  xport/*.go $xport  total $((il + tcp + udp + xport))"
 echo "storm/*.go $(lines $(ls internal/storm/*.go | grep -v _test.go))  cmd/netsim/main.go $(lines cmd/netsim/main.go)"
 echo "ninep/client.go $(lines internal/ninep/client.go)  mnt/mnt.go $(lines internal/mnt/mnt.go)  exportfs.go $(lines internal/exportfs/exportfs.go)  ninep/server.go $(lines internal/ninep/server.go)  core/services.go $(lines internal/core/services.go)"
+echo "vclock/*.go $(lines $(ls internal/vclock/*.go | grep -v _test.go))  ninep/transport.go $(lines internal/ninep/transport.go)  ns/ns.go $(lines internal/ns/ns.go)"
 echo "ether.go $(lines internal/ether/ether.go)  ether/dev.go $(lines internal/ether/dev.go)  netdev.go $(lines internal/netdev/netdev.go)  devtree/*.go $(lines $(ls internal/devtree/*.go | grep -v _test.go))  medium.go $(lines internal/medium/medium.go)  uart.go $(lines internal/uart/uart.go)"
 if [ "$il" -gt 847 ]; then
     echo "internal/il/il.go is $il lines, over the paper's 847" >&2
