@@ -18,7 +18,7 @@ import (
 //
 //   - a block freed or transferred twice along some path,
 //   - any use of a block (or of a buffer view obtained from it via
-//     Bytes()/.Buf) after its ownership ended,
+//     Bytes()) after its ownership ended,
 //   - a block still owned at a return — the early-return/error-path
 //     leak — when the function does release it on another path,
 //   - a release that a deferred release will repeat at exit.

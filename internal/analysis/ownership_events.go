@@ -16,7 +16,7 @@ import (
 // collectCandidates finds the variables worth tracking: locals and
 // parameters of an ownable pointer type (carrying Free), raw []byte
 // buffers that come from GetBytes or go to PutBytes, and the
-// buffer-view variables bound from Bytes()/.Buf. It also resolves the
+// buffer-view variables bound from Bytes(). It also resolves the
 // function's own //netvet:owns entry state.
 func (o *ownFunc) collectCandidates(body *ast.BlockStmt, fn *types.Func) {
 	inspectSkippingFuncLits(body, func(n ast.Node) bool {
@@ -542,27 +542,19 @@ func (o *ownFunc) isAcquireCall(e ast.Expr) bool {
 }
 
 // aliasSourceObj returns the candidate block obj an expression borrows
-// a view from: x.Bytes() or x.Buf, else nil.
+// a view from: x.Bytes(), else nil.
 func (o *ownFunc) aliasSourceObj(e ast.Expr) types.Object {
-	switch e := e.(type) {
-	case *ast.CallExpr:
-		sel, ok := e.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Bytes" || len(e.Args) != 0 {
-			return nil
-		}
-		if id, ok := sel.X.(*ast.Ident); ok {
-			if obj := o.objOf(id); obj != nil && ownable(obj.Type()) {
-				return obj
-			}
-		}
-	case *ast.SelectorExpr:
-		if e.Sel.Name != "Buf" {
-			return nil
-		}
-		if id, ok := e.X.(*ast.Ident); ok {
-			if obj := o.objOf(id); obj != nil && ownable(obj.Type()) {
-				return obj
-			}
+	call, ok := e.(*ast.CallExpr)
+	if !ok || len(call.Args) != 0 {
+		return nil
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Bytes" {
+		return nil
+	}
+	if id, ok := sel.X.(*ast.Ident); ok {
+		if obj := o.objOf(id); obj != nil && ownable(obj.Type()) {
+			return obj
 		}
 	}
 	return nil

@@ -20,7 +20,7 @@ func useAfterFree(b *blk) {
 }
 
 func indexAfterFree(b *blk) byte {
-	p := b.Buf
+	p := b.Bytes()
 	b.Free()
 	return p[0] // want block-ownership "used after b is released"
 }

@@ -4,10 +4,12 @@
 // with blocks carrying read/write pointers and header headroom, and so
 // do we).
 //
-// A Block owns a buffer and a readable window [rp, wp) within it. The
-// space before rp is headroom: a protocol layer prepends its header by
-// moving rp back, in place, instead of allocating a fresh packet. The
-// space after wp is tailroom for trailers (frame check sequences).
+// A Block is the one block of §2.4: "a type, some state flags, and
+// pointers to an optional buffer". It owns a buffer and a readable
+// window [rp, wp) within it. The space before rp is headroom: a
+// protocol layer prepends its header by moving rp back, in place,
+// instead of allocating a fresh packet. The space after wp is tailroom
+// for trailers (frame check sequences).
 // Buffers come from size-classed sync.Pool allocators, so a steady
 // data path recycles the same few buffers instead of pressuring the
 // garbage collector.
@@ -20,7 +22,9 @@
 //     must not touch the block or any slice of its buffer afterwards.
 //   - The final owner calls Free, which recycles the buffer.
 //   - Ref adds a reference for read-only fan-out (ether broadcast);
-//     each holder Frees its own reference and nobody mutates.
+//     each holder Frees its own reference and nobody mutates — not the
+//     window, not Type or Delim, and above all not Next: a shared
+//     block is never linked onto a queue.
 //   - Free of a block that was already freed panics: a double free is
 //     an ownership bug that would otherwise surface later as silent
 //     data corruption when the pooled buffer is reused.
@@ -50,13 +54,30 @@ var classSizes = [...]int{256, 1024, 2048, 4096, 16384, 36864}
 
 var classPools [len(classSizes)]sync.Pool
 
-// Block is a reference-counted buffer with a readable window.
-// The zero Block is not valid; use Alloc, Copy, or FromBytes.
+// Type says what a block carries (§2.4).
+type Type uint8
+
+const (
+	Data   Type = iota // bytes for the reader
+	Ctl                // an ASCII command for the modules
+	Hangup             // the stream is ending
+)
+
+// Block is a reference-counted buffer with a readable window, a type
+// and a delimiter flag. The zero Block is not valid (its reference
+// count is); use Alloc, Copy, FromBytes, or Control.
 type Block struct {
 	buf    []byte
 	rp, wp int
-	class  int // index into classSizes; -1 = unpooled buffer
-	refs   atomic.Int32
+	// Next links the block into the one queue that holds it; the queue
+	// owns the field. Stamp is the instant the block entered a stream
+	// at its device end (UnixNano), zero when residency is not sampled.
+	Next  *Block
+	Stamp int64
+	refs  atomic.Int32
+	class int8 // index into classSizes; -1 = unpooled buffer
+	Type  Type
+	Delim bool // last block of a message
 }
 
 // counter is an atomic counter padded to a cache line: the allocator
@@ -130,6 +151,8 @@ func classFor(n int) int {
 // preceded by at least headroom bytes of prepend space and followed by
 // at least tailReserve bytes of tailroom. The window's contents are
 // unspecified (recycled buffers are not cleared); the caller fills it.
+// Everything else about a recycled block is reset: it is undelimited
+// data, unlinked and unstamped, whatever it was when it was freed.
 func Alloc(n, headroom int) *Block {
 	total := headroom + n + tailReserve
 	statAllocs.add(1)
@@ -146,9 +169,10 @@ func Alloc(n, headroom int) *Block {
 		statUnpooled.add(1)
 		b = &Block{buf: make([]byte, total)}
 	}
-	b.class = class
+	b.class = int8(class)
 	b.rp = headroom
 	b.wp = headroom + n
+	b.Next, b.Stamp, b.Type, b.Delim = nil, 0, Data, false
 	b.refs.Store(1)
 	return b
 }
@@ -170,6 +194,14 @@ func FromBytes(p []byte) *Block {
 	statUnpooled.add(1)
 	b := &Block{buf: p, rp: 0, wp: len(p), class: -1}
 	b.refs.Store(1)
+	return b
+}
+
+// Control returns a delimited block of type t (Ctl or Hangup) carrying
+// msg — the one constructor of blocks that are not data.
+func Control(t Type, msg string) *Block {
+	b := FromBytes([]byte(msg))
+	b.Type, b.Delim = t, true
 	return b
 }
 
@@ -234,7 +266,7 @@ func (b *Block) grow(extraHead, extraTail int) {
 	b.buf = buf
 	b.rp = newRp
 	b.wp = newRp + n
-	b.class = class
+	b.class = int8(class)
 }
 
 // Consume drops n bytes from the front of the window (a layer peeling
@@ -261,6 +293,10 @@ func (b *Block) Ref() *Block {
 	b.refs.Add(1)
 	return b
 }
+
+// Shared reports whether anyone else holds a reference. A shared block
+// is read-only and may not be queued: the queue link is one field.
+func (b *Block) Shared() bool { return b.refs.Load() > 1 }
 
 // Free releases one reference; the last release recycles the buffer
 // into its size-class pool. Freeing an already-free block panics:

@@ -105,6 +105,47 @@ func TestRefFanout(t *testing.T) {
 	b.Free()
 }
 
+// A block freed as a delimited, queued, stamped control block comes
+// back from the pool as plain data: a flag that survived recycling
+// would hand the next owner a delimiter or a queue link it never set
+// (the stale-header class of bug the pool has had before).
+func TestRecycledBlockIsCleanData(t *testing.T) {
+	other := Alloc(1, 0)
+	defer other.Free()
+	recycled := false
+	for i := 0; i < 100; i++ {
+		b := Alloc(10, 0)
+		b.Type, b.Delim, b.Next, b.Stamp = Ctl, true, other, 12345
+		b.Free()
+		c := Alloc(10, 0)
+		recycled = recycled || c == b
+		if c.Type != Data || c.Delim || c.Next != nil || c.Stamp != 0 {
+			t.Fatalf("recycled block: type %d delim %v next %p stamp %d", c.Type, c.Delim, c.Next, c.Stamp)
+		}
+		c.Free()
+	}
+	if !recycled {
+		t.Fatal("the pool never handed a freed block back: nothing was tested")
+	}
+}
+
+func TestControl(t *testing.T) {
+	b := Control(Hangup, "")
+	if b.Type != Hangup || !b.Delim || b.Len() != 0 || b.Shared() {
+		t.Fatalf("Control(Hangup): type %d delim %v len %d shared %v", b.Type, b.Delim, b.Len(), b.Shared())
+	}
+	b.Free()
+	b = Control(Ctl, "push batch")
+	if b.Type != Ctl || string(b.Bytes()) != "push batch" {
+		t.Fatalf("Control(Ctl): type %d %q", b.Type, b.Bytes())
+	}
+	if b.Ref(); !b.Shared() {
+		t.Fatal("a block with two references does not report Shared")
+	}
+	b.Free()
+	b.Free()
+}
+
 func TestDetach(t *testing.T) {
 	b := Alloc(4, 8)
 	copy(b.Bytes(), "keep")

@@ -185,16 +185,7 @@ func (seg *Segment) transmitter() {
 				return
 			}
 			seg.ck.SleepUntil(tf.at)
-			seg.mu.Lock()
-			ifaces := append([]*Interface(nil), seg.ifaces...)
-			seg.mu.Unlock()
-			for _, ifc := range ifaces {
-				if ifc != tf.tx.from {
-					// Each receiver gets its own wrapper over the
-					// shared (read-only) detached frame.
-					ifc.deliver(block.FromBytes(tf.tx.frame))
-				}
-			}
+			seg.fanOut(tf.tx.from, block.FromBytes(tf.tx.frame))
 		}
 	})
 	defer sched.Close()
@@ -227,6 +218,41 @@ func (seg *Segment) transmitter() {
 	}
 }
 
+// fanOut offers one frame to every station but its sender, in the
+// order the stations joined the segment. The one block is shared by
+// reference count — each interface reads it and releases its own
+// reference; nobody copies, nobody mutates. Ownership of b transfers;
+// false means the segment has closed and nothing was delivered.
+func (seg *Segment) fanOut(from *Interface, b *block.Block) bool {
+	seg.mu.Lock()
+	if seg.closed {
+		seg.mu.Unlock()
+		b.Free()
+		return false
+	}
+	ifaces := append([]*Interface(nil), seg.ifaces...)
+	seg.mu.Unlock()
+	n := 0
+	for _, ifc := range ifaces {
+		if ifc != from {
+			n++
+		}
+	}
+	if n == 0 {
+		b.Free()
+		return true
+	}
+	for i := 1; i < n; i++ {
+		b.Ref()
+	}
+	for _, ifc := range ifaces {
+		if ifc != from {
+			ifc.deliver(b)
+		}
+	}
+	return true
+}
+
 // transmitBlock queues a frame on the wire, appending the hardware FCS
 // into the block's tailroom in place (elided on an ideal medium).
 // Ownership of b transfers to the segment.
@@ -238,34 +264,8 @@ func (seg *Segment) transmitBlock(from *Interface, b *block.Block) error {
 	if seg.ideal {
 		// Synchronous fast path for an ideal medium: no pacing, no
 		// reordering possible, no FCS (nothing can damage the frame).
-		// The one block fans out to every receiver by reference
-		// count — each interface reads it and releases its own
-		// reference; nobody copies, nobody mutates.
-		seg.mu.Lock()
-		if seg.closed {
-			seg.mu.Unlock()
-			b.Free()
+		if !seg.fanOut(from, b) {
 			return vfs.ErrShutdown
-		}
-		ifaces := append([]*Interface(nil), seg.ifaces...)
-		seg.mu.Unlock()
-		n := 0
-		for _, ifc := range ifaces {
-			if ifc != from {
-				n++
-			}
-		}
-		if n == 0 {
-			b.Free()
-			return nil
-		}
-		for i := 1; i < n; i++ {
-			b.Ref()
-		}
-		for _, ifc := range ifaces {
-			if ifc != from {
-				ifc.deliver(b)
-			}
 		}
 		return nil
 	}
@@ -450,7 +450,9 @@ func (ifc *Interface) demux(frame []byte) {
 		// Stream conversations get their own copy — "each receives a
 		// copy of the incoming packets" — into a pooled block.
 		c.inPackets.Add(1)
-		s.DeviceUpOwned(block.Copy(frame, 0))
+		b := block.Copy(frame, 0)
+		b.Delim = true
+		s.DeviceUp(b)
 	}
 }
 
@@ -606,15 +608,14 @@ func (c *Conn) TransmitBlock(dst Addr, payload *block.Block) error {
 // are the destination address, the rest the payload. It consumes the
 // stream block, carrying its buffer through to the wire.
 func (c *Conn) transmit(w *streams.Block) {
-	if len(w.Buf) < 6 {
+	var dst Addr
+	if w.Len() < len(dst) {
 		w.Free()
 		return
 	}
-	var dst Addr
-	copy(dst[:], w.Buf[:6])
-	payload := w.TakeInner()
-	payload.Consume(6)
-	c.TransmitBlock(dst, payload)
+	copy(dst[:], w.Bytes())
+	w.Consume(len(dst))
+	c.TransmitBlock(dst, w)
 }
 
 // Read returns the next received frame (header included), via the

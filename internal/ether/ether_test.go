@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/medium"
 	"repro/internal/ns"
 	"repro/internal/ramfs"
@@ -213,6 +214,39 @@ func TestLatencyProfileDelays(t *testing.T) {
 	mustRead(t, rx, buf)
 	if el := time.Since(start); el < 25*time.Millisecond {
 		t.Errorf("frame arrived after %v, want >= ~30ms", el)
+	}
+}
+
+// The paced wire fans a frame out the way the ideal one does: one
+// wrapper over the detached bytes, shared by reference count, however
+// many stations hear it — not one wrapper per station.
+func TestPacedFanOutSharesOneBlock(t *testing.T) {
+	seg := newSeg(t, Profile{Latency: time.Millisecond, Bandwidth: 1 << 30})
+	var ifcs []*Interface
+	for i := 0; i < 4; i++ {
+		ifcs = append(ifcs, seg.NewInterface("e"))
+	}
+	tx, _ := ifcs[0].OpenConn()
+	tx.SetType(1)
+	defer tx.Close()
+	before := block.Snapshot()
+	if err := tx.Transmit(Broadcast, []byte("to all")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "three stations to hear the frame and let go of it", func() bool {
+		for _, ifc := range ifcs[1:] {
+			if ifc.inPackets.Load() != 1 {
+				return false
+			}
+		}
+		return block.Snapshot().InFlight == before.InFlight
+	})
+	// The frame block Transmit copies into, and the fan-out's wrapper.
+	if d := block.Snapshot().Allocs - before.Allocs; d != 2 {
+		t.Fatalf("one broadcast to three stations allocated %d blocks, want 2", d)
+	}
+	if ifcs[0].inPackets.Load() != 0 {
+		t.Error("the sender heard its own frame")
 	}
 }
 

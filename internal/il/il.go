@@ -693,21 +693,21 @@ func (c *Conn) dataLocked(h header, data []byte) {
 // messages and delivering complete ones (delimited) upstream.
 func (c *Conn) acceptLocked(spec byte, data []byte) {
 	c.rcvNext++
-	if len(c.reassembly) == 0 && spec&specEOM != 0 {
-		// Whole message in one packet (the common case): one copy of
-		// the borrowed receive bytes into a pooled block, delivered
-		// without re-materializing.
-		c.Rq.DeviceUpOwned(block.Copy(data, 0))
-		return
+	if len(c.reassembly) > 0 || spec&specEOM == 0 {
+		// A fragment. The scratch is kept for the next message: it
+		// grows to the message size once per conversation instead of
+		// once per message.
+		c.reassembly = append(c.reassembly, data...)
+		if spec&specEOM == 0 {
+			return
+		}
+		data, c.reassembly = c.reassembly, c.reassembly[:0]
 	}
-	c.reassembly = append(c.reassembly, data...)
-	if spec&specEOM != 0 {
-		// Hand up a pooled copy and keep the scratch for the next
-		// message: the reassembly buffer grows to the message size
-		// once per conversation instead of once per message.
-		c.Rq.DeviceUpOwned(block.Copy(c.reassembly, 0))
-		c.reassembly = c.reassembly[:0]
-	}
+	// One copy of the borrowed receive bytes into a pooled block,
+	// delivered without re-materializing.
+	b := block.Copy(data, 0)
+	b.Delim = true
+	c.Rq.DeviceUp(b)
 }
 
 // rtoLocked returns the current retransmission timeout.

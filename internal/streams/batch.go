@@ -210,9 +210,8 @@ func (st *batchState) emitLocked(down *Queue, cause flushCause) {
 	st.causeCounter(cause).Add(1)
 	st.stats.wireBlocks.Add(1)
 	st.stats.wireBytes.Add(int64(bb.Len()))
-	out := NewBlockOwned(bb)
-	out.Delim = true
-	down.PutNext(out)
+	bb.Delim = true
+	down.PutNext(bb)
 }
 
 // armTimerLocked starts the max-delay flush timer for the current
@@ -256,12 +255,12 @@ func batchOput(q *Queue, b *Block) {
 		return
 	}
 	st.stats.blocksIn.Add(1)
-	st.stats.bytesIn.Add(int64(len(b.Buf)))
+	st.stats.bytesIn.Add(int64(b.Len()))
 
 	// Fastpath: a whole delimited message in one block, nothing
 	// pending, already at or over the cap — frame it in place via the
 	// block's headroom and emit it directly, copy-free.
-	if st.pend == nil && len(st.cur) == 0 && b.Delim && 4+len(b.Buf) >= st.cfg.Cap {
+	if st.pend == nil && len(st.cur) == 0 && b.Delim && 4+b.Len() >= st.cfg.Cap {
 		st.stats.msgsIn.Add(1)
 		st.gen++
 		if st.timer != nil {
@@ -269,18 +268,16 @@ func batchOput(q *Queue, b *Block) {
 			st.timer = nil
 		}
 		st.causeCounter(causeCap).Add(1)
-		bb := b.TakeInner()
-		binary.BigEndian.PutUint32(bb.Prepend(4), uint32(bb.Len()-4))
+		n := b.Len()
+		binary.BigEndian.PutUint32(b.Prepend(4), uint32(n))
 		st.stats.wireBlocks.Add(1)
-		st.stats.wireBytes.Add(int64(bb.Len()))
-		out := NewBlockOwned(bb)
-		out.Delim = true
+		st.stats.wireBytes.Add(int64(b.Len()))
 		st.mu.Unlock()
-		q.PutNext(out)
+		q.PutNext(b)
 		return
 	}
 
-	st.cur = append(st.cur, b.Buf...)
+	st.cur = append(st.cur, b.Bytes()...)
 	delim := b.Delim
 	b.Free()
 	if !delim {
@@ -311,10 +308,9 @@ func batchOput(q *Queue, b *Block) {
 		st.causeCounter(causeCap).Add(1)
 		st.stats.wireBlocks.Add(1)
 		st.stats.wireBytes.Add(int64(bb.Len()))
-		out := NewBlockOwned(bb)
-		out.Delim = true
+		bb.Delim = true
 		st.mu.Unlock()
-		q.PutNext(out)
+		q.PutNext(bb)
 		return
 	}
 	var hdr [4]byte
@@ -342,7 +338,7 @@ func (st *batchState) failLocked(up *Queue) {
 		st.pend = nil
 	}
 	st.mu.Unlock()
-	up.PutNext(&Block{Type: BlockHangup})
+	up.PutNext(block.Control(BlockHangup, ""))
 }
 
 func batchIput(q *Queue, b *Block) {
@@ -372,20 +368,18 @@ func batchIput(q *Queue, b *Block) {
 	}
 	// Fastpath: nothing partial and exactly one whole frame in the
 	// block — peel the prefix in place, zero-copy.
-	if len(st.partial) == 0 && len(b.Buf) >= 4 {
-		if n := int(binary.BigEndian.Uint32(b.Buf)); n <= batchMaxMsg && len(b.Buf) == 4+n {
+	if len(st.partial) == 0 && b.Len() >= 4 {
+		if n := int(binary.BigEndian.Uint32(b.Bytes())); n <= batchMaxMsg && b.Len() == 4+n {
 			st.stats.splitFrames.Add(1)
 			st.stats.splitBytes.Add(int64(n))
 			st.rmu.Unlock()
-			bb := b.TakeInner()
-			bb.Consume(4)
-			out := NewBlockOwned(bb)
-			out.Delim = true
-			q.PutNext(out)
+			b.Consume(4)
+			b.Delim = true
+			q.PutNext(b)
 			return
 		}
 	}
-	st.partial = append(st.partial, b.Buf...)
+	st.partial = append(st.partial, b.Bytes()...)
 	b.Free()
 	var msgs []*Block
 	for len(st.partial) >= 4 {
@@ -398,13 +392,13 @@ func batchIput(q *Queue, b *Block) {
 			st.errored = true
 			st.partial = nil
 			st.rmu.Unlock()
-			q.PutNext(&Block{Type: BlockHangup})
+			q.PutNext(block.Control(BlockHangup, ""))
 			return
 		}
 		if len(st.partial) < 4+n {
 			break
 		}
-		nb := NewBlockOwned(block.Copy(st.partial[4:4+n], 0))
+		nb := block.Copy(st.partial[4:4+n], 0)
 		nb.Delim = true
 		msgs = append(msgs, nb)
 		st.partial = st.partial[4+n:]
@@ -412,7 +406,7 @@ func batchIput(q *Queue, b *Block) {
 	st.stats.splitFrames.Add(int64(len(msgs)))
 	st.rmu.Unlock()
 	for _, m := range msgs {
-		st.stats.splitBytes.Add(int64(len(m.Buf)))
+		st.stats.splitBytes.Add(int64(m.Len()))
 		q.PutNext(m)
 	}
 }

@@ -21,7 +21,7 @@ type devSink struct {
 func (d *devSink) put(b *Block) {
 	d.mu.Lock()
 	if b.Type == BlockData {
-		d.blocks = append(d.blocks, append([]byte(nil), b.Buf...))
+		d.blocks = append(d.blocks, append([]byte(nil), b.Bytes()...))
 	}
 	d.mu.Unlock()
 	b.Free()
@@ -281,7 +281,7 @@ func TestBatchSplitterRestoresBoundaries(t *testing.T) {
 			if end > len(wire) {
 				end = len(wire)
 			}
-			s.DeviceUpData(wire[off:end])
+			upData(s, wire[off:end])
 		}
 		for i, want := range msgs {
 			buf := make([]byte, len(wire))
@@ -311,7 +311,7 @@ func TestBatchSplitterStrict(t *testing.T) {
 	// readers see EOF, not garbage.
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(batchMaxMsg+1))
-	s.DeviceUpData(hdr[:])
+	upData(s, hdr[:])
 	buf := make([]byte, 64)
 	if _, err := s.Read(buf); err == nil {
 		t.Fatal("read succeeded past a poisoned splitter")

@@ -14,7 +14,7 @@ import (
 
 func benchWrite(b *testing.B, modules int, size int) {
 	var sink int
-	s := New(1<<30, func(blk *Block) { sink += len(blk.Buf); blk.Free() })
+	s := New(1<<30, func(blk *Block) { sink += blk.Len(); blk.Free() })
 	defer s.Close()
 	for range modules {
 		if err := s.Push(traceModule, nil); err != nil {

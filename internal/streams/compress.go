@@ -125,19 +125,18 @@ func compressOput(q *Queue, b *Block) {
 	}
 	st := q.Other().Aux.(*compressState)
 	st.stats.blocksIn.Add(1)
-	st.stats.bytesIn.Add(int64(len(b.Buf)))
-	bb, stored := compressFrame(b.Buf, b.Delim)
+	st.stats.bytesIn.Add(int64(b.Len()))
+	bb, stored := compressFrame(b.Bytes(), b.Delim)
 	wire := bb.Len() - compressHdrLen
 	st.stats.wireBytes.Add(int64(wire))
-	st.stats.savedBytes.Add(int64(len(b.Buf) - wire))
+	st.stats.savedBytes.Add(int64(b.Len() - wire))
 	st.stats.hdrBytes.Add(compressHdrLen)
 	if stored {
 		st.stats.passthrough.Add(1)
 	}
 	b.Free()
-	out := NewBlockOwned(bb)
-	out.Delim = true
-	q.PutNext(out)
+	bb.Delim = true
+	q.PutNext(bb)
 }
 
 // expandFrame decodes one complete frame (header already validated for
@@ -187,7 +186,7 @@ func (st *compressState) fail(up *Queue) {
 	st.errored = true
 	st.partial = nil
 	st.rmu.Unlock()
-	up.PutNext(&Block{Type: BlockHangup})
+	up.PutNext(block.Control(BlockHangup, ""))
 }
 
 func compressIput(q *Queue, b *Block) {
@@ -208,15 +207,15 @@ func compressIput(q *Queue, b *Block) {
 		return
 	}
 	// Fastpath: nothing partial and exactly one whole frame.
-	if len(st.partial) == 0 && len(b.Buf) >= compressHdrLen {
-		flags, ulen, clen, bad := parseCompressHeader(b.Buf)
+	if p := b.Bytes(); len(st.partial) == 0 && len(p) >= compressHdrLen {
+		flags, ulen, clen, bad := parseCompressHeader(p)
 		if bad {
 			st.fail(q)
 			b.Free()
 			return
 		}
-		if len(b.Buf) == compressHdrLen+clen {
-			out := expandFrame(flags, ulen, b.Buf[compressHdrLen:])
+		if len(p) == compressHdrLen+clen {
+			out := expandFrame(flags, ulen, p[compressHdrLen:])
 			if out == nil {
 				st.fail(q)
 				b.Free()
@@ -227,13 +226,12 @@ func compressIput(q *Queue, b *Block) {
 			st.stats.decWireBytes.Add(int64(clen))
 			st.rmu.Unlock()
 			b.Free()
-			nb := NewBlockOwned(out)
-			nb.Delim = flags&cflagDelim != 0
-			q.PutNext(nb)
+			out.Delim = flags&cflagDelim != 0
+			q.PutNext(out)
 			return
 		}
 	}
-	st.partial = append(st.partial, b.Buf...)
+	st.partial = append(st.partial, b.Bytes()...)
 	b.Free()
 	var msgs []*Block
 	for len(st.partial) > 0 {
@@ -253,9 +251,8 @@ func compressIput(q *Queue, b *Block) {
 		st.stats.decFrames.Add(1)
 		st.stats.decBytes.Add(int64(ulen))
 		st.stats.decWireBytes.Add(int64(clen))
-		nb := NewBlockOwned(out)
-		nb.Delim = flags&cflagDelim != 0
-		msgs = append(msgs, nb)
+		out.Delim = flags&cflagDelim != 0
+		msgs = append(msgs, out)
 		st.partial = st.partial[compressHdrLen+clen:]
 	}
 	st.rmu.Unlock()

@@ -15,7 +15,7 @@ func pairThrough(t *testing.T, specs ...string) (tx, rx *Stream) {
 	rx = New(0, nil)
 	tx = New(0, func(b *Block) {
 		if b.Type == BlockData {
-			rx.DeviceUpData(b.Buf)
+			upData(rx, b.Bytes())
 		}
 		b.Free()
 	})
@@ -106,7 +106,7 @@ func TestCompressChunkedReassembly(t *testing.T) {
 	var wire []byte
 	tx := New(0, func(b *Block) {
 		if b.Type == BlockData {
-			wire = append(wire, b.Buf...)
+			wire = append(wire, b.Bytes()...)
 		}
 		b.Free()
 	})
@@ -132,7 +132,7 @@ func TestCompressChunkedReassembly(t *testing.T) {
 			if end > len(wire) {
 				end = len(wire)
 			}
-			rx.DeviceUpData(wire[off:end])
+			upData(rx, wire[off:end])
 		}
 		buf := make([]byte, 64*1024)
 		for i, want := range msgs {
@@ -156,7 +156,7 @@ func TestCompressStrictDecoder(t *testing.T) {
 		if err := rx.WriteCtl("push compress"); err != nil {
 			t.Fatal(err)
 		}
-		rx.DeviceUpData(frame)
+		upData(rx, frame)
 		if _, err := rx.Read(make([]byte, 64)); err == nil {
 			t.Fatal("read succeeded past a poisoned decoder")
 		}

@@ -18,7 +18,7 @@ func drainData(s *Stream) [][]byte {
 			return out
 		}
 		if b.Type == BlockData {
-			out = append(out, append([]byte(nil), b.Buf...))
+			out = append(out, append([]byte(nil), b.Bytes()...))
 		}
 		b.Free()
 	}
@@ -53,7 +53,7 @@ func fuzzCompressOnce(t *testing.T, data []byte) {
 		var wire []byte
 		txDev := New(0, func(b *Block) {
 			if b.Type == BlockData {
-				wire = append(wire, b.Buf...)
+				wire = append(wire, b.Bytes()...)
 			}
 			b.Free()
 		})
@@ -80,7 +80,7 @@ func fuzzCompressOnce(t *testing.T, data []byte) {
 				if end > len(wire) {
 					end = len(wire)
 				}
-				rx.DeviceUpData(wire[off:end])
+				upData(rx, wire[off:end])
 			}
 			var got []byte
 			for _, p := range drainData(rx) {
@@ -113,7 +113,7 @@ func fuzzCompressOnce(t *testing.T, data []byte) {
 				if end > len(data) {
 					end = len(data)
 				}
-				rx.DeviceUpData(data[off:end])
+				upData(rx, data[off:end])
 				for _, p := range drainData(rx) {
 					budget += len(p)
 				}
@@ -158,7 +158,7 @@ func FuzzBatchReassembly(f *testing.F) {
 		var wire []byte
 		tx := New(0, func(b *Block) {
 			if b.Type == BlockData {
-				wire = append(wire, b.Buf...)
+				wire = append(wire, b.Bytes()...)
 			}
 			b.Free()
 		})
@@ -179,7 +179,7 @@ func FuzzBatchReassembly(f *testing.F) {
 			if end > len(wire) {
 				end = len(wire)
 			}
-			rx.DeviceUpData(wire[off:end])
+			upData(rx, wire[off:end])
 		}
 		got := drainData(rx)
 		if len(got) != len(msgs) {
@@ -192,21 +192,24 @@ func FuzzBatchReassembly(f *testing.F) {
 		}
 		rx.Close()
 
-		// Strictness: the same bytes as a hostile wire stream.
-		hx := New(1<<30, nil)
-		hx.WriteCtl("push batch")
-		for off := 0; off < len(data); off += 5 {
-			end := off + 5
-			if end > len(data) {
-				end = len(data)
+		// Strictness: the same bytes as a hostile wire stream, into the
+		// splitter under both of its names.
+		for _, mod := range []string{"batch", "frame"} {
+			hx := New(1<<30, nil)
+			hx.WriteCtl("push " + mod)
+			for off := 0; off < len(data); off += 5 {
+				end := off + 5
+				if end > len(data) {
+					end = len(data)
+				}
+				upData(hx, data[off:end])
 			}
-			hx.DeviceUpData(data[off:end])
-		}
-		for _, m := range drainData(hx) {
-			if len(m) > batchMaxMsg {
-				t.Fatalf("splitter fabricated a %d-byte frame", len(m))
+			for _, m := range drainData(hx) {
+				if len(m) > batchMaxMsg {
+					t.Fatalf("%s splitter fabricated a %d-byte frame", mod, len(m))
+				}
 			}
+			hx.Close()
 		}
-		hx.Close()
 	})
 }

@@ -52,7 +52,9 @@ func NewLine(conn io.ReadWriteCloser, ck vclock.Clock, limit int) *Line {
 		for {
 			n, err := conn.Read(buf)
 			if n > 0 {
-				l.s.DeviceUpData(buf[:n])
+				b := NewBlock(buf[:n])
+				b.Delim = true
+				l.s.DeviceUp(b)
 			}
 			if err != nil {
 				l.s.HangupUp()
@@ -74,13 +76,13 @@ func (l *Line) deviceOut(b *Block) {
 		return
 	}
 	if len(l.wpart) == 0 && b.Delim {
-		if len(b.Buf) > 0 {
-			l.conn.Write(b.Buf)
+		if b.Len() > 0 {
+			l.conn.Write(b.Bytes())
 		}
 		b.Free()
 		return
 	}
-	l.wpart = append(l.wpart, b.Buf...)
+	l.wpart = append(l.wpart, b.Bytes()...)
 	delim := b.Delim
 	b.Free()
 	if !delim {

@@ -1,12 +1,9 @@
 package streams
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
-	"repro/internal/block"
 	"repro/internal/obs"
 )
 
@@ -23,99 +20,18 @@ func init() {
 // frameModule restores message delimiters over a byte-stream transport:
 // the marshaling the paper says is needed when "a protocol does not
 // meet these requirements (for example, TCP does not preserve
-// delimiters)". Downstream, each delimited write gains a 4-byte length
-// prefix; upstream, the module reassembles the byte stream into
-// delimited blocks.
+// delimiters)". It is the batch module with a window of one message:
+// downstream every delimited write leaves at once behind the same
+// 4-byte length prefix, upstream the same splitter reassembles the byte
+// stream into delimited blocks and hangs up on a declared length over
+// batchMaxMsg.
 var frameModule = &Qinfo{
-	Name: "frame",
-	Open: func(q *Queue, arg any) error {
-		q.Aux = &frameState{}
-		return nil
-	},
-	Iput: frameIput,
-	Oput: frameOput,
-}
-
-type frameState struct {
-	mu      sync.Mutex
-	partial []byte // accumulated upstream bytes not yet framed
-	pending []byte // downstream bytes of the current unfinished write
-}
-
-func frameOput(q *Queue, b *Block) {
-	if b.Type != BlockData {
-		q.PutNext(b)
-		return
-	}
-	st := q.Other().Aux.(*frameState)
-	st.mu.Lock()
-	if len(st.pending) == 0 && b.Delim {
-		// Whole write in one block: push the length prefix into the
-		// block's headroom in place instead of re-materializing it.
-		st.mu.Unlock()
-		bb := b.TakeInner()
-		binary.BigEndian.PutUint32(bb.Prepend(4), uint32(bb.Len()-4))
-		out := NewBlockOwned(bb)
-		out.Delim = true
-		q.PutNext(out)
-		return
-	}
-	st.pending = append(st.pending, b.Buf...)
-	delim := b.Delim
-	b.Free()
-	if !delim {
-		st.mu.Unlock()
-		return
-	}
-	msg := st.pending
-	st.pending = nil
-	st.mu.Unlock()
-	bb := block.Alloc(4+len(msg), block.DefaultHeadroom)
-	w := bb.Bytes()
-	binary.BigEndian.PutUint32(w[:4], uint32(len(msg)))
-	copy(w[4:], msg)
-	out := NewBlockOwned(bb)
-	out.Delim = true
-	q.PutNext(out)
-}
-
-func frameIput(q *Queue, b *Block) {
-	if b.Type != BlockData {
-		q.PutNext(b)
-		return
-	}
-	st := q.Aux.(*frameState)
-	st.mu.Lock()
-	if len(st.partial) == 0 && len(b.Buf) >= 4 {
-		if n := int(binary.BigEndian.Uint32(b.Buf)); len(b.Buf) == 4+n {
-			// Exactly one whole frame: peel the prefix in place and
-			// forward the payload without copying.
-			st.mu.Unlock()
-			bb := b.TakeInner()
-			bb.Consume(4)
-			out := NewBlockOwned(bb)
-			out.Delim = true
-			q.PutNext(out)
-			return
-		}
-	}
-	st.partial = append(st.partial, b.Buf...)
-	b.Free()
-	var msgs []*Block
-	for len(st.partial) >= 4 {
-		n := int(binary.BigEndian.Uint32(st.partial))
-		if len(st.partial) < 4+n {
-			break
-		}
-		nb := NewBlockOwned(block.Copy(st.partial[4:4+n], 0))
-		nb.Delim = true
-		msgs = append(msgs, nb)
-		st.partial = st.partial[4+n:]
-	}
-	st.mu.Unlock()
-	for _, m := range msgs {
-		q.PutNext(m)
-	}
+	Name:  "frame",
+	Open:  func(q *Queue, arg any) error { return batchOpen(q, BatchConfig{Cap: 1}) },
+	Close: batchClose,
+	Drain: batchDrain,
+	Iput:  batchIput,
+	Oput:  batchOput,
 }
 
 // traceModule counts blocks and bytes in both directions without
@@ -135,7 +51,7 @@ var traceModule = &Qinfo{
 		st := q.Aux.(*TraceStats)
 		if b.Type == BlockData {
 			st.InBlocks.Add(1)
-			st.InBytes.Add(int64(len(b.Buf)))
+			st.InBytes.Add(int64(b.Len()))
 		}
 		q.PutNext(b)
 	},
@@ -143,7 +59,7 @@ var traceModule = &Qinfo{
 		st := q.Other().Aux.(*TraceStats)
 		if b.Type == BlockData {
 			st.OutBlocks.Add(1)
-			st.OutBytes.Add(int64(len(b.Buf)))
+			st.OutBytes.Add(int64(b.Len()))
 		}
 		q.PutNext(b)
 	},

@@ -39,7 +39,7 @@ func TestPutbackWakesSecondReader(t *testing.T) {
 		if r.err != nil {
 			t.Fatalf("Get: %v", r.err)
 		}
-		if got := string(r.b.Buf); got != "rest" {
+		if got := string(r.b.Bytes()); got != "rest" {
 			t.Fatalf("Get = %q, want %q", got, "rest")
 		}
 		r.b.Free()

@@ -33,14 +33,14 @@ func ResidencyEnabled() bool { return residencyOn.Load() }
 // stampUp marks a block entering the stream at the device end.
 func (s *Stream) stampUp(b *Block) {
 	if residencyOn.Load() {
-		b.stamp = s.clk.Now().UnixNano()
+		b.Stamp = s.clk.Now().UnixNano()
 	}
 }
 
 // observeResidency records the block's residency at first consumption.
 func (s *Stream) observeResidency(b *Block) {
-	if b.stamp != 0 {
-		Residency.Observe(time.Duration(s.clk.Now().UnixNano() - b.stamp))
-		b.stamp = 0
+	if b.Stamp != 0 {
+		Residency.Observe(time.Duration(s.clk.Now().UnixNano() - b.Stamp))
+		b.Stamp = 0
 	}
 }

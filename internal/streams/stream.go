@@ -298,10 +298,10 @@ func (s *Stream) Read(p []byte) (int, error) {
 			continue // control information is not data
 		}
 		s.observeResidency(b)
-		n := copy(p[total:], b.Buf)
+		n := copy(p[total:], b.Bytes())
 		total += n
-		if n < len(b.Buf) {
-			b.Buf = b.Buf[n:]
+		if n < b.Len() {
+			b.Consume(n)
 			s.topRead.putback(b)
 			return total, nil
 		}
@@ -324,7 +324,9 @@ func (s *Stream) Read(p []byte) (int, error) {
 
 // DeviceUp injects a block at the device end, moving upstream through
 // the module Iputs to the read queue — what a device interrupt
-// handler's kernel process does with received data (§2.4.2).
+// handler's kernel process does with received data (§2.4.2). The
+// device sets Delim on a block that ends a message; a device that only
+// borrows its receive buffer copies it first (NewBlock).
 //
 //netvet:owns b
 func (s *Stream) DeviceUp(b *Block) {
@@ -335,29 +337,10 @@ func (s *Stream) DeviceUp(b *Block) {
 	s.cfg.RUnlock()
 }
 
-// DeviceUpData is DeviceUp for a delimited data payload. The payload
-// is copied (into a pooled block): this is the retain boundary for
-// devices that only borrow their receive buffer.
-func (s *Stream) DeviceUpData(p []byte) {
-	b := NewBlock(p)
-	b.Delim = true
-	s.DeviceUp(b)
-}
-
-// DeviceUpOwned is DeviceUp for a delimited payload the device already
-// owns as a pooled block; ownership transfers without copying.
-//
-//netvet:owns bb
-func (s *Stream) DeviceUpOwned(bb *block.Block) {
-	b := NewBlockOwned(bb)
-	b.Delim = true
-	s.DeviceUp(b)
-}
-
 // HangupUp sends a hangup up the stream from the device end (§2.4.1):
 // readers drain queued data then see EOF; writers fail.
 func (s *Stream) HangupUp() {
-	s.DeviceUp(&Block{Type: BlockHangup})
+	s.DeviceUp(block.Control(BlockHangup, ""))
 }
 
 // Close destroys the stream: modules are closed top-down, queued data

@@ -39,83 +39,27 @@ const MaxBlock = 32 * 1024
 // block for flow control.
 const DefaultLimit = 128 * 1024
 
+// Block is the unit of information in a stream (§2.4): a type, a
+// delimiter flag and a buffer holding data or control information. It
+// is the kernel's one block, block.Block, under the name the stream
+// code has always used: whoever consumes a block — the read path, a
+// module that absorbs it, a queue discarding it — calls Free.
+type Block = block.Block
+
 // Block types.
 const (
-	BlockData = iota
-	BlockCtl
-	BlockHangup
+	BlockData   = block.Data
+	BlockCtl    = block.Ctl
+	BlockHangup = block.Hangup
 )
-
-// Block is the unit of information in a stream (§2.4): a type, state
-// flags, and a buffer holding data or control information.
-//
-// A data block is usually a thin wrapper over a pooled block.Block:
-// Buf is the readable window and the wrapper owns one reference to the
-// underlying buffer. Whoever consumes a block — the read path, a
-// module that absorbs it, a queue discarding it — calls Free to
-// recycle the buffer. Blocks built around plain slices (control
-// blocks, foreign buffers) work identically; Free just leaves them to
-// the garbage collector.
-type Block struct {
-	next  *Block
-	Type  int
-	Delim bool
-	Buf   []byte
-	inner *block.Block
-	// stamp is the DeviceUp time (UnixNano) when residency sampling
-	// is enabled, zero otherwise.
-	stamp int64
-}
 
 // NewBlock returns a data block holding a copy of p, drawn from the
 // block pool with header headroom. This is the mandatory copy at the
 // user-write boundary: the caller keeps p, the stream owns the block.
-func NewBlock(p []byte) *Block {
-	bb := block.Copy(p, block.DefaultHeadroom)
-	return &Block{Type: BlockData, Buf: bb.Bytes(), inner: bb}
-}
-
-// NewBlockOwned wraps an already-owned pooled block as a stream data
-// block without copying; ownership of bb transfers to the stream.
-//
-//netvet:owns bb
-func NewBlockOwned(bb *block.Block) *Block {
-	return &Block{Type: BlockData, Buf: bb.Bytes(), inner: bb}
-}
+func NewBlock(p []byte) *Block { return block.Copy(p, block.DefaultHeadroom) }
 
 // NewCtlBlock returns a control block carrying an ASCII command.
-func NewCtlBlock(cmd string) *Block {
-	return &Block{Type: BlockCtl, Buf: []byte(cmd), Delim: true}
-}
-
-// Free releases the block's buffer back to the pool. The caller must
-// be the block's sole owner and must not touch b or b.Buf afterwards.
-// Blocks not backed by the pool are simply dropped.
-func (b *Block) Free() {
-	bb := b.inner
-	b.inner = nil
-	b.Buf = nil
-	if bb != nil {
-		bb.Free()
-	}
-}
-
-// TakeInner strips the wrapper and returns the underlying pooled
-// block, aligned to the wrapper's current window, for device ends that
-// hand the payload onward in block form. A plain-slice block is
-// wrapped without copying. b is dead afterwards.
-func (b *Block) TakeInner() *block.Block {
-	bb := b.inner
-	if bb == nil {
-		return block.FromBytes(b.Buf)
-	}
-	b.inner = nil
-	// Readers consume only from the front, so Buf is a suffix of the
-	// inner window; realign rather than trust stale offsets.
-	bb.Consume(bb.Len() - len(b.Buf))
-	b.Buf = nil
-	return bb
-}
+func NewCtlBlock(cmd string) *Block { return block.Control(BlockCtl, cmd) }
 
 // PutFunc is a module's put routine for one direction. It runs on the
 // caller's goroutine; it may enqueue locally, forward with q.PutNext,
@@ -249,14 +193,19 @@ func (q *Queue) Enqueue(b *Block) {
 		b.Free() // data discarded on a dying stream
 		return
 	}
-	b.next = nil
+	if b.Shared() {
+		// The link is one field: a block fanned out by Ref would sit on
+		// every holder's queue at once.
+		panic("streams: Enqueue of a shared block")
+	}
+	b.Next = nil
 	if q.last == nil {
 		q.first = b
 	} else {
-		q.last.next = b
+		q.last.Next = b
 	}
 	q.last = b
-	q.nbytes += len(b.Buf)
+	q.nbytes += b.Len()
 	q.rwait.Broadcast()
 }
 
@@ -291,12 +240,12 @@ func (q *Queue) TryGet() *Block {
 
 func (q *Queue) dequeueLocked() *Block {
 	b := q.first
-	q.first = b.next
+	q.first = b.Next
 	if q.first == nil {
 		q.last = nil
 	}
-	b.next = nil
-	q.nbytes -= len(b.Buf)
+	b.Next = nil
+	q.nbytes -= b.Len()
 	q.wwait.Broadcast()
 	return b
 }
@@ -310,12 +259,12 @@ func (q *Queue) dequeueLocked() *Block {
 func (q *Queue) putback(b *Block) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	b.next = q.first
+	b.Next = q.first
 	q.first = b
 	if q.last == nil {
 		q.last = b
 	}
-	q.nbytes += len(b.Buf)
+	q.nbytes += b.Len()
 	q.rwait.Broadcast()
 }
 

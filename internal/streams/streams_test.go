@@ -30,6 +30,14 @@ func crossPair(t *testing.T) (*Stream, *Stream) {
 	return a, b
 }
 
+// upData injects a copy of p at s's device end as one delimited
+// message, as a device that only borrows its receive buffer does.
+func upData(s *Stream, p []byte) {
+	b := NewBlock(p)
+	b.Delim = true
+	s.DeviceUp(b)
+}
+
 func TestWriteReadLoopback(t *testing.T) {
 	s := loopback(t)
 	if n, err := s.Write([]byte("hello")); err != nil || n != 5 {
@@ -84,11 +92,11 @@ func TestLargeWriteSplitsAt32K(t *testing.T) {
 	if len(blocks) != 2 {
 		t.Fatalf("%d blocks, want 2", len(blocks))
 	}
-	if len(blocks[0].Buf) != MaxBlock || blocks[0].Delim {
-		t.Errorf("first block len=%d delim=%v", len(blocks[0].Buf), blocks[0].Delim)
+	if blocks[0].Len() != MaxBlock || blocks[0].Delim {
+		t.Errorf("first block len=%d delim=%v", blocks[0].Len(), blocks[0].Delim)
 	}
-	if len(blocks[1].Buf) != 1000 || !blocks[1].Delim {
-		t.Errorf("last block len=%d delim=%v", len(blocks[1].Buf), blocks[1].Delim)
+	if blocks[1].Len() != 1000 || !blocks[1].Delim {
+		t.Errorf("last block len=%d delim=%v", blocks[1].Len(), blocks[1].Delim)
 	}
 }
 
@@ -99,7 +107,7 @@ func TestSingleBlockWriteIsAtomic(t *testing.T) {
 	var sizes []int
 	s := New(1<<24, func(b *Block) {
 		mu.Lock()
-		sizes = append(sizes, len(b.Buf))
+		sizes = append(sizes, b.Len())
 		mu.Unlock()
 	})
 	defer s.Close()
@@ -255,7 +263,7 @@ func TestFrameModuleRestoresDelimiters(t *testing.T) {
 		return func(blk *Block) {
 			// Deliver byte-at-a-time: worst-case fragmentation,
 			// no delimiters survive.
-			for _, c := range blk.Buf {
+			for _, c := range blk.Bytes() {
 				nb := NewBlock([]byte{c})
 				(*dst).DeviceUp(nb)
 			}
@@ -319,14 +327,31 @@ func TestQueueGetTryGetPutback(t *testing.T) {
 		t.Errorf("Len = %d", q.Len())
 	}
 	b1, err := q.Get()
-	if err != nil || string(b1.Buf) != "a" {
-		t.Fatalf("Get = %q, %v", b1.Buf, err)
+	if err != nil || string(b1.Bytes()) != "a" {
+		t.Fatalf("Get = %q, %v", b1.Bytes(), err)
 	}
 	q.putback(b1)
 	b2 := q.TryGet()
-	if string(b2.Buf) != "a" {
-		t.Errorf("putback order broken: %q", b2.Buf)
+	if string(b2.Bytes()) != "a" {
+		t.Errorf("putback order broken: %q", b2.Bytes())
 	}
+}
+
+// A block fanned out by Ref is read-only, and the queue link is part of
+// it: queueing one would thread it onto every holder's list at once.
+func TestEnqueueOfSharedBlockPanics(t *testing.T) {
+	s := New(0, nil)
+	defer s.Close()
+	b := NewBlock([]byte("shared"))
+	b.Ref()
+	defer func() {
+		if recover() == nil {
+			t.Error("Enqueue linked a block with two references")
+		}
+		b.Free()
+		b.Free()
+	}()
+	s.topRead.Enqueue(b)
 }
 
 func TestReadContiguityUnderConcurrency(t *testing.T) {

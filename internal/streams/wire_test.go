@@ -12,7 +12,7 @@ func captureWire(t *testing.T, specs []string, msgs ...string) []byte {
 	var wire []byte
 	s := New(0, func(b *Block) {
 		if b.Type == BlockData {
-			wire = append(wire, b.Buf...)
+			wire = append(wire, b.Bytes()...)
 		}
 		b.Free()
 	})

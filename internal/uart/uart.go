@@ -104,11 +104,11 @@ func (e *End) Baud() int { return int(e.baud.Load()) }
 // delivers them to the peer as an undelimited byte arrival — serial
 // wires have no record boundaries.
 func (e *End) transmit(b *streams.Block) {
-	if b.Type != streams.BlockData || len(b.Buf) == 0 {
+	n := b.Len()
+	if b.Type != streams.BlockData || n == 0 {
 		b.Free()
 		return
 	}
-	n := len(b.Buf)
 	free := e.tx.Reserve(e.ck.Now(), medium.TransmitTime(n*10, e.baud.Load()))
 	e.mu.Lock()
 	closed := e.closed
@@ -131,7 +131,8 @@ func (e *End) transmit(b *streams.Block) {
 	peer.inBytes.Add(int64(n))
 	// The block itself crosses the wire — no copy. It arrives as an
 	// undelimited byte arrival: serial wires have no record boundaries.
-	s.DeviceUp(streams.NewBlockOwned(b.TakeInner()))
+	b.Delim = false
+	s.DeviceUp(b)
 }
 
 func (e *End) close() {

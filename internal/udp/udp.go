@@ -195,10 +195,11 @@ func (c *Conn) deliver(src ip.Addr, srcPort uint16, data []byte) {
 		copy(hdr, src[:])
 		hdr[4] = byte(srcPort >> 8)
 		hdr[5] = byte(srcPort)
-		s.DeviceUpData(append(hdr, data...))
-		return
+		data = append(hdr, data...)
 	}
-	s.DeviceUpData(data)
+	b := streams.NewBlock(data)
+	b.Delim = true
+	s.DeviceUp(b)
 }
 
 // Read implements xport.Conn: one datagram per read.

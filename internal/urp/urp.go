@@ -310,7 +310,9 @@ func (c *Conn) recvData(seq int, flags byte, data []byte) {
 		// this is the path's one copy.
 		next := c.rcvNext
 		c.mu.Unlock()
-		c.rstream.DeviceUpData(data)
+		msg := streams.NewBlock(data)
+		msg.Delim = true
+		c.rstream.DeviceUp(msg)
 		c.sendCell(cellAck, next, 0, nil)
 		return
 	}
@@ -321,12 +323,13 @@ func (c *Conn) recvData(seq int, flags byte, data []byte) {
 		// message: the reassembly buffer grows to the message size
 		// once per circuit instead of once per message.
 		msg = block.Copy(c.reassembly, 0)
+		msg.Delim = true
 		c.reassembly = c.reassembly[:0]
 	}
 	next := c.rcvNext
 	c.mu.Unlock()
 	if msg != nil {
-		c.rstream.DeviceUpOwned(msg)
+		c.rstream.DeviceUp(msg)
 	}
 	c.sendCell(cellAck, next, 0, nil)
 }

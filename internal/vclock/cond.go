@@ -19,7 +19,7 @@ type Cond struct {
 	// sc backs the real-clock mode; unused when v != nil.
 	sc sync.Cond
 	// waiters is the virtual-mode park list, guarded by l.
-	waiters []*gor
+	waiters gorList
 }
 
 // NewCond returns a Cond bound to ck (nil means Real) and l.
@@ -49,15 +49,19 @@ func (c *Cond) init(v *Virtual, l sync.Locker) {
 
 // Wait atomically releases L and parks until woken, then re-acquires
 // L. As with sync.Cond, callers loop over their predicate.
-func (c *Cond) Wait() {
+func (c *Cond) Wait() { c.wait("Cond.Wait") }
+
+// wait is Wait under the name of the primitive built on the Cond, for
+// the deadlock report.
+func (c *Cond) wait(op string) {
 	if c.v == nil {
 		c.sc.Wait()
 		return
 	}
 	v := c.v
 	v.mu.Lock()
-	g := v.curLocked("Cond.Wait")
-	c.waiters = append(c.waiters, g)
+	g := v.curLocked(op)
+	c.waiters.push(g)
 	v.running = nil
 	v.mu.Unlock()
 	c.l.Unlock()
@@ -73,15 +77,13 @@ func (c *Cond) Signal() {
 		c.sc.Signal()
 		return
 	}
-	if len(c.waiters) == 0 {
+	g := c.waiters.pop()
+	if g == nil {
 		return
 	}
-	g := c.waiters[0]
-	copy(c.waiters, c.waiters[1:])
-	c.waiters = c.waiters[:len(c.waiters)-1]
 	v := c.v
 	v.mu.Lock()
-	v.runnableLocked(g)
+	v.runq.push(g)
 	v.mu.Unlock()
 }
 
@@ -92,13 +94,11 @@ func (c *Cond) Broadcast() {
 		c.sc.Broadcast()
 		return
 	}
-	if len(c.waiters) == 0 {
+	if c.waiters.head == nil {
 		return
 	}
-	ws := c.waiters
-	c.waiters = nil
 	v := c.v
 	v.mu.Lock()
-	v.runnableLocked(ws...)
+	v.runq.take(&c.waiters)
 	v.mu.Unlock()
 }

@@ -71,7 +71,7 @@ func (m *Mailbox[T]) Send(v T) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for !m.closed && m.bound > 0 && m.cnt >= m.bound {
-		m.nf.Wait()
+		m.nf.wait("Mailbox.Send")
 	}
 	if m.closed {
 		return ErrClosed
@@ -100,7 +100,7 @@ func (m *Mailbox[T]) Recv() (v T, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for m.cnt == 0 && !m.closed {
-		m.ne.Wait()
+		m.ne.wait("Mailbox.Recv")
 	}
 	if m.cnt == 0 {
 		return v, false

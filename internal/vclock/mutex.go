@@ -40,7 +40,7 @@ func (m *Mutex) Lock() {
 			m.free = new(Cond)
 			m.free.init(m.v, &m.mu)
 		}
-		m.free.Wait()
+		m.free.wait("Mutex.Lock")
 	}
 	m.held = true
 	m.mu.Unlock()

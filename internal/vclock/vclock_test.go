@@ -2,10 +2,13 @@ package vclock
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/block"
 )
 
 func TestVirtualSleepOrdering(t *testing.T) {
@@ -211,17 +214,104 @@ func TestVirtualDeterministicInterleaving(t *testing.T) {
 	}
 }
 
+// The deadlock panic says who is parked on what: the root waits on a
+// mailbox nobody sends to while holding the lock a second goroutine
+// wants.
 func TestVirtualDeadlockPanics(t *testing.T) {
 	defer func() {
-		r := recover()
-		if r == nil || !strings.Contains(fmt.Sprint(r), "deadlock") {
-			t.Fatalf("expected deadlock panic, got %v", r)
+		r := fmt.Sprint(recover())
+		if !strings.Contains(r, "deadlock: 2 machine goroutine(s)") || !strings.HasSuffix(r, ": 1 Mailbox.Recv, 1 Mutex.Lock") {
+			t.Fatalf("expected a deadlock panic naming both primitives, got %q", r)
 		}
 	}()
 	v := NewVirtual()
 	v.Run(func() {
+		var mu Mutex
+		mu.Init(v)
+		mu.Lock()
+		v.Go(mu.Lock)
 		mb := NewMailbox[int](v, 1)
 		mb.Recv() // nothing will ever send
+	})
+}
+
+// A clock goroutine that leaves by runtime.Goexit — what t.Fatal does —
+// hands its token back like one that returns: Run goes on to the other
+// goroutines and comes back.
+func TestRunSurvivesGoexit(t *testing.T) {
+	v := NewVirtual()
+	var after bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		v.Run(func() {
+			v.Go(func() {
+				v.Sleep(time.Millisecond)
+				runtime.Goexit()
+			})
+			v.Sleep(time.Second)
+			after = true
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run still blocked after a clock goroutine called Goexit")
+	}
+	if !after {
+		t.Fatal("the root did not run on after the Goexit")
+	}
+}
+
+// Parking is the simulator's innermost loop (every hand-off, every
+// timer): in steady state a Cond ping-pong, a Mailbox send/receive pair
+// and a Sleep allocate nothing.
+func TestAllocsParkWake(t *testing.T) {
+	if block.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	v := NewVirtual()
+	v.Run(func() {
+		var mu sync.Mutex
+		turn := NewCond(v, &mu)
+		ball := false // true: the partner's turn
+		req, rep := NewMailbox[int](v, 1), NewMailbox[int](v, 1)
+		v.Go(func() {
+			mu.Lock()
+			for {
+				for !ball {
+					turn.Wait()
+				}
+				ball = false
+				turn.Broadcast()
+				mu.Unlock()
+				x, ok := req.Recv()
+				if !ok {
+					return
+				}
+				rep.Send(x)
+				mu.Lock()
+			}
+		})
+		if n := testing.AllocsPerRun(200, func() {
+			mu.Lock()
+			ball = true
+			turn.Signal()
+			for ball {
+				turn.Wait()
+			}
+			mu.Unlock()
+			req.Send(1)
+			rep.Recv()
+			v.Sleep(time.Microsecond)
+		}); n != 0 {
+			t.Errorf("park/wake allocates %.1f objects per round, want 0", n)
+		}
+		req.Close()
+		mu.Lock()
+		ball = true
+		turn.Signal()
+		mu.Unlock()
 	})
 }
 

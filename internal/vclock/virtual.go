@@ -3,6 +3,8 @@ package vclock
 import (
 	"container/heap"
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -19,10 +21,10 @@ type Virtual struct {
 	mu       sync.Mutex
 	now      int64 // ns since Epoch
 	seq      uint64
-	runq     []*gor
+	runq     gorList
 	events   eventHeap
 	running  *gor
-	live     int
+	all      *gor // every live machine goroutine, linked through nextLive
 	rootDone bool
 	started  bool
 
@@ -31,9 +33,57 @@ type Virtual struct {
 	parked chan struct{}
 }
 
-// gor is one machine goroutine's parking spot.
+// gor is one machine goroutine's parking spot. It is on one list at a
+// time — the run queue or one Cond's waiters — and sleeps on one timer
+// at a time, so it carries its own link and its own event: parking and
+// waking allocate nothing.
 type gor struct {
 	wake chan struct{}
+	next *gor   // run queue or Cond waiters
+	ev   event  // the timer Sleep and SleepUntil park on
+	op   string // the primitive it last parked in
+
+	prevLive, nextLive *gor // Virtual.all; touched only at Go and exit
+}
+
+// gorList is a FIFO of parked or runnable goroutines, linked through
+// gor.next.
+type gorList struct{ head, tail *gor }
+
+func (l *gorList) push(g *gor) {
+	g.next = nil
+	if l.tail == nil {
+		l.head = g
+	} else {
+		l.tail.next = g
+	}
+	l.tail = g
+}
+
+func (l *gorList) pop() *gor {
+	g := l.head
+	if g == nil {
+		return nil
+	}
+	if l.head = g.next; l.head == nil {
+		l.tail = nil
+	}
+	g.next = nil
+	return g
+}
+
+// take moves all of m onto the end of l, keeping m's order.
+func (l *gorList) take(m *gorList) {
+	if m.head == nil {
+		return
+	}
+	if l.tail == nil {
+		l.head = m.head
+	} else {
+		l.tail.next = m.head
+	}
+	l.tail = m.tail
+	*m = gorList{}
 }
 
 // event is a pending timer: a sleeper to resume, or an AfterFunc body
@@ -70,11 +120,14 @@ func (h *eventHeap) Pop() any {
 	return ev
 }
 func (h eventHeap) peek() *event { return h[0] }
-func (v *Virtual) pushLocked(at int64, g *gor, fn func()) *event {
+
+// sleepLocked parks the running goroutine on its own event until at.
+func (v *Virtual) sleepLocked(op string, at int64) {
+	g := v.curLocked(op)
 	v.seq++
-	ev := &event{at: at, seq: v.seq, g: g, fn: fn}
-	heap.Push(&v.events, ev)
-	return ev
+	g.ev = event{at: at, seq: v.seq, g: g}
+	heap.Push(&v.events, &g.ev)
+	v.parkLocked(g)
 }
 
 // NewVirtual returns a virtual clock positioned at Epoch. Drive it
@@ -133,9 +186,7 @@ func (v *Virtual) pick(drainUntil *int64, horizon int64) *gor {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for {
-		if len(v.runq) > 0 {
-			g := v.runq[0]
-			v.runq = v.runq[1:]
+		if g := v.runq.pop(); g != nil {
 			return g
 		}
 		if v.rootDone && *drainUntil < 0 {
@@ -155,7 +206,7 @@ func (v *Virtual) pick(drainUntil *int64, horizon int64) *gor {
 				v.now = ev.at
 			}
 			if ev.g != nil {
-				v.runq = append(v.runq, ev.g)
+				v.runq.push(ev.g)
 			} else if ev.fn != nil {
 				v.goLocked(ev.fn)
 			}
@@ -164,8 +215,9 @@ func (v *Virtual) pick(drainUntil *int64, horizon int64) *gor {
 		if fired {
 			continue
 		}
-		if v.live > 0 && !v.rootDone {
-			panic(fmt.Sprintf("vclock: simulation deadlock: %d machine goroutine(s) parked with no pending event at T+%v", v.live, time.Duration(v.now)))
+		if v.all != nil && !v.rootDone {
+			n, who := v.parkedLocked()
+			panic(fmt.Sprintf("vclock: simulation deadlock: %d machine goroutine(s) parked with no pending event at T+%v: %s", n, time.Duration(v.now), who))
 		}
 		return nil
 	}
@@ -179,29 +231,70 @@ func (v *Virtual) Go(f func()) {
 }
 
 func (v *Virtual) goLocked(f func()) {
-	g := &gor{wake: make(chan struct{})}
-	v.live++
-	v.runq = append(v.runq, g)
+	g := &gor{wake: make(chan struct{}), nextLive: v.all}
+	if v.all != nil {
+		v.all.prevLive = g
+	}
+	v.all = g
+	v.runq.push(g)
 	go func() {
 		<-g.wake
+		// The token goes back in a defer: a goroutine that leaves by
+		// runtime.Goexit (t.Fatal) must not leave Run waiting for it.
+		defer func() {
+			v.mu.Lock()
+			if g.prevLive == nil {
+				v.all = g.nextLive
+			} else {
+				g.prevLive.nextLive = g.nextLive
+			}
+			if g.nextLive != nil {
+				g.nextLive.prevLive = g.prevLive
+			}
+			v.running = nil
+			v.mu.Unlock()
+			v.parked <- struct{}{}
+		}()
 		f()
-		v.mu.Lock()
-		v.live--
-		v.running = nil
-		v.mu.Unlock()
-		v.parked <- struct{}{}
 	}()
 }
 
-// curLocked returns the currently running machine goroutine; blocking
-// clock operations from unregistered goroutines are a programming
-// error (the scheduler could not know when to resume them).
+// curLocked returns the currently running machine goroutine, about to
+// park in op; blocking clock operations from unregistered goroutines
+// are a programming error (the scheduler could not know when to resume
+// them).
 func (v *Virtual) curLocked(op string) *gor {
 	g := v.running
 	if g == nil {
 		panic("vclock: " + op + " from a goroutine not registered with the virtual clock")
 	}
+	g.op = op
 	return g
+}
+
+// parkedLocked counts the live goroutines and tallies them by the
+// primitive each is parked in, most numerous first: "3 Mailbox.Recv,
+// 1 Mutex.Lock".
+func (v *Virtual) parkedLocked() (n int, who string) {
+	count := map[string]int{}
+	for g := v.all; g != nil; g = g.nextLive {
+		count[g.op]++
+		n++
+	}
+	ops := make([]string, 0, len(count))
+	for op := range count {
+		ops = append(ops, op)
+	}
+	sort.Slice(ops, func(i, j int) bool {
+		if count[ops[i]] != count[ops[j]] {
+			return count[ops[i]] > count[ops[j]]
+		}
+		return ops[i] < ops[j]
+	})
+	for i, op := range ops {
+		ops[i] = fmt.Sprintf("%d %s", count[op], op)
+	}
+	return n, strings.Join(ops, ", ")
 }
 
 // parkLocked releases the token (v.mu held on entry, released inside)
@@ -231,21 +324,17 @@ func (v *Virtual) Sleep(d time.Duration) {
 		d = 0
 	}
 	v.mu.Lock()
-	g := v.curLocked("Sleep")
-	v.pushLocked(v.now+int64(d), g, nil)
-	v.parkLocked(g)
+	v.sleepLocked("Sleep", v.now+int64(d))
 }
 
 // SleepUntil implements Clock.
 func (v *Virtual) SleepUntil(t time.Time) {
 	v.mu.Lock()
-	g := v.curLocked("SleepUntil")
 	at := int64(t.Sub(Epoch))
 	if at < v.now {
 		at = v.now
 	}
-	v.pushLocked(at, g, nil)
-	v.parkLocked(g)
+	v.sleepLocked("SleepUntil", at)
 }
 
 // AfterFunc implements Clock: f runs as a fresh machine goroutine when
@@ -255,7 +344,9 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) *Timer {
 		d = 0
 	}
 	v.mu.Lock()
-	ev := v.pushLocked(v.now+int64(d), nil, f)
+	v.seq++
+	ev := &event{at: v.now + int64(d), seq: v.seq, fn: f}
+	heap.Push(&v.events, ev)
 	v.mu.Unlock()
 	return &Timer{stop: func() bool {
 		v.mu.Lock()
@@ -270,8 +361,3 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) *Timer {
 
 // Virtual implements Clock.
 func (v *Virtual) Virtual() bool { return true }
-
-// runnableLocked appends woken goroutines to the run queue in order.
-func (v *Virtual) runnableLocked(gs ...*gor) {
-	v.runq = append(v.runq, gs...)
-}

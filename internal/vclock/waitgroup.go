@@ -39,6 +39,6 @@ func (w *WaitGroup) Wait() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for w.n > 0 {
-		w.c.Wait()
+		w.c.wait("WaitGroup.Wait")
 	}
 }
