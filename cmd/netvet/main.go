@@ -3,10 +3,16 @@
 // x/tools) enforcing the invariants the paper's stream/mux
 // architecture depends on. It walks the whole module and reports:
 //
-//	lock-across-send    mutex held across a channel op or blocking call
+//	lock-across-send    sync lock held across a park, or across a call
+//	                    that may park (with the call chain to the park)
 //	unjoined-goroutine  goroutine with no shutdown path
 //	unclosed-resource   closeable value dropped without Close
 //	naked-ctl-string    ctl literal bypassing the netmsg helpers
+//	block-ownership     pooled block freed twice, used after transfer,
+//	                    or leaked on an early return
+//	lock-order          cycle in the module-wide lock order graph
+//	realtime            direct time.Now/Sleep/After where a vclock.Clock
+//	                    should be threaded
 //
 // Usage:
 //
@@ -19,7 +25,9 @@
 // findings are counted in the summary so they stay reviewable, and
 // -ignored lists each one with the directive that silenced it. -json
 // emits the whole report (live and suppressed findings, directives)
-// as one JSON document for tooling.
+// as one JSON document for tooling. A directive that matched no finding
+// is itself a diagnostic (check "directive"): a stale suppression fails
+// the run like any other finding.
 // Exit status is 1 when unsuppressed diagnostics remain.
 package main
 

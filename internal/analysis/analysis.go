@@ -6,9 +6,11 @@
 // RPC demux, protocol engines — and the checks target exactly the
 // failure shapes such code grows at scale:
 //
-//	lock-across-send    a sync.Mutex/RWMutex held across a channel
-//	                    operation or known-blocking call, the virtual
-//	                    clock's direct parks included
+//	lock-across-send    a sync.Mutex/RWMutex held across a park: a
+//	                    channel operation, a blocking call, one of the
+//	                    virtual clock's primitives — or a call to a
+//	                    function that may reach one, through static and
+//	                    interface calls, with the chain down to the park
 //	unjoined-goroutine  a go statement whose body can never exit —
 //	                    a leak candidate with no shutdown path
 //	unclosed-resource   a closeable value created and dropped without
@@ -25,6 +27,10 @@
 //	realtime            a direct time.Now/time.Sleep/time.After call
 //	                    where a vclock.Clock should be threaded, so
 //	                    virtual-time runs stay deterministic
+//
+// The two lock checks are reporters over one held-lock solve (locks.go):
+// one dataflow per function body, one set of per-function summaries
+// closed over the module's call graph.
 //
 // Ownership transfer across calls is declared, not guessed: a callee
 // that consumes a block parameter carries a directive on its
@@ -43,9 +49,10 @@
 //
 // The check names must be real and the reason must be non-empty —
 // a reasonless or misspelled directive is itself reported (as check
-// "directive", which cannot be suppressed). Suppressions are recorded
-// individually, so deliberate exceptions stay visible and auditable
-// (netvet -ignored lists them all).
+// "directive", which cannot be suppressed), and so is a stale one: a
+// directive that silenced nothing although every check it names ran.
+// Suppressions are recorded individually, so deliberate exceptions stay
+// visible and auditable (netvet -ignored lists them all).
 package analysis
 
 import (
@@ -70,7 +77,8 @@ func (d Diagnostic) String() string {
 
 // Check is one named invariant. Run is called once per package to
 // collect; the optional Finish is called once per module after every
-// package ran, for checks (lock-order) whose findings are global.
+// package ran, for checks (the two lock checks) whose findings are
+// global.
 type Check struct {
 	Name   string
 	Doc    string
@@ -114,18 +122,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.res.report(p.Fset.Position(pos), p.check.Name, fmt.Sprintf(format, args...))
 }
 
-// Facts returns the check's module-wide scratch state, allocated by
-// mk on first use — how a Run collects for its Finish.
-func (p *Pass) Facts(mk func() any) any {
-	if p.res.facts == nil {
-		p.res.facts = make(map[*Check]any)
-	}
-	f, ok := p.res.facts[p.check]
-	if !ok {
-		f = mk()
-		p.res.facts[p.check] = f
-	}
-	return f
+// Ignored reports whether a directive for the pass's check covers pos:
+// how a check lets a directive remove a fact (a park from a call
+// summary) rather than a diagnostic.
+func (p *Pass) Ignored(pos token.Pos) bool {
+	return p.res.ignored(p.Fset.Position(pos), p.check.Name) != nil
 }
 
 // Owns returns the declared ownership transfer of fn's parameters:
@@ -167,8 +168,10 @@ type Result struct {
 
 	ignores   map[string]map[int][]*Directive // filename -> line -> directives
 	owns      map[*types.Func]OwnsFact
-	facts     map[*Check]any
-	localPkgs map[string]bool // import paths of the loaded packages
+	localPkgs map[string]bool               // import paths of the loaded packages
+	named     []*types.Named                // their package-level concrete types
+	impls     map[*types.Func][]*types.Func // interface method -> module-local implementations
+	locks     *lockFacts                    // the held-lock solve, shared by its reporters
 }
 
 // Run executes the checks over every package of the module.
@@ -178,10 +181,22 @@ func Run(mod *Module, checks []*Check) *Result {
 		ignores:    make(map[string]map[int][]*Directive),
 		owns:       make(map[*types.Func]OwnsFact),
 		localPkgs:  make(map[string]bool),
+		impls:      make(map[*types.Func][]*types.Func),
 	}
 	for _, pkg := range mod.Pkgs {
-		if pkg.Types != nil {
-			res.localPkgs[pkg.Types.Path()] = true
+		if pkg.Types == nil {
+			continue
+		}
+		res.localPkgs[pkg.Types.Path()] = true
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, _ := scope.Lookup(name).(*types.TypeName)
+			if tn == nil || tn.IsAlias() {
+				continue
+			}
+			if n, ok := tn.Type().(*types.Named); ok && !types.IsInterface(n) && n.TypeParams().Len() == 0 {
+				res.named = append(res.named, n)
+			}
 		}
 	}
 	for _, pkg := range mod.Pkgs {
@@ -196,6 +211,22 @@ func Run(mod *Module, checks []*Check) *Result {
 	for _, c := range checks {
 		if c.Finish != nil {
 			c.Finish(&Pass{Fset: mod.Fset, check: c, res: res})
+		}
+	}
+	// A directive that silenced nothing, although every check it names
+	// ran, is stale: it asserts something about code that no longer
+	// needs the assertion.
+	ran := map[string]bool{}
+	for _, c := range checks {
+		ran[c.Name] = true
+	}
+	for _, d := range res.Directives {
+		stale := d.Matched == 0
+		for _, name := range d.Checks {
+			stale = stale && ran[name]
+		}
+		if stale {
+			res.reportRaw(d.Pos, "directive", fmt.Sprintf("//netvet:ignore %s matched no finding: delete it", strings.Join(d.Checks, ",")))
 		}
 	}
 	sort.Slice(res.Directives, func(i, j int) bool {
@@ -421,22 +452,6 @@ func (r *Result) report(pos token.Position, check, msg string) {
 // path directive errors take.
 func (r *Result) reportRaw(pos token.Position, check, msg string) {
 	r.Diags = append(r.Diags, Diagnostic{Pos: pos, Check: check, Message: msg})
-}
-
-// funcBodies yields every function body in the file — declarations and
-// literals — so checks analyze each in its own goroutine context.
-func funcBodies(f *ast.File, visit func(body *ast.BlockStmt)) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Body != nil {
-				visit(n.Body)
-			}
-		case *ast.FuncLit:
-			visit(n.Body)
-		}
-		return true
-	})
 }
 
 // inspectSkippingFuncLits walks the subtree rooted at n without

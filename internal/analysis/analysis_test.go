@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -74,7 +75,8 @@ func TestCorpus(t *testing.T) {
 
 // TestIgnoreDirectiveCounted pins the suppression accounting: the
 // ignorecase corpus carries two suppressed sends (same line, line
-// above); malformed directives are errors and suppress nothing.
+// above); malformed directives are errors and suppress nothing, and a
+// well-formed one that matched nothing is an error too.
 func TestIgnoreDirectiveCounted(t *testing.T) {
 	res := runCorpusFile(t, filepath.Join("testdata", "src", "ignorecase.go"))
 	if got := res.Suppressed["lock-across-send"]; got != 2 {
@@ -87,14 +89,14 @@ func TestIgnoreDirectiveCounted(t *testing.T) {
 	for _, d := range res.Diags {
 		byCheck[d.Check]++
 	}
-	if byCheck["directive"] != 3 {
-		t.Errorf("directive errors = %d, want 3 (bare, reasonless, unknown name)", byCheck["directive"])
+	if byCheck["directive"] != 4 {
+		t.Errorf("directive errors = %d, want 4 (bare, reasonless, unknown name, stale)", byCheck["directive"])
 	}
 	if byCheck["lock-across-send"] != 4 {
 		t.Errorf("live lock-across-send = %d, want 4 (malformed directives must not suppress)", byCheck["lock-across-send"])
 	}
 	// The two suppressing directives matched a finding; the wrong-name
-	// one stayed unmatched (that is what -ignored surfaces).
+	// one stayed unmatched (that is the stale-directive error).
 	matched := 0
 	for _, d := range res.Directives {
 		if d.Matched > 0 {
@@ -103,6 +105,41 @@ func TestIgnoreDirectiveCounted(t *testing.T) {
 	}
 	if matched != 2 || len(res.Directives) != 3 {
 		t.Errorf("matched directives = %d/%d, want 2/3", matched, len(res.Directives))
+	}
+}
+
+// TestStaleDirectiveNeedsItsCheckToHaveRun: a directive is judged
+// stale only by a run that included every check it names.
+func TestStaleDirectiveNeedsItsCheckToHaveRun(t *testing.T) {
+	file := filepath.Join("testdata", "src", "ignorecase.go")
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	pkg, err := CheckSource(fset, file, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := RunPkg(fset, pkg, []*Check{realtimeCheck})
+	for _, d := range res.Diags {
+		if strings.Contains(d.Message, "matched no finding") {
+			t.Errorf("a run of realtime alone judged another check's directive: %s", d)
+		}
+	}
+}
+
+// TestDirectiveCutsCallSummary: the directive inside conv.hangupLocked
+// silences no finding on its own line — no lock is held there — yet it
+// counts as matched, because it cut the park out of the summary its
+// callers see; the suppression audit shows what it vouched for.
+func TestDirectiveCutsCallSummary(t *testing.T) {
+	res := runCorpusFile(t, filepath.Join("testdata", "src", "lockcase.go"))
+	if len(res.Directives) != 1 || res.Directives[0].Matched != 1 {
+		t.Fatalf("directives = %+v, want one, matched once", res.Directives)
+	}
+	if len(res.Ignored) != 1 || !strings.Contains(res.Ignored[0].Message, "call to lockcase.readQueue.up: cut from the may-park summary") {
+		t.Errorf("suppressed = %+v, want the one cut call", res.Ignored)
 	}
 }
 
@@ -133,5 +170,17 @@ func TestSelfClean(t *testing.T) {
 	res := Run(mod, Checks())
 	for _, d := range res.Diags {
 		t.Errorf("unsuppressed: %s", d)
+	}
+	// The lock checks' exceptions are few enough to name: the four
+	// frames where a conversation hands data or a hangup up its read
+	// queue with Mu held.
+	n := 0
+	for _, d := range res.Directives {
+		if slices.Contains(d.Checks, "lock-across-send") || slices.Contains(d.Checks, "lock-order") {
+			n++
+		}
+	}
+	if n > 5 {
+		t.Errorf("%d directives for the lock checks, want at most 5", n)
 	}
 }

@@ -2,7 +2,8 @@
 // a known check list and a non-empty reason. Same-line and line-above
 // placement suppress; a bare directive, a reasonless directive, and an
 // unknown check name are themselves errors; a directive naming a
-// different check suppresses nothing.
+// different check suppresses nothing and, having matched no finding,
+// is reported as stale.
 package ignorecase
 
 import "sync"
@@ -52,6 +53,6 @@ func unknownCheckName(b *box) {
 func wrongCheckName(b *box) {
 	b.mu.Lock()
 	//netvet:ignore unclosed-resource names a different check
-	b.ch <- 1 // want lock-across-send "channel send while holding b.mu"
+	b.ch <- 1 // want lock-across-send "channel send while holding b.mu" // want-1 directive "matched no finding"
 	b.mu.Unlock()
 }

@@ -61,7 +61,7 @@ type pair struct {
 
 func inversion(p *pair) {
 	p.a.Lock()
-	p.b.Lock() // want lock-across-send "acquiring p.b while holding p.a"
+	p.b.Lock() // two keys, pair.a then pair.b: the order is lock-order's to judge
 	p.b.Unlock()
 	p.a.Unlock()
 }
@@ -134,7 +134,7 @@ func clockMutexWhileLocked(b *vbox) {
 func lockUnderClockMutex(b *vbox) {
 	b.vmu.Lock()
 	defer b.vmu.Unlock()
-	b.mu.Lock() // want lock-across-send "acquiring b.mu while holding b.vmu" // want lock-order "lock-order cycle"
+	b.mu.Lock() // want lock-order "lock-order cycle"
 	b.mu.Unlock()
 }
 
@@ -234,4 +234,216 @@ func republishThenNotifyLocked(st *snapTable) {
 	next := map[int]int{1: 1}
 	st.snap.Store(&next)
 	st.note <- struct{}{} // want lock-across-send "channel send while holding st.mu"
+}
+
+// --- the transitive rule: a sync lock held across a call that may park ---
+
+// None of the five sites that froze a virtual-clock run was a direct
+// park: each reached one through an interface call. The shapes, in the
+// order they were met; each finding carries the chain down to the park.
+
+// PR 8: the 9P server's reply lock across the transport's WriteMsg,
+// which sleeps for the medium's pacing.
+type msgConn interface{ WriteMsg(p []byte) error }
+
+type pacedConn struct{ ck vclock.Clock }
+
+func (c *pacedConn) WriteMsg(p []byte) error {
+	c.ck.Sleep(time.Duration(len(p)) * time.Microsecond)
+	return nil
+}
+
+type srvConn struct {
+	wmu  sync.Mutex
+	conn msgConn
+}
+
+func (s *srvConn) reply(p []byte) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return s.conn.WriteMsg(p) // want lock-across-send "call may park while holding s.wmu (locked at line 262): lockcase.pacedConn.WriteMsg: vclock.Clock.Sleep"
+}
+
+// PR 9: the protocol device's lock across hanging up a refused call,
+// whose Close waits for the peer.
+type protoConn interface{ Close() error }
+
+type urpConn struct{ done *vclock.WaitGroup }
+
+func (c *urpConn) Close() error {
+	c.done.Wait()
+	return nil
+}
+
+type netDev struct {
+	mu    sync.Mutex
+	convs []protoConn
+}
+
+func (d *netDev) adopt(c protoConn) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.convs) == cap(d.convs) {
+		c.Close() // want lock-across-send "call may park while holding d.mu (locked at line 284): lockcase.urpConn.Close: vclock.WaitGroup.Wait"
+		return
+	}
+	d.convs = append(d.convs, c)
+}
+
+// PR 21: the 9P client's write lock across an io.Writer whose
+// implementer, in the module, queues through a mailbox.
+type writer interface{ Write(p []byte) (int, error) }
+
+type dataFile struct{ out *vclock.Mailbox[int] }
+
+func (f *dataFile) Write(p []byte) (int, error) {
+	f.out.Send(len(p))
+	return len(p), nil
+}
+
+type client struct {
+	wmu sync.Mutex
+	rwc writer
+}
+
+func (c *client) send(p []byte) {
+	c.wmu.Lock()
+	c.rwc.Write(p) // want lock-across-send "call may park while holding c.wmu (locked at line 310): lockcase.dataFile.Write: vclock.Mailbox.Send"
+	c.wmu.Unlock()
+}
+
+// PR 21: the mount driver's per-handle lock across reaping a window of
+// RPCs — two calls down to the reply mailbox.
+type reaper interface{ Reap() int }
+
+type window struct{ replies *vclock.Mailbox[int] }
+
+func (w *window) wait() int {
+	v, _ := w.replies.Recv()
+	return v
+}
+
+func (w *window) Reap() int { return w.wait() }
+
+type handle struct {
+	mu  sync.Mutex
+	win reaper
+}
+
+func (h *handle) read() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.win.Reap() // want lock-across-send "call may park while holding h.mu (locked at line 334): lockcase.window.Reap → lockcase.window.wait: vclock.Mailbox.Recv"
+}
+
+// PR 21: the 9P server's per-fid lock across node.Walk, an RPC when the
+// node is a mount. The implementer takes a vclock.Mutex: its Lock parks.
+type node interface {
+	Walk(name string) (node, error)
+}
+
+type mntNode struct{ mu vclock.Mutex }
+
+func (n *mntNode) Walk(name string) (node, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n, nil
+}
+
+type srvFid struct {
+	mu   sync.Mutex
+	node node
+}
+
+func (f *srvFid) walk(name string) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	_, err := f.node.Walk(name) // want lock-across-send "call may park while holding f.mu (locked at line 359): lockcase.mntNode.Walk: vclock.Mutex.Lock"
+	return err
+}
+
+// The fix for all five: the same call under a vclock.Mutex is silent.
+type fixedFid struct {
+	mu   vclock.Mutex
+	node node
+}
+
+func (f *fixedFid) walk(name string) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	_, err := f.node.Walk(name)
+	return err
+}
+
+// A deferred call runs before the deferred Unlock registered above it.
+func deferredCloseUnderLock(d *netDev, c protoConn) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	defer c.Close() // want lock-across-send "call may park while holding d.mu"
+}
+
+// Cond.Wait releases its own locker and nothing else: with that one
+// lock held it is silent (above); with a second it is not.
+type twoLocks struct {
+	mu    sync.Mutex
+	outer sync.Mutex
+	ready vclock.Cond
+}
+
+func condWaitUnderSecondLock(t *twoLocks) {
+	t.outer.Lock()
+	defer t.outer.Unlock()
+	t.mu.Lock()
+	t.ready.Wait() // want lock-across-send "vclock.Cond.Wait with 2 locks held (t.outer taken at line 394 first)"
+	t.mu.Unlock()
+}
+
+// A function that waits on a condition may park, for its callers.
+func (t *twoLocks) await() {
+	t.mu.Lock()
+	t.ready.Wait()
+	t.mu.Unlock()
+}
+
+func awaitUnderLock(t *twoLocks) {
+	t.outer.Lock()
+	t.await() // want lock-across-send "call may park while holding t.outer (locked at line 409): lockcase.twoLocks.await: vclock.Cond.Wait"
+	t.outer.Unlock()
+}
+
+// Nested acquisition: two receivers with one graph key are what
+// lock-order cannot tell apart, so that case is reported here; two keys
+// (inversion, above) are its to judge.
+func sameKeyNested(a, b *box) {
+	a.mu.Lock()
+	b.mu.Lock() // want lock-across-send "acquiring b.mu while holding a.mu (locked at line 418): both are lockcase.box.mu"
+	b.mu.Unlock()
+	a.mu.Unlock()
+}
+
+// A directive on the inner call states once why it cannot park, and
+// cuts the park out of the summary of every caller above it.
+type readQueue struct{ slots *vclock.Mailbox[int] }
+
+func (q *readQueue) up(v int) { q.slots.Send(v) }
+
+type conv struct {
+	mu sync.Mutex
+	rq *readQueue
+}
+
+func (c *conv) hangupLocked() {
+	c.rq.up(0) //netvet:ignore lock-across-send cannot park: the queue holds more than the window admits
+}
+
+func (c *conv) die() {
+	c.mu.Lock()
+	c.hangupLocked() // cut: silent
+	c.mu.Unlock()
+}
+
+func (c *conv) dieUncut() {
+	c.mu.Lock()
+	c.rq.up(0) // want lock-across-send "call may park while holding c.mu (locked at line 446): lockcase.readQueue.up: vclock.Mailbox.Send"
+	c.mu.Unlock()
 }

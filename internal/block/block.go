@@ -70,10 +70,8 @@ type Block struct {
 	buf    []byte
 	rp, wp int
 	// Next links the block into the one queue that holds it; the queue
-	// owns the field. Stamp is the instant the block entered a stream
-	// at its device end (UnixNano), zero when residency is not sampled.
+	// owns the field.
 	Next  *Block
-	Stamp int64
 	refs  atomic.Int32
 	class int8 // index into classSizes; -1 = unpooled buffer
 	Type  Type
@@ -172,7 +170,7 @@ func Alloc(n, headroom int) *Block {
 	b.class = int8(class)
 	b.rp = headroom
 	b.wp = headroom + n
-	b.Next, b.Stamp, b.Type, b.Delim = nil, 0, Data, false
+	b.Next, b.Type, b.Delim = nil, Data, false
 	b.refs.Store(1)
 	return b
 }

@@ -105,7 +105,7 @@ func TestRefFanout(t *testing.T) {
 	b.Free()
 }
 
-// A block freed as a delimited, queued, stamped control block comes
+// A block freed as a delimited, queued control block comes
 // back from the pool as plain data: a flag that survived recycling
 // would hand the next owner a delimiter or a queue link it never set
 // (the stale-header class of bug the pool has had before).
@@ -115,12 +115,12 @@ func TestRecycledBlockIsCleanData(t *testing.T) {
 	recycled := false
 	for i := 0; i < 100; i++ {
 		b := Alloc(10, 0)
-		b.Type, b.Delim, b.Next, b.Stamp = Ctl, true, other, 12345
+		b.Type, b.Delim, b.Next = Ctl, true, other
 		b.Free()
 		c := Alloc(10, 0)
 		recycled = recycled || c == b
-		if c.Type != Data || c.Delim || c.Next != nil || c.Stamp != 0 {
-			t.Fatalf("recycled block: type %d delim %v next %p stamp %d", c.Type, c.Delim, c.Next, c.Stamp)
+		if c.Type != Data || c.Delim || c.Next != nil {
+			t.Fatalf("recycled block: type %d delim %v next %p", c.Type, c.Delim, c.Next)
 		}
 		c.Free()
 	}

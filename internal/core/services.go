@@ -144,27 +144,40 @@ func (m *Machine) ServeExportfs(addr string, mods ...string) (func(), error) {
 }
 
 // exportSrv lazily builds the machine's shared export server and
-// mounts its stats file at /net/export/stats.
+// mounts its stats file at /net/export/stats. The server is published
+// under m.mu by whoever builds it; the mount walks the name space —
+// RPCs, when /net is imported — so it runs with the lock released.
 func (m *Machine) exportSrv() (*exportfs.Server, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.export != nil {
-		return m.export, nil
+	srv, built := m.export, false
+	if srv == nil {
+		srv, built = exportfs.NewServer(m.NS, exportfs.Config{Clock: m.World.Clock()}), true
+		m.export = srv
 	}
-	srv := exportfs.NewServer(m.NS, exportfs.Config{Clock: m.World.Clock()})
-	if err := m.Root.MkdirAll("net/export", 0775); err != nil {
+	m.mu.Unlock()
+	if !built {
+		return srv, nil
+	}
+	if err := m.mountExportStats(srv); err != nil {
+		m.mu.Lock()
+		m.export = nil // as before the build: a later call tries again
+		m.mu.Unlock()
 		return nil, err
+	}
+	return srv, nil
+}
+
+// mountExportStats serves srv's per-connection bill as a file.
+func (m *Machine) mountExportStats(srv *exportfs.Server) error {
+	if err := m.Root.MkdirAll("net/export", 0775); err != nil {
+		return err
 	}
 	if err := m.Root.WriteFile("net/export/stats", nil, 0444); err != nil {
-		return nil, err
+		return err
 	}
 	stats := devtree.TextFile(devtree.MkFile("stats", m.Name, 0444),
 		func() (string, error) { return srv.Stats(), nil })
-	if err := m.NS.MountNode(stats, "/net/export/stats", ns.MREPL); err != nil {
-		return nil, err
-	}
-	m.export = srv
-	return srv, nil
+	return m.NS.MountNode(stats, "/net/export/stats", ns.MREPL)
 }
 
 // Exportfs returns the machine's shared export server, nil before
@@ -259,7 +272,7 @@ func (m *Machine) ServeFTP(addr, root string, cfg ftp.ServerConfig) (func(), err
 // system, logs in, sets image mode, and mounts the remote file system
 // (conventionally onto /n/ftp).
 func (m *Machine) MountFTP(dest, user, pass, old string) (*ftp.FS, error) {
-	fs, err := ftp.Dial(m.NS, dest, user, pass)
+	fs, err := ftp.Dial(m.NS, m.World.Clock(), dest, user, pass)
 	if err != nil {
 		return nil, err
 	}

@@ -343,7 +343,6 @@ func (c *Conn) Announce(addr string) error {
 	h := c.proto.host
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	//netvet:ignore lock-across-send fixed hierarchy: host before conversation, never reversed
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.urp != nil || c.listenCh != nil {

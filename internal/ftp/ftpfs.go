@@ -6,11 +6,11 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/devtree"
 	"repro/internal/dialer"
 	"repro/internal/ns"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -18,8 +18,12 @@ import (
 // mountable at /n/ftp. Directories are cached from LIST and files
 // from RETR, "to reduce traffic"; writes are buffered and STORed on
 // close; the cache is updated whenever a file is created (§6.2).
+//
+// mu serializes the one control connection: it is held across a whole
+// command and its data transfer — TCP round trips — by design, so it is
+// the lock that may be held across a park.
 type FS struct {
-	mu   sync.Mutex
+	mu   vclock.Mutex
 	nsp  *ns.Namespace
 	ctl  *dialer.Conn
 	r    *bufio.Reader
@@ -40,13 +44,16 @@ type fentry struct {
 }
 
 // Dial connects ftpfs to an FTP service ("tcp!host!ftp"), logs in,
-// and sets image mode, as the ftpfs command does.
-func Dial(nsp *ns.Namespace, dest, user, pass string) (*FS, error) {
+// and sets image mode, as the ftpfs command does. ck is the mounting
+// machine's clock (nil means the real one): a second process that wants
+// the file system while a transfer is in flight waits through it.
+func Dial(nsp *ns.Namespace, ck vclock.Clock, dest, user, pass string) (*FS, error) {
 	conn, err := dialer.Dial(nsp, dest)
 	if err != nil {
 		return nil, err
 	}
 	fs := &FS{nsp: nsp, ctl: conn, r: bufio.NewReader(conn)}
+	fs.mu.Init(ck)
 	fs.root = &fentry{name: "/", dir: true, qid: vfs.Qid{Path: vfs.NewQidPath(), Type: vfs.QTDIR}}
 	if code, _, err := fs.readReply(); err != nil || code != 220 {
 		conn.Close()

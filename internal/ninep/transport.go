@@ -17,18 +17,21 @@ import (
 // adapted with NewStreamConn.
 //
 // ReadMsg may run alongside WriteMsg, but WriteMsg calls must not
-// overlap one another: a write can park on a paced medium, and the lock
-// that may be held across a park belongs to the writer, not the
+// overlap one another, and neither must ReadMsg calls: a write can park
+// on a paced medium and a read parks until a message arrives, and the
+// lock that may be held across a park belongs to the caller, not the
 // transport. Both in-tree writers hold one of their own — the Client
 // around every request, the server's SrvConn around every reply (each a
-// vclock.Mutex).
+// vclock.Mutex) — and both in-tree readers are one process by
+// construction: the Client's demultiplexer and ServeConn's loop.
 //
 // Buffer discipline: WriteMsg takes ownership of p — the caller never
 // touches it afterwards — and ReadMsg hands ownership of the returned
 // buffer to the caller, who releases it with block.PutBytes once the
 // message is decoded (UnmarshalFcall copies what it keeps).
 type MsgConn interface {
-	// ReadMsg returns the next whole message; the caller owns it.
+	// ReadMsg returns the next whole message; the caller owns it. Calls
+	// must not overlap.
 	ReadMsg() ([]byte, error)
 	// WriteMsg sends p as one message, taking ownership of p. Calls
 	// must not overlap.
@@ -112,7 +115,6 @@ func (p *pipe) Close() error {
 // adapter reads the 4-byte size then the remainder.
 type streamConn struct {
 	rwc io.ReadWriteCloser
-	rmu sync.Mutex
 }
 
 // NewStreamConn wraps a byte-stream connection as a MsgConn.
@@ -122,8 +124,6 @@ func NewStreamConn(rwc io.ReadWriteCloser) MsgConn {
 
 // ReadMsg implements MsgConn.
 func (s *streamConn) ReadMsg() ([]byte, error) {
-	s.rmu.Lock()
-	defer s.rmu.Unlock()
 	var hdr [4]byte
 	if _, err := io.ReadFull(s.rwc, hdr[:]); err != nil {
 		return nil, err
@@ -157,7 +157,6 @@ func (s *streamConn) Close() error { return s.rwc.Close() }
 // MsgConn: each Read yields exactly one message.
 type delimConn struct {
 	rwc io.ReadWriteCloser
-	rmu sync.Mutex
 }
 
 // NewDelimConn wraps a delimiter-preserving connection as a MsgConn.
@@ -168,8 +167,6 @@ func NewDelimConn(rwc io.ReadWriteCloser) MsgConn {
 // ReadMsg implements MsgConn: the message is read straight into a
 // pooled buffer that the caller owns — no staging buffer, no copy.
 func (d *delimConn) ReadMsg() ([]byte, error) {
-	d.rmu.Lock()
-	defer d.rmu.Unlock()
 	buf := block.GetBytes(MaxMsg)
 	n, err := d.rwc.Read(buf)
 	if n == 0 {

@@ -10,8 +10,8 @@
 //     bump them on the hot path; a Group names a set of them and
 //     renders the ASCII "name: value" stats file.
 //   - Hist: a log2-bucket latency histogram (RTT samples, 9P RPC
-//     latency, stream put-chain residency). Observe is two atomic
-//     adds; rendering walks the buckets.
+//     latency). Observe is two atomic adds; rendering walks the
+//     buckets.
 //   - Ring: a fixed-size, lock-free per-conversation event ring for
 //     trace files. Emit when disabled is one atomic load; enabled it
 //     is a handful of atomic stores and never allocates, so tracing

@@ -31,7 +31,9 @@ type Stream struct {
 	devUp    *Queue    // up direction entry: device injects here
 	devWrite *Queue    // down direction terminator: device output
 
-	rlock sync.Mutex // the per-stream read lock of §2.4.1
+	// rlock is the per-stream read lock of §2.4.1. A reader holds it while
+	// it waits for data, so a second reader queues through the clock.
+	rlock vclock.Mutex
 
 	mu      sync.Mutex
 	closed  bool
@@ -47,16 +49,16 @@ type DeviceFunc func(b *Block)
 // dev. limit <= 0 selects DefaultLimit.
 func New(limit int, dev DeviceFunc) *Stream { return NewClock(limit, nil, dev) }
 
-// NewClock is New with an explicit clock: flow-control waits and
-// residency stamps go through ck, so a virtual-clock stream parks
-// cooperatively with the simulation scheduler. nil means the real
-// clock.
+// NewClock is New with an explicit clock: flow-control waits and the
+// read lock go through ck, so a virtual-clock stream parks cooperatively
+// with the simulation scheduler. nil means the real clock.
 func NewClock(limit int, ck vclock.Clock, dev DeviceFunc) *Stream {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
 	s := &Stream{limit: limit, clk: vclock.Or(ck)}
 	s.cfg.init(s.clk)
+	s.rlock.Init(s.clk)
 	s.topRead = newQueue(s, nil, true, PutQ)
 	s.topWrite = newQueue(s, nil, false, PassPut)
 	s.devUp = newQueue(s, nil, true, PassPut)
@@ -297,7 +299,6 @@ func (s *Stream) Read(p []byte) (int, error) {
 			b.Free()
 			continue // control information is not data
 		}
-		s.observeResidency(b)
 		n := copy(p[total:], b.Bytes())
 		total += n
 		if n < b.Len() {
@@ -330,7 +331,6 @@ func (s *Stream) Read(p []byte) (int, error) {
 //
 //netvet:owns b
 func (s *Stream) DeviceUp(b *Block) {
-	s.stampUp(b)
 	// Held across the chain for the same reason as Write: see there.
 	s.cfg.RLock()
 	s.devUp.Put(b)

@@ -41,7 +41,13 @@ type Conv struct {
 	// embedded: what Listen returns, and what the protocol's receive
 	// path asserts back to its own type.
 	Self Conn
-	// Rq is the read queue: received data waiting for Read.
+	// Rq is the read queue: received data waiting for Read. The
+	// protocol's receive path calls DeviceUp and HangupUp on it with Mu
+	// held, and neither can park: nothing is ever pushed onto Rq, so its
+	// module-list lock has no writer but Close's empty Pop, which holds
+	// it across no park, and its 4 MiB limit is more than IL's window
+	// (20 messages of at most 45 packets) or TCP's advertised window
+	// lets a peer have in flight.
 	Rq *streams.Stream
 	// Accepted queues established calls for Listen; only a Listening
 	// conversation's is used.
@@ -88,7 +94,6 @@ func (c *Conv) BeginConnect(addr string) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	//netvet:ignore lock-across-send fixed hierarchy: table before conversation, never reversed
 	c.Mu.Lock()
 	if c.St != Closed {
 		c.Mu.Unlock()
@@ -173,7 +178,6 @@ func (c *Conv) Announce(addr string) error {
 	t := c.tab
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	//netvet:ignore lock-across-send fixed hierarchy: table before conversation, never reversed
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
 	if c.St != Closed {
@@ -215,7 +219,7 @@ func (c *Conv) HangupLocked() {
 	c.St = Closed
 	c.Cond.Broadcast()
 	c.Ring.Emit(obs.EvHangup, 0, 0)
-	c.Rq.HangupUp()
+	c.Rq.HangupUp() //netvet:ignore lock-across-send cannot park: Rq has no modules and a hangup is never flow-controlled (see Conv.Rq)
 }
 
 // Remove takes the conversation out of the table — only where it is
