@@ -4,7 +4,7 @@
 //	netsim -figure1    print the ether device file tree of Figure 1
 //	netsim -transcript run the §2.3 TCP transcript (cd /net/tcp/2; ls -l; cat local remote status)
 //	netsim -import     run the §6.1 import transcript (ls /net before/after)
-//	netsim -table1     measure Table 1 on calibrated media (see also bench_test.go)
+//	netsim -table1     measure Table 1 on calibrated media (see also bench's *.table1_* probes)
 //	netsim -chaos      torture IL, TCP, URP, 9P and Cyclone across impaired media
 //	netsim -virtual    boot a 1000-machine Datakit world on the discrete-event
 //	                   clock and run a storm over it (see -machines, -simtime).

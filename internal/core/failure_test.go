@@ -10,65 +10,53 @@ import (
 	"repro/internal/dialer"
 	"repro/internal/il"
 	"repro/internal/ns"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
 // TestPartitionKillsConnections injects a network partition: the
 // remote stack goes away mid-conversation and the local end must fail
-// within the (shortened) death time rather than hang.
+// at the kernel's death time rather than hang. Thirty seconds cost
+// nothing on the virtual clock.
 func TestPartitionKillsConnections(t *testing.T) {
-	w, err := NewWorld(PaperNdb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	w.AddEther("ether0", FastProfiles().Ether)
-	short := il.Config{DeathTime: 300 * time.Millisecond}
-	helix, err := w.NewMachine(MachineConfig{Name: "helix", Ethers: []string{"ether0"}, IL: short})
-	if err != nil {
-		t.Fatal(err)
-	}
-	musca, err := w.NewMachine(MachineConfig{Name: "musca", Ethers: []string{"ether0"}, IL: short})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := helix.ServeEcho("il!*!echo"); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := dialer.Dial(musca.NS, "il!helix!echo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.Write([]byte("alive"))
-	buf := make([]byte, 16)
-	if _, err := conn.Read(buf); err != nil {
-		t.Fatal(err)
-	}
+	onVirtualEther(t, FastProfiles().Ether, []string{"helix", "musca"}, func(v *vclock.Virtual, ms []*Machine) {
+		helix, musca := ms[0], ms[1]
+		if _, err := helix.ServeEcho("il!*!echo"); err != nil {
+			t.Error(err)
+			return
+		}
+		conn, err := dialer.Dial(musca.NS, "il!helix!echo")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		conn.Write([]byte("alive"))
+		buf := make([]byte, 16)
+		if _, err := conn.Read(buf); err != nil {
+			t.Error(err)
+			return
+		}
 
-	// The partition: helix vanishes.
-	helix.Stack.Close()
+		// The partition: helix vanishes.
+		helix.Stack.Close()
 
-	// Unacknowledged traffic must eventually kill the conversation.
-	conn.Write([]byte("into the void"))
-	start := time.Now()
-	errCh := make(chan error, 1)
-	go func() {
+		// Unacknowledged traffic must eventually kill the conversation.
+		// One that never died would tick its timer, and the clock, for
+		// ever: the watchdog ends the read below either way.
+		conn.Write([]byte("into the void"))
+		start := v.Now()
+		watchdog := v.AfterFunc(5*time.Minute, func() { conn.Close() })
+		defer watchdog.Stop()
 		for {
 			if _, err := conn.Read(buf); err != nil {
-				errCh <- err
-				return
+				break
 			}
 		}
-	}()
-	select {
-	case <-errCh:
-		if el := time.Since(start); el > 5*time.Second {
-			t.Errorf("death took %v", el)
+		if el := v.Now().Sub(start); el < 30*time.Second || el > 31*time.Second {
+			t.Errorf("partitioned conversation died after %v, want IL's 30 s death time", el)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("partitioned connection never died")
-	}
+	})
 }
 
 // TestMountSurvivesServerRestartAttempt: a 9P mount whose server dies

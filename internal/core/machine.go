@@ -40,8 +40,6 @@ type MachineConfig struct {
 	Datakit bool
 	// Forward makes the machine an IP gateway.
 	Forward bool
-	// IL tunes the IL protocol (ablation experiments).
-	IL il.Config
 	// ServeDNS, if non-nil, runs an authoritative server for the
 	// zone on this machine's UDP port 53.
 	ServeDNS *dnssrv.Zone
@@ -197,7 +195,7 @@ func (w *World) NewMachine(cfg MachineConfig) (*Machine, error) {
 		}
 
 		// Transport protocols, each a protocol device under /net.
-		m.IL = il.New(m.Stack, cfg.IL)
+		m.IL = il.New(m.Stack)
 		m.TCP = tcp.New(m.Stack)
 		m.UDP = udp.New(m.Stack)
 		for _, p := range []struct {

@@ -10,7 +10,7 @@ import (
 
 // Benchmarks of the sharded lock-free answer cache. The rows that set
 // it against the seed's single-RWMutex, 128-entry wholesale-drop cache
-// are on record in BENCH_PR9.json; DESIGN "Connection server at scale"
+// were recorded at commit c97d7ee; DESIGN "Connection server at scale"
 // quotes them and names the commit at which they can be re-run.
 
 // benchNdb synthesizes a database with n dialable systems, each on

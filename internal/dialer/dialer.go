@@ -224,7 +224,7 @@ func Announce(nsp *ns.Namespace, addr string) (*Listener, error) {
 		n, rerr := ctl.ReadAt(buf, 0)
 		if rerr != nil || n == 0 {
 			ctl.Close()
-			lastErr = rerr
+			lastErr = fmt.Errorf("announce: reading clone: %v", rerr)
 			continue
 		}
 		dir := path.Dir(ns.Clean(clone)) + "/" + strings.TrimSpace(string(buf[:n]))

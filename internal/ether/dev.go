@@ -114,12 +114,14 @@ func (h *dataHandle) Write(p []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(p) < 6 {
-		return len(p), nil
-	}
 	var dst Addr
-	copy(dst[:], p[:6])
-	c.Transmit(dst, p[6:])
+	if len(p) < len(dst) {
+		return 0, fmt.Errorf("ether: %d-byte write holds no destination address", len(p))
+	}
+	copy(dst[:], p)
+	if err := c.Transmit(dst, p[len(dst):]); err != nil {
+		return 0, err
+	}
 	return len(p), nil
 }
 

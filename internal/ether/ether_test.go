@@ -390,6 +390,37 @@ func TestDataFileSendReceive(t *testing.T) {
 	}
 }
 
+// TestDataFileWriteReportsWhatItCannotSend: a write the segment will not
+// carry — a payload over the MTU, or too few bytes to hold a destination
+// address — is an error to the writer, not a frame silently dropped.
+func TestDataFileWriteReportsWhatItCannotSend(t *testing.T) {
+	seg := newSeg(t, Profile{})
+	nsp, ifc := etherNS(t, seg)
+	ctl, _ := nsp.Open("/net/ether0/clone", vfs.ORDWR)
+	defer ctl.Close()
+	ctl.WriteString("connect 2048")
+	data, err := nsp.Open("/net/ether0/1/data", vfs.ORDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer data.Close()
+	dst := ifc.Addr()
+	for _, tc := range []struct {
+		name string
+		msg  []byte
+	}{
+		{"over the MTU", append(dst[:], make([]byte, seg.MTU()+1)...)},
+		{"runt", dst[:5]},
+	} {
+		if n, err := data.Write(tc.msg); err == nil {
+			t.Errorf("%s: a %d-byte write returned %d, nil", tc.name, len(tc.msg), n)
+		}
+	}
+	if _, err := data.Write(append(dst[:], make([]byte, seg.MTU())...)); err != nil {
+		t.Errorf("a payload of exactly the MTU: %v", err)
+	}
+}
+
 func TestConnLifetimeTiedToOpenFiles(t *testing.T) {
 	seg := newSeg(t, Profile{})
 	nsp, _ := etherNS(t, seg)

@@ -21,9 +21,7 @@
 //     with a state message and the missing messages are retransmitted
 //     — those sent before the query that the answer does not
 //     acknowledge, one at a time as each ack uncovers the next, and
-//     nothing the peer already has. (A BlindRetransmit knob exists
-//     solely for the ablation benchmark that shows why the paper
-//     avoided it.)
+//     nothing the peer already has.
 //   - Adaptive timeouts: a round-trip timer calculates acknowledge and
 //     retransmission times in terms of the network speed, so the
 //     protocol performs well on both local Ethernets and slow paths.
@@ -105,45 +103,19 @@ const (
 	ephemBase = 2000
 )
 
-// Config adjusts protocol behavior for experiments.
-type Config struct {
-	// BlindRetransmit disables the query mechanism: timeouts
-	// immediately retransmit every unacknowledged message, the
-	// behavior the paper's design argues against.
-	BlindRetransmit bool
-	// FixedRTO, if nonzero, disables adaptive timeouts and uses this
-	// retransmission timer unconditionally (the adaptive-timeout
-	// ablation).
-	FixedRTO time.Duration
-	// DeathTime overrides how long a connection retries before
-	// giving up (default 30s, as in the kernel); tests of partition
-	// behavior shorten it.
-	DeathTime time.Duration
-	// Window overrides the outstanding-message window (default
-	// Window = 20) for the window-size ablation.
-	Window uint32
-}
-
-func (c Config) window() uint32 {
-	if c.Window > 0 {
-		return c.Window
-	}
-	return Window
-}
-
-func (c Config) deathTime() time.Duration {
-	if c.DeathTime > 0 {
-		return c.DeathTime
-	}
-	return deathTime
-}
-
 // Proto is a machine's IL protocol device. The embedded table holds
 // the conversations, listeners and ports, the clock and the RTT
 // histogram; what is declared here is IL's own.
 type Proto struct {
 	xport.Table
-	cfg Config
+
+	// The switches of §3's three ablations, which only this package's
+	// tests set: blind resends the whole window on a timeout instead of
+	// asking, a nonzero fixedRTO replaces the adaptive timeout, and
+	// window stands in for Window (New's value).
+	blind    bool
+	fixedRTO time.Duration
+	window   uint32
 
 	// txq feeds the transmitter kernel process: one long-lived
 	// goroutine with a warm stack walks packets down the IP stack,
@@ -171,8 +143,8 @@ type txPkt struct {
 var _ xport.Proto = (*Proto)(nil)
 
 // New creates the IL device on a stack and registers its demux.
-func New(stack *ip.Stack, cfg Config) *Proto {
-	p := &Proto{cfg: cfg}
+func New(stack *ip.Stack) *Proto {
+	p := &Proto{window: Window}
 	p.Init(stack, ephemBase, stateNames, p.spawn)
 	// The ring holds what one conversation's window may put in flight
 	// at once; it grows on demand, so an idle machine pays nothing.
@@ -459,7 +431,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		// full rather than buffering more. Full is Window whole
 		// messages, or as many packets as Window of the largest could
 		// be cut into.
-		w := c.proto.cfg.window()
+		w := c.proto.window
 		for (c.sndMsgs >= w || c.sndNext-c.sndUna >= w*maxMsgPkts) && c.St != Closed && c.St != Closing {
 			c.Cond.Wait()
 		}
@@ -669,7 +641,7 @@ func (c *Conn) dataLocked(h header, data []byte) {
 		c.proto.DupsReceived.Add(1)
 		c.Ring.Emit(obs.EvDup, int64(h.id), 0)
 		c.sendLocked(msgAck, 0, c.sndNext-1, nil)
-	case h.id < c.rcvNext+c.proto.cfg.window()*maxMsgPkts:
+	case h.id < c.rcvNext+c.proto.window*maxMsgPkts:
 		// Whatever a conforming sender may have in flight.
 		if c.ooo == nil {
 			c.ooo = make(map[uint32][]byte)
@@ -712,8 +684,8 @@ func (c *Conn) acceptLocked(spec byte, data []byte) {
 
 // rtoLocked returns the current retransmission timeout.
 func (c *Conn) rtoLocked() time.Duration {
-	if c.proto.cfg.FixedRTO > 0 {
-		return c.proto.cfg.FixedRTO
+	if c.proto.fixedRTO > 0 {
+		return c.proto.fixedRTO
 	}
 	return c.RTT.RTO(minRTO, maxRTO, synRetry)
 }
@@ -740,7 +712,7 @@ func (c *Conn) timer() {
 		now := ck.Now()
 		switch c.St {
 		case Syncer, Syncee:
-			if now.Sub(c.lastProgress) > c.proto.cfg.deathTime() {
+			if now.Sub(c.lastProgress) > deathTime {
 				c.diedLocked(vfs.ErrTimedOut)
 				c.Mu.Unlock()
 				return
@@ -751,12 +723,12 @@ func (c *Conn) timer() {
 			continue
 		case Established, Closing:
 			if len(c.unacked) > 0 && now.Sub(c.waitFrom) > c.rtoLocked() {
-				if now.Sub(c.lastProgress) > c.proto.cfg.deathTime() {
+				if now.Sub(c.lastProgress) > deathTime {
 					c.diedLocked(vfs.ErrTimedOut)
 					c.Mu.Unlock()
 					return
 				}
-				if c.proto.cfg.BlindRetransmit {
+				if c.proto.blind {
 					c.retransmitLocked()
 				} else {
 					// §3: send a query instead of retransmitting
@@ -794,7 +766,7 @@ func (c *Conn) Status() string {
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
 	return fmt.Sprintf("%s rtt %d ms unacked %d window %d",
-		stateNames[c.St], c.RTT.SRTT.Milliseconds(), len(c.unacked), c.proto.cfg.window())
+		stateNames[c.St], c.RTT.SRTT.Milliseconds(), len(c.unacked), c.proto.window)
 }
 
 // Close implements xport.Conn.

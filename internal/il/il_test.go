@@ -16,7 +16,7 @@ import (
 )
 
 // pair builds two machines with IL stacks on one segment.
-func pair(t *testing.T, prof ether.Profile, cfg Config) (*Proto, *Proto, ip.Addr, ip.Addr) {
+func pair(t *testing.T, prof ether.Profile) (*Proto, *Proto, ip.Addr, ip.Addr) {
 	t.Helper()
 	seg := ether.NewSegment("e0", prof)
 	t.Cleanup(seg.Close)
@@ -31,7 +31,7 @@ func pair(t *testing.T, prof ether.Profile, cfg Config) (*Proto, *Proto, ip.Addr
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s1.Close(); s2.Close() })
-	p1, p2 := New(s1, cfg), New(s2, cfg)
+	p1, p2 := New(s1), New(s2)
 	// Engine teardown kills straggling conversations so their timers
 	// don't outlive the test.
 	t.Cleanup(func() { p1.Close(); p2.Close() })
@@ -69,7 +69,7 @@ func connect(t *testing.T, p1, p2 *Proto, a2 ip.Addr) (xport.Conn, xport.Conn) {
 }
 
 func TestHandshakeAndEcho(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{}, Config{})
+	p1, p2, _, a2 := pair(t, ether.Profile{})
 	dc, sc := connect(t, p1, p2, a2)
 	if dc.(*Conn).State() != "Established" {
 		t.Errorf("dialer state %s", dc.(*Conn).State())
@@ -92,7 +92,7 @@ func TestHandshakeAndEcho(t *testing.T) {
 }
 
 func TestDelimitersPreserved(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{}, Config{})
+	p1, p2, _, a2 := pair(t, ether.Profile{})
 	dc, sc := connect(t, p1, p2, a2)
 	dc.Write([]byte("first"))
 	dc.Write([]byte("second message"))
@@ -107,7 +107,7 @@ func TestDelimitersPreserved(t *testing.T) {
 }
 
 func TestLargeMessageFragmentsAndReassembles(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{}, Config{})
+	p1, p2, _, a2 := pair(t, ether.Profile{})
 	dc, sc := connect(t, p1, p2, a2)
 	msg := bytes.Repeat([]byte("0123456789abcdef"), 1024) // 16 KiB > MTU
 	if _, err := dc.Write(msg); err != nil {
@@ -125,7 +125,7 @@ func TestLargeMessageFragmentsAndReassembles(t *testing.T) {
 
 func TestReliabilityUnderLoss(t *testing.T) {
 	// 10% loss: everything must still arrive, in order, exactly once.
-	p1, p2, _, a2 := pair(t, ether.Profile{Loss: 0.10, Seed: 7, Bandwidth: 1 << 26}, Config{})
+	p1, p2, _, a2 := pair(t, ether.Profile{Loss: 0.10, Seed: 7, Bandwidth: 1 << 26})
 	dc, sc := connect(t, p1, p2, a2)
 	const msgs = 60
 	var wg sync.WaitGroup
@@ -167,7 +167,7 @@ func TestReliabilityUnderLoss(t *testing.T) {
 func TestQueryNotBlindRetransmission(t *testing.T) {
 	// Under loss, the default configuration must recover via
 	// query/state exchanges, not periodic blind retransmission.
-	p1, p2, _, a2 := pair(t, ether.Profile{Loss: 0.25, Seed: 3, Bandwidth: 1 << 26}, Config{})
+	p1, p2, _, a2 := pair(t, ether.Profile{Loss: 0.25, Seed: 3, Bandwidth: 1 << 26})
 	dc, sc := connect(t, p1, p2, a2)
 	done := make(chan bool)
 	go func() {
@@ -195,7 +195,7 @@ func TestQueryNotBlindRetransmission(t *testing.T) {
 }
 
 func TestConnectionRefused(t *testing.T) {
-	p1, _, _, a2 := pair(t, ether.Profile{}, Config{})
+	p1, _, _, a2 := pair(t, ether.Profile{})
 	dc, _ := p1.NewConn()
 	err := dc.Connect(ip.HostPort(a2, 9999)) // nobody listening
 	if !vfs.SameError(err, vfs.ErrConnRef) {
@@ -205,7 +205,7 @@ func TestConnectionRefused(t *testing.T) {
 }
 
 func TestConnectNoRoute(t *testing.T) {
-	p1, _, _, _ := pair(t, ether.Profile{}, Config{})
+	p1, _, _, _ := pair(t, ether.Profile{})
 	dc, _ := p1.NewConn()
 	if err := dc.Connect("10.1.1.1!17008"); err == nil {
 		t.Error("connect with no route succeeded")
@@ -214,7 +214,7 @@ func TestConnectNoRoute(t *testing.T) {
 }
 
 func TestBadAddresses(t *testing.T) {
-	p1, _, _, _ := pair(t, ether.Profile{}, Config{})
+	p1, _, _, _ := pair(t, ether.Profile{})
 	dc, _ := p1.NewConn()
 	defer dc.Close()
 	for _, bad := range []string{"", "!", "host!port", "1.2.3.4!banana", "1.2.3.4!0", "*!17008"} {
@@ -230,7 +230,7 @@ func TestBadAddresses(t *testing.T) {
 }
 
 func TestAnnouncePortCollision(t *testing.T) {
-	p1, _, _, _ := pair(t, ether.Profile{}, Config{})
+	p1, _, _, _ := pair(t, ether.Profile{})
 	a, _ := p1.NewConn()
 	if err := a.Announce("564"); err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestAnnouncePortCollision(t *testing.T) {
 }
 
 func TestCloseDeliversEOF(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{}, Config{})
+	p1, p2, _, a2 := pair(t, ether.Profile{})
 	dc, sc := connect(t, p1, p2, a2)
 	dc.Write([]byte("bye"))
 	dc.Close()
@@ -269,6 +269,12 @@ func TestCloseDeliversEOF(t *testing.T) {
 // would strand the scheduler token, so errors report and return, and
 // teardown happens before Run unwinds.
 func onVirtualPair(t *testing.T, prof ether.Profile, body func(v *vclock.Virtual, p1, p2 *Proto, dc, sc xport.Conn)) {
+	onTunedVirtualPair(t, prof, func(*Proto) {}, body)
+}
+
+// onTunedVirtualPair is onVirtualPair with tune applied to both engines
+// before the conversation opens: how the ablation tests throw a switch.
+func onTunedVirtualPair(t *testing.T, prof ether.Profile, tune func(*Proto), body func(v *vclock.Virtual, p1, p2 *Proto, dc, sc xport.Conn)) {
 	v := vclock.NewVirtual()
 	v.Run(func() {
 		prof.Clock = v
@@ -287,9 +293,11 @@ func onVirtualPair(t *testing.T, prof ether.Profile, body func(v *vclock.Virtual
 			t.Error(err)
 			return
 		}
-		p1, p2 := New(s1, Config{}), New(s2, Config{})
+		p1, p2 := New(s1), New(s2)
 		defer p1.Close()
 		defer p2.Close()
+		tune(p1)
+		tune(p2)
 
 		lc, _ := p2.NewConn()
 		if err := lc.Announce("17008"); err != nil {
@@ -346,7 +354,7 @@ func TestAdaptiveRTTTracksMedium(t *testing.T) {
 }
 
 func TestSequentialConnections(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{}, Config{})
+	p1, p2, _, a2 := pair(t, ether.Profile{})
 	lc, _ := p2.NewConn()
 	if err := lc.Announce("17008"); err != nil {
 		t.Fatal(err)
@@ -378,7 +386,7 @@ func TestSequentialConnections(t *testing.T) {
 }
 
 func TestStatusAndAddrs(t *testing.T) {
-	p1, p2, a1, a2 := pair(t, ether.Profile{}, Config{})
+	p1, p2, a1, a2 := pair(t, ether.Profile{})
 	dc, sc := connect(t, p1, p2, a2)
 	if got := dc.LocalAddr(); got == "" || got[:len(a1.String())] != a1.String() {
 		t.Errorf("dialer local %q", got)
@@ -424,7 +432,7 @@ func TestWindowLimitsOutstandingMessages(t *testing.T) {
 	// may run ahead; but with the *network* cut (loss=1 after
 	// setup we can't do easily), instead verify the writer blocks
 	// once Window messages are unacked: use a huge-latency medium.
-	p1, p2, _, a2 := pair(t, ether.Profile{}, Config{})
+	p1, p2, _, a2 := pair(t, ether.Profile{})
 	dc, sc := connect(t, p1, p2, a2)
 	_ = sc
 	// Now make every data packet vanish by closing the server stack's
@@ -455,7 +463,7 @@ func TestWindowLimitsOutstandingMessages(t *testing.T) {
 // three-packet messages blocks after exactly Window messages — sixty
 // packets — not after twenty packets.
 func TestWindowCountsMessagesNotPackets(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{}, Config{})
+	p1, p2, _, a2 := pair(t, ether.Profile{})
 	dc, sc := connect(t, p1, p2, a2)
 	sc.(*Conn).proto.Stack.Close()
 	c := dc.(*Conn)
@@ -609,7 +617,7 @@ func TestCorruptionOnTheWireIsDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s1.Close(); s2.Close() })
-	p1, p2 := New(s1, Config{}), New(s2, Config{})
+	p1, p2 := New(s1), New(s2)
 	t.Cleanup(func() { p1.Close(); p2.Close() })
 
 	// The repeater: taps everything, re-injects IL packets bit-flipped.

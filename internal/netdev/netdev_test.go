@@ -34,7 +34,7 @@ func world(t *testing.T) (nsA, nsB *ns.Namespace, addrA, addrB ip.Addr) {
 			t.Fatal(err)
 		}
 		t.Cleanup(st.Close)
-		tp, ilp := tcp.New(st), il.New(st, il.Config{})
+		tp, ilp := tcp.New(st), il.New(st)
 		// Engine teardown wakes any goroutine still parked in a
 		// blocking listen open when the test ends.
 		t.Cleanup(func() { tp.Close(); ilp.Close() })

@@ -8,9 +8,9 @@ import (
 // an issue; the time to process protocols and drive device interfaces
 // continues to dwarf the time spent allocating, freeing, and moving
 // blocks of data." These benchmarks measure the block-moving costs so
-// that claim can be checked against the protocol benchmarks in the
-// root bench_test.go (an IL message costs ~13 µs end to end; a block
-// traversing a stream costs well under a microsecond).
+// that claim can be checked against the protocol costs bench's probes
+// report (il.echo_host_us: an IL message costs ~13 µs end to end; a
+// block traversing a stream costs well under a microsecond).
 
 func benchWrite(b *testing.B, modules int, size int) {
 	var sink int

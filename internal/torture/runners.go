@@ -331,7 +331,7 @@ func runIL(ck vclock.Clock, s Scenario, rep *Report) {
 		rep.violate("connect", "ether world: %v", err)
 		return
 	}
-	p1, p2 := il.New(w.st1, il.Config{}), il.New(w.st2, il.Config{})
+	p1, p2 := il.New(w.st1), il.New(w.st2)
 	dc, ac, ok := dialAccept(ck, rep, p1, p2, "17008", ip.HostPort(w.a2, 17008))
 	if !ok {
 		p1.Close()
@@ -453,7 +453,7 @@ func run9P(ck vclock.Clock, s Scenario, rep *Report) {
 		rep.violate("connect", "ether world: %v", err)
 		return
 	}
-	p1, p2 := il.New(w.st1, il.Config{}), il.New(w.st2, il.Config{})
+	p1, p2 := il.New(w.st1), il.New(w.st2)
 	dc, ac, ok := dialAccept(ck, rep, p1, p2, "17008", ip.HostPort(w.a2, 17008))
 	teardown := func() {
 		p1.Close()

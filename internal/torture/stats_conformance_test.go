@@ -129,7 +129,7 @@ func TestStatsConformanceIL(t *testing.T) {
 	if _, err := st2.Bind(ifc2, a2, mask); err != nil {
 		t.Fatal(err)
 	}
-	p1, p2 := il.New(st1, il.Config{}), il.New(st2, il.Config{})
+	p1, p2 := il.New(st1), il.New(st2)
 	defer func() {
 		p1.Close()
 		p2.Close()
@@ -258,7 +258,7 @@ func TestStatsConformanceCleanWire(t *testing.T) {
 					return
 				}
 				defer w.close()
-				p1, p2 := il.New(w.st1, il.Config{}), il.New(w.st2, il.Config{})
+				p1, p2 := il.New(w.st1), il.New(w.st2)
 				defer p1.Close()
 				defer p2.Close()
 				rep := &Report{}
@@ -435,7 +435,7 @@ func TestStatsConformanceMnt(t *testing.T) {
 	if _, err := st2.Bind(seg.NewInterface("ether0"), a2, mask); err != nil {
 		t.Fatal(err)
 	}
-	p1, p2 := il.New(st1, il.Config{}), il.New(st2, il.Config{})
+	p1, p2 := il.New(st1), il.New(st2)
 	defer func() {
 		p1.Close()
 		p2.Close()
