@@ -93,6 +93,10 @@ type Segment struct {
 	ifaces []*Interface
 	closed bool
 
+	// txq is the wire's queue. It is unbounded so that transmitting
+	// never parks: IL and TCP send under their conversation locks. What
+	// bounds it is what the senders above may hold in flight — IL's
+	// window, TCP's 64 KiB buffer, ARP's hold of 16.
 	txq *vclock.Mailbox[txFrame]
 }
 
@@ -108,7 +112,7 @@ func NewSegment(name string, p Profile) *Segment {
 		name:    name,
 		profile: p,
 		ck:      ck,
-		txq:     vclock.NewMailbox[txFrame](ck, 256),
+		txq:     vclock.NewMailbox[txFrame](ck, 0),
 	}
 	if p.Impair.Armed(p.Loss) {
 		seg.im = medium.NewImpairer(p.Seed+1, p.Loss, p.Impair)
@@ -254,8 +258,8 @@ func (seg *Segment) fanOut(from *Interface, b *block.Block) bool {
 }
 
 // transmitBlock queues a frame on the wire, appending the hardware FCS
-// into the block's tailroom in place (elided on an ideal medium).
-// Ownership of b transfers to the segment.
+// into the block's tailroom in place (elided on an ideal medium). It
+// never parks. Ownership of b transfers to the segment.
 func (seg *Segment) transmitBlock(from *Interface, b *block.Block) error {
 	if n := b.Len() - HdrLen; n > seg.MTU() {
 		b.Free()
@@ -277,7 +281,7 @@ func (seg *Segment) transmitBlock(from *Interface, b *block.Block) error {
 	crc := crc32.ChecksumIEEE(b.Bytes())
 	binary.BigEndian.PutUint32(b.Extend(fcsLen), crc)
 	frame := b.Detach()
-	if seg.txq.Send(txFrame{from: from, frame: frame}) != nil {
+	if !seg.txq.TrySend(txFrame{from: from, frame: frame}) {
 		return vfs.ErrShutdown
 	}
 	return nil

@@ -45,7 +45,6 @@ import (
 	"repro/internal/ip"
 	"repro/internal/obs"
 	"repro/internal/streams"
-	"repro/internal/vclock"
 	"repro/internal/vfs"
 	"repro/internal/xport"
 )
@@ -117,12 +116,6 @@ type Proto struct {
 	fixedRTO time.Duration
 	window   uint32
 
-	// txq feeds the transmitter kernel process: one long-lived
-	// goroutine with a warm stack walks packets down the IP stack,
-	// instead of a fresh goroutine per segment growing its stack
-	// through the ether path every time.
-	txq *vclock.Mailbox[txPkt]
-
 	// Counters for the ablation experiments and status files.
 	Retransmits  atomic.Int64
 	QueriesSent  atomic.Int64
@@ -134,21 +127,12 @@ type Proto struct {
 	ChecksumErrs atomic.Int64
 }
 
-// txPkt is one packet queued for the transmitter kernel process.
-type txPkt struct {
-	src, dst ip.Addr
-	pkt      *block.Block
-}
-
 var _ xport.Proto = (*Proto)(nil)
 
 // New creates the IL device on a stack and registers its demux.
 func New(stack *ip.Stack) *Proto {
 	p := &Proto{window: Window}
 	p.Init(stack, ephemBase, stateNames, p.spawn)
-	// The ring holds what one conversation's window may put in flight
-	// at once; it grows on demand, so an idle machine pays nothing.
-	p.txq = vclock.NewMailbox[txPkt](p.Ck, Window*maxMsgPkts)
 	p.Stats.
 		AddAtomic("msgs-sent", &p.MsgsSent).
 		AddAtomic("msgs-rcvd", &p.MsgsRcvd).
@@ -160,44 +144,20 @@ func New(stack *ip.Stack) *Proto {
 		AddAtomic("checksum-errs", &p.ChecksumErrs).
 		AddHist("rtt", &p.RTTHist)
 	stack.Register(ip.ProtoIL, p.recv)
-	p.Ck.Go(p.transmitter)
 	return p
 }
 
-// transmitter is the output kernel process: it owns every queued
-// packet and walks it down the stack. It exits at Close, freeing
-// whatever is still queued.
-func (p *Proto) transmitter() {
-	for {
-		t, ok := p.txq.Recv()
-		if !ok {
-			return
-		}
-		p.MsgsSent.Add(1)
-		p.Stack.SendBlock(ip.ProtoIL, t.src, t.dst, t.pkt)
-	}
-}
-
-// enqueue hands a packet to the transmitter without blocking (it is
-// called under connection locks). A full ring drops the packet, which
-// the retransmission machinery treats as wire loss.
-func (p *Proto) enqueue(src, dst ip.Addr, pkt *block.Block) {
-	if !p.txq.TrySend(txPkt{src: src, dst: dst, pkt: pkt}) {
-		pkt.Free()
-	}
+// send hands one packet to IP on the caller's goroutine, which may hold
+// a conversation lock: the IP send path never parks.
+//
+//netvet:owns pkt
+func (p *Proto) send(src, dst ip.Addr, pkt *block.Block) {
+	p.MsgsSent.Add(1)
+	p.Stack.SendBlock(ip.ProtoIL, src, dst, pkt)
 }
 
 // Name implements xport.Proto.
 func (p *Proto) Name() string { return "il" }
-
-// Close tears the whole engine down at machine shutdown.
-func (p *Proto) Close() {
-	// Packets still queued for the transmitter go back to the pool.
-	for _, t := range p.txq.CloseDrain() {
-		t.pkt.Free()
-	}
-	p.Table.Close()
-}
 
 // NewConn implements xport.Proto.
 func (p *Proto) NewConn() (xport.Conn, error) { return p.newConn(), nil }
@@ -295,8 +255,7 @@ func (p *Proto) recv(src, dst ip.Addr, payload []byte) {
 		// A close for a vanished connection needs no answer; data
 		// gets a close so the peer learns quickly.
 		if h.typ != msgClose {
-			reply := marshalBlock(header{typ: msgClose, src: h.dst, dst: h.src}, nil)
-			p.enqueue(dst, src, reply)
+			p.send(dst, src, marshalBlock(header{typ: msgClose, src: h.dst, dst: h.src}, nil))
 		}
 		return
 	}
@@ -388,21 +347,17 @@ func (c *Conn) sendSync() {
 	if c.St == Syncee {
 		h.ack = c.rcvNext - 1
 	}
-	src, dst := c.Laddr, c.Raddr
+	c.proto.send(c.Laddr, c.Raddr, marshalBlock(h, nil))
 	c.Mu.Unlock()
-	c.proto.enqueue(src, dst, marshalBlock(h, nil))
 }
 
-// send transmits a control or data packet with current ack state.
+// sendLocked transmits a control or data packet with current ack state.
 func (c *Conn) sendLocked(typ, spec byte, id uint32, data []byte) {
 	h := header{typ: typ, spec: spec, src: c.Lport, dst: c.Rport,
 		id: id, ack: c.rcvNext - 1}
 	// One copy of the payload into a pooled block with headroom; every
 	// layer below prepends into it in place.
-	pkt := marshalBlock(h, data)
-	// The enqueue is non-blocking, so holding c.Mu here is safe even
-	// when the stack below would stall (ARP may queue).
-	c.proto.enqueue(c.Laddr, c.Raddr, pkt)
+	c.proto.send(c.Laddr, c.Raddr, marshalBlock(h, data))
 }
 
 // Write implements xport.Conn: one reliable sequenced message per

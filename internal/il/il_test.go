@@ -299,28 +299,38 @@ func onTunedVirtualPair(t *testing.T, prof ether.Profile, tune func(*Proto), bod
 		tune(p1)
 		tune(p2)
 
-		lc, _ := p2.NewConn()
-		if err := lc.Announce("17008"); err != nil {
-			t.Error(err)
-			return
-		}
+		lc, dc, sc, err := dialVirtual(v, p1, p2, a2)
 		defer lc.Close()
-		accepted := vclock.NewMailbox[xport.Conn](v, 1)
-		v.Go(func() {
-			if nc, err := lc.Listen(); err == nil {
-				accepted.TrySend(nc)
-			}
-		})
-		dc, _ := p1.NewConn()
-		if err := dc.Connect(ip.HostPort(a2, 17008)); err != nil {
+		if err != nil {
 			t.Error(err)
 			return
 		}
 		defer dc.Close()
-		sc, _ := accepted.Recv()
 		defer sc.Close()
 		body(v, p1, p2, dc, sc)
 	})
+}
+
+// dialVirtual is connect() inside a virtual clock's Run: a conversation
+// from p1 to the listener lc it announces on p2, at addr. The caller
+// closes lc, which is returned even when the dial fails.
+func dialVirtual(v *vclock.Virtual, p1, p2 *Proto, addr ip.Addr) (lc, dc, sc xport.Conn, err error) {
+	lc, _ = p2.NewConn()
+	if err := lc.Announce("17008"); err != nil {
+		return lc, nil, nil, err
+	}
+	accepted := vclock.NewMailbox[xport.Conn](v, 1)
+	v.Go(func() {
+		if nc, err := lc.Listen(); err == nil {
+			accepted.TrySend(nc)
+		}
+	})
+	dc, _ = p1.NewConn()
+	if err := dc.Connect(ip.HostPort(addr, 17008)); err != nil {
+		return lc, nil, nil, err
+	}
+	sc, _ = accepted.Recv()
+	return lc, dc, sc, nil
 }
 
 func TestAdaptiveRTTTracksMedium(t *testing.T) {
@@ -580,7 +590,7 @@ func TestQueryResendsOnlyWhatWasLost(t *testing.T) {
 // timeout is 10 ms. A query fires;
 // its answer proves nothing lost, so nothing is resent and nothing
 // arrives twice. Then the deepest burst the window admits, twenty
-// messages of 44 packets: the sender's own transmit ring must hold it,
+// messages of 44 packets: the segment's transmit queue must hold it,
 // or the sender inflicts the loss itself.
 func TestCleanWireCarriesNoRetransmissions(t *testing.T) {
 	for _, per := range []int{3, 44} {
@@ -714,5 +724,72 @@ func TestUnmarshalRejectsEverySingleBitFlip(t *testing.T) {
 		if _, _, ok := unmarshal(cp); ok {
 			t.Fatalf("packet with bit %d flipped accepted", bit)
 		}
+	}
+}
+
+// TestLoopbackBothWaysOnVirtualClock: a conversation with the machine's
+// own address, both ends writing two windows of messages at once. Every
+// packet rides the stack's loopback queue; delivered on the sender's
+// goroutine instead, the first ack would take the sending conversation's
+// lock a second time and the run would hang, which the wall-clock guard
+// turns into a failure.
+func TestLoopbackBothWaysOnVirtualClock(t *testing.T) {
+	const msgs, size = 2 * Window, 3000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		v := vclock.NewVirtual()
+		v.Run(func() {
+			seg := ether.NewSegment("e0", ether.Profile{Clock: v})
+			defer seg.Close()
+			st := ip.NewStackClock(v)
+			defer st.Close()
+			a := ip.Addr{135, 104, 9, 1}
+			if _, err := st.Bind(seg.NewInterface("ether0"), a, ip.Addr{255, 255, 255, 0}); err != nil {
+				t.Error(err)
+				return
+			}
+			p := New(st)
+			defer p.Close()
+			lc, dc, sc, err := dialVirtual(v, p, p, a)
+			defer lc.Close()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer dc.Close()
+			defer sc.Close()
+			wg := vclock.NewWaitGroup(v)
+			for i, end := range [][2]xport.Conn{{dc, sc}, {sc, dc}} {
+				msg := func(j int) []byte { return bytes.Repeat([]byte{byte(i), byte(j)}, size/2) }
+				wg.Add(2)
+				v.Go(func() {
+					defer wg.Done()
+					for j := range msgs {
+						if _, err := end[0].Write(msg(j)); err != nil {
+							t.Errorf("end %d write %d: %v", i, j, err)
+							return
+						}
+					}
+				})
+				v.Go(func() {
+					defer wg.Done()
+					buf := make([]byte, 2*size)
+					for j := range msgs {
+						n, err := end[1].Read(buf)
+						if err != nil || !bytes.Equal(buf[:n], msg(j)) {
+							t.Errorf("end %d: message %d arrived damaged or out of order (%d bytes, %v)", i, j, n, err)
+							return
+						}
+					}
+				})
+			}
+			wg.Wait()
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a conversation with the machine's own address hung (a sender's lock taken again on its own goroutine?)")
 	}
 }

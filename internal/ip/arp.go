@@ -52,14 +52,17 @@ func (a *arpCache) send(nexthop Addr, pkt *block.Block) error {
 	if len(q) < arpHold {
 		a.pending[nexthop] = append(q, pkt)
 	} else {
-		pkt.Free() // hold queue full: dropped like real ARP
+		// Hold queue full: dropped like real ARP, but counted.
+		a.ifc.stack.ArpDrops.Add(1)
+		pkt.Free()
 	}
 	first := len(q) == 0
 	a.mu.Unlock()
 	if first {
 		a.request(nexthop)
 		// Re-request a few times in case the first broadcast was
-		// lost on a lossy medium; gives up silently like real ARP.
+		// lost on a lossy medium; then give up like real ARP, counting
+		// what was held.
 		ck := a.ifc.stack.clk
 		ck.Go(func() {
 			for range 3 {
@@ -77,6 +80,7 @@ func (a *arpCache) send(nexthop Addr, pkt *block.Block) error {
 			abandoned := a.pending[nexthop]
 			delete(a.pending, nexthop)
 			a.mu.Unlock()
+			a.ifc.stack.ArpDrops.Add(int64(len(abandoned)))
 			for _, b := range abandoned {
 				b.Free()
 			}

@@ -5,7 +5,10 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/ether"
+	"repro/internal/obs"
+	"repro/internal/vclock"
 )
 
 func TestParseAddr(t *testing.T) {
@@ -126,6 +129,11 @@ func recvChan(st *Stack, proto uint8) chan []byte {
 	return ch
 }
 
+// send is SendBlock from a zero source for a payload the test keeps.
+func send(st *Stack, proto uint8, dst Addr, payload []byte) error {
+	return st.SendBlock(proto, Addr{}, dst, block.Copy(payload, block.DefaultHeadroom))
+}
+
 func expect(t *testing.T, ch chan []byte, want string) {
 	t.Helper()
 	select {
@@ -143,12 +151,12 @@ func TestSendReceiveWithARP(t *testing.T) {
 	ch2 := recvChan(s2, ProtoUDP)
 	ch1 := recvChan(s1, ProtoUDP)
 	// First packet triggers ARP resolution and is held until reply.
-	if err := s1.Send(ProtoUDP, Addr{}, a2, []byte("first")); err != nil {
+	if err := send(s1, ProtoUDP, a2, []byte("first")); err != nil {
 		t.Fatal(err)
 	}
 	expect(t, ch2, "first")
 	// Replies use the learned entry (and re-learn from the request).
-	if err := s2.Send(ProtoUDP, Addr{}, a1, []byte("back")); err != nil {
+	if err := send(s2, ProtoUDP, a1, []byte("back")); err != nil {
 		t.Fatal(err)
 	}
 	expect(t, ch1, "back")
@@ -157,19 +165,72 @@ func TestSendReceiveWithARP(t *testing.T) {
 func TestLoopbackDelivery(t *testing.T) {
 	s1, _, a1, _ := twoHosts(t)
 	ch := recvChan(s1, ProtoIL)
-	if err := s1.Send(ProtoIL, Addr{}, a1, []byte("self")); err != nil {
+	if err := send(s1, ProtoIL, a1, []byte("self")); err != nil {
 		t.Fatal(err)
 	}
 	expect(t, ch, "self")
-	if err := s1.Send(ProtoIL, Addr{}, Addr{127, 0, 0, 1}, []byte("lo")); err != nil {
+	if err := send(s1, ProtoIL, Addr{127, 0, 0, 1}, []byte("lo")); err != nil {
 		t.Fatal(err)
 	}
 	expect(t, ch, "lo")
 }
 
+// TestLoopbackKeepsSendOrder: local packets go through one queue, so
+// they reach the transport in the order they were sent, however many
+// are sent before the loopback process first runs.
+func TestLoopbackKeepsSendOrder(t *testing.T) {
+	s1, _, a1, _ := twoHosts(t)
+	const n = 200
+	got := make(chan int, n)
+	s1.Register(ProtoIL, func(src, dst Addr, payload []byte) { got <- int(payload[0])<<8 | int(payload[1]) })
+	for i := range n {
+		if err := send(s1, ProtoIL, a1, []byte{byte(i >> 8), byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range n {
+		select {
+		case j := <-got:
+			if j != i {
+				t.Fatalf("local packet %d arrived in place %d", j, i)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("local packet %d never arrived", i)
+		}
+	}
+}
+
+// TestARPDropsAreCounted: a neighbour that never answers ARP holds 16
+// packets and drops the rest at once; when the retries give up, the
+// held ones are dropped too. Every drop is in /net/ipstats.
+func TestARPDropsAreCounted(t *testing.T) {
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		seg := ether.NewSegment("e0", ether.Profile{Clock: v})
+		defer seg.Close()
+		st := NewStackClock(v)
+		defer st.Close()
+		if _, err := st.Bind(seg.NewInterface("ether0"), Addr{135, 104, 9, 1}, Addr{255, 255, 255, 0}); err != nil {
+			t.Error(err)
+			return
+		}
+		drops := func() int64 { return obs.ParseStats(st.Stats())["arp-drops"] }
+		for range 20 {
+			send(st, ProtoUDP, Addr{135, 104, 9, 99}, []byte("nobody"))
+		}
+		if got := drops(); got != 4 {
+			t.Errorf("arp-drops %d with 20 packets for a silent neighbour, want 4 (hold queue of %d)", got, arpHold)
+		}
+		v.Sleep(time.Second)
+		if got := drops(); got != 20 {
+			t.Errorf("arp-drops %d once the retries gave up, want 20", got)
+		}
+	})
+}
+
 func TestNoRoute(t *testing.T) {
 	s1, _, _, _ := twoHosts(t)
-	err := s1.Send(ProtoUDP, Addr{}, Addr{10, 9, 8, 7}, []byte("x"))
+	err := send(s1, ProtoUDP, Addr{10, 9, 8, 7}, []byte("x"))
 	if err == nil {
 		t.Fatal("send to unreachable subnet succeeded")
 	}
@@ -216,7 +277,7 @@ func TestForwardingThroughGateway(t *testing.T) {
 	host2.AddRoute(Addr{135, 104, 51, 0}, maskC, gwB)
 
 	ch := recvChan(host2, ProtoUDP)
-	if err := host1.Send(ProtoUDP, Addr{}, h2, []byte("via gateway")); err != nil {
+	if err := send(host1, ProtoUDP, h2, []byte("via gateway")); err != nil {
 		t.Fatal(err)
 	}
 	expect(t, ch, "via gateway")
@@ -225,7 +286,7 @@ func TestForwardingThroughGateway(t *testing.T) {
 	}
 	// And the reverse path.
 	ch1 := recvChan(host1, ProtoUDP)
-	if err := host2.Send(ProtoUDP, Addr{}, h1, []byte("reply")); err != nil {
+	if err := send(host2, ProtoUDP, h1, []byte("reply")); err != nil {
 		t.Fatal(err)
 	}
 	expect(t, ch1, "reply")
@@ -246,7 +307,7 @@ func TestDefaultRoute(t *testing.T) {
 	h.AddDefaultRoute(gwa)
 	// The gateway has no route onward, but the packet must at least
 	// reach it (count as received there since it's addressed beyond).
-	if err := h.Send(ProtoUDP, Addr{}, Addr{8, 8, 8, 8}, []byte("out")); err != nil {
+	if err := send(h, ProtoUDP, Addr{8, 8, 8, 8}, []byte("out")); err != nil {
 		t.Fatalf("default route send: %v", err)
 	}
 	time.Sleep(20 * time.Millisecond) // delivery is asynchronous via ARP
@@ -269,7 +330,7 @@ func TestLocalAddrForAndMTU(t *testing.T) {
 func TestStatsText(t *testing.T) {
 	s1, _, _, a2 := twoHosts(t)
 	recvChan(s1, ProtoUDP)
-	s1.Send(ProtoUDP, Addr{}, a2, []byte("x"))
+	send(s1, ProtoUDP, a2, []byte("x"))
 	if s := s1.Stats(); s == "" {
 		t.Error("empty stats")
 	}

@@ -26,6 +26,11 @@ type Stack struct {
 	handlers map[uint8]Handler
 	forward  bool
 
+	// loop is the loopback medium: packets for a local address, in send
+	// order, for the one process that the first of them starts.
+	loop      *vclock.Mailbox[loopPkt]
+	loopStart sync.Once
+
 	ipID atomic.Uint32
 
 	InPackets   atomic.Int64
@@ -34,6 +39,14 @@ type Stack struct {
 	BadHeaders  atomic.Int64
 	NoRoute     atomic.Int64
 	Unreachable atomic.Int64 // no handler for protocol
+	ArpDrops    atomic.Int64 // packets freed unsent: hold queue full, or no answer
+}
+
+// loopPkt is one packet on the loopback medium.
+type loopPkt struct {
+	proto    uint8
+	src, dst Addr
+	b        *block.Block
 }
 
 // Ifc is an IP interface: an ether conversation pair (IP + ARP)
@@ -62,7 +75,8 @@ func NewStack() *Stack { return NewStackClock(nil) }
 // NewStackClock returns an empty stack whose timers (and those of the
 // transports built on it) run on ck; nil means the real clock.
 func NewStackClock(ck vclock.Clock) *Stack {
-	return &Stack{clk: vclock.Or(ck), handlers: make(map[uint8]Handler)}
+	ck = vclock.Or(ck)
+	return &Stack{clk: ck, handlers: make(map[uint8]Handler), loop: vclock.NewMailbox[loopPkt](ck, 0)}
 }
 
 // Clock returns the stack's clock.
@@ -129,7 +143,7 @@ func (ifc *Ifc) Close() {
 	}
 }
 
-// Close shuts down every interface.
+// Close shuts down every interface and the loopback medium.
 func (st *Stack) Close() {
 	st.mu.Lock()
 	ifcs := st.ifcs
@@ -137,6 +151,9 @@ func (st *Stack) Close() {
 	st.mu.Unlock()
 	for _, ifc := range ifcs {
 		ifc.Close()
+	}
+	for _, p := range st.loop.CloseDrain() {
+		p.b.Free()
 	}
 }
 
@@ -247,38 +264,42 @@ func (st *Stack) MTUFor(dst Addr) int {
 	return ifc.ifc.MTU() - HdrLen
 }
 
-// Send transmits payload to dst as protocol proto. A zero src is
-// filled from the chosen interface. Local destinations loop back
-// without touching the wire. The payload is borrowed: the stack is
-// done with it when Send returns.
-func (st *Stack) Send(proto uint8, src, dst Addr, payload []byte) error {
-	if st.IsLocal(dst) {
-		if src.IsZero() {
-			src = dst
-		}
-		st.OutPackets.Add(1)
-		st.deliverLocal(proto, src, dst, payload)
-		return nil
-	}
-	return st.sendRemote(proto, src, dst, block.Copy(payload, block.DefaultHeadroom))
-}
-
-// SendBlock is Send for a payload the caller already owns as a pooled
-// block with header headroom; ownership transfers to the stack, which
-// prepends the IP header in place instead of re-marshaling.
+// SendBlock transmits the transport packet b to dst as protocol proto;
+// a zero src is filled from the chosen interface. The caller owns b as
+// a pooled block with header headroom, and ownership transfers to the
+// stack, which prepends the IP header in place. SendBlock never parks
+// and never calls a transport back, so transports call it with their
+// conversation locks held: a packet for a local address goes on the
+// loopback medium, not straight to its handler.
 //
 //netvet:owns b
 func (st *Stack) SendBlock(proto uint8, src, dst Addr, b *block.Block) error {
-	if st.IsLocal(dst) {
-		if src.IsZero() {
-			src = dst
-		}
-		st.OutPackets.Add(1)
-		st.deliverLocal(proto, src, dst, b.Bytes())
-		b.Free()
-		return nil
+	if !st.IsLocal(dst) {
+		return st.sendRemote(proto, src, dst, b)
 	}
-	return st.sendRemote(proto, src, dst, b)
+	if src.IsZero() {
+		src = dst
+	}
+	st.loopStart.Do(func() { st.clk.Go(st.loopback) })
+	if !st.loop.TrySend(loopPkt{proto: proto, src: src, dst: dst, b: b}) {
+		b.Free()
+		return vfs.ErrShutdown
+	}
+	st.OutPackets.Add(1)
+	return nil
+}
+
+// loopback is the loopback medium's process: it hands local packets to
+// their transports in send order until Close.
+func (st *Stack) loopback() {
+	for {
+		p, ok := st.loop.Recv()
+		if !ok {
+			return
+		}
+		st.deliverLocal(p.proto, p.src, p.dst, p.b.Bytes())
+		p.b.Free()
+	}
 }
 
 func (st *Stack) sendRemote(proto uint8, src, dst Addr, b *block.Block) error {
@@ -363,7 +384,7 @@ func (ifc *Ifc) recvIP(frame []byte) {
 // Stats formats the stack counters in the ASCII style of /net/ipifc
 // status files.
 func (st *Stack) Stats() string {
-	return fmt.Sprintf("in: %d\nout: %d\nforwarded: %d\nbad headers: %d\nno route: %d\nunreachable: %d\n",
+	return fmt.Sprintf("in: %d\nout: %d\nforwarded: %d\nbad headers: %d\nno route: %d\nunreachable: %d\narp-drops: %d\n",
 		st.InPackets.Load(), st.OutPackets.Load(), st.Forwarded.Load(),
-		st.BadHeaders.Load(), st.NoRoute.Load(), st.Unreachable.Load())
+		st.BadHeaders.Load(), st.NoRoute.Load(), st.Unreachable.Load(), st.ArpDrops.Load())
 }

@@ -272,14 +272,10 @@ func (c *Conn) sendSegLocked(flags byte, seq uint32, data []byte) {
 	if c.St == SynSent {
 		h.flags = flags // no ACK before we have rcvNxt
 	}
-	// The copy into the pooled block happens here, synchronously, so
-	// data (which may alias sndBuf) is not touched by the goroutine.
-	pkt := marshalBlock(h, data)
-	src, dst := c.Laddr, c.Raddr
-	c.proto.Ck.Go(func() {
-		c.proto.SegsSent.Add(1)
-		c.proto.Stack.SendBlock(ip.ProtoTCP, src, dst, pkt)
-	})
+	// data may alias sndBuf: marshalBlock copies it into a pooled block,
+	// which IP takes on this goroutine — its send path never parks.
+	c.proto.SegsSent.Add(1)
+	c.proto.Stack.SendBlock(ip.ProtoTCP, c.Laddr, c.Raddr, marshalBlock(h, data))
 }
 
 // Write implements xport.Conn: bytes enter the send buffer and are
@@ -348,15 +344,13 @@ func (c *Conn) pumpLocked() {
 		if inFlight+n > wnd {
 			n = wnd - inFlight
 		}
-		start := inFlight
-		data := c.sndBuf[start : start+n]
 		seq := c.sndNxt
 		c.RTT.Start(seq + n)
 		if c.sndUna == c.sndNxt {
 			c.oldestTx = c.proto.Ck.Now()
 		}
 		c.sndNxt += n
-		c.sendSegLocked(0, seq, append([]byte(nil), data...))
+		c.sendSegLocked(0, seq, c.sndBuf[inFlight:inFlight+n])
 	}
 }
 
@@ -580,7 +574,7 @@ func (c *Conn) retransmitLocked() {
 		}
 		c.proto.Retransmits.Add(1)
 		c.Ring.Emit(obs.EvRetransmit, int64(seq), int64(n))
-		c.sendSegLocked(0, seq, append([]byte(nil), remaining[:n]...))
+		c.sendSegLocked(0, seq, remaining[:n])
 		seq += uint32(n)
 		remaining = remaining[n:]
 	}

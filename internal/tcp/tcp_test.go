@@ -11,6 +11,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/ether"
 	"repro/internal/ip"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 	"repro/internal/xport"
 )
@@ -433,4 +434,143 @@ func TestConcurrentConnections(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// onVirtual runs body on a virtual clock, with n machines on one ideal
+// Ethernet and TCP on each: machine i is 135.104.117.i+1. Inside Run a
+// t.Fatal would strand the scheduler's token, so body reports with
+// t.Error and returns. A run still going after 30 s of wall time has
+// hung — a lock taken twice on one goroutine parks nothing the clock
+// can see — and fails the test.
+func onVirtual(t *testing.T, n int, body func(v *vclock.Virtual, ps []*Proto, as []ip.Addr)) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		v := vclock.NewVirtual()
+		v.Run(func() {
+			seg := ether.NewSegment("e0", ether.Profile{Clock: v})
+			defer seg.Close()
+			var ps []*Proto
+			var as []ip.Addr
+			for i := range n {
+				st := ip.NewStackClock(v)
+				defer st.Close()
+				a := ip.Addr{135, 104, 117, byte(i + 1)}
+				if _, err := st.Bind(seg.NewInterface("ether0"), a, ip.Addr{255, 255, 255, 0}); err != nil {
+					t.Error(err)
+					return
+				}
+				p := New(st)
+				defer p.Close()
+				ps, as = append(ps, p), append(as, a)
+			}
+			body(v, ps, as)
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("virtual-clock run hung (a sender's lock taken again on its own goroutine?)")
+	}
+}
+
+// dialVirtual opens a conversation from p1 to port 564 of p2 at addr.
+func dialVirtual(v *vclock.Virtual, p1, p2 *Proto, addr ip.Addr) (dc, sc xport.Conn, err error) {
+	lc, _ := p2.NewConn()
+	if err := lc.Announce("564"); err != nil {
+		return nil, nil, err
+	}
+	defer lc.Close()
+	accepted := vclock.NewMailbox[xport.Conn](v, 1)
+	v.Go(func() {
+		if nc, err := lc.Listen(); err == nil {
+			accepted.TrySend(nc)
+		}
+	})
+	dc, _ = p1.NewConn()
+	if err := dc.Connect(addr.String() + "!564"); err != nil {
+		return nil, nil, err
+	}
+	sc, _ = accepted.Recv()
+	return dc, sc, nil
+}
+
+// TestLoopbackBothWaysOnVirtualClock: a conversation with the machine's
+// own address, both ends writing three windows at once. Every segment
+// rides the stack's loopback queue; delivered on the sender's goroutine
+// instead, the first ack would take the sending conversation's lock a
+// second time and the run would hang.
+func TestLoopbackBothWaysOnVirtualClock(t *testing.T) {
+	onVirtual(t, 1, func(v *vclock.Virtual, ps []*Proto, as []ip.Addr) {
+		dc, sc, err := dialVirtual(v, ps[0], ps[0], as[0])
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer dc.Close()
+		defer sc.Close()
+		wg := vclock.NewWaitGroup(v)
+		for i, end := range [][2]xport.Conn{{dc, sc}, {sc, dc}} {
+			want := make([]byte, 3*BufSize)
+			for j := range want {
+				want[j] = byte(j*7 + i)
+			}
+			wg.Add(2)
+			v.Go(func() {
+				defer wg.Done()
+				if _, err := end[0].Write(want); err != nil {
+					t.Errorf("end %d write: %v", i, err)
+				}
+			})
+			v.Go(func() {
+				defer wg.Done()
+				got := make([]byte, len(want))
+				if _, err := io.ReadFull(end[1], got); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("end %d: stream arrived damaged or out of order (%v)", i, err)
+				}
+			})
+		}
+		wg.Wait()
+	})
+}
+
+// TestAllocsSegmentSend pins what sending one data segment allocates,
+// on an established conversation whose peer has gone quiet: the
+// segment's copy comes from the block pool and the IP send runs on the
+// sender's goroutine, so what is left is the segment's snapshot of its
+// stations (ether fanOut). A goroutine, its closure or a second copy of
+// the data per segment fails it.
+func TestAllocsSegmentSend(t *testing.T) {
+	if block.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	var allocs float64
+	onVirtual(t, 2, func(v *vclock.Virtual, ps []*Proto, as []ip.Addr) {
+		dc, sc, err := dialVirtual(v, ps[0], ps[1], as[1])
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer dc.Close()
+		defer sc.Close()
+		// Frames for the peer now reach its interface and stop there.
+		ps[1].Stack.Close()
+		c := dc.(*Conn)
+		if _, err := c.Write(make([]byte, 1000)); err != nil {
+			t.Error(err)
+			return
+		}
+		allocs = testing.AllocsPerRun(200, func() {
+			c.Mu.Lock()
+			c.sndNxt = c.sndUna // the buffered segment is unsent again
+			c.pumpLocked()
+			c.Mu.Unlock()
+			v.Sleep(0) // the peer's interface drops the frame
+		})
+	})
+	t.Logf("one data segment sent: %.1f allocs", allocs)
+	if allocs > 1 {
+		t.Fatalf("sending a segment allocates %.1f objects, want <= 1 (a goroutine or a copy per segment is back?)", allocs)
+	}
 }

@@ -41,7 +41,8 @@ echo "== bench module: vet + tests (race)"
 echo "== block discipline: AllocsPerRun gates (race off)"
 # The race detector's instrumentation allocates, so these self-skip
 # under -race above and run here without it: a copy or pool bypass
-# creeping back into the hot paths fails the gate.
+# creeping back into the hot paths fails the gate, and so does a
+# goroutine per packet on the transmit path (tcp TestAllocsSegmentSend).
 go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/cs ./internal/tcp ./internal/vclock
 
 echo "== chaos: real-clock torture pass (fixed seed)"
@@ -110,7 +111,7 @@ echo "ninep/client.go $(lines internal/ninep/client.go)  mnt/mnt.go $(lines inte
 echo "vclock/*.go $(lines $(ls internal/vclock/*.go | grep -v _test.go))  ninep/transport.go $(lines internal/ninep/transport.go)  ns/ns.go $(lines internal/ns/ns.go)"
 echo "block/block.go $(lines internal/block/block.go)  streams/*.go $(lines $(ls internal/streams/*.go | grep -v _test.go))"
 echo "analysis/locks.go $(lines internal/analysis/locks.go)  analysis/lockorder.go $(lines internal/analysis/lockorder.go)"
-echo "ether.go $(lines internal/ether/ether.go)  ether/dev.go $(lines internal/ether/dev.go)  netdev.go $(lines internal/netdev/netdev.go)  devtree/*.go $(lines $(ls internal/devtree/*.go | grep -v _test.go))  medium.go $(lines internal/medium/medium.go)  uart.go $(lines internal/uart/uart.go)"
+echo "ip/stack.go $(lines internal/ip/stack.go)  ether.go $(lines internal/ether/ether.go)  ether/dev.go $(lines internal/ether/dev.go)  netdev.go $(lines internal/netdev/netdev.go)  devtree/*.go $(lines $(ls internal/devtree/*.go | grep -v _test.go))  medium.go $(lines internal/medium/medium.go)  uart.go $(lines internal/uart/uart.go)"
 if [ "$il" -gt 847 ]; then
     echo "internal/il/il.go is $il lines, over the paper's 847" >&2
     exit 1
@@ -145,7 +146,7 @@ echo "== fuzz smoke (10s per parser)"
 # One list, one loop. -fuzzminimizetime 5x: a crasher found during a
 # smoke should minimize in a handful of runs, not stall the gate for the
 # default 60s.
-for f in il:FuzzParseHeader ip:FuzzUnmarshal dnssrv:FuzzUnmarshal ninep:Fuzz9PMessage streams:FuzzCompressFrame streams:FuzzBatchReassembly; do
+for f in il:FuzzParseHeader ip:FuzzUnmarshal tcp:FuzzUnmarshal dnssrv:FuzzUnmarshal ninep:Fuzz9PMessage streams:FuzzCompressFrame streams:FuzzBatchReassembly; do
     go test -run '^$' -fuzz "^${f#*:}\$" -fuzztime 10s -fuzzminimizetime 5x "./internal/${f%:*}"
 done
 
