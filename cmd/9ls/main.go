@@ -24,7 +24,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: 9ls [-on machine] [-cat] path...")
 		os.Exit(2)
 	}
-	w, err := core.PaperWorld(core.FastProfiles())
+	w, err := core.PaperWorld(core.FastProfiles(), nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "9ls:", err)
 		os.Exit(1)

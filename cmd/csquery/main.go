@@ -24,7 +24,7 @@ func main() {
 	machine := flag.String("on", "helix", "machine whose connection server to query")
 	flag.Parse()
 
-	w, err := core.PaperWorld(core.FastProfiles())
+	w, err := core.PaperWorld(core.FastProfiles(), nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "csquery:", err)
 		os.Exit(1)

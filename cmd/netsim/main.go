@@ -4,7 +4,9 @@
 //	netsim -figure1    print the ether device file tree of Figure 1
 //	netsim -transcript run the §2.3 TCP transcript (cd /net/tcp/2; ls -l; cat local remote status)
 //	netsim -import     run the §6.1 import transcript (ls /net before/after)
-//	netsim -table1     measure Table 1 on calibrated media (see also bench's *.table1_* probes)
+//	netsim -table1     measure Table 1: the network rows on calibrated media and the
+//	                   discrete-event clock (exact), pipes as host cost (see also
+//	                   bench's *.table1_* probes)
 //	netsim -chaos      torture IL, TCP, URP, 9P and Cyclone across impaired media
 //	netsim -virtual    boot a 1000-machine Datakit world on the discrete-event
 //	                   clock and run a storm over it (see -machines, -simtime).
@@ -50,7 +52,6 @@ func main() {
 	transcript := flag.Bool("transcript", false, "run the §2.3 TCP connection transcript")
 	imp := flag.Bool("import", false, "run the §6.1 import transcript")
 	table := flag.Bool("table1", false, "reproduce Table 1 on calibrated media")
-	fast := flag.Bool("fast", false, "with -table1: ideal media (code-path cost only)")
 	jsonOut := flag.Bool("json", false, "with -table1: emit a JSON snapshot (rows + allocator + mount-driver stats)")
 	chaos := flag.Bool("chaos", false, "torture every protocol across impaired media")
 	seed := flag.Int64("seed", 1, "with -chaos/-virtual: impairment seed (failures replay exactly)")
@@ -145,11 +146,7 @@ func main() {
 		return
 	}
 	if *table {
-		cfg := table1.DefaultConfig()
-		if *fast {
-			cfg = table1.FastConfig()
-		}
-		res := table1.Run(cfg)
+		res := table1.Run(table1.DefaultConfig())
 		if *jsonOut {
 			// Machine-readable: the measured rows plus the
 			// process-wide observability counters the run left
@@ -185,7 +182,7 @@ func main() {
 		return
 	}
 
-	w, err := core.PaperWorld(core.FastProfiles())
+	w, err := core.PaperWorld(core.FastProfiles(), nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netsim:", err)
 		exitCode = 1

@@ -33,7 +33,7 @@ func main() {
 	quiet := flag.Bool("quiet", false, "skip the warm-up traffic")
 	flag.Parse()
 
-	w, err := core.PaperWorld(core.FastProfiles())
+	w, err := core.PaperWorld(core.FastProfiles(), nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netstat:", err)
 		os.Exit(1)

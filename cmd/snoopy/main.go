@@ -28,7 +28,7 @@ func main() {
 	frames := flag.Int("frames", 16, "frames to capture")
 	flag.Parse()
 
-	w, err := core.PaperWorld(core.FastProfiles())
+	w, err := core.PaperWorld(core.FastProfiles(), nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "snoopy:", err)
 		os.Exit(1)

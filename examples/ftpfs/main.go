@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	world, err := core.PaperWorld(core.FastProfiles())
+	world, err := core.PaperWorld(core.FastProfiles(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func main() {
 		"extra tenants: each imports helix's /lib/ndb through the gateway and reads the database; afterwards the per-connection bill is read from helix's /net/export/stats — through the import")
 	flag.Parse()
 
-	world, err := core.PaperWorld(core.FastProfiles())
+	world, err := core.PaperWorld(core.FastProfiles(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func (w endRWC) Write(p []byte) (int, error) { return w.e.Write(p) }
 func (w endRWC) Close() error                { return w.e.Close() }
 
 func main() {
-	world, err := core.PaperWorld(core.FastProfiles())
+	world, err := core.PaperWorld(core.FastProfiles(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

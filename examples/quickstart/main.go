@@ -17,7 +17,7 @@ func main() {
 	// A World holds the shared media and database; PaperWorld boots
 	// the topology from the paper (file server, CPU servers, a
 	// Datakit-only terminal, DNS).
-	world, err := core.PaperWorld(core.FastProfiles())
+	world, err := core.PaperWorld(core.FastProfiles(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

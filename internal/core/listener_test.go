@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,103 +15,94 @@ import (
 // announced. Thus, one can easily write the equivalent of the inetd
 // program without having to announce each separate service."
 func TestAnnounceAllServices(t *testing.T) {
-	w := paperWorld(t)
-	musca := w.Machine("musca")
-	helix := w.Machine("helix")
+	onPaperWorld(t, FastProfiles(), func(w *World) error {
+		musca := w.Machine("musca")
+		helix := w.Machine("helix")
 
-	// The inetd equivalent: one catch-all announcement; the handler
-	// learns the requested service from the new connection's local
-	// address and dispatches on it.
-	l, err := dialer.Announce(musca.NS, "il!*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		for {
-			call, err := l.Listen()
-			if err != nil {
-				return
-			}
-			conn, err := call.Accept()
-			if err != nil {
-				continue
-			}
-			local := conn.LocalAddr(musca.NS)
-			_, port, _ := strings.Cut(local, "!")
-			conn.Write([]byte("service " + port))
-			conn.Close()
-		}
-	}()
-
-	// Dial two different unannounced services: the same listener
-	// takes both, and each connection knows which was asked for.
-	for _, port := range []string{"12345", "54321"} {
-		conn, err := dialer.Dial(helix.NS, "il!musca!"+port)
+		// The inetd equivalent: one catch-all announcement; the handler
+		// learns the requested service from the new connection's local
+		// address and dispatches on it.
+		l, err := dialer.Announce(musca.NS, "il!*")
 		if err != nil {
-			t.Fatalf("dial unannounced service %s: %v", port, err)
+			return err
 		}
-		buf := make([]byte, 64)
-		n, err := conn.Read(buf)
-		conn.Close()
-		if err != nil || string(buf[:n]) != "service "+port {
-			t.Fatalf("service %s answered %q, %v", port, buf[:n], err)
+		defer l.Close()
+		w.Clock().Go(func() {
+			for {
+				call, err := l.Listen()
+				if err != nil {
+					return
+				}
+				conn, err := call.Accept()
+				if err != nil {
+					continue
+				}
+				local := conn.LocalAddr(musca.NS)
+				_, port, _ := strings.Cut(local, "!")
+				conn.Write([]byte("service " + port))
+				conn.Close()
+			}
+		})
+
+		// Dial two different unannounced services: the same listener
+		// takes both, and each connection knows which was asked for.
+		for _, port := range []string{"12345", "54321"} {
+			conn, err := dialer.Dial(helix.NS, "il!musca!"+port)
+			if err != nil {
+				return fmt.Errorf("dial unannounced service %s: %w", port, err)
+			}
+			buf := make([]byte, 64)
+			n, err := conn.Read(buf)
+			conn.Close()
+			if err != nil || string(buf[:n]) != "service "+port {
+				return fmt.Errorf("service %s answered %q, %v", port, buf[:n], err)
+			}
 		}
-	}
+		return nil
+	})
 }
 
 func TestExplicitAnnouncementBeatsCatchAll(t *testing.T) {
-	w := paperWorld(t)
-	musca := w.Machine("musca")
-	helix := w.Machine("helix")
-	all, err := dialer.Announce(musca.NS, "tcp!*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer all.Close()
-	go func() {
-		for {
-			call, err := all.Listen()
+	onPaperWorld(t, FastProfiles(), func(w *World) error {
+		musca := w.Machine("musca")
+		helix := w.Machine("helix")
+		// Each listener answers every call with its own name.
+		for _, a := range []struct{ addr, answer string }{
+			{"tcp!*", "catch-all"},
+			{"tcp!*!daytime", "explicit"},
+		} {
+			l, err := dialer.Announce(musca.NS, a.addr)
 			if err != nil {
-				return
+				return err
 			}
-			c, err := call.Accept()
-			if err != nil {
-				continue
-			}
-			c.Write([]byte("catch-all"))
-			c.Close()
+			defer l.Close()
+			w.Clock().Go(func() {
+				for {
+					call, err := l.Listen()
+					if err != nil {
+						return
+					}
+					c, err := call.Accept()
+					if err != nil {
+						continue
+					}
+					c.Write([]byte(a.answer))
+					c.Close()
+				}
+			})
 		}
-	}()
-	specific, err := dialer.Announce(musca.NS, "tcp!*!daytime")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer specific.Close()
-	go func() {
-		for {
-			call, err := specific.Listen()
-			if err != nil {
-				return
-			}
-			c, err := call.Accept()
-			if err != nil {
-				continue
-			}
-			c.Write([]byte("explicit"))
-			c.Close()
+		conn, err := dialer.Dial(helix.NS, "tcp!musca!daytime")
+		if err != nil {
+			return err
 		}
-	}()
-	conn, err := dialer.Dial(helix.NS, "tcp!musca!daytime")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	buf := make([]byte, 32)
-	n, _ := conn.Read(buf)
-	if string(buf[:n]) != "explicit" {
-		t.Errorf("explicitly announced service answered by %q", buf[:n])
-	}
+		defer conn.Close()
+		buf := make([]byte, 32)
+		n, _ := conn.Read(buf)
+		if string(buf[:n]) != "explicit" {
+			t.Errorf("explicitly announced service answered by %q", buf[:n])
+		}
+		return nil
+	})
 }
 
 // subnetNdb describes the multi-subnet office of §4.1's example
@@ -204,51 +196,56 @@ func TestSubnetMaskFromNdb(t *testing.T) {
 // TestListenerServiceDispatch drives Machine.Serve's listener loop
 // with interleaved calls on two networks.
 func TestListenerServiceDispatch(t *testing.T) {
-	w := paperWorld(t)
-	musca := w.Machine("musca")
-	helix := w.Machine("helix")
-	for _, addr := range []string{"il!*!daytime", "dk!*!daytime"} {
-		if _, err := musca.Serve(addr, func(nsp *ns.Namespace, conn *dialer.Conn) {
-			conn.Write([]byte("Thu Jan  7 1993"))
-		}); err != nil {
-			t.Fatal(err)
+	onPaperWorld(t, FastProfiles(), func(w *World) error {
+		musca := w.Machine("musca")
+		helix := w.Machine("helix")
+		for _, addr := range []string{"il!*!daytime", "dk!*!daytime"} {
+			if _, err := musca.Serve(addr, func(nsp *ns.Namespace, conn *dialer.Conn) {
+				conn.Write([]byte("Thu Jan  7 1993"))
+			}); err != nil {
+				return err
+			}
 		}
-	}
-	for _, dest := range []string{"il!musca!daytime", "dk!nj/astro/musca!daytime", "net!musca!daytime"} {
-		conn, err := dialer.Dial(helix.NS, dest)
-		if err != nil {
-			t.Errorf("dial %s: %v", dest, err)
-			continue
+		for _, dest := range []string{"il!musca!daytime", "dk!nj/astro/musca!daytime", "net!musca!daytime"} {
+			conn, err := dialer.Dial(helix.NS, dest)
+			if err != nil {
+				t.Errorf("dial %s: %v", dest, err)
+				continue
+			}
+			buf := make([]byte, 32)
+			n, err := conn.Read(buf)
+			if err != nil || !strings.Contains(string(buf[:n]), "1993") {
+				t.Errorf("%s: %q, %v", dest, buf[:n], err)
+			}
+			conn.Close()
 		}
-		buf := make([]byte, 32)
-		n, err := conn.Read(buf)
-		if err != nil || !strings.Contains(string(buf[:n]), "1993") {
-			t.Errorf("%s: %q, %v", dest, buf[:n], err)
-		}
-		conn.Close()
-	}
+		return nil
+	})
 }
 
 func TestIPStatsFile(t *testing.T) {
-	w := paperWorld(t)
-	musca := w.Machine("musca")
-	conn, err := dialer.Dial(musca.NS, "il!helix!echo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Write([]byte("count"))
-	buf := make([]byte, 16)
-	conn.Read(buf)
-	conn.Close()
-	b, err := musca.NS.ReadFile("/net/ipstats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(b)
-	if !strings.Contains(s, "in: ") || !strings.Contains(s, "out: ") {
-		t.Errorf("ipstats text %q", s)
-	}
-	if strings.Contains(s, "out: 0\n") {
-		t.Error("ipstats recorded no output packets after a dial")
-	}
+	onPaperWorld(t, FastProfiles(), func(w *World) error {
+		musca := w.Machine("musca")
+		conn, err := dialer.Dial(musca.NS, "il!helix!echo")
+		if err != nil {
+			return err
+		}
+		err = echo(conn, "count")
+		conn.Close()
+		if err != nil {
+			return err
+		}
+		b, err := musca.NS.ReadFile("/net/ipstats")
+		if err != nil {
+			return err
+		}
+		s := string(b)
+		if !strings.Contains(s, "in: ") || !strings.Contains(s, "out: ") {
+			t.Errorf("ipstats text %q", s)
+		}
+		if strings.Contains(s, "out: 0\n") {
+			t.Error("ipstats recorded no output packets after a dial")
+		}
+		return nil
+	})
 }

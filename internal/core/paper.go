@@ -8,6 +8,7 @@ import (
 	"repro/internal/ether"
 	"repro/internal/ip"
 	"repro/internal/medium"
+	"repro/internal/vclock"
 )
 
 // PaperNdb is the world's database, built from the entries printed in
@@ -148,8 +149,11 @@ func WANProfiles() PaperProfiles {
 //     research.bell-labs.com;
 //   - services: 9fs and exportfs on the servers, echo and discard on
 //     helix.
-func PaperWorld(profiles PaperProfiles) (*World, error) {
-	w, err := NewWorld(PaperNdb)
+//
+// Every medium and machine runs on ck, as in NewWorldClock; nil means
+// the real clock.
+func PaperWorld(profiles PaperProfiles, ck vclock.Clock) (*World, error) {
+	w, err := NewWorldClock(PaperNdb, ck)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +212,11 @@ func PaperWorld(profiles PaperProfiles) (*World, error) {
 	}
 	_ = gnot
 
-	// The Cyclone link between the file server and a CPU server.
+	// The Cyclone link between the file server and a CPU server, on the
+	// world's clock unless its profile names one.
+	if profiles.Cyclone.Clock == nil {
+		profiles.Cyclone.Clock = w.Clock()
+	}
 	link := cyclone.NewLink("bootes-helix", profiles.Cyclone)
 	w.OnClose(link.Close)
 	endB, endH := link.Ends()

@@ -7,38 +7,8 @@ import (
 	"time"
 
 	"repro/internal/dialer"
-	"repro/internal/ether"
 	"repro/internal/ns"
-	"repro/internal/vclock"
 )
-
-// onVirtualEther runs body on a discrete-event clock, in a world of the
-// paper's database with one Ethernet of profile prof and the named
-// machines booted on it (handed over in that order): a test's deadlines
-// are simulated time and its interleaving is the scheduler's, the same
-// on every run. Errors inside report with t.Error and return, so that
-// teardown happens before Run unwinds.
-func onVirtualEther(t *testing.T, prof ether.Profile, names []string, body func(v *vclock.Virtual, ms []*Machine)) {
-	t.Helper()
-	v := vclock.NewVirtual()
-	v.Run(func() {
-		w, err := NewWorldClock(PaperNdb, v)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer w.Close()
-		w.AddEther("ether0", prof)
-		ms := make([]*Machine, len(names))
-		for i, name := range names {
-			if ms[i], err = w.NewMachine(MachineConfig{Name: name, Ethers: []string{"ether0"}}); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-		body(v, ms)
-	})
-}
 
 // wanBursts streams rounds bursts of msgs messages of sz bytes from
 // helix to a sink on bootes over IL on the WAN Ethernet (10 ms round
@@ -49,9 +19,8 @@ func onVirtualEther(t *testing.T, prof ether.Profile, names []string, body func(
 // reports the simulated time the bursts took.
 func wanBursts(t *testing.T, rounds, msgs, sz int, compressible bool, mods ...string) (elapsed time.Duration) {
 	t.Helper()
-	onVirtualEther(t, WANProfiles().Ether, []string{"bootes", "helix"}, func(v *vclock.Virtual, ms []*Machine) {
-		bootes, helix := ms[0], ms[1]
-		stop, err := bootes.Serve("il!*!17090", func(_ *ns.Namespace, conn *dialer.Conn) {
+	onPaperWorld(t, WANProfiles(), func(w *World) error {
+		stop, err := w.Machine("bootes").Serve("il!*!17090", func(_ *ns.Namespace, conn *dialer.Conn) {
 			buf := make([]byte, 64*1024)
 			for {
 				n, err := conn.Read(buf)
@@ -66,19 +35,16 @@ func wanBursts(t *testing.T, rounds, msgs, sz int, compressible bool, mods ...st
 			}
 		}, mods...)
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
 		defer stop()
-		conn, err := dialer.Dial(helix.NS, "il!bootes!17090")
+		conn, err := dialer.Dial(w.Machine("helix").NS, "il!bootes!17090")
 		if err != nil {
-			t.Error(err)
-			return
+			return err
 		}
 		defer conn.Close()
 		if err := conn.Push(mods...); err != nil {
-			t.Error(err)
-			return
+			return err
 		}
 		payload := make([]byte, sz)
 		if compressible {
@@ -98,24 +64,23 @@ func wanBursts(t *testing.T, rounds, msgs, sz int, compressible bool, mods ...st
 			}
 		}
 		ack := make([]byte, 16)
-		start := v.Now()
+		ck := w.Clock()
+		start := ck.Now()
 		for range rounds {
 			for range msgs {
 				if _, err := conn.Write(payload); err != nil {
-					t.Error(err)
-					return
+					return err
 				}
 			}
 			if _, err := conn.Write([]byte("done")); err != nil {
-				t.Error(err)
-				return
+				return err
 			}
 			if n, err := conn.Read(ack); err != nil || string(ack[:n]) != "ok" {
-				t.Errorf("ack %q, %v", ack[:n], err)
-				return
+				return fmt.Errorf("ack %q, %v", ack[:n], err)
 			}
 		}
-		elapsed = v.Now().Sub(start)
+		elapsed = ck.Since(start)
+		return nil
 	})
 	return elapsed
 }

@@ -60,7 +60,9 @@ func (e Entry) Has(attr, val string) bool {
 	return false
 }
 
-// String formats the entry in database syntax.
+// String formats the entry in database syntax. A quoted value is read
+// raw, up to the next quote, so a value with a blank in it is written
+// between plain quotes, with no escapes.
 func (e Entry) String() string {
 	var b strings.Builder
 	for i, t := range e {
@@ -70,8 +72,8 @@ func (e Entry) String() string {
 		b.WriteString(t.Attr)
 		if t.Val != "" {
 			b.WriteByte('=')
-			if strings.ContainsAny(t.Val, " \t") {
-				fmt.Fprintf(&b, "%q", t.Val)
+			if strings.ContainsAny(t.Val, blanks) {
+				b.WriteString(`"` + t.Val + `"`)
 			} else {
 				b.WriteString(t.Val)
 			}
@@ -118,8 +120,16 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("ndb: %s:%d: %s", e.File, e.Line, e.Msg)
 }
 
+// blanks separate tuples and surround lines: a carriage return counts,
+// so that files with CRLF line ends parse.
+const blanks = " \t\r"
+
+// isBlank reports whether c is one of blanks.
+func isBlank(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
+
 // Parse reads database text. Entries begin at the left margin;
-// indented lines continue the current entry; # starts a comment.
+// indented lines continue the current entry; # starts a comment, at the
+// start of a line or of a tuple, that runs to the end of the line.
 func Parse(name string, data []byte) (*File, error) {
 	f := &File{Name: name, hashes: make(map[string]*hashTable)}
 	f.version.Store(1)
@@ -131,11 +141,11 @@ func Parse(name string, data []byte) (*File, error) {
 		}
 	}
 	for lineno, line := range strings.Split(string(data), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "#") {
+		trimmed := strings.Trim(line, blanks)
+		if trimmed == "" || trimmed[0] == '#' {
 			continue
 		}
-		indented := line[0] == ' ' || line[0] == '\t'
+		indented := isBlank(line[0])
 		if !indented {
 			flush()
 		} else if len(cur) == 0 {
@@ -159,14 +169,14 @@ func parseTuples(s string) ([]Tuple, error) {
 	var out []Tuple
 	i := 0
 	for i < len(s) {
-		for i < len(s) && (s[i] == ' ' || s[i] == '\t') {
+		for i < len(s) && isBlank(s[i]) {
 			i++
 		}
-		if i >= len(s) {
+		if i >= len(s) || s[i] == '#' {
 			break
 		}
 		start := i
-		for i < len(s) && s[i] != '=' && s[i] != ' ' && s[i] != '\t' {
+		for i < len(s) && s[i] != '=' && !isBlank(s[i]) {
 			i++
 		}
 		attr := s[start:i]
@@ -177,7 +187,7 @@ func parseTuples(s string) ([]Tuple, error) {
 		// Allow whitespace around the separator, as the paper's own
 		// example "sys = helix" does.
 		j := i
-		for j < len(s) && (s[j] == ' ' || s[j] == '\t') {
+		for j < len(s) && isBlank(s[j]) {
 			j++
 		}
 		if j < len(s) && s[j] == '=' {
@@ -185,7 +195,7 @@ func parseTuples(s string) ([]Tuple, error) {
 		}
 		if i < len(s) && s[i] == '=' {
 			i++
-			for i < len(s) && (s[i] == ' ' || s[i] == '\t') {
+			for i < len(s) && isBlank(s[i]) {
 				i++
 			}
 			if i < len(s) && s[i] == '"' {
@@ -201,7 +211,7 @@ func parseTuples(s string) ([]Tuple, error) {
 				i++
 			} else {
 				vs := i
-				for i < len(s) && s[i] != ' ' && s[i] != '\t' {
+				for i < len(s) && !isBlank(s[i]) {
 					i++
 				}
 				val = s[vs:i]

@@ -274,6 +274,35 @@ func TestEntryString(t *testing.T) {
 	}
 }
 
+// TestEntryStringReparses: String writes what Parse reads. A quoted
+// value is read raw, so String writes it between plain quotes: Go's %q
+// quoting doubled a backslash and turned a tab into "\t", and a second
+// parse kept both escapes. Blanks are one set, carriage return
+// included, and a # starting a tuple ends the line, so neither a blank
+// at the end of a value nor a commented-out tuple changes when each
+// tuple moves to a line of its own.
+func TestEntryStringReparses(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"sys=dos descr=\"C:\\dos box\"\n", "sys=dos\n\tdescr=\"C:\\dos box\""},
+		{"sys=tab descr=\"a\tb\"\n", "sys=tab\n\tdescr=\"a\tb\""},
+		{"sys=test\r\tip=1.2.3.4\r\n", "sys=test\n\tip=1.2.3.4"},
+		{"sys=a ip=1.2.3.4 #ip=5.6.7.8\n", "sys=a\n\tip=1.2.3.4"},
+	} {
+		f, err := Parse("x", []byte(c.src))
+		if err != nil || len(f.Entries) != 1 {
+			t.Errorf("Parse(%q): %v", c.src, err)
+			continue
+		}
+		if got := f.Entries[0].String(); got != c.want {
+			t.Errorf("Parse(%q).String() = %q, want %q", c.src, got, c.want)
+		}
+		again, err := Parse("again", []byte(c.want+"\n"))
+		if err != nil || len(again.Entries) != 1 || again.Entries[0].String() != c.want {
+			t.Errorf("%q does not parse back to itself: %v, %v", c.want, again, err)
+		}
+	}
+}
+
 func TestGetAllMultipleValues(t *testing.T) {
 	f, _ := Parse("x", []byte("sys=multi\n\tip=1.2.3.4\n\tip=5.6.7.8\n"))
 	ips := f.Entries[0].GetAll("ip")

@@ -33,6 +33,22 @@ go test -race ./...
 echo "== netvet ./..."
 go run ./cmd/netvet ./...
 
+echo "== netvet realtime: tests that run on the virtual clock"
+# Every paper-world test in these packages runs inside vclock.Virtual.Run,
+# so a wall-clock call in one of their files, tests included, is a
+# regression. A test that is about the real clock says so with
+# //netvet:ignore realtime <reason>. Converting more packages' tests
+# grows the list.
+rt=$(go run ./cmd/netvet -tests -checks realtime ./... 2>&1) || true
+if ! echo "$rt" | grep -q '^netvet: [0-9]* package'; then
+    echo "$rt" >&2
+    exit 1
+fi
+if echo "$rt" | grep -E '^internal/(core|dialer|ftp|table1)/'; then
+    echo "wall-clock calls in packages whose tests run on the virtual clock (see above)" >&2
+    exit 1
+fi
+
 echo "== bench module: vet + tests (race)"
 # The benchmark is a module of its own (repro/bench, replace repro =>
 # ../), so the ./... patterns above do not reach it.
@@ -146,7 +162,7 @@ echo "== fuzz smoke (10s per parser)"
 # One list, one loop. -fuzzminimizetime 5x: a crasher found during a
 # smoke should minimize in a handful of runs, not stall the gate for the
 # default 60s.
-for f in il:FuzzParseHeader ip:FuzzUnmarshal tcp:FuzzUnmarshal dnssrv:FuzzUnmarshal ninep:Fuzz9PMessage streams:FuzzCompressFrame streams:FuzzBatchReassembly; do
+for f in il:FuzzParseHeader ip:FuzzUnmarshal tcp:FuzzUnmarshal dnssrv:FuzzUnmarshal ninep:Fuzz9PMessage streams:FuzzCompressFrame streams:FuzzBatchReassembly ndb:FuzzParse; do
     go test -run '^$' -fuzz "^${f#*:}\$" -fuzztime 10s -fuzzminimizetime 5x "./internal/${f%:*}"
 done
 
