@@ -12,12 +12,20 @@
 // loss) so the performance experiments can calibrate it to the paper's
 // 10 Mb/s hardware; with a zero Profile frames are delivered
 // synchronously and tests run at memory speed.
+//
+// Like a LANCE, an interface hears only the frames it would accept: a
+// broadcast, a frame addressed to it, and — while one of its
+// conversations is promiscuous — every other frame. The segment applies
+// that filter before it hands a frame to a station, so an interface's
+// in, in-bytes, crc-errs and overflows counters count only frames the
+// address filter passed.
 package ether
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,7 +89,8 @@ func mtu(p Profile) int {
 }
 
 // Segment is a broadcast domain: every frame transmitted by one
-// interface is delivered to all others (medium effects permitting).
+// interface reaches every other interface that would accept it (medium
+// effects permitting).
 type Segment struct {
 	name    string
 	profile Profile
@@ -89,9 +98,11 @@ type Segment struct {
 	im      *medium.Impairer // nil on an unimpaired, lossless segment
 	ideal   bool             // ideal medium: no pacing, no impairment, FCS elided
 
-	mu     sync.Mutex
-	ifaces []*Interface
-	closed bool
+	// stations is the address filter the per-frame path reads without
+	// a lock; mu serializes the writers that replace it. nil once the
+	// segment has closed.
+	mu       sync.Mutex
+	stations atomic.Pointer[stations]
 
 	// txq is the wire's queue. It is unbounded so that transmitting
 	// never parks: IL and TCP send under their conversation locks. What
@@ -100,9 +111,57 @@ type Segment struct {
 	txq *vclock.Mailbox[txFrame]
 }
 
+// txFrame is a frame on its way across the wire. dst is the
+// destination its sender wrote, recorded before the impairer can
+// damage the bytes.
 type txFrame struct {
 	from  *Interface
+	dst   Addr
 	frame []byte
+}
+
+// stations is the segment's station set: who hears a frame, by the
+// destination its sender wrote. It is immutable. NewInterface,
+// SetPromiscuous and the hangup of a promiscuous conversation publish
+// a new one under Segment.mu, so a frame costs one atomic load and a
+// map lookup, not a lock and a copy of the station list.
+type stations struct {
+	all  []*Interface          // join order: who hears a broadcast
+	to   map[Addr][]*Interface // a station's address → who hears a frame sent to it: it and the promiscuous stations, in join order
+	prom []*Interface          // the promiscuous stations, in join order: who hears a frame sent to nobody here
+}
+
+// newStations builds the station set over all, taking each station's
+// promiscuity as its conversations have it now.
+func newStations(all []*Interface) *stations {
+	s := &stations{all: all, to: make(map[Addr][]*Interface, len(all))}
+	var promAt []int
+	for i, ifc := range all {
+		if ifc.promiscuous() {
+			promAt = append(promAt, i)
+			s.prom = append(s.prom, ifc)
+		}
+	}
+	for i, ifc := range all {
+		if k, found := slices.BinarySearch(promAt, i); found {
+			s.to[ifc.addr] = s.prom
+		} else {
+			s.to[ifc.addr] = slices.Insert(slices.Clip(s.prom), k, ifc)
+		}
+	}
+	return s
+}
+
+// hearers returns the stations a frame sent to dst reaches, the sender
+// included if it is among them.
+func (s *stations) hearers(dst Addr) []*Interface {
+	if dst == Broadcast {
+		return s.all
+	}
+	if to, ok := s.to[dst]; ok {
+		return to
+	}
+	return s.prom
 }
 
 // NewSegment creates a segment with the given medium profile.
@@ -114,6 +173,7 @@ func NewSegment(name string, p Profile) *Segment {
 		ck:      ck,
 		txq:     vclock.NewMailbox[txFrame](ck, 0),
 	}
+	seg.stations.Store(newStations(nil))
 	if p.Impair.Armed(p.Loss) {
 		seg.im = medium.NewImpairer(p.Seed+1, p.Loss, p.Impair)
 	}
@@ -157,16 +217,24 @@ func (seg *Segment) MTU() int { return mtu(seg.profile) }
 // Close shuts the medium down; interfaces stop receiving.
 func (seg *Segment) Close() {
 	seg.mu.Lock()
-	if seg.closed {
-		seg.mu.Unlock()
+	st := seg.stations.Swap(nil)
+	seg.mu.Unlock()
+	if st == nil {
 		return
 	}
-	seg.closed = true
-	ifaces := seg.ifaces
-	seg.mu.Unlock()
 	seg.txq.Close()
-	for _, ifc := range ifaces {
+	for _, ifc := range st.all {
 		ifc.close()
+	}
+}
+
+// refilter republishes the station set after a conversation's
+// promiscuity changed.
+func (seg *Segment) refilter() {
+	seg.mu.Lock()
+	defer seg.mu.Unlock()
+	if st := seg.stations.Load(); st != nil {
+		seg.stations.Store(newStations(st.all))
 	}
 }
 
@@ -189,7 +257,7 @@ func (seg *Segment) transmitter() {
 				return
 			}
 			seg.ck.SleepUntil(tf.at)
-			seg.fanOut(tf.tx.from, block.FromBytes(tf.tx.frame))
+			seg.fanOut(tf.tx.from, tf.tx.dst, block.FromBytes(tf.tx.frame))
 		}
 	})
 	defer sched.Close()
@@ -210,7 +278,7 @@ func (seg *Segment) transmitter() {
 			// transmitter goroutine defines wire-position order,
 			// so a fixed seed replays the identical schedule.
 			for _, e := range seg.im.Apply(tx.frame) {
-				if sched.Send(timedFrame{tx: txFrame{from: tx.from, frame: e.Data}, at: seg.ck.Now().Add(p.Latency + e.Delay)}) != nil {
+				if sched.Send(timedFrame{tx: txFrame{from: tx.from, dst: tx.dst, frame: e.Data}, at: seg.ck.Now().Add(p.Latency + e.Delay)}) != nil {
 					return
 				}
 			}
@@ -222,22 +290,24 @@ func (seg *Segment) transmitter() {
 	}
 }
 
-// fanOut offers one frame to every station but its sender, in the
-// order the stations joined the segment. The one block is shared by
-// reference count — each interface reads it and releases its own
-// reference; nobody copies, nobody mutates. Ownership of b transfers;
-// false means the segment has closed and nothing was delivered.
-func (seg *Segment) fanOut(from *Interface, b *block.Block) bool {
-	seg.mu.Lock()
-	if seg.closed {
-		seg.mu.Unlock()
+// fanOut offers one frame to every station but its sender that would
+// accept it — all of them for a broadcast; for a unicast, the addressee
+// and the promiscuous stations — in the order they joined the segment.
+// dst is the destination the sender wrote, not the received bytes', so
+// a copy the wire damaged still reaches its addressee and dies at that
+// station's FCS check. The one block is shared by reference count —
+// each interface reads it and releases its own reference; nobody
+// copies, nobody mutates. Ownership of b transfers; false means the
+// segment has closed and nothing was delivered.
+func (seg *Segment) fanOut(from *Interface, dst Addr, b *block.Block) bool {
+	st := seg.stations.Load()
+	if st == nil {
 		b.Free()
 		return false
 	}
-	ifaces := append([]*Interface(nil), seg.ifaces...)
-	seg.mu.Unlock()
+	to := st.hearers(dst)
 	n := 0
-	for _, ifc := range ifaces {
+	for _, ifc := range to {
 		if ifc != from {
 			n++
 		}
@@ -249,7 +319,7 @@ func (seg *Segment) fanOut(from *Interface, b *block.Block) bool {
 	for i := 1; i < n; i++ {
 		b.Ref()
 	}
-	for _, ifc := range ifaces {
+	for _, ifc := range to {
 		if ifc != from {
 			ifc.deliver(b)
 		}
@@ -257,10 +327,10 @@ func (seg *Segment) fanOut(from *Interface, b *block.Block) bool {
 	return true
 }
 
-// transmitBlock queues a frame on the wire, appending the hardware FCS
-// into the block's tailroom in place (elided on an ideal medium). It
-// never parks. Ownership of b transfers to the segment.
-func (seg *Segment) transmitBlock(from *Interface, b *block.Block) error {
+// transmitBlock queues a frame for dst on the wire, appending the
+// hardware FCS into the block's tailroom in place (elided on an ideal
+// medium). It never parks. Ownership of b transfers to the segment.
+func (seg *Segment) transmitBlock(from *Interface, dst Addr, b *block.Block) error {
 	if n := b.Len() - HdrLen; n > seg.MTU() {
 		b.Free()
 		return fmt.Errorf("ether: packet exceeds MTU (%d > %d)", n, seg.MTU())
@@ -268,7 +338,7 @@ func (seg *Segment) transmitBlock(from *Interface, b *block.Block) error {
 	if seg.ideal {
 		// Synchronous fast path for an ideal medium: no pacing, no
 		// reordering possible, no FCS (nothing can damage the frame).
-		if !seg.fanOut(from, b) {
+		if !seg.fanOut(from, dst, b) {
 			return vfs.ErrShutdown
 		}
 		return nil
@@ -281,7 +351,7 @@ func (seg *Segment) transmitBlock(from *Interface, b *block.Block) error {
 	crc := crc32.ChecksumIEEE(b.Bytes())
 	binary.BigEndian.PutUint32(b.Extend(fcsLen), crc)
 	frame := b.Detach()
-	if !seg.txq.TrySend(txFrame{from: from, frame: frame}) {
+	if !seg.txq.TrySend(txFrame{from: from, dst: dst, frame: frame}) {
 		return vfs.ErrShutdown
 	}
 	return nil
@@ -327,8 +397,10 @@ func (seg *Segment) NewInterface(name string) *Interface {
 	}
 	seg.ck.Go(ifc.reader)
 	seg.mu.Lock()
-	seg.ifaces = append(seg.ifaces, ifc)
-	seg.mu.Unlock()
+	defer seg.mu.Unlock()
+	if st := seg.stations.Load(); st != nil {
+		seg.stations.Store(newStations(append(slices.Clip(st.all), ifc)))
+	}
 	return ifc
 }
 
@@ -350,6 +422,19 @@ func (ifc *Interface) close() {
 	for _, b := range ifc.in.CloseDrain() {
 		b.Free()
 	}
+}
+
+// promiscuous reports whether a live conversation on the interface
+// asked for every frame on the wire.
+func (ifc *Interface) promiscuous() bool {
+	if conns := ifc.active.Load(); conns != nil {
+		for _, c := range *conns {
+			if st := c.rx.Load(); st != nil && st.prom {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // deliver is called by the medium with a received frame (the interrupt
@@ -517,14 +602,10 @@ func (ifc *Interface) OpenConn() (*Conn, error) {
 func (ifc *Interface) claim() (devtree.Ref[*Conn], error) {
 	ref, err := ifc.convs.Claim(func(id int) (*Conn, error) {
 		c := &Conn{ifc: ifc, id: id}
-		// The device end of the conversation's stream transmits frames.
-		c.rx.Store(&rxState{stream: streams.New(0, func(b *streams.Block) {
-			if b.Type != streams.BlockData {
-				b.Free()
-				return
-			}
-			c.transmit(b)
-		})})
+		// The stream carries received frames up to the data file's
+		// readers. Writes to the data file transmit directly
+		// (Transmit), so the device end only frees what reaches it.
+		c.rx.Store(&rxState{stream: streams.NewClock(0, ifc.seg.ck, (*streams.Block).Free)})
 		return c, nil
 	})
 	if err == nil {
@@ -553,6 +634,9 @@ func (c *Conn) hangup() {
 	c.mu.Unlock()
 	st.stream.Close()
 	c.ifc.publish()
+	if st.prom {
+		c.ifc.seg.refilter()
+	}
 }
 
 // ID returns the conversation number.
@@ -571,9 +655,11 @@ func (c *Conn) Type() int {
 	return 0
 }
 
-// SetPromiscuous turns promiscuous reception on ("promiscuous").
+// SetPromiscuous turns promiscuous reception on ("promiscuous"): the
+// interface then hears every frame on the segment, not only its own.
 func (c *Conn) SetPromiscuous(on bool) {
 	c.update(func(st *rxState) { st.prom = on })
+	c.ifc.seg.refilter()
 }
 
 // SetDeliver installs a kernel delivery hook: received frames go to fn
@@ -605,21 +691,7 @@ func (c *Conn) TransmitBlock(dst Addr, payload *block.Block) error {
 	c.outPackets.Add(1)
 	c.ifc.outPackets.Add(1)
 	c.ifc.outBytes.Add(int64(payload.Len()))
-	return c.ifc.seg.transmitBlock(c.ifc, payload)
-}
-
-// transmit handles a raw write from the data file: the first 6 bytes
-// are the destination address, the rest the payload. It consumes the
-// stream block, carrying its buffer through to the wire.
-func (c *Conn) transmit(w *streams.Block) {
-	var dst Addr
-	if w.Len() < len(dst) {
-		w.Free()
-		return
-	}
-	copy(dst[:], w.Bytes())
-	w.Consume(len(dst))
-	c.TransmitBlock(dst, w)
+	return c.ifc.seg.transmitBlock(c.ifc, dst, payload)
 }
 
 // Read returns the next received frame (header included), via the
@@ -654,7 +726,10 @@ func (c *Conn) Close() error {
 // statistics, and general information about the state of the
 // interface"). The counter lines use the "name: value" shape that
 // obs.ParseStats reads back, so the conformance suite can reconcile
-// them against the impairment model's ground truth.
+// them against the impairment model's ground truth. in, in-bytes,
+// crc-errs and overflows count only frames the address filter passed
+// — broadcasts, frames for this station, and while a conversation is
+// promiscuous everything else — as a LANCE's would.
 func (ifc *Interface) Stats() string {
 	return fmt.Sprintf(
 		"addr: %s\nmtu: %d\nin: %d\nout: %d\nin-bytes: %d\nout-bytes: %d\noverflows: %d\ncrc-errs: %d\n",

@@ -536,11 +536,11 @@ func TestLoopbackBothWaysOnVirtualClock(t *testing.T) {
 }
 
 // TestAllocsSegmentSend pins what sending one data segment allocates,
-// on an established conversation whose peer has gone quiet: the
-// segment's copy comes from the block pool and the IP send runs on the
-// sender's goroutine, so what is left is the segment's snapshot of its
-// stations (ether fanOut). A goroutine, its closure or a second copy of
-// the data per segment fails it.
+// on an established conversation whose peer has gone quiet: nothing.
+// The segment's copy comes from the block pool, the IP send runs on the
+// sender's goroutine, and the Ethernet reads its station set rather
+// than copying it. A goroutine, its closure, a second copy of the data
+// or a station snapshot per segment fails it.
 func TestAllocsSegmentSend(t *testing.T) {
 	if block.RaceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -570,7 +570,7 @@ func TestAllocsSegmentSend(t *testing.T) {
 		})
 	})
 	t.Logf("one data segment sent: %.1f allocs", allocs)
-	if allocs > 1 {
-		t.Fatalf("sending a segment allocates %.1f objects, want <= 1 (a goroutine or a copy per segment is back?)", allocs)
+	if allocs != 0 {
+		t.Fatalf("sending a segment allocates %.1f objects, want 0 (a goroutine, a copy or a station snapshot per segment is back?)", allocs)
 	}
 }

@@ -231,6 +231,151 @@ func TestStatsConformanceIL(t *testing.T) {
 	}
 }
 
+// TestStatsConformanceCrowdedSegment balances the interfaces' receive
+// counters on a segment that carries frames for someone else: two
+// talkers, a bystander and a promiscuous snooper share a wire that
+// loses, duplicates and corrupts. The segment hands every copy the wire
+// emits to the stations that would accept it — every station but the
+// sender for a broadcast, the addressee and the snooper for a unicast —
+// and each of them accepts it (in) or discards it at the FCS
+// (crc-errs). So Σ(in + crc-errs) over the stations must equal Σ over
+// the emitted copies of that copy's hearers, which the test computes
+// from the recorded schedule and the addresses it transmitted to. It
+// runs on the virtual clock and transmits from one goroutine, so wire
+// position i is the i'th frame sent and every figure is exact.
+func TestStatsConformanceCrowdedSegment(t *testing.T) {
+	const frames = 600
+	const (
+		talkerA = iota
+		bystander
+		snooper
+		talkerB
+		stations
+	)
+	const broadcast = -1
+	type sent struct{ from, to int } // station numbers; to is broadcast or a station
+	var (
+		script  []sent
+		stats   [stations]map[string]int64
+		handed  [stations]int64 // frames each station's conversation was handed
+		sched   []medium.Decision
+		counts  medium.Counts
+		v       = vclock.NewVirtual()
+		talkers = [2]int{talkerA, talkerB}
+	)
+	v.Run(func() {
+		seg := ether.NewSegment("crowd0", ether.Profile{
+			Latency:   200 * time.Microsecond,
+			Bandwidth: 1_250_000,
+			Loss:      0.05,
+			Seed:      31,
+			Impair:    medium.Impairment{Duplicate: 0.06, Corrupt: 0.05, CorruptBits: 3, Record: true},
+			Clock:     v,
+		})
+		defer seg.Close()
+		var ifcs [stations]*ether.Interface
+		var convs [stations]*ether.Conn
+		for i := range stations {
+			ifcs[i] = seg.NewInterface("ether0")
+			c, err := ifcs[i].OpenConn()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			c.SetType(ether.TypeAll)
+			c.SetDeliver(func([]byte) { handed[i]++ })
+			convs[i] = c
+		}
+		convs[snooper].SetPromiscuous(true)
+		for i := range frames {
+			s := sent{from: talkers[i%2], to: broadcast}
+			switch (i / 2) % 3 {
+			case 0:
+				s.to = talkers[(i+1)%2]
+			case 1:
+				s.to = bystander
+			}
+			dst := ether.Broadcast
+			if s.to != broadcast {
+				dst = ifcs[s.to].Addr()
+			}
+			if err := convs[s.from].Transmit(dst, make([]byte, 64+i%200)); err != nil {
+				t.Error(err)
+				return
+			}
+			script = append(script, s)
+			v.Sleep(500 * time.Microsecond)
+		}
+		v.Sleep(10 * time.Millisecond) // the last copies land
+		for i, ifc := range ifcs {
+			stats[i] = obs.ParseStats(ifc.Stats())
+		}
+		sched, counts = seg.Schedule(), seg.ImpairCounts()
+	})
+	if t.Failed() {
+		return
+	}
+	if len(sched) != frames {
+		t.Fatalf("schedule holds %d decisions for %d frames sent", len(sched), frames)
+	}
+	if counts.Dropped == 0 || counts.Duplicated == 0 || counts.Corrupted == 0 {
+		t.Fatalf("impairment did not bite: %v", counts)
+	}
+
+	var wantIn, wantCRC [stations]int64
+	var heard int64
+	for _, d := range sched {
+		if d.Drop {
+			continue
+		}
+		copies := int64(1)
+		if d.Dup {
+			copies = 2
+		}
+		s := script[d.Index]
+		hearers := []int{s.to, snooper}
+		if s.to == broadcast {
+			hearers = nil
+			for st := range stations {
+				if st != s.from {
+					hearers = append(hearers, st)
+				}
+			}
+		}
+		for _, h := range hearers {
+			if d.Corrupt {
+				wantCRC[h] += copies
+			} else {
+				wantIn[h] += copies
+			}
+		}
+		heard += copies * int64(len(hearers))
+	}
+
+	var total int64
+	for st := range stations {
+		in, crc := stats[st]["in"], stats[st]["crc-errs"]
+		total += in + crc
+		if ov := stats[st]["overflows"]; ov != 0 {
+			t.Errorf("station %d: %d overflows, counters not comparable", st, ov)
+		}
+		if in != wantIn[st] || crc != wantCRC[st] {
+			t.Errorf("station %d: in %d crc-errs %d, the wire's books say %d and %d", st, in, crc, wantIn[st], wantCRC[st])
+		}
+		if handed[st] != in {
+			t.Errorf("station %d: in %d, but its conversation was handed %d frames", st, in, handed[st])
+		}
+	}
+	if total != heard {
+		t.Errorf("Σ(in + crc-errs) = %d over the stations; the emitted copies had %d hearers (emitted %d)", total, heard, counts.Emitted)
+	}
+	t.Logf("wire %v: %d hearers", counts, heard)
+	if by := stats[bystander]["in"] + stats[bystander]["crc-errs"]; by >= counts.Emitted {
+		t.Errorf("the bystander took %d of %d emitted copies: the segment is not filtering", by, counts.Emitted)
+	}
+}
+
 // TestStatsConformanceCleanWire is the conformance identity of a wire
 // that loses nothing: IL's stats files must then show no retransmission,
 // no duplicate and nothing outside the window, however the timers fell.

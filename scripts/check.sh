@@ -34,17 +34,17 @@ echo "== netvet ./..."
 go run ./cmd/netvet ./...
 
 echo "== netvet realtime: tests that run on the virtual clock"
-# Every paper-world test in these packages runs inside vclock.Virtual.Run,
-# so a wall-clock call in one of their files, tests included, is a
-# regression. A test that is about the real clock says so with
-# //netvet:ignore realtime <reason>. Converting more packages' tests
-# grows the list.
+# Every paper-world test in these packages, and every ether test, runs
+# inside vclock.Virtual.Run, so a wall-clock call in one of their files,
+# tests included, is a regression. A test that is about the real clock
+# says so with //netvet:ignore realtime <reason>. Converting more
+# packages' tests grows the list.
 rt=$(go run ./cmd/netvet -tests -checks realtime ./... 2>&1) || true
 if ! echo "$rt" | grep -q '^netvet: [0-9]* package'; then
     echo "$rt" >&2
     exit 1
 fi
-if echo "$rt" | grep -E '^internal/(core|dialer|ftp|table1)/'; then
+if echo "$rt" | grep -E '^internal/(core|dialer|ftp|table1|ether)/'; then
     echo "wall-clock calls in packages whose tests run on the virtual clock (see above)" >&2
     exit 1
 fi
@@ -58,8 +58,10 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # The race detector's instrumentation allocates, so these self-skip
 # under -race above and run here without it: a copy or pool bypass
 # creeping back into the hot paths fails the gate, and so does a
-# goroutine per packet on the transmit path (tcp TestAllocsSegmentSend).
-go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/cs ./internal/tcp ./internal/vclock
+# goroutine per packet on the transmit path (tcp TestAllocsSegmentSend)
+# or a station snapshot per frame on the segment (ether
+# TestAllocsUnicastFanOut).
+go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/cs ./internal/tcp ./internal/vclock ./internal/ether
 
 echo "== chaos: real-clock torture pass (fixed seed)"
 go run ./cmd/netsim -chaos -seed 1 -msgs 40
