@@ -44,8 +44,9 @@ func onPaperWorld(t *testing.T, profiles PaperProfiles, body func(w *World) erro
 
 // readUntilError reads conn until a read fails, and returns that error
 // and the simulated time it took. A conversation still up after limit
-// is closed by a watchdog: a live one ticks its timers, and so the
-// clock, for ever, so a regression must end the read to fail the test.
+// is closed by a watchdog: one waiting on its peer keeps re-arming its
+// deadline, and so the clock, until it dies, so a regression must end
+// the read to fail the test.
 func readUntilError(ck vclock.Clock, conn *dialer.Conn, limit time.Duration) (time.Duration, error) {
 	watchdog := ck.AfterFunc(limit, func() { conn.Close() })
 	defer watchdog.Stop()

@@ -37,6 +37,7 @@
 package il
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -45,6 +46,7 @@ import (
 	"repro/internal/ip"
 	"repro/internal/obs"
 	"repro/internal/streams"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 	"repro/internal/xport"
 )
@@ -62,6 +64,8 @@ const (
 	msgState
 	msgClose
 )
+
+var be = binary.BigEndian
 
 // specEOM marks the final packet of a message (delimiter).
 const specEOM = 0x01
@@ -91,9 +95,8 @@ var stateNames = []string{"Closed", "Listening", "Syncer", "Established", "Synce
 
 // Timer constants.
 const (
-	tickInterval = 5 * time.Millisecond
-	minRTO       = 10 * time.Millisecond
-	maxRTO       = 2 * time.Second
+	minRTO = 10 * time.Millisecond
+	maxRTO = 2 * time.Second
 	// deathTime is how long a connection retries before giving up.
 	deathTime = 30 * time.Second
 	// synRetry is the sync retransmit interval before RTT is known.
@@ -165,6 +168,10 @@ func (p *Proto) NewConn() (xport.Conn, error) { return p.newConn(), nil }
 func (p *Proto) newConn() *Conn {
 	c := &Conn{proto: p}
 	c.Init(&p.Table, c)
+	c.due.Init(p.Ck, &c.Mu, deathTime, c.dueLocked, c.timeoutLocked, func() {
+		c.Err = vfs.ErrTimedOut
+		c.HangupLocked()
+	})
 	return c
 }
 
@@ -181,30 +188,16 @@ type header struct {
 // fillHeader writes the IL header and whole-packet checksum over p,
 // whose tail beyond HdrLen must already hold the payload.
 func fillHeader(p []byte, h header) {
-	n := len(p)
 	// The checksum field must be zero while summing: recycled pool
 	// buffers arrive with stale contents, unlike a fresh make.
-	p[0] = 0
-	p[1] = 0
-	p[2] = byte(n >> 8)
-	p[3] = byte(n)
-	p[4] = h.typ
-	p[5] = h.spec
-	p[6] = byte(h.src >> 8)
-	p[7] = byte(h.src)
-	p[8] = byte(h.dst >> 8)
-	p[9] = byte(h.dst)
-	p[10] = byte(h.id >> 24)
-	p[11] = byte(h.id >> 16)
-	p[12] = byte(h.id >> 8)
-	p[13] = byte(h.id)
-	p[14] = byte(h.ack >> 24)
-	p[15] = byte(h.ack >> 16)
-	p[16] = byte(h.ack >> 8)
-	p[17] = byte(h.ack)
-	ck := ip.Checksum(p)
-	p[0] = byte(ck >> 8)
-	p[1] = byte(ck)
+	be.PutUint16(p[0:], 0)
+	be.PutUint16(p[2:], uint16(len(p)))
+	p[4], p[5] = h.typ, h.spec
+	be.PutUint16(p[6:], h.src)
+	be.PutUint16(p[8:], h.dst)
+	be.PutUint32(p[10:], h.id)
+	be.PutUint32(p[14:], h.ack)
+	be.PutUint16(p[0:], ip.Checksum(p))
 }
 
 // marshalBlock builds the packet in a pooled block with headroom for
@@ -226,16 +219,13 @@ func unmarshal(p []byte) (header, []byte, bool) {
 	if ip.Checksum(p) != 0 {
 		return h, nil, false
 	}
-	n := int(p[2])<<8 | int(p[3])
+	n := int(be.Uint16(p[2:]))
 	if n < HdrLen || n > len(p) {
 		return h, nil, false
 	}
-	h.typ = p[4]
-	h.spec = p[5]
-	h.src = uint16(p[6])<<8 | uint16(p[7])
-	h.dst = uint16(p[8])<<8 | uint16(p[9])
-	h.id = uint32(p[10])<<24 | uint32(p[11])<<16 | uint32(p[12])<<8 | uint32(p[13])
-	h.ack = uint32(p[14])<<24 | uint32(p[15])<<16 | uint32(p[16])<<8 | uint32(p[17])
+	h.typ, h.spec = p[4], p[5]
+	h.src, h.dst = be.Uint16(p[6:]), be.Uint16(p[8:])
+	h.id, h.ack = be.Uint32(p[10:]), be.Uint32(p[14:])
 	return h, p[HdrLen:n], true
 }
 
@@ -271,7 +261,6 @@ func (p *Proto) spawn(l *xport.Conv, raddr ip.Addr, rport, lport uint16, peer ui
 	c.sndNext = c.ISS + 1
 	c.sndUna = c.ISS + 1
 	c.rcvNext = peer + 1
-	p.Ck.Go(c.timer)
 	return &c.Conv
 }
 
@@ -290,14 +279,16 @@ type Conn struct {
 	xport.Conv
 	proto *Proto
 
+	due vclock.Deadline // when dueLocked comes round, or death
+
 	// Sender state.
 	sndNext uint32 // next id to assign
 	sndUna  uint32 // lowest unacknowledged id
 	unacked []unackedMsg
 	sndMsgs uint32 // whole messages (EOM packets) in unacked
-	// waitFrom is when the retransmission timer started waiting on the
-	// head of unacked: when it was sent into an empty window, when an
-	// ack made it the head, or when the timer last asked about it.
+	// waitFrom is when the retransmission timer started waiting: when
+	// the head of unacked was sent into an empty window or an ack made it
+	// the head, or when our sync, query or close last went out.
 	waitFrom time.Time
 	// Recovery (§3). A query travels the same queue and wire as the
 	// data sent before it, so the state message that answers it comes
@@ -314,8 +305,6 @@ type Conn struct {
 	oooSpec    map[uint32]byte
 	reassembly []byte // partial message being assembled
 
-	lastProgress time.Time
-
 	closeSeen bool   // peer close received
 	closeID   uint32 // its sequence position
 
@@ -329,26 +318,19 @@ func (c *Conn) Connect(addr string) error {
 	if err := c.BeginConnect(addr); err != nil {
 		return err
 	}
-	p := c.proto
 	c.sndNext = c.ISS + 1
 	c.sndUna = c.ISS + 1
-	c.lastProgress = p.Ck.Now()
+	c.sendSyncLocked()
+	c.due.Update()
 	c.Mu.Unlock()
-
-	p.Ck.Go(c.timer)
-	c.sendSync()
 	return c.WaitOpen()
 }
 
-// sendSync (re)transmits the handshake message.
-func (c *Conn) sendSync() {
-	c.Mu.Lock()
-	h := header{typ: msgSync, src: c.Lport, dst: c.Rport, id: c.ISS}
-	if c.St == Syncee {
-		h.ack = c.rcvNext - 1
-	}
-	c.proto.send(c.Laddr, c.Raddr, marshalBlock(h, nil))
-	c.Mu.Unlock()
+// sendSyncLocked (re)transmits the handshake message: the Syncer's
+// sync, or the Syncee's answer to it.
+func (c *Conn) sendSyncLocked() {
+	c.waitFrom = c.proto.Ck.Now()
+	c.sendLocked(msgSync, 0, c.ISS, nil)
 }
 
 // sendLocked transmits a control or data packet with current ack state.
@@ -417,6 +399,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		}
 		c.RTT.Start(id)
 		c.sendLocked(msgData, spec, id, data)
+		c.due.Update()
 		c.Ring.Emit(obs.EvSend, int64(id), int64(n))
 		total += n
 		if total == len(p) {
@@ -426,14 +409,16 @@ func (c *Conn) Write(p []byte) (int, error) {
 	}
 }
 
-// input processes one received packet.
+// input processes one received packet, Closing included: what a
+// conversation wrote before Close is recovered like any other data.
 func (c *Conn) input(h header, data []byte) {
 	c.Mu.Lock()
-	if c.closed {
-		c.Mu.Unlock()
+	defer c.Mu.Unlock()
+	if c.closed && c.St == Closed {
 		return
 	}
-	c.lastProgress = c.proto.Ck.Now()
+	defer c.due.Update()
+	c.due.Heard()
 	switch h.typ {
 	case msgSync:
 		switch c.St {
@@ -446,7 +431,7 @@ func (c *Conn) input(h header, data []byte) {
 		case Syncee:
 			// Duplicate sync: re-answer with our sync (the peer
 			// is still in Syncer and needs it).
-			c.sendLocked(msgSync, 0, c.ISS, nil)
+			c.sendSyncLocked()
 		case Established:
 			// The peer missed our final ack: a plain ack
 			// settles it without risking a sync ping-pong.
@@ -491,7 +476,6 @@ func (c *Conn) input(h header, data []byte) {
 		c.closeID = h.id
 		c.maybeCloseLocked()
 	}
-	c.Mu.Unlock()
 }
 
 // maybeCloseLocked completes a peer-initiated close once all data
@@ -620,6 +604,9 @@ func (c *Conn) dataLocked(h header, data []byte) {
 // messages and delivering complete ones (delimited) upstream.
 func (c *Conn) acceptLocked(spec byte, data []byte) {
 	c.rcvNext++
+	if c.closed {
+		return // acknowledged, but nobody reads a closed conversation
+	}
 	if len(c.reassembly) > 0 || spec&specEOM == 0 {
 		// A fragment. The scratch is kept for the next message: it
 		// grows to the message size once per conversation instead of
@@ -645,74 +632,42 @@ func (c *Conn) rtoLocked() time.Duration {
 	return c.RTT.RTO(minRTO, maxRTO, synRetry)
 }
 
-// retransmitLocked resends every unacknowledged message: the blind
-// retransmission of the ablation, which nothing else calls.
-func (c *Conn) retransmitLocked() {
-	for i := range c.unacked {
-		c.resendLocked(&c.unacked[i])
+// dueLocked is when the conversation next resends its sync, a query
+// about (or, blind, a copy of) what is unacknowledged, or its close;
+// zero while nothing is outstanding. The first timeout is synRetry.
+func (c *Conn) dueLocked() time.Time {
+	if c.St == Closed || c.St == Listening || c.St == Established && len(c.unacked) == 0 {
+		return time.Time{}
 	}
+	return c.waitFrom.Add(c.rtoLocked())
 }
 
-// timer is the connection's helper kernel process: sync retries,
-// query-or-blind retransmission, and the death timer.
-func (c *Conn) timer() {
-	ck := c.proto.Ck
-	for {
-		ck.Sleep(tickInterval)
-		c.Mu.Lock()
-		if c.closed || c.St == Closed {
-			c.Mu.Unlock()
-			return
+// timeoutLocked resends what dueLocked said was due.
+func (c *Conn) timeoutLocked() {
+	switch {
+	case c.St == Syncer || c.St == Syncee:
+		c.sendSyncLocked()
+	case len(c.unacked) == 0:
+		// Closing, all acknowledged: the close again, until the peer's.
+		c.waitFrom = c.proto.Ck.Now()
+		c.sendLocked(msgClose, 0, c.sndNext-1, nil)
+	case c.proto.blind:
+		for i := range c.unacked {
+			c.resendLocked(&c.unacked[i])
 		}
-		now := ck.Now()
-		switch c.St {
-		case Syncer, Syncee:
-			if now.Sub(c.lastProgress) > deathTime {
-				c.diedLocked(vfs.ErrTimedOut)
-				c.Mu.Unlock()
-				return
-			}
-			c.Mu.Unlock()
-			c.sendSync()
-			ck.Sleep(synRetry - tickInterval)
-			continue
-		case Established, Closing:
-			if len(c.unacked) > 0 && now.Sub(c.waitFrom) > c.rtoLocked() {
-				if now.Sub(c.lastProgress) > deathTime {
-					c.diedLocked(vfs.ErrTimedOut)
-					c.Mu.Unlock()
-					return
-				}
-				if c.proto.blind {
-					c.retransmitLocked()
-				} else {
-					// §3: send a query instead of retransmitting
-					// blindly. The query itself may be lost; if so
-					// this asks again after another RTO, and the
-					// answer to either proves no more than the first
-					// asked about.
-					if !c.querying {
-						c.querying, c.queryNext = true, c.sndNext
-					}
-					c.proto.QueriesSent.Add(1)
-					c.Ring.Emit(obs.EvQuery, 0, 0)
-					c.sendLocked(msgQuery, 0, c.sndNext-1, nil)
-				}
-				// Push the timeout forward so we do not spam
-				// queries every tick.
-				c.waitFrom = now
-			}
-			if c.St == Closing && len(c.unacked) == 0 {
-				c.sendLocked(msgClose, 0, c.sndNext-1, nil)
-			}
+	default:
+		// §3: send a query instead of retransmitting blindly. The query
+		// itself may be lost; if so this asks again after another RTO,
+		// and the answer to either proves no more than the first asked
+		// about.
+		if !c.querying {
+			c.querying, c.queryNext = true, c.sndNext
 		}
-		c.Mu.Unlock()
+		c.waitFrom = c.proto.Ck.Now()
+		c.proto.QueriesSent.Add(1)
+		c.Ring.Emit(obs.EvQuery, 0, 0)
+		c.sendLocked(msgQuery, 0, c.sndNext-1, nil)
 	}
-}
-
-func (c *Conn) diedLocked(err error) {
-	c.Err = err
-	c.HangupLocked()
 }
 
 // Status implements xport.Conn: the ASCII state line, with the timer
@@ -739,6 +694,9 @@ func (c *Conn) Close() error {
 		// order it after all in-flight data.
 		id := c.sndNext
 		c.sndNext++
+		if len(c.unacked) == 0 {
+			c.waitFrom = c.proto.Ck.Now()
+		}
 		c.sendLocked(msgClose, 0, id, nil)
 	case Listening:
 		c.St = Closed
@@ -748,19 +706,21 @@ func (c *Conn) Close() error {
 	}
 	st := c.St
 	c.Cond.Broadcast()
+	c.due.Update()
 	c.Mu.Unlock()
 	if st == Closed {
 		c.Remove()
 	}
 	c.Rq.HangupUp()
 	// Give the close exchange a moment in the background, then die.
-	// The conversation stays in the demux table until then so late
-	// packets (our peer's acks) land here quietly instead of
+	// Until then the conversation stays in the demux table, recovering
+	// what it wrote, and late packets land here quietly instead of
 	// provoking stray "unknown conversation" closes.
 	c.proto.Ck.AfterFunc(200*time.Millisecond, func() {
 		c.Mu.Lock()
 		c.St = Closed
 		c.Cond.Broadcast()
+		c.due.Update()
 		c.Mu.Unlock()
 		c.Remove()
 		c.Rq.Close()

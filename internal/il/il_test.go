@@ -2,6 +2,7 @@ package il
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -533,20 +534,7 @@ func burst(t *testing.T, msgs, per int, lose ...uint32) (p1, p2 *Proto) {
 		if rto != minRTO {
 			t.Errorf("timeout %v after the warm-up, want the floor %v", rto, minRTO)
 		}
-		// The scripted loss: the packet crossed the wire and is
-		// dropped where the acceptor's IL would have taken it.
-		lost := make(map[uint32]bool)
-		p2.Stack.Register(ip.ProtoIL, func(src, dst ip.Addr, payload []byte) {
-			if h, _, ok := unmarshal(payload); ok && h.typ == msgData && !lost[h.id] {
-				for _, i := range lose {
-					if h.id == first+i {
-						lost[h.id] = true
-						return
-					}
-				}
-			}
-			p2.recv(src, dst, payload)
-		})
+		dropFirst(p2, func(h header) bool { return h.typ == msgData && slices.Contains(lose, h.id-first) })
 
 		size := per * (c.proto.Stack.MTUFor(c.Raddr) - HdrLen)
 		v.Go(func() {

@@ -11,6 +11,7 @@
 package tcp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/ip"
 	"repro/internal/obs"
 	"repro/internal/streams"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 	"repro/internal/xport"
 )
@@ -26,6 +28,8 @@ import (
 // HdrLen is our simplified TCP header: src[2] dst[2] seq[4] ack[4]
 // flags[1] pad[1] win[2] sum[2].
 const HdrLen = 18
+
+var be = binary.BigEndian
 
 // Header flags.
 const (
@@ -63,12 +67,11 @@ var stateNames = []string{
 }
 
 const (
-	tickInterval = 5 * time.Millisecond
-	minRTO       = 20 * time.Millisecond
-	maxRTO       = 2 * time.Second
-	synRetry     = 200 * time.Millisecond
-	deathTime    = 30 * time.Second
-	timeWaitDur  = 200 * time.Millisecond
+	minRTO      = 20 * time.Millisecond
+	maxRTO      = 2 * time.Second
+	synRetry    = 200 * time.Millisecond
+	deathTime   = 30 * time.Second
+	timeWaitDur = 200 * time.Millisecond
 	// ephemBase is where locally chosen ports start.
 	ephemBase = 5000
 )
@@ -108,6 +111,10 @@ func (p *Proto) NewConn() (xport.Conn, error) { return p.newConn(), nil }
 func (p *Proto) newConn() *Conn {
 	c := &Conn{proto: p}
 	c.Init(&p.Table, c)
+	c.due.Init(p.Ck, &c.Mu, deathTime, c.dueLocked, c.timeoutLocked, func() {
+		c.Err = vfs.ErrTimedOut
+		c.dieLocked()
+	})
 	return c
 }
 
@@ -133,26 +140,14 @@ func marshalBlock(h header, data []byte) *block.Block {
 // reserved one and the checksum field before summing — because pooled
 // buffers arrive with stale contents, unlike a fresh make.
 func fillHeader(p []byte, h header) {
-	p[0] = byte(h.src >> 8)
-	p[1] = byte(h.src)
-	p[2] = byte(h.dst >> 8)
-	p[3] = byte(h.dst)
-	p[4] = byte(h.seq >> 24)
-	p[5] = byte(h.seq >> 16)
-	p[6] = byte(h.seq >> 8)
-	p[7] = byte(h.seq)
-	p[8] = byte(h.ack >> 24)
-	p[9] = byte(h.ack >> 16)
-	p[10] = byte(h.ack >> 8)
-	p[11] = byte(h.ack)
-	p[12] = h.flags
-	p[13] = 0
-	p[14] = byte(h.win >> 8)
-	p[15] = byte(h.win)
-	p[16], p[17] = 0, 0
-	ck := ip.Checksum(p)
-	p[16] = byte(ck >> 8)
-	p[17] = byte(ck)
+	be.PutUint16(p[0:], h.src)
+	be.PutUint16(p[2:], h.dst)
+	be.PutUint32(p[4:], h.seq)
+	be.PutUint32(p[8:], h.ack)
+	p[12], p[13] = h.flags, 0
+	be.PutUint16(p[14:], h.win)
+	be.PutUint16(p[16:], 0)
+	be.PutUint16(p[16:], ip.Checksum(p))
 }
 
 func unmarshal(p []byte) (header, []byte, bool) {
@@ -166,12 +161,9 @@ func unmarshal(p []byte) (header, []byte, bool) {
 	if ip.Checksum(p) != 0 {
 		return h, nil, false
 	}
-	h.src = uint16(p[0])<<8 | uint16(p[1])
-	h.dst = uint16(p[2])<<8 | uint16(p[3])
-	h.seq = uint32(p[4])<<24 | uint32(p[5])<<16 | uint32(p[6])<<8 | uint32(p[7])
-	h.ack = uint32(p[8])<<24 | uint32(p[9])<<16 | uint32(p[10])<<8 | uint32(p[11])
-	h.flags = p[12]
-	h.win = uint16(p[14])<<8 | uint16(p[15])
+	h.src, h.dst = be.Uint16(p[0:]), be.Uint16(p[2:])
+	h.seq, h.ack = be.Uint32(p[4:]), be.Uint32(p[8:])
+	h.flags, h.win = p[12], be.Uint16(p[14:])
 	return h, p[HdrLen:], true
 }
 
@@ -202,8 +194,9 @@ func (p *Proto) spawn(l *xport.Conv, raddr ip.Addr, rport, lport uint16, peer ui
 	c.St = SynRcvd
 	c.sndUna, c.sndNxt = c.ISS, c.ISS+1
 	c.rcvNxt = peer + 1
-	p.Ck.Go(c.timer)
-	c.sendSegLocked(flagSYN|flagACK, c.ISS, nil)
+	c.oldestTx = p.Ck.Now()
+	c.sendSegLocked(flagSYN, c.ISS, nil)
+	c.due.Update()
 	return &c.Conv
 }
 
@@ -214,6 +207,8 @@ type Conn struct {
 	xport.Conv
 	proto *Proto
 
+	due vclock.Deadline // when dueLocked comes round, or death
+
 	// Send side: sndBuf holds bytes [sndUna, sndUna+len).
 	sndUna     uint32
 	sndNxt     uint32
@@ -222,15 +217,13 @@ type Conn struct {
 	finSent    bool
 	finPending bool // close requested, data still draining
 	finSeq     uint32
-	oldestTx   time.Time
+	oldestTx   time.Time // when the retransmission (or Time_wait) timer started
 
 	// Receive side.
 	rcvNxt  uint32
 	ooo     map[uint32][]byte
 	finRcvd bool
 	finAt   uint32
-
-	lastProgress time.Time
 
 	closed bool
 }
@@ -242,13 +235,11 @@ func (c *Conn) Connect(addr string) error {
 	if err := c.BeginConnect(addr); err != nil {
 		return err
 	}
-	p := c.proto
 	c.sndUna, c.sndNxt = c.ISS, c.ISS+1
-	c.lastProgress = p.Ck.Now()
+	c.oldestTx = c.proto.Ck.Now()
 	c.sendSegLocked(flagSYN, c.ISS, nil)
+	c.due.Update()
 	c.Mu.Unlock()
-
-	p.Ck.Go(c.timer)
 	return c.WaitOpen()
 }
 
@@ -304,6 +295,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		c.sndBuf = append(c.sndBuf, p[total:total+n]...)
 		total += n
 		c.pumpLocked()
+		c.due.Update()
 		c.Mu.Unlock()
 	}
 	return total, nil
@@ -361,7 +353,8 @@ func (c *Conn) segment(h header, data []byte) {
 	if c.closed && c.St == Closed {
 		return
 	}
-	c.lastProgress = c.proto.Ck.Now()
+	defer c.due.Update()
+	c.due.Heard()
 	if h.flags&flagRST != 0 {
 		c.Err = vfs.ErrConnRef
 		c.dieLocked()
@@ -415,7 +408,7 @@ func (c *Conn) segment(h header, data []byte) {
 			case FinWait1:
 				c.St = FinWait2
 			case Closing:
-				c.enterTimeWaitLocked()
+				c.St, c.oldestTx = TimeWait, c.proto.Ck.Now()
 			case LastAck:
 				c.dieLocked()
 				return
@@ -487,19 +480,9 @@ func (c *Conn) maybeFinLocked() {
 	case FinWait1:
 		c.St = Closing
 	case FinWait2:
-		c.enterTimeWaitLocked()
+		c.St, c.oldestTx = TimeWait, c.proto.Ck.Now()
 	}
 	c.Cond.Broadcast()
-}
-
-func (c *Conn) enterTimeWaitLocked() {
-	c.St = TimeWait
-	c.Cond.Broadcast()
-	c.proto.Ck.AfterFunc(timeWaitDur, func() {
-		c.Mu.Lock()
-		c.dieLocked()
-		c.Mu.Unlock()
-	})
 }
 
 // dieLocked finalizes the connection.
@@ -508,51 +491,37 @@ func (c *Conn) dieLocked() {
 		return
 	}
 	c.HangupLocked()
+	c.due.Update()
 	// The table's lock comes before c.Mu, which the caller holds.
 	c.proto.Ck.Go(c.Remove)
 }
 
-// timer is the connection's helper process: SYN retries, go-back-N
-// retransmission, FIN retries, death timer.
-func (c *Conn) timer() {
-	ck := c.proto.Ck
-	for {
-		ck.Sleep(tickInterval)
-		c.Mu.Lock()
-		if c.St == Closed {
-			c.Mu.Unlock()
-			return
-		}
-		now := ck.Now()
-		if now.Sub(c.lastProgress) > deathTime {
-			c.Err = vfs.ErrTimedOut
-			c.dieLocked()
-			c.Mu.Unlock()
-			return
-		}
-		switch c.St {
-		case SynSent:
-			c.sendSegLocked(flagSYN, c.ISS, nil)
-			c.Mu.Unlock()
-			ck.Sleep(synRetry)
-			continue
-		case SynRcvd:
-			c.sendSegLocked(flagSYN|flagACK, c.ISS, nil)
-			c.Mu.Unlock()
-			ck.Sleep(synRetry)
-			continue
-		}
-		// Retransmission: go-back-N from sndUna.
-		if c.sndUna != c.sndNxt && now.Sub(c.oldestTx) > c.RTT.RTO(minRTO, maxRTO, synRetry) {
-			c.retransmitLocked()
-			c.oldestTx = now
-		}
-		c.Mu.Unlock()
+// dueLocked is when the conversation next resends its SYN or what is
+// unacknowledged (the first timeout is synRetry), or leaves Time_wait;
+// zero while nothing is outstanding: an idle connection lives for ever.
+func (c *Conn) dueLocked() time.Time {
+	switch {
+	case c.St == TimeWait:
+		return c.oldestTx.Add(timeWaitDur)
+	case c.St == Closed || c.sndUna == c.sndNxt:
+		return time.Time{}
 	}
+	return c.oldestTx.Add(c.RTT.RTO(minRTO, maxRTO, synRetry))
 }
 
-// retransmitLocked resends everything from sndUna (go-back-N).
-func (c *Conn) retransmitLocked() {
+// timeoutLocked does what dueLocked said was due: resend everything
+// from sndUna (go-back-N) or our half of the handshake (SYN, which
+// sendSegLocked makes SYN|ACK from the passive end), or leave Time_wait.
+func (c *Conn) timeoutLocked() {
+	c.oldestTx = c.proto.Ck.Now()
+	switch c.St {
+	case TimeWait:
+		c.dieLocked()
+		return
+	case SynSent, SynRcvd:
+		c.sendSegLocked(flagSYN, c.ISS, nil)
+		return
+	}
 	mss := c.proto.Stack.MTUFor(c.Raddr) - HdrLen
 	if mss <= 0 {
 		mss = 512
@@ -623,6 +592,7 @@ func (c *Conn) Close() error {
 	default:
 		c.dieLocked()
 	}
+	c.due.Update()
 	c.Mu.Unlock()
 	// Don't linger forever waiting for the FIN exchange.
 	c.proto.Ck.AfterFunc(2*time.Second, func() {

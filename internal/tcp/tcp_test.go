@@ -436,20 +436,21 @@ func TestConcurrentConnections(t *testing.T) {
 	wg.Wait()
 }
 
-// onVirtual runs body on a virtual clock, with n machines on one ideal
-// Ethernet and TCP on each: machine i is 135.104.117.i+1. Inside Run a
-// t.Fatal would strand the scheduler's token, so body reports with
-// t.Error and returns. A run still going after 30 s of wall time has
+// onVirtual runs body on a virtual clock, with n machines on one
+// Ethernet of profile prof and TCP on each: machine i is
+// 135.104.117.i+1. Inside Run a t.Fatal would strand the scheduler's
+// token, so body reports with t.Error and returns. A run still going after 30 s of wall time has
 // hung — a lock taken twice on one goroutine parks nothing the clock
 // can see — and fails the test.
-func onVirtual(t *testing.T, n int, body func(v *vclock.Virtual, ps []*Proto, as []ip.Addr)) {
+func onVirtual(t *testing.T, prof ether.Profile, n int, body func(v *vclock.Virtual, ps []*Proto, as []ip.Addr)) {
 	t.Helper()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		v := vclock.NewVirtual()
 		v.Run(func() {
-			seg := ether.NewSegment("e0", ether.Profile{Clock: v})
+			prof.Clock = v
+			seg := ether.NewSegment("e0", prof)
 			defer seg.Close()
 			var ps []*Proto
 			var as []ip.Addr
@@ -502,7 +503,7 @@ func dialVirtual(v *vclock.Virtual, p1, p2 *Proto, addr ip.Addr) (dc, sc xport.C
 // instead, the first ack would take the sending conversation's lock a
 // second time and the run would hang.
 func TestLoopbackBothWaysOnVirtualClock(t *testing.T) {
-	onVirtual(t, 1, func(v *vclock.Virtual, ps []*Proto, as []ip.Addr) {
+	onVirtual(t, ether.Profile{}, 1, func(v *vclock.Virtual, ps []*Proto, as []ip.Addr) {
 		dc, sc, err := dialVirtual(v, ps[0], ps[0], as[0])
 		if err != nil {
 			t.Error(err)
@@ -546,7 +547,7 @@ func TestAllocsSegmentSend(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	var allocs float64
-	onVirtual(t, 2, func(v *vclock.Virtual, ps []*Proto, as []ip.Addr) {
+	onVirtual(t, ether.Profile{}, 2, func(v *vclock.Virtual, ps []*Proto, as []ip.Addr) {
 		dc, sc, err := dialVirtual(v, ps[0], ps[1], as[1])
 		if err != nil {
 			t.Error(err)

@@ -65,9 +65,8 @@ const hdrLen = 5
 const flagEOM = 0x01
 
 const (
-	tickInterval = 5 * time.Millisecond
-	enqTimeout   = 50 * time.Millisecond
-	deathTime    = 30 * time.Second
+	enqTimeout = 50 * time.Millisecond
+	deathTime  = 30 * time.Second
 )
 
 // Stats counts protocol events (for the ablation benches).
@@ -86,6 +85,7 @@ type Conn struct {
 
 	mu   sync.Mutex
 	cond vclock.Cond
+	due  vclock.Deadline // when dueLocked comes round, or death
 
 	// Sender: blocks [sndUna, sndNxt) are in flight (mod-8).
 	sndUna   int
@@ -93,10 +93,10 @@ type Conn struct {
 	unacked  []sentBlock // parallel to seq range
 	lastSend time.Time
 	enqSent  bool
-	// retransNeeded asks the timer goroutine to resend the window.
-	// The reader never retransmits inline: a go-back-N burst can
-	// block on a paced wire, and a reader that stops draining while
-	// its peer does the same deadlocks the circuit.
+	// retransNeeded has the deadline resend the window. The reader
+	// never retransmits inline: a go-back-N burst can block on a paced
+	// wire, and a reader that stops draining while its peer does the
+	// same deadlocks the circuit.
 	retransNeeded bool
 
 	// Receiver.
@@ -111,8 +111,6 @@ type Conn struct {
 	rstream *streams.Stream
 	closed  bool
 	dead    bool
-
-	lastProgress time.Time
 
 	// trace is the circuit's event ring (obs.Tracer); the datakit
 	// device serves it as the conversation's trace file.
@@ -141,15 +139,18 @@ func NewClock(wire Wire, stats *Stats, ck vclock.Clock) *Conn {
 	}
 	ck = vclock.Or(ck)
 	c := &Conn{
-		wire:         wire,
-		ck:           ck,
-		stats:        stats,
-		rstream:      streams.NewClock(1<<22, ck, nil),
-		lastProgress: ck.Now(),
+		wire:    wire,
+		ck:      ck,
+		stats:   stats,
+		rstream: streams.NewClock(1<<22, ck, nil),
 	}
 	c.cond.Init(ck, &c.mu)
+	c.due.Init(ck, &c.mu, deathTime, c.dueLocked, c.timeoutLocked, func() {
+		c.mu.Unlock()
+		c.hangup()
+		c.mu.Lock()
+	})
 	ck.Go(c.reader)
-	ck.Go(c.timer)
 	return c
 }
 
@@ -180,7 +181,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	total := 0
 	for {
 		c.mu.Lock()
-		for !c.dead && !c.closed && c.inFlightLocked() >= Window {
+		for !c.dead && !c.closed && len(c.unacked) >= Window {
 			c.cond.Wait()
 		}
 		if c.dead || c.closed {
@@ -205,11 +206,12 @@ func (c *Conn) Write(p []byte) (int, error) {
 		// the lock released.
 		data := block.GetBytes(n)
 		copy(data, p[total:total+n])
+		c.lastSend = c.ck.Now()
 		c.unacked = append(c.unacked, sentBlock{seq: seq, flags: flags, data: data})
 		cell := makeCell(cellData, seq, flags, data)
-		c.lastSend = c.ck.Now()
 		c.stats.Blocks.Add(1)
 		c.trace.Emit(obs.EvSend, int64(seq), int64(n))
+		c.due.Update()
 		c.mu.Unlock()
 		c.wire.SendCell(cell)
 		total += n
@@ -218,8 +220,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 		}
 	}
 }
-
-func (c *Conn) inFlightLocked() int { return len(c.unacked) }
 
 // Read returns one delimited message (or part, if the buffer is
 // short).
@@ -253,18 +253,10 @@ func (c *Conn) reader() {
 		case cellData:
 			c.recvData(seq, flags, data)
 		case cellAck:
-			if c.recvAck(seq) {
-				// The ack answered our enquiry but freed nothing:
-				// the receiver never saw the head of the window, and
-				// with no out-of-order arrival to provoke a REJ it
-				// never will. Retransmit, or the circuit livelocks
-				// trading ENQ for no-progress ACKs.
-				c.scheduleRetransmit()
-			}
+			c.recvAck(seq, false)
 		case cellRej:
 			c.stats.Rejects.Add(1)
-			c.recvAck(seq) // everything before seq arrived
-			c.scheduleRetransmit()
+			c.recvAck(seq, true) // everything before seq arrived
 		case cellEnq:
 			// Answer with the receiver's state: an ACK of what
 			// we expect next.
@@ -284,7 +276,7 @@ func (c *Conn) reader() {
 // next block in sequence, reject anything else.
 func (c *Conn) recvData(seq int, flags byte, data []byte) {
 	c.mu.Lock()
-	c.lastProgress = c.ck.Now()
+	c.due.Heard()
 	if seq != c.rcvNext {
 		// Out of order: REJ asks for retransmission from the block
 		// we expect — once per gap, or every duplicate cell of the
@@ -335,14 +327,16 @@ func (c *Conn) recvData(seq int, flags byte, data []byte) {
 }
 
 // recvAck drops acknowledged blocks: ack(seq) says the receiver now
-// expects seq, i.e. everything before it arrived. It reports whether
-// the ack answered an enquiry without freeing anything while blocks
-// are still outstanding — the sender's cue that the window head was
-// lost on the wire and only a retransmission can restart the circuit.
-func (c *Conn) recvAck(seq int) (stalled bool) {
+// expects seq, i.e. everything before it arrived. The deadline resends
+// the window, coalescing a volley of REJs into one go-back-N pass,
+// after a REJ and after an ack that answered our enquiry but freed
+// nothing: the receiver never saw the head of the window, and with no
+// out-of-order arrival to provoke a REJ it never will, so without a
+// resend the circuit livelocks trading ENQ for no-progress ACKs.
+func (c *Conn) recvAck(seq int, rej bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lastProgress = c.ck.Now()
+	c.due.Heard()
 	c.trace.Emit(obs.EvAck, int64(seq), 0)
 	wasEnq := c.enqSent
 	c.enqSent = false
@@ -357,75 +351,53 @@ func (c *Conn) recvAck(seq int) (stalled bool) {
 		c.sndUna = (c.sndUna + 1) % SeqMod
 		freed = true
 	}
+	c.retransNeeded = len(c.unacked) > 0 && (c.retransNeeded || rej || wasEnq && !freed)
 	c.cond.Broadcast()
-	return wasEnq && !freed && len(c.unacked) > 0
+	c.due.Update()
 }
 
-// scheduleRetransmit marks the window for resending on the next
-// timer tick. Deferring to the timer keeps the reader draining the
-// wire while the (possibly paced, possibly blocking) burst goes out,
-// and coalesces a volley of REJs into one go-back-N pass.
-func (c *Conn) scheduleRetransmit() {
-	c.mu.Lock()
-	c.retransNeeded = true
-	c.mu.Unlock()
+// dueLocked is when the circuit next resends while blocks are
+// outstanding: the window at once when asked to, or an enquiry when
+// acknowledgements stall. It keeps counting through the close linger,
+// so the final blocks still get retransmitted if their acks are lost.
+func (c *Conn) dueLocked() time.Time {
+	switch {
+	case c.dead || len(c.unacked) == 0:
+		return time.Time{}
+	case c.retransNeeded:
+		return c.lastSend
+	}
+	return c.lastSend.Add(enqTimeout)
 }
 
-// retransmit resends the whole window (go-back-N). The cells are
-// framed under the lock — the pooled block data must not be read once
-// the lock drops, or an ack racing the burst could recycle it — and
-// pushed onto the (possibly pacing) wire without it.
-func (c *Conn) retransmit() {
-	c.mu.Lock()
+// timeoutLocked resends what dueLocked said was due, dropping the lock
+// around the (possibly paced, possibly blocking) wire.
+func (c *Conn) timeoutLocked() {
+	c.lastSend = c.ck.Now()
+	if !c.retransNeeded {
+		c.enqSent = true
+		c.stats.Enquiries.Add(1)
+		c.trace.Emit(obs.EvQuery, 0, 0)
+		c.mu.Unlock()
+		c.sendCell(cellEnq, 0, 0, nil)
+		c.mu.Lock()
+		return
+	}
+	// Go-back-N. The cells are framed under the lock — the pooled block
+	// data must not be read once the lock drops, or an ack racing the
+	// burst could recycle it.
 	c.retransNeeded = false
 	cells := make([][]byte, 0, len(c.unacked))
 	for _, b := range c.unacked {
 		c.trace.Emit(obs.EvRetransmit, int64(b.seq), 0)
 		cells = append(cells, makeCell(cellData, b.seq, b.flags, b.data))
 	}
-	c.lastSend = c.ck.Now()
 	c.mu.Unlock()
 	for _, cell := range cells {
 		c.stats.Retransmits.Add(1)
 		c.wire.SendCell(cell)
 	}
-}
-
-// timer sends enquiries when acknowledgements stall. It keeps running
-// through the close linger so the final blocks still get retransmitted
-// if their acks are lost.
-func (c *Conn) timer() {
-	for {
-		c.ck.Sleep(tickInterval)
-		c.mu.Lock()
-		if c.dead {
-			c.mu.Unlock()
-			return
-		}
-		needResend := c.retransNeeded && len(c.unacked) > 0
-		stalled := len(c.unacked) > 0 && c.ck.Since(c.lastSend) > enqTimeout
-		dead := len(c.unacked) > 0 && c.ck.Since(c.lastProgress) > deathTime
-		if dead {
-			c.mu.Unlock()
-			c.hangup()
-			return
-		}
-		if needResend {
-			c.mu.Unlock()
-			c.retransmit()
-			continue
-		}
-		if stalled {
-			c.lastSend = c.ck.Now()
-			c.enqSent = true
-			c.stats.Enquiries.Add(1)
-			c.trace.Emit(obs.EvQuery, 0, 0)
-			c.mu.Unlock()
-			c.sendCell(cellEnq, 0, 0, nil)
-			continue
-		}
-		c.mu.Unlock()
-	}
+	c.mu.Lock()
 }
 
 func (c *Conn) hangup() {
@@ -436,6 +408,7 @@ func (c *Conn) hangup() {
 	}
 	c.dead = true
 	c.cond.Broadcast()
+	c.due.Update()
 	c.trace.Emit(obs.EvHangup, 0, 0)
 	c.mu.Unlock()
 	c.rstream.HangupUp()
@@ -453,23 +426,25 @@ func (c *Conn) Close() error {
 	}
 	c.closed = true
 	c.cond.Broadcast()
-	c.mu.Unlock()
-	deadline := c.ck.Now().Add(500 * time.Millisecond)
-	for c.ck.Now().Before(deadline) {
+	lingered := false
+	t := c.ck.AfterFunc(500*time.Millisecond, func() {
 		c.mu.Lock()
-		drained := len(c.unacked) == 0 || c.dead
+		lingered = true
+		c.cond.Broadcast()
 		c.mu.Unlock()
-		if drained {
-			break
-		}
-		c.ck.Sleep(tickInterval)
+	})
+	for len(c.unacked) > 0 && !c.dead && !lingered {
+		c.cond.Wait()
 	}
+	c.mu.Unlock()
+	t.Stop()
 	c.sendCell(cellHup, 0, 0, nil)
 	// Let the hangup propagate before unplugging.
 	c.ck.AfterFunc(250*time.Millisecond, func() {
 		c.mu.Lock()
 		c.dead = true
 		c.cond.Broadcast()
+		c.due.Update()
 		c.mu.Unlock()
 		c.wire.Close()
 	})

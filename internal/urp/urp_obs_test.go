@@ -86,7 +86,8 @@ func TestWindowSevenEdge(t *testing.T) {
 }
 
 // TestEnquiryTimeout stalls the ack path and waits: the timer must
-// send enquiries (counted and traced) rather than retransmit blindly.
+// send enquiries (counted and traced) rather than retransmit blindly,
+// each exactly enqTimeout after the last thing sent.
 func TestEnquiryTimeout(t *testing.T) {
 	// Virtual clock: one simulated second covers twenty enquiry
 	// timeouts, so the "wait for the timer" half costs nothing real.
@@ -97,30 +98,30 @@ func TestEnquiryTimeout(t *testing.T) {
 		stats := &Stats{}
 		a := NewClock(wire{d: duplexOf(tx, silent)}, stats, v)
 		defer a.Close()
+		a.Trace().SetNow(func() int64 { return v.Now().UnixNano() })
 		a.Trace().Enable()
 
 		if _, err := a.Write([]byte("lonely block")); err != nil {
 			t.Error(err)
 			return
 		}
-		v.Sleep(time.Second)
-		if stats.Enquiries.Load() == 0 {
-			t.Error("no enquiry after the ack stalled")
+		v.Sleep(time.Second + enqTimeout/2)
+		if n := stats.Enquiries.Load(); n != int64(time.Second/enqTimeout) {
+			t.Errorf("%d enquiries in a second of stalled acks, want %d", n, time.Second/enqTimeout)
 			return
 		}
-		ks := a.Trace().Kinds()
-		if len(ks) < 2 || ks[0] != obs.EvSend {
-			t.Errorf("trace %v: want send first", ks)
+		evs := a.Trace().Events()
+		if len(evs) < 2 || evs[0].Kind != obs.EvSend {
+			t.Errorf("trace %v: want send first", a.Trace().Kinds())
 			return
 		}
-		sawQuery := false
-		for _, k := range ks[1:] {
-			if k == obs.EvQuery {
-				sawQuery = true
+		last := evs[0].When
+		for _, e := range evs[1:] {
+			if e.Kind != obs.EvQuery || e.When != last+enqTimeout {
+				t.Errorf("%v at %v after %v, want an enquiry at %v", e.Kind, e.When, last, last+enqTimeout)
+				return
 			}
-		}
-		if !sawQuery {
-			t.Errorf("trace %v records no enquiry", ks)
+			last = e.When
 		}
 	})
 }

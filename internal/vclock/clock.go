@@ -32,8 +32,8 @@ import "time"
 //
 // There is deliberately no channel-returning After or Tick: receiving
 // from a raw channel is an unannotated park the virtual scheduler
-// cannot see. Timer callbacks (AfterFunc) and Sleep cover every timer
-// shape the engines use.
+// cannot see. Timer callbacks (AfterFunc, and Deadline over it) and
+// Sleep cover every timer shape the engines use.
 type Clock interface {
 	// Now returns the current (real or virtual) time.
 	Now() time.Time
@@ -55,18 +55,33 @@ type Clock interface {
 	Virtual() bool
 }
 
-// Timer is a stoppable pending AfterFunc.
+// Timer is a pending AfterFunc, on one clock or the other.
 type Timer struct {
-	stop func() bool
+	real *time.Timer
+	v    *Virtual
+	ev   event
 }
 
 // Stop cancels the timer; it reports whether the call prevented the
 // function from running.
 func (t *Timer) Stop() bool {
-	if t == nil || t.stop == nil {
+	switch {
+	case t == nil:
 		return false
+	case t.v != nil:
+		return t.v.stop(&t.ev)
 	}
-	return t.stop()
+	return t.real.Stop()
+}
+
+// Reset schedules the function to run d from now, whether or not it
+// has run or been stopped; it reports whether the timer was pending.
+// It allocates nothing.
+func (t *Timer) Reset(d time.Duration) bool {
+	if t.v != nil {
+		return t.v.reset(&t.ev, d)
+	}
+	return t.real.Reset(d)
 }
 
 // Or returns ck, or Real when ck is nil — the idiom for defaulting a

@@ -28,8 +28,7 @@ func (realClock) SleepUntil(t time.Time) {
 }
 
 func (realClock) AfterFunc(d time.Duration, f func()) *Timer {
-	t := time.AfterFunc(d, f)
-	return &Timer{stop: t.Stop}
+	return &Timer{real: time.AfterFunc(d, f)}
 }
 
 func (realClock) Go(f func()) { go f() }

@@ -24,7 +24,8 @@ type Virtual struct {
 	runq     gorList
 	events   eventHeap
 	running  *gor
-	all      *gor // every live machine goroutine, linked through nextLive
+	all      *gor    // every live machine goroutine, linked through nextLive
+	free     gorList // parking spots of exited goroutines, for Go to reuse
 	rootDone bool
 	started  bool
 
@@ -34,9 +35,11 @@ type Virtual struct {
 }
 
 // gor is one machine goroutine's parking spot. It is on one list at a
-// time — the run queue or one Cond's waiters — and sleeps on one timer
-// at a time, so it carries its own link and its own event: parking and
-// waking allocate nothing.
+// time — the run queue, one Cond's waiters, or once its goroutine has
+// exited the free list — and sleeps on one timer at a time, so it
+// carries its own link and its own event: parking and waking allocate
+// nothing, and a goroutine started on a reused spot allocates only its
+// closure.
 type gor struct {
 	wake chan struct{}
 	next *gor   // run queue or Cond waiters
@@ -90,14 +93,15 @@ func (l *gorList) take(m *gorList) {
 // to spawn. Events fire in (at, seq) order — seq breaks ties in
 // creation order — and fire strictly one at a time, with the woken
 // chain run to quiescence before the next event, so same-instant
-// timers cannot race each other.
+// timers cannot race each other. index is the event's place in the
+// heap, -1 once it has fired or been stopped: Stop takes an event out
+// and Reset puts it back, so a timer re-armed forever allocates once.
 type event struct {
-	at      int64
-	seq     uint64
-	g       *gor
-	fn      func()
-	fired   bool
-	stopped bool
+	at    int64
+	seq   uint64
+	g     *gor
+	fn    func()
+	index int
 }
 
 type eventHeap []*event
@@ -109,14 +113,22 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
+func (h eventHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+func (h *eventHeap) Push(x any) {
+	ev := x.(*event)
+	ev.index = len(*h)
+	*h = append(*h, ev)
+}
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
+	ev.index = -1
 	return ev
 }
 func (h eventHeap) peek() *event { return h[0] }
@@ -145,9 +157,9 @@ func NewVirtual() *Virtual {
 // Run panics if the simulation deadlocks: every machine goroutine
 // parked, no pending timer, and the root function not yet returned.
 // After the root returns, pending timers keep firing for a bounded
-// drain horizon so engine timer loops can observe their shutdown and
-// exit; goroutines still parked after that are leaked (and show up in
-// the leak checkers, like any real leak).
+// drain horizon so closing conversations can run out their lingers;
+// goroutines still parked after that are leaked (and show up in the
+// leak checkers, like any real leak).
 func (v *Virtual) Run(fn func()) {
 	v.mu.Lock()
 	if v.started {
@@ -198,10 +210,6 @@ func (v *Virtual) pick(drainUntil *int64, horizon int64) *gor {
 				return nil
 			}
 			ev := heap.Pop(&v.events).(*event)
-			if ev.stopped {
-				continue
-			}
-			ev.fired = true
 			if ev.at > v.now {
 				v.now = ev.at
 			}
@@ -231,7 +239,11 @@ func (v *Virtual) Go(f func()) {
 }
 
 func (v *Virtual) goLocked(f func()) {
-	g := &gor{wake: make(chan struct{}), nextLive: v.all}
+	g := v.free.pop()
+	if g == nil {
+		g = &gor{wake: make(chan struct{})}
+	}
+	g.prevLive, g.nextLive = nil, v.all
 	if v.all != nil {
 		v.all.prevLive = g
 	}
@@ -251,6 +263,7 @@ func (v *Virtual) goLocked(f func()) {
 			if g.nextLive != nil {
 				g.nextLive.prevLive = g.prevLive
 			}
+			v.free.push(g)
 			v.running = nil
 			v.mu.Unlock()
 			v.parked <- struct{}{}
@@ -340,23 +353,38 @@ func (v *Virtual) SleepUntil(t time.Time) {
 // AfterFunc implements Clock: f runs as a fresh machine goroutine when
 // virtual time reaches now+d.
 func (v *Virtual) AfterFunc(d time.Duration, f func()) *Timer {
+	t := &Timer{v: v, ev: event{fn: f, index: -1}}
+	t.Reset(d)
+	return t
+}
+
+// stop takes ev out of the heap, reporting whether it was pending.
+func (v *Virtual) stop(ev *event) bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if ev.index < 0 {
+		return false
+	}
+	heap.Remove(&v.events, ev.index)
+	return true
+}
+
+// reset (re)schedules ev for now+d with a fresh sequence number, as if
+// it had just been created; it reports whether ev was pending.
+func (v *Virtual) reset(ev *event, d time.Duration) bool {
 	if d < 0 {
 		d = 0
 	}
 	v.mu.Lock()
+	defer v.mu.Unlock()
 	v.seq++
-	ev := &event{at: v.now + int64(d), seq: v.seq, fn: f}
-	heap.Push(&v.events, ev)
-	v.mu.Unlock()
-	return &Timer{stop: func() bool {
-		v.mu.Lock()
-		defer v.mu.Unlock()
-		if ev.fired || ev.stopped {
-			return false
-		}
-		ev.stopped = true
-		return true
-	}}
+	ev.at, ev.seq = v.now+int64(d), v.seq
+	if ev.index < 0 {
+		heap.Push(&v.events, ev)
+		return false
+	}
+	heap.Fix(&v.events, ev.index)
+	return true
 }
 
 // Virtual implements Clock.

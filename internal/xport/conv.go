@@ -80,8 +80,8 @@ func (c *Conv) Trace() *obs.Ring { return &c.Ring }
 // destination, pick the local address and an ephemeral port, draw the
 // initial sequence number, enter the table as Connecting. On success
 // it returns with c.Mu held, so that the protocol sets its sequence
-// state and sends its opening packet before a reply can be processed;
-// the protocol then unlocks, starts its timer, and calls WaitOpen.
+// state, sends its opening packet and arms its deadline before a reply
+// can be processed; the protocol then unlocks and calls WaitOpen.
 func (c *Conv) BeginConnect(addr string) error {
 	a, port, err := ip.ParseHostPort(addr)
 	if err != nil || a.IsZero() || port == 0 {

@@ -97,7 +97,7 @@ type Table struct {
 // the passive end of a call that reached listener l, whose caller
 // opened with sequence number peer. The protocol allocates its
 // conversation, calls Conv.Passive with the same arguments, sets its
-// own sequence state and starts its timer. It runs under the table
+// own sequence state and arms its deadline. It runs under the table
 // lock; the table enters what it returns.
 type SpawnFunc func(l *Conv, raddr ip.Addr, rport, lport uint16, peer uint32) *Conv
 
@@ -147,9 +147,9 @@ func (t *Table) Demux(raddr ip.Addr, rport, lport uint16, opens bool, peer uint3
 
 // Close tears the engine down at machine shutdown: every conversation
 // dies at once — no close exchange, the machine is going away — and
-// every listener stops accepting, so per-conversation timers and
-// blocked readers, writers, and accepts all wake and exit. A
-// conversation already dead keeps its first error.
+// every listener stops accepting, so blocked readers, writers, and
+// accepts all wake and exit, and a pending deadline finds nothing due.
+// A conversation already dead keeps its first error.
 func (t *Table) Close() {
 	t.mu.Lock()
 	all := make([]*Conv, 0, len(t.conns)+len(t.listeners))

@@ -58,10 +58,12 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # The race detector's instrumentation allocates, so these self-skip
 # under -race above and run here without it: a copy or pool bypass
 # creeping back into the hot paths fails the gate, and so does a
-# goroutine per packet on the transmit path (tcp TestAllocsSegmentSend)
-# or a station snapshot per frame on the segment (ether
-# TestAllocsUnicastFanOut).
-go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/cs ./internal/tcp ./internal/vclock ./internal/ether
+# goroutine per packet on the transmit path (tcp TestAllocsSegmentSend),
+# a station snapshot per frame on the segment (ether
+# TestAllocsUnicastFanOut), or a conversation's deadline that allocates
+# when an ack re-arms it (il TestAllocsRearmOnAck, vclock
+# TestAllocsDeadlineUpdate).
+go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/cs ./internal/tcp ./internal/vclock ./internal/ether ./internal/il
 
 echo "== chaos: real-clock torture pass (fixed seed)"
 go run ./cmd/netsim -chaos -seed 1 -msgs 40
@@ -124,7 +126,7 @@ tcp=$(lines internal/tcp/tcp.go)
 udp=$(lines internal/udp/udp.go)
 xport=$(lines $(ls internal/xport/*.go | grep -v _test.go))
 echo "il.go $il  tcp.go $tcp  udp.go $udp  xport/*.go $xport  total $((il + tcp + udp + xport))"
-echo "storm/*.go $(lines $(ls internal/storm/*.go | grep -v _test.go))  cmd/netsim/main.go $(lines cmd/netsim/main.go)"
+echo "urp.go $(lines internal/urp/urp.go)  vclock/deadline.go $(lines internal/vclock/deadline.go)  storm/*.go $(lines $(ls internal/storm/*.go | grep -v _test.go))  cmd/netsim/main.go $(lines cmd/netsim/main.go)"
 echo "ninep/client.go $(lines internal/ninep/client.go)  mnt/mnt.go $(lines internal/mnt/mnt.go)  exportfs.go $(lines internal/exportfs/exportfs.go)  ninep/server.go $(lines internal/ninep/server.go)  core/services.go $(lines internal/core/services.go)"
 echo "vclock/*.go $(lines $(ls internal/vclock/*.go | grep -v _test.go))  ninep/transport.go $(lines internal/ninep/transport.go)  ns/ns.go $(lines internal/ns/ns.go)"
 echo "block/block.go $(lines internal/block/block.go)  streams/*.go $(lines $(ls internal/streams/*.go | grep -v _test.go))"
