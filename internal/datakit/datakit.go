@@ -174,17 +174,27 @@ const fcsLen = 2
 // in flight fails the check and is discarded as if lost — URP never
 // sees corrupt data (its cells carry no checksum of their own; the
 // real hardware made the same promise), and it recovers the gap with
-// its REJ/ENQ machinery.
+// its REJ/ENQ machinery. Only an impaired circuit can damage a cell,
+// so only there is the CRC computed and checked; elsewhere the two FCS
+// bytes still go on the wire, so the cell's wire time is the same.
 type duplexWire struct {
-	d    *medium.Duplex
-	errs *atomic.Int64
+	d     *medium.Duplex
+	errs  *atomic.Int64
+	check bool // the circuit is impaired
+}
+
+func newWire(d *medium.Duplex, errs *atomic.Int64) duplexWire {
+	return duplexWire{d, errs, d.Impaired()}
 }
 
 // SendCell frames the cell in place: URP hands over a pool-backed cell
 // with capacity slack, so appending the FCS reuses the same buffer and
 // the framed cell goes to the medium with no wire copy.
 func (w duplexWire) SendCell(p []byte) error {
-	fcs := crc16(p)
+	var fcs uint16
+	if w.check {
+		fcs = crc16(p)
+	}
 	cell := append(p, byte(fcs>>8), byte(fcs))
 	return w.d.SendOwned(cell)
 }
@@ -196,7 +206,7 @@ func (w duplexWire) RecvCell() ([]byte, error) {
 			return nil, err
 		}
 		n := len(cell) - fcsLen
-		if n < 0 || crc16(cell[:n]) != uint16(cell[n])<<8|uint16(cell[n+1]) {
+		if n < 0 || w.check && crc16(cell[:n]) != uint16(cell[n])<<8|uint16(cell[n+1]) {
 			if w.errs != nil {
 				w.errs.Add(1)
 			}
@@ -321,7 +331,7 @@ func (c *Conn) Connect(addr string) error {
 		wire.Close()
 		return xport.ErrConnected
 	}
-	c.urp = urp.NewClock(duplexWire{wire, &c.proto.FCSErrs}, &c.proto.Stats, wire.Clock())
+	c.urp = urp.NewClock(newWire(wire, &c.proto.FCSErrs), &c.proto.Stats, wire.Clock())
 	c.wire = wire
 	c.local = c.proto.host.name
 	c.remote = addr
@@ -374,7 +384,7 @@ func (c *Conn) Listen() (xport.Conn, error) {
 	}
 	nc := &Conn{
 		proto:   c.proto,
-		urp:     urp.NewClock(duplexWire{call.wire, &c.proto.FCSErrs}, &c.proto.Stats, call.wire.Clock()),
+		urp:     urp.NewClock(newWire(call.wire, &c.proto.FCSErrs), &c.proto.Stats, call.wire.Clock()),
 		wire:    call.wire,
 		local:   c.proto.host.name + "!" + call.service,
 		remote:  call.remote,

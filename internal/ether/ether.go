@@ -28,7 +28,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/block"
 	"repro/internal/devtree"
@@ -95,29 +94,31 @@ type Segment struct {
 	name    string
 	profile Profile
 	ck      vclock.Clock
-	im      *medium.Impairer // nil on an unimpaired, lossless segment
-	ideal   bool             // ideal medium: no pacing, no impairment, FCS elided
+	im      *medium.Impairer // nil on an unimpaired, lossless segment; only its frames carry an FCS
+	ideal   bool             // no pacing, latency or impairer: frames fan out on the sender's goroutine
 
 	// stations is the address filter the per-frame path reads without
 	// a lock; mu serializes the writers that replace it. nil once the
-	// segment has closed.
+	// segment has closed. mu also serializes transmissions: the order
+	// frames take it in is wire order.
 	mu       sync.Mutex
 	stations atomic.Pointer[stations]
 
-	// txq is the wire's queue. It is unbounded so that transmitting
-	// never parks: IL and TCP send under their conversation locks. What
-	// bounds it is what the senders above may hold in flight — IL's
-	// window, TCP's 64 KiB buffer, ARP's hold of 16.
-	txq *vclock.Mailbox[txFrame]
+	// line books the wire and delay carries frames across it (nil on
+	// an ideal segment). Put never parks, so IL and TCP may transmit
+	// under their conversation locks; what bounds the line is what they
+	// may hold in flight — IL's window, TCP's 64 KiB buffer, ARP's 16.
+	line  medium.Pacer
+	delay *medium.Delay[txFrame]
 }
 
 // txFrame is a frame on its way across the wire. dst is the
 // destination its sender wrote, recorded before the impairer can
 // damage the bytes.
 type txFrame struct {
-	from  *Interface
-	dst   Addr
-	frame []byte
+	from *Interface
+	dst  Addr
+	b    *block.Block
 }
 
 // stations is the segment's station set: who hears a frame, by the
@@ -171,19 +172,15 @@ func NewSegment(name string, p Profile) *Segment {
 		name:    name,
 		profile: p,
 		ck:      ck,
-		txq:     vclock.NewMailbox[txFrame](ck, 0),
 	}
 	seg.stations.Store(newStations(nil))
 	if p.Impair.Armed(p.Loss) {
 		seg.im = medium.NewImpairer(p.Seed+1, p.Loss, p.Impair)
 	}
-	// On an ideal medium a frame cannot be damaged in transit, so the
-	// simulation elides the FCS entirely: the transmitter appends none
-	// and the receivers skip the check. Both sides consult this one
-	// flag, fixed for the segment's lifetime, so they always agree on
-	// the frame layout.
 	seg.ideal = p.Bandwidth == 0 && p.Latency == 0 && seg.im == nil
-	ck.Go(seg.transmitter)
+	if !seg.ideal {
+		seg.delay = medium.NewDelay(ck, func(f txFrame) { seg.fanOut(f.from, f.dst, f.b) })
+	}
 	return seg
 }
 
@@ -222,7 +219,11 @@ func (seg *Segment) Close() {
 	if st == nil {
 		return
 	}
-	seg.txq.Close()
+	if seg.delay != nil {
+		for _, f := range seg.delay.Close() {
+			f.b.Free()
+		}
+	}
 	for _, ifc := range st.all {
 		ifc.close()
 	}
@@ -235,58 +236,6 @@ func (seg *Segment) refilter() {
 	defer seg.mu.Unlock()
 	if st := seg.stations.Load(); st != nil {
 		seg.stations.Store(newStations(st.all))
-	}
-}
-
-// transmitter models the shared wire: one frame at a time, paced by
-// bandwidth, then fanned out after the propagation latency. All
-// waiting goes through the segment's clock, so a virtual clock replays
-// the identical wire schedule.
-func (seg *Segment) transmitter() {
-	type timedFrame struct {
-		tx txFrame
-		at time.Time
-	}
-	sched := vclock.NewMailbox[timedFrame](seg.ck, 512)
-	// The deliverer applies propagation latency in order, pipelined
-	// behind the serializing transmitter.
-	seg.ck.Go(func() {
-		for {
-			tf, ok := sched.Recv()
-			if !ok {
-				return
-			}
-			seg.ck.SleepUntil(tf.at)
-			seg.fanOut(tf.tx.from, tf.tx.dst, block.FromBytes(tf.tx.frame))
-		}
-	})
-	defer sched.Close()
-	var line medium.Pacer
-	for {
-		tx, ok := seg.txq.Recv()
-		if !ok {
-			return
-		}
-		p := seg.profile
-		if p.Bandwidth > 0 {
-			seg.ck.SleepUntil(line.Reserve(seg.ck.Now(), medium.TransmitTime(len(tx.frame), p.Bandwidth)))
-		}
-		if seg.im != nil {
-			// The impairer decides drop/duplicate/corrupt/hold
-			// for this wire position; each resulting copy is
-			// scheduled at latency plus its jitter. The single
-			// transmitter goroutine defines wire-position order,
-			// so a fixed seed replays the identical schedule.
-			for _, e := range seg.im.Apply(tx.frame) {
-				if sched.Send(timedFrame{tx: txFrame{from: tx.from, dst: tx.dst, frame: e.Data}, at: seg.ck.Now().Add(p.Latency + e.Delay)}) != nil {
-					return
-				}
-			}
-			continue
-		}
-		if sched.Send(timedFrame{tx: tx, at: seg.ck.Now().Add(p.Latency)}) != nil {
-			return
-		}
 	}
 }
 
@@ -327,32 +276,46 @@ func (seg *Segment) fanOut(from *Interface, dst Addr, b *block.Block) bool {
 	return true
 }
 
-// transmitBlock queues a frame for dst on the wire, appending the
-// hardware FCS into the block's tailroom in place (elided on an ideal
-// medium). It never parks. Ownership of b transfers to the segment.
+// transmitBlock puts a frame for dst on the wire without parking; b
+// becomes the segment's. An ideal medium fans it out at once. Otherwise
+// it books the wire for its serialization time, FCS included, and goes
+// on the delay line to arrive when its last bit has left plus the
+// latency; the segment lock makes booking order wire order, so a fixed
+// seed replays the identical schedule. Only an impaired wire can damage
+// a frame, so only there is the FCS computed: the impairer decides what
+// this wire position does, and each copy it emits travels as bytes of
+// its own. An unimpaired frame stays the sender's block until the last
+// station that hears it lets go.
 func (seg *Segment) transmitBlock(from *Interface, dst Addr, b *block.Block) error {
 	if n := b.Len() - HdrLen; n > seg.MTU() {
 		b.Free()
 		return fmt.Errorf("ether: packet exceeds MTU (%d > %d)", n, seg.MTU())
 	}
 	if seg.ideal {
-		// Synchronous fast path for an ideal medium: no pacing, no
-		// reordering possible, no FCS (nothing can damage the frame).
 		if !seg.fanOut(from, dst, b) {
 			return vfs.ErrShutdown
 		}
 		return nil
 	}
-	// Paced or impaired medium: the FCS goes on the wire so damage is
-	// detectable, and the frame leaves the block economy here. The
-	// impairer must copy to corrupt (and to duplicate), and the
-	// latency scheduler fans the same bytes out to every station, so a
-	// detached plain slice is the honest representation.
+	p := seg.profile
+	seg.mu.Lock()
+	defer seg.mu.Unlock()
+	at := seg.line.Reserve(seg.ck.Now(), medium.TransmitTime(b.Len()+fcsLen, p.Bandwidth)).Add(p.Latency)
+	if seg.im == nil {
+		if !seg.delay.Put(txFrame{from, dst, b}, at) {
+			b.Free()
+			return vfs.ErrShutdown
+		}
+		return nil
+	}
 	crc := crc32.ChecksumIEEE(b.Bytes())
 	binary.BigEndian.PutUint32(b.Extend(fcsLen), crc)
-	frame := b.Detach()
-	if !seg.txq.TrySend(txFrame{from: from, dst: dst, frame: frame}) {
-		return vfs.ErrShutdown
+	copies := seg.im.Apply(b.Bytes())
+	b.Free()
+	for _, e := range copies {
+		if !seg.delay.Put(txFrame{from, dst, block.FromBytes(e.Data)}, at.Add(e.Delay)) {
+			return vfs.ErrShutdown
+		}
 	}
 	return nil
 }
@@ -465,27 +428,17 @@ func (ifc *Interface) reader() {
 		// never written, and this reference is released when
 		// demultiplexing returns.
 		frame := b.Bytes()
-		body := frame
-		if ifc.seg.ideal {
-			// An ideal medium carries no FCS (nothing to check).
-			if len(frame) < HdrLen {
-				ifc.crcErrs.Add(1)
-				b.Free()
-				continue
-			}
-		} else {
-			if len(frame) < HdrLen+fcsLen {
-				ifc.crcErrs.Add(1)
-				b.Free()
-				continue
-			}
-			body = frame[:len(frame)-fcsLen]
-			if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(frame[len(frame)-fcsLen:]) {
-				ifc.crcErrs.Add(1)
-				b.Free()
-				continue
-			}
+		n := len(frame)
+		fcs := ifc.seg.im != nil // only a frame an impaired wire carried has one
+		if fcs {
+			n -= fcsLen
 		}
+		if n < HdrLen || fcs && crc32.ChecksumIEEE(frame[:n]) != binary.BigEndian.Uint32(frame[n:]) {
+			ifc.crcErrs.Add(1)
+			b.Free()
+			continue
+		}
+		body := frame[:n]
 		ifc.inPackets.Add(1)
 		ifc.inBytes.Add(int64(len(body)))
 		ifc.demux(body)

@@ -267,9 +267,9 @@ func TestLatencyProfileDelays(t *testing.T) {
 	})
 }
 
-// The paced wire fans a frame out the way the ideal one does: one
-// wrapper over the detached bytes, shared by reference count, however
-// many stations hear it — not one wrapper per station.
+// The paced wire fans a frame out the way the ideal one does: the
+// sender's block itself, shared by reference count, however many
+// stations hear it — no wrapper, and not one block per station.
 func TestPacedFanOutSharesOneBlock(t *testing.T) {
 	onSegment(t, Profile{Latency: time.Millisecond, Bandwidth: 1 << 30}, func(seg *Segment) {
 		var ifcs []*Interface
@@ -294,9 +294,9 @@ func TestPacedFanOutSharesOneBlock(t *testing.T) {
 		}) {
 			return
 		}
-		// The frame block Transmit copies into, and the fan-out's wrapper.
-		if d := block.Snapshot().Allocs - before.Allocs; d != 2 {
-			t.Errorf("one broadcast to three stations allocated %d blocks, want 2", d)
+		// The frame block Transmit copies into, and nothing else.
+		if d := block.Snapshot().Allocs - before.Allocs; d != 1 {
+			t.Errorf("one broadcast to three stations allocated %d blocks, want 1", d)
 		}
 		if ifcs[0].inPackets.Load() != 0 {
 			t.Error("the sender heard its own frame")
@@ -543,6 +543,40 @@ func TestAllocsUnicastFanOut(t *testing.T) {
 	t.Logf("one unicast frame on a 64-station segment: %.1f allocs", allocs)
 	if allocs != 0 {
 		t.Errorf("a unicast frame allocates %.1f objects, want 0 (a station snapshot per frame is back?)", allocs)
+	}
+}
+
+// TestAllocsPacedUnicast: a unicast frame on a paced, unimpaired wire
+// allocates nothing from transmit through the delay line and the
+// fan-out to the kernel hook — the frame stays the sender's pooled
+// block the whole way, and the line's process parks for free.
+func TestAllocsPacedUnicast(t *testing.T) {
+	if block.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	var allocs float64
+	onSegment(t, Profile{Latency: time.Millisecond, Bandwidth: 1_250_000}, func(seg *Segment) {
+		a, b := seg.NewInterface("ether0"), seg.NewInterface("ether0")
+		tx, _ := a.OpenConn()
+		defer tx.Close()
+		tx.SetType(0x900)
+		rx, _ := b.OpenConn()
+		defer rx.Close()
+		rx.SetType(0x900)
+		heard := 0
+		rx.SetDeliver(func([]byte) { heard++ })
+		payload := make([]byte, 64)
+		allocs = testing.AllocsPerRun(200, func() {
+			tx.Transmit(b.Addr(), payload)
+			seg.Clock().Sleep(2 * time.Millisecond) // the frame arrives and the hook returns
+		})
+		if heard != 201 {
+			t.Errorf("the kernel hook heard %d frames, want 201", heard)
+		}
+	})
+	t.Logf("one unicast frame on a paced wire: %.1f allocs", allocs)
+	if allocs != 0 {
+		t.Errorf("a paced unicast frame allocates %.1f objects, want 0 (a detached frame or a wrapper per frame is back?)", allocs)
 	}
 }
 

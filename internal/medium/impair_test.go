@@ -5,9 +5,10 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/vclock"
 )
 
 // nastyImpairment arms every fault class at once.
@@ -248,56 +249,68 @@ func TestPipeImpairedDeliveryReplays(t *testing.T) {
 }
 
 // TestPipeSendCloseHammer is the partition/close race regression test:
-// concurrent senders racing Close during an armed impairment window
-// must see nil or ErrClosed — never a panic on a closed channel — and
-// after Close every Send deterministically returns ErrClosed.
+// paced senders interleaving with Close during an armed impairment
+// window must see nil or ErrClosed — never a panic on a closed queue —
+// and after Close every Send deterministically returns ErrClosed. Each
+// round closes at a different point of the senders' schedule.
 func TestPipeSendCloseHammer(t *testing.T) {
 	for round := range 20 {
-		p := NewPipe(Profile{
-			Seed:    int64(round),
-			Latency: 50 * time.Microsecond,
-			Loss:    0.1,
-			Impair: Impairment{
-				Duplicate:  0.2,
-				Reorder:    0.2,
-				Corrupt:    0.2,
-				Jitter:     20 * time.Microsecond,
-				Partitions: []Window{{From: 5, To: 10}},
-			},
-		})
-		var wg sync.WaitGroup
-		for g := range 8 {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				msg := seqMsg(g)
-				for i := 0; i < 200; i++ {
-					if err := p.Send(msg); err != nil {
-						if err != ErrClosed {
-							t.Errorf("send error %v", err)
+		onVirtual(func(ck *vclock.Virtual) {
+			p := NewPipe(Profile{
+				Seed:      int64(round),
+				Latency:   50 * time.Microsecond,
+				Bandwidth: 3_200_000, // a 32-byte message holds the line 10 µs
+				Loss:      0.1,
+				Impair: Impairment{
+					Duplicate:  0.2,
+					Reorder:    0.2,
+					Corrupt:    0.2,
+					Jitter:     20 * time.Microsecond,
+					Partitions: []Window{{From: 5, To: 10}},
+				},
+				Clock: ck,
+			})
+			done := vclock.NewWaitGroup(ck)
+			sent := 0
+			for g := range 8 {
+				done.Add(1)
+				ck.Go(func() {
+					defer done.Done()
+					msg := seqMsg(g)
+					for range 200 {
+						if err := p.Send(msg); err != nil {
+							if err != ErrClosed {
+								t.Errorf("send error %v", err)
+							}
+							return
 						}
+						sent++
+					}
+				})
+			}
+			// Drain so senders don't just block on a full queue.
+			done.Add(1)
+			ck.Go(func() {
+				defer done.Done()
+				for {
+					if _, err := p.Recv(); err != nil {
 						return
 					}
 				}
-			}(g)
-		}
-		// Drain so senders don't just block on a full queue.
-		drained := make(chan struct{})
-		go func() {
-			defer close(drained)
-			for {
-				if _, err := p.Recv(); err != nil {
-					return
-				}
+			})
+			ck.Sleep(time.Duration(round%4) * 100 * time.Microsecond)
+			p.Close()
+			done.Wait()
+			// The line carries one message per 10 µs, so Close lands after
+			// about one send per 10 µs slept; a sender whose message the
+			// impairer dropped still returns nil once past the close.
+			if want := (round % 4) * 10; sent < want-1 || sent > want+8 {
+				t.Errorf("round %d: %d sends returned nil, want %d to %d", round, sent, want-1, want+8)
 			}
-		}()
-		time.Sleep(time.Duration(round%4) * 100 * time.Microsecond)
-		p.Close()
-		wg.Wait()
-		<-drained
-		if err := p.Send(seqMsg(0)); err != ErrClosed {
-			t.Fatalf("send after close = %v, want ErrClosed", err)
-		}
+			if err := p.Send(seqMsg(0)); err != ErrClosed {
+				t.Errorf("send after close = %v, want ErrClosed", err)
+			}
+		})
 	}
 }
 
@@ -360,26 +373,29 @@ func TestPacingMath(t *testing.T) {
 		{"jittered", Profile{Bandwidth: 1 << 20, Impair: Impairment{Jitter: time.Millisecond}}, []int{10240, 10240, 5120}},
 	}
 	for _, c := range nfCases {
-		p := NewPipe(c.prof)
-		start := time.Now()
-		var want time.Duration
-		for _, n := range c.sizes {
-			if err := p.Send(make([]byte, n)); err != nil {
-				t.Fatalf("%s: send: %v", c.name, err)
+		onVirtual(func(ck *vclock.Virtual) {
+			c.prof.Clock = ck
+			p := NewPipe(c.prof)
+			defer p.Close()
+			start := ck.Now()
+			var want time.Duration
+			for _, n := range c.sizes {
+				if err := p.Send(make([]byte, n)); err != nil {
+					t.Errorf("%s: send: %v", c.name, err)
+					return
+				}
+				want += TransmitTime(n, c.prof.Bandwidth)
 			}
-			want += TransmitTime(n, c.prof.Bandwidth)
-		}
-		p.line.mu.Lock()
-		free := p.line.free
-		p.line.mu.Unlock()
-		got := free.Sub(start)
-		if got < want || got > want+30*time.Millisecond {
-			t.Errorf("%s: line's next-free instant advanced %v, want ~%v", c.name, got, want)
-		}
-		if el := time.Since(start); el < want-TransmitTime(c.sizes[len(c.sizes)-1], c.prof.Bandwidth) {
-			t.Errorf("%s: sender paced only %v for %v of wire time", c.name, el, want)
-		}
-		p.Close()
+			p.line.mu.Lock()
+			free := p.line.free
+			p.line.mu.Unlock()
+			if got := free.Sub(start); got != want {
+				t.Errorf("%s: line's next-free instant advanced %v, want %v", c.name, got, want)
+			}
+			if el := ck.Since(start); el != want {
+				t.Errorf("%s: sender paced %v for %v of wire time", c.name, el, want)
+			}
+		})
 	}
 
 	// MTU rejection across the same spread of profiles.
@@ -409,25 +425,40 @@ func TestPacingMath(t *testing.T) {
 	}
 }
 
+// TestJitterDelaysDelivery: each message arrives at the base latency
+// plus its recorded jitter, in order — one that drew less jitter than
+// the one ahead of it arrives with it, never before it.
 func TestJitterDelaysDelivery(t *testing.T) {
-	p := NewPipe(Profile{Latency: 2 * time.Millisecond, Impair: Impairment{Jitter: 5 * time.Millisecond}, Seed: 8})
-	defer p.Close()
-	start := time.Now()
-	for range 5 {
-		if err := p.Send([]byte("j")); err != nil {
-			t.Fatal(err)
+	onVirtual(func(ck *vclock.Virtual) {
+		const base = 2 * time.Millisecond
+		p := NewPipe(Profile{Latency: base, Impair: Impairment{Jitter: 5 * time.Millisecond, Record: true}, Seed: 8, Clock: ck})
+		defer p.Close()
+		start := ck.Now()
+		for i := range 5 {
+			if err := p.Send([]byte{byte(i)}); err != nil {
+				t.Error(err)
+				return
+			}
 		}
-	}
-	for range 5 {
-		if _, err := p.Recv(); err != nil {
-			t.Fatal(err)
+		var want time.Duration
+		overtaken := false
+		for i, d := range p.Schedule() {
+			if arrive := base + d.Jitter; arrive > want {
+				want = arrive
+			} else {
+				overtaken = true
+			}
+			m, err := p.Recv()
+			if err != nil || m[0] != byte(i) {
+				t.Errorf("message %d: %v, %v", i, m, err)
+				return
+			}
+			if el := ck.Since(start); el != want {
+				t.Errorf("message %d (jitter %v) arrived after %v, want %v", i, d.Jitter, el, want)
+			}
 		}
-	}
-	el := time.Since(start)
-	if el < 2*time.Millisecond {
-		t.Errorf("delivery in %v beat the base latency", el)
-	}
-	if el > 60*time.Millisecond {
-		t.Errorf("jittered delivery took %v; jitter should stay under base+5ms each", el)
-	}
+		if !overtaken {
+			t.Error("no message drew less jitter than the one ahead of it; pick another seed")
+		}
+	})
 }

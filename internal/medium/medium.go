@@ -50,13 +50,8 @@ type Pipe struct {
 	im      *Impairer // nil on an unimpaired, lossless link
 
 	queue *vclock.Mailbox[[]byte]
-	sched *vclock.Mailbox[timedMsg]
+	delay *Delay[[]byte] // nil without latency or jitter: messages arrive as sent
 	line  Pacer
-}
-
-type timedMsg struct {
-	msg []byte
-	at  time.Time
 }
 
 // NewPipe creates a pipe with the given profile.
@@ -71,25 +66,11 @@ func NewPipe(p Profile) *Pipe {
 		pipe.im = NewImpairer(p.Seed+1, p.Loss, p.Impair)
 	}
 	if p.Latency > 0 || p.Impair.Jitter > 0 {
-		// An ordered deliverer: messages arrive Latency (plus any
-		// jitter) after transmission, pipelined (many in flight).
-		pipe.sched = vclock.NewMailbox[timedMsg](ck, 1024)
-		ck.Go(pipe.deliverer)
+		// Messages arrive Latency (plus any jitter) after transmission,
+		// in order; a full receive queue parks the line, not the sender.
+		pipe.delay = NewDelay(ck, func(msg []byte) { _ = pipe.queue.Send(msg) })
 	}
 	return pipe
-}
-
-func (p *Pipe) deliverer() {
-	for {
-		tm, ok := p.sched.Recv()
-		if !ok {
-			return
-		}
-		p.ck.SleepUntil(tm.at)
-		if p.queue.Send(tm.msg) != nil {
-			return
-		}
-	}
 }
 
 // Pacer is the serialization point of a wire: the instant at which its
@@ -129,8 +110,8 @@ func TransmitTime(n int, rate int64) time.Duration {
 // Send queues one message, applying MTU, bandwidth pacing, the
 // impairment model, and latency. Pacing sleeps the sender, modeling
 // the transmitter staying busy for size/bandwidth (dropped messages
-// still occupy wire time); propagation latency is applied by the
-// deliverer without blocking the sender, so throughput pipelines.
+// still occupy wire time); propagation latency is applied by the delay
+// line without blocking the sender, so throughput pipelines.
 func (p *Pipe) Send(msg []byte) error { return p.send(msg, false) }
 
 // SendOwned is Send for a buffer whose ownership the caller hands
@@ -168,12 +149,12 @@ func (p *Pipe) send(msg []byte, owned bool) error {
 	return p.emit(msg, 0)
 }
 
-// emit puts one wire copy on the delivery path. Mailbox sends fail with
-// ErrClosed once the pipe is closed, so Send after Close returns
-// ErrClosed deterministically — even mid-impairment.
+// emit puts one wire copy on the delivery path. Both paths fail once
+// the pipe is closed, so Send after Close returns ErrClosed
+// deterministically — even mid-impairment.
 func (p *Pipe) emit(msg []byte, extra time.Duration) error {
-	if p.sched != nil {
-		if p.sched.Send(timedMsg{msg: msg, at: p.ck.Now().Add(p.profile.Latency + extra)}) != nil {
+	if p.delay != nil {
+		if !p.delay.Put(msg, p.ck.Now().Add(p.profile.Latency+extra)) {
 			return ErrClosed
 		}
 		return nil
@@ -215,8 +196,8 @@ func (p *Pipe) Recv() ([]byte, error) {
 // Close tears the pipe down; blocked receivers fail once the delivered
 // backlog drains.
 func (p *Pipe) Close() {
-	if p.sched != nil {
-		p.sched.Close()
+	if p.delay != nil {
+		p.delay.Close()
 	}
 	p.queue.Close()
 }
@@ -261,6 +242,10 @@ func (d *Duplex) MTU() int { return d.tx.profile.MTU }
 
 // Clock returns the clock the link waits on.
 func (d *Duplex) Clock() vclock.Clock { return d.tx.ck }
+
+// Impaired reports whether either direction of the link has an
+// impairer: only then can a message arrive damaged.
+func (d *Duplex) Impaired() bool { return d.tx.im != nil || d.rx.im != nil }
 
 // ImpairCounts sums the impairment counters of both directions of the
 // link (tx and rx are the two pipes of the circuit, so either end

@@ -2,9 +2,21 @@ package medium
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/vclock"
 )
+
+// onVirtual runs body as the root machine goroutine of a fresh virtual
+// clock. Time passes only while every machine goroutine is parked, so
+// the instants the tests assert are exact. A pipe or delay line the
+// body makes must close before it returns, so its process winds down.
+func onVirtual(body func(ck *vclock.Virtual)) {
+	v := vclock.NewVirtual()
+	v.Run(func() { body(v) })
+}
 
 func TestPipeOrderedDelivery(t *testing.T) {
 	p := NewPipe(Profile{})
@@ -37,44 +49,55 @@ func TestPipeOrderedDeliveryWithLatency(t *testing.T) {
 }
 
 func TestLatencyApplied(t *testing.T) {
-	p := NewPipe(Profile{Latency: 20 * time.Millisecond})
-	defer p.Close()
-	start := time.Now()
-	p.Send([]byte("x"))
-	if _, err := p.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el < 15*time.Millisecond {
-		t.Errorf("message arrived after %v, want ~20ms", el)
-	}
+	onVirtual(func(ck *vclock.Virtual) {
+		p := NewPipe(Profile{Latency: 20 * time.Millisecond, Clock: ck})
+		defer p.Close()
+		start := ck.Now()
+		p.Send([]byte("x"))
+		if _, err := p.Recv(); err != nil {
+			t.Error(err)
+			return
+		}
+		if el := ck.Since(start); el != 20*time.Millisecond {
+			t.Errorf("message arrived after %v, want 20ms", el)
+		}
+	})
 }
 
+// TestLatencyPipelines: ten messages sent at once over a 20 ms link
+// all arrive 20 ms later, not one every 20 ms.
 func TestLatencyPipelines(t *testing.T) {
-	// 10 messages at 20ms latency must take ~20ms total, not 200ms.
-	p := NewPipe(Profile{Latency: 20 * time.Millisecond})
-	defer p.Close()
-	start := time.Now()
-	for range 10 {
-		p.Send([]byte("x"))
-	}
-	for range 10 {
-		p.Recv()
-	}
-	if el := time.Since(start); el > 100*time.Millisecond {
-		t.Errorf("10 messages took %v: latency is serializing", el)
-	}
+	onVirtual(func(ck *vclock.Virtual) {
+		p := NewPipe(Profile{Latency: 20 * time.Millisecond, Clock: ck})
+		defer p.Close()
+		start := ck.Now()
+		for range 10 {
+			p.Send([]byte("x"))
+		}
+		for i := range 10 {
+			if _, err := p.Recv(); err != nil {
+				t.Error(err)
+				return
+			}
+			if el := ck.Since(start); el != 20*time.Millisecond {
+				t.Errorf("message %d arrived after %v, want 20ms: latency is serializing", i, el)
+			}
+		}
+	})
 }
 
 func TestBandwidthPacesSender(t *testing.T) {
-	p := NewPipe(Profile{Bandwidth: 1 << 20}) // 1 MB/s
-	defer p.Close()
-	start := time.Now()
-	for range 10 {
-		p.Send(make([]byte, 10*1024)) // 100 KiB total -> ~100ms
-	}
-	if el := time.Since(start); el < 70*time.Millisecond {
-		t.Errorf("100KB at 1MB/s paced in %v", el)
-	}
+	onVirtual(func(ck *vclock.Virtual) {
+		p := NewPipe(Profile{Bandwidth: 1 << 20, Clock: ck}) // 1 MiB/s
+		defer p.Close()
+		start := ck.Now()
+		for range 10 {
+			p.Send(make([]byte, 10*1024))
+		}
+		if el, want := ck.Since(start), 10*TransmitTime(10*1024, 1<<20); el != want {
+			t.Errorf("100 KiB at 1 MiB/s paced the sender for %v, want %v", el, want)
+		}
+	})
 }
 
 func TestMTURejected(t *testing.T) {
@@ -90,43 +113,40 @@ func TestMTURejected(t *testing.T) {
 
 func TestLossDrops(t *testing.T) {
 	p := NewPipe(Profile{Loss: 1.0, Seed: 3})
-	defer p.Close()
 	for range 20 {
 		p.Send([]byte("gone"))
 	}
-	done := make(chan bool, 1)
-	go func() {
-		p.Recv()
-		done <- true
-	}()
-	select {
-	case <-done:
-		t.Error("message survived loss=1.0")
-	case <-time.After(50 * time.Millisecond):
+	if c := p.ImpairCounts(); c.Dropped != 20 || c.Emitted != 0 {
+		t.Errorf("loss=1.0 counts %v, want 20 dropped and nothing emitted", c)
 	}
 	p.Close()
+	if m, err := p.Recv(); err != ErrClosed {
+		t.Errorf("message %q survived loss=1.0", m)
+	}
 }
 
 func TestCloseUnblocksReceiver(t *testing.T) {
-	p := NewPipe(Profile{})
-	errs := make(chan error, 1)
-	go func() {
-		_, err := p.Recv()
-		errs <- err
-	}()
-	time.Sleep(5 * time.Millisecond)
-	p.Close()
-	select {
-	case err := <-errs:
-		if err != ErrClosed {
-			t.Errorf("receiver error %v", err)
+	onVirtual(func(ck *vclock.Virtual) {
+		p := NewPipe(Profile{Clock: ck})
+		var (
+			err  error
+			woke time.Time
+		)
+		ck.Go(func() {
+			_, err = p.Recv()
+			woke = ck.Now()
+		})
+		ck.Sleep(5 * time.Millisecond)
+		closed := ck.Now()
+		p.Close()
+		ck.Sleep(0)
+		if err != ErrClosed || !woke.Equal(closed) {
+			t.Errorf("receiver woke at T+%v with %v, want T+%v with ErrClosed", woke.Sub(vclock.Epoch), err, closed.Sub(vclock.Epoch))
 		}
-	case <-time.After(time.Second):
-		t.Fatal("receiver not unblocked")
-	}
-	if err := p.Send([]byte("x")); err != ErrClosed {
-		t.Errorf("send after close = %v", err)
-	}
+		if err := p.Send([]byte("x")); err != ErrClosed {
+			t.Errorf("send after close = %v", err)
+		}
+	})
 }
 
 func TestRecvDrainsQueueAfterClose(t *testing.T) {
@@ -155,4 +175,119 @@ func TestDuplex(t *testing.T) {
 	if a.MTU() != 0 {
 		t.Errorf("unlimited MTU = %d", a.MTU())
 	}
+}
+
+// --- the delay line ---
+
+// line is a delay line on ck that logs each arrival with its instant,
+// as an offset from start.
+type line struct {
+	*Delay[int]
+	start    time.Time
+	arrivals []int
+	at       []time.Duration
+}
+
+func newLine(ck vclock.Clock) *line {
+	l := &line{start: ck.Now()}
+	l.Delay = NewDelay(ck, func(v int) {
+		l.arrivals = append(l.arrivals, v)
+		l.at = append(l.at, ck.Since(l.start))
+	})
+	return l
+}
+
+// put puts v on the line due d after the line's start.
+func (l *line) put(v int, d time.Duration) bool { return l.Put(v, l.start.Add(d)) }
+
+// TestDelayArrivesAtItsInstant: each item arrives exactly at the
+// instant it was put for, however many are in flight.
+func TestDelayArrivesAtItsInstant(t *testing.T) {
+	onVirtual(func(ck *vclock.Virtual) {
+		l := newLine(ck)
+		defer l.Close()
+		due := []time.Duration{0, time.Millisecond, time.Millisecond, 1500 * time.Microsecond, 40 * time.Millisecond}
+		for i, d := range due {
+			l.put(i, d)
+		}
+		ck.Sleep(time.Second)
+		if !slices.Equal(l.arrivals, []int{0, 1, 2, 3, 4}) || !slices.Equal(l.at, due) {
+			t.Errorf("arrivals %v at %v, want 0…4 at %v", l.arrivals, l.at, due)
+		}
+	})
+}
+
+// TestDelayIsFIFOUnderJitter: an item due before the head (it drew less
+// jitter) waits behind it and arrives with it, never ahead of it.
+func TestDelayIsFIFOUnderJitter(t *testing.T) {
+	onVirtual(func(ck *vclock.Virtual) {
+		l := newLine(ck)
+		defer l.Close()
+		for i, d := range []time.Duration{5 * time.Millisecond, time.Millisecond, 7 * time.Millisecond, 6 * time.Millisecond} {
+			l.put(i, d)
+		}
+		ck.Sleep(time.Second)
+		want := []time.Duration{5 * time.Millisecond, 5 * time.Millisecond, 7 * time.Millisecond, 7 * time.Millisecond}
+		if !slices.Equal(l.arrivals, []int{0, 1, 2, 3}) || !slices.Equal(l.at, want) {
+			t.Errorf("arrivals %v at %v, want 0…3 at %v", l.arrivals, l.at, want)
+		}
+	})
+}
+
+// TestDelayPutNeverParks: a sender may put any number of items on the
+// line — past the 1024 the old bounded queue held — without yielding:
+// none arrives, not even one already due, until the sender parks.
+func TestDelayPutNeverParks(t *testing.T) {
+	onVirtual(func(ck *vclock.Virtual) {
+		l := newLine(ck)
+		defer l.Close()
+		const n = 4096
+		for i := range n {
+			if !l.put(i, 0) {
+				t.Errorf("put %d failed on an open line", i)
+				return
+			}
+		}
+		if len(l.arrivals) != 0 || ck.Since(l.start) != 0 {
+			t.Errorf("the sender yielded while putting: %d arrived, T+%v", len(l.arrivals), ck.Since(l.start))
+		}
+		ck.Sleep(time.Millisecond)
+		if len(l.arrivals) != n || l.arrivals[n-1] != n-1 || l.at[n-1] != 0 {
+			t.Errorf("%d of %d arrived once the sender parked", len(l.arrivals), n)
+		}
+	})
+}
+
+// TestDelayCloseReturnsWhatIsInFlight: Close hands back what is in
+// flight, head first, and Put fails after it. The one item the line's
+// process was already waiting out still arrives at its instant; the
+// segment and the pipe hand it to a receiver that has closed too.
+func TestDelayCloseReturnsWhatIsInFlight(t *testing.T) {
+	onVirtual(func(ck *vclock.Virtual) {
+		l := newLine(ck)
+		for i := range 3 {
+			l.put(i, time.Duration(i+1)*time.Millisecond)
+		}
+		if left := l.Close(); !slices.Equal(left, []int{0, 1, 2}) {
+			t.Errorf("Close before the process ran returned %v, want [0 1 2]", left)
+		}
+		ck.Sleep(time.Second)
+		if len(l.arrivals) != 0 || l.put(9, 0) {
+			t.Errorf("after Close %v arrived and Put did not fail", l.arrivals)
+		}
+
+		l = newLine(ck)
+		for i := range 4 {
+			l.put(i, time.Duration(i+1)*time.Millisecond)
+		}
+		ck.Sleep(1500 * time.Microsecond)
+		left := l.Close()
+		ck.Sleep(time.Second)
+		if !slices.Equal(left, []int{2, 3}) || !slices.Equal(l.arrivals, []int{0, 1}) || l.at[1] != 2*time.Millisecond {
+			t.Errorf("Close at 1.5 ms returned %v; %v arrived at %v, want [2 3], and [0 1] at [1ms 2ms]", left, l.arrivals, l.at)
+		}
+		if again := l.Close(); again != nil {
+			t.Errorf("a second Close returned %v", again)
+		}
+	})
 }

@@ -34,8 +34,9 @@ echo "== netvet ./..."
 go run ./cmd/netvet ./...
 
 echo "== netvet realtime: tests that run on the virtual clock"
-# Every paper-world test in these packages, and every ether test, runs
-# inside vclock.Virtual.Run, so a wall-clock call in one of their files,
+# Every paper-world test in these packages, and every ether test and
+# every medium test that waits, runs inside vclock.Virtual.Run, so a
+# wall-clock call in one of their files,
 # tests included, is a regression. A test that is about the real clock
 # says so with //netvet:ignore realtime <reason>. Converting more
 # packages' tests grows the list.
@@ -44,7 +45,7 @@ if ! echo "$rt" | grep -q '^netvet: [0-9]* package'; then
     echo "$rt" >&2
     exit 1
 fi
-if echo "$rt" | grep -E '^internal/(core|dialer|ftp|table1|ether)/'; then
+if echo "$rt" | grep -E '^internal/(core|dialer|ftp|table1|ether|medium)/'; then
     echo "wall-clock calls in packages whose tests run on the virtual clock (see above)" >&2
     exit 1
 fi
@@ -60,7 +61,9 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # creeping back into the hot paths fails the gate, and so does a
 # goroutine per packet on the transmit path (tcp TestAllocsSegmentSend),
 # a station snapshot per frame on the segment (ether
-# TestAllocsUnicastFanOut), or a conversation's deadline that allocates
+# TestAllocsUnicastFanOut), a detached frame or wrapper per frame on the
+# paced wire (ether TestAllocsPacedUnicast), or a conversation's
+# deadline that allocates
 # when an ack re-arms it (il TestAllocsRearmOnAck, vclock
 # TestAllocsDeadlineUpdate).
 go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/cs ./internal/tcp ./internal/vclock ./internal/ether ./internal/il
@@ -131,7 +134,7 @@ echo "ninep/client.go $(lines internal/ninep/client.go)  mnt/mnt.go $(lines inte
 echo "vclock/*.go $(lines $(ls internal/vclock/*.go | grep -v _test.go))  ninep/transport.go $(lines internal/ninep/transport.go)  ns/ns.go $(lines internal/ns/ns.go)"
 echo "block/block.go $(lines internal/block/block.go)  streams/*.go $(lines $(ls internal/streams/*.go | grep -v _test.go))"
 echo "analysis/locks.go $(lines internal/analysis/locks.go)  analysis/lockorder.go $(lines internal/analysis/lockorder.go)"
-echo "ip/stack.go $(lines internal/ip/stack.go)  ether.go $(lines internal/ether/ether.go)  ether/dev.go $(lines internal/ether/dev.go)  netdev.go $(lines internal/netdev/netdev.go)  devtree/*.go $(lines $(ls internal/devtree/*.go | grep -v _test.go))  medium.go $(lines internal/medium/medium.go)  uart.go $(lines internal/uart/uart.go)"
+echo "ip/stack.go $(lines internal/ip/stack.go)  ether.go $(lines internal/ether/ether.go)  ether/dev.go $(lines internal/ether/dev.go)  netdev.go $(lines internal/netdev/netdev.go)  devtree/*.go $(lines $(ls internal/devtree/*.go | grep -v _test.go))  medium.go $(lines internal/medium/medium.go)  medium/delay.go $(lines internal/medium/delay.go)  uart.go $(lines internal/uart/uart.go)"
 if [ "$il" -gt 847 ]; then
     echo "internal/il/il.go is $il lines, over the paper's 847" >&2
     exit 1
