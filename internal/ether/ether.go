@@ -310,10 +310,12 @@ func (seg *Segment) transmitBlock(from *Interface, dst Addr, b *block.Block) err
 	}
 	crc := crc32.ChecksumIEEE(b.Bytes())
 	binary.BigEndian.PutUint32(b.Extend(fcsLen), crc)
-	copies := seg.im.Apply(b.Bytes())
+	copies := seg.im.Apply(b.Bytes(), txFrame{from: from, dst: dst})
 	b.Free()
 	for _, e := range copies {
-		if !seg.delay.Put(txFrame{from, dst, block.FromBytes(e.Data)}, at.Add(e.Delay)) {
+		f := e.Route.(txFrame) // a frame held for reordering keeps its own route
+		f.b = block.FromBytes(e.Data)
+		if !seg.delay.Put(f, at.Add(e.Delay)) {
 			return vfs.ErrShutdown
 		}
 	}

@@ -914,6 +914,44 @@ func TestImpairmentReordersFrames(t *testing.T) {
 	})
 }
 
+// TestHeldFrameKeepsItsRoute: a frame the impairer holds for
+// reordering is released by a later transmission — on two stations
+// taking turns, always the other station's — and still travels from
+// its own sender to its own addressee. Every frame is held until the
+// next one is sent, so W, sent only to release Z, stays held.
+func TestHeldFrameKeepsItsRoute(t *testing.T) {
+	onSegment(t, Profile{Seed: 1, Impair: medium.Impairment{Reorder: 1, ReorderDepth: 1}}, func(seg *Segment) {
+		a, b := seg.NewInterface("ether0"), seg.NewInterface("ether1")
+		ca, _ := a.OpenConn()
+		cb, _ := b.OpenConn()
+		defer ca.Close()
+		defer cb.Close()
+		ca.SetType(0x900)
+		cb.SetType(0x900)
+		for _, f := range []struct {
+			from    *Conn
+			to      Addr
+			payload string
+		}{{ca, b.Addr(), "X"}, {cb, a.Addr(), "Y"}, {ca, b.Addr(), "Z"}, {cb, a.Addr(), "W"}} {
+			if err := f.from.Transmit(f.to, []byte(f.payload)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		for _, want := range []struct {
+			at      *Conn
+			payload string
+		}{{cb, "X"}, {ca, "Y"}, {cb, "Z"}} {
+			if got, err := recvPayload(want.at); got != want.payload {
+				t.Errorf("%s: got %q, %v", want.payload, got, err)
+			}
+		}
+		if c := seg.ImpairCounts(); c.Held != 4 || c.Pending != 1 {
+			t.Errorf("counts %v, want every frame held and W still pending", c)
+		}
+	})
+}
+
 // TestCorruptFramesFailFCS checks the hardware contract: a frame
 // damaged on the wire fails the interface FCS check and is counted,
 // never delivered — corruption on an Ethernet reaches protocols as

@@ -167,11 +167,12 @@ func (c Counts) String() string {
 }
 
 // Emission is one copy the impairer puts on the wire: the (possibly
-// corrupted) bytes and any extra propagation delay beyond the link
-// latency.
+// corrupted) bytes, any extra propagation delay beyond the link
+// latency, and the route of the message it copies.
 type Emission struct {
 	Data  []byte
 	Delay time.Duration
+	Route any
 }
 
 // maxHeld caps the reorder hold queue so Reorder=1 cannot swallow the
@@ -204,6 +205,7 @@ type Impairer struct {
 type heldMsg struct {
 	data  []byte
 	delay time.Duration
+	route any
 	left  int // emissions still to pass before release
 }
 
@@ -278,9 +280,11 @@ func (im *Impairer) record(d Decision) {
 // Apply passes one transmitted message through the fault model and
 // returns the copies that go on the wire now, in order. An empty
 // result means the message vanished — dropped, or held back to be
-// released after later traffic overtakes it. Apply never mutates or
-// retains msg.
-func (im *Impairer) Apply(msg []byte) []Emission {
+// released after later traffic overtakes it. Every copy carries route,
+// the caller's note of where the message goes, so a held message
+// released during a later one's Apply still goes where it was sent.
+// Apply never mutates or retains msg.
+func (im *Impairer) Apply(msg []byte, route any) []Emission {
 	im.mu.Lock()
 	defer im.mu.Unlock()
 	n := im.index
@@ -337,11 +341,11 @@ func (im *Impairer) Apply(msg []byte) []Emission {
 	if reorder {
 		d.Hold = 1 + int(im.draw(n, drawHoldDepth)%uint64(im.imp.ReorderDepth))
 	} else {
-		out = append(out, Emission{Data: cp, Delay: d.Jitter})
+		out = append(out, Emission{Data: cp, Delay: d.Jitter, Route: route})
 		if im.chance(im.imp.Duplicate, n, drawDup) {
 			d.Dup = true
 			im.counts.Duplicated++
-			out = append(out, Emission{Data: append([]byte(nil), cp...), Delay: d.Jitter})
+			out = append(out, Emission{Data: append([]byte(nil), cp...), Delay: d.Jitter, Route: route})
 		}
 	}
 	im.record(d)
@@ -349,7 +353,7 @@ func (im *Impairer) Apply(msg []byte) []Emission {
 	if reorder {
 		im.counts.Held++
 		im.counts.Pending++
-		im.held = append(im.held, heldMsg{data: cp, delay: d.Jitter, left: d.Hold})
+		im.held = append(im.held, heldMsg{data: cp, delay: d.Jitter, route: route, left: d.Hold})
 	}
 	im.counts.Emitted += int64(len(out))
 	return out
@@ -369,7 +373,7 @@ func (im *Impairer) releaseLocked(out []Emission) []Emission {
 	for _, h := range im.held {
 		h.left--
 		if h.left <= 0 {
-			out = append(out, Emission{Data: h.data, Delay: h.delay})
+			out = append(out, Emission{Data: h.data, Delay: h.delay, Route: h.route})
 			im.counts.Pending--
 		} else {
 			keep = append(keep, h)

@@ -45,7 +45,7 @@ func TestImpairerScheduleReplays(t *testing.T) {
 		im := NewImpairer(42, 0.08, nastyImpairment())
 		var all []Emission
 		for i := range 300 {
-			all = append(all, im.Apply(seqMsg(i))...)
+			all = append(all, im.Apply(seqMsg(i), nil)...)
 		}
 		return im.Schedule(), all, im.Counts()
 	}
@@ -66,7 +66,7 @@ func TestImpairerScheduleReplays(t *testing.T) {
 	// A different seed must not replay the same schedule.
 	im3 := NewImpairer(43, 0.08, nastyImpairment())
 	for i := range 300 {
-		im3.Apply(seqMsg(i))
+		im3.Apply(seqMsg(i), nil)
 	}
 	if reflect.DeepEqual(s1, im3.Schedule()) {
 		t.Fatal("different seeds produced identical schedules")
@@ -80,7 +80,7 @@ func TestImpairerScheduleReplays(t *testing.T) {
 func TestImpairerPartitionDropsAndHeals(t *testing.T) {
 	im := NewImpairer(1, 0, Impairment{Partitions: []Window{{From: 10, To: 20}}, Record: true})
 	for i := range 30 {
-		im.Apply(seqMsg(i))
+		im.Apply(seqMsg(i), nil)
 	}
 	for _, d := range im.Schedule() {
 		in := d.Index >= 10 && d.Index < 20
@@ -95,7 +95,7 @@ func TestImpairerPartitionDropsAndHeals(t *testing.T) {
 
 func TestImpairerDuplicateEmitsTwoCopies(t *testing.T) {
 	im := NewImpairer(7, 0, Impairment{Duplicate: 1})
-	out := im.Apply([]byte("twice"))
+	out := im.Apply([]byte("twice"), nil)
 	if len(out) != 2 || !bytes.Equal(out[0].Data, out[1].Data) || string(out[0].Data) != "twice" {
 		t.Fatalf("duplicate emission = %v", out)
 	}
@@ -111,7 +111,7 @@ func TestImpairerCorruptionFlipsBitsInCopy(t *testing.T) {
 	orig := seqMsg(9)
 	ref := append([]byte(nil), orig...)
 	im := NewImpairer(11, 0, Impairment{Corrupt: 1, CorruptBits: 2, Record: true})
-	out := im.Apply(orig)
+	out := im.Apply(orig, nil)
 	if len(out) != 1 {
 		t.Fatalf("want 1 emission, got %d", len(out))
 	}
@@ -140,14 +140,19 @@ func TestImpairerCorruptionFlipsBitsInCopy(t *testing.T) {
 // TestImpairerReorderDisplacementBounded checks the reordering
 // contract protocols with small sequence spaces depend on: a held
 // message is overtaken by at most ReorderDepth distinct later
-// messages.
+// messages. A released message carries its own route, not the route
+// of the message whose transmission released it.
 func TestImpairerReorderDisplacementBounded(t *testing.T) {
 	const depth = 3
 	im := NewImpairer(5, 0, Impairment{Reorder: 0.4, ReorderDepth: depth})
 	var order []int
 	for i := range 400 {
-		for _, e := range im.Apply(seqMsg(i)) {
-			order = append(order, int(binary.BigEndian.Uint16(e.Data)))
+		for _, e := range im.Apply(seqMsg(i), i) {
+			seq := int(binary.BigEndian.Uint16(e.Data))
+			if e.Route != seq {
+				t.Fatalf("message %d emitted with route %v", seq, e.Route)
+			}
+			order = append(order, seq)
 		}
 	}
 	c := im.Counts()
@@ -183,7 +188,7 @@ func TestImpairerHoldQueueBounded(t *testing.T) {
 	im := NewImpairer(3, 0, Impairment{Reorder: 1, ReorderDepth: 2})
 	emitted := 0
 	for i := range 200 {
-		emitted += len(im.Apply(seqMsg(i)))
+		emitted += len(im.Apply(seqMsg(i), nil))
 	}
 	c := im.Counts()
 	if c.Pending > maxHeld {
@@ -197,7 +202,7 @@ func TestImpairerHoldQueueBounded(t *testing.T) {
 func TestImpairerBurstLossClusters(t *testing.T) {
 	im := NewImpairer(17, 0, Impairment{BurstP: 0.05, BurstR: 0.3, Record: true})
 	for i := range 2000 {
-		im.Apply(seqMsg(i))
+		im.Apply(seqMsg(i), nil)
 	}
 	bursts, maxRun, run := 0, 0, 0
 	for _, d := range im.Schedule() {

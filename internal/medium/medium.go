@@ -136,7 +136,7 @@ func (p *Pipe) send(msg []byte, owned bool) error {
 		// The impairment path must copy even an owned buffer: the
 		// impairer duplicates and corrupts wire copies independently,
 		// so each delivery needs bytes of its own.
-		for _, e := range p.im.Apply(msg) {
+		for _, e := range p.im.Apply(msg, nil) {
 			if err := p.emit(e.Data, e.Delay); err != nil {
 				return err
 			}

@@ -31,7 +31,13 @@ func Chaos(proto string, seed int64, msgs int) Scenario {
 			BurstR:       0.4,
 			Partitions:   []medium.Window{{From: 120, To: 140}, {From: 300, To: 315}},
 		},
-		Timeout: 25 * time.Second,
+		// Twice IL's death time: a 9P session is many IL round trips,
+		// and after a partition each may wait out IL's 2 s maximum
+		// timeout, so over 100 seeds the slowest sessions take 27 s
+		// (37 s while held frames went back to their senders). A
+		// watchdog must not fire on a conversation its transport is
+		// still allowed to recover.
+		Timeout: 60 * time.Second,
 	}
 	switch proto {
 	case ProtoURP:
