@@ -96,7 +96,7 @@ var (
 	statAllocs      counter // every block or raw buffer handed out
 	statUnpooled    counter // allocations that never consulted a pool
 	statPoolMisses  counter // pool consulted, had to make a new buffer
-	statFrees       counter // every release (Free, Detach, PutBytes)
+	statFrees       counter // every release (Free, PutBytes)
 	statBytesCopied counter // payload bytes copied at mandatory-copy points
 )
 
@@ -311,23 +311,6 @@ func (b *Block) Free() {
 	if b.class >= 0 {
 		classPools[b.class].Put(b)
 	}
-}
-
-// Detach removes the buffer from the pool economy and returns the
-// readable window: for handing bytes to a consumer that outlives any
-// ownership discipline (the impairment scheduler, a channel of plain
-// slices). The block is released but its buffer is never recycled, so
-// the returned slice is safe for as long as the holder keeps it.
-// Detaching a shared block panics — the other holders' references
-// could not be honored.
-func (b *Block) Detach() []byte {
-	if b.refs.Load() != 1 {
-		panic("block: Detach of shared block")
-	}
-	p := b.Bytes()
-	b.refs.Store(0)
-	statFrees.add(1)
-	return p
 }
 
 // GetBytes returns a pooled plain buffer of length n (and class-sized

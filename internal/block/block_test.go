@@ -146,39 +146,6 @@ func TestControl(t *testing.T) {
 	b.Free()
 }
 
-func TestDetach(t *testing.T) {
-	b := Alloc(4, 8)
-	copy(b.Bytes(), "keep")
-	inFlightBefore := Snapshot().InFlight
-	p := b.Detach()
-	if !bytes.Equal(p, []byte("keep")) {
-		t.Fatalf("Detach = %q", p)
-	}
-	if d := Snapshot().InFlight - inFlightBefore; d != -1 {
-		t.Fatalf("InFlight moved by %d across Detach, want -1", d)
-	}
-	// The buffer never re-enters the pool; a fresh alloc must not alias p.
-	b2 := Alloc(4, 8)
-	copy(b2.Bytes(), "over")
-	if string(p) != "keep" {
-		t.Fatal("detached bytes were recycled under the caller")
-	}
-	b2.Free()
-}
-
-func TestDetachSharedPanics(t *testing.T) {
-	b := Alloc(4, 0)
-	b.Ref()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Detach of shared block did not panic")
-		}
-		b.Free()
-		b.Free()
-	}()
-	b.Detach()
-}
-
 func TestFromBytes(t *testing.T) {
 	p := []byte("foreign")
 	b := FromBytes(p)

@@ -183,10 +183,6 @@ type duplexWire struct {
 	check bool // the circuit is impaired
 }
 
-func newWire(d *medium.Duplex, errs *atomic.Int64) duplexWire {
-	return duplexWire{d, errs, d.Impaired()}
-}
-
 // SendCell frames the cell in place: URP hands over a pool-backed cell
 // with capacity slack, so appending the FCS reuses the same buffer and
 // the framed cell goes to the medium with no wire copy.
@@ -331,7 +327,7 @@ func (c *Conn) Connect(addr string) error {
 		wire.Close()
 		return xport.ErrConnected
 	}
-	c.urp = urp.NewClock(newWire(wire, &c.proto.FCSErrs), &c.proto.Stats, wire.Clock())
+	c.urp = urp.NewClock(duplexWire{wire, &c.proto.FCSErrs, wire.Impaired()}, &c.proto.Stats, wire.Clock())
 	c.wire = wire
 	c.local = c.proto.host.name
 	c.remote = addr
@@ -384,7 +380,7 @@ func (c *Conn) Listen() (xport.Conn, error) {
 	}
 	nc := &Conn{
 		proto:   c.proto,
-		urp:     urp.NewClock(newWire(call.wire, &c.proto.FCSErrs), &c.proto.Stats, call.wire.Clock()),
+		urp:     urp.NewClock(duplexWire{call.wire, &c.proto.FCSErrs, call.wire.Impaired()}, &c.proto.Stats, call.wire.Clock()),
 		wire:    call.wire,
 		local:   c.proto.host.name + "!" + call.service,
 		remote:  call.remote,

@@ -11,7 +11,11 @@
 // The medium is characterized by a Profile (latency, bandwidth, MTU,
 // loss) so the performance experiments can calibrate it to the paper's
 // 10 Mb/s hardware; with a zero Profile frames are delivered
-// synchronously and tests run at memory speed.
+// synchronously and tests run at memory speed. Otherwise a sender books
+// the wire (medium.Pacer) and puts the frame on the segment's delay
+// line (medium.Delay), whose one process hands it to the stations when
+// its last bit has left plus the latency. Only an impaired wire can
+// damage a frame, so only there does a frame carry and check an FCS.
 //
 // Like a LANCE, an interface hears only the frames it would accept: a
 // broadcast, a frame addressed to it, and — while one of its
@@ -281,11 +285,10 @@ func (seg *Segment) fanOut(from *Interface, dst Addr, b *block.Block) bool {
 // it books the wire for its serialization time, FCS included, and goes
 // on the delay line to arrive when its last bit has left plus the
 // latency; the segment lock makes booking order wire order, so a fixed
-// seed replays the identical schedule. Only an impaired wire can damage
-// a frame, so only there is the FCS computed: the impairer decides what
-// this wire position does, and each copy it emits travels as bytes of
-// its own. An unimpaired frame stays the sender's block until the last
-// station that hears it lets go.
+// seed replays the identical schedule. Only an impaired wire computes
+// the FCS: the impairer decides what this wire position does, and each
+// copy it emits travels as bytes of its own. An unimpaired frame stays
+// the sender's block until the last station that hears it lets go.
 func (seg *Segment) transmitBlock(from *Interface, dst Addr, b *block.Block) error {
 	if n := b.Len() - HdrLen; n > seg.MTU() {
 		b.Free()
@@ -316,6 +319,7 @@ func (seg *Segment) transmitBlock(from *Interface, dst Addr, b *block.Block) err
 		f := e.Route.(txFrame) // a frame held for reordering keeps its own route
 		f.b = block.FromBytes(e.Data)
 		if !seg.delay.Put(f, at.Add(e.Delay)) {
+			f.b.Free()
 			return vfs.ErrShutdown
 		}
 	}

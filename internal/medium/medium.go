@@ -1,10 +1,10 @@
 // Package medium provides the paced, lossy, unidirectional message
 // pipe used to simulate point-to-point media: Datakit circuit legs and
-// Cyclone fibers. (The Ethernet has its own broadcast-domain simulator
-// in package ether.) A Profile calibrates latency, bandwidth, maximum
-// transfer unit, and loss so benchmarks can reproduce the relative
-// speeds of the paper's media; the zero Profile delivers synchronously
-// at memory speed for tests.
+// Cyclone fibers. Every paced medium, the Ethernet segment of package
+// ether included, is a Pacer reservation plus one Delay line. A Profile
+// calibrates latency, bandwidth, maximum transfer unit, and loss so
+// benchmarks can reproduce the relative speeds of the paper's media;
+// the zero Profile delivers synchronously at memory speed for tests.
 //
 // All waiting goes through the profile's vclock.Clock, so a pipe built
 // with a virtual clock simulates its latency and pacing in

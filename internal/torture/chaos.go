@@ -31,12 +31,9 @@ func Chaos(proto string, seed int64, msgs int) Scenario {
 			BurstR:       0.4,
 			Partitions:   []medium.Window{{From: 120, To: 140}, {From: 300, To: 315}},
 		},
-		// Twice IL's death time: a 9P session is many IL round trips,
-		// and after a partition each may wait out IL's 2 s maximum
-		// timeout, so over 100 seeds the slowest sessions take 27 s
-		// (37 s while held frames went back to their senders). A
-		// watchdog must not fire on a conversation its transport is
-		// still allowed to recover.
+		// Twice IL's death time, so the watchdog never fires on a
+		// conversation IL may still recover: after a partition a 9P
+		// session waits out IL's 2 s maximum timeout again and again.
 		Timeout: 60 * time.Second,
 	}
 	switch proto {
