@@ -178,9 +178,8 @@ const fcsLen = 2
 // so only there is the CRC computed and checked; elsewhere the two FCS
 // bytes still go on the wire, so the cell's wire time is the same.
 type duplexWire struct {
-	d     *medium.Duplex
-	errs  *atomic.Int64
-	check bool // the circuit is impaired
+	d    *medium.Duplex
+	errs *atomic.Int64
 }
 
 // SendCell frames the cell in place: URP hands over a pool-backed cell
@@ -188,7 +187,7 @@ type duplexWire struct {
 // the framed cell goes to the medium with no wire copy.
 func (w duplexWire) SendCell(p []byte) error {
 	var fcs uint16
-	if w.check {
+	if w.d.Impaired() {
 		fcs = crc16(p)
 	}
 	cell := append(p, byte(fcs>>8), byte(fcs))
@@ -202,7 +201,7 @@ func (w duplexWire) RecvCell() ([]byte, error) {
 			return nil, err
 		}
 		n := len(cell) - fcsLen
-		if n < 0 || w.check && crc16(cell[:n]) != uint16(cell[n])<<8|uint16(cell[n+1]) {
+		if n < 0 || w.d.Impaired() && crc16(cell[:n]) != uint16(cell[n])<<8|uint16(cell[n+1]) {
 			if w.errs != nil {
 				w.errs.Add(1)
 			}
@@ -327,7 +326,7 @@ func (c *Conn) Connect(addr string) error {
 		wire.Close()
 		return xport.ErrConnected
 	}
-	c.urp = urp.NewClock(duplexWire{wire, &c.proto.FCSErrs, wire.Impaired()}, &c.proto.Stats, wire.Clock())
+	c.urp = urp.NewClock(duplexWire{wire, &c.proto.FCSErrs}, &c.proto.Stats, wire.Clock())
 	c.wire = wire
 	c.local = c.proto.host.name
 	c.remote = addr
@@ -380,7 +379,7 @@ func (c *Conn) Listen() (xport.Conn, error) {
 	}
 	nc := &Conn{
 		proto:   c.proto,
-		urp:     urp.NewClock(duplexWire{call.wire, &c.proto.FCSErrs, call.wire.Impaired()}, &c.proto.Stats, call.wire.Clock()),
+		urp:     urp.NewClock(duplexWire{call.wire, &c.proto.FCSErrs}, &c.proto.Stats, call.wire.Clock()),
 		wire:    call.wire,
 		local:   c.proto.host.name + "!" + call.service,
 		remote:  call.remote,

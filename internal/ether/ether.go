@@ -12,10 +12,8 @@
 // loss) so the performance experiments can calibrate it to the paper's
 // 10 Mb/s hardware; with a zero Profile frames are delivered
 // synchronously and tests run at memory speed. Otherwise a sender books
-// the wire (medium.Pacer) and puts the frame on the segment's delay
-// line (medium.Delay), whose one process hands it to the stations when
-// its last bit has left plus the latency. Only an impaired wire can
-// damage a frame, so only there does a frame carry and check an FCS.
+// the wire (medium.Pacer) and the frame crosses the segment's delay
+// line (medium.Delay). Only an impaired wire carries and checks an FCS.
 //
 // Like a LANCE, an interface hears only the frames it would accept: a
 // broadcast, a frame addressed to it, and — while one of its
@@ -183,7 +181,7 @@ func NewSegment(name string, p Profile) *Segment {
 	}
 	seg.ideal = p.Bandwidth == 0 && p.Latency == 0 && seg.im == nil
 	if !seg.ideal {
-		seg.delay = medium.NewDelay(ck, func(f txFrame) { seg.fanOut(f.from, f.dst, f.b) })
+		seg.delay = medium.NewDelay(ck, 0, func(f txFrame) { seg.fanOut(f.from, f.dst, f.b) })
 	}
 	return seg
 }
@@ -286,9 +284,7 @@ func (seg *Segment) fanOut(from *Interface, dst Addr, b *block.Block) bool {
 // on the delay line to arrive when its last bit has left plus the
 // latency; the segment lock makes booking order wire order, so a fixed
 // seed replays the identical schedule. Only an impaired wire computes
-// the FCS: the impairer decides what this wire position does, and each
-// copy it emits travels as bytes of its own. An unimpaired frame stays
-// the sender's block until the last station that hears it lets go.
+// the FCS, and each copy its impairer emits travels as bytes of its own.
 func (seg *Segment) transmitBlock(from *Interface, dst Addr, b *block.Block) error {
 	if n := b.Len() - HdrLen; n > seg.MTU() {
 		b.Free()
@@ -433,9 +429,8 @@ func (ifc *Interface) reader() {
 		// with other stations (broadcast fan-out), so it is read,
 		// never written, and this reference is released when
 		// demultiplexing returns.
-		frame := b.Bytes()
+		frame, fcs := b.Bytes(), ifc.seg.im != nil // only an impaired wire's frames carry one
 		n := len(frame)
-		fcs := ifc.seg.im != nil // only a frame an impaired wire carried has one
 		if fcs {
 			n -= fcsLen
 		}

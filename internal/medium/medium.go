@@ -67,8 +67,9 @@ func NewPipe(p Profile) *Pipe {
 	}
 	if p.Latency > 0 || p.Impair.Jitter > 0 {
 		// Messages arrive Latency (plus any jitter) after transmission,
-		// in order; a full receive queue parks the line, not the sender.
-		pipe.delay = NewDelay(ck, func(msg []byte) { _ = pipe.queue.Send(msg) })
+		// in order. A full receive queue parks the line, and a full line
+		// parks the sender.
+		pipe.delay = NewDelay(ck, 1024, func(msg []byte) { _ = pipe.queue.Send(msg) })
 	}
 	return pipe
 }
@@ -154,7 +155,7 @@ func (p *Pipe) send(msg []byte, owned bool) error {
 // deterministically — even mid-impairment.
 func (p *Pipe) emit(msg []byte, extra time.Duration) error {
 	if p.delay != nil {
-		if !p.delay.Put(msg, p.ck.Now().Add(p.profile.Latency+extra)) {
+		if !p.delay.Send(msg, p.ck.Now().Add(p.profile.Latency+extra)) {
 			return ErrClosed
 		}
 		return nil

@@ -149,6 +149,45 @@ func TestCloseUnblocksReceiver(t *testing.T) {
 	})
 }
 
+// TestPipeSenderParksOnAFullLine: a pipe with latency bounds its
+// sender. Facing a reader that does not read, the sender fills the
+// receive queue (1024), the line process's hand (1) and the line
+// (1024), then parks in Send; each Recv lets one more message in.
+func TestPipeSenderParksOnAFullLine(t *testing.T) {
+	onVirtual(func(ck *vclock.Virtual) {
+		p := NewPipe(Profile{Latency: time.Millisecond, Clock: ck})
+		const full = 1024 + 1 + 1024
+		var (
+			sent int
+			err  error
+		)
+		ck.Go(func() {
+			// Stops at twice the bound if the line never fills.
+			for err == nil && sent < 2*full {
+				if err = p.Send([]byte{1}); err == nil {
+					sent++
+				}
+			}
+		})
+		ck.Sleep(time.Second)
+		if sent != full {
+			t.Errorf("the sender put %d messages in flight, want %d then park", sent, full)
+		}
+		for range 3 {
+			p.Recv()
+		}
+		ck.Sleep(time.Second)
+		if sent != full+3 {
+			t.Errorf("three receives let %d more messages in, want 3", sent-full)
+		}
+		p.Close()
+		ck.Sleep(0)
+		if err != ErrClosed {
+			t.Errorf("the parked sender woke from Close with %v, want ErrClosed", err)
+		}
+	})
+}
+
 func TestRecvDrainsQueueAfterClose(t *testing.T) {
 	p := NewPipe(Profile{})
 	p.Send([]byte("still here"))
@@ -190,7 +229,7 @@ type line struct {
 
 func newLine(ck vclock.Clock) *line {
 	l := &line{start: ck.Now()}
-	l.Delay = NewDelay(ck, func(v int) {
+	l.Delay = NewDelay(ck, 0, func(v int) {
 		l.arrivals = append(l.arrivals, v)
 		l.at = append(l.at, ck.Since(l.start))
 	})
@@ -234,8 +273,8 @@ func TestDelayIsFIFOUnderJitter(t *testing.T) {
 	})
 }
 
-// TestDelayPutNeverParks: a sender may put any number of items on the
-// line — past the 1024 the old bounded queue held — without yielding:
+// TestDelayPutNeverParks: a sender may put any number of items on an
+// unbounded line — past the pipe's 1024 bound — without yielding:
 // none arrives, not even one already due, until the sender parks.
 func TestDelayPutNeverParks(t *testing.T) {
 	onVirtual(func(ck *vclock.Virtual) {
