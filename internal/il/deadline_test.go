@@ -109,12 +109,8 @@ func TestDialSendsOneSyncEachWay(t *testing.T) {
 // on the next tick of a polling loop.
 func TestQueryFiresExactlyAtTimeout(t *testing.T) {
 	onVirtualPair(t, lan, func(v *vclock.Virtual, _, p2 *Proto, dc, sc xport.Conn) {
+		warmLAN(v, dc, sc)
 		buf := make([]byte, 64)
-		for range 5 {
-			dc.Write([]byte{0})
-			sc.Read(buf)
-			v.Sleep(30 * time.Millisecond)
-		}
 		c := dc.(*Conn)
 		c.Ring.SetNow(func() int64 { return v.Now().UnixNano() })
 		epoch := v.Now()

@@ -293,9 +293,10 @@ type Conn struct {
 	// Recovery (§3). A query travels the same queue and wire as the
 	// data sent before it, so the state message that answers it comes
 	// from a peer that has seen every earlier packet that was not lost.
-	// While a query is unanswered (querying), queryNext is sndNext as
-	// it stood when the first went out; the answer moves recover up to
-	// it, and an unacknowledged packet below recover is proven lost.
+	// While a query is open (querying), queryNext is sndNext as it
+	// stood when the first went out; the answer moves recover up to it,
+	// and an unacknowledged packet below recover is proven lost. Acks
+	// reaching queryNext close the query too.
 	querying           bool
 	queryNext, recover uint32
 
@@ -466,6 +467,9 @@ func (c *Conn) input(h header, data []byte) {
 				c.resendLostHeadLocked()
 			}
 		}
+		// What a state acknowledges waited out our timeout: it is no
+		// round-trip sample (Karn's rule, as for a retransmission).
+		c.RTT.Cancel()
 		c.ackLocked(h.ack)
 	case msgClose:
 		// Closes are sequenced like data: the hangup is delivered
@@ -528,6 +532,11 @@ func (c *Conn) ackLocked(ack uint32) {
 	c.sndUna = ack + 1
 	if c.sndUna > c.sndNext {
 		c.sndNext = c.sndUna
+	}
+	// Once every packet a query asked about is acknowledged the query
+	// is over, answered or not: the next timeout asks afresh.
+	if c.querying && c.sndUna >= c.queryNext {
+		c.querying = false
 	}
 	// Progress restarts the timer (RFC 6298 §5.3): the new head has been
 	// waiting for the wire, not for its peer.

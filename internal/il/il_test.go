@@ -510,23 +510,17 @@ func TestWindowCountsMessagesNotPackets(t *testing.T) {
 	<-done
 }
 
-// burst runs one conversation on a virtual 10 Mb/s segment. Five spaced
-// one-byte messages bring the dialer's timeout down to its floor; then
-// it writes msgs messages of per packets each at once, and the acceptor
+// burst runs one conversation on the virtual LAN. After warmLAN it
+// writes msgs messages of per packets each at once, and the acceptor
 // reads them all back in order. lose names packets of the burst, by
 // position, whose first copy vanishes between the wire and the
 // acceptor's IL. It reports the two engines once the last message has
 // been read.
 func burst(t *testing.T, msgs, per int, lose ...uint32) (p1, p2 *Proto) {
-	prof := ether.Profile{Latency: 200 * time.Microsecond, Bandwidth: 10_000_000 / 8}
-	onVirtualPair(t, prof, func(v *vclock.Virtual, e1, e2 *Proto, dc, sc xport.Conn) {
+	onVirtualPair(t, lan, func(v *vclock.Virtual, e1, e2 *Proto, dc, sc xport.Conn) {
 		p1, p2 = e1, e2
+		warmLAN(v, dc, sc)
 		buf := make([]byte, 64<<10)
-		for range 5 {
-			dc.Write([]byte{0})
-			sc.Read(buf)
-			v.Sleep(30 * time.Millisecond)
-		}
 		c := dc.(*Conn)
 		c.Mu.Lock()
 		first, rto := c.sndNext, c.rtoLocked()
@@ -590,6 +584,89 @@ func TestCleanWireCarriesNoRetransmissions(t *testing.T) {
 			t.Errorf("clean wire, %d packets a message: %d retransmits, %d duplicates, %d out of window (%d queries)",
 				per, r, d, o, p1.QueriesSent.Load())
 		}
+	}
+}
+
+// warmLAN runs five spaced one-byte messages over a virtual LAN pair,
+// which brings the dialer's timeout down to its floor.
+func warmLAN(v *vclock.Virtual, dc, sc xport.Conn) {
+	buf := make([]byte, 64)
+	for range 5 {
+		dc.Write([]byte{0})
+		sc.Read(buf)
+		v.Sleep(30 * time.Millisecond)
+	}
+}
+
+// TestAcksEndAQuery: a query's state message is lost, and a plain ack
+// then covers everything the query asked about. That ends the query, so
+// when a later message is lost the next timeout asks afresh and one
+// query recovers it. A query left open would be answered with its old
+// bound, prove nothing lost, and cost one more timeout.
+func TestAcksEndAQuery(t *testing.T) {
+	onVirtualPair(t, lan, func(v *vclock.Virtual, p1, p2 *Proto, dc, sc xport.Conn) {
+		warmLAN(v, dc, sc)
+		c := dc.(*Conn)
+		c.Mu.Lock()
+		a := c.sndNext
+		c.Mu.Unlock()
+		// A's ack and the first state message vanish before the dialer;
+		// C's first copy before the acceptor.
+		dropFirst(p1, func(h header) bool { return h.typ == msgAck && h.ack == a || h.typ == msgState })
+		dropFirst(p2, func(h header) bool { return h.typ == msgData && h.id == a+2 })
+		read := func(want string) {
+			buf := make([]byte, 64)
+			if n, err := sc.Read(buf); err != nil || string(buf[:n]) != want {
+				t.Errorf("read %q, %v; want %q", buf[:n], err, want)
+			}
+		}
+		dc.Write([]byte("A"))
+		read("A")
+		c.Mu.Lock()
+		due := c.waitFrom.Add(c.rtoLocked())
+		c.Mu.Unlock()
+		// The query about A has gone out and its answer is lost; B's ack
+		// covers A before the query is repeated.
+		v.SleepUntil(due.Add(time.Millisecond))
+		dc.Write([]byte("B"))
+		read("B")
+		v.Sleep(time.Millisecond)
+		q := p1.QueriesSent.Load()
+		dc.Write([]byte("C"))
+		read("C")
+		if q = p1.QueriesSent.Load() - q; q != 1 {
+			t.Errorf("a lost message took %d queries to recover, want 1", q)
+		}
+	})
+}
+
+// TestStateAckIsNotTimed: an acknowledgement that arrives in the state
+// message answering our query waited out our timeout; it is no
+// round-trip sample (Karn's rule, as for a retransmission). A plain ack
+// is one.
+func TestStateAckIsNotTimed(t *testing.T) {
+	for _, m := range []struct {
+		typ  byte
+		name string
+	}{{msgState, "state"}, {msgAck, "plain ack"}} {
+		onVirtualPair(t, lan, func(v *vclock.Virtual, _, p2 *Proto, dc, sc xport.Conn) {
+			warmLAN(v, dc, sc)
+			// Packets for the peer now reach its interface and stop there.
+			p2.Stack.Close()
+			c := dc.(*Conn)
+			c.Mu.Lock()
+			a, srtt := c.sndNext, c.RTT.SRTT
+			c.Mu.Unlock()
+			dc.Write([]byte("A"))
+			v.Sleep(5 * time.Millisecond)
+			c.input(header{typ: m.typ, ack: a}, nil)
+			c.Mu.Lock()
+			defer c.Mu.Unlock()
+			if sampled := c.RTT.SRTT != srtt; c.sndUna != a+1 || sampled != (m.typ == msgAck) {
+				t.Errorf("%s: sndUna %d (want %d), smoothed RTT %v → %v",
+					m.name, c.sndUna, a+1, srtt, c.RTT.SRTT)
+			}
+		})
 	}
 }
 

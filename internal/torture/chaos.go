@@ -31,10 +31,7 @@ func Chaos(proto string, seed int64, msgs int) Scenario {
 			BurstR:       0.4,
 			Partitions:   []medium.Window{{From: 120, To: 140}, {From: 300, To: 315}},
 		},
-		// Twice IL's death time, so the watchdog never fires on a
-		// conversation IL may still recover: after a partition a 9P
-		// session waits out IL's 2 s maximum timeout again and again.
-		Timeout: 60 * time.Second,
+		Timeout: 25 * time.Second,
 	}
 	switch proto {
 	case ProtoURP:
