@@ -213,9 +213,6 @@ func (b *Block) Len() int { return b.wp - b.rp }
 // Headroom returns the prepend space available.
 func (b *Block) Headroom() int { return b.rp }
 
-// Tailroom returns the append space available.
-func (b *Block) Tailroom() int { return len(b.buf) - b.wp }
-
 // Prepend grows the window by n bytes at the front and returns the new
 // front region for the caller to fill — the in-place header push. If
 // the headroom is short the block reallocates and copies (counted in

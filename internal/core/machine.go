@@ -15,7 +15,6 @@ import (
 	"repro/internal/il"
 	"repro/internal/ip"
 	"repro/internal/mnt"
-	"repro/internal/ndb"
 	"repro/internal/netdev"
 	"repro/internal/ninep"
 	"repro/internal/ns"
@@ -378,11 +377,6 @@ func (m *Machine) Close() {
 	if m.Stack != nil {
 		m.Stack.Close()
 	}
-}
-
-// Entry returns the machine's database entry.
-func (m *Machine) Entry() (ndb.Entry, bool) {
-	return m.World.db.QueryOne("sys", m.Name)
 }
 
 // LsNet formats the names visible in /net, the way the paper's

@@ -6,8 +6,8 @@ import (
 	"repro/internal/block"
 )
 
-// The cache-hit path is CS's whole performance story: no mutex, no
-// key string, no copied answer — so like the block pool and the obs
+// The cache-hit path is what every dial pays: one lock, one map read,
+// no key string, no copied answer — so like the block pool and the obs
 // primitives it is gated at zero allocations per hit. check.sh runs
 // this without the race detector (whose instrumentation allocates).
 func TestAllocsTranslateHit(t *testing.T) {

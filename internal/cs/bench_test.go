@@ -3,15 +3,20 @@ package cs
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ndb"
+	"repro/internal/vclock"
 )
 
-// Benchmarks of the sharded lock-free answer cache. The rows that set
-// it against the seed's single-RWMutex, 128-entry wholesale-drop cache
-// were recorded at commit c97d7ee; DESIGN "Connection server at scale"
-// quotes them and names the commit at which they can be re-run.
+// Benchmarks of the answer cache from parallel real-clock goroutines.
+// The cache is one map under one lock, built for what a machine's CS
+// serves (its own dialers, one goroutine at a time on the virtual
+// clock), not for this contention: DESIGN "Connection server at scale"
+// sets these rows beside those of the sharded lock-free cache that
+// preceded it and of the seed's single-RWMutex cache before that.
 
 // benchNdb synthesizes a database with n dialable systems, each on
 // both IP and Datakit like the paper's dual-homed machines.
@@ -34,8 +39,8 @@ func benchNdb(tb testing.TB, n int) *ndb.DB {
 // benchServer mirrors the machine's real CS config: the full network
 // list in preference order, so a net! wildcard walks all of them on a
 // miss — what a boot-time dial actually costs.
-func benchServer(tb testing.TB, systems, cacheEntries int) *Server {
-	cfg := Config{
+func benchServer(tb testing.TB, systems int, ck vclock.Clock) *Server {
+	return New(Config{
 		SysName: "h0000",
 		DB:      benchNdb(tb, systems),
 		Networks: []Network{
@@ -44,10 +49,19 @@ func benchServer(tb testing.TB, systems, cacheEntries int) *Server {
 			{Name: "udp", Clone: "/net/udp/clone", Kind: KindIP},
 			{Name: "dk", Clone: "/net/dk/clone", Kind: KindDatakit},
 		},
-	}
-	cfg.CacheEntries = cacheEntries
-	return New(cfg)
+		Clock: ck,
+	})
 }
+
+// agingClock moves a TTL forward at every reading, so every entry has
+// expired by the next query and every query misses.
+type agingClock struct {
+	vclock.Clock
+	ns atomic.Int64
+}
+
+func (c *agingClock) Now() time.Time                  { return time.Unix(0, c.ns.Add(int64(ttl))) }
+func (c *agingClock) Since(t time.Time) time.Duration { return 0 }
 
 // runParallel16 runs body from 16 goroutines per core — the shape the
 // acceptance criterion names (hot-hit throughput at 16 goroutines).
@@ -62,10 +76,9 @@ func runParallel16(b *testing.B, body func(i int)) {
 	})
 }
 
-// BenchmarkCSTranslateHot: one hot query, every call a cache hit on
-// the lock-free path.
+// BenchmarkCSTranslateHot: one hot query, every call a cache hit.
 func BenchmarkCSTranslateHot(b *testing.B) {
-	s := benchServer(b, 1024, 0)
+	s := benchServer(b, 1024, nil)
 	if _, err := s.Translate("net!h0001!9fs"); err != nil {
 		b.Fatal(err)
 	}
@@ -79,7 +92,7 @@ func BenchmarkCSTranslateHot(b *testing.B) {
 }
 
 // A 512-query working set: a serving machine's realistic hot set. The
-// sharded cache (4096 entries) holds all of it.
+// cache (4096 entries) holds all of it.
 func hotSet(n int) []string {
 	qs := make([]string, n)
 	for i := range qs {
@@ -89,7 +102,7 @@ func hotSet(n int) []string {
 }
 
 func BenchmarkCSTranslateHotSet512(b *testing.B) {
-	s := benchServer(b, 1024, 0)
+	s := benchServer(b, 1024, nil)
 	qs := hotSet(512)
 	for _, q := range qs {
 		if _, err := s.Translate(q); err != nil {
@@ -105,11 +118,11 @@ func BenchmarkCSTranslateHotSet512(b *testing.B) {
 	})
 }
 
-// BenchmarkCSTranslateMissSingleflight: every query misses (capacity
-// 16 over a 4096-query cycle), so the measured path is compute +
-// singleflight + publish + eviction.
+// BenchmarkCSTranslateMissSingleflight: every query misses (the clock
+// ages every entry past its TTL), so the measured path is compute +
+// singleflight + store + eviction of the expired entries at capacity.
 func BenchmarkCSTranslateMissSingleflight(b *testing.B) {
-	s := benchServer(b, 4096, 16)
+	s := benchServer(b, 4096, &agingClock{Clock: vclock.Real})
 	qs := hotSet(4096)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -120,10 +133,11 @@ func BenchmarkCSTranslateMissSingleflight(b *testing.B) {
 	})
 }
 
-// BenchmarkCSTranslateMixed: 90% hot hit, 10% rotating cold query —
-// the boot-storm steady state.
+// BenchmarkCSTranslateMixed: 90% hot hit, 10% rotating over 4096 cold
+// queries, which miss once each and then fit — the boot-storm steady
+// state.
 func BenchmarkCSTranslateMixed(b *testing.B) {
-	s := benchServer(b, 4096, 256)
+	s := benchServer(b, 4096, nil)
 	qs := hotSet(4096)
 	hot := qs[:16]
 	b.ReportAllocs()

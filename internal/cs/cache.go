@@ -1,17 +1,21 @@
 package cs
 
 import (
-	"sync"
-	"sync/atomic"
+	"time"
 
 	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
-// nShards is the power-of-two shard count of the answer cache. A boot
-// storm's queries spread over the shards by query hash, so writers on
-// different shards never contend and readers never contend at all.
-const nShards = 16
+// The answer cache's bounds. A translation is cheap to recompute, so
+// the TTLs exist to bound staleness against DNS (ndb staleness is
+// handled exactly by the version check), and the capacity to bound
+// memory: a machine's dialers ask a few dozen distinct questions.
+const (
+	ttl        = 60 * time.Second
+	negTTL     = 5 * time.Second // ErrNotExist answers
+	maxEntries = 4096
+)
 
 // ckey identifies one cached translation: the trimmed query plus the
 // bitmask of networks that probed reachable when it was asked.
@@ -24,124 +28,24 @@ type ckey struct {
 	nets uint64
 }
 
-// centry is one cached answer. Entries are immutable after publish
-// except for the clock-eviction reference bit, so the lock-free read
-// path can hand out e.lines without copying (Answer copies on demand).
+func (k ckey) less(o ckey) bool {
+	return k.q < o.q || k.q == o.q && k.nets < o.nets
+}
+
+// centry is one cached answer. It is immutable once stored, so a hit
+// hands out lines without copying (Answer copies on demand).
 type centry struct {
-	k      ckey
 	lines  []string
 	err    error // non-nil: a negatively cached ErrNotExist
 	expire int64 // clock nanoseconds after which the entry is stale
 	ver    int64 // ndb.DB.Version the answer was computed against
-	used   atomic.Bool
-}
-
-// shard is one cache shard: an atomic.Pointer snapshot for lock-free
-// reads, republished under mu on every insert — the ether-demux
-// pattern (a write copies the map, mutates the copy, and stores the
-// new pointer; readers only ever Load).
-type shard struct {
-	snap atomic.Pointer[map[ckey]*centry]
-
-	mu   sync.Mutex // serializes republish; never held across blocking ops
-	ring []*centry  // second-chance clock over the live entries
-	hand int
-	_    [24]byte // keep neighbouring shards off one cache line
-}
-
-// lookup is the lock-free read path: one atomic load, one map read.
-func (sh *shard) lookup(k ckey) *centry {
-	m := sh.snap.Load()
-	if m == nil {
-		return nil
-	}
-	return (*m)[k]
-}
-
-// publish inserts e, evicting by second-chance clock when the shard is
-// at capacity, and republishes the snapshot. Called off the hit path
-// (on a miss, by the singleflight leader).
-func (sh *shard) publish(e *centry, capacity int, evicted func()) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var n int
-	if old := sh.snap.Load(); old != nil {
-		n = len(*old)
-	}
-	m := make(map[ckey]*centry, n+1)
-	if old := sh.snap.Load(); old != nil {
-		for k, v := range *old {
-			m[k] = v
-		}
-	}
-	if prev, ok := m[e.k]; ok {
-		sh.dropFromRing(prev)
-	}
-	for len(m) >= capacity && len(sh.ring) > 0 {
-		victim := sh.sweep()
-		delete(m, victim.k)
-		evicted()
-	}
-	m[e.k] = e
-	sh.ring = append(sh.ring, e)
-	sh.snap.Store(&m)
-}
-
-// sweep advances the clock hand past recently used entries (clearing
-// their reference bits) and removes and returns the first cold one.
-func (sh *shard) sweep() *centry {
-	for {
-		if sh.hand >= len(sh.ring) {
-			sh.hand = 0
-		}
-		cand := sh.ring[sh.hand]
-		if cand.used.Load() {
-			cand.used.Store(false)
-			sh.hand++
-			continue
-		}
-		sh.ring = append(sh.ring[:sh.hand], sh.ring[sh.hand+1:]...)
-		return cand
-	}
-}
-
-// dropFromRing removes a replaced entry from the eviction order.
-func (sh *shard) dropFromRing(prev *centry) {
-	for i, e := range sh.ring {
-		if e == prev {
-			sh.ring = append(sh.ring[:i], sh.ring[i+1:]...)
-			if sh.hand > i {
-				sh.hand--
-			}
-			return
-		}
-	}
-}
-
-// entries reports the live entry count (the stats gauge).
-func (sh *shard) entries() int {
-	if m := sh.snap.Load(); m != nil {
-		return len(*m)
-	}
-	return 0
-}
-
-// shardFor hashes the query (FNV-1a, inlined so the hit path does not
-// allocate) to a shard index.
-func (s *Server) shardFor(q string) *shard {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(q); i++ {
-		h ^= uint64(q[i])
-		h *= 1099511628211
-	}
-	return &s.shards[h&(nShards-1)]
 }
 
 // flight is one in-progress computation that concurrent identical
-// misses join instead of repeating: a boot storm's thousand identical
-// queries do one DB/DNS walk, not a thousand. Followers wait on a
-// vclock.Cond so the collapse also works under the discrete-event
-// clock, where parking on a bare channel would stall the scheduler.
+// misses join instead of repeating: a boot storm's identical queries
+// do one DB/DNS walk, not one each. Followers wait on a vclock.Cond so
+// the collapse also works under the discrete-event clock, where
+// parking on a bare channel would stall the scheduler.
 type flight struct {
 	cond  vclock.Cond
 	done  bool
@@ -149,51 +53,89 @@ type flight struct {
 	err   error
 }
 
-// flightDo runs compute for k, collapsing concurrent identical calls.
-// It returns the answer and whether this caller led the computation
-// (false: it joined an existing flight). The leader computes without
-// holding fmu — compute may consult DNS and park on the clock — and
-// publishes the cache entry before waking the waiters.
-func (s *Server) flightDo(k ckey, sh *shard, ver, now int64, compute func() ([]string, error)) ([]string, error, bool) {
-	s.fmu.Lock()
+// outcome says how answer found its lines.
+type outcome int
+
+const (
+	hit    outcome = iota // a fresh cache entry
+	joined                // another caller's flight
+	led                   // this caller's own computation
+)
+
+// answer returns k's answer: a fresh cache entry, or the result of the
+// flight computing it, led by this caller if none is in progress. The
+// lock is never held across compute, which may consult DNS and park on
+// the clock; the leader stores the entry before waking the followers.
+// ver was read before the probe, so an ndb.Replace racing the walk
+// leaves the entry already stale rather than wrong.
+func (s *Server) answer(k ckey, ver, now int64, compute func() ([]string, error)) ([]string, error, outcome) {
+	s.mu.Lock()
+	if e := s.cache[k]; e != nil && e.ver == ver && now < e.expire {
+		s.mu.Unlock()
+		return e.lines, e.err, hit
+	}
 	if f, ok := s.flights[k]; ok {
 		for !f.done {
 			f.cond.Wait()
 		}
-		lines, err := f.lines, f.err
-		s.fmu.Unlock()
-		return lines, err, false
+		s.mu.Unlock()
+		return f.lines, f.err, joined
 	}
 	f := &flight{}
-	f.cond.Init(s.clock, &s.fmu)
+	f.cond.Init(s.clock, &s.mu)
 	s.flights[k] = f
-	s.fmu.Unlock()
+	s.mu.Unlock()
 
 	lines, err := compute()
-	s.store(k, sh, lines, err, ver, now)
 
-	s.fmu.Lock()
+	s.mu.Lock()
+	s.storeLocked(k, lines, err, ver, now)
 	f.lines, f.err, f.done = lines, err, true
 	delete(s.flights, k)
 	f.cond.Broadcast()
-	s.fmu.Unlock()
-	return lines, err, true
+	s.mu.Unlock()
+	return lines, err, led
 }
 
-// store publishes a computed answer. Successes get the positive TTL;
-// ErrNotExist is negatively cached with the (shorter) negative TTL so
-// a storm of dials to a dead name does not walk the database every
-// time; other errors (bad query, no network) are not cached at all.
-// ver was read before the computation began, so an ndb.Replace racing
-// the walk leaves the entry already-stale rather than wrong.
-func (s *Server) store(k ckey, sh *shard, lines []string, err error, ver, now int64) {
-	ttl := s.ttl
+// storeLocked caches a computed answer. Successes get the positive
+// TTL; ErrNotExist is negatively cached with the shorter one, so a
+// storm of dials to a dead name does not walk the database every time;
+// other errors (bad query, no network) are not cached at all.
+func (s *Server) storeLocked(k ckey, lines []string, err error, ver, now int64) {
+	life := ttl
 	if err != nil {
 		if err != vfs.ErrNotExist {
 			return
 		}
-		ttl = s.negTTL
+		life = negTTL
 	}
-	e := &centry{k: k, lines: lines, err: err, expire: now + int64(ttl), ver: ver}
-	sh.publish(e, s.perShard, s.Evictions.Inc)
+	if _, ok := s.cache[k]; !ok && len(s.cache) >= maxEntries {
+		s.evictLocked(ver, now)
+	}
+	s.cache[k] = &centry{lines: lines, err: err, expire: now + int64(life), ver: ver}
+}
+
+// evictLocked makes room for one entry: it drops every entry that has
+// expired or was computed against an older database, and if that
+// frees nothing, the entry due to expire first, the smaller key on a
+// tie, so that a seed replays.
+func (s *Server) evictLocked(ver, now int64) {
+	for k, e := range s.cache {
+		if now >= e.expire || e.ver < ver {
+			delete(s.cache, k)
+			s.Evictions.Inc()
+		}
+	}
+	if len(s.cache) < maxEntries {
+		return
+	}
+	var vk ckey
+	var ve *centry
+	for k, e := range s.cache {
+		if ve == nil || e.expire < ve.expire || e.expire == ve.expire && k.less(vk) {
+			vk, ve = k, e
+		}
+	}
+	delete(s.cache, vk)
+	s.Evictions.Inc()
 }

@@ -1,6 +1,7 @@
 package cs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -9,13 +10,14 @@ import (
 	"repro/internal/ip"
 	"repro/internal/ndb"
 	"repro/internal/ns"
+	"repro/internal/obs"
 	"repro/internal/ramfs"
 	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
-// Cache-engine behavior: version-keyed invalidation, TTLs on the
-// virtual clock, clock eviction, singleflight collapse, short reads
+// Cache-engine behavior: version-keyed invalidation, TTLs, eviction at
+// capacity and singleflight collapse on the virtual clock, short reads
 // through the file interface, and the counter balance under a
 // concurrent hammer.
 
@@ -98,8 +100,9 @@ func TestReplaceReResolvesDollarAttr(t *testing.T) {
 	}
 }
 
-// virtualServer builds a server on an explicit clock.
-func virtualServer(t *testing.T, ck vclock.Clock, extra Config) *Server {
+// virtualServer builds a server on an explicit clock, with its
+// database file for the tests that replace it.
+func virtualServer(t *testing.T, ck vclock.Clock, extra Config) (*Server, *ndb.File) {
 	t.Helper()
 	f, err := ndb.Parse("local", []byte(testNdb))
 	if err != nil {
@@ -114,7 +117,7 @@ func virtualServer(t *testing.T, ck vclock.Clock, extra Config) *Server {
 		{Name: "dk", Clone: "/net/dk/clone", Kind: KindDatakit},
 	}
 	cfg.Clock = ck
-	return New(cfg)
+	return New(cfg), f
 }
 
 // TestNegativeCacheTTLOnVirtualClock: an ErrNotExist answer is served
@@ -123,7 +126,7 @@ func virtualServer(t *testing.T, ck vclock.Clock, extra Config) *Server {
 func TestNegativeCacheTTLOnVirtualClock(t *testing.T) {
 	v := vclock.NewVirtual()
 	v.Run(func() {
-		s := virtualServer(t, v, Config{NegTTL: 5 * time.Second})
+		s, _ := virtualServer(t, v, Config{})
 		if _, err := s.Translate("tcp!ghost!echo"); !vfs.SameError(err, vfs.ErrNotExist) {
 			t.Fatalf("ghost error = %v", err)
 		}
@@ -138,13 +141,13 @@ func TestNegativeCacheTTLOnVirtualClock(t *testing.T) {
 			t.Fatalf("negative hit walked the database (%d -> %d searches)", hashed, h2)
 		}
 
-		// Under the TTL the hit keeps serving; past it the entry dies.
-		v.Sleep(4 * time.Second)
+		// Under the TTL the hit keeps serving; at it the entry dies.
+		v.Sleep(negTTL - time.Nanosecond)
 		s.Translate("tcp!ghost!echo")
 		if s.NegHits.Load() != 2 {
 			t.Fatalf("neg-hits=%d, want 2 inside the TTL", s.NegHits.Load())
 		}
-		v.Sleep(2 * time.Second) // 6s after publish: expired
+		v.Sleep(time.Nanosecond)
 		s.Translate("tcp!ghost!echo")
 		if s.NegHits.Load() != 2 {
 			t.Fatalf("neg-hits=%d after expiry, want still 2", s.NegHits.Load())
@@ -159,16 +162,16 @@ func TestNegativeCacheTTLOnVirtualClock(t *testing.T) {
 func TestPositiveTTLExpiryOnVirtualClock(t *testing.T) {
 	v := vclock.NewVirtual()
 	v.Run(func() {
-		s := virtualServer(t, v, Config{TTL: 60 * time.Second})
+		s, _ := virtualServer(t, v, Config{})
 		if _, err := s.Translate("tcp!helix!echo"); err != nil {
 			t.Fatal(err)
 		}
-		v.Sleep(59 * time.Second)
+		v.Sleep(ttl - time.Nanosecond)
 		s.Translate("tcp!helix!echo")
 		if s.CacheHits.Load() != 1 {
 			t.Fatalf("hits=%d, want 1 inside the TTL", s.CacheHits.Load())
 		}
-		v.Sleep(2 * time.Second)
+		v.Sleep(time.Nanosecond)
 		s.Translate("tcp!helix!echo")
 		if s.CacheHits.Load() != 1 || s.Misses.Load() != 2 {
 			t.Fatalf("hits=%d misses=%d after expiry, want 1/2", s.CacheHits.Load(), s.Misses.Load())
@@ -176,121 +179,139 @@ func TestPositiveTTLExpiryOnVirtualClock(t *testing.T) {
 	})
 }
 
-// TestClockEvictionBoundsEntries: past capacity the second-chance
-// clock evicts cold entries one at a time — the wholesale drop is
-// gone — and the entries gauge stays bounded.
-func TestClockEvictionBoundsEntries(t *testing.T) {
-	f, err := ndb.Parse("local", []byte(testNdb))
-	if err != nil {
-		t.Fatal(err)
+// cached reports whether any entry answers q, without asking.
+func cached(s *Server, q string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k := range s.cache {
+		if k.q == q {
+			return true
+		}
 	}
-	s := New(Config{
-		SysName:      "self",
-		DB:           ndb.New(f),
-		Networks:     []Network{{Name: "tcp", Clone: "/net/tcp/clone", Kind: KindIP}},
-		CacheEntries: nShards, // one entry per shard
-	})
-	// Distinct literal-IP queries all cache; capacity forces eviction.
-	queries := []string{
-		"tcp!10.0.0.1!7", "tcp!10.0.0.2!7", "tcp!10.0.0.3!7", "tcp!10.0.0.4!7",
-		"tcp!10.0.0.5!7", "tcp!10.0.0.6!7", "tcp!10.0.0.7!7", "tcp!10.0.0.8!7",
-	}
-	for round := 0; round < 8; round++ {
-		for _, q := range queries {
+	return false
+}
+
+// TestEvictionAtCapacity pins which entries a full cache drops to make
+// room: the one due to expire first, the smaller key on a tie — and,
+// whenever there are any, every entry computed against an older
+// database or past its TTL, all at once.
+func TestEvictionAtCapacity(t *testing.T) {
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		s, f := virtualServer(t, v, Config{})
+		ask := func(q string) {
+			t.Helper()
 			if _, err := s.Translate(q); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	var entries int
-	for i := range s.shards {
-		entries += s.shards[i].entries()
-	}
-	if entries > len(queries) {
-		t.Fatalf("entries=%d above bound", entries)
-	}
-	hot := s.CacheHits.Load() + s.Misses.Load()
-	if hot != int64(8*len(queries)) {
-		t.Fatalf("hits+misses=%d, want %d", hot, 8*len(queries))
-	}
-	// Any colliding shard had capacity 1, so collisions evicted.
-	if s.Evictions.Load() == 0 {
-		t.Skip("no two queries shared a shard at this capacity")
-	}
+		fill := func(net, n int) {
+			t.Helper()
+			for i := 0; i < n; i++ {
+				ask(fmt.Sprintf("tcp!10.%d.%d.%d!7", net, i/256, i%256))
+			}
+		}
+		entries := func() int64 { return obs.ParseStats(s.StatsGroup().Render())["entries"] }
+		expect := func(n, evicted int64) {
+			t.Helper()
+			if entries() != n || s.Evictions.Load() != evicted {
+				t.Fatalf("entries=%d evictions=%d, want %d/%d", entries(), s.Evictions.Load(), n, evicted)
+			}
+		}
+
+		// t=0: a negative answer (due at 5 s), then positive ones (60 s)
+		// up to capacity.
+		s.Translate("tcp!ghost!echo")
+		fill(0, maxEntries-1)
+		expect(maxEntries, 0)
+
+		// Full, nothing stale: the entry due first goes, the negative one.
+		v.Sleep(time.Second)
+		ask("tcp!10.1.0.0!7")
+		expect(maxEntries, 1)
+		if cached(s, "tcp!ghost!echo") {
+			t.Fatal("the negative entry, due first, survived")
+		}
+		// Then a tie at 60 s among the t=0 entries: the smallest key goes.
+		ask("tcp!10.1.0.1!7")
+		expect(maxEntries, 2)
+		if cached(s, "tcp!10.0.0.0!7") || !cached(s, "tcp!10.0.0.1!7") {
+			t.Fatal("the tie did not evict the smallest key, tcp!10.0.0.0!7")
+		}
+
+		// A new database outdates every entry: one insert drops them all.
+		moved := strings.Replace(testNdb, "auth=p9auth", "auth=helix", 1)
+		nf, err := ndb.Parse("local", []byte(moved))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Replace(nf.Entries)
+		ask("tcp!10.1.0.2!7")
+		expect(1, 2+maxEntries)
+
+		// Refill at t=1 s; at t=61 s every entry has expired.
+		fill(2, maxEntries-1)
+		expect(maxEntries, 2+maxEntries)
+		v.Sleep(ttl)
+		ask("tcp!10.1.0.3!7")
+		expect(1, 2+2*maxEntries)
+		if !cached(s, "tcp!10.1.0.3!7") {
+			t.Fatal("the new entry is missing")
+		}
+	})
 }
 
 // TestSingleflightCollapsesConcurrentMisses: concurrent identical
-// misses do one computation. The resolver blocks until the waiters
-// have queued up, so exactly one DNS walk can serve them all.
+// misses do one computation. The leader parks in DNS for a simulated
+// second; every follower arrives meanwhile, joins its flight, and gets
+// its answer at the instant it is computed.
 func TestSingleflightCollapsesConcurrentMisses(t *testing.T) {
 	const followers = 8
-	gate := make(chan struct{})
-	var resolves int64
-	var mu sync.Mutex
-	f, err := ndb.Parse("local", []byte(testNdb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{
-		SysName:  "self",
-		DB:       ndb.New(f),
-		Networks: []Network{{Name: "tcp", Clone: "/net/tcp/clone", Kind: KindIP}},
-		Resolve: func(domain string) ([]ip.Addr, error) {
-			mu.Lock()
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		resolves := 0
+		s, _ := virtualServer(t, v, Config{Resolve: func(domain string) ([]ip.Addr, error) {
 			resolves++
-			mu.Unlock()
-			<-gate
+			v.Sleep(time.Second)
 			return []ip.Addr{{1, 2, 3, 4}}, nil
-		},
-	})
-	var wg sync.WaitGroup
-	results := make([][]string, followers+1)
-	for i := 0; i <= followers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			a, err := s.Translate("tcp!ai.mit.edu!echo")
-			if err != nil {
-				t.Errorf("translate: %v", err)
+		}})
+		start := v.Now()
+		wg := vclock.NewWaitGroup(v)
+		results := make([][]string, followers+1)
+		for i := range results {
+			wg.Add(1)
+			v.Go(func() {
+				defer wg.Done()
+				a, err := s.Translate("tcp!ai.mit.edu!echo")
+				if err != nil {
+					t.Errorf("translate: %v", err)
+				}
+				results[i] = a.Lines()
+			})
+		}
+		wg.Wait()
+		if resolves != 1 {
+			t.Fatalf("resolver ran %d times, want 1", resolves)
+		}
+		if got := v.Since(start); got != time.Second {
+			t.Fatalf("flight took %v, want the resolver's 1s", got)
+		}
+		for i, r := range results {
+			if len(r) != 1 || r[0] != "/net/tcp/clone 1.2.3.4!7" {
+				t.Fatalf("goroutine %d got %v", i, r)
 			}
-			results[i] = a.Lines()
-		}(i)
-	}
-	// Wait until every follower has either joined the flight or is
-	// about to: the leader is parked in Resolve, so once SFWaits
-	// would-be joiners block on the cond, releasing the gate lets one
-	// computation serve everyone. (Late arrivals after the gate just
-	// hit the cache; either way resolves stays 1.)
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-		mu.Lock()
-		r := resolves
-		mu.Unlock()
-		if r >= 1 {
-			break
 		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if resolves != 1 {
-		t.Fatalf("resolver ran %d times, want 1", resolves)
-	}
-	for i, r := range results {
-		if len(r) != 1 || r[0] != "/net/tcp/clone 1.2.3.4!7" {
-			t.Fatalf("goroutine %d got %v", i, r)
+		if s.Misses.Load() != 1 || s.SFWaits.Load() != followers || s.CacheHits.Load() != 0 {
+			t.Fatalf("misses=%d waits=%d hits=%d, want 1/%d/0",
+				s.Misses.Load(), s.SFWaits.Load(), s.CacheHits.Load(), followers)
 		}
-	}
-	if s.SFWaits.Load()+s.CacheHits.Load() != followers {
-		t.Fatalf("waits=%d hits=%d, want %d combined",
-			s.SFWaits.Load(), s.CacheHits.Load(), followers)
-	}
+	})
 }
 
-// TestConcurrentTranslateHammer runs a mixed workload across the
-// shards and the singleflight under the race detector, then balances
-// the books: every query lands in exactly one outcome counter.
+// TestConcurrentTranslateHammer runs a mixed workload through the one
+// lock and the singleflight from real goroutines under the race
+// detector, then balances the books: every query lands in exactly one
+// outcome counter.
 func TestConcurrentTranslateHammer(t *testing.T) {
 	s := newServer(t, nil)
 	queries := []string{

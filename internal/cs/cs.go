@@ -19,21 +19,21 @@
 // For domain names CS first consults DNS and falls back to its own
 // database tables, per the paper.
 //
-// CS is on the critical path of every dial, so the answer cache is
-// built for storms: reads are lock-free (sharded atomic.Pointer
-// snapshots, republished on write — the ether-demux pattern), entries
-// carry a TTL and the ndb version they were computed against (an
-// ndb.Replace invalidates everything instantly), ErrNotExist answers
-// are negatively cached, eviction is a per-shard second-chance clock,
-// and concurrent identical misses collapse into one computation
-// (singleflight). A cache hit performs no allocation and takes no
-// lock.
+// CS is on the critical path of every dial, and like the paper's it is
+// one process with one table: a map of answers under one lock, which
+// is also the lock of the flights that compute them. Entries carry a
+// TTL (60 s, 5 s for a negatively cached ErrNotExist) and the ndb
+// version they were computed against, so an ndb.Replace invalidates
+// everything at once. Concurrent identical misses collapse into one
+// computation (singleflight), and the lock is never held across it. At
+// 4,096 entries, which no storm reaches, the expired and outdated
+// entries go, or else the one due to expire first. A cache hit takes
+// the lock once and allocates nothing.
 package cs
 
 import (
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/devtree"
 	"repro/internal/ip"
@@ -88,56 +88,25 @@ type Config struct {
 	// real clock. Under vclock.Virtual, cache expiry and singleflight
 	// waits run on simulated time, so storm runs stay deterministic.
 	Clock vclock.Clock
-	// TTL bounds how long a positive answer is served without
-	// revalidation (default DefaultTTL).
-	TTL time.Duration
-	// NegTTL bounds negative (ErrNotExist) answers (default
-	// DefaultNegTTL).
-	NegTTL time.Duration
-	// CacheEntries bounds the total cached answers across all shards
-	// (default DefaultCacheEntries).
-	CacheEntries int
 }
-
-// Cache defaults: a translation is cheap to recompute, so the TTLs
-// exist to bound staleness against DNS (ndb staleness is handled
-// exactly by the version check), and the capacity to bound memory.
-const (
-	DefaultTTL          = 60 * time.Second
-	DefaultNegTTL       = 5 * time.Second
-	DefaultCacheEntries = 4096
-)
 
 // Answer is one translation result: destination lines in network
 // preference order. The zero Answer is empty. Answers share the
-// cache's immutable line slices, so Line and Len allocate nothing;
-// Lines copies.
+// cache's immutable line slices; Lines copies.
 type Answer struct {
 	lines []string
 }
-
-// Len returns the number of destination lines.
-func (a Answer) Len() int { return len(a.lines) }
-
-// Line returns the i'th destination line.
-func (a Answer) Line(i int) string { return a.lines[i] }
 
 // Lines returns a copy of the destination lines.
 func (a Answer) Lines() []string { return append([]string(nil), a.lines...) }
 
 // Server is the connection server.
 type Server struct {
-	cfg    Config
-	clock  vclock.Clock
-	ttl    time.Duration
-	negTTL time.Duration
+	cfg   Config
+	clock vclock.Clock
 
-	// perShard is the per-shard entry capacity; shards evict by
-	// second-chance clock past it.
-	perShard int
-	shards   [nShards]shard
-
-	fmu     sync.Mutex // guards flights
+	mu      sync.Mutex // guards cache and flights; never held across compute
+	cache   map[ckey]*centry
 	flights map[ckey]*flight
 
 	// Counters and the event ring: CS is a user-level file server, so
@@ -146,12 +115,12 @@ type Server struct {
 	// SFWaits, Misses, or Errors, so the stats file balances:
 	// queries == cache-hits + singleflight-waits + misses + errors.
 	Queries   obs.Counter
-	CacheHits obs.Counter // lock-free cache hits (NegHits ⊆ CacheHits)
+	CacheHits obs.Counter // cache hits (NegHits ⊆ CacheHits)
 	NegHits   obs.Counter // hits on negatively cached ErrNotExist
 	SFWaits   obs.Counter // misses that joined another caller's flight
 	Misses    obs.Counter // led a computation that produced an answer
 	Errors    obs.Counter // bad query, no network, or a failed computation
-	Evictions obs.Counter // entries evicted by the clock sweep
+	Evictions obs.Counter // entries dropped to make room at capacity
 	Lat       obs.Hist    // per-query Translate latency
 	trace     obs.Ring
 	stats     *obs.Group
@@ -165,23 +134,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		clock:   vclock.Or(cfg.Clock),
-		ttl:     cfg.TTL,
-		negTTL:  cfg.NegTTL,
+		cache:   make(map[ckey]*centry),
 		flights: make(map[ckey]*flight),
-	}
-	if s.ttl <= 0 {
-		s.ttl = DefaultTTL
-	}
-	if s.negTTL <= 0 {
-		s.negTTL = DefaultNegTTL
-	}
-	entries := cfg.CacheEntries
-	if entries <= 0 {
-		entries = DefaultCacheEntries
-	}
-	s.perShard = (entries + nShards - 1) / nShards
-	if s.perShard < 1 {
-		s.perShard = 1
 	}
 	s.stats = new(obs.Group).
 		AddCounter("queries", &s.Queries).
@@ -192,13 +146,10 @@ func New(cfg Config) *Server {
 		AddCounter("errors", &s.Errors).
 		AddCounter("evictions", &s.Evictions).
 		Add("entries", func() int64 {
-			var n int64
-			for i := range s.shards {
-				n += int64(s.shards[i].entries())
-			}
-			return n
-		}).
-		Add("shards", func() int64 { return nShards })
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return int64(len(s.cache))
+		})
 	s.stats.AddHist("lat", &s.Lat)
 	return s
 }
@@ -219,7 +170,7 @@ func (s *Server) dbVersion() int64 {
 }
 
 // Translate resolves one symbolic name into destination lines. The
-// hot path — a cache hit — is lock-free and allocation-free.
+// hot path — a cache hit — allocates nothing.
 func (s *Server) Translate(query string) (Answer, error) {
 	start := s.clock.Now()
 	defer func() { s.Lat.Observe(s.clock.Since(start)) }()
@@ -236,39 +187,31 @@ func (s *Server) Translate(query string) (Answer, error) {
 		return Answer{}, s.fail(vfs.ErrNoNet)
 	}
 
-	k := ckey{q: q, nets: mask}
-	sh := s.shardFor(q)
 	// ver is read before the cache probe and before any computation:
 	// an ndb.Replace racing either leaves the entry stale, never
 	// wrong. Key building allocates nothing — the query substring and
 	// the reachability mask are the key.
-	ver := s.dbVersion()
-	now := start.UnixNano()
-	if e := sh.lookup(k); e != nil && e.ver == ver && now < e.expire {
-		e.used.Store(true)
+	lines, err, how := s.answer(ckey{q: q, nets: mask}, s.dbVersion(), start.UnixNano(),
+		func() ([]string, error) { return s.compute(netName, host, service, mask) })
+	switch {
+	case how == hit:
 		s.CacheHits.Inc()
-		if e.err != nil {
+		if err != nil {
 			s.NegHits.Inc()
 			s.trace.Emit(obs.EvCacheHit, 0, 1)
-			return Answer{}, e.err
+			return Answer{}, err
 		}
-		s.trace.Emit(obs.EvCacheHit, int64(len(e.lines)), 0)
-		return Answer{lines: e.lines}, nil
-	}
-
-	lines, err, led := s.flightDo(k, sh, ver, now, func() ([]string, error) {
-		return s.compute(netName, host, service, mask)
-	})
-	if !led {
+		s.trace.Emit(obs.EvCacheHit, int64(len(lines)), 0)
+	case how == joined:
 		s.SFWaits.Inc()
 		s.trace.Emit(obs.EvWait, int64(len(lines)), 0)
 		return Answer{lines: lines}, err
-	}
-	if err != nil {
+	case err != nil:
 		return Answer{}, s.fail(err)
+	default:
+		s.Misses.Inc()
+		s.trace.Emit(obs.EvAnswer, int64(len(lines)), 0)
 	}
-	s.Misses.Inc()
-	s.trace.Emit(obs.EvAnswer, int64(len(lines)), 0)
 	return Answer{lines: lines}, nil
 }
 

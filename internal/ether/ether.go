@@ -375,9 +375,6 @@ func (ifc *Interface) Addr() Addr { return ifc.addr }
 // Name returns the interface name.
 func (ifc *Interface) Name() string { return ifc.name }
 
-// Segment returns the medium the interface is attached to.
-func (ifc *Interface) Segment() *Segment { return ifc.seg }
-
 // MTU returns the medium MTU.
 func (ifc *Interface) MTU() int { return ifc.seg.MTU() }
 

@@ -142,11 +142,3 @@ func (a *arpCache) recvARP(frame []byte) {
 		a.ifc.arpc.Transmit(senderHW, r)
 	}
 }
-
-// Lookup returns the cached hardware address for ip, if any.
-func (a *arpCache) Lookup(ip Addr) (ether.Addr, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	hw, ok := a.entries[ip]
-	return hw, ok
-}

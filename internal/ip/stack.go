@@ -132,9 +132,6 @@ func (st *Stack) Bind(eifc *ether.Interface, addr, mask Addr) (*Ifc, error) {
 	return ifc, nil
 }
 
-// Addr returns the interface's IP address.
-func (ifc *Ifc) Addr() Addr { return ifc.addr }
-
 // Close releases the interface's ether conversations.
 func (ifc *Ifc) Close() {
 	if ifc.closed.CompareAndSwap(false, true) {

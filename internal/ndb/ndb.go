@@ -97,10 +97,6 @@ type File struct {
 	hashes map[string]*hashTable
 }
 
-// Version returns the file's current version stamp. It is safe to call
-// concurrently with Replace and never blocks.
-func (f *File) Version() int64 { return f.version.Load() }
-
 // hashTable is the per-attribute index: the in-memory form of the
 // paper's hash files, including the mtime stamp used for staleness.
 type hashTable struct {

@@ -416,9 +416,6 @@ func (cl *Client) Attach(uname, aname string) (*Fid, error) {
 // Client returns the client the fid lives on.
 func (f *Fid) Client() *Client { return f.cl }
 
-// Qid returns the qid most recently reported for the fid.
-func (f *Fid) Qid() vfs.Qid { return f.qid }
-
 // Clone duplicates the fid (Tclone), like dup(2) on a channel.
 func (f *Fid) Clone() (*Fid, error) {
 	nf := f.cl.newFid()

@@ -54,7 +54,7 @@ func (r *RegistryResult) String() string {
 // connection-server half of the exercise: where Run staggers machines
 // over the first interval, here the whole building wakes at t=0 and
 // dials by symbolic name, so every call walks /net/cs — several dialers
-// per machine, which is what the sharded cache and the singleflight are
+// per machine, which is what the answer cache and the singleflight are
 // for. One dial loop's life: call, verify the echo, pause, repeat; a few
 // times per loop it asks for a machine that does not exist, exercising
 // the negative cache the way fat-fingered boot scripts do. The run ends

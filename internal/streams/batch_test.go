@@ -322,6 +322,30 @@ func TestBatchSplitterStrict(t *testing.T) {
 	}
 }
 
+func TestBatchOversizeWriteHangsUp(t *testing.T) {
+	// The coalescer's side of strictness: a message longer than any
+	// frame may be is one error, and it hangs the stream up instead of
+	// sending a frame the peer's splitter would refuse.
+	sink := &devSink{}
+	s := New(0, sink.put)
+	defer s.Close()
+	if err := s.WriteCtl("push batch 128 1h"); err != nil {
+		t.Fatal(err)
+	}
+	s.Write(make([]byte, batchMaxMsg+1))
+	buf := make([]byte, 64)
+	if _, err := s.Read(buf); err == nil {
+		t.Fatal("read succeeded on a stream the coalescer hung up")
+	}
+	s.Write([]byte("after"))
+	if n := len(sink.snapshot()); n != 0 {
+		t.Fatalf("%d wire blocks left a failed coalescer, want 0", n)
+	}
+	if st := moduleSnapshot(t, s); st["batch-errs"] != 1 {
+		t.Fatalf("errs %d, want 1", st["batch-errs"])
+	}
+}
+
 func TestBatchArgParsing(t *testing.T) {
 	s := New(0, nil)
 	defer s.Close()

@@ -128,11 +128,9 @@ type sentBlock struct {
 	data  []byte
 }
 
-// New starts URP on a wire, on the real clock. stats may be nil.
-func New(wire Wire, stats *Stats) *Conn { return NewClock(wire, stats, nil) }
-
-// NewClock is New with an explicit clock for the protocol timers
-// (enquiry, retransmit, death); nil means the real clock.
+// NewClock starts URP on a wire, with an explicit clock for the
+// protocol timers (enquiry, retransmit, death); nil means the real
+// clock. stats may be nil.
 func NewClock(wire Wire, stats *Stats, ck vclock.Clock) *Conn {
 	if stats == nil {
 		stats = &Stats{}
@@ -153,9 +151,6 @@ func NewClock(wire Wire, stats *Stats, ck vclock.Clock) *Conn {
 	ck.Go(c.reader)
 	return c
 }
-
-// Stream exposes the receive stream (for pushing diagnostic modules).
-func (c *Conn) Stream() *streams.Stream { return c.rstream }
 
 // makeCell frames one cell. Pool-backed, with size-class capacity
 // slack behind len so the link layer can append its FCS without

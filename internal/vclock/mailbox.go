@@ -159,10 +159,3 @@ func (m *Mailbox[T]) Closed() bool {
 	defer m.mu.Unlock()
 	return m.closed
 }
-
-// Len reports how many values are queued.
-func (m *Mailbox[T]) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cnt
-}
