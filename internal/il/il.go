@@ -17,11 +17,11 @@
 //     sequence numbers at each end; data messages increment them so
 //     the receiver can resequence out-of-order messages.
 //   - No blind retransmission: on timeout the sender transmits a
-//     query carrying its current sequence numbers; the peer answers
-//     with a state message and the missing messages are retransmitted
-//     — those sent before the query that the answer does not
-//     acknowledge, one at a time as each ack uncovers the next, and
-//     nothing the peer already has.
+//     query carrying its current sequence numbers and a tag; the peer
+//     answers with a state message that echoes the tag, and the
+//     missing messages are retransmitted — those sent before that
+//     query that the answer does not acknowledge, one at a time as
+//     each ack uncovers the next, and nothing the peer already has.
 //   - Adaptive timeouts: a round-trip timer calculates acknowledge and
 //     retransmission times in terms of the network speed, so the
 //     protocol performs well on both local Ethernets and slow paths.
@@ -264,6 +264,13 @@ func (p *Proto) spawn(l *xport.Conv, raddr ip.Addr, rport, lport uint16, peer ui
 	return &c.Conv
 }
 
+// query is one query asked and not retired.
+type query struct {
+	tag  byte
+	live bool
+	next uint32 // sndNext when it went out
+}
+
 // unackedMsg is a sent-but-unacknowledged packet.
 type unackedMsg struct {
 	id   uint32
@@ -293,12 +300,14 @@ type Conn struct {
 	// Recovery (§3). A query travels the same queue and wire as the
 	// data sent before it, so the state message that answers it comes
 	// from a peer that has seen every earlier packet that was not lost.
-	// While a query is open (querying), queryNext is sndNext as it
-	// stood when the first went out; the answer moves recover up to it,
-	// and an unacknowledged packet below recover is proven lost. Acks
-	// reaching queryNext close the query too.
-	querying           bool
-	queryNext, recover uint32
+	// A query's spec byte is its tag, and its state echoes it. asked
+	// holds the last queries by tag mod 8, with sndNext as each went
+	// out; a state for one of them moves recover to it, and an
+	// unacknowledged packet below recover is proven lost. A state whose
+	// tag is not there proves nothing, and a resend retires them all.
+	asked   [8]query
+	tag     byte // the last query's
+	recover uint32
 
 	// Receiver state.
 	rcvNext    uint32            // next expected id
@@ -450,25 +459,23 @@ func (c *Conn) input(h header, data []byte) {
 		c.dataLocked(h, data)
 	case msgQuery:
 		c.proto.QueriesRcvd.Add(1)
+		// What a query or a state acknowledges waited out a timeout: it
+		// is no round-trip sample (Karn's rule, as for a retransmission).
+		c.RTT.Cancel()
 		c.ackLocked(h.ack)
-		c.sendLocked(msgState, 0, c.sndNext-1, nil)
+		c.sendLocked(msgState, h.spec, c.sndNext-1, nil)
 	case msgState:
-		// The query is answered: what it proves lost is resent ("the
+		// A query is answered: what it proves lost is resent ("the
 		// receiver responds to a query by retransmitting missing
 		// messages"), the head here or on the ack that uncovers it, the
 		// holes behind it as the acks of the resends uncover them. A
-		// state whose ack is behind sndUna is stale, and the answer to
-		// a query repeated while the first was in flight says nothing
-		// new: neither resends anything.
-		if c.querying {
-			c.querying = false
-			c.recover = c.queryNext
+		// state whose ack is behind sndUna is stale and resends nothing.
+		if q := c.asked[h.spec%8]; q.live && q.tag == h.spec {
+			c.recover = q.next
 			if h.ack+1 == c.sndUna {
 				c.resendLostHeadLocked()
 			}
 		}
-		// What a state acknowledges waited out our timeout: it is no
-		// round-trip sample (Karn's rule, as for a retransmission).
 		c.RTT.Cancel()
 		c.ackLocked(h.ack)
 	case msgClose:
@@ -533,11 +540,6 @@ func (c *Conn) ackLocked(ack uint32) {
 	if c.sndUna > c.sndNext {
 		c.sndNext = c.sndUna
 	}
-	// Once every packet a query asked about is acknowledged the query
-	// is over, answered or not: the next timeout asks afresh.
-	if c.querying && c.sndUna >= c.queryNext {
-		c.querying = false
-	}
 	// Progress restarts the timer (RFC 6298 §5.3): the new head has been
 	// waiting for the wire, not for its peer.
 	c.waitFrom = c.proto.Ck.Now()
@@ -554,7 +556,10 @@ func (c *Conn) resendLostHeadLocked() {
 	}
 }
 
+// resendLocked resends m. The states of queries asked before it would
+// prove it lost again, so it retires them.
 func (c *Conn) resendLocked(m *unackedMsg) {
+	clear(c.asked[:])
 	c.waitFrom = c.proto.Ck.Now()
 	c.proto.Retransmits.Add(1)
 	c.Ring.Emit(obs.EvRetransmit, int64(m.id), 0)
@@ -667,15 +672,14 @@ func (c *Conn) timeoutLocked() {
 	default:
 		// §3: send a query instead of retransmitting blindly. The query
 		// itself may be lost; if so this asks again after another RTO,
-		// and the answer to either proves no more than the first asked
-		// about.
-		if !c.querying {
-			c.querying, c.queryNext = true, c.sndNext
-		}
+		// and the state for each proves lost only what was sent before
+		// it.
+		c.tag++
+		c.asked[c.tag%8] = query{tag: c.tag, live: true, next: c.sndNext}
 		c.waitFrom = c.proto.Ck.Now()
 		c.proto.QueriesSent.Add(1)
 		c.Ring.Emit(obs.EvQuery, 0, 0)
-		c.sendLocked(msgQuery, 0, c.sndNext-1, nil)
+		c.sendLocked(msgQuery, c.tag, c.sndNext-1, nil)
 	}
 }
 

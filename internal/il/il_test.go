@@ -579,14 +579,14 @@ func TestAcksEndAQuery(t *testing.T) {
 }
 
 // TestStateAckIsNotTimed: an acknowledgement that arrives in the state
-// message answering our query waited out our timeout; it is no
-// round-trip sample (Karn's rule, as for a retransmission). A plain ack
-// is one.
+// message answering our query waited out our timeout, and one in the
+// peer's query waited out the peer's; neither is a round-trip sample
+// (Karn's rule, as for a retransmission). A plain ack is one.
 func TestStateAckIsNotTimed(t *testing.T) {
 	for _, m := range []struct {
 		typ  byte
 		name string
-	}{{msgState, "state"}, {msgAck, "plain ack"}} {
+	}{{msgState, "state"}, {msgQuery, "the peer's query"}, {msgAck, "plain ack"}} {
 		onVirtualPair(t, lan, func(v *vclock.Virtual, _, p2 *Proto, dc, sc xport.Conn) {
 			warmLAN(v, dc, sc)
 			// Packets for the peer now reach its interface and stop there.
@@ -606,6 +606,46 @@ func TestStateAckIsNotTimed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLateStateAnswersItsOwnQuery: the dialer asks about A twice, and
+// the state for the first query closes the episode. B is written and
+// asked about, and only then does the state for the second query about
+// A arrive. It says the peer lacked what followed A when that query
+// was asked, before B was sent, so it proves nothing about B and
+// nothing is resent. Taken for the answer to B's query, it would prove
+// B lost.
+func TestLateStateAnswersItsOwnQuery(t *testing.T) {
+	onVirtualPair(t, lan, func(v *vclock.Virtual, p1, p2 *Proto, dc, sc xport.Conn) {
+		warmLAN(v, dc, sc)
+		// The peer hears nothing from here on; its states are written
+		// below.
+		p2.Stack.Close()
+		c := dc.(*Conn)
+		asked := func() byte {
+			c.Mu.Lock()
+			defer c.Mu.Unlock()
+			return c.tag
+		}
+		c.Mu.Lock()
+		a, rto := c.sndNext, c.rtoLocked()
+		c.Mu.Unlock()
+		dc.Write([]byte("A"))
+		v.Sleep(rto + rto/2)
+		a1 := asked()
+		v.Sleep(rto)
+		a2 := asked()
+		c.input(header{typ: msgState, spec: a1, ack: a}, nil)
+		dc.Write([]byte("B"))
+		v.Sleep(rto + rto/2)
+		if b := asked(); a1 == a2 || a2 == b {
+			t.Errorf("queries tagged %d, %d, %d; want three tags", a1, a2, b)
+		}
+		c.input(header{typ: msgState, spec: a2, ack: a}, nil)
+		if r := p1.Retransmits.Load(); r != 0 {
+			t.Errorf("a late state resent %d packets, want none", r)
+		}
+	})
 }
 
 // TestCorruptionOnTheWireIsDetected is the end-to-end argument as a

@@ -71,12 +71,13 @@ go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./intern
 echo "== chaos: real-clock torture pass (fixed seed)"
 go run ./cmd/netsim -chaos -seed 1 -msgs 40
 
-echo "== chaos: 32-seed virtual-time sweep"
+echo "== chaos: 100-seed virtual-time sweep"
 # The discrete-event clock makes a whole seed sweep affordable: every
-# protocol crosses the impairment cocktail under 32 different
-# schedules in wall-clock seconds. A failure ddmin-shrinks to its
+# protocol crosses the impairment cocktail under 100 different
+# schedules in about a second of wall time, each session inside the
+# scenario's 25 s simulated watchdog. A failure ddmin-shrinks to its
 # minimal scenario exactly as in the real-clock pass.
-go run ./cmd/netsim -chaos -virtual -seed 1 -seeds 32 -msgs 40
+go run ./cmd/netsim -chaos -virtual -seed 1 -seeds 100 -msgs 40
 
 echo "== chaos: line-discipline sweep (batch+compress pushed both ends)"
 # The same matrix with the §2.4 modules dressed on every conversation:
