@@ -11,12 +11,10 @@ import (
 	"repro/internal/vclock"
 )
 
-// Benchmarks of the answer cache from parallel real-clock goroutines.
-// The cache is one map under one lock, built for what a machine's CS
-// serves (its own dialers, one goroutine at a time on the virtual
-// clock), not for this contention: DESIGN "Connection server at scale"
-// sets these rows beside those of the sharded lock-free cache that
-// preceded it and of the seed's single-RWMutex cache before that.
+// Benchmarks of the answer cache from parallel real-clock goroutines: a
+// contention no machine's CS sees, since its dialers run one at a time
+// on the virtual clock. DESIGN "Connection server at scale" records
+// their rows.
 
 // benchNdb synthesizes a database with n dialable systems, each on
 // both IP and Datakit like the paper's dual-homed machines.

@@ -28,10 +28,6 @@ type ckey struct {
 	nets uint64
 }
 
-func (k ckey) less(o ckey) bool {
-	return k.q < o.q || k.q == o.q && k.nets < o.nets
-}
-
 // centry is one cached answer. It is immutable once stored, so a hit
 // hands out lines without copying (Answer copies on demand).
 type centry struct {
@@ -66,8 +62,8 @@ const (
 // flight computing it, led by this caller if none is in progress. The
 // lock is never held across compute, which may consult DNS and park on
 // the clock; the leader stores the entry before waking the followers.
-// ver was read before the probe, so an ndb.Replace racing the walk
-// leaves the entry already stale rather than wrong.
+// ver is read before the probe and the computation, so an ndb.Replace
+// racing either leaves the entry stale, never wrong.
 func (s *Server) answer(k ckey, ver, now int64, compute func() ([]string, error)) ([]string, error, outcome) {
 	s.mu.Lock()
 	if e := s.cache[k]; e != nil && e.ver == ver && now < e.expire {
@@ -132,7 +128,8 @@ func (s *Server) evictLocked(ver, now int64) {
 	var vk ckey
 	var ve *centry
 	for k, e := range s.cache {
-		if ve == nil || e.expire < ve.expire || e.expire == ve.expire && k.less(vk) {
+		if ve == nil || e.expire < ve.expire ||
+			e.expire == ve.expire && (k.q < vk.q || k.q == vk.q && k.nets < vk.nets) {
 			vk, ve = k, e
 		}
 	}

@@ -187,10 +187,8 @@ func (s *Server) Translate(query string) (Answer, error) {
 		return Answer{}, s.fail(vfs.ErrNoNet)
 	}
 
-	// ver is read before the cache probe and before any computation:
-	// an ndb.Replace racing either leaves the entry stale, never
-	// wrong. Key building allocates nothing — the query substring and
-	// the reachability mask are the key.
+	// Key building allocates nothing — the query substring and the
+	// reachability mask are the key.
 	lines, err, how := s.answer(ckey{q: q, nets: mask}, s.dbVersion(), start.UnixNano(),
 		func() ([]string, error) { return s.compute(netName, host, service, mask) })
 	switch {

@@ -264,7 +264,7 @@ func (p *Proto) spawn(l *xport.Conv, raddr ip.Addr, rport, lport uint16, peer ui
 	return &c.Conv
 }
 
-// query is one query asked and not retired.
+// query is one query the sender asked; live until a resend retires it.
 type query struct {
 	tag  byte
 	live bool

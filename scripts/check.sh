@@ -74,7 +74,7 @@ go run ./cmd/netsim -chaos -seed 1 -msgs 40
 echo "== chaos: 100-seed virtual-time sweep"
 # The discrete-event clock makes a whole seed sweep affordable: every
 # protocol crosses the impairment cocktail under 100 different
-# schedules in about a second of wall time, each session inside the
+# schedules in about half a second of wall time, each session inside the
 # scenario's 25 s simulated watchdog. A failure ddmin-shrinks to its
 # minimal scenario exactly as in the real-clock pass.
 go run ./cmd/netsim -chaos -virtual -seed 1 -seeds 100 -msgs 40
