@@ -10,9 +10,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -24,25 +26,35 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: 9ls [-on machine] [-cat] path...")
 		os.Exit(2)
 	}
-	w, err := core.PaperWorld(core.FastProfiles(), nil)
-	if err != nil {
+	if err := vclock.Simulate(func(ck vclock.Clock) error {
+		return run(os.Stdout, ck, *machine, *cat, flag.Args())
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, "9ls:", err)
 		os.Exit(1)
 	}
-	defer w.Close()
-	m := w.Machine(*machine)
-	if m == nil {
-		fmt.Fprintf(os.Stderr, "9ls: no machine %q\n", *machine)
-		os.Exit(1)
+}
+
+// run lists (or with cat, prints) each path in machine's name space,
+// in the paper's world on ck. A path that fails is reported on stderr
+// and skipped.
+func run(w io.Writer, ck vclock.Clock, machine string, cat bool, paths []string) error {
+	world, err := core.PaperWorld(core.CalibratedProfiles(), ck)
+	if err != nil {
+		return err
 	}
-	for _, path := range flag.Args() {
-		if *cat {
+	defer world.Close()
+	m := world.Machine(machine)
+	if m == nil {
+		return fmt.Errorf("no machine %q", machine)
+	}
+	for _, path := range paths {
+		if cat {
 			b, err := m.NS.ReadFile(path)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "9ls: %s: %v\n", path, err)
 				continue
 			}
-			os.Stdout.Write(b)
+			w.Write(b)
 			continue
 		}
 		d, err := m.NS.Stat(path)
@@ -51,7 +63,7 @@ func main() {
 			continue
 		}
 		if !d.IsDir() {
-			printEntry(d)
+			printEntry(w, d)
 			continue
 		}
 		ents, err := m.NS.ReadDir(path)
@@ -60,17 +72,18 @@ func main() {
 			continue
 		}
 		for _, e := range ents {
-			printEntry(e)
+			printEntry(w, e)
 		}
 	}
+	return nil
 }
 
-func printEntry(d vfs.Dir) {
+func printEntry(w io.Writer, d vfs.Dir) {
 	t := "-"
 	if d.IsDir() {
 		t = "d"
 	}
-	fmt.Printf("%s%s %-8s %-8s %8d %s\n", t, permString(d.Mode), d.Uid, d.Gid, d.Length, d.Name)
+	fmt.Fprintf(w, "%s%s %-8s %-8s %8d %s\n", t, permString(d.Mode), d.Uid, d.Gid, d.Length, d.Name)
 }
 
 func permString(m uint32) string {

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -24,40 +26,47 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: ndbquery [-f db] attr value [rattr]")
 		os.Exit(2)
 	}
+	if err := run(os.Stdout, *file, flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, "ndbquery:", err)
+		os.Exit(1)
+	}
+}
+
+// run answers one query, args being attr value [rattr], against the
+// database in file ("" for the paper's). It builds no world, so it
+// needs no clock.
+func run(w io.Writer, file string, args []string) error {
 	src := []byte(core.PaperNdb)
-	if *file != "" {
-		b, err := os.ReadFile(*file)
+	if file != "" {
+		b, err := os.ReadFile(file)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ndbquery:", err)
-			os.Exit(1)
+			return err
 		}
 		src = b
 	}
 	f, err := ndb.Parse("db", src)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ndbquery:", err)
-		os.Exit(1)
+		return err
 	}
 	db := ndb.New(f)
-	db.HashAll(flag.Arg(0))
+	db.HashAll(args[0])
 
-	attr, val := flag.Arg(0), flag.Arg(1)
-	if flag.NArg() == 3 {
-		rattr := flag.Arg(2)
+	attr, val := args[0], args[1]
+	if len(args) == 3 {
+		rattr := args[2]
 		v, ok := db.IPInfo(val, rattr)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "ndbquery: no %s for %s\n", rattr, val)
-			os.Exit(1)
+			return fmt.Errorf("no %s for %s", rattr, val)
 		}
-		fmt.Printf("%s=%s\n", rattr, v)
-		return
+		fmt.Fprintf(w, "%s=%s\n", rattr, v)
+		return nil
 	}
 	entries := db.Query(attr, val)
 	if len(entries) == 0 {
-		fmt.Fprintln(os.Stderr, "ndbquery: no match")
-		os.Exit(1)
+		return errors.New("no match")
 	}
 	for _, e := range entries {
-		fmt.Println(e.String())
+		fmt.Fprintln(w, e.String())
 	}
+	return nil
 }

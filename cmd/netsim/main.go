@@ -2,8 +2,10 @@
 // and transcripts:
 //
 //	netsim -figure1    print the ether device file tree of Figure 1
-//	netsim -transcript run the §2.3 TCP transcript (cd /net/tcp/2; ls -l; cat local remote status)
+//	netsim -transcript run the §2.3 TCP transcript (cd /net/tcp/0; ls -l; cat local remote status)
 //	netsim -import     run the §6.1 import transcript (ls /net before/after)
+//	                   (these three boot the world on calibrated media and the
+//	                   discrete-event clock, so they print the same every run)
 //	netsim -table1     measure Table 1: the network rows on calibrated media and the
 //	                   discrete-event clock (exact), pipes as host cost (see also
 //	                   bench's *.table1_* probes)
@@ -29,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -44,6 +47,7 @@ import (
 	"repro/internal/ns"
 	"repro/internal/storm"
 	"repro/internal/table1"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -177,118 +181,121 @@ func main() {
 			}
 			return
 		}
+		// The allocator's counters depend on the host's scheduling, so
+		// they appear only in the JSON snapshot.
 		fmt.Print(res.Format())
-		fmt.Printf("\nblock pool: %s\n", block.Snapshot())
 		return
 	}
 
-	w, err := core.PaperWorld(core.FastProfiles(), nil)
-	if err != nil {
+	if err := vclock.Simulate(func(ck vclock.Clock) error {
+		return run(os.Stdout, ck, *figure1, *transcript, *imp)
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, "netsim:", err)
 		exitCode = 1
-		return
-	}
-	defer w.Close()
-
-	if *figure1 {
-		printFigure1(w)
-	}
-	if *transcript {
-		printTranscript(w)
-	}
-	if *imp {
-		printImport(w)
 	}
 }
 
+// run boots the paper's world on ck and prints the transcripts asked
+// for, in the order Figure 1, §2.3, §6.1.
+func run(w io.Writer, ck vclock.Clock, figure1, transcript, imp bool) error {
+	world, err := core.PaperWorld(core.CalibratedProfiles(), ck)
+	if err != nil {
+		return err
+	}
+	defer world.Close()
+	if figure1 {
+		err = printFigure1(w, world)
+	}
+	if err == nil && transcript {
+		err = printTranscript(w, world)
+	}
+	if err == nil && imp {
+		err = printImport(w, world)
+	}
+	return err
+}
+
 // printFigure1 opens conversations on helix's ether and walks the tree.
-func printFigure1(w *core.World) {
-	helix := w.Machine("helix")
+func printFigure1(w io.Writer, world *core.World) error {
+	helix := world.Machine("helix")
 	// Open a few conversations so numbered directories exist.
-	var ctls []*ns.FD
 	for range 2 {
 		ctl, err := helix.NS.Open("/net/ether0/clone", vfs.ORDWR)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
+			return err
 		}
+		defer ctl.Close()
 		ctl.WriteString(netmsg.Connect("2048"))
-		ctls = append(ctls, ctl)
 	}
-	defer func() {
-		for _, c := range ctls {
-			c.Close()
-		}
-	}()
-	fmt.Println("cpu% ls /net/ether0    # Figure 1")
+	fmt.Fprintln(w, "cpu% ls /net/ether0    # Figure 1")
 	ents, _ := helix.NS.ReadDir("/net/ether0")
 	for _, e := range ents {
-		fmt.Printf("  ether0/%s\n", e.Name)
+		fmt.Fprintf(w, "  ether0/%s\n", e.Name)
 		if e.IsDir() {
 			sub, _ := helix.NS.ReadDir("/net/ether0/" + e.Name)
 			for _, s := range sub {
-				fmt.Printf("  ether0/%s/%s\n", e.Name, s.Name)
+				fmt.Fprintf(w, "  ether0/%s/%s\n", e.Name, s.Name)
 			}
 		}
 	}
 	b, _ := helix.NS.ReadFile("/net/ether0/1/type")
-	fmt.Printf("cpu%% cat /net/ether0/1/type\n  %s\n", b)
+	fmt.Fprintf(w, "cpu%% cat /net/ether0/1/type\n  %s\n", b)
 	b, _ = helix.NS.ReadFile("/net/ether0/1/stats")
-	fmt.Printf("cpu%% cat /net/ether0/1/stats\n")
+	fmt.Fprintf(w, "cpu%% cat /net/ether0/1/stats\n")
 	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
-		fmt.Printf("  %s\n", line)
+		fmt.Fprintf(w, "  %s\n", line)
 	}
+	return nil
 }
 
 // printTranscript reproduces the §2.3 connection-directory listing.
-func printTranscript(w *core.World) {
-	musca := w.Machine("musca")
+func printTranscript(w io.Writer, world *core.World) error {
+	musca := world.Machine("musca")
 	conn, err := dialer.Dial(musca.NS, "tcp!bootes!9fs")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dial:", err)
-		return
+		return fmt.Errorf("dial: %w", err)
 	}
 	defer conn.Close()
-	fmt.Printf("cpu%% cd %s\ncpu%% ls\n", conn.Dir)
+	fmt.Fprintf(w, "cpu%% cd %s\ncpu%% ls\n", conn.Dir)
 	ents, _ := musca.NS.ReadDir(conn.Dir)
 	for _, e := range ents {
-		fmt.Printf("  %s\n", e.Name)
+		fmt.Fprintf(w, "  %s\n", e.Name)
 	}
-	fmt.Println("cpu% cat local remote status")
+	fmt.Fprintln(w, "cpu% cat local remote status")
 	for _, f := range []string{"local", "remote", "status"} {
 		b, _ := musca.NS.ReadFile(conn.Dir + "/" + f)
-		fmt.Printf("  %s", b)
+		fmt.Fprintf(w, "  %s", b)
 	}
+	return nil
 }
 
 // printImport reproduces the §6.1 ls /net before/after transcript.
-func printImport(w *core.World) {
-	gnot := w.Machine("philw-gnot")
+func printImport(w io.Writer, world *core.World) error {
+	gnot := world.Machine("philw-gnot")
 	show := func() {
 		names := gnot.LsNet()
 		sort.Strings(names)
 		for _, n := range names {
-			fmt.Printf("  /net/%s\n", n)
+			fmt.Fprintf(w, "  /net/%s\n", n)
 		}
 	}
-	fmt.Println("philw-gnot% ls /net")
+	fmt.Fprintln(w, "philw-gnot% ls /net")
 	show()
-	fmt.Println("philw-gnot% import -a helix /net")
+	fmt.Fprintln(w, "philw-gnot% import -a helix /net")
 	if _, err := gnot.Import("dk!nj/astro/helix!exportfs", "/net", "/net", ns.MAFTER); err != nil {
-		fmt.Fprintln(os.Stderr, "import:", err)
-		return
+		return fmt.Errorf("import: %w", err)
 	}
-	fmt.Println("philw-gnot% ls /net")
+	fmt.Fprintln(w, "philw-gnot% ls /net")
 	show()
 	// And prove the gateway works: a TCP echo through helix.
 	conn, err := dialer.Dial(gnot.NS, "tcp!helix!echo")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcp through gateway:", err)
-		return
+		return fmt.Errorf("tcp through gateway: %w", err)
 	}
 	defer conn.Close()
 	conn.Write([]byte("hello via the gateway"))
 	buf := make([]byte, 64)
 	n, _ := conn.Read(buf)
-	fmt.Printf("philw-gnot%% echo via tcp!helix!echo -> %q\n", buf[:n])
+	fmt.Fprintf(w, "philw-gnot%% echo via tcp!helix!echo -> %q\n", buf[:n])
+	return nil
 }

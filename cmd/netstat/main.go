@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/dialer"
 	"repro/internal/ns"
 	"repro/internal/obs"
+	"repro/internal/vclock"
 )
 
 func main() {
@@ -32,21 +34,30 @@ func main() {
 		"read the machine's /net from philw-gnot through a Datakit import (§6.1)")
 	quiet := flag.Bool("quiet", false, "skip the warm-up traffic")
 	flag.Parse()
-
-	w, err := core.PaperWorld(core.FastProfiles(), nil)
-	if err != nil {
+	if err := vclock.Simulate(func(ck vclock.Clock) error {
+		return run(os.Stdout, ck, *machine, *jsonOut, *imported, *quiet)
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, "netstat:", err)
 		os.Exit(1)
 	}
-	defer w.Close()
+}
 
-	m := w.Machine(*machine)
+// run boots the paper's world on ck and prints every stats file in
+// machine's /net, after a little traffic unless quiet: read locally, or
+// with imported from philw-gnot through a Datakit import.
+func run(w io.Writer, ck vclock.Clock, machine string, jsonOut, imported, quiet bool) error {
+	world, err := core.PaperWorld(core.CalibratedProfiles(), ck)
+	if err != nil {
+		return err
+	}
+	defer world.Close()
+
+	m := world.Machine(machine)
 	if m == nil {
-		fmt.Fprintf(os.Stderr, "netstat: no machine %q\n", *machine)
-		os.Exit(1)
+		return fmt.Errorf("no machine %q", machine)
 	}
 
-	if !*quiet {
+	if !quiet {
 		warmUp(m)
 	}
 
@@ -55,23 +66,18 @@ func main() {
 	// import case every read below is a 9P RPC relayed by exportfs —
 	// remote diagnosis with no protocol beyond the file system.
 	nsp := m.NS
-	if *imported {
-		gnot := w.Machine("philw-gnot")
-		dest := "dk!nj/astro/" + *machine + "!exportfs"
-		if _, err := gnot.Import(dest, "/net", "/n/remote/net", ns.MREPL); err != nil {
-			fmt.Fprintln(os.Stderr, "netstat: import:", err)
-			os.Exit(1)
-		}
-		nsp = gnot.NS
-	}
-
 	prefix := "/net"
-	if *imported {
-		prefix = "/n/remote/net"
+	if imported {
+		gnot := world.Machine("philw-gnot")
+		dest := "dk!nj/astro/" + machine + "!exportfs"
+		if _, err := gnot.Import(dest, "/net", "/n/remote/net", ns.MREPL); err != nil {
+			return fmt.Errorf("import: %w", err)
+		}
+		nsp, prefix = gnot.NS, "/n/remote/net"
 	}
 	files := statsFiles(nsp, prefix)
 
-	if *jsonOut {
+	if jsonOut {
 		snap := map[string]map[string]int64{}
 		for _, f := range files {
 			b, err := nsp.ReadFile(f.path)
@@ -80,11 +86,9 @@ func main() {
 			}
 			snap[f.label] = obs.ParseStats(string(b))
 		}
-		out := map[string]any{"machine": *machine, "stats": snap}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(out)
-		return
+		return enc.Encode(map[string]any{"machine": machine, "stats": snap})
 	}
 
 	for _, f := range files {
@@ -92,11 +96,12 @@ func main() {
 		if err != nil {
 			continue
 		}
-		fmt.Printf("== %s\n", f.label)
+		fmt.Fprintf(w, "== %s\n", f.label)
 		for _, line := range strings.Split(strings.TrimRight(string(b), "\n"), "\n") {
-			fmt.Printf("  %s\n", line)
+			fmt.Fprintln(w, strings.TrimRight("  "+line, " "))
 		}
 	}
+	return nil
 }
 
 type statsFile struct{ label, path string }

@@ -12,7 +12,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -21,26 +23,36 @@ import (
 	"repro/internal/ip"
 	"repro/internal/netmsg"
 	"repro/internal/streams"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
 func main() {
 	frames := flag.Int("frames", 16, "frames to capture")
 	flag.Parse()
-
-	w, err := core.PaperWorld(core.FastProfiles(), nil)
-	if err != nil {
+	if err := vclock.Simulate(func(ck vclock.Clock) error {
+		return run(os.Stdout, ck, *frames)
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, "snoopy:", err)
 		os.Exit(1)
 	}
-	defer w.Close()
-	aroot := w.Machine("a-root") // a quiet machine to snoop from
+}
+
+// run boots the paper's world on ck, snoops the office Ethernet from
+// a-root while musca makes traffic, and prints the first frames
+// captured, decoded.
+func run(w io.Writer, ck vclock.Clock, frames int) error {
+	world, err := core.PaperWorld(core.CalibratedProfiles(), ck)
+	if err != nil {
+		return err
+	}
+	defer world.Close()
+	aroot := world.Machine("a-root") // a quiet machine to snoop from
 
 	// The §2.2 incantation, through the file tree.
 	ctl, err := aroot.NS.Open("/net/ether0/clone", vfs.ORDWR)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "snoopy:", err)
-		os.Exit(1)
+		return err
 	}
 	defer ctl.Close()
 	buf := make([]byte, 16)
@@ -50,19 +62,19 @@ func main() {
 	ctl.WriteString(netmsg.Promiscuous())
 	data, err := aroot.NS.Open(dir+"/data", vfs.OREAD)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "snoopy:", err)
-		os.Exit(1)
+		return err
 	}
 	defer data.Close()
 
-	// Stir up traffic: an IL echo, a TCP dial, and a DNS query. The
-	// generator is joined to main's lifetime through stop so the world
-	// is not torn down under a dial in flight.
-	stop := make(chan struct{})
-	trafficDone := make(chan struct{})
-	go func() {
-		defer close(trafficDone)
-		musca := w.Machine("musca")
+	// Stir up traffic: an IL echo, a TCP dial, and a DNS query, every
+	// 10 ms until the capture is done. The generator is joined before
+	// the world is torn down under a dial in flight.
+	var stop atomic.Bool
+	done := vclock.NewWaitGroup(ck)
+	done.Add(1)
+	ck.Go(func() {
+		defer done.Done()
+		musca := world.Machine("musca")
 		for {
 			if conn, err := dialer.Dial(musca.NS, "il!helix!echo"); err == nil {
 				conn.Write([]byte("snooped!"))
@@ -75,24 +87,24 @@ func main() {
 				conn.Close()
 			}
 			musca.Resolver.LookupA("p9auth.research.bell-labs.com")
-			select {
-			case <-stop:
+			if stop.Load() {
 				return
-			case <-time.After(10 * time.Millisecond): //netvet:ignore realtime paces reads of the real process's trace output
 			}
+			ck.Sleep(10 * time.Millisecond)
 		}
-	}()
+	})
 
 	frame := make([]byte, 4096)
-	for i := 0; i < *frames; i++ {
+	for i := 0; i < frames; i++ {
 		n, err := data.Read(frame)
 		if err != nil || n == 0 {
 			break
 		}
-		fmt.Println(decode(frame[:n]))
+		fmt.Fprintln(w, decode(frame[:n]))
 	}
-	close(stop)
-	<-trafficDone
+	stop.Store(true)
+	done.Wait()
+	return nil
 }
 
 // decode renders one captured frame, layer by layer.

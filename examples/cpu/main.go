@@ -17,7 +17,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"repro/internal/core"
@@ -26,12 +28,21 @@ import (
 	"repro/internal/mnt"
 	"repro/internal/ninep"
 	"repro/internal/ns"
+	"repro/internal/vclock"
 )
 
 func main() {
-	world, err := core.PaperWorld(core.FastProfiles(), nil)
-	if err != nil {
+	if err := vclock.Simulate(func(ck vclock.Clock) error { return run(os.Stdout, ck) }); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// run boots the paper's world on ck and runs one cpu session from
+// musca on helix.
+func run(w io.Writer, ck vclock.Clock) error {
+	world, err := core.PaperWorld(core.CalibratedProfiles(), ck)
+	if err != nil {
+		return err
 	}
 	defer world.Close()
 
@@ -40,55 +51,56 @@ func main() {
 
 	// The CPU server's listener: each call is a remote session whose
 	// far end serves the terminal's name space via 9P.
-	done := make(chan string, 1)
+	done := vclock.NewMailbox[error](ck, 1)
 	if _, err := helix.Serve("il!*!cpu", func(nsp *ns.Namespace, conn *dialer.Conn) {
-		// The terminal end is an exportfs server: mount it.
-		root, cl, err := mnt.Mount(ninep.NewDelimConn(conn), nsp.User(), "")
-		if err != nil {
-			done <- "mount: " + err.Error()
-			return
-		}
-		defer cl.Close()
-		if err := nsp.MountNode(root, "/mnt/term", ns.MREPL); err != nil {
-			done <- err.Error()
-			return
-		}
-		// The "remote process": read the terminal's file, compute,
-		// write the result back into the terminal's /tmp.
-		b, err := nsp.ReadFile("/mnt/term/tmp/job")
-		if err != nil {
-			done <- err.Error()
-			return
-		}
-		result := strings.ToUpper(string(b)) + " (processed on " + "helix)"
-		if err := nsp.WriteFile("/mnt/term/tmp/job.out", []byte(result), 0664); err != nil {
-			done <- err.Error()
-			return
-		}
-		done <- "ok"
+		done.Send(session(ck, nsp, conn))
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The terminal: put some work in the window's name space, dial
 	// cpu, and serve the name space across the call.
 	if err := musca.NS.WriteFile("/tmp/job", []byte("compile the chess endgames"), 0664); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	conn, err := dialer.Dial(musca.NS, "il!helix!cpu")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	go exportfs.Serve(ninep.NewDelimConn(conn), musca.NS, "/")
+	defer conn.Close()
+	ck.Go(func() { exportfs.Serve(ninep.NewDelimConn(conn), musca.NS, "/", ck) })
 
-	if msg := <-done; msg != "ok" {
-		log.Fatal(msg)
+	if err, _ := done.Recv(); err != nil {
+		return err
 	}
 	out, err := musca.NS.ReadFile("/tmp/job.out")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("terminal submitted: compile the chess endgames\n")
-	fmt.Printf("terminal received:  %s\n", out)
-	conn.Close()
+	fmt.Fprintf(w, "terminal submitted: compile the chess endgames\n")
+	fmt.Fprintf(w, "terminal received:  %s\n", out)
+	return nil
+}
+
+// session is the remote half of a cpu call on helix: the terminal end
+// is an exportfs server, mounted at /mnt/term in the session's name
+// space.
+func session(ck vclock.Clock, nsp *ns.Namespace, conn *dialer.Conn) error {
+	cfg := mnt.Config{Client: ninep.ClientConfig{Clock: ck}}
+	root, cl, err := mnt.MountConfig(ninep.NewDelimConn(conn), nsp.User(), "", cfg)
+	if err != nil {
+		return fmt.Errorf("mount: %w", err)
+	}
+	defer cl.Close()
+	if err := nsp.MountNode(root, "/mnt/term", ns.MREPL); err != nil {
+		return err
+	}
+	// The "remote process": read the terminal's file, compute,
+	// write the result back into the terminal's /tmp.
+	b, err := nsp.ReadFile("/mnt/term/tmp/job")
+	if err != nil {
+		return err
+	}
+	result := strings.ToUpper(string(b)) + " (processed on helix)"
+	return nsp.WriteFile("/mnt/term/tmp/job.out", []byte(result), 0664)
 }

@@ -1,0 +1,30 @@
+package main
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/vclock"
+)
+
+// TestTranscript pins the §6.2 ftpfs session in the paper's world on
+// the virtual clock.
+func TestTranscript(t *testing.T) {
+	for range 2 { // a second run in the same process prints the same bytes
+		var out strings.Builder
+		if err := vclock.Simulate(func(ck vclock.Clock) error { return run(&out, ck) }); err != nil {
+			t.Fatal(err)
+		}
+		if got := out.String(); got != want {
+			t.Fatalf("printed:\n%s\nwant:\n%s", got, want)
+		}
+	}
+}
+
+const want = `musca$ ls /n/ftp/pub
+  file README     20 bytes
+  dir  sys        0 bytes
+musca$ cat /n/ftp/pub/README
+  Plan 9 distribution
+stored on the server: "fetched with ftpfs\n"
+`

@@ -12,7 +12,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 	"strings"
 
@@ -20,16 +22,24 @@ import (
 	"repro/internal/dialer"
 	"repro/internal/mnt"
 	"repro/internal/ns"
+	"repro/internal/vclock"
 )
 
 func main() {
 	clients := flag.Int("clients", 0,
 		"extra tenants: each imports helix's /lib/ndb through the gateway and reads the database; afterwards the per-connection bill is read from helix's /net/export/stats — through the import")
 	flag.Parse()
-
-	world, err := core.PaperWorld(core.FastProfiles(), nil)
-	if err != nil {
+	if err := vclock.Simulate(func(ck vclock.Clock) error { return run(os.Stdout, ck, *clients) }); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// run boots the paper's world on ck and plays §6.1 from philw's gnot,
+// then, with clients > 0, that many more tenants of the gateway.
+func run(w io.Writer, ck vclock.Clock, clients int) error {
+	world, err := core.PaperWorld(core.CalibratedProfiles(), ck)
+	if err != nil {
+		return err
 	}
 	defer world.Close()
 
@@ -38,26 +48,37 @@ func main() {
 	lsNet := func(label string) {
 		names := gnot.LsNet()
 		sort.Strings(names)
-		fmt.Printf("%s$ ls /net\n", label)
+		fmt.Fprintf(w, "%s$ ls /net\n", label)
 		for _, n := range names {
-			fmt.Printf("  /net/%s\n", n)
+			fmt.Fprintf(w, "  /net/%s\n", n)
 		}
+	}
+	cat := func(path, comment string) error {
+		b, err := gnot.NS.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "philw-gnot$ cat %s   # %s\n", path, comment)
+		for _, line := range strings.Split(strings.TrimRight(string(b), "\n"), "\n") {
+			fmt.Fprintf(w, "  %s\n", line)
+		}
+		return nil
 	}
 
 	lsNet("philw-gnot")
 
 	// TCP is unreachable: the terminal has no IP networks.
 	if _, err := dialer.Dial(gnot.NS, "tcp!helix!echo"); err != nil {
-		fmt.Printf("tcp!helix!echo before import: %v\n", err)
+		fmt.Fprintf(w, "tcp!helix!echo before import: %v\n", err)
 	}
 
 	// import -a helix /net — over the Datakit, since that is all the
 	// terminal has. The union places remote entries after local ones.
 	// A /net import is a device tree and stays serial; a file tree
 	// mounts with mnt.FileConfig().
-	fmt.Println("philw-gnot$ import -a helix /net")
+	fmt.Fprintln(w, "philw-gnot$ import -a helix /net")
 	if _, err := gnot.Import("dk!nj/astro/helix!exportfs", "/net", "/net", ns.MAFTER); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	lsNet("philw-gnot")
@@ -68,37 +89,27 @@ func main() {
 	// gateway's kernel.
 	conn, err := dialer.Dial(gnot.NS, "tcp!helix!echo")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer conn.Close()
 	conn.Write([]byte("tcp by way of the datakit"))
 	buf := make([]byte, 128)
 	n, _ := conn.Read(buf)
-	fmt.Printf("echo over tcp through the gateway: %q\n", buf[:n])
+	fmt.Fprintf(w, "echo over tcp through the gateway: %q\n", buf[:n])
 
 	// Remote diagnosis (§6.1): the terminal has no TCP of its own, so
 	// /net/tcp/stats resolves to HELIX's stats file through the
 	// import — every line below crossed the Datakit as a 9P Tread.
 	// The segment counters include the echo we just ran.
-	b, err := gnot.NS.ReadFile("/net/tcp/stats")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("philw-gnot$ cat /net/tcp/stats   # helix's, over the import\n")
-	for _, line := range strings.Split(strings.TrimRight(string(b), "\n"), "\n") {
-		fmt.Printf("  %s\n", line)
+	if err := cat("/net/tcp/stats", "helix's, over the import"); err != nil {
+		return err
 	}
 
 	// And the terminal's own mount driver accounts for the RPCs that
 	// import carried: /net/mnt resolves locally (the union places the
 	// terminal's entries first).
-	b, err = gnot.NS.ReadFile("/net/mnt/stats")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("philw-gnot$ cat /net/mnt/stats   # the import's own RPC bill\n")
-	for _, line := range strings.Split(strings.TrimRight(string(b), "\n"), "\n") {
-		fmt.Printf("  %s\n", line)
+	if err := cat("/net/mnt/stats", "the import's own RPC bill"); err != nil {
+		return err
 	}
 
 	// -clients N: the multi-tenant half of the story. N more tenants
@@ -108,27 +119,21 @@ func main() {
 	// itemizes each connection — and since helix's /net/export/stats
 	// sits inside the imported /net, the bill itself arrives over the
 	// Datakit as 9P reads.
-	if *clients > 0 {
-		fmt.Printf("philw-gnot$ for i in `seq %d`; do import helix /lib/ndb /n/c$i && cat /n/c$i/local; done >/dev/null\n", *clients)
-		// The imports stay mounted while the bill is read, so every
-		// tenant shows as an open connection with its own line; the
-		// world's shutdown closes them.
-		for i := 0; i < *clients; i++ {
-			mp := fmt.Sprintf("/n/c%d", i)
-			if _, err := gnot.ImportConfig("dk!nj/astro/helix!exportfs", "/lib/ndb", mp, ns.MREPL, mnt.FileConfig()); err != nil {
-				log.Fatal(err)
-			}
-			if _, err := gnot.NS.ReadFile(mp + "/local"); err != nil {
-				log.Fatal(err)
-			}
+	if clients == 0 {
+		return nil
+	}
+	fmt.Fprintf(w, "philw-gnot$ for i in `seq %d`; do import helix /lib/ndb /n/c$i && cat /n/c$i/local; done >/dev/null\n", clients)
+	// The imports stay mounted while the bill is read, so every
+	// tenant shows as an open connection with its own line; the
+	// world's shutdown closes them.
+	for i := 0; i < clients; i++ {
+		mp := fmt.Sprintf("/n/c%d", i)
+		if _, err := gnot.ImportConfig("dk!nj/astro/helix!exportfs", "/lib/ndb", mp, ns.MREPL, mnt.FileConfig()); err != nil {
+			return err
 		}
-		b, err = gnot.NS.ReadFile("/net/export/stats")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("philw-gnot$ cat /net/export/stats   # helix's per-connection bill, over the import\n")
-		for _, line := range strings.Split(strings.TrimRight(string(b), "\n"), "\n") {
-			fmt.Printf("  %s\n", line)
+		if _, err := gnot.NS.ReadFile(mp + "/local"); err != nil {
+			return err
 		}
 	}
+	return cat("/net/export/stats", "helix's per-connection bill, over the import")
 }

@@ -6,8 +6,9 @@
 // A home terminal hangs off helix over a serial line (/dev/eia1). The
 // serial wire carries bytes, not messages, so the 9P mount uses the
 // §2.1 marshaling adapter. The user then works "on the CPU server":
-// instead of pulling a big file across the 9600-baud line, the remote
-// end computes over it and ships back only the answer.
+// instead of pulling a big file across the 56k line, the remote end
+// computes over it and ships back only the answer. The world runs on
+// the virtual clock, so both times are exact simulated seconds.
 //
 //	go run ./examples/home
 package main
@@ -16,16 +17,17 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"os"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/exportfs"
+	"repro/internal/mnt"
 	"repro/internal/ninep"
 	"repro/internal/ns"
 	"repro/internal/ramfs"
 	"repro/internal/uart"
-	"repro/internal/vfs"
+	"repro/internal/vclock"
 )
 
 // endRWC adapts a UART end to io.ReadWriteCloser for the 9P adapter.
@@ -42,16 +44,24 @@ func (w endRWC) Write(p []byte) (int, error) { return w.e.Write(p) }
 func (w endRWC) Close() error                { return w.e.Close() }
 
 func main() {
-	world, err := core.PaperWorld(core.FastProfiles(), nil)
-	if err != nil {
+	if err := vclock.Simulate(func(ck vclock.Clock) error { return run(os.Stdout, ck) }); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// run boots the paper's world on ck, hangs a home machine off helix's
+// serial line, and times a file pulled home against the same work done
+// on helix.
+func run(w io.Writer, ck vclock.Clock) error {
+	world, err := core.PaperWorld(core.CalibratedProfiles(), ck)
+	if err != nil {
+		return err
 	}
 	defer world.Close()
 	helix := world.Machine("helix")
 
-	// The phone line: 56k at home, because 9600 baud makes the demo
-	// contemplative (the pacing is real — try it).
-	line := uart.NewLine()
+	// The phone line: 56k at home.
+	line := uart.NewLine(ck)
 	defer line.Close()
 	homeEnd, cpuEnd := line.Ends()
 	homeEnd.SetBaud(57600)
@@ -60,64 +70,48 @@ func main() {
 	// helix answers the modem: it exports its name space over the
 	// serial byte stream.
 	if err := helix.AttachUART(1, cpuEnd); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	go exportfs.Serve(ninep.NewStreamConn(endRWC{cpuEnd}), helix.NS, "/")
+	ck.Go(func() { exportfs.Serve(ninep.NewStreamConn(endRWC{cpuEnd}), helix.NS, "/", ck) })
 
 	// The home machine: not in the world at all, just a name space
 	// and the serial port.
 	home := ns.New("philw", ramfs.New("philw").Root())
-	cl, err := exportfs.Import(home, ninep.NewStreamConn(endRWC{homeEnd}), "", "/n/helix", ns.MREPL)
+	cfg := mnt.Config{Client: ninep.ClientConfig{Clock: ck}}
+	cl, err := exportfs.ImportConfig(home, ninep.NewStreamConn(endRWC{homeEnd}), "", "/n/helix", ns.MREPL, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer cl.Close()
 
 	// Put a day's work on the CPU server (as if it were always there).
 	text := strings.Repeat("all work and no play makes plan 9 a dull system\n", 400)
 	if err := home.WriteFile("/n/helix/tmp/novel.txt", []byte(text), 0664); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The wrong way at 56k: pull the whole file home.
-	//netvet:ignore realtime example measures real wall time
-	start := time.Now()
+	start := ck.Now()
 	b, err := home.ReadFile("/n/helix/tmp/novel.txt")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	//netvet:ignore realtime example measures real wall time
-	pull := time.Since(start)
-	fmt.Printf("pulling %d bytes over the serial line: %v\n", len(b), pull)
+	fmt.Fprintf(w, "pulling %d bytes over the serial line: %v\n", len(b), ck.Since(start))
 
 	// The right way: do the work on the CPU server and move only the
 	// result. Here the "computation" is wc -l, run where the data is.
-	//netvet:ignore realtime example measures real wall time
-	start = time.Now()
-	lines := 0
-	{
-		// Remote process on helix, local to the data.
-		fd, err := helix.NS.Open("/tmp/novel.txt", vfs.OREAD)
-		if err != nil {
-			log.Fatal(err)
-		}
-		buf := make([]byte, 32*1024)
-		for {
-			n, err := fd.Read(buf)
-			lines += strings.Count(string(buf[:n]), "\n")
-			if err != nil {
-				break
-			}
-		}
-		fd.Close()
-		helix.NS.WriteFile("/tmp/novel.count", []byte(fmt.Sprint(lines)), 0664)
+	start = ck.Now()
+	data, err := helix.NS.ReadFile("/tmp/novel.txt") // on helix, local to the data
+	if err != nil {
+		return err
 	}
+	lines := strings.Count(string(data), "\n")
+	helix.NS.WriteFile("/tmp/novel.count", []byte(fmt.Sprint(lines)), 0664)
 	cnt, err := home.ReadFile("/n/helix/tmp/novel.count")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	//netvet:ignore realtime example measures real wall time
-	remote := time.Since(start)
-	fmt.Printf("running wc on the CPU server and fetching the count: %v (%s lines)\n", remote, cnt)
-	fmt.Printf("the slow link moved %d bytes instead of %d\n", len(cnt), len(b))
+	fmt.Fprintf(w, "running wc on the CPU server and fetching the count: %v (%s lines)\n", ck.Since(start), cnt)
+	fmt.Fprintf(w, "the slow link moved %d bytes instead of %d\n", len(cnt), len(b))
+	return nil
 }

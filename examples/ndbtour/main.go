@@ -7,67 +7,78 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
 func main() {
-	world, err := core.PaperWorld(core.FastProfiles(), nil)
-	if err != nil {
+	if err := vclock.Simulate(func(ck vclock.Clock) error { return run(os.Stdout, ck) }); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// run boots the paper's world on ck and tours its database, helix's
+// connection server and its DNS.
+func run(w io.Writer, ck vclock.Clock) error {
+	world, err := core.PaperWorld(core.CalibratedProfiles(), ck)
+	if err != nil {
+		return err
 	}
 	defer world.Close()
 	db := world.DB()
 	helix := world.Machine("helix")
 
 	// Direct database queries.
-	fmt.Println("# ndb queries")
+	fmt.Fprintln(w, "# ndb queries")
 	if e, ok := db.QueryOne("sys", "helix"); ok {
 		dom, _ := e.Get("dom")
 		ip, _ := e.Get("ip")
 		dk, _ := e.Get("dk")
-		fmt.Printf("sys=helix: dom=%s ip=%s dk=%s\n", dom, ip, dk)
+		fmt.Fprintf(w, "sys=helix: dom=%s ip=%s dk=%s\n", dom, ip, dk)
 	}
 	// The most-closely-associated walk: helix has no auth attribute
 	// of its own; it inherits the network's.
 	if v, ok := db.IPInfo("helix", "auth"); ok {
-		fmt.Printf("auth for helix (from the network entry): %s\n", v)
+		fmt.Fprintf(w, "auth for helix (from the network entry): %s\n", v)
 	}
 	if v, ok := db.IPInfo("helix", "fs"); ok {
-		fmt.Printf("fs for helix: %s\n", v)
+		fmt.Fprintf(w, "fs for helix: %s\n", v)
 	}
 	// Service ports.
 	if p, ok := db.ServicePort("il", "9fs"); ok {
-		fmt.Printf("il!...!9fs uses port %s\n", p)
+		fmt.Fprintf(w, "il!...!9fs uses port %s\n", p)
 	}
 
 	// csquery-style translations through /net/cs.
-	fmt.Println("\n# /net/cs translations (ndb/csquery)")
+	fmt.Fprintln(w, "\n# /net/cs translations (ndb/csquery)")
 	for _, q := range []string{"net!helix!9fs", "net!$auth!rexauth", "tcp!bootes!ftp"} {
-		fmt.Printf("> %s\n", q)
+		fmt.Fprintf(w, "> %s\n", q)
 		lines, err := helix.NdbQuery(q)
 		if err != nil {
-			fmt.Println("!", err)
+			fmt.Fprintln(w, "!", err)
 			continue
 		}
 		for _, l := range lines {
-			fmt.Println(l)
+			fmt.Fprintln(w, l)
 		}
 	}
 
 	// The DNS path: /net/dns answers recursive queries.
-	fmt.Println("\n# /net/dns")
+	fmt.Fprintln(w, "\n# /net/dns")
 	fd, err := helix.NS.Open("/net/dns", vfs.ORDWR)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer fd.Close()
 	for _, q := range []string{"musca.research.bell-labs.com ip", "fs.research.bell-labs.com ip"} {
-		fmt.Printf("> %s\n", q)
+		fmt.Fprintf(w, "> %s\n", q)
 		if _, err := fd.WriteString(q); err != nil {
-			fmt.Println("!", err)
+			fmt.Fprintln(w, "!", err)
 			continue
 		}
 		buf := make([]byte, 256)
@@ -76,7 +87,8 @@ func main() {
 			if n == 0 {
 				break
 			}
-			fmt.Print(string(buf[:n]))
+			w.Write(buf[:n])
 		}
 	}
+	return nil
 }

@@ -29,17 +29,16 @@ import (
 // world is closed before Run returns.
 func onPaperWorld(t *testing.T, profiles PaperProfiles, body func(w *World) error) {
 	t.Helper()
-	v := vclock.NewVirtual()
-	v.Run(func() {
-		w, err := PaperWorld(profiles, v)
-		if err == nil {
-			defer w.Close()
-			err = body(w)
-		}
+	if err := vclock.Simulate(func(ck vclock.Clock) error {
+		w, err := PaperWorld(profiles, ck)
 		if err != nil {
-			t.Error(err)
+			return err
 		}
-	})
+		defer w.Close()
+		return body(w)
+	}); err != nil {
+		t.Error(err)
+	}
 }
 
 // readUntilError reads conn until a read fails, and returns that error
@@ -311,10 +310,9 @@ func TestImportGatewayParagraph(t *testing.T) {
 }
 
 // TestPaperWorldOnRealClock runs the two bodies above in one world on
-// the real clock, the one every example and command boots on: the
-// paper world's real-clock passthrough stays tested.
+// the real clock: the paper world's real-clock passthrough stays tested.
 func TestPaperWorldOnRealClock(t *testing.T) {
-	w, err := PaperWorld(FastProfiles(), nil)
+	w, err := PaperWorld(FastProfiles(), vclock.Real)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,7 +652,7 @@ func TestSerialLineThroughNameSpace(t *testing.T) {
 	onPaperWorld(t, FastProfiles(), func(w *World) error {
 		helix := w.Machine("helix")
 		ck := w.Clock()
-		line := uart.NewLineClock(ck)
+		line := uart.NewLine(ck)
 		defer line.Close()
 		cpuEnd, homeEnd := line.Ends()
 		if err := helix.AttachUART(1, cpuEnd); err != nil {

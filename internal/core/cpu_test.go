@@ -40,7 +40,7 @@ func TestCpuSession(t *testing.T) {
 			return err
 		}
 		defer conn.Close()
-		ck.Go(func() { exportfs.ServeClock(ninep.NewDelimConn(conn), musca.NS, "/", ck) })
+		ck.Go(func() { exportfs.Serve(ninep.NewDelimConn(conn), musca.NS, "/", ck) })
 
 		if err, _ := done.Recv(); err != nil {
 			return err

@@ -14,7 +14,6 @@ import (
 	"repro/internal/exportfs"
 	"repro/internal/il"
 	"repro/internal/ip"
-	"repro/internal/mnt"
 	"repro/internal/netdev"
 	"repro/internal/ninep"
 	"repro/internal/ns"
@@ -122,13 +121,13 @@ func (m *Machine) addMount(cl *ninep.Client) {
 	}
 }
 
-// mntStats renders /net/mnt/stats: the mount driver's process-wide
-// readahead/write-behind counters, then the RPC engine figures summed
-// over every mount this machine has made (rpcs, flushes, the deepest
-// in-flight window seen, and the merged RPC latency histogram).
+// mntStats renders /net/mnt/stats: the RPC engine figures summed over
+// every mount this machine has made (rpcs, flushes, the deepest
+// in-flight window seen, and the merged RPC latency histogram). The
+// mount driver's readahead and write-behind counters are process-wide
+// (mnt.StatsGroup), so they are not this machine's to serve.
 func (m *Machine) mntStats() string {
 	var b strings.Builder
-	b.WriteString(mnt.StatsGroup().Render())
 	m.mu.Lock()
 	sum := m.mntGone
 	for _, c := range m.closers {

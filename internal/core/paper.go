@@ -150,8 +150,7 @@ func WANProfiles() PaperProfiles {
 //   - services: 9fs and exportfs on the servers, echo and discard on
 //     helix.
 //
-// Every medium and machine runs on ck, as in NewWorldClock; nil means
-// the real clock.
+// Every medium and machine runs on ck, as in NewWorldClock.
 func PaperWorld(profiles PaperProfiles, ck vclock.Clock) (*World, error) {
 	w, err := NewWorldClock(PaperNdb, ck)
 	if err != nil {

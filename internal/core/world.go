@@ -31,16 +31,15 @@ type World struct {
 	closers  []func()
 }
 
-// NewWorld creates an empty world with the given database text (the
-// shared /lib/ndb/local every machine reads).
+// NewWorld creates an empty world on the real clock with the given
+// database text (the shared /lib/ndb/local every machine reads).
 func NewWorld(ndbText string) (*World, error) {
-	return NewWorldClock(ndbText, nil)
+	return NewWorldClock(ndbText, vclock.Real)
 }
 
-// NewWorldClock is NewWorld on an explicit clock: every medium the
-// world creates and every machine booted into it inherits ck, so a
-// discrete-event clock simulates the whole network. nil means the
-// real clock.
+// NewWorldClock is NewWorld on ck: every medium the world creates and
+// every machine booted into it inherits ck, so a discrete-event clock
+// simulates the whole network.
 func NewWorldClock(ndbText string, ck vclock.Clock) (*World, error) {
 	db, err := ndb.ParseDB(map[string][]byte{"local": []byte(ndbText)}, "local")
 	if err != nil {
@@ -48,7 +47,7 @@ func NewWorldClock(ndbText string, ck vclock.Clock) (*World, error) {
 	}
 	db.HashAll("sys", "dom", "ip", "dk", "tcp", "il", "udp", "ipnet")
 	return &World{
-		clock:    vclock.Or(ck),
+		clock:    ck,
 		ethers:   make(map[string]*ether.Segment),
 		db:       db,
 		ndbText:  []byte(ndbText),

@@ -73,6 +73,9 @@ var _ xport.Proto = (*End)(nil)
 // Name implements xport.Proto: the device appears as "cyc" under /net.
 func (e *End) Name() string { return "cyc" }
 
+// Clock implements xport.Proto: the clock the fiber paces on.
+func (e *End) Clock() vclock.Clock { return e.wire.Clock() }
+
 // NewConn implements xport.Proto. The link is point-to-point: one
 // conversation at a time.
 func (e *End) NewConn() (xport.Conn, error) {

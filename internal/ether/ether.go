@@ -105,6 +105,7 @@ type Segment struct {
 	// frames take it in is wire order.
 	mu       sync.Mutex
 	stations atomic.Pointer[stations]
+	joined   uint32 // stations ever attached; numbers the next one's address
 
 	// line books the wire and delay carries frames across it (nil on
 	// an ideal segment). Put never parks, so IL and TCP may transmit
@@ -322,8 +323,6 @@ func (seg *Segment) transmitBlock(from *Interface, dst Addr, b *block.Block) err
 	return nil
 }
 
-var macCounter atomic.Uint32
-
 // Interface is one station on a segment: the LANCE analogue. Received
 // frames are demultiplexed among conversations by packet type; every
 // matching conversation receives a copy.
@@ -350,9 +349,14 @@ type Interface struct {
 func (ifc *Interface) CRCErrs() int64 { return ifc.crcErrs.Load() }
 
 // NewInterface attaches a new station to the segment. name is the
-// device name it will carry in a file tree ("ether0").
+// device name it will carry in a file tree ("ether0"). Addresses count
+// up per segment, so the stations of one run are numbered alike in every
+// run.
 func (seg *Segment) NewInterface(name string) *Interface {
-	n := macCounter.Add(1)
+	seg.mu.Lock()
+	seg.joined++
+	n := seg.joined
+	seg.mu.Unlock()
 	ifc := &Interface{
 		seg:   seg,
 		name:  name,

@@ -1,7 +1,7 @@
 // Package exportfs implements the user-level relay file server of
 // §6.1: it exports a piece of a process's name space across a network
-// connection as 9P, and Import mounts such an export into a local name
-// space. "Operations in the imported file tree are executed on the
+// connection as 9P, and ImportConfig mounts such an export into a local
+// name space. "Operations in the imported file tree are executed on the
 // remote server and the results returned. As a result the name space
 // of the remote machine appears to be exported into a local file tree."
 //
@@ -22,13 +22,13 @@ import (
 	"repro/internal/vfs"
 )
 
-// Config sizes a multi-tenant export server; the zero value exports
-// "/" on the real clock with the default cache.
+// Config sizes a multi-tenant export server. Only Clock must be set:
+// the zero values of the rest export "/" with the default cache.
 type Config struct {
 	// Root is the exported subtree; "" means "/". The attach name is
 	// joined beneath it.
 	Root string
-	// Clock drives the server's goroutines; nil means real time.
+	// Clock drives the server's goroutines.
 	Clock vclock.Clock
 	// CacheBytes bounds the shared read cache; 0 means the ccache
 	// default, negative disables caching entirely.
@@ -108,36 +108,25 @@ func (s *Server) Stats() string {
 	return b.String()
 }
 
-// Serve exports the subtree of nsp rooted at root over conn, blocking
-// until the connection fails. The initial protocol that "establishes
-// the root of the file tree being exported" is the 9P attach itself:
-// the attach name is joined beneath root.
-func Serve(conn ninep.MsgConn, nsp *ns.Namespace, root string) error {
-	return ServeClock(conn, nsp, root, nil)
-}
-
-// ServeClock is Serve with an explicit clock driving the server's
-// per-request goroutines; nil means the real clock. It is the
-// single-connection form: a throwaway Server per transport, the
-// pre-gateway shape callers like torture keep using.
-func ServeClock(conn ninep.MsgConn, nsp *ns.Namespace, root string, ck vclock.Clock) error {
+// Serve exports the subtree of nsp rooted at root over conn, its
+// per-request goroutines driven by ck, blocking until the connection
+// fails. The initial protocol that "establishes the root of the file
+// tree being exported" is the 9P attach itself: the attach name is
+// joined beneath root. It is the single-connection form: a throwaway
+// Server per transport.
+func Serve(conn ninep.MsgConn, nsp *ns.Namespace, root string, ck vclock.Clock) error {
 	return NewServer(nsp, Config{Root: root, Clock: ck}).ServeConn(conn)
 }
 
-// Import mounts the tree exported on conn at mountpoint old in nsp,
-// with bind flags (ns.MREPL, ns.MAFTER, ...): the import command of
-// §6.1. It returns the 9P client so the caller can Close it to
-// unmount.
+// ImportConfig mounts the tree exported on conn at mountpoint old in
+// nsp, with bind flags (ns.MREPL, ns.MAFTER, ...) and mount profile
+// cfg: the import command of §6.1. It returns the 9P client so the
+// caller can Close it to unmount.
 //
-// Import mounts a device tree — one fragment RPC at a time, nothing
-// speculative: an import typically carries live device files — /net of
-// a gateway — where speculative I/O is unsafe. Use ImportConfig with
-// mnt.FileConfig for a plain file tree.
-func Import(nsp *ns.Namespace, conn ninep.MsgConn, aname, old string, flag int) (*ninep.Client, error) {
-	return ImportConfig(nsp, conn, aname, old, flag, mnt.Config{})
-}
-
-// ImportConfig is Import with an explicit mount profile.
+// The zero cfg mounts a device tree — one fragment RPC at a time,
+// nothing speculative: an import typically carries live device files —
+// /net of a gateway — where speculative I/O is unsafe. mnt.FileConfig
+// mounts a plain file tree.
 func ImportConfig(nsp *ns.Namespace, conn ninep.MsgConn, aname, old string, flag int, cfg mnt.Config) (*ninep.Client, error) {
 	root, cl, err := mnt.MountConfig(conn, nsp.User(), aname, cfg)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/ninep"
 	"repro/internal/ns"
 	"repro/internal/ramfs"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -15,7 +16,7 @@ import (
 func exported(t *testing.T, remote *ns.Namespace, root string) ninep.MsgConn {
 	t.Helper()
 	a, b := ninep.NewPipe()
-	go Serve(b, remote, root)
+	go Serve(b, remote, root, vclock.Real)
 	t.Cleanup(func() { a.Close() })
 	return a
 }
@@ -26,7 +27,7 @@ func TestImportWholeTree(t *testing.T) {
 	remote := ns.New("helix", rfs.Root())
 
 	local := ns.New("glenda", ramfs.New("glenda").Root())
-	cl, err := Import(local, exported(t, remote, "/"), "", "/n/helix", ns.MREPL)
+	cl, err := ImportConfig(local, exported(t, remote, "/"), "", "/n/helix", ns.MREPL, mnt.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestImportSubtreeViaAname(t *testing.T) {
 	rfs.WriteFile("a/b/c", []byte("deep"), 0664)
 	remote := ns.New("helix", rfs.Root())
 	local := ns.New("glenda", ramfs.New("glenda").Root())
-	cl, err := Import(local, exported(t, remote, "/a"), "b", "/mnt", ns.MREPL)
+	cl, err := ImportConfig(local, exported(t, remote, "/a"), "b", "/mnt", ns.MREPL, mnt.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestImportSubtreeViaAname(t *testing.T) {
 func TestExportRefusesMissingRoot(t *testing.T) {
 	remote := ns.New("helix", ramfs.New("helix").Root())
 	local := ns.New("glenda", ramfs.New("glenda").Root())
-	_, err := Import(local, exported(t, remote, "/"), "missing", "/mnt", ns.MREPL)
+	_, err := ImportConfig(local, exported(t, remote, "/"), "missing", "/mnt", ns.MREPL, mnt.Config{})
 	if !vfs.SameError(err, vfs.ErrNotExist) {
 		t.Errorf("import of missing subtree = %v", err)
 	}
@@ -68,7 +69,7 @@ func TestWritesPropagateBack(t *testing.T) {
 	rfs.MkdirAll("tmp", 0775)
 	remote := ns.New("helix", rfs.Root())
 	local := ns.New("glenda", ramfs.New("glenda").Root())
-	cl, err := Import(local, exported(t, remote, "/tmp"), "", "/r", ns.MREPL)
+	cl, err := ImportConfig(local, exported(t, remote, "/tmp"), "", "/r", ns.MREPL, mnt.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestExportFollowsRemoteMounts(t *testing.T) {
 	remote.MountNode(dev.Root(), "/net/tcp", ns.MREPL)
 
 	local := ns.New("glenda", ramfs.New("glenda").Root())
-	cl, err := Import(local, exported(t, remote, "/net"), "", "/net", ns.MREPL)
+	cl, err := ImportConfig(local, exported(t, remote, "/net"), "", "/net", ns.MREPL, mnt.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestImportAfterUnionsLikeThePaper(t *testing.T) {
 	}
 	remote := ns.New("musca", rfs.Root())
 
-	cl, err := Import(local, exported(t, remote, "/net"), "", "/net", ns.MAFTER)
+	cl, err := ImportConfig(local, exported(t, remote, "/net"), "", "/net", ns.MAFTER, mnt.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +168,8 @@ func TestNestedExport(t *testing.T) {
 
 	nsA := ns.New("a", ramfs.New("a").Root())
 	pAB, pBA := ninep.NewPipe()
-	go Serve(pBA, nsB, "/")
-	clAB, err := Import(nsA, pAB, "", "/b", ns.MREPL)
+	go Serve(pBA, nsB, "/", vclock.Real)
+	clAB, err := ImportConfig(nsA, pAB, "", "/b", ns.MREPL, mnt.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +177,8 @@ func TestNestedExport(t *testing.T) {
 
 	nsC := ns.New("c", ramfs.New("c").Root())
 	pCA, pAC := ninep.NewPipe()
-	go Serve(pAC, nsA, "/")
-	clCA, err := Import(nsC, pCA, "", "/a", ns.MREPL)
+	go Serve(pAC, nsA, "/", vclock.Real)
+	clCA, err := ImportConfig(nsC, pCA, "", "/a", ns.MREPL, mnt.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestMountDriverDirectoryReads(t *testing.T) {
 	rfs.WriteFile("d/z", nil, 0664)
 	remote := ns.New("helix", rfs.Root())
 	local := ns.New("glenda", ramfs.New("glenda").Root())
-	cl, err := Import(local, exported(t, remote, "/"), "", "/r", ns.MREPL)
+	cl, err := ImportConfig(local, exported(t, remote, "/"), "", "/r", ns.MREPL, mnt.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,13 +212,13 @@ func TestMountDriverDirectoryReads(t *testing.T) {
 }
 
 func TestMountNodeDirectly(t *testing.T) {
-	// mnt.Mount is usable without the Import wrapper.
+	// mnt.MountConfig is usable without the ImportConfig wrapper.
 	rfs := ramfs.New("srv")
 	rfs.WriteFile("f", []byte("1"), 0664)
 	remote := ns.New("srv", rfs.Root())
 	a, b := ninep.NewPipe()
-	go Serve(b, remote, "/")
-	root, cl, err := mnt.Mount(a, "me", "")
+	go Serve(b, remote, "/", vclock.Real)
+	root, cl, err := mnt.MountConfig(a, "me", "", mnt.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestMkdirAndRemoveThroughImport(t *testing.T) {
 	rfs.MkdirAll("work", 0775)
 	remote := ns.New("srv", rfs.Root())
 	local := ns.New("me", ramfs.New("me").Root())
-	cl, err := Import(local, exported(t, remote, "/work"), "", "/w", ns.MREPL)
+	cl, err := ImportConfig(local, exported(t, remote, "/work"), "", "/w", ns.MREPL, mnt.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +281,7 @@ func TestStatWstatThroughImport(t *testing.T) {
 	rfs.WriteFile("f", []byte("xyz"), 0664)
 	remote := ns.New("srv", rfs.Root())
 	local := ns.New("me", ramfs.New("me").Root())
-	cl, err := Import(local, exported(t, remote, "/"), "", "/r", ns.MREPL)
+	cl, err := ImportConfig(local, exported(t, remote, "/"), "", "/r", ns.MREPL, mnt.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

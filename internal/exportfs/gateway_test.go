@@ -10,6 +10,7 @@ import (
 	"repro/internal/ns"
 	"repro/internal/obs"
 	"repro/internal/ramfs"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -64,7 +65,7 @@ func gatewayServer(t *testing.T, files map[string]string) *Server {
 			t.Fatal(err)
 		}
 	}
-	return NewServer(ns.New("gw", rfs.Root()), Config{})
+	return NewServer(ns.New("gw", rfs.Root()), Config{Clock: vclock.Real})
 }
 
 func TestCollidingFidsAndTagsAreIsolated(t *testing.T) {
@@ -169,7 +170,7 @@ func TestStatsCarryPerConnBill(t *testing.T) {
 	srv := gatewayServer(t, map[string]string{"f": "stats"})
 	for i := 0; i < 2; i++ {
 		local := ns.New("me", ramfs.New("me").Root())
-		cl, err := Import(local, servedConn(t, srv), "", "/r", ns.MREPL)
+		cl, err := ImportConfig(local, servedConn(t, srv), "", "/r", ns.MREPL, mnt.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,12 +202,12 @@ func TestStatsCarryPerConnBill(t *testing.T) {
 func TestCacheDisabled(t *testing.T) {
 	rfs := ramfs.New("gw")
 	rfs.WriteFile("f", []byte("plain"), 0664)
-	srv := NewServer(ns.New("gw", rfs.Root()), Config{CacheBytes: -1})
+	srv := NewServer(ns.New("gw", rfs.Root()), Config{Clock: vclock.Real, CacheBytes: -1})
 	if srv.Cache() != nil {
 		t.Fatalf("negative CacheBytes should disable the cache")
 	}
 	local := ns.New("me", ramfs.New("me").Root())
-	cl, err := Import(local, servedConn(t, srv), "", "/r", ns.MREPL)
+	cl, err := ImportConfig(local, servedConn(t, srv), "", "/r", ns.MREPL, mnt.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

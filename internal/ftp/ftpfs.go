@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -371,7 +372,8 @@ var (
 	_ vfs.DirReader = (*fdirHandle)(nil)
 )
 
-// ReadDir implements vfs.DirReader.
+// ReadDir implements vfs.DirReader. Entries come in name order, so a
+// listing does not depend on map iteration.
 func (h *fdirHandle) ReadDir() ([]vfs.Dir, error) {
 	h.n.fs.mu.Lock()
 	defer h.n.fs.mu.Unlock()
@@ -379,6 +381,7 @@ func (h *fdirHandle) ReadDir() ([]vfs.Dir, error) {
 	for _, c := range h.n.e.children {
 		ents = append(ents, fnode{fs: h.n.fs, e: c}.statLocked())
 	}
+	slices.SortFunc(ents, func(a, b vfs.Dir) int { return strings.Compare(a.Name, b.Name) })
 	return ents, nil
 }
 

@@ -70,12 +70,11 @@ type Route struct {
 }
 
 // NewStack returns an empty stack on the real clock.
-func NewStack() *Stack { return NewStackClock(nil) }
+func NewStack() *Stack { return NewStackClock(vclock.Real) }
 
 // NewStackClock returns an empty stack whose timers (and those of the
-// transports built on it) run on ck; nil means the real clock.
+// transports built on it) run on ck.
 func NewStackClock(ck vclock.Clock) *Stack {
-	ck = vclock.Or(ck)
 	return &Stack{clk: ck, handlers: make(map[uint8]Handler), loop: vclock.NewMailbox[loopPkt](ck, 0)}
 }
 

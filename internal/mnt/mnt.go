@@ -47,16 +47,11 @@ func FileConfig() Config {
 // bounds only how many fragments of one request ride at once.
 const readahead = 4
 
-// Mount dials a 9P server over conn, authenticates uname, attaches to
-// aname, and returns the remote root as a mountable node. Closing the
-// returned client tears down the connection and every fid on it. The
-// mount is a device tree; pass FileConfig to MountConfig for a plain
-// file tree.
-func Mount(conn ninep.MsgConn, uname, aname string) (vfs.Node, *ninep.Client, error) {
-	return MountConfig(conn, uname, aname, Config{})
-}
-
-// MountConfig is Mount with an explicit profile.
+// MountConfig dials a 9P server over conn, authenticates uname,
+// attaches to aname, and returns the remote root as a mountable node.
+// Closing the returned client tears down the connection and every fid
+// on it. The zero cfg mounts a device tree; FileConfig a plain file
+// tree.
 func MountConfig(conn ninep.MsgConn, uname, aname string, cfg Config) (vfs.Node, *ninep.Client, error) {
 	cl, err := ninep.NewClientConfig(conn, cfg.Client)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ninep"
 	"repro/internal/ramfs"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -16,8 +17,8 @@ func mounted(t *testing.T) (vfs.Node, *ramfs.FS, *ninep.Client) {
 	a, b := ninep.NewPipe()
 	go ninep.Serve(b, func(uname, aname string) (vfs.Node, error) {
 		return fs.Root(), nil
-	})
-	root, cl, err := Mount(a, "glenda", "")
+	}, vclock.Real)
+	root, cl, err := MountConfig(a, "glenda", "", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/ninep"
 	"repro/internal/ramfs"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -20,7 +21,7 @@ func mountedConfig(t *testing.T, cfg Config) (vfs.Node, *ramfs.FS, *ninep.Client
 	a, b := ninep.NewPipe()
 	go ninep.Serve(b, func(uname, aname string) (vfs.Node, error) {
 		return fs.Root(), nil
-	})
+	}, vclock.Real)
 	root, cl, err := MountConfig(a, "glenda", "", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +250,7 @@ func TestFlushRacesReadahead(t *testing.T) {
 		defer close(serveDone)
 		ninep.Serve(b, func(uname, aname string) (vfs.Node, error) {
 			return srv.Root(), nil
-		})
+		}, vclock.Real)
 	}()
 	before := block.Snapshot()
 
@@ -348,7 +349,7 @@ func TestWriteBehindErrorSurfaces(t *testing.T) {
 	a, b := ninep.NewPipe()
 	go ninep.Serve(b, func(uname, aname string) (vfs.Node, error) {
 		return errSrv{}.Root(), nil
-	})
+	}, vclock.Real)
 	root, cl, err := MountConfig(a, "glenda", "", FileConfig())
 	if err != nil {
 		t.Fatal(err)

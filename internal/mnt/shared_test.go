@@ -25,7 +25,7 @@ func TestTwoReadersShareOneFileTreeHandle(t *testing.T) {
 		fs.WriteFile("big", want, 0664)
 		a, b := ninep.NewPipeClock(v)
 		v.Go(func() {
-			ninep.ServeClock(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, v)
+			ninep.Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, v)
 		})
 		cfg := FileConfig()
 		cfg.Client.Clock = v

@@ -15,6 +15,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/ninep"
 	"repro/internal/ramfs"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -289,7 +290,7 @@ func TestMountWireTrace(t *testing.T) {
 		fs := ramfs.New("srv")
 		fs.WriteFile("f", file, 0664)
 		a, b := ninep.NewPipe()
-		go ninep.Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil })
+		go ninep.Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, vclock.Real)
 		tap := newWireTap(a)
 		root, cl, err := MountConfig(tap, "glenda", "", sc.cfg)
 		if err != nil {

@@ -121,17 +121,6 @@ func (c *conv) hangup() {
 	c.conn.Close()
 }
 
-// clock returns the protocol's time source when it exposes one (every
-// simulated protocol does, so a pushed module's flush timers run in
-// virtual time with the rest of the scenario), the real clock
-// otherwise.
-func (d *Dev) clock() vclock.Clock {
-	if cp, ok := d.proto.(interface{ Clock() vclock.Clock }); ok {
-		return vclock.Or(cp.Clock())
-	}
-	return vclock.Or(nil)
-}
-
 // pushLine pushes one module spec onto the conversation's stream,
 // creating the stream around the bare conversation on the first push.
 // Pushing is operator-coordinated with traffic, as in the kernel: both
@@ -198,7 +187,7 @@ func (c *conv) ctl(cmd string) error {
 	case netmsg.VerbPush:
 		// "push batch 2048 2ms", "push compress": dress the
 		// conversation in a line discipline (§2.4.1).
-		return c.pushLine(c.dev.clock(), arg)
+		return c.pushLine(c.dev.proto.Clock(), arg)
 	case netmsg.VerbPop:
 		l := c.line.Load()
 		if l == nil {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/ramfs"
 	"repro/internal/tcp"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 	"repro/internal/xport"
 )
@@ -486,7 +487,8 @@ func (c *fakeConn) Close() error {
 // fakeProto clones the scripted conversations in order, then blank ones.
 type fakeProto struct{ script []*fakeConn }
 
-func (p *fakeProto) Name() string { return "fake" }
+func (p *fakeProto) Name() string        { return "fake" }
+func (p *fakeProto) Clock() vclock.Clock { return vclock.Real }
 func (p *fakeProto) NewConn() (xport.Conn, error) {
 	if len(p.script) == 0 {
 		return &fakeConn{}, nil

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/ramfs"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -22,7 +23,7 @@ func TestAllocsRreadRoundTrip(t *testing.T) {
 	fs := ramfs.New("srv")
 	fs.WriteFile("f", make([]byte, 4096), 0664)
 	a, p := NewPipe()
-	go Serve(p, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil })
+	go Serve(p, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, vclock.Real)
 	cl, err := NewClient(a)
 	if err != nil {
 		t.Fatal(err)

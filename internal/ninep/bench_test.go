@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ramfs"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -14,7 +15,7 @@ func benchClient(b *testing.B) (*Client, *ramfs.FS) {
 	b.Helper()
 	fs := ramfs.New("srv")
 	a, p := NewPipe()
-	go Serve(p, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil })
+	go Serve(p, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, vclock.Real)
 	cl, err := NewClient(a)
 	if err != nil {
 		b.Fatal(err)

@@ -48,7 +48,7 @@ func (h blockHandle) Close() error                           { return nil }
 func TestFlushAbandonsBlockedRead(t *testing.T) {
 	fs := &blockingFS{release: make(chan struct{})}
 	a, b := NewPipe()
-	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") })
+	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") }, vclock.Real)
 	cl, err := NewClient(a)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestFlushAbandonsBlockedRead(t *testing.T) {
 func TestFlushedTagReuse(t *testing.T) {
 	fs := &blockingFS{release: make(chan struct{})}
 	a, b := NewPipe()
-	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") })
+	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") }, vclock.Real)
 	cl, err := NewClient(a)
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestFlushedTagReuse(t *testing.T) {
 func TestFlushedQueuedReadSkipsHandle(t *testing.T) {
 	fs := &blockingFS{release: make(chan struct{})}
 	a, b := NewPipe()
-	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") })
+	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") }, vclock.Real)
 	cl, err := NewClient(a)
 	if err != nil {
 		t.Fatal(err)

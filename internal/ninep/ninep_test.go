@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/ramfs"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -19,7 +20,7 @@ func startServer(t *testing.T) (*Client, *ramfs.FS) {
 	a, b := NewPipe()
 	go Serve(b, func(uname, aname string) (vfs.Node, error) {
 		return fs.Root(), nil
-	})
+	}, vclock.Real)
 	cl, err := NewClient(a)
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +269,7 @@ func TestClientCloseFailsPendingRPCs(t *testing.T) {
 	go Serve(b, func(uname, aname string) (vfs.Node, error) {
 		<-blockOpen
 		return fs.Root(), nil
-	})
+	}, vclock.Real)
 	cl, err := NewClient(a)
 	if err != nil {
 		t.Fatal(err)

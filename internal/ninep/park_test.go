@@ -57,7 +57,7 @@ func TestTwoProcessesShareOneClientOverPacedConn(t *testing.T) {
 		fs.WriteFile("f", []byte("hello"), 0664)
 		a, b := NewPipeClock(v)
 		v.Go(func() {
-			ServeClock(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, v)
+			Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, v)
 		})
 		file := &pacedFile{MsgConn: a, ck: v}
 		cl, err := NewClientConfig(NewDelimConn(file), ClientConfig{Clock: v})
@@ -116,7 +116,7 @@ func TestWalkAndOpenPipelinedOnOneFidWhoseWalkParks(t *testing.T) {
 		fs.WriteFile("f", []byte("hello"), 0664)
 		a, b := NewPipeClock(v)
 		v.Go(func() {
-			ServeClock(b, func(uname, aname string) (vfs.Node, error) {
+			Serve(b, func(uname, aname string) (vfs.Node, error) {
 				return parkingDir{fs.Root(), v}, nil
 			}, v)
 		})

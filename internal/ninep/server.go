@@ -65,12 +65,12 @@ type Server struct {
 }
 
 // NewServer returns a server ready to accept connections, its
-// per-request goroutines driven by ck (nil means real time); each
-// accepted transport is served by ServeConn.
+// per-request goroutines driven by ck; each accepted transport is
+// served by ServeConn.
 func NewServer(attach AttachFunc, ck vclock.Clock) *Server {
 	return &Server{
 		attach: attach,
-		ck:     vclock.Or(ck),
+		ck:     ck,
 		conns:  make(map[int64]*SrvConn),
 	}
 }
@@ -188,16 +188,10 @@ func (q *ticketQ) done() {
 	q.mu.Unlock()
 }
 
-// Serve runs a single-connection 9P server on conn until the
-// transport fails or the client goes away. It returns the transport
-// error (io.EOF for a clean close).
-func Serve(conn MsgConn, attach AttachFunc) error {
-	return ServeClock(conn, attach, nil)
-}
-
-// ServeClock is Serve with an explicit clock driving the per-request
-// goroutines; nil means the real clock.
-func ServeClock(conn MsgConn, attach AttachFunc, ck vclock.Clock) error {
+// Serve runs a single-connection 9P server on conn, its per-request
+// goroutines driven by ck, until the transport fails or the client goes
+// away. It returns the transport error (io.EOF for a clean close).
+func Serve(conn MsgConn, attach AttachFunc, ck vclock.Clock) error {
 	return NewServer(attach, ck).ServeConn(conn)
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/ramfs"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -35,7 +36,7 @@ func startCountingServer(t *testing.T, cfg ClientConfig, wrap func(MsgConn) MsgC
 	a, b := NewPipe()
 	go Serve(b, func(uname, aname string) (vfs.Node, error) {
 		return fs.Root(), nil
-	})
+	}, vclock.Real)
 	cc := &countingConn{MsgConn: a}
 	var conn MsgConn = cc
 	if wrap != nil {
@@ -184,7 +185,7 @@ func TestWindowedShortReadTruncates(t *testing.T) {
 	fs := &gateFS{content: want, gate: 3 * MaxFData, release: make(chan struct{})}
 	t.Cleanup(func() { close(fs.release) })
 	a, b := NewPipe()
-	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil })
+	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, vclock.Real)
 	cc := &countingConn{MsgConn: a}
 	cl, err := NewClientConfig(cc, ClientConfig{FileTree: true, Window: 8})
 	if err != nil {
@@ -255,7 +256,7 @@ func (h streamHandle) Close() error                           { return nil }
 func TestDefaultConfigReadsSerial(t *testing.T) {
 	fs := &streamFS{}
 	a, b := NewPipe()
-	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil })
+	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, vclock.Real)
 	cc := &countingConn{MsgConn: a}
 	cl, err := NewClientConfig(cc, ClientConfig{})
 	if err != nil {
@@ -297,7 +298,7 @@ func TestDefaultConfigReadsSerial(t *testing.T) {
 func TestTagExhaustionBlocks(t *testing.T) {
 	fs := &blockingFS{release: make(chan struct{})}
 	a, b := NewPipe()
-	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") })
+	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") }, vclock.Real)
 	// A cap of 3 is spent by the three parked reads; the probe must
 	// block.
 	cl, err := NewClientConfig(a, ClientConfig{inFlightCap: 3})

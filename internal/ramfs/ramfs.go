@@ -61,7 +61,7 @@ func New(owner string) *FS {
 // Servers that join a process-wide namespace should keep New's
 // process-unique numbering.
 func NewClock(owner string, ck vclock.Clock) *FS {
-	fs := &FS{owner: owner, ck: vclock.Or(ck)}
+	fs := &FS{owner: owner, ck: ck}
 	fs.root = &file{
 		fs:       fs,
 		dir:      fs.mkDir("/", 0775),

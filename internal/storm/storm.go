@@ -122,8 +122,7 @@ func runOn(cfg Config, serve func(reg *core.Machine) error, scenario func(w *wor
 	wall := time.Now() //netvet:ignore realtime wall-clock half of the simulation report
 	var err error
 	if cfg.Virtual {
-		v := vclock.NewVirtual()
-		v.Run(func() { err = run(v) })
+		err = vclock.Simulate(run)
 	} else {
 		err = run(vclock.Real)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/medium"
 	"repro/internal/obs"
+	"repro/internal/vclock"
 )
 
 // TestLineConversation runs a full-duplex conversation between two
@@ -17,8 +18,8 @@ import (
 // message crosses intact, in order, with its boundary preserved.
 func TestLineConversation(t *testing.T) {
 	c1, c2 := net.Pipe()
-	l1 := NewLine(c1, nil, 0)
-	l2 := NewLine(c2, nil, 0)
+	l1 := NewLine(c1, vclock.Real, 0)
+	l2 := NewLine(c2, vclock.Real, 0)
 	if err := l1.Push("compress", "batch 256 500us"); err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +85,8 @@ func TestLineConversation(t *testing.T) {
 // Line layer.
 func TestLineCloseMidWindow(t *testing.T) {
 	c1, c2 := net.Pipe()
-	l1 := NewLine(c1, nil, 0)
-	l2 := NewLine(c2, nil, 0)
+	l1 := NewLine(c1, vclock.Real, 0)
+	l2 := NewLine(c2, vclock.Real, 0)
 	for _, l := range []*Line{l1, l2} {
 		if err := l.Push("batch 65536 1h"); err != nil {
 			t.Fatal(err)
@@ -137,8 +138,8 @@ func TestPushPopMidTraffic(t *testing.T) {
 	// when the peer's pump reads, and the pump can be parked at
 	// DeviceUp behind a waiting push — see chainLock.
 	d1, d2 := medium.NewDuplex(medium.Profile{})
-	l1 := NewLine(duplexConn{d1}, nil, 0)
-	l2 := NewLine(duplexConn{d2}, nil, 0)
+	l1 := NewLine(duplexConn{d1}, vclock.Real, 0)
+	l2 := NewLine(duplexConn{d2}, vclock.Real, 0)
 	// frame restores boundaries over the byte pipe; it stays put while
 	// trace churns above it.
 	for _, l := range []*Line{l1, l2} {

@@ -45,18 +45,18 @@ type Stream struct {
 // put routine of a device interface (§2.4.2).
 type DeviceFunc func(b *Block)
 
-// New creates a stream whose device end delivers downstream blocks to
-// dev. limit <= 0 selects DefaultLimit.
-func New(limit int, dev DeviceFunc) *Stream { return NewClock(limit, nil, dev) }
+// New creates a stream on the real clock whose device end delivers
+// downstream blocks to dev. limit <= 0 selects DefaultLimit.
+func New(limit int, dev DeviceFunc) *Stream { return NewClock(limit, vclock.Real, dev) }
 
-// NewClock is New with an explicit clock: flow-control waits and the
-// read lock go through ck, so a virtual-clock stream parks cooperatively
-// with the simulation scheduler. nil means the real clock.
+// NewClock is New on ck: flow-control waits and the read lock go
+// through ck, so a virtual-clock stream parks cooperatively with the
+// simulation scheduler.
 func NewClock(limit int, ck vclock.Clock, dev DeviceFunc) *Stream {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	s := &Stream{limit: limit, clk: vclock.Or(ck)}
+	s := &Stream{limit: limit, clk: ck}
 	s.cfg.init(s.clk)
 	s.rlock.Init(s.clk)
 	s.topRead = newQueue(s, nil, true, PutQ)

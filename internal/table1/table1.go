@@ -103,7 +103,7 @@ func (r Result) Format() string {
 // times them.
 type Path struct {
 	Name string
-	// Clock is the clock the path runs on; nil means the real clock.
+	// Clock is the clock the path runs on.
 	Clock vclock.Clock
 	// DialEcho returns a connection whose peer echoes everything.
 	DialEcho func() (io.ReadWriteCloser, error)
@@ -125,8 +125,7 @@ func MeasureLatency(p Path, pings int) (time.Duration, error) {
 	if _, err := io.ReadFull(conn, buf[:1]); err != nil {
 		return 0, err
 	}
-	ck := vclock.Or(p.Clock)
-	start := ck.Now()
+	start := p.Clock.Now()
 	for range pings {
 		if _, err := conn.Write(buf[:1]); err != nil {
 			return 0, err
@@ -135,7 +134,7 @@ func MeasureLatency(p Path, pings int) (time.Duration, error) {
 			return 0, err
 		}
 	}
-	return ck.Since(start) / time.Duration(pings), nil
+	return p.Clock.Since(start) / time.Duration(pings), nil
 }
 
 // MeasureThroughput times writeSize-byte writes of total bytes and the
@@ -147,8 +146,7 @@ func MeasureThroughput(p Path, writeSize, total int) (float64, error) {
 	}
 	defer conn.Close()
 	payload := make([]byte, writeSize)
-	ck := vclock.Or(p.Clock)
-	start := ck.Now()
+	start := p.Clock.Now()
 	sent := 0
 	for sent < total {
 		n := total - sent
@@ -165,7 +163,7 @@ func MeasureThroughput(p Path, writeSize, total int) (float64, error) {
 	if _, err := io.ReadFull(conn, one); err != nil {
 		return 0, err
 	}
-	el := ck.Since(start).Seconds()
+	el := p.Clock.Since(start).Seconds()
 	return float64(total) / el / 1e6, nil
 }
 
@@ -242,7 +240,8 @@ func pipePath() Path {
 		return a, b
 	}
 	return Path{
-		Name: "pipes",
+		Name:  "pipes",
+		Clock: vclock.Real,
 		DialEcho: func() (io.ReadWriteCloser, error) {
 			a, b := mkPipe()
 			go func() { // echo process
@@ -310,7 +309,7 @@ func netPath(name string, from *core.Machine, echoDest, sinkDest string) Path {
 // services (sink on every medium) started, and returns every path of
 // the table, pipes first.
 func BuildWorld(cfg Config) (*core.World, []Path, error) {
-	w, nets, err := buildWorld(cfg, nil)
+	w, nets, err := buildWorld(cfg, vclock.Real)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -600,7 +600,7 @@ func TestStatsConformanceMnt(t *testing.T) {
 		defer close(srvDone)
 		ninep.Serve(ninep.NewDelimConn(ac), func(uname, aname string) (vfs.Node, error) {
 			return fs.Attach(aname)
-		})
+		}, vclock.Real)
 	}()
 
 	before := mnt.StatsGroup().Snapshot()

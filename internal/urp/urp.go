@@ -128,14 +128,12 @@ type sentBlock struct {
 	data  []byte
 }
 
-// NewClock starts URP on a wire, with an explicit clock for the
-// protocol timers (enquiry, retransmit, death); nil means the real
-// clock. stats may be nil.
+// NewClock starts URP on a wire, with ck driving the protocol timers
+// (enquiry, retransmit, death). stats may be nil.
 func NewClock(wire Wire, stats *Stats, ck vclock.Clock) *Conn {
 	if stats == nil {
 		stats = &Stats{}
 	}
-	ck = vclock.Or(ck)
 	c := &Conn{
 		wire:    wire,
 		ck:      ck,

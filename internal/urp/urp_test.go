@@ -20,8 +20,8 @@ func pair(t *testing.T, p medium.Profile) (*Conn, *Conn, *Stats) {
 	t.Helper()
 	a, b := medium.NewDuplex(p)
 	stats := &Stats{}
-	ca := NewClock(wire{a}, stats, nil)
-	cb := NewClock(wire{b}, stats, nil)
+	ca := NewClock(wire{a}, stats, vclock.Real)
+	cb := NewClock(wire{b}, stats, vclock.Real)
 	t.Cleanup(func() { ca.Close(); cb.Close() })
 	return ca, cb, stats
 }

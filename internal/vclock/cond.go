@@ -33,7 +33,7 @@ func NewCond(ck Clock, l sync.Locker) *Cond {
 // allocation of NewCond. It must be called before any other method
 // and never after the Cond is in use.
 func (c *Cond) Init(ck Clock, l sync.Locker) {
-	v, _ := Or(ck).(*Virtual)
+	v, _ := ck.(*Virtual)
 	c.init(v, l)
 }
 

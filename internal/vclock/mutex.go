@@ -29,7 +29,7 @@ var _ sync.Locker = (*Mutex)(nil)
 
 // Init binds an embedded Mutex to ck (nil means Real). It must be
 // called before the Mutex is in use.
-func (m *Mutex) Init(ck Clock) { m.v, _ = Or(ck).(*Virtual) }
+func (m *Mutex) Init(ck Clock) { m.v, _ = ck.(*Virtual) }
 
 // Lock acquires m, parking through the clock while another goroutine
 // holds it.

@@ -1,7 +1,10 @@
 package vclock
 
 import (
+	"context"
 	"fmt"
+	"os"
+	"os/exec"
 	"runtime"
 	"strings"
 	"sync"
@@ -261,6 +264,63 @@ func TestRunSurvivesGoexit(t *testing.T) {
 	if !after {
 		t.Fatal("the root did not run on after the Goexit")
 	}
+}
+
+// A goroutine started with a bare go statement parks on a Cond while a
+// machine goroutine runs, and takes that goroutine's place. The victim's
+// next park must end the process with the not-registered panic; it used
+// to panic holding the scheduler's lock, so the victim's deferred
+// hand-back waited on that lock and the run hung without a word. A
+// regression hangs rather than fails, so the scenario runs in a child
+// process under a host deadline.
+func TestForeignParkPanics(t *testing.T) {
+	if os.Getenv("VCLOCK_FOREIGN_PARK") == "1" {
+		foreignPark()
+		return
+	}
+	const deadline = 20 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestForeignParkPanics$")
+	cmd.Env = append(os.Environ(), "VCLOCK_FOREIGN_PARK=1")
+	out, err := cmd.CombinedOutput()
+	if ctx.Err() != nil {
+		t.Fatalf("the child still ran after %v instead of panicking:\n%s", deadline, out)
+	}
+	if err == nil || !strings.Contains(string(out), "panic: vclock: Sleep from a goroutine not registered with the virtual clock") {
+		t.Fatalf("child exited with %v, want the not-registered panic:\n%s", err, out)
+	}
+}
+
+// foreignPark is TestForeignParkPanics' child. It never returns: the
+// victim's panic ends the process.
+func foreignPark() {
+	v := NewVirtual()
+	var mu sync.Mutex
+	c := NewCond(v, &mu)
+	release := make(chan struct{})
+	v.Run(func() {
+		v.Go(func() {
+			parking := make(chan struct{})
+			go func() { // never registered with v
+				mu.Lock()
+				close(parking)
+				c.Wait()
+			}()
+			<-parking
+			// The foreign Wait lets go of mu only once it has taken
+			// this goroutine's place; its token then lets Run finish
+			// with this goroutine still running.
+			mu.Lock()
+			mu.Unlock()
+			<-release
+			v.Sleep(time.Millisecond)
+		})
+	})
+	close(release)
+	// A pending timer, as in any live program, keeps the runtime's own
+	// all-goroutines-asleep check from ending a hang for us.
+	time.Sleep(time.Hour)
 }
 
 // Parking is the simulator's innermost loop (every hand-off, every

@@ -191,6 +191,15 @@ func (v *Virtual) Run(fn func()) {
 	}
 }
 
+// Simulate runs fn as the root machine goroutine of a fresh virtual
+// clock, which it is handed, and returns fn's error once Run returns.
+func Simulate(fn func(Clock) error) error {
+	v := NewVirtual()
+	var err error
+	v.Run(func() { err = fn(v) })
+	return err
+}
+
 // pick pops the next runnable goroutine, advancing virtual time
 // through pending events as needed. It returns nil when the
 // simulation is over (or drained past the post-root horizon).
@@ -253,6 +262,9 @@ func (v *Virtual) goLocked(f func()) {
 		<-g.wake
 		// The token goes back in a defer: a goroutine that leaves by
 		// runtime.Goexit (t.Fatal) must not leave Run waiting for it.
+		// Only the holder hands it back: a goroutine whose place a
+		// foreign park took (see curLocked) no longer holds it, and no
+		// one may be left to take it.
 		defer func() {
 			v.mu.Lock()
 			if g.prevLive == nil {
@@ -264,9 +276,14 @@ func (v *Virtual) goLocked(f func()) {
 				g.nextLive.prevLive = g.prevLive
 			}
 			v.free.push(g)
-			v.running = nil
+			holder := v.running == g
+			if holder {
+				v.running = nil
+			}
 			v.mu.Unlock()
-			v.parked <- struct{}{}
+			if holder {
+				v.parked <- struct{}{}
+			}
 		}()
 		f()
 	}()
@@ -275,10 +292,14 @@ func (v *Virtual) goLocked(f func()) {
 // curLocked returns the currently running machine goroutine, about to
 // park in op; blocking clock operations from unregistered goroutines
 // are a programming error (the scheduler could not know when to resume
-// them).
+// them). A goroutine that was never registered and parks while a
+// machine goroutine runs takes that one's place unnoticed; the victim's
+// next park lands here, so the panic releases v.mu first, or the
+// victim's own deferred hand-back would wait on it forever.
 func (v *Virtual) curLocked(op string) *gor {
 	g := v.running
 	if g == nil {
+		v.mu.Unlock()
 		panic("vclock: " + op + " from a goroutine not registered with the virtual clock")
 	}
 	g.op = op

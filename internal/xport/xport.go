@@ -14,7 +14,11 @@
 // the announce-address parser.
 package xport
 
-import "errors"
+import (
+	"errors"
+
+	"repro/internal/vclock"
+)
 
 // Conn is one conversation of some protocol.
 type Conn interface {
@@ -50,6 +54,9 @@ type Proto interface {
 	Name() string
 	// NewConn reserves a fresh conversation (the clone file).
 	NewConn() (Conn, error)
+	// Clock is the time source the protocol runs on; a module pushed
+	// on one of its conversations times its flushes on it too.
+	Clock() vclock.Clock
 }
 
 // Errors shared by transports.

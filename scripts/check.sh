@@ -34,18 +34,18 @@ echo "== netvet ./..."
 go run ./cmd/netvet ./...
 
 echo "== netvet realtime: tests that run on the virtual clock"
-# Every paper-world test in these packages, and every ether, medium,
-# cs and il test that waits, runs inside vclock.Virtual.Run, so a
-# wall-clock call in one of their files, tests included, is a
-# regression. A test that is about the real clock
-# says so with //netvet:ignore realtime <reason>. Converting more
-# packages' tests grows the list.
+# Every paper-world test in these packages, every ether, medium, cs, il
+# and uart test that waits, and every command and example with its
+# golden test, runs inside vclock.Virtual.Run, so a wall-clock call in
+# one of their files, tests included, is a regression. A test that is
+# about the real clock says so with //netvet:ignore realtime <reason>.
+# Converting more packages' tests grows the list.
 rt=$(go run ./cmd/netvet -tests -checks realtime ./... 2>&1) || true
 if ! echo "$rt" | grep -q '^netvet: [0-9]* package'; then
     echo "$rt" >&2
     exit 1
 fi
-if echo "$rt" | grep -E '^internal/(core|dialer|ftp|table1|ether|medium|cs|il)/'; then
+if echo "$rt" | grep -E '^(internal/(core|dialer|ftp|table1|ether|medium|cs|il|uart)|cmd|examples)/'; then
     echo "wall-clock calls in packages whose tests run on the virtual clock (see above)" >&2
     exit 1
 fi
@@ -136,6 +136,7 @@ echo "vclock/*.go $(lines $(ls internal/vclock/*.go | grep -v _test.go))  ninep/
 echo "block/block.go $(lines internal/block/block.go)  streams/*.go $(lines $(ls internal/streams/*.go | grep -v _test.go))"
 echo "analysis/locks.go $(lines internal/analysis/locks.go)  analysis/lockorder.go $(lines internal/analysis/lockorder.go)"
 echo "cs/*.go $(lines $(ls internal/cs/*.go | grep -v _test.go))"
+echo "cmd/*/*.go $(lines $(ls cmd/*/*.go | grep -v _test.go))  examples/*/*.go $(lines $(ls examples/*/*.go | grep -v _test.go))"
 echo "ip/stack.go $(lines internal/ip/stack.go)  ether.go $(lines internal/ether/ether.go)  ether/dev.go $(lines internal/ether/dev.go)  netdev.go $(lines internal/netdev/netdev.go)  devtree/*.go $(lines $(ls internal/devtree/*.go | grep -v _test.go))  medium.go $(lines internal/medium/medium.go)  medium/delay.go $(lines internal/medium/delay.go)  uart.go $(lines internal/uart/uart.go)"
 if [ "$il" -gt 847 ]; then
     echo "internal/il/il.go is $il lines, over the paper's 847" >&2
