@@ -2,6 +2,7 @@ package ninep
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/block"
 	"repro/internal/ramfs"
@@ -49,5 +50,16 @@ func TestAllocsRreadRoundTrip(t *testing.T) {
 	t.Logf("Rread(4K) round trip: %.1f allocs/op", allocs)
 	if allocs > 12 {
 		t.Fatalf("Rread round trip allocates %.1f objects/op, want <= 12 (pool bypassed?)", allocs)
+	}
+}
+
+// Under a virtual clock a walked fid lives until its connection closes
+// (the mount driver clunks from a finalizer only on the real clock), so
+// every byte of srvFid is paid a couple of times per operation. The
+// ticket queues are pointers made by the first request that queues:
+// inline in the struct they cost 256 bytes a fid.
+func TestSrvFidIsSmall(t *testing.T) {
+	if n := unsafe.Sizeof(srvFid{}); n > 96 {
+		t.Fatalf("srvFid is %d bytes, want <= 96", n)
 	}
 }

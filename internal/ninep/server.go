@@ -146,8 +146,10 @@ type srvFid struct {
 	// arrival order, and each request waits its turn before touching
 	// the handle. Reads and writes queue independently so a read
 	// blocked on an idle stream never holds up the writes that would
-	// unblock it.
-	rq, wq ticketQ
+	// unblock it. The Serve loop makes each queue, under c.mu, for the
+	// first request that takes a ticket from it: most fids (walked,
+	// statted, read from cache) never do.
+	rq, wq *ticketQ
 }
 
 // ticketQ serializes requests in ticket order: take in arrival order,
@@ -253,7 +255,10 @@ func (s *Server) ServeConn(conn MsgConn) error {
 						}
 					}
 					if !st.inline {
-						st.tq = &sf.rq
+						if sf.rq == nil {
+							sf.rq = new(ticketQ)
+						}
+						st.tq = sf.rq
 					}
 				}
 				c.mu.Unlock()
@@ -261,7 +266,10 @@ func (s *Server) ServeConn(conn MsgConn) error {
 				c.writes.Inc()
 				c.mu.Lock()
 				if sf := c.fids[f.Fid]; sf != nil {
-					st.tq = &sf.wq
+					if sf.wq == nil {
+						sf.wq = new(ticketQ)
+					}
+					st.tq = sf.wq
 				}
 				c.mu.Unlock()
 			case Topen, Tcreate:

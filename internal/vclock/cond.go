@@ -61,12 +61,11 @@ func (c *Cond) wait(op string) {
 	v := c.v
 	v.mu.Lock()
 	g := v.curLocked(op)
-	c.waiters.push(g)
-	v.running = nil
 	v.mu.Unlock()
+	c.waiters.push(g)
+	// L goes before the token does: whoever runs next may want it.
 	c.l.Unlock()
-	v.parked <- struct{}{}
-	<-g.wake
+	v.park(g)
 	c.l.Lock()
 }
 

@@ -101,6 +101,171 @@ func TestVirtualSameInstantFIFO(t *testing.T) {
 	}
 }
 
+// A Sleep whose event is the next one due resumes its own goroutine,
+// but only once the goroutines runnable at the same instant, and the
+// same-instant events armed before it, have had their turn.
+func TestVirtualSelfResumeKeepsOrder(t *testing.T) {
+	v := NewVirtual()
+	var order []string
+	log := func(s string) { order = append(order, s) }
+	v.Run(func() {
+		log("root")
+		v.AfterFunc(time.Millisecond, func() { log("timer@1ms") })
+		v.Go(func() {
+			log("a")
+			v.Sleep(time.Millisecond)
+			log("a@1ms")
+		})
+		v.Go(func() { log("b") })
+		v.Sleep(0) // due now, but a and b are runnable now too
+		log("root@0")
+		v.Sleep(time.Millisecond) // due with the timer and a, armed last
+		log("root@1ms")
+		v.Sleep(time.Millisecond) // nothing else pending: no switch
+		log("root@2ms")
+	})
+	want := "root a b root@0 timer@1ms a@1ms root@1ms root@2ms"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("order = %s\nwant      %s", got, want)
+	}
+}
+
+// hostGoroutines counts the process's virtual-clock host goroutines,
+// and those of them idle on a free list.
+func hostGoroutines() (host, idle int) {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "vclock.(*Virtual).host(") {
+			host++
+		}
+		if strings.Contains(g, "vclock.(*gor).idle(") {
+			idle++
+		}
+	}
+	return host, idle
+}
+
+// freeLen is the length of v's free list.
+func freeLen(v *Virtual) int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	n := 0
+	for g := v.free.head; g != nil; g = g.next {
+		n++
+	}
+	return n
+}
+
+// A thousand Gos one after another, each function returning before the
+// next Go, run on one host goroutine: each returns to the free list and
+// the next Go takes it.
+func TestGoReusesIdleGoroutine(t *testing.T) {
+	v := NewVirtual()
+	v.Run(func() {
+		before, _ := hostGoroutines()
+		wg := NewWaitGroup(v)
+		for i := 0; i < 1000; i++ {
+			wg.Add(1)
+			v.Go(wg.Done)
+			wg.Wait()
+		}
+		after, idle := hostGoroutines()
+		if n := freeLen(v); n != 1 {
+			t.Errorf("%d idle goroutines on the free list, want 1", n)
+		}
+		if after > before+1 || idle < 1 {
+			t.Errorf("host goroutines %d → %d (%d idle) across 1000 Gos, want at most one more", before, after, idle)
+		}
+	})
+}
+
+// waitNoIdle fails t unless every idle host goroutine has ended within
+// a host deadline: Run wakes them as it returns, and they end on their
+// own threads.
+func waitNoIdle(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, idle := hostGoroutines()
+		if idle == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d host goroutine(s) still idle after Run returned", idle)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestRunEndsIdleGoroutines(t *testing.T) {
+	t.Run("return", func(t *testing.T) {
+		v := NewVirtual()
+		v.Run(func() {
+			wg := NewWaitGroup(v)
+			for i := 0; i < 3; i++ {
+				wg.Add(1)
+				v.Go(wg.Done)
+			}
+			wg.Wait()
+			if n := freeLen(v); n != 3 {
+				t.Errorf("%d idle goroutines before Run returns, want 3", n)
+			}
+		})
+		waitNoIdle(t)
+	})
+	t.Run("deadlock", func(t *testing.T) {
+		v := NewVirtual()
+		func() {
+			defer func() {
+				if r := fmt.Sprint(recover()); !strings.Contains(r, "simulation deadlock") {
+					t.Errorf("recovered %q, want the deadlock panic", r)
+				}
+			}()
+			v.Run(func() {
+				wg := NewWaitGroup(v)
+				wg.Add(1)
+				v.Go(wg.Done)
+				wg.Wait()
+				NewMailbox[int](v, 1).Recv() // nothing will ever send
+			})
+		}()
+		waitNoIdle(t)
+	})
+	t.Run("goexit", func(t *testing.T) {
+		v := NewVirtual()
+		v.Run(func() {
+			wg := NewWaitGroup(v)
+			wg.Add(1)
+			v.Go(wg.Done)
+			wg.Wait()
+			if n := freeLen(v); n != 1 {
+				t.Errorf("%d idle goroutines, want 1", n)
+			}
+			wg.Add(1)
+			v.Go(func() {
+				defer wg.Done()
+				runtime.Goexit()
+			})
+			if n := freeLen(v); n != 0 {
+				t.Errorf("Go left %d idle goroutines, want 0: it did not reuse the idle one", n)
+			}
+			wg.Wait()
+			if n := freeLen(v); n != 0 {
+				t.Errorf("a goroutine that left by Goexit is back on the free list (%d)", n)
+			}
+		})
+		waitNoIdle(t)
+	})
+}
+
 func TestVirtualCondAndMailbox(t *testing.T) {
 	v := NewVirtual()
 	var got []int
@@ -325,7 +490,9 @@ func foreignPark() {
 
 // Parking is the simulator's innermost loop (every hand-off, every
 // timer): in steady state a Cond ping-pong, a Mailbox send/receive pair
-// and a Sleep allocate nothing.
+// and a Sleep allocate nothing, and a Go of a function that returns
+// allocates only its closure: it runs on the host goroutine the
+// previous round's Go left idle.
 func TestAllocsParkWake(t *testing.T) {
 	if block.RaceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -353,7 +520,9 @@ func TestAllocsParkWake(t *testing.T) {
 				mu.Lock()
 			}
 		})
+		ran := 0
 		if n := testing.AllocsPerRun(200, func() {
+			v.Go(func() { ran++ })
 			mu.Lock()
 			ball = true
 			turn.Signal()
@@ -364,8 +533,11 @@ func TestAllocsParkWake(t *testing.T) {
 			req.Send(1)
 			rep.Recv()
 			v.Sleep(time.Microsecond)
-		}); n != 0 {
-			t.Errorf("park/wake allocates %.1f objects per round, want 0", n)
+		}); n > 1 {
+			t.Errorf("park/wake and a Go allocate %.1f objects per round, want at most 1 (the closure)", n)
+		}
+		if ran != 201 {
+			t.Errorf("%d of 201 rounds' Go ran", ran)
 		}
 		req.Close()
 		mu.Lock()

@@ -18,33 +18,36 @@ var Epoch = time.Date(1993, time.January, 25, 0, 0, 0, 0, time.UTC)
 // over the goroutines registered with Go, advancing simulated time to
 // the next pending timer whenever all of them are parked.
 type Virtual struct {
-	mu       sync.Mutex
-	now      int64 // ns since Epoch
-	seq      uint64
-	runq     gorList
-	events   eventHeap
-	running  *gor
-	all      *gor    // every live machine goroutine, linked through nextLive
-	free     gorList // parking spots of exited goroutines, for Go to reuse
-	rootDone bool
-	started  bool
+	mu         sync.Mutex
+	now        int64 // ns since Epoch
+	seq        uint64
+	runq       gorList
+	events     eventHeap
+	running    *gor
+	all        *gor    // every live machine goroutine, linked through nextLive
+	free       gorList // idle host goroutines whose function returned, for Go to reuse
+	rootDone   bool
+	drainUntil int64 // end of the post-root drain horizon; -1 until the root returns
+	started    bool
 
-	// parked is the rendezvous with the scheduler loop: the running
-	// goroutine sends exactly one token when it parks or exits.
-	parked chan struct{}
+	// back hands the token back to Run once nothing can run: the
+	// simulation is over, drained, or deadlocked.
+	back chan struct{}
 }
 
-// gor is one machine goroutine's parking spot. It is on one list at a
-// time — the run queue, one Cond's waiters, or once its goroutine has
-// exited the free list — and sleeps on one timer at a time, so it
-// carries its own link and its own event: parking and waking allocate
-// nothing, and a goroutine started on a reused spot allocates only its
-// closure.
+// gor is one machine goroutine: a host goroutine that runs the
+// functions Go hands it one after another, idling on the free list
+// between them. It is on one list at a time — the run queue, one
+// Cond's waiters, or the free list — and sleeps on one timer at a
+// time, so it carries its own link and its own event: parking and
+// waking allocate nothing, and a Go that finds an idle goroutine
+// allocates only its closure.
 type gor struct {
-	wake chan struct{}
-	next *gor   // run queue or Cond waiters
-	ev   event  // the timer Sleep and SleepUntil park on
-	op   string // the primitive it last parked in
+	wake chan struct{} // the token, handed to this goroutine
+	fn   func()        // what Go handed it to run next; nil ends an idle goroutine
+	next *gor          // run queue, Cond waiters or free list
+	ev   event         // the timer Sleep and SleepUntil park on
+	op   string        // the primitive it last parked in
 
 	prevLive, nextLive *gor // Virtual.all; touched only at Go and exit
 }
@@ -145,8 +148,12 @@ func (v *Virtual) sleepLocked(op string, at int64) {
 // NewVirtual returns a virtual clock positioned at Epoch. Drive it
 // with Run.
 func NewVirtual() *Virtual {
-	return &Virtual{parked: make(chan struct{})}
+	return &Virtual{back: make(chan struct{}, 1), drainUntil: -1}
 }
+
+// drainHorizon is how long pending timers keep firing after the root
+// returns.
+const drainHorizon = int64(time.Minute)
 
 // Run executes fn as the root machine goroutine and drives the
 // scheduler until fn returns and the remaining machine goroutines have
@@ -159,7 +166,8 @@ func NewVirtual() *Virtual {
 // After the root returns, pending timers keep firing for a bounded
 // drain horizon so closing conversations can run out their lingers;
 // goroutines still parked after that are leaked (and show up in the
-// leak checkers, like any real leak).
+// leak checkers, like any real leak). Idle host goroutines end when
+// Run returns, by panic too.
 func (v *Virtual) Run(fn func()) {
 	v.mu.Lock()
 	if v.started {
@@ -168,6 +176,7 @@ func (v *Virtual) Run(fn func()) {
 	}
 	v.started = true
 	v.mu.Unlock()
+	defer v.endIdle()
 	v.Go(func() {
 		defer func() {
 			v.mu.Lock()
@@ -176,18 +185,13 @@ func (v *Virtual) Run(fn func()) {
 		}()
 		fn()
 	})
-	const drainHorizon = int64(time.Minute)
-	drainUntil := int64(-1)
-	for {
-		g := v.pick(&drainUntil, drainHorizon)
-		if g == nil {
-			return
-		}
-		v.mu.Lock()
-		v.running = g
-		v.mu.Unlock()
-		g.wake <- struct{}{}
-		<-v.parked
+	v.mu.Lock()
+	v.parkLocked(nil)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.all != nil && !v.rootDone {
+		n, who := v.parkedLocked()
+		panic(fmt.Sprintf("vclock: simulation deadlock: %d machine goroutine(s) parked with no pending event at T+%v: %s", n, time.Duration(v.now), who))
 	}
 }
 
@@ -200,44 +204,70 @@ func Simulate(fn func(Clock) error) error {
 	return err
 }
 
-// pick pops the next runnable goroutine, advancing virtual time
-// through pending events as needed. It returns nil when the
-// simulation is over (or drained past the post-root horizon).
-func (v *Virtual) pick(drainUntil *int64, horizon int64) *gor {
-	v.mu.Lock()
-	defer v.mu.Unlock()
+// nextLocked pops the next goroutine to run, advancing virtual time
+// through pending events as needed: the run queue in FIFO order, then
+// events in (at, seq) order. It is the one place the next goroutine is
+// chosen. nil means nothing can run: the simulation is over, drained
+// past the post-root horizon, or deadlocked, which Run tells apart.
+func (v *Virtual) nextLocked() *gor {
 	for {
 		if g := v.runq.pop(); g != nil {
 			return g
 		}
-		if v.rootDone && *drainUntil < 0 {
-			*drainUntil = v.now + horizon
+		if v.rootDone && v.drainUntil < 0 {
+			v.drainUntil = v.now + drainHorizon
 		}
-		fired := false
-		for v.events.Len() > 0 && !fired {
-			if v.rootDone && v.events.peek().at > *drainUntil {
-				return nil
-			}
-			ev := heap.Pop(&v.events).(*event)
-			if ev.at > v.now {
-				v.now = ev.at
-			}
-			if ev.g != nil {
-				v.runq.push(ev.g)
-			} else if ev.fn != nil {
-				v.goLocked(ev.fn)
-			}
-			fired = true
+		if v.events.Len() == 0 || v.rootDone && v.events.peek().at > v.drainUntil {
+			return nil
 		}
-		if fired {
-			continue
+		ev := heap.Pop(&v.events).(*event)
+		if ev.at > v.now {
+			v.now = ev.at
 		}
-		if v.all != nil && !v.rootDone {
-			n, who := v.parkedLocked()
-			panic(fmt.Sprintf("vclock: simulation deadlock: %d machine goroutine(s) parked with no pending event at T+%v: %s", n, time.Duration(v.now), who))
+		if ev.g != nil {
+			v.runq.push(ev.g)
+		} else if ev.fn != nil {
+			v.goLocked(ev.fn)
 		}
-		return nil
 	}
+}
+
+// switchLocked hands the token (v.mu held on entry, released inside)
+// straight to the next goroutine, or back to Run when nothing can run.
+// It reports true when the next goroutine is self, which keeps running
+// without a switch; otherwise self no longer holds the token.
+func (v *Virtual) switchLocked(self *gor) bool {
+	next := v.nextLocked()
+	v.running = next
+	v.mu.Unlock()
+	switch {
+	case next == nil:
+		v.back <- struct{}{}
+	case next == self:
+		return true
+	default:
+		next.wake <- struct{}{}
+	}
+	return false
+}
+
+// parkLocked releases the token (v.mu held on entry, released inside)
+// and blocks until it comes back: to g, or to Run when g is nil — Run
+// holds the token whenever no goroutine does.
+func (v *Virtual) parkLocked(g *gor) {
+	switch {
+	case v.switchLocked(g):
+	case g == nil:
+		<-v.back
+	default:
+		<-g.wake
+	}
+}
+
+// park is parkLocked for a caller that does not hold v.mu.
+func (v *Virtual) park(g *gor) {
+	v.mu.Lock()
+	v.parkLocked(g)
 }
 
 // Go registers and starts a machine goroutine.
@@ -247,46 +277,88 @@ func (v *Virtual) Go(f func()) {
 	v.mu.Unlock()
 }
 
+// goLocked queues f on an idle host goroutine, or on a new one when
+// none is idle.
 func (v *Virtual) goLocked(f func()) {
 	g := v.free.pop()
 	if g == nil {
-		g = &gor{wake: make(chan struct{})}
+		g = &gor{wake: make(chan struct{}, 1)}
+		go v.host(g)
 	}
+	g.fn = f
 	g.prevLive, g.nextLive = nil, v.all
 	if v.all != nil {
 		v.all.prevLive = g
 	}
 	v.all = g
 	v.runq.push(g)
-	go func() {
-		<-g.wake
-		// The token goes back in a defer: a goroutine that leaves by
-		// runtime.Goexit (t.Fatal) must not leave Run waiting for it.
-		// Only the holder hands it back: a goroutine whose place a
-		// foreign park took (see curLocked) no longer holds it, and no
-		// one may be left to take it.
-		defer func() {
-			v.mu.Lock()
-			if g.prevLive == nil {
-				v.all = g.nextLive
-			} else {
-				g.prevLive.nextLive = g.nextLive
-			}
-			if g.nextLive != nil {
-				g.nextLive.prevLive = g.prevLive
-			}
-			v.free.push(g)
-			holder := v.running == g
-			if holder {
-				v.running = nil
-			}
-			v.mu.Unlock()
-			if holder {
-				v.parked <- struct{}{}
-			}
-		}()
-		f()
-	}()
+}
+
+// host is the body of g's host goroutine: it runs each function Go
+// hands g, until Run ends it idle or a function leaves by
+// runtime.Goexit.
+func (v *Virtual) host(g *gor) {
+	<-g.wake
+	for v.call(g) {
+	}
+}
+
+// call runs g's function and then retires g, reporting whether g has
+// another function to run. The retirement is deferred: a function that
+// leaves by runtime.Goexit (t.Fatal) must not take the token with it.
+func (v *Virtual) call(g *gor) (again bool) {
+	f := g.fn
+	g.fn = nil
+	returned := false
+	defer func() { again = v.exit(g, returned) }()
+	f()
+	returned = true
+	return
+}
+
+// exit takes g off the live list and hands the token on. Only the
+// holder hands it on: a goroutine whose place a foreign park took (see
+// curLocked) no longer holds it, and no one may be left to take it. A
+// goroutine whose function returned then idles on the free list, and
+// exit reports whether Go handed it another function; one that left by
+// runtime.Goexit (reuse false) is never reused.
+func (v *Virtual) exit(g *gor, reuse bool) bool {
+	v.mu.Lock()
+	if g.prevLive == nil {
+		v.all = g.nextLive
+	} else {
+		g.prevLive.nextLive = g.nextLive
+	}
+	if g.nextLive != nil {
+		g.nextLive.prevLive = g.prevLive
+	}
+	if reuse {
+		v.free.push(g)
+	}
+	if v.running != g {
+		v.mu.Unlock()
+	} else if v.switchLocked(g) {
+		return true // an AfterFunc that fired took g, and runs next
+	}
+	return reuse && g.idle()
+}
+
+// idle waits on the free list until Go hands g a function, reporting
+// true, or Run ends g, reporting false.
+func (g *gor) idle() bool {
+	<-g.wake
+	return g.fn != nil
+}
+
+// endIdle ends every idle host goroutine.
+func (v *Virtual) endIdle() {
+	v.mu.Lock()
+	idle := v.free
+	v.free = gorList{}
+	v.mu.Unlock()
+	for g := idle.pop(); g != nil; g = idle.pop() {
+		g.wake <- struct{}{}
+	}
 }
 
 // curLocked returns the currently running machine goroutine, about to
@@ -329,15 +401,6 @@ func (v *Virtual) parkedLocked() (n int, who string) {
 		ops[i] = fmt.Sprintf("%d %s", count[op], op)
 	}
 	return n, strings.Join(ops, ", ")
-}
-
-// parkLocked releases the token (v.mu held on entry, released inside)
-// and blocks until the scheduler resumes g.
-func (v *Virtual) parkLocked(g *gor) {
-	v.running = nil
-	v.mu.Unlock()
-	v.parked <- struct{}{}
-	<-g.wake
 }
 
 // Now implements Clock.

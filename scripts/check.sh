@@ -30,6 +30,14 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== vclock scheduler under the race detector, ten times"
+# A park hands the token straight to the next goroutine and a Go reuses
+# an idle host goroutine, so the scheduler's state is touched from every
+# machine goroutine; loop the package's tests to shake out a missed
+# hand-off. The real-clock tests leave the scheduler alone and time the
+# host (TestRealSleepUntilPrecision allows 2 ms), so they stay out.
+go test -race -count=10 -skip '^TestReal' ./internal/vclock
+
 echo "== netvet ./..."
 go run ./cmd/netvet ./...
 
