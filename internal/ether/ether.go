@@ -15,6 +15,14 @@
 // the wire (medium.Pacer) and the frame crosses the segment's delay
 // line (medium.Delay). Only an impaired wire carries and checks an FCS.
 //
+// A frame costs one hand-off between processes. On a paced segment the
+// delay line's process, once it wakes for a frame, runs each hearing
+// station's receive itself: FCS check, counters, demultiplexing. On an
+// ideal segment the fan-out runs on the sender's goroutine, which may
+// hold its conversation lock, so each station there keeps an input
+// ring and a reader process (§2.4.2: "the interrupt routine wakes up
+// the kernel process"), and a reply cannot re-enter its sender.
+//
 // Like a LANCE, an interface hears only the frames it would accept: a
 // broadcast, a frame addressed to it, and — while one of its
 // conversations is promiscuous — every other frame. The segment applies
@@ -182,7 +190,7 @@ func NewSegment(name string, p Profile) *Segment {
 	}
 	seg.ideal = p.Bandwidth == 0 && p.Latency == 0 && seg.im == nil
 	if !seg.ideal {
-		seg.delay = medium.NewDelay(ck, 0, func(f txFrame) { seg.fanOut(f.from, f.dst, f.b) })
+		seg.delay = medium.NewDelay(ck, 0, func(f txFrame) { seg.fanOut(f.from, f.dst, f.b, (*Interface).receive) })
 	}
 	return seg
 }
@@ -242,16 +250,18 @@ func (seg *Segment) refilter() {
 	}
 }
 
-// fanOut offers one frame to every station but its sender that would
+// fanOut hands one frame to every station but its sender that would
 // accept it — all of them for a broadcast; for a unicast, the addressee
 // and the promiscuous stations — in the order they joined the segment.
-// dst is the destination the sender wrote, not the received bytes', so
-// a copy the wire damaged still reaches its addressee and dies at that
-// station's FCS check. The one block is shared by reference count —
-// each interface reads it and releases its own reference; nobody
-// copies, nobody mutates. Ownership of b transfers; false means the
-// segment has closed and nothing was delivered.
-func (seg *Segment) fanOut(from *Interface, dst Addr, b *block.Block) bool {
+// hand is deliver, the station's input ring, on an ideal segment and
+// receive on the delay line. dst is the destination the sender wrote,
+// not the received bytes', so a copy the wire damaged still reaches its
+// addressee and dies at that station's FCS check. The one block is
+// shared by reference count — each interface reads it and releases its
+// own reference; nobody copies, nobody mutates. Ownership of b
+// transfers; false means the segment has closed and nothing was
+// delivered.
+func (seg *Segment) fanOut(from *Interface, dst Addr, b *block.Block, hand func(*Interface, *block.Block)) bool {
 	st := seg.stations.Load()
 	if st == nil {
 		b.Free()
@@ -273,7 +283,7 @@ func (seg *Segment) fanOut(from *Interface, dst Addr, b *block.Block) bool {
 	}
 	for _, ifc := range to {
 		if ifc != from {
-			ifc.deliver(b)
+			hand(ifc, b)
 		}
 	}
 	return true
@@ -292,7 +302,7 @@ func (seg *Segment) transmitBlock(from *Interface, dst Addr, b *block.Block) err
 		return fmt.Errorf("ether: packet exceeds MTU (%d > %d)", n, seg.MTU())
 	}
 	if seg.ideal {
-		if !seg.fanOut(from, dst, b) {
+		if !seg.fanOut(from, dst, b, (*Interface).deliver) {
 			return vfs.ErrShutdown
 		}
 		return nil
@@ -335,7 +345,7 @@ type Interface struct {
 	mu     sync.Mutex              // serializes publishers of active
 	active atomic.Pointer[[]*Conn] // snapshot of the live conns, for the lock-free demux
 
-	in *vclock.Mailbox[*block.Block]
+	in *vclock.Mailbox[*block.Block] // the input ring; nil on a paced segment, whose delay line receives for the station
 
 	inPackets  atomic.Int64
 	outPackets atomic.Int64
@@ -362,9 +372,11 @@ func (seg *Segment) NewInterface(name string) *Interface {
 		name:  name,
 		addr:  Addr{0x08, 0x00, 0x69, byte(n >> 16), byte(n >> 8), byte(n)},
 		convs: devtree.NewTable(1, MaxConns, (*Conn).hangup),
-		in:    vclock.NewMailbox[*block.Block](seg.ck, 512),
 	}
-	seg.ck.Go(ifc.reader)
+	if seg.ideal {
+		ifc.in = vclock.NewMailbox[*block.Block](seg.ck, 512)
+		seg.ck.Go(ifc.reader)
+	}
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
 	if st := seg.stations.Load(); st != nil {
@@ -383,6 +395,9 @@ func (ifc *Interface) Name() string { return ifc.name }
 func (ifc *Interface) MTU() int { return ifc.seg.MTU() }
 
 func (ifc *Interface) close() {
+	if ifc.in == nil {
+		return
+	}
 	// Undelivered frames go back to the block pool rather than to a
 	// reader that has already quit.
 	for _, b := range ifc.in.CloseDrain() {
@@ -403,10 +418,12 @@ func (ifc *Interface) promiscuous() bool {
 	return false
 }
 
-// deliver is called by the medium with a received frame (the interrupt
-// routine analogue): it may not block, so a full input ring drops the
-// frame and counts an overflow. The interface takes ownership of (its
-// reference to) the block.
+// deliver is called by an ideal segment with a received frame (the
+// interrupt routine analogue): it runs on the sender's goroutine, which
+// may hold its conversation lock, so it may not block and must not
+// demultiplex — a reply would re-enter the sender. A full input ring
+// drops the frame and counts an overflow. The interface takes ownership
+// of (its reference to) the block.
 func (ifc *Interface) deliver(b *block.Block) {
 	if !ifc.in.TrySend(b) {
 		ifc.overflows.Add(1)
@@ -414,38 +431,44 @@ func (ifc *Interface) deliver(b *block.Block) {
 	}
 }
 
-// reader is the kernel process that drains the input ring and
-// demultiplexes to conversations (§2.4.2: "the interrupt routine wakes
-// up the kernel process...").
+// reader is the kernel process that drains an ideal segment's input
+// ring (§2.4.2: "the interrupt routine wakes up the kernel process...").
+// A paced segment has no ring and no reader: the delay line's process
+// receives for the station.
 func (ifc *Interface) reader() {
 	for {
 		b, ok := ifc.in.Recv()
 		if !ok {
 			return
 		}
-		// Verify and strip the FCS: a frame damaged on the wire
-		// never reaches the protocols — the hardware drops it and
-		// counts a crc error, and recovery is the transport's
-		// problem (loss, not corruption). The block may be shared
-		// with other stations (broadcast fan-out), so it is read,
-		// never written, and this reference is released when
-		// demultiplexing returns.
-		frame, fcs := b.Bytes(), ifc.seg.im != nil // only an impaired wire's frames carry one
-		n := len(frame)
-		if fcs {
-			n -= fcsLen
-		}
-		if n < HdrLen || fcs && crc32.ChecksumIEEE(frame[:n]) != binary.BigEndian.Uint32(frame[n:]) {
-			ifc.crcErrs.Add(1)
-			b.Free()
-			continue
-		}
-		body := frame[:n]
-		ifc.inPackets.Add(1)
-		ifc.inBytes.Add(int64(len(body)))
-		ifc.demux(body)
-		b.Free()
+		ifc.receive(b)
 	}
+}
+
+// receive verifies and strips the FCS, counts the frame and
+// demultiplexes it. A frame damaged on the wire never reaches the
+// protocols — the hardware drops it and counts a crc error, and
+// recovery is the transport's problem (loss, not corruption). The block
+// may be shared with other stations (broadcast fan-out), so it is read,
+// never written, and this reference is released when demultiplexing
+// returns. Nothing here parks: on a paced segment a park would stall
+// every station's frames behind this one.
+func (ifc *Interface) receive(b *block.Block) {
+	frame, fcs := b.Bytes(), ifc.seg.im != nil // only an impaired wire's frames carry one
+	n := len(frame)
+	if fcs {
+		n -= fcsLen
+	}
+	if n < HdrLen || fcs && crc32.ChecksumIEEE(frame[:n]) != binary.BigEndian.Uint32(frame[n:]) {
+		ifc.crcErrs.Add(1)
+		b.Free()
+		return
+	}
+	body := frame[:n]
+	ifc.inPackets.Add(1)
+	ifc.inBytes.Add(int64(len(body)))
+	ifc.demux(body)
+	b.Free()
 }
 
 // demux delivers a copy of the frame to every matching conversation:

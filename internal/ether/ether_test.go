@@ -412,7 +412,7 @@ func (cr *crowd) in(name string) int64 {
 }
 
 // filterProfiles are the two fan-out paths: the ideal wire delivers on
-// the sender's goroutine, the paced one from the segment's deliverer.
+// the sender's goroutine, the paced one from the delay line's process.
 var filterProfiles = []struct {
 	name string
 	p    Profile
@@ -577,6 +577,47 @@ func TestAllocsPacedUnicast(t *testing.T) {
 	t.Logf("one unicast frame on a paced wire: %.1f allocs", allocs)
 	if allocs != 0 {
 		t.Errorf("a paced unicast frame allocates %.1f objects, want 0 (a detached frame or a wrapper per frame is back?)", allocs)
+	}
+}
+
+// TestSwitchesPacedUnicast pins what a paced frame costs the scheduler
+// in hand-offs: the delay line's process demultiplexes it for the
+// receiving station itself, so a frame costs one wake of the line, and
+// a burst costs one wake however many frames it holds.
+func TestSwitchesPacedUnicast(t *testing.T) {
+	var oneAtATime, backToBack int64
+	onSegment(t, Profile{Latency: time.Millisecond, Bandwidth: 1_250_000}, func(seg *Segment) {
+		v := seg.Clock().(*vclock.Virtual)
+		a, b := seg.NewInterface("ether0"), seg.NewInterface("ether0")
+		tx, _ := a.OpenConn()
+		defer tx.Close()
+		tx.SetType(0x900)
+		rx, _ := b.OpenConn()
+		defer rx.Close()
+		rx.SetType(0x900)
+		heard := 0
+		rx.SetDeliver(func([]byte) { heard++ })
+		payload := make([]byte, 64)
+		v.Sleep(0) // the segment's processes start and park
+		s := v.Switches()
+		for range 100 {
+			tx.Transmit(b.Addr(), payload)
+			v.Sleep(2 * time.Millisecond) // the frame arrives and the hook returns
+		}
+		oneAtATime = v.Switches() - s
+		s = v.Switches()
+		for range 100 {
+			tx.Transmit(b.Addr(), payload)
+		}
+		v.Sleep(20 * time.Millisecond) // 100 frames of 82 bytes at 1.25 MB/s, plus the latency
+		backToBack = v.Switches() - s
+		if heard != 200 {
+			t.Errorf("the kernel hook heard %d frames, want 200", heard)
+		}
+	})
+	t.Logf("100 paced frames: %d switches one at a time, %d back to back", oneAtATime, backToBack)
+	if oneAtATime != 200 || backToBack != 2 {
+		t.Errorf("100 paced frames switched %d times one at a time and %d back to back, want 200 and 2 (a receive goroutine is back between the line and the hook?)", oneAtATime, backToBack)
 	}
 }
 
@@ -799,52 +840,119 @@ func TestKernelDeliverHook(t *testing.T) {
 	})
 }
 
+// TestUnreadConversationDoesNotWedgeInterface: a snooping conversation
+// nobody reads fills its queue; the driver must drop for it and keep
+// delivering new frames to conversations that do read. On the paced
+// wire the delay line's own process demultiplexes, so a receive that
+// parked there would stall the whole segment, not one station.
 func TestUnreadConversationDoesNotWedgeInterface(t *testing.T) {
-	// A snooping conversation nobody reads fills its queue; the
-	// driver must drop for it and keep delivering new frames to
-	// conversations that do read.
-	onSegment(t, Profile{}, func(seg *Segment) {
-		i1 := seg.NewInterface("e")
-		i2 := seg.NewInterface("e")
-		dead, _ := i2.OpenConn() // never read
-		dead.SetType(0x700)
-		defer dead.Close()
-		live, _ := i2.OpenConn()
-		live.SetType(0x700)
-		defer live.Close()
-		tx, _ := i1.OpenConn()
-		tx.SetType(0x700)
-		defer tx.Close()
-		payload := make([]byte, 1400)
-		// Saturate the dead conversation's queue (default limit 128K).
-		for range 200 {
-			tx.Transmit(i2.Addr(), payload)
+	for _, tc := range filterProfiles {
+		t.Run(tc.name, func(t *testing.T) {
+			onSegment(t, tc.p, func(seg *Segment) {
+				i1 := seg.NewInterface("e")
+				i2 := seg.NewInterface("e")
+				dead, _ := i2.OpenConn() // never read
+				dead.SetType(0x700)
+				defer dead.Close()
+				live, _ := i2.OpenConn()
+				live.SetType(0x700)
+				defer live.Close()
+				tx, _ := i1.OpenConn()
+				tx.SetType(0x700)
+				defer tx.Close()
+				payload := make([]byte, 1400)
+				// Saturate the dead conversation's queue (default limit 128K).
+				for range 200 {
+					tx.Transmit(i2.Addr(), payload)
+				}
+				if !waitFor(t, seg.Clock(), "overflow drops for the unread conversation", func() bool {
+					return i2.overflows.Load() > 0
+				}) {
+					return
+				}
+				// Drain the live conversation's backlog below the drop threshold,
+				// then prove fresh frames still flow to it.
+				for live.Stream().QueuedBytes() > 4096 {
+					if _, err := recv(live); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				tx.Transmit(i2.Addr(), []byte("still alive"))
+				for range 600 {
+					got, err := recvPayload(live)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got == "still alive" {
+						return
+					}
+				}
+				t.Error("marker frame never reached the live conversation")
+			})
+		})
+	}
+}
+
+// TestPacedBroadcastReachesEveryoneAtOnce: on the paced wire a
+// broadcast reaches every other station at the one instant its last bit
+// arrives, handed on in join order by the delay line itself, and each
+// station's receive counters read one frame, its bytes without the FCS,
+// and no overflow. A stream conversation gets the frame as a kernel
+// hook does.
+func TestPacedBroadcastReachesEveryoneAtOnce(t *testing.T) {
+	p := Profile{Latency: time.Millisecond, Bandwidth: 1_250_000}
+	onSegment(t, p, func(seg *Segment) {
+		ck := seg.Clock()
+		type arrival struct {
+			name string
+			at   time.Duration
 		}
-		if !waitFor(t, seg.Clock(), "overflow drops for the unread conversation", func() bool {
-			return i2.overflows.Load() > 0
-		}) {
+		var got []arrival
+		names := []string{"a", "sender", "b", "c", "d"}
+		ifcs := map[string]*Interface{}
+		var tx *Conn
+		for _, name := range names {
+			ifc := seg.NewInterface(name)
+			ifcs[name] = ifc
+			c, _ := ifc.OpenConn()
+			defer c.Close()
+			c.SetType(0x900)
+			if name == "sender" {
+				tx = c
+				continue
+			}
+			c.SetDeliver(func([]byte) { got = append(got, arrival{name, ck.Since(vclock.Epoch)}) })
+		}
+		reader, _ := ifcs["c"].OpenConn() // a second conversation, read through its stream
+		defer reader.Close()
+		reader.SetType(0x900)
+		payload := []byte("to every station")
+		start := ck.Since(vclock.Epoch)
+		if err := tx.Transmit(Broadcast, payload); err != nil {
+			t.Error(err)
 			return
 		}
-		// Drain the live conversation's backlog below the drop threshold,
-		// then prove fresh frames still flow to it.
-		for live.Stream().QueuedBytes() > 4096 {
-			if _, err := recv(live); err != nil {
-				t.Error(err)
-				return
+		at := start + medium.TransmitTime(HdrLen+len(payload)+fcsLen, p.Bandwidth) + p.Latency
+		if f, err := recvPayload(reader); err != nil || f != string(payload) {
+			t.Errorf("the stream conversation read %q, %v", f, err)
+		}
+		want := []arrival{{"a", at}, {"b", at}, {"c", at}, {"d", at}}
+		if !slices.Equal(got, want) {
+			t.Errorf("the hooks heard %v, want %v", got, want)
+		}
+		for _, name := range names {
+			in, inBytes := int64(1), int64(HdrLen+len(payload))
+			if name == "sender" {
+				in, inBytes = 0, 0
+			}
+			ifc := ifcs[name]
+			if ifc.inPackets.Load() != in || ifc.inBytes.Load() != inBytes || ifc.overflows.Load() != 0 || ifc.crcErrs.Load() != 0 {
+				t.Errorf("%s: in %d, in-bytes %d, overflows %d, crc-errs %d; want %d, %d, 0, 0", name,
+					ifc.inPackets.Load(), ifc.inBytes.Load(), ifc.overflows.Load(), ifc.crcErrs.Load(), in, inBytes)
 			}
 		}
-		tx.Transmit(i2.Addr(), []byte("still alive"))
-		for range 600 {
-			got, err := recvPayload(live)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if got == "still alive" {
-				return
-			}
-		}
-		t.Error("marker frame never reached the live conversation")
 	})
 }
 

@@ -1,6 +1,8 @@
 package ip
 
 import (
+	"bytes"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 	"time"
@@ -97,6 +99,84 @@ func TestChecksumProperties(t *testing.T) {
 	q := append(append([]byte(nil), p...), byte(ck>>8), byte(ck))
 	if Checksum(q) != 0 {
 		t.Error("self-verifying checksum property violated")
+	}
+}
+
+// rfc1071 is the Internet checksum as RFC 1071 states it: big-endian
+// byte pairs summed with the carries folded back in, an odd last byte
+// padded with a zero.
+func rfc1071(p []byte) uint16 {
+	var sum uint32
+	for i := 0; i+1 < len(p); i += 2 {
+		sum += uint32(p[i])<<8 | uint32(p[i+1])
+	}
+	if len(p)%2 == 1 {
+		sum += uint32(p[len(p)-1]) << 8
+	}
+	for sum>>16 != 0 {
+		sum = sum&0xffff + sum>>16
+	}
+	return ^uint16(sum)
+}
+
+// Checksum agrees with the byte-pair loop at every length and
+// alignment: odd lengths, starts off a word boundary, and all-ones data,
+// whose 64-bit sums carry on every add.
+func TestChecksumMatchesRFC1071(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	buf := make([]byte, 9100+8)
+	ones := bytes.Repeat([]byte{0xff}, len(buf))
+	check := func(p []byte, what string) {
+		if got, want := Checksum(p), rfc1071(p); got != want {
+			t.Fatalf("%s, %d bytes: Checksum = %#04x, byte pairs = %#04x", what, len(p), got, want)
+		}
+	}
+	for n := range 300 {
+		for off := range 8 {
+			check(ones[off:off+n], "all ones")
+			check(buf[off:off+n], "all zeros")
+		}
+	}
+	for range 20000 {
+		n, off := rng.IntN(9101), rng.IntN(8)
+		p := buf[off : off+n]
+		for i := range p {
+			p[i] = byte(rng.Uint32())
+		}
+		check(p, "random")
+		if rng.IntN(4) == 0 {
+			// Runs of 0xff make the word adds carry out in a row.
+			for i := range p {
+				if rng.IntN(8) != 0 {
+					p[i] = 0xff
+				}
+			}
+			check(p, "mostly ones")
+		}
+	}
+}
+
+func BenchmarkChecksum8K(b *testing.B) {
+	p := make([]byte, 8192)
+	for i := range p {
+		p[i] = byte(i * 7)
+	}
+	b.SetBytes(int64(len(p)))
+	for b.Loop() {
+		Checksum(p)
+	}
+}
+
+// BenchmarkChecksumBytePairs8K is the RFC 1071 loop Checksum is
+// measured against.
+func BenchmarkChecksumBytePairs8K(b *testing.B) {
+	p := make([]byte, 8192)
+	for i := range p {
+		p[i] = byte(i * 7)
+	}
+	b.SetBytes(int64(len(p)))
+	for b.Loop() {
+		rfc1071(p)
 	}
 }
 

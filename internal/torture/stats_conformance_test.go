@@ -182,7 +182,7 @@ func TestStatsConformanceIL(t *testing.T) {
 	st1Stats := obs.ParseStats(ifc1.Stats())
 	st2Stats := obs.ParseStats(ifc2.Stats())
 	if ov := st1Stats["overflows"] + st2Stats["overflows"]; ov != 0 {
-		t.Fatalf("input rings overflowed (%d): counters not comparable", ov)
+		t.Fatalf("stations dropped frames for overflow (%d): counters not comparable", ov)
 	}
 	fileCRC := st1Stats["crc-errs"] + st2Stats["crc-errs"]
 	if fileCRC != corruptCopies {

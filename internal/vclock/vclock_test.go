@@ -130,6 +130,41 @@ func TestVirtualSelfResumeKeepsOrder(t *testing.T) {
 	}
 }
 
+// Switches counts the token's hand-offs between goroutines: a sleeper
+// that is next to run resumes without one, and a round trip through a
+// second goroutine costs two.
+func TestSwitchesCountsHandOffs(t *testing.T) {
+	v := NewVirtual()
+	var alone, pingPong int64
+	v.Run(func() {
+		s := v.Switches()
+		for range 3 {
+			v.Sleep(time.Millisecond)
+		}
+		alone = v.Switches() - s
+		ping, pong := NewMailbox[int](v, 1), NewMailbox[int](v, 1)
+		v.Go(func() {
+			for {
+				x, ok := ping.Recv()
+				if !ok {
+					return
+				}
+				pong.TrySend(x)
+			}
+		})
+		s = v.Switches()
+		for i := range 10 {
+			ping.TrySend(i)
+			pong.Recv()
+		}
+		pingPong = v.Switches() - s
+		ping.Close()
+	})
+	if alone != 0 || pingPong != 20 {
+		t.Errorf("three lone sleeps switched %d times, ten round trips %d; want 0 and 20", alone, pingPong)
+	}
+}
+
 // hostGoroutines counts the process's virtual-clock host goroutines,
 // and those of them idle on a free list.
 func hostGoroutines() (host, idle int) {

@@ -29,6 +29,7 @@ type Virtual struct {
 	rootDone   bool
 	drainUntil int64 // end of the post-root drain horizon; -1 until the root returns
 	started    bool
+	switches   int64 // host switches: hand-offs of the token to another goroutine
 
 	// back hands the token back to Run once nothing can run: the
 	// simulation is over, drained, or deadlocked.
@@ -239,6 +240,9 @@ func (v *Virtual) nextLocked() *gor {
 func (v *Virtual) switchLocked(self *gor) bool {
 	next := v.nextLocked()
 	v.running = next
+	if next != nil && next != self {
+		v.switches++
+	}
 	v.mu.Unlock()
 	switch {
 	case next == nil:
@@ -401,6 +405,16 @@ func (v *Virtual) parkedLocked() (n int, who string) {
 		ops[i] = fmt.Sprintf("%d %s", count[op], op)
 	}
 	return n, strings.Join(ops, ", ")
+}
+
+// Switches reports how many times the token has passed from one
+// goroutine to another: host context switches, the per-event cost a
+// simulation pays beyond its own work. A goroutine that parks and is
+// itself next to run keeps the token and costs none.
+func (v *Virtual) Switches() int64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.switches
 }
 
 // Now implements Clock.

@@ -151,25 +151,30 @@ if [ "$il" -gt 847 ]; then
     exit 1
 fi
 
-echo "== gateway storm smoke (60 tenants on the virtual clock)"
-# A fixed-seed run of the multi-tenant import storm: one exporter,
-# sixty machines importing through the shared gateway server and its
-# cache, on the discrete-event clock so the pass is deterministic.
-go run ./cmd/netsim -virtual -gateway -machines 60 -simtime 10s -seed 1
+# Two same-seed runs of a storm must agree byte for byte once the
+# wall-clock tail of the report is stripped.
+same_twice() {
+    run1=$(go run ./cmd/netsim "$@" | sed 's/ in [^ ]* wall$//')
+    run2=$(go run ./cmd/netsim "$@" | sed 's/ in [^ ]* wall$//')
+    if [ "$run1" != "$run2" ]; then
+        echo "netsim $* diverged across same-seed runs:" >&2
+        echo "  $run1" >&2
+        echo "  $run2" >&2
+        exit 1
+    fi
+    echo "$run1"
+}
+
+echo "== gateway storm smoke (determinism of the 60-tenant import storm)"
+# One exporter, sixty machines importing through the shared gateway
+# server and its cache: reads, bytes, conns and the cache's hits and
+# misses must repeat.
+same_twice -virtual -gateway -machines 60 -simtime 10s -seed 1
 
 echo "== registry storm smoke (determinism of the t=0 dial storm)"
-# Two same-seed runs of the no-stagger dial storm must agree byte for
-# byte — calls, retries, CS books, latency quantiles — once the
-# wall-clock tail of the report is stripped.
-run1=$(go run ./cmd/netsim -virtual -registry -machines 60 -simtime 4s -seed 1 | sed 's/ in [^ ]* wall$//')
-run2=$(go run ./cmd/netsim -virtual -registry -machines 60 -simtime 4s -seed 1 | sed 's/ in [^ ]* wall$//')
-if [ "$run1" != "$run2" ]; then
-    echo "registry storm diverged across same-seed runs:" >&2
-    echo "  $run1" >&2
-    echo "  $run2" >&2
-    exit 1
-fi
-echo "$run1"
+# The no-stagger dial storm: calls, retries, CS books and latency
+# quantiles must repeat.
+same_twice -virtual -registry -machines 60 -simtime 4s -seed 1
 
 echo "== package benchmarks still run (one iteration each)"
 # Nothing is recorded: this only keeps the cs, ndb, streams and ninep
