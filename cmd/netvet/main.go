@@ -5,11 +5,9 @@
 //
 //	lock-across-send    sync lock held across a park, or across a call
 //	                    that may park (with the call chain to the park)
-//	unjoined-goroutine  goroutine with no shutdown path
 //	unclosed-resource   closeable value dropped without Close
 //	naked-ctl-string    ctl literal bypassing the netmsg helpers
-//	block-ownership     pooled block freed twice, used after transfer,
-//	                    or leaked on an early return
+//	block-ownership     pooled block leaked on an early return
 //	lock-order          cycle in the module-wide lock order graph
 //	realtime            direct time.Now/Sleep/After where a vclock.Clock
 //	                    should be threaded

@@ -2,25 +2,23 @@
 // (go/ast + go/parser + go/types, no x/tools) enforcing the
 // concurrency and resource-lifecycle invariants the paper's network
 // organization depends on. The module is a web of cooperating
-// kernel-process analogues — stream put chains, the mount driver's
-// RPC demux, protocol engines — and the checks target exactly the
-// failure shapes such code grows at scale:
+// kernel-process analogues — stream put chains, the mount driver's RPC
+// demux, protocol engines — and the checks target the failure shapes
+// such code grows at scale that no runtime gate (the race detector,
+// leakcheck, the block package's double-free panic) reliably catches:
 //
 //	lock-across-send    a sync.Mutex/RWMutex held across a park: a
 //	                    channel operation, a blocking call, one of the
 //	                    virtual clock's primitives — or a call to a
 //	                    function that may reach one, through static and
 //	                    interface calls, with the chain down to the park
-//	unjoined-goroutine  a go statement whose body can never exit —
-//	                    a leak candidate with no shutdown path
 //	unclosed-resource   a closeable value created and dropped without
 //	                    Close/Free/Unmount and without escaping
 //	naked-ctl-string    an ad-hoc ctl message literal bypassing the
 //	                    canonical netmsg formatting helpers
-//	block-ownership     a pooled block freed twice, used after its
-//	                    ownership was transferred, or leaked on an
-//	                    early-return path (path-sensitive, over the
-//	                    CFG/dataflow engine in cfg.go and dataflow.go)
+//	block-ownership     a pooled block leaked on an early-return path
+//	                    (path-sensitive, over the CFG/dataflow engine
+//	                    in cfg.go and dataflow.go)
 //	lock-order          a cycle in the whole-module lock acquisition
 //	                    graph, keyed by (type, field), with witness
 //	                    paths for both directions
@@ -38,9 +36,10 @@
 //
 //	//netvet:owns <param>[,<param>...]
 //
-// and the block-ownership check treats a call through it as the end of
-// the caller's ownership. Free/Put/PutNext/PutBytes are implicitly
-// owning, matching the block package's contract.
+// and the block-ownership check treats a call through it as a release
+// of the caller's block, and the parameter as owned on entry to the
+// callee. Free/Put/PutNext/PutBytes are implicitly owning, matching the
+// block package's contract.
 //
 // A finding is suppressed by a directive comment on its line or the
 // line above:
@@ -90,7 +89,6 @@ type Check struct {
 func Checks() []*Check {
 	return []*Check{
 		lockAcrossSendCheck,
-		unjoinedGoroutineCheck,
 		unclosedResourceCheck,
 		nakedCtlStringCheck,
 		blockOwnershipCheck,

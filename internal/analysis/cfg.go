@@ -18,7 +18,7 @@ import (
 // replayed, in reverse registration order, inside the single Exit
 // block, mirroring the runtime's unwinding; a return edge therefore
 // passes through the deferred work before leaving the function, which
-// is exactly what a leak or double-free analysis needs to see.
+// is exactly what the leak analysis and the lock solve need to see.
 //
 // The builder is syntactic and conservative: both arms of every branch
 // are possible, loops may run zero times, and a select with no cases

@@ -14,10 +14,9 @@ import (
 // pass turns every unclaimed mention of a candidate into a use.
 
 // collectCandidates finds the variables worth tracking: locals and
-// parameters of an ownable pointer type (carrying Free), raw []byte
-// buffers that come from GetBytes or go to PutBytes, and the
-// buffer-view variables bound from Bytes(). It also resolves the
-// function's own //netvet:owns entry state.
+// parameters of an ownable pointer type (carrying Free) and raw []byte
+// buffers that come from GetBytes or go to PutBytes. It also resolves
+// the function's own //netvet:owns entry state.
 func (o *ownFunc) collectCandidates(body *ast.BlockStmt, fn *types.Func) {
 	inspectSkippingFuncLits(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -42,9 +41,6 @@ func (o *ownFunc) collectCandidates(body *ast.BlockStmt, fn *types.Func) {
 				if call, ok := rhs.(*ast.CallExpr); ok && calleeName(call) == "GetBytes" && isByteSlice(obj.Type()) {
 					o.cands[obj] = true
 				}
-				if o.aliasSourceObj(rhs) != nil {
-					o.cands[obj] = true
-				}
 			}
 		case *ast.CallExpr:
 			if calleeName(n) == "PutBytes" {
@@ -61,8 +57,6 @@ func (o *ownFunc) collectCandidates(body *ast.BlockStmt, fn *types.Func) {
 		}
 		return true
 	})
-	// Alias sources must themselves be candidates for alias events to
-	// land; prune dangling views.
 	if fn != nil {
 		if fact, ok := o.p.Owns(fn); ok {
 			sig := fn.Type().(*types.Signature)
@@ -221,8 +215,8 @@ func (o *ownFunc) extract(n ast.Node) []ownEvent {
 	return evs
 }
 
-// extractAssign lowers an assignment: acquisitions, alias bindings,
-// self-slices, rebinds, and var-to-var escapes.
+// extractAssign lowers an assignment: acquisitions, self-slices,
+// rebinds, and var-to-var escapes.
 func (o *ownFunc) extractAssign(as *ast.AssignStmt, add func(ownEvent), walk func(ast.Node)) {
 	multi := len(as.Rhs) == 1 && len(as.Lhs) > 1
 	for i, lhs := range as.Lhs {
@@ -256,13 +250,6 @@ func (o *ownFunc) extractAssign(as *ast.AssignStmt, add func(ownEvent), walk fun
 			if ownable(obj.Type()) || isByteSlice(obj.Type()) {
 				add(ownEvent{kind: evAcquire, obj: obj, pos: as.Rhs[0].End()})
 			}
-		case !multi && o.aliasSourceObj(rhs) != nil:
-			src := o.aliasSourceObj(rhs)
-			if o.cands[src] {
-				add(ownEvent{kind: evAlias, obj: obj, src: src, pos: rhs.End()})
-			} else {
-				add(ownEvent{kind: evRebind, obj: obj, pos: rhs.End()})
-			}
 		case !multi && isSelfSlice(rhs, obj, o.objOf):
 			// data = data[:n]: same buffer, same ownership.
 		case !multi && func() bool { rid, ok := rhs.(*ast.Ident); return ok && o.objOf(rid) != nil && o.cands[o.objOf(rid)] }():
@@ -287,55 +274,22 @@ func (o *ownFunc) extractAssign(as *ast.AssignStmt, add func(ownEvent), walk fun
 }
 
 // extractCall lowers a call when it is ownership-relevant (a release,
-// a Ref, an append, an annotated transfer); returns false to let the
-// generic walk handle it.
+// a Ref, an append); returns false to let the generic walk handle it.
 func (o *ownFunc) extractCall(call *ast.CallExpr, add func(ownEvent), walk func(ast.Node)) bool {
-	// Declared transfers win over name heuristics.
-	if fn := o.calleeFunc(call); fn != nil {
-		if fact, ok := o.p.Owns(fn); ok {
-			if fact.Recv {
-				if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
-					if id, isID := sel.X.(*ast.Ident); isID {
-						if obj := o.objOf(id); obj != nil && o.cands[obj] {
-							add(ownEvent{kind: evRelease, obj: obj, pos: call.Rparen})
-							o.claimed[id] = true
-						}
-					}
-				}
-			}
-			sig := fn.Type().(*types.Signature)
-			for _, pi := range fact.Params {
-				for _, ai := range argIndices(sig, pi, len(call.Args)) {
-					if id, isID := call.Args[ai].(*ast.Ident); isID {
-						if obj := o.objOf(id); obj != nil && o.cands[obj] {
-							add(ownEvent{kind: evRelease, obj: obj, pos: call.Rparen})
-							o.claimed[id] = true
-						}
-					}
-				}
-			}
-			for _, a := range call.Args {
-				walk(a)
-			}
-			if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
-				walk(sel.X)
-			}
-			return true
+	if released := o.releaseSubjects(call); len(released) > 0 {
+		for _, id := range released {
+			add(ownEvent{kind: evRelease, obj: o.objOf(id), pos: call.Rparen})
+			o.claimed[id] = true
 		}
+		for _, a := range call.Args {
+			walk(a)
+		}
+		if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
+			walk(sel.X)
+		}
+		return true
 	}
-
-	name := calleeName(call)
-	switch {
-	case name == "Free" && len(call.Args) == 0:
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if id, ok := sel.X.(*ast.Ident); ok {
-				if obj := o.objOf(id); obj != nil && o.cands[obj] && ownable(obj.Type()) {
-					add(ownEvent{kind: evRelease, obj: obj, pos: call.Rparen, free: true})
-					o.claimed[id] = true
-					return true
-				}
-			}
-		}
+	switch name := calleeName(call); {
 	case name == "Ref" && len(call.Args) == 0:
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 			if id, ok := sel.X.(*ast.Ident); ok {
@@ -349,32 +303,6 @@ func (o *ownFunc) extractCall(call *ast.CallExpr, add func(ownEvent), walk func(
 					return true
 				}
 			}
-		}
-	case releaseNames[name]:
-		hit := false
-		for _, a := range call.Args {
-			id, ok := a.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj := o.objOf(id)
-			if obj == nil || !o.cands[obj] {
-				continue
-			}
-			if ownable(obj.Type()) || (name == "PutBytes" && isByteSlice(obj.Type())) {
-				add(ownEvent{kind: evRelease, obj: obj, pos: call.Rparen})
-				o.claimed[id] = true
-				hit = true
-			}
-		}
-		if hit {
-			for _, a := range call.Args {
-				walk(a)
-			}
-			if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
-				walk(sel.X)
-			}
-			return true
 		}
 	case name == "append":
 		if id, ok := call.Fun.(*ast.Ident); ok && o.p.Pkg.Info.Uses[id] == types.Universe.Lookup("append") {
@@ -394,10 +322,9 @@ func (o *ownFunc) extractCall(call *ast.CallExpr, add func(ownEvent), walk func(
 // extractDeferred lowers `defer call`: a deferred release marks its
 // subjects; anything else that mentions a candidate escapes it.
 func (o *ownFunc) extractDeferred(call *ast.CallExpr, pos token.Pos, add func(ownEvent)) {
-	subjects := o.releaseSubjects(call)
-	if len(subjects) > 0 {
-		for _, sub := range subjects {
-			add(ownEvent{kind: evDeferRelease, obj: sub.obj, pos: pos, free: sub.free})
+	if released := o.releaseSubjects(call); len(released) > 0 {
+		for _, id := range released {
+			add(ownEvent{kind: evDeferRelease, obj: o.objOf(id), pos: pos})
 		}
 		o.claimAll(call)
 		return
@@ -408,60 +335,42 @@ func (o *ownFunc) extractDeferred(call *ast.CallExpr, pos token.Pos, add func(ow
 	o.claimAll(call)
 }
 
-type releaseSubject struct {
-	obj  types.Object
-	free bool
-}
-
 // releaseSubjects resolves the candidates a call releases, by
-// annotation or by the Free/Put naming contract.
-func (o *ownFunc) releaseSubjects(call *ast.CallExpr) []releaseSubject {
-	var out []releaseSubject
+// annotation or by the Free/Put naming contract: declared transfers win
+// over name heuristics.
+func (o *ownFunc) releaseSubjects(call *ast.CallExpr) []*ast.Ident {
+	var out []*ast.Ident
+	cand := func(e ast.Expr, ok func(types.Type) bool) {
+		if id, isID := e.(*ast.Ident); isID {
+			if obj := o.objOf(id); obj != nil && o.cands[obj] && ok(obj.Type()) {
+				out = append(out, id)
+			}
+		}
+	}
+	always := func(types.Type) bool { return true }
 	if fn := o.calleeFunc(call); fn != nil {
 		if fact, ok := o.p.Owns(fn); ok {
-			if fact.Recv {
-				if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
-					if id, isID := sel.X.(*ast.Ident); isID {
-						if obj := o.objOf(id); obj != nil && o.cands[obj] {
-							out = append(out, releaseSubject{obj: obj})
-						}
-					}
-				}
+			if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel && fact.Recv {
+				cand(sel.X, always)
 			}
 			sig := fn.Type().(*types.Signature)
 			for _, pi := range fact.Params {
 				for _, ai := range argIndices(sig, pi, len(call.Args)) {
-					if id, isID := call.Args[ai].(*ast.Ident); isID {
-						if obj := o.objOf(id); obj != nil && o.cands[obj] {
-							out = append(out, releaseSubject{obj: obj})
-						}
-					}
+					cand(call.Args[ai], always)
 				}
 			}
 			return out
 		}
 	}
 	name := calleeName(call)
-	if !releaseNames[name] {
-		return nil
-	}
-	if name == "Free" && len(call.Args) == 0 {
+	switch {
+	case name == "Free" && len(call.Args) == 0:
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if id, ok := sel.X.(*ast.Ident); ok {
-				if obj := o.objOf(id); obj != nil && o.cands[obj] && ownable(obj.Type()) {
-					out = append(out, releaseSubject{obj: obj, free: true})
-				}
-			}
+			cand(sel.X, ownable)
 		}
-		return out
-	}
-	for _, a := range call.Args {
-		if id, ok := a.(*ast.Ident); ok {
-			if obj := o.objOf(id); obj != nil && o.cands[obj] {
-				if ownable(obj.Type()) || (name == "PutBytes" && isByteSlice(obj.Type())) {
-					out = append(out, releaseSubject{obj: obj})
-				}
-			}
+	case releaseNames[name]:
+		for _, a := range call.Args {
+			cand(a, func(t types.Type) bool { return ownable(t) || (name == "PutBytes" && isByteSlice(t)) })
 		}
 	}
 	return out
@@ -539,25 +448,6 @@ func (o *ownFunc) isAcquireCall(e ast.Expr) bool {
 		}
 	}
 	return ownable(typ)
-}
-
-// aliasSourceObj returns the candidate block obj an expression borrows
-// a view from: x.Bytes(), else nil.
-func (o *ownFunc) aliasSourceObj(e ast.Expr) types.Object {
-	call, ok := e.(*ast.CallExpr)
-	if !ok || len(call.Args) != 0 {
-		return nil
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Bytes" {
-		return nil
-	}
-	if id, ok := sel.X.(*ast.Ident); ok {
-		if obj := o.objOf(id); obj != nil && ownable(obj.Type()) {
-			return obj
-		}
-	}
-	return nil
 }
 
 func (o *ownFunc) calleeFunc(call *ast.CallExpr) *types.Func {

@@ -1,13 +1,11 @@
-// Corpus for the block-ownership check: the acquisition-to-sink
-// discipline over pooled blocks and raw GetBytes buffers, along every
-// CFG path.
+// Corpus for the block-ownership check: the early-return leak of a
+// pooled block or raw GetBytes buffer, along every CFG path.
 package owncase
 
 type blk struct{ Buf []byte }
 
-func (b *blk) Bytes() []byte { return b.Buf }
-func (b *blk) Free()         {}
-func (b *blk) Ref() *blk     { return b }
+func (b *blk) Free()     {}
+func (b *blk) Ref() *blk { return b }
 
 type queue struct{}
 
@@ -19,53 +17,6 @@ func GetBytes(n int) []byte { return make([]byte, n) }
 func PutBytes(p []byte)     {}
 
 func consume(p []byte) {}
-
-// --- double release, in all four flavours ---
-
-func doubleFree(b *blk) {
-	b.Free()
-	b.Free() // want block-ownership "freed twice"
-}
-
-func doubleFreeOnPath(b *blk, flag bool) {
-	if flag {
-		b.Free()
-	}
-	b.Free() // want block-ownership "freed twice"
-}
-
-func freeAfterTransfer(q *queue, b *blk) {
-	q.PutNext(b)
-	b.Free() // want block-ownership "freed after its ownership was transferred"
-}
-
-func transferAfterFree(q *queue, b *blk) {
-	b.Free()
-	q.PutNext(b) // want block-ownership "ownership transferred after it was freed"
-}
-
-func transferTwice(q *queue, b *blk) {
-	q.PutNext(b)
-	q.PutNext(b) // want block-ownership "ownership transferred twice"
-}
-
-func rawDoublePut(n int) {
-	buf := GetBytes(n)
-	PutBytes(buf)
-	PutBytes(buf) // want block-ownership "ownership transferred twice"
-}
-
-// --- use after the ownership ended ---
-
-func useAfterFree(b *blk) {
-	b.Free()
-	consume(b.Buf) // want block-ownership "use of b after it was freed"
-}
-
-func useAfterTransfer(q *queue, b *blk) {
-	q.PutNext(b)
-	consume(b.Buf) // want block-ownership "use of b after its ownership was transferred"
-}
 
 // --- the early-return leak ---
 
@@ -118,25 +69,53 @@ func consumeUnlessTiny(q *queue, b *blk, n int) {
 	q.PutNext(b)
 }
 
-// A call through an annotated parameter is a transfer.
-func sendVia(q *queue, n int) {
+// A call through an annotated parameter is a release: the early return
+// before it leaks.
+func sendUnlessBig(q *queue, n int) {
 	b := alloc(n)
+	b.Buf[0] = 1
+	if n > 512 {
+		return // want block-ownership "released on another path at line 80"
+	}
 	consumeBlock(q, b)
-	b.Free() // want block-ownership "freed after its ownership was transferred"
 }
 
-// --- deferred releases ---
+type link struct{}
 
-func deferThenFree(n int) {
-	b := alloc(n)
-	defer b.Free()
-	b.Free() // want block-ownership "released here and again by its deferred release"
+func (l *link) transmit(b *blk) error { return nil }
+
+// The ARP send shape: the packet goes to the wire, onto the hold queue,
+// or, the queue full, is freed; every arm accounts for it.
+//
+//netvet:owns pkt
+func arpSend(l *link, held map[int][]*blk, resolved bool, hop int, pkt *blk) error {
+	if resolved {
+		return l.transmit(pkt)
+	}
+	if q := held[hop]; len(q) < 3 {
+		held[hop] = append(q, pkt)
+	} else {
+		pkt.Free()
+	}
+	return nil
 }
 
-func freeThenDefer(n int) {
-	b := alloc(n)
-	b.Free()
-	defer b.Free() // want block-ownership "deferred release of b"
+// The same shape with a closed-interface arm that forgets the packet.
+//
+//netvet:owns pkt
+func arpSendLeaky(l *link, held map[int][]*blk, closed, resolved bool, hop int, pkt *blk) error {
+	if closed {
+		return nil // want block-ownership "pkt may leak"
+	}
+	if resolved {
+		return l.transmit(pkt)
+	}
+	if q := held[hop]; len(q) < 3 {
+		held[hop] = append(q, pkt)
+	} else {
+		pkt.Free()
+	}
+	return nil
 }
 
 // --- the rest must stay silent ---
@@ -171,12 +150,6 @@ func refLoop(q *queue, b *blk, dests int) {
 		q.PutNext(b)
 	}
 	b.Free()
-}
-
-// But Ref after Free is still a use of a freed block.
-func refAfterFree(b *blk) {
-	b.Free()
-	b.Ref() // want block-ownership "use of b after it was freed"
 }
 
 // A constructor hands the block out: never released here, so no leak.
@@ -255,19 +228,6 @@ func cacheLookup(c *fragCache, key uint64) *blk {
 		return nil
 	}
 	return fr.b.Ref()
-}
-
-// Losing the race and then reading the loser's bytes is still a
-// use-after-free; refcounting does not resurrect this block.
-//
-//netvet:owns b
-func cacheInsertBroken(c *fragCache, key uint64, b *blk) {
-	if _, ok := c.files[key]; ok {
-		b.Free()
-		consume(b.Buf) // want block-ownership "use of b after it was freed"
-		return
-	}
-	c.files[key] = &cacheFrag{b: b}
 }
 
 // An owning insert that forgets the racing-loser arm leaks it: the

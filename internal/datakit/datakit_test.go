@@ -2,171 +2,180 @@ package datakit
 
 import (
 	"bytes"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/medium"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 	"repro/internal/xport"
 )
 
-func hosts(t *testing.T, p medium.Profile) (*Proto, *Proto) {
-	t.Helper()
-	sw := NewSwitch(p)
-	t.Cleanup(sw.Close)
-	h1, err := sw.NewHost("nj/astro/philw-gnot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := sw.NewHost("nj/astro/helix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewProto(h1), NewProto(h2)
+// onVirtual runs body inside a virtual clock with two hosts on one
+// switch of profile p. Inside Run errors report and return, and
+// teardown happens before Run unwinds.
+func onVirtual(t *testing.T, p medium.Profile, body func(v *vclock.Virtual, p1, p2 *Proto)) {
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		p.Clock = v
+		sw := NewSwitch(p)
+		defer sw.Close()
+		h1, err := sw.NewHost("nj/astro/philw-gnot")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		h2, err := sw.NewHost("nj/astro/helix")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		body(v, NewProto(h1), NewProto(h2))
+	})
 }
 
-func circuit(t *testing.T, p1, p2 *Proto, service string) (xport.Conn, xport.Conn) {
-	t.Helper()
-	lc, _ := p2.NewConn()
-	if err := lc.Announce(service); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lc.Close() })
-	acceptCh := make(chan xport.Conn, 1)
-	go func() {
-		nc, err := lc.Listen()
-		if err == nil {
-			acceptCh <- nc
+// onCircuit is onVirtual with a circuit open from p1 to service,
+// announced on p2: dc is the caller's end, sc the acceptor's.
+func onCircuit(t *testing.T, p medium.Profile, service string, body func(v *vclock.Virtual, p1, p2 *Proto, dc, sc xport.Conn)) {
+	onVirtual(t, p, func(v *vclock.Virtual, p1, p2 *Proto) {
+		lc, _ := p2.NewConn()
+		defer lc.Close()
+		if err := lc.Announce(service); err != nil {
+			t.Error(err)
+			return
 		}
-	}()
-	dc, _ := p1.NewConn()
-	if err := dc.Connect("nj/astro/helix!" + service); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dc.Close() })
-	select {
-	case sc := <-acceptCh:
-		t.Cleanup(func() { sc.Close() })
-		return dc, sc
-	case <-time.After(5 * time.Second):
-		t.Fatal("call never arrived")
-		return nil, nil
+		accepted := vclock.NewMailbox[xport.Conn](v, 1)
+		v.Go(func() {
+			if nc, err := lc.Listen(); err == nil {
+				accepted.TrySend(nc)
+			}
+		})
+		dc, _ := p1.NewConn()
+		defer dc.Close()
+		if err := dc.Connect("nj/astro/helix!" + service); err != nil {
+			t.Error(err)
+			return
+		}
+		sc, _ := accepted.Recv()
+		defer sc.Close()
+		body(v, p1, p2, dc, sc)
+	})
+}
+
+// readMsgs reads n messages from c on a goroutine of its own and
+// returns a wait for them; it stops early at a read error.
+func readMsgs(v *vclock.Virtual, c xport.Conn, n int) func() [][]byte {
+	var got [][]byte
+	wg := vclock.NewWaitGroup(v)
+	wg.Add(1)
+	v.Go(func() {
+		defer wg.Done()
+		buf := make([]byte, 64*1024)
+		for len(got) < n {
+			k, err := c.Read(buf)
+			if err != nil {
+				return
+			}
+			got = append(got, append([]byte(nil), buf[:k]...))
+		}
+	})
+	return func() [][]byte {
+		wg.Wait()
+		return got
 	}
 }
 
 func TestCallSetupAndEcho(t *testing.T) {
-	p1, p2 := hosts(t, medium.Profile{})
-	dc, sc := circuit(t, p1, p2, "9fs")
-	dc.Write([]byte("over datakit"))
-	buf := make([]byte, 256)
-	n, err := sc.Read(buf)
-	if err != nil || string(buf[:n]) != "over datakit" {
-		t.Fatalf("read %q, %v", buf[:n], err)
-	}
-	sc.Write([]byte("reply"))
-	n, err = dc.Read(buf)
-	if err != nil || string(buf[:n]) != "reply" {
-		t.Fatalf("reply %q, %v", buf[:n], err)
-	}
-	if dc.RemoteAddr() != "nj/astro/helix!9fs" {
-		t.Errorf("remote %q", dc.RemoteAddr())
-	}
-	if sc.RemoteAddr() != "nj/astro/philw-gnot" {
-		t.Errorf("server's remote %q", sc.RemoteAddr())
-	}
-	if dc.Status() != "Established" {
-		t.Errorf("status %q", dc.Status())
-	}
+	onCircuit(t, medium.Profile{}, "9fs", func(_ *vclock.Virtual, _, _ *Proto, dc, sc xport.Conn) {
+		dc.Write([]byte("over datakit"))
+		buf := make([]byte, 256)
+		n, err := sc.Read(buf)
+		if err != nil || string(buf[:n]) != "over datakit" {
+			t.Errorf("read %q, %v", buf[:n], err)
+			return
+		}
+		sc.Write([]byte("reply"))
+		n, err = dc.Read(buf)
+		if err != nil || string(buf[:n]) != "reply" {
+			t.Errorf("reply %q, %v", buf[:n], err)
+			return
+		}
+		if dc.RemoteAddr() != "nj/astro/helix!9fs" {
+			t.Errorf("remote %q", dc.RemoteAddr())
+		}
+		if sc.RemoteAddr() != "nj/astro/philw-gnot" {
+			t.Errorf("server's remote %q", sc.RemoteAddr())
+		}
+		if dc.Status() != "Established" {
+			t.Errorf("status %q", dc.Status())
+		}
+	})
 }
 
 func TestURPDelimitersPreserved(t *testing.T) {
-	p1, p2 := hosts(t, medium.Profile{})
-	dc, sc := circuit(t, p1, p2, "echo")
-	dc.Write([]byte("one"))
-	dc.Write([]byte("two two"))
-	buf := make([]byte, 256)
-	n, _ := sc.Read(buf)
-	if string(buf[:n]) != "one" {
-		t.Errorf("first message %q", buf[:n])
-	}
-	n, _ = sc.Read(buf)
-	if string(buf[:n]) != "two two" {
-		t.Errorf("second message %q", buf[:n])
-	}
+	onCircuit(t, medium.Profile{}, "echo", func(_ *vclock.Virtual, _, _ *Proto, dc, sc xport.Conn) {
+		dc.Write([]byte("one"))
+		dc.Write([]byte("two two"))
+		buf := make([]byte, 256)
+		n, _ := sc.Read(buf)
+		if string(buf[:n]) != "one" {
+			t.Errorf("first message %q", buf[:n])
+		}
+		n, _ = sc.Read(buf)
+		if string(buf[:n]) != "two two" {
+			t.Errorf("second message %q", buf[:n])
+		}
+	})
 }
 
 func TestLargeMessageOverSmallBlocks(t *testing.T) {
-	p1, p2 := hosts(t, medium.Profile{})
-	dc, sc := circuit(t, p1, p2, "bulk")
-	msg := bytes.Repeat([]byte("dk"), 10*1024) // 20 KiB over 1 KiB blocks
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var got []byte
-	go func() {
-		defer wg.Done()
-		buf := make([]byte, 64*1024)
-		n, err := sc.Read(buf)
-		if err == nil {
-			got = append(got, buf[:n]...)
+	onCircuit(t, medium.Profile{}, "bulk", func(v *vclock.Virtual, _, _ *Proto, dc, sc xport.Conn) {
+		msg := bytes.Repeat([]byte("dk"), 10*1024) // 20 KiB over 1 KiB blocks
+		wait := readMsgs(v, sc, 1)
+		dc.Write(msg)
+		if got := wait(); len(got) != 1 || !bytes.Equal(got[0], msg) {
+			t.Errorf("reassembled %d reads, want %d bytes in one delimited read", len(got), len(msg))
 		}
-	}()
-	dc.Write(msg)
-	wg.Wait()
-	if !bytes.Equal(got, msg) {
-		t.Fatalf("reassembled %d bytes, want %d in one delimited read", len(got), len(msg))
-	}
+	})
 }
 
 func TestURPRecoversFromLoss(t *testing.T) {
-	p1, p2 := hosts(t, medium.Profile{Loss: 0.05, Seed: 5})
-	dc, sc := circuit(t, p1, p2, "lossy")
-	const rounds = 30
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var msgs [][]byte
-	go func() {
-		defer wg.Done()
-		buf := make([]byte, 8192)
-		for len(msgs) < rounds {
-			n, err := sc.Read(buf)
-			if err != nil {
+	onCircuit(t, medium.Profile{Loss: 0.05, Seed: 5}, "lossy", func(v *vclock.Virtual, p1, p2 *Proto, dc, sc xport.Conn) {
+		const rounds = 30
+		wait := readMsgs(v, sc, rounds)
+		for i := range rounds {
+			dc.Write(bytes.Repeat([]byte{byte(i)}, 500))
+		}
+		msgs := wait()
+		if len(msgs) != rounds {
+			t.Errorf("received %d of %d messages", len(msgs), rounds)
+			return
+		}
+		for i, m := range msgs {
+			if len(m) != 500 || m[0] != byte(i) {
+				t.Errorf("message %d corrupted", i)
 				return
 			}
-			msgs = append(msgs, append([]byte(nil), buf[:n]...))
 		}
-	}()
-	for i := range rounds {
-		dc.Write(bytes.Repeat([]byte{byte(i)}, 500))
-	}
-	wg.Wait()
-	if len(msgs) != rounds {
-		t.Fatalf("received %d of %d messages", len(msgs), rounds)
-	}
-	for i, m := range msgs {
-		if len(m) != 500 || m[0] != byte(i) {
-			t.Fatalf("message %d corrupted", i)
+		if p1.Stats.Retransmits.Load() == 0 && p2.Stats.Retransmits.Load() == 0 {
+			t.Log("note: loss pattern hit no data cells")
 		}
-	}
-	if p1.Stats.Retransmits.Load() == 0 && p2.Stats.Retransmits.Load() == 0 {
-		t.Log("note: loss pattern hit no data cells")
-	}
+	})
 }
 
 func TestNoSuchHostAndService(t *testing.T) {
-	p1, p2 := hosts(t, medium.Profile{})
-	dc, _ := p1.NewConn()
-	defer dc.Close()
-	if err := dc.Connect("nj/astro/nowhere!9fs"); err != ErrNoHost {
-		t.Errorf("dial to unknown host = %v", err)
-	}
-	if err := dc.Connect("nj/astro/helix!nosuch"); !vfs.SameError(err, vfs.ErrConnRef) {
-		t.Errorf("dial to unannounced service = %v", err)
-	}
-	if err := dc.Connect("malformed"); err != xport.ErrBadAddress {
-		t.Errorf("malformed dial = %v", err)
-	}
-	_ = p2
+	onVirtual(t, medium.Profile{}, func(_ *vclock.Virtual, p1, _ *Proto) {
+		dc, _ := p1.NewConn()
+		defer dc.Close()
+		if err := dc.Connect("nj/astro/nowhere!9fs"); err != ErrNoHost {
+			t.Errorf("dial to unknown host = %v", err)
+		}
+		if err := dc.Connect("nj/astro/helix!nosuch"); !vfs.SameError(err, vfs.ErrConnRef) {
+			t.Errorf("dial to unannounced service = %v", err)
+		}
+		if err := dc.Connect("malformed"); err != xport.ErrBadAddress {
+			t.Errorf("malformed dial = %v", err)
+		}
+	})
 }
 
 func TestDuplicateHostName(t *testing.T) {
@@ -181,36 +190,36 @@ func TestDuplicateHostName(t *testing.T) {
 }
 
 func TestServiceCollisionAndRelease(t *testing.T) {
-	p1, _ := hosts(t, medium.Profile{})
-	a, _ := p1.NewConn()
-	if err := a.Announce("9fs"); err != nil {
-		t.Fatal(err)
-	}
-	b, _ := p1.NewConn()
-	if err := b.Announce("9fs"); err != xport.ErrInUse {
-		t.Errorf("duplicate announce = %v", err)
-	}
-	a.Close()
-	if err := b.Announce("9fs"); err != nil {
-		t.Errorf("announce after release: %v", err)
-	}
-	b.Close()
+	onVirtual(t, medium.Profile{}, func(_ *vclock.Virtual, p1, _ *Proto) {
+		a, _ := p1.NewConn()
+		if err := a.Announce("9fs"); err != nil {
+			t.Error(err)
+			return
+		}
+		b, _ := p1.NewConn()
+		if err := b.Announce("9fs"); err != xport.ErrInUse {
+			t.Errorf("duplicate announce = %v", err)
+		}
+		a.Close()
+		if err := b.Announce("9fs"); err != nil {
+			t.Errorf("announce after release: %v", err)
+		}
+		b.Close()
+	})
 }
 
+// TestHangupPropagates: the caller's close reaches the acceptor, whose
+// next read after the last message fails.
 func TestHangupPropagates(t *testing.T) {
-	p1, p2 := hosts(t, medium.Profile{})
-	dc, sc := circuit(t, p1, p2, "hup")
-	dc.Write([]byte("last"))
-	buf := make([]byte, 64)
-	sc.Read(buf)
-	dc.Close()
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, err := sc.Read(buf); err != nil {
-			return // hangup seen
+	onCircuit(t, medium.Profile{}, "hup", func(_ *vclock.Virtual, _, _ *Proto, dc, sc xport.Conn) {
+		dc.Write([]byte("last"))
+		buf := make([]byte, 64)
+		sc.Read(buf)
+		dc.Close()
+		if n, err := sc.Read(buf); err == nil {
+			t.Errorf("read %q after the peer hung up, want an error", buf[:n])
 		}
-	}
-	t.Fatal("peer never saw the hangup")
+	})
 }
 
 // TestURPRecoversFromCellCorruption: bit flips on a circuit leg fail
@@ -219,44 +228,35 @@ func TestHangupPropagates(t *testing.T) {
 // in-order, exactly-once stream. URP's cells carry no checksum of
 // their own; this is the hardware promise it was designed over.
 func TestURPRecoversFromCellCorruption(t *testing.T) {
-	p1, p2 := hosts(t, medium.Profile{
+	prof := medium.Profile{
 		Seed:   9,
 		Impair: medium.Impairment{Corrupt: 0.10, CorruptBits: 2},
-	})
-	dc, sc := circuit(t, p1, p2, "corrupt")
-	const rounds = 40
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var msgs [][]byte
-	go func() {
-		defer wg.Done()
-		buf := make([]byte, 8192)
-		for len(msgs) < rounds {
-			n, err := sc.Read(buf)
-			if err != nil {
+	}
+	onCircuit(t, prof, "corrupt", func(v *vclock.Virtual, p1, p2 *Proto, dc, sc xport.Conn) {
+		const rounds = 40
+		wait := readMsgs(v, sc, rounds)
+		for i := range rounds {
+			dc.Write(bytes.Repeat([]byte{byte(i)}, 700))
+		}
+		msgs := wait()
+		if len(msgs) != rounds {
+			t.Errorf("received %d of %d messages", len(msgs), rounds)
+			return
+		}
+		for i, m := range msgs {
+			if len(m) != 700 {
+				t.Errorf("message %d wrong length %d", i, len(m))
 				return
 			}
-			msgs = append(msgs, append([]byte(nil), buf[:n]...))
-		}
-	}()
-	for i := range rounds {
-		dc.Write(bytes.Repeat([]byte{byte(i)}, 700))
-	}
-	wg.Wait()
-	if len(msgs) != rounds {
-		t.Fatalf("received %d of %d messages", len(msgs), rounds)
-	}
-	for i, m := range msgs {
-		if len(m) != 700 {
-			t.Fatalf("message %d wrong length %d", i, len(m))
-		}
-		for _, b := range m {
-			if b != byte(i) {
-				t.Fatalf("message %d delivered corrupted: saw %#x want %#x", i, b, byte(i))
+			for _, b := range m {
+				if b != byte(i) {
+					t.Errorf("message %d delivered corrupted: saw %#x want %#x", i, b, byte(i))
+					return
+				}
 			}
 		}
-	}
-	if errs := p1.FCSErrs.Load() + p2.FCSErrs.Load(); errs == 0 {
-		t.Error("10% corruption but no FCS discards — the check is not running")
-	}
+		if errs := p1.FCSErrs.Load() + p2.FCSErrs.Load(); errs == 0 {
+			t.Error("10% corruption but no FCS discards — the check is not running")
+		}
+	})
 }

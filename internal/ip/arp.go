@@ -41,6 +41,8 @@ func newArpCache(ifc *Ifc) *arpCache {
 // send transmits an IP packet to nexthop, resolving its hardware
 // address first if necessary. Ownership of pkt transfers: the cache
 // either hands it to the wire, queues it for the reply, or frees it.
+//
+//netvet:owns pkt
 func (a *arpCache) send(nexthop Addr, pkt *block.Block) error {
 	a.mu.Lock()
 	hw, ok := a.entries[nexthop]

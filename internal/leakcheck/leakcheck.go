@@ -1,10 +1,11 @@
-// Package leakcheck is the runtime half of the repo's goroutine-leak
-// discipline (netvet is the static half). A test that spins up stream
-// queues, protocol engines, or a whole paper-world must wind every
-// goroutine down when its machines close; a survivor either wedges a
-// later test or hides a real shutdown bug. Check diffs the live
-// goroutine set against the module's own code paths after the test
-// body returns, giving stragglers a grace period to finish parking
+// Package leakcheck is the repo's goroutine-leak gate. netvet has no
+// static counterpart: a simulated machine starts its goroutines through
+// its clock, where a check of go statements cannot follow them. A test
+// that spins up stream queues, protocol engines, or a whole paper-world
+// must wind every goroutine down when its machines close; a survivor
+// either wedges a later test or hides a real shutdown bug. Check diffs
+// the live goroutine set against the module's own code paths after the
+// test body returns, giving stragglers a grace period to finish parking
 // out of existence.
 //
 // Usage, one line per test:

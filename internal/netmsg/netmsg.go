@@ -4,7 +4,8 @@
 // "pop", and "hangup". Every producer of a ctl message formats it
 // here; devices parse with Parse. Ad-hoc ctl literals elsewhere are
 // flagged by the naked-ctl-string check of cmd/netvet, so the wire
-// vocabulary cannot drift package by package.
+// vocabulary cannot drift package by package, and FuzzCtl holds every
+// formatter to what Parse reads back.
 package netmsg
 
 import "strings"

@@ -42,18 +42,18 @@ echo "== netvet ./..."
 go run ./cmd/netvet ./...
 
 echo "== netvet realtime: tests that run on the virtual clock"
-# Every paper-world test in these packages, every ether, medium, cs, il
-# and uart test that waits, and every command and example with its
-# golden test, runs inside vclock.Virtual.Run, so a wall-clock call in
-# one of their files, tests included, is a regression. A test that is
-# about the real clock says so with //netvet:ignore realtime <reason>.
-# Converting more packages' tests grows the list.
+# Every paper-world test in these packages, every ether, medium, cs, il,
+# uart, datakit and urp test that waits, and every command and example
+# with its golden test, runs inside vclock.Virtual.Run, so a wall-clock
+# call in one of their files, tests included, is a regression. A test
+# that is about the real clock says so with //netvet:ignore realtime
+# <reason>. Converting more packages' tests grows the list.
 rt=$(go run ./cmd/netvet -tests -checks realtime ./... 2>&1) || true
 if ! echo "$rt" | grep -q '^netvet: [0-9]* package'; then
     echo "$rt" >&2
     exit 1
 fi
-if echo "$rt" | grep -E '^(internal/(core|dialer|ftp|table1|ether|medium|cs|il|uart)|cmd|examples)/'; then
+if echo "$rt" | grep -E '^(internal/(core|dialer|ftp|table1|ether|medium|cs|il|uart|datakit|urp)|cmd|examples)/'; then
     echo "wall-clock calls in packages whose tests run on the virtual clock (see above)" >&2
     exit 1
 fi
@@ -142,7 +142,7 @@ echo "urp.go $(lines internal/urp/urp.go)  vclock/deadline.go $(lines internal/v
 echo "ninep/client.go $(lines internal/ninep/client.go)  mnt/mnt.go $(lines internal/mnt/mnt.go)  exportfs.go $(lines internal/exportfs/exportfs.go)  ninep/server.go $(lines internal/ninep/server.go)  core/services.go $(lines internal/core/services.go)"
 echo "vclock/*.go $(lines $(ls internal/vclock/*.go | grep -v _test.go))  ninep/transport.go $(lines internal/ninep/transport.go)  ns/ns.go $(lines internal/ns/ns.go)"
 echo "block/block.go $(lines internal/block/block.go)  streams/*.go $(lines $(ls internal/streams/*.go | grep -v _test.go))"
-echo "analysis/locks.go $(lines internal/analysis/locks.go)  analysis/lockorder.go $(lines internal/analysis/lockorder.go)"
+echo "analysis/locks.go $(lines internal/analysis/locks.go)  analysis/lockorder.go $(lines internal/analysis/lockorder.go)  analysis/*.go $(lines $(ls internal/analysis/*.go | grep -v _test.go))  cmd/netvet/*.go $(lines $(ls cmd/netvet/*.go | grep -v _test.go))"
 echo "cs/*.go $(lines $(ls internal/cs/*.go | grep -v _test.go))"
 echo "cmd/*/*.go $(lines $(ls cmd/*/*.go | grep -v _test.go))  examples/*/*.go $(lines $(ls examples/*/*.go | grep -v _test.go))"
 echo "ip/stack.go $(lines internal/ip/stack.go)  ether.go $(lines internal/ether/ether.go)  ether/dev.go $(lines internal/ether/dev.go)  netdev.go $(lines internal/netdev/netdev.go)  devtree/*.go $(lines $(ls internal/devtree/*.go | grep -v _test.go))  medium.go $(lines internal/medium/medium.go)  medium/delay.go $(lines internal/medium/delay.go)  uart.go $(lines internal/uart/uart.go)"
@@ -185,7 +185,7 @@ echo "== fuzz smoke (10s per parser)"
 # One list, one loop. -fuzzminimizetime 5x: a crasher found during a
 # smoke should minimize in a handful of runs, not stall the gate for the
 # default 60s.
-for f in il:FuzzParseHeader ip:FuzzUnmarshal tcp:FuzzUnmarshal dnssrv:FuzzUnmarshal ninep:Fuzz9PMessage streams:FuzzCompressFrame streams:FuzzBatchReassembly ndb:FuzzParse; do
+for f in il:FuzzParseHeader ip:FuzzUnmarshal tcp:FuzzUnmarshal dnssrv:FuzzUnmarshal ninep:Fuzz9PMessage streams:FuzzCompressFrame streams:FuzzBatchReassembly ndb:FuzzParse netmsg:FuzzCtl; do
     go test -run '^$' -fuzz "^${f#*:}\$" -fuzztime 10s -fuzzminimizetime 5x "./internal/${f%:*}"
 done
 
