@@ -128,7 +128,6 @@ func main() {
 			Machines: *nmach,
 			Sim:      *simtime,
 			Seed:     *seed,
-			Virtual:  true,
 		}
 		// One harness, three scenarios: the flag picks which.
 		var res fmt.Stringer

@@ -7,10 +7,13 @@
 //	                    that may park (with the call chain to the park)
 //	unclosed-resource   closeable value dropped without Close
 //	naked-ctl-string    ctl literal bypassing the netmsg helpers
-//	block-ownership     pooled block leaked on an early return
 //	lock-order          cycle in the module-wide lock order graph
 //	realtime            direct time.Now/Sleep/After where a vclock.Clock
 //	                    should be threaded
+//
+// Leaks of goroutines and blocks are runtime gates' business, not
+// netvet's: leakcheck.Main fails a package that ends its tests with
+// either outstanding.
 //
 // Usage:
 //

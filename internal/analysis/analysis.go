@@ -5,7 +5,8 @@
 // kernel-process analogues — stream put chains, the mount driver's RPC
 // demux, protocol engines — and the checks target the failure shapes
 // such code grows at scale that no runtime gate (the race detector,
-// leakcheck, the block package's double-free panic) reliably catches:
+// leakcheck's goroutine and block books, the block package's
+// double-free panic) reliably catches:
 //
 //	lock-across-send    a sync.Mutex/RWMutex held across a park: a
 //	                    channel operation, a blocking call, one of the
@@ -16,9 +17,6 @@
 //	                    Close/Free/Unmount and without escaping
 //	naked-ctl-string    an ad-hoc ctl message literal bypassing the
 //	                    canonical netmsg formatting helpers
-//	block-ownership     a pooled block leaked on an early-return path
-//	                    (path-sensitive, over the CFG/dataflow engine
-//	                    in cfg.go and dataflow.go)
 //	lock-order          a cycle in the whole-module lock acquisition
 //	                    graph, keyed by (type, field), with witness
 //	                    paths for both directions
@@ -27,19 +25,9 @@
 //	                    virtual-time runs stay deterministic
 //
 // The two lock checks are reporters over one held-lock solve (locks.go):
-// one dataflow per function body, one set of per-function summaries
-// closed over the module's call graph.
-//
-// Ownership transfer across calls is declared, not guessed: a callee
-// that consumes a block parameter carries a directive on its
-// declaration,
-//
-//	//netvet:owns <param>[,<param>...]
-//
-// and the block-ownership check treats a call through it as a release
-// of the caller's block, and the parameter as owned on entry to the
-// callee. Free/Put/PutNext/PutBytes are implicitly owning, matching the
-// block package's contract.
+// one dataflow per function body over the CFG/dataflow engine in cfg.go
+// and dataflow.go, one set of per-function summaries closed over the
+// module's call graph.
 //
 // A finding is suppressed by a directive comment on its line or the
 // line above:
@@ -91,7 +79,6 @@ func Checks() []*Check {
 		lockAcrossSendCheck,
 		unclosedResourceCheck,
 		nakedCtlStringCheck,
-		blockOwnershipCheck,
 		lockOrderCheck,
 		realtimeCheck,
 	}
@@ -127,21 +114,6 @@ func (p *Pass) Ignored(pos token.Pos) bool {
 	return p.res.ignored(p.Fset.Position(pos), p.check.Name) != nil
 }
 
-// Owns returns the declared ownership transfer of fn's parameters:
-// recv is true when the receiver is consumed, params holds the
-// consumed parameter indices. ok is false for undeclared functions.
-func (p *Pass) Owns(fn *types.Func) (fact OwnsFact, ok bool) {
-	fact, ok = p.res.owns[fn]
-	return fact, ok
-}
-
-// OwnsFact is one //netvet:owns declaration, resolved to positions in
-// the function's signature.
-type OwnsFact struct {
-	Recv   bool
-	Params []int
-}
-
 // Directive is one //netvet:ignore comment.
 type Directive struct {
 	Pos     token.Position
@@ -165,11 +137,10 @@ type Result struct {
 	Directives []*Directive
 
 	ignores   map[string]map[int][]*Directive // filename -> line -> directives
-	owns      map[*types.Func]OwnsFact
-	localPkgs map[string]bool               // import paths of the loaded packages
-	named     []*types.Named                // their package-level concrete types
-	impls     map[*types.Func][]*types.Func // interface method -> module-local implementations
-	locks     *lockFacts                    // the held-lock solve, shared by its reporters
+	localPkgs map[string]bool                 // import paths of the loaded packages
+	named     []*types.Named                  // their package-level concrete types
+	impls     map[*types.Func][]*types.Func   // interface method -> module-local implementations
+	locks     *lockFacts                      // the held-lock solve, shared by its reporters
 }
 
 // Run executes the checks over every package of the module.
@@ -177,7 +148,6 @@ func Run(mod *Module, checks []*Check) *Result {
 	res := &Result{
 		Suppressed: make(map[string]int),
 		ignores:    make(map[string]map[int][]*Directive),
-		owns:       make(map[*types.Func]OwnsFact),
 		localPkgs:  make(map[string]bool),
 		impls:      make(map[*types.Func][]*types.Func),
 	}
@@ -199,7 +169,6 @@ func Run(mod *Module, checks []*Check) *Result {
 	}
 	for _, pkg := range mod.Pkgs {
 		res.collectDirectives(mod.Fset, pkg)
-		res.collectOwns(mod.Fset, pkg)
 	}
 	for _, pkg := range mod.Pkgs {
 		for _, c := range checks {
@@ -257,11 +226,8 @@ func RunPkg(fset *token.FileSet, pkg *Pkg, checks []*Check) *Result {
 	return Run(mod, checks)
 }
 
-// Directive prefixes.
-const (
-	ignorePrefix = "//netvet:ignore"
-	ownsPrefix   = "//netvet:owns"
-)
+// ignorePrefix starts a suppression directive.
+const ignorePrefix = "//netvet:ignore"
 
 // collectDirectives scans a package's comments for ignore directives,
 // validating check names and demanding a reason.
@@ -313,105 +279,6 @@ func (r *Result) collectDirectives(fset *token.FileSet, pkg *Pkg) {
 			}
 		}
 	}
-}
-
-// collectOwns resolves every //netvet:owns directive to the function
-// it documents. The directive must sit in (or immediately form) the
-// doc comment of a FuncDecl, and every name must be a parameter or
-// the receiver of that function.
-func (r *Result) collectOwns(fset *token.FileSet, pkg *Pkg) {
-	for _, f := range pkg.Files {
-		// Directives by end line, to catch doc groups.
-		type ownsDir struct {
-			names []string
-			pos   token.Pos
-		}
-		dirs := map[int]ownsDir{}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, ownsPrefix)
-				if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-					continue
-				}
-				var names []string
-				for _, field := range strings.Fields(rest) {
-					for _, n := range strings.Split(field, ",") {
-						if n = strings.TrimSpace(n); n != "" {
-							names = append(names, n)
-						}
-					}
-				}
-				line := fset.Position(c.Pos()).Line
-				dirs[line] = ownsDir{names: names, pos: c.Pos()}
-			}
-		}
-		if len(dirs) == 0 {
-			continue
-		}
-		claimed := map[int]bool{}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			// Any directive line between the doc comment's start and
-			// the declaration belongs to this function.
-			funcLine := fset.Position(fd.Pos()).Line
-			startLine := funcLine - 1
-			if fd.Doc != nil {
-				startLine = fset.Position(fd.Doc.Pos()).Line
-			}
-			for line := startLine; line < funcLine; line++ {
-				dir, ok := dirs[line]
-				if !ok {
-					continue
-				}
-				claimed[line] = true
-				r.applyOwns(fset, pkg, fd, dir.names, dir.pos)
-			}
-		}
-		for line, dir := range dirs {
-			if !claimed[line] {
-				_ = line
-				r.reportRaw(fset.Position(dir.pos), "directive", "//netvet:owns is not attached to a function declaration")
-			}
-		}
-	}
-}
-
-// applyOwns validates one owns directive against fd's signature and
-// records the fact.
-func (r *Result) applyOwns(fset *token.FileSet, pkg *Pkg, fd *ast.FuncDecl, names []string, pos token.Pos) {
-	fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-	if fn == nil {
-		return
-	}
-	sig := fn.Type().(*types.Signature)
-	if len(names) == 0 {
-		r.reportRaw(fset.Position(pos), "directive", "//netvet:owns needs parameter names")
-		return
-	}
-	fact := r.owns[fn]
-	for _, name := range names {
-		found := false
-		if recv := sig.Recv(); recv != nil && recv.Name() == name {
-			fact.Recv = true
-			found = true
-		}
-		for i := 0; i < sig.Params().Len(); i++ {
-			if sig.Params().At(i).Name() == name {
-				fact.Params = append(fact.Params, i)
-				found = true
-			}
-		}
-		if !found {
-			r.reportRaw(fset.Position(pos), "directive",
-				fmt.Sprintf("//netvet:owns names %q, which is not a parameter of %s", name, fd.Name.Name))
-			return
-		}
-	}
-	sort.Ints(fact.Params)
-	r.owns[fn] = fact
 }
 
 // ignored returns the directive suppressing a finding of check at pos

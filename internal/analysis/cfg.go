@@ -27,10 +27,9 @@ import (
 
 // CFG is the control-flow graph of one function body.
 type CFG struct {
-	Entry   *BBlock
-	Exit    *BBlock // the one way out: returns, panics, fall-off-end
-	FallOff *BBlock // the block that reaches Exit without a return, if any
-	Blocks  []*BBlock
+	Entry  *BBlock
+	Exit   *BBlock // the one way out: returns, panics, fall-off-end
+	Blocks []*BBlock
 }
 
 // BBlock is one basic block: statements (and the conditions of the
@@ -42,13 +41,6 @@ type BBlock struct {
 	Kind  string // "entry", "exit", "if.then", "for.body", ... for rendering
 	Nodes []ast.Node
 	Succs []*BBlock
-
-	// Cond, when set, is the if condition that gates entry to this
-	// block, and CondTaken its outcome on this edge (true for the
-	// then arm, false for the else arm). Dataflow clients use it to
-	// prune branch-refuted facts at block entry.
-	Cond      ast.Expr
-	CondTaken bool
 }
 
 // RangeHeader is the CFG node standing for a range statement's header
@@ -94,7 +86,6 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 	b.cur = b.cfg.Entry
 	b.stmtList(body.List)
 	if b.cur != nil { // fall off the end
-		b.cfg.FallOff = b.cur
 		b.toExit = append(b.toExit, b.cur)
 	}
 	exit := b.newBlock("exit")
@@ -287,17 +278,14 @@ func (b *cfgBuilder) ifStmt(s *ast.IfStmt) {
 	b.cur = nil
 
 	then := b.newBlock("if.then")
-	then.Cond, then.CondTaken = s.Cond, true
 	link(cond, then)
 	b.cur = then
 	b.stmtList(s.Body.List)
 	thenEnd := b.cur
 
-	// The else arm is always materialized, even when empty, so the
-	// condition's false outcome has a block to hang on — dataflow
-	// clients prune branch-refuted facts (x known nil) at block entry.
+	// The else arm is always materialized, even when empty, so every
+	// if has the same two-armed shape.
 	els := b.newBlock("if.else")
-	els.Cond, els.CondTaken = s.Cond, false
 	link(cond, els)
 	b.cur = els
 	if s.Else != nil {

@@ -26,15 +26,6 @@ type Problem interface {
 	Equal(a, b State) bool
 }
 
-// Enterer is an optional Problem extension: EnterBlock transforms the
-// state flowing into b, before it joins b's other inputs. Branch-arm
-// blocks carry their governing condition (BBlock.Cond/CondTaken), so
-// this is where a check prunes facts the branch refutes — a pointer
-// compared to nil is known nil on the arm that confirms it.
-type Enterer interface {
-	EnterBlock(b *BBlock, s State) State
-}
-
 // Solve runs p forward over g to a fixed point and returns the state
 // at entry to each block. Blocks never reached from Entry keep a nil
 // in-state; Transfer is not run over them on the final pass either, so
@@ -53,7 +44,6 @@ func Solve(g *CFG, p Problem) map[*BBlock]State {
 	work := []*BBlock{g.Entry}
 	queued := map[*BBlock]bool{g.Entry: true}
 	steps, maxSteps := 0, (len(g.Blocks)+2)*(len(g.Blocks)+2)*4
-	enter, _ := p.(Enterer)
 
 	for len(work) > 0 {
 		// Pop the block earliest in reverse postorder.
@@ -79,9 +69,6 @@ func Solve(g *CFG, p Problem) map[*BBlock]State {
 		}
 		for _, succ := range b.Succs {
 			next := s
-			if enter != nil {
-				next = enter.EnterBlock(succ, next)
-			}
 			if prev := in[succ]; prev != nil {
 				next = p.Join(prev, next)
 				if p.Equal(prev, next) {

@@ -90,49 +90,57 @@ func (c *counter) add(n int64) { c.v.Add(n) }
 func (c *counter) load() int64 { return c.v.Load() }
 
 // Counters behind Snapshot. The hot paths (Alloc, Free, GetBytes,
-// PutBytes) each touch exactly one: hits and in-flight are derived at
-// snapshot time, and the miss counters quiesce once the pools warm up.
+// PutBytes) each touch exactly one of the first four: hits, totals and
+// in-flight figures are derived at snapshot time, and the miss counters
+// quiesce once the pools warm up.
 var (
-	statAllocs      counter // every block or raw buffer handed out
+	statBlocks      counter // blocks handed out (Alloc, Copy, FromBytes)
+	statBlockFrees  counter // blocks whose last reference was freed
+	statRawGets     counter // raw buffers handed out (GetBytes)
+	statRawPuts     counter // raw buffers handed back (PutBytes)
 	statUnpooled    counter // allocations that never consulted a pool
 	statPoolMisses  counter // pool consulted, had to make a new buffer
-	statFrees       counter // every release (Free, PutBytes)
 	statBytesCopied counter // payload bytes copied at mandatory-copy points
 )
 
-// Stats is a snapshot of the allocator counters.
+// Stats is a snapshot of the allocator counters. The books keep blocks
+// and raw buffers apart: every block must come back through Free (the
+// leak gate reads InFlight), while a raw buffer that is never returned
+// simply falls to the garbage collector.
 type Stats struct {
-	Allocs      int64 // blocks handed out (Alloc, Copy, FromBytes)
+	Allocs      int64 // blocks and raw buffers handed out
 	PoolHits    int64 // allocations served from a pool
 	PoolMisses  int64 // allocations that had to make a new buffer
-	Frees       int64 // blocks released (refcount reached zero)
+	Frees       int64 // blocks and raw buffers released
 	BytesCopied int64 // payload bytes copied at mandatory-copy points
-	InFlight    int64 // Allocs - Frees: blocks currently owned somewhere
+	InFlight    int64 // blocks allocated and not yet freed
+	RawInFlight int64 // GetBytes buffers not handed back to PutBytes
 }
 
-// Snapshot returns the current allocator counters. PoolHits and
-// InFlight are derived (hits = pooled attempts minus misses, in
-// flight = allocs minus frees), so a snapshot taken while traffic is
-// moving can be off by the few operations in progress.
+// Snapshot returns the current allocator counters. PoolHits, the
+// totals and the in-flight figures are derived, so a snapshot taken
+// while traffic is moving can be off by the few operations in
+// progress.
 func Snapshot() Stats {
-	allocs := statAllocs.load()
+	blocks, blockFrees := statBlocks.load(), statBlockFrees.load()
+	raw, rawPuts := statRawGets.load(), statRawPuts.load()
 	unpooled := statUnpooled.load()
 	misses := statPoolMisses.load()
-	frees := statFrees.load()
 	return Stats{
-		Allocs:      allocs,
-		PoolHits:    allocs - unpooled - misses,
+		Allocs:      blocks + raw,
+		PoolHits:    blocks + raw - unpooled - misses,
 		PoolMisses:  misses,
-		Frees:       frees,
+		Frees:       blockFrees + rawPuts,
 		BytesCopied: statBytesCopied.load(),
-		InFlight:    allocs - frees,
+		InFlight:    blocks - blockFrees,
+		RawInFlight: raw - rawPuts,
 	}
 }
 
 // String formats the counters in the ASCII style of a stats file.
 func (s Stats) String() string {
-	return fmt.Sprintf("allocs: %d\npool hits: %d\npool misses: %d\nfrees: %d\nbytes copied: %d\nin flight: %d\n",
-		s.Allocs, s.PoolHits, s.PoolMisses, s.Frees, s.BytesCopied, s.InFlight)
+	return fmt.Sprintf("allocs: %d\npool hits: %d\npool misses: %d\nfrees: %d\nbytes copied: %d\nin flight: %d\nraw in flight: %d\n",
+		s.Allocs, s.PoolHits, s.PoolMisses, s.Frees, s.BytesCopied, s.InFlight, s.RawInFlight)
 }
 
 // classFor returns the smallest class index whose size holds n, or -1.
@@ -153,7 +161,7 @@ func classFor(n int) int {
 // data, unlinked and unstamped, whatever it was when it was freed.
 func Alloc(n, headroom int) *Block {
 	total := headroom + n + tailReserve
-	statAllocs.add(1)
+	statBlocks.add(1)
 	class := classFor(total)
 	var b *Block
 	if class >= 0 {
@@ -172,6 +180,7 @@ func Alloc(n, headroom int) *Block {
 	b.wp = headroom + n
 	b.Next, b.Type, b.Delim = nil, Data, false
 	b.refs.Store(1)
+	track(b)
 	return b
 }
 
@@ -188,10 +197,11 @@ func Copy(p []byte, headroom int) *Block {
 // buffer does not come from (or return to) a pool; Free releases only
 // the reference. The caller transfers ownership of p.
 func FromBytes(p []byte) *Block {
-	statAllocs.add(1)
+	statBlocks.add(1)
 	statUnpooled.add(1)
 	b := &Block{buf: p, rp: 0, wp: len(p), class: -1}
 	b.refs.Store(1)
+	track(b)
 	return b
 }
 
@@ -304,7 +314,8 @@ func (b *Block) Free() {
 	case n < 0:
 		panic("block: double free")
 	}
-	statFrees.add(1)
+	statBlockFrees.add(1)
+	untrack(b)
 	if b.class >= 0 {
 		classPools[b.class].Put(b)
 	}
@@ -315,7 +326,7 @@ func (b *Block) Free() {
 // transports. Return it with PutBytes when done; a buffer that is
 // never returned simply falls to the garbage collector.
 func GetBytes(n int) []byte {
-	statAllocs.add(1)
+	statRawGets.add(1)
 	class := classFor(n)
 	if class >= 0 {
 		if v := classPools[class].Get(); v != nil {
@@ -338,7 +349,7 @@ func GetBytes(n int) []byte {
 // is the same corruption hazard as a double Free. Unrecognized
 // capacities are dropped to the garbage collector.
 func PutBytes(p []byte) {
-	statFrees.add(1)
+	statRawPuts.add(1)
 	c := cap(p)
 	for i, sz := range classSizes {
 		if c == sz {

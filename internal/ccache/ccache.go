@@ -56,10 +56,11 @@ type Cache struct {
 	frag int
 	max  int64
 
-	mu    sync.Mutex
-	files map[uint64]*cfile
-	lru   fragList
-	size  int64
+	mu       sync.Mutex
+	files    map[uint64]*cfile
+	lru      fragList
+	size     int64
+	released bool // Release ran: nothing is stored any more
 
 	// Counters for the stats file.
 	Hits          obs.Counter // reads served from a resident fragment
@@ -130,6 +131,24 @@ func New(cfg Config) *Cache {
 		max:   cfg.MaxBytes,
 		files: make(map[uint64]*cfile),
 	}
+}
+
+// Release hands the cache's residency back: every fragment's block
+// goes back to the pool (a reader still holding a reference keeps its
+// bytes until it frees them). Whoever owns the cache calls it at
+// teardown; a released cache stores nothing, and reads through it fill
+// from the backing tree every time.
+func (c *Cache) Release() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.released = true
+	for c.lru.head != nil {
+		fr := c.lru.head
+		c.lru.remove(fr)
+		fr.b.Free()
+	}
+	c.files = map[uint64]*cfile{}
+	c.size = 0
 }
 
 // StatsGroup returns the cache's counters as a renderable stats group.
@@ -232,12 +251,13 @@ func (c *Cache) lookup(path uint64, fo int64) (*block.Block, []byte) {
 // for the caller to serve from. If a concurrent filler won the race,
 // the newcomer is freed and the resident fragment served instead —
 // last fill does not clobber the LRU position of a fragment already
-// hot.
-//
-//netvet:owns b
+// hot. A released cache hands b straight back.
 func (c *Cache) insert(path uint64, vers uint32, fo int64, b *block.Block) (*block.Block, []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.released {
+		return b, b.Bytes()
+	}
 	f := c.files[path]
 	if f == nil {
 		f = &cfile{path: path, vers: vers, frags: make(map[int64]*cfrag)}

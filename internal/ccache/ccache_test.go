@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/obs"
 	"repro/internal/vfs"
 )
 
@@ -105,6 +106,7 @@ func openCached(t *testing.T, c *Cache, n vfs.Node) vfs.Handle {
 
 func TestCacheHitSkipsBacking(t *testing.T) {
 	c := New(Config{FragSize: 8192})
+	defer c.Release()
 	n := newMemNode(pattern(8192, 1))
 	h1 := openCached(t, c, n)
 	defer h1.Close()
@@ -139,8 +141,40 @@ func TestCacheHitSkipsBacking(t *testing.T) {
 	}
 }
 
+// TestReleaseFreesResidency: Release frees every resident fragment
+// (the package's leak gate counts the blocks), and a released cache
+// still serves reads, from the backing tree, storing nothing.
+func TestReleaseFreesResidency(t *testing.T) {
+	c := New(Config{FragSize: 8192})
+	n := newMemNode(pattern(2*8192, 1))
+	h := openCached(t, c, n)
+	defer h.Close()
+	for off := int64(0); off < 2*8192; off += 8192 {
+		b, _, err := h.(*chandle).ReadBlock(8192, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Free()
+	}
+	c.Release()
+	if got := obs.ParseStats(c.StatsGroup().Render())["cache-bytes"]; got != 0 {
+		t.Fatalf("cache-bytes %d after Release, want 0", got)
+	}
+	reads := n.reads.Load()
+	b, data, err := h.(*chandle).ReadBlock(8192, 0)
+	if err != nil || !bytes.Equal(data, n.data[:8192]) {
+		t.Fatalf("read after Release: %v", err)
+	}
+	b.Free()
+	if n.reads.Load() == reads || c.Stores.Load() != 2 {
+		t.Fatalf("released cache: backing reads %d -> %d, stores %d; want a backing read and 2 stores",
+			reads, n.reads.Load(), c.Stores.Load())
+	}
+}
+
 func TestWriteThroughInvalidates(t *testing.T) {
 	c := New(Config{FragSize: 8192})
+	defer c.Release()
 	n := newMemNode(pattern(8192, 1))
 	h := openCached(t, c, n)
 	defer h.Close()
@@ -172,6 +206,7 @@ func TestWriteThroughInvalidates(t *testing.T) {
 
 func TestVersionMoveDropsFragments(t *testing.T) {
 	c := New(Config{FragSize: 8192})
+	defer c.Release()
 	n := newMemNode(pattern(8192, 1))
 	h := openCached(t, c, n)
 	buf := make([]byte, 8192)
@@ -204,6 +239,7 @@ func TestVersionMoveDropsFragments(t *testing.T) {
 func TestEvictionHoldsByteBound(t *testing.T) {
 	const frag = 4096
 	c := New(Config{FragSize: frag, MaxBytes: 2 * frag})
+	defer c.Release()
 	n := newMemNode(pattern(8*frag, 3))
 	h := openCached(t, c, n)
 	defer h.Close()
@@ -238,6 +274,7 @@ func TestEvictionHoldsByteBound(t *testing.T) {
 
 func TestRefcountedFanoutSurvivesInvalidation(t *testing.T) {
 	c := New(Config{FragSize: 8192})
+	defer c.Release()
 	n := newMemNode(pattern(100, 5))
 	h := openCached(t, c, n)
 	defer h.Close()
@@ -259,6 +296,7 @@ func TestRefcountedFanoutSurvivesInvalidation(t *testing.T) {
 func TestStraddlingAndUnalignedReads(t *testing.T) {
 	const frag = 4096
 	c := New(Config{FragSize: frag})
+	defer c.Release()
 	content := pattern(3*frag+123, 9)
 	n := newMemNode(content)
 	h := openCached(t, c, n)
@@ -284,6 +322,7 @@ func TestStraddlingAndUnalignedReads(t *testing.T) {
 
 func TestUnstableHandleNotCached(t *testing.T) {
 	c := New(Config{})
+	defer c.Release()
 	n := newMemNode(pattern(10, 1))
 	// A device-style handle that does not declare vfs.Stable must
 	// pass through unwrapped.
@@ -316,6 +355,7 @@ func TestAllocsCacheHitReadBlock(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	c := New(Config{FragSize: 8192})
+	defer c.Release()
 	n := newMemNode(pattern(8192, 2))
 	h := openCached(t, c, n)
 	defer h.Close()

@@ -44,6 +44,7 @@ func (n *memNode) Wstat(d vfs.Dir) error {
 
 func TestNodeInterposition(t *testing.T) {
 	c := New(Config{FragSize: 4096})
+	defer c.Release()
 	dir := newMemNode(nil)
 	dir.qid.Type = vfs.QTDIR
 	wn := c.WrapNode(dir)
@@ -129,6 +130,7 @@ func TestNodeInterposition(t *testing.T) {
 
 func TestWrapHandleDeclines(t *testing.T) {
 	c := New(Config{})
+	defer c.Release()
 	// A directory qid never caches, even with a Stable handle.
 	dir := newMemNode([]byte("dirent bytes"))
 	dir.qid.Type = vfs.QTDIR
@@ -149,6 +151,7 @@ func TestWrapHandleDeclines(t *testing.T) {
 
 func TestReadBlockEdges(t *testing.T) {
 	c := New(Config{FragSize: 4096})
+	defer c.Release()
 	n := newMemNode([]byte("short tail"))
 	h := openCached(t, c, n)
 	defer h.Close()
@@ -185,6 +188,7 @@ func TestReadBlockEdges(t *testing.T) {
 func TestReadPartialThenError(t *testing.T) {
 	const frag = 4096
 	c := New(Config{FragSize: frag})
+	defer c.Release()
 	n := newMemNode(bytes.Repeat([]byte("z"), frag))
 	h := openCached(t, c, n)
 	defer h.Close()
@@ -205,6 +209,7 @@ func TestReadPartialThenError(t *testing.T) {
 
 func TestInsertRaceKeepsResident(t *testing.T) {
 	c := New(Config{FragSize: 512})
+	defer c.Release()
 	fill := func(seed byte) *block.Block {
 		b := block.Alloc(512, 0)
 		for i := range b.Bytes() {
@@ -228,6 +233,7 @@ func TestInsertRaceKeepsResident(t *testing.T) {
 
 func TestInvalidateMissesAreQuiet(t *testing.T) {
 	c := New(Config{FragSize: 512})
+	defer c.Release()
 	// Nothing cached: every invalidation entry point is a no-op.
 	c.invalidateRange(99, 0, 100)
 	c.invalidateRange(99, 0, 0)
@@ -240,6 +246,7 @@ func TestInvalidateMissesAreQuiet(t *testing.T) {
 
 func TestStatsGroupRender(t *testing.T) {
 	c := New(Config{FragSize: 4096})
+	defer c.Release()
 	n := newMemNode([]byte("statful"))
 	h := openCached(t, c, n)
 	h.Read(make([]byte, 16), 0)

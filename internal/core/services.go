@@ -164,6 +164,7 @@ func (m *Machine) exportSrv() (*exportfs.Server, error) {
 		m.mu.Unlock()
 		return nil, err
 	}
+	m.onClose(srv.Close)
 	return srv, nil
 }
 
@@ -249,6 +250,7 @@ func (m *Machine) Serve9P(addr, root string, mods ...string) (func(), error) {
 		Root:  root,
 		Clock: m.World.Clock(),
 	})
+	m.onClose(srv.Close)
 	return m.Serve(addr, func(nsp *ns.Namespace, conn *dialer.Conn) {
 		srv.ServeConn(msgConnFor(conn))
 	}, mods...)

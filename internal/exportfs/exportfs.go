@@ -88,6 +88,15 @@ func (s *Server) ServeConn(conn ninep.MsgConn) error {
 	return s.srv.ServeConn(conn)
 }
 
+// Close releases the server's read cache, whose fragments would
+// otherwise outlive it; the server's owner calls it at teardown.
+// Connections still being served keep working, uncached.
+func (s *Server) Close() {
+	if s.cache != nil {
+		s.cache.Release()
+	}
+}
+
 // Cache exposes the shared read cache (nil when disabled), for stats
 // and tests.
 func (s *Server) Cache() *ccache.Cache { return s.cache }
@@ -115,7 +124,9 @@ func (s *Server) Stats() string {
 // joined beneath root. It is the single-connection form: a throwaway
 // Server per transport.
 func Serve(conn ninep.MsgConn, nsp *ns.Namespace, root string, ck vclock.Clock) error {
-	return NewServer(nsp, Config{Root: root, Clock: ck}).ServeConn(conn)
+	s := NewServer(nsp, Config{Root: root, Clock: ck})
+	defer s.Close()
+	return s.ServeConn(conn)
 }
 
 // ImportConfig mounts the tree exported on conn at mountpoint old in

@@ -65,7 +65,9 @@ func gatewayServer(t *testing.T, files map[string]string) *Server {
 			t.Fatal(err)
 		}
 	}
-	return NewServer(ns.New("gw", rfs.Root()), Config{Clock: vclock.Real})
+	srv := NewServer(ns.New("gw", rfs.Root()), Config{Clock: vclock.Real})
+	t.Cleanup(srv.Close)
+	return srv
 }
 
 func TestCollidingFidsAndTagsAreIsolated(t *testing.T) {

@@ -15,14 +15,14 @@ import (
 func FuzzParseHeader(f *testing.F) {
 	// Seed with a valid packet, a truncated one, a bit-flipped one,
 	// and pathological lengths.
-	valid := marshalBlock(header{typ: msgData, src: 17008, dst: 1234, id: 7, ack: 3}, []byte("9fs payload")).Bytes()
+	valid := marshalBytes(header{typ: msgData, src: 17008, dst: 1234, id: 7, ack: 3}, []byte("9fs payload"))
 	f.Add(valid)
 	f.Add(valid[:HdrLen])
 	f.Add(valid[:HdrLen-1])
 	flipped := append([]byte(nil), valid...)
 	flipped[4] ^= 0x04
 	f.Add(flipped)
-	short := marshalBlock(header{typ: msgSync, id: 1}, nil).Bytes()
+	short := marshalBytes(header{typ: msgSync, id: 1}, nil)
 	short[2], short[3] = 0xff, 0xff // length field beyond the buffer
 	f.Add(short)
 	f.Add([]byte{})
@@ -43,7 +43,7 @@ func FuzzParseHeader(f *testing.F) {
 		}
 		// Round trip: re-marshaling the parsed packet yields a packet
 		// the parser accepts with identical contents.
-		q := marshalBlock(h, data).Bytes()
+		q := marshalBytes(h, data)
 		h2, data2, ok2 := unmarshal(q)
 		if !ok2 {
 			t.Fatalf("re-marshaled packet rejected: %x", q)

@@ -152,8 +152,6 @@ func New(stack *ip.Stack) *Proto {
 
 // send hands one packet to IP on the caller's goroutine, which may hold
 // a conversation lock: the IP send path never parks.
-//
-//netvet:owns pkt
 func (p *Proto) send(src, dst ip.Addr, pkt *block.Block) {
 	p.MsgsSent.Add(1)
 	p.Stack.SendBlock(ip.ProtoIL, src, dst, pkt)

@@ -372,13 +372,21 @@ func TestStatusAndAddrs(t *testing.T) {
 	})
 }
 
+// marshalBytes is marshalBlock for a test that wants the packet's bytes:
+// a copy, with the block freed.
+func marshalBytes(h header, data []byte) []byte {
+	b := marshalBlock(h, data)
+	defer b.Free()
+	return bytes.Clone(b.Bytes())
+}
+
 func TestHeaderRoundTripQuick(t *testing.T) {
 	f := func(typ, spec byte, src, dst uint16, id, ack uint32, data []byte) bool {
 		if len(data) > 1024 {
 			data = data[:1024]
 		}
 		h := header{typ: typ % 6, spec: spec, src: src, dst: dst, id: id, ack: ack}
-		g, d, ok := unmarshal(marshalBlock(h, data).Bytes())
+		g, d, ok := unmarshal(marshalBytes(h, data))
 		return ok && g == h && bytes.Equal(d, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -387,7 +395,7 @@ func TestHeaderRoundTripQuick(t *testing.T) {
 }
 
 func TestUnmarshalRejectsCorruption(t *testing.T) {
-	pkt := marshalBlock(header{typ: msgData, src: 1, dst: 2, id: 3, ack: 4}, []byte("x")).Bytes()
+	pkt := marshalBytes(header{typ: msgData, src: 1, dst: 2, id: 3, ack: 4}, []byte("x"))
 	pkt[6] ^= 0x10
 	if _, _, ok := unmarshal(pkt); ok {
 		t.Error("corrupted IL packet accepted (checksum)")
@@ -731,8 +739,8 @@ func TestCorruptionOnTheWireIsDetected(t *testing.T) {
 // all single-bit corruption (the Internet checksum's guarantee): no
 // flipped packet may parse.
 func TestUnmarshalRejectsEverySingleBitFlip(t *testing.T) {
-	pkt := marshalBlock(header{typ: msgData, spec: specEOM, src: 17008, dst: 5757, id: 99, ack: 42},
-		[]byte("the quick brown fox jumps over the lazy dog")).Bytes()
+	pkt := marshalBytes(header{typ: msgData, spec: specEOM, src: 17008, dst: 5757, id: 99, ack: 42},
+		[]byte("the quick brown fox jumps over the lazy dog"))
 	if _, _, ok := unmarshal(pkt); !ok {
 		t.Fatal("pristine packet rejected")
 	}

@@ -267,8 +267,6 @@ func (st *Stack) MTUFor(dst Addr) int {
 // and never calls a transport back, so transports call it with their
 // conversation locks held: a packet for a local address goes on the
 // loopback medium, not straight to its handler.
-//
-//netvet:owns b
 func (st *Stack) SendBlock(proto uint8, src, dst Addr, b *block.Block) error {
 	if !st.IsLocal(dst) {
 		return st.sendRemote(proto, src, dst, b)

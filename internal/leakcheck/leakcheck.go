@@ -1,18 +1,29 @@
-// Package leakcheck is the repo's goroutine-leak gate. netvet has no
-// static counterpart: a simulated machine starts its goroutines through
-// its clock, where a check of go statements cannot follow them. A test
-// that spins up stream queues, protocol engines, or a whole paper-world
-// must wind every goroutine down when its machines close; a survivor
-// either wedges a later test or hides a real shutdown bug. Check diffs
-// the live goroutine set against the module's own code paths after the
-// test body returns, giving stragglers a grace period to finish parking
-// out of existence.
+// Package leakcheck is the repo's leak gate, for goroutines and for
+// blocks. netvet has no static counterpart for either: a simulated
+// machine starts its goroutines through its clock, where a check of go
+// statements cannot follow them, and a block handed on by ownership
+// (§2.4) is freed wherever its last owner happens to be.
 //
-// Usage, one line per test:
+// A test that spins up stream queues, protocol engines, or a whole
+// paper-world must wind every goroutine down when its machines close; a
+// survivor either wedges a later test or hides a real shutdown bug.
+// The gate diffs the live goroutine set against the module's own code
+// paths after the test body returns, giving stragglers a grace period
+// to finish parking out of existence.
+//
+// Once a package's goroutines are gone, every block it allocated must
+// be back: Main fails the package if the block allocator's books show
+// one in flight. A -race build records each live block's allocation
+// site, and the failure names the sites; a plain build reports the
+// count. Raw GetBytes buffers are not gated: they may fall to the
+// garbage collector by design.
+//
+// Usage, one line per test (goroutines only: tests that run in
+// parallel share the block books):
 //
 //	defer leakcheck.Check(t)
 //
-// or one gate for a whole package:
+// or one gate for a whole package, goroutines and blocks:
 //
 //	func TestMain(m *testing.M) { leakcheck.Main(m) }
 package leakcheck
@@ -24,6 +35,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/block"
 )
 
 // maxWait bounds how long a lingering goroutine is given to exit
@@ -43,17 +56,36 @@ func Check(t testing.TB) {
 	}
 }
 
-// Main wraps m.Run for packages that prefer a single gate at process
-// exit over per-test checks.
+// Main wraps m.Run for packages that take a single gate at process
+// exit, for goroutines and then for blocks.
 func Main(m *testing.M) {
 	code := m.Run()
 	if code == 0 {
 		if leaked := wait(); len(leaked) > 0 {
 			fmt.Fprintf(os.Stderr, "leakcheck: leaked %d goroutine(s):\n\n%s\n", len(leaked), strings.Join(leaked, "\n\n"))
 			code = 1
+		} else if msg := unfreed(); msg != "" {
+			fmt.Fprintln(os.Stderr, msg)
+			code = 1
 		}
 	}
 	os.Exit(code)
+}
+
+// unfreed reads the block allocator's books: empty when every block
+// is back, else the count and, under -race, the allocation sites.
+func unfreed() string {
+	n := block.Snapshot().InFlight
+	if n == 0 {
+		return ""
+	}
+	msg := fmt.Sprintf("leakcheck: %d block(s) never freed", n)
+	if sites := block.Outstanding(); len(sites) > 0 {
+		msg += ", allocated at:\n\t" + strings.Join(sites, "\n\t")
+	} else {
+		msg += " (run with -race to name their allocation sites)"
+	}
+	return msg
 }
 
 // wait polls for the interesting set to drain, with exponential

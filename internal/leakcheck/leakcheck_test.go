@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/block"
 )
 
 // fakeTB records the failure Check reports instead of failing the
@@ -58,5 +60,26 @@ func TestGracePeriodCoversLateExits(t *testing.T) {
 	Check(f)
 	if f.failed {
 		t.Fatalf("goroutine that exits within the grace period flagged:\n%s", f.msg)
+	}
+}
+
+// TestUnfreedBlockFailsTheBooks: a block allocated and never freed is
+// what Main's block books report, by count and, under -race, by the
+// site that allocated it; once it is freed the books are clean.
+func TestUnfreedBlockFailsTheBooks(t *testing.T) {
+	if msg := unfreed(); msg != "" {
+		t.Fatalf("books not clean before the test:\n%s", msg)
+	}
+	b := block.Alloc(64, 0)
+	msg := unfreed()
+	b.Free()
+	if !strings.Contains(msg, "1 block(s) never freed") {
+		t.Errorf("unfreed block not reported:\n%s", msg)
+	}
+	if block.RaceEnabled && !strings.Contains(msg, "TestUnfreedBlockFailsTheBooks") {
+		t.Errorf("report does not name the allocation site:\n%s", msg)
+	}
+	if msg := unfreed(); msg != "" {
+		t.Errorf("books not clean after the free:\n%s", msg)
 	}
 }

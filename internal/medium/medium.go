@@ -118,8 +118,6 @@ func (p *Pipe) Send(msg []byte) error { return p.send(msg, false) }
 // SendOwned is Send for a buffer whose ownership the caller hands
 // over: the unimpaired path queues msg itself, skipping the defensive
 // wire copy. The caller must not touch msg afterwards.
-//
-//netvet:owns msg
 func (p *Pipe) SendOwned(msg []byte) error { return p.send(msg, true) }
 
 func (p *Pipe) send(msg []byte, owned bool) error {
@@ -225,8 +223,6 @@ func AssembleDuplex(tx, rx *Pipe) *Duplex { return &Duplex{tx: tx, rx: rx} }
 func (d *Duplex) Send(msg []byte) error { return d.tx.Send(msg) }
 
 // SendOwned transmits a buffer whose ownership the caller hands over.
-//
-//netvet:owns msg
 func (d *Duplex) SendOwned(msg []byte) error { return d.tx.SendOwned(msg) }
 
 // Recv receives from the peer end.

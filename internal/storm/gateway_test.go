@@ -14,7 +14,6 @@ func TestSmallGatewayStormCompletes(t *testing.T) {
 		Machines: 40,
 		Sim:      20 * time.Second,
 		Seed:     5,
-		Virtual:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +43,7 @@ func TestSmallGatewayStormCompletes(t *testing.T) {
 // discrete-event scheduler serializes every tenant's every miss
 // identically.
 func TestGatewayStormDeterminism(t *testing.T) {
-	cfg := Config{Machines: 40, Sim: 15 * time.Second, Seed: 11, Virtual: true}
+	cfg := Config{Machines: 40, Sim: 15 * time.Second, Seed: 11}
 	r1, err := RunGateway(cfg)
 	if err != nil {
 		t.Fatal(err)

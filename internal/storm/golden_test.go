@@ -15,7 +15,7 @@ import (
 // captured before the three runners were folded onto one harness and
 // must not be regenerated to make a refactor pass.
 func TestReportsPinned(t *testing.T) {
-	cfg := Config{Machines: 24, Sim: 6 * time.Second, Seed: 3, Virtual: true}
+	cfg := Config{Machines: 24, Sim: 6 * time.Second, Seed: 3}
 	for _, tc := range []struct {
 		name string
 		run  func() (fmt.Stringer, error)

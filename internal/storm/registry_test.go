@@ -14,7 +14,6 @@ func TestRegistryStormCompletes(t *testing.T) {
 		Machines: 40,
 		Sim:      8 * time.Second,
 		Seed:     5,
-		Virtual:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +49,7 @@ func TestRegistryStormCompletes(t *testing.T) {
 // counters, and the merged latency histogram all agree across runs —
 // and a different seed moves the numbers.
 func TestRegistryStormDeterminism(t *testing.T) {
-	cfg := Config{Machines: 60, Sim: 4 * time.Second, Seed: 7, Virtual: true}
+	cfg := Config{Machines: 60, Sim: 4 * time.Second, Seed: 7}
 	r1, err := RunRegistry(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@ func runRelay(seed int64) (string, error) {
 		return err
 	}
 	var report string
-	cfg := Config{Machines: 1 + relayTerminals, Seed: seed, Virtual: true}
+	cfg := Config{Machines: 1 + relayTerminals, Seed: seed}
 	_, err := runOn(cfg, serve, func(w *world) error {
 		gw, terminals := w.machines[0], w.machines[1:]
 		up, err := gw.ImportConfig("dk!nj/astro/registry!exportfs", "/lib", "/n/fs", ns.MREPL, mnt.FileConfig())

@@ -56,9 +56,6 @@ type Config struct {
 	// Seed pins the call pacing and payload sizes (and, through the
 	// medium, any impairment decisions).
 	Seed int64
-	// Virtual runs the world on a discrete-event clock; otherwise the
-	// storm burns real time.
-	Virtual bool
 }
 
 func (c Config) withDefaults() Config {
@@ -101,11 +98,10 @@ type world struct {
 	machines []*core.Machine
 }
 
-// runOn is the harness. It makes a world for cfg — on a fresh
-// discrete-event clock if cfg.Virtual, else on the real one — boots
-// it, runs scenario in it, tears it down, and returns the wall-clock
-// time the whole exercise took. serve sets the registry machine up
-// before the callers boot.
+// runOn is the harness. It makes a world for cfg on a fresh
+// discrete-event clock, boots it, runs scenario in it, tears it down,
+// and returns the wall-clock time the whole exercise took. serve sets
+// the registry machine up before the callers boot.
 func runOn(cfg Config, serve func(reg *core.Machine) error, scenario func(w *world) error) (time.Duration, error) {
 	run := func(ck vclock.Clock) error {
 		cw, err := core.NewWorldClock(ndbText(cfg.Machines), ck)
@@ -120,12 +116,7 @@ func runOn(cfg Config, serve func(reg *core.Machine) error, scenario func(w *wor
 		return scenario(w)
 	}
 	wall := time.Now() //netvet:ignore realtime wall-clock half of the simulation report
-	var err error
-	if cfg.Virtual {
-		err = vclock.Simulate(run)
-	} else {
-		err = run(vclock.Real)
-	}
+	err := vclock.Simulate(run)
 	return time.Since(wall), err //netvet:ignore realtime wall-clock half of the simulation report
 }
 

@@ -13,7 +13,6 @@ func TestSmallStormCompletes(t *testing.T) {
 		Machines: 40,
 		Sim:      20 * time.Second,
 		Seed:     5,
-		Virtual:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +40,7 @@ func TestSmallStormCompletes(t *testing.T) {
 // and byte for byte, because the discrete-event scheduler serializes
 // every machine's every decision identically.
 func TestStormDeterminism(t *testing.T) {
-	cfg := Config{Machines: 60, Sim: 15 * time.Second, Seed: 11, Virtual: true}
+	cfg := Config{Machines: 60, Sim: 15 * time.Second, Seed: 11}
 	r1, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

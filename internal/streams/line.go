@@ -68,8 +68,6 @@ func NewLine(conn io.ReadWriteCloser, ck vclock.Clock, limit int) *Line {
 // deviceOut is the stream's device end: it runs on the put chain's
 // goroutine (under the stream's config read lock) and hands each
 // complete wire block to the transport in one write.
-//
-//netvet:owns b
 func (l *Line) deviceOut(b *Block) {
 	if b.Type != BlockData {
 		b.Free()

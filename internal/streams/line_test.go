@@ -3,6 +3,7 @@ package streams
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -112,6 +113,45 @@ func TestLineCloseMidWindow(t *testing.T) {
 	l1.Close()
 	<-done
 	l2.Close()
+}
+
+// recordConn is a transport that records each write and whose reads
+// wait for Close.
+type recordConn struct {
+	mu     sync.Mutex
+	wrote  []string
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (c *recordConn) Read([]byte) (int, error) { <-c.closed; return 0, io.EOF }
+func (c *recordConn) Close() error             { c.once.Do(func() { close(c.closed) }); return nil }
+func (c *recordConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.wrote = append(c.wrote, string(p))
+	return len(p), nil
+}
+
+// TestLineDeviceEndFreesControlBlocks sends a control message that no
+// module absorbs: it reaches the Line's device end, which writes
+// nothing for it and frees it (the package's leak gate counts the
+// block), and the data message after it crosses alone.
+func TestLineDeviceEndFreesControlBlocks(t *testing.T) {
+	conn := &recordConn{closed: make(chan struct{})}
+	l := NewLine(conn, vclock.Real, 0)
+	if err := l.WriteCtl("module-specific"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Write([]byte("data")); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	conn.mu.Lock()
+	defer conn.mu.Unlock()
+	if len(conn.wrote) != 1 || conn.wrote[0] != "data" {
+		t.Fatalf("transport saw writes %q, want just \"data\"", conn.wrote)
+	}
 }
 
 // duplexConn is a medium.Duplex — an in-memory link that queues what

@@ -328,8 +328,6 @@ func (s *Stream) Read(p []byte) (int, error) {
 // handler's kernel process does with received data (§2.4.2). The
 // device sets Delim on a block that ends a message; a device that only
 // borrows its receive buffer copies it first (NewBlock).
-//
-//netvet:owns b
 func (s *Stream) DeviceUp(b *Block) {
 	// Held across the chain for the same reason as Write: see there.
 	s.cfg.RLock()

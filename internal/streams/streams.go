@@ -156,15 +156,11 @@ func (q *Queue) Other() *Queue { return q.other }
 
 // Put hands a block to this queue's put routine on the caller's
 // goroutine — the fundamental stream operation.
-//
-//netvet:owns b
 func (q *Queue) Put(b *Block) { q.put(q, b) }
 
 // PutNext forwards a block to the next module in this direction; put
 // routines use it to continue the chain ("the first put routine calls
 // the second, the second calls the third, and so on").
-//
-//netvet:owns b
 func (q *Queue) PutNext(b *Block) {
 	if n := q.next; n != nil {
 		n.put(n, b)
@@ -174,8 +170,6 @@ func (q *Queue) PutNext(b *Block) {
 // Enqueue adds a block to the queue's local list, blocking while the
 // queue is over its limit (flow control), and wakes readers. Hangup
 // blocks mark the queue so readers drain and then see EOF.
-//
-//netvet:owns b
 func (q *Queue) Enqueue(b *Block) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -254,11 +248,13 @@ func (q *Queue) dequeueLocked() *Block {
 // It must wake waiting readers just as Enqueue does: the block it
 // re-heads is readable data, and a second reader parked in Get would
 // otherwise sleep through it until unrelated traffic arrived.
-//
-//netvet:owns b
 func (q *Queue) putback(b *Block) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if q.closed {
+		b.Free() // the stream closed under the reader: discarded
+		return
+	}
 	b.Next = q.first
 	q.first = b
 	if q.last == nil {
@@ -282,10 +278,14 @@ func (q *Queue) Hungup() bool {
 	return q.hungup
 }
 
-// close marks the queue dead and wakes all waiters.
+// close marks the queue dead, frees the blocks still queued (a closed
+// stream's queued data is discarded) and wakes all waiters.
 func (q *Queue) close() {
 	q.mu.Lock()
 	q.closed = true
+	for q.first != nil {
+		q.dequeueLocked().Free()
+	}
 	q.rwait.Broadcast()
 	q.wwait.Broadcast()
 	q.mu.Unlock()
@@ -294,12 +294,8 @@ func (q *Queue) close() {
 // PutQ is the default put routine for a queueing module side: it
 // enqueues locally for a helper process (or the user read path) to
 // consume later.
-//
-//netvet:owns b
 func PutQ(q *Queue, b *Block) { q.Enqueue(b) }
 
 // PassPut forwards every block to the next module unchanged — the
 // identity processing module side.
-//
-//netvet:owns b
 func PassPut(q *Queue, b *Block) { q.PutNext(b) }

@@ -87,6 +87,11 @@ func TestLargeWriteSplitsAt32K(t *testing.T) {
 	var blocks []*Block
 	s := New(1<<20, func(b *Block) { blocks = append(blocks, b) })
 	defer s.Close()
+	defer func() {
+		for _, b := range blocks {
+			b.Free()
+		}
+	}()
 	payload := bytes.Repeat([]byte("x"), MaxBlock+1000)
 	s.Write(payload)
 	if len(blocks) != 2 {
@@ -109,6 +114,7 @@ func TestSingleBlockWriteIsAtomic(t *testing.T) {
 		mu.Lock()
 		sizes = append(sizes, b.Len())
 		mu.Unlock()
+		b.Free()
 	})
 	defer s.Close()
 	var wg sync.WaitGroup
@@ -267,6 +273,7 @@ func TestFrameModuleRestoresDelimiters(t *testing.T) {
 				nb := NewBlock([]byte{c})
 				(*dst).DeviceUp(nb)
 			}
+			blk.Free()
 		}
 	}
 	a = New(1<<20, reframe(&b))
@@ -318,6 +325,7 @@ func TestQueueGetTryGetPutback(t *testing.T) {
 	s := New(0, nil)
 	defer s.Close()
 	q := newQueue(s, nil, true, PutQ)
+	defer q.close()
 	if q.TryGet() != nil {
 		t.Error("TryGet on empty queue returned a block")
 	}
@@ -335,6 +343,7 @@ func TestQueueGetTryGetPutback(t *testing.T) {
 	if string(b2.Bytes()) != "a" {
 		t.Errorf("putback order broken: %q", b2.Bytes())
 	}
+	b2.Free()
 }
 
 // A block fanned out by Ref is read-only, and the queue link is part of

@@ -11,12 +11,12 @@ import (
 // and a header and payload that marshalBlock turns back into a segment
 // it parses identically.
 func FuzzUnmarshal(f *testing.F) {
-	valid := marshalBlock(header{src: 5001, dst: 564, seq: 99, ack: 42, flags: flagACK, win: 4096}, []byte("9P over marshaling")).Bytes()
+	valid := marshalBytes(header{src: 5001, dst: 564, seq: 99, ack: 42, flags: flagACK, win: 4096}, []byte("9P over marshaling"))
 	f.Add(valid)
 	f.Add(valid[:HdrLen])
 	f.Add(valid[:HdrLen-1])
-	f.Add(marshalBlock(header{src: 5001, dst: 564, seq: 1, flags: flagSYN}, nil).Bytes())
-	f.Add(marshalBlock(header{flags: flagFIN | flagACK, win: 0xffff}, []byte("odd")).Bytes())
+	f.Add(marshalBytes(header{src: 5001, dst: 564, seq: 1, flags: flagSYN}, nil))
+	f.Add(marshalBytes(header{flags: flagFIN | flagACK, win: 0xffff}, []byte("odd")))
 	flipped := append([]byte(nil), valid...)
 	flipped[12] ^= flagRST
 	f.Add(flipped)

@@ -318,13 +318,21 @@ func TestStatusLines(t *testing.T) {
 	}
 }
 
+// marshalBytes is marshalBlock for a test that wants the segment's bytes:
+// a copy, with the block freed.
+func marshalBytes(h header, data []byte) []byte {
+	b := marshalBlock(h, data)
+	defer b.Free()
+	return bytes.Clone(b.Bytes())
+}
+
 func TestHeaderRoundTripQuick(t *testing.T) {
 	f := func(src, dst uint16, seq, ack uint32, flags byte, win uint16, data []byte) bool {
 		if len(data) > 1024 {
 			data = data[:1024]
 		}
 		h := header{src: src, dst: dst, seq: seq, ack: ack, flags: flags, win: win}
-		g, d, ok := unmarshal(marshalBlock(h, data).Bytes())
+		g, d, ok := unmarshal(marshalBytes(h, data))
 		return ok && g == h && bytes.Equal(d, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -333,7 +341,7 @@ func TestHeaderRoundTripQuick(t *testing.T) {
 }
 
 func TestUnmarshalRejectsCorruption(t *testing.T) {
-	pkt := marshalBlock(header{src: 1, dst: 2, seq: 3, ack: 4, flags: flagACK}, []byte("zz")).Bytes()
+	pkt := marshalBytes(header{src: 1, dst: 2, seq: 3, ack: 4, flags: flagACK}, []byte("zz"))
 	pkt[5] ^= 0x01
 	if _, _, ok := unmarshal(pkt); ok {
 		t.Error("corrupted TCP segment accepted")
@@ -349,7 +357,7 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 // even and odd lengths alike.
 func TestUnmarshalRejectsEverySingleBitFlip(t *testing.T) {
 	for _, payload := range []string{"", "odd", "the quick brown fox jumps over the lazy dog!"} {
-		pkt := marshalBlock(header{src: 5001, dst: 564, seq: 99, ack: 42, flags: flagACK, win: 4096}, []byte(payload)).Bytes()
+		pkt := marshalBytes(header{src: 5001, dst: 564, seq: 99, ack: 42, flags: flagACK, win: 4096}, []byte(payload))
 		if _, data, ok := unmarshal(pkt); !ok || string(data) != payload {
 			t.Fatalf("pristine %d-byte segment rejected", len(pkt))
 		}
@@ -369,7 +377,7 @@ func TestAllocsUnmarshal(t *testing.T) {
 	if block.RaceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	pkt := marshalBlock(header{src: 5001, dst: 564, seq: 99, ack: 42, flags: flagACK}, make([]byte, 1400)).Bytes()
+	pkt := marshalBytes(header{src: 5001, dst: 564, seq: 99, ack: 42, flags: flagACK}, make([]byte, 1400))
 	if got := testing.AllocsPerRun(1000, func() {
 		if _, _, ok := unmarshal(pkt); !ok {
 			t.Fatal("segment rejected")

@@ -410,7 +410,7 @@ func (c *Conn) hangup() {
 // Close hangs up the circuit: it lingers until outstanding blocks are
 // acknowledged (bounded), sends the hangup cell after them, and only
 // then unplugs the wire — so data written just before close is not
-// lost in flight.
+// lost in flight. Data that arrived and was never read is discarded.
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -441,7 +441,10 @@ func (c *Conn) Close() error {
 		c.mu.Unlock()
 		c.wire.Close()
 	})
+	// The hangup wakes a parked reader; the close then frees whatever
+	// nobody read, and a late arrival is discarded on the dead stream.
 	c.rstream.HangupUp()
+	c.rstream.Close()
 	return nil
 }
 
