@@ -195,6 +195,33 @@ func TestStatsBalance(t *testing.T) {
 	}
 }
 
+// TestRawBuffersKeptApart: the books count GetBytes buffers in
+// RawInFlight, never in the InFlight the leak gate reads, and still in
+// the Allocs and Frees totals.
+func TestRawBuffersKeptApart(t *testing.T) {
+	before := Snapshot()
+	p := GetBytes(100)
+	mid := Snapshot()
+	if d := mid.RawInFlight - before.RawInFlight; d != 1 {
+		t.Errorf("GetBytes moved RawInFlight by %d, want 1", d)
+	}
+	if d := mid.InFlight - before.InFlight; d != 0 {
+		t.Errorf("GetBytes moved InFlight by %d, want 0", d)
+	}
+	PutBytes(p)
+	after := Snapshot()
+	if d := after.RawInFlight - before.RawInFlight; d != 0 {
+		t.Errorf("RawInFlight drifted by %d after GetBytes/PutBytes", d)
+	}
+	if d := after.InFlight - before.InFlight; d != 0 {
+		t.Errorf("PutBytes moved InFlight by %d, want 0", d)
+	}
+	if after.Allocs-before.Allocs != 1 || after.Frees-before.Frees != 1 {
+		t.Errorf("counters: allocs +%d frees +%d, want +1/+1",
+			after.Allocs-before.Allocs, after.Frees-before.Frees)
+	}
+}
+
 // TestHammer exercises the allocator from many goroutines under the
 // race detector: each fills its block with a signature, prepends and
 // peels a header, and verifies the payload before freeing — any

@@ -23,6 +23,13 @@ const siteDepth = 6
 // race detector, which check.sh runs: taking a stack per allocation
 // makes an Alloc/Free pair about twelve times slower, a cost the plain
 // build and the benchmark do not pay.
+//
+// The race detector counts the lock as synchronisation: it orders every
+// Alloc and Free after every earlier one, as the atomic counters
+// already order Alloc after Alloc and Free after Free. A use after
+// transfer that such an ordering covers goes unreported; the seeded
+// ones in EXPERIMENTS §2 fail as many tests under -race with the
+// recorder as without it.
 var sites struct {
 	sync.Mutex
 	live map[*Block][siteDepth]uintptr

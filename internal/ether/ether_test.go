@@ -290,7 +290,8 @@ func TestPacedFanOutSharesOneBlock(t *testing.T) {
 					return false
 				}
 			}
-			return block.Snapshot().InFlight == before.InFlight
+			now := block.Snapshot()
+			return now.InFlight == before.InFlight && now.RawInFlight == before.RawInFlight
 		}) {
 			return
 		}

@@ -293,15 +293,17 @@ func TestFlushRacesReadahead(t *testing.T) {
 	cl.Close()
 	<-serveDone
 
-	// Every block the exchange allocated must be back in the pool.
+	// Every block and every raw buffer the exchange allocated must be
+	// back in the pool: the suppressed replies are raw GetBytes buffers.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		after := block.Snapshot()
-		if after.InFlight == before.InFlight {
+		if after.InFlight == before.InFlight && after.RawInFlight == before.RawInFlight {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("pooled blocks leaked: in flight %d -> %d", before.InFlight, after.InFlight)
+			t.Fatalf("pooled buffers leaked: blocks in flight %d -> %d, raw buffers in flight %d -> %d",
+				before.InFlight, after.InFlight, before.RawInFlight, after.RawInFlight)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
