@@ -9,13 +9,13 @@ import (
 
 // runChaos runs the full torture matrix — msgs messages per direction
 // over the standard impairment cocktail (torture.Chaos) — once per
-// seed in [seed, seed+seeds), and prints a report per protocol. With
-// virtual set the scenarios run on the discrete-event clock, so a
-// multi-seed sweep costs wall-clock seconds. mods is a comma-separated
-// list of line-discipline specs ("compress,batch 1024 2ms") pushed on
-// both ends of every conversation. A failing scenario is shrunk to its
-// minimal reproduction before the command exits nonzero.
-func runChaos(seed int64, msgs, seeds int, virtual bool, mods string) int {
+// seed in [seed, seed+seeds), and prints a report per protocol. The
+// scenarios run on the discrete-event clock, so a multi-seed sweep
+// costs wall-clock seconds. mods is a comma-separated list of
+// line-discipline specs ("compress,batch 1024 2ms") pushed on both ends
+// of every conversation. A failing scenario is shrunk to its minimal
+// reproduction before the command exits nonzero.
+func runChaos(seed int64, msgs, seeds int, mods string) int {
 	if seeds < 1 {
 		seeds = 1
 	}
@@ -29,7 +29,6 @@ func runChaos(seed int64, msgs, seeds int, virtual bool, mods string) int {
 	for sd := seed; sd < seed+int64(seeds); sd++ {
 		for _, proto := range torture.Protos {
 			s := torture.Chaos(proto, sd, msgs)
-			s.Virtual = virtual
 			s.Mods = specs
 			rep := torture.Run(s)
 			if seeds > 1 {

@@ -10,6 +10,7 @@
 //	                   discrete-event clock (exact), pipes as host cost (see also
 //	                   bench's *.table1_* probes)
 //	netsim -chaos      torture IL, TCP, URP, 9P and Cyclone across impaired media
+//	                   on the discrete-event clock (see -seed, -seeds, -mods)
 //	netsim -virtual    boot a 1000-machine Datakit world on the discrete-event
 //	                   clock and run a storm over it (see -machines, -simtime).
 //	                   internal/storm's one harness boots the same world for
@@ -58,11 +59,11 @@ func main() {
 	table := flag.Bool("table1", false, "reproduce Table 1 on calibrated media")
 	jsonOut := flag.Bool("json", false, "with -table1: emit a JSON snapshot (rows + allocator + mount-driver stats)")
 	chaos := flag.Bool("chaos", false, "torture every protocol across impaired media")
-	seed := flag.Int64("seed", 1, "with -chaos/-virtual: impairment seed (failures replay exactly)")
+	seed := flag.Int64("seed", 1, "with -chaos: first impairment seed (failures replay exactly); with -virtual: the storm's seed")
 	msgs := flag.Int("msgs", 40, "with -chaos: messages per direction")
 	seeds := flag.Int("seeds", 1, "with -chaos: sweep this many consecutive seeds")
 	mods := flag.String("mods", "", "with -chaos: comma-separated line disciplines pushed on both ends (e.g. \"compress,batch 1024 2ms\")")
-	virtual := flag.Bool("virtual", false, "run on the discrete-event clock; alone, boots the -machines Datakit world and runs the registry storm")
+	virtual := flag.Bool("virtual", false, "boot the -machines Datakit world on the discrete-event clock and run a storm: the registry storm unless -gateway or -registry")
 	gateway := flag.Bool("gateway", false, "with -virtual: run the gateway storm — every machine imports one exporter through the multi-tenant server")
 	registry := flag.Bool("registry", false, "with -virtual: run the t=0 dial storm — every machine dials the registry by name through /net/cs at once")
 	nmach := flag.Int("machines", 1000, "with -virtual: machines to boot besides the registry")
@@ -117,7 +118,7 @@ func main() {
 		}
 	}()
 	if *chaos {
-		if failed := runChaos(*seed, *msgs, *seeds, *virtual, *mods); failed > 0 {
+		if failed := runChaos(*seed, *msgs, *seeds, *mods); failed > 0 {
 			fmt.Fprintf(os.Stderr, "netsim: chaos: %d scenarios failed\n", failed)
 			exitCode = 1
 		}

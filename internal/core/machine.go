@@ -157,7 +157,7 @@ func (w *World) NewMachine(cfg MachineConfig) (*Machine, error) {
 	m.NS = ns.New(cfg.Name, m.Root.Root())
 
 	// IP stack and Ethernet interfaces.
-	m.Stack = ip.NewStackClock(w.clock)
+	m.Stack = ip.NewStack(w.clock)
 	m.Stack.SetForwarding(cfg.Forward)
 	if len(cfg.Ethers) > 0 {
 		addrs, err := w.sysAddrs(cfg.Name)

@@ -247,7 +247,7 @@ func (p *Proto) StatsGroup() *obs.Group { return p.stats }
 // Clock exposes the switch's medium clock so line disciplines pushed
 // on Datakit conversations time their flush windows in the same
 // (possibly virtual) time domain as the circuits underneath.
-func (p *Proto) Clock() vclock.Clock { return vclock.Or(p.host.sw.profile.Clock) }
+func (p *Proto) Clock() vclock.Clock { return p.host.sw.profile.Clock }
 
 // Name implements xport.Proto.
 func (p *Proto) Name() string { return "dk" }

@@ -134,7 +134,9 @@ func TestTableOpenErrorLeavesSlotFree(t *testing.T) {
 // TestTableLastReleaseHangsUpUnlocked parks a conversation's hangup —
 // as a protocol's close can park on the wire — and requires every other
 // table operation to go through meanwhile, including a new tenancy of
-// the very slot being vacated.
+// the very slot being vacated. It runs on host threads and the real
+// clock: a table locked across the hangup would stop a virtual clock
+// itself, and only the host's can notice.
 func TestTableLastReleaseHangsUpUnlocked(t *testing.T) {
 	tb := newTestTable(0, 2)
 	gate := make(chan struct{})
@@ -168,7 +170,7 @@ func TestTableLastReleaseHangsUpUnlocked(t *testing.T) {
 			if len(ents) == 1 {
 				break
 			}
-			time.Sleep(time.Millisecond)
+			time.Sleep(time.Millisecond) //netvet:ignore realtime the release runs on another host thread; a table locked across the hangup stops only the host's clock
 		}
 		next, err := tb.Claim(openConv)
 		if err != nil {
@@ -193,7 +195,7 @@ func TestTableLastReleaseHangsUpUnlocked(t *testing.T) {
 		if msg != "" {
 			t.Error(msg)
 		}
-	case <-time.After(5 * time.Second):
+	case <-time.After(5 * time.Second): //netvet:ignore realtime a table locked across the hangup stops only the host's clock
 		t.Fatal("the table is locked while a conversation hangs up")
 	}
 	select {

@@ -109,90 +109,95 @@ func TestZoneLookup(t *testing.T) {
 	}
 }
 
-// resolverWorld builds a root server, a zone server, and a client
-// resolver on one ether segment.
-func resolverWorld(t *testing.T) *Resolver {
+// onResolver runs body on a virtual clock with a root server, a zone
+// server, and a client resolver on one ether segment.
+func onResolver(t *testing.T, body func(r *Resolver)) {
 	t.Helper()
-	seg := ether.NewSegment("e0", ether.Profile{})
-	t.Cleanup(seg.Close)
-	mask := ip.Addr{255, 255, 255, 0}
-	mk := func(a ip.Addr) *udp.Proto {
-		st := ip.NewStack()
-		if _, err := st.Bind(seg.NewInterface("e"), a, mask); err != nil {
-			t.Fatal(err)
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		seg := ether.NewSegment("e0", ether.Profile{Clock: v})
+		defer seg.Close()
+		mask := ip.Addr{255, 255, 255, 0}
+		var protos []*udp.Proto
+		for _, a := range []ip.Addr{{10, 0, 0, 1}, {10, 0, 0, 2}, {10, 0, 0, 3}} {
+			st := ip.NewStack(v)
+			defer st.Close()
+			if _, err := st.Bind(seg.NewInterface("e"), a, mask); err != nil {
+				t.Error(err)
+				return
+			}
+			protos = append(protos, udp.New(st))
 		}
-		t.Cleanup(st.Close)
-		return udp.New(st)
-	}
-	rootUDP := mk(ip.Addr{10, 0, 0, 1})
-	zoneUDP := mk(ip.Addr{10, 0, 0, 2})
-	clientUDP := mk(ip.Addr{10, 0, 0, 3})
 
-	root := NewZone("")
-	root.Delegate("example.com", "ns.example.com", "10.0.0.2")
-	rs, err := Serve(rootUDP, root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rs.Close)
-
-	zone := NewZone("example.com")
-	zone.AddA("www.example.com", "93.184.216.34")
-	zone.Add(RR{Name: "alias.example.com", Type: TypeCNAME, Data: "www.example.com"})
-	zs, err := Serve(zoneUDP, zone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(zs.Close)
-
-	return NewResolver(clientUDP, []ip.Addr{{10, 0, 0, 1}})
+		root := NewZone("")
+		root.Delegate("example.com", "ns.example.com", "10.0.0.2")
+		zone := NewZone("example.com")
+		zone.AddA("www.example.com", "93.184.216.34")
+		zone.Add(RR{Name: "alias.example.com", Type: TypeCNAME, Data: "www.example.com"})
+		for i, z := range []*Zone{root, zone} {
+			srv, err := Serve(protos[i], z)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer srv.Close()
+		}
+		body(NewResolver(protos[2], []ip.Addr{{10, 0, 0, 1}}))
+	})
 }
 
 func TestRecursiveResolution(t *testing.T) {
-	r := resolverWorld(t)
-	addrs, err := r.LookupA("www.example.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(addrs) != 1 || addrs[0].String() != "93.184.216.34" {
-		t.Errorf("resolved %v", addrs)
-	}
-	// Two wire queries: root then zone server.
-	if r.Queries != 2 {
-		t.Errorf("wire queries %d, want 2", r.Queries)
-	}
+	onResolver(t, func(r *Resolver) {
+		addrs, err := r.LookupA("www.example.com")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if len(addrs) != 1 || addrs[0].String() != "93.184.216.34" {
+			t.Errorf("resolved %v", addrs)
+		}
+		// Two wire queries: root then zone server.
+		if r.Queries != 2 {
+			t.Errorf("wire queries %d, want 2", r.Queries)
+		}
+	})
 }
 
 func TestResolverCaching(t *testing.T) {
-	r := resolverWorld(t)
-	if _, err := r.LookupA("www.example.com"); err != nil {
-		t.Fatal(err)
-	}
-	q := r.Queries
-	if _, err := r.LookupA("www.example.com"); err != nil {
-		t.Fatal(err)
-	}
-	if r.Queries != q {
-		t.Error("cached lookup hit the wire")
-	}
-	if r.CacheLen() == 0 {
-		t.Error("cache empty after lookups")
-	}
+	onResolver(t, func(r *Resolver) {
+		if _, err := r.LookupA("www.example.com"); err != nil {
+			t.Error(err)
+			return
+		}
+		q := r.Queries
+		if _, err := r.LookupA("www.example.com"); err != nil {
+			t.Error(err)
+			return
+		}
+		if r.Queries != q {
+			t.Error("cached lookup hit the wire")
+		}
+		if r.CacheLen() == 0 {
+			t.Error("cache empty after lookups")
+		}
+	})
 }
 
 func TestCNAMEAcrossLookup(t *testing.T) {
-	r := resolverWorld(t)
-	addrs, err := r.LookupA("alias.example.com")
-	if err != nil || len(addrs) != 1 || addrs[0].String() != "93.184.216.34" {
-		t.Errorf("cname resolution %v, %v", addrs, err)
-	}
+	onResolver(t, func(r *Resolver) {
+		addrs, err := r.LookupA("alias.example.com")
+		if err != nil || len(addrs) != 1 || addrs[0].String() != "93.184.216.34" {
+			t.Errorf("cname resolution %v, %v", addrs, err)
+		}
+	})
 }
 
 func TestNXDomain(t *testing.T) {
-	r := resolverWorld(t)
-	if _, err := r.LookupA("missing.example.com"); err != ErrNX {
-		t.Errorf("nxdomain error = %v", err)
-	}
+	onResolver(t, func(r *Resolver) {
+		if _, err := r.LookupA("missing.example.com"); err != ErrNX {
+			t.Errorf("nxdomain error = %v", err)
+		}
+	})
 }
 
 func TestTimeoutWhenNoServers(t *testing.T) {
@@ -205,7 +210,7 @@ func TestTimeoutWhenNoServers(t *testing.T) {
 	v.Run(func() {
 		seg := ether.NewSegment("e0", ether.Profile{Clock: v})
 		defer seg.Close()
-		st := ip.NewStackClock(v)
+		st := ip.NewStack(v)
 		defer st.Close()
 		st.Bind(seg.NewInterface("e"), ip.Addr{10, 0, 0, 9}, ip.Addr{255, 255, 255, 0})
 		r := NewResolver(udp.New(st), []ip.Addr{{10, 0, 0, 200}}) // nobody there
@@ -220,62 +225,70 @@ func TestTimeoutWhenNoServers(t *testing.T) {
 }
 
 func TestDevNode(t *testing.T) {
-	r := resolverWorld(t)
-	n := Node(r, "glenda")
-	h, err := n.Open(vfs.ORDWR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	if _, err := h.Write([]byte("www.example.com ip"), 0); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 256)
-	rn, err := h.Read(buf, 0)
-	if err != nil || string(buf[:rn]) != "www.example.com ip 93.184.216.34\n" {
-		t.Errorf("dns dev line %q, %v", buf[:rn], err)
-	}
-	// Exhausted.
-	if rn, _ := h.Read(buf, 0); rn != 0 {
-		t.Error("extra lines after answer")
-	}
-	// Bad request types.
-	if _, err := h.Write([]byte("www.example.com bogus"), 0); err == nil {
-		t.Error("bogus type accepted")
-	}
-	// Failed lookups error the write.
-	if _, err := h.Write([]byte("missing.example.com ip"), 0); err == nil {
-		t.Error("nx write succeeded")
-	}
+	onResolver(t, func(r *Resolver) {
+		n := Node(r, "glenda")
+		h, err := n.Open(vfs.ORDWR)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer h.Close()
+		if _, err := h.Write([]byte("www.example.com ip"), 0); err != nil {
+			t.Error(err)
+			return
+		}
+		buf := make([]byte, 256)
+		rn, err := h.Read(buf, 0)
+		if err != nil || string(buf[:rn]) != "www.example.com ip 93.184.216.34\n" {
+			t.Errorf("dns dev line %q, %v", buf[:rn], err)
+		}
+		// Exhausted.
+		if rn, _ := h.Read(buf, 0); rn != 0 {
+			t.Error("extra lines after answer")
+		}
+		// Bad request types.
+		if _, err := h.Write([]byte("www.example.com bogus"), 0); err == nil {
+			t.Error("bogus type accepted")
+		}
+		// Failed lookups error the write.
+		if _, err := h.Write([]byte("missing.example.com ip"), 0); err == nil {
+			t.Error("nx write succeeded")
+		}
+	})
 }
 
 // TestDevNodeShortReads: a buffer shorter than the record gets the
 // prefix that fits and the next read resumes mid-line; reading
 // /net/dns 16 bytes at a time reassembles the whole record.
 func TestDevNodeShortReads(t *testing.T) {
-	h, err := Node(resolverWorld(t), "glenda").Open(vfs.ORDWR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	if _, err := h.Write([]byte("www.example.com ip"), 0); err != nil {
-		t.Fatal(err)
-	}
-	var got []byte
-	buf := make([]byte, 16)
-	for {
-		n, err := h.Read(buf, 0)
+	onResolver(t, func(r *Resolver) {
+		h, err := Node(r, "glenda").Open(vfs.ORDWR)
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return
 		}
-		if n == 0 {
-			break
+		defer h.Close()
+		if _, err := h.Write([]byte("www.example.com ip"), 0); err != nil {
+			t.Error(err)
+			return
 		}
-		got = append(got, buf[:n]...)
-	}
-	if want := "www.example.com ip 93.184.216.34\n"; string(got) != want {
-		t.Fatalf("16-byte reads of /net/dns reassembled %q, want %q", got, want)
-	}
+		var got []byte
+		buf := make([]byte, 16)
+		for {
+			n, err := h.Read(buf, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if n == 0 {
+				break
+			}
+			got = append(got, buf[:n]...)
+		}
+		if want := "www.example.com ip 93.184.216.34\n"; string(got) != want {
+			t.Errorf("16-byte reads of /net/dns reassembled %q, want %q", got, want)
+		}
+	})
 }
 
 func TestParseTypeAndNames(t *testing.T) {

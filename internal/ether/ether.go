@@ -176,13 +176,14 @@ func (s *stations) hearers(dst Addr) []*Interface {
 	return s.prom
 }
 
-// NewSegment creates a segment with the given medium profile.
+// NewSegment creates a segment with the given medium profile. Unlike
+// a pipe's, the profile's Clock is required: every station's reader
+// and the wire's delay line run on it.
 func NewSegment(name string, p Profile) *Segment {
-	ck := vclock.Or(p.Clock)
 	seg := &Segment{
 		name:    name,
 		profile: p,
-		ck:      ck,
+		ck:      p.Clock,
 	}
 	seg.stations.Store(newStations(nil))
 	if p.Impair.Armed(p.Loss) {
@@ -190,7 +191,7 @@ func NewSegment(name string, p Profile) *Segment {
 	}
 	seg.ideal = p.Bandwidth == 0 && p.Latency == 0 && seg.im == nil
 	if !seg.ideal {
-		seg.delay = medium.NewDelay(ck, 0, func(f txFrame) { seg.fanOut(f.from, f.dst, f.b, (*Interface).receive) })
+		seg.delay = medium.NewDelay(p.Clock, 0, func(f txFrame) { seg.fanOut(f.from, f.dst, f.b, (*Interface).receive) })
 	}
 	return seg
 }

@@ -31,7 +31,7 @@ func onVirtualMachines(t *testing.T, prof ether.Profile, tune func(*Proto), body
 		prof.Clock = v
 		seg := ether.NewSegment("e0", prof)
 		defer seg.Close()
-		s1, s2 := ip.NewStackClock(v), ip.NewStackClock(v)
+		s1, s2 := ip.NewStack(v), ip.NewStack(v)
 		defer s1.Close()
 		defer s2.Close()
 		mask := ip.Addr{255, 255, 255, 0}
@@ -768,7 +768,7 @@ func TestLoopbackBothWaysOnVirtualClock(t *testing.T) {
 		v.Run(func() {
 			seg := ether.NewSegment("e0", ether.Profile{Clock: v})
 			defer seg.Close()
-			st := ip.NewStackClock(v)
+			st := ip.NewStack(v)
 			defer st.Close()
 			a := ip.Addr{135, 104, 9, 1}
 			if _, err := st.Bind(seg.NewInterface("ether0"), a, ip.Addr{255, 255, 255, 0}); err != nil {

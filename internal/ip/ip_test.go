@@ -180,33 +180,39 @@ func BenchmarkChecksumBytePairs8K(b *testing.B) {
 	}
 }
 
-// twoHosts builds two machines on one ether segment.
-func twoHosts(t *testing.T) (*Stack, *Stack, Addr, Addr) {
+// onTwoHosts runs body on a fresh virtual clock with two machines on
+// one ideal ether segment.
+func onTwoHosts(t *testing.T, body func(v *vclock.Virtual, s1, s2 *Stack, a1, a2 Addr)) {
 	t.Helper()
-	seg := ether.NewSegment("e0", ether.Profile{})
-	t.Cleanup(seg.Close)
-	e1 := seg.NewInterface("ether0")
-	e2 := seg.NewInterface("ether0")
-	s1, s2 := NewStack(), NewStack()
-	a1 := Addr{135, 104, 9, 1}
-	a2 := Addr{135, 104, 9, 2}
-	mask := Addr{255, 255, 255, 0}
-	if _, err := s1.Bind(e1, a1, mask); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.Bind(e2, a2, mask); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s1.Close(); s2.Close() })
-	return s1, s2, a1, a2
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		seg := ether.NewSegment("e0", ether.Profile{Clock: v})
+		defer seg.Close()
+		s1, s2 := NewStack(v), NewStack(v)
+		defer s1.Close()
+		defer s2.Close()
+		a1 := Addr{135, 104, 9, 1}
+		a2 := Addr{135, 104, 9, 2}
+		mask := Addr{255, 255, 255, 0}
+		if _, err := s1.Bind(seg.NewInterface("ether0"), a1, mask); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := s2.Bind(seg.NewInterface("ether0"), a2, mask); err != nil {
+			t.Error(err)
+			return
+		}
+		body(v, s1, s2, a1, a2)
+	})
 }
 
-func recvChan(st *Stack, proto uint8) chan []byte {
-	ch := make(chan []byte, 16)
+// recvBox queues a copy of every payload st receives for proto.
+func recvBox(st *Stack, proto uint8) *vclock.Mailbox[[]byte] {
+	mb := vclock.NewMailbox[[]byte](st.Clock(), 0)
 	st.Register(proto, func(src, dst Addr, payload []byte) {
-		ch <- append([]byte(nil), payload...)
+		mb.TrySend(append([]byte(nil), payload...))
 	})
-	return ch
+	return mb
 }
 
 // send is SendBlock from a zero source for a payload the test keeps.
@@ -214,70 +220,79 @@ func send(st *Stack, proto uint8, dst Addr, payload []byte) error {
 	return st.SendBlock(proto, Addr{}, dst, block.Copy(payload, block.DefaultHeadroom))
 }
 
-func expect(t *testing.T, ch chan []byte, want string) {
+// expect reports whether the next payload in mb, the receive box of a
+// protocol on st, is want and arrives within a simulated second.
+func expect(t *testing.T, st *Stack, mb *vclock.Mailbox[[]byte], want string) bool {
 	t.Helper()
-	select {
-	case got := <-ch:
-		if string(got) != want {
-			t.Fatalf("received %q, want %q", got, want)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatalf("timed out waiting for %q", want)
+	watchdog := st.Clock().AfterFunc(time.Second, func() { mb.TrySend(nil) })
+	defer watchdog.Stop()
+	got, _ := mb.Recv()
+	if string(got) != want {
+		t.Errorf("received %q, want %q", got, want)
+		return false
 	}
+	return true
 }
 
 func TestSendReceiveWithARP(t *testing.T) {
-	s1, s2, a1, a2 := twoHosts(t)
-	ch2 := recvChan(s2, ProtoUDP)
-	ch1 := recvChan(s1, ProtoUDP)
-	// First packet triggers ARP resolution and is held until reply.
-	if err := send(s1, ProtoUDP, a2, []byte("first")); err != nil {
-		t.Fatal(err)
-	}
-	expect(t, ch2, "first")
-	// Replies use the learned entry (and re-learn from the request).
-	if err := send(s2, ProtoUDP, a1, []byte("back")); err != nil {
-		t.Fatal(err)
-	}
-	expect(t, ch1, "back")
+	onTwoHosts(t, func(_ *vclock.Virtual, s1, s2 *Stack, a1, a2 Addr) {
+		mb2 := recvBox(s2, ProtoUDP)
+		mb1 := recvBox(s1, ProtoUDP)
+		// First packet triggers ARP resolution and is held until reply.
+		if err := send(s1, ProtoUDP, a2, []byte("first")); err != nil {
+			t.Error(err)
+			return
+		}
+		if !expect(t, s2, mb2, "first") {
+			return
+		}
+		// Replies use the learned entry (and re-learn from the request).
+		if err := send(s2, ProtoUDP, a1, []byte("back")); err != nil {
+			t.Error(err)
+			return
+		}
+		expect(t, s1, mb1, "back")
+	})
 }
 
 func TestLoopbackDelivery(t *testing.T) {
-	s1, _, a1, _ := twoHosts(t)
-	ch := recvChan(s1, ProtoIL)
-	if err := send(s1, ProtoIL, a1, []byte("self")); err != nil {
-		t.Fatal(err)
-	}
-	expect(t, ch, "self")
-	if err := send(s1, ProtoIL, Addr{127, 0, 0, 1}, []byte("lo")); err != nil {
-		t.Fatal(err)
-	}
-	expect(t, ch, "lo")
+	onTwoHosts(t, func(_ *vclock.Virtual, s1, _ *Stack, a1, _ Addr) {
+		mb := recvBox(s1, ProtoIL)
+		if err := send(s1, ProtoIL, a1, []byte("self")); err != nil {
+			t.Error(err)
+			return
+		}
+		if !expect(t, s1, mb, "self") {
+			return
+		}
+		if err := send(s1, ProtoIL, Addr{127, 0, 0, 1}, []byte("lo")); err != nil {
+			t.Error(err)
+			return
+		}
+		expect(t, s1, mb, "lo")
+	})
 }
 
 // TestLoopbackKeepsSendOrder: local packets go through one queue, so
 // they reach the transport in the order they were sent, however many
 // are sent before the loopback process first runs.
 func TestLoopbackKeepsSendOrder(t *testing.T) {
-	s1, _, a1, _ := twoHosts(t)
-	const n = 200
-	got := make(chan int, n)
-	s1.Register(ProtoIL, func(src, dst Addr, payload []byte) { got <- int(payload[0])<<8 | int(payload[1]) })
-	for i := range n {
-		if err := send(s1, ProtoIL, a1, []byte{byte(i >> 8), byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range n {
-		select {
-		case j := <-got:
-			if j != i {
-				t.Fatalf("local packet %d arrived in place %d", j, i)
+	onTwoHosts(t, func(_ *vclock.Virtual, s1, _ *Stack, a1, _ Addr) {
+		const n = 200
+		mb := recvBox(s1, ProtoIL)
+		for i := range n {
+			if err := send(s1, ProtoIL, a1, []byte{byte(i >> 8), byte(i)}); err != nil {
+				t.Error(err)
+				return
 			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("local packet %d never arrived", i)
 		}
-	}
+		for i := range n {
+			if !expect(t, s1, mb, string([]byte{byte(i >> 8), byte(i)})) {
+				t.Errorf("local packet %d did not arrive in its place", i)
+				return
+			}
+		}
+	})
 }
 
 // TestARPDropsAreCounted: a neighbour that never answers ARP holds 16
@@ -288,7 +303,7 @@ func TestARPDropsAreCounted(t *testing.T) {
 	v.Run(func() {
 		seg := ether.NewSegment("e0", ether.Profile{Clock: v})
 		defer seg.Close()
-		st := NewStackClock(v)
+		st := NewStack(v)
 		defer st.Close()
 		if _, err := st.Bind(seg.NewInterface("ether0"), Addr{135, 104, 9, 1}, Addr{255, 255, 255, 0}); err != nil {
 			t.Error(err)
@@ -309,112 +324,129 @@ func TestARPDropsAreCounted(t *testing.T) {
 }
 
 func TestNoRoute(t *testing.T) {
-	s1, _, _, _ := twoHosts(t)
-	err := send(s1, ProtoUDP, Addr{10, 9, 8, 7}, []byte("x"))
-	if err == nil {
-		t.Fatal("send to unreachable subnet succeeded")
-	}
-	if s1.NoRoute.Load() != 1 {
-		t.Errorf("NoRoute counter %d", s1.NoRoute.Load())
-	}
+	onTwoHosts(t, func(_ *vclock.Virtual, s1, _ *Stack, _, _ Addr) {
+		err := send(s1, ProtoUDP, Addr{10, 9, 8, 7}, []byte("x"))
+		if err == nil {
+			t.Error("send to unreachable subnet succeeded")
+		}
+		if s1.NoRoute.Load() != 1 {
+			t.Errorf("NoRoute counter %d", s1.NoRoute.Load())
+		}
+	})
 }
 
 func TestForwardingThroughGateway(t *testing.T) {
 	// Three machines, two subnets, one gateway in the middle — the
 	// shape of the paper's ndb subnet entries with ipgw.
-	segA := ether.NewSegment("eA", ether.Profile{})
-	segB := ether.NewSegment("eB", ether.Profile{})
-	defer segA.Close()
-	defer segB.Close()
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		segA := ether.NewSegment("eA", ether.Profile{Clock: v})
+		segB := ether.NewSegment("eB", ether.Profile{Clock: v})
+		defer segA.Close()
+		defer segB.Close()
 
-	maskC := Addr{255, 255, 255, 0}
-	host1 := NewStack()
-	gw := NewStack()
-	host2 := NewStack()
-	defer host1.Close()
-	defer gw.Close()
-	defer host2.Close()
+		maskC := Addr{255, 255, 255, 0}
+		host1 := NewStack(v)
+		gw := NewStack(v)
+		host2 := NewStack(v)
+		defer host1.Close()
+		defer gw.Close()
+		defer host2.Close()
 
-	h1 := Addr{135, 104, 51, 2}
-	gwA := Addr{135, 104, 51, 1}
-	gwB := Addr{135, 104, 52, 1}
-	h2 := Addr{135, 104, 52, 2}
+		h1 := Addr{135, 104, 51, 2}
+		gwA := Addr{135, 104, 51, 1}
+		gwB := Addr{135, 104, 52, 1}
+		h2 := Addr{135, 104, 52, 2}
 
-	if _, err := host1.Bind(segA.NewInterface("e"), h1, maskC); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gw.Bind(segA.NewInterface("e"), gwA, maskC); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gw.Bind(segB.NewInterface("e"), gwB, maskC); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := host2.Bind(segB.NewInterface("e"), h2, maskC); err != nil {
-		t.Fatal(err)
-	}
-	gw.SetForwarding(true)
-	host1.AddRoute(Addr{135, 104, 52, 0}, maskC, gwA)
-	host2.AddRoute(Addr{135, 104, 51, 0}, maskC, gwB)
+		for _, b := range []struct {
+			st  *Stack
+			seg *ether.Segment
+			a   Addr
+		}{{host1, segA, h1}, {gw, segA, gwA}, {gw, segB, gwB}, {host2, segB, h2}} {
+			if _, err := b.st.Bind(b.seg.NewInterface("e"), b.a, maskC); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		gw.SetForwarding(true)
+		host1.AddRoute(Addr{135, 104, 52, 0}, maskC, gwA)
+		host2.AddRoute(Addr{135, 104, 51, 0}, maskC, gwB)
 
-	ch := recvChan(host2, ProtoUDP)
-	if err := send(host1, ProtoUDP, h2, []byte("via gateway")); err != nil {
-		t.Fatal(err)
-	}
-	expect(t, ch, "via gateway")
-	if gw.Forwarded.Load() == 0 {
-		t.Error("gateway forwarded counter is zero")
-	}
-	// And the reverse path.
-	ch1 := recvChan(host1, ProtoUDP)
-	if err := send(host2, ProtoUDP, h1, []byte("reply")); err != nil {
-		t.Fatal(err)
-	}
-	expect(t, ch1, "reply")
+		mb := recvBox(host2, ProtoUDP)
+		if err := send(host1, ProtoUDP, h2, []byte("via gateway")); err != nil {
+			t.Error(err)
+			return
+		}
+		if !expect(t, host2, mb, "via gateway") {
+			return
+		}
+		if gw.Forwarded.Load() == 0 {
+			t.Error("gateway forwarded counter is zero")
+		}
+		// And the reverse path.
+		mb1 := recvBox(host1, ProtoUDP)
+		if err := send(host2, ProtoUDP, h1, []byte("reply")); err != nil {
+			t.Error(err)
+			return
+		}
+		expect(t, host1, mb1, "reply")
+	})
 }
 
 func TestDefaultRoute(t *testing.T) {
-	segA := ether.NewSegment("eA", ether.Profile{})
-	defer segA.Close()
-	mask := Addr{255, 255, 255, 0}
-	h := NewStack()
-	gw := NewStack()
-	defer h.Close()
-	defer gw.Close()
-	ha := Addr{192, 168, 1, 2}
-	gwa := Addr{192, 168, 1, 1}
-	h.Bind(segA.NewInterface("e"), ha, mask)
-	gw.Bind(segA.NewInterface("e"), gwa, mask)
-	h.AddDefaultRoute(gwa)
-	// The gateway has no route onward, but the packet must at least
-	// reach it (count as received there since it's addressed beyond).
-	if err := send(h, ProtoUDP, Addr{8, 8, 8, 8}, []byte("out")); err != nil {
-		t.Fatalf("default route send: %v", err)
-	}
-	time.Sleep(20 * time.Millisecond) // delivery is asynchronous via ARP
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		segA := ether.NewSegment("eA", ether.Profile{Clock: v})
+		defer segA.Close()
+		mask := Addr{255, 255, 255, 0}
+		h := NewStack(v)
+		gw := NewStack(v)
+		defer h.Close()
+		defer gw.Close()
+		ha := Addr{192, 168, 1, 2}
+		gwa := Addr{192, 168, 1, 1}
+		h.Bind(segA.NewInterface("e"), ha, mask)
+		gw.Bind(segA.NewInterface("e"), gwa, mask)
+		h.AddDefaultRoute(gwa)
+		gw.SetForwarding(true)
+		// The gateway has no route onward, but the packet must at
+		// least reach it, through the ARP exchange for the gateway,
+		// and die there for want of a route.
+		if err := send(h, ProtoUDP, Addr{8, 8, 8, 8}, []byte("out")); err != nil {
+			t.Errorf("default route send: %v", err)
+			return
+		}
+		v.Sleep(20 * time.Millisecond)
+		if n := gw.NoRoute.Load(); n != 1 {
+			t.Errorf("gateway no-route count %d, want 1", n)
+		}
+	})
 }
 
 func TestLocalAddrForAndMTU(t *testing.T) {
-	s1, _, a1, a2 := twoHosts(t)
-	la, err := s1.LocalAddrFor(a2)
-	if err != nil || la != a1 {
-		t.Errorf("LocalAddrFor = %v, %v", la, err)
-	}
-	if mtu := s1.MTUFor(a2); mtu != 1500-HdrLen {
-		t.Errorf("MTUFor = %d", mtu)
-	}
-	if mtu := s1.MTUFor(a1); mtu != 64*1024 {
-		t.Errorf("local MTUFor = %d", mtu)
-	}
+	onTwoHosts(t, func(_ *vclock.Virtual, s1, _ *Stack, a1, a2 Addr) {
+		la, err := s1.LocalAddrFor(a2)
+		if err != nil || la != a1 {
+			t.Errorf("LocalAddrFor = %v, %v", la, err)
+		}
+		if mtu := s1.MTUFor(a2); mtu != 1500-HdrLen {
+			t.Errorf("MTUFor = %d", mtu)
+		}
+		if mtu := s1.MTUFor(a1); mtu != 64*1024 {
+			t.Errorf("local MTUFor = %d", mtu)
+		}
+	})
 }
 
 func TestStatsText(t *testing.T) {
-	s1, _, _, a2 := twoHosts(t)
-	recvChan(s1, ProtoUDP)
-	send(s1, ProtoUDP, a2, []byte("x"))
-	if s := s1.Stats(); s == "" {
-		t.Error("empty stats")
-	}
-	if s1.OutPackets.Load() != 1 {
-		t.Errorf("out packets %d", s1.OutPackets.Load())
-	}
+	onTwoHosts(t, func(_ *vclock.Virtual, s1, _ *Stack, _, a2 Addr) {
+		recvBox(s1, ProtoUDP)
+		send(s1, ProtoUDP, a2, []byte("x"))
+		if s := s1.Stats(); s == "" {
+			t.Error("empty stats")
+		}
+		if s1.OutPackets.Load() != 1 {
+			t.Errorf("out packets %d", s1.OutPackets.Load())
+		}
+	})
 }

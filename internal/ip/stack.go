@@ -69,12 +69,9 @@ type Route struct {
 	Gateway Addr
 }
 
-// NewStack returns an empty stack on the real clock.
-func NewStack() *Stack { return NewStackClock(vclock.Real) }
-
-// NewStackClock returns an empty stack whose timers (and those of the
+// NewStack returns an empty stack whose timers (and those of the
 // transports built on it) run on ck.
-func NewStackClock(ck vclock.Clock) *Stack {
+func NewStack(ck vclock.Clock) *Stack {
 	return &Stack{clk: ck, handlers: make(map[uint8]Handler), loop: vclock.NewMailbox[loopPkt](ck, 0)}
 }
 

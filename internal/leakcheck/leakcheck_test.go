@@ -55,7 +55,7 @@ func TestGracePeriodCoversLateExits(t *testing.T) {
 	stop := make(chan struct{})
 	go leakyPump(stop)
 	// The pump exits only after Check has started polling.
-	time.AfterFunc(50*time.Millisecond, func() { close(stop) })
+	time.AfterFunc(50*time.Millisecond, func() { close(stop) }) //netvet:ignore realtime Check's grace period is host time, and the late exit must land inside it
 	f := &fakeTB{}
 	Check(f)
 	if f.failed {

@@ -31,9 +31,10 @@ type Profile struct {
 	// reordering, corruption, jitter, bursty loss, and scheduled
 	// partitions, all replayable from Seed. See Impairment.
 	Impair Impairment
-	// Clock schedules every sleep and timestamp; nil means the real
-	// clock. A vclock.Virtual here turns the pipe into a
-	// discrete-event component.
+	// Clock schedules every sleep and timestamp. A vclock.Virtual here
+	// turns the pipe into a discrete-event component. Only NewPipe
+	// reads nil as the real clock; an Ethernet segment or a Datakit
+	// switch needs one.
 	Clock vclock.Clock
 }
 

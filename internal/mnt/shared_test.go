@@ -23,7 +23,7 @@ func TestTwoReadersShareOneFileTreeHandle(t *testing.T) {
 		fs := ramfs.NewClock("srv", v)
 		want := testPattern(8*ninep.MaxFData + 100)
 		fs.WriteFile("big", want, 0664)
-		a, b := ninep.NewPipeClock(v)
+		a, b := ninep.NewPipe(v)
 		v.Go(func() {
 			ninep.Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, v)
 		})

@@ -6,11 +6,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/block"
 	"repro/internal/ninep"
@@ -209,7 +207,7 @@ func TestMountWireTrace(t *testing.T) {
 				for off := 0; off < len(data); off += 3 << 10 {
 					end := min(off+3<<10, len(data))
 					if n, err := h.Write(data[off:end], int64(off)); err != nil || n != end-off {
-						t.Fatalf("write at %d = %d, %v", off, n, err)
+						t.Errorf("write at %d = %d, %v", off, n, err)
 					}
 				}
 				wantRead(t, h, data, frag, 0, frag)
@@ -219,7 +217,7 @@ func TestMountWireTrace(t *testing.T) {
 				wantWrite := func(p []byte, off int64) {
 					t.Helper()
 					if n, err := h.Write(p, off); err != nil || n != len(p) {
-						t.Fatalf("write %d at %d = %d, %v", len(p), off, n, err)
+						t.Errorf("write %d at %d = %d, %v", len(p), off, n, err)
 					}
 				}
 				// Twelve fragments, rewriting the file with its own
@@ -248,7 +246,7 @@ func TestMountWireTrace(t *testing.T) {
 				// flight behind it; the reader asks again and is
 				// served directly.
 				if n, err := h.Read(make([]byte, frag), 4*frag); n != 0 || err == nil || err.Error() != errScripted.Error() {
-					t.Fatalf("read of the failed fragment = %d, %v", n, err)
+					t.Errorf("read of the failed fragment = %d, %v", n, err)
 				}
 				tap.hold(0, 0)
 				wantRead(t, h, file, frag, 4*frag, frag)
@@ -286,49 +284,57 @@ func TestMountWireTrace(t *testing.T) {
 	}
 	var got strings.Builder
 	for _, sc := range scenarios {
-		file := testPattern(sc.size)
-		fs := ramfs.New("srv")
-		fs.WriteFile("f", file, 0664)
-		a, b := ninep.NewPipe()
-		go ninep.Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, vclock.Real)
-		tap := newWireTap(a)
-		root, cl, err := MountConfig(tap, "glenda", "", sc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := root.Walk("f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		tap.mu.Lock()
-		tap.lines = nil // the trace starts at the open
-		tap.mu.Unlock()
-		before := StatsGroup().Snapshot()
-		h, err := n.Open(sc.mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stuck := time.AfterFunc(10*time.Second, func() {
-			panic(sc.name + ": the driver waits for a reply gated behind a request it has not sent")
+		// A driver that waits for a reply gated behind a request it
+		// has not sent parks with nothing pending: the clock's
+		// deadlock panic.
+		v := vclock.NewVirtual()
+		v.Run(func() {
+			file := testPattern(sc.size)
+			fs := ramfs.NewClock("srv", v)
+			fs.WriteFile("f", file, 0664)
+			a, b := ninep.NewPipe(v)
+			v.Go(func() {
+				ninep.Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, v)
+			})
+			tap := newWireTap(a)
+			sc.cfg.Client.Clock = v
+			root, cl, err := MountConfig(tap, "glenda", "", sc.cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer cl.Close()
+			n, err := root.Walk("f")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			tap.mu.Lock()
+			tap.lines = nil // the trace starts at the open
+			tap.mu.Unlock()
+			before := StatsGroup().Snapshot()
+			h, err := n.Open(sc.mode)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sc.script(t, tap, h, file)
+			if err := h.Close(); err != nil {
+				t.Errorf("%s: close: %v", sc.name, err)
+				return
+			}
+			tap.mu.Lock()
+			fmt.Fprintf(&got, "# %s\n%s\n", sc.name, strings.Join(tap.lines, "\n"))
+			tap.mu.Unlock()
+			after := StatsGroup().Snapshot()
+			for _, k := range []string{"ra-hits", "ra-misses", "ra-cancels", "ra-issued", "wb-issued", "wb-barriers"} {
+				fmt.Fprintf(&got, "%s +%d\n", k, after[k]-before[k])
+			}
+			got.WriteByte('\n')
 		})
-		sc.script(t, tap, h, file)
-		stuck.Stop()
-		if err := h.Close(); err != nil {
-			t.Fatalf("%s: close: %v", sc.name, err)
+		if t.Failed() {
+			return
 		}
-		tap.mu.Lock()
-		fmt.Fprintf(&got, "# %s\n%s\n", sc.name, strings.Join(tap.lines, "\n"))
-		tap.mu.Unlock()
-		after := StatsGroup().Snapshot()
-		for _, k := range []string{"ra-hits", "ra-misses", "ra-cancels", "ra-issued", "wb-issued", "wb-barriers"} {
-			fmt.Fprintf(&got, "%s +%d\n", k, after[k]-before[k])
-		}
-		got.WriteByte('\n')
-		// A collected node clunks its fid from a finalizer; keep both
-		// alive so that Tclunk cannot land inside the trace.
-		runtime.KeepAlive(root)
-		runtime.KeepAlive(n)
-		cl.Close()
 	}
 	const golden = "testdata/wire_trace.golden"
 	if *updateGolden {
@@ -353,15 +359,17 @@ func TestMountWireTrace(t *testing.T) {
 }
 
 // wantRead reads n bytes at off and checks the count and the bytes
-// against the served file.
+// against the served file. It runs on a clock goroutine, so it fails
+// the test without stopping the script.
 func wantRead(t *testing.T, h vfs.Handle, file []byte, n int, off int64, want int) {
 	t.Helper()
 	buf := make([]byte, n)
 	got, err := h.Read(buf, off)
 	if err != nil || got != want {
-		t.Fatalf("read %d at %d = %d, %v; want %d", n, off, got, err, want)
+		t.Errorf("read %d at %d = %d, %v; want %d", n, off, got, err, want)
+		return
 	}
 	if !bytes.Equal(buf[:got], file[off:off+int64(got)]) {
-		t.Fatalf("read %d at %d returned the wrong bytes", n, off)
+		t.Errorf("read %d at %d returned the wrong bytes", n, off)
 	}
 }

@@ -21,31 +21,34 @@ func TestAllocsRreadRoundTrip(t *testing.T) {
 	if block.RaceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	fs := ramfs.New("srv")
-	fs.WriteFile("f", make([]byte, 4096), 0664)
-	a, p := NewPipe()
-	go Serve(p, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, vclock.Real)
-	cl, err := NewClient(a)
-	if err != nil {
-		t.Fatal(err)
+	var fs *ramfs.FS
+	root := func(ck vclock.Clock) vfs.Node {
+		fs = ramfs.NewClock("srv", ck)
+		fs.WriteFile("f", make([]byte, 4096), 0664)
+		return fs.Root()
 	}
-	defer cl.Close()
-	root, err := cl.Attach("u", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := root.CloneWalk("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Open(vfs.OREAD); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := f.Read(buf, 0); err != nil {
-			t.Fatal(err)
+	var allocs float64
+	onTapped(t, root, ClientConfig{}, nil, func(_ *vclock.Virtual, cl *Client, _ *countingConn) {
+		root, err := cl.Attach("u", "")
+		if err != nil {
+			t.Error(err)
+			return
 		}
+		f, err := root.CloneWalk("f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := f.Open(vfs.OREAD); err != nil {
+			t.Error(err)
+			return
+		}
+		buf := make([]byte, 4096)
+		allocs = testing.AllocsPerRun(200, func() {
+			if _, err := f.Read(buf, 0); err != nil {
+				t.Error(err)
+			}
+		})
 	})
 	t.Logf("Rread(4K) round trip: %.1f allocs/op", allocs)
 	if allocs > 12 {

@@ -14,9 +14,9 @@ import (
 func benchClient(b *testing.B) (*Client, *ramfs.FS) {
 	b.Helper()
 	fs := ramfs.New("srv")
-	a, p := NewPipe()
+	a, p := NewPipe(vclock.Real)
 	go Serve(p, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, vclock.Real)
-	cl, err := NewClient(a)
+	cl, err := NewClient(a, ClientConfig{Clock: vclock.Real})
 	if err != nil {
 		b.Fatal(err)
 	}

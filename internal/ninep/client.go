@@ -47,8 +47,8 @@ type ClientConfig struct {
 	// a speculative Tread past a message boundary consumes data the
 	// caller never asked for, even if its reply is later flushed.
 	FileTree bool
-	// Clock drives the client's goroutines and latency measurements;
-	// nil means the real clock.
+	// Clock drives the client's goroutines and latency measurements.
+	// It is required.
 	Clock vclock.Clock
 
 	// inFlightCap lowers maxInFlight for this package's tests.
@@ -103,19 +103,14 @@ type Client struct {
 	stats    *obs.Group
 }
 
-// NewClient starts a 9P client on conn and performs the session
-// handshake. The caller then Attaches to obtain a root fid.
-func NewClient(conn MsgConn) (*Client, error) {
-	return NewClientConfig(conn, ClientConfig{})
-}
-
-// NewClientConfig is NewClient with an explicit pipelining
-// configuration.
-func NewClientConfig(conn MsgConn, cfg ClientConfig) (*Client, error) {
+// NewClient starts a 9P client on conn, configured by cfg, and
+// performs the session handshake. The caller then Attaches to obtain
+// a root fid.
+func NewClient(conn MsgConn, cfg ClientConfig) (*Client, error) {
 	cl := &Client{
 		conn: conn,
 		cfg:  cfg.withDefaults(),
-		ck:   vclock.Or(cfg.Clock),
+		ck:   cfg.Clock,
 		tags: make(map[uint16]*vclock.Mailbox[*Fcall]),
 	}
 	cl.wmu.Init(cl.ck)

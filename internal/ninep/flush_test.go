@@ -14,8 +14,12 @@ import (
 // paper says exportfs must be multithreaded (§6.1). reads counts how
 // many Reads actually reach the handle.
 type blockingFS struct {
-	release chan struct{}
+	release *vclock.Mailbox[struct{}] // closed to release
 	reads   atomic.Int64
+}
+
+func newBlockingFS(ck vclock.Clock) *blockingFS {
+	return &blockingFS{release: vclock.NewMailbox[struct{}](ck, 0)}
 }
 
 func (f *blockingFS) Name() string { return "blocking" }
@@ -35,21 +39,25 @@ type blockHandle struct{ f *blockingFS }
 
 func (h blockHandle) Read(p []byte, off int64) (int, error) {
 	h.f.reads.Add(1)
-	<-h.f.release
+	h.f.release.Recv()
 	return copy(p, "released"), nil
 }
 func (h blockHandle) Write(p []byte, off int64) (int, error) { return len(p), nil }
 func (h blockHandle) Close() error                           { return nil }
+
+// The two tests below run on the real clock by name: their point is a
+// flush racing the multithreaded server's reply on other host threads,
+// which is what the race detector needs to see.
 
 // TestFlushAbandonsBlockedRead: a client starts a read that blocks in
 // the server, flushes it, gets Rflush immediately, and — per the 9P
 // contract — never receives the abandoned read's response, while the
 // connection keeps working.
 func TestFlushAbandonsBlockedRead(t *testing.T) {
-	fs := &blockingFS{release: make(chan struct{})}
-	a, b := NewPipe()
+	fs := newBlockingFS(vclock.Real)
+	a, b := NewPipe(vclock.Real)
 	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") }, vclock.Real)
-	cl, err := NewClient(a)
+	cl, err := NewClient(a, ClientConfig{Clock: vclock.Real})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +80,7 @@ func TestFlushAbandonsBlockedRead(t *testing.T) {
 	readDone := make(chan *Fcall, 1)
 	const readTag = 77
 	cl.mu.Lock()
-	cl.tags[readTag] = vclock.NewMailbox[*Fcall](nil, 1)
+	cl.tags[readTag] = vclock.NewMailbox[*Fcall](vclock.Real, 1)
 	respCh := cl.tags[readTag]
 	cl.mu.Unlock()
 	msg, _ := MarshalFcall(&Fcall{Type: Tread, Tag: readTag, Fid: 2, Count: 64})
@@ -97,11 +105,11 @@ func TestFlushAbandonsBlockedRead(t *testing.T) {
 	}
 
 	// Release the server-side read; its response must be suppressed.
-	close(fs.release)
+	fs.release.Close()
 	select {
 	case resp := <-readDone:
 		t.Fatalf("flushed read still answered: %+v", resp)
-	case <-time.After(100 * time.Millisecond):
+	case <-time.After(100 * time.Millisecond): //netvet:ignore realtime a grace window on the real clock this test is about
 	}
 
 	// The connection is still healthy.
@@ -119,10 +127,10 @@ func TestFlushAbandonsBlockedRead(t *testing.T) {
 // state must not swallow it), and the stale request's reply must never
 // surface under the recycled tag.
 func TestFlushedTagReuse(t *testing.T) {
-	fs := &blockingFS{release: make(chan struct{})}
-	a, b := NewPipe()
+	fs := newBlockingFS(vclock.Real)
+	a, b := NewPipe(vclock.Real)
 	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") }, vclock.Real)
-	cl, err := NewClient(a)
+	cl, err := NewClient(a, ClientConfig{Clock: vclock.Real})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +150,7 @@ func TestFlushedTagReuse(t *testing.T) {
 	// A hand-tagged read parks in the server...
 	const tag = 99
 	cl.mu.Lock()
-	cl.tags[tag] = vclock.NewMailbox[*Fcall](nil, 1)
+	cl.tags[tag] = vclock.NewMailbox[*Fcall](vclock.Real, 1)
 	cl.mu.Unlock()
 	msg, _ := MarshalFcall(&Fcall{Type: Tread, Tag: tag, Fid: 2, Count: 64})
 	if err := cl.conn.WriteMsg(msg); err != nil {
@@ -160,7 +168,7 @@ func TestFlushedTagReuse(t *testing.T) {
 	// still parked. Its reply must come back — a server that keyed
 	// flush state by tag alone would consume the stale mark here and
 	// drop it.
-	reuse := vclock.NewMailbox[*Fcall](nil, 1)
+	reuse := vclock.NewMailbox[*Fcall](vclock.Real, 1)
 	cl.mu.Lock()
 	cl.tags[tag] = reuse
 	cl.mu.Unlock()
@@ -179,18 +187,18 @@ func TestFlushedTagReuse(t *testing.T) {
 		if r.Type != Rstat {
 			t.Fatalf("recycled tag answered with %s, want Rstat", TypeName(r.Type))
 		}
-	case <-time.After(2 * time.Second):
+	case <-time.After(2 * time.Second): //netvet:ignore realtime a deadline on the real clock this test is about
 		t.Fatal("request on recycled tag never answered (stale flush state swallowed it)")
 	}
 
 	// Release the parked read: its stale reply must stay suppressed
 	// even though the tag has moved on.
-	stale := vclock.NewMailbox[*Fcall](nil, 1)
+	stale := vclock.NewMailbox[*Fcall](vclock.Real, 1)
 	cl.mu.Lock()
 	cl.tags[tag] = stale
 	cl.mu.Unlock()
-	close(fs.release)
-	time.Sleep(100 * time.Millisecond)
+	fs.release.Close()
+	time.Sleep(100 * time.Millisecond) //netvet:ignore realtime a grace window on the real clock this test is about
 	if r, ok := stale.TryRecv(); ok {
 		t.Fatalf("stale flushed reply surfaced under recycled tag: %+v", r)
 	}
@@ -206,54 +214,57 @@ func TestFlushedTagReuse(t *testing.T) {
 // sees. The flushed request holds a ticket behind a parked read; when
 // the queue advances it must skip the handle entirely.
 func TestFlushedQueuedReadSkipsHandle(t *testing.T) {
-	fs := &blockingFS{release: make(chan struct{})}
-	a, b := NewPipe()
-	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") }, vclock.Real)
-	cl, err := NewClient(a)
-	if err != nil {
-		t.Fatal(err)
+	var fs *blockingFS
+	root := func(ck vclock.Clock) vfs.Node {
+		fs = newBlockingFS(ck)
+		node, _ := fs.Attach("")
+		return node
 	}
-	defer cl.Close()
-	root, err := cl.Attach("u", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := root.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Open(vfs.OREAD); err != nil {
-		t.Fatal(err)
-	}
-
-	// First read parks in the handle; second queues behind it on the
-	// fid's read-ticket queue.
-	p1, err := cl.RPCAsync(&Fcall{Type: Tread, Fid: f.fid, Offset: 0, Count: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := cl.RPCAsync(&Fcall{Type: Tread, Fid: f.fid, Offset: 64, Count: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flush the queued read. Tflush is answered in the server's main
-	// loop, so the mark lands before the queue can advance.
-	p2.Flush()
-	// Release the parked read; the flushed one's turn comes and must
-	// be skipped.
-	close(fs.release)
-	if _, err := p1.Wait(); err != nil {
-		t.Fatalf("unflushed read: %v", err)
-	}
-	// The skipped request produces no reply to wait on, so watch the
-	// handle over a grace window: the queue advanced when read #1
-	// answered, and the flushed read must never touch the device.
-	deadline := time.Now().Add(200 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		if got := fs.reads.Load(); got != 1 {
-			t.Fatalf("handle saw %d reads, want 1: a flushed queued read touched the device", got)
+	onTapped(t, root, ClientConfig{}, nil, func(v *vclock.Virtual, cl *Client, _ *countingConn) {
+		root, err := cl.Attach("u", "")
+		if err != nil {
+			t.Error(err)
+			return
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	f.Clunk()
+		f, err := root.Clone()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := f.Open(vfs.OREAD); err != nil {
+			t.Error(err)
+			return
+		}
+
+		// First read parks in the handle; second queues behind it on
+		// the fid's read-ticket queue.
+		p1, err := cl.RPCAsync(&Fcall{Type: Tread, Fid: f.fid, Offset: 0, Count: 64})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		p2, err := cl.RPCAsync(&Fcall{Type: Tread, Fid: f.fid, Offset: 64, Count: 64})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		// Flush the queued read. Tflush is answered in the server's
+		// main loop, so the mark lands before the queue can advance.
+		p2.Flush()
+		// Release the parked read; the flushed one's turn comes and
+		// must be skipped.
+		fs.release.Close()
+		if _, err := p1.Wait(); err != nil {
+			t.Errorf("unflushed read: %v", err)
+			return
+		}
+		// The skipped request produces no reply to wait on, so let the
+		// queue run out: it advanced when read #1 answered, and the
+		// flushed read must never touch the device.
+		v.Sleep(200 * time.Millisecond)
+		if got := fs.reads.Load(); got != 1 {
+			t.Errorf("handle saw %d reads, want 1: a flushed queued read touched the device", got)
+		}
+		f.Clunk()
+	})
 }

@@ -3,7 +3,6 @@ package ninep
 import (
 	"bytes"
 	"io"
-	"sync"
 	"testing"
 	"time"
 
@@ -12,257 +11,285 @@ import (
 	"repro/internal/vfs"
 )
 
-// startServer runs a 9P server over a pipe serving a fresh ramfs and
-// returns a connected client plus the backing fs.
-func startServer(t *testing.T) (*Client, *ramfs.FS) {
+// onServer runs body on a fresh virtual clock with a client of a 9P
+// server that serves a fresh ramfs over a pipe.
+func onServer(t *testing.T, body func(v *vclock.Virtual, cl *Client, fs *ramfs.FS)) {
 	t.Helper()
-	fs := ramfs.New("bootes")
-	a, b := NewPipe()
-	go Serve(b, func(uname, aname string) (vfs.Node, error) {
-		return fs.Root(), nil
-	}, vclock.Real)
-	cl, err := NewClient(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return cl, fs
+	onCountingServer(t, ClientConfig{}, nil, func(v *vclock.Virtual, cl *Client, _ *countingConn, fs *ramfs.FS) {
+		body(v, cl, fs)
+	})
 }
 
 func TestSessionAttachWalkReadWrite(t *testing.T) {
-	cl, fs := startServer(t)
-	fs.WriteFile("dir/hello", []byte("hello 9P"), 0664)
+	onServer(t, func(_ *vclock.Virtual, cl *Client, fs *ramfs.FS) {
+		fs.WriteFile("dir/hello", []byte("hello 9P"), 0664)
 
-	root, err := cl.Attach("glenda", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := root.CloneWalk("dir")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Walk("hello"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Open(vfs.OREAD); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64)
-	n, err := f.Read(buf, 0)
-	if err != nil || string(buf[:n]) != "hello 9P" {
-		t.Fatalf("read %q, %v", buf[:n], err)
-	}
-	if err := f.Clunk(); err != nil {
-		t.Fatal(err)
-	}
+		root, err := cl.Attach("glenda", "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		f, err := root.CloneWalk("dir")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := f.Walk("hello"); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := f.Open(vfs.OREAD); err != nil {
+			t.Error(err)
+			return
+		}
+		buf := make([]byte, 64)
+		n, err := f.Read(buf, 0)
+		if err != nil || string(buf[:n]) != "hello 9P" {
+			t.Errorf("read %q, %v", buf[:n], err)
+			return
+		}
+		if err := f.Clunk(); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func TestCreateWriteRemove(t *testing.T) {
-	cl, fs := startServer(t)
-	root, _ := cl.Attach("glenda", "")
-	f, err := root.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Create("new", 0664, vfs.OWRITE); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := f.Write([]byte("payload"), 0); err != nil || n != 7 {
-		t.Fatalf("write = %d, %v", n, err)
-	}
-	if b, _ := fs.ReadFile("new"); string(b) != "payload" {
-		t.Errorf("server contents %q", b)
-	}
-	if err := f.Remove(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.ReadFile("new"); err == nil {
-		t.Error("file survived Tremove")
-	}
+	onServer(t, func(_ *vclock.Virtual, cl *Client, fs *ramfs.FS) {
+		root, _ := cl.Attach("glenda", "")
+		f, err := root.Clone()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := f.Create("new", 0664, vfs.OWRITE); err != nil {
+			t.Error(err)
+			return
+		}
+		if n, err := f.Write([]byte("payload"), 0); err != nil || n != 7 {
+			t.Errorf("write = %d, %v", n, err)
+			return
+		}
+		if b, _ := fs.ReadFile("new"); string(b) != "payload" {
+			t.Errorf("server contents %q", b)
+		}
+		if err := f.Remove(); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := fs.ReadFile("new"); err == nil {
+			t.Error("file survived Tremove")
+		}
+	})
 }
 
 func TestStatWstat(t *testing.T) {
-	cl, fs := startServer(t)
-	fs.WriteFile("f", []byte("xyz"), 0664)
-	root, _ := cl.Attach("glenda", "")
-	f, err := root.CloneWalk("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := f.Stat()
-	if err != nil || d.Name != "f" || d.Length != 3 {
-		t.Fatalf("stat %+v, %v", d, err)
-	}
-	if err := f.Wstat(vfs.Dir{Name: "g", Mode: ^uint32(0)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.ReadFile("g"); err != nil {
-		t.Error("wstat rename did not take")
-	}
-	f.Clunk()
+	onServer(t, func(_ *vclock.Virtual, cl *Client, fs *ramfs.FS) {
+		fs.WriteFile("f", []byte("xyz"), 0664)
+		root, _ := cl.Attach("glenda", "")
+		f, err := root.CloneWalk("f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		d, err := f.Stat()
+		if err != nil || d.Name != "f" || d.Length != 3 {
+			t.Errorf("stat %+v, %v", d, err)
+			return
+		}
+		if err := f.Wstat(vfs.Dir{Name: "g", Mode: ^uint32(0)}); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := fs.ReadFile("g"); err != nil {
+			t.Error("wstat rename did not take")
+		}
+		f.Clunk()
+	})
 }
 
 func TestErrorsCrossTheWire(t *testing.T) {
-	cl, _ := startServer(t)
-	root, _ := cl.Attach("glenda", "")
-	_, err := root.CloneWalk("missing")
-	if err == nil || err.Error() != vfs.ErrNotExist.Error() {
-		t.Errorf("walk error = %v, want %v", err, vfs.ErrNotExist)
-	}
-	if !vfs.SameError(err, vfs.ErrNotExist) {
-		t.Error("SameError does not match reconstructed 9P error")
-	}
+	onServer(t, func(_ *vclock.Virtual, cl *Client, _ *ramfs.FS) {
+		root, _ := cl.Attach("glenda", "")
+		_, err := root.CloneWalk("missing")
+		if err == nil || err.Error() != vfs.ErrNotExist.Error() {
+			t.Errorf("walk error = %v, want %v", err, vfs.ErrNotExist)
+		}
+		if !vfs.SameError(err, vfs.ErrNotExist) {
+			t.Error("SameError does not match reconstructed 9P error")
+		}
+	})
 }
 
 func TestCloneIsIndependent(t *testing.T) {
-	cl, fs := startServer(t)
-	fs.WriteFile("a/f", nil, 0664)
-	root, _ := cl.Attach("glenda", "")
-	c1, _ := root.Clone()
-	if err := c1.Walk("a"); err != nil {
-		t.Fatal(err)
-	}
-	// root is still at /.
-	c2, err := root.CloneWalk("a")
-	if err != nil {
-		t.Fatalf("root moved by clone's walk: %v", err)
-	}
-	c1.Clunk()
-	c2.Clunk()
+	onServer(t, func(_ *vclock.Virtual, cl *Client, fs *ramfs.FS) {
+		fs.WriteFile("a/f", nil, 0664)
+		root, _ := cl.Attach("glenda", "")
+		c1, _ := root.Clone()
+		if err := c1.Walk("a"); err != nil {
+			t.Error(err)
+			return
+		}
+		// root is still at /.
+		c2, err := root.CloneWalk("a")
+		if err != nil {
+			t.Errorf("root moved by clone's walk: %v", err)
+			return
+		}
+		c1.Clunk()
+		c2.Clunk()
+	})
 }
 
 func TestOpenFidCannotWalk(t *testing.T) {
-	cl, fs := startServer(t)
-	fs.WriteFile("d/f", nil, 0664)
-	root, _ := cl.Attach("glenda", "")
-	d, _ := root.CloneWalk("d")
-	if err := d.Open(vfs.OREAD); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Walk("f"); err == nil {
-		t.Error("walk on open fid succeeded")
-	}
-	d.Clunk()
+	onServer(t, func(_ *vclock.Virtual, cl *Client, fs *ramfs.FS) {
+		fs.WriteFile("d/f", nil, 0664)
+		root, _ := cl.Attach("glenda", "")
+		d, _ := root.CloneWalk("d")
+		if err := d.Open(vfs.OREAD); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := d.Walk("f"); err == nil {
+			t.Error("walk on open fid succeeded")
+		}
+		d.Clunk()
+	})
 }
 
 func TestLargeTransferSplitsIntoRPCs(t *testing.T) {
-	cl, fs := startServer(t)
-	big := bytes.Repeat([]byte("0123456789abcdef"), 4096) // 64 KiB
-	fs.WriteFile("big", big, 0664)
-	root, _ := cl.Attach("glenda", "")
-	f, _ := root.CloneWalk("big")
-	f.Open(vfs.OREAD)
-	got := make([]byte, len(big))
-	n, err := f.Read(got, 0)
-	if err != nil || n != len(big) {
-		t.Fatalf("read %d of %d: %v", n, len(big), err)
-	}
-	if !bytes.Equal(got, big) {
-		t.Error("large read corrupted")
-	}
-	// And a large write back.
-	w, _ := root.Clone()
-	if err := w.Create("copy", 0664, vfs.OWRITE); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := w.Write(big, 0); err != nil || n != len(big) {
-		t.Fatalf("write %d of %d: %v", n, len(big), err)
-	}
-	if b, _ := fs.ReadFile("copy"); !bytes.Equal(b, big) {
-		t.Error("large write corrupted")
-	}
-	f.Clunk()
-	w.Clunk()
+	onServer(t, func(_ *vclock.Virtual, cl *Client, fs *ramfs.FS) {
+		big := bytes.Repeat([]byte("0123456789abcdef"), 4096) // 64 KiB
+		fs.WriteFile("big", big, 0664)
+		root, _ := cl.Attach("glenda", "")
+		f, _ := root.CloneWalk("big")
+		f.Open(vfs.OREAD)
+		got := make([]byte, len(big))
+		n, err := f.Read(got, 0)
+		if err != nil || n != len(big) {
+			t.Errorf("read %d of %d: %v", n, len(big), err)
+			return
+		}
+		if !bytes.Equal(got, big) {
+			t.Error("large read corrupted")
+		}
+		// And a large write back.
+		w, _ := root.Clone()
+		if err := w.Create("copy", 0664, vfs.OWRITE); err != nil {
+			t.Error(err)
+			return
+		}
+		if n, err := w.Write(big, 0); err != nil || n != len(big) {
+			t.Errorf("write %d of %d: %v", n, len(big), err)
+			return
+		}
+		if b, _ := fs.ReadFile("copy"); !bytes.Equal(b, big) {
+			t.Error("large write corrupted")
+		}
+		f.Clunk()
+		w.Clunk()
+	})
 }
 
 func TestDirectoryReadOver9P(t *testing.T) {
-	cl, fs := startServer(t)
-	fs.WriteFile("x", nil, 0664)
-	fs.WriteFile("y", nil, 0664)
-	root, _ := cl.Attach("glenda", "")
-	d, _ := root.Clone()
-	if err := d.Open(vfs.OREAD); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4*vfs.DirRecLen)
-	n, err := d.Read(buf, 0)
-	if err != nil || n != 2*vfs.DirRecLen {
-		t.Fatalf("dir read %d, %v", n, err)
-	}
-	e0, _ := vfs.UnmarshalDir(buf)
-	e1, _ := vfs.UnmarshalDir(buf[vfs.DirRecLen:])
-	if e0.Name != "x" || e1.Name != "y" {
-		t.Errorf("entries %q %q", e0.Name, e1.Name)
-	}
-	d.Clunk()
+	onServer(t, func(_ *vclock.Virtual, cl *Client, fs *ramfs.FS) {
+		fs.WriteFile("x", nil, 0664)
+		fs.WriteFile("y", nil, 0664)
+		root, _ := cl.Attach("glenda", "")
+		d, _ := root.Clone()
+		if err := d.Open(vfs.OREAD); err != nil {
+			t.Error(err)
+			return
+		}
+		buf := make([]byte, 4*vfs.DirRecLen)
+		n, err := d.Read(buf, 0)
+		if err != nil || n != 2*vfs.DirRecLen {
+			t.Errorf("dir read %d, %v", n, err)
+			return
+		}
+		e0, _ := vfs.UnmarshalDir(buf)
+		e1, _ := vfs.UnmarshalDir(buf[vfs.DirRecLen:])
+		if e0.Name != "x" || e1.Name != "y" {
+			t.Errorf("entries %q %q", e0.Name, e1.Name)
+		}
+		d.Clunk()
+	})
 }
 
 func TestConcurrentRPCs(t *testing.T) {
-	cl, fs := startServer(t)
-	fs.WriteFile("f", bytes.Repeat([]byte("z"), 1024), 0664)
-	root, _ := cl.Attach("glenda", "")
-	var wg sync.WaitGroup
-	errs := make(chan error, 32)
-	for range 32 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f, err := root.CloneWalk("f")
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer f.Clunk()
-			if err := f.Open(vfs.OREAD); err != nil {
-				errs <- err
-				return
-			}
-			buf := make([]byte, 1024)
-			if _, err := f.Read(buf, 0); err != nil {
-				errs <- err
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
+	onServer(t, func(v *vclock.Virtual, cl *Client, fs *ramfs.FS) {
+		fs.WriteFile("f", bytes.Repeat([]byte("z"), 1024), 0664)
+		root, _ := cl.Attach("glenda", "")
+		wg := vclock.NewWaitGroup(v)
+		errs := make(chan error, 32)
+		for range 32 {
+			wg.Add(1)
+			v.Go(func() {
+				defer wg.Done()
+				f, err := root.CloneWalk("f")
+				if err != nil {
+					errs <- err
+					return
+				}
+				defer f.Clunk()
+				if err := f.Open(vfs.OREAD); err != nil {
+					errs <- err
+					return
+				}
+				buf := make([]byte, 1024)
+				if _, err := f.Read(buf, 0); err != nil {
+					errs <- err
+				}
+			})
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	})
 }
 
 func TestFlushUnblocksNothingButAnswers(t *testing.T) {
-	cl, _ := startServer(t)
-	// Flushing a tag that is not in flight must still get Rflush.
-	r, err := cl.RPC(&Fcall{Type: Tflush, Oldtag: 12345})
-	if err != nil || r.Type != Rflush {
-		t.Errorf("flush = %+v, %v", r, err)
-	}
+	onServer(t, func(_ *vclock.Virtual, cl *Client, _ *ramfs.FS) {
+		// Flushing a tag that is not in flight must still get Rflush.
+		r, err := cl.RPC(&Fcall{Type: Tflush, Oldtag: 12345})
+		if err != nil || r.Type != Rflush {
+			t.Errorf("flush = %+v, %v", r, err)
+		}
+	})
 }
 
 func TestNopAndAuth(t *testing.T) {
-	cl, _ := startServer(t)
-	if _, err := cl.RPC(&Fcall{Type: Tnop}); err != nil {
-		t.Errorf("nop: %v", err)
-	}
-	r, err := cl.RPC(&Fcall{Type: Tauth, Fid: 9, Uname: "glenda", Chal: "c"})
-	if err != nil || r.Chal == "" {
-		t.Errorf("auth = %+v, %v", r, err)
-	}
+	onServer(t, func(_ *vclock.Virtual, cl *Client, _ *ramfs.FS) {
+		if _, err := cl.RPC(&Fcall{Type: Tnop}); err != nil {
+			t.Errorf("nop: %v", err)
+		}
+		r, err := cl.RPC(&Fcall{Type: Tauth, Fid: 9, Uname: "glenda", Chal: "c"})
+		if err != nil || r.Chal == "" {
+			t.Errorf("auth = %+v, %v", r, err)
+		}
+	})
 }
 
 func TestServerSurvivesUnknownFid(t *testing.T) {
-	cl, _ := startServer(t)
-	if _, err := cl.RPC(&Fcall{Type: Tclunk, Fid: 999}); err == nil {
-		t.Error("clunk of unknown fid succeeded")
-	}
-	// The connection still works afterwards.
-	if _, err := cl.Attach("glenda", ""); err != nil {
-		t.Errorf("attach after error: %v", err)
-	}
+	onServer(t, func(_ *vclock.Virtual, cl *Client, _ *ramfs.FS) {
+		if _, err := cl.RPC(&Fcall{Type: Tclunk, Fid: 999}); err == nil {
+			t.Error("clunk of unknown fid succeeded")
+		}
+		// The connection still works afterwards.
+		if _, err := cl.Attach("glenda", ""); err != nil {
+			t.Errorf("attach after error: %v", err)
+		}
+	})
 }
 
+// TestClientCloseFailsPendingRPCs runs on the real clock by name: the
+// server's teardown marks the request still parked in its handler
+// flushed while that request runs on another host thread, which is
+// what the race detector needs to see.
 func TestClientCloseFailsPendingRPCs(t *testing.T) {
-	a, b := NewPipe()
+	a, b := NewPipe(vclock.Real)
 	blockOpen := make(chan struct{})
 	fs := ramfs.New("u")
 	fs.WriteFile("f", nil, 0664)
@@ -270,7 +297,7 @@ func TestClientCloseFailsPendingRPCs(t *testing.T) {
 		<-blockOpen
 		return fs.Root(), nil
 	}, vclock.Real)
-	cl, err := NewClient(a)
+	cl, err := NewClient(a, ClientConfig{Clock: vclock.Real})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +306,7 @@ func TestClientCloseFailsPendingRPCs(t *testing.T) {
 		_, err := cl.Attach("u", "")
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	time.Sleep(10 * time.Millisecond) //netvet:ignore realtime lets the attach reach the server's handler on the real clock
 	cl.Close()
 	close(blockOpen)
 	select {
@@ -287,13 +314,13 @@ func TestClientCloseFailsPendingRPCs(t *testing.T) {
 		if err == nil {
 			t.Error("pending RPC succeeded after close")
 		}
-	case <-time.After(time.Second):
+	case <-time.After(time.Second): //netvet:ignore realtime a deadline on the real clock this test is about
 		t.Error("pending RPC hung after close")
 	}
 }
 
 func TestPipeSemantics(t *testing.T) {
-	a, b := NewPipe()
+	a, b := NewPipe(vclock.Real)
 	if err := a.WriteMsg([]byte("one")); err != nil {
 		t.Fatal(err)
 	}

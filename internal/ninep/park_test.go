@@ -55,12 +55,12 @@ func TestTwoProcessesShareOneClientOverPacedConn(t *testing.T) {
 	v.Run(func() {
 		fs := ramfs.NewClock("srv", v)
 		fs.WriteFile("f", []byte("hello"), 0664)
-		a, b := NewPipeClock(v)
+		a, b := NewPipe(v)
 		v.Go(func() {
 			Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, v)
 		})
 		file := &pacedFile{MsgConn: a, ck: v}
-		cl, err := NewClientConfig(NewDelimConn(file), ClientConfig{Clock: v})
+		cl, err := NewClient(NewDelimConn(file), ClientConfig{Clock: v})
 		if err != nil {
 			t.Error(err)
 			return
@@ -114,13 +114,13 @@ func TestWalkAndOpenPipelinedOnOneFidWhoseWalkParks(t *testing.T) {
 	v.Run(func() {
 		fs := ramfs.NewClock("srv", v)
 		fs.WriteFile("f", []byte("hello"), 0664)
-		a, b := NewPipeClock(v)
+		a, b := NewPipe(v)
 		v.Go(func() {
 			Serve(b, func(uname, aname string) (vfs.Node, error) {
 				return parkingDir{fs.Root(), v}, nil
 			}, v)
 		})
-		cl, err := NewClientConfig(a, ClientConfig{Clock: v})
+		cl, err := NewClient(a, ClientConfig{Clock: v})
 		if err != nil {
 			t.Error(err)
 			return

@@ -53,17 +53,12 @@ type pipe struct {
 	once   sync.Once
 }
 
-// NewPipe returns two connected MsgConns. Messages written to one are
-// read from the other, in order, with delimiters preserved. The buffer
-// itself crosses the pipe: WriteMsg transfers ownership of its argument
-// to the reading side, with no copy in between.
-func NewPipe() (MsgConn, MsgConn) {
-	return NewPipeClock(nil)
-}
-
-// NewPipeClock is NewPipe on an explicit clock; nil means the real
-// clock.
-func NewPipeClock(ck vclock.Clock) (MsgConn, MsgConn) {
+// NewPipe returns two connected MsgConns whose readers and writers
+// wait on ck. Messages written to one are read from the other, in
+// order, with delimiters preserved. The buffer itself crosses the pipe:
+// WriteMsg transfers ownership of its argument to the reading side, with
+// no copy in between.
+func NewPipe(ck vclock.Clock) (MsgConn, MsgConn) {
 	ab := vclock.NewMailbox[[]byte](ck, 32)
 	ba := vclock.NewMailbox[[]byte](ck, 32)
 	a := &pipe{in: ba, out: ab}

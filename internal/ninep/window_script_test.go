@@ -7,9 +7,10 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/block"
+	"repro/internal/ramfs"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -30,7 +31,7 @@ type scriptConn struct {
 	flushGate int   // hand no Rflush over until this many Tflushes are sent
 
 	mu       sync.Mutex
-	gate     sync.Cond
+	gate     vclock.Cond
 	closed   bool
 	log      []string
 	held     map[uint16]bool
@@ -43,9 +44,9 @@ type scriptConn struct {
 
 var errScripted = errors.New("scripted send failure")
 
-func newScriptConn(c MsgConn) *scriptConn {
+func newScriptConn(ck vclock.Clock, c MsgConn) *scriptConn {
 	s := &scriptConn{MsgConn: c, failAt: -1, holdFrom: -1, held: make(map[uint16]bool)}
-	s.gate.L = &s.mu
+	s.gate.Init(ck, &s.mu)
 	return s
 }
 
@@ -198,52 +199,46 @@ func TestWindowTransfer(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			content := pattern(tc.size)
 			var sc *scriptConn
-			cl, _, fs := startCountingServer(t, tc.cfg, func(c MsgConn) MsgConn {
-				sc = newScriptConn(c)
+			wrap := func(ck vclock.Clock, c MsgConn) MsgConn {
+				sc = newScriptConn(ck, c)
 				return sc
-			})
-			fs.WriteFile("f", content, 0664)
-			f := openFile(t, cl, "f", vfs.OREAD)
-			sc.mu.Lock()
-			tc.script(sc)
-			sc.mu.Unlock()
-
-			type result struct {
-				n   int
-				err error
 			}
-			buf := make([]byte, tc.ask)
-			done := make(chan result, 1)
-			go func() {
-				n, err := f.Read(buf, 0)
-				done <- result{n, err}
-			}()
-			var res result
-			select {
-			case res = <-done:
-			case <-time.After(5 * time.Second):
-				t.Fatal("read hung")
-			}
-			if res.n != tc.want || !errors.Is(res.err, tc.wantErr) {
-				t.Fatalf("read = %d, %v; want %d, %v", res.n, res.err, tc.want, tc.wantErr)
-			}
-			if !bytes.Equal(buf[:res.n], content[:res.n]) {
-				t.Fatal("fragments reassembled out of offset order")
-			}
-			sc.mu.Lock()
-			defer sc.mu.Unlock()
-			var log []string
-			for _, e := range sc.log {
-				if e != "Rread" || tc.rreads {
-					log = append(log, e)
+			onCountingServer(t, tc.cfg, wrap, func(_ *vclock.Virtual, cl *Client, _ *countingConn, fs *ramfs.FS) {
+				fs.WriteFile("f", content, 0664)
+				f := openFile(t, cl, "f", vfs.OREAD)
+				if f == nil {
+					return
 				}
-			}
-			if !reflect.DeepEqual(log, tc.wantLog) {
-				t.Fatalf("wire:\n got %q\nwant %q", log, tc.wantLog)
-			}
-			if sc.maxOut > tc.maxOut {
-				t.Fatalf("%d Treads out at once, want at most %d", sc.maxOut, tc.maxOut)
-			}
+				sc.mu.Lock()
+				tc.script(sc)
+				sc.mu.Unlock()
+
+				// A read that hangs is the clock's deadlock panic.
+				buf := make([]byte, tc.ask)
+				n, err := f.Read(buf, 0)
+				if n != tc.want || !errors.Is(err, tc.wantErr) {
+					t.Errorf("read = %d, %v; want %d, %v", n, err, tc.want, tc.wantErr)
+					return
+				}
+				if !bytes.Equal(buf[:n], content[:n]) {
+					t.Error("fragments reassembled out of offset order")
+					return
+				}
+				sc.mu.Lock()
+				defer sc.mu.Unlock()
+				var log []string
+				for _, e := range sc.log {
+					if e != "Rread" || tc.rreads {
+						log = append(log, e)
+					}
+				}
+				if !reflect.DeepEqual(log, tc.wantLog) {
+					t.Errorf("wire:\n got %q\nwant %q", log, tc.wantLog)
+				}
+				if sc.maxOut > tc.maxOut {
+					t.Errorf("%d Treads out at once, want at most %d", sc.maxOut, tc.maxOut)
+				}
+			})
 		})
 	}
 }
@@ -251,30 +246,37 @@ func TestWindowTransfer(t *testing.T) {
 // TestWindowCancelEmpty: cancelling a window with nothing in flight
 // puts nothing on the wire, before any fragment and after the last.
 func TestWindowCancelEmpty(t *testing.T) {
-	cl, cc, fs := startCountingServer(t, ClientConfig{}, nil)
-	fs.WriteFile("f", pattern(100), 0664)
-	f := openFile(t, cl, "f", vfs.OREAD)
-	sent := func() (n int64) {
-		for typ := range cc.counts {
-			n += cc.counts[typ].Load()
+	onCountingServer(t, ClientConfig{}, nil, func(_ *vclock.Virtual, cl *Client, cc *countingConn, fs *ramfs.FS) {
+		fs.WriteFile("f", pattern(100), 0664)
+		f := openFile(t, cl, "f", vfs.OREAD)
+		if f == nil {
+			return
 		}
-		return n
-	}
-	w := f.NewWindow()
-	before := sent()
-	w.Cancel()
-	if got := sent() - before; got != 0 {
-		t.Fatalf("Cancel on a fresh window sent %d messages", got)
-	}
-	if err := w.Read(0, 100); err != nil {
-		t.Fatal(err)
-	}
-	if data, n, short, err := w.Reap(); err != nil || n != 100 || short || len(data) != 100 {
-		t.Fatalf("reap = %d bytes, n %d, short %v, %v", len(data), n, short, err)
-	}
-	before = sent()
-	w.Cancel()
-	if got := sent() - before; got != 0 || w.Len() != 0 {
-		t.Fatalf("Cancel on a drained window sent %d messages, Len %d", got, w.Len())
-	}
+		sent := func() (n int64) {
+			for typ := range cc.counts {
+				n += cc.counts[typ].Load()
+			}
+			return n
+		}
+		w := f.NewWindow()
+		before := sent()
+		w.Cancel()
+		if got := sent() - before; got != 0 {
+			t.Errorf("Cancel on a fresh window sent %d messages", got)
+			return
+		}
+		if err := w.Read(0, 100); err != nil {
+			t.Error(err)
+			return
+		}
+		if data, n, short, err := w.Reap(); err != nil || n != 100 || short || len(data) != 100 {
+			t.Errorf("reap = %d bytes, n %d, short %v, %v", len(data), n, short, err)
+			return
+		}
+		before = sent()
+		w.Cancel()
+		if got := sent() - before; got != 0 || w.Len() != 0 {
+			t.Errorf("Cancel on a drained window sent %d messages, Len %d", got, w.Len())
+		}
+	})
 }

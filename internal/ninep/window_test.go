@@ -27,41 +27,63 @@ func (c *countingConn) WriteMsg(p []byte) error {
 
 func (c *countingConn) count(typ uint8) int64 { return c.counts[typ].Load() }
 
-// startCountingServer is startServer with a tap on the client's
-// outgoing messages and an explicit client configuration. A non-nil
-// wrap puts one more layer between the client and the tap.
-func startCountingServer(t *testing.T, cfg ClientConfig, wrap func(MsgConn) MsgConn) (*Client, *countingConn, *ramfs.FS) {
+// onTapped runs body on a fresh virtual clock with a client,
+// configured by cfg on that clock, of a 9P server that serves the node
+// root makes over a pipe, behind a tap on the client's outgoing
+// messages. A non-nil wrap puts one more layer between the client and
+// the tap.
+func onTapped(t *testing.T, root func(ck vclock.Clock) vfs.Node, cfg ClientConfig, wrap func(vclock.Clock, MsgConn) MsgConn, body func(v *vclock.Virtual, cl *Client, cc *countingConn)) {
 	t.Helper()
-	fs := ramfs.New("bootes")
-	a, b := NewPipe()
-	go Serve(b, func(uname, aname string) (vfs.Node, error) {
-		return fs.Root(), nil
-	}, vclock.Real)
-	cc := &countingConn{MsgConn: a}
-	var conn MsgConn = cc
-	if wrap != nil {
-		conn = wrap(cc)
-	}
-	cl, err := NewClientConfig(conn, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return cl, cc, fs
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		a, b := NewPipe(v)
+		node := root(v)
+		v.Go(func() {
+			Serve(b, func(uname, aname string) (vfs.Node, error) { return node, nil }, v)
+		})
+		cc := &countingConn{MsgConn: a}
+		var conn MsgConn = cc
+		if wrap != nil {
+			conn = wrap(v, cc)
+		}
+		cfg.Clock = v
+		cl, err := NewClient(conn, cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer cl.Close()
+		body(v, cl, cc)
+	})
 }
 
+// onCountingServer is onTapped serving a fresh ramfs.
+func onCountingServer(t *testing.T, cfg ClientConfig, wrap func(vclock.Clock, MsgConn) MsgConn, body func(v *vclock.Virtual, cl *Client, cc *countingConn, fs *ramfs.FS)) {
+	t.Helper()
+	var fs *ramfs.FS
+	root := func(ck vclock.Clock) vfs.Node {
+		fs = ramfs.NewClock("bootes", ck)
+		return fs.Root()
+	}
+	onTapped(t, root, cfg, wrap, func(v *vclock.Virtual, cl *Client, cc *countingConn) { body(v, cl, cc, fs) })
+}
+
+// openFile walks to name and opens it; nil means the test failed.
 func openFile(t *testing.T, cl *Client, name string, mode int) *Fid {
 	t.Helper()
 	root, err := cl.Attach("glenda", "")
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil
 	}
 	f, err := root.CloneWalk(name)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil
 	}
 	if err := f.Open(mode); err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil
 	}
 	return f
 }
@@ -78,62 +100,79 @@ func pattern(n int) []byte {
 // window returns exactly the serial result, for sizes on and off the
 // fragment boundary.
 func TestWindowedReadCorrectness(t *testing.T) {
-	cl, _, fs := startCountingServer(t, ClientConfig{FileTree: true, Window: 4}, nil)
-	for _, size := range []int{MaxFData + 1, 3 * MaxFData, 5*MaxFData - 77, 100 << 10} {
-		want := pattern(size)
-		fs.WriteFile("big", want, 0664)
-		f := openFile(t, cl, "big", vfs.OREAD)
-		got := make([]byte, size+MaxFData) // oversized buffer: EOF truncates
-		n, err := f.Read(got, 0)
-		if err != nil {
-			t.Fatalf("size %d: read: %v", size, err)
+	onCountingServer(t, ClientConfig{FileTree: true, Window: 4}, nil, func(v *vclock.Virtual, cl *Client, _ *countingConn, fs *ramfs.FS) {
+		for _, size := range []int{MaxFData + 1, 3 * MaxFData, 5*MaxFData - 77, 100 << 10} {
+			want := pattern(size)
+			fs.WriteFile("big", want, 0664)
+			f := openFile(t, cl, "big", vfs.OREAD)
+			if f == nil {
+				return
+			}
+			got := make([]byte, size+MaxFData) // oversized buffer: EOF truncates
+			n, err := f.Read(got, 0)
+			if err != nil {
+				t.Errorf("size %d: read: %v", size, err)
+				return
+			}
+			if n != size {
+				t.Errorf("size %d: read %d bytes", size, n)
+				return
+			}
+			if !bytes.Equal(got[:n], want) {
+				t.Errorf("size %d: content mismatch", size)
+				return
+			}
+			f.Clunk()
 		}
-		if n != size {
-			t.Fatalf("size %d: read %d bytes", size, n)
-		}
-		if !bytes.Equal(got[:n], want) {
-			t.Fatalf("size %d: content mismatch", size)
-		}
-		f.Clunk()
-	}
+	})
 }
 
 // TestWindowedWriteCorrectness: a multi-fragment write lands intact.
 func TestWindowedWriteCorrectness(t *testing.T) {
-	cl, _, fs := startCountingServer(t, ClientConfig{FileTree: true, Window: 4}, nil)
-	root, _ := cl.Attach("glenda", "")
-	f, err := root.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Create("out", 0664, vfs.OWRITE); err != nil {
-		t.Fatal(err)
-	}
-	want := pattern(5*MaxFData - 123)
-	if n, err := f.Write(want, 0); err != nil || n != len(want) {
-		t.Fatalf("write = %d, %v", n, err)
-	}
-	f.Clunk()
-	if got, _ := fs.ReadFile("out"); !bytes.Equal(got, want) {
-		t.Fatalf("content mismatch: %d vs %d bytes", len(got), len(want))
-	}
+	onCountingServer(t, ClientConfig{FileTree: true, Window: 4}, nil, func(v *vclock.Virtual, cl *Client, _ *countingConn, fs *ramfs.FS) {
+		root, _ := cl.Attach("glenda", "")
+		f, err := root.Clone()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := f.Create("out", 0664, vfs.OWRITE); err != nil {
+			t.Error(err)
+			return
+		}
+		want := pattern(5*MaxFData - 123)
+		if n, err := f.Write(want, 0); err != nil || n != len(want) {
+			t.Errorf("write = %d, %v", n, err)
+			return
+		}
+		f.Clunk()
+		if got, _ := fs.ReadFile("out"); !bytes.Equal(got, want) {
+			t.Errorf("content mismatch: %d vs %d bytes", len(got), len(want))
+		}
+	})
 }
 
 // TestSmallReadSingleRPC pins the invariant that a read of at most
 // MaxFData bytes costs exactly one Tread, window or no window.
 func TestSmallReadSingleRPC(t *testing.T) {
-	cl, cc, fs := startCountingServer(t, ClientConfig{FileTree: true, Window: 8}, nil)
-	fs.WriteFile("small", pattern(MaxFData), 0664)
-	f := openFile(t, cl, "small", vfs.OREAD)
-	before := cc.count(Tread)
-	buf := make([]byte, MaxFData)
-	if n, err := f.Read(buf, 0); err != nil || n != MaxFData {
-		t.Fatalf("read = %d, %v", n, err)
-	}
-	if got := cc.count(Tread) - before; got != 1 {
-		t.Fatalf("read of MaxFData issued %d Treads, want 1", got)
-	}
-	f.Clunk()
+	onCountingServer(t, ClientConfig{FileTree: true, Window: 8}, nil, func(v *vclock.Virtual, cl *Client, cc *countingConn, fs *ramfs.FS) {
+		fs.WriteFile("small", pattern(MaxFData), 0664)
+		f := openFile(t, cl, "small", vfs.OREAD)
+		if f == nil {
+			return
+		}
+		before := cc.count(Tread)
+		buf := make([]byte, MaxFData)
+		if n, err := f.Read(buf, 0); err != nil || n != MaxFData {
+			t.Errorf("read = %d, %v", n, err)
+			return
+		}
+		if got := cc.count(Tread) - before; got != 1 {
+			t.Errorf("read of MaxFData issued %d Treads, want 1", got)
+			return
+		}
+		f.Clunk()
+	})
 }
 
 // gateFS serves one file whose reads at or past a gate offset block
@@ -145,7 +184,7 @@ func TestSmallReadSingleRPC(t *testing.T) {
 type gateFS struct {
 	content []byte
 	gate    int64
-	release chan struct{}
+	release *vclock.Mailbox[struct{}] // closed to release
 }
 
 func (f *gateFS) Root() vfs.Node { return gateNode{f: f} }
@@ -162,7 +201,7 @@ type gateHandle struct{ f *gateFS }
 
 func (h gateHandle) Read(p []byte, off int64) (int, error) {
 	if off >= h.f.gate {
-		<-h.f.release
+		h.f.release.Recv()
 	}
 	if off >= int64(len(h.f.content)) {
 		return 0, nil
@@ -182,39 +221,43 @@ func (h gateHandle) Close() error                           { return nil }
 func TestWindowedShortReadTruncates(t *testing.T) {
 	size := 2*MaxFData + 100 // third fragment comes back short
 	want := pattern(size)
-	fs := &gateFS{content: want, gate: 3 * MaxFData, release: make(chan struct{})}
-	t.Cleanup(func() { close(fs.release) })
-	a, b := NewPipe()
-	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, vclock.Real)
-	cc := &countingConn{MsgConn: a}
-	cl, err := NewClientConfig(cc, ClientConfig{FileTree: true, Window: 8})
-	if err != nil {
-		t.Fatal(err)
+	var fs *gateFS
+	root := func(ck vclock.Clock) vfs.Node {
+		fs = &gateFS{content: want, gate: 3 * MaxFData, release: vclock.NewMailbox[struct{}](ck, 0)}
+		return fs.Root()
 	}
-	t.Cleanup(func() { cl.Close() })
-	root, err := cl.Attach("u", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := root.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Open(vfs.OREAD); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 6*MaxFData) // fans into 6 fragments, 3 past the gate
-	n, err := f.Read(got, 0)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if n != size || !bytes.Equal(got[:n], want) {
-		t.Fatalf("read %d bytes, want %d", n, size)
-	}
-	if flushes := cc.count(Tflush); flushes != 3 {
-		t.Fatalf("short read in the window sent %d Tflushes, want 3 (one per gated speculative fragment)", flushes)
-	}
-	f.Clunk()
+	onTapped(t, root, ClientConfig{FileTree: true, Window: 8}, nil, func(_ *vclock.Virtual, cl *Client, cc *countingConn) {
+		defer fs.release.Close()
+		root, err := cl.Attach("u", "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		f, err := root.Clone()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := f.Open(vfs.OREAD); err != nil {
+			t.Error(err)
+			return
+		}
+		got := make([]byte, 6*MaxFData) // fans into 6 fragments, 3 past the gate
+		n, err := f.Read(got, 0)
+		if err != nil {
+			t.Errorf("read: %v", err)
+			return
+		}
+		if n != size || !bytes.Equal(got[:n], want) {
+			t.Errorf("read %d bytes, want %d", n, size)
+			return
+		}
+		if flushes := cc.count(Tflush); flushes != 3 {
+			t.Errorf("short read in the window sent %d Tflushes, want 3 (one per gated speculative fragment)", flushes)
+			return
+		}
+		f.Clunk()
+	})
 }
 
 // streamFS serves one stream-like file: each read returns at most 100
@@ -255,40 +298,39 @@ func (h streamHandle) Close() error                           { return nil }
 // — for plain file trees.)
 func TestDefaultConfigReadsSerial(t *testing.T) {
 	fs := &streamFS{}
-	a, b := NewPipe()
-	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, vclock.Real)
-	cc := &countingConn{MsgConn: a}
-	cl, err := NewClientConfig(cc, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	root, err := cl.Attach("u", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := root.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Open(vfs.OREAD); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 3*MaxFData) // would fan into 3 Treads if windowed
-	n, err := f.Read(buf, 0)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if n != 100 {
-		t.Fatalf("read = %d bytes, want the single 100-byte message", n)
-	}
-	if got := cc.count(Tread); got != 1 {
-		t.Fatalf("default-config large read issued %d Treads, want 1", got)
-	}
-	if got := fs.reads.Load(); got != 1 {
-		t.Fatalf("server handle saw %d reads, want 1 (speculative fragment consumed stream data)", got)
-	}
-	f.Clunk()
+	root := func(vclock.Clock) vfs.Node { return fs.Root() }
+	onTapped(t, root, ClientConfig{}, nil, func(_ *vclock.Virtual, cl *Client, cc *countingConn) {
+		root, err := cl.Attach("u", "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		f, err := root.Clone()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := f.Open(vfs.OREAD); err != nil {
+			t.Error(err)
+			return
+		}
+		buf := make([]byte, 3*MaxFData) // would fan into 3 Treads if windowed
+		n, err := f.Read(buf, 0)
+		if err != nil {
+			t.Errorf("read: %v", err)
+			return
+		}
+		if n != 100 {
+			t.Errorf("read = %d bytes, want the single 100-byte message", n)
+		}
+		if got := cc.count(Tread); got != 1 {
+			t.Errorf("default-config large read issued %d Treads, want 1", got)
+		}
+		if got := fs.reads.Load(); got != 1 {
+			t.Errorf("server handle saw %d reads, want 1 (speculative fragment consumed stream data)", got)
+		}
+		f.Clunk()
+	})
 }
 
 // TestTagExhaustionBlocks is the regression test for the tag
@@ -296,65 +338,66 @@ func TestDefaultConfigReadsSerial(t *testing.T) {
 // next RPC must park on the condition variable (not spin) and resume
 // as soon as a tag frees.
 func TestTagExhaustionBlocks(t *testing.T) {
-	fs := &blockingFS{release: make(chan struct{})}
-	a, b := NewPipe()
-	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") }, vclock.Real)
+	var fs *blockingFS
+	root := func(ck vclock.Clock) vfs.Node {
+		fs = newBlockingFS(ck)
+		node, _ := fs.Attach("")
+		return node
+	}
 	// A cap of 3 is spent by the three parked reads; the probe must
 	// block.
-	cl, err := NewClientConfig(a, ClientConfig{inFlightCap: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	root, err := cl.Attach("u", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := root.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Open(vfs.OREAD); err != nil {
-		t.Fatal(err)
-	}
-
-	// Fill the in-flight budget with reads the server will hold.
-	w := f.NewWindow()
-	for range 3 {
-		if err := w.Read(0, 8); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// The budget is spent: the next RPC must block in allocTag.
-	statDone := make(chan error, 1)
-	go func() {
-		_, err := root.Stat()
-		statDone <- err
-	}()
-	select {
-	case err := <-statDone:
-		t.Fatalf("rpc past the in-flight cap returned early: %v", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	// Releasing the server lets the parked reads answer, freeing tags;
-	// the blocked RPC must complete promptly.
-	close(fs.release)
-	select {
-	case err := <-statDone:
+	onTapped(t, root, ClientConfig{inFlightCap: 3}, nil, func(v *vclock.Virtual, cl *Client, _ *countingConn) {
+		root, err := cl.Attach("u", "")
 		if err != nil {
-			t.Fatalf("stat after tags freed: %v", err)
+			t.Error(err)
+			return
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("rpc still blocked after tags freed")
-	}
-	for w.Len() > 0 {
-		if _, _, _, err := w.Reap(); err != nil {
-			t.Fatalf("parked read: %v", err)
+		f, err := root.Clone()
+		if err != nil {
+			t.Error(err)
+			return
 		}
-	}
-	f.Clunk()
+		if err := f.Open(vfs.OREAD); err != nil {
+			t.Error(err)
+			return
+		}
+
+		// Fill the in-flight budget with reads the server will hold.
+		w := f.NewWindow()
+		for range 3 {
+			if err := w.Read(0, 8); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+
+		// The budget is spent: the next RPC must block in allocTag.
+		statDone := vclock.NewMailbox[error](v, 1)
+		v.Go(func() {
+			_, err := root.Stat()
+			statDone.Send(err)
+		})
+		v.Sleep(50 * time.Millisecond)
+		if err, ok := statDone.TryRecv(); ok {
+			t.Errorf("rpc past the in-flight cap returned early: %v", err)
+			return
+		}
+
+		// Releasing the server lets the parked reads answer, freeing
+		// tags; the blocked RPC must then complete.
+		fs.release.Close()
+		if err, _ := statDone.Recv(); err != nil {
+			t.Errorf("stat after tags freed: %v", err)
+			return
+		}
+		for w.Len() > 0 {
+			if _, _, _, err := w.Reap(); err != nil {
+				t.Errorf("parked read: %v", err)
+				return
+			}
+		}
+		f.Clunk()
+	})
 }
 
 // TestWindowClampedToMaxInFlight: the window can never exceed the tag

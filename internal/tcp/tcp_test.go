@@ -3,7 +3,6 @@ package tcp
 import (
 	"bytes"
 	"io"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -16,310 +15,279 @@ import (
 	"repro/internal/xport"
 )
 
-func pair(t *testing.T, prof ether.Profile) (*Proto, *Proto, ip.Addr, ip.Addr) {
+// onPair runs body on a virtual clock with a TCP conversation open
+// from 135.104.117.1 to port 564 of 135.104.117.2, both on one Ethernet
+// of profile prof.
+func onPair(t *testing.T, prof ether.Profile, body func(v *vclock.Virtual, dc, sc xport.Conn)) {
 	t.Helper()
-	seg := ether.NewSegment("e0", prof)
-	t.Cleanup(seg.Close)
-	s1, s2 := ip.NewStack(), ip.NewStack()
-	a1 := ip.Addr{135, 104, 117, 1}
-	a2 := ip.Addr{135, 104, 117, 2}
-	mask := ip.Addr{255, 255, 255, 0}
-	if _, err := s1.Bind(seg.NewInterface("ether0"), a1, mask); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.Bind(seg.NewInterface("ether0"), a2, mask); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s1.Close(); s2.Close() })
-	p1, p2 := New(s1), New(s2)
-	// Engine teardown kills straggling conversations (a lost FIN can
-	// strand a passive close) so their timers don't outlive the test.
-	t.Cleanup(func() { p1.Close(); p2.Close() })
-	return p1, p2, a1, a2
+	onVirtual(t, prof, 2, func(v *vclock.Virtual, ps []*Proto, as []ip.Addr) {
+		dc, sc, err := dialVirtual(v, ps[0], ps[1], as[1])
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer dc.Close()
+		defer sc.Close()
+		body(v, dc, sc)
+	})
 }
 
-func connect(t *testing.T, p1, p2 *Proto, a2 ip.Addr, port string) (xport.Conn, xport.Conn) {
-	t.Helper()
-	lc, _ := p2.NewConn()
-	if err := lc.Announce(port); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lc.Close() })
-	acceptCh := make(chan xport.Conn, 1)
-	go func() {
-		nc, err := lc.Listen()
-		if err == nil {
-			acceptCh <- nc
+// readAll reads c until it has n bytes or a read fails.
+func readAll(c xport.Conn, n int) []byte {
+	var got []byte
+	buf := make([]byte, 32*1024)
+	for len(got) < n {
+		m, err := c.Read(buf)
+		if err != nil {
+			break
 		}
-	}()
-	dc, _ := p1.NewConn()
-	if err := dc.Connect(a2.String() + "!" + port); err != nil {
-		t.Fatal(err)
+		got = append(got, buf[:m]...)
 	}
-	t.Cleanup(func() { dc.Close() })
-	select {
-	case sc := <-acceptCh:
-		t.Cleanup(func() { sc.Close() })
-		return dc, sc
-	case <-time.After(5 * time.Second):
-		t.Fatal("accept timed out")
-		return nil, nil
-	}
+	return got
 }
 
 func TestHandshakeEcho(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{})
-	dc, sc := connect(t, p1, p2, a2, "564")
-	if dc.(*Conn).State() != "Established" || sc.(*Conn).State() != "Established" {
-		t.Errorf("states %s / %s", dc.(*Conn).State(), sc.(*Conn).State())
-	}
-	dc.Write([]byte("hello tcp"))
-	buf := make([]byte, 64)
-	n, err := sc.Read(buf)
-	if err != nil || string(buf[:n]) != "hello tcp" {
-		t.Fatalf("read %q, %v", buf[:n], err)
-	}
-	sc.Write([]byte("right back"))
-	n, err = dc.Read(buf)
-	if err != nil || string(buf[:n]) != "right back" {
-		t.Fatalf("reply %q, %v", buf[:n], err)
-	}
+	onPair(t, ether.Profile{}, func(_ *vclock.Virtual, dc, sc xport.Conn) {
+		if dc.(*Conn).State() != "Established" || sc.(*Conn).State() != "Established" {
+			t.Errorf("states %s / %s", dc.(*Conn).State(), sc.(*Conn).State())
+		}
+		dc.Write([]byte("hello tcp"))
+		buf := make([]byte, 64)
+		n, err := sc.Read(buf)
+		if err != nil || string(buf[:n]) != "hello tcp" {
+			t.Errorf("read %q, %v", buf[:n], err)
+			return
+		}
+		sc.Write([]byte("right back"))
+		n, err = dc.Read(buf)
+		if err != nil || string(buf[:n]) != "right back" {
+			t.Errorf("reply %q, %v", buf[:n], err)
+		}
+	})
 }
 
 func TestByteStreamDoesNotPreserveDelimiters(t *testing.T) {
 	// §3: "TCP ... does not preserve delimiters." Two writes may be
 	// read as one; the byte content must still be exact.
-	p1, p2, _, a2 := pair(t, ether.Profile{})
-	dc, sc := connect(t, p1, p2, a2, "564")
-	dc.Write([]byte("first"))
-	dc.Write([]byte("second"))
-	time.Sleep(50 * time.Millisecond) // let both segments land
-	buf := make([]byte, 64)
-	n, err := sc.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := string(buf[:n])
-	for len(got) < len("firstsecond") {
-		n, err = sc.Read(buf)
-		if err != nil {
-			t.Fatal(err)
+	onPair(t, ether.Profile{}, func(v *vclock.Virtual, dc, sc xport.Conn) {
+		dc.Write([]byte("first"))
+		dc.Write([]byte("second"))
+		v.Sleep(50 * time.Millisecond) // let both segments land
+		if got := string(readAll(sc, len("firstsecond"))); got != "firstsecond" {
+			t.Errorf("stream bytes %q", got)
 		}
-		got += string(buf[:n])
-	}
-	if got != "firstsecond" {
-		t.Fatalf("stream bytes %q", got)
-	}
+	})
 }
 
 func TestBulkTransfer(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{})
-	dc, sc := connect(t, p1, p2, a2, "564")
-	payload := bytes.Repeat([]byte("0123456789abcdef"), 16*1024) // 256 KiB
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var got []byte
-	go func() {
-		defer wg.Done()
-		buf := make([]byte, 32*1024)
-		for len(got) < len(payload) {
-			n, err := sc.Read(buf)
-			if err != nil {
-				return
-			}
-			got = append(got, buf[:n]...)
+	onPair(t, ether.Profile{}, func(v *vclock.Virtual, dc, sc xport.Conn) {
+		payload := bytes.Repeat([]byte("0123456789abcdef"), 16*1024) // 256 KiB
+		wg := vclock.NewWaitGroup(v)
+		wg.Add(1)
+		var got []byte
+		v.Go(func() {
+			defer wg.Done()
+			got = readAll(sc, len(payload))
+		})
+		if n, err := dc.Write(payload); err != nil || n != len(payload) {
+			t.Errorf("write %d, %v", n, err)
 		}
-	}()
-	if n, err := dc.Write(payload); err != nil || n != len(payload) {
-		t.Fatalf("write %d, %v", n, err)
-	}
-	wg.Wait()
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("bulk transfer corrupted: got %d bytes want %d", len(got), len(payload))
-	}
+		wg.Wait()
+		if !bytes.Equal(got, payload) {
+			t.Errorf("bulk transfer corrupted: got %d bytes want %d", len(got), len(payload))
+		}
+	})
 }
 
 func TestReliabilityUnderLoss(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{Loss: 0.08, Seed: 11, Bandwidth: 1 << 26})
-	dc, sc := connect(t, p1, p2, a2, "564")
-	payload := bytes.Repeat([]byte("L"), 40*1024)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var got []byte
-	go func() {
-		defer wg.Done()
-		buf := make([]byte, 8192)
-		for len(got) < len(payload) {
-			n, err := sc.Read(buf)
-			if err != nil {
-				return
-			}
-			got = append(got, buf[:n]...)
+	onVirtual(t, ether.Profile{Loss: 0.08, Seed: 11, Bandwidth: 1 << 26}, 2, func(v *vclock.Virtual, ps []*Proto, as []ip.Addr) {
+		dc, sc, err := dialVirtual(v, ps[0], ps[1], as[1])
+		if err != nil {
+			t.Error(err)
+			return
 		}
-	}()
-	dc.Write(payload)
-	wg.Wait()
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("lossy transfer corrupted (%d/%d bytes)", len(got), len(payload))
-	}
-	if p1.Retransmits.Load() == 0 {
-		t.Log("note: loss pattern hit no data segments")
-	}
+		defer dc.Close()
+		defer sc.Close()
+		payload := bytes.Repeat([]byte("L"), 40*1024)
+		wg := vclock.NewWaitGroup(v)
+		wg.Add(1)
+		var got []byte
+		v.Go(func() {
+			defer wg.Done()
+			got = readAll(sc, len(payload))
+		})
+		dc.Write(payload)
+		wg.Wait()
+		if !bytes.Equal(got, payload) {
+			t.Errorf("lossy transfer corrupted (%d/%d bytes)", len(got), len(payload))
+		}
+		if ps[0].Retransmits.Load() == 0 {
+			t.Error("8% loss over 40 KiB and no retransmission")
+		}
+	})
 }
 
 func TestConnectionRefusedByRST(t *testing.T) {
-	p1, _, _, a2 := pair(t, ether.Profile{})
-	dc, _ := p1.NewConn()
-	defer dc.Close()
-	err := dc.Connect(a2.String() + "!9")
-	if !vfs.SameError(err, vfs.ErrConnRef) {
-		t.Errorf("refused connect = %v", err)
-	}
+	onVirtual(t, ether.Profile{}, 2, func(_ *vclock.Virtual, ps []*Proto, as []ip.Addr) {
+		dc, _ := ps[0].NewConn()
+		defer dc.Close()
+		err := dc.Connect(as[1].String() + "!9")
+		if !vfs.SameError(err, vfs.ErrConnRef) {
+			t.Errorf("refused connect = %v", err)
+		}
+	})
 }
 
 func TestFINDeliversEOFAfterData(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{})
-	dc, sc := connect(t, p1, p2, a2, "564")
-	dc.Write([]byte("finale"))
-	dc.Close()
-	var got []byte
-	buf := make([]byte, 64)
-	for {
-		n, err := sc.Read(buf)
-		got = append(got, buf[:n]...)
-		if err == io.EOF {
-			break
+	onPair(t, ether.Profile{}, func(_ *vclock.Virtual, dc, sc xport.Conn) {
+		dc.Write([]byte("finale"))
+		dc.Close()
+		var got []byte
+		buf := make([]byte, 64)
+		for {
+			n, err := sc.Read(buf)
+			got = append(got, buf[:n]...)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Errorf("read error %v (got %q)", err, got)
+				return
+			}
 		}
-		if err != nil {
-			t.Fatalf("read error %v (got %q)", err, got)
+		if string(got) != "finale" {
+			t.Errorf("data before FIN: %q", got)
 		}
-	}
-	if string(got) != "finale" {
-		t.Errorf("data before FIN: %q", got)
-	}
+	})
 }
 
 func TestCloseWithBufferedDataDrains(t *testing.T) {
 	// Close immediately after a large write: every byte must still
 	// arrive before EOF (FIN is sequenced after the data).
-	p1, p2, _, a2 := pair(t, ether.Profile{})
-	dc, sc := connect(t, p1, p2, a2, "564")
-	payload := bytes.Repeat([]byte("D"), 100*1024)
-	go func() {
-		dc.Write(payload)
-		dc.Close()
-	}()
-	var got []byte
-	buf := make([]byte, 16*1024)
-	for {
-		n, err := sc.Read(buf)
-		got = append(got, buf[:n]...)
-		if err != nil {
-			break
+	onPair(t, ether.Profile{}, func(v *vclock.Virtual, dc, sc xport.Conn) {
+		payload := bytes.Repeat([]byte("D"), 100*1024)
+		v.Go(func() {
+			dc.Write(payload)
+			dc.Close()
+		})
+		var got []byte
+		buf := make([]byte, 16*1024)
+		for {
+			n, err := sc.Read(buf)
+			got = append(got, buf[:n]...)
+			if err != nil {
+				break
+			}
 		}
-	}
-	if len(got) != len(payload) {
-		t.Fatalf("received %d of %d bytes before EOF", len(got), len(payload))
-	}
+		if len(got) != len(payload) {
+			t.Errorf("received %d of %d bytes before EOF", len(got), len(payload))
+		}
+	})
 }
 
 func TestHalfClose(t *testing.T) {
 	// After the client closes, the server (CloseWait) can still send.
-	p1, p2, _, a2 := pair(t, ether.Profile{})
-	dc, sc := connect(t, p1, p2, a2, "564")
-	dc.Write([]byte("request"))
-	dc.Close()
-	buf := make([]byte, 64)
-	n, err := sc.Read(buf)
-	if err != nil || string(buf[:n]) != "request" {
-		t.Fatalf("server read %q, %v", buf[:n], err)
-	}
-	// Wait until the FIN arrives and the server is in CloseWait.
-	deadline := time.Now().Add(2 * time.Second)
-	for sc.(*Conn).State() != "Close_wait" && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n, err := sc.Write([]byte("response")); err != nil || n != 8 {
-		t.Fatalf("server write after client close: %d, %v", n, err)
-	}
-	got := make([]byte, 64)
-	rn, err := dc.Read(got)
-	if err != nil || string(got[:rn]) != "response" {
-		t.Fatalf("client read after close %q, %v", got[:rn], err)
-	}
+	onPair(t, ether.Profile{}, func(v *vclock.Virtual, dc, sc xport.Conn) {
+		dc.Write([]byte("request"))
+		dc.Close()
+		buf := make([]byte, 64)
+		n, err := sc.Read(buf)
+		if err != nil || string(buf[:n]) != "request" {
+			t.Errorf("server read %q, %v", buf[:n], err)
+			return
+		}
+		// The FIN has arrived once the clock has run out what was due.
+		v.Sleep(time.Millisecond)
+		if st := sc.(*Conn).State(); st != "Close_wait" {
+			t.Errorf("server in %s after the client's FIN, want Close_wait", st)
+		}
+		if n, err := sc.Write([]byte("response")); err != nil || n != 8 {
+			t.Errorf("server write after client close: %d, %v", n, err)
+			return
+		}
+		got := make([]byte, 64)
+		rn, err := dc.Read(got)
+		if err != nil || string(got[:rn]) != "response" {
+			t.Errorf("client read after close %q, %v", got[:rn], err)
+		}
+	})
 }
 
 func TestSequentialConnectionsSamePort(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{})
-	lc, _ := p2.NewConn()
-	if err := lc.Announce("7"); err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-	for i := range 4 {
-		go func() {
-			nc, err := lc.Listen()
-			if err != nil {
+	onVirtual(t, ether.Profile{}, 2, func(v *vclock.Virtual, ps []*Proto, as []ip.Addr) {
+		lc, _ := ps[1].NewConn()
+		if err := lc.Announce("7"); err != nil {
+			t.Error(err)
+			return
+		}
+		defer lc.Close()
+		for i := range 4 {
+			v.Go(func() {
+				nc, err := lc.Listen()
+				if err != nil {
+					return
+				}
+				buf := make([]byte, 128)
+				n, _ := nc.Read(buf)
+				nc.Write(buf[:n])
+				nc.Close()
+			})
+			dc, _ := ps[0].NewConn()
+			if err := dc.Connect(as[1].String() + "!7"); err != nil {
+				t.Errorf("dial %d: %v", i, err)
 				return
 			}
+			dc.Write([]byte("echo?"))
 			buf := make([]byte, 128)
-			n, _ := nc.Read(buf)
-			nc.Write(buf[:n])
-			nc.Close()
-		}()
-		dc, _ := p1.NewConn()
-		if err := dc.Connect(a2.String() + "!7"); err != nil {
-			t.Fatalf("dial %d: %v", i, err)
+			n, err := dc.Read(buf)
+			dc.Close()
+			if err != nil || string(buf[:n]) != "echo?" {
+				t.Errorf("echo %d: %q, %v", i, buf[:n], err)
+				return
+			}
 		}
-		dc.Write([]byte("echo?"))
-		buf := make([]byte, 128)
-		n, err := dc.Read(buf)
-		if err != nil || string(buf[:n]) != "echo?" {
-			t.Fatalf("echo %d: %q, %v", i, buf[:n], err)
-		}
-		dc.Close()
-	}
+	})
 }
 
 func TestAnnounceCollisionAndBadAddrs(t *testing.T) {
-	p1, _, _, _ := pair(t, ether.Profile{})
-	a, _ := p1.NewConn()
-	if err := a.Announce("80"); err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, _ := p1.NewConn()
-	defer b.Close()
-	if err := b.Announce("80"); err != xport.ErrInUse {
-		t.Errorf("duplicate announce = %v", err)
-	}
-	if err := b.Connect("nonsense"); err == nil {
-		t.Error("bad connect address accepted")
-	}
-	if _, err := b.Listen(); err != xport.ErrNotAnnounced {
-		t.Errorf("listen unannounced = %v", err)
-	}
+	onVirtual(t, ether.Profile{}, 1, func(_ *vclock.Virtual, ps []*Proto, _ []ip.Addr) {
+		a, _ := ps[0].NewConn()
+		if err := a.Announce("80"); err != nil {
+			t.Error(err)
+			return
+		}
+		defer a.Close()
+		b, _ := ps[0].NewConn()
+		defer b.Close()
+		if err := b.Announce("80"); err != xport.ErrInUse {
+			t.Errorf("duplicate announce = %v", err)
+		}
+		if err := b.Connect("nonsense"); err == nil {
+			t.Error("bad connect address accepted")
+		}
+		if _, err := b.Listen(); err != xport.ErrNotAnnounced {
+			t.Errorf("listen unannounced = %v", err)
+		}
+	})
 }
 
 func TestStatusLines(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{})
-	dc, sc := connect(t, p1, p2, a2, "564")
-	if s := dc.Status(); len(s) < 11 || s[:11] != "Established" {
-		t.Errorf("dialer status %q", s)
-	}
-	if s := sc.Status(); len(s) < 11 || s[:11] != "Established" {
-		t.Errorf("server status %q", s)
-	}
-	if la := dc.LocalAddr(); la == "" {
-		t.Error("empty local addr")
-	}
-	if ra := dc.RemoteAddr(); ra != a2.String()+"!564" {
-		t.Errorf("remote addr %q", ra)
-	}
+	onPair(t, ether.Profile{}, func(_ *vclock.Virtual, dc, sc xport.Conn) {
+		if s := dc.Status(); len(s) < 11 || s[:11] != "Established" {
+			t.Errorf("dialer status %q", s)
+		}
+		if s := sc.Status(); len(s) < 11 || s[:11] != "Established" {
+			t.Errorf("server status %q", s)
+		}
+		if la := dc.LocalAddr(); la == "" {
+			t.Error("empty local addr")
+		}
+		if ra := dc.RemoteAddr(); ra != "135.104.117.2!564" {
+			t.Errorf("remote addr %q", ra)
+		}
+	})
 }
 
-// marshalBytes is marshalBlock for a test that wants the segment's bytes:
-// a copy, with the block freed.
 func marshalBytes(h header, data []byte) []byte {
 	b := marshalBlock(h, data)
 	defer b.Free()
@@ -388,68 +356,60 @@ func TestAllocsUnmarshal(t *testing.T) {
 }
 
 func TestConcurrentConnections(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{})
-	lc, _ := p2.NewConn()
-	if err := lc.Announce("564"); err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-	go func() {
-		for {
-			nc, err := lc.Listen()
-			if err != nil {
-				return
-			}
-			go func(nc xport.Conn) {
-				defer nc.Close()
-				buf := make([]byte, 1024)
-				for {
-					n, err := nc.Read(buf)
-					if err != nil {
-						return
-					}
-					nc.Write(buf[:n])
-				}
-			}(nc)
+	onVirtual(t, ether.Profile{}, 2, func(v *vclock.Virtual, ps []*Proto, as []ip.Addr) {
+		lc, _ := ps[1].NewConn()
+		if err := lc.Announce("564"); err != nil {
+			t.Error(err)
+			return
 		}
-	}()
-	var wg sync.WaitGroup
-	for i := range 6 {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			dc, _ := p1.NewConn()
-			defer dc.Close()
-			if err := dc.Connect(a2.String() + "!564"); err != nil {
-				t.Errorf("conn %d: %v", i, err)
-				return
-			}
-			msg := bytes.Repeat([]byte{byte('a' + i)}, 300)
-			dc.Write(msg)
-			got := make([]byte, 0, len(msg))
-			buf := make([]byte, 512)
-			for len(got) < len(msg) {
-				n, err := dc.Read(buf)
+		defer lc.Close()
+		v.Go(func() {
+			for {
+				nc, err := lc.Listen()
 				if err != nil {
-					t.Errorf("conn %d read: %v", i, err)
 					return
 				}
-				got = append(got, buf[:n]...)
+				v.Go(func() {
+					defer nc.Close()
+					buf := make([]byte, 1024)
+					for {
+						n, err := nc.Read(buf)
+						if err != nil {
+							return
+						}
+						nc.Write(buf[:n])
+					}
+				})
 			}
-			if !bytes.Equal(got, msg) {
-				t.Errorf("conn %d echo corrupted", i)
-			}
-		}(i)
-	}
-	wg.Wait()
+		})
+		wg := vclock.NewWaitGroup(v)
+		for i := range 6 {
+			wg.Add(1)
+			v.Go(func() {
+				defer wg.Done()
+				dc, _ := ps[0].NewConn()
+				defer dc.Close()
+				if err := dc.Connect(as[1].String() + "!564"); err != nil {
+					t.Errorf("conn %d: %v", i, err)
+					return
+				}
+				msg := bytes.Repeat([]byte{byte('a' + i)}, 300)
+				dc.Write(msg)
+				if got := readAll(dc, len(msg)); !bytes.Equal(got, msg) {
+					t.Errorf("conn %d echo corrupted", i)
+				}
+			})
+		}
+		wg.Wait()
+	})
 }
 
 // onVirtual runs body on a virtual clock, with n machines on one
 // Ethernet of profile prof and TCP on each: machine i is
 // 135.104.117.i+1. Inside Run a t.Fatal would strand the scheduler's
-// token, so body reports with t.Error and returns. A run still going after 30 s of wall time has
-// hung — a lock taken twice on one goroutine parks nothing the clock
-// can see — and fails the test.
+// token, so body reports with t.Error and returns. A run still going
+// after 30 s of wall time has hung — a lock taken twice on one
+// goroutine parks nothing the clock can see — and fails the test.
 func onVirtual(t *testing.T, prof ether.Profile, n int, body func(v *vclock.Virtual, ps []*Proto, as []ip.Addr)) {
 	t.Helper()
 	done := make(chan struct{})
@@ -463,7 +423,7 @@ func onVirtual(t *testing.T, prof ether.Profile, n int, body func(v *vclock.Virt
 			var ps []*Proto
 			var as []ip.Addr
 			for i := range n {
-				st := ip.NewStackClock(v)
+				st := ip.NewStack(v)
 				defer st.Close()
 				a := ip.Addr{135, 104, 117, byte(i + 1)}
 				if _, err := st.Bind(seg.NewInterface("ether0"), a, ip.Addr{255, 255, 255, 0}); err != nil {
@@ -479,7 +439,7 @@ func onVirtual(t *testing.T, prof ether.Profile, n int, body func(v *vclock.Virt
 	}()
 	select {
 	case <-done:
-	case <-time.After(30 * time.Second):
+	case <-time.After(30 * time.Second): //netvet:ignore realtime a lock taken twice stops the virtual clock itself; only the host's can notice
 		t.Fatal("virtual-clock run hung (a sender's lock taken again on its own goroutine?)")
 	}
 }

@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// TestChaosDeterminism is the same-seed identity gate for the virtual
-// clock: each chaos scenario runs twice on its own discrete-event
-// clock, and everything observable must be bit-identical — the
+// TestChaosDeterminism is the same-seed identity gate: each chaos
+// scenario runs twice on its own discrete-event clock, and everything observable must be bit-identical — the
 // recorded impairment schedule (the decision stream is a pure function
 // of seed and wire index, and virtual time makes the wire indices
 // themselves deterministic), the wire counters, both direction
@@ -18,7 +17,6 @@ func TestChaosDeterminism(t *testing.T) {
 		t.Run(proto, func(t *testing.T) {
 			t.Parallel()
 			s := Chaos(proto, 7, 24)
-			s.Virtual = true
 			s.Impair.Record = true
 			a := Run(s)
 			b := Run(s)
@@ -50,31 +48,6 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosVirtualMatchesReal checks the virtual clock does not change
-// what the protocols deliver: a chaos scenario passes its invariants
-// identically under both clocks (the wire schedules differ — real time
-// makes wire indices racy — but the end-to-end promises must hold).
-func TestChaosVirtualMatchesReal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-clock half is slow; covered by the virtual half elsewhere")
-	}
-	for _, proto := range Protos {
-		t.Run(proto, func(t *testing.T) {
-			t.Parallel()
-			s := Chaos(proto, 3, 16)
-			real := Run(s)
-			if real.Failed() {
-				t.Fatalf("real-clock run failed:\n%s", real)
-			}
-			s.Virtual = true
-			virt := Run(s)
-			if virt.Failed() {
-				t.Fatalf("virtual-clock run failed:\n%s", virt)
-			}
-		})
-	}
-}
-
 // TestChaosDeterminismModules is the same-seed identity gate with the
 // line-discipline stack pushed on both ends. The modules take their
 // flush timers from the conversation's clock and nothing else, so a
@@ -87,7 +60,6 @@ func TestChaosDeterminismModules(t *testing.T) {
 			t.Parallel()
 			for seed := int64(0); seed < 32; seed++ {
 				s := Chaos(proto, seed, 12)
-				s.Virtual = true
 				s.Impair.Record = true
 				s.Mods = []string{"compress", "batch 1024 2ms"}
 				a := Run(s)

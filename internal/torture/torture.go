@@ -62,14 +62,9 @@ type Scenario struct {
 	// MaxRetrans bounds total retransmissions; 0 derives a budget
 	// from the traffic volume.
 	MaxRetrans int64
-	// Timeout is the watchdog for the whole conversation; 0 = 20s.
+	// Timeout is the watchdog for the whole conversation, in
+	// simulated time; 0 = 20s.
 	Timeout time.Duration
-
-	// Virtual runs the scenario on a discrete-event clock: the wire's
-	// latency and pacing, the protocols' timers, and the watchdog all
-	// advance in simulated time, so an hour-long WAN scenario finishes
-	// in wall-clock milliseconds and same-seed runs are bit-identical.
-	Virtual bool
 
 	// Mods lists line-discipline specs (§2.4.1) pushed bottom-up on
 	// both ends of the conversation before traffic starts — e.g.
@@ -82,11 +77,8 @@ type Scenario struct {
 
 func (s Scenario) String() string {
 	mode := ""
-	if s.Virtual {
-		mode = " virtual"
-	}
 	if len(s.Mods) > 0 {
-		mode += " mods=[" + strings.Join(s.Mods, ", ") + "]"
+		mode = " mods=[" + strings.Join(s.Mods, ", ") + "]"
 	}
 	return fmt.Sprintf("proto=%s seed=%d msgs=%d back=%d maxmsg=%d loss=%g impair={%s} lat=%v bw=%d%s",
 		s.Proto, s.Seed, s.Msgs, s.Back, s.MaxMsg, s.Loss, s.Impair, s.Latency, s.Bandwidth, mode)
@@ -198,18 +190,16 @@ func (r *Report) String() string {
 
 // Run executes one scenario and reports. It never panics on protocol
 // misbehavior: everything the stack does wrong lands in Violations.
-// With Scenario.Virtual set, the whole conversation — media, protocol
-// engines, watchdog — runs inside one discrete-event clock and
-// Elapsed is simulated time.
+// The whole conversation — media, protocol engines, watchdog — runs
+// inside one discrete-event clock: the wire's latency and pacing and
+// the protocols' timers advance in simulated time, so an hour-long WAN
+// scenario finishes in wall-clock milliseconds, same-seed runs are
+// bit-identical, and Elapsed is simulated time.
 func Run(s Scenario) *Report {
 	s = s.withDefaults()
 	rep := &Report{Scenario: s}
-	if s.Virtual {
-		v := vclock.NewVirtual()
-		v.Run(func() { runScenario(v, s, rep) })
-	} else {
-		runScenario(vclock.Real, s, rep)
-	}
+	v := vclock.NewVirtual()
+	v.Run(func() { runScenario(v, s, rep) })
 	checkInvariants(s, rep)
 	return rep
 }

@@ -13,20 +13,17 @@ import (
 
 // nasty is the full fault cocktail at rates the protocols are
 // expected to survive: every class of impairment is on, including two
-// scheduled partitions that heal. The heavy runs all ride the virtual
-// clock: simulated seconds of WAN recovery cost wall-clock
-// milliseconds, and the checks below pin the simulated duration too
-// (a protocol that needs more virtual time than the budget is
-// thrashing, even if the wall-clock bill is invisible). The real
-// clock keeps its own coverage in TestRealClockSmoke.
+// scheduled partitions that heal. Simulated seconds of WAN recovery
+// cost wall-clock milliseconds, and the checks below pin the simulated
+// duration too (a protocol that needs more virtual time than the
+// budget is thrashing, even if the wall-clock bill is invisible).
 func nasty(seed int64) Scenario {
 	return Scenario{
-		Virtual: true,
-		Seed:    seed,
-		Msgs:    60,
-		Back:    30,
-		MaxMsg:  700,
-		Loss:    0.02,
+		Seed:   seed,
+		Msgs:   60,
+		Back:   30,
+		MaxMsg: 700,
+		Loss:   0.02,
 		Impair: medium.Impairment{
 			Duplicate:    0.03,
 			Reorder:      0.05,
@@ -51,12 +48,9 @@ func checkSurvives(t *testing.T, rep *Report) {
 	}
 }
 
-// checkVirtualBudget pins the simulated duration of a virtual run.
+// checkVirtualBudget pins the simulated duration of a run.
 func checkVirtualBudget(t *testing.T, rep *Report, budget time.Duration) {
 	t.Helper()
-	if !rep.Scenario.Virtual {
-		t.Fatalf("scenario unexpectedly on the real clock: %s", rep.Scenario)
-	}
 	if rep.Elapsed > budget {
 		t.Fatalf("conversation took %v of simulated time, budget %v:\n%s", rep.Elapsed, budget, rep)
 	}
@@ -140,49 +134,18 @@ func TestPoolingArmedDuringTorture(t *testing.T) {
 
 func TestCycloneSurvivesJitter(t *testing.T) {
 	s := Scenario{
-		Proto:   ProtoCyclone,
-		Seed:    46,
-		Msgs:    80,
-		Back:    40,
-		MaxMsg:  8192,
-		Impair:  medium.Impairment{Jitter: 200 * time.Microsecond},
-		Virtual: true,
+		Proto:  ProtoCyclone,
+		Seed:   46,
+		Msgs:   80,
+		Back:   40,
+		MaxMsg: 8192,
+		Impair: medium.Impairment{Jitter: 200 * time.Microsecond},
 	}
 	rep := Run(s)
 	checkSurvives(t, rep)
 	checkVirtualBudget(t, rep, 5*time.Second)
 	if rep.Backward.RecvSum != rep.Backward.SentSum {
 		t.Fatalf("backward stream not byte-identical:\n%s", rep)
-	}
-}
-
-// TestRealClockSmoke keeps the passthrough clock honest: one small
-// real-time conversation per engine, mild impairment, so a regression
-// that only bites outside the discrete-event scheduler (a real timer
-// misarmed, a wall-clock race) still has coverage. Gated out of
-// -short runs: the virtual suite above carries the protocol logic.
-func TestRealClockSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-clock smoke skipped in -short; virtual suite covers the protocols")
-	}
-	for _, proto := range Protos {
-		t.Run(proto, func(t *testing.T) {
-			t.Parallel()
-			s := Scenario{
-				Proto:  proto,
-				Seed:   11,
-				Msgs:   8,
-				Back:   4,
-				MaxMsg: 400,
-				Loss:   0.01,
-			}
-			if proto == ProtoCyclone {
-				s.Loss = 0
-				s.Impair = medium.Impairment{Jitter: 50 * time.Microsecond}
-			}
-			rep := Run(s)
-			checkSurvives(t, rep)
-		})
 	}
 }
 
@@ -245,11 +208,14 @@ func TestHarnessDetectsBrokenTransport(t *testing.T) {
 	s := Scenario{Proto: ProtoCyclone, Seed: 7, Msgs: 10, Back: 0, MaxMsg: 64, Timeout: 5 * time.Second}
 	s = s.withDefaults()
 	rep := &Report{Scenario: s}
-	// A loopback pair that flips a byte in message #3.
-	a2b := make(chan []byte, 64)
-	dial := &hostileConn{tx: a2b, corrupt: 3}
-	acc := &hostileConn{rx: a2b}
-	drive(vclock.Real, s, rep, &conv{dial: dial, acc: acc, teardown: func() {}})
+	vclock.Simulate(func(ck vclock.Clock) error {
+		// A loopback pair that flips a byte in message #3.
+		a2b := vclock.NewMailbox[[]byte](ck, 0)
+		dial := &hostileConn{tx: a2b, corrupt: 3}
+		acc := &hostileConn{rx: a2b}
+		drive(ck, s, rep, &conv{dial: dial, acc: acc, teardown: func() {}})
+		return nil
+	})
 	checkInvariants(s, rep)
 	if !rep.Failed() {
 		t.Fatal("harness passed a transport that corrupts messages")
@@ -269,8 +235,8 @@ func TestHarnessDetectsBrokenTransport(t *testing.T) {
 
 // hostileConn is a minimal in-memory xport.Conn for checker tests.
 type hostileConn struct {
-	tx      chan []byte
-	rx      chan []byte
+	tx      *vclock.Mailbox[[]byte]
+	rx      *vclock.Mailbox[[]byte]
 	corrupt int // flip a byte in this message index (counting sends)
 	sent    int
 }
@@ -281,12 +247,14 @@ func (h *hostileConn) Write(p []byte) (int, error) {
 		cp[msgHdrLen] ^= 0xff
 	}
 	h.sent++
-	h.tx <- cp
+	if err := h.tx.Send(cp); err != nil {
+		return 0, medium.ErrClosed
+	}
 	return len(p), nil
 }
 
 func (h *hostileConn) Read(p []byte) (int, error) {
-	m, ok := <-h.rx
+	m, ok := h.rx.Recv()
 	if !ok {
 		return 0, medium.ErrClosed
 	}
@@ -303,8 +271,7 @@ func (h *hostileConn) RemoteAddr() string { return "hostile" }
 func (h *hostileConn) Status() string     { return "Established" }
 func (h *hostileConn) Close() error {
 	if h.tx != nil {
-		defer func() { recover() }() // double close of the channel is fine here
-		close(h.tx)
+		h.tx.Close()
 	}
 	return nil
 }

@@ -84,8 +84,9 @@ func (t *Timer) Reset(d time.Duration) bool {
 	return t.real.Reset(d)
 }
 
-// Or returns ck, or Real when ck is nil — the idiom for defaulting a
-// zero Profile or Config field.
+// Or returns ck, or Real when ck is nil. Only medium.NewPipe and cs.New
+// default a zero clock this way, for the host-cost probes that build
+// them without one; every other constructor wants its clock named.
 func Or(ck Clock) Clock {
 	if ck == nil {
 		return Real
