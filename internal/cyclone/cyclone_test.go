@@ -6,57 +6,75 @@ import (
 	"time"
 
 	"repro/internal/medium"
+	"repro/internal/vclock"
 	"repro/internal/xport"
 )
 
+// onLink runs body on a fresh virtual clock with a link of profile p
+// paced by it, and closes the link when body returns. body runs off the
+// test's goroutine, so it reports with t.Error and returns.
+func onLink(t *testing.T, p medium.Profile, body func(v *vclock.Virtual, l *Link)) {
+	t.Helper()
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		p.Clock = v
+		l := NewLink("cyc0", p)
+		defer l.Close()
+		body(v, l)
+	})
+}
+
 func TestFramedMessagesAcrossLink(t *testing.T) {
-	l := NewLink("cyc0", medium.Profile{})
-	defer l.Close()
-	ea, eb := l.Ends()
-	ca, _ := ea.NewConn()
-	cb, _ := eb.NewConn()
-	if err := ca.Connect(""); err != nil {
-		t.Fatal(err)
-	}
-	if err := cb.Connect(""); err != nil {
-		t.Fatal(err)
-	}
-	defer ca.Close()
-	defer cb.Close()
-	ca.Write([]byte("across the fiber"))
-	ca.Write([]byte("second frame"))
-	buf := make([]byte, 256)
-	n, err := cb.Read(buf)
-	if err != nil || string(buf[:n]) != "across the fiber" {
-		t.Fatalf("read %q, %v", buf[:n], err)
-	}
-	n, _ = cb.Read(buf)
-	if string(buf[:n]) != "second frame" {
-		t.Errorf("delimiters lost: %q", buf[:n])
-	}
-	// And the reverse direction.
-	cb.Write([]byte("return"))
-	n, _ = ca.Read(buf)
-	if string(buf[:n]) != "return" {
-		t.Errorf("reverse read %q", buf[:n])
-	}
+	onLink(t, medium.Profile{}, func(_ *vclock.Virtual, l *Link) {
+		ea, eb := l.Ends()
+		ca, _ := ea.NewConn()
+		cb, _ := eb.NewConn()
+		if err := ca.Connect(""); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := cb.Connect(""); err != nil {
+			t.Error(err)
+			return
+		}
+		defer ca.Close()
+		defer cb.Close()
+		ca.Write([]byte("across the fiber"))
+		ca.Write([]byte("second frame"))
+		buf := make([]byte, 256)
+		n, err := cb.Read(buf)
+		if err != nil || string(buf[:n]) != "across the fiber" {
+			t.Errorf("read %q, %v", buf[:n], err)
+			return
+		}
+		n, _ = cb.Read(buf)
+		if string(buf[:n]) != "second frame" {
+			t.Errorf("delimiters lost: %q", buf[:n])
+		}
+		// And the reverse direction.
+		cb.Write([]byte("return"))
+		n, _ = ca.Read(buf)
+		if string(buf[:n]) != "return" {
+			t.Errorf("reverse read %q", buf[:n])
+		}
+	})
 }
 
 func TestLargeMessage(t *testing.T) {
-	l := NewLink("cyc0", medium.Profile{})
-	defer l.Close()
-	ea, eb := l.Ends()
-	ca, _ := ea.NewConn()
-	cb, _ := eb.NewConn()
-	ca.Connect("")
-	cb.Connect("")
-	msg := bytes.Repeat([]byte("c"), 48*1024)
-	ca.Write(msg)
-	got := make([]byte, 64*1024)
-	n, err := cb.Read(got)
-	if err != nil || n != len(msg) {
-		t.Fatalf("large frame: %d bytes, %v", n, err)
-	}
+	onLink(t, medium.Profile{}, func(_ *vclock.Virtual, l *Link) {
+		ea, eb := l.Ends()
+		ca, _ := ea.NewConn()
+		cb, _ := eb.NewConn()
+		ca.Connect("")
+		cb.Connect("")
+		msg := bytes.Repeat([]byte("c"), 48*1024)
+		ca.Write(msg)
+		got := make([]byte, 64*1024)
+		n, err := cb.Read(got)
+		if err != nil || n != len(msg) {
+			t.Errorf("large frame: %d bytes, %v", n, err)
+		}
+	})
 }
 
 // TestShortReadsKeepTheTail reads a 16 KiB message through the 8 KiB
@@ -64,168 +82,177 @@ func TestLargeMessage(t *testing.T) {
 // reads as it takes, and a read must still stop at the message
 // boundary rather than run on into the next frame.
 func TestShortReadsKeepTheTail(t *testing.T) {
-	l := NewLink("cyc0", medium.Profile{})
-	defer l.Close()
-	ea, eb := l.Ends()
-	ca, _ := ea.NewConn()
-	cb, _ := eb.NewConn()
-	ca.Connect("")
-	cb.Connect("")
-	msg := make([]byte, 16*1024)
-	for i := range msg {
-		msg[i] = byte(i * 7 / 5)
-	}
-	ca.Write(msg)
-	ca.Write([]byte("next frame"))
-	buf := make([]byte, 8*1024)
-	var got []byte
-	for range 2 {
-		n, err := cb.Read(buf)
-		if err != nil || n != len(buf) {
-			t.Fatalf("short read: %d bytes, %v", n, err)
+	onLink(t, medium.Profile{}, func(_ *vclock.Virtual, l *Link) {
+		ea, eb := l.Ends()
+		ca, _ := ea.NewConn()
+		cb, _ := eb.NewConn()
+		ca.Connect("")
+		cb.Connect("")
+		msg := make([]byte, 16*1024)
+		for i := range msg {
+			msg[i] = byte(i * 7 / 5)
 		}
-		got = append(got, buf[:n]...)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Errorf("16 KiB message came back changed through 8 KiB reads")
-	}
-	if n, err := cb.Read(buf); err != nil || string(buf[:n]) != "next frame" {
-		t.Errorf("read after the tail: %q, %v", buf[:n], err)
-	}
+		ca.Write(msg)
+		ca.Write([]byte("next frame"))
+		buf := make([]byte, 8*1024)
+		var got []byte
+		for range 2 {
+			n, err := cb.Read(buf)
+			if err != nil || n != len(buf) {
+				t.Errorf("short read: %d bytes, %v", n, err)
+				return
+			}
+			got = append(got, buf[:n]...)
+		}
+		if !bytes.Equal(got, msg) {
+			t.Errorf("16 KiB message came back changed through 8 KiB reads")
+		}
+		if n, err := cb.Read(buf); err != nil || string(buf[:n]) != "next frame" {
+			t.Errorf("read after the tail: %q, %v", buf[:n], err)
+		}
+	})
 }
 
 func TestSingleConversation(t *testing.T) {
-	l := NewLink("cyc0", medium.Profile{})
-	defer l.Close()
-	ea, _ := l.Ends()
-	c1, _ := ea.NewConn()
-	if err := c1.Connect(""); err != nil {
-		t.Fatal(err)
-	}
-	c2, _ := ea.NewConn()
-	if err := c2.Connect(""); err != xport.ErrInUse {
-		t.Errorf("second conversation on a point-to-point link = %v", err)
-	}
-	c1.Close()
-	if err := c2.Connect(""); err != nil {
-		t.Errorf("after release: %v", err)
-	}
-	c2.Close()
+	onLink(t, medium.Profile{}, func(_ *vclock.Virtual, l *Link) {
+		ea, _ := l.Ends()
+		c1, _ := ea.NewConn()
+		if err := c1.Connect(""); err != nil {
+			t.Error(err)
+			return
+		}
+		c2, _ := ea.NewConn()
+		if err := c2.Connect(""); err != xport.ErrInUse {
+			t.Errorf("second conversation on a point-to-point link = %v", err)
+		}
+		c1.Close()
+		if err := c2.Connect(""); err != nil {
+			t.Errorf("after release: %v", err)
+		}
+		c2.Close()
+	})
 }
 
 func TestReadAfterCloseFails(t *testing.T) {
-	l := NewLink("cyc0", medium.Profile{})
-	defer l.Close()
-	ea, _ := l.Ends()
-	c, _ := ea.NewConn()
-	c.Connect("")
-	c.Close()
-	if _, err := c.Read(make([]byte, 8)); err == nil {
-		t.Error("read on closed conversation succeeded")
-	}
-	if _, err := c.Write([]byte("x")); err == nil {
-		t.Error("write on closed conversation succeeded")
-	}
+	onLink(t, medium.Profile{}, func(_ *vclock.Virtual, l *Link) {
+		ea, _ := l.Ends()
+		c, _ := ea.NewConn()
+		c.Connect("")
+		c.Close()
+		if _, err := c.Read(make([]byte, 8)); err == nil {
+			t.Error("read on closed conversation succeeded")
+		}
+		if _, err := c.Write([]byte("x")); err == nil {
+			t.Error("write on closed conversation succeeded")
+		}
+	})
 }
 
+// TestProfilePacing: at 1 MiB/s a 100 KiB frame takes exactly its
+// serialization time, 100/1024 s, to arrive.
 func TestProfilePacing(t *testing.T) {
-	// 1 MB/s bandwidth: a 100 KB frame takes ~100ms to serialize.
-	l := NewLink("cyc0", medium.Profile{Bandwidth: 1 << 20, MTU: 1 << 20})
-	defer l.Close()
-	ea, eb := l.Ends()
-	ca, _ := ea.NewConn()
-	cb, _ := eb.NewConn()
-	ca.Connect("")
-	cb.Connect("")
-	start := time.Now()
-	go ca.Write(make([]byte, 100*1024))
-	buf := make([]byte, 200*1024)
-	cb.Read(buf)
-	if el := time.Since(start); el < 50*time.Millisecond {
-		t.Errorf("100KB at 1MB/s took only %v", el)
-	}
+	onLink(t, medium.Profile{Bandwidth: 1 << 20, MTU: 1 << 20}, func(v *vclock.Virtual, l *Link) {
+		ea, eb := l.Ends()
+		ca, _ := ea.NewConn()
+		cb, _ := eb.NewConn()
+		ca.Connect("")
+		cb.Connect("")
+		start := v.Now()
+		v.Go(func() { ca.Write(make([]byte, 100*1024)) })
+		buf := make([]byte, 200*1024)
+		cb.Read(buf)
+		if el, want := v.Since(start), 100*time.Second/1024; el != want {
+			t.Errorf("100 KiB at 1 MiB/s took %v, want %v", el, want)
+		}
+	})
 }
 
 func TestListenSerializesConversations(t *testing.T) {
-	l := NewLink("cyc0", medium.Profile{})
-	defer l.Close()
-	ea, eb := l.Ends()
-	lc, _ := ea.NewConn()
-	if _, err := lc.Listen(); err != xport.ErrNotAnnounced {
-		t.Fatalf("listen before announce = %v", err)
-	}
-	if err := lc.Announce(""); err != nil {
-		t.Fatal(err)
-	}
-	first, err := lc.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A second Listen blocks while the first conversation holds the
-	// wire, and returns once it closes.
-	got := make(chan xport.Conn, 1)
-	go func() {
-		nc, err := lc.Listen()
-		if err == nil {
-			got <- nc
+	onLink(t, medium.Profile{}, func(v *vclock.Virtual, l *Link) {
+		ea, _ := l.Ends()
+		lc, _ := ea.NewConn()
+		if _, err := lc.Listen(); err != xport.ErrNotAnnounced {
+			t.Errorf("listen before announce = %v", err)
+			return
 		}
-	}()
-	select {
-	case <-got:
-		t.Fatal("second listen returned while wire held")
-	case <-time.After(50 * time.Millisecond):
-	}
-	first.Close()
-	select {
-	case nc := <-got:
+		if err := lc.Announce(""); err != nil {
+			t.Error(err)
+			return
+		}
+		first, err := lc.Listen()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		// A second Listen blocks while the first conversation holds the
+		// wire, and returns as soon as it closes.
+		got := vclock.NewMailbox[xport.Conn](v, 1)
+		v.Go(func() {
+			if nc, err := lc.Listen(); err == nil {
+				got.Send(nc)
+			}
+		})
+		v.Sleep(50 * time.Millisecond)
+		if nc, ok := got.TryRecv(); ok {
+			nc.Close()
+			t.Error("second listen returned while wire held")
+			return
+		}
+		first.Close()
+		v.Sleep(time.Millisecond)
+		nc, ok := got.TryRecv()
+		if !ok {
+			t.Error("second listen never returned after release")
+			lc.Close()
+			return
+		}
 		nc.Close()
-	case <-time.After(2 * time.Second):
-		t.Fatal("second listen never returned after release")
-	}
-	_ = eb
+	})
 }
 
 func TestStatusAndAddrs(t *testing.T) {
-	l := NewLink("cyc0", medium.Profile{})
-	defer l.Close()
-	ea, _ := l.Ends()
-	c, _ := ea.NewConn()
-	if c.Status() != "Closed" {
-		t.Errorf("fresh status %q", c.Status())
-	}
-	c.Connect("")
-	if c.Status() != "Established" {
-		t.Errorf("connected status %q", c.Status())
-	}
-	if c.LocalAddr() == "" || c.RemoteAddr() == "" {
-		t.Error("empty addresses")
-	}
-	c.Close()
-	if c.Status() != "Closed" {
-		t.Errorf("closed status %q", c.Status())
-	}
-	if err := c.Connect(""); err == nil {
-		t.Error("connect on closed conversation succeeded")
-	}
-	if err := c.Announce(""); err == nil {
-		t.Error("announce on closed conversation succeeded")
-	}
+	onLink(t, medium.Profile{}, func(_ *vclock.Virtual, l *Link) {
+		ea, _ := l.Ends()
+		c, _ := ea.NewConn()
+		if c.Status() != "Closed" {
+			t.Errorf("fresh status %q", c.Status())
+		}
+		c.Connect("")
+		if c.Status() != "Established" {
+			t.Errorf("connected status %q", c.Status())
+		}
+		if c.LocalAddr() == "" || c.RemoteAddr() == "" {
+			t.Error("empty addresses")
+		}
+		c.Close()
+		if c.Status() != "Closed" {
+			t.Errorf("closed status %q", c.Status())
+		}
+		if err := c.Connect(""); err == nil {
+			t.Error("connect on closed conversation succeeded")
+		}
+		if err := c.Announce(""); err == nil {
+			t.Error("announce on closed conversation succeeded")
+		}
+	})
 }
 
 func TestEndName(t *testing.T) {
-	l := NewLink("cyc0", medium.Profile{})
-	defer l.Close()
-	ea, _ := l.Ends()
-	if ea.Name() != "cyc" {
-		t.Errorf("device name %q", ea.Name())
-	}
+	onLink(t, medium.Profile{}, func(_ *vclock.Virtual, l *Link) {
+		ea, _ := l.Ends()
+		if ea.Name() != "cyc" {
+			t.Errorf("device name %q", ea.Name())
+		}
+	})
 }
 
 // TestConcurrentListenClose is the regression test for the lock-order
 // inversion netvet caught: Close used to take e.mu while holding c.mu,
 // while Listen holds e.mu and polls isClosed (c.mu) — a deadlock when
 // a blocked listener and a closing conversation race. Hammer the pair
-// under a watchdog.
+// under a watchdog. It stays on the real clock: the inversion needs two
+// host threads inside the locks at once, and the virtual clock runs one
+// goroutine at a time.
 func TestConcurrentListenClose(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
@@ -257,7 +284,7 @@ func TestConcurrentListenClose(t *testing.T) {
 	}()
 	select {
 	case <-done:
-	case <-time.After(10 * time.Second):
+	case <-time.After(10 * time.Second): //netvet:ignore realtime a watchdog over host threads racing, which this test is about
 		t.Fatal("deadlock: concurrent Listen+Close never finished")
 	}
 }

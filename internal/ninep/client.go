@@ -3,6 +3,8 @@ package ninep
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -83,12 +85,12 @@ type Client struct {
 
 	mu      sync.Mutex
 	tagFree vclock.Cond // signaled whenever a tag is released
-	// tags holds one entry per outstanding tag. A non-nil mailbox
-	// is a process waiting for the reply; a nil value is a tag
-	// abandoned by Tflush but still reserved until the flush
-	// completes, so the server's late reply (if any) is dropped on
-	// the floor instead of reaching a recycled tag's new owner.
-	tags    map[uint16]*vclock.Mailbox[*Fcall]
+	// tags holds one entry per outstanding tag. A non-nil Pending
+	// is an RPC awaiting its reply; a nil value is a tag abandoned by
+	// Tflush but still reserved until the flush completes, so the
+	// server's late reply (if any) is dropped on the floor instead of
+	// reaching a recycled tag's new owner.
+	tags    map[uint16]*Pending
 	nextTag uint16
 	nextFid uint32
 	err     error
@@ -111,7 +113,7 @@ func NewClient(conn MsgConn, cfg ClientConfig) (*Client, error) {
 		conn: conn,
 		cfg:  cfg.withDefaults(),
 		ck:   cfg.Clock,
-		tags: make(map[uint16]*vclock.Mailbox[*Fcall]),
+		tags: make(map[uint16]*Pending),
 	}
 	cl.wmu.Init(cl.ck)
 	cl.tagFree.Init(cl.ck, &cl.mu)
@@ -155,45 +157,51 @@ func (cl *Client) demux() {
 			cl.fail(err)
 			return
 		}
-		f, err := UnmarshalFcall(msg)
-		// UnmarshalFcall copies everything it keeps, so the wire
-		// buffer goes back to the pool either way.
+		// The reply is decoded before any tag is touched, so a
+		// malformed one fails the client with the tag table intact.
+		// unmarshalInto copies everything it keeps, so the wire buffer
+		// goes back to the pool either way.
+		var f Fcall
+		err = unmarshalInto(msg, &f)
 		block.PutBytes(msg)
 		if err != nil {
 			cl.fail(err)
 			return
 		}
 		cl.mu.Lock()
-		ch, ok := cl.tags[f.Tag]
+		p, ok := cl.tags[f.Tag]
 		if ok {
 			delete(cl.tags, f.Tag)
 			cl.tagFree.Broadcast()
 		}
-		cl.mu.Unlock()
-		// ch == nil: the tag was flushed; the reply raced the
-		// Tflush and is discarded. TrySend cannot find the
-		// one-slot mailbox full — each tag gets one reply — so a
-		// refusal only means the client already failed.
-		if ch != nil {
-			ch.TrySend(f)
+		// p == nil: the tag was flushed; the reply raced the Tflush
+		// and is discarded.
+		if p != nil {
+			p.r = f
+			p.done = true
+			p.wake.Broadcast()
 		}
+		cl.mu.Unlock()
 	}
 }
 
+// fail kills the client with err and wakes every waiter. The RPCs in
+// flight wake in tag order (issue order, until the tag space wraps),
+// so on the virtual clock a dead client fails them the same way every
+// run.
 func (cl *Client) fail(err error) {
 	cl.mu.Lock()
+	defer cl.mu.Unlock()
 	if cl.err == nil {
 		cl.err = err
 	}
-	pending := cl.tags
-	cl.tags = make(map[uint16]*vclock.Mailbox[*Fcall])
 	cl.tagFree.Broadcast()
-	cl.mu.Unlock()
-	for _, ch := range pending {
-		if ch != nil {
-			ch.Close()
+	for _, tag := range slices.Sorted(maps.Keys(cl.tags)) {
+		if p := cl.tags[tag]; p != nil {
+			p.wake.Broadcast()
 		}
 	}
+	clear(cl.tags)
 }
 
 // Close tears down the connection; outstanding RPCs fail.
@@ -203,11 +211,11 @@ func (cl *Client) Close() error {
 	return err
 }
 
-// allocTag reserves a free tag for ch, blocking while the in-flight
+// allocTag reserves a free tag for p, blocking while the in-flight
 // window is full or the tag space is exhausted. Tflush is exempt from
 // the in-flight cap (flushExempt): a flush must be able to proceed
 // even when the cap is saturated by the very requests it abandons.
-func (cl *Client) allocTag(ch *vclock.Mailbox[*Fcall], flushExempt bool) (uint16, error) {
+func (cl *Client) allocTag(p *Pending, flushExempt bool) (uint16, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	limit := cl.cfg.inFlightCap
@@ -228,7 +236,7 @@ func (cl *Client) allocTag(ch *vclock.Mailbox[*Fcall], flushExempt bool) (uint16
 			cl.nextTag = 1
 		}
 		if _, inUse := cl.tags[cl.nextTag]; !inUse {
-			cl.tags[cl.nextTag] = ch
+			cl.tags[cl.nextTag] = p
 			cl.WindowHW.Note(int64(len(cl.tags)))
 			return cl.nextTag, nil
 		}
@@ -245,14 +253,20 @@ func (cl *Client) freeTag(tag uint16) {
 }
 
 // Pending is an RPC in flight: the asynchronous half of the mount
-// driver. Exactly one of Wait or Flush must be called, once.
+// driver, and the RPC's one heap object on the client. Exactly one of
+// Wait or Flush must be called, once.
 type Pending struct {
 	cl    *Client
 	tag   uint16
 	req   uint8
 	asked uint16 // bytes a Window's fragment asked to move
-	ch    *vclock.Mailbox[*Fcall]
 	start time.Time
+
+	// The reply lands here: demux fills r, sets done and wakes the
+	// waiter, all under cl.mu.
+	r    Fcall
+	done bool
+	wake vclock.Cond
 
 	// A Window chains its fragments through the Pendings themselves,
 	// so queueing one allocates nothing.
@@ -269,12 +283,13 @@ func (cl *Client) RPCAsync(t *Fcall) (*Pending, error) {
 }
 
 func (cl *Client) sendAsync(t *Fcall, flushExempt bool) (*Pending, error) {
-	ch := vclock.NewMailbox[*Fcall](cl.ck, 1)
-	tag, err := cl.allocTag(ch, flushExempt)
+	p := &Pending{cl: cl, req: t.Type}
+	p.wake.Init(cl.ck, &cl.mu)
+	tag, err := cl.allocTag(p, flushExempt)
 	if err != nil {
 		return nil, err
 	}
-	t.Tag = tag
+	p.tag, t.Tag = tag, tag
 	msg, err := MarshalFcall(t)
 	if err != nil {
 		cl.freeTag(tag)
@@ -288,23 +303,18 @@ func (cl *Client) sendAsync(t *Fcall, flushExempt bool) (*Pending, error) {
 		return nil, err
 	}
 	cl.RPCs.Inc()
-	return &Pending{cl: cl, tag: tag, req: t.Type, ch: ch, start: cl.ck.Now()}, nil
+	p.start = cl.ck.Now()
+	return p, nil
 }
 
 // Wait blocks for the reply. On an Rerror response it returns the
 // error string as an error.
 func (p *Pending) Wait() (*Fcall, error) {
-	r, ok := p.ch.Recv()
-	if !ok {
-		p.cl.mu.Lock()
-		err := p.cl.err
-		p.cl.mu.Unlock()
-		if err == nil {
-			err = ErrConnClosed
-		}
+	if err := p.await(); err != nil {
 		return nil, err
 	}
 	p.cl.RPCHist.Observe(p.cl.ck.Since(p.start))
+	r := &p.r
 	if r.Type == Rerror {
 		return nil, errors.New(r.Ename)
 	}
@@ -314,6 +324,20 @@ func (p *Pending) Wait() (*Fcall, error) {
 	return r, nil
 }
 
+// await blocks until the reply is in p.r, or returns the error the
+// client died of.
+func (p *Pending) await() error {
+	p.cl.mu.Lock()
+	defer p.cl.mu.Unlock()
+	for !p.done && p.cl.err == nil {
+		p.wake.Wait()
+	}
+	if p.done {
+		return nil
+	}
+	return p.cl.err
+}
+
 // abandon marks the pending's tag as flushed (nil in the tag table) so
 // demux drops a late reply. It reports whether the reply was still
 // outstanding; if false the reply has already been delivered (or the
@@ -321,7 +345,7 @@ func (p *Pending) Wait() (*Fcall, error) {
 func (p *Pending) abandon() bool {
 	p.cl.mu.Lock()
 	defer p.cl.mu.Unlock()
-	if ch, ok := p.cl.tags[p.tag]; ok && ch == p.ch {
+	if q, ok := p.cl.tags[p.tag]; ok && q == p {
 		p.cl.tags[p.tag] = nil
 		return true
 	}
@@ -366,7 +390,7 @@ func (cl *Client) flushMany(head *Pending) {
 // completed, if demux hasn't already consumed a raced reply.
 func (p *Pending) release() {
 	p.cl.mu.Lock()
-	if ch, ok := p.cl.tags[p.tag]; ok && ch == nil {
+	if q, ok := p.cl.tags[p.tag]; ok && q == nil {
 		delete(p.cl.tags, p.tag)
 		p.cl.tagFree.Broadcast()
 	}

@@ -373,17 +373,28 @@ func MarshalFcall(f *Fcall) ([]byte, error) {
 	return c.buf, nil
 }
 
-// UnmarshalFcall decodes one wire message (convM2S).
+// UnmarshalFcall decodes one wire message (convM2S). The Fcall copies
+// everything it keeps, so p may be recycled once it returns.
 func UnmarshalFcall(p []byte) (*Fcall, error) {
+	f := new(Fcall)
+	if err := unmarshalInto(p, f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// unmarshalInto is UnmarshalFcall decoding into f, which the client's
+// demultiplexer keeps on its stack and the server in its request.
+func unmarshalInto(p []byte, f *Fcall) error {
 	if len(p) < 7 {
-		return nil, ErrShortMsg
+		return ErrShortMsg
 	}
 	size := binary.LittleEndian.Uint32(p)
 	if int(size) != len(p) {
-		return nil, ErrBadMsg
+		return ErrBadMsg
 	}
 	c := &coder{buf: p, off: 4}
-	f := &Fcall{Type: c.gu8(), Tag: c.gu16()}
+	*f = Fcall{Type: c.gu8(), Tag: c.gu16()}
 	switch f.Type {
 	case Tnop, Rnop, Rflush:
 	case Tsession, Rsession:
@@ -436,7 +447,7 @@ func UnmarshalFcall(p []byte) (*Fcall, error) {
 		f.Fid = c.gu32()
 		n := int(c.gu16())
 		if c.err == nil && (n > MaxFData || c.off+n > len(p)) {
-			return nil, ErrBadMsg
+			return ErrBadMsg
 		}
 		if c.err == nil {
 			f.Data = append([]byte(nil), p[c.off:c.off+n]...)
@@ -448,7 +459,7 @@ func UnmarshalFcall(p []byte) (*Fcall, error) {
 		f.Offset = int64(c.gu64())
 		n := int(c.gu16())
 		if c.err == nil && (n > MaxFData || c.off+n > len(p)) {
-			return nil, ErrBadMsg
+			return ErrBadMsg
 		}
 		if c.err == nil {
 			f.Data = append([]byte(nil), p[c.off:c.off+n]...)
@@ -464,20 +475,20 @@ func UnmarshalFcall(p []byte) (*Fcall, error) {
 		f.Fid = c.gu32()
 		if c.err == nil {
 			if c.off+vfs.DirRecLen > len(p) {
-				return nil, ErrBadMsg
+				return ErrBadMsg
 			}
 			d, err := vfs.UnmarshalDir(p[c.off:])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			f.Stat = d
 			c.off += vfs.DirRecLen
 		}
 	default:
-		return nil, ErrBadType
+		return ErrBadType
 	}
 	if c.err != nil {
-		return nil, c.err
+		return c.err
 	}
-	return f, nil
+	return nil
 }

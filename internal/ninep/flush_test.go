@@ -49,6 +49,25 @@ func (h blockHandle) Close() error                           { return nil }
 // flush racing the multithreaded server's reply on other host threads,
 // which is what the race detector needs to see.
 
+// plant reserves tag on cl for a request the test writes by hand, the
+// way sendAsync reserves one, so demux delivers the tag's reply to the
+// returned Pending.
+func plant(cl *Client, tag uint16, req uint8) *Pending {
+	p := &Pending{cl: cl, tag: tag, req: req}
+	p.wake.Init(cl.ck, &cl.mu)
+	cl.mu.Lock()
+	cl.tags[tag] = p
+	cl.mu.Unlock()
+	return p
+}
+
+// replied reports, without blocking, whether p's reply has arrived.
+func (p *Pending) replied() (*Fcall, bool) {
+	p.cl.mu.Lock()
+	defer p.cl.mu.Unlock()
+	return &p.r, p.done
+}
+
 // TestFlushAbandonsBlockedRead: a client starts a read that blocks in
 // the server, flushes it, gets Rflush immediately, and — per the 9P
 // contract — never receives the abandoned read's response, while the
@@ -75,21 +94,18 @@ func TestFlushAbandonsBlockedRead(t *testing.T) {
 	}
 
 	// Issue the blocking read with a raw, hand-tagged RPC so we know
-	// the tag to flush. The response channel stays registered so we
-	// can assert no response ever arrives.
+	// the tag to flush. Its Pending stays registered so we can assert
+	// no response ever arrives.
 	readDone := make(chan *Fcall, 1)
 	const readTag = 77
-	cl.mu.Lock()
-	cl.tags[readTag] = vclock.NewMailbox[*Fcall](vclock.Real, 1)
-	respCh := cl.tags[readTag]
-	cl.mu.Unlock()
+	read := plant(cl, readTag, Tread)
 	msg, _ := MarshalFcall(&Fcall{Type: Tread, Tag: readTag, Fid: 2, Count: 64})
 	if err := cl.conn.WriteMsg(msg); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
-		if r, ok := respCh.Recv(); ok {
-			readDone <- r
+		if read.await() == nil {
+			readDone <- &read.r
 		}
 	}()
 
@@ -149,9 +165,7 @@ func TestFlushedTagReuse(t *testing.T) {
 
 	// A hand-tagged read parks in the server...
 	const tag = 99
-	cl.mu.Lock()
-	cl.tags[tag] = vclock.NewMailbox[*Fcall](vclock.Real, 1)
-	cl.mu.Unlock()
+	plant(cl, tag, Tread)
 	msg, _ := MarshalFcall(&Fcall{Type: Tread, Tag: tag, Fid: 2, Count: 64})
 	if err := cl.conn.WriteMsg(msg); err != nil {
 		t.Fatal(err)
@@ -168,18 +182,15 @@ func TestFlushedTagReuse(t *testing.T) {
 	// still parked. Its reply must come back — a server that keyed
 	// flush state by tag alone would consume the stale mark here and
 	// drop it.
-	reuse := vclock.NewMailbox[*Fcall](vclock.Real, 1)
-	cl.mu.Lock()
-	cl.tags[tag] = reuse
-	cl.mu.Unlock()
+	reuse := plant(cl, tag, Tstat)
 	msg, _ = MarshalFcall(&Fcall{Type: Tstat, Tag: tag, Fid: 1})
 	if err := cl.conn.WriteMsg(msg); err != nil {
 		t.Fatal(err)
 	}
 	reuseDone := make(chan *Fcall, 1)
 	go func() {
-		if r, ok := reuse.Recv(); ok {
-			reuseDone <- r
+		if reuse.await() == nil {
+			reuseDone <- &reuse.r
 		}
 	}()
 	select {
@@ -193,13 +204,10 @@ func TestFlushedTagReuse(t *testing.T) {
 
 	// Release the parked read: its stale reply must stay suppressed
 	// even though the tag has moved on.
-	stale := vclock.NewMailbox[*Fcall](vclock.Real, 1)
-	cl.mu.Lock()
-	cl.tags[tag] = stale
-	cl.mu.Unlock()
+	stale := plant(cl, tag, Tread)
 	fs.release.Close()
 	time.Sleep(100 * time.Millisecond) //netvet:ignore realtime a grace window on the real clock this test is about
-	if r, ok := stale.TryRecv(); ok {
+	if r, ok := stale.replied(); ok {
 		t.Fatalf("stale flushed reply surfaced under recycled tag: %+v", r)
 	}
 	cl.mu.Lock()

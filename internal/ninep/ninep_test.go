@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/ramfs"
 	"repro/internal/vclock"
 	"repro/internal/vfs"
@@ -316,6 +317,147 @@ func TestClientCloseFailsPendingRPCs(t *testing.T) {
 		}
 	case <-time.After(time.Second): //netvet:ignore realtime a deadline on the real clock this test is about
 		t.Error("pending RPC hung after close")
+	}
+}
+
+// TestClientCloseWakesPendingInIssueOrder: eight RPCs park on a server
+// that never answers, and the client is closed. Their waiters wake in
+// the order the RPCs were issued — tag order — in every run, not in
+// the tag table's map order.
+func TestClientCloseWakesPendingInIssueOrder(t *testing.T) {
+	const rpcs, runs = 8, 20
+	for run := range runs {
+		var woke []int
+		v := vclock.NewVirtual()
+		v.Run(func() {
+			a, b := NewPipe(v)
+			// The server answers the session and nothing after it.
+			v.Go(func() {
+				for {
+					msg, err := b.ReadMsg()
+					if err != nil {
+						return
+					}
+					f, err := UnmarshalFcall(msg)
+					block.PutBytes(msg)
+					if err == nil && f.Type == Tsession {
+						r, _ := MarshalFcall(&Fcall{Type: Rsession, Tag: f.Tag})
+						b.WriteMsg(r)
+					}
+				}
+			})
+			cl, err := NewClient(a, ClientConfig{Clock: v})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var ps []*Pending
+			for i := range rpcs {
+				p, err := cl.RPCAsync(&Fcall{Type: Tstat, Fid: uint32(i)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ps = append(ps, p)
+			}
+			// The waiters park in the reverse of issue order, so only
+			// the order of the wakes can put them back in it.
+			wg := vclock.NewWaitGroup(v)
+			for i := rpcs - 1; i >= 0; i-- {
+				wg.Add(1)
+				v.Go(func() {
+					defer wg.Done()
+					if _, err := ps[i].Wait(); err == nil {
+						t.Errorf("RPC %d answered by a server that never answers", i)
+					}
+					woke = append(woke, i)
+				})
+			}
+			v.Sleep(time.Millisecond)
+			cl.Close()
+			b.Close()
+			wg.Wait()
+		})
+		for i, w := range woke {
+			if w != i {
+				t.Fatalf("run %d: waiters woke in order %v, want issue order", run, woke)
+			}
+		}
+		if len(woke) != rpcs {
+			t.Fatalf("run %d: %d of %d waiters woke", run, len(woke), rpcs)
+		}
+	}
+}
+
+// openLog is a directory whose every Open makes a handle numbered in
+// open order, which notes its number in closed when it closes.
+type openLog struct {
+	opened int
+	closed []int
+}
+
+type openLogNode struct{ l *openLog }
+
+func (n openLogNode) Stat() (vfs.Dir, error) {
+	return vfs.Dir{Name: "log", Mode: 0666, Qid: vfs.Qid{Path: 1}}, nil
+}
+func (n openLogNode) Walk(name string) (vfs.Node, error) { return nil, vfs.ErrNotExist }
+func (n openLogNode) Open(mode int) (vfs.Handle, error) {
+	n.l.opened++
+	return openLogHandle{l: n.l, n: n.l.opened - 1}, nil
+}
+
+type openLogHandle struct {
+	l *openLog
+	n int
+}
+
+func (h openLogHandle) Read(p []byte, off int64) (int, error)  { return 0, nil }
+func (h openLogHandle) Write(p []byte, off int64) (int, error) { return len(p), nil }
+func (h openLogHandle) Close() error {
+	h.l.closed = append(h.l.closed, h.n)
+	return nil
+}
+
+// TestTeardownClosesFidsInFidOrder: when a connection dies, the server
+// closes its open fids in fid order, not in the fid table's map order.
+// The fids are opened in the reverse of fid order, so the handles must
+// close in the reverse of open order.
+func TestTeardownClosesFidsInFidOrder(t *testing.T) {
+	const fids = 8
+	l := new(openLog)
+	root := func(vclock.Clock) vfs.Node { return openLogNode{l} }
+	onTapped(t, root, ClientConfig{}, nil, func(v *vclock.Virtual, cl *Client, _ *countingConn) {
+		r, err := cl.Attach("u", "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var fs []*Fid
+		for range fids {
+			f, err := r.Clone()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			fs = append(fs, f)
+		}
+		for i := fids - 1; i >= 0; i-- {
+			if err := fs[i].Open(vfs.OREAD); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		cl.Close()
+		v.Sleep(time.Millisecond) // the server's read loop sees the close
+	})
+	if len(l.closed) != fids {
+		t.Fatalf("%d of %d handles closed", len(l.closed), fids)
+	}
+	for i, n := range l.closed {
+		if n != fids-1-i {
+			t.Fatalf("handles closed in open order %v, want %d down to 0", l.closed, fids-1)
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package ninep
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -53,6 +55,13 @@ type Server struct {
 	ready    []*SrvConn
 	nworkers int
 	npend    int // queued requests across all connections
+	// esc holds the requests workers have escalated, one per
+	// goroutine started on escalate and in start order.
+	esc []*srvReq
+
+	// worker and escalate, bound once so starting a goroutine on
+	// either allocates nothing.
+	workerFn, escalateFn func()
 
 	cmu    sync.Mutex
 	conns  map[int64]*SrvConn
@@ -68,11 +77,13 @@ type Server struct {
 // per-request goroutines driven by ck; each accepted transport is
 // served by ServeConn.
 func NewServer(attach AttachFunc, ck vclock.Clock) *Server {
-	return &Server{
+	s := &Server{
 		attach: attach,
 		ck:     ck,
 		conns:  make(map[int64]*SrvConn),
 	}
+	s.workerFn, s.escalateFn = s.worker, s.escalate
+	return s
 }
 
 // SrvConn is one client's connection to a Server: a private fid table,
@@ -108,7 +119,9 @@ type SrvConn struct {
 	lat        obs.Hist      // request latency, arrival to reply
 }
 
-// srvReq tracks one in-flight request. Flush state lives on the
+// srvReq tracks one in-flight request, and is the request's one heap
+// object on the server: the request decodes into f and the reply is
+// built in r. Flush state lives on the
 // request instance, never in a map keyed by tag alone: after the
 // 16-bit tag space wraps, a recycled tag can name a new request while
 // a flushed predecessor's goroutine is still running (blocked in
@@ -117,7 +130,8 @@ type SrvConn struct {
 // one's mark and the old request answer under the new one's tag.
 type srvReq struct {
 	flushed atomic.Bool
-	f       *Fcall
+	c       *SrvConn
+	f, r    Fcall
 	start   time.Time
 	tq      *ticketQ
 	ticket  uint64
@@ -221,8 +235,10 @@ func (s *Server) ServeConn(conn MsgConn) error {
 		if err != nil {
 			return err
 		}
-		f, err := UnmarshalFcall(msg)
-		// UnmarshalFcall copies everything it keeps, so the wire
+		st := &srvReq{c: c}
+		f := &st.f
+		err = unmarshalInto(msg, f)
+		// unmarshalInto copies everything it keeps, so the wire
 		// buffer goes back to the pool either way.
 		block.PutBytes(msg)
 		if err != nil {
@@ -234,9 +250,10 @@ func (s *Server) ServeConn(conn MsgConn) error {
 			// Tflush can never be overtaken by the work it
 			// flushes — it never waits behind the connection's
 			// queued requests.
-			c.respond(f.Tag, c.process(f), nil)
+			st.r = c.process(f)
+			c.respond(f.Tag, &st.r, nil)
 		default:
-			st := &srvReq{f: f, start: s.ck.Now()}
+			st.start = s.ck.Now()
 			// I/O requests take a per-fid, per-direction ticket
 			// here, in wire arrival order, so they reach the
 			// handle in the order the client issued them even
@@ -316,8 +333,19 @@ func (s *Server) enqueue(c *SrvConn, st *srvReq) {
 	}
 	s.dmu.Unlock()
 	if spawn {
-		s.ck.Go(s.worker)
+		s.ck.Go(s.workerFn)
 	}
+}
+
+// popFront removes and returns the first element of *q, moving the
+// rest down in place so the array stays for the next append.
+func popFront[T any](q *[]T) T {
+	v := (*q)[0]
+	n := copy(*q, (*q)[1:])
+	var zero T
+	(*q)[n] = zero
+	*q = (*q)[:n]
+	return v
 }
 
 // worker is one pool goroutine: it repeatedly takes the front
@@ -334,10 +362,8 @@ func (s *Server) worker() {
 			s.dmu.Unlock()
 			return
 		}
-		c := s.ready[0]
-		s.ready = s.ready[1:]
-		st := c.pend[0]
-		c.pend = c.pend[1:]
+		c := popFront(&s.ready)
+		st := popFront(&c.pend)
 		s.npend--
 		c.running++
 		c.inflightHW.Note(int64(c.running))
@@ -345,6 +371,9 @@ func (s *Server) worker() {
 			s.ready = append(s.ready, c)
 		} else {
 			c.inRing = false
+		}
+		if !st.inline {
+			s.esc = append(s.esc, st)
 		}
 		s.dmu.Unlock()
 		if st.inline {
@@ -355,12 +384,21 @@ func (s *Server) worker() {
 			// listen file waits for a call); it gets the paper's
 			// goroutine-per-request treatment, and counts against
 			// the connection's budget until it completes.
-			s.ck.Go(func() {
-				c.run(st)
-				s.release(c)
-			})
+			s.ck.Go(s.escalateFn)
 		}
 	}
+}
+
+// escalate runs one escalated request on a goroutine of its own. The
+// virtual clock starts goroutines in the order Go was called, so each
+// takes the request queued with its start; on the real clock which
+// goroutine takes which does not matter.
+func (s *Server) escalate() {
+	s.dmu.Lock()
+	st := popFront(&s.esc)
+	s.dmu.Unlock()
+	st.c.run(st)
+	s.release(st.c)
 }
 
 // release returns one unit of a connection's budget and re-rings the
@@ -380,28 +418,28 @@ func (s *Server) release(c *SrvConn) {
 	}
 	s.dmu.Unlock()
 	if spawn {
-		s.ck.Go(s.worker)
+		s.ck.Go(s.workerFn)
 	}
 }
 
 // run executes one dispatched request to completion.
 func (c *SrvConn) run(st *srvReq) {
 	s := c.s
-	var r *Fcall
 	if st.tq != nil {
 		st.tq.wait(st.ticket, s.ck)
-		// A request flushed while queued must not touch the
-		// handle: on a delimited or stream device the read would
-		// consume data the client has already abandoned.
-		if !st.flushed.Load() {
-			r = c.process(st.f)
-		}
-		st.tq.done()
-	} else if !st.flushed.Load() {
-		r = c.process(st.f)
 	}
-	if r != nil {
-		c.respond(st.f.Tag, r, st)
+	// A request flushed while queued must not touch the handle: on a
+	// delimited or stream device the read would consume data the
+	// client has already abandoned.
+	live := !st.flushed.Load()
+	if live {
+		st.r = c.process(&st.f)
+	}
+	if st.tq != nil {
+		st.tq.done()
+	}
+	if live {
+		c.respond(st.f.Tag, &st.r, st)
 	}
 	c.mu.Lock()
 	if c.reqs[st.f.Tag] == st {
@@ -414,9 +452,10 @@ func (c *SrvConn) run(st *srvReq) {
 }
 
 // teardown unregisters a dead connection and clunks its fids — only
-// its own; other tenants' fid tables are untouched. Requests still
-// queued are marked flushed so they drain through the dispatcher (and
-// their ticket queues) without touching handles the teardown closed.
+// its own, in fid order; other tenants' fid tables are untouched.
+// Requests still queued are marked flushed so they drain through the
+// dispatcher (and their ticket queues) without touching handles the
+// teardown closed.
 func (s *Server) teardown(c *SrvConn) {
 	s.cmu.Lock()
 	delete(s.conns, c.id)
@@ -428,7 +467,8 @@ func (s *Server) teardown(c *SrvConn) {
 	fids := c.fids
 	c.fids = make(map[uint32]*srvFid)
 	c.mu.Unlock()
-	for _, sf := range fids {
+	for _, fid := range slices.Sorted(maps.Keys(fids)) {
+		sf := fids[fid]
 		sf.mu.Lock()
 		if sf.open && sf.h != nil {
 			sf.h.Close()
@@ -550,12 +590,12 @@ func (s *Server) Stats() string {
 	return b.String()
 }
 
-func rerror(err error) *Fcall {
+func rerror(err error) Fcall {
 	e := err.Error()
 	if len(e) >= ErrLen {
 		e = e[:ErrLen-1]
 	}
-	return &Fcall{Type: Rerror, Ename: e}
+	return Fcall{Type: Rerror, Ename: e}
 }
 
 func (c *SrvConn) newFid(node vfs.Node) *srvFid {
@@ -564,25 +604,27 @@ func (c *SrvConn) newFid(node vfs.Node) *srvFid {
 	return sf
 }
 
-func (c *SrvConn) getFid(fid uint32) (*srvFid, *Fcall) {
+func (c *SrvConn) getFid(fid uint32) (*srvFid, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sf, ok := c.fids[fid]
 	if !ok {
-		return nil, rerror(fmt.Errorf("unknown fid %d", fid))
+		return nil, fmt.Errorf("unknown fid %d", fid)
 	}
 	return sf, nil
 }
 
-func (c *SrvConn) process(t *Fcall) *Fcall {
+// process executes one request and returns its reply, which the caller
+// keeps in the request's srvReq.
+func (c *SrvConn) process(t *Fcall) Fcall {
 	switch t.Type {
 	case Tnop:
-		return &Fcall{Type: Rnop}
+		return Fcall{Type: Rnop}
 	case Tsession:
-		return &Fcall{Type: Rsession, Chal: t.Chal}
+		return Fcall{Type: Rsession, Chal: t.Chal}
 	case Tauth:
 		// Toy authentication: echo a ticket derived from the uname.
-		return &Fcall{Type: Rauth, Chal: "ticket-" + t.Uname}
+		return Fcall{Type: Rauth, Chal: "ticket-" + t.Uname}
 	case Tflush:
 		// Mark the in-flight instance before the Rflush is written
 		// (respond checks the mark under wmu): once the Rflush is on
@@ -597,7 +639,7 @@ func (c *SrvConn) process(t *Fcall) *Fcall {
 		if st != nil {
 			st.flushed.Store(true)
 		}
-		return &Fcall{Type: Rflush}
+		return Fcall{Type: Rflush}
 	case Tattach:
 		root, err := c.s.attach(t.Uname, t.Aname)
 		if err != nil {
@@ -617,11 +659,11 @@ func (c *SrvConn) process(t *Fcall) *Fcall {
 		}
 		c.fids[t.Fid] = c.newFid(root)
 		c.mu.Unlock()
-		return &Fcall{Type: Rattach, Fid: t.Fid, Qid: d.Qid}
+		return Fcall{Type: Rattach, Fid: t.Fid, Qid: d.Qid}
 	case Tclone:
-		sf, e := c.getFid(t.Fid)
-		if e != nil {
-			return e
+		sf, err := c.getFid(t.Fid)
+		if err != nil {
+			return rerror(err)
 		}
 		sf.mu.Lock()
 		if sf.open {
@@ -637,11 +679,11 @@ func (c *SrvConn) process(t *Fcall) *Fcall {
 		}
 		c.fids[t.Newfid] = c.newFid(node)
 		c.mu.Unlock()
-		return &Fcall{Type: Rclone, Fid: t.Fid}
+		return Fcall{Type: Rclone, Fid: t.Fid}
 	case Twalk:
-		sf, e := c.getFid(t.Fid)
-		if e != nil {
-			return e
+		sf, err := c.getFid(t.Fid)
+		if err != nil {
+			return rerror(err)
 		}
 		sf.mu.Lock()
 		defer sf.mu.Unlock()
@@ -657,11 +699,11 @@ func (c *SrvConn) process(t *Fcall) *Fcall {
 			return rerror(err)
 		}
 		sf.node = n
-		return &Fcall{Type: Rwalk, Fid: t.Fid, Qid: d.Qid}
+		return Fcall{Type: Rwalk, Fid: t.Fid, Qid: d.Qid}
 	case Tclwalk:
-		sf, e := c.getFid(t.Fid)
-		if e != nil {
-			return e
+		sf, err := c.getFid(t.Fid)
+		if err != nil {
+			return rerror(err)
 		}
 		sf.mu.Lock()
 		if sf.open {
@@ -684,11 +726,11 @@ func (c *SrvConn) process(t *Fcall) *Fcall {
 		}
 		c.fids[t.Newfid] = c.newFid(n)
 		c.mu.Unlock()
-		return &Fcall{Type: Rclwalk, Fid: t.Newfid, Qid: d.Qid}
+		return Fcall{Type: Rclwalk, Fid: t.Newfid, Qid: d.Qid}
 	case Topen:
-		sf, e := c.getFid(t.Fid)
-		if e != nil {
-			return e
+		sf, err := c.getFid(t.Fid)
+		if err != nil {
+			return rerror(err)
 		}
 		sf.mu.Lock()
 		defer sf.mu.Unlock()
@@ -705,11 +747,11 @@ func (c *SrvConn) process(t *Fcall) *Fcall {
 			return rerror(err)
 		}
 		sf.h, sf.open, sf.mode = h, true, int(t.Mode)
-		return &Fcall{Type: Ropen, Fid: t.Fid, Qid: d.Qid}
+		return Fcall{Type: Ropen, Fid: t.Fid, Qid: d.Qid}
 	case Tcreate:
-		sf, e := c.getFid(t.Fid)
-		if e != nil {
-			return e
+		sf, err := c.getFid(t.Fid)
+		if err != nil {
+			return rerror(err)
 		}
 		sf.mu.Lock()
 		defer sf.mu.Unlock()
@@ -730,11 +772,11 @@ func (c *SrvConn) process(t *Fcall) *Fcall {
 			return rerror(err)
 		}
 		sf.node, sf.h, sf.open, sf.mode = n, h, true, int(t.Mode)
-		return &Fcall{Type: Rcreate, Fid: t.Fid, Qid: d.Qid}
+		return Fcall{Type: Rcreate, Fid: t.Fid, Qid: d.Qid}
 	case Tread:
-		sf, e := c.getFid(t.Fid)
-		if e != nil {
-			return e
+		sf, err := c.getFid(t.Fid)
+		if err != nil {
+			return rerror(err)
 		}
 		sf.mu.Lock()
 		h, open := sf.h, sf.open
@@ -753,7 +795,7 @@ func (c *SrvConn) process(t *Fcall) *Fcall {
 			if blk != nil {
 				// The reply aliases the cache fragment; respond
 				// drops the reference after marshaling.
-				return &Fcall{Type: Rread, Fid: t.Fid, Data: data, blk: blk}
+				return Fcall{Type: Rread, Fid: t.Fid, Data: data, blk: blk}
 			}
 			// Declined (unaligned or uncacheable); copy path below.
 		}
@@ -763,11 +805,11 @@ func (c *SrvConn) process(t *Fcall) *Fcall {
 			block.PutBytes(buf)
 			return rerror(err)
 		}
-		return &Fcall{Type: Rread, Fid: t.Fid, Data: buf[:n], recycle: buf}
+		return Fcall{Type: Rread, Fid: t.Fid, Data: buf[:n], recycle: buf}
 	case Twrite:
-		sf, e := c.getFid(t.Fid)
-		if e != nil {
-			return e
+		sf, err := c.getFid(t.Fid)
+		if err != nil {
+			return rerror(err)
 		}
 		sf.mu.Lock()
 		h, open := sf.h, sf.open
@@ -779,7 +821,7 @@ func (c *SrvConn) process(t *Fcall) *Fcall {
 		if err != nil {
 			return rerror(err)
 		}
-		return &Fcall{Type: Rwrite, Fid: t.Fid, Count: uint16(n)}
+		return Fcall{Type: Rwrite, Fid: t.Fid, Count: uint16(n)}
 	case Tclunk, Tremove:
 		c.mu.Lock()
 		sf, ok := c.fids[t.Fid]
@@ -805,13 +847,13 @@ func (c *SrvConn) process(t *Fcall) *Fcall {
 			return rerror(err)
 		}
 		if t.Type == Tremove {
-			return &Fcall{Type: Rremove, Fid: t.Fid}
+			return Fcall{Type: Rremove, Fid: t.Fid}
 		}
-		return &Fcall{Type: Rclunk, Fid: t.Fid}
+		return Fcall{Type: Rclunk, Fid: t.Fid}
 	case Tstat:
-		sf, e := c.getFid(t.Fid)
-		if e != nil {
-			return e
+		sf, err := c.getFid(t.Fid)
+		if err != nil {
+			return rerror(err)
 		}
 		sf.mu.Lock()
 		node := sf.node
@@ -820,11 +862,11 @@ func (c *SrvConn) process(t *Fcall) *Fcall {
 		if err != nil {
 			return rerror(err)
 		}
-		return &Fcall{Type: Rstat, Fid: t.Fid, Stat: d}
+		return Fcall{Type: Rstat, Fid: t.Fid, Stat: d}
 	case Twstat:
-		sf, e := c.getFid(t.Fid)
-		if e != nil {
-			return e
+		sf, err := c.getFid(t.Fid)
+		if err != nil {
+			return rerror(err)
 		}
 		sf.mu.Lock()
 		node := sf.node
@@ -836,7 +878,7 @@ func (c *SrvConn) process(t *Fcall) *Fcall {
 		if err := w.Wstat(t.Stat); err != nil {
 			return rerror(err)
 		}
-		return &Fcall{Type: Rwstat, Fid: t.Fid}
+		return Fcall{Type: Rwstat, Fid: t.Fid}
 	default:
 		return rerror(ErrBadType)
 	}

@@ -27,8 +27,9 @@ import (
 //
 // Buffer discipline: WriteMsg takes ownership of p — the caller never
 // touches it afterwards — and ReadMsg hands ownership of the returned
-// buffer to the caller, who releases it with block.PutBytes once the
-// message is decoded (UnmarshalFcall copies what it keeps).
+// buffer to the caller. Both in-tree readers release it with
+// block.PutBytes as soon as it is decoded, because decoding copies the
+// strings and data it keeps out of the buffer.
 type MsgConn interface {
 	// ReadMsg returns the next whole message; the caller owns it. Calls
 	// must not overlap.
@@ -110,6 +111,10 @@ func (p *pipe) Close() error {
 // adapter reads the 4-byte size then the remainder.
 type streamConn struct {
 	rwc io.ReadWriteCloser
+	// hdr is ReadMsg's size field. On ReadMsg's stack it would escape
+	// through io.ReadFull, one allocation per message; ReadMsg calls
+	// do not overlap, so one will do.
+	hdr [4]byte
 }
 
 // NewStreamConn wraps a byte-stream connection as a MsgConn.
@@ -119,16 +124,15 @@ func NewStreamConn(rwc io.ReadWriteCloser) MsgConn {
 
 // ReadMsg implements MsgConn.
 func (s *streamConn) ReadMsg() ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(s.rwc, hdr[:]); err != nil {
+	if _, err := io.ReadFull(s.rwc, s.hdr[:]); err != nil {
 		return nil, err
 	}
-	size := binary.LittleEndian.Uint32(hdr[:])
+	size := binary.LittleEndian.Uint32(s.hdr[:])
 	if size < 7 || size > MaxMsg {
 		return nil, ErrBadMsg
 	}
 	msg := block.GetBytes(int(size))
-	copy(msg, hdr[:])
+	copy(msg, s.hdr[:])
 	if _, err := io.ReadFull(s.rwc, msg[4:]); err != nil {
 		block.PutBytes(msg)
 		return nil, err

@@ -209,10 +209,13 @@ type Conn struct {
 
 	due vclock.Deadline // when dueLocked comes round, or death
 
-	// Send side: sndBuf holds bytes [sndUna, sndUna+len).
+	// Send side: sndBuf holds bytes [sndUna, sndUna+len). Acks advance
+	// its start within sndArr, the backing array; a write that would
+	// not fit behind it moves the bytes back to sndArr's front.
 	sndUna     uint32
 	sndNxt     uint32
 	sndBuf     []byte
+	sndArr     []byte
 	sndWnd     uint16 // peer's advertised window
 	finSent    bool
 	finPending bool // close requested, data still draining
@@ -291,6 +294,12 @@ func (c *Conn) Write(p []byte) (int, error) {
 		n := len(p) - total
 		if room := BufSize - len(c.sndBuf); n > room {
 			n = room
+		}
+		if len(c.sndBuf)+n > cap(c.sndBuf) {
+			if need := len(c.sndBuf) + n; need > len(c.sndArr) {
+				c.sndArr = make([]byte, min(max(need, 2*len(c.sndArr)), BufSize))
+			}
+			c.sndBuf = c.sndArr[:copy(c.sndArr, c.sndBuf)]
 		}
 		c.sndBuf = append(c.sndBuf, p[total:total+n]...)
 		total += n

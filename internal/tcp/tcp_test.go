@@ -504,6 +504,54 @@ func TestLoopbackBothWaysOnVirtualClock(t *testing.T) {
 	})
 }
 
+// TestAllocsWriteAck pins what a steady-state Write and the ack that
+// retires it allocate: nothing. The send buffer keeps one backing
+// array; an ack advances the buffer's start within it, and a write
+// that would not fit behind that moves the unacknowledged bytes back
+// to the front rather than growing a new array.
+func TestAllocsWriteAck(t *testing.T) {
+	if block.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	var allocs float64
+	onVirtual(t, ether.Profile{}, 2, func(v *vclock.Virtual, ps []*Proto, as []ip.Addr) {
+		dc, sc, err := dialVirtual(v, ps[0], ps[1], as[1])
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer dc.Close()
+		defer sc.Close()
+		// Frames for the peer now reach its interface and stop there;
+		// the test acks by hand.
+		ps[1].Stack.Close()
+		c := dc.(*Conn)
+		msg := make([]byte, 1000)
+		ack := func() {
+			c.Mu.Lock()
+			h := header{src: c.Rport, dst: c.Lport, seq: c.rcvNxt, ack: c.sndNxt, flags: flagACK, win: 0xffff}
+			c.Mu.Unlock()
+			c.segment(h, nil)
+		}
+		allocs = testing.AllocsPerRun(200, func() {
+			if _, err := c.Write(msg); err != nil {
+				t.Error(err)
+			}
+			ack()
+			v.Sleep(0) // the peer's interface drops the segment
+		})
+		c.Mu.Lock()
+		if len(c.sndBuf) != 0 {
+			t.Errorf("%d bytes left unacknowledged", len(c.sndBuf))
+		}
+		c.Mu.Unlock()
+	})
+	t.Logf("one Write and its ack: %.1f allocs", allocs)
+	if allocs != 0 {
+		t.Fatalf("a Write and its ack allocate %.1f objects, want 0 (the send buffer grew a new array?)", allocs)
+	}
+}
+
 // TestAllocsSegmentSend pins what sending one data segment allocates,
 // on an established conversation whose peer has gone quiet: nothing.
 // The segment's copy comes from the block pool, the IP send runs on the

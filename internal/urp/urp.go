@@ -333,18 +333,17 @@ func (c *Conn) recvAck(seq int, rej bool) {
 	c.trace.Emit(obs.EvAck, int64(seq), 0)
 	wasEnq := c.enqSent
 	c.enqSent = false
-	freed := false
-	for len(c.unacked) > 0 {
-		if c.unacked[0].seq == seq {
-			break // not yet acknowledged
-		}
-		block.PutBytes(c.unacked[0].data)
-		c.unacked[0] = sentBlock{}
-		c.unacked = c.unacked[1:]
+	k := 0
+	for ; k < len(c.unacked) && c.unacked[k].seq != seq; k++ {
+		block.PutBytes(c.unacked[k].data)
 		c.sndUna = (c.sndUna + 1) % SeqMod
-		freed = true
 	}
-	c.retransNeeded = len(c.unacked) > 0 && (c.retransNeeded || rej || wasEnq && !freed)
+	// The rest moves to the front of the array in place (at most
+	// Window entries), so Write's append reuses it.
+	n := copy(c.unacked, c.unacked[k:])
+	clear(c.unacked[n:])
+	c.unacked = c.unacked[:n]
+	c.retransNeeded = len(c.unacked) > 0 && (c.retransNeeded || rej || wasEnq && k == 0)
 	c.cond.Broadcast()
 	c.due.Update()
 }
