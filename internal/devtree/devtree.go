@@ -15,6 +15,7 @@
 package devtree
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -109,15 +110,22 @@ func (h *dirHandle) Write(p []byte, off int64) (int, error) {
 
 func (h *dirHandle) Close() error { return nil }
 
-// StaticDir builds a DirNode over a fixed name → Node map. The map must
-// not be mutated afterwards.
-func StaticDir(entry vfs.Dir, children map[string]vfs.Node, order []string) *DirNode {
+// LazyDir builds a directory with a fixed list of names whose children
+// are made on demand: a walk builds only the child it reaches, and a
+// listing builds them all, in names' order. child returns nil for a
+// name that is absent, such as a file a conversation has only some of
+// the time. names must not be mutated afterwards.
+func LazyDir(entry vfs.Dir, names []string, child func(name string) vfs.Node) *DirNode {
 	return &DirNode{
 		Entry: entry,
 		List: func() ([]vfs.Dir, error) {
-			ents := make([]vfs.Dir, 0, len(order))
-			for _, name := range order {
-				d, err := children[name].Stat()
+			ents := make([]vfs.Dir, 0, len(names))
+			for _, name := range names {
+				c := child(name)
+				if c == nil {
+					continue
+				}
+				d, err := c.Stat()
 				if err != nil {
 					return nil, err
 				}
@@ -126,13 +134,21 @@ func StaticDir(entry vfs.Dir, children map[string]vfs.Node, order []string) *Dir
 			return ents, nil
 		},
 		Lookup: func(name string) (vfs.Node, error) {
-			c, ok := children[name]
-			if !ok {
+			if !slices.Contains(names, name) {
 				return nil, vfs.ErrNotExist
 			}
-			return c, nil
+			if c := child(name); c != nil {
+				return c, nil
+			}
+			return nil, vfs.ErrNotExist
 		},
 	}
+}
+
+// StaticDir is a LazyDir over a fixed name → Node map. The map must not
+// be mutated afterwards.
+func StaticDir(entry vfs.Dir, children map[string]vfs.Node, order []string) *DirNode {
+	return LazyDir(entry, order, func(name string) vfs.Node { return children[name] })
 }
 
 // FileNode is a plain file; OpenFn supplies the per-open state.

@@ -60,6 +60,47 @@ func TestStaticDir(t *testing.T) {
 	h.Close()
 }
 
+// A LazyDir builds only the child a walk reaches, lists in names'
+// order, and treats a nil child as absent.
+func TestLazyDir(t *testing.T) {
+	built := map[string]int{}
+	dir := LazyDir(MkDir("1", "u", 0555), []string{"ctl", "trace", "data"}, func(name string) vfs.Node {
+		built[name]++
+		if name == "trace" {
+			return nil
+		}
+		return &FileNode{Entry: MkFile(name, "u", 0666)}
+	})
+	n, err := dir.Walk("data")
+	if d, _ := n.Stat(); err != nil || d.Name != "data" {
+		t.Errorf("walk data: %v, %v", n, err)
+	}
+	if len(built) != 1 || built["data"] != 1 {
+		t.Errorf("a walk to data built %v, want data alone", built)
+	}
+	for _, name := range []string{"trace", "missing"} {
+		if _, err := dir.Walk(name); !vfs.SameError(err, vfs.ErrNotExist) {
+			t.Errorf("walk %s = %v, want %v", name, err, vfs.ErrNotExist)
+		}
+	}
+	if built["missing"] != 0 {
+		t.Error("a walk to a name not in the list built a child")
+	}
+	h, err := dir.Open(vfs.OREAD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	ents, err := h.(vfs.DirReader).ReadDir()
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name)
+	}
+	if err != nil || strings.Join(names, " ") != "ctl data" {
+		t.Errorf("list = %v, %v; want ctl data", names, err)
+	}
+}
+
 func TestFileNodeBasics(t *testing.T) {
 	n := &FileNode{Entry: MkFile("f", "u", 0666)}
 	if _, err := n.Walk("x"); !vfs.SameError(err, vfs.ErrNotDir) {

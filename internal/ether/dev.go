@@ -76,19 +76,35 @@ func connCtl(c *Conn, cmd string) error {
 	}
 }
 
-// connDir serves one numbered connection directory.
+// connNames lists a connection directory in the order a listing shows
+// it.
+var connNames = []string{"ctl", "data", "stats", "type"}
+
+// connDir serves one numbered connection directory. A walk builds only
+// the file it reaches.
 func (d *Dev) connDir(n devtree.Tenancy[*Conn]) vfs.Node {
-	mk := func(name string, perm uint32) vfs.Dir { return devtree.MkFile(name, d.owner, perm) }
-	ctl := n.File(mk("ctl", 0666), func(r devtree.Ref[*Conn]) vfs.Handle { return r.Ctl(connCtl) })
-	data := n.File(mk("data", 0666), func(r devtree.Ref[*Conn]) vfs.Handle { return &dataHandle{ref: r} })
-	stats := n.Text(mk("stats", 0444), func(c *Conn) string {
-		return d.ifc.Stats() + fmt.Sprintf("conn %d: type %d in %d out %d\n",
-			c.id, c.Type(), c.inPackets.Load(), c.outPackets.Load())
-	})
-	typ := n.Text(mk("type", 0444), func(c *Conn) string { return strconv.Itoa(c.Type()) })
-	return devtree.StaticDir(devtree.MkDir(strconv.Itoa(n.ID()), d.owner, 0555),
-		map[string]vfs.Node{"ctl": ctl, "data": data, "stats": stats, "type": typ},
-		[]string{"ctl", "data", "stats", "type"})
+	return devtree.LazyDir(devtree.MkDir(strconv.Itoa(n.ID()), d.owner, 0555), connNames,
+		func(name string) vfs.Node { return d.connFile(n, name) })
+}
+
+// connFile builds the file name of the connection directory, or nil if
+// there is none by that name.
+func (d *Dev) connFile(n devtree.Tenancy[*Conn], name string) vfs.Node {
+	mk := func(perm uint32) vfs.Dir { return devtree.MkFile(name, d.owner, perm) }
+	switch name {
+	case "ctl":
+		return n.File(mk(0666), func(r devtree.Ref[*Conn]) vfs.Handle { return r.Ctl(connCtl) })
+	case "data":
+		return n.File(mk(0666), func(r devtree.Ref[*Conn]) vfs.Handle { return &dataHandle{ref: r} })
+	case "stats":
+		return n.Text(mk(0444), func(c *Conn) string {
+			return d.ifc.Stats() + fmt.Sprintf("conn %d: type %d in %d out %d\n",
+				c.id, c.Type(), c.inPackets.Load(), c.outPackets.Load())
+		})
+	case "type":
+		return n.Text(mk(0444), func(c *Conn) string { return strconv.Itoa(c.Type()) })
+	}
+	return nil
 }
 
 // dataHandle accesses the media: reading returns the next packet of

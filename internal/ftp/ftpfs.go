@@ -98,14 +98,22 @@ func (fs *FS) readReply() (int, string, error) {
 	if err != nil {
 		return 0, "", err
 	}
-	line = strings.TrimRight(line, "\r\n")
+	return parseReply(strings.TrimRight(line, "\r\n"))
+}
+
+// parseReply splits a reply line into its code and text. The code is
+// three ASCII digits, the first of them 1 to 5 (RFC 959 §4.2), and a
+// space follows it; anything else, a signed number or the hyphen of a
+// multi-line reply included, is a bad reply.
+func parseReply(line string) (int, string, error) {
 	if len(line) < 4 {
 		return 0, "", fmt.Errorf("ftpfs: short reply %q", line)
 	}
-	code, err := strconv.Atoi(line[:3])
-	if err != nil {
+	digit := func(c byte) bool { return '0' <= c && c <= '9' }
+	if line[0] < '1' || line[0] > '5' || !digit(line[1]) || !digit(line[2]) || line[3] != ' ' {
 		return 0, "", fmt.Errorf("ftpfs: bad reply %q", line)
 	}
+	code := int(line[0]-'0')*100 + int(line[1]-'0')*10 + int(line[2]-'0')
 	return code, line[4:], nil
 }
 

@@ -222,67 +222,85 @@ func (c *conv) ctl(cmd string) error {
 	}
 }
 
-// convDir serves one numbered connection directory.
+// convNames lists a conversation directory in the order a listing
+// shows it.
+var convNames = []string{"ctl", "data", "listen", "local", "remote", "stats", "status", "trace"}
+
+// convDir serves one numbered connection directory. A walk builds only
+// the file it reaches.
 func (d *Dev) convDir(n devtree.Tenancy[*conv]) vfs.Node {
-	mk := func(name string, perm uint32) vfs.Dir { return devtree.MkFile(name, d.owner, perm) }
-	ctl := n.File(mk("ctl", 0666), func(r devtree.Ref[*conv]) vfs.Handle { return r.Ctl((*conv).ctl) })
-	data := n.File(mk("data", 0666), func(r devtree.Ref[*conv]) vfs.Handle { return &dataHandle{ref: r} })
-	listen := &devtree.FileNode{
-		Entry: mk("listen", 0666),
-		OpenFn: func(mode int) (vfs.Handle, error) {
-			c, err := n.Conv()
-			if err != nil {
-				return nil, err
-			}
-			// Block until a call arrives; the returned handle is
-			// the ctl file of the new connection.
-			call, err := c.conn.Listen()
-			if err != nil {
-				return nil, err
-			}
-			h, err := d.place(func() (xport.Conn, error) { return call, nil })
-			if err != nil {
-				call.Close() // no slot: refuse the call, with the table unlocked
-			}
-			return h, err
-		},
-	}
-	local := n.Text(mk("local", 0444), func(c *conv) string { return c.conn.LocalAddr() + "\n" })
-	remote := n.Text(mk("remote", 0444), func(c *conv) string { return c.conn.RemoteAddr() + "\n" })
-	status := n.Text(mk("status", 0444), func(c *conv) string {
-		return d.proto.Name() + "/" + strconv.Itoa(n.ID()) + " " + c.conn.Status() + "\n"
-	})
-	// The conversation's stats file: one counter group per pushed
-	// module, rendered top first — the per-conversation bill for its
-	// line disciplines. Empty until something is pushed.
-	stats := n.Text(mk("stats", 0444), func(c *conv) string {
-		if l := c.line.Load(); l != nil {
-			return l.StatsText()
-		}
-		return ""
-	})
-	nodes := map[string]vfs.Node{
-		"ctl": ctl, "data": data, "listen": listen,
-		"local": local, "remote": remote, "stats": stats, "status": status,
-	}
-	order := []string{"ctl", "data", "listen", "local", "remote", "stats", "status"}
-	if c, err := n.Conv(); err == nil {
-		if _, ok := c.conn.(obs.Tracer); ok {
-			// The conversation carries an event ring: serve it as the
-			// trace file (§6.1's remote diagnosis — arm with "trace on",
-			// read the events back, locally or over an imported /net).
-			nodes["trace"] = n.Text(mk("trace", 0444), func(c *conv) string {
-				r := c.conn.(obs.Tracer).Trace()
-				if r == nil {
-					return ""
+	return devtree.LazyDir(devtree.MkDir(strconv.Itoa(n.ID()), d.owner, 0555), convNames,
+		func(name string) vfs.Node { return d.convFile(n, name) })
+}
+
+// convFile builds the file name of the conversation directory, or nil
+// if the conversation has none by that name.
+func (d *Dev) convFile(n devtree.Tenancy[*conv], name string) vfs.Node {
+	mk := func(perm uint32) vfs.Dir { return devtree.MkFile(name, d.owner, perm) }
+	switch name {
+	case "ctl":
+		return n.File(mk(0666), func(r devtree.Ref[*conv]) vfs.Handle { return r.Ctl((*conv).ctl) })
+	case "data":
+		return n.File(mk(0666), func(r devtree.Ref[*conv]) vfs.Handle { return &dataHandle{ref: r} })
+	case "listen":
+		return &devtree.FileNode{
+			Entry: mk(0666),
+			OpenFn: func(mode int) (vfs.Handle, error) {
+				c, err := n.Conv()
+				if err != nil {
+					return nil, err
 				}
-				return r.TraceText()
-			})
-			order = append(order, "trace")
+				// Block until a call arrives; the returned handle is
+				// the ctl file of the new connection.
+				call, err := c.conn.Listen()
+				if err != nil {
+					return nil, err
+				}
+				h, err := d.place(func() (xport.Conn, error) { return call, nil })
+				if err != nil {
+					call.Close() // no slot: refuse the call, with the table unlocked
+				}
+				return h, err
+			},
 		}
+	case "local":
+		return n.Text(mk(0444), func(c *conv) string { return c.conn.LocalAddr() + "\n" })
+	case "remote":
+		return n.Text(mk(0444), func(c *conv) string { return c.conn.RemoteAddr() + "\n" })
+	case "status":
+		return n.Text(mk(0444), func(c *conv) string {
+			return d.proto.Name() + "/" + strconv.Itoa(n.ID()) + " " + c.conn.Status() + "\n"
+		})
+	case "stats":
+		// The conversation's stats file: one counter group per pushed
+		// module, rendered top first — the per-conversation bill for its
+		// line disciplines. Empty until something is pushed.
+		return n.Text(mk(0444), func(c *conv) string {
+			if l := c.line.Load(); l != nil {
+				return l.StatsText()
+			}
+			return ""
+		})
+	case "trace":
+		// Only a conversation that carries an event ring has one: it
+		// serves the ring (§6.1's remote diagnosis — arm with "trace
+		// on", read the events back, locally or over an imported /net).
+		c, err := n.Conv()
+		if err != nil {
+			return nil
+		}
+		if _, ok := c.conn.(obs.Tracer); !ok {
+			return nil
+		}
+		return n.Text(mk(0444), func(c *conv) string {
+			r := c.conn.(obs.Tracer).Trace()
+			if r == nil {
+				return ""
+			}
+			return r.TraceText()
+		})
 	}
-	return devtree.StaticDir(devtree.MkDir(strconv.Itoa(n.ID()), d.owner, 0555),
-		nodes, order)
+	return nil
 }
 
 // dataHandle is the data file: the process end of the conversation's

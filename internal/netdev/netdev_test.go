@@ -667,3 +667,26 @@ func TestSecondCloseLeavesNextTenantAlone(t *testing.T) {
 		ctl2.Close()
 	}
 }
+
+// A conversation that carries no event ring has no trace file: the
+// directory lists the other seven, in order, and a walk to trace finds
+// nothing.
+func TestConvDirTraceOnlyForTracers(t *testing.T) {
+	nsp := fakeNS()
+	ctl, err := nsp.Open("/net/fake/clone", vfs.ORDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	ents, err := nsp.ReadDir("/net/fake/0")
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name)
+	}
+	if err != nil || strings.Join(names, " ") != "ctl data listen local remote stats status" {
+		t.Errorf("conversation dir: %v, %v", names, err)
+	}
+	if _, err := nsp.Walk("/net/fake/0/trace"); !vfs.SameError(err, vfs.ErrNotExist) {
+		t.Errorf("walk to trace = %v, want %v", err, vfs.ErrNotExist)
+	}
+}

@@ -33,9 +33,19 @@ func (n PathNode) Path() string { return n.path }
 // Stat implements vfs.Node.
 func (n PathNode) Stat() (vfs.Dir, error) { return n.nsp.Stat(n.path) }
 
+// child returns the canonical path of name below n. Joined under the
+// root without a doubled slash, an ordinary name is already clean, so
+// Clean has only "..", "." and the like to rewrite.
+func (n PathNode) child(name string) string {
+	if n.path == "/" {
+		return Clean("/" + name)
+	}
+	return Clean(n.path + "/" + name)
+}
+
 // Walk implements vfs.Node, resolving through the mount table.
 func (n PathNode) Walk(name string) (vfs.Node, error) {
-	child := Clean(n.path + "/" + name)
+	child := n.child(name)
 	if _, err := n.nsp.Walk(child); err != nil {
 		return nil, err
 	}
@@ -54,7 +64,7 @@ func (n PathNode) Open(mode int) (vfs.Handle, error) {
 
 // Create implements vfs.Creator.
 func (n PathNode) Create(name string, perm uint32, mode int) (vfs.Node, vfs.Handle, error) {
-	child := Clean(n.path + "/" + name)
+	child := n.child(name)
 	fd, err := n.nsp.Create(child, perm, mode)
 	if err != nil {
 		return nil, nil, err

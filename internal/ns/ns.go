@@ -85,14 +85,6 @@ func Clean(p string) string {
 	return path.Clean(p)
 }
 
-func split(p string) []string {
-	p = Clean(p)
-	if p == "/" {
-		return nil
-	}
-	return strings.Split(p[1:], "/")
-}
-
 // MountNode attaches a served tree (a device root, or a mount-driver
 // node speaking 9P to a remote server) at mount point old. A union
 // mount (MBEFORE/MAFTER) on a point with no prior mounts seeds the
@@ -166,31 +158,38 @@ func (ns *Namespace) Unmount(old string) error {
 	return nil
 }
 
-// candidates returns the union list in effect at canonical path p given
-// the node reached by walking, or just {n} when p is not a mount point.
-func (t table) candidates(p string, n vfs.Node) []entry {
-	if es, ok := t[p]; ok {
-		return es
-	}
-	if n == nil {
-		return nil
-	}
-	return []entry{{node: n}}
-}
-
-// resolve walks name and returns the union candidate list at the final
-// element plus the canonical path. It walks one snapshot of the mount
-// table from start to finish and holds no lock.
-func (ns *Namespace) resolve(name string) ([]entry, string, error) {
+// resolve walks name through one snapshot of the mount table, held by
+// no lock, and returns the first node at the final element, the union
+// mounted there (nil unless the name is a mount point) and the
+// canonical path. It walks in place: the prefix walked so far is
+// cname[:end] and the elements are scanned by index, so a walk
+// allocates nothing beyond what the nodes' own Walks return. The
+// union is the mount table's own slice, never written once published,
+// so handing it out costs nothing.
+func (ns *Namespace) resolve(name string) (vfs.Node, []entry, string, error) {
 	cname := Clean(name)
-	elems := split(cname)
 	mnt := *ns.mnt.Load()
-	cur := mnt.candidates("/", ns.root)
-	walked := ""
-	var lastErr error
-	for _, el := range elems {
+	// cur is what the next element is walked in: the union mounted
+	// on the walked prefix, or the one node the walk reached, held
+	// in one. Only union is returned, so one never leaves the stack.
+	var one [1]entry
+	union, mounted := mnt["/"]
+	cur := union
+	if !mounted && ns.root != nil {
+		one[0].node = ns.root
+		cur = one[:]
+	}
+	for start := 1; start < len(cname); {
+		end := strings.IndexByte(cname[start:], '/')
+		if end < 0 {
+			end = len(cname)
+		} else {
+			end += start
+		}
+		el := cname[start:end]
+		start = end + 1
 		var next vfs.Node
-		lastErr = vfs.ErrNotExist
+		lastErr := vfs.ErrNotExist
 		for _, c := range cur {
 			n, err := c.node.Walk(el)
 			if err == nil {
@@ -199,10 +198,10 @@ func (ns *Namespace) resolve(name string) ([]entry, string, error) {
 			}
 			lastErr = err
 		}
-		walked = walked + "/" + el
-		if es, ok := mnt[walked]; ok {
+		walked := cname[:end]
+		if union, mounted = mnt[walked]; mounted {
 			// A mount on this exact path overrides the walk.
-			cur = es
+			cur = union
 			continue
 		}
 		if next == nil {
@@ -214,22 +213,22 @@ func (ns *Namespace) resolve(name string) ([]entry, string, error) {
 				cur = nil
 				continue
 			}
-			return nil, "", lastErr
+			return nil, nil, "", lastErr
 		}
-		cur = []entry{{node: next}}
+		one[0].node = next
+		cur = one[:]
 	}
 	if len(cur) == 0 {
-		return nil, "", vfs.ErrNotExist
+		return nil, nil, "", vfs.ErrNotExist
 	}
-	return cur, cname, nil
+	return cur[0].node, union, cname, nil
 }
 
 // mountsUnder reports whether any mount point lies strictly below the
 // canonical path p.
 func (t table) mountsUnder(p string) bool {
-	prefix := p + "/"
 	for k := range t {
-		if strings.HasPrefix(k, prefix) {
+		if len(k) > len(p) && k[len(p)] == '/' && strings.HasPrefix(k, p) {
 			return true
 		}
 	}
@@ -238,11 +237,8 @@ func (t table) mountsUnder(p string) bool {
 
 // Walk resolves name to the first node in the union at that path.
 func (ns *Namespace) Walk(name string) (vfs.Node, error) {
-	cands, _, err := ns.resolve(name)
-	if err != nil {
-		return nil, err
-	}
-	return cands[0].node, nil
+	n, _, _, err := ns.resolve(name)
+	return n, err
 }
 
 // Stat returns the directory entry for name.
@@ -282,23 +278,22 @@ func (ns *Namespace) Remove(name string) error {
 
 // Open opens name with the given mode and returns an FD.
 func (ns *Namespace) Open(name string, mode int) (*FD, error) {
-	cands, cname, err := ns.resolve(name)
+	first, union, cname, err := ns.resolve(name)
 	if err != nil {
 		return nil, err
 	}
 	// A directory that is a union point reads as the concatenation
 	// of its members.
-	first := cands[0].node
 	d, err := first.Stat()
 	if err != nil {
 		return nil, err
 	}
-	if d.IsDir() && len(cands) > 1 {
+	if d.IsDir() && len(union) > 1 {
 		if vfs.AccessMode(mode) != vfs.OREAD {
 			return nil, vfs.ErrIsDir
 		}
 		var hs []vfs.Handle
-		for _, c := range cands {
+		for _, c := range union {
 			if cd, err := c.node.Stat(); err != nil || !cd.IsDir() {
 				continue
 			}
@@ -326,15 +321,13 @@ func (ns *Namespace) Create(name string, perm uint32, mode int) (*FD, error) {
 	if base == "" || base == "/" {
 		return nil, vfs.ErrBadArg
 	}
-	cands, _, err := ns.resolve(dir)
+	target, union, _, err := ns.resolve(dir)
 	if err != nil {
 		return nil, err
 	}
-	var target vfs.Node
-	if len(cands) == 1 {
-		target = cands[0].node
-	} else {
-		for _, c := range cands {
+	if len(union) > 1 {
+		target = nil
+		for _, c := range union {
 			if c.create {
 				target = c.node
 				break

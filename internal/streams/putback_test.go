@@ -3,6 +3,8 @@ package streams
 import (
 	"testing"
 	"time"
+
+	"repro/internal/vclock"
 )
 
 // TestPutbackWakesSecondReader is the regression test for the missed
@@ -12,38 +14,42 @@ import (
 // putback. putback must Broadcast like Enqueue does — without it, B
 // sleeps on readable data until unrelated traffic arrives.
 func TestPutbackWakesSecondReader(t *testing.T) {
-	s := New(0, nil)
-	defer s.Close()
-	q := s.topRead
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		s := NewClock(0, v, nil)
+		defer s.Close()
+		q := s.topRead
 
-	type result struct {
-		b   *Block
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		b, err := q.Get() // reader B
-		ch <- result{b, err}
-	}()
-	// Let B park on the empty queue. If it loses this race and parks
-	// after the putback below, Get finds the block immediately and the
-	// test still passes — the failure mode only needs B parked first.
-	time.Sleep(50 * time.Millisecond)
-
-	// Reader A re-heads the unconsumed tail of its block.
-	rem := NewBlock([]byte("rest"))
-	q.putback(rem)
-
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			t.Fatalf("Get: %v", r.err)
+		type result struct {
+			b   *Block
+			err error
 		}
-		if got := string(r.b.Bytes()); got != "rest" {
-			t.Fatalf("Get = %q, want %q", got, "rest")
+		got := vclock.NewMailbox[result](v, 1)
+		v.Go(func() {
+			b, err := q.Get() // reader B
+			got.Send(result{b, err})
+		})
+		// B parks on the empty queue before the sleep ends: the
+		// virtual clock moves only once every goroutine is parked.
+		v.Sleep(50 * time.Millisecond)
+
+		// Reader A re-heads the unconsumed tail of its block.
+		rem := NewBlock([]byte("rest"))
+		q.putback(rem)
+
+		v.Sleep(2 * time.Second)
+		r, ok := got.TryRecv()
+		if !ok {
+			t.Error("reader parked in Get missed the putback wakeup")
+			return
+		}
+		if r.err != nil {
+			t.Errorf("Get: %v", r.err)
+			return
+		}
+		if s := string(r.b.Bytes()); s != "rest" {
+			t.Errorf("Get = %q, want %q", s, "rest")
 		}
 		r.b.Free()
-	case <-time.After(2 * time.Second):
-		t.Fatal("reader parked in Get missed the putback wakeup")
-	}
+	})
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/vclock"
 )
 
 // loopback wires a stream's device end back to its own input, so
@@ -166,49 +168,53 @@ func TestHangupViaCtl(t *testing.T) {
 }
 
 func TestBlockedReaderWokenByClose(t *testing.T) {
-	s := New(0, nil)
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.Read(make([]byte, 1))
-		done <- err
-	}()
-	time.Sleep(5 * time.Millisecond)
-	s.Close()
-	select {
-	case err := <-done:
-		if err != ErrClosed {
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		s := NewClock(0, v, nil)
+		done := vclock.NewMailbox[error](v, 1)
+		v.Go(func() {
+			_, err := s.Read(make([]byte, 1))
+			done.Send(err)
+		})
+		v.Sleep(5 * time.Millisecond)
+		s.Close()
+		v.Sleep(time.Second)
+		err, ok := done.TryRecv()
+		if !ok {
+			t.Error("reader not woken by close")
+		} else if err != ErrClosed {
 			t.Errorf("reader error = %v", err)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("reader not woken by close")
-	}
+	})
 }
 
 func TestFlowControlBlocksWriters(t *testing.T) {
 	// Loopback with a tiny limit: the writer must block once the
 	// read queue is full, and resume when the reader drains.
-	var s *Stream
-	s = New(10, func(b *Block) { s.DeviceUp(b) })
-	defer s.Close()
-	wrote := make(chan bool, 1)
-	go func() {
-		s.Write([]byte("0123456789")) // fills the queue
-		s.Write([]byte("abcdefghij")) // must block
-		wrote <- true
-	}()
-	select {
-	case <-wrote:
-		t.Fatal("writer did not block on full queue")
-	case <-time.After(20 * time.Millisecond):
-	}
-	// Drain and let the writer finish.
-	buf := make([]byte, 10)
-	s.Read(buf)
-	select {
-	case <-wrote:
-	case <-time.After(time.Second):
-		t.Fatal("writer not resumed after drain")
-	}
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		var s *Stream
+		s = NewClock(10, v, func(b *Block) { s.DeviceUp(b) })
+		defer s.Close()
+		wrote := vclock.NewMailbox[bool](v, 1)
+		v.Go(func() {
+			s.Write([]byte("0123456789")) // fills the queue
+			s.Write([]byte("abcdefghij")) // must block
+			wrote.Send(true)
+		})
+		v.Sleep(20 * time.Millisecond)
+		if _, ok := wrote.TryRecv(); ok {
+			t.Error("writer did not block on full queue")
+			return
+		}
+		// Drain and let the writer finish.
+		buf := make([]byte, 10)
+		s.Read(buf)
+		v.Sleep(time.Second)
+		if _, ok := wrote.TryRecv(); !ok {
+			t.Error("writer not resumed after drain")
+		}
+	})
 }
 
 func TestPushPopModules(t *testing.T) {
@@ -368,58 +374,63 @@ func TestReadContiguityUnderConcurrency(t *testing.T) {
 	// are contiguous bytes from the stream. Write numbered 100-byte
 	// records; concurrent readers each reading 100 bytes must see
 	// whole records.
-	var s *Stream
-	s = New(1<<20, func(b *Block) { s.DeviceUp(b) })
-	defer s.Close()
-	const records = 200
-	go func() {
-		for i := range records {
-			rec := bytes.Repeat([]byte{byte(i)}, 100)
-			s.Write(rec)
-		}
-	}()
-	var mu sync.Mutex
-	got := make(map[byte]bool)
-	complete := make(chan struct{})
-	var wg sync.WaitGroup
-	for range 4 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]byte, 100)
-			for {
-				n, err := s.Read(buf)
-				if err != nil || n == 0 {
-					return // stream closed: we are done
-				}
-				if n != 100 {
-					t.Errorf("torn read of %d bytes", n)
-					return
-				}
-				for _, c := range buf[1:n] {
-					if c != buf[0] {
-						t.Error("non-contiguous bytes in one read")
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		var s *Stream
+		s = NewClock(1<<20, v, func(b *Block) { s.DeviceUp(b) })
+		defer s.Close()
+		const records = 200
+		v.Go(func() {
+			for i := range records {
+				rec := bytes.Repeat([]byte{byte(i)}, 100)
+				s.Write(rec)
+			}
+		})
+		var mu sync.Mutex
+		got := make(map[byte]bool)
+		// complete carries true once every record has been seen, or
+		// false from the watchdog.
+		complete := vclock.NewMailbox[bool](v, 1)
+		watchdog := v.AfterFunc(10*time.Second, func() { complete.TrySend(false) })
+		defer watchdog.Stop()
+		wg := vclock.NewWaitGroup(v)
+		for range 4 {
+			wg.Add(1)
+			v.Go(func() {
+				defer wg.Done()
+				buf := make([]byte, 100)
+				for {
+					n, err := s.Read(buf)
+					if err != nil || n == 0 {
+						return // stream closed: we are done
+					}
+					if n != 100 {
+						t.Errorf("torn read of %d bytes", n)
 						return
 					}
+					for _, c := range buf[1:n] {
+						if c != buf[0] {
+							t.Error("non-contiguous bytes in one read")
+							return
+						}
+					}
+					mu.Lock()
+					got[buf[0]] = true
+					if len(got) == records {
+						complete.TrySend(true)
+					}
+					mu.Unlock()
 				}
-				mu.Lock()
-				got[buf[0]] = true
-				if len(got) == records {
-					close(complete)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	// When every record has been seen, close the stream to release
-	// any reader still blocked waiting for more data.
-	select {
-	case <-complete:
-	case <-time.After(10 * time.Second):
-		t.Error("records never all arrived")
-	}
-	s.Close()
-	wg.Wait()
+			})
+		}
+		// When every record has been seen, close the stream to release
+		// any reader still blocked waiting for more data.
+		if ok, _ := complete.Recv(); !ok {
+			t.Error("records never all arrived")
+		}
+		s.Close()
+		wg.Wait()
+	})
 }
 
 // Property: any sequence of writes is read back intact and in order.

@@ -55,7 +55,7 @@ if ! echo "$rt" | grep -q '^netvet: [0-9]* package'; then
     echo "$rt" >&2
     exit 1
 fi
-if echo "$rt" | grep -E '^(internal/(core|dialer|ftp|table1|ether|medium|cs|il|uart|datakit|urp|cyclone|ip|tcp|udp|netdev|dnssrv|xport|ninep|mnt|exportfs|torture|devtree|leakcheck)|cmd|examples)/'; then
+if echo "$rt" | grep -E '^(internal/(core|dialer|ftp|table1|ether|medium|cs|il|uart|datakit|urp|cyclone|ip|tcp|udp|netdev|dnssrv|xport|ninep|mnt|exportfs|torture|devtree|leakcheck|streams)|cmd|examples)/'; then
     echo "wall-clock calls in packages whose tests run on the virtual clock (see above)" >&2
     exit 1
 fi
@@ -101,13 +101,16 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # when an ack re-arms it (il TestAllocsRearmOnAck, vclock
 # TestAllocsDeadlineUpdate), a send queue that grows a new array per
 # write once acks have trimmed it (urp and tcp TestAllocsWriteAck), or
-# more than one object a side per 9P RPC (ninep TestAllocsRreadRoundTrip). Without -race there is also no
+# more than one object a side per 9P RPC (ninep TestAllocsRreadRoundTrip),
+# a name walk that allocates beyond the nodes it returns (ns
+# TestAllocsResolve), or a conversation directory that builds more than
+# the file walked to (netdev TestAllocsConvWalk). Without -race there is also no
 # allocation-site recorder (block/race_on.go, which lets leakcheck name
 # a leaked block's site): it takes a stack per Alloc, about 0.8 us, or
 # twelve times an Alloc/Free pair (BenchmarkAllocFree16K, 68 -> 857 ns
 # on a 2-CPU host), so only the race build above pays for it, and these
 # gates and the benchmark measure the allocator as it ships.
-go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/cs ./internal/tcp ./internal/urp ./internal/vclock ./internal/ether ./internal/il
+go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/cs ./internal/tcp ./internal/urp ./internal/vclock ./internal/ether ./internal/il ./internal/ns ./internal/netdev
 
 echo "== chaos: 100-seed sweep"
 # The discrete-event clock makes a whole seed sweep affordable: every
@@ -215,7 +218,7 @@ echo "== fuzz smoke (10s per parser)"
 # One list, one loop. -fuzzminimizetime 5x: a crasher found during a
 # smoke should minimize in a handful of runs, not stall the gate for the
 # default 60s.
-for f in il:FuzzParseHeader ip:FuzzUnmarshal tcp:FuzzUnmarshal udp:FuzzRecv urp:FuzzRecv dnssrv:FuzzUnmarshal ninep:Fuzz9PMessage streams:FuzzCompressFrame streams:FuzzBatchReassembly ndb:FuzzParse netmsg:FuzzCtl; do
+for f in il:FuzzParseHeader ip:FuzzUnmarshal tcp:FuzzUnmarshal udp:FuzzRecv urp:FuzzRecv dnssrv:FuzzUnmarshal ninep:Fuzz9PMessage streams:FuzzCompressFrame streams:FuzzBatchReassembly ndb:FuzzParse netmsg:FuzzCtl ftp:FuzzReadReply ns:FuzzResolve; do
     go test -run '^$' -fuzz "^${f#*:}\$" -fuzztime 10s -fuzzminimizetime 5x "./internal/${f%:*}"
 done
 
