@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exportfs"
 	"repro/internal/mnt"
+	"repro/internal/netmsg"
 	"repro/internal/ninep"
 	"repro/internal/ns"
 	"repro/internal/ramfs"
@@ -50,9 +51,9 @@ func main() {
 }
 
 // run boots the paper's world on ck, hangs a home machine off helix's
-// serial line, and times a file pulled home against the same work done
-// on helix.
-func run(w io.Writer, ck vclock.Clock) error {
+// serial line with the stream modules mods pushed on both ends, and
+// times a file pulled home against the same work done on helix.
+func run(w io.Writer, ck vclock.Clock, mods ...string) error {
 	world, err := core.PaperWorld(core.CalibratedProfiles(), ck)
 	if err != nil {
 		return err
@@ -66,6 +67,14 @@ func run(w io.Writer, ck vclock.Clock) error {
 	homeEnd, cpuEnd := line.Ends()
 	homeEnd.SetBaud(57600)
 	cpuEnd.SetBaud(57600)
+	for _, m := range mods {
+		if err := homeEnd.Stream().WriteCtl(netmsg.Push(m)); err != nil {
+			return err
+		}
+		if err := cpuEnd.Stream().WriteCtl(netmsg.Push(m)); err != nil {
+			return err
+		}
+	}
 
 	// helix answers the modem: it exports its name space over the
 	// serial byte stream.

@@ -373,7 +373,7 @@ func TestNinePOverCyclone(t *testing.T) {
 		if _, err := bootes.Serve9P("cyc0!*!9fs", "/"); err != nil {
 			return err
 		}
-		if _, err := helix.MountRemote("cyc0!bootes!9fs", "", "/n/boot", ns.MREPL); err != nil {
+		if _, err := helix.MountRemoteConfig("cyc0!bootes!9fs", "", "/n/boot", ns.MREPL, mnt.Config{}); err != nil {
 			return err
 		}
 		b, err := helix.NS.ReadFile("/n/boot/lib/fiber")

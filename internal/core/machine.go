@@ -145,7 +145,7 @@ func (m *Machine) mntStats() string {
 // NewMachine boots a machine into the world.
 func (w *World) NewMachine(cfg MachineConfig) (*Machine, error) {
 	m := &Machine{Name: cfg.Name, World: w}
-	m.Root = ramfs.New(cfg.Name)
+	m.Root = ramfs.NewTimed(cfg.Name, w.Clock())
 	for _, d := range []string{"net", "tmp", "lib/ndb", "n", "srv", "dev", "bin"} {
 		if err := m.Root.MkdirAll(d, 0775); err != nil {
 			return nil, err

@@ -207,14 +207,10 @@ func (m *Machine) ImportConfig(dest, remotePath, old string, flag int, cfg mnt.C
 	return m.MountRemoteConfig(dest, aname, old, flag, cfg, mods...)
 }
 
-// MountRemote dials dest and mounts the 9P tree served there (e.g. a
-// file server speaking 9P directly on a Cyclone link).
-func (m *Machine) MountRemote(dest, aname, old string, flag int) (*ninep.Client, error) {
-	return m.MountRemoteConfig(dest, aname, old, flag, mnt.Config{})
-}
-
-// MountRemoteConfig is MountRemote with an explicit mount profile: dial
-// dest on the machine's clock, push the line disciplines mods (§2.4.1)
+// MountRemoteConfig dials dest and mounts the 9P tree served there
+// (e.g. a file server speaking 9P directly on a Cyclone link) with an
+// explicit mount profile — mnt.Config{} for a device tree: dial dest
+// on the machine's clock, push the line disciplines mods (§2.4.1)
 // bottom-up before the 9P session starts — {"compress", "batch 2048
 // 2ms"} puts compress nearest the wire, and the serving end must push
 // the same specs in the same order, as Serve9P(addr, root, mods...)

@@ -40,6 +40,8 @@ func NewLink(name string, p medium.Profile) *Link {
 	l := &Link{}
 	l.a = &End{link: l, name: name, wire: da}
 	l.b = &End{link: l, name: name, wire: db}
+	l.a.cond.Init(da.Clock(), &l.a.mu)
+	l.b.cond.Init(db.Clock(), &l.b.mu)
 	return l
 }
 
@@ -58,14 +60,9 @@ type End struct {
 	name string
 	wire *medium.Duplex
 
-	mu       sync.Mutex
-	cond     vclock.Cond
-	condOnce sync.Once
-	conn     *Conn // conversation currently owning the wire
-}
-
-func (e *End) init() {
-	e.condOnce.Do(func() { e.cond.Init(e.wire.Clock(), &e.mu) })
+	mu   sync.Mutex
+	cond vclock.Cond
+	conn *Conn // conversation currently owning the wire
 }
 
 var _ xport.Proto = (*End)(nil)
@@ -103,7 +100,6 @@ var _ xport.Conn = (*Conn)(nil)
 func (c *Conn) attach() error {
 	e := c.end
 	e.mu.Lock()
-	e.init()
 	if e.conn != nil && e.conn != c {
 		e.mu.Unlock()
 		return xport.ErrInUse
@@ -165,7 +161,6 @@ func (c *Conn) Listen() (xport.Conn, error) {
 	e := c.end
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.init()
 	for e.conn != nil {
 		if c.isClosed() {
 			return nil, vfs.ErrHungup
@@ -267,7 +262,6 @@ func (c *Conn) Close() error {
 	c.mu.Unlock()
 	e := c.end
 	e.mu.Lock()
-	e.init()
 	if e.conn == c {
 		e.conn = nil
 	}

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/medium"
 	"repro/internal/obs"
@@ -52,7 +53,7 @@ func (sw *Switch) NewHost(name string) (*Host, error) {
 	if _, taken := sw.hosts[name]; taken {
 		return nil, ErrNameTaken
 	}
-	h := &Host{sw: sw, name: name, listeners: make(map[string]*vclock.Mailbox[*incomingCall])}
+	h := &Host{sw: sw, name: name, listeners: make(map[string]listener)}
 	sw.hosts[name] = h
 	return h, nil
 }
@@ -64,37 +65,37 @@ func (sw *Switch) Close() {
 	sw.hosts = make(map[string]*Host)
 }
 
-// dial sets up a circuit from caller to the named host and service.
-func (sw *Switch) dial(caller *Host, dest, service string) (*medium.Duplex, error) {
+// dial sets up a circuit from the caller's device to the named host
+// and service, delivers the called end's conversation to the listener,
+// and returns the caller's end. Both ends' URP engines exist before the
+// call is delivered, so each is its end's receiver before anyone
+// writes.
+func (sw *Switch) dial(from *Proto, dest, service string) (*urp.Conn, *medium.Duplex, error) {
 	sw.mu.Lock()
 	h := sw.hosts[dest]
 	sw.mu.Unlock()
 	if h == nil {
-		return nil, ErrNoHost
+		return nil, nil, ErrNoHost
 	}
-	a, b := medium.NewDuplex(sw.profile)
-	call := &incomingCall{wire: b, remote: caller.name, service: service}
-	// The enqueue happens under the host lock so a concurrent
-	// listener close (which also holds it) cannot race the send.
+	// Every enqueue happens under the host lock, and so does a
+	// listener's close, which takes it out of the map: a backlog with
+	// room here still has room at the TrySend.
 	h.mu.Lock()
-	ch := h.listeners[service]
-	if ch == nil {
+	defer h.mu.Unlock()
+	l, ok := h.listeners[service]
+	if !ok {
 		// The announce-all listener takes services not explicitly
 		// announced (§5.2).
-		ch = h.listeners["*"]
+		l, ok = h.listeners["*"]
 	}
-	delivered := false
-	if ch != nil {
-		// TrySend refuses on a full backlog (or a closed listener).
-		delivered = ch.TrySend(call)
+	if !ok || l.calls.Len() == backlog {
+		return nil, nil, ErrNoService
 	}
-	h.mu.Unlock()
-	if !delivered {
-		a.Close()
-		b.Close()
-		return nil, ErrNoService
-	}
-	return a, nil
+	a, b := medium.NewDuplex(sw.profile)
+	u := from.engine(a)
+	l.calls.TrySend(&Conn{proto: l.proto, urp: l.proto.engine(b), wire: b, local: h.name + "!" + service,
+		remote: from.host.name, service: service, state: "Established"})
+	return u, a, nil
 }
 
 // Host is one station on the switch.
@@ -103,16 +104,21 @@ type Host struct {
 	name string
 
 	mu        sync.Mutex
-	listeners map[string]*vclock.Mailbox[*incomingCall]
+	listeners map[string]listener
 }
 
 // Name returns the station's Datakit name.
 func (h *Host) Name() string { return h.name }
 
-type incomingCall struct {
-	wire    *medium.Duplex
-	remote  string
-	service string
+// backlog is how many calls a listener holds unaccepted; a dial past it
+// is refused.
+const backlog = 8
+
+// listener is an announced service: the backlog its calls wait in, and
+// the device whose books their circuits keep.
+type listener struct {
+	calls *vclock.Mailbox[*Conn]
+	proto *Proto
 }
 
 // crcTable drives the CRC-16/CCITT the Datakit hardware framed cells
@@ -184,31 +190,29 @@ type duplexWire struct {
 
 // SendCell frames the cell in place: URP hands over a pool-backed cell
 // with capacity slack, so appending the FCS reuses the same buffer and
-// the framed cell goes to the medium with no wire copy.
-func (w duplexWire) SendCell(p []byte) error {
+// the framed cell goes on the line with no wire copy, never parking.
+func (w duplexWire) SendCell(p []byte) time.Time {
 	var fcs uint16
 	if w.d.Impaired() {
 		fcs = crc16(p)
 	}
-	cell := append(p, byte(fcs>>8), byte(fcs))
-	return w.d.SendOwned(cell)
+	return w.d.Put(append(p, byte(fcs>>8), byte(fcs)))
 }
 
-func (w duplexWire) RecvCell() ([]byte, error) {
-	for {
-		cell, err := w.d.Recv()
-		if err != nil {
-			return nil, err
-		}
-		n := len(cell) - fcsLen
-		if n < 0 || w.d.Impaired() && crc16(cell[:n]) != uint16(cell[n])<<8|uint16(cell[n+1]) {
-			if w.errs != nil {
+// Receive puts the hardware's FCS check in front of input, on the
+// circuit's delay line.
+func (w duplexWire) Receive(input func([]byte, error)) {
+	w.d.Receive(func(cell []byte, err error) {
+		if err == nil {
+			n := len(cell) - fcsLen
+			if n < 0 || w.d.Impaired() && crc16(cell[:n]) != uint16(cell[n])<<8|uint16(cell[n+1]) {
 				w.errs.Add(1)
+				return
 			}
-			continue
+			cell = cell[:n]
 		}
-		return cell[:n], nil
-	}
+		input(cell, err)
+	})
 }
 
 func (w duplexWire) Close() error {
@@ -252,6 +256,11 @@ func (p *Proto) Clock() vclock.Clock { return p.host.sw.profile.Clock }
 // Name implements xport.Proto.
 func (p *Proto) Name() string { return "dk" }
 
+// engine starts URP on one end of a circuit, keeping p's books.
+func (p *Proto) engine(d *medium.Duplex) *urp.Conn {
+	return urp.NewClock(duplexWire{d, &p.FCSErrs}, &p.Stats, d.Clock())
+}
+
 // NewConn implements xport.Proto.
 func (p *Proto) NewConn() (xport.Conn, error) {
 	return &Conn{proto: p}, nil
@@ -267,7 +276,7 @@ type Conn struct {
 	local    string
 	remote   string
 	service  string
-	listenCh *vclock.Mailbox[*incomingCall]
+	listenCh *vclock.Mailbox[*Conn]
 	state    string
 }
 
@@ -314,19 +323,20 @@ func (c *Conn) Connect(addr string) error {
 		return xport.ErrConnected
 	}
 	c.mu.Unlock()
-	wire, err := c.proto.host.sw.dial(c.proto.host, dest, service)
+	u, wire, err := c.proto.host.sw.dial(c.proto, dest, service)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.urp != nil || c.listenCh != nil {
-		// Lost the race to a concurrent Connect or Announce: tear the
-		// fresh circuit down, the remote listener sees a hangup.
-		wire.Close()
+		// Lost the race to a concurrent Connect or Announce: hang the
+		// fresh circuit up, the remote listener sees a hangup.
+		c.mu.Unlock()
+		u.Close()
 		return xport.ErrConnected
 	}
-	c.urp = urp.NewClock(duplexWire{wire, &c.proto.FCSErrs}, &c.proto.Stats, wire.Clock())
+	defer c.mu.Unlock()
+	c.urp = u
 	c.wire = wire
 	c.local = c.proto.host.name
 	c.remote = addr
@@ -356,8 +366,8 @@ func (c *Conn) Announce(addr string) error {
 	if _, taken := h.listeners[service]; taken {
 		return xport.ErrInUse
 	}
-	ch := vclock.NewMailbox[*incomingCall](h.sw.profile.Clock, 8)
-	h.listeners[service] = ch
+	ch := vclock.NewMailbox[*Conn](h.sw.profile.Clock, backlog)
+	h.listeners[service] = listener{ch, c.proto}
 	c.listenCh = ch
 	c.service = service
 	c.local = h.name + "!" + service
@@ -377,16 +387,7 @@ func (c *Conn) Listen() (xport.Conn, error) {
 	if !ok {
 		return nil, vfs.ErrHungup
 	}
-	nc := &Conn{
-		proto:   c.proto,
-		urp:     urp.NewClock(duplexWire{call.wire, &c.proto.FCSErrs}, &c.proto.Stats, call.wire.Clock()),
-		wire:    call.wire,
-		local:   c.proto.host.name + "!" + call.service,
-		remote:  call.remote,
-		service: call.service,
-		state:   "Established",
-	}
-	return nc, nil
+	return call, nil
 }
 
 // Read implements xport.Conn.
@@ -451,11 +452,14 @@ func (c *Conn) Close() error {
 	if ch != nil {
 		h := c.proto.host
 		h.mu.Lock()
-		if h.listeners[service] == ch {
+		if h.listeners[service].calls == ch {
 			delete(h.listeners, service)
 		}
-		ch.Close() // under h.mu: no dial can be mid-send
+		backlog := ch.CloseDrain() // under h.mu: no dial can be mid-send
 		h.mu.Unlock()
+		for _, call := range backlog {
+			call.urp.Close() // the caller hears a hangup
+		}
 	}
 	if u != nil {
 		return u.Close()

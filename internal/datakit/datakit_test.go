@@ -3,6 +3,7 @@ package datakit
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/medium"
 	"repro/internal/vclock"
@@ -109,6 +110,34 @@ func TestCallSetupAndEcho(t *testing.T) {
 			t.Errorf("status %q", dc.Status())
 		}
 	})
+}
+
+// TestSwitchesPacedCircuit pins what a cell costs the scheduler on a
+// paced circuit. Each leg's delay line runs the receiving end's URP
+// input itself, so a one-cell message costs five hand-offs: to the
+// line that takes the cell while the writer waits out its wire time,
+// back to the writer when the cell has left, to the line again when it
+// arrives, to the line that carries its ack back, and back to the
+// writer. A receive goroutine per circuit end adds one hand-off per
+// leg: seven a cell.
+func TestSwitchesPacedCircuit(t *testing.T) {
+	var oneAtATime int64
+	onCircuit(t, medium.Profile{Latency: time.Millisecond, Bandwidth: 250_000}, "echo", func(v *vclock.Virtual, _, _ *Proto, dc, sc xport.Conn) {
+		msg := make([]byte, 64)
+		s := v.Switches()
+		for range 100 {
+			dc.Write(msg)
+			v.Sleep(5 * time.Millisecond) // the cell arrives and its ack comes back
+		}
+		oneAtATime = v.Switches() - s
+		if got := readMsgs(v, sc, 100)(); len(got) != 100 {
+			t.Errorf("the reader got %d of 100 messages", len(got))
+		}
+	})
+	t.Logf("100 one-cell messages on a paced circuit: %d switches", oneAtATime)
+	if oneAtATime != 500 {
+		t.Errorf("100 one-cell messages switched %d times, want 500 (a receive goroutine is back between a line and its URP engine?)", oneAtATime)
+	}
 }
 
 func TestURPDelimitersPreserved(t *testing.T) {

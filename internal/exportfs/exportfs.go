@@ -22,17 +22,14 @@ import (
 	"repro/internal/vfs"
 )
 
-// Config sizes a multi-tenant export server. Only Clock must be set:
-// the zero values of the rest export "/" with the default cache.
+// Config sets up a multi-tenant export server. Only Clock must be
+// set: the zero Root exports "/".
 type Config struct {
 	// Root is the exported subtree; "" means "/". The attach name is
 	// joined beneath it.
 	Root string
 	// Clock drives the server's goroutines.
 	Clock vclock.Clock
-	// CacheBytes bounds the shared read cache; 0 means the ccache
-	// default, negative disables caching entirely.
-	CacheBytes int64
 }
 
 // Server is the multi-tenant gateway of §6.1: one exported name
@@ -51,13 +48,7 @@ type Server struct {
 // NewServer returns a server exporting nsp per cfg. Connections are
 // attached with ServeConn.
 func NewServer(nsp *ns.Namespace, cfg Config) *Server {
-	s := &Server{nsp: nsp, root: ns.Clean(cfg.Root)}
-	if cfg.CacheBytes >= 0 {
-		s.cache = ccache.New(ccache.Config{
-			MaxBytes: cfg.CacheBytes,
-			FragSize: ninep.MaxFData,
-		})
-	}
+	s := &Server{nsp: nsp, root: ns.Clean(cfg.Root), cache: ccache.New(ccache.Config{FragSize: ninep.MaxFData})}
 	s.srv = ninep.NewServer(s.attach, cfg.Clock)
 	return s
 }
@@ -74,11 +65,7 @@ func (s *Server) attach(uname, aname string) (vfs.Node, error) {
 	if _, err := s.nsp.Walk(p); err != nil {
 		return nil, err
 	}
-	var node vfs.Node = ns.NodeAt(s.nsp, p)
-	if s.cache != nil {
-		node = s.cache.WrapNode(node)
-	}
-	return node, nil
+	return s.cache.WrapNode(ns.NodeAt(s.nsp, p)), nil
 }
 
 // ServeConn serves one accepted transport, blocking until it fails.
@@ -91,14 +78,9 @@ func (s *Server) ServeConn(conn ninep.MsgConn) error {
 // Close releases the server's read cache, whose fragments would
 // otherwise outlive it; the server's owner calls it at teardown.
 // Connections still being served keep working, uncached.
-func (s *Server) Close() {
-	if s.cache != nil {
-		s.cache.Release()
-	}
-}
+func (s *Server) Close() { s.cache.Release() }
 
-// Cache exposes the shared read cache (nil when disabled), for stats
-// and tests.
+// Cache exposes the shared read cache, for stats and tests.
 func (s *Server) Cache() *ccache.Cache { return s.cache }
 
 // Ninep exposes the underlying 9P server, for per-connection stats.
@@ -111,9 +93,7 @@ func (s *Server) Ninep() *ninep.Server { return s.srv }
 func (s *Server) Stats() string {
 	var b strings.Builder
 	b.WriteString(s.srv.Stats())
-	if s.cache != nil {
-		b.WriteString(s.cache.StatsGroup().Render())
-	}
+	b.WriteString(s.cache.StatsGroup().Render())
 	return b.String()
 }
 

@@ -227,22 +227,3 @@ func TestStatsCarryPerConnBill(t *testing.T) {
 		}
 	})
 }
-
-func TestCacheDisabled(t *testing.T) {
-	onGateway(t, map[string]string{"f": "plain"}, Config{CacheBytes: -1}, func(ck vclock.Clock, srv *Server, serve func() ninep.MsgConn) {
-		if srv.Cache() != nil {
-			t.Error("negative CacheBytes should disable the cache")
-			return
-		}
-		local := ns.New("me", ramfs.NewClock("me", ck).Root())
-		cl, err := ImportConfig(local, serve(), "", "/r", ns.MREPL, mountConfig(ck))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer cl.Close()
-		if b, err := local.ReadFile("/r/f"); err != nil || string(b) != "plain" {
-			t.Errorf("uncached read %q, %v", b, err)
-		}
-	})
-}

@@ -254,10 +254,13 @@ func TestPipeImpairedDeliveryReplays(t *testing.T) {
 }
 
 // TestPipeSendCloseHammer is the partition/close race regression test:
-// paced senders interleaving with Close during an armed impairment
-// window must see nil or ErrClosed — never a panic on a closed queue —
-// and after Close every Send deterministically returns ErrClosed. Each
-// round closes at a different point of the senders' schedule.
+// senders interleaving with Close during an armed impairment window
+// must see nil or ErrClosed — never a panic on a closed line — and
+// after Close every Send deterministically returns ErrClosed. Each
+// round closes at a different point of the senders' schedule. No
+// sender sleeps out its wire time: they fill the bounded line at once
+// and park on it, and each message booked its serialization time
+// whether the impairer dropped it or not.
 func TestPipeSendCloseHammer(t *testing.T) {
 	for round := range 20 {
 		onVirtual(func(ck *vclock.Virtual) {
@@ -275,6 +278,7 @@ func TestPipeSendCloseHammer(t *testing.T) {
 				},
 				Clock: ck,
 			})
+			start := ck.Now()
 			done := vclock.NewWaitGroup(ck)
 			sent := 0
 			for g := range 8 {
@@ -293,7 +297,7 @@ func TestPipeSendCloseHammer(t *testing.T) {
 					}
 				})
 			}
-			// Drain so senders don't just block on a full queue.
+			// Drain so senders park only on a full line.
 			done.Add(1)
 			ck.Go(func() {
 				defer done.Done()
@@ -306,11 +310,19 @@ func TestPipeSendCloseHammer(t *testing.T) {
 			ck.Sleep(time.Duration(round%4) * 100 * time.Microsecond)
 			p.Close()
 			done.Wait()
-			// The line carries one message per 10 µs, so Close lands after
-			// about one send per 10 µs slept; a sender whose message the
-			// impairer dropped still returns nil once past the close.
-			if want := (round % 4) * 10; sent < want-1 || sent > want+8 {
-				t.Errorf("round %d: %d sends returned nil, want %d to %d", round, sent, want-1, want+8)
+			// Every message the impairer saw booked 10 µs of a line
+			// that was never idle; a send Close cut short saw it too,
+			// at most one a sender.
+			counts := p.ImpairCounts()
+			seen := int(counts.Sent)
+			if got, want := p.line.free.Sub(start), time.Duration(seen)*10*time.Microsecond; got != want {
+				t.Errorf("round %d: the line's next free instant advanced %v for %d messages, want %v", round, got, seen, want)
+			}
+			if seen < sent || seen > sent+8 {
+				t.Errorf("round %d: %d sends returned nil, the impairer saw %d", round, sent, seen)
+			}
+			if counts.Emitted < 1024 || seen >= 8*200 {
+				t.Errorf("round %d: %d copies of %d messages emitted; want the 1,024-item line full and the senders parked on it", round, counts.Emitted, seen)
 			}
 			if err := p.Send(seqMsg(0)); err != ErrClosed {
 				t.Errorf("send after close = %v, want ErrClosed", err)
@@ -366,16 +378,17 @@ func TestPacingMath(t *testing.T) {
 		}
 	}
 
-	// The pipe's pacer must advance by exactly the summed serialization times,
-	// pacing the sender, for calibrated profiles with and without
-	// jitter (jitter delays delivery, never transmission).
+	// A message arrives at its reservation's end plus the latency plus
+	// its impairment delay (jitter here), never overtaking the one ahead
+	// of it; the line's next free instant advances by exactly the summed
+	// serialization times, and the sender never sleeps them out.
 	nfCases := []struct {
 		name  string
 		prof  Profile
 		sizes []int
 	}{
-		{"calibrated", Profile{Bandwidth: 1 << 20}, []int{10240, 10240, 5120}},
-		{"jittered", Profile{Bandwidth: 1 << 20, Impair: Impairment{Jitter: time.Millisecond}}, []int{10240, 10240, 5120}},
+		{"calibrated", Profile{Bandwidth: 1 << 20, Latency: 3 * time.Millisecond}, []int{10240, 10240, 5120}},
+		{"jittered", Profile{Bandwidth: 1 << 20, Latency: 3 * time.Millisecond, Impair: Impairment{Jitter: 20 * time.Millisecond, Record: true}, Seed: 2}, []int{10240, 10240, 5120}},
 	}
 	for _, c := range nfCases {
 		onVirtual(func(ck *vclock.Virtual) {
@@ -383,6 +396,7 @@ func TestPacingMath(t *testing.T) {
 			p := NewPipe(c.prof)
 			defer p.Close()
 			start := ck.Now()
+			var ends []time.Duration
 			var want time.Duration
 			for _, n := range c.sizes {
 				if err := p.Send(make([]byte, n)); err != nil {
@@ -390,6 +404,10 @@ func TestPacingMath(t *testing.T) {
 					return
 				}
 				want += TransmitTime(n, c.prof.Bandwidth)
+				ends = append(ends, want)
+			}
+			if el := ck.Since(start); el != 0 {
+				t.Errorf("%s: the sender slept %v", c.name, el)
 			}
 			p.line.mu.Lock()
 			free := p.line.free
@@ -397,8 +415,21 @@ func TestPacingMath(t *testing.T) {
 			if got := free.Sub(start); got != want {
 				t.Errorf("%s: line's next-free instant advanced %v, want %v", c.name, got, want)
 			}
-			if el := ck.Since(start); el != want {
-				t.Errorf("%s: sender paced %v for %v of wire time", c.name, el, want)
+			sched := p.Schedule()
+			var due time.Duration
+			for i, end := range ends {
+				arrive := end + c.prof.Latency
+				if sched != nil {
+					arrive += sched[i].Jitter
+				}
+				due = max(due, arrive)
+				if _, err := p.Recv(); err != nil {
+					t.Errorf("%s: recv: %v", c.name, err)
+					return
+				}
+				if el := ck.Since(start); el != due {
+					t.Errorf("%s: message %d arrived after %v, want %v", c.name, i, el, due)
+				}
 			}
 		})
 	}

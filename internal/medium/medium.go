@@ -1,10 +1,13 @@
 // Package medium provides the paced, lossy, unidirectional message
 // pipe used to simulate point-to-point media: Datakit circuit legs and
-// Cyclone fibers. Every paced medium, the Ethernet segment of package
-// ether included, is a Pacer reservation plus one Delay line. A Profile
-// calibrates latency, bandwidth, maximum transfer unit, and loss so
-// benchmarks can reproduce the relative speeds of the paper's media;
-// the zero Profile delivers synchronously at memory speed for tests.
+// Cyclone fibers. Every medium, ideal or paced, the Ethernet segment of
+// package ether included, is a Pacer booking plus one Delay line whose
+// process runs the receiver: a send books the wire and puts the message
+// on the line without sleeping out its wire time, and no reader process
+// stands between the line and the receiver. A Profile calibrates
+// latency, bandwidth, maximum transfer unit, and loss so benchmarks can
+// reproduce the relative speeds of the paper's media; the zero Profile
+// delivers at once, at memory speed, for tests.
 //
 // All waiting goes through the profile's vclock.Clock, so a pipe built
 // with a virtual clock simulates its latency and pacing in
@@ -15,6 +18,7 @@ package medium
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/vclock"
@@ -44,36 +48,45 @@ var (
 	ErrTooLong = errors.New("medium: message exceeds MTU")
 )
 
-// Pipe is a unidirectional ordered message pipe with medium effects.
+// Pipe is a unidirectional ordered message pipe with medium effects:
+// a Pacer booking plus one delay line whose process runs the receiver.
 type Pipe struct {
 	profile Profile
 	ck      vclock.Clock
 	im      *Impairer // nil on an unimpaired, lossless link
+	closed  atomic.Bool
 
-	queue *vclock.Mailbox[[]byte]
-	delay *Delay[[]byte] // nil without latency or jitter: messages arrive as sent
 	line  Pacer
+	delay *Delay[[]byte]
+	recv  func(msg []byte, err error) // the receiver, run by the line's process
+	queue *vclock.Mailbox[[]byte]     // the default receiver, which Recv reads
 }
 
-// NewPipe creates a pipe with the given profile.
+// NewPipe creates a pipe with the given profile, delivering to a
+// mailbox that Recv reads until Receive installs another receiver.
 func NewPipe(p Profile) *Pipe {
 	ck := vclock.Or(p.Clock)
-	pipe := &Pipe{
-		profile: p,
-		ck:      ck,
-		queue:   vclock.NewMailbox[[]byte](ck, 1024),
-	}
+	pipe := &Pipe{profile: p, ck: ck, queue: vclock.NewMailbox[[]byte](ck, 1024)}
 	if p.Impair.Armed(p.Loss) {
 		pipe.im = NewImpairer(p.Seed+1, p.Loss, p.Impair)
 	}
-	if p.Latency > 0 || p.Impair.Jitter > 0 {
-		// Messages arrive Latency (plus any jitter) after transmission,
-		// in order. A full receive queue parks the line, and a full line
-		// parks the sender.
-		pipe.delay = NewDelay(ck, 1024, func(msg []byte) { _ = pipe.queue.Send(msg) })
+	pipe.recv = func(msg []byte, err error) {
+		if err != nil {
+			pipe.queue.Close()
+			return
+		}
+		_ = pipe.queue.Send(msg) // a full mailbox parks the line, and a full line parks a parking sender
 	}
+	pipe.delay = NewDelay(ck, 1024, func(msg []byte) { pipe.recv(msg, nil) })
 	return pipe
 }
+
+// Receive installs recv as the pipe's receiver in place of its mailbox.
+// The line's process runs it with each message at its arrival instant,
+// and Close runs it once with ErrClosed. A pipe serves exactly one
+// receiver, so recv may park (a full read stream) and stall only its
+// own pipe. Install it before any traffic flows.
+func (p *Pipe) Receive(recv func(msg []byte, err error)) { p.recv = recv }
 
 // Pacer is the serialization point of a wire: the instant at which its
 // transmitter is next free. Every paced medium — a pipe, the Ethernet
@@ -86,8 +99,8 @@ type Pacer struct {
 }
 
 // Reserve books the line for busy, starting when it comes free and no
-// earlier than now, and returns the instant the transmission ends; the
-// sender sleeps until then.
+// earlier than now, and returns the instant the transmission ends: the
+// last bit leaves then, and the message arrives a latency later.
 func (p *Pacer) Reserve(now time.Time, busy time.Duration) time.Time {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -109,60 +122,67 @@ func TransmitTime(n int, rate int64) time.Duration {
 	return time.Duration(int64(n) * int64(time.Second) / rate)
 }
 
-// Send queues one message, applying MTU, bandwidth pacing, the
-// impairment model, and latency. Pacing sleeps the sender, modeling
-// the transmitter staying busy for size/bandwidth (dropped messages
-// still occupy wire time); propagation latency is applied by the delay
-// line without blocking the sender, so throughput pipelines.
-func (p *Pipe) Send(msg []byte) error { return p.send(msg, false) }
+// Send puts one message on the pipe, applying MTU, bandwidth pacing,
+// the impairment model, and latency. It books the wire for the
+// message's serialization time (a dropped message still occupies it)
+// and puts each copy on the delay line to arrive when its last bit has
+// left plus the latency and any impairment delay. The sender does not
+// sleep out the wire time; it parks only while the line is full.
+func (p *Pipe) Send(msg []byte) error { return p.SendOwned(append([]byte(nil), msg...)) }
 
 // SendOwned is Send for a buffer whose ownership the caller hands
 // over: the unimpaired path queues msg itself, skipping the defensive
 // wire copy. The caller must not touch msg afterwards.
-func (p *Pipe) SendOwned(msg []byte) error { return p.send(msg, true) }
-
-func (p *Pipe) send(msg []byte, owned bool) error {
-	prof := p.profile
-	if prof.MTU > 0 && len(msg) > prof.MTU {
-		return ErrTooLong
+func (p *Pipe) SendOwned(msg []byte) error {
+	at, copies, err := p.book(msg)
+	if err == nil && p.im == nil && !p.delay.Send(msg, at) {
+		err = ErrClosed
 	}
-	if p.queue.Closed() {
-		return ErrClosed
-	}
-	if prof.Bandwidth > 0 {
-		p.ck.SleepUntil(p.line.Reserve(p.ck.Now(), TransmitTime(len(msg), prof.Bandwidth)))
-	}
-	if p.im != nil {
-		// The impairment path must copy even an owned buffer: the
-		// impairer duplicates and corrupts wire copies independently,
-		// so each delivery needs bytes of its own.
-		for _, e := range p.im.Apply(msg, nil) {
-			if err := p.emit(e.Data, e.Delay); err != nil {
-				return err
-			}
+	for _, e := range copies {
+		if err == nil && !p.delay.Send(e.Data, at.Add(e.Delay)) {
+			err = ErrClosed
 		}
-		return nil
 	}
-	if !owned {
-		msg = append([]byte(nil), msg...)
-	}
-	return p.emit(msg, 0)
+	return err
 }
 
-// emit puts one wire copy on the delivery path. Both paths fail once
-// the pipe is closed, so Send after Close returns ErrClosed
-// deterministically — even mid-impairment.
-func (p *Pipe) emit(msg []byte, extra time.Duration) error {
-	if p.delay != nil {
-		if !p.delay.Send(msg, p.ck.Now().Add(p.profile.Latency+extra)) {
-			return ErrClosed
-		}
-		return nil
+// Put is SendOwned that never parks, so the caller may hold its locks
+// across it and a line's process may send on another line: a full line
+// drops the message, as a lossy wire would, and so does a closed pipe.
+// It returns the instant the message's last bit leaves.
+func (p *Pipe) Put(msg []byte) time.Time {
+	at, copies, err := p.book(msg)
+	if err != nil {
+		return time.Time{}
 	}
-	if p.queue.Send(msg) != nil {
-		return ErrClosed
+	if p.im == nil {
+		p.delay.Put(msg, at)
 	}
-	return nil
+	for _, e := range copies {
+		p.delay.Put(e.Data, at.Add(e.Delay))
+	}
+	return at.Add(-p.profile.Latency)
+}
+
+// book checks msg and books its serialization time (a message the
+// impairer drops still occupies the wire). It returns the instant the
+// last bit leaves plus the latency, and on an impaired pipe the copies
+// the impairer emits, each with bytes of its own and its extra delay.
+// It fails once the pipe is closed, so a send after Close returns
+// ErrClosed deterministically.
+func (p *Pipe) book(msg []byte) (time.Time, []Emission, error) {
+	prof := p.profile
+	if prof.MTU > 0 && len(msg) > prof.MTU {
+		return time.Time{}, nil, ErrTooLong
+	}
+	if p.closed.Load() {
+		return time.Time{}, nil, ErrClosed
+	}
+	at := p.line.Reserve(p.ck.Now(), TransmitTime(len(msg), prof.Bandwidth)).Add(prof.Latency)
+	if p.im == nil {
+		return at, nil, nil
+	}
+	return at, p.im.Apply(msg, nil), nil
 }
 
 // Schedule returns the pipe's recorded impairment decisions (requires
@@ -183,8 +203,8 @@ func (p *Pipe) ImpairCounts() Counts {
 	return p.im.Counts()
 }
 
-// Recv blocks for the next message. After Close it drains what was
-// already delivered, then fails.
+// Recv blocks for the next message the default receiver took. After
+// Close it drains what was already delivered, then fails.
 func (p *Pipe) Recv() ([]byte, error) {
 	m, ok := p.queue.Recv()
 	if !ok {
@@ -193,13 +213,14 @@ func (p *Pipe) Recv() ([]byte, error) {
 	return m, nil
 }
 
-// Close tears the pipe down; blocked receivers fail once the delivered
-// backlog drains.
+// Close tears the pipe down: what is still on the line is lost, and
+// the receiver hears ErrClosed.
 func (p *Pipe) Close() {
-	if p.delay != nil {
-		p.delay.Close()
+	if p.closed.Swap(true) {
+		return
 	}
-	p.queue.Close()
+	p.delay.Close()
+	p.recv(nil, ErrClosed)
 }
 
 // Duplex is a bidirectional message link built from two pipes.
@@ -215,16 +236,19 @@ func NewDuplex(p Profile) (*Duplex, *Duplex) {
 	return &Duplex{tx: ab, rx: ba}, &Duplex{tx: ba, rx: ab}
 }
 
-// AssembleDuplex builds a Duplex from explicit pipes, for tests that
-// need asymmetric link behavior (e.g. a direction that drops
-// everything).
-func AssembleDuplex(tx, rx *Pipe) *Duplex { return &Duplex{tx: tx, rx: rx} }
-
 // Send transmits toward the peer end.
 func (d *Duplex) Send(msg []byte) error { return d.tx.Send(msg) }
 
 // SendOwned transmits a buffer whose ownership the caller hands over.
 func (d *Duplex) SendOwned(msg []byte) error { return d.tx.SendOwned(msg) }
+
+// Put transmits a buffer whose ownership the caller hands over, never
+// parking (see Pipe.Put).
+func (d *Duplex) Put(msg []byte) time.Time { return d.tx.Put(msg) }
+
+// Receive installs the receiver of what the peer end sends (see
+// Pipe.Receive).
+func (d *Duplex) Receive(recv func(msg []byte, err error)) { d.rx.Receive(recv) }
 
 // Recv receives from the peer end.
 func (d *Duplex) Recv() ([]byte, error) { return d.rx.Recv() }

@@ -86,6 +86,10 @@ func TestLatencyPipelines(t *testing.T) {
 	})
 }
 
+// TestBandwidthPacesSender: the bandwidth paces what a sender puts on
+// the wire, not the sender. Ten 10 KiB messages at 1 MiB/s leave the
+// sender at once, and each arrives when its serialization ends, queued
+// behind the ones before it.
 func TestBandwidthPacesSender(t *testing.T) {
 	onVirtual(func(ck *vclock.Virtual) {
 		p := NewPipe(Profile{Bandwidth: 1 << 20, Clock: ck}) // 1 MiB/s
@@ -94,8 +98,17 @@ func TestBandwidthPacesSender(t *testing.T) {
 		for range 10 {
 			p.Send(make([]byte, 10*1024))
 		}
-		if el, want := ck.Since(start), 10*TransmitTime(10*1024, 1<<20); el != want {
-			t.Errorf("100 KiB at 1 MiB/s paced the sender for %v, want %v", el, want)
+		if el := ck.Since(start); el != 0 {
+			t.Errorf("the sender slept %v putting 100 KiB on the wire, want 0", el)
+		}
+		for i := range 10 {
+			if _, err := p.Recv(); err != nil {
+				t.Error(err)
+				return
+			}
+			if el, want := ck.Since(start), time.Duration(i+1)*TransmitTime(10*1024, 1<<20); el != want {
+				t.Errorf("message %d arrived after %v, want %v", i, el, want)
+			}
 		}
 	})
 }
@@ -188,14 +201,23 @@ func TestPipeSenderParksOnAFullLine(t *testing.T) {
 	})
 }
 
+// TestRecvDrainsQueueAfterClose: what the line delivered before Close
+// is still read after it; what was still on the line is lost.
 func TestRecvDrainsQueueAfterClose(t *testing.T) {
-	p := NewPipe(Profile{})
-	p.Send([]byte("still here"))
-	p.Close()
-	m, err := p.Recv()
-	if err != nil || !bytes.Equal(m, []byte("still here")) {
-		t.Errorf("drain after close: %q, %v", m, err)
-	}
+	onVirtual(func(ck *vclock.Virtual) {
+		p := NewPipe(Profile{Latency: time.Millisecond, Clock: ck})
+		p.Send([]byte("still here"))
+		ck.Sleep(2 * time.Millisecond) // it arrives
+		p.Send([]byte("in flight"))
+		p.Close()
+		m, err := p.Recv()
+		if err != nil || !bytes.Equal(m, []byte("still here")) {
+			t.Errorf("drain after close: %q, %v", m, err)
+		}
+		if m, err := p.Recv(); err != ErrClosed {
+			t.Errorf("then read %q, %v; want ErrClosed", m, err)
+		}
+	})
 }
 
 func TestDuplex(t *testing.T) {

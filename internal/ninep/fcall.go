@@ -132,16 +132,11 @@ type Fcall struct {
 	Stat   vfs.Dir // stat response, wstat request
 	Ename  string  // error response
 
-	// recycle, when non-nil, is a pooled buffer backing Data that the
-	// final consumer of the Fcall returns with block.PutBytes (the
-	// server does so after marshaling a response). It never crosses
-	// the wire.
-	recycle []byte
-
-	// blk, when non-nil, is a refcounted block backing Data — a cache
-	// fragment serving an Rread zero-copy. The final consumer (the
-	// server, after marshaling) drops the reference with Free; other
-	// holders of the block are unaffected. It never crosses the wire.
+	// blk, when non-nil, is the refcounted block backing an Rread's
+	// Data: a cache fragment served zero-copy, or the pooled block the
+	// copy path read into. The final consumer (the server, after
+	// marshaling) drops the reference with Free; other holders of the
+	// block are unaffected. It never crosses the wire.
 	blk *block.Block
 }
 

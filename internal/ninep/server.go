@@ -501,16 +501,10 @@ func (c *SrvConn) respond(tag uint16, r *Fcall, st *srvReq) {
 	if err != nil {
 		msg, _ = MarshalFcall(&Fcall{Type: Rerror, Tag: tag, Ename: err.Error()})
 	}
-	if r.recycle != nil {
-		// MarshalFcall copied Data into msg; the pooled read
-		// buffer behind it goes back now.
-		block.PutBytes(r.recycle)
-		r.recycle, r.Data = nil, nil
-	}
 	if r.blk != nil {
-		// MarshalFcall copied the cache fragment's window into msg
-		// (the one mandatory copy); the reply's reference drops
-		// here, and the fragment lives on for the next tenant.
+		// MarshalFcall copied the block's window into msg (the one
+		// mandatory copy); the reply's reference drops here, and a
+		// cache fragment lives on for the next tenant.
 		r.blk.Free()
 		r.blk, r.Data = nil, nil
 	}
@@ -799,13 +793,13 @@ func (c *SrvConn) process(t *Fcall) Fcall {
 			}
 			// Declined (unaligned or uncacheable); copy path below.
 		}
-		buf := block.GetBytes(int(t.Count))
-		n, err := h.Read(buf, t.Offset)
+		blk := block.Alloc(int(t.Count), 0)
+		n, err := h.Read(blk.Bytes(), t.Offset)
 		if err != nil {
-			block.PutBytes(buf)
+			blk.Free()
 			return rerror(err)
 		}
-		return Fcall{Type: Rread, Fid: t.Fid, Data: buf[:n], recycle: buf}
+		return Fcall{Type: Rread, Fid: t.Fid, Data: blk.Bytes()[:n], blk: blk}
 	case Twrite:
 		sf, err := c.getFid(t.Fid)
 		if err != nil {

@@ -19,11 +19,12 @@ type FS struct {
 	root  *file
 	owner string
 
-	// ck, when set, makes the file system hermetic (see NewClock):
-	// qid paths count up from qid (guarded by mu) instead of drawing
-	// on the process-wide counter, and time stamps come from ck.
-	ck  vclock.Clock
-	qid uint64
+	// ck, when set, stamps times (see NewTimed); hermetic also
+	// numbers qid paths up from qid (guarded by mu) instead of drawing
+	// on the process-wide counter (see NewClock).
+	ck       vclock.Clock
+	hermetic bool
+	qid      uint64
 }
 
 type file struct {
@@ -41,15 +42,13 @@ type file struct {
 // Qid paths draw on the process-wide counter, so every server a
 // process assembles hands out distinct qids — what a namespace mixing
 // many devices (and any cache keyed by qid) wants.
-func New(owner string) *FS {
-	fs := &FS{owner: owner}
-	fs.root = &file{
-		fs:       fs,
-		dir:      fs.mkDir("/", 0775),
-		children: make(map[string]*file),
-	}
-	return fs
-}
+func New(owner string) *FS { return newFS(&FS{owner: owner}) }
+
+// NewTimed is New with time stamps from ck: its qids stay
+// process-unique, as a server that joins a process-wide name space
+// needs, and its times follow the simulation's clock rather than the
+// host's, so what it utters is a function of the simulation.
+func NewTimed(owner string, ck vclock.Clock) *FS { return newFS(&FS{owner: owner, ck: ck}) }
 
 // NewClock returns a hermetic file system: qid paths count up from
 // the root and time stamps come from ck, so every byte the server
@@ -61,7 +60,10 @@ func New(owner string) *FS {
 // Servers that join a process-wide namespace should keep New's
 // process-unique numbering.
 func NewClock(owner string, ck vclock.Clock) *FS {
-	fs := &FS{owner: owner, ck: ck}
+	return newFS(&FS{owner: owner, ck: ck, hermetic: true})
+}
+
+func newFS(fs *FS) *FS {
 	fs.root = &file{
 		fs:       fs,
 		dir:      fs.mkDir("/", 0775),
@@ -70,9 +72,9 @@ func NewClock(owner string, ck vclock.Clock) *FS {
 	return fs
 }
 
-// mkDir and mkFile build Dir entries, renumbered and restamped when
-// the file system is hermetic. Callers hold fs.mu (or are the
-// constructor, before the FS is shared).
+// mkDir and mkFile build Dir entries, restamped when the file system
+// has a clock and renumbered when it is hermetic. Callers hold fs.mu
+// (or are the constructor, before the FS is shared).
 func (fs *FS) mkDir(name string, perm uint32) vfs.Dir {
 	d := devtree.MkDir(name, fs.owner, perm)
 	fs.restamp(&d)
@@ -89,8 +91,10 @@ func (fs *FS) restamp(d *vfs.Dir) {
 	if fs.ck == nil {
 		return
 	}
-	fs.qid++
-	d.Qid.Path = fs.qid
+	if fs.hermetic {
+		fs.qid++
+		d.Qid.Path = fs.qid
+	}
 	t := fs.now()
 	d.Atime, d.Mtime = t, t
 }

@@ -2,7 +2,9 @@ package ramfs
 
 import (
 	"testing"
+	"time"
 
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -382,4 +384,43 @@ func TestConcurrentWriters(t *testing.T) {
 	if len(b) != 100 {
 		t.Errorf("file length %d after concurrent writes", len(b))
 	}
+}
+
+// TestNewTimedStampsFromItsClock: a timed file system stamps what it
+// makes and writes with its clock's time, not the host's, and still
+// draws its qids from the process-wide counter, so two of them in one
+// name space never share a qid path.
+func TestNewTimedStampsFromItsClock(t *testing.T) {
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		a, b := NewTimed("a", v), NewTimed("b", v)
+		v.Sleep(90 * time.Second)
+		for _, fs := range []*FS{a, b} {
+			if err := fs.WriteFile("f", []byte("x"), 0664); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		v.Sleep(90 * time.Second)
+		if err := a.WriteFile("f", []byte("xy"), 0664); err != nil {
+			t.Error(err)
+			return
+		}
+		stat := func(fs *FS, name string) vfs.Dir {
+			n := fs.Root()
+			if name != "" {
+				n, _ = n.Walk(name)
+			}
+			d, _ := n.Stat()
+			return d
+		}
+		sa, ra := stat(a, "f"), stat(a, "")
+		epoch := uint32(vclock.Epoch.Unix())
+		if sa.Atime != epoch+90 || sa.Mtime != epoch+180 || ra.Mtime != epoch {
+			t.Errorf("stamps atime T+%ds mtime T+%ds, root mtime T+%ds; want 90, 180, 0", sa.Atime-epoch, sa.Mtime-epoch, ra.Mtime-epoch)
+		}
+		if sa.Qid.Path == stat(b, "f").Qid.Path || ra.Qid.Path == stat(b, "").Qid.Path {
+			t.Errorf("two timed file systems share qid path %d or %d", sa.Qid.Path, ra.Qid.Path)
+		}
+	})
 }

@@ -3,7 +3,6 @@ package urp
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"repro/internal/vclock"
 )
@@ -21,7 +20,7 @@ func cellsOf(data []byte) [][]byte {
 	return cells
 }
 
-// cellSeed frames one cell the way makeCell does, prefixed with its
+// cellSeed frames one cell the way sendCell does, prefixed with its
 // length for cellsOf.
 func cellSeed(typ, seq int, flags byte, data []byte) []byte {
 	cell := append([]byte{byte(typ), byte(seq), flags, byte(len(data) >> 8), byte(len(data))}, data...)
@@ -79,7 +78,7 @@ func FuzzRecv(f *testing.F) {
 
 		v := vclock.NewVirtual()
 		v.Run(func() {
-			w := newStubWire(v)
+			w := &stubWire{}
 			c := NewClock(w, nil, v)
 			defer c.Close()
 			for i := range 3 {
@@ -91,9 +90,6 @@ func FuzzRecv(f *testing.F) {
 			for _, cell := range cells {
 				w.deliver(cell)
 			}
-			// The reader takes every cell at this instant; the
-			// sleep lets it.
-			v.Sleep(time.Millisecond)
 
 			c.mu.Lock()
 			if got, inFlight := len(c.unacked), (c.sndNxt-c.sndUna+SeqMod)%SeqMod; got != inFlight || got > 3 {

@@ -24,13 +24,16 @@ import (
 )
 
 // Wire is a cell transport: ordered, possibly lossy delivery of small
-// cells. SendCell takes ownership of p — the caller never touches the
-// cell again — and the transport may extend it in place within its
-// capacity with link framing such as an FCS; URP builds cells with
-// tail slack for exactly that.
+// cells. SendCell takes ownership of p, never parks (URP sends with its
+// lock held and from the wire's own delivery process) and returns the
+// instant the cell's last bit leaves; the transport may extend p in
+// place within its capacity with link framing such as an FCS, and URP
+// builds cells with tail slack for exactly that. Receive installs the
+// function the transport runs with each arriving cell, which it hands
+// over, and once with an error when it closes.
 type Wire interface {
-	SendCell(p []byte) error
-	RecvCell() ([]byte, error)
+	SendCell(p []byte) time.Time
+	Receive(func(cell []byte, err error))
 	Close() error
 }
 
@@ -93,10 +96,8 @@ type Conn struct {
 	unacked  []sentBlock // parallel to seq range
 	lastSend time.Time
 	enqSent  bool
-	// retransNeeded has the deadline resend the window. The reader
-	// never retransmits inline: a go-back-N burst can block on a paced
-	// wire, and a reader that stops draining while its peer does the
-	// same deadlocks the circuit.
+	// retransNeeded has the deadline resend the window, so a volley of
+	// REJs costs one go-back-N pass, not one per REJ.
 	retransNeeded bool
 
 	// Receiver.
@@ -129,7 +130,8 @@ type sentBlock struct {
 }
 
 // NewClock starts URP on a wire, with ck driving the protocol timers
-// (enquiry, retransmit, death). stats may be nil.
+// (enquiry, retransmit, death), and installs the engine as the wire's
+// receiver. stats may be nil.
 func NewClock(wire Wire, stats *Stats, ck vclock.Clock) *Conn {
 	if stats == nil {
 		stats = &Stats{}
@@ -146,14 +148,14 @@ func NewClock(wire Wire, stats *Stats, ck vclock.Clock) *Conn {
 		c.hangup()
 		c.mu.Lock()
 	})
-	ck.Go(c.reader)
+	wire.Receive(c.input)
 	return c
 }
 
-// makeCell frames one cell. Pool-backed, with size-class capacity
-// slack behind len so the link layer can append its FCS without
-// reallocating; ownership transfers to the wire on send.
-func makeCell(typ, seq int, flags byte, data []byte) []byte {
+// sendCell frames one cell in a pooled buffer, with capacity slack for
+// the link layer's FCS, hands it to the wire, and returns the instant
+// its last bit leaves.
+func (c *Conn) sendCell(typ, seq int, flags byte, data []byte) time.Time {
 	cell := block.GetBytes(hdrLen + len(data))
 	cell[0] = byte(typ)
 	cell[1] = byte(seq)
@@ -161,17 +163,15 @@ func makeCell(typ, seq int, flags byte, data []byte) []byte {
 	cell[3] = byte(len(data) >> 8)
 	cell[4] = byte(len(data))
 	copy(cell[hdrLen:], data)
-	return cell
+	return c.wire.SendCell(cell)
 }
 
-func (c *Conn) sendCell(typ, seq int, flags byte, data []byte) error {
-	return c.wire.SendCell(makeCell(typ, seq, flags, data))
-}
-
-// Write sends one delimited message as a sequence of blocks, blocking
-// while the window is full.
+// Write sends one delimited message as a sequence of blocks, parking
+// while the window is full, and returns once its last bit has left:
+// the writer waits out the wire time, never the line.
 func (c *Conn) Write(p []byte) (int, error) {
 	total := 0
+	var left time.Time
 	for {
 		c.mu.Lock()
 		for !c.dead && !c.closed && len(c.unacked) >= Window {
@@ -192,23 +192,21 @@ func (c *Conn) Write(p []byte) (int, error) {
 		seq := c.sndNxt
 		c.sndNxt = (c.sndNxt + 1) % SeqMod
 		// The retransmit copy lives in a pooled buffer, released when
-		// the ack drops it from the window. The framed cell is built
-		// here too, so after this point b.data is only ever touched
-		// under c.mu (retransmit re-frames under the lock) and the
-		// (possibly paced, possibly blocking) wire send happens with
-		// the lock released.
+		// the ack drops it from the window.
 		data := block.GetBytes(n)
 		copy(data, p[total:total+n])
 		c.lastSend = c.ck.Now()
 		c.unacked = append(c.unacked, sentBlock{seq: seq, flags: flags, data: data})
-		cell := makeCell(cellData, seq, flags, data)
 		c.stats.Blocks.Add(1)
 		c.trace.Emit(obs.EvSend, int64(seq), int64(n))
+		left = c.sendCell(cellData, seq, flags, data)
 		c.due.Update()
 		c.mu.Unlock()
-		c.wire.SendCell(cell)
 		total += n
 		if total == len(p) {
+			if left.After(c.ck.Now()) {
+				c.ck.SleepUntil(left)
+			}
 			return total, nil
 		}
 	}
@@ -218,50 +216,44 @@ func (c *Conn) Write(p []byte) (int, error) {
 // short).
 func (c *Conn) Read(p []byte) (int, error) { return c.rstream.Read(p) }
 
-// reader is the receive kernel process.
-func (c *Conn) reader() {
-	for {
-		cell, err := c.wire.RecvCell()
-		if err != nil {
-			c.hangup()
-			return
-		}
-		// The wire hands over the cell buffer (each delivery has bytes
-		// of its own); recvData copies at both of its boundaries, so
-		// the cell recycles as soon as the switch returns.
-		if len(cell) < hdrLen {
-			block.PutBytes(cell)
-			continue
-		}
-		typ := int(cell[0])
-		seq := int(cell[1])
-		flags := cell[2]
-		n := int(cell[3])<<8 | int(cell[4])
-		if n > len(cell)-hdrLen {
-			block.PutBytes(cell)
-			continue
-		}
-		data := cell[hdrLen : hdrLen+n]
-		switch typ {
-		case cellData:
-			c.recvData(seq, flags, data)
-		case cellAck:
-			c.recvAck(seq, false)
-		case cellRej:
-			c.stats.Rejects.Add(1)
-			c.recvAck(seq, true) // everything before seq arrived
-		case cellEnq:
-			// Answer with the receiver's state: an ACK of what
-			// we expect next.
-			c.mu.Lock()
-			next := c.rcvNext
-			c.mu.Unlock()
-			c.sendCell(cellAck, next, 0, nil)
-		case cellHup:
-			c.hangup()
-			return
-		}
-		block.PutBytes(cell)
+// input takes one cell off the wire, on the wire's delivery process:
+// the receive half of the protocol runs there, with no process of its
+// own. The cell is the Conn's; recvData copies at both of its
+// boundaries, so it recycles as soon as the switch returns. An error
+// means the wire has closed.
+func (c *Conn) input(cell []byte, err error) {
+	if err != nil {
+		c.hangup()
+		return
+	}
+	defer block.PutBytes(cell)
+	if len(cell) < hdrLen {
+		return
+	}
+	typ := int(cell[0])
+	seq := int(cell[1])
+	flags := cell[2]
+	n := int(cell[3])<<8 | int(cell[4])
+	if n > len(cell)-hdrLen {
+		return
+	}
+	data := cell[hdrLen : hdrLen+n]
+	switch typ {
+	case cellData:
+		c.recvData(seq, flags, data)
+	case cellAck:
+		c.recvAck(seq, false)
+	case cellRej:
+		c.stats.Rejects.Add(1)
+		c.recvAck(seq, true) // everything before seq arrived
+	case cellEnq:
+		// Answer with the receiver's state: an ACK of what we
+		// expect next.
+		c.mu.Lock()
+		c.sendCell(cellAck, c.rcvNext, 0, nil)
+		c.mu.Unlock()
+	case cellHup:
+		c.hangup()
 	}
 }
 
@@ -269,6 +261,10 @@ func (c *Conn) reader() {
 // next block in sequence, reject anything else.
 func (c *Conn) recvData(seq int, flags byte, data []byte) {
 	c.mu.Lock()
+	if c.dead {
+		c.mu.Unlock() // nothing reaches a stream that has hung up
+		return
+	}
 	c.due.Heard()
 	if seq != c.rcvNext {
 		// Out of order: REJ asks for retransmission from the block
@@ -280,10 +276,9 @@ func (c *Conn) recvData(seq int, flags byte, data []byte) {
 			return
 		}
 		c.rejSent = true
-		next := c.rcvNext
-		c.trace.Emit(obs.EvReject, int64(next), int64(seq))
+		c.trace.Emit(obs.EvReject, int64(c.rcvNext), int64(seq))
+		c.sendCell(cellRej, c.rcvNext, 0, nil)
 		c.mu.Unlock()
-		c.sendCell(cellRej, next, 0, nil)
 		return
 	}
 	c.rejSent = false
@@ -362,34 +357,22 @@ func (c *Conn) dueLocked() time.Time {
 	return c.lastSend.Add(enqTimeout)
 }
 
-// timeoutLocked resends what dueLocked said was due, dropping the lock
-// around the (possibly paced, possibly blocking) wire.
+// timeoutLocked resends what dueLocked said was due.
 func (c *Conn) timeoutLocked() {
 	c.lastSend = c.ck.Now()
 	if !c.retransNeeded {
 		c.enqSent = true
 		c.stats.Enquiries.Add(1)
 		c.trace.Emit(obs.EvQuery, 0, 0)
-		c.mu.Unlock()
 		c.sendCell(cellEnq, 0, 0, nil)
-		c.mu.Lock()
 		return
 	}
-	// Go-back-N. The cells are framed under the lock — the pooled block
-	// data must not be read once the lock drops, or an ack racing the
-	// burst could recycle it.
-	c.retransNeeded = false
-	cells := make([][]byte, 0, len(c.unacked))
+	c.retransNeeded = false // go-back-N
 	for _, b := range c.unacked {
 		c.trace.Emit(obs.EvRetransmit, int64(b.seq), 0)
-		cells = append(cells, makeCell(cellData, b.seq, b.flags, b.data))
-	}
-	c.mu.Unlock()
-	for _, cell := range cells {
 		c.stats.Retransmits.Add(1)
-		c.wire.SendCell(cell)
+		c.sendCell(cellData, b.seq, b.flags, b.data)
 	}
-	c.mu.Lock()
 }
 
 func (c *Conn) hangup() {
@@ -431,15 +414,9 @@ func (c *Conn) Close() error {
 	c.mu.Unlock()
 	t.Stop()
 	c.sendCell(cellHup, 0, 0, nil)
-	// Let the hangup propagate before unplugging.
-	c.ck.AfterFunc(250*time.Millisecond, func() {
-		c.mu.Lock()
-		c.dead = true
-		c.cond.Broadcast()
-		c.due.Update()
-		c.mu.Unlock()
-		c.wire.Close()
-	})
+	// Let the hangup propagate before unplugging; the wire's close
+	// reaches input, which marks the circuit dead.
+	c.ck.AfterFunc(250*time.Millisecond, func() { c.wire.Close() })
 	// The hangup wakes a parked reader; the close then frees whatever
 	// nobody read, and a late arrival is discarded on the dead stream.
 	c.rstream.HangupUp()

@@ -28,7 +28,7 @@ func TestWindowSevenEdge(t *testing.T) {
 	v.Run(func() {
 		tx := medium.NewPipe(medium.Profile{Clock: v})
 		silent := medium.NewPipe(medium.Profile{Clock: v})
-		a := NewClock(wire{d: duplexOf(tx, silent)}, nil, v)
+		a := NewClock(wire{tx, silent}, nil, v)
 		defer a.Close()
 		a.Trace().Enable()
 
@@ -96,7 +96,7 @@ func TestEnquiryTimeout(t *testing.T) {
 		tx := medium.NewPipe(medium.Profile{Clock: v})
 		silent := medium.NewPipe(medium.Profile{Clock: v})
 		stats := &Stats{}
-		a := NewClock(wire{d: duplexOf(tx, silent)}, stats, v)
+		a := NewClock(wire{tx, silent}, stats, v)
 		defer a.Close()
 		a.Trace().SetNow(func() int64 { return v.Now().UnixNano() })
 		a.Trace().Enable()

@@ -10,18 +10,21 @@ import (
 	"repro/internal/vclock"
 )
 
-type wire struct{ d *medium.Duplex }
+// wire carries cells out on tx and takes them in from rx, as a Datakit
+// circuit end does without the FCS: the two pipes of one duplex, or
+// two unrelated pipes for a one-way test.
+type wire struct{ tx, rx *medium.Pipe }
 
-func (w wire) SendCell(p []byte) error   { return w.d.Send(p) }
-func (w wire) RecvCell() ([]byte, error) { return w.d.Recv() }
-func (w wire) Close() error              { w.d.Close(); return nil }
+func (w wire) SendCell(p []byte) time.Time       { return w.tx.Put(p) }
+func (w wire) Receive(input func([]byte, error)) { w.rx.Receive(input) }
+func (w wire) Close() error                      { w.tx.Close(); w.rx.Close(); return nil }
 
 func pair(t *testing.T, p medium.Profile) (*Conn, *Conn, *Stats) {
 	t.Helper()
-	a, b := medium.NewDuplex(p)
+	ab, ba := medium.NewPipe(p), medium.NewPipe(p)
 	stats := &Stats{}
-	ca := NewClock(wire{a}, stats, vclock.Real)
-	cb := NewClock(wire{b}, stats, vclock.Real)
+	ca := NewClock(wire{ab, ba}, stats, vclock.Real)
+	cb := NewClock(wire{ba, ab}, stats, vclock.Real)
 	t.Cleanup(func() { ca.Close(); cb.Close() })
 	return ca, cb, stats
 }
@@ -53,7 +56,7 @@ func TestWindowBlocksSender(t *testing.T) {
 	v.Run(func() {
 		tx := medium.NewPipe(medium.Profile{Clock: v})
 		silent := medium.NewPipe(medium.Profile{Clock: v}) // acks never come back
-		a := NewClock(wire{d: duplexOf(tx, silent)}, nil, v)
+		a := NewClock(wire{tx, silent}, nil, v)
 		defer a.Close()
 		done := make(chan int, 1)
 		v.Go(func() {
@@ -73,11 +76,6 @@ func TestWindowBlocksSender(t *testing.T) {
 		default:
 		}
 	})
-}
-
-// duplexOf builds a Duplex from raw pipes for asymmetric tests.
-func duplexOf(tx, rx *medium.Pipe) *medium.Duplex {
-	return medium.AssembleDuplex(tx, rx)
 }
 
 func TestSequencedDeliveryUnderLoss(t *testing.T) {
@@ -117,9 +115,9 @@ func TestSequencedDeliveryUnderLoss(t *testing.T) {
 func TestHangup(t *testing.T) {
 	v := vclock.NewVirtual()
 	v.Run(func() {
-		da, db := medium.NewDuplex(medium.Profile{Clock: v})
-		a := NewClock(wire{da}, &Stats{}, v)
-		b := NewClock(wire{db}, &Stats{}, v)
+		ab, ba := medium.NewPipe(medium.Profile{Clock: v}), medium.NewPipe(medium.Profile{Clock: v})
+		a := NewClock(wire{ab, ba}, &Stats{}, v)
+		b := NewClock(wire{ba, ab}, &Stats{}, v)
 		defer b.Close()
 		a.Write([]byte("bye"))
 		buf := make([]byte, 64)

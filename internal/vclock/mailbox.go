@@ -153,6 +153,13 @@ func (m *Mailbox[T]) CloseDrain() []T {
 	return out
 }
 
+// Len reports how many values are queued.
+func (m *Mailbox[T]) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.cnt
+}
+
 // Closed reports whether Close or CloseDrain has been called.
 func (m *Mailbox[T]) Closed() bool {
 	m.mu.Lock()

@@ -197,19 +197,6 @@ var qidPath atomic.Uint64
 // manage their own qid spaces draw from this counter.
 func NewQidPath() uint64 { return qidPath.Add(1) }
 
-// WalkPath walks a multi-element, already-cleaned path from n.
-// elems must not contain "", ".", or "..".
-func WalkPath(n Node, elems []string) (Node, error) {
-	var err error
-	for _, e := range elems {
-		n, err = n.Walk(e)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
-}
-
 // AccessMode extracts the access portion (OREAD..OEXEC) of an open mode.
 func AccessMode(mode int) int { return mode &^ (OTRUNC | ORCLOSE) }
 
@@ -229,37 +216,4 @@ func ModeWritable(mode int) bool {
 		return true
 	}
 	return false
-}
-
-// CheckPerm verifies that an open of a file with permission bits perm,
-// owned by uid/gid, by user asking with open mode, is allowed. It
-// implements the standard owner/group/other triplet; the name space
-// passes user == uid ownership through, group membership is equated
-// with uid == gid as in a single-user simulation.
-func CheckPerm(d Dir, user string, mode int) error {
-	var need uint32
-	switch AccessMode(mode) {
-	case OREAD:
-		need = DMREAD
-	case OWRITE:
-		need = DMWRITE
-	case ORDWR:
-		need = DMREAD | DMWRITE
-	case OEXEC:
-		need = DMEXEC
-	}
-	if mode&OTRUNC != 0 {
-		need |= DMWRITE
-	}
-	perm := d.Mode & 7
-	if user == d.Gid {
-		perm |= (d.Mode >> 3) & 7
-	}
-	if user == d.Uid {
-		perm |= (d.Mode >> 6) & 7
-	}
-	if perm&need != need {
-		return ErrPerm
-	}
-	return nil
 }

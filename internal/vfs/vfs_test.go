@@ -57,28 +57,6 @@ func TestAccessModeHelpers(t *testing.T) {
 	}
 }
 
-func TestCheckPerm(t *testing.T) {
-	d := Dir{Mode: 0640, Uid: "alice", Gid: "staff"}
-	if err := CheckPerm(d, "alice", ORDWR); err != nil {
-		t.Errorf("owner rdwr: %v", err)
-	}
-	if err := CheckPerm(d, "staff", OREAD); err != nil {
-		t.Errorf("group read: %v", err)
-	}
-	if err := CheckPerm(d, "staff", OWRITE); err == nil {
-		t.Error("group write allowed on 0640")
-	}
-	if err := CheckPerm(d, "mallory", OREAD); err == nil {
-		t.Error("other read allowed on 0640")
-	}
-	if err := CheckPerm(Dir{Mode: 0666, Uid: "a", Gid: "a"}, "x", OWRITE|OTRUNC); err != nil {
-		t.Errorf("other write+trunc on 0666: %v", err)
-	}
-	if err := CheckPerm(Dir{Mode: 0444, Uid: "a", Gid: "a"}, "x", OREAD|OTRUNC); err == nil {
-		t.Error("OTRUNC must require write permission")
-	}
-}
-
 func TestSameError(t *testing.T) {
 	if !SameError(ErrNotExist, ErrNotExist) {
 		t.Error("identical errors differ")
@@ -225,27 +203,6 @@ func TestReadDirAt(t *testing.T) {
 	n, err = ReadDirAt(ents, small, 0)
 	if err != nil || n != DirRecLen {
 		t.Errorf("short buffer read = %d, %v", n, err)
-	}
-}
-
-func TestWalkPath(t *testing.T) {
-	leaf := fakeNode{name: "leaf"}
-	mid := fakeNode{name: "mid", children: map[string]Node{"leaf": leaf}}
-	root := fakeNode{name: "root", children: map[string]Node{"mid": mid}}
-	n, err := WalkPath(root, []string{"mid", "leaf"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.(fakeNode).name != "leaf" {
-		t.Errorf("walked to %q", n.(fakeNode).name)
-	}
-	if _, err := WalkPath(root, []string{"nope"}); !SameError(err, ErrNotExist) {
-		t.Errorf("missing walk error = %v", err)
-	}
-	// Zero elements returns the node itself.
-	n, err = WalkPath(root, nil)
-	if err != nil || n.(fakeNode).name != "root" {
-		t.Errorf("empty walk = %v, %v", n, err)
 	}
 }
 

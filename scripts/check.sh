@@ -179,6 +179,7 @@ echo "analysis/locks.go $(lines internal/analysis/locks.go)  analysis/lockorder.
 echo "cs/*.go $(lines $(ls internal/cs/*.go | grep -v _test.go))"
 echo "cmd/*/*.go $(lines $(ls cmd/*/*.go | grep -v _test.go))  examples/*/*.go $(lines $(ls examples/*/*.go | grep -v _test.go))"
 echo "ip/stack.go $(lines internal/ip/stack.go)  ether.go $(lines internal/ether/ether.go)  ether/dev.go $(lines internal/ether/dev.go)  netdev.go $(lines internal/netdev/netdev.go)  devtree/*.go $(lines $(ls internal/devtree/*.go | grep -v _test.go))  medium.go $(lines internal/medium/medium.go)  medium/delay.go $(lines internal/medium/delay.go)  uart.go $(lines internal/uart/uart.go)"
+echo "datakit.go $(lines internal/datakit/datakit.go)  cyclone.go $(lines internal/cyclone/cyclone.go)  urp.go + medium.go + delay.go + datakit.go + cyclone.go $(lines internal/urp/urp.go internal/medium/medium.go internal/medium/delay.go internal/datakit/datakit.go internal/cyclone/cyclone.go)"
 if [ "$il" -gt 847 ]; then
     echo "internal/il/il.go is $il lines, over the paper's 847" >&2
     exit 1
