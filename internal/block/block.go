@@ -220,9 +220,6 @@ func (b *Block) Bytes() []byte { return b.buf[b.rp:b.wp] }
 // Len returns the length of the readable window.
 func (b *Block) Len() int { return b.wp - b.rp }
 
-// Headroom returns the prepend space available.
-func (b *Block) Headroom() int { return b.rp }
-
 // Prepend grows the window by n bytes at the front and returns the new
 // front region for the caller to fill — the in-place header push. If
 // the headroom is short the block reallocates and copies (counted in
@@ -244,12 +241,6 @@ func (b *Block) Extend(n int) []byte {
 	s := b.buf[b.wp : b.wp+n]
 	b.wp += n
 	return s
-}
-
-// Append copies p into tailroom, extending the window.
-func (b *Block) Append(p []byte) {
-	copy(b.Extend(len(p)), p)
-	statBytesCopied.add(int64(len(p)))
 }
 
 // grow reallocates with at least the requested extra head/tail space.

@@ -11,18 +11,15 @@ func TestWindowOps(t *testing.T) {
 	if b.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", b.Len())
 	}
-	if b.Headroom() != 32 {
-		t.Fatalf("Headroom = %d, want 32", b.Headroom())
-	}
 	copy(b.Bytes(), "data")
 
 	copy(b.Prepend(3), "hdr")
 	if got := string(b.Bytes()); got != "hdrdata" {
 		t.Fatalf("after Prepend: %q", got)
 	}
-	b.Append([]byte("!!"))
+	copy(b.Extend(2), "!!")
 	if got := string(b.Bytes()); got != "hdrdata!!" {
-		t.Fatalf("after Append: %q", got)
+		t.Fatalf("after Extend: %q", got)
 	}
 	b.Consume(3)
 	b.Trim(2)

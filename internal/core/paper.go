@@ -108,8 +108,9 @@ func CalibratedProfiles() PaperProfiles {
 	}
 }
 
-// FastProfiles returns ideal media for functional tests: synchronous
-// delivery at memory speed.
+// FastProfiles returns ideal media for functional tests: wires with
+// nothing to pace, so a message is due on its delay line at once and
+// crosses at memory speed, by the receive path the paced media run.
 func FastProfiles() PaperProfiles {
 	return PaperProfiles{}
 }

@@ -109,10 +109,10 @@ type Server struct {
 	cache   map[ckey]*centry
 	flights map[ckey]*flight
 
-	// Counters and the event ring: CS is a user-level file server, so
-	// its observability rides the same obs primitives as the kernel
-	// protocol devices. Every query lands in exactly one of CacheHits,
-	// SFWaits, Misses, or Errors, so the stats file balances:
+	// Counters: CS is a user-level file server, so its observability
+	// rides the same obs primitives as the kernel protocol devices.
+	// Every query lands in exactly one of CacheHits, SFWaits, Misses,
+	// or Errors, so the stats file balances:
 	// queries == cache-hits + singleflight-waits + misses + errors.
 	Queries   obs.Counter
 	CacheHits obs.Counter // cache hits (NegHits ⊆ CacheHits)
@@ -122,7 +122,6 @@ type Server struct {
 	Errors    obs.Counter // bad query, no network, or a failed computation
 	Evictions obs.Counter // entries dropped to make room at capacity
 	Lat       obs.Hist    // per-query Translate latency
-	trace     obs.Ring
 	stats     *obs.Group
 }
 
@@ -157,9 +156,6 @@ func New(cfg Config) *Server {
 // StatsGroup exposes the server's counters.
 func (s *Server) StatsGroup() *obs.Group { return s.stats }
 
-// Trace implements obs.Tracer: the server-wide query event ring.
-func (s *Server) Trace() *obs.Ring { return &s.trace }
-
 // dbVersion reads the database's combined version stamp — a few
 // atomic loads, no locks.
 func (s *Server) dbVersion() int64 {
@@ -175,7 +171,6 @@ func (s *Server) Translate(query string) (Answer, error) {
 	start := s.clock.Now()
 	defer func() { s.Lat.Observe(s.clock.Since(start)) }()
 	s.Queries.Inc()
-	s.trace.Emit(obs.EvQuery, int64(len(query)), 0)
 
 	q := trimSpace(query)
 	netName, host, service, ok := splitQuery(q)
@@ -196,27 +191,22 @@ func (s *Server) Translate(query string) (Answer, error) {
 		s.CacheHits.Inc()
 		if err != nil {
 			s.NegHits.Inc()
-			s.trace.Emit(obs.EvCacheHit, 0, 1)
 			return Answer{}, err
 		}
-		s.trace.Emit(obs.EvCacheHit, int64(len(lines)), 0)
 	case how == joined:
 		s.SFWaits.Inc()
-		s.trace.Emit(obs.EvWait, int64(len(lines)), 0)
 		return Answer{lines: lines}, err
 	case err != nil:
 		return Answer{}, s.fail(err)
 	default:
 		s.Misses.Inc()
-		s.trace.Emit(obs.EvAnswer, int64(len(lines)), 0)
 	}
 	return Answer{lines: lines}, nil
 }
 
-// fail counts and traces a failed translation.
+// fail counts a failed translation.
 func (s *Server) fail(err error) error {
 	s.Errors.Inc()
-	s.trace.Emit(obs.EvError, 0, 0)
 	return err
 }
 

@@ -8,16 +8,12 @@ import (
 )
 
 // Deeper connection-server behavior: answer ordering must survive
-// repeated queries, the answer cache must key on the reachable
+// repeated queries, and the answer cache must key on the reachable
 // network set (an import landing must change the answers, never
-// serve stale ones), and the trace ring must record the
-// query/answer/cache-hit sequence in order.
-
-func kinds(r *obs.Ring) []obs.Kind { return r.Kinds() }
+// serve stale ones).
 
 func TestRepeatedQueryHitsCacheSameOrder(t *testing.T) {
 	s := newServer(t, nil)
-	s.Trace().Enable()
 
 	first, err := tr(s, "net!helix!9fs")
 	if err != nil {
@@ -40,16 +36,6 @@ func TestRepeatedQueryHitsCacheSameOrder(t *testing.T) {
 	}
 	if got := s.Queries.Load(); got != 2 {
 		t.Errorf("queries = %d, want 2", got)
-	}
-	want := []obs.Kind{obs.EvQuery, obs.EvAnswer, obs.EvQuery, obs.EvCacheHit}
-	got := kinds(s.Trace())
-	if len(got) != len(want) {
-		t.Fatalf("trace kinds %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("trace kinds %v, want %v", got, want)
-		}
 	}
 }
 
@@ -111,16 +97,11 @@ func TestCacheKeysOnReachableNetworks(t *testing.T) {
 
 func TestFailedQueryCountsError(t *testing.T) {
 	s := newServer(t, nil)
-	s.Trace().Enable()
 	if _, err := tr(s, "fddi!helix!echo"); err == nil {
 		t.Fatal("unknown network translated")
 	}
 	if s.Errors.Load() != 1 {
 		t.Errorf("errors = %d, want 1", s.Errors.Load())
-	}
-	got := kinds(s.Trace())
-	if len(got) != 2 || got[0] != obs.EvQuery || got[1] != obs.EvError {
-		t.Errorf("trace kinds %v, want [query error]", got)
 	}
 	// Failures are never cached: the same query asks again.
 	tr(s, "fddi!helix!echo")

@@ -204,15 +204,26 @@ func (w duplexWire) SendCell(p []byte) time.Time {
 func (w duplexWire) Receive(input func([]byte, error)) {
 	w.d.Receive(func(cell []byte, err error) {
 		if err == nil {
-			n := len(cell) - fcsLen
-			if n < 0 || w.d.Impaired() && crc16(cell[:n]) != uint16(cell[n])<<8|uint16(cell[n+1]) {
-				w.errs.Add(1)
+			var ok bool
+			if cell, ok = w.check(cell); !ok {
 				return
 			}
-			cell = cell[:n]
 		}
 		input(cell, err)
 	})
+}
+
+// check is the hardware's receive-side FCS check: it returns the cell
+// without its FCS, or false, and counts an error, for a cell too short
+// to carry one or, on an impaired circuit, whose last two bytes are not
+// the CRC of the rest.
+func (w duplexWire) check(cell []byte) ([]byte, bool) {
+	n := len(cell) - fcsLen
+	if n < 0 || w.d.Impaired() && crc16(cell[:n]) != uint16(cell[n])<<8|uint16(cell[n+1]) {
+		w.errs.Add(1)
+		return nil, false
+	}
+	return cell[:n], true
 }
 
 func (w duplexWire) Close() error {

@@ -18,13 +18,14 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"time"
 
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
-// Now returns the time in seconds for Dir stamps.
-func Now() uint32 { return uint32(time.Now().Unix()) } //netvet:ignore realtime file mtimes are cosmetic wall-clock stamps
+// kerndate is the time every device file carries, as Plan 9's devdir
+// stamps the kernel's build date: the instant every simulation starts.
+var kerndate = uint32(vclock.Epoch.Unix())
 
 // MkDir fills a Dir for a directory with conventional ownership.
 func MkDir(name, owner string, perm uint32) vfs.Dir {
@@ -35,8 +36,8 @@ func MkDir(name, owner string, perm uint32) vfs.Dir {
 		Uid:   owner,
 		Gid:   owner,
 		Muid:  owner,
-		Atime: Now(),
-		Mtime: Now(),
+		Atime: kerndate,
+		Mtime: kerndate,
 	}
 }
 
@@ -49,8 +50,8 @@ func MkFile(name, owner string, perm uint32) vfs.Dir {
 		Uid:   owner,
 		Gid:   owner,
 		Muid:  owner,
-		Atime: Now(),
-		Mtime: Now(),
+		Atime: kerndate,
+		Mtime: kerndate,
 	}
 }
 

@@ -10,18 +10,18 @@
 //
 // The medium is characterized by a Profile (latency, bandwidth, MTU,
 // loss) so the performance experiments can calibrate it to the paper's
-// 10 Mb/s hardware; with a zero Profile frames are delivered
-// synchronously and tests run at memory speed. Otherwise a sender books
-// the wire (medium.Pacer) and the frame crosses the segment's delay
-// line (medium.Delay). Only an impaired wire carries and checks an FCS.
+// 10 Mb/s hardware; the zero Profile is a wire with nothing to pace,
+// so tests run at memory speed. Either way a sender books the wire
+// (medium.Pacer) and the frame crosses the segment's delay line
+// (medium.Delay), due at once on an ideal wire. Only an impaired wire
+// carries and checks an FCS.
 //
-// A frame costs one hand-off between processes. On a paced segment the
-// delay line's process, once it wakes for a frame, runs each hearing
-// station's receive itself: FCS check, counters, demultiplexing. On an
-// ideal segment the fan-out runs on the sender's goroutine, which may
-// hold its conversation lock, so each station there keeps an input
-// ring and a reader process (§2.4.2: "the interrupt routine wakes up
-// the kernel process"), and a reply cannot re-enter its sender.
+// A frame costs one hand-off between processes: the delay line's
+// process, once it wakes for a frame, runs each hearing station's
+// receive itself — FCS check, counters, demultiplexing — as the one
+// kernel process §2.4.2's interrupt routine wakes. The sender, which
+// may hold its conversation lock, never runs a receive, so a reply
+// cannot re-enter it.
 //
 // Like a LANCE, an interface hears only the frames it would accept: a
 // broadcast, a frame addressed to it, and — while one of its
@@ -105,7 +105,6 @@ type Segment struct {
 	profile Profile
 	ck      vclock.Clock
 	im      *medium.Impairer // nil on an unimpaired, lossless segment; only its frames carry an FCS
-	ideal   bool             // no pacing, latency or impairer: frames fan out on the sender's goroutine
 
 	// stations is the address filter the per-frame path reads without
 	// a lock; mu serializes the writers that replace it. nil once the
@@ -115,10 +114,10 @@ type Segment struct {
 	stations atomic.Pointer[stations]
 	joined   uint32 // stations ever attached; numbers the next one's address
 
-	// line books the wire and delay carries frames across it (nil on
-	// an ideal segment). Put never parks, so IL and TCP may transmit
-	// under their conversation locks; what bounds the line is what they
-	// may hold in flight — IL's window, TCP's 64 KiB buffer, ARP's 16.
+	// line books the wire and delay carries frames across it. Put
+	// never parks, so IL and TCP may transmit under their conversation
+	// locks; what bounds the line is what they may hold in flight —
+	// IL's window, TCP's 64 KiB buffer, ARP's 16.
 	line  medium.Pacer
 	delay *medium.Delay[txFrame]
 }
@@ -177,8 +176,8 @@ func (s *stations) hearers(dst Addr) []*Interface {
 }
 
 // NewSegment creates a segment with the given medium profile. Unlike
-// a pipe's, the profile's Clock is required: every station's reader
-// and the wire's delay line run on it.
+// a pipe's, the profile's Clock is required: the wire's delay line
+// runs on it.
 func NewSegment(name string, p Profile) *Segment {
 	seg := &Segment{
 		name:    name,
@@ -189,10 +188,7 @@ func NewSegment(name string, p Profile) *Segment {
 	if p.Impair.Armed(p.Loss) {
 		seg.im = medium.NewImpairer(p.Seed+1, p.Loss, p.Impair)
 	}
-	seg.ideal = p.Bandwidth == 0 && p.Latency == 0 && seg.im == nil
-	if !seg.ideal {
-		seg.delay = medium.NewDelay(p.Clock, 0, func(f txFrame) { seg.fanOut(f.from, f.dst, f.b, (*Interface).receive) })
-	}
+	seg.delay = medium.NewDelay(p.Clock, 0, func(f txFrame) { seg.fanOut(f.from, f.dst, f.b) })
 	return seg
 }
 
@@ -231,13 +227,8 @@ func (seg *Segment) Close() {
 	if st == nil {
 		return
 	}
-	if seg.delay != nil {
-		for _, f := range seg.delay.Close() {
-			f.b.Free()
-		}
-	}
-	for _, ifc := range st.all {
-		ifc.close()
+	for _, f := range seg.delay.Close() {
+		f.b.Free()
 	}
 }
 
@@ -251,22 +242,22 @@ func (seg *Segment) refilter() {
 	}
 }
 
-// fanOut hands one frame to every station but its sender that would
-// accept it — all of them for a broadcast; for a unicast, the addressee
-// and the promiscuous stations — in the order they joined the segment.
-// hand is deliver, the station's input ring, on an ideal segment and
-// receive on the delay line. dst is the destination the sender wrote,
+// fanOut runs on the delay line: it hands one frame to the receive of
+// every station but its sender that would accept it — all of them for
+// a broadcast; for a unicast, the addressee and the promiscuous
+// stations — in the order they joined the segment. dst is the
+// destination the sender wrote,
 // not the received bytes', so a copy the wire damaged still reaches its
 // addressee and dies at that station's FCS check. The one block is
 // shared by reference count — each interface reads it and releases its
 // own reference; nobody copies, nobody mutates. Ownership of b
 // transfers; false means the segment has closed and nothing was
 // delivered.
-func (seg *Segment) fanOut(from *Interface, dst Addr, b *block.Block, hand func(*Interface, *block.Block)) bool {
+func (seg *Segment) fanOut(from *Interface, dst Addr, b *block.Block) {
 	st := seg.stations.Load()
 	if st == nil {
 		b.Free()
-		return false
+		return
 	}
 	to := st.hearers(dst)
 	n := 0
@@ -277,36 +268,29 @@ func (seg *Segment) fanOut(from *Interface, dst Addr, b *block.Block, hand func(
 	}
 	if n == 0 {
 		b.Free()
-		return true
+		return
 	}
 	for i := 1; i < n; i++ {
 		b.Ref()
 	}
 	for _, ifc := range to {
 		if ifc != from {
-			hand(ifc, b)
+			ifc.receive(b)
 		}
 	}
-	return true
 }
 
 // transmitBlock puts a frame for dst on the wire without parking; b
-// becomes the segment's. An ideal medium fans it out at once. Otherwise
-// it books the wire for its serialization time, FCS included, and goes
-// on the delay line to arrive when its last bit has left plus the
-// latency; the segment lock makes booking order wire order, so a fixed
+// becomes the segment's. It books the wire for its serialization time,
+// FCS included, and goes on the delay line to arrive when its last bit
+// has left plus the latency — at once on an ideal wire, where both are
+// zero. The segment lock makes booking order wire order, so a fixed
 // seed replays the identical schedule. Only an impaired wire computes
 // the FCS, and each copy its impairer emits travels as bytes of its own.
 func (seg *Segment) transmitBlock(from *Interface, dst Addr, b *block.Block) error {
 	if n := b.Len() - HdrLen; n > seg.MTU() {
 		b.Free()
 		return fmt.Errorf("ether: packet exceeds MTU (%d > %d)", n, seg.MTU())
-	}
-	if seg.ideal {
-		if !seg.fanOut(from, dst, b, (*Interface).deliver) {
-			return vfs.ErrShutdown
-		}
-		return nil
 	}
 	p := seg.profile
 	seg.mu.Lock()
@@ -346,8 +330,6 @@ type Interface struct {
 	mu     sync.Mutex              // serializes publishers of active
 	active atomic.Pointer[[]*Conn] // snapshot of the live conns, for the lock-free demux
 
-	in *vclock.Mailbox[*block.Block] // the input ring; nil on a paced segment, whose delay line receives for the station
-
 	inPackets  atomic.Int64
 	outPackets atomic.Int64
 	inBytes    atomic.Int64
@@ -374,10 +356,6 @@ func (seg *Segment) NewInterface(name string) *Interface {
 		addr:  Addr{0x08, 0x00, 0x69, byte(n >> 16), byte(n >> 8), byte(n)},
 		convs: devtree.NewTable(1, MaxConns, (*Conn).hangup),
 	}
-	if seg.ideal {
-		ifc.in = vclock.NewMailbox[*block.Block](seg.ck, 512)
-		seg.ck.Go(ifc.reader)
-	}
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
 	if st := seg.stations.Load(); st != nil {
@@ -395,17 +373,6 @@ func (ifc *Interface) Name() string { return ifc.name }
 // MTU returns the medium MTU.
 func (ifc *Interface) MTU() int { return ifc.seg.MTU() }
 
-func (ifc *Interface) close() {
-	if ifc.in == nil {
-		return
-	}
-	// Undelivered frames go back to the block pool rather than to a
-	// reader that has already quit.
-	for _, b := range ifc.in.CloseDrain() {
-		b.Free()
-	}
-}
-
 // promiscuous reports whether a live conversation on the interface
 // asked for every frame on the wire.
 func (ifc *Interface) promiscuous() bool {
@@ -419,41 +386,14 @@ func (ifc *Interface) promiscuous() bool {
 	return false
 }
 
-// deliver is called by an ideal segment with a received frame (the
-// interrupt routine analogue): it runs on the sender's goroutine, which
-// may hold its conversation lock, so it may not block and must not
-// demultiplex — a reply would re-enter the sender. A full input ring
-// drops the frame and counts an overflow. The interface takes ownership
-// of (its reference to) the block.
-func (ifc *Interface) deliver(b *block.Block) {
-	if !ifc.in.TrySend(b) {
-		ifc.overflows.Add(1)
-		b.Free()
-	}
-}
-
-// reader is the kernel process that drains an ideal segment's input
-// ring (§2.4.2: "the interrupt routine wakes up the kernel process...").
-// A paced segment has no ring and no reader: the delay line's process
-// receives for the station.
-func (ifc *Interface) reader() {
-	for {
-		b, ok := ifc.in.Recv()
-		if !ok {
-			return
-		}
-		ifc.receive(b)
-	}
-}
-
 // receive verifies and strips the FCS, counts the frame and
 // demultiplexes it. A frame damaged on the wire never reaches the
 // protocols — the hardware drops it and counts a crc error, and
 // recovery is the transport's problem (loss, not corruption). The block
 // may be shared with other stations (broadcast fan-out), so it is read,
 // never written, and this reference is released when demultiplexing
-// returns. Nothing here parks: on a paced segment a park would stall
-// every station's frames behind this one.
+// returns. It runs on the segment's delay line, so nothing here parks:
+// a park would stall every station's frames behind this one.
 func (ifc *Interface) receive(b *block.Block) {
 	frame, fcs := b.Bytes(), ifc.seg.im != nil // only an impaired wire's frames carry one
 	n := len(frame)

@@ -267,7 +267,7 @@ func TestLatencyProfileDelays(t *testing.T) {
 	})
 }
 
-// The paced wire fans a frame out the way the ideal one does: the
+// The paced wire fans a frame out as every wire does: the
 // sender's block itself, shared by reference count, however many
 // stations hear it — no wrapper, and not one block per station.
 func TestPacedFanOutSharesOneBlock(t *testing.T) {
@@ -412,8 +412,9 @@ func (cr *crowd) in(name string) int64 {
 	return cr.byName[name].inPackets.Load()
 }
 
-// filterProfiles are the two fan-out paths: the ideal wire delivers on
-// the sender's goroutine, the paced one from the delay line's process.
+// filterProfiles are the two kinds of wire: on the ideal one a frame is
+// due on the delay line at once, on the paced one a wire time and a
+// latency later.
 var filterProfiles = []struct {
 	name string
 	p    Profile
@@ -516,8 +517,8 @@ func TestPromiscuousHangupStopsOtherStationsUnicasts(t *testing.T) {
 }
 
 // TestAllocsUnicastFanOut: a unicast frame on a crowded ideal segment
-// allocates nothing — the frame block comes from the pool and the
-// station set is read, not copied.
+// allocates nothing — the frame block comes from the pool, the station
+// set is read, not copied, and the delay line parks for free.
 func TestAllocsUnicastFanOut(t *testing.T) {
 	if block.RaceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -535,7 +536,7 @@ func TestAllocsUnicastFanOut(t *testing.T) {
 		payload := make([]byte, 64)
 		allocs = testing.AllocsPerRun(200, func() {
 			tx.Transmit(dst, payload)
-			seg.Clock().Sleep(0) // the addressee's reader takes the frame and frees it
+			seg.Clock().Sleep(time.Microsecond) // past the frame's instant: the line's receive takes it and frees it
 		})
 		if n := ifcs[40].inPackets.Load(); n != 201 {
 			t.Errorf("the addressee heard %d frames, want 201", n)
@@ -619,6 +620,42 @@ func TestSwitchesPacedUnicast(t *testing.T) {
 	t.Logf("100 paced frames: %d switches one at a time, %d back to back", oneAtATime, backToBack)
 	if oneAtATime != 200 || backToBack != 2 {
 		t.Errorf("100 paced frames switched %d times one at a time and %d back to back, want 200 and 2 (a receive goroutine is back between the line and the hook?)", oneAtATime, backToBack)
+	}
+}
+
+// TestSwitchesIdealBroadcast pins what a broadcast costs the scheduler
+// on a crowded ideal segment: the paced figure, one wake of the delay
+// line, whose process runs all 63 hearing stations' receives. A
+// process per station would cost a hand-off per station.
+func TestSwitchesIdealBroadcast(t *testing.T) {
+	var switches int64
+	onSegment(t, Profile{}, func(seg *Segment) {
+		v := seg.Clock().(*vclock.Virtual)
+		var ifcs []*Interface
+		for range 64 {
+			ifcs = append(ifcs, seg.NewInterface("ether0"))
+		}
+		tx, _ := ifcs[0].OpenConn()
+		defer tx.Close()
+		tx.SetType(0x900)
+		payload := make([]byte, 64)
+		v.Sleep(0) // the segment's processes start and park
+		s := v.Switches()
+		for range 100 {
+			tx.Transmit(Broadcast, payload)
+			v.Sleep(time.Millisecond) // the frame reaches every station
+		}
+		switches = v.Switches() - s
+		for i, ifc := range ifcs[1:] {
+			if n := ifc.inPackets.Load(); n != 100 {
+				t.Errorf("station %d heard %d broadcasts, want 100", i+1, n)
+				return
+			}
+		}
+	})
+	t.Logf("100 broadcasts on a 64-station ideal segment: %d switches", switches)
+	if switches != 200 {
+		t.Errorf("100 broadcasts on a 64-station ideal segment switched %d times, want 200 (a reader process per station is back?)", switches)
 	}
 }
 
@@ -843,9 +880,9 @@ func TestKernelDeliverHook(t *testing.T) {
 
 // TestUnreadConversationDoesNotWedgeInterface: a snooping conversation
 // nobody reads fills its queue; the driver must drop for it and keep
-// delivering new frames to conversations that do read. On the paced
-// wire the delay line's own process demultiplexes, so a receive that
-// parked there would stall the whole segment, not one station.
+// delivering new frames to conversations that do read. The delay
+// line's own process demultiplexes, so a receive that parked there
+// would stall the whole segment, not one station.
 func TestUnreadConversationDoesNotWedgeInterface(t *testing.T) {
 	for _, tc := range filterProfiles {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/devtree"
 	"repro/internal/dialer"
 	"repro/internal/ns"
 	"repro/internal/vclock"
@@ -25,6 +24,7 @@ import (
 // the lock that may be held across a park.
 type FS struct {
 	mu   vclock.Mutex
+	ck   vclock.Clock // stamps a stat: the listing carries no times
 	nsp  *ns.Namespace
 	ctl  *dialer.Conn
 	r    *bufio.Reader
@@ -46,14 +46,14 @@ type fentry struct {
 
 // Dial connects ftpfs to an FTP service ("tcp!host!ftp"), logs in,
 // and sets image mode, as the ftpfs command does. ck is the mounting
-// machine's clock (nil means the real one): a second process that wants
-// the file system while a transfer is in flight waits through it.
+// machine's clock: a second process that wants the file system while a
+// transfer is in flight waits through it, and a stat reads its time.
 func Dial(nsp *ns.Namespace, ck vclock.Clock, dest, user, pass string) (*FS, error) {
 	conn, err := dialer.Dial(nsp, dest)
 	if err != nil {
 		return nil, err
 	}
-	fs := &FS{nsp: nsp, ctl: conn, r: bufio.NewReader(conn)}
+	fs := &FS{ck: ck, nsp: nsp, ctl: conn, r: bufio.NewReader(conn)}
 	fs.mu.Init(ck)
 	fs.root = &fentry{name: "/", dir: true, qid: vfs.Qid{Path: vfs.NewQidPath(), Type: vfs.QTDIR}}
 	if code, _, err := fs.readReply(); err != nil || code != 220 {
@@ -263,10 +263,11 @@ func (n fnode) statLocked() vfs.Dir {
 	if n.e.dir {
 		mode = vfs.DMDIR | 0775
 	}
+	now := uint32(n.fs.ck.Now().Unix())
 	return vfs.Dir{
 		Name: n.e.name, Qid: n.e.qid, Mode: mode,
 		Length: n.e.length, Uid: "ftp", Gid: "ftp", Muid: "ftp",
-		Atime: devtree.Now(), Mtime: devtree.Now(),
+		Atime: now, Mtime: now,
 	}
 }
 

@@ -112,9 +112,8 @@ func TestQueryFiresExactlyAtTimeout(t *testing.T) {
 		warmLAN(v, dc, sc)
 		buf := make([]byte, 64)
 		c := dc.(*Conn)
-		c.Ring.SetNow(func() int64 { return v.Now().UnixNano() })
 		epoch := v.Now()
-		c.Ring.Enable()
+		c.Ring.Enable(v)
 		c.Mu.Lock()
 		lost := c.sndNext
 		c.Mu.Unlock()

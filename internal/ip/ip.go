@@ -59,15 +59,6 @@ func ParseAddr(s string) (Addr, error) {
 	return a, nil
 }
 
-// MustParseAddr parses or panics; for composing test topologies.
-func MustParseAddr(s string) Addr {
-	a, err := ParseAddr(s)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // ClassMask returns the classful default mask for a, as ndb assumes
 // when no ipmask attribute is given.
 func ClassMask(a Addr) Addr {

@@ -95,8 +95,8 @@ func (im Impairment) String() string {
 }
 
 // Armed reports whether the impairment model (or baseline loss)
-// requires per-message decisions at all; unarmed links keep their
-// synchronous fast paths.
+// requires per-message decisions at all; unarmed links skip the
+// impairer and, on an Ethernet, the FCS.
 func (im Impairment) Armed(loss float64) bool {
 	return loss > 0 || im.Duplicate > 0 || im.Reorder > 0 || im.Corrupt > 0 ||
 		im.Jitter > 0 || im.BurstP > 0 || len(im.Partitions) > 0 || im.Record

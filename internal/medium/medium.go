@@ -7,7 +7,8 @@
 // stands between the line and the receiver. A Profile calibrates
 // latency, bandwidth, maximum transfer unit, and loss so benchmarks can
 // reproduce the relative speeds of the paper's media; the zero Profile
-// delivers at once, at memory speed, for tests.
+// is a line with nothing to pace, whose messages are due at once, so
+// tests run at memory speed by the receive path the paced media run.
 //
 // All waiting goes through the profile's vclock.Clock, so a pipe built
 // with a virtual clock simulates its latency and pacing in

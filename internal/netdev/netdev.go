@@ -210,7 +210,7 @@ func (c *conv) ctl(cmd string) error {
 		}
 		switch arg {
 		case "on":
-			r.Enable()
+			r.Enable(c.dev.proto.Clock())
 		case "off":
 			r.Disable()
 		default:

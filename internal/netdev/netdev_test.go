@@ -1,6 +1,7 @@
 package netdev
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/ether"
 	"repro/internal/il"
 	"repro/internal/ip"
+	"repro/internal/medium"
 	"repro/internal/ns"
 	"repro/internal/obs"
 	"repro/internal/ramfs"
@@ -19,12 +21,20 @@ import (
 )
 
 // onWorld runs body on a virtual clock with two machines on one
-// Ethernet, each with TCP and IL devices mounted in its name space.
+// ideal Ethernet, each with TCP and IL devices mounted in its name
+// space.
 func onWorld(t *testing.T, body func(ck vclock.Clock, nsA, nsB *ns.Namespace, addrB ip.Addr)) {
+	t.Helper()
+	onWorldWith(t, ether.Profile{}, body)
+}
+
+// onWorldWith is onWorld on an Ethernet of profile p.
+func onWorldWith(t *testing.T, p ether.Profile, body func(ck vclock.Clock, nsA, nsB *ns.Namespace, addrB ip.Addr)) {
 	t.Helper()
 	v := vclock.NewVirtual()
 	v.Run(func() {
-		seg := ether.NewSegment("e0", ether.Profile{Clock: v})
+		p.Clock = v
+		seg := ether.NewSegment("e0", p)
 		defer seg.Close()
 		var spaces []*ns.Namespace
 		for _, a := range []ip.Addr{{135, 104, 9, 31}, {135, 104, 53, 11}} {
@@ -665,6 +675,103 @@ func TestSecondCloseLeavesNextTenantAlone(t *testing.T) {
 			t.Errorf("second close of a released %s handle took the next tenant's directory: %v", file, err)
 		}
 		ctl2.Close()
+	}
+}
+
+// TestTraceStampsSimulatedTime: "trace on" arms an IL conversation's
+// ring on the protocol's clock, so on the virtual clock the trace file
+// reads simulated time since the ctl write: exact instants on a paced
+// wire, and the same bytes in every same-seed run.
+func TestTraceStampsSimulatedTime(t *testing.T) {
+	p := ether.Profile{Latency: time.Millisecond, Bandwidth: 1_250_000}
+	run := func() (text string) {
+		onWorldWith(t, p, func(ck vclock.Clock, nsA, nsB *ns.Namespace, addrB ip.Addr) {
+			ck.Go(func() {
+				lctl, err := nsB.Open("/net/il/clone", vfs.ORDWR)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer lctl.Close()
+				buf := make([]byte, 256)
+				n, _ := lctl.Read(buf)
+				if _, err := lctl.WriteString("announce 17008"); err != nil {
+					t.Error(err)
+					return
+				}
+				nctl, err := nsB.Open("/net/il/"+string(buf[:n])+"/listen", vfs.ORDWR)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer nctl.Close()
+				n, _ = nctl.Read(buf)
+				data, err := nsB.Open("/net/il/"+string(buf[:n])+"/data", vfs.ORDWR)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer data.Close()
+				for {
+					if _, err := data.Read(buf); err != nil {
+						return
+					}
+				}
+			})
+			ck.Sleep(20 * time.Millisecond) // let the announce land
+			ctl, err := nsA.Open("/net/il/clone", vfs.ORDWR)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer ctl.Close()
+			buf := make([]byte, 16)
+			n, _ := ctl.Read(buf)
+			dir := "/net/il/" + string(buf[:n])
+			if _, err := ctl.WriteString("connect " + addrB.String() + "!17008"); err != nil {
+				t.Error(err)
+				return
+			}
+			data, err := nsA.Open(dir+"/data", vfs.ORDWR)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer data.Close()
+			if _, err := ctl.WriteString("trace on"); err != nil {
+				t.Error(err)
+				return
+			}
+			ck.Sleep(10 * time.Millisecond)
+			data.Write(make([]byte, 100))
+			ck.Sleep(20 * time.Millisecond)
+			data.Write(make([]byte, 200))
+			ck.Sleep(20 * time.Millisecond)
+			b, err := nsA.ReadFile(dir + "/trace")
+			if err != nil {
+				t.Error(err)
+			}
+			text = string(b)
+		})
+		return text
+	}
+	first := run()
+	var id int64
+	fmt.Sscanf(first, "1 10ms send %d", &id)
+	// A frame's wire time: the payload behind IL's 18-byte header,
+	// IP's 20, the Ethernet's 14 and its 4-byte FCS. Each message is
+	// acked at once, so its ack lands one round trip after the send.
+	wire := func(payload int) time.Duration {
+		return medium.TransmitTime(payload+18+20+ether.HdrLen+4, p.Bandwidth)
+	}
+	rtt := func(payload int) time.Duration { return wire(payload) + wire(0) + 2*p.Latency }
+	want := fmt.Sprintf("1 10ms send %d 100\n2 %v ack %d 0\n3 30ms send %d 200\n4 %v ack %d 0\n",
+		id, 10*time.Millisecond+rtt(100), id, id+1, 30*time.Millisecond+rtt(200), id+1)
+	if first != want {
+		t.Errorf("trace file:\n%swant:\n%s", first, want)
+	}
+	if second := run(); second != first {
+		t.Errorf("same-seed runs traced differently:\n%s\nthen\n%s", first, second)
 	}
 }
 

@@ -67,27 +67,6 @@ func (fd *FD) WriteAt(p []byte, off int64) (int, error) { return fd.h.Write(p, o
 // WriteString writes s.
 func (fd *FD) WriteString(s string) (int, error) { return fd.Write([]byte(s)) }
 
-// Seek repositions the offset, as seek(2).
-func (fd *FD) Seek(offset int64, whence int) (int64, error) {
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	switch whence {
-	case io.SeekStart:
-		fd.off = offset
-	case io.SeekCurrent:
-		fd.off += offset
-	case io.SeekEnd:
-		fd.off = fd.dir.Length + offset
-	default:
-		return 0, vfs.ErrBadArg
-	}
-	if fd.off < 0 {
-		fd.off = 0
-		return 0, vfs.ErrBadArg
-	}
-	return fd.off, nil
-}
-
 // ReadDir returns the directory entries when the FD is a directory.
 func (fd *FD) ReadDir() ([]vfs.Dir, error) {
 	if !fd.isDir {

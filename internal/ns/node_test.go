@@ -148,25 +148,27 @@ func TestNamespaceOpenCreateErrors(t *testing.T) {
 	if err := nsp.Remove("/nothing"); err == nil {
 		t.Error("remove of missing path succeeded")
 	}
-	// Seek whence garbage.
-	fd, _ := nsp.Open("/plain", vfs.OREAD)
-	defer fd.Close()
-	if _, err := fd.Seek(0, 99); err == nil {
-		t.Error("bad whence accepted")
-	}
 }
 
-func TestOpenOrCreate(t *testing.T) {
+// TestOpenAfterCreate: a file Create made opens for writing, and what
+// was written through the creating descriptor reads back.
+func TestOpenAfterCreate(t *testing.T) {
 	nsp, _ := pathNodeNS(t)
-	fd, err := nsp.OpenOrCreate("/made", 0664, vfs.OWRITE)
+	if _, err := nsp.Open("/made", vfs.OWRITE); err == nil {
+		t.Fatal("opened a file before it was made")
+	}
+	fd, err := nsp.Create("/made", 0664, vfs.OWRITE)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fd.WriteString("1")
 	fd.Close()
-	fd, err = nsp.OpenOrCreate("/made", 0664, vfs.OWRITE)
+	fd, err = nsp.Open("/made", vfs.OWRITE)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fd.Close()
+	if b, err := nsp.ReadFile("/made"); err != nil || string(b) != "1" {
+		t.Errorf("read back %q, %v", b, err)
+	}
 }

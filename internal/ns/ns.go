@@ -349,15 +349,6 @@ func (ns *Namespace) Create(name string, perm uint32, mode int) (*FD, error) {
 	return &FD{ns: ns, name: cname, h: h, dir: d, isDir: perm&vfs.DMDIR != 0}, nil
 }
 
-// OpenOrCreate opens name for writing, creating it if necessary.
-func (ns *Namespace) OpenOrCreate(name string, perm uint32, mode int) (*FD, error) {
-	fd, err := ns.Open(name, mode)
-	if err == nil {
-		return fd, nil
-	}
-	return ns.Create(name, perm, mode)
-}
-
 // ReadFile reads the whole file at name.
 func (ns *Namespace) ReadFile(name string) ([]byte, error) {
 	fd, err := ns.Open(name, vfs.OREAD)

@@ -73,27 +73,27 @@ func TestReadAtEOF(t *testing.T) {
 	}
 }
 
-func TestSeek(t *testing.T) {
+// TestFDOffset: a Read moves the descriptor's offset, a ReadAt reads
+// where it is told and leaves the offset alone.
+func TestFDOffset(t *testing.T) {
 	nsp, fs := newNS(t)
 	fs.WriteFile("f", []byte("0123456789"), 0664)
 	fd, _ := nsp.Open("/f", vfs.OREAD)
 	defer fd.Close()
-	if off, _ := fd.Seek(4, io.SeekStart); off != 4 {
-		t.Errorf("seek start: %d", off)
-	}
 	b := make([]byte, 2)
-	fd.Read(b)
-	if string(b) != "45" {
-		t.Errorf("after seek read %q", b)
+	if n, err := fd.ReadAt(b, 4); n != 2 || err != nil || string(b) != "45" {
+		t.Errorf("ReadAt 4: %q, %d, %v", b, n, err)
 	}
-	if off, _ := fd.Seek(-1, io.SeekCurrent); off != 5 {
-		t.Errorf("seek current: %d", off)
+	for _, want := range []string{"01", "23"} {
+		if n, err := fd.Read(b); n != 2 || err != nil || string(b) != want {
+			t.Errorf("Read: %q, %d, %v; want %q", b, n, err, want)
+		}
 	}
-	if off, _ := fd.Seek(-2, io.SeekEnd); off != 8 {
-		t.Errorf("seek end: %d", off)
+	if n, err := fd.ReadAt(b, 8); n != 2 || err != nil || string(b) != "89" {
+		t.Errorf("ReadAt 8: %q, %d, %v", b, n, err)
 	}
-	if _, err := fd.Seek(-100, io.SeekStart); err == nil {
-		t.Error("negative seek accepted")
+	if n, err := fd.Read(b); n != 2 || err != nil || string(b) != "45" {
+		t.Errorf("Read after ReadAt: %q, %d, %v; want \"45\"", b, n, err)
 	}
 }
 

@@ -3,6 +3,8 @@ package obs
 import (
 	"testing"
 	"time"
+
+	"repro/internal/vclock"
 )
 
 // The observability core rides every hot path in the tree, so its own
@@ -21,7 +23,7 @@ func TestAllocsEmitDisabled(t *testing.T) {
 
 func TestAllocsEmitEnabled(t *testing.T) {
 	var r Ring
-	r.Enable()
+	r.Enable(vclock.NewVirtual())
 	if got := testing.AllocsPerRun(1000, func() { r.Emit(EvSend, 1, 2) }); got != 0 {
 		t.Fatalf("enabled Emit allocates %.1f objects/op, want 0", got)
 	}

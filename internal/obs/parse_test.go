@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/vclock"
 )
 
 // The registry storm merges per-machine /net/cs histograms by parsing
@@ -106,33 +109,28 @@ func TestHistSnapMerge(t *testing.T) {
 	}
 }
 
-// SetNow is how a virtual-time world stamps traces with simulated
-// time; same-seed determinism depends on Emit reading the injected
-// clock, and nil restoring the real one.
-func TestRingSetNow(t *testing.T) {
+// A ring stamps by the clock it was enabled with: on a virtual clock
+// an event's When is simulated time since Enable, which same-seed
+// determinism depends on, and a second Enable starts a new epoch.
+func TestRingStampsByItsClock(t *testing.T) {
 	var r Ring
-	vnow := int64(1_000_000)
-	r.SetNow(func() int64 { return vnow })
-	r.Enable()
-	vnow += 250
-	r.Emit(EvWait, 1, 0)
-	vnow += 750
-	r.Emit(EvWait, 2, 0)
-	evs := r.Events()
-	if len(evs) != 2 {
-		t.Fatalf("events = %d, want 2", len(evs))
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		v.Sleep(time.Second)
+		r.Enable(v)
+		v.Sleep(250)
+		r.Emit(EvSend, 1, 0)
+		v.Sleep(750)
+		r.Emit(EvSend, 2, 0)
+		r.Enable(v)
+		v.Sleep(time.Millisecond)
+		r.Emit(EvSend, 3, 0)
+	})
+	var got []time.Duration
+	for _, ev := range r.Events() {
+		got = append(got, ev.When)
 	}
-	if evs[0].When != 250 || evs[1].When != 1000 {
-		t.Fatalf("virtual stamps = %v, %v; want 250ns, 1µs", evs[0].When, evs[1].When)
-	}
-	// Restoring the real clock: the next epoch is wall time, so a
-	// fresh Enable+Emit stamps a small non-negative real offset.
-	r.SetNow(nil)
-	r.Enable()
-	r.Emit(EvWait, 3, 0)
-	evs = r.Events()
-	last := evs[len(evs)-1]
-	if last.When < 0 || last.When > time.Minute {
-		t.Fatalf("real-clock stamp out of range: %v", last.When)
+	if want := []time.Duration{250, 1000, time.Millisecond}; !slices.Equal(got, want) {
+		t.Fatalf("stamps %v, want %v", got, want)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/vclock"
 )
 
 // Kind tags one trace event. The kinds are shared across protocols so
@@ -35,10 +37,7 @@ const (
 	EvRACancel         // readahead abandoned (pattern break, error)
 	EvWriteBehind      // write-behind fragment issued (B: bytes)
 	EvBarrier          // write-behind barrier drained
-	EvCacheHit         // answer served from cache
-	EvAnswer           // query answered (A: number of answer lines)
 	EvError            // operation failed
-	EvWait             // joined another caller's in-flight computation
 	nKinds
 )
 
@@ -62,10 +61,7 @@ var kindNames = [nKinds]string{
 	EvRACancel:    "readahead-cancel",
 	EvWriteBehind: "write-behind",
 	EvBarrier:     "barrier",
-	EvCacheHit:    "cache-hit",
-	EvAnswer:      "answer",
 	EvError:       "error",
-	EvWait:        "wait",
 }
 
 // String returns the stable ASCII name of the kind, as trace files
@@ -83,7 +79,7 @@ const RingSize = 256
 // Event is one fixed-size trace record.
 type Event struct {
 	Seq  uint64        // 1-based emission sequence, monotonic per ring
-	When time.Duration // since the ring was enabled
+	When time.Duration // since the ring was enabled, on the clock it was enabled with
 	Kind Kind
 	A, B int64
 }
@@ -107,8 +103,8 @@ type slot struct {
 // is armed per conversation when someone wants to watch.
 type Ring struct {
 	enabled atomic.Bool
-	epoch   atomic.Int64 // wall nanoseconds at Enable
-	nowFn   atomic.Pointer[func() int64]
+	ck      atomic.Pointer[vclock.Clock] // the clock Enable stamps by
+	epoch   atomic.Int64                 // its Unix nanoseconds at Enable
 	head    atomic.Uint64
 	slots   [RingSize]slot
 }
@@ -120,38 +116,19 @@ type Tracer interface {
 	Trace() *Ring
 }
 
-// SetNow replaces the ring's time source (wall nanoseconds) — how a
-// virtual-time world stamps traces with simulated time so same-seed
-// runs produce byte-identical trace files. nil restores the real
-// clock.
-func (r *Ring) SetNow(now func() int64) {
-	if now == nil {
-		r.nowFn.Store(nil)
-		return
-	}
-	r.nowFn.Store(&now)
-}
-
-func (r *Ring) now() int64 {
-	if fn := r.nowFn.Load(); fn != nil {
-		return (*fn)()
-	}
-	//netvet:ignore realtime the pluggable time source defaults to the real clock
-	return time.Now().UnixNano()
-}
-
-// Enable arms the ring and resets its epoch. Events already recorded
-// remain readable; their When is relative to the previous epoch.
-func (r *Ring) Enable() {
-	r.epoch.Store(r.now())
+// Enable arms the ring to stamp events by ck, the clock of whatever it
+// traces, and resets its epoch: on a virtual clock a trace reads
+// simulated time, so same-seed runs write byte-identical trace files.
+// Events already recorded remain readable; their When is relative to
+// the previous epoch.
+func (r *Ring) Enable(ck vclock.Clock) {
+	r.ck.Store(&ck)
+	r.epoch.Store(ck.Now().UnixNano())
 	r.enabled.Store(true)
 }
 
 // Disable stops recording; the buffered events remain readable.
 func (r *Ring) Disable() { r.enabled.Store(false) }
-
-// Enabled reports whether the ring is recording.
-func (r *Ring) Enabled() bool { return r.enabled.Load() }
 
 // Emit records one event if the ring is enabled. It is lock-free,
 // never blocks, never allocates, and is safe from any number of
@@ -160,7 +137,7 @@ func (r *Ring) Emit(k Kind, a, b int64) {
 	if !r.enabled.Load() {
 		return
 	}
-	when := r.now() - r.epoch.Load()
+	when := (*r.ck.Load()).Now().UnixNano() - r.epoch.Load()
 	seq := r.head.Add(1) // 1-based
 	s := &r.slots[(seq-1)%RingSize]
 	s.seq.Store(0) // mark torn while the fields change

@@ -95,16 +95,16 @@ func (fs *FS) restamp(d *vfs.Dir) {
 		fs.qid++
 		d.Qid.Path = fs.qid
 	}
-	t := fs.now()
+	t := uint32(fs.ck.Now().Unix())
 	d.Atime, d.Mtime = t, t
 }
 
-// now is the file system's time source for mtime updates.
-func (fs *FS) now() uint32 {
-	if fs.ck == nil {
-		return devtree.Now()
+// touch stamps d modified now. A file system without a clock has no
+// now: its files keep the kernel date devtree stamped them with.
+func (fs *FS) touch(d *vfs.Dir) {
+	if fs.ck != nil {
+		d.Mtime = uint32(fs.ck.Now().Unix())
 	}
-	return uint32(fs.ck.Now().Unix())
 }
 
 // Name implements vfs.Device.
@@ -186,7 +186,7 @@ func (fs *FS) WriteFile(path string, contents []byte, perm uint32) error {
 	child.data = append([]byte(nil), contents...)
 	child.dir.Length = int64(len(child.data))
 	child.dir.Qid.Vers++
-	child.dir.Mtime = fs.now()
+	fs.touch(&child.dir)
 	return nil
 }
 
@@ -332,7 +332,7 @@ func (n node) Create(name string, perm uint32, mode int) (vfs.Node, vfs.Handle, 
 	f.children[name] = child
 	f.order = append(f.order, name)
 	f.dir.Qid.Vers++
-	f.dir.Mtime = f.fs.now()
+	f.fs.touch(&f.dir)
 	if child.dir.IsDir() {
 		return node{f: child}, &dirHandle{f: child}, nil
 	}
@@ -366,7 +366,7 @@ func removeLocked(f *file) error {
 		}
 	}
 	f.parent.dir.Qid.Vers++
-	f.parent.dir.Mtime = f.fs.now()
+	f.fs.touch(&f.parent.dir)
 	f.gone = true
 	return nil
 }
@@ -464,7 +464,7 @@ func (h *fileHandle) Write(p []byte, off int64) (int, error) {
 	copy(f.data[off:], p)
 	f.dir.Length = int64(len(f.data))
 	f.dir.Qid.Vers++
-	f.dir.Mtime = f.fs.now()
+	f.fs.touch(&f.dir)
 	return len(p), nil
 }
 

@@ -123,9 +123,8 @@ func TestRetransmitFiresExactlyAtTimeout(t *testing.T) {
 			return false
 		})
 		c := dc.(*Conn)
-		c.Ring.SetNow(func() int64 { return v.Now().UnixNano() })
 		epoch := v.Now()
-		c.Ring.Enable()
+		c.Ring.Enable(v)
 		dc.Write([]byte("lost once"))
 		c.Mu.Lock()
 		due := c.oldestTx.Add(c.RTT.RTO(minRTO, maxRTO, synRetry))

@@ -30,7 +30,7 @@ func TestWindowSevenEdge(t *testing.T) {
 		silent := medium.NewPipe(medium.Profile{Clock: v})
 		a := NewClock(wire{tx, silent}, nil, v)
 		defer a.Close()
-		a.Trace().Enable()
+		a.Trace().Enable(v)
 
 		sent := make(chan int, 1)
 		v.Go(func() {
@@ -98,8 +98,7 @@ func TestEnquiryTimeout(t *testing.T) {
 		stats := &Stats{}
 		a := NewClock(wire{tx, silent}, stats, v)
 		defer a.Close()
-		a.Trace().SetNow(func() int64 { return v.Now().UnixNano() })
-		a.Trace().Enable()
+		a.Trace().Enable(v)
 
 		if _, err := a.Write([]byte("lonely block")); err != nil {
 			t.Error(err)
@@ -132,8 +131,8 @@ func TestEnquiryTimeout(t *testing.T) {
 // triggered recovery — and the counted rejects equal the traced ones.
 func TestTraceOrderUnderLoss(t *testing.T) {
 	a, b, stats := pair(t, medium.Profile{Loss: 0.12, Seed: 4})
-	a.Trace().Enable()
-	b.Trace().Enable()
+	a.Trace().Enable(vclock.Real)
+	b.Trace().Enable(vclock.Real)
 
 	const rounds = 30
 	done := make(chan struct{})

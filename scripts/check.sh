@@ -178,7 +178,7 @@ echo "block/*.go $(lines $(ls internal/block/*.go | grep -v _test.go))  leakchec
 echo "analysis/locks.go $(lines internal/analysis/locks.go)  analysis/lockorder.go $(lines internal/analysis/lockorder.go)  analysis/*.go $(lines $(ls internal/analysis/*.go | grep -v _test.go))  cmd/netvet/*.go $(lines $(ls cmd/netvet/*.go | grep -v _test.go))"
 echo "cs/*.go $(lines $(ls internal/cs/*.go | grep -v _test.go))"
 echo "cmd/*/*.go $(lines $(ls cmd/*/*.go | grep -v _test.go))  examples/*/*.go $(lines $(ls examples/*/*.go | grep -v _test.go))"
-echo "ip/stack.go $(lines internal/ip/stack.go)  ether.go $(lines internal/ether/ether.go)  ether/dev.go $(lines internal/ether/dev.go)  netdev.go $(lines internal/netdev/netdev.go)  devtree/*.go $(lines $(ls internal/devtree/*.go | grep -v _test.go))  medium.go $(lines internal/medium/medium.go)  medium/delay.go $(lines internal/medium/delay.go)  uart.go $(lines internal/uart/uart.go)"
+echo "ip/stack.go $(lines internal/ip/stack.go)  ether/ether.go $(lines internal/ether/ether.go)  ether/dev.go $(lines internal/ether/dev.go)  netdev.go $(lines internal/netdev/netdev.go)  devtree/*.go $(lines $(ls internal/devtree/*.go | grep -v _test.go))  medium.go $(lines internal/medium/medium.go)  medium/delay.go $(lines internal/medium/delay.go)  uart.go $(lines internal/uart/uart.go)"
 echo "datakit.go $(lines internal/datakit/datakit.go)  cyclone.go $(lines internal/cyclone/cyclone.go)  urp.go + medium.go + delay.go + datakit.go + cyclone.go $(lines internal/urp/urp.go internal/medium/medium.go internal/medium/delay.go internal/datakit/datakit.go internal/cyclone/cyclone.go)"
 if [ "$il" -gt 847 ]; then
     echo "internal/il/il.go is $il lines, over the paper's 847" >&2
@@ -219,7 +219,7 @@ echo "== fuzz smoke (10s per parser)"
 # One list, one loop. -fuzzminimizetime 5x: a crasher found during a
 # smoke should minimize in a handful of runs, not stall the gate for the
 # default 60s.
-for f in il:FuzzParseHeader ip:FuzzUnmarshal tcp:FuzzUnmarshal udp:FuzzRecv urp:FuzzRecv dnssrv:FuzzUnmarshal ninep:Fuzz9PMessage streams:FuzzCompressFrame streams:FuzzBatchReassembly ndb:FuzzParse netmsg:FuzzCtl ftp:FuzzReadReply ns:FuzzResolve; do
+for f in il:FuzzParseHeader ip:FuzzUnmarshal tcp:FuzzUnmarshal udp:FuzzRecv urp:FuzzRecv dnssrv:FuzzUnmarshal ninep:Fuzz9PMessage streams:FuzzCompressFrame streams:FuzzBatchReassembly ndb:FuzzParse netmsg:FuzzCtl ftp:FuzzReadReply ns:FuzzResolve datakit:FuzzCellFCS; do
     go test -run '^$' -fuzz "^${f#*:}\$" -fuzztime 10s -fuzzminimizetime 5x "./internal/${f%:*}"
 done
 
