@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/medium"
+	"repro/internal/streams"
 	"repro/internal/vclock"
 	"repro/internal/vfs"
 	"repro/internal/xport"
@@ -38,20 +39,41 @@ func NewLink(name string, p medium.Profile) *Link {
 	}
 	da, db := medium.NewDuplex(p)
 	l := &Link{}
-	l.a = &End{link: l, name: name, wire: da}
-	l.b = &End{link: l, name: name, wire: db}
-	l.a.cond.Init(da.Clock(), &l.a.mu)
-	l.b.cond.Init(db.Clock(), &l.b.mu)
+	l.a = newEnd(l, name, da)
+	l.b = newEnd(l, name, db)
 	return l
+}
+
+func newEnd(l *Link, name string, wire *medium.Duplex) *End {
+	e := &End{link: l, name: name, wire: wire, in: streams.NewClock(0, wire.Clock(), nil)}
+	e.cond.Init(wire.Clock(), &e.mu)
+	wire.Receive(e.receive)
+	return e
+}
+
+// receive runs on the fiber's delay line: each message goes up the
+// end's read stream as one delimited block. The wire hands over the
+// buffer (the impairer copies per delivery), so once its bytes are in
+// the block it goes back to the pool.
+func (e *End) receive(msg []byte, err error) {
+	if err != nil {
+		e.in.HangupUp()
+		return
+	}
+	b := block.Copy(msg, 0)
+	block.PutBytes(msg)
+	b.Delim = true
+	e.in.DeviceUp(b)
 }
 
 // Ends returns the two ends of the link.
 func (l *Link) Ends() (*End, *End) { return l.a, l.b }
 
-// Close tears the link down.
+// Close tears the link down; what neither end has read is lost.
 func (l *Link) Close() {
-	l.a.wire.Close()
-	l.b.wire.Close()
+	l.a.wire.Close() // both directions: the ends share the fiber pair
+	l.a.in.Close()
+	l.b.in.Close()
 }
 
 // End is one machine's VME card.
@@ -59,6 +81,7 @@ type End struct {
 	link *Link
 	name string
 	wire *medium.Duplex
+	in   *streams.Stream // what the fiber delivers, read by the conversation
 
 	mu   sync.Mutex
 	cond vclock.Cond
@@ -87,8 +110,6 @@ type Conn struct {
 	attached  bool
 	announced bool
 	closed    bool
-	rest      []byte // message a short read left unfinished, pool-owned
-	restOff   int    // how much of rest has been read
 }
 
 var _ xport.Conn = (*Conn)(nil)
@@ -179,36 +200,20 @@ func (c *Conn) isClosed() bool {
 }
 
 // Read implements xport.Conn: one framed message per read. A message
-// longer than p is handed over in pieces — the remainder waits for the
-// next Read — and a read never crosses a message boundary.
+// longer than p is handed over in pieces — the remainder waits on the
+// stream for the next Read — and a read never crosses a message
+// boundary.
 func (c *Conn) Read(p []byte) (int, error) {
 	c.mu.Lock()
 	ok := c.attached && !c.closed
-	msg, off := c.rest, c.restOff
-	if ok {
-		c.rest = nil
-	}
 	c.mu.Unlock()
 	if !ok {
 		return 0, xport.ErrNotConnected
 	}
-	if msg == nil {
-		var err error
-		if msg, err = c.end.wire.Recv(); err != nil {
-			return 0, vfs.ErrHungup
-		}
-		off = 0
+	n, err := c.end.in.Read(p)
+	if err != nil {
+		return 0, vfs.ErrHungup
 	}
-	n := copy(p, msg[off:])
-	if off+n < len(msg) {
-		c.mu.Lock()
-		c.rest, c.restOff = msg, off+n
-		c.mu.Unlock()
-		return n, nil
-	}
-	// The wire hands over the buffer (the impairer copies per
-	// delivery), so once it is copied out it goes back to the pool.
-	block.PutBytes(msg)
 	return n, nil
 }
 

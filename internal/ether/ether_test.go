@@ -518,7 +518,8 @@ func TestPromiscuousHangupStopsOtherStationsUnicasts(t *testing.T) {
 
 // TestAllocsUnicastFanOut: a unicast frame on a crowded ideal segment
 // allocates nothing — the frame block comes from the pool, the station
-// set is read, not copied, and the delay line parks for free.
+// set is read, not copied, and the delay line hands a due frame on
+// without parking.
 func TestAllocsUnicastFanOut(t *testing.T) {
 	if block.RaceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -536,7 +537,7 @@ func TestAllocsUnicastFanOut(t *testing.T) {
 		payload := make([]byte, 64)
 		allocs = testing.AllocsPerRun(200, func() {
 			tx.Transmit(dst, payload)
-			seg.Clock().Sleep(time.Microsecond) // past the frame's instant: the line's receive takes it and frees it
+			seg.Clock().Sleep(0) // the frame is due now: the line's receive takes it and frees it at its first wake
 		})
 		if n := ifcs[40].inPackets.Load(); n != 201 {
 			t.Errorf("the addressee heard %d frames, want 201", n)
@@ -585,7 +586,8 @@ func TestAllocsPacedUnicast(t *testing.T) {
 // TestSwitchesPacedUnicast pins what a paced frame costs the scheduler
 // in hand-offs: the delay line's process demultiplexes it for the
 // receiving station itself, so a frame costs one wake of the line, and
-// a burst costs one wake however many frames it holds.
+// a burst costs one wake however many frames it holds. The line has no
+// process until the first frame starts it, at the cost of that wake.
 func TestSwitchesPacedUnicast(t *testing.T) {
 	var oneAtATime, backToBack int64
 	onSegment(t, Profile{Latency: time.Millisecond, Bandwidth: 1_250_000}, func(seg *Segment) {
@@ -600,7 +602,6 @@ func TestSwitchesPacedUnicast(t *testing.T) {
 		heard := 0
 		rx.SetDeliver(func([]byte) { heard++ })
 		payload := make([]byte, 64)
-		v.Sleep(0) // the segment's processes start and park
 		s := v.Switches()
 		for range 100 {
 			tx.Transmit(b.Addr(), payload)
@@ -639,7 +640,6 @@ func TestSwitchesIdealBroadcast(t *testing.T) {
 		defer tx.Close()
 		tx.SetType(0x900)
 		payload := make([]byte, 64)
-		v.Sleep(0) // the segment's processes start and park
 		s := v.Switches()
 		for range 100 {
 			tx.Transmit(Broadcast, payload)

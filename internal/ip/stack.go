@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/ether"
+	"repro/internal/medium"
 	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
@@ -26,10 +27,9 @@ type Stack struct {
 	handlers map[uint8]Handler
 	forward  bool
 
-	// loop is the loopback medium: packets for a local address, in send
-	// order, for the one process that the first of them starts.
-	loop      *vclock.Mailbox[loopPkt]
-	loopStart sync.Once
+	// loop is the loopback medium: a delay line that hands packets for
+	// a local address to their transports in send order.
+	loop *medium.Delay[loopPkt]
 
 	ipID atomic.Uint32
 
@@ -72,7 +72,12 @@ type Route struct {
 // NewStack returns an empty stack whose timers (and those of the
 // transports built on it) run on ck.
 func NewStack(ck vclock.Clock) *Stack {
-	return &Stack{clk: ck, handlers: make(map[uint8]Handler), loop: vclock.NewMailbox[loopPkt](ck, 0)}
+	st := &Stack{clk: ck, handlers: make(map[uint8]Handler)}
+	st.loop = medium.NewDelay(ck, 0, func(p loopPkt) {
+		st.deliverLocal(p.proto, p.src, p.dst, p.b.Bytes())
+		p.b.Free()
+	})
+	return st
 }
 
 // Clock returns the stack's clock.
@@ -145,7 +150,7 @@ func (st *Stack) Close() {
 	for _, ifc := range ifcs {
 		ifc.Close()
 	}
-	for _, p := range st.loop.CloseDrain() {
+	for _, p := range st.loop.Close() {
 		p.b.Free()
 	}
 }
@@ -271,26 +276,12 @@ func (st *Stack) SendBlock(proto uint8, src, dst Addr, b *block.Block) error {
 	if src.IsZero() {
 		src = dst
 	}
-	st.loopStart.Do(func() { st.clk.Go(st.loopback) })
-	if !st.loop.TrySend(loopPkt{proto: proto, src: src, dst: dst, b: b}) {
+	if !st.loop.Put(loopPkt{proto: proto, src: src, dst: dst, b: b}, st.clk.Now()) {
 		b.Free()
 		return vfs.ErrShutdown
 	}
 	st.OutPackets.Add(1)
 	return nil
-}
-
-// loopback is the loopback medium's process: it hands local packets to
-// their transports in send order until Close.
-func (st *Stack) loopback() {
-	for {
-		p, ok := st.loop.Recv()
-		if !ok {
-			return
-		}
-		st.deliverLocal(p.proto, p.src, p.dst, p.b.Bytes())
-		p.b.Free()
-	}
 }
 
 func (st *Stack) sendRemote(proto uint8, src, dst Addr, b *block.Block) error {

@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/vclock"
@@ -13,7 +14,10 @@ import (
 // says when the last bit leaves, and the line schedules the arrival at
 // that instant plus the propagation delay, many items in flight.
 type Delay[T any] struct {
-	q *vclock.Mailbox[timed[T]]
+	ck      vclock.Clock
+	q       *vclock.Mailbox[timed[T]]
+	arrive  func(T)
+	started atomic.Bool
 }
 
 type timed[T any] struct {
@@ -21,31 +25,45 @@ type timed[T any] struct {
 	at time.Time
 }
 
-// NewDelay starts a delay line on ck whose process calls arrive with
-// each item at its instant. A bound > 0 caps the items waiting on the
-// line; bound <= 0 is unbounded.
+// NewDelay returns a delay line on ck whose process calls arrive with
+// each item at its instant. The first item on the line starts the
+// process, so a line never used costs none. An item already due when
+// the process takes it is handed on at once, so a burst of due items
+// costs one wake; only an item due later waits on the clock. A bound
+// > 0 caps the items waiting on the line; bound <= 0 is unbounded.
 func NewDelay[T any](ck vclock.Clock, bound int, arrive func(T)) *Delay[T] {
-	d := &Delay[T]{q: vclock.NewMailbox[timed[T]](ck, bound)}
-	ck.Go(func() {
-		for {
-			t, ok := d.q.Recv()
-			if !ok {
-				return
-			}
-			ck.SleepUntil(t.at)
-			arrive(t.v)
+	return &Delay[T]{ck: ck, q: vclock.NewMailbox[timed[T]](ck, bound), arrive: arrive}
+}
+
+func (d *Delay[T]) run() {
+	for {
+		t, ok := d.q.Recv()
+		if !ok {
+			return
 		}
-	})
-	return d
+		if t.at.After(d.ck.Now()) {
+			d.ck.SleepUntil(t.at)
+		}
+		d.arrive(t.v)
+	}
 }
 
 // Put puts v on the line to arrive at at. It never parks, so a sender
 // may hold its own locks across it; false means the line has closed
 // (or, bounded, is full) and v is still the caller's.
-func (d *Delay[T]) Put(v T, at time.Time) bool { return d.q.TrySend(timed[T]{v, at}) }
+func (d *Delay[T]) Put(v T, at time.Time) bool { return d.start(d.q.TrySend(timed[T]{v, at})) }
 
 // Send is Put that parks while a bounded line is full.
-func (d *Delay[T]) Send(v T, at time.Time) bool { return d.q.Send(timed[T]{v, at}) == nil }
+func (d *Delay[T]) Send(v T, at time.Time) bool { return d.start(d.q.Send(timed[T]{v, at}) == nil) }
+
+// start starts the line's process once an item is queued on it, and
+// returns queued.
+func (d *Delay[T]) start(queued bool) bool {
+	if queued && !d.started.Load() && d.started.CompareAndSwap(false, true) {
+		d.ck.Go(d.run)
+	}
+	return queued
+}
 
 // Close stops the line and returns what is in flight, head first, for
 // the caller to release. The one item the process may be waiting out

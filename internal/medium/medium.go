@@ -1,10 +1,10 @@
 // Package medium provides the paced, lossy, unidirectional message
 // pipe used to simulate point-to-point media: Datakit circuit legs and
-// Cyclone fibers. Every medium, ideal or paced, the Ethernet segment of
-// package ether included, is a Pacer booking plus one Delay line whose
-// process runs the receiver: a send books the wire and puts the message
-// on the line without sleeping out its wire time, and no reader process
-// stands between the line and the receiver. A Profile calibrates
+// Cyclone fibers. Every medium, ideal or paced, the Ethernet segment,
+// the UART and IP's loopback included, is a Pacer booking plus one
+// Delay line whose process runs the receiver: a send books the wire
+// and puts the message on the line without sleeping out its wire time,
+// and no reader process stands between the line and the receiver. A Profile calibrates
 // latency, bandwidth, maximum transfer unit, and loss so benchmarks can
 // reproduce the relative speeds of the paper's media; the zero Profile
 // is a line with nothing to pace, whose messages are due at once, so
@@ -250,9 +250,6 @@ func (d *Duplex) Put(msg []byte) time.Time { return d.tx.Put(msg) }
 // Receive installs the receiver of what the peer end sends (see
 // Pipe.Receive).
 func (d *Duplex) Receive(recv func(msg []byte, err error)) { d.rx.Receive(recv) }
-
-// Recv receives from the peer end.
-func (d *Duplex) Recv() ([]byte, error) { return d.rx.Recv() }
 
 // Close closes both directions.
 func (d *Duplex) Close() {

@@ -3,6 +3,7 @@ package medium
 import (
 	"bytes"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -221,21 +222,30 @@ func TestRecvDrainsQueueAfterClose(t *testing.T) {
 }
 
 func TestDuplex(t *testing.T) {
-	a, b := NewDuplex(Profile{})
-	defer a.Close()
-	a.Send([]byte("to b"))
-	m, err := b.Recv()
-	if err != nil || string(m) != "to b" {
-		t.Fatalf("a->b: %q, %v", m, err)
-	}
-	b.Send([]byte("to a"))
-	m, err = a.Recv()
-	if err != nil || string(m) != "to a" {
-		t.Fatalf("b->a: %q, %v", m, err)
-	}
-	if a.MTU() != 0 {
-		t.Errorf("unlimited MTU = %d", a.MTU())
-	}
+	onVirtual(func(ck *vclock.Virtual) {
+		a, b := NewDuplex(Profile{Clock: ck})
+		var atA, atB []string
+		a.Receive(func(m []byte, err error) {
+			if err == nil {
+				atA = append(atA, string(m))
+			}
+		})
+		b.Receive(func(m []byte, err error) {
+			if err == nil {
+				atB = append(atB, string(m))
+			}
+		})
+		a.Send([]byte("to b"))
+		b.Send([]byte("to a"))
+		ck.Sleep(0)
+		a.Close()
+		if !slices.Equal(atB, []string{"to b"}) || !slices.Equal(atA, []string{"to a"}) {
+			t.Errorf("b heard %q and a heard %q, want [to b] and [to a]", atB, atA)
+		}
+		if a.MTU() != 0 {
+			t.Errorf("unlimited MTU = %d", a.MTU())
+		}
+	})
 }
 
 // --- the delay line ---
@@ -315,6 +325,90 @@ func TestDelayPutNeverParks(t *testing.T) {
 		ck.Sleep(time.Millisecond)
 		if len(l.arrivals) != n || l.arrivals[n-1] != n-1 || l.at[n-1] != 0 {
 			t.Errorf("%d of %d arrived once the sender parked", len(l.arrivals), n)
+		}
+	})
+}
+
+// TestDelayIdleLineStartsNoProcess: a line's process starts with its
+// first item, so a line never used costs the scheduler nothing, and the
+// first item wakes a process that hands it on and parks.
+func TestDelayIdleLineStartsNoProcess(t *testing.T) {
+	onVirtual(func(ck *vclock.Virtual) {
+		l := newLine(ck)
+		defer l.Close()
+		s := ck.Switches()
+		ck.Sleep(time.Millisecond)
+		if idle := ck.Switches() - s; idle != 0 {
+			t.Errorf("an idle line cost %d hand-offs, want 0 (a process per line is back?)", idle)
+		}
+		l.put(0, time.Millisecond)
+		ck.Sleep(time.Millisecond)
+		if len(l.arrivals) != 1 {
+			t.Errorf("the first item woke no process: %d arrived", len(l.arrivals))
+		}
+	})
+}
+
+// TestDelayOneProcessUnderConcurrentPuts: senders on host threads race
+// to put the first items on a fresh line, and exactly one process
+// starts: the receiver never runs on two goroutines at once (the race
+// detector would see the second), and each sender's items arrive in
+// its order.
+func TestDelayOneProcessUnderConcurrentPuts(t *testing.T) {
+	const senders, each = 8, 100
+	var got [senders][]int // touched only by the line's process
+	done := vclock.NewMailbox[bool](vclock.Real, 1)
+	d := NewDelay(vclock.Real, 0, func(v [2]int) {
+		if v[0] < 0 {
+			done.Send(true) // the marker put after every sender finished
+			return
+		}
+		got[v[0]] = append(got[v[0]], v[1])
+	})
+	defer d.Close()
+	var wg sync.WaitGroup
+	ready := make(chan struct{})
+	for s := range senders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-ready // all at once, for the first Put
+			for i := range each {
+				d.Put([2]int{s, i}, time.Time{}) // long due
+			}
+		}()
+	}
+	close(ready)
+	wg.Wait()
+	d.Put([2]int{-1, 0}, time.Time{})
+	done.Recv()
+	want := make([]int, each)
+	for i := range want {
+		want[i] = i
+	}
+	for s := range senders {
+		if !slices.Equal(got[s], want) {
+			t.Fatalf("sender %d's items arrived as %v, want 0…%d in order", s, got[s], each-1)
+		}
+	}
+}
+
+// TestDelayDueItemsPassInOneWake: items already due when the line's
+// process takes them are handed on at once, with no event-heap round
+// trip, so a burst costs one wake however many items it holds, and a
+// sender's yield at the same instant finds them all arrived.
+func TestDelayDueItemsPassInOneWake(t *testing.T) {
+	onVirtual(func(ck *vclock.Virtual) {
+		l := newLine(ck)
+		defer l.Close()
+		const n = 100
+		for i := range n {
+			l.put(i, 0)
+		}
+		s := ck.Switches()
+		ck.Sleep(0)
+		if got := ck.Switches() - s; len(l.arrivals) != n || got != 2 {
+			t.Errorf("after one yield %d of %d due items arrived in %d hand-offs, want all in 2", len(l.arrivals), n, got)
 		}
 	})
 }

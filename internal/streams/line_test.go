@@ -154,15 +154,16 @@ func TestLineDeviceEndFreesControlBlocks(t *testing.T) {
 	}
 }
 
-// duplexConn is a medium.Duplex — an in-memory link that queues what
-// is sent, as every real transport here queues at least a window — in
-// the shape NewLine wraps. Messages are far shorter than a pump read.
-type duplexConn struct{ *medium.Duplex }
+// duplexConn is a pair of medium pipes — an in-memory link that queues
+// what is sent, as every real transport here queues at least a window
+// — in the shape NewLine wraps. Messages are far shorter than a pump
+// read.
+type duplexConn struct{ tx, rx *medium.Pipe }
 
-func (c duplexConn) Write(p []byte) (int, error) { return len(p), c.Send(p) }
-func (c duplexConn) Close() error                { c.Duplex.Close(); return nil }
+func (c duplexConn) Write(p []byte) (int, error) { return len(p), c.tx.Send(p) }
+func (c duplexConn) Close() error                { c.tx.Close(); c.rx.Close(); return nil }
 func (c duplexConn) Read(p []byte) (int, error) {
-	m, err := c.Recv()
+	m, err := c.rx.Recv()
 	return copy(p, m), err
 }
 
@@ -177,9 +178,9 @@ func TestPushPopMidTraffic(t *testing.T) {
 	// A queued link, not net.Pipe: a rendezvous write completes only
 	// when the peer's pump reads, and the pump can be parked at
 	// DeviceUp behind a waiting push — see chainLock.
-	d1, d2 := medium.NewDuplex(medium.Profile{})
-	l1 := NewLine(duplexConn{d1}, vclock.Real, 0)
-	l2 := NewLine(duplexConn{d2}, vclock.Real, 0)
+	ab, ba := medium.NewPipe(medium.Profile{}), medium.NewPipe(medium.Profile{})
+	l1 := NewLine(duplexConn{ab, ba}, vclock.Real, 0)
+	l2 := NewLine(duplexConn{ba, ab}, vclock.Real, 0)
 	// frame restores boundaries over the byte pipe; it stays put while
 	// trace churns above it.
 	for _, l := range []*Line{l1, l2} {

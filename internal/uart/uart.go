@@ -7,16 +7,23 @@
 //
 // A Line is a full-duplex serial wire between two machines (the
 // paper's "9600 baud serial lines provide slow links to users at
-// home"); each end is a stream whose device side paces bytes at the
-// configured baud rate. Serial wires carry bytes, not messages, so a
-// 9P mount over a UART needs delimiters restored — push the "frame"
-// stream module or use the ninep marshaling adapter, exactly the
-// §2.1/§2.4 arrangement.
+// home"); each end is a stream whose device side books its bytes on
+// the transmitter at the configured baud rate (medium.Pacer) and puts
+// them on a delay line (medium.Delay), the wire every medium here
+// shares: the line's process hands them to the peer's stream when their
+// last bit has left, so a write returns once its bytes are on the wire,
+// not once they have crossed it. Serial wires carry bytes, not
+// messages, so a 9P mount over a UART needs delimiters restored — push
+// the "frame" stream module or use the ninep marshaling adapter,
+// exactly the §2.1/§2.4 arrangement.
 package uart
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -60,20 +67,21 @@ type End struct {
 	ck   vclock.Clock
 	baud atomic.Int64
 
-	tx medium.Pacer // the transmitter's serialization point
-
-	mu     sync.Mutex
+	tx     medium.Pacer                  // the transmitter's serialization point
+	line   *medium.Delay[*streams.Block] // the wire, whose process receives for the peer
 	stream *streams.Stream
-	closed bool
-
-	inBytes  atomic.Int64
-	outBytes atomic.Int64
+	closed atomic.Bool
 }
+
+// lineDepth is how many blocks a writer may have on the wire ahead of
+// the transmitter before its write parks.
+const lineDepth = 64
 
 func newEnd(ck vclock.Clock) *End {
 	e := &End{ck: ck}
 	e.baud.Store(DefaultBaud)
 	e.stream = streams.NewClock(0, ck, e.transmit)
+	e.line = medium.NewDelay(ck, lineDepth, e.arrive)
 	return e
 }
 
@@ -94,10 +102,10 @@ func (e *End) SetBaud(baud int) error {
 // Baud returns the current speed.
 func (e *End) Baud() int { return int(e.baud.Load()) }
 
-// transmit is the device-end output put routine: it paces the block's
+// transmit is the device-end output put routine: it books the block's
 // bytes at the line rate (10 bits per byte: start + 8 data + stop) and
-// delivers them to the peer as an undelimited byte arrival — serial
-// wires have no record boundaries.
+// puts the block on the wire to arrive when its last bit has left. The
+// writer waits only while the wire holds lineDepth blocks.
 func (e *End) transmit(b *streams.Block) {
 	n := b.Len()
 	if b.Type != streams.BlockData || n == 0 {
@@ -105,42 +113,32 @@ func (e *End) transmit(b *streams.Block) {
 		return
 	}
 	free := e.tx.Reserve(e.ck.Now(), medium.TransmitTime(n*10, e.baud.Load()))
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
+	if !e.line.Send(b, free) {
+		b.Free() // the end has hung up
+	}
+}
+
+// arrive runs on the wire's process: it hands the block to the peer as
+// an undelimited byte arrival — serial wires have no record
+// boundaries. The block itself crosses the wire, no copy.
+func (e *End) arrive(b *streams.Block) {
+	if e.peer.closed.Load() {
 		b.Free()
 		return
 	}
-	e.ck.SleepUntil(free)
-	e.outBytes.Add(int64(n))
-	peer := e.peer
-	peer.mu.Lock()
-	s := peer.stream
-	closed = peer.closed
-	peer.mu.Unlock()
-	if closed {
-		b.Free()
-		return
-	}
-	peer.inBytes.Add(int64(n))
-	// The block itself crosses the wire — no copy. It arrives as an
-	// undelimited byte arrival: serial wires have no record boundaries.
 	b.Delim = false
-	s.DeviceUp(b)
+	e.peer.stream.DeviceUp(b)
 }
 
 func (e *End) close() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	if e.closed.Swap(true) {
 		return
 	}
-	e.closed = true
-	s := e.stream
-	e.mu.Unlock()
-	s.HangupUp()
-	s.Close()
+	for _, b := range e.line.Close() {
+		b.Free()
+	}
+	e.stream.HangupUp()
+	e.stream.Close()
 }
 
 // Read drains received bytes.
@@ -195,7 +193,7 @@ func (d *Dev) Attach(spec string) (vfs.Node, error) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		var ents []vfs.Dir
-		for n := range d.eias {
+		for _, n := range slices.Sorted(maps.Keys(d.eias)) {
 			ents = append(ents,
 				devtree.MkFile(fmt.Sprintf("eia%d", n), d.owner, 0666),
 				devtree.MkFile(fmt.Sprintf("eia%dctl", n), d.owner, 0666))
@@ -204,11 +202,11 @@ func (d *Dev) Attach(spec string) (vfs.Node, error) {
 	}
 	root.Lookup = func(name string) (vfs.Node, error) {
 		ctl := false
-		numStr, ok := cutPrefix(name, "eia")
+		numStr, ok := strings.CutPrefix(name, "eia")
 		if !ok {
 			return nil, vfs.ErrNotExist
 		}
-		if s, isCtl := cutSuffix(numStr, "ctl"); isCtl {
+		if s, isCtl := strings.CutSuffix(numStr, "ctl"); isCtl {
 			numStr, ctl = s, true
 		}
 		n, err := strconv.Atoi(numStr)
@@ -227,20 +225,6 @@ func (d *Dev) Attach(spec string) (vfs.Node, error) {
 		return d.dataNode(name, e), nil
 	}
 	return root, nil
-}
-
-func cutPrefix(s, p string) (string, bool) {
-	if len(s) >= len(p) && s[:len(p)] == p {
-		return s[len(p):], true
-	}
-	return s, false
-}
-
-func cutSuffix(s, p string) (string, bool) {
-	if len(s) >= len(p) && s[len(s)-len(p):] == p {
-		return s[:len(s)-len(p)], true
-	}
-	return s, false
 }
 
 // ctlNode parses the ASCII control strings: b<baud> sets the speed;

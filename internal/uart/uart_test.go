@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -78,6 +79,61 @@ func TestBaudPacing(t *testing.T) {
 		}
 		if el := ck.Since(start); el != 100*time.Millisecond {
 			return fmt.Errorf("96 bytes at 9600 baud took %v, want 100ms", el)
+		}
+		return nil
+	})
+}
+
+// TestWriteDoesNotWaitOutTheWire: a write puts its bytes on the wire
+// and returns; the wire's process delivers them when the last bit has
+// left, 100 ms later for 96 bytes at 9600 baud.
+func TestWriteDoesNotWaitOutTheWire(t *testing.T) {
+	onLine(t, 9600, func(ck vclock.Clock, a, b *End) error {
+		start := ck.Now()
+		if n, err := a.Write(make([]byte, 96)); n != 96 || err != nil {
+			return fmt.Errorf("write: %d, %v", n, err)
+		}
+		if el := ck.Since(start); el != 0 {
+			return fmt.Errorf("a 96-byte write at 9600 baud returned after %v, want at once", el)
+		}
+		if _, err := readN(b, 96); err != nil {
+			return err
+		}
+		if el := ck.Since(start); el != 100*time.Millisecond {
+			return fmt.Errorf("the bytes arrived after %v, want 100ms", el)
+		}
+		return nil
+	})
+}
+
+// TestListingIsInLineOrder: /dev lists a machine's lines in number
+// order, the same bytes on every read, as same-seed determinism needs.
+func TestListingIsInLineOrder(t *testing.T) {
+	onLine(t, fast, func(ck vclock.Clock, a, b *End) error {
+		l := NewLine(ck)
+		defer l.Close()
+		c, _ := l.Ends()
+		dev := NewDev("bootes")
+		dev.Add(3, c)
+		dev.Add(1, a)
+		dev.Add(2, b)
+		nsp := ns.New("bootes", ramfs.New("bootes").Root())
+		if err := nsp.MountDevice(dev, "", "/dev", ns.MREPL); err != nil {
+			return err
+		}
+		want := []string{"eia1", "eia1ctl", "eia2", "eia2ctl", "eia3", "eia3ctl"}
+		for range 10 {
+			ents, err := nsp.ReadDir("/dev")
+			if err != nil {
+				return err
+			}
+			var names []string
+			for _, e := range ents {
+				names = append(names, e.Name)
+			}
+			if !slices.Equal(names, want) {
+				return fmt.Errorf("/dev lists %v, want %v", names, want)
+			}
 		}
 		return nil
 	})

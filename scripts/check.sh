@@ -84,6 +84,24 @@ if [ "$real" != "$allow" ]; then
     exit 1
 fi
 
+echo "== one line: no device write sleeps out its wire time"
+# Every medium books its wire on a medium.Pacer and puts what it sends
+# on a medium.Delay, whose process waits out the wire time and runs the
+# receiver; a writer that sleeps in its own put chain (the UART's old
+# transmit) is a second pacing model. Outside the clock itself, the only
+# non-test callers of SleepUntil are the delay line and URP's wait, once
+# a message, for its last cell to leave.
+sleepers=$(grep -rlE '\.SleepUntil\(' --include='*.go' internal cmd examples | grep -v '_test\.go$' | grep -v testdata | grep -v '^internal/vclock/' | sort)
+allow="internal/medium/delay.go
+internal/urp/urp.go"
+if [ "$sleepers" != "$allow" ]; then
+    echo "non-test files calling SleepUntil:" >&2
+    echo "$sleepers" >&2
+    echo "want exactly:" >&2
+    echo "$allow" >&2
+    exit 1
+fi
+
 echo "== bench module: vet + tests (race)"
 # The benchmark is a module of its own (repro/bench, replace repro =>
 # ../), so the ./... patterns above do not reach it.
