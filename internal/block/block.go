@@ -193,13 +193,28 @@ func Copy(p []byte, headroom int) *Block {
 	return b
 }
 
-// FromBytes wraps an existing buffer as a block without copying. The
-// buffer does not come from (or return to) a pool; Free releases only
-// the reference. The caller transfers ownership of p.
+// FromBytes wraps an existing buffer as a block without copying; the
+// caller transfers ownership of p. A buffer whose capacity is exactly a
+// class size — a GetBytes buffer, by the rule PutBytes uses — is
+// adopted: the block's header comes from the pool GetBytes strips
+// headers into, the buffer leaves the raw books for the block books
+// (and the leak gate), and Free returns it to its class pool. Any
+// other buffer is not pooled, and Free releases only the reference.
 func FromBytes(p []byte) *Block {
 	statBlocks.add(1)
 	statUnpooled.add(1)
-	b := &Block{buf: p, rp: 0, wp: len(p), class: -1}
+	class := classOf(cap(p))
+	var b *Block
+	if class >= 0 {
+		statRawPuts.add(1)
+		b = getBlockStruct()
+		b.buf = p[:classSizes[class]]
+		b.Next, b.Type, b.Delim = nil, Data, false
+	} else {
+		b = &Block{buf: p}
+	}
+	b.class = int8(class)
+	b.rp, b.wp = 0, len(p)
 	b.refs.Store(1)
 	track(b)
 	return b
@@ -341,19 +356,26 @@ func GetBytes(n int) []byte {
 // capacities are dropped to the garbage collector.
 func PutBytes(p []byte) {
 	statRawPuts.add(1)
-	c := cap(p)
-	for i, sz := range classSizes {
-		if c == sz {
-			b := getBlockStruct()
-			b.buf = p[:sz]
-			classPools[i].Put(b)
-			return
-		}
+	if i := classOf(cap(p)); i >= 0 {
+		b := getBlockStruct()
+		b.buf = p[:classSizes[i]]
+		classPools[i].Put(b)
 	}
 }
 
+// classOf returns the class index whose size is exactly c, or -1.
+func classOf(c int) int {
+	for i, sz := range classSizes {
+		if c == sz {
+			return i
+		}
+	}
+	return -1
+}
+
 // blockStructPool recycles the Block headers GetBytes strips from
-// pooled buffers, so the raw-slice path allocates nothing steady-state.
+// pooled buffers, so the raw-slice path allocates nothing steady-state;
+// PutBytes and an adopting FromBytes take them back.
 var blockStructPool sync.Pool
 
 func getBlockStruct() *Block {

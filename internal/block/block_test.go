@@ -156,6 +156,39 @@ func TestFromBytes(t *testing.T) {
 	b.Free()
 }
 
+// TestFromBytesAdoptsAClassBuffer: a GetBytes buffer wrapped by
+// FromBytes is the block's buffer, uncopied; it moves from the raw
+// books to the gated ones, and Free sends it home to its class pool.
+func TestFromBytesAdoptsAClassBuffer(t *testing.T) {
+	p := GetBytes(300)
+	copy(p, "adopted")
+	before := Snapshot()
+	b := FromBytes(p)
+	mid := Snapshot()
+	if &b.Bytes()[0] != &p[0] || b.Len() != 300 || string(b.Bytes()[:7]) != "adopted" {
+		t.Fatalf("adopted block's window is not the buffer it wraps")
+	}
+	if b.class != 1 {
+		t.Fatalf("adopted block's class = %d, want 1 (1024)", b.class)
+	}
+	if d := mid.BytesCopied - before.BytesCopied; d != 0 {
+		t.Errorf("adopting copied %d bytes", d)
+	}
+	if db, dr := mid.InFlight-before.InFlight, mid.RawInFlight-before.RawInFlight; db != 1 || dr != -1 {
+		t.Errorf("adopting moved blocks in flight by %d and raw buffers by %d, want +1 and -1", db, dr)
+	}
+	b.Free()
+	if d := Snapshot().InFlight - before.InFlight; d != 0 {
+		t.Errorf("InFlight drifted by %d after the adopted block's Free", d)
+	}
+	if RaceEnabled {
+		return // race instrumentation allocates
+	}
+	if allocs := testing.AllocsPerRun(100, func() { FromBytes(GetBytes(300)).Free() }); allocs != 0 {
+		t.Errorf("GetBytes, adopt and Free allocate %.1f objects, want 0", allocs)
+	}
+}
+
 func TestGetPutBytes(t *testing.T) {
 	p := GetBytes(300)
 	if len(p) != 300 {

@@ -53,15 +53,14 @@ func newEnd(l *Link, name string, wire *medium.Duplex) *End {
 
 // receive runs on the fiber's delay line: each message goes up the
 // end's read stream as one delimited block. The wire hands over the
-// buffer (the impairer copies per delivery), so once its bytes are in
-// the block it goes back to the pool.
+// buffer (the impairer copies per delivery), and the block is that
+// buffer: the one copy on the way in is the reader's.
 func (e *End) receive(msg []byte, err error) {
 	if err != nil {
 		e.in.HangupUp()
 		return
 	}
-	b := block.Copy(msg, 0)
-	block.PutBytes(msg)
+	b := block.FromBytes(msg)
 	b.Delim = true
 	e.in.DeviceUp(b)
 }

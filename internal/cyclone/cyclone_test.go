@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/medium"
 	"repro/internal/vclock"
 	"repro/internal/xport"
@@ -287,4 +288,52 @@ func TestConcurrentListenClose(t *testing.T) {
 	case <-time.After(10 * time.Second): //netvet:ignore realtime a watchdog over host threads racing, which this test is about
 		t.Fatal("deadlock: concurrent Listen+Close never finished")
 	}
+}
+
+// TestAllocsReceive: a message off the fiber goes up the read stream as
+// the very buffer the wire delivered. The receive copies nothing and
+// draws no buffer from the allocator; the reader's Read is the one
+// copy, and it allocates nothing either.
+func TestAllocsReceive(t *testing.T) {
+	onLink(t, medium.Profile{}, func(_ *vclock.Virtual, l *Link) {
+		_, eb := l.Ends()
+		cb, _ := eb.NewConn()
+		if err := cb.Connect(""); err != nil {
+			t.Error(err)
+			return
+		}
+		defer cb.Close()
+		buf := make([]byte, 1000)
+		read := func() {
+			if n, err := cb.Read(buf); err != nil || n != len(buf) {
+				t.Errorf("read %d bytes, %v; want %d", n, err, len(buf))
+			}
+		}
+		msg := block.GetBytes(len(buf))
+		before := block.Snapshot()
+		eb.receive(msg, nil)
+		got := block.Snapshot()
+		if d := got.BytesCopied - before.BytesCopied; d != 0 {
+			t.Errorf("a received message copied %d bytes, want 0", d)
+		}
+		if dh, dm := got.PoolHits-before.PoolHits, got.PoolMisses-before.PoolMisses; dh != 0 || dm != 0 {
+			t.Errorf("a received message drew %d pooled and %d new buffers, want 0 and 0", dh, dm)
+		}
+		if db, dr := got.InFlight-before.InFlight, got.RawInFlight-before.RawInFlight; db != 1 || dr != -1 {
+			t.Errorf("receive moved blocks in flight by %d and raw buffers by %d, want +1 and -1", db, dr)
+		}
+		read()
+		if d := block.Snapshot().InFlight - before.InFlight; d != 0 {
+			t.Errorf("%d block(s) still in flight after the read", d)
+		}
+		if block.RaceEnabled {
+			return // race instrumentation allocates
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			eb.receive(block.GetBytes(len(buf)), nil)
+			read()
+		}); allocs != 0 {
+			t.Errorf("receive and read allocate %.1f objects per message, want 0", allocs)
+		}
+	})
 }

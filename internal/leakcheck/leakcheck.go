@@ -16,7 +16,9 @@
 // one in flight. A -race build records each live block's allocation
 // site, and the failure names the sites; a plain build reports the
 // count. Raw GetBytes buffers are not gated: they may fall to the
-// garbage collector by design.
+// garbage collector by design. A raw buffer that becomes a block is
+// gated from then on: the wire buffer a 9P Rread or Twrite was decoded
+// from (its data is read in place), and a message off a Cyclone fiber.
 //
 // Usage, one line per test (goroutines only: tests that run in
 // parallel share the block books):

@@ -258,8 +258,9 @@ func (h blockSrvHandle) Close() error                           { return nil }
 // TestFlushRacesReadahead: close a handle while its speculative
 // readahead Treads are parked in the server, then let them finish.
 // The flushed replies must not be delivered, every goroutine must
-// exit (leakcheck in TestMain), and the pooled buffers the server
-// allocated for the suppressed replies must return to the allocator.
+// exit (leakcheck in TestMain), and every pooled buffer must return to
+// the allocator: the Rreads the client received are blocks (their wire
+// buffers), and the suppressed replies the server's marshal buffers.
 func TestFlushRacesReadahead(t *testing.T) {
 	before := block.Snapshot()
 	v := vclock.NewVirtual()
@@ -315,7 +316,9 @@ func TestFlushRacesReadahead(t *testing.T) {
 		// suppressed server-side and their pooled buffers recycled.
 	})
 	// Every block and every raw buffer the exchange allocated must be
-	// back in the pool: the suppressed replies are raw GetBytes buffers.
+	// back in the pool. A reply that reached the client is a block the
+	// leak gate counts; the suppressed ones never left the server, whose
+	// marshal buffers are still raw GetBytes slices.
 	if after := block.Snapshot(); after.InFlight != before.InFlight || after.RawInFlight != before.RawInFlight {
 		t.Fatalf("pooled buffers leaked: blocks in flight %d -> %d, raw buffers in flight %d -> %d",
 			before.InFlight, after.InFlight, before.RawInFlight, after.RawInFlight)
@@ -407,4 +410,43 @@ func TestWriteBehindErrorSurfaces(t *testing.T) {
 			t.Error("write-behind swallowed the server's write error")
 		}
 	})
+}
+
+// TestReadaheadRestFreedOnClose: a reader taking half a fragment at a
+// time leaves the other half buffered in the handle, and that half is
+// the reply's wire buffer: the handle holds it as a block between
+// reads, and Close frees it with the readahead still in flight.
+func TestReadaheadRestFreedOnClose(t *testing.T) {
+	before := block.Snapshot().InFlight
+	onMount(t, FileConfig(), func(v *vclock.Virtual, root vfs.Node, fs *ramfs.FS, _ *ninep.Client) {
+		data := testPattern(8 * ninep.MaxFData)
+		fs.WriteFile("f", data, 0664)
+		n, err := root.Walk("f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		h, err := n.Open(vfs.OREAD)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		half := make([]byte, ninep.MaxFData/2)
+		for off := 0; off < 5*len(half); off += len(half) {
+			if n, err := h.Read(half, int64(off)); err != nil || !bytes.Equal(half[:n], data[off:off+len(half)]) {
+				t.Errorf("read at %d: %d bytes, %v", off, n, err)
+				return
+			}
+		}
+		v.Sleep(time.Millisecond) // the readahead lands
+		if held := block.Snapshot().InFlight - before; held < 1 {
+			t.Errorf("%d blocks held with half a fragment buffered, want at least 1", held)
+		}
+		if err := h.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	if d := block.Snapshot().InFlight - before; d != 0 {
+		t.Errorf("%d block(s) never freed after Close", d)
+	}
 }

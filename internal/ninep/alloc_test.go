@@ -10,15 +10,35 @@ import (
 	"repro/internal/vfs"
 )
 
-// The block-discipline gate for 9P: one Rread round-trip over an
-// in-process pipe. Request and response travel as pool-backed buffers
-// whose ownership crosses the pipe, so marshal, transport and decode
-// allocate no buffers. What is left is one object a side and the data:
-// the client's Pending (the reply and its waiter live in it), the
-// server's srvReq (request and reply Fcalls, and the escalated
-// request's goroutine takes it from a queue rather than a closure), and
-// the copy of the Rread's data the client hands its caller.
+// The block-discipline gates for 9P: one Rread, or one Twrite, round
+// trip over an in-process pipe. Request and response travel as
+// pool-backed buffers whose ownership crosses the pipe, and the data
+// of an Rread or Twrite is decoded in place, its wire buffer adopted as
+// the block the reply or request owns, so marshal, transport and decode
+// allocate no buffers and copy no data out. What is left is one object
+// a side: the client's Pending (the reply and its waiter live in it)
+// and the server's srvReq (request and reply Fcalls, and the escalated
+// request's goroutine takes it from a queue rather than a closure).
 func TestAllocsRreadRoundTrip(t *testing.T) {
+	allocs := roundTripAllocs(t, vfs.OREAD, func(f *Fid, buf []byte) (int, error) { return f.Read(buf, 0) })
+	t.Logf("Rread(4K) round trip: %.1f allocs/op", allocs)
+	if allocs > 2 {
+		t.Fatalf("Rread round trip allocates %.1f objects/op, want <= 2 (a data copy, a pool bypassed, or a per-message Fcall, mailbox or closure back?)", allocs)
+	}
+}
+
+func TestAllocsTwriteRoundTrip(t *testing.T) {
+	allocs := roundTripAllocs(t, vfs.OWRITE, func(f *Fid, buf []byte) (int, error) { return f.Write(buf, 0) })
+	t.Logf("Twrite(4K) round trip: %.1f allocs/op", allocs)
+	if allocs > 2 {
+		t.Fatalf("Twrite round trip allocates %.1f objects/op, want <= 2 (a data copy, a pool bypassed, or a per-message Fcall, mailbox or closure back?)", allocs)
+	}
+}
+
+// roundTripAllocs opens a 4 KiB ramfs file in mode and reports the
+// allocations of one op on it with a 4 KiB buffer.
+func roundTripAllocs(t *testing.T, mode int, op func(f *Fid, buf []byte) (int, error)) float64 {
+	t.Helper()
 	if block.RaceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
@@ -40,21 +60,18 @@ func TestAllocsRreadRoundTrip(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := f.Open(vfs.OREAD); err != nil {
+		if err := f.Open(mode); err != nil {
 			t.Error(err)
 			return
 		}
 		buf := make([]byte, 4096)
 		allocs = testing.AllocsPerRun(200, func() {
-			if _, err := f.Read(buf, 0); err != nil {
+			if _, err := op(f, buf); err != nil {
 				t.Error(err)
 			}
 		})
 	})
-	t.Logf("Rread(4K) round trip: %.1f allocs/op", allocs)
-	if allocs > 3 {
-		t.Fatalf("Rread round trip allocates %.1f objects/op, want <= 3 (a pool bypassed, or a per-message Fcall, mailbox or closure back?)", allocs)
-	}
+	return allocs
 }
 
 // Under a virtual clock a walked fid lives until its connection closes

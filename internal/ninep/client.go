@@ -159,12 +159,10 @@ func (cl *Client) demux() {
 		}
 		// The reply is decoded before any tag is touched, so a
 		// malformed one fails the client with the tag table intact.
-		// unmarshalInto copies everything it keeps, so the wire buffer
-		// goes back to the pool either way.
+		// An Rread's data stays in its wire buffer, which the reply
+		// owns from here on.
 		var f Fcall
-		err = unmarshalInto(msg, &f)
-		block.PutBytes(msg)
-		if err != nil {
+		if err := decode(msg, &f); err != nil {
 			cl.fail(err)
 			return
 		}
@@ -174,14 +172,17 @@ func (cl *Client) demux() {
 			delete(cl.tags, f.Tag)
 			cl.tagFree.Broadcast()
 		}
-		// p == nil: the tag was flushed; the reply raced the Tflush
-		// and is discarded.
 		if p != nil {
 			p.r = f
 			p.done = true
 			p.wake.Broadcast()
 		}
 		cl.mu.Unlock()
+		if p == nil {
+			// The tag was flushed (the reply raced the Tflush) or
+			// was never ours: the reply is discarded.
+			f.free()
+		}
 	}
 }
 
@@ -308,7 +309,9 @@ func (cl *Client) sendAsync(t *Fcall, flushExempt bool) (*Pending, error) {
 }
 
 // Wait blocks for the reply. On an Rerror response it returns the
-// error string as an error.
+// error string as an error. An Rread's Data is its wire buffer, a
+// block the reply owns: a Window's Reap takes it over, and a caller
+// that waits for an Rread by hand must free it itself.
 func (p *Pending) Wait() (*Fcall, error) {
 	if err := p.await(); err != nil {
 		return nil, err
@@ -368,6 +371,9 @@ func (p *Pending) Flush() {
 func (cl *Client) flushMany(head *Pending) {
 	for p := head; p != nil; p = p.next {
 		if !p.abandon() {
+			// The reply has landed (or the client died): nobody
+			// will reap it now.
+			p.r.free()
 			continue
 		}
 		cl.Flushes.Inc()
@@ -529,6 +535,7 @@ func (f *Fid) transfer(typ uint8, p []byte, off int64) (int, error) {
 		depth = f.cl.cfg.Window
 	}
 	w := Window{f: f}
+	defer w.Cancel()
 	var issueErr error
 	done, issued := 0, 0
 	for {
@@ -551,9 +558,9 @@ func (f *Fid) transfer(typ uint8, p []byte, off int64) (int, error) {
 		done += n
 		if err != nil || short {
 			// EOF, a message boundary or a failure: the fragments
-			// beyond it were speculative; flush them so their data
-			// (if any) is discarded, as if they were never issued.
-			w.Cancel()
+			// beyond it were speculative; the deferred Cancel flushes
+			// them so their data (if any) is discarded, as if they
+			// were never issued.
 			return done, err
 		}
 	}
@@ -564,12 +571,14 @@ func (f *Fid) transfer(typ uint8, p []byte, off int64) (int, error) {
 // through one; the mount driver keeps one per open file for readahead
 // and one for write-behind. Fragments are issued with Read or Write,
 // reaped oldest first with Reap, and whatever is left is abandoned in
-// one batch of Tflushes with Cancel. A Window is not safe for
-// concurrent use.
+// one batch of Tflushes with Cancel. Its owner ends every window with
+// Cancel, which also lets go of the last reaped fragment's bytes. A
+// Window is not safe for concurrent use.
 type Window struct {
 	f          *Fid
 	head, tail *Pending
 	n          int
+	reaped     *block.Block // the wire buffer behind Reap's last data
 }
 
 // NewWindow returns an empty window of fragment RPCs on f.
@@ -609,7 +618,9 @@ func (w *Window) issue(t *Fcall, asked int) error {
 // Reap waits for the reply to the oldest fragment and removes it from
 // the window, which must not be empty. It returns the bytes a Tread
 // brought back, the count moved (len(data), or the Rwrite's count),
-// and whether that fell short of what the fragment asked for.
+// and whether that fell short of what the fragment asked for. The
+// bytes are the reply's wire buffer: they live until the window's next
+// Reap or Cancel.
 func (w *Window) Reap() (data []byte, n int, short bool, err error) {
 	p := w.head
 	w.head = p.next
@@ -617,7 +628,9 @@ func (w *Window) Reap() (data []byte, n int, short bool, err error) {
 		w.tail = nil
 	}
 	w.n--
+	w.release()
 	r, err := p.Wait()
+	w.reaped, p.r.blk = p.r.blk, nil
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -629,11 +642,21 @@ func (w *Window) Reap() (data []byte, n int, short bool, err error) {
 }
 
 // Cancel abandons every fragment in flight — all the Tflushes go out
-// before the first Rflush is awaited — and leaves the window empty.
-// On an empty window it sends nothing.
+// before the first Rflush is awaited — and leaves the window empty,
+// the last reaped fragment's bytes freed. On an empty window it sends
+// nothing.
 func (w *Window) Cancel() {
+	w.release()
 	w.f.cl.flushMany(w.head)
 	w.head, w.tail, w.n = nil, nil, 0
+}
+
+// release frees the wire buffer behind the last reaped fragment.
+func (w *Window) release() {
+	if w.reaped != nil {
+		w.reaped.Free()
+		w.reaped = nil
+	}
 }
 
 // Stat returns the file's directory entry (Tstat).

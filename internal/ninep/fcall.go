@@ -18,6 +18,7 @@
 package ninep
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -132,12 +133,23 @@ type Fcall struct {
 	Stat   vfs.Dir // stat response, wstat request
 	Ename  string  // error response
 
-	// blk, when non-nil, is the refcounted block backing an Rread's
-	// Data: a cache fragment served zero-copy, or the pooled block the
-	// copy path read into. The final consumer (the server, after
-	// marshaling) drops the reference with Free; other holders of the
-	// block are unaffected. It never crosses the wire.
+	// blk, when non-nil, is the refcounted block backing Data. On an
+	// Rread the server answers with, it is a cache fragment served
+	// zero-copy or the pooled block the copy path read into, and the
+	// server drops the reference after marshaling. On an Rread or
+	// Twrite decoded off the wire, it is the wire buffer the message
+	// arrived in (decode), and its one owner frees it: the Window that
+	// reaped the reply, flushMany or demux for one abandoned, the
+	// server once the request has run. It never crosses the wire.
 	blk *block.Block
+}
+
+// free drops the reference behind Data, if any; Data dies with it.
+func (f *Fcall) free() {
+	if f.blk != nil {
+		f.blk.Free()
+		f.blk, f.Data = nil, nil
+	}
 }
 
 func (f *Fcall) String() string {
@@ -259,6 +271,17 @@ func (c *coder) gqid() vfs.Qid {
 	return vfs.Qid{Path: c.gu64(), Vers: c.gu32(), Type: c.gu8()}
 }
 
+// data returns the next n bytes of the buffer in place, capped so an
+// append cannot run into what follows; nil when n is 0.
+func (c *coder) data(n int) []byte {
+	var d []byte
+	if n > 0 {
+		d = c.buf[c.off : c.off+n : c.off+n]
+	}
+	c.off += n
+	return d
+}
+
 func (c *coder) fail() {
 	if c.err == nil {
 		c.err = ErrShortMsg
@@ -375,11 +398,28 @@ func UnmarshalFcall(p []byte) (*Fcall, error) {
 	if err := unmarshalInto(p, f); err != nil {
 		return nil, err
 	}
+	f.Data = bytes.Clone(f.Data)
 	return f, nil
 }
 
-// unmarshalInto is UnmarshalFcall decoding into f, which the client's
-// demultiplexer keeps on its stack and the server in its request.
+// decode is how the client's demultiplexer and the server's read loop
+// take a message off the wire: it decodes msg in place into f, which
+// owns msg afterwards. An Rread's or Twrite's Data aliases msg, which
+// becomes f.blk (§2.4: the data goes up by ownership, not by copy);
+// every other message keeps only copies, and msg goes back to the pool
+// at once, as it does when the message is malformed.
+func decode(msg []byte, f *Fcall) error {
+	err := unmarshalInto(msg, f)
+	if err == nil && f.Data != nil {
+		f.blk = block.FromBytes(msg)
+		return nil
+	}
+	block.PutBytes(msg)
+	return err
+}
+
+// unmarshalInto decodes p into f in place: strings are copied out, but
+// an Rread's or Twrite's Data is a slice of p (nil when empty).
 func unmarshalInto(p []byte, f *Fcall) error {
 	if len(p) < 7 {
 		return ErrShortMsg
@@ -445,8 +485,7 @@ func unmarshalInto(p []byte, f *Fcall) error {
 			return ErrBadMsg
 		}
 		if c.err == nil {
-			f.Data = append([]byte(nil), p[c.off:c.off+n]...)
-			c.off += n
+			f.Data = c.data(n)
 			f.Count = uint16(n)
 		}
 	case Twrite:
@@ -457,8 +496,7 @@ func unmarshalInto(p []byte, f *Fcall) error {
 			return ErrBadMsg
 		}
 		if c.err == nil {
-			f.Data = append([]byte(nil), p[c.off:c.off+n]...)
-			c.off += n
+			f.Data = c.data(n)
 			f.Count = uint16(n)
 		}
 	case Rwrite:

@@ -9,13 +9,14 @@ import (
 	"repro/internal/vfs"
 )
 
-// blockingFS serves one file whose reads block until released — the
-// shape of a listen file or an idle network data file, the reason the
-// paper says exportfs must be multithreaded (§6.1). reads counts how
-// many Reads actually reach the handle.
+// blockingFS serves one file whose reads and writes block until
+// released — the shape of a listen file or an idle network data file,
+// the reason the paper says exportfs must be multithreaded (§6.1).
+// reads and writes count how many actually reach the handle.
 type blockingFS struct {
 	release *vclock.Mailbox[struct{}] // closed to release
 	reads   atomic.Int64
+	writes  atomic.Int64
 }
 
 func newBlockingFS(ck vclock.Clock) *blockingFS {
@@ -42,8 +43,12 @@ func (h blockHandle) Read(p []byte, off int64) (int, error) {
 	h.f.release.Recv()
 	return copy(p, "released"), nil
 }
-func (h blockHandle) Write(p []byte, off int64) (int, error) { return len(p), nil }
-func (h blockHandle) Close() error                           { return nil }
+func (h blockHandle) Write(p []byte, off int64) (int, error) {
+	h.f.writes.Add(1)
+	h.f.release.Recv()
+	return len(p), nil
+}
+func (h blockHandle) Close() error { return nil }
 
 // The two tests below run on the real clock by name: their point is a
 // flush racing the multithreaded server's reply on other host threads,
@@ -262,10 +267,12 @@ func TestFlushedQueuedReadSkipsHandle(t *testing.T) {
 		// Release the parked read; the flushed one's turn comes and
 		// must be skipped.
 		fs.release.Close()
-		if _, err := p1.Wait(); err != nil {
+		r, err := p1.Wait()
+		if err != nil {
 			t.Errorf("unflushed read: %v", err)
 			return
 		}
+		r.free()
 		// The skipped request produces no reply to wait on, so let the
 		// queue run out: it advanced when read #1 answered, and the
 		// flushed read must never touch the device.

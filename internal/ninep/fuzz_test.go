@@ -3,13 +3,18 @@ package ninep
 import (
 	"reflect"
 	"testing"
+	"unsafe"
+
+	"repro/internal/block"
 )
 
 // Fuzz9PMessage throws arbitrary bytes at the 9P message parser — the
 // bytes a file server reads straight off a network conversation, the
 // most exposed parser in the system. The contract: UnmarshalFcall
 // either rejects the input or produces an Fcall that marshals and
-// re-unmarshals to the identical message.
+// re-unmarshals to the identical message; and decode, the in-place
+// form the client and server read the wire with, agrees with it, an
+// Rread's or Twrite's Data lying inside the wire buffer it decoded.
 func Fuzz9PMessage(f *testing.F) {
 	seed := func(fc *Fcall) {
 		p, err := MarshalFcall(fc)
@@ -23,11 +28,13 @@ func Fuzz9PMessage(f *testing.F) {
 	seed(&Fcall{Type: Twalk, Tag: 2, Fid: 3, Name: "helix"})
 	seed(&Fcall{Type: Twrite, Tag: 3, Fid: 4, Offset: 1 << 20, Count: 5, Data: []byte("hello")})
 	seed(&Fcall{Type: Rerror, Tag: 4, Ename: "phase error"})
+	seed(&Fcall{Type: Rread, Tag: 5, Fid: 6, Count: 7, Data: []byte("goodbye")})
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, p []byte) {
 		fc, err := UnmarshalFcall(p)
+		inPlace(t, p, fc, err)
 		if err != nil {
 			return
 		}
@@ -43,4 +50,36 @@ func Fuzz9PMessage(f *testing.F) {
 			t.Fatalf("round trip changed the message:\n%+v\n%+v", fc, fc2)
 		}
 	})
+}
+
+// inPlace decodes a pooled copy of p as demux and ServeConn do and
+// checks it against UnmarshalFcall's verdict want, err.
+func inPlace(t *testing.T, p []byte, want *Fcall, err error) {
+	msg := block.GetBytes(len(p))
+	copy(msg, p)
+	var got Fcall
+	derr := decode(msg, &got)
+	defer got.free()
+	if (derr == nil) != (err == nil) {
+		t.Fatalf("decode says %v, UnmarshalFcall %v", derr, err)
+	}
+	if err != nil {
+		return
+	}
+	if n := len(got.Data); n > 0 {
+		base, d := uintptr(unsafe.Pointer(&msg[0])), uintptr(unsafe.Pointer(&got.Data[0]))
+		if d < base || d+uintptr(n) > base+uintptr(len(msg)) {
+			t.Fatalf("decoded Data (%d bytes) lies outside the wire buffer", n)
+		}
+		if got.blk == nil {
+			t.Fatalf("%s decoded in place but owns no block", &got)
+		}
+	} else if got.blk != nil {
+		t.Fatalf("%s carries no data but kept its wire buffer", &got)
+	}
+	cmp := got
+	cmp.blk = nil
+	if !reflect.DeepEqual(&cmp, want) {
+		t.Fatalf("decode and UnmarshalFcall disagree:\n%+v\n%+v", &cmp, want)
+	}
 }

@@ -237,11 +237,9 @@ func (s *Server) ServeConn(conn MsgConn) error {
 		}
 		st := &srvReq{c: c}
 		f := &st.f
-		err = unmarshalInto(msg, f)
-		// unmarshalInto copies everything it keeps, so the wire
-		// buffer goes back to the pool either way.
-		block.PutBytes(msg)
-		if err != nil {
+		// A Twrite's data stays in its wire buffer, which the request
+		// owns until it has run (run frees it).
+		if err := decode(msg, f); err != nil {
 			return err
 		}
 		switch f.Type {
@@ -435,6 +433,10 @@ func (c *SrvConn) run(st *srvReq) {
 	if live {
 		st.r = c.process(&st.f)
 	}
+	// The handle has copied what it keeps of a Twrite's data, or
+	// never saw it (flushed, failed, or queued at teardown): the wire
+	// buffer goes home.
+	st.f.free()
 	if st.tq != nil {
 		st.tq.done()
 	}
@@ -501,13 +503,10 @@ func (c *SrvConn) respond(tag uint16, r *Fcall, st *srvReq) {
 	if err != nil {
 		msg, _ = MarshalFcall(&Fcall{Type: Rerror, Tag: tag, Ename: err.Error()})
 	}
-	if r.blk != nil {
-		// MarshalFcall copied the block's window into msg (the one
-		// mandatory copy); the reply's reference drops here, and a
-		// cache fragment lives on for the next tenant.
-		r.blk.Free()
-		r.blk, r.Data = nil, nil
-	}
+	// MarshalFcall copied the block's window into msg (the one
+	// mandatory copy); the reply's reference drops here, and a cache
+	// fragment lives on for the next tenant.
+	r.free()
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if st != nil && st.flushed.Load() {

@@ -27,9 +27,12 @@ import (
 //
 // Buffer discipline: WriteMsg takes ownership of p — the caller never
 // touches it afterwards — and ReadMsg hands ownership of the returned
-// buffer to the caller. Both in-tree readers release it with
-// block.PutBytes as soon as it is decoded, because decoding copies the
-// strings and data it keeps out of the buffer.
+// buffer to the caller. Both in-tree readers decode it in place: an
+// Rread's or Twrite's data stays in the buffer, which becomes the
+// block behind the decoded message (block.FromBytes adopts a pooled
+// buffer without a copy) and goes home when that message's owner
+// frees it; any other message keeps only copies of its strings, and
+// its buffer goes back with block.PutBytes at once.
 type MsgConn interface {
 	// ReadMsg returns the next whole message; the caller owns it. Calls
 	// must not overlap.

@@ -364,6 +364,7 @@ func TestTagExhaustionBlocks(t *testing.T) {
 
 		// Fill the in-flight budget with reads the server will hold.
 		w := f.NewWindow()
+		defer w.Cancel()
 		for range 3 {
 			if err := w.Read(0, 8); err != nil {
 				t.Error(err)

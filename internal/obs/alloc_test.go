@@ -3,6 +3,7 @@ package obs
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/vclock"
 )
@@ -41,5 +42,22 @@ func TestAllocsCounterAndHist(t *testing.T) {
 	var w Watermark
 	if got := testing.AllocsPerRun(1000, func() { w.Note(3) }); got != 0 {
 		t.Fatalf("Watermark.Note allocates %.1f objects/op, want 0", got)
+	}
+}
+
+// Every URP conversation and every xport.Conv (IL, TCP) embeds
+// a Ring, and almost none is ever armed: its 256 slots (10 KiB) are
+// made by the first Enable, so a ring nobody traces is a few words.
+func TestRingIsSmallUntilEnabled(t *testing.T) {
+	if n := unsafe.Sizeof(Ring{}); n > 64 {
+		t.Fatalf("a never-enabled Ring is %d bytes, want <= 64", n)
+	}
+	var r Ring
+	if evs := r.Events(); evs != nil {
+		t.Fatalf("a never-enabled ring has events %v", evs)
+	}
+	r.Emit(EvSend, 1, 2)
+	if evs := r.Events(); evs != nil {
+		t.Fatalf("a never-enabled ring recorded %v", evs)
 	}
 }

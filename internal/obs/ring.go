@@ -100,13 +100,15 @@ type slot struct {
 // snapshot without stopping them. The zero Ring is valid and disabled;
 // a disabled ring's Emit is a single atomic load and no allocation, so
 // instrumentation points stay on the hot path permanently and tracing
-// is armed per conversation when someone wants to watch.
+// is armed per conversation when someone wants to watch. The slots are
+// made by the first Enable: every conversation carries a ring, and
+// almost none is ever armed.
 type Ring struct {
 	enabled atomic.Bool
 	ck      atomic.Pointer[vclock.Clock] // the clock Enable stamps by
 	epoch   atomic.Int64                 // its Unix nanoseconds at Enable
 	head    atomic.Uint64
-	slots   [RingSize]slot
+	slots   atomic.Pointer[[RingSize]slot]
 }
 
 // Tracer is implemented by conversations (and servers) that carry an
@@ -122,6 +124,9 @@ type Tracer interface {
 // Events already recorded remain readable; their When is relative to
 // the previous epoch.
 func (r *Ring) Enable(ck vclock.Clock) {
+	if r.slots.Load() == nil {
+		r.slots.CompareAndSwap(nil, new([RingSize]slot))
+	}
 	r.ck.Store(&ck)
 	r.epoch.Store(ck.Now().UnixNano())
 	r.enabled.Store(true)
@@ -139,7 +144,7 @@ func (r *Ring) Emit(k Kind, a, b int64) {
 	}
 	when := (*r.ck.Load()).Now().UnixNano() - r.epoch.Load()
 	seq := r.head.Add(1) // 1-based
-	s := &r.slots[(seq-1)%RingSize]
+	s := &r.slots.Load()[(seq-1)%RingSize]
 	s.seq.Store(0) // mark torn while the fields change
 	s.when.Store(when)
 	s.kind.Store(uint32(k))
@@ -153,8 +158,9 @@ func (r *Ring) Emit(k Kind, a, b int64) {
 // each slot's commit word is checked before and after its fields are
 // read.
 func (r *Ring) Events() []Event {
+	slots := r.slots.Load()
 	head := r.head.Load()
-	if head == 0 {
+	if slots == nil || head == 0 {
 		return nil
 	}
 	lo := uint64(1)
@@ -163,7 +169,7 @@ func (r *Ring) Events() []Event {
 	}
 	evs := make([]Event, 0, head-lo+1)
 	for seq := lo; seq <= head; seq++ {
-		s := &r.slots[(seq-1)%RingSize]
+		s := &slots[(seq-1)%RingSize]
 		if s.seq.Load() != seq {
 			continue // not yet committed, or already overwritten
 		}

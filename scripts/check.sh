@@ -119,16 +119,20 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # when an ack re-arms it (il TestAllocsRearmOnAck, vclock
 # TestAllocsDeadlineUpdate), a send queue that grows a new array per
 # write once acks have trimmed it (urp and tcp TestAllocsWriteAck), or
-# more than one object a side per 9P RPC (ninep TestAllocsRreadRoundTrip),
-# a name walk that allocates beyond the nodes it returns (ns
-# TestAllocsResolve), or a conversation directory that builds more than
-# the file walked to (netdev TestAllocsConvWalk). Without -race there is also no
+# more than one object a side per 9P RPC, which leaves no room for a
+# copy of an Rread's or Twrite's data out of its wire buffer (ninep
+# TestAllocsRreadRoundTrip, TestAllocsTwriteRoundTrip), a Cyclone
+# receive that copies or draws a buffer instead of wrapping the one the
+# fiber delivered (cyclone TestAllocsReceive), a name walk that
+# allocates beyond the nodes it returns (ns TestAllocsResolve), or a
+# conversation directory that builds more than the file walked to
+# (netdev TestAllocsConvWalk). Without -race there is also no
 # allocation-site recorder (block/race_on.go, which lets leakcheck name
 # a leaked block's site): it takes a stack per Alloc, about 0.8 us, or
 # twelve times an Alloc/Free pair (BenchmarkAllocFree16K, 68 -> 857 ns
 # on a 2-CPU host), so only the race build above pays for it, and these
 # gates and the benchmark measure the allocator as it ships.
-go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/cs ./internal/tcp ./internal/urp ./internal/vclock ./internal/ether ./internal/il ./internal/ns ./internal/netdev
+go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/cs ./internal/tcp ./internal/urp ./internal/vclock ./internal/ether ./internal/il ./internal/ns ./internal/netdev ./internal/cyclone
 
 echo "== chaos: 100-seed sweep"
 # The discrete-event clock makes a whole seed sweep affordable: every
