@@ -45,7 +45,8 @@ func NewLink(name string, p medium.Profile) *Link {
 }
 
 func newEnd(l *Link, name string, wire *medium.Duplex) *End {
-	e := &End{link: l, name: name, wire: wire, in: streams.NewClock(0, wire.Clock(), nil)}
+	e := &End{link: l, name: name, wire: wire}
+	e.in = streams.NewConv(0, wire.Clock(), e)
 	e.cond.Init(wire.Clock(), &e.mu)
 	wire.Receive(e.receive)
 	return e
@@ -80,7 +81,7 @@ type End struct {
 	link *Link
 	name string
 	wire *medium.Duplex
-	in   *streams.Stream // what the fiber delivers, read by the conversation
+	in   *streams.Stream // the conversation's stream: what the fiber delivers, what Write sends
 
 	mu   sync.Mutex
 	cond vclock.Cond
@@ -198,15 +199,27 @@ func (c *Conn) isClosed() bool {
 	return c.closed
 }
 
+// Stream implements xport.Conn: the end's stream, while the
+// conversation holds the link.
+func (c *Conn) Stream() *streams.Stream {
+	if !c.holds() {
+		return nil
+	}
+	return c.end.in
+}
+
+func (c *Conn) holds() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.attached && !c.closed
+}
+
 // Read implements xport.Conn: one framed message per read. A message
 // longer than p is handed over in pieces — the remainder waits on the
 // stream for the next Read — and a read never crosses a message
 // boundary.
 func (c *Conn) Read(p []byte) (int, error) {
-	c.mu.Lock()
-	ok := c.attached && !c.closed
-	c.mu.Unlock()
-	if !ok {
+	if !c.holds() {
 		return 0, xport.ErrNotConnected
 	}
 	n, err := c.end.in.Read(p)
@@ -216,19 +229,21 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Write implements xport.Conn: the boards copy straight to the fiber.
+// Write implements xport.Conn.
 func (c *Conn) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	ok := c.attached && !c.closed
-	c.mu.Unlock()
-	if !ok {
+	if !c.holds() {
 		return 0, xport.ErrNotConnected
 	}
-	// One copy — system memory to fiber, as the VME boards do — into a
-	// pool-backed buffer the medium takes ownership of.
+	return c.end.Write(p)
+}
+
+// Write is the device end of the end's stream: the boards copy
+// straight to the fiber, once — system memory to fiber, as the VME
+// boards do — into a pool-backed buffer the medium takes ownership of.
+func (e *End) Write(p []byte) (int, error) {
 	msg := block.GetBytes(len(p))
 	copy(msg, p)
-	if err := c.end.wire.SendOwned(msg); err != nil {
+	if err := e.wire.SendOwned(msg); err != nil {
 		return 0, vfs.ErrHungup
 	}
 	return len(p), nil

@@ -17,8 +17,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/medium"
 	"repro/internal/obs"
+	"repro/internal/streams"
 	"repro/internal/urp"
 	"repro/internal/vclock"
 	"repro/internal/vfs"
@@ -200,12 +202,13 @@ func (w duplexWire) SendCell(p []byte) time.Time {
 }
 
 // Receive puts the hardware's FCS check in front of input, on the
-// circuit's delay line.
+// circuit's delay line. A cell that fails it goes back to the pool.
 func (w duplexWire) Receive(input func([]byte, error)) {
 	w.d.Receive(func(cell []byte, err error) {
 		if err == nil {
 			var ok bool
 			if cell, ok = w.check(cell); !ok {
+				block.PutBytes(cell)
 				return
 			}
 		}
@@ -221,7 +224,7 @@ func (w duplexWire) check(cell []byte) ([]byte, bool) {
 	n := len(cell) - fcsLen
 	if n < 0 || w.d.Impaired() && crc16(cell[:n]) != uint16(cell[n])<<8|uint16(cell[n+1]) {
 		w.errs.Add(1)
-		return nil, false
+		return cell, false
 	}
 	return cell[:n], true
 }
@@ -421,6 +424,16 @@ func (c *Conn) Write(p []byte) (int, error) {
 		return 0, xport.ErrNotConnected
 	}
 	return u.Write(p)
+}
+
+// Stream implements xport.Conn: the URP engine's.
+func (c *Conn) Stream() *streams.Stream {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.urp == nil {
+		return nil
+	}
+	return c.urp.Stream()
 }
 
 // LocalAddr implements xport.Conn.

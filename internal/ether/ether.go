@@ -230,6 +230,9 @@ func (seg *Segment) Close() {
 	for _, f := range seg.delay.Close() {
 		f.b.Free()
 	}
+	if seg.im != nil {
+		seg.im.Close()
+	}
 }
 
 // refilter republishes the station set after a conversation's
@@ -307,11 +310,14 @@ func (seg *Segment) transmitBlock(from *Interface, dst Addr, b *block.Block) err
 	binary.BigEndian.PutUint32(b.Extend(fcsLen), crc)
 	copies := seg.im.Apply(b.Bytes(), txFrame{from: from, dst: dst})
 	b.Free()
-	for _, e := range copies {
+	for i, e := range copies {
 		f := e.Route.(txFrame) // a frame held for reordering keeps its own route
 		f.b = block.FromBytes(e.Data)
 		if !seg.delay.Put(f, at.Add(e.Delay)) {
 			f.b.Free()
+			for _, e := range copies[i+1:] {
+				block.PutBytes(e.Data)
+			}
 			return vfs.ErrShutdown
 		}
 	}

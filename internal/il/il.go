@@ -633,7 +633,7 @@ func (c *Conn) acceptLocked(spec byte, data []byte) {
 	// delivered without re-materializing.
 	b := block.Copy(data, 0)
 	b.Delim = true
-	c.Rq.DeviceUp(b) //netvet:ignore lock-across-send cannot park: Rq has no modules and its limit exceeds the window (see xport.Conv.Rq)
+	c.Rq.DeviceUp(b) //netvet:ignore lock-across-send cannot park: DeviceUp only queues and Rq's limit exceeds the window (see xport.Conv.Rq)
 }
 
 // rtoLocked returns the current retransmission timeout.

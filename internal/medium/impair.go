@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/block"
 )
 
 // Window is a scheduled partition in wire-position space: message
@@ -168,7 +170,9 @@ func (c Counts) String() string {
 
 // Emission is one copy the impairer puts on the wire: the (possibly
 // corrupted) bytes, any extra propagation delay beyond the link
-// latency, and the route of the message it copies.
+// latency, and the route of the message it copies. Data is a pooled
+// buffer (block.GetBytes) the caller owns: it goes on the wire, or
+// back with block.PutBytes.
 type Emission struct {
 	Data  []byte
 	Delay time.Duration
@@ -283,7 +287,7 @@ func (im *Impairer) record(d Decision) {
 // released after later traffic overtakes it. Every copy carries route,
 // the caller's note of where the message goes, so a held message
 // released during a later one's Apply still goes where it was sent.
-// Apply never mutates or retains msg.
+// Apply never mutates or retains msg; every copy is a pooled buffer.
 func (im *Impairer) Apply(msg []byte, route any) []Emission {
 	im.mu.Lock()
 	defer im.mu.Unlock()
@@ -320,7 +324,8 @@ func (im *Impairer) Apply(msg []byte, route any) []Emission {
 		return out
 	}
 
-	cp := append([]byte(nil), msg...)
+	cp := block.GetBytes(len(msg))
+	copy(cp, msg)
 	if len(cp) > 0 && im.chance(im.imp.Corrupt, n, drawCorrupt) {
 		d.Corrupt = true
 		im.counts.Corrupted++
@@ -345,7 +350,9 @@ func (im *Impairer) Apply(msg []byte, route any) []Emission {
 		if im.chance(im.imp.Duplicate, n, drawDup) {
 			d.Dup = true
 			im.counts.Duplicated++
-			out = append(out, Emission{Data: append([]byte(nil), cp...), Delay: d.Jitter, Route: route})
+			dup := block.GetBytes(len(cp))
+			copy(dup, cp)
+			out = append(out, Emission{Data: dup, Delay: d.Jitter, Route: route})
 		}
 	}
 	im.record(d)
@@ -381,6 +388,17 @@ func (im *Impairer) releaseLocked(out []Emission) []Emission {
 	}
 	im.held = keep
 	return out
+}
+
+// Close returns the messages still held back for reordering to the
+// pool: their line is closing, and they will never be emitted.
+func (im *Impairer) Close() {
+	im.mu.Lock()
+	defer im.mu.Unlock()
+	for _, h := range im.held {
+		block.PutBytes(h.data)
+	}
+	im.held = nil
 }
 
 // Schedule returns a copy of the recorded decisions (requires

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/vclock"
 )
 
@@ -76,7 +77,10 @@ func NewPipe(p Profile) *Pipe {
 			pipe.queue.Close()
 			return
 		}
-		_ = pipe.queue.Send(msg) // a full mailbox parks the line, and a full line parks a parking sender
+		// A full mailbox parks the line; a closed one takes nothing.
+		if pipe.queue.Send(msg) != nil {
+			block.PutBytes(msg)
+		}
 	}
 	pipe.delay = NewDelay(ck, 1024, func(msg []byte) { pipe.recv(msg, nil) })
 	return pipe
@@ -129,19 +133,30 @@ func TransmitTime(n int, rate int64) time.Duration {
 // and puts each copy on the delay line to arrive when its last bit has
 // left plus the latency and any impairment delay. The sender does not
 // sleep out the wire time; it parks only while the line is full.
-func (p *Pipe) Send(msg []byte) error { return p.SendOwned(append([]byte(nil), msg...)) }
+// What the pipe carries is a pooled buffer, and the receiver owns it.
+func (p *Pipe) Send(msg []byte) error {
+	cp := block.GetBytes(len(msg))
+	copy(cp, msg)
+	return p.SendOwned(cp)
+}
 
-// SendOwned is Send for a buffer whose ownership the caller hands
-// over: the unimpaired path queues msg itself, skipping the defensive
-// wire copy. The caller must not touch msg afterwards.
+// SendOwned is Send for a pooled buffer (block.GetBytes) whose
+// ownership the caller hands over: the unimpaired path queues msg
+// itself, skipping the defensive wire copy, and the pipe returns what
+// it does not deliver to the pool. The caller must not touch msg
+// afterwards.
 func (p *Pipe) SendOwned(msg []byte) error {
 	at, copies, err := p.book(msg)
 	if err == nil && p.im == nil && !p.delay.Send(msg, at) {
+		block.PutBytes(msg)
 		err = ErrClosed
 	}
 	for _, e := range copies {
 		if err == nil && !p.delay.Send(e.Data, at.Add(e.Delay)) {
 			err = ErrClosed
+		}
+		if err != nil {
+			block.PutBytes(e.Data)
 		}
 	}
 	return err
@@ -156,11 +171,13 @@ func (p *Pipe) Put(msg []byte) time.Time {
 	if err != nil {
 		return time.Time{}
 	}
-	if p.im == nil {
-		p.delay.Put(msg, at)
+	if p.im == nil && !p.delay.Put(msg, at) {
+		block.PutBytes(msg)
 	}
 	for _, e := range copies {
-		p.delay.Put(e.Data, at.Add(e.Delay))
+		if !p.delay.Put(e.Data, at.Add(e.Delay)) {
+			block.PutBytes(e.Data)
+		}
 	}
 	return at.Add(-p.profile.Latency)
 }
@@ -168,22 +185,26 @@ func (p *Pipe) Put(msg []byte) time.Time {
 // book checks msg and books its serialization time (a message the
 // impairer drops still occupies the wire). It returns the instant the
 // last bit leaves plus the latency, and on an impaired pipe the copies
-// the impairer emits, each with bytes of its own and its extra delay.
-// It fails once the pipe is closed, so a send after Close returns
-// ErrClosed deterministically.
+// the impairer emits, each with bytes of its own and its extra delay;
+// msg itself then goes back to the pool, as it does when book fails,
+// so a send after Close returns ErrClosed deterministically.
 func (p *Pipe) book(msg []byte) (time.Time, []Emission, error) {
 	prof := p.profile
 	if prof.MTU > 0 && len(msg) > prof.MTU {
+		block.PutBytes(msg)
 		return time.Time{}, nil, ErrTooLong
 	}
 	if p.closed.Load() {
+		block.PutBytes(msg)
 		return time.Time{}, nil, ErrClosed
 	}
 	at := p.line.Reserve(p.ck.Now(), TransmitTime(len(msg), prof.Bandwidth)).Add(prof.Latency)
 	if p.im == nil {
 		return at, nil, nil
 	}
-	return at, p.im.Apply(msg, nil), nil
+	copies := p.im.Apply(msg, nil)
+	block.PutBytes(msg)
+	return at, copies, nil
 }
 
 // Schedule returns the pipe's recorded impairment decisions (requires
@@ -214,13 +235,19 @@ func (p *Pipe) Recv() ([]byte, error) {
 	return m, nil
 }
 
-// Close tears the pipe down: what is still on the line is lost, and
-// the receiver hears ErrClosed.
+// Close tears the pipe down: what is still on the line, or held back
+// by its impairer, is lost (its buffers go back to the pool), and the
+// receiver hears ErrClosed.
 func (p *Pipe) Close() {
 	if p.closed.Swap(true) {
 		return
 	}
-	p.delay.Close()
+	for _, msg := range p.delay.Close() {
+		block.PutBytes(msg)
+	}
+	if p.im != nil {
+		p.im.Close()
+	}
 	p.recv(nil, ErrClosed)
 }
 

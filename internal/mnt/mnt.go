@@ -16,7 +16,6 @@ package mnt
 
 import (
 	"io"
-	"runtime"
 
 	"repro/internal/ninep"
 	"repro/internal/vclock"
@@ -65,10 +64,11 @@ func MountConfig(conn ninep.MsgConn, uname, aname string, cfg Config) (vfs.Node,
 	return newNode(root, cfg.Client.FileTree), cl, nil
 }
 
-// node is an unopened remote file; it holds a walked fid. On the real
-// clock fids are clunked by a finalizer when the node is collected,
-// mirroring how the kernel clunks a channel on the last close of its
-// references; newNode says what happens on a simulated one.
+// node is an unopened remote file; it holds a walked fid. Nothing
+// clunks a walked fid: it stays in the server's fid table until the
+// connection closes, on either clock. On a long-lived mount that grows
+// without bound (one bench lan-cat round ends with 11,601 live server
+// fids); ROADMAP item 18.
 type node struct {
 	fid  *ninep.Fid
 	file bool // file-tree profile
@@ -81,28 +81,7 @@ var (
 	_ vfs.Wstater = (*node)(nil)
 )
 
-func newNode(fid *ninep.Fid, file bool) *node {
-	n := &node{fid: fid, file: file}
-	if fid.Client().Clock().Virtual() {
-		// Finalizers run on GC goroutines the virtual scheduler has
-		// no hold on, so under a simulated clock none is installed
-		// and a walked fid is never clunked: it stays in the server's
-		// fid table until the connection closes. On a long-lived
-		// mount that grows without bound (one bench lan-cat round
-		// ends with 11,601 live server fids); ROADMAP item 18.
-		return n
-	}
-	runtime.SetFinalizer(n, func(n *node) {
-		// Once the client is closed or failed there is no
-		// connection to clunk over; firing the RPC would only spawn
-		// a goroutine to learn that.
-		if n.fid.Client().Dead() {
-			return
-		}
-		go n.fid.Clunk()
-	})
-	return n
-}
+func newNode(fid *ninep.Fid, file bool) *node { return &node{fid: fid, file: file} }
 
 // Stat implements vfs.Node (Tstat).
 func (n *node) Stat() (vfs.Dir, error) { return n.fid.Stat() }
@@ -150,12 +129,8 @@ func (n *node) Create(name string, perm uint32, mode int) (vfs.Node, vfs.Handle,
 	return newNode(nn, n.file), newHandle(f, n.file), nil
 }
 
-// Remove implements vfs.Remover (Tremove). The fid is clunked by the
-// server on remove; drop the finalizer's work by marking it done.
-func (n *node) Remove() error {
-	runtime.SetFinalizer(n, nil)
-	return n.fid.Remove()
-}
+// Remove implements vfs.Remover (Tremove); the server clunks the fid.
+func (n *node) Remove() error { return n.fid.Remove() }
 
 // Wstat implements vfs.Wstater (Twstat).
 func (n *node) Wstat(d vfs.Dir) error { return n.fid.Wstat(d) }

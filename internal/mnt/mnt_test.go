@@ -1,9 +1,7 @@
 package mnt
 
 import (
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/ninep"
 	"repro/internal/ramfs"
@@ -31,24 +29,6 @@ func onMount(t *testing.T, cfg Config, body func(v *vclock.Virtual, root vfs.Nod
 		defer cl.Close()
 		body(v, root, fs, cl)
 	})
-}
-
-// mountedOnRealClock is a mount of a ramfs served over a pipe on the
-// real clock, for the tests of the finalizer that clunks a collected
-// node's fid there.
-func mountedOnRealClock(t *testing.T) (vfs.Node, *ramfs.FS, *ninep.Client) {
-	t.Helper()
-	fs := ramfs.New("srv")
-	a, b := ninep.NewPipe(vclock.Real)
-	go ninep.Serve(b, func(uname, aname string) (vfs.Node, error) {
-		return fs.Root(), nil
-	}, vclock.Real)
-	root, cl, err := MountConfig(a, "glenda", "", Config{Client: ninep.ClientConfig{Clock: vclock.Real}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return root, fs, cl
 }
 
 func TestWalkStatOpenReadWrite(t *testing.T) {
@@ -159,23 +139,4 @@ func TestClosedClientFailsCleanly(t *testing.T) {
 			t.Error("stat on closed client succeeded")
 		}
 	})
-}
-
-func TestFinalizerClunksFids(t *testing.T) {
-	// Walk many nodes and drop them; the finalizers must clunk the
-	// fids server-side (we can only assert no leak crashes the
-	// connection and the GC path runs).
-	root, fs, _ := mountedOnRealClock(t)
-	fs.WriteFile("f", nil, 0664)
-	for range 100 {
-		if _, err := root.Walk("f"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.GC()
-	time.Sleep(20 * time.Millisecond) //netvet:ignore realtime the clunk goroutines a finalizer starts run on the real clock
-	// The connection still works.
-	if _, err := root.Walk("f"); err != nil {
-		t.Errorf("connection unhealthy after finalizer storm: %v", err)
-	}
 }

@@ -3,7 +3,6 @@ package mnt
 import (
 	"bytes"
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -196,23 +195,6 @@ func TestCloseIdempotent(t *testing.T) {
 			t.Errorf("connection damaged by double close: %v", err)
 		}
 	})
-}
-
-// TestFinalizerAfterClientClose: nodes collected after the client is
-// gone must not fire clunk goroutines at a dead connection (leakcheck
-// in TestMain would catch a goroutine parked on a closed client).
-func TestFinalizerAfterClientClose(t *testing.T) {
-	root, fs, cl := mountedOnRealClock(t)
-	fs.WriteFile("f", nil, 0664)
-	for range 50 {
-		if _, err := root.Walk("f"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl.Close()
-	runtime.GC()
-	runtime.GC()
-	time.Sleep(20 * time.Millisecond) //netvet:ignore realtime finalizers run on the real clock
 }
 
 // blockSrv serves one file whose reads beyond a threshold offset park

@@ -17,6 +17,10 @@
 // A listener writes "announce <addr>" instead and then opens the
 // listen file, which blocks until a call arrives and yields a file
 // descriptor for the ctl file of the new connection.
+//
+// The data file is the top of the conversation's one stream, the one
+// its protocol reads through (§2.4); "push" and "pop" on the ctl file
+// put line disciplines on that same stream (§2.4.1).
 package netdev
 
 import (
@@ -24,14 +28,10 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/devtree"
 	"repro/internal/netmsg"
 	"repro/internal/obs"
-	"repro/internal/streams"
-	"repro/internal/vclock"
 	"repro/internal/vfs"
 	"repro/internal/xport"
 )
@@ -46,26 +46,18 @@ type Dev struct {
 	convs *devtree.Table[*conv] // conversations 0 … MaxConvs-1
 }
 
-// conv is what the device keeps per conversation: the protocol's end
-// and the line discipline pushed on it.
+// conv is what the device keeps per conversation: the protocol's end,
+// which carries the conversation's stream and whatever is pushed on it.
 type conv struct {
 	dev  *Dev
 	conn xport.Conn
-	// line is the conversation's pushable module chain, materialized
-	// lazily by the first "push" ctl (§2.4.1). Once present, the data
-	// file's reads and writes pass through it instead of the bare
-	// conversation.
-	line atomic.Pointer[streams.Line]
-
-	mu   sync.Mutex // orders the first push against the hangup
-	hung bool
 }
 
 var _ vfs.Device = (*Dev)(nil)
 
 // New wraps proto in its file tree.
 func New(proto xport.Proto, owner string) *Dev {
-	return &Dev{proto: proto, owner: owner, convs: devtree.NewTable(0, MaxConvs, (*conv).hangup)}
+	return &Dev{proto: proto, owner: owner, convs: devtree.NewTable(0, MaxConvs, func(c *conv) { c.hangup() })}
 }
 
 // Name implements vfs.Device ("tcp", "il", "udp", "dk", "cyc").
@@ -109,38 +101,15 @@ func (d *Dev) place(src func() (xport.Conn, error)) (vfs.Handle, error) {
 	return ref.Ctl((*conv).ctl), nil
 }
 
-// hangup ends the conversation when its last file closes.
-func (c *conv) hangup() {
-	c.mu.Lock()
-	c.hung = true
-	c.mu.Unlock()
-	if l := c.line.Load(); l != nil {
-		l.Close() // pop-drains pending module data, then closes conn
-		return
+// hangup ends the conversation, when its last file closes or on the
+// "hangup" request: the pushed modules pop first, draining what they
+// hold (a batch window) out through the protocol, which then closes.
+func (c *conv) hangup() error {
+	if s := c.conn.Stream(); s != nil {
+		for s.Pop() == nil {
+		}
 	}
-	c.conn.Close()
-}
-
-// pushLine pushes one module spec onto the conversation's stream,
-// creating the stream around the bare conversation on the first push.
-// Pushing is operator-coordinated with traffic, as in the kernel: both
-// ends push the same modules before exchanging data through them.
-func (c *conv) pushLine(ck vclock.Clock, spec string) error {
-	if spec == "" {
-		return vfs.ErrBadCtl
-	}
-	c.mu.Lock()
-	if c.hung {
-		c.mu.Unlock()
-		return vfs.ErrHungup
-	}
-	l := c.line.Load()
-	if l == nil {
-		l = streams.NewLine(c.conn, ck, 0)
-		c.line.Store(l)
-	}
-	c.mu.Unlock()
-	return l.WriteCtl(netmsg.Push(spec))
+	return c.conn.Close()
 }
 
 // statsText renders one line per live conversation, netstat style,
@@ -180,20 +149,23 @@ func (c *conv) ctl(cmd string) error {
 		}
 		return conn.Announce(arg)
 	case netmsg.VerbHangup:
-		if l := c.line.Load(); l != nil {
-			return l.Close()
-		}
-		return conn.Close()
-	case netmsg.VerbPush:
+		return c.hangup()
+	case netmsg.VerbPush, netmsg.VerbPop:
 		// "push batch 2048 2ms", "push compress": dress the
-		// conversation in a line discipline (§2.4.1).
-		return c.pushLine(c.dev.proto.Clock(), arg)
-	case netmsg.VerbPop:
-		l := c.line.Load()
-		if l == nil {
-			return streams.ErrNothingToPop
+		// conversation's stream in a line discipline (§2.4.1); "pop"
+		// takes the top one off. Pushing is operator-coordinated with
+		// traffic, as in the kernel: both ends push the same modules
+		// before exchanging data through them.
+		switch s := conn.Stream(); {
+		case verb == netmsg.VerbPush && arg == "":
+			return vfs.ErrBadCtl
+		case s == nil:
+			return xport.ErrNotConnected
+		case verb == netmsg.VerbPop:
+			return s.Pop()
+		default:
+			return s.WriteCtl(netmsg.Push(arg))
 		}
-		return l.WriteCtl(netmsg.Pop())
 	case netmsg.VerbReject:
 		// Datakit accepts a reason; IP networks ignore it (§5.2).
 		return conn.Close()
@@ -276,10 +248,15 @@ func (d *Dev) convFile(n devtree.Tenancy[*conv], name string) vfs.Node {
 		// module, rendered top first — the per-conversation bill for its
 		// line disciplines. Empty until something is pushed.
 		return n.Text(mk(0444), func(c *conv) string {
-			if l := c.line.Load(); l != nil {
-				return l.StatsText()
+			s := c.conn.Stream()
+			if s == nil {
+				return ""
 			}
-			return ""
+			var b strings.Builder
+			for _, g := range s.ModuleStats() {
+				b.WriteString(g.Render())
+			}
+			return b.String()
 		})
 	case "trace":
 		// Only a conversation that carries an event ring has one: it
@@ -312,34 +289,30 @@ type dataHandle struct{ ref devtree.Ref[*conv] }
 
 var _ vfs.Handle = (*dataHandle)(nil)
 
-// Read implements vfs.Handle (offset ignored; stream semantics).
-// When the conversation wears a line discipline, reads come off the
-// top of its stream; otherwise straight from the protocol. EOF is a
-// zero-length read at the file boundary.
+// Read implements vfs.Handle (offset ignored; stream semantics): the
+// protocol's Read, which takes data off the top of the conversation's
+// stream. EOF is a zero-length read at the file boundary.
 func (h *dataHandle) Read(p []byte, off int64) (n int, err error) {
 	c, err := h.ref.Conv()
 	if err != nil {
 		return 0, err
 	}
-	if l := c.line.Load(); l != nil {
-		n, err = l.Read(p)
-	} else {
-		n, err = c.conn.Read(p)
-	}
+	n, err = c.conn.Read(p)
 	if err == io.EOF {
 		err = nil
 	}
 	return n, err
 }
 
-// Write implements vfs.Handle.
+// Write implements vfs.Handle: down the conversation's stream, through
+// whatever is pushed on it, to the protocol's Write at its device end.
 func (h *dataHandle) Write(p []byte, off int64) (int, error) {
 	c, err := h.ref.Conv()
 	if err != nil {
 		return 0, err
 	}
-	if l := c.line.Load(); l != nil {
-		return l.Write(p)
+	if s := c.conn.Stream(); s != nil {
+		return s.Write(p)
 	}
 	return c.conn.Write(p)
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/ns"
 	"repro/internal/obs"
 	"repro/internal/ramfs"
+	"repro/internal/streams"
 	"repro/internal/tcp"
 	"repro/internal/vclock"
 	"repro/internal/vfs"
@@ -515,6 +516,7 @@ func (c *fakeConn) Write(p []byte) (int, error) { return len(p), nil }
 func (c *fakeConn) LocalAddr() string           { return "fake!0" }
 func (c *fakeConn) RemoteAddr() string          { return "fake!1" }
 func (c *fakeConn) Status() string              { return "Established" }
+func (c *fakeConn) Stream() *streams.Stream     { return nil }
 func (c *fakeConn) Close() error {
 	if c.closeGate != nil {
 		<-c.closeGate

@@ -74,9 +74,9 @@ func roundTripAllocs(t *testing.T, mode int, op func(f *Fid, buf []byte) (int, e
 	return allocs
 }
 
-// Under a virtual clock a walked fid lives until its connection closes
-// (the mount driver clunks from a finalizer only on the real clock), so
-// every byte of srvFid is paid a couple of times per operation. The
+// A walked fid lives until its connection closes (the mount driver
+// clunks none), so every byte of srvFid is paid a couple of times per
+// operation. The
 // ticket queues are pointers made by the first request that queues:
 // inline in the struct they cost 256 bytes a fid.
 func TestSrvFidIsSmall(t *testing.T) {

@@ -85,9 +85,9 @@ func RunGateway(cfg Config) (*GatewayResult, error) {
 					continue
 				}
 				b, err := m.NS.ReadFile("/n/gw/shared")
-				// Close explicitly: under the virtual clock nothing runs
-				// finalizers, and a storm of leaked imports would pin the
-				// gateway's connection table.
+				// Close explicitly: nothing else ends an import, and a
+				// storm of leaked imports would pin the gateway's
+				// connection table.
 				cl.Close()
 				if err == nil && bytes.Equal(b, payload) {
 					reads.Add(1)

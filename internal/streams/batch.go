@@ -327,8 +327,9 @@ func batchOput(q *Queue, b *Block) {
 }
 
 // failLocked poisons the module after an unbatchable message and hangs
-// the stream up: the peer's splitter would desynchronize otherwise.
-// Called with st.mu held on the up queue; releases st.mu.
+// the stream up at its device end, as every hangup enters: the peer's
+// splitter would desynchronize otherwise. Called with st.mu held on
+// the up queue; releases st.mu.
 func (st *batchState) failLocked(up *Queue) {
 	st.stats.errs.Add(1)
 	st.errored = true
@@ -338,7 +339,7 @@ func (st *batchState) failLocked(up *Queue) {
 		st.pend = nil
 	}
 	st.mu.Unlock()
-	up.PutNext(block.Control(BlockHangup, ""))
+	up.Stream().HangupUp()
 }
 
 func batchIput(q *Queue, b *Block) {
@@ -392,7 +393,7 @@ func batchIput(q *Queue, b *Block) {
 			st.errored = true
 			st.partial = nil
 			st.rmu.Unlock()
-			q.PutNext(block.Control(BlockHangup, ""))
+			q.Stream().HangupUp()
 			return
 		}
 		if len(st.partial) < 4+n {

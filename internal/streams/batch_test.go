@@ -357,7 +357,7 @@ func TestBatchArgParsing(t *testing.T) {
 	if err := s.WriteCtl("push batch 4096 250us"); err != nil {
 		t.Fatal(err)
 	}
-	if mods := s.Modules(); len(mods) != 1 || mods[0] != "batch" {
+	if mods := modules(s); len(mods) != 1 || mods[0] != "batch" {
 		t.Fatalf("modules: %v", mods)
 	}
 }
@@ -366,6 +366,8 @@ func TestBatchHangupFlushesPendingWindow(t *testing.T) {
 	// The hangup-mid-window satellite: data sitting in the batch
 	// window when the conversation hangs up must reach the device —
 	// flushed, not leaked — and the reader must still drain to EOF.
+	// The hangup runs through the modules on the reading process, so
+	// the flush happens at the read that carries it up.
 	sink := &devSink{}
 	s := New(0, sink.put)
 	if err := s.WriteCtl("push batch 4096 1h"); err != nil {
@@ -378,6 +380,15 @@ func TestBatchHangupFlushesPendingWindow(t *testing.T) {
 		t.Fatalf("premature flush: %d", n)
 	}
 	s.HangupUp()
+	if _, err := s.Write([]byte("after hangup")); err == nil {
+		t.Fatal("writer did not see the hangup")
+	}
+	if n := len(sink.snapshot()); n != 0 {
+		t.Fatalf("the device end ran a module: %d blocks flushed before the read", n)
+	}
+	if _, err := s.Read(make([]byte, 16)); err == nil {
+		t.Fatal("reader did not see the hangup")
+	}
 	blocks := sink.snapshot()
 	if len(blocks) != 1 {
 		t.Fatalf("hangup flushed %d blocks, want 1", len(blocks))
@@ -389,12 +400,6 @@ func TestBatchHangupFlushesPendingWindow(t *testing.T) {
 	st := moduleSnapshot(t, s)
 	if st["batch-flush-hangup"] != 1 {
 		t.Fatalf("flush-hangup %d, want 1", st["batch-flush-hangup"])
-	}
-	if _, err := s.Read(make([]byte, 16)); err == nil {
-		t.Fatal("reader did not see the hangup")
-	}
-	if _, err := s.Write([]byte("after hangup")); err == nil {
-		t.Fatal("writer did not see the hangup")
 	}
 	s.Close()
 }

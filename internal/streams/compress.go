@@ -179,14 +179,14 @@ func parseCompressHeader(p []byte) (flags byte, ulen, clen int, bad bool) {
 	return flags, ulen, clen, false
 }
 
-// fail poisons the upstream side and hangs the stream up. Called with
-// st.rmu held; releases it.
+// fail poisons the upstream side and hangs the stream up at its device
+// end. Called with st.rmu held; releases it.
 func (st *compressState) fail(up *Queue) {
 	st.stats.decErrs.Add(1)
 	st.errored = true
 	st.partial = nil
 	st.rmu.Unlock()
-	up.PutNext(block.Control(BlockHangup, ""))
+	up.Stream().HangupUp()
 }
 
 func compressIput(q *Queue, b *Block) {

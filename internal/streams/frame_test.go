@@ -55,6 +55,9 @@ func TestFrameWireGolden(t *testing.T) {
 
 // A declared length over batchMaxMsg hangs the stream up; the bytes
 // behind it are dropped, not buffered toward a frame that never ends.
+// They arrive faster than the stream's limit lets the device end hold
+// them unread, so the device queues them on its own process while the
+// reader carries them up.
 func TestFrameRejectsOversizedPrefix(t *testing.T) {
 	s := New(0, nil)
 	defer s.Close()
@@ -63,13 +66,18 @@ func TestFrameRejectsOversizedPrefix(t *testing.T) {
 	}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], batchMaxMsg+1)
-	upData(s, hdr[:])
-	for i := 0; i < 8; i++ {
-		upData(s, make([]byte, MaxBlock))
-	}
+	device := make(chan struct{})
+	go func() {
+		defer close(device)
+		upData(s, hdr[:])
+		for i := 0; i < 8; i++ {
+			upData(s, make([]byte, MaxBlock))
+		}
+	}()
 	if n, err := s.Read(make([]byte, 64)); n != 0 || err != io.EOF {
 		t.Fatalf("Read = %d, %v; want EOF", n, err)
 	}
+	<-device // the hangup lets the device end queue past the limit
 	if st := s.topWrite.next.other.Aux.(*batchState); len(st.partial) != 0 {
 		t.Fatalf("splitter holds %d bytes behind a hostile prefix", len(st.partial))
 	}

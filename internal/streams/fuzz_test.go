@@ -7,13 +7,14 @@ import (
 	"time"
 )
 
-// drainData pops everything queued at the top of the stream without
-// blocking (fuzz inputs often leave the reassembler mid-frame with
-// nothing deliverable, where Read would park).
+// drainData carries everything queued at the device end up and pops it
+// off the top of the stream, block by block, without blocking (fuzz
+// inputs often leave the reassembler mid-frame with nothing
+// deliverable, where Read would park).
 func drainData(s *Stream) [][]byte {
 	var out [][]byte
 	for {
-		b := s.topRead.TryGet()
+		b, _ := s.next(false) // carries what the device end queued
 		if b == nil {
 			return out
 		}

@@ -19,8 +19,13 @@ import (
 //	user read/write
 //	  topRead (up, queueing)   topWrite (down, pass)
 //	  [pushed modules ...]
-//	  devUp (up, pass)         devWrite (down, device output)
+//	  devUp (up, queueing)     devWrite (down, device output)
 //	device receive/transmit
+//
+// Downstream runs on the writing process, all the way to the device;
+// upstream on the reading one: a device only queues at devUp, and Read
+// carries what it queued up through the modules, so a delivery runs no
+// module code and takes no module-list lock.
 type Stream struct {
 	limit int
 	clk   vclock.Clock
@@ -28,16 +33,21 @@ type Stream struct {
 	cfg      chainLock // guards module list changes vs. traffic
 	topRead  *Queue    // up direction terminator: user reads here
 	topWrite *Queue    // down direction entry: user writes here
-	devUp    *Queue    // up direction entry: device injects here
+	devUp    *Queue    // up direction entry: the device queues here
 	devWrite *Queue    // down direction terminator: device output
+
+	// The device end: dev takes every block, or out every message
+	// whole, part holding the blocks of one not yet delimited.
+	dev  DeviceFunc
+	out  io.Writer
+	part []byte
 
 	// rlock is the per-stream read lock of §2.4.1. A reader holds it while
 	// it waits for data, so a second reader queues through the clock.
 	rlock vclock.Mutex
 
-	mu      sync.Mutex
-	closed  bool
-	onClose []func()
+	mu     sync.Mutex
+	closed bool
 }
 
 // DeviceFunc is the device-end output routine: it receives every block
@@ -56,19 +66,16 @@ func NewClock(limit int, ck vclock.Clock, dev DeviceFunc) *Stream {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	s := &Stream{limit: limit, clk: ck}
+	s := &Stream{limit: limit, clk: ck, dev: dev}
 	s.cfg.init(s.clk)
 	s.rlock.Init(s.clk)
 	s.topRead = newQueue(s, nil, true, PutQ)
+	// Only the reader fills topRead, so it must never wait on it: flow
+	// control is at devUp, where the device queues.
+	s.topRead.limit = int(^uint(0) >> 1)
 	s.topWrite = newQueue(s, nil, false, PassPut)
 	s.devUp = newQueue(s, nil, true, PassPut)
-	s.devWrite = newQueue(s, nil, false, func(q *Queue, b *Block) {
-		if dev != nil {
-			dev(b) // ownership passes to the device
-		} else {
-			b.Free()
-		}
-	})
+	s.devWrite = newQueue(s, nil, false, deviceOut)
 	// Initially no modules: writes go straight to the device, device
 	// input goes straight to the read queue.
 	s.topWrite.next = s.devWrite
@@ -76,11 +83,38 @@ func NewClock(limit int, ck vclock.Clock, dev DeviceFunc) *Stream {
 	return s
 }
 
-// OnClose registers a hook run once when the stream is destroyed.
-func (s *Stream) OnClose(f func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.onClose = append(s.onClose, f)
+// NewConv makes a conversation's stream (§2.4): its device end hands
+// each whole data message to w's Write, the transport's send, however
+// the modules above cut it into blocks. With nothing pushed, Write
+// hands the user's bytes to w directly and returns what w returns.
+// The transport queues what it receives with DeviceUp.
+func NewConv(limit int, ck vclock.Clock, w io.Writer) *Stream {
+	s := NewClock(limit, ck, nil)
+	s.out = w
+	return s
+}
+
+// deviceOut is the device end's put routine: the block goes to the
+// device function, or, on a conversation's stream, a data message goes
+// to the transport in one Write once its delimited block arrives.
+// Anything else ends here.
+func deviceOut(q *Queue, b *Block) {
+	s := q.s
+	switch {
+	case s.dev != nil:
+		s.dev(b) // ownership passes to the device
+		return
+	case s.out == nil || b.Type != BlockData:
+	case len(s.part) == 0 && b.Delim:
+		s.out.Write(b.Bytes()) // a message in one block: no copy
+	default:
+		s.part = append(s.part, b.Bytes()...)
+		if b.Delim {
+			s.out.Write(s.part)
+			s.part = s.part[:0]
+		}
+	}
+	b.Free()
 }
 
 // Clock returns the stream's time source. Modules must take their
@@ -143,12 +177,20 @@ func (s *Stream) Pop() error {
 // data it holds (a batch window's pending coalesced block) is emitted
 // down the still-intact chain BEFORE the module disappears. A write
 // issued after Pop returns therefore cannot overtake data written
-// before it.
+// before it. A stream with nothing pushed does not wait for the chains
+// in flight: a writer parked in its transport's window holds the read
+// side, and a hangup must not wait for the window to open.
 func (s *Stream) popModule() *Queue {
+	s.cfg.RLock()
+	bare := s.topWrite.next == s.devWrite
+	s.cfg.RUnlock()
+	if bare {
+		return nil
+	}
 	s.cfg.Lock()
 	defer s.cfg.Unlock()
 	down := s.topWrite.next
-	if down == s.devWrite || down == nil {
+	if down == s.devWrite {
 		return nil
 	}
 	up := down.other
@@ -193,31 +235,26 @@ func (s *Stream) ModuleStats() []*obs.Group {
 	return gs
 }
 
-// Modules returns the names of pushed modules, top first.
-func (s *Stream) Modules() []string {
-	s.cfg.RLock()
-	defer s.cfg.RUnlock()
-	var names []string
-	for q := s.topWrite.next; q != nil && q != s.devWrite; q = q.next {
-		if q.qi != nil {
-			names = append(names, q.qi.Name)
-		}
-	}
-	return names
-}
-
 // Write copies p into blocks of at most MaxBlock bytes and sends them
 // down the stream; the final block carries the delimiter flag, alerting
 // "downstream modules that care about write boundaries". Concurrent
 // writes are not synchronized with each other, as in the kernel, but a
-// single write of <= MaxBlock is atomic (one block).
+// single write of <= MaxBlock is atomic (one block). Once a hangup has
+// reached the device end, read or not, Write fails.
 func (s *Stream) Write(p []byte) (int, error) {
 	if s.isClosed() {
 		return 0, ErrClosed
 	}
-	if s.topRead.Hungup() {
+	if s.devUp.Hungup() {
 		return 0, ErrHungup
 	}
+	s.cfg.RLock()
+	if s.out != nil && s.topWrite.next == s.devWrite {
+		// Nothing pushed: the message is the transport's as it is.
+		defer s.cfg.RUnlock()
+		return s.out.Write(p)
+	}
+	s.cfg.RUnlock()
 	total := 0
 	for {
 		n := len(p) - total
@@ -285,9 +322,11 @@ func (s *Stream) Read(p []byte) (int, error) {
 	defer s.rlock.Unlock()
 	total := 0
 	for total < len(p) || len(p) == 0 {
-		b, err := s.topRead.Get()
-		if err != nil {
-			if total > 0 {
+		// Wait only for the first block: an undelimited one is
+		// followed only by what is already queued.
+		b, err := s.next(total == 0)
+		if b == nil {
+			if total > 0 || err == nil {
 				return total, nil
 			}
 			if err == ErrHungup {
@@ -308,38 +347,58 @@ func (s *Stream) Read(p []byte) (int, error) {
 		}
 		delim := b.Delim
 		b.Free()
-		if delim {
-			return total, nil
-		}
-		if total == len(p) {
-			return total, nil
-		}
-		// Undelimited and buffer not full: take more only if
-		// already queued; otherwise return what we have.
-		if s.topRead.Len() == 0 {
+		if delim || total == len(p) {
 			return total, nil
 		}
 	}
 	return total, nil
 }
 
-// DeviceUp injects a block at the device end, moving upstream through
-// the module Iputs to the read queue — what a device interrupt
-// handler's kernel process does with received data (§2.4.2). The
-// device sets Delim on a block that ends a message; a device that only
-// borrows its receive buffer copies it first (NewBlock).
-func (s *Stream) DeviceUp(b *Block) {
-	// Held across the chain for the same reason as Write: see there.
-	s.cfg.RLock()
-	s.devUp.Put(b)
-	s.cfg.RUnlock()
+// next returns the next block at the top of the stream. While there is
+// none it carries what the device end has queued up through the
+// modules, which may absorb a block or make several of it; it waits for
+// the device only if wait is set, and otherwise returns nil, nil once
+// nothing is queued. The module-list lock is held only to carry a block
+// already taken, never across the wait.
+func (s *Stream) next(wait bool) (*Block, error) {
+	for {
+		if b, err := s.topRead.take(); b != nil || err != nil {
+			return b, err
+		}
+		b, err := s.devUp.take()
+		if b == nil && err == nil {
+			if !wait {
+				return nil, nil
+			}
+			b, err = s.devUp.Get()
+		}
+		if err == ErrHungup {
+			// What the device queued before it hung up is carried: the
+			// hangup goes up now, once, and marks topRead.
+			b, err = block.Control(BlockHangup, ""), nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		s.cfg.RLock()
+		s.devUp.PutNext(b)
+		s.cfg.RUnlock()
+	}
 }
 
-// HangupUp sends a hangup up the stream from the device end (§2.4.1):
-// readers drain queued data then see EOF; writers fail.
-func (s *Stream) HangupUp() {
-	s.DeviceUp(block.Control(BlockHangup, ""))
-}
+// DeviceUp queues a block at the device end — what a device interrupt
+// handler does with received data (§2.4.2); the reading process
+// carries it up through the modules. It runs no module code and takes
+// no module-list lock, so it parks only on flow control: while the
+// device end holds the stream's limit, unread. The device sets Delim
+// on a block that ends a message; a device that only borrows its
+// receive buffer copies it first (NewBlock).
+func (s *Stream) DeviceUp(b *Block) { s.devUp.Enqueue(b) }
+
+// HangupUp hangs the stream up at the device end (§2.4.1): writers
+// fail at once; readers drain what was queued, then the hangup goes up
+// through the modules and they see EOF. It never parks.
+func (s *Stream) HangupUp() { s.devUp.hangup() }
 
 // Close destroys the stream: modules are closed top-down, queued data
 // is discarded, and all blocked readers and writers are woken.
@@ -350,14 +409,15 @@ func (s *Stream) Close() error {
 		return nil
 	}
 	s.closed = true
-	hooks := s.onClose
 	s.mu.Unlock()
-	// The read queue dies first: an upstream put chain parked on its
-	// flow-control limit holds the config read lock, and the Pops below
-	// need it exclusively. Closing topRead wakes that writer (the block
-	// is discarded on the dying stream) so the Pops can proceed — and
-	// each Pop's Drain still flushes module-held data out the device
-	// end, which stays functional until the stream is fully torn down.
+	// The device end dies first: a downstream put chain that loops back
+	// into it can be parked on its flow-control limit holding the config
+	// read lock, and the Pops below need that lock exclusively. Closing
+	// devUp wakes that writer (the block is discarded on the dying
+	// stream) so the Pops can proceed — and each Pop's Drain still
+	// flushes module-held data out the device end, which stays
+	// functional until the stream is fully torn down.
+	s.devUp.close()
 	s.topRead.close()
 	for {
 		if err := s.Pop(); err != nil {
@@ -365,11 +425,7 @@ func (s *Stream) Close() error {
 		}
 	}
 	s.topWrite.close()
-	s.devUp.close()
 	s.devWrite.close()
-	for _, f := range hooks {
-		f()
-	}
 	return nil
 }
 
@@ -379,27 +435,28 @@ func (s *Stream) isClosed() bool {
 	return s.closed
 }
 
-// QueuedBytes reports bytes waiting at the top read queue.
-func (s *Stream) QueuedBytes() int { return s.topRead.Len() }
+// QueuedBytes reports the bytes received and not yet read: those queued
+// at the device end and those carried up to the top.
+func (s *Stream) QueuedBytes() int { return s.devUp.Len() + s.topRead.Len() }
 
 // chainLock is the reader-writer lock guarding the module list against
 // reconfiguration: every put chain holds it shared for its whole
 // traversal; push and pop take it exclusively, so an unsplice can
 // never happen under a block in flight. A put chain can park while
 // holding the read side — flow control in a queueing module, or a
-// bandwidth-paced device write — so the waiters must park through the
-// stream's clock: a plain sync.RWMutex waiter never yields its virtual
-// scheduler token and would wedge a discrete-event run (the same rule
-// vclock.Mutex follows). Writers have priority over new readers, so a
-// pop under continuous traffic is bounded by the chains already in
-// flight, not starved by new ones — which relies on every chain in
-// flight finishing on its own: a device write must not wait on the
-// peer's upstream put chain. Over a rendezvous transport (net.Pipe) it
-// does — the write completes only when the peer's pump reads, and that
-// pump can be a new reader held at DeviceUp behind the peer's own
-// waiting writer, whose in-flight chain is in turn waiting on this
-// end's pump: four parties, each waiting on the next. Every transport
-// in this tree queues at least a window, so the write returns.
+// device write waiting for its transport's window — so the waiters
+// must park through the stream's clock: a plain sync.RWMutex waiter
+// never yields its virtual scheduler token and would wedge a
+// discrete-event run (the same rule vclock.Mutex follows). Writers have
+// priority over new readers, so a pop under continuous traffic is
+// bounded by the chains already in flight, not starved by new ones —
+// which relies on every chain in flight finishing on its own. A device
+// write waits only for its transport's window, which the peer's
+// protocol opens as data arrives, and an arrival never waits on a
+// chain: DeviceUp takes no chain lock, and the reader carries what it
+// queued only after it has it in hand. Were an arrival put up the
+// chain, it could be held behind a waiting push on the peer, and this
+// end's window with it: four parties, each waiting on the next.
 type chainLock struct {
 	mu      sync.Mutex
 	rcond   vclock.Cond // readers waiting for the writer to leave

@@ -171,15 +171,13 @@ func (q *Queue) PutNext(b *Block) {
 // queue is over its limit (flow control), and wakes readers. Hangup
 // blocks mark the queue so readers drain and then see EOF.
 func (q *Queue) Enqueue(b *Block) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if b.Type == BlockHangup {
-		q.hungup = true
-		q.rwait.Broadcast()
-		q.wwait.Broadcast()
+		q.hangup()
 		b.Free() // consumed here like any other block, not just dropped
 		return
 	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	for q.nbytes >= q.limit && !q.closed && !q.hungup {
 		q.wwait.Wait()
 	}
@@ -203,6 +201,16 @@ func (q *Queue) Enqueue(b *Block) {
 	q.rwait.Broadcast()
 }
 
+// hangup marks the queue hung up: writers stop waiting for room, and
+// readers drain what is queued, then see ErrHungup. It never parks.
+func (q *Queue) hangup() {
+	q.mu.Lock()
+	q.hungup = true
+	q.rwait.Broadcast()
+	q.wwait.Broadcast()
+	q.mu.Unlock()
+}
+
 // Get removes and returns the next block, blocking until one arrives,
 // the queue hangs up (nil, ErrHungup after draining), or the stream
 // closes (nil, ErrClosed).
@@ -220,6 +228,22 @@ func (q *Queue) Get() (*Block, error) {
 	}
 	b := q.dequeueLocked()
 	return b, nil
+}
+
+// take removes the next block without blocking; with none queued it
+// says why none will come: ErrClosed, ErrHungup, or nil while one may.
+func (q *Queue) take() (*Block, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	switch {
+	case q.first != nil:
+		return q.dequeueLocked(), nil
+	case q.closed:
+		return nil, ErrClosed
+	case q.hungup:
+		return nil, ErrHungup
+	}
+	return nil, nil
 }
 
 // TryGet removes the next block without blocking.

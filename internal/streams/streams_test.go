@@ -32,6 +32,17 @@ func crossPair(t *testing.T) (*Stream, *Stream) {
 	return a, b
 }
 
+// modules returns the names of the modules pushed on s, top first.
+func modules(s *Stream) []string {
+	s.cfg.RLock()
+	defer s.cfg.RUnlock()
+	var names []string
+	for q := s.topWrite.next; q != s.devWrite; q = q.next {
+		names = append(names, q.qi.Name)
+	}
+	return names
+}
+
 // upData injects a copy of p at s's device end as one delimited
 // message, as a device that only borrows its receive buffer does.
 func upData(s *Stream, p []byte) {
@@ -223,7 +234,7 @@ func TestPushPopModules(t *testing.T) {
 	if err := a.Push(traceModule, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Modules(); len(got) != 1 || got[0] != "trace" {
+	if got := modules(a); len(got) != 1 || got[0] != "trace" {
 		t.Fatalf("modules %v", got)
 	}
 	a.Write([]byte("12345"))
@@ -243,7 +254,7 @@ func TestPushPopModules(t *testing.T) {
 	if err := a.Pop(); err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Modules()) != 0 {
+	if len(modules(a)) != 0 {
 		t.Error("module list not empty after pop")
 	}
 	if err := a.Pop(); err != ErrNothingToPop {
@@ -256,7 +267,7 @@ func TestPushViaCtl(t *testing.T) {
 	if err := s.WriteCtl("push trace"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Modules(); len(got) != 1 || got[0] != "trace" {
+	if got := modules(s); len(got) != 1 || got[0] != "trace" {
 		t.Errorf("modules after ctl push: %v", got)
 	}
 	if err := s.WriteCtl("pop"); err != nil {
@@ -313,17 +324,6 @@ func TestCtlBlocksSkippedByRead(t *testing.T) {
 	n, err := s.Read(buf)
 	if err != nil || string(buf[:n]) != "data" {
 		t.Errorf("read past ctl block: %q, %v", buf[:n], err)
-	}
-}
-
-func TestOnCloseHooks(t *testing.T) {
-	s := New(0, nil)
-	ran := 0
-	s.OnClose(func() { ran++ })
-	s.Close()
-	s.Close() // idempotent
-	if ran != 1 {
-		t.Errorf("close hooks ran %d times", ran)
 	}
 }
 

@@ -244,7 +244,7 @@ func pipePath() Path {
 		Clock: vclock.Real,
 		DialEcho: func() (io.ReadWriteCloser, error) {
 			a, b := mkPipe()
-			go func() { // echo process
+			vclock.Real.Go(func() { // echo process
 				buf := make([]byte, 64*1024)
 				for {
 					n, err := b.Read(buf)
@@ -255,12 +255,12 @@ func pipePath() Path {
 						return
 					}
 				}
-			}()
+			})
 			return streamConn{a, b}, nil
 		},
 		DialSink: func(total int) (io.ReadWriteCloser, error) {
 			a, b := mkPipe()
-			go func() { // sink process: drain, then acknowledge
+			vclock.Real.Go(func() { // sink process: drain, then acknowledge
 				buf := make([]byte, 64*1024)
 				got := 0
 				for got < total {
@@ -271,7 +271,7 @@ func pipePath() Path {
 					}
 				}
 				b.Write([]byte{1})
-			}()
+			})
 			return streamConn{a, b}, nil
 		},
 	}

@@ -458,7 +458,7 @@ func (c *Conn) dataLocked(seq uint32, data []byte) {
 		for d, ok := data, true; ok; d, ok = c.ooo[c.rcvNxt] {
 			delete(c.ooo, c.rcvNxt)
 			c.rcvNxt += uint32(len(d))
-			c.Rq.DeviceUp(streams.NewBlock(d)) //netvet:ignore lock-across-send cannot park: Rq has no modules and its limit exceeds the window (see xport.Conv.Rq)
+			c.Rq.DeviceUp(streams.NewBlock(d)) //netvet:ignore lock-across-send cannot park: DeviceUp only queues and Rq's limit exceeds the window (see xport.Conv.Rq)
 		}
 		c.sendSegLocked(0, c.sndNxt, nil) // immediate ack
 		c.maybeFinLocked()
@@ -482,7 +482,7 @@ func (c *Conn) maybeFinLocked() {
 	}
 	c.rcvNxt++ // the FIN itself
 	c.sendSegLocked(0, c.sndNxt, nil)
-	c.Rq.HangupUp() //netvet:ignore lock-across-send cannot park: Rq has no modules and a hangup is never flow-controlled (see xport.Conv.Rq)
+	c.Rq.HangupUp()
 	switch c.St {
 	case Established:
 		c.St = CloseWait

@@ -11,6 +11,7 @@ import (
 	"repro/internal/il"
 	"repro/internal/ip"
 	"repro/internal/medium"
+	"repro/internal/netmsg"
 	"repro/internal/ninep"
 	"repro/internal/obs"
 	"repro/internal/ramfs"
@@ -32,25 +33,45 @@ type conv struct {
 	teardown  func() // closes protos, stacks, segments — after the conns
 }
 
-// dress wraps both ends of the conversation in Lines running the
-// scenario's module stack, returning the stats groups to snapshot
-// after the drain. The modules restore message boundaries themselves,
-// so a dressed conversation is never a raw byte stream.
-func dress(ck vclock.Clock, s Scenario, rep *Report, c *conv) (dialG, accG []*obs.Group) {
-	dl, al := streams.NewLine(c.dial, ck, 0), streams.NewLine(c.acc, ck, 0)
-	if err := dl.Push(s.Mods...); err != nil {
-		rep.violate("mods", "push %v on dialer: %v", s.Mods, err)
+// dress pushes the scenario's module stack onto both ends'
+// conversation streams, returning the stats groups to snapshot after
+// the drain. The modules restore message boundaries themselves, so a
+// dressed conversation is never a raw byte stream.
+func dress(s Scenario, rep *Report, c *conv) (dialG, accG []*obs.Group) {
+	wear := func(end io.ReadWriteCloser, name string) dressed {
+		d := dressed{end.(xport.Conn), end.(xport.Conn).Stream()}
+		for _, spec := range s.Mods {
+			if err := d.s.WriteCtl(netmsg.Push(spec)); err != nil {
+				rep.violate("mods", "push %v on %s: %v", s.Mods, name, err)
+				break
+			}
+		}
+		return d
 	}
-	if err := al.Push(s.Mods...); err != nil {
-		rep.violate("mods", "push %v on acceptor: %v", s.Mods, err)
+	d, a := wear(c.dial, "dialer"), wear(c.acc, "acceptor")
+	c.dial, c.acc, c.stream = d, a, false
+	return d.s.ModuleStats(), a.s.ModuleStats()
+}
+
+// dressed is a conversation with modules pushed on its stream: writes
+// pass down through them to the protocol's Write at the device end, and
+// a close pops them first, draining what they hold, as netdev's hangup
+// does.
+type dressed struct {
+	xport.Conn
+	s *streams.Stream
+}
+
+func (d dressed) Write(p []byte) (int, error) { return d.s.Write(p) }
+
+func (d dressed) Close() error {
+	for d.s.Pop() == nil {
 	}
-	c.dial, c.acc = dl, al
-	c.stream = false
-	return dl.ModuleStats(), al.ModuleStats()
+	return d.Conn.Close()
 }
 
 // snapshotGroups merges the final counter values of a module stack
-// into one map; the groups stay valid after the Line closes.
+// into one map; the groups stay valid after the modules pop.
 func snapshotGroups(gs []*obs.Group) map[string]int64 {
 	m := make(map[string]int64)
 	for _, g := range gs {
@@ -66,7 +87,7 @@ func snapshotGroups(gs []*obs.Group) map[string]int64 {
 func drive(ck vclock.Clock, s Scenario, rep *Report, c *conv) {
 	var dialG, accG []*obs.Group
 	if len(s.Mods) > 0 {
-		dialG, accG = dress(ck, s, rep, c)
+		dialG, accG = dress(s, rep, c)
 	}
 	watchdog := ck.AfterFunc(s.Timeout, func() {
 		rep.violate("timeout", "conversation did not finish in %v", s.Timeout)
@@ -464,14 +485,14 @@ func run9P(ck vclock.Clock, s Scenario, rep *Report) {
 		teardown()
 		return
 	}
-	// The 9P session can ride a dressed conversation too: Lines wrap
-	// the transport under the delimited-message adapter, so every RPC
-	// crosses the module stack.
+	// The 9P session can ride a dressed conversation too: the modules
+	// sit on the transport's stream under the delimited-message adapter,
+	// so every RPC crosses the module stack.
 	var dconn, aconn io.ReadWriteCloser = dc, ac
 	var dialG, accG []*obs.Group
 	if len(s.Mods) > 0 {
 		c := &conv{dial: dc, acc: ac}
-		dialG, accG = dress(ck, s, rep, c)
+		dialG, accG = dress(s, rep, c)
 		dconn, aconn = c.dial, c.acc
 	}
 	fs := ramfs.NewClock("torture", ck)

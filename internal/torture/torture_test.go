@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/medium"
+	"repro/internal/streams"
 	"repro/internal/vclock"
 	"repro/internal/xport"
 )
@@ -266,9 +267,10 @@ func (h *hostileConn) Announce(string) error { return nil }
 func (h *hostileConn) Listen() (xport.Conn, error) {
 	return nil, xport.ErrNotAnnounced
 }
-func (h *hostileConn) LocalAddr() string  { return "hostile" }
-func (h *hostileConn) RemoteAddr() string { return "hostile" }
-func (h *hostileConn) Status() string     { return "Established" }
+func (h *hostileConn) LocalAddr() string       { return "hostile" }
+func (h *hostileConn) RemoteAddr() string      { return "hostile" }
+func (h *hostileConn) Status() string          { return "Established" }
+func (h *hostileConn) Stream() *streams.Stream { return nil }
 func (h *hostileConn) Close() error {
 	if h.tx != nil {
 		h.tx.Close()

@@ -54,7 +54,7 @@ func (p *Proto) Clock() vclock.Clock { return p.stack.Clock() }
 // NewConn implements xport.Proto.
 func (p *Proto) NewConn() (xport.Conn, error) {
 	c := &Conn{proto: p}
-	c.rstream = streams.NewClock(0, p.stack.Clock(), nil)
+	c.rstream = streams.NewConv(0, p.stack.Clock(), c)
 	return c, nil
 }
 
@@ -204,6 +204,9 @@ func (c *Conn) deliver(src ip.Addr, srcPort uint16, data []byte) {
 
 // Read implements xport.Conn: one datagram per read.
 func (c *Conn) Read(p []byte) (int, error) { return c.rstream.Read(p) }
+
+// Stream implements xport.Conn.
+func (c *Conn) Stream() *streams.Stream { return c.rstream }
 
 // Write implements xport.Conn: one datagram per write.
 func (c *Conn) Write(p []byte) (int, error) {

@@ -136,12 +136,8 @@ func NewClock(wire Wire, stats *Stats, ck vclock.Clock) *Conn {
 	if stats == nil {
 		stats = &Stats{}
 	}
-	c := &Conn{
-		wire:    wire,
-		ck:      ck,
-		stats:   stats,
-		rstream: streams.NewClock(1<<22, ck, nil),
-	}
+	c := &Conn{wire: wire, ck: ck, stats: stats}
+	c.rstream = streams.NewConv(1<<22, ck, c)
 	c.cond.Init(ck, &c.mu)
 	c.due.Init(ck, &c.mu, deathTime, c.dueLocked, c.timeoutLocked, func() {
 		c.mu.Unlock()
@@ -215,6 +211,9 @@ func (c *Conn) Write(p []byte) (int, error) {
 // Read returns one delimited message (or part, if the buffer is
 // short).
 func (c *Conn) Read(p []byte) (int, error) { return c.rstream.Read(p) }
+
+// Stream returns the circuit's stream, whose device end is Write.
+func (c *Conn) Stream() *streams.Stream { return c.rstream }
 
 // input takes one cell off the wire, on the wire's delivery process:
 // the receive half of the protocol runs there, with no process of its

@@ -51,8 +51,6 @@ type Clock interface {
 	// not the go statement, for any goroutine that blocks in vclock
 	// primitives.
 	Go(f func())
-	// Virtual reports whether this is a discrete-event clock.
-	Virtual() bool
 }
 
 // Timer is a pending AfterFunc, on one clock or the other.

@@ -95,7 +95,7 @@ func TestAllocsMutexUncontended(t *testing.T) {
 			mu.Lock()
 			mu.Unlock()
 		}); n != 0 {
-			t.Errorf("virtual=%v: uncontended Lock/Unlock allocates %.1f", ck.Virtual(), n)
+			t.Errorf("%T: uncontended Lock/Unlock allocates %.1f", ck, n)
 		}
 	}
 }

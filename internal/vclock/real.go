@@ -32,5 +32,3 @@ func (realClock) AfterFunc(d time.Duration, f func()) *Timer {
 }
 
 func (realClock) Go(f func()) { go f() }
-
-func (realClock) Virtual() bool { return false }

@@ -650,7 +650,4 @@ func TestOrDefaultsToReal(t *testing.T) {
 	if Or(v) != Clock(v) {
 		t.Fatal("Or(v) != v")
 	}
-	if Real.Virtual() || !v.Virtual() {
-		t.Fatal("Virtual() flags wrong")
-	}
 }

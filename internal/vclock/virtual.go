@@ -484,6 +484,3 @@ func (v *Virtual) reset(ev *event, d time.Duration) bool {
 	heap.Fix(&v.events, ev.index)
 	return true
 }
-
-// Virtual implements Clock.
-func (v *Virtual) Virtual() bool { return true }

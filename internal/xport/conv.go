@@ -41,13 +41,14 @@ type Conv struct {
 	// embedded: what Listen returns, and what the protocol's receive
 	// path asserts back to its own type.
 	Self Conn
-	// Rq is the read queue: received data waiting for Read. The
-	// protocol's receive path calls DeviceUp and HangupUp on it with Mu
-	// held, and neither can park: nothing is ever pushed onto Rq, so its
-	// module-list lock has no writer but Close's empty Pop, which holds
-	// it across no park, and its 4 MiB limit is more than IL's window
-	// (20 messages of at most 45 packets) or TCP's advertised window
-	// lets a peer have in flight.
+	// Rq is the conversation's stream, whose device end is the
+	// protocol's Write. The protocol's receive path calls DeviceUp and
+	// HangupUp on it with Mu held, and neither parks: they only queue at
+	// the device end, running no module and taking no module-list lock
+	// (the reader carries what they queue up through whatever is
+	// pushed), a hangup never waits, and the 4 MiB limit is more than
+	// IL's window (20 messages of at most 45 packets) or TCP's
+	// advertised window lets a peer have in flight.
 	Rq *streams.Stream
 	// Accepted queues established calls for Listen; only a Listening
 	// conversation's is used.
@@ -68,7 +69,7 @@ func (c *Conv) Init(t *Table, self Conn) {
 	c.tab, c.Self = t, self
 	c.Cond.Init(t.Ck, &c.Mu)
 	c.RTT.Init(t.Ck, &t.RTTHist)
-	c.Rq = streams.NewClock(1<<22, t.Ck, nil)
+	c.Rq = streams.NewConv(1<<22, t.Ck, self)
 	c.Accepted = vclock.NewMailbox[Conn](t.Ck, 8)
 }
 
@@ -209,9 +210,12 @@ func (c *Conv) Listen() (Conn, error) {
 	return nc, nil
 }
 
-// Read implements Conn from the read queue: one message per read where
+// Read implements Conn from the stream: one message per read where
 // the protocol queues delimited blocks, a byte stream where not.
 func (c *Conv) Read(p []byte) (int, error) { return c.Rq.Read(p) }
+
+// Stream implements Conn.
+func (c *Conv) Stream() *streams.Stream { return c.Rq }
 
 // HangupLocked is how every conversation ends: Closed, waiters woken,
 // readers seeing the hangup once they have drained what arrived.
@@ -219,7 +223,7 @@ func (c *Conv) HangupLocked() {
 	c.St = Closed
 	c.Cond.Broadcast()
 	c.Ring.Emit(obs.EvHangup, 0, 0)
-	c.Rq.HangupUp() //netvet:ignore lock-across-send cannot park: Rq has no modules and a hangup is never flow-controlled (see Conv.Rq)
+	c.Rq.HangupUp()
 }
 
 // Remove takes the conversation out of the table — only where it is

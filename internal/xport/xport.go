@@ -17,6 +17,7 @@ package xport
 import (
 	"errors"
 
+	"repro/internal/streams"
 	"repro/internal/vclock"
 )
 
@@ -32,11 +33,15 @@ type Conn interface {
 	// conversation and returns the new conversation for the call —
 	// the semantics of opening the listen file.
 	Listen() (Conn, error)
-	// Read returns received data; message protocols preserve write
-	// delimiters, byte-stream protocols do not.
+	// Read returns received data off the top of Stream; message
+	// protocols preserve write delimiters, byte-stream protocols do not.
 	Read(p []byte) (int, error)
-	// Write queues data for transmission.
+	// Write queues data for transmission: the device end of Stream.
 	Write(p []byte) (int, error)
+	// Stream is the conversation's one stream (§2.4), on which modules
+	// are pushed; nil while there is nothing to carry (a Datakit call
+	// before its circuit, a Cyclone conversation not holding the link).
+	Stream() *streams.Stream
 	// LocalAddr and RemoteAddr return the ASCII endpoints, as the
 	// local and remote files report them.
 	LocalAddr() string

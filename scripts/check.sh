@@ -102,6 +102,21 @@ if [ "$sleepers" != "$allow" ]; then
     exit 1
 fi
 
+echo "== one stream per conversation"
+# A conversation is one stream, the one its protocol reads through: a
+# push lands on it, upstream runs on the reading process and downstream
+# on the writing one. A second stream wrapped around a conversation,
+# with a process pumping one into the other, is a second mechanism for
+# the same job.
+if grep -rnE '\.Go\(' --include='*.go' internal/streams | grep -v '_test\.go:'; then
+    echo "package streams starts a process (see above)" >&2
+    exit 1
+fi
+if grep -rnE 'streams\.(NewLine|Line)\b' --include='*.go' internal cmd examples bench | grep -v '_test\.go:' | grep -v testdata; then
+    echo "a conversation is wrapped in a second stream (see above)" >&2
+    exit 1
+fi
+
 echo "== bench module: vet + tests (race)"
 # The benchmark is a module of its own (repro/bench, replace repro =>
 # ../), so the ./... patterns above do not reach it.
