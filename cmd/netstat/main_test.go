@@ -139,7 +139,7 @@ const wantLocal = `== /net/ipstats
 == /net/tcp/2/stats
 
 == /net/udp/stats
-
+  overflows: 0
 `
 
 const wantImported = `== /net/ipstats
@@ -252,5 +252,5 @@ const wantImported = `== /net/ipstats
 == /net/tcp/2/stats
 
 == /net/udp/stats
-
+  overflows: 0
 `

@@ -286,7 +286,7 @@ func TestSingleflightCollapsesConcurrentMisses(t *testing.T) {
 				if err != nil {
 					t.Errorf("translate: %v", err)
 				}
-				results[i] = a.Lines()
+				results[i] = a.lines
 			})
 		}
 		wg.Wait()

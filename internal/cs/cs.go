@@ -92,13 +92,10 @@ type Config struct {
 
 // Answer is one translation result: destination lines in network
 // preference order. The zero Answer is empty. Answers share the
-// cache's immutable line slices; Lines copies.
+// cache's immutable line slices.
 type Answer struct {
 	lines []string
 }
-
-// Lines returns a copy of the destination lines.
-func (a Answer) Lines() []string { return append([]string(nil), a.lines...) }
 
 // Server is the connection server.
 type Server struct {

@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ns"
 	"repro/internal/obs"
+	"repro/internal/ramfs"
+	"repro/internal/vfs"
 )
 
 // Deeper connection-server behavior: answer ordering must survive
@@ -39,19 +42,27 @@ func TestRepeatedQueryHitsCacheSameOrder(t *testing.T) {
 	}
 }
 
+// The cache's answers are shared and immutable, and a caller only ever
+// sees a copy: the query file's reads land in the caller's buffer.
 func TestCallerCannotPoisonCache(t *testing.T) {
 	s := newServer(t, nil)
-	lines, err := tr(s, "tcp!helix!echo")
+	nsp := ns.New("self", ramfs.New("self").Root())
+	nsp.MountNode(s.Node("self"), "/net/cs", ns.MREPL)
+	fd, err := nsp.Open("/net/cs/cs", vfs.ORDWR)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines[0] = "scribbled"
-	again, err := tr(s, "tcp!helix!echo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again[0] != "/net/tcp/clone 135.104.9.31!7" {
-		t.Errorf("cache served the caller's scribble: %v", again)
+	defer fd.Close()
+	buf := make([]byte, 256)
+	for i := range 2 {
+		if _, err := fd.WriteString("tcp!helix!echo"); err != nil {
+			t.Fatal(err)
+		}
+		n, _ := fd.ReadAt(buf, 0)
+		if got := strings.TrimSpace(string(buf[:n])); got != "/net/tcp/clone 135.104.9.31!7" {
+			t.Errorf("query %d: cs served %q", i, got)
+		}
+		copy(buf, "scribbled")
 	}
 	if s.CacheHits.Load() != 1 {
 		t.Errorf("second query should have hit the cache")

@@ -242,5 +242,5 @@ func TestMultiHomedHostGetsAllAddresses(t *testing.T) {
 // tr flattens a translation for the []string-shaped assertions above.
 func tr(s *Server, q string) ([]string, error) {
 	a, err := s.Translate(q)
-	return a.Lines(), err
+	return a.lines, err
 }

@@ -120,13 +120,6 @@ func (r *Resolver) store(name string, qtype uint16, rrs []RR) {
 	r.mu.Unlock()
 }
 
-// CacheLen reports cached entry count (tests).
-func (r *Resolver) CacheLen() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.cache)
-}
-
 // resolve walks delegations from the roots.
 func (r *Resolver) resolve(name string, qtype uint16, depth int) ([]RR, error) {
 	if depth > 8 {

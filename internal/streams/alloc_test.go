@@ -1,9 +1,11 @@
 package streams
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/vclock"
 )
 
 // The block-discipline regression gate for the pipes path: a 16K write
@@ -83,4 +85,38 @@ func TestAllocsRoundTrip(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("round trip allocates %.1f objects/op, want 0", allocs)
 	}
+}
+
+// The per-conversation gate: a conversation's stream is one object,
+// its chain ends and receive queue inside it, and a pushed module's two
+// queues are one more. Every dial builds streams, so a queue made per
+// chain end (five objects a stream, two a push) shows up at population
+// scale.
+func TestAllocsConvStream(t *testing.T) {
+	if block.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		conv := testing.AllocsPerRun(200, func() {
+			NewConv(0, v, io.Discard).Close()
+		})
+		if conv > 1 {
+			t.Errorf("NewConv + Close allocates %.1f objects, want <= 1", conv)
+		}
+		s := NewConv(0, v, io.Discard)
+		defer s.Close()
+		pass := &Qinfo{Name: "pass", Iput: PassPut, Oput: PassPut}
+		push := testing.AllocsPerRun(200, func() {
+			if err := s.Push(pass, nil); err != nil {
+				t.Error(err)
+			}
+			if err := s.Pop(); err != nil {
+				t.Error(err)
+			}
+		})
+		if push > 1 {
+			t.Errorf("Push + Pop of a stateless module allocates %.1f objects, want <= 1", push)
+		}
+	})
 }

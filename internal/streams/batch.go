@@ -37,11 +37,6 @@ const (
 	batchMaxMsg = 1 << 20
 )
 
-func init() {
-	Register(batchModule)
-	Register(compressModule)
-}
-
 // BatchConfig is the programmatic form of the ctl argument string.
 type BatchConfig struct {
 	Cap   int           // flush when this many complete-frame bytes are pending

@@ -12,11 +12,6 @@ import (
 // they live with their protocols; these are the generic ones a user can
 // "push" onto any stream (§2.4.1).
 
-func init() {
-	Register(frameModule)
-	Register(traceModule)
-}
-
 // frameModule restores message delimiters over a byte-stream transport:
 // the marshaling the paper says is needed when "a protocol does not
 // meet these requirements (for example, TCP does not preserve

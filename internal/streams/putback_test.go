@@ -1,55 +1,45 @@
 package streams
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/vclock"
 )
 
-// TestPutbackWakesSecondReader is the regression test for the missed
-// wakeup in Queue.putback: with two readers sharing a queue, reader A
-// can take a freshly enqueued block (barging past reader B, already
-// parked in Get), consume part of it, and return the remainder with
-// putback. putback must Broadcast like Enqueue does — without it, B
-// sleeps on readable data until unrelated traffic arrives.
+// TestPutbackWakesSecondReader: two readers share one stream, both
+// waiting before anything arrives. One message comes; the first reader
+// reads it short, and the rest of the block goes back to the top of
+// the stream. The second reader must get that rest with no further
+// traffic: the block it waits for is already readable.
 func TestPutbackWakesSecondReader(t *testing.T) {
 	v := vclock.NewVirtual()
+	var got []string
 	v.Run(func() {
 		s := NewClock(0, v, nil)
 		defer s.Close()
-		q := s.topRead
-
-		type result struct {
-			b   *Block
-			err error
+		readers := vclock.NewWaitGroup(v)
+		for range 2 {
+			readers.Add(1)
+			v.Go(func() {
+				defer readers.Done()
+				buf := make([]byte, 4)
+				n, err := s.Read(buf)
+				if err != nil {
+					t.Errorf("read: %v", err)
+					return
+				}
+				got = append(got, string(buf[:n])) // one process runs at a time
+			})
 		}
-		got := vclock.NewMailbox[result](v, 1)
-		v.Go(func() {
-			b, err := q.Get() // reader B
-			got.Send(result{b, err})
-		})
-		// B parks on the empty queue before the sleep ends: the
-		// virtual clock moves only once every goroutine is parked.
+		// Both readers park before the sleep ends: the virtual clock
+		// moves only once every goroutine is parked.
 		v.Sleep(50 * time.Millisecond)
-
-		// Reader A re-heads the unconsumed tail of its block.
-		rem := NewBlock([]byte("rest"))
-		q.putback(rem)
-
-		v.Sleep(2 * time.Second)
-		r, ok := got.TryRecv()
-		if !ok {
-			t.Error("reader parked in Get missed the putback wakeup")
-			return
-		}
-		if r.err != nil {
-			t.Errorf("Get: %v", r.err)
-			return
-		}
-		if s := string(r.b.Bytes()); s != "rest" {
-			t.Errorf("Get = %q, want %q", s, "rest")
-		}
-		r.b.Free()
+		upData(s, []byte("headrest"))
+		readers.Wait()
 	})
+	if !slices.Equal(got, []string{"head", "rest"}) {
+		t.Fatalf("the two readers got %q, want the message's two halves in order", got)
+	}
 }

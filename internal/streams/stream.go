@@ -17,24 +17,23 @@ import (
 // Topology, from top to bottom (upstream is toward the top):
 //
 //	user read/write
-//	  topRead (up, queueing)   topWrite (down, pass)
+//	  topRead (up, to rq)      topWrite (down, pass)
 //	  [pushed modules ...]
-//	  devUp (up, queueing)     devWrite (down, device output)
+//	  devUp (up, from rq)      devWrite (down, device output)
 //	device receive/transmit
 //
 // Downstream runs on the writing process, all the way to the device;
-// upstream on the reading one: a device only queues at devUp, and Read
+// upstream on the reading one: a device only queues on rq, and Read
 // carries what it queued up through the modules, so a delivery runs no
 // module code and takes no module-list lock.
 type Stream struct {
-	limit int
-	clk   vclock.Clock
+	clk vclock.Clock
 
 	cfg      chainLock // guards module list changes vs. traffic
-	topRead  *Queue    // up direction terminator: user reads here
-	topWrite *Queue    // down direction entry: user writes here
-	devUp    *Queue    // up direction entry: the device queues here
-	devWrite *Queue    // down direction terminator: device output
+	topRead  Queue     // up direction terminator: what reaches it waits in rq for Read
+	topWrite Queue     // down direction entry: user writes here
+	devUp    Queue     // up direction entry: the reader carries rq's blocks from here
+	devWrite Queue     // down direction terminator: device output
 
 	// The device end: dev takes every block, or out every message
 	// whole, part holding the blocks of one not yet delimited.
@@ -46,8 +45,7 @@ type Stream struct {
 	// it waits for data, so a second reader queues through the clock.
 	rlock vclock.Mutex
 
-	mu     sync.Mutex
-	closed bool
+	rq rcvQueue
 }
 
 // DeviceFunc is the device-end output routine: it receives every block
@@ -66,20 +64,16 @@ func NewClock(limit int, ck vclock.Clock, dev DeviceFunc) *Stream {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	s := &Stream{limit: limit, clk: ck, dev: dev}
-	s.cfg.init(s.clk)
-	s.rlock.Init(s.clk)
-	s.topRead = newQueue(s, nil, true, PutQ)
-	// Only the reader fills topRead, so it must never wait on it: flow
-	// control is at devUp, where the device queues.
-	s.topRead.limit = int(^uint(0) >> 1)
-	s.topWrite = newQueue(s, nil, false, PassPut)
-	s.devUp = newQueue(s, nil, true, PassPut)
-	s.devWrite = newQueue(s, nil, false, deviceOut)
+	s := &Stream{clk: ck, dev: dev}
+	s.cfg.init(ck)
+	s.rlock.Init(ck)
+	s.rq.init(ck, limit)
 	// Initially no modules: writes go straight to the device, device
-	// input goes straight to the read queue.
-	s.topWrite.next = s.devWrite
-	s.devUp.next = s.topRead
+	// input goes straight to the top.
+	s.topRead = Queue{s: s, put: topPut}
+	s.topWrite = Queue{s: s, put: PassPut, next: &s.devWrite}
+	s.devUp = Queue{s: s, put: PassPut, next: &s.topRead}
+	s.devWrite = Queue{s: s, put: deviceOut}
 	return s
 }
 
@@ -125,9 +119,11 @@ func (s *Stream) Clock() vclock.Clock { return s.clk }
 // Push adds an instance of module qi to the top of the stream
 // (§2.4.1 "push name"), passing arg to its Open hook.
 func (s *Stream) Push(qi *Qinfo, arg any) error {
-	up := newQueue(s, qi, true, qi.Iput)
-	down := newQueue(s, qi, false, qi.Oput)
-	up.other, down.other = down, up
+	// The instance's two queues are one allocation.
+	pair := new([2]Queue)
+	up, down := &pair[0], &pair[1]
+	*up = Queue{s: s, qi: qi, put: qi.Iput, other: down}
+	*down = Queue{s: s, qi: qi, put: qi.Oput, other: up}
 	// Open runs before the splice: the moment the pair is reachable a
 	// put chain from either end may call the module's put procedures,
 	// so its state must be fully built first. Open hooks therefore
@@ -139,20 +135,20 @@ func (s *Stream) Push(qi *Qinfo, arg any) error {
 	}
 	// Splice below the top pair.
 	s.cfg.Lock()
-	up.next = s.topRead
+	up.next = &s.topRead
 	down.next = s.topWrite.next
 	s.topWrite.next = down
 	// Find the queue currently feeding topRead and repoint it.
-	prev := s.prevUpLocked(s.topRead)
+	prev := s.prevUpLocked(&s.topRead)
 	prev.next = up
 	s.cfg.Unlock()
 	return nil
 }
 
-// PushName pushes a registered module by name.
+// PushName pushes one of the package's modules by name.
 func (s *Stream) PushName(name string, arg any) error {
-	qi, ok := Lookup(name)
-	if !ok {
+	qi := lookup(name)
+	if qi == nil {
 		return ErrUnknownMod
 	}
 	return s.Push(qi, arg)
@@ -164,7 +160,7 @@ func (s *Stream) Pop() error {
 	if up == nil {
 		return ErrNothingToPop
 	}
-	if up.qi != nil && up.qi.Close != nil {
+	if up.qi.Close != nil {
 		up.qi.Close(up)
 	}
 	return nil
@@ -182,7 +178,7 @@ func (s *Stream) Pop() error {
 // side, and a hangup must not wait for the window to open.
 func (s *Stream) popModule() *Queue {
 	s.cfg.RLock()
-	bare := s.topWrite.next == s.devWrite
+	bare := s.topWrite.next == &s.devWrite
 	s.cfg.RUnlock()
 	if bare {
 		return nil
@@ -190,7 +186,7 @@ func (s *Stream) popModule() *Queue {
 	s.cfg.Lock()
 	defer s.cfg.Unlock()
 	down := s.topWrite.next
-	if down == s.devWrite {
+	if down == &s.devWrite {
 		return nil
 	}
 	up := down.other
@@ -200,14 +196,12 @@ func (s *Stream) popModule() *Queue {
 	s.topWrite.next = down.next
 	prev := s.prevUpLocked(up)
 	prev.next = up.next
-	up.close()
-	down.close()
 	return up
 }
 
 // prevUpLocked finds the queue whose next (in the up direction) is q.
 func (s *Stream) prevUpLocked(q *Queue) *Queue {
-	cur := s.devUp
+	cur := &s.devUp
 	for cur.next != nil && cur.next != q {
 		cur = cur.next
 	}
@@ -224,10 +218,7 @@ func (s *Stream) ModuleStats() []*obs.Group {
 	s.cfg.RLock()
 	defer s.cfg.RUnlock()
 	var gs []*obs.Group
-	for q := s.topWrite.next; q != nil && q != s.devWrite; q = q.next {
-		if q.other == nil {
-			continue
-		}
+	for q := s.topWrite.next; q != &s.devWrite; q = q.next {
 		if src, ok := q.other.Aux.(StatsSource); ok {
 			gs = append(gs, src.StatsGroup())
 		}
@@ -242,14 +233,13 @@ func (s *Stream) ModuleStats() []*obs.Group {
 // single write of <= MaxBlock is atomic (one block). Once a hangup has
 // reached the device end, read or not, Write fails.
 func (s *Stream) Write(p []byte) (int, error) {
-	if s.isClosed() {
+	if closed, hungup := s.rq.state(); closed {
 		return 0, ErrClosed
-	}
-	if s.devUp.Hungup() {
+	} else if hungup {
 		return 0, ErrHungup
 	}
 	s.cfg.RLock()
-	if s.out != nil && s.topWrite.next == s.devWrite {
+	if s.out != nil && s.topWrite.next == &s.devWrite {
 		// Nothing pushed: the message is the transport's as it is.
 		defer s.cfg.RUnlock()
 		return s.out.Write(p)
@@ -269,7 +259,7 @@ func (s *Stream) Write(p []byte) (int, error) {
 		// cannot unsplice a queue while a block is traversing it, so
 		// reconfiguration under load neither drops nor reorders data.
 		s.cfg.RLock()
-		s.topWrite.Put(b)
+		s.topWrite.PutNext(b)
 		s.cfg.RUnlock()
 		if total == len(p) {
 			return total, nil
@@ -282,7 +272,7 @@ func (s *Stream) Write(p []byte) (int, error) {
 // all other control blocks pass down for the modules to parse
 // (§2.4.1).
 func (s *Stream) WriteCtl(cmd string) error {
-	if s.isClosed() {
+	if closed, _ := s.rq.state(); closed {
 		return ErrClosed
 	}
 	fields := strings.Fields(cmd)
@@ -308,7 +298,7 @@ func (s *Stream) WriteCtl(cmd string) error {
 		}
 	}
 	s.cfg.RLock()
-	s.topWrite.Put(NewCtlBlock(cmd))
+	s.topWrite.PutNext(NewCtlBlock(cmd))
 	s.cfg.RUnlock()
 	return nil
 }
@@ -342,7 +332,7 @@ func (s *Stream) Read(p []byte) (int, error) {
 		total += n
 		if n < b.Len() {
 			b.Consume(n)
-			s.topRead.putback(b)
+			s.rq.putback(b)
 			return total, nil
 		}
 		delim := b.Delim
@@ -362,23 +352,14 @@ func (s *Stream) Read(p []byte) (int, error) {
 // already taken, never across the wait.
 func (s *Stream) next(wait bool) (*Block, error) {
 	for {
-		if b, err := s.topRead.take(); b != nil || err != nil {
+		b, up, err := s.rq.take(wait)
+		if !up {
 			return b, err
 		}
-		b, err := s.devUp.take()
-		if b == nil && err == nil {
-			if !wait {
-				return nil, nil
-			}
-			b, err = s.devUp.Get()
-		}
-		if err == ErrHungup {
+		if b == nil {
 			// What the device queued before it hung up is carried: the
-			// hangup goes up now, once, and marks topRead.
-			b, err = block.Control(BlockHangup, ""), nil
-		}
-		if err != nil {
-			return nil, err
+			// hangup goes up now, once, and marks the top.
+			b = block.Control(BlockHangup, "")
 		}
 		s.cfg.RLock()
 		s.devUp.PutNext(b)
@@ -392,52 +373,222 @@ func (s *Stream) next(wait bool) (*Block, error) {
 // no module-list lock, so it parks only on flow control: while the
 // device end holds the stream's limit, unread. The device sets Delim
 // on a block that ends a message; a device that only borrows its
-// receive buffer copies it first (NewBlock).
-func (s *Stream) DeviceUp(b *Block) { s.devUp.Enqueue(b) }
+// receive buffer copies it first (NewBlock). A device hangs up with
+// HangupUp, not with a block.
+func (s *Stream) DeviceUp(b *Block) { s.rq.queue(b) }
 
 // HangupUp hangs the stream up at the device end (§2.4.1): writers
 // fail at once; readers drain what was queued, then the hangup goes up
 // through the modules and they see EOF. It never parks.
-func (s *Stream) HangupUp() { s.devUp.hangup() }
+func (s *Stream) HangupUp() { s.rq.hangup() }
 
-// Close destroys the stream: modules are closed top-down, queued data
-// is discarded, and all blocked readers and writers are woken.
+// Close destroys the stream: queued data is discarded, all blocked
+// readers and writers are woken, and modules are closed top-down.
 func (s *Stream) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
 	// The device end dies first: a downstream put chain that loops back
 	// into it can be parked on its flow-control limit holding the config
 	// read lock, and the Pops below need that lock exclusively. Closing
-	// devUp wakes that writer (the block is discarded on the dying
-	// stream) so the Pops can proceed — and each Pop's Drain still
-	// flushes module-held data out the device end, which stays
-	// functional until the stream is fully torn down.
-	s.devUp.close()
-	s.topRead.close()
-	for {
-		if err := s.Pop(); err != nil {
-			break
-		}
+	// rq wakes that writer (the block is discarded on the dying stream)
+	// so the Pops can proceed — and each Pop's Drain still flushes
+	// module-held data out the device end, which stays functional until
+	// the stream is fully torn down.
+	if !s.rq.close() {
+		return nil
 	}
-	s.topWrite.close()
-	s.devWrite.close()
+	for s.Pop() == nil {
+	}
 	return nil
-}
-
-func (s *Stream) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
 }
 
 // QueuedBytes reports the bytes received and not yet read: those queued
 // at the device end and those carried up to the top.
-func (s *Stream) QueuedBytes() int { return s.devUp.Len() + s.topRead.Len() }
+func (s *Stream) QueuedBytes() int {
+	s.rq.mu.Lock()
+	defer s.rq.mu.Unlock()
+	return s.rq.in.n + s.rq.top.n
+}
+
+// rcvQueue is the stream's one queue. The device end queues on in,
+// parking while in holds the limit; the reader takes from in, carries
+// each block up through the modules, and what reaches the top waits on
+// top until Read copies it out. One lock guards both lists and the
+// flags. Only the device, the reader and Close touch it, and the
+// reader holds the stream's read lock, so at most one reader ever waits
+// on rwait.
+type rcvQueue struct {
+	mu     sync.Mutex
+	rwait  vclock.Cond // the reader waiting for the device
+	wwait  vclock.Cond // devices waiting for room
+	in     blist       // queued by the device, not yet carried up
+	top    blist       // carried up, not yet read
+	limit  int
+	closed bool
+	hungup bool // the device hung up: writes fail
+	eof    bool // the hangup reached the top: reads see EOF
+}
+
+func (q *rcvQueue) init(ck vclock.Clock, limit int) {
+	q.limit = limit
+	q.rwait.Init(ck, &q.mu)
+	q.wwait.Init(ck, &q.mu)
+}
+
+// queue adds a device's block to in, blocking while in is over the
+// limit (flow control), and wakes the reader.
+func (q *rcvQueue) queue(b *Block) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.in.n >= q.limit && !q.closed && !q.hungup {
+		q.wwait.Wait()
+	}
+	if q.closed {
+		b.Free() // data discarded on a dying stream
+		return
+	}
+	q.in.push(b)
+	q.rwait.Broadcast()
+}
+
+// topPut ends the up direction: a block the modules carried up waits
+// on top for Read, and the hangup marks the stream's end of file.
+func topPut(tq *Queue, b *Block) {
+	q := &tq.s.rq
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	switch {
+	case b.Type == BlockHangup:
+		q.eof = true
+		b.Free()
+	case q.closed:
+		b.Free()
+	default:
+		q.top.push(b)
+	}
+}
+
+// take returns the reader's next block: one on top, ready to read
+// (up false), or else one the device queued, to carry up (up true; nil
+// for the hangup once in is drained). With neither it says why none
+// will come, ErrClosed or ErrHungup, or, unless wait is set, returns
+// nil while one may.
+func (q *rcvQueue) take(wait bool) (b *Block, up bool, err error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for {
+		switch {
+		case q.top.first != nil:
+			return q.top.pop(), false, nil
+		case q.closed:
+			return nil, false, ErrClosed
+		case q.eof:
+			return nil, false, ErrHungup
+		case q.in.first != nil:
+			b = q.in.pop()
+			q.wwait.Broadcast()
+			return b, true, nil
+		case q.hungup:
+			return nil, true, nil
+		case !wait:
+			return nil, false, nil
+		}
+		q.rwait.Wait()
+	}
+}
+
+// putback returns the unread rest of a block to the head of top. The
+// reader that took it still holds the read lock, so no one waits.
+func (q *rcvQueue) putback(b *Block) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		b.Free() // the stream closed under the reader: discarded
+		return
+	}
+	q.top.pushFront(b)
+}
+
+// hangup marks the device end hung up: devices stop waiting for room,
+// and the reader drains in, then carries the hangup up. It never parks.
+func (q *rcvQueue) hangup() {
+	q.mu.Lock()
+	q.hungup = true
+	q.rwait.Broadcast()
+	q.wwait.Broadcast()
+	q.mu.Unlock()
+}
+
+// state reports whether the stream is closed and whether its device
+// end hung up.
+func (q *rcvQueue) state() (closed, hungup bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.closed, q.hungup
+}
+
+// close marks the queue dead, frees the blocks on both lists (a closed
+// stream's data is discarded) and wakes all waiters. It reports false
+// if the queue was closed already.
+func (q *rcvQueue) close() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return false
+	}
+	q.closed = true
+	q.in.free()
+	q.top.free()
+	q.rwait.Broadcast()
+	q.wwait.Broadcast()
+	return true
+}
+
+// blist is a list of blocks linked through Next, with their byte count.
+type blist struct {
+	first, last *Block
+	n           int
+}
+
+func (l *blist) push(b *Block) {
+	if b.Shared() {
+		// The link is one field: a block fanned out by Ref would sit on
+		// every holder's list at once.
+		panic("streams: queueing a shared block")
+	}
+	b.Next = nil
+	if l.last == nil {
+		l.first = b
+	} else {
+		l.last.Next = b
+	}
+	l.last = b
+	l.n += b.Len()
+}
+
+func (l *blist) pushFront(b *Block) {
+	b.Next = l.first
+	l.first = b
+	if l.last == nil {
+		l.last = b
+	}
+	l.n += b.Len()
+}
+
+func (l *blist) pop() *Block {
+	b := l.first
+	l.first = b.Next
+	if l.first == nil {
+		l.last = nil
+	}
+	b.Next = nil
+	l.n -= b.Len()
+	return b
+}
+
+func (l *blist) free() {
+	for l.first != nil {
+		l.pop().Free()
+	}
+}
 
 // chainLock is the reader-writer lock guarding the module list against
 // reconfiguration: every put chain holds it shared for its whole

@@ -37,7 +37,7 @@ func modules(s *Stream) []string {
 	s.cfg.RLock()
 	defer s.cfg.RUnlock()
 	var names []string
-	for q := s.topWrite.next; q != s.devWrite; q = q.next {
+	for q := s.topWrite.next; q != &s.devWrite; q = q.next {
 		names = append(names, q.qi.Name)
 	}
 	return names
@@ -327,46 +327,52 @@ func TestCtlBlocksSkippedByRead(t *testing.T) {
 	}
 }
 
-func TestQueueGetTryGetPutback(t *testing.T) {
+// A short read puts the rest of its block back at the top of the
+// stream, ahead of what the device queued after it, and QueuedBytes
+// counts both lists.
+func TestQueuedBytesAndPutbackOrder(t *testing.T) {
 	s := New(0, nil)
 	defer s.Close()
-	q := newQueue(s, nil, true, PutQ)
-	defer q.close()
-	if q.TryGet() != nil {
-		t.Error("TryGet on empty queue returned a block")
+	buf := make([]byte, 16)
+	if b, err := s.next(false); b != nil || err != nil || s.QueuedBytes() != 0 {
+		t.Fatalf("empty stream: next = %v, %v; QueuedBytes %d", b, err, s.QueuedBytes())
 	}
-	q.Enqueue(NewBlock([]byte("a")))
-	q.Enqueue(NewBlock([]byte("b")))
-	if q.Len() != 2 {
-		t.Errorf("Len = %d", q.Len())
+	upData(s, []byte("ab"))
+	upData(s, []byte("c"))
+	if q := s.QueuedBytes(); q != 3 {
+		t.Errorf("QueuedBytes = %d, want 3", q)
 	}
-	b1, err := q.Get()
-	if err != nil || string(b1.Bytes()) != "a" {
-		t.Fatalf("Get = %q, %v", b1.Bytes(), err)
+	if n, err := s.Read(buf[:1]); err != nil || string(buf[:n]) != "a" {
+		t.Fatalf("short read %q, %v", buf[:n], err)
 	}
-	q.putback(b1)
-	b2 := q.TryGet()
-	if string(b2.Bytes()) != "a" {
-		t.Errorf("putback order broken: %q", b2.Bytes())
+	if q := s.QueuedBytes(); q != 2 {
+		t.Errorf("after a short read QueuedBytes = %d, want 2 (the rest at the top, c below)", q)
 	}
-	b2.Free()
+	for _, want := range []string{"b", "c"} {
+		if n, err := s.Read(buf); err != nil || string(buf[:n]) != want {
+			t.Fatalf("read %q, %v; want %q", buf[:n], err, want)
+		}
+	}
+	if q := s.QueuedBytes(); q != 0 {
+		t.Errorf("drained stream QueuedBytes = %d", q)
+	}
 }
 
 // A block fanned out by Ref is read-only, and the queue link is part of
 // it: queueing one would thread it onto every holder's list at once.
-func TestEnqueueOfSharedBlockPanics(t *testing.T) {
+func TestDeviceUpOfSharedBlockPanics(t *testing.T) {
 	s := New(0, nil)
 	defer s.Close()
 	b := NewBlock([]byte("shared"))
 	b.Ref()
 	defer func() {
 		if recover() == nil {
-			t.Error("Enqueue linked a block with two references")
+			t.Error("DeviceUp queued a block with two references")
 		}
 		b.Free()
 		b.Free()
 	}()
-	s.topRead.Enqueue(b)
+	s.DeviceUp(b)
 }
 
 func TestReadContiguityUnderConcurrency(t *testing.T) {

@@ -13,9 +13,11 @@ package udp
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/block"
 	"repro/internal/ip"
+	"repro/internal/obs"
 	"repro/internal/streams"
 	"repro/internal/vclock"
 	"repro/internal/xport"
@@ -34,6 +36,8 @@ type Proto struct {
 	mu    sync.Mutex
 	bound map[uint16]*Conn // local port -> conversation
 	ports xport.Ports
+
+	overflows atomic.Int64 // datagrams dropped on a conversation nobody reads
 }
 
 var _ xport.Proto = (*Proto)(nil)
@@ -47,6 +51,12 @@ func New(stack *ip.Stack) *Proto {
 
 // Name implements xport.Proto.
 func (p *Proto) Name() string { return "udp" }
+
+// StatsGroup exposes the device's counters; the netdev tree renders
+// them into /net/udp/stats after the per-conversation lines.
+func (p *Proto) StatsGroup() *obs.Group {
+	return new(obs.Group).AddAtomic("overflows", &p.overflows)
+}
 
 // Clock returns the clock of the stack the device runs on.
 func (p *Proto) Clock() vclock.Clock { return p.stack.Clock() }
@@ -176,7 +186,9 @@ func (c *Conn) Listen() (xport.Conn, error) {
 }
 
 // deliver queues a received datagram, delimited, with the headers-mode
-// prefix when announced.
+// prefix when announced. It runs on the medium's receive process, so a
+// conversation nobody reads must not park it: like an Ethernet
+// conversation, it drops below the stream's flow-control limit.
 func (c *Conn) deliver(src ip.Addr, srcPort uint16, data []byte) {
 	c.mu.Lock()
 	if c.closed {
@@ -190,14 +202,21 @@ func (c *Conn) deliver(src ip.Addr, srcPort uint16, data []byte) {
 	announced := c.announced
 	s := c.rstream
 	c.mu.Unlock()
-	if announced {
-		hdr := make([]byte, AddrHdrLen, AddrHdrLen+len(data))
-		copy(hdr, src[:])
-		hdr[4] = byte(srcPort >> 8)
-		hdr[5] = byte(srcPort)
-		data = append(hdr, data...)
+	if s.QueuedBytes() >= streams.DefaultLimit/2 {
+		c.proto.overflows.Add(1)
+		return
 	}
-	b := streams.NewBlock(data)
+	var b *block.Block
+	if announced {
+		b = block.Alloc(AddrHdrLen+len(data), 0)
+		p := b.Bytes()
+		copy(p, src[:])
+		p[4] = byte(srcPort >> 8)
+		p[5] = byte(srcPort)
+		copy(p[AddrHdrLen:], data)
+	} else {
+		b = streams.NewBlock(data)
+	}
 	b.Delim = true
 	s.DeviceUp(b)
 }

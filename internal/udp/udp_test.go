@@ -2,11 +2,13 @@ package udp
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/ether"
 	"repro/internal/ip"
+	"repro/internal/streams"
 	"repro/internal/vclock"
 	"repro/internal/xport"
 )
@@ -153,6 +155,51 @@ func TestDatagramBoundariesPreserved(t *testing.T) {
 			if got := string(buf[AddrHdrLen:n]); got != want {
 				t.Errorf("datagram %q, want %q", got, want)
 			}
+		}
+	})
+}
+
+// A conversation nobody reads must not stall the Ethernet line its
+// datagrams arrive on: the line's process delivers them, and a delivery
+// that parked on the unread stream's flow control would hold every
+// station's frames behind it. The datagrams past the threshold are
+// dropped and counted, and the next conversation's datagram arrives.
+func TestUnreadConversationDoesNotStallTheLine(t *testing.T) {
+	onPair(t, func(ck vclock.Clock, p1, p2 *Proto, _, a2 ip.Addr) {
+		unread, _ := p2.NewConn()
+		unread.Announce("53")
+		defer unread.Close()
+		other, _ := p2.NewConn()
+		other.Announce("54")
+		defer other.Close()
+		flood, _ := p1.NewConn()
+		flood.Connect(ip.HostPort(a2, 53))
+		defer flood.Close()
+		cli, _ := p1.NewConn()
+		cli.Connect(ip.HostPort(a2, 54))
+		defer cli.Close()
+		// One exchange first, so the flood does not wait on ARP.
+		cli.Write([]byte("arp"))
+		buf := make([]byte, 2048)
+		if _, ok := read(t, ck, other, buf); !ok {
+			return
+		}
+		const n, size = 200, 1024
+		for range n {
+			flood.Write(make([]byte, size))
+		}
+		cli.Write([]byte("last"))
+		if n, ok := read(t, ck, other, buf); ok && string(buf[AddrHdrLen:n]) != "last" {
+			t.Errorf("second conversation read %q, want %q", buf[AddrHdrLen:n], "last")
+		}
+		// A datagram is queued while under half the stream's limit.
+		queued := (streams.DefaultLimit/2 + AddrHdrLen + size - 1) / (AddrHdrLen + size)
+		if q := unread.Stream().QueuedBytes(); q != queued*(AddrHdrLen+size) {
+			t.Errorf("unread conversation holds %d bytes, want %d datagrams' worth", q, queued)
+		}
+		want := fmt.Sprintf("overflows: %d\n", n-queued)
+		if got := p2.StatsGroup().Render(); got != want {
+			t.Errorf("/net/udp/stats counters %q, want %q", got, want)
 		}
 	})
 }

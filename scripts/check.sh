@@ -139,9 +139,11 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # TestAllocsRreadRoundTrip, TestAllocsTwriteRoundTrip), a Cyclone
 # receive that copies or draws a buffer instead of wrapping the one the
 # fiber delivered (cyclone TestAllocsReceive), a name walk that
-# allocates beyond the nodes it returns (ns TestAllocsResolve), or a
+# allocates beyond the nodes it returns (ns TestAllocsResolve), a
 # conversation directory that builds more than the file walked to
-# (netdev TestAllocsConvWalk). Without -race there is also no
+# (netdev TestAllocsConvWalk), or a conversation's stream that costs
+# more than one object, or a pushed module more than one for its two
+# queues (streams TestAllocsConvStream). Without -race there is also no
 # allocation-site recorder (block/race_on.go, which lets leakcheck name
 # a leaked block's site): it takes a stack per Alloc, about 0.8 us, or
 # twelve times an Alloc/Free pair (BenchmarkAllocFree16K, 68 -> 857 ns
