@@ -23,6 +23,7 @@ package ccache
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/block"
 	"repro/internal/obs"
@@ -63,11 +64,11 @@ type Cache struct {
 	released bool // Release ran: nothing is stored any more
 
 	// Counters for the stats file.
-	Hits          obs.Counter // reads served from a resident fragment
-	Misses        obs.Counter // reads that had to fill from backing
-	Stores        obs.Counter // fragments inserted
-	Evictions     obs.Counter // fragments dropped by the byte bound
-	Invalidations obs.Counter // fragments dropped by writes or version moves
+	Hits          atomic.Int64 // reads served from a resident fragment
+	Misses        atomic.Int64 // reads that had to fill from backing
+	Stores        atomic.Int64 // fragments inserted
+	Evictions     atomic.Int64 // fragments dropped by the byte bound
+	Invalidations atomic.Int64 // fragments dropped by writes or version moves
 }
 
 // cfile is one cached file: its fragments, and the qid.vers they were
@@ -154,11 +155,11 @@ func (c *Cache) Release() {
 // StatsGroup returns the cache's counters as a renderable stats group.
 func (c *Cache) StatsGroup() *obs.Group {
 	g := &obs.Group{}
-	g.AddCounter("cache-hits", &c.Hits)
-	g.AddCounter("cache-misses", &c.Misses)
-	g.AddCounter("cache-stores", &c.Stores)
-	g.AddCounter("cache-evictions", &c.Evictions)
-	g.AddCounter("cache-invalidations", &c.Invalidations)
+	g.AddAtomic("cache-hits", &c.Hits)
+	g.AddAtomic("cache-misses", &c.Misses)
+	g.AddAtomic("cache-stores", &c.Stores)
+	g.AddAtomic("cache-evictions", &c.Evictions)
+	g.AddAtomic("cache-invalidations", &c.Invalidations)
 	g.Add("cache-bytes", func() int64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -197,7 +198,7 @@ func (c *Cache) dropFileLocked(f *cfile) {
 	for off, fr := range f.frags {
 		c.lru.remove(fr)
 		c.size -= int64(c.frag)
-		c.Invalidations.Inc()
+		c.Invalidations.Add(1)
 		fr.b.Free()
 		delete(f.frags, off)
 	}
@@ -221,7 +222,7 @@ func (c *Cache) invalidateRange(path uint64, off, n int64) {
 		if fr := f.frags[fo]; fr != nil {
 			c.lru.remove(fr)
 			c.size -= int64(c.frag)
-			c.Invalidations.Inc()
+			c.Invalidations.Add(1)
 			fr.b.Free()
 			delete(f.frags, fo)
 		}
@@ -271,12 +272,12 @@ func (c *Cache) insert(path uint64, vers uint32, fo int64, b *block.Block) (*blo
 	f.frags[fo] = fr
 	c.lru.pushBack(fr)
 	c.size += int64(c.frag)
-	c.Stores.Inc()
+	c.Stores.Add(1)
 	for c.size > c.max && c.lru.head != nil && c.lru.head != fr {
 		victim := c.lru.head
 		c.lru.remove(victim)
 		c.size -= int64(c.frag)
-		c.Evictions.Inc()
+		c.Evictions.Add(1)
 		victim.b.Free()
 		delete(victim.f.frags, victim.off)
 		if len(victim.f.frags) == 0 {

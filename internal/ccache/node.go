@@ -171,10 +171,10 @@ func (h *chandle) ReadBlock(count int, off int64) (*block.Block, []byte, error) 
 // EOF comes back empty but real, so repeated EOF probes stay hits.
 func (h *chandle) fragment(fo int64) (*block.Block, []byte, error) {
 	if b, data := h.c.lookup(h.path, fo); b != nil {
-		h.c.Hits.Inc()
+		h.c.Hits.Add(1)
 		return b, data, nil
 	}
-	h.c.Misses.Inc()
+	h.c.Misses.Add(1)
 	// Fill outside the cache lock: the backing read may be slow, and
 	// concurrent misses on other fragments must not serialize behind
 	// it. Two fillers racing on one fragment both read the backing;

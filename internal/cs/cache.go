@@ -119,7 +119,7 @@ func (s *Server) evictLocked(ver, now int64) {
 	for k, e := range s.cache {
 		if now >= e.expire || e.ver < ver {
 			delete(s.cache, k)
-			s.Evictions.Inc()
+			s.Evictions.Add(1)
 		}
 	}
 	if len(s.cache) < maxEntries {
@@ -134,5 +134,5 @@ func (s *Server) evictLocked(ver, now int64) {
 		}
 	}
 	delete(s.cache, vk)
-	s.Evictions.Inc()
+	s.Evictions.Add(1)
 }

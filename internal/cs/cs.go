@@ -34,6 +34,7 @@ package cs
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/devtree"
 	"repro/internal/ip"
@@ -111,14 +112,14 @@ type Server struct {
 	// Every query lands in exactly one of CacheHits, SFWaits, Misses,
 	// or Errors, so the stats file balances:
 	// queries == cache-hits + singleflight-waits + misses + errors.
-	Queries   obs.Counter
-	CacheHits obs.Counter // cache hits (NegHits ⊆ CacheHits)
-	NegHits   obs.Counter // hits on negatively cached ErrNotExist
-	SFWaits   obs.Counter // misses that joined another caller's flight
-	Misses    obs.Counter // led a computation that produced an answer
-	Errors    obs.Counter // bad query, no network, or a failed computation
-	Evictions obs.Counter // entries dropped to make room at capacity
-	Lat       obs.Hist    // per-query Translate latency
+	Queries   atomic.Int64
+	CacheHits atomic.Int64 // cache hits (NegHits ⊆ CacheHits)
+	NegHits   atomic.Int64 // hits on negatively cached ErrNotExist
+	SFWaits   atomic.Int64 // misses that joined another caller's flight
+	Misses    atomic.Int64 // led a computation that produced an answer
+	Errors    atomic.Int64 // bad query, no network, or a failed computation
+	Evictions atomic.Int64 // entries dropped to make room at capacity
+	Lat       obs.Hist     // per-query Translate latency
 	stats     *obs.Group
 }
 
@@ -134,13 +135,13 @@ func New(cfg Config) *Server {
 		flights: make(map[ckey]*flight),
 	}
 	s.stats = new(obs.Group).
-		AddCounter("queries", &s.Queries).
-		AddCounter("cache-hits", &s.CacheHits).
-		AddCounter("neg-hits", &s.NegHits).
-		AddCounter("singleflight-waits", &s.SFWaits).
-		AddCounter("misses", &s.Misses).
-		AddCounter("errors", &s.Errors).
-		AddCounter("evictions", &s.Evictions).
+		AddAtomic("queries", &s.Queries).
+		AddAtomic("cache-hits", &s.CacheHits).
+		AddAtomic("neg-hits", &s.NegHits).
+		AddAtomic("singleflight-waits", &s.SFWaits).
+		AddAtomic("misses", &s.Misses).
+		AddAtomic("errors", &s.Errors).
+		AddAtomic("evictions", &s.Evictions).
 		Add("entries", func() int64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
@@ -167,7 +168,7 @@ func (s *Server) dbVersion() int64 {
 func (s *Server) Translate(query string) (Answer, error) {
 	start := s.clock.Now()
 	defer func() { s.Lat.Observe(s.clock.Since(start)) }()
-	s.Queries.Inc()
+	s.Queries.Add(1)
 
 	q := trimSpace(query)
 	netName, host, service, ok := splitQuery(q)
@@ -185,25 +186,25 @@ func (s *Server) Translate(query string) (Answer, error) {
 		func() ([]string, error) { return s.compute(netName, host, service, mask) })
 	switch {
 	case how == hit:
-		s.CacheHits.Inc()
+		s.CacheHits.Add(1)
 		if err != nil {
-			s.NegHits.Inc()
+			s.NegHits.Add(1)
 			return Answer{}, err
 		}
 	case how == joined:
-		s.SFWaits.Inc()
+		s.SFWaits.Add(1)
 		return Answer{lines: lines}, err
 	case err != nil:
 		return Answer{}, s.fail(err)
 	default:
-		s.Misses.Inc()
+		s.Misses.Add(1)
 	}
 	return Answer{lines: lines}, nil
 }
 
 // fail counts a failed translation.
 func (s *Server) fail(err error) error {
-	s.Errors.Inc()
+	s.Errors.Add(1)
 	return err
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ether"
 	"repro/internal/ip"
 	"repro/internal/obs"
+	"repro/internal/streams"
 	"repro/internal/vclock"
 	"repro/internal/xport"
 )
@@ -192,4 +193,98 @@ func TestAllocsRearmOnAck(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("a window's arm, re-arm and stop allocate %.1f objects, want 0", allocs)
 	}
+}
+
+// life says what is left of closed conversation c: whether p's table
+// still holds it ("listed" or "gone") and whether its stream is still
+// open ("open" or "closed"). A closed stream refuses a write with
+// ErrClosed; one only hung up, with ErrHungup.
+func life(p *Proto, c *Conn) string {
+	where := "gone"
+	if p.Demux(c.Raddr, c.Rport, c.Lport, false, 0) == &c.Conv {
+		where = "listed"
+	}
+	if _, err := c.Stream().Write(nil); err == streams.ErrClosed {
+		return where + ", closed"
+	}
+	return where + ", open"
+}
+
+// lifeAt returns what describe says just before at and once everything
+// due at at has run.
+func lifeAt(v *vclock.Virtual, at time.Time, describe func() string) (before, after string) {
+	v.SleepUntil(at.Add(-time.Nanosecond))
+	before = describe()
+	v.SleepUntil(at)
+	v.Sleep(0)
+	return before, describe()
+}
+
+// TestCloseEndsOnTheLinger: the closer lingers 200 ms after its Close,
+// then leaves the table and closes its stream at that instant, though
+// the peer answered long before. The peer, closed by then, leaves the
+// table at its own Close and closes its stream 200 ms later.
+func TestCloseEndsOnTheLinger(t *testing.T) {
+	onVirtualPair(t, lan, func(v *vclock.Virtual, p1, p2 *Proto, dc, sc xport.Conn) {
+		d, s := dc.(*Conn), sc.(*Conn)
+		warmLAN(v, dc, sc)
+		closed := v.Now()
+		dc.Close()
+		if n, err := sc.Read(make([]byte, 64)); err == nil {
+			t.Errorf("read %d bytes after the close, want EOF", n)
+			return
+		}
+		heard := v.Now()
+		sc.Close()
+		if got := life(p2, s); got != "gone, open" {
+			t.Errorf("the peer at its Close: %s, want gone, open", got)
+		}
+		for _, c := range []struct {
+			name   string
+			p      *Proto
+			c      *Conn
+			at     time.Time
+			before string
+		}{
+			{"closer", p1, d, closed.Add(200 * time.Millisecond), "listed, open"},
+			{"peer", p2, s, heard.Add(200 * time.Millisecond), "gone, open"},
+		} {
+			before, after := lifeAt(v, c.at, func() string { return life(c.p, c.c) })
+			if before != c.before || after != "gone, closed" {
+				t.Errorf("%s %v after close: %s, then %s; want %s, then gone, closed",
+					c.name, c.at.Sub(closed), before, after, c.before)
+			}
+		}
+		if heard.Sub(closed) != 244800*time.Nanosecond {
+			t.Errorf("the peer heard the close %v after it, want 244.8µs", heard.Sub(closed))
+		}
+	})
+}
+
+// TestUnansweredCloseEndsOnTheLinger: the peer hears nothing. The
+// closer resends its close every timeout (10 ms on a warm LAN) until
+// its linger ends 200 ms after Close; the resend due at that very
+// instant does not go out, and nothing goes out after it.
+func TestUnansweredCloseEndsOnTheLinger(t *testing.T) {
+	onVirtualPair(t, lan, func(v *vclock.Virtual, p1, p2 *Proto, dc, sc xport.Conn) {
+		d := dc.(*Conn)
+		warmLAN(v, dc, sc)
+		var closes []time.Duration
+		var start time.Time
+		p2.Stack.Register(ip.ProtoIL, func(_, _ ip.Addr, payload []byte) {
+			if h, _, ok := unmarshal(payload); ok && h.typ == msgClose {
+				closes = append(closes, v.Since(start))
+			}
+		})
+		start = v.Now()
+		dc.Close()
+		end := start.Add(200 * time.Millisecond)
+		if before, after := lifeAt(v, end, func() string { return life(p1, d) }); before != "listed, open" || after != "gone, closed" {
+			t.Errorf("at the linger's end: %s, then %s; want listed, open, then gone, closed", before, after)
+		}
+		v.Sleep(time.Second)
+		if len(closes) != 20 || closes[19] != 190*time.Millisecond+closes[0] {
+			t.Errorf("closes arrived at %v, want 20, 10 ms apart", closes)
+		}
+	})
 }

@@ -169,7 +169,7 @@ func (p *Proto) newConn() *Conn {
 	c.due.Init(p.Ck, &c.Mu, deathTime, c.dueLocked, c.timeoutLocked, func() {
 		c.Err = vfs.ErrTimedOut
 		c.HangupLocked()
-	})
+	}, c.EndLocked)
 	return c
 }
 
@@ -269,8 +269,9 @@ type query struct {
 	next uint32 // sndNext when it went out
 }
 
-// unackedMsg is a sent-but-unacknowledged packet.
-type unackedMsg struct {
+// packet is a data packet a conversation holds: one it sent, until it
+// is acknowledged, or one received ahead of those before it.
+type packet struct {
 	id   uint32
 	spec byte
 	data []byte
@@ -284,12 +285,12 @@ type Conn struct {
 	xport.Conv
 	proto *Proto
 
-	due vclock.Deadline // when dueLocked comes round, or death
+	due vclock.Deadline // when dueLocked comes round, death, or the close's end
 
 	// Sender state.
 	sndNext uint32 // next id to assign
 	sndUna  uint32 // lowest unacknowledged id
-	unacked []unackedMsg
+	unacked []packet
 	sndMsgs uint32 // whole messages (EOM packets) in unacked
 	// waitFrom is when the retransmission timer started waiting: when
 	// the head of unacked was sent into an empty window or an ack made it
@@ -309,9 +310,8 @@ type Conn struct {
 
 	// Receiver state.
 	rcvNext    uint32            // next expected id
-	ooo        map[uint32][]byte // out-of-order within window (data)
-	oooSpec    map[uint32]byte
-	reassembly []byte // partial message being assembled
+	ooo        map[uint32]packet // out-of-order within window
+	reassembly []byte            // partial message being assembled
 
 	closeSeen bool   // peer close received
 	closeID   uint32 // its sequence position
@@ -368,10 +368,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	}
 	total := 0
 	for {
-		n := len(p) - total
-		if n > mtu {
-			n = mtu
-		}
+		n := min(len(p)-total, mtu)
 		// The small outstanding-message window (§3): block while
 		// full rather than buffering more. Full is Window whole
 		// messages, or as many packets as Window of the largest could
@@ -401,7 +398,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		if len(c.unacked) == 0 {
 			c.waitFrom = c.proto.Ck.Now()
 		}
-		c.unacked = append(c.unacked, unackedMsg{id: id, spec: spec, data: data})
+		c.unacked = append(c.unacked, packet{id, spec, data})
 		if spec&specEOM != 0 {
 			c.sndMsgs++
 		}
@@ -556,7 +553,7 @@ func (c *Conn) resendLostHeadLocked() {
 
 // resendLocked resends m. The states of queries asked before it would
 // prove it lost again, so it retires them.
-func (c *Conn) resendLocked(m *unackedMsg) {
+func (c *Conn) resendLocked(m *packet) {
 	clear(c.asked[:])
 	c.waitFrom = c.proto.Ck.Now()
 	c.proto.Retransmits.Add(1)
@@ -576,14 +573,12 @@ func (c *Conn) dataLocked(h header, data []byte) {
 		c.acceptLocked(h.spec, data)
 		// Drain any buffered successors.
 		for {
-			d, ok := c.ooo[c.rcvNext]
+			m, ok := c.ooo[c.rcvNext]
 			if !ok {
 				break
 			}
-			spec := c.oooSpec[c.rcvNext]
 			delete(c.ooo, c.rcvNext)
-			delete(c.oooSpec, c.rcvNext)
-			c.acceptLocked(spec, d)
+			c.acceptLocked(m.spec, m.data)
 		}
 		c.sendLocked(msgAck, 0, c.sndNext-1, nil)
 		c.maybeCloseLocked()
@@ -595,15 +590,13 @@ func (c *Conn) dataLocked(h header, data []byte) {
 	case h.id < c.rcvNext+c.proto.window*maxMsgPkts:
 		// Whatever a conforming sender may have in flight.
 		if c.ooo == nil {
-			c.ooo = make(map[uint32][]byte)
-			c.oooSpec = make(map[uint32]byte)
+			c.ooo = make(map[uint32]packet)
 		}
 		if _, dup := c.ooo[h.id]; dup {
 			c.proto.DupsReceived.Add(1)
 			c.Ring.Emit(obs.EvDup, int64(h.id), 0)
 		}
-		c.ooo[h.id] = append([]byte(nil), data...)
-		c.oooSpec[h.id] = h.spec
+		c.ooo[h.id] = packet{h.id, h.spec, append([]byte(nil), data...)}
 	default:
 		// Outside the window: "messages outside the window are
 		// discarded and must be retransmitted" (§3).
@@ -717,24 +710,15 @@ func (c *Conn) Close() error {
 	}
 	st := c.St
 	c.Cond.Broadcast()
-	c.due.Update()
+	// Give the close exchange a moment, then end. Until then the
+	// conversation stays in the demux table, recovering what it wrote,
+	// and late packets land here quietly instead of provoking stray
+	// "unknown conversation" closes.
+	c.due.End(c.proto.Ck.Now().Add(200 * time.Millisecond))
 	c.Mu.Unlock()
 	if st == Closed {
 		c.Remove()
 	}
 	c.Rq.HangupUp()
-	// Give the close exchange a moment in the background, then die.
-	// Until then the conversation stays in the demux table, recovering
-	// what it wrote, and late packets land here quietly instead of
-	// provoking stray "unknown conversation" closes.
-	c.proto.Ck.AfterFunc(200*time.Millisecond, func() {
-		c.Mu.Lock()
-		c.St = Closed
-		c.Cond.Broadcast()
-		c.due.Update()
-		c.Mu.Unlock()
-		c.Remove()
-		c.Rq.Close()
-	})
 	return nil
 }

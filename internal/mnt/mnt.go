@@ -209,7 +209,7 @@ func (h *handle) readLocked(p []byte, off int64) (int, error) {
 		h.cancelRALocked()
 		h.raStop = false
 		h.seqRun = 0
-		RAMisses.Inc()
+		RAMisses.Add(1)
 		n, err := h.fid.Read(p, off)
 		h.seqOff = off + int64(n)
 		if err == nil && n == len(p) {
@@ -231,7 +231,7 @@ func (h *handle) readLocked(p []byte, off int64) (int, error) {
 			if err != nil {
 				// The failed fragment is an abandoned readahead
 				// even when nothing was in flight behind it.
-				RACancels.Inc()
+				RACancels.Add(1)
 				h.ra.Cancel()
 				h.raStop = true
 				if total > 0 {
@@ -276,9 +276,9 @@ func (h *handle) readLocked(p []byte, off int64) (int, error) {
 		h.raStop = total < len(p)
 	}
 	if fromRA > 0 {
-		RAHits.Inc()
+		RAHits.Add(1)
 	} else {
-		RAMisses.Inc()
+		RAMisses.Add(1)
 	}
 	h.seqOff = off + int64(total)
 	if total == len(p) && total > 0 {
@@ -307,7 +307,7 @@ func (h *handle) fillRALocked(pos, end int64) {
 			h.raStop = true
 			return
 		}
-		RAIssued.Inc()
+		RAIssued.Add(1)
 		next += ninep.MaxFData
 	}
 }
@@ -317,7 +317,7 @@ func (h *handle) fillRALocked(pos, end int64) {
 // dropped.
 func (h *handle) cancelRALocked() {
 	if len(h.rest) > 0 || h.ra.Len() > 0 {
-		RACancels.Inc()
+		RACancels.Add(1)
 	}
 	h.rest = nil
 	h.ra.Cancel()
@@ -396,7 +396,7 @@ func (h *handle) issueWBLocked(data []byte) {
 		return // don't keep writing past a failure
 	}
 	if h.werr = h.wb.Write(data, off); h.werr == nil {
-		WBIssued.Inc()
+		WBIssued.Add(1)
 	}
 }
 
@@ -417,7 +417,7 @@ func (h *handle) reapWBLocked() {
 // returned (and cleared).
 func (h *handle) barrierLocked() error {
 	if len(h.buf) > 0 || h.wb.Len() > 0 {
-		WBBarriers.Inc()
+		WBBarriers.Add(1)
 	}
 	if len(h.buf) > 0 {
 		h.issueWBLocked(h.buf)

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/block"
@@ -98,8 +99,8 @@ type Client struct {
 	// Mount-driver observability: RPC count and latency, Tflush count,
 	// and the in-flight window high-water mark. The mnt device renders
 	// these into /net/mnt/stats.
-	RPCs     obs.Counter
-	Flushes  obs.Counter
+	RPCs     atomic.Int64
+	Flushes  atomic.Int64
 	RPCHist  obs.Hist
 	WindowHW obs.Watermark
 	stats    *obs.Group
@@ -118,8 +119,8 @@ func NewClient(conn MsgConn, cfg ClientConfig) (*Client, error) {
 	cl.wmu.Init(cl.ck)
 	cl.tagFree.Init(cl.ck, &cl.mu)
 	cl.stats = new(obs.Group).
-		AddCounter("rpcs", &cl.RPCs).
-		AddCounter("flushes", &cl.Flushes).
+		AddAtomic("rpcs", &cl.RPCs).
+		AddAtomic("flushes", &cl.Flushes).
 		Add("window-max", cl.WindowHW.Load).
 		AddHist("rpc", &cl.RPCHist)
 	cl.ck.Go(cl.demux)
@@ -303,7 +304,7 @@ func (cl *Client) sendAsync(t *Fcall, flushExempt bool) (*Pending, error) {
 		cl.freeTag(tag)
 		return nil, err
 	}
-	cl.RPCs.Inc()
+	cl.RPCs.Add(1)
 	p.start = cl.ck.Now()
 	return p, nil
 }
@@ -376,7 +377,7 @@ func (cl *Client) flushMany(head *Pending) {
 			p.r.free()
 			continue
 		}
-		cl.Flushes.Inc()
+		cl.Flushes.Add(1)
 		// On an error the transport is dead: fail() has already
 		// emptied the tag table; nothing left to release.
 		p.flush, _ = cl.sendAsync(&Fcall{Type: Tflush, Oldtag: p.tag}, true)

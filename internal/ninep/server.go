@@ -68,8 +68,8 @@ type Server struct {
 	nextID int64
 
 	// Server-wide figures for the stats file.
-	Conns    obs.Counter   // connections accepted over the server's life
-	RPCs     obs.Counter   // non-control requests completed
+	Conns    atomic.Int64  // connections accepted over the server's life
+	RPCs     atomic.Int64  // non-control requests completed
 	WorkerHW obs.Watermark // most pool workers alive at once
 }
 
@@ -110,10 +110,10 @@ type SrvConn struct {
 	inRing  bool      // queued in s.ready
 
 	// Per-connection figures for the stats bill.
-	rpcs       obs.Counter
-	reads      obs.Counter
-	writes     obs.Counter
-	flushes    obs.Counter
+	rpcs       atomic.Int64
+	reads      atomic.Int64
+	writes     atomic.Int64
+	flushes    atomic.Int64
 	pendHW     obs.Watermark // deepest pend queue seen
 	inflightHW obs.Watermark // most requests running at once
 	lat        obs.Hist      // request latency, arrival to reply
@@ -228,7 +228,7 @@ func (s *Server) ServeConn(conn MsgConn) error {
 	c.id = s.nextID
 	s.conns[c.id] = c
 	s.cmu.Unlock()
-	s.Conns.Inc()
+	s.Conns.Add(1)
 	defer s.teardown(c)
 	for {
 		msg, err := conn.ReadMsg()
@@ -261,7 +261,7 @@ func (s *Server) ServeConn(conn MsgConn) error {
 			// a plain file commute — and run inline on the pool.
 			switch f.Type {
 			case Tread:
-				c.reads.Inc()
+				c.reads.Add(1)
 				c.mu.Lock()
 				if sf := c.fids[f.Fid]; sf != nil {
 					if sf.open {
@@ -278,7 +278,7 @@ func (s *Server) ServeConn(conn MsgConn) error {
 				}
 				c.mu.Unlock()
 			case Twrite:
-				c.writes.Inc()
+				c.writes.Add(1)
 				c.mu.Lock()
 				if sf := c.fids[f.Fid]; sf != nil {
 					if sf.wq == nil {
@@ -448,8 +448,8 @@ func (c *SrvConn) run(st *srvReq) {
 		delete(c.reqs, st.f.Tag)
 	}
 	c.mu.Unlock()
-	c.rpcs.Inc()
-	s.RPCs.Inc()
+	c.rpcs.Add(1)
+	s.RPCs.Add(1)
 	c.lat.Observe(s.ck.Since(st.start))
 }
 
@@ -625,7 +625,7 @@ func (c *SrvConn) process(t *Fcall) Fcall {
 		// already answered, there is nothing to abort; if it is still
 		// blocked in a handle, its eventual reply is suppressed and
 		// its slot in reqs is reclaimed by comparing instances.
-		c.flushes.Inc()
+		c.flushes.Add(1)
 		c.mu.Lock()
 		st := c.reqs[t.Oldtag]
 		c.mu.Unlock()

@@ -30,11 +30,7 @@ func TestAllocsEmitEnabled(t *testing.T) {
 	}
 }
 
-func TestAllocsCounterAndHist(t *testing.T) {
-	var c Counter
-	if got := testing.AllocsPerRun(1000, func() { c.Inc() }); got != 0 {
-		t.Fatalf("Counter.Inc allocates %.1f objects/op, want 0", got)
-	}
+func TestAllocsHistAndWatermark(t *testing.T) {
 	var h Hist
 	if got := testing.AllocsPerRun(1000, func() { h.Observe(time.Millisecond) }); got != 0 {
 		t.Fatalf("Hist.Observe allocates %.1f objects/op, want 0", got)

@@ -5,10 +5,10 @@
 // device trees. The package supplies the three primitives those files
 // render:
 //
-//   - Counter: a cache-line-padded monotonic counter, the same shape
-//     as the block allocator's Snapshot counters. Protocol engines
-//     bump them on the hot path; a Group names a set of them and
-//     renders the ASCII "name: value" stats file.
+//   - Group: a named set of int64 sources, the engines' atomic
+//     counters (sync/atomic.Int64, bumped on the hot path) among them,
+//     rendered as the ASCII "name: value" stats file; Watermark is a
+//     padded high-water mark a Group can read.
 //   - Hist: a log2-bucket latency histogram (RTT samples, 9P RPC
 //     latency). Observe is two atomic adds; rendering walks the
 //     buckets.
@@ -30,23 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Counter is an atomic monotonic counter padded to a cache line, so a
-// row of them hammered from both ends of a link does not ping-pong one
-// line between cores (the block allocator's counter, exported).
-type Counter struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
 
 // Watermark tracks a high-water mark (window occupancy, queue depth).
 type Watermark struct {
@@ -90,13 +73,7 @@ func (g *Group) Add(name string, load func() int64) *Group {
 	return g
 }
 
-// AddCounter registers a Counter.
-func (g *Group) AddCounter(name string, c *Counter) *Group {
-	return g.Add(name, c.Load)
-}
-
-// AddAtomic registers a bare atomic counter (the protocol engines'
-// existing exported fields).
+// AddAtomic registers an atomic counter.
 func (g *Group) AddAtomic(name string, v *atomic.Int64) *Group {
 	return g.Add(name, v.Load)
 }

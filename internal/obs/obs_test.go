@@ -3,19 +3,14 @@ package obs
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/vclock"
 )
 
-func TestCounterAndWatermark(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(41)
-	if got := c.Load(); got != 42 {
-		t.Fatalf("counter = %d, want 42", got)
-	}
+func TestWatermark(t *testing.T) {
 	var w Watermark
 	w.Note(5)
 	w.Note(3)
@@ -29,10 +24,10 @@ func TestCounterAndWatermark(t *testing.T) {
 }
 
 func TestGroupRenderAndParse(t *testing.T) {
-	var retrans Counter
+	var retrans atomic.Int64
 	retrans.Add(7)
 	g := new(Group).
-		AddCounter("retransmits", &retrans).
+		AddAtomic("retransmits", &retrans).
 		Add("msgs", func() int64 { return 100 })
 	text := g.Render()
 	if !strings.Contains(text, "retransmits: 7\n") || !strings.Contains(text, "msgs: 100\n") {

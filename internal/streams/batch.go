@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/block"
@@ -110,11 +111,11 @@ type batchState struct {
 }
 
 type batchStats struct {
-	msgsIn, blocksIn, bytesIn      obs.Counter
-	wireBlocks, wireBytes          obs.Counter
-	flushCap, flushTimer, flushCtl obs.Counter
-	flushHangup, flushPop          obs.Counter
-	splitFrames, splitBytes, errs  obs.Counter
+	msgsIn, blocksIn, bytesIn      atomic.Int64
+	wireBlocks, wireBytes          atomic.Int64
+	flushCap, flushTimer, flushCtl atomic.Int64
+	flushHangup, flushPop          atomic.Int64
+	splitFrames, splitBytes, errs  atomic.Int64
 }
 
 // flush causes, indexing the by-cause counters.
@@ -128,7 +129,7 @@ const (
 	causePop
 )
 
-func (st *batchState) causeCounter(c flushCause) *obs.Counter {
+func (st *batchState) causeCounter(c flushCause) *atomic.Int64 {
 	switch c {
 	case causeCap:
 		return &st.stats.flushCap
@@ -150,19 +151,19 @@ func batchOpen(q *Queue, arg any) error {
 	}
 	st := &batchState{cfg: cfg}
 	st.group = (&obs.Group{}).
-		AddCounter("batch-msgs-in", &st.stats.msgsIn).
-		AddCounter("batch-blocks-in", &st.stats.blocksIn).
-		AddCounter("batch-bytes-in", &st.stats.bytesIn).
-		AddCounter("batch-wire-blocks", &st.stats.wireBlocks).
-		AddCounter("batch-wire-bytes", &st.stats.wireBytes).
-		AddCounter("batch-flush-cap", &st.stats.flushCap).
-		AddCounter("batch-flush-timer", &st.stats.flushTimer).
-		AddCounter("batch-flush-ctl", &st.stats.flushCtl).
-		AddCounter("batch-flush-hangup", &st.stats.flushHangup).
-		AddCounter("batch-flush-pop", &st.stats.flushPop).
-		AddCounter("batch-split-frames", &st.stats.splitFrames).
-		AddCounter("batch-split-bytes", &st.stats.splitBytes).
-		AddCounter("batch-errs", &st.stats.errs)
+		AddAtomic("batch-msgs-in", &st.stats.msgsIn).
+		AddAtomic("batch-blocks-in", &st.stats.blocksIn).
+		AddAtomic("batch-bytes-in", &st.stats.bytesIn).
+		AddAtomic("batch-wire-blocks", &st.stats.wireBlocks).
+		AddAtomic("batch-wire-bytes", &st.stats.wireBytes).
+		AddAtomic("batch-flush-cap", &st.stats.flushCap).
+		AddAtomic("batch-flush-timer", &st.stats.flushTimer).
+		AddAtomic("batch-flush-ctl", &st.stats.flushCtl).
+		AddAtomic("batch-flush-hangup", &st.stats.flushHangup).
+		AddAtomic("batch-flush-pop", &st.stats.flushPop).
+		AddAtomic("batch-split-frames", &st.stats.splitFrames).
+		AddAtomic("batch-split-bytes", &st.stats.splitBytes).
+		AddAtomic("batch-errs", &st.stats.errs)
 	q.Aux = st
 	return nil
 }

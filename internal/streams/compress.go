@@ -3,6 +3,7 @@ package streams
 import (
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/block"
 	"repro/internal/obs"
@@ -59,13 +60,13 @@ type compressState struct {
 }
 
 type compressStats struct {
-	blocksIn, bytesIn     obs.Counter // downstream payload accepted
-	wireBytes, savedBytes obs.Counter // stored lengths vs. what they saved
-	hdrBytes              obs.Counter // framing overhead added
-	passthrough           obs.Counter // blocks sent stored
-	decFrames, decBytes   obs.Counter // upstream frames and ulen restored
-	decWireBytes          obs.Counter // upstream stored bytes consumed
-	decErrs               obs.Counter
+	blocksIn, bytesIn     atomic.Int64 // downstream payload accepted
+	wireBytes, savedBytes atomic.Int64 // stored lengths vs. what they saved
+	hdrBytes              atomic.Int64 // framing overhead added
+	passthrough           atomic.Int64 // blocks sent stored
+	decFrames, decBytes   atomic.Int64 // upstream frames and ulen restored
+	decWireBytes          atomic.Int64 // upstream stored bytes consumed
+	decErrs               atomic.Int64
 }
 
 func compressOpen(q *Queue, arg any) error {
@@ -76,16 +77,16 @@ func compressOpen(q *Queue, arg any) error {
 	}
 	st := &compressState{}
 	st.group = (&obs.Group{}).
-		AddCounter("compress-blocks-in", &st.stats.blocksIn).
-		AddCounter("compress-bytes-in", &st.stats.bytesIn).
-		AddCounter("compress-wire-bytes", &st.stats.wireBytes).
-		AddCounter("compress-saved-bytes", &st.stats.savedBytes).
-		AddCounter("compress-hdr-bytes", &st.stats.hdrBytes).
-		AddCounter("compress-passthrough", &st.stats.passthrough).
-		AddCounter("compress-dec-frames", &st.stats.decFrames).
-		AddCounter("compress-dec-bytes", &st.stats.decBytes).
-		AddCounter("compress-dec-wire-bytes", &st.stats.decWireBytes).
-		AddCounter("compress-dec-errs", &st.stats.decErrs)
+		AddAtomic("compress-blocks-in", &st.stats.blocksIn).
+		AddAtomic("compress-bytes-in", &st.stats.bytesIn).
+		AddAtomic("compress-wire-bytes", &st.stats.wireBytes).
+		AddAtomic("compress-saved-bytes", &st.stats.savedBytes).
+		AddAtomic("compress-hdr-bytes", &st.stats.hdrBytes).
+		AddAtomic("compress-passthrough", &st.stats.passthrough).
+		AddAtomic("compress-dec-frames", &st.stats.decFrames).
+		AddAtomic("compress-dec-bytes", &st.stats.decBytes).
+		AddAtomic("compress-dec-wire-bytes", &st.stats.decWireBytes).
+		AddAtomic("compress-dec-errs", &st.stats.decErrs)
 	q.Aux = st
 	return nil
 }

@@ -114,7 +114,7 @@ func (p *Proto) newConn() *Conn {
 	c.due.Init(p.Ck, &c.Mu, deathTime, c.dueLocked, c.timeoutLocked, func() {
 		c.Err = vfs.ErrTimedOut
 		c.dieLocked()
-	})
+	}, c.EndLocked)
 	return c
 }
 
@@ -207,7 +207,7 @@ type Conn struct {
 	xport.Conv
 	proto *Proto
 
-	due vclock.Deadline // when dueLocked comes round, or death
+	due vclock.Deadline // when dueLocked comes round, death, or the close's end
 
 	// Send side: sndBuf holds bytes [sndUna, sndUna+len). Acks advance
 	// its start within sndArr, the backing array; a write that would
@@ -248,15 +248,8 @@ func (c *Conn) Connect(addr string) error {
 
 // rcvWndLocked is the window we advertise.
 func (c *Conn) rcvWndLocked() uint16 {
-	q := c.Rq.QueuedBytes()
-	if q >= BufSize {
-		return 0
-	}
-	w := BufSize - q
-	if w > 0xffff { // the 16-bit window field caps what we can say
-		w = 0xffff
-	}
-	return uint16(w)
+	// The 16-bit window field caps what we can say.
+	return uint16(min(max(BufSize-c.Rq.QueuedBytes(), 0), 0xffff))
 }
 
 // sendSegLocked transmits one segment with the current ack state.
@@ -291,10 +284,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 			}
 			return total, err
 		}
-		n := len(p) - total
-		if room := BufSize - len(c.sndBuf); n > room {
-			n = room
-		}
+		n := min(len(p)-total, BufSize-len(c.sndBuf))
 		if len(c.sndBuf)+n > cap(c.sndBuf) {
 			if need := len(c.sndBuf) + n; need > len(c.sndArr) {
 				c.sndArr = make([]byte, min(max(need, 2*len(c.sndArr)), BufSize))
@@ -317,9 +307,6 @@ func (c *Conn) pumpLocked() {
 		mss = 512
 	}
 	wnd := uint32(c.sndWnd)
-	if wnd > BufSize {
-		wnd = BufSize
-	}
 	if wnd == 0 {
 		wnd = 1 // window probe
 	}
@@ -338,13 +325,7 @@ func (c *Conn) pumpLocked() {
 			}
 			return
 		}
-		n := avail
-		if n > uint32(mss) {
-			n = uint32(mss)
-		}
-		if inFlight+n > wnd {
-			n = wnd - inFlight
-		}
+		n := min(avail, uint32(mss), wnd-inFlight)
 		seq := c.sndNxt
 		c.RTT.Start(seq + n)
 		if c.sndUna == c.sndNxt {
@@ -494,15 +475,17 @@ func (c *Conn) maybeFinLocked() {
 	c.Cond.Broadcast()
 }
 
-// dieLocked finalizes the connection.
+// dieLocked finalizes the connection and takes it out of the table,
+// dropping Mu meanwhile: the table's lock comes first.
 func (c *Conn) dieLocked() {
 	if c.St == Closed && c.closed {
 		return
 	}
 	c.HangupLocked()
 	c.due.Update()
-	// The table's lock comes before c.Mu, which the caller holds.
-	c.proto.Ck.Go(c.Remove)
+	c.Mu.Unlock()
+	c.Remove()
+	c.Mu.Lock()
 }
 
 // dueLocked is when the conversation next resends its SYN or what is
@@ -537,19 +520,13 @@ func (c *Conn) timeoutLocked() {
 	}
 	c.RTT.Cancel()
 	seq := c.sndUna
-	remaining := c.sndBuf
 	inFlightData := c.sndNxt - c.sndUna
 	if c.finSent {
 		inFlightData--
 	}
-	if uint32(len(remaining)) > inFlightData {
-		remaining = remaining[:inFlightData]
-	}
+	remaining := c.sndBuf[:min(uint32(len(c.sndBuf)), inFlightData)]
 	for len(remaining) > 0 {
-		n := len(remaining)
-		if n > mss {
-			n = mss
-		}
+		n := min(len(remaining), mss)
 		c.proto.Retransmits.Add(1)
 		c.Ring.Emit(obs.EvRetransmit, int64(seq), int64(n))
 		c.sendSegLocked(0, seq, remaining[:n])
@@ -601,15 +578,9 @@ func (c *Conn) Close() error {
 	default:
 		c.dieLocked()
 	}
-	c.due.Update()
-	c.Mu.Unlock()
 	// Don't linger forever waiting for the FIN exchange.
-	c.proto.Ck.AfterFunc(2*time.Second, func() {
-		c.Mu.Lock()
-		c.dieLocked()
-		c.Mu.Unlock()
-		c.Rq.Close()
-	})
+	c.due.End(c.proto.Ck.Now().Add(2 * time.Second))
+	c.Mu.Unlock()
 	return nil
 }
 

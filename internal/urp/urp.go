@@ -88,7 +88,7 @@ type Conn struct {
 
 	mu   sync.Mutex
 	cond vclock.Cond
-	due  vclock.Deadline // when dueLocked comes round, or death
+	due  vclock.Deadline // when dueLocked comes round, death, or the close's end
 
 	// Sender: blocks [sndUna, sndNxt) are in flight (mod-8).
 	sndUna   int
@@ -112,6 +112,7 @@ type Conn struct {
 	rstream *streams.Stream
 	closed  bool
 	dead    bool
+	hungup  bool // the hangup cell is sent: the end unplugs the wire
 
 	// trace is the circuit's event ring (obs.Tracer); the datakit
 	// device serves it as the conversation's trace file.
@@ -143,7 +144,7 @@ func NewClock(wire Wire, stats *Stats, ck vclock.Clock) *Conn {
 		c.mu.Unlock()
 		c.hangup()
 		c.mu.Lock()
-	})
+	}, c.endLocked)
 	wire.Receive(c.input)
 	return c
 }
@@ -177,10 +178,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 			c.mu.Unlock()
 			return total, vfs.ErrHungup
 		}
-		n := len(p) - total
-		if n > BlockSize {
-			n = BlockSize
-		}
+		n := min(len(p)-total, BlockSize)
 		var flags byte
 		if total+n == len(p) {
 			flags = flagEOM
@@ -389,8 +387,8 @@ func (c *Conn) hangup() {
 }
 
 // Close hangs up the circuit: it lingers until outstanding blocks are
-// acknowledged (bounded), sends the hangup cell after them, and only
-// then unplugs the wire — so data written just before close is not
+// acknowledged (500 ms at most), sends the hangup cell after them, and
+// only then unplugs the wire — so data written just before close is not
 // lost in flight. Data that arrived and was never read is discarded.
 func (c *Conn) Close() error {
 	c.mu.Lock()
@@ -400,27 +398,32 @@ func (c *Conn) Close() error {
 	}
 	c.closed = true
 	c.cond.Broadcast()
-	lingered := false
-	t := c.ck.AfterFunc(500*time.Millisecond, func() {
-		c.mu.Lock()
-		lingered = true
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	})
-	for len(c.unacked) > 0 && !c.dead && !lingered {
+	limit := c.ck.Now().Add(500 * time.Millisecond)
+	c.due.End(limit)
+	for len(c.unacked) > 0 && !c.dead && c.ck.Now().Before(limit) {
 		c.cond.Wait()
 	}
-	c.mu.Unlock()
-	t.Stop()
 	c.sendCell(cellHup, 0, 0, nil)
-	// Let the hangup propagate before unplugging; the wire's close
-	// reaches input, which marks the circuit dead.
-	c.ck.AfterFunc(250*time.Millisecond, func() { c.wire.Close() })
+	c.hungup = true
+	c.due.End(c.ck.Now().Add(250 * time.Millisecond))
+	c.mu.Unlock()
 	// The hangup wakes a parked reader; the close then frees whatever
 	// nobody read, and a late arrival is discarded on the dead stream.
 	c.rstream.HangupUp()
 	c.rstream.Close()
 	return nil
+}
+
+// endLocked is the close's end, which the deadline runs when the linger
+// is over and, once the hangup has had 250 ms to propagate, to unplug
+// the wire; the wire's close reaches input, which marks the circuit dead.
+func (c *Conn) endLocked() {
+	c.cond.Broadcast() // the closer, waiting out the linger
+	if c.hungup {
+		c.mu.Unlock()
+		c.wire.Close()
+		c.mu.Lock()
+	}
 }
 
 // Dead reports whether the circuit has hung up.

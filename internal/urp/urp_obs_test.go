@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/medium"
 	"repro/internal/obs"
+	"repro/internal/streams"
 	"repro/internal/vclock"
 )
 
@@ -204,4 +205,69 @@ func TestTraceOrderUnderLoss(t *testing.T) {
 		}
 		prev = e.A
 	}
+}
+
+// unplugged is a wire that notes when it is closed.
+type unplugged struct {
+	wire
+	ck vclock.Clock
+	at time.Time
+}
+
+func (w *unplugged) Close() error { w.at = w.ck.Now(); return w.wire.Close() }
+
+// TestCloseUnplugsOnTime: with nothing outstanding, Close sends its
+// hangup and returns at once, its stream closed, and the wire unplugs
+// 250 ms later, not before.
+func TestCloseUnplugsOnTime(t *testing.T) {
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		ab, ba := medium.NewPipe(medium.Profile{Clock: v}), medium.NewPipe(medium.Profile{Clock: v})
+		w := &unplugged{wire: wire{ab, ba}, ck: v}
+		a := NewClock(w, nil, v)
+		b := NewClock(wire{ba, ab}, nil, v)
+		defer b.Close()
+		a.Write([]byte("bye"))
+		b.Read(make([]byte, 64))
+		start := v.Now()
+		a.Close()
+		if v.Now() != start {
+			t.Errorf("Close returned %v after it was called, want at once", v.Since(start))
+		}
+		if _, err := a.Stream().Write(nil); err != streams.ErrClosed {
+			t.Errorf("write on the closed circuit's stream: %v, want ErrClosed", err)
+		}
+		v.Sleep(time.Second)
+		if got := w.at.Sub(start); got != 250*time.Millisecond {
+			t.Errorf("the wire unplugged %v after Close, want 250ms", got)
+		}
+	})
+}
+
+// TestStuckCloseUnplugsOnTime: a block is outstanding and its ack never
+// comes. Close waits 500 ms for it, enquiring every 50 ms, then hangs up
+// and returns; the wire unplugs 250 ms later, and the enquiry due at
+// that very instant does not go out.
+func TestStuckCloseUnplugsOnTime(t *testing.T) {
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		tx := medium.NewPipe(medium.Profile{Clock: v})
+		silent := medium.NewPipe(medium.Profile{Clock: v})
+		w := &unplugged{wire: wire{tx, silent}, ck: v}
+		stats := &Stats{}
+		a := NewClock(w, stats, v)
+		a.Write([]byte("unanswered"))
+		start := v.Now()
+		a.Close()
+		if got := v.Since(start); got != 500*time.Millisecond {
+			t.Errorf("Close returned %v after it was called, want 500ms", got)
+		}
+		v.Sleep(time.Second)
+		if got := w.at.Sub(start); got != 750*time.Millisecond {
+			t.Errorf("the wire unplugged %v after Close, want 750ms", got)
+		}
+		if n := stats.Enquiries.Load(); n != 14 {
+			t.Errorf("%d enquiries, want 14: every 50 ms until the wire unplugs", n)
+		}
+	})
 }

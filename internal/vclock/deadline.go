@@ -5,41 +5,51 @@ import (
 	"time"
 )
 
-// Deadline is a conversation's one timer. The owner says when its next
-// resend is due (zero while nothing is outstanding) and what to send;
-// the deadline adds death, for a peer silent too long since a wait on
-// it began. The owner calls Update under its lock wherever that state
-// moves, Heard when the peer answers. Only an earlier deadline touches
-// the clock: a later one is met by the timer running early and
-// re-arming, and one that goes away stops it.
+// Deadline is a conversation's one timer, for its whole life. The owner
+// says when its next resend is due (zero while nothing is outstanding)
+// and what to send; the deadline adds death, for a peer silent too long
+// since a wait on it began, and the end of a close's linger. The owner
+// calls Update under its lock wherever that state moves, Heard when the
+// peer answers, End once it closes. Only an earlier deadline touches the
+// clock: a later one is met by the timer running early and re-arming,
+// and one that goes away stops it.
 type Deadline struct {
-	ck        Clock
-	mu        sync.Locker
-	silence   time.Duration
-	due       func() time.Time
-	fire, die func()
+	ck             Clock
+	mu             sync.Locker
+	silence        time.Duration
+	due            func() time.Time
+	fire, die, end func()
 
 	heard   time.Time // the peer last answered, or a wait on it began
+	ends    time.Time // when end runs; zero while it is not set
 	waiting bool      // due was nonzero at the last Update
 	t       *Timer
 	armed   time.Time // when t runs; zero while it is not pending
-	firing  bool      // fire or die is running, perhaps without mu
+	firing  bool      // fire, die or end is running, perhaps without mu
 }
 
 // Init readies d for an owner locked by mu that gives up on a peer
-// silent for silence. due, fire and die run with mu held; fire and die
-// may drop it around a send that parks, and nothing overlaps them.
-func (d *Deadline) Init(ck Clock, mu sync.Locker, silence time.Duration, due func() time.Time, fire, die func()) {
-	d.ck, d.mu, d.silence, d.due, d.fire, d.die = ck, mu, silence, due, fire, die
+// silent for silence. due, fire, die and end run with mu held; fire, die
+// and end may drop it around a send that parks or a lock that comes
+// before mu, and nothing overlaps them.
+func (d *Deadline) Init(ck Clock, mu sync.Locker, silence time.Duration, due func() time.Time, fire, die, end func()) {
+	d.ck, d.mu, d.silence, d.due, d.fire, d.die, d.end = ck, mu, silence, due, fire, die, end
 }
 
 // Heard notes the peer answering.
 func (d *Deadline) Heard() { d.heard = d.ck.Now() }
 
+// End has end run once at at, before anything due then; a later End
+// replaces it.
+func (d *Deadline) End(at time.Time) {
+	d.ends = at
+	d.Update()
+}
+
 // Armed is when the clock timer will next run, zero if it will not.
 func (d *Deadline) Armed() time.Time { return d.armed }
 
-// next is the earlier of the owner's due time and death.
+// next is the earliest of the owner's due time, death and the end.
 func (d *Deadline) next() time.Time {
 	at := d.due()
 	if !d.waiting && !at.IsZero() {
@@ -47,21 +57,25 @@ func (d *Deadline) next() time.Time {
 	}
 	d.waiting = !at.IsZero()
 	if death := d.heard.Add(d.silence); d.waiting && death.Before(at) {
-		return death
+		at = death
+	}
+	if !d.ends.IsZero() && (at.IsZero() || d.ends.Before(at)) {
+		return d.ends
 	}
 	return at
 }
 
-// Update re-reads the owner's due time.
+// Update re-reads the owner's due time. With only the end left, the
+// timer moves to it rather than running early.
 func (d *Deadline) Update() {
 	switch at := d.next(); {
-	case d.firing: // expire updates once fire or die returns
+	case d.firing: // expire updates once fire, die or end returns
 	case at.IsZero():
 		if !d.armed.IsZero() {
 			d.t.Stop()
 			d.armed = time.Time{}
 		}
-	case d.armed.IsZero() || at.Before(d.armed):
+	case d.armed.IsZero() || at.Before(d.armed) || at.Equal(d.ends) && !at.Equal(d.armed):
 		d.armed = at
 		if d.t == nil {
 			d.t = d.ck.AfterFunc(at.Sub(d.ck.Now()), d.expire)
@@ -80,9 +94,13 @@ func (d *Deadline) expire() {
 	d.armed = time.Time{}
 	if now, at := d.ck.Now(), d.next(); !at.IsZero() && !now.Before(at) {
 		d.firing = true
-		if now.Before(d.heard.Add(d.silence)) {
+		switch {
+		case !d.ends.IsZero() && !now.Before(d.ends):
+			d.ends = time.Time{}
+			d.end()
+		case now.Before(d.heard.Add(d.silence)):
 			d.fire()
-		} else {
+		default:
 			d.die()
 		}
 		d.firing = false

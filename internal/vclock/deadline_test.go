@@ -47,12 +47,13 @@ func TestRealTimerReset(t *testing.T) {
 
 // owner is a conversation as far as its deadline can see: something is
 // due at at, or nothing is; fire records when it ran and settles it,
-// and so does death, which gives up on a peer silent for a minute.
+// and so do death, which gives up on a peer silent for a minute, and
+// the end.
 type owner struct {
-	mu          sync.Mutex
-	at          time.Time
-	fired, died []time.Duration
-	d           Deadline
+	mu                 sync.Mutex
+	at                 time.Time
+	fired, died, ended []time.Duration
+	d                  Deadline
 }
 
 func newOwner(ck Clock) *owner {
@@ -63,8 +64,17 @@ func newOwner(ck Clock) *owner {
 	}, func() {
 		o.died = append(o.died, ck.Now().Sub(Epoch))
 		o.at = time.Time{}
+	}, func() {
+		o.ended = append(o.ended, ck.Now().Sub(Epoch))
+		o.at = time.Time{}
 	})
 	return o
+}
+
+func (o *owner) end(at time.Time) {
+	o.mu.Lock()
+	o.d.End(at)
+	o.mu.Unlock()
 }
 
 func (o *owner) set(at time.Time) {
@@ -133,6 +143,34 @@ func TestDeadlineDeath(t *testing.T) {
 	}
 }
 
+// TestDeadlineEnd: the end runs once, at its instant, and before a
+// resend due at that instant. With nothing else due the clock waits for
+// the end rather than running early, and a later End replaces it.
+func TestDeadlineEnd(t *testing.T) {
+	v := NewVirtual()
+	o := newOwner(v)
+	ms := func(n int) time.Time { return Epoch.Add(time.Duration(n) * time.Millisecond) }
+	v.Run(func() {
+		o.set(ms(100))
+		o.end(ms(200))
+		if got := o.armed(); !got.Equal(ms(100)) {
+			t.Errorf("the clock is armed for %v, want 100ms: a resend comes first", got.Sub(Epoch))
+		}
+		o.set(time.Time{})
+		o.end(ms(300))
+		if got := o.armed(); !got.Equal(ms(300)) {
+			t.Errorf("only the end left, yet the clock is armed for %v, want 300ms", got.Sub(Epoch))
+		}
+		v.Sleep(350 * time.Millisecond)
+		o.set(ms(500))
+		o.end(ms(500))
+		v.Sleep(time.Second)
+	})
+	if len(o.ended) != 2 || o.ended[0] != 300*time.Millisecond || o.ended[1] != 500*time.Millisecond || len(o.fired) != 0 {
+		t.Fatalf("ended at %v and fired at %v, want ended at [300ms 500ms]", o.ended, o.fired)
+	}
+}
+
 // TestDeadlineOnRealClock: the same discipline on system timers.
 func TestDeadlineOnRealClock(t *testing.T) {
 	o := newOwner(Real)
@@ -157,8 +195,9 @@ func TestDeadlineOnRealClock(t *testing.T) {
 	}
 }
 
-// TestAllocsDeadlineUpdate: moving a deadline later, earlier, or away
-// allocates nothing — the timer is stopped and reset in place.
+// TestAllocsDeadlineUpdate: moving a deadline later, earlier, or away,
+// or setting its end, allocates nothing — the timer is stopped and reset
+// in place.
 func TestAllocsDeadlineUpdate(t *testing.T) {
 	if block.RaceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -168,6 +207,7 @@ func TestAllocsDeadlineUpdate(t *testing.T) {
 	v.Run(func() {
 		if n := testing.AllocsPerRun(200, func() {
 			now := v.Now()
+			o.end(now.Add(3 * time.Second))
 			o.set(now.Add(time.Second))
 			o.set(now.Add(2 * time.Second))
 			o.set(now.Add(time.Millisecond))

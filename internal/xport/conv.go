@@ -50,8 +50,7 @@ type Conv struct {
 	// IL's window (20 messages of at most 45 packets) or TCP's
 	// advertised window lets a peer have in flight.
 	Rq *streams.Stream
-	// Accepted queues established calls for Listen; only a Listening
-	// conversation's is used.
+	// Accepted queues established calls for Listen; Announce makes it.
 	Accepted *vclock.Mailbox[Conn]
 	// Ring is the event ring, armed by writing "trace on" to the ctl
 	// file; disabled it costs one atomic load per would-be event.
@@ -70,7 +69,6 @@ func (c *Conv) Init(t *Table, self Conn) {
 	c.Cond.Init(t.Ck, &c.Mu)
 	c.RTT.Init(t.Ck, &t.RTTHist)
 	c.Rq = streams.NewConv(1<<22, t.Ck, self)
-	c.Accepted = vclock.NewMailbox[Conn](t.Ck, 8)
 }
 
 // Trace implements obs.Tracer; the netdev tree serves it as the
@@ -189,6 +187,7 @@ func (c *Conv) Announce(addr string) error {
 	}
 	c.Lport = port
 	c.St = Listening
+	c.Accepted = vclock.NewMailbox[Conn](t.Ck, 8)
 	t.listeners[port] = c
 	t.ports.Hold(port)
 	c.Ring.Emit(obs.EvAnnounce, int64(port), 0)
@@ -224,6 +223,20 @@ func (c *Conv) HangupLocked() {
 	c.Cond.Broadcast()
 	c.Ring.Emit(obs.EvHangup, 0, 0)
 	c.Rq.HangupUp()
+}
+
+// EndLocked is a closed conversation's end, which its deadline runs once
+// the linger is over: dead if it is not already, out of the table, its
+// stream closed. It drops Mu meanwhile: the table's lock comes first,
+// and closing the stream drains what is pushed through the protocol.
+func (c *Conv) EndLocked() {
+	if c.St != Closed {
+		c.HangupLocked()
+	}
+	c.Mu.Unlock()
+	c.Remove()
+	c.Rq.Close()
+	c.Mu.Lock()
 }
 
 // Remove takes the conversation out of the table — only where it is

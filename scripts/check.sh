@@ -117,6 +117,17 @@ if grep -rnE 'streams\.(NewLine|Line)\b' --include='*.go' internal cmd examples 
     exit 1
 fi
 
+echo "== one timer per conversation"
+# An IL, TCP or URP conversation's one timer is its vclock.Deadline,
+# from the first send through the close's linger to leaving the demux
+# table: resends, death and the end all ride it. A transport that starts
+# a timer or a process of its own (the close-time AfterFuncs, a Go to
+# leave the table) is a second timer mechanism beside it.
+if grep -rnE 'AfterFunc\(|\.Go\(' --include='*.go' internal/il internal/tcp internal/urp internal/xport | grep -v '_test\.go:'; then
+    echo "a transport starts a timer or a process of its own (see above)" >&2
+    exit 1
+fi
+
 echo "== bench module: vet + tests (race)"
 # The benchmark is a module of its own (repro/bench, replace repro =>
 # ../), so the ./... patterns above do not reach it.
