@@ -1,0 +1,65 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/block"
+	"repro/internal/dialer"
+)
+
+// maxDialBytes bounds what one call to an echo service costs the heap
+// from dial to hangup, both ends together: the conversations, their
+// streams, the protocol state and the dial's connection-server query.
+// A per-call 8 KiB echo buffer, or a per-conversation trace ring, pushes
+// every network past it.
+const maxDialBytes = 12 << 10
+
+// TestAllocsDialBytes: the bytes-per-dial gate. On the virtual clock a
+// call — dial, one echo, hangup, and a simulated second for both ends
+// to let go of the conversation — allocates the same bytes on every
+// run; the gate reads runtime.MemStats.TotalAlloc across twenty calls
+// after three to warm the pools.
+func TestAllocsDialBytes(t *testing.T) {
+	if block.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, dest := range []string{"dk!nj/astro/helix!echo", "il!helix!echo", "tcp!helix!echo"} {
+		onPaperWorld(t, FastProfiles(), func(w *World) error {
+			musca := w.Machine("musca")
+			ck := w.Clock()
+			call := func() error {
+				conn, err := dialer.Dial(musca.NS, dest)
+				if err != nil {
+					return err
+				}
+				err = echo(conn, "ping")
+				conn.Close()
+				ck.Sleep(time.Second)
+				return err
+			}
+			for range 3 {
+				if err := call(); err != nil {
+					return err
+				}
+			}
+			const n = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range n {
+				if err := call(); err != nil {
+					return err
+				}
+			}
+			runtime.ReadMemStats(&after)
+			per := (after.TotalAlloc - before.TotalAlloc) / n
+			t.Logf("%s: %d bytes, %d objects per call", dest, per, (after.Mallocs-before.Mallocs)/n)
+			if per > maxDialBytes {
+				return fmt.Errorf("a call to %s allocates %d bytes, want <= %d (the echo's buffer made per call again?)", dest, per, maxDialBytes)
+			}
+			return nil
+		})
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/devtree"
 	"repro/internal/dialer"
 	"repro/internal/exportfs"
@@ -93,10 +94,15 @@ func (m *Machine) Serve(addr string, handler Handler, mods ...string) (func(), e
 	return stop, nil
 }
 
-// ServeEcho runs the echo service of §5.2's example listener.
+// ServeEcho runs the echo service of §5.2's example listener. A call
+// reads into an 8 KiB buffer, a whole message on a delimited network,
+// and writes back what each read returned in one piece. The buffer is
+// a pooled block, freed at hangup.
 func (m *Machine) ServeEcho(addr string) (func(), error) {
 	return m.Serve(addr, func(nsp *ns.Namespace, conn *dialer.Conn) {
-		buf := make([]byte, 8192)
+		b := block.Alloc(8192, 0)
+		defer b.Free()
+		buf := b.Bytes()
 		for {
 			n, err := conn.Read(buf)
 			if n > 0 {

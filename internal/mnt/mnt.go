@@ -160,11 +160,12 @@ type handle struct {
 	restShort bool
 	raStop    bool
 
-	// Write-behind. buf coalesces sequential writes (always shorter
-	// than MaxFData) starting at file offset bufOff; wEnd is where
-	// the sequential pattern continues; wb holds the fragments in
-	// flight; werr is the first asynchronous error, surfaced on the
-	// next operation or Close.
+	// Write-behind. buf holds the partial fragment of the sequential
+	// writes, starting at file offset bufOff: always shorter than
+	// MaxFData, in one array of that capacity kept for the handle's
+	// life. wEnd is where the sequential pattern continues; wb holds
+	// the fragments in flight; werr is the first asynchronous error,
+	// surfaced on the next operation or Close.
 	wrote  bool
 	wEnd   int64
 	buf    []byte
@@ -326,7 +327,9 @@ func (h *handle) cancelRALocked() {
 // Write implements vfs.Handle (Twrite). On a device tree it is a direct
 // write; on a file tree sequential writes coalesce into MaxFData
 // fragments issued asynchronously, the client's window bounding how
-// many ride unacknowledged.
+// many ride unacknowledged. A whole fragment goes out from p itself
+// (Window.Write copies it into the wire buffer); only a partial one
+// waits in buf for the next write.
 func (h *handle) Write(p []byte, off int64) (int, error) {
 	h.mu.Lock()
 	if h.closed {
@@ -367,19 +370,32 @@ func (h *handle) Write(p []byte, off int64) (int, error) {
 		return n, err
 	}
 	// Sequential: coalesce.
+	n := len(p)
+	h.wEnd = off + int64(n)
 	if len(h.buf) == 0 {
 		h.bufOff = off
+	} else {
+		// Complete the partial fragment first.
+		k := min(len(p), ninep.MaxFData-len(h.buf))
+		h.buf = append(h.buf, p[:k]...)
+		p = p[k:]
+		if len(h.buf) < ninep.MaxFData {
+			return n, nil
+		}
+		h.issueWBLocked(h.buf)
+		h.buf = h.buf[:0]
 	}
-	h.buf = append(h.buf, p...)
-	for len(h.buf) >= ninep.MaxFData {
-		h.issueWBLocked(h.buf[:ninep.MaxFData])
-		h.buf = h.buf[ninep.MaxFData:]
+	for len(p) >= ninep.MaxFData {
+		h.issueWBLocked(p[:ninep.MaxFData])
+		p = p[ninep.MaxFData:]
 	}
-	if len(h.buf) == 0 {
-		h.buf = nil
+	if len(p) > 0 {
+		if h.buf == nil {
+			h.buf = make([]byte, 0, ninep.MaxFData)
+		}
+		h.buf = append(h.buf, p...)
 	}
-	h.wEnd = off + int64(len(p))
-	return len(p), nil
+	return n, nil
 }
 
 // issueWBLocked sends one write-behind fragment at bufOff and advances
@@ -421,7 +437,7 @@ func (h *handle) barrierLocked() error {
 	}
 	if len(h.buf) > 0 {
 		h.issueWBLocked(h.buf)
-		h.buf = nil
+		h.buf = h.buf[:0]
 	}
 	for h.wb.Len() > 0 {
 		h.reapWBLocked()

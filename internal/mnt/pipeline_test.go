@@ -3,6 +3,9 @@ package mnt
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -431,4 +434,132 @@ func TestReadaheadRestFreedOnClose(t *testing.T) {
 	if d := block.Snapshot().InFlight - before; d != 0 {
 		t.Errorf("%d block(s) never freed after Close", d)
 	}
+}
+
+// TestWriteBehindUnalignedFragments: sequential writes of every shape —
+// shorter than a fragment, crossing one boundary or several, ending a
+// byte short of one — and an out-of-sequence write in the middle land
+// on the server byte for byte, in exactly the Twrites the coalescing
+// rule names: each run of sequential writes is cut into MaxFData
+// fragments from where it starts, and what is left goes out at the
+// barrier; a first or out-of-sequence write goes out on its own.
+func TestWriteBehindUnalignedFragments(t *testing.T) {
+	const frag = ninep.MaxFData
+	type write struct {
+		off int64
+		n   int
+	}
+	// Two sequential runs, the second starting off a fragment boundary
+	// after an out-of-sequence write. The first write of the handle is
+	// synchronous.
+	var writes []write
+	off := int64(0)
+	for _, n := range []int{100, 7000, 1092, 5, frag - 5, 2*frag + 7, 1, frag - 8, 3, 20000, frag, 1} {
+		writes = append(writes, write{off, n})
+		off += int64(n)
+	}
+	gap := off // the out-of-sequence write leaves a hole from here
+	restart := off + 3*frag + 333
+	writes = append(writes, write{restart, 50})
+	off = restart + 50
+	for _, n := range []int{4000, 9000, frag, 300, 3*frag - 1} {
+		writes = append(writes, write{off, n})
+		off += int64(n)
+	}
+	size := off
+
+	// The rule, as a model: a first or out-of-sequence write goes out
+	// whole, in fragments from its offset (after a barrier); a
+	// sequential one joins the buffer, which goes out a fragment at a
+	// time and, at a barrier, whatever is left.
+	var want []string
+	emit := func(off int64, n int) {
+		for n > 0 {
+			k := min(n, frag)
+			want = append(want, fmt.Sprintf("Twrite off=%d count=%d", off, k))
+			off += int64(k)
+			n -= k
+		}
+	}
+	var bufOff, end int64
+	bufLen := 0
+	barrier := func() {
+		emit(bufOff, bufLen)
+		bufOff += int64(bufLen)
+		bufLen = 0
+	}
+	for i, w := range writes {
+		if i == 0 || w.off != end {
+			barrier()
+			emit(w.off, w.n)
+		} else {
+			if bufLen == 0 {
+				bufOff = w.off
+			}
+			bufLen += w.n
+			for bufLen >= frag {
+				emit(bufOff, frag)
+				bufOff += frag
+				bufLen -= frag
+			}
+		}
+		end = w.off + int64(w.n)
+	}
+	barrier()
+
+	data := testPattern(int(size))
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		fs := ramfs.NewClock("srv", v)
+		fs.WriteFile("f", nil, 0664)
+		a, b := ninep.NewPipe(v)
+		v.Go(func() {
+			ninep.Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, v)
+		})
+		tap := newWireTap(a)
+		cfg := FileConfig()
+		cfg.Client.Clock = v
+		root, cl, err := MountConfig(tap, "glenda", "", cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer cl.Close()
+		h := openPath(t, root, "f", vfs.OWRITE)
+		if h == nil {
+			return
+		}
+		for _, w := range writes {
+			// Each write comes from a buffer of its own, scribbled
+			// over once the write returns: whatever the driver keeps
+			// must be its own copy.
+			p := bytes.Clone(data[w.off : w.off+int64(w.n)])
+			if n, err := h.Write(p, w.off); err != nil || n != w.n {
+				t.Errorf("write %d at %d = %d, %v", w.n, w.off, n, err)
+				return
+			}
+			clear(p)
+		}
+		if err := h.Close(); err != nil {
+			t.Error(err)
+			return
+		}
+		got, _ := fs.ReadFile("f")
+		wantFile := bytes.Clone(data)
+		clear(wantFile[gap:restart])
+		if !bytes.Equal(got, wantFile) {
+			t.Errorf("server holds %d bytes, not the %d written", len(got), len(wantFile))
+		}
+		tap.mu.Lock()
+		var sent []string
+		for _, l := range tap.lines {
+			if _, rest, ok := strings.Cut(l, " Twrite "); ok {
+				sent = append(sent, "Twrite "+rest)
+			}
+		}
+		tap.mu.Unlock()
+		if !slices.Equal(sent, want) {
+			t.Errorf("Twrites on the wire:\n%s\nwant:\n%s", strings.Join(sent, "\n"), strings.Join(want, "\n"))
+		}
+	})
 }

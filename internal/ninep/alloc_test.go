@@ -15,23 +15,25 @@ import (
 // pool-backed buffers whose ownership crosses the pipe, and the data
 // of an Rread or Twrite is decoded in place, its wire buffer adopted as
 // the block the reply or request owns, so marshal, transport and decode
-// allocate no buffers and copy no data out. What is left is one object
-// a side: the client's Pending (the reply and its waiter live in it)
-// and the server's srvReq (request and reply Fcalls, and the escalated
-// request's goroutine takes it from a queue rather than a closure).
+// allocate no buffers and copy no data out. The one object a side an
+// RPC needs, the client's Pending (the reply and its waiter live in
+// it) and the server's srvReq (request and reply Fcalls, and the
+// escalated request's goroutine takes it from a queue rather than a
+// closure), is a finished one reused, so a round trip allocates
+// nothing at all.
 func TestAllocsRreadRoundTrip(t *testing.T) {
 	allocs := roundTripAllocs(t, vfs.OREAD, func(f *Fid, buf []byte) (int, error) { return f.Read(buf, 0) })
 	t.Logf("Rread(4K) round trip: %.1f allocs/op", allocs)
-	if allocs > 2 {
-		t.Fatalf("Rread round trip allocates %.1f objects/op, want <= 2 (a data copy, a pool bypassed, or a per-message Fcall, mailbox or closure back?)", allocs)
+	if allocs > 0 {
+		t.Fatalf("Rread round trip allocates %.1f objects/op, want 0 (a Pending or srvReq not reused, a data copy, a pool bypassed, or a per-message Fcall, mailbox or closure back?)", allocs)
 	}
 }
 
 func TestAllocsTwriteRoundTrip(t *testing.T) {
 	allocs := roundTripAllocs(t, vfs.OWRITE, func(f *Fid, buf []byte) (int, error) { return f.Write(buf, 0) })
 	t.Logf("Twrite(4K) round trip: %.1f allocs/op", allocs)
-	if allocs > 2 {
-		t.Fatalf("Twrite round trip allocates %.1f objects/op, want <= 2 (a data copy, a pool bypassed, or a per-message Fcall, mailbox or closure back?)", allocs)
+	if allocs > 0 {
+		t.Fatalf("Twrite round trip allocates %.1f objects/op, want 0 (a Pending or srvReq not reused, a data copy, a pool bypassed, or a per-message Fcall, mailbox or closure back?)", allocs)
 	}
 }
 

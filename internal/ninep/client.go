@@ -95,6 +95,9 @@ type Client struct {
 	nextTag uint16
 	nextFid uint32
 	err     error
+	// free chains the finished Pendings through their next fields,
+	// for the next RPC to reuse.
+	free *Pending
 
 	// Mount-driver observability: RPC count and latency, Tflush count,
 	// and the in-flight window high-water mark. The mnt device renders
@@ -213,11 +216,13 @@ func (cl *Client) Close() error {
 	return err
 }
 
-// allocTag reserves a free tag for p, blocking while the in-flight
-// window is full or the tag space is exhausted. Tflush is exempt from
-// the in-flight cap (flushExempt): a flush must be able to proceed
-// even when the cap is saturated by the very requests it abandons.
-func (cl *Client) allocTag(p *Pending, flushExempt bool) (uint16, error) {
+// allocTag reserves a free tag for a request of type req and returns
+// its Pending, a finished one reused if the client has one, blocking
+// while the in-flight window is full or the tag space is exhausted.
+// Tflush is exempt from the in-flight cap (flushExempt): a flush must
+// be able to proceed even when the cap is saturated by the very
+// requests it abandons.
+func (cl *Client) allocTag(req uint8, flushExempt bool) (*Pending, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	limit := cl.cfg.inFlightCap
@@ -228,8 +233,16 @@ func (cl *Client) allocTag(p *Pending, flushExempt bool) (uint16, error) {
 		cl.tagFree.Wait()
 	}
 	if cl.err != nil {
-		return 0, cl.err
+		return nil, cl.err
 	}
+	p := cl.free
+	if p != nil {
+		cl.free, p.next = p.next, nil
+	} else {
+		p = &Pending{cl: cl}
+		p.wake.Init(cl.ck, &cl.mu)
+	}
+	p.req = req
 	// len(tags) < maxTags here, so a free tag exists and the scan
 	// terminates.
 	for {
@@ -238,25 +251,39 @@ func (cl *Client) allocTag(p *Pending, flushExempt bool) (uint16, error) {
 			cl.nextTag = 1
 		}
 		if _, inUse := cl.tags[cl.nextTag]; !inUse {
-			cl.tags[cl.nextTag] = p
+			p.tag = cl.nextTag
+			cl.tags[p.tag] = p
 			cl.WindowHW.Note(int64(len(cl.tags)))
-			return cl.nextTag, nil
+			return p, nil
 		}
 	}
 }
 
-// freeTag releases a tag reserved by allocTag but never answered (a
-// marshal or transport error, or a completed flush).
-func (cl *Client) freeTag(tag uint16) {
+// recycleLocked puts the finished p on the free list. Nothing may
+// touch p afterwards: its tag is out of the table, so demux cannot
+// reach it, and its reply, if any, has gone to its reader or been
+// freed.
+func (cl *Client) recycleLocked(p *Pending) {
+	p.r = Fcall{}
+	p.done = false
+	p.flush = nil
+	p.next, cl.free = cl.free, p
+}
+
+// unsend releases the tag of p, reserved by allocTag but never
+// answered (a marshal or transport error), and recycles p.
+func (cl *Client) unsend(p *Pending) {
 	cl.mu.Lock()
-	delete(cl.tags, tag)
+	delete(cl.tags, p.tag)
 	cl.tagFree.Broadcast()
+	cl.recycleLocked(p)
 	cl.mu.Unlock()
 }
 
 // Pending is an RPC in flight: the asynchronous half of the mount
-// driver, and the RPC's one heap object on the client. Exactly one of
-// Wait or Flush must be called, once.
+// driver. Exactly one of Wait or Flush must be called, once; after it
+// the Pending is spent, and the client reuses it for a later RPC, so
+// an RPC in the steady state allocates nothing on the client.
 type Pending struct {
 	cl    *Client
 	tag   uint16
@@ -271,7 +298,8 @@ type Pending struct {
 	wake vclock.Cond
 
 	// A Window chains its fragments through the Pendings themselves,
-	// so queueing one allocates nothing.
+	// so queueing one allocates nothing; the client's free list
+	// chains the finished ones the same way.
 	next  *Pending
 	flush *Pending // the Tflush abandoning this RPC, while flushMany awaits it
 }
@@ -285,23 +313,21 @@ func (cl *Client) RPCAsync(t *Fcall) (*Pending, error) {
 }
 
 func (cl *Client) sendAsync(t *Fcall, flushExempt bool) (*Pending, error) {
-	p := &Pending{cl: cl, req: t.Type}
-	p.wake.Init(cl.ck, &cl.mu)
-	tag, err := cl.allocTag(p, flushExempt)
+	p, err := cl.allocTag(t.Type, flushExempt)
 	if err != nil {
 		return nil, err
 	}
-	p.tag, t.Tag = tag, tag
+	t.Tag = p.tag
 	msg, err := MarshalFcall(t)
 	if err != nil {
-		cl.freeTag(tag)
+		cl.unsend(p)
 		return nil, err
 	}
 	cl.wmu.Lock()
 	err = cl.conn.WriteMsg(msg)
 	cl.wmu.Unlock()
 	if err != nil {
-		cl.freeTag(tag)
+		cl.unsend(p)
 		return nil, err
 	}
 	cl.RPCs.Add(1)
@@ -309,37 +335,32 @@ func (cl *Client) sendAsync(t *Fcall, flushExempt bool) (*Pending, error) {
 	return p, nil
 }
 
-// Wait blocks for the reply. On an Rerror response it returns the
-// error string as an error. An Rread's Data is its wire buffer, a
-// block the reply owns: a Window's Reap takes it over, and a caller
-// that waits for an Rread by hand must free it itself.
-func (p *Pending) Wait() (*Fcall, error) {
-	if err := p.await(); err != nil {
-		return nil, err
-	}
-	p.cl.RPCHist.Observe(p.cl.ck.Since(p.start))
-	r := &p.r
-	if r.Type == Rerror {
-		return nil, errors.New(r.Ename)
-	}
-	if r.Type != p.req+1 {
-		return nil, fmt.Errorf("9P: got %s in response to %s", TypeName(r.Type), TypeName(p.req))
-	}
-	return r, nil
-}
-
-// await blocks until the reply is in p.r, or returns the error the
-// client died of.
-func (p *Pending) await() error {
-	p.cl.mu.Lock()
-	defer p.cl.mu.Unlock()
-	for !p.done && p.cl.err == nil {
+// Wait blocks for the reply and returns it; p goes back to the client.
+// On an Rerror response it returns the error string as an error. An
+// Rread's Data is its wire buffer, a block the reply owns: a Window's
+// Reap takes it over, and a caller that waits for an Rread by hand
+// must free it itself.
+func (p *Pending) Wait() (Fcall, error) {
+	cl := p.cl
+	cl.mu.Lock()
+	for !p.done && cl.err == nil {
 		p.wake.Wait()
 	}
-	if p.done {
-		return nil
+	r, done, req, start, err := p.r, p.done, p.req, p.start, cl.err
+	cl.recycleLocked(p)
+	cl.mu.Unlock()
+	if !done {
+		return Fcall{}, err
 	}
-	return p.cl.err
+	cl.RPCHist.Observe(cl.ck.Since(start))
+	if r.Type == Rerror {
+		return Fcall{}, errors.New(r.Ename)
+	}
+	if r.Type != req+1 {
+		r.free()
+		return Fcall{}, fmt.Errorf("9P: got %s in response to %s", TypeName(r.Type), TypeName(req))
+	}
+	return r, nil
 }
 
 // abandon marks the pending's tag as flushed (nil in the tag table) so
@@ -368,8 +389,12 @@ func (p *Pending) Flush() {
 // on the wire before awaiting the first Rflush so a truncated windowed
 // transfer pays one round trip, not one per speculative fragment.
 // Tflush allocation bypasses the in-flight cap; it only needs a free
-// tag in the 16-bit space.
+// tag in the 16-bit space. After the last Rflush the whole chain goes
+// back to the client.
 func (cl *Client) flushMany(head *Pending) {
+	if head == nil {
+		return
+	}
 	for p := head; p != nil; p = p.next {
 		if !p.abandon() {
 			// The reply has landed (or the client died): nobody
@@ -391,6 +416,13 @@ func (cl *Client) flushMany(head *Pending) {
 			p.release()
 		}
 	}
+	cl.mu.Lock()
+	for p := head; p != nil; {
+		next := p.next
+		cl.recycleLocked(p)
+		p = next
+	}
+	cl.mu.Unlock()
 }
 
 // release frees the tag of an abandoned pending once its flush has
@@ -406,10 +438,10 @@ func (p *Pending) release() {
 
 // RPC performs one request/response exchange. On an Rerror response it
 // returns the error string as an error.
-func (cl *Client) RPC(t *Fcall) (*Fcall, error) {
+func (cl *Client) RPC(t *Fcall) (Fcall, error) {
 	p, err := cl.RPCAsync(t)
 	if err != nil {
-		return nil, err
+		return Fcall{}, err
 	}
 	return p.Wait()
 }
@@ -630,16 +662,17 @@ func (w *Window) Reap() (data []byte, n int, short bool, err error) {
 	}
 	w.n--
 	w.release()
+	asked := int(p.asked)
 	r, err := p.Wait()
-	w.reaped, p.r.blk = p.r.blk, nil
 	if err != nil {
 		return nil, 0, false, err
 	}
+	w.reaped = r.blk
 	n = len(r.Data)
 	if r.Type == Rwrite {
 		n = int(r.Count)
 	}
-	return r.Data, n, n < int(p.asked), nil
+	return r.Data, n, n < asked, nil
 }
 
 // Cancel abandons every fragment in flight — all the Tflushes go out

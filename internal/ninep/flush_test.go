@@ -66,6 +66,20 @@ func plant(cl *Client, tag uint16, req uint8) *Pending {
 	return p
 }
 
+// await blocks until p's reply has arrived, or returns the error the
+// client died of. Unlike Wait it leaves p to the test.
+func (p *Pending) await() error {
+	p.cl.mu.Lock()
+	defer p.cl.mu.Unlock()
+	for !p.done && p.cl.err == nil {
+		p.wake.Wait()
+	}
+	if p.done {
+		return nil
+	}
+	return p.cl.err
+}
+
 // replied reports, without blocking, whether p's reply has arrived.
 func (p *Pending) replied() (*Fcall, bool) {
 	p.cl.mu.Lock()

@@ -58,6 +58,9 @@ type Server struct {
 	// esc holds the requests workers have escalated, one per
 	// goroutine started on escalate and in start order.
 	esc []*srvReq
+	// free chains the finished requests through their next fields,
+	// for the next message off any connection's wire to reuse.
+	free *srvReq
 
 	// worker and escalate, bound once so starting a goroutine on
 	// either allocates nothing.
@@ -119,18 +122,21 @@ type SrvConn struct {
 	lat        obs.Hist      // request latency, arrival to reply
 }
 
-// srvReq tracks one in-flight request, and is the request's one heap
-// object on the server: the request decodes into f and the reply is
-// built in r. Flush state lives on the
-// request instance, never in a map keyed by tag alone: after the
-// 16-bit tag space wraps, a recycled tag can name a new request while
-// a flushed predecessor's goroutine is still running (blocked in
-// h.Read, say), and each instance must see only its own flush mark —
-// a shared per-tag entry would let the new request consume the old
-// one's mark and the old request answer under the new one's tag.
+// srvReq tracks one in-flight request: the request decodes into f and
+// the reply is built in r. Once the request has answered and left the
+// connection's tables it goes back to its Server, which reuses it for
+// a later message on any connection, so a request in the steady state
+// allocates nothing on the server. Flush state lives on the request
+// instance, never in a map keyed by tag alone: after the 16-bit tag
+// space wraps, a recycled tag can name a new request while a flushed
+// predecessor's goroutine is still running (blocked in h.Read, say),
+// and each instance must see only its own flush mark — a shared
+// per-tag entry would let the new request consume the old one's mark
+// and the old request answer under the new one's tag.
 type srvReq struct {
 	flushed atomic.Bool
 	c       *SrvConn
+	next    *srvReq // on the server's free list
 	f, r    Fcall
 	start   time.Time
 	tq      *ticketQ
@@ -235,11 +241,12 @@ func (s *Server) ServeConn(conn MsgConn) error {
 		if err != nil {
 			return err
 		}
-		st := &srvReq{c: c}
+		st := s.newReq(c)
 		f := &st.f
 		// A Twrite's data stays in its wire buffer, which the request
 		// owns until it has run (run frees it).
 		if err := decode(msg, f); err != nil {
+			s.recycle(st)
 			return err
 		}
 		switch f.Type {
@@ -250,6 +257,7 @@ func (s *Server) ServeConn(conn MsgConn) error {
 			// queued requests.
 			st.r = c.process(f)
 			c.respond(f.Tag, &st.r, nil)
+			s.recycle(st)
 		default:
 			st.start = s.ck.Now()
 			// I/O requests take a per-fid, per-direction ticket
@@ -309,6 +317,36 @@ func (s *Server) ServeConn(conn MsgConn) error {
 			s.enqueue(c, st)
 		}
 	}
+}
+
+// newReq returns a request for c to decode its next message into, a
+// finished one reused if the server has one.
+func (s *Server) newReq(c *SrvConn) *srvReq {
+	s.dmu.Lock()
+	st := s.free
+	if st != nil {
+		s.free, st.next = st.next, nil
+	}
+	s.dmu.Unlock()
+	if st == nil {
+		st = new(srvReq)
+	}
+	st.c = c
+	return st
+}
+
+// recycle gives a finished request back to the server. Nothing may
+// touch st afterwards: it has answered (or was flushed), it is out of
+// its connection's tables, and its Twrite data has gone home.
+func (s *Server) recycle(st *srvReq) {
+	s.dmu.Lock()
+	s.recycleLocked(st)
+	s.dmu.Unlock()
+}
+
+func (s *Server) recycleLocked(st *srvReq) {
+	*st = srvReq{next: s.free}
+	s.free = st
 }
 
 // enqueue queues one parsed request on its connection and makes the
@@ -376,7 +414,7 @@ func (s *Server) worker() {
 		s.dmu.Unlock()
 		if st.inline {
 			c.run(st)
-			s.release(c)
+			s.release(c, st)
 		} else {
 			// The request may block indefinitely (a read on a
 			// listen file waits for a call); it gets the paper's
@@ -396,13 +434,15 @@ func (s *Server) escalate() {
 	st := popFront(&s.esc)
 	s.dmu.Unlock()
 	st.c.run(st)
-	s.release(st.c)
+	s.release(st.c, st)
 }
 
-// release returns one unit of a connection's budget and re-rings the
-// connection if that makes queued work dispatchable again.
-func (s *Server) release(c *SrvConn) {
+// release recycles the request st, which has run, returns one unit of
+// its connection's budget and re-rings the connection if that makes
+// queued work dispatchable again.
+func (s *Server) release(c *SrvConn, st *srvReq) {
 	s.dmu.Lock()
+	s.recycleLocked(st)
 	c.running--
 	spawn := false
 	if !c.inRing && len(c.pend) > 0 && c.running < DefaultConnBudget {
@@ -626,12 +666,15 @@ func (c *SrvConn) process(t *Fcall) Fcall {
 		// blocked in a handle, its eventual reply is suppressed and
 		// its slot in reqs is reclaimed by comparing instances.
 		c.flushes.Add(1)
+		// The mark is stored under c.mu, where run deletes the
+		// instance from reqs before recycling it: a request that
+		// has left reqs may already serve another tag, and must not
+		// take this flush.
 		c.mu.Lock()
-		st := c.reqs[t.Oldtag]
-		c.mu.Unlock()
-		if st != nil {
+		if st := c.reqs[t.Oldtag]; st != nil {
 			st.flushed.Store(true)
 		}
+		c.mu.Unlock()
 		return Fcall{Type: Rflush}
 	case Tattach:
 		root, err := c.s.attach(t.Uname, t.Aname)

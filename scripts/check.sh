@@ -145,11 +145,14 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # when an ack re-arms it (il TestAllocsRearmOnAck, vclock
 # TestAllocsDeadlineUpdate), a send queue that grows a new array per
 # write once acks have trimmed it (urp and tcp TestAllocsWriteAck), or
-# more than one object a side per 9P RPC, which leaves no room for a
-# copy of an Rread's or Twrite's data out of its wire buffer (ninep
-# TestAllocsRreadRoundTrip, TestAllocsTwriteRoundTrip), a Cyclone
-# receive that copies or draws a buffer instead of wrapping the one the
-# fiber delivered (cyclone TestAllocsReceive), a name walk that
+# any allocation in a 9P RPC: a Pending or srvReq made afresh instead
+# of reused, or a copy of an Rread's or Twrite's data out of its wire
+# buffer (ninep TestAllocsRreadRoundTrip, TestAllocsTwriteRoundTrip), a
+# write-behind that copies a sequential write into a buffer of its own
+# (mnt TestAllocsWriteBehind), a call to an echo service past its
+# bytes-per-dial bound, dial to hangup (core TestAllocsDialBytes), a
+# Cyclone receive that copies or draws a buffer instead of wrapping the
+# one the fiber delivered (cyclone TestAllocsReceive), a name walk that
 # allocates beyond the nodes it returns (ns TestAllocsResolve), a
 # conversation directory that builds more than the file walked to
 # (netdev TestAllocsConvWalk), or a conversation's stream that costs
@@ -160,7 +163,7 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # twelve times an Alloc/Free pair (BenchmarkAllocFree16K, 68 -> 857 ns
 # on a 2-CPU host), so only the race build above pays for it, and these
 # gates and the benchmark measure the allocator as it ships.
-go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/cs ./internal/tcp ./internal/urp ./internal/vclock ./internal/ether ./internal/il ./internal/ns ./internal/netdev ./internal/cyclone
+go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/mnt ./internal/core ./internal/cs ./internal/tcp ./internal/urp ./internal/vclock ./internal/ether ./internal/il ./internal/ns ./internal/netdev ./internal/cyclone
 
 echo "== chaos: 100-seed sweep"
 # The discrete-event clock makes a whole seed sweep affordable: every
