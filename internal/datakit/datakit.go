@@ -124,15 +124,8 @@ type listener struct {
 }
 
 // crcTable drives the CRC-16/CCITT the Datakit hardware framed cells
-// with. crcTab8 extends it to slicing-by-8: crcTab8[k][v] is the CRC
-// of byte v followed by k zero bytes, so eight input bytes fold into
-// the register with eight independent table lookups instead of eight
-// serially dependent ones — the byte-at-a-time loop's carry chain was
-// the single hottest path under the URP throughput benchmarks.
-var (
-	crcTable [256]uint16
-	crcTab8  [8][256]uint16
-)
+// with, a byte at a time. Only an impaired circuit computes it.
+var crcTable [256]uint16
 
 func init() {
 	for i := range crcTable {
@@ -146,28 +139,10 @@ func init() {
 		}
 		crcTable[i] = crc
 	}
-	crcTab8[0] = crcTable
-	for k := 1; k < 8; k++ {
-		for v := range crcTab8[k] {
-			c := crcTab8[k-1][v]
-			crcTab8[k][v] = c<<8 ^ crcTable[byte(c>>8)]
-		}
-	}
 }
 
 func crc16(p []byte) uint16 {
 	var crc uint16
-	for len(p) >= 8 {
-		crc = crcTab8[7][p[0]^byte(crc>>8)] ^
-			crcTab8[6][p[1]^byte(crc)] ^
-			crcTab8[5][p[2]] ^
-			crcTab8[4][p[3]] ^
-			crcTab8[3][p[4]] ^
-			crcTab8[2][p[5]] ^
-			crcTab8[1][p[6]] ^
-			crcTab8[0][p[7]]
-		p = p[8:]
-	}
 	for _, b := range p {
 		crc = crc<<8 ^ crcTable[byte(crc>>8)^b]
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // crcRef is CRC-16/CCITT (polynomial 0x1021, initial register 0, no
-// reflection) a bit at a time: the reference the table-driven,
-// slice-by-8 crc16 must equal.
+// reflection) a bit at a time: the reference the table-driven crc16
+// must equal.
 func crcRef(p []byte) uint16 {
 	var crc uint16
 	for _, b := range p {

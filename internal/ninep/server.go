@@ -1,8 +1,8 @@
 package ninep
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -49,15 +49,16 @@ type Server struct {
 	ck     vclock.Clock
 
 	// Dispatcher state: connections with queued, in-budget work wait
-	// in ready; pool workers take the front connection, run one of its
+	// in the ready ring, ready to readyTail through their nextReady
+	// fields; pool workers take the front connection, run one of its
 	// requests, and re-append it — round-robin across tenants.
-	dmu      sync.Mutex
-	ready    []*SrvConn
-	nworkers int
-	npend    int // queued requests across all connections
+	dmu              sync.Mutex
+	ready, readyTail *SrvConn
+	nworkers         int
+	npend            int // queued requests across all connections
 	// esc holds the requests workers have escalated, one per
 	// goroutine started on escalate and in start order.
-	esc []*srvReq
+	esc reqQueue
 	// free chains the finished requests through their next fields,
 	// for the next message off any connection's wire to reuse.
 	free *srvReq
@@ -69,6 +70,9 @@ type Server struct {
 	cmu    sync.Mutex
 	conns  map[int64]*SrvConn
 	nextID int64
+	// spare holds the buffers dead connections' fids were sorted in,
+	// for the next teardown to reuse.
+	spare [][]deadFid
 
 	// Server-wide figures for the stats file.
 	Conns    atomic.Int64  // connections accepted over the server's life
@@ -108,9 +112,10 @@ type SrvConn struct {
 	reqs  map[uint16]*srvReq // requests in flight, by tag
 
 	// Dispatcher state, guarded by s.dmu.
-	pend    []*srvReq // parsed requests not yet running
-	running int       // requests executing (inline or escalated)
-	inRing  bool      // queued in s.ready
+	pend      reqQueue // parsed requests not yet running
+	running   int      // requests executing (inline or escalated)
+	inRing    bool     // queued in s.ready
+	nextReady *SrvConn // the connection after this one in s.ready
 
 	// Per-connection figures for the stats bill.
 	rpcs       atomic.Int64
@@ -136,7 +141,7 @@ type SrvConn struct {
 type srvReq struct {
 	flushed atomic.Bool
 	c       *SrvConn
-	next    *srvReq // on the server's free list
+	next    *srvReq // on a reqQueue or the server's free list
 	f, r    Fcall
 	start   time.Time
 	tq      *ticketQ
@@ -349,18 +354,56 @@ func (s *Server) recycleLocked(st *srvReq) {
 	s.free = st
 }
 
+// reqQueue is a FIFO of requests chained through their next fields.
+// A request is on at most one list at a time: a connection's pend, the
+// server's esc, or its free list.
+type reqQueue struct {
+	head, tail *srvReq
+	n          int
+}
+
+func (q *reqQueue) push(st *srvReq) {
+	if q.tail == nil {
+		q.head = st
+	} else {
+		q.tail.next = st
+	}
+	q.tail = st
+	q.n++
+}
+
+func (q *reqQueue) pop() *srvReq {
+	st := q.head
+	q.head, st.next = st.next, nil
+	if q.head == nil {
+		q.tail = nil
+	}
+	q.n--
+	return st
+}
+
+// ringLocked appends c to the tail of the ready ring.
+func (s *Server) ringLocked(c *SrvConn) {
+	c.inRing = true
+	if s.readyTail == nil {
+		s.ready = c
+	} else {
+		s.readyTail.nextReady = c
+	}
+	s.readyTail = c
+}
+
 // enqueue queues one parsed request on its connection and makes the
 // connection eligible for dispatch if its budget allows. The read loop
 // never blocks here — a flood simply deepens the queue, where the
 // round-robin dispatcher holds it to its budget.
 func (s *Server) enqueue(c *SrvConn, st *srvReq) {
 	s.dmu.Lock()
-	c.pend = append(c.pend, st)
+	c.pend.push(st)
 	s.npend++
-	c.pendHW.Note(int64(len(c.pend)))
+	c.pendHW.Note(int64(c.pend.n))
 	if !c.inRing && c.running < DefaultConnBudget {
-		c.inRing = true
-		s.ready = append(s.ready, c)
+		s.ringLocked(c)
 	}
 	spawn := s.nworkers < DefaultWorkers && s.nworkers < s.npend
 	if spawn {
@@ -373,17 +416,6 @@ func (s *Server) enqueue(c *SrvConn, st *srvReq) {
 	}
 }
 
-// popFront removes and returns the first element of *q, moving the
-// rest down in place so the array stays for the next append.
-func popFront[T any](q *[]T) T {
-	v := (*q)[0]
-	n := copy(*q, (*q)[1:])
-	var zero T
-	(*q)[n] = zero
-	*q = (*q)[:n]
-	return v
-}
-
 // worker is one pool goroutine: it repeatedly takes the front
 // connection of the ready ring, runs one of its requests, and puts
 // the connection back at the tail — round-robin over tenants, so
@@ -393,23 +425,27 @@ func popFront[T any](q *[]T) T {
 func (s *Server) worker() {
 	for {
 		s.dmu.Lock()
-		if len(s.ready) == 0 {
+		c := s.ready
+		if c == nil {
 			s.nworkers--
 			s.dmu.Unlock()
 			return
 		}
-		c := popFront(&s.ready)
-		st := popFront(&c.pend)
+		s.ready, c.nextReady = c.nextReady, nil
+		if s.ready == nil {
+			s.readyTail = nil
+		}
+		st := c.pend.pop()
 		s.npend--
 		c.running++
 		c.inflightHW.Note(int64(c.running))
-		if len(c.pend) > 0 && c.running < DefaultConnBudget {
-			s.ready = append(s.ready, c)
+		if c.pend.n > 0 && c.running < DefaultConnBudget {
+			s.ringLocked(c)
 		} else {
 			c.inRing = false
 		}
 		if !st.inline {
-			s.esc = append(s.esc, st)
+			s.esc.push(st)
 		}
 		s.dmu.Unlock()
 		if st.inline {
@@ -431,7 +467,7 @@ func (s *Server) worker() {
 // goroutine takes which does not matter.
 func (s *Server) escalate() {
 	s.dmu.Lock()
-	st := popFront(&s.esc)
+	st := s.esc.pop()
 	s.dmu.Unlock()
 	st.c.run(st)
 	s.release(st.c, st)
@@ -445,9 +481,8 @@ func (s *Server) release(c *SrvConn, st *srvReq) {
 	s.recycleLocked(st)
 	c.running--
 	spawn := false
-	if !c.inRing && len(c.pend) > 0 && c.running < DefaultConnBudget {
-		c.inRing = true
-		s.ready = append(s.ready, c)
+	if !c.inRing && c.pend.n > 0 && c.running < DefaultConnBudget {
+		s.ringLocked(c)
 		if s.nworkers < DefaultWorkers && s.nworkers < s.npend {
 			s.nworkers++
 			s.WorkerHW.Note(int64(s.nworkers))
@@ -497,26 +532,45 @@ func (c *SrvConn) run(st *srvReq) {
 // its own, in fid order; other tenants' fid tables are untouched.
 // Requests still queued are marked flushed so they drain through the
 // dispatcher (and their ticket queues) without touching handles the
-// teardown closed.
+// teardown closed; one still running finds the fid table empty.
 func (s *Server) teardown(c *SrvConn) {
 	s.cmu.Lock()
 	delete(s.conns, c.id)
+	var dead []deadFid
+	if n := len(s.spare); n > 0 {
+		dead, s.spare = s.spare[n-1], s.spare[:n-1]
+	}
 	s.cmu.Unlock()
 	c.mu.Lock()
 	for _, st := range c.reqs {
 		st.flushed.Store(true)
 	}
-	fids := c.fids
-	c.fids = make(map[uint32]*srvFid)
-	c.mu.Unlock()
-	for _, fid := range slices.Sorted(maps.Keys(fids)) {
-		sf := fids[fid]
-		sf.mu.Lock()
-		if sf.open && sf.h != nil {
-			sf.h.Close()
-		}
-		sf.mu.Unlock()
+	for fid, sf := range c.fids {
+		dead = append(dead, deadFid{fid, sf})
 	}
+	clear(c.fids)
+	c.mu.Unlock()
+	slices.SortFunc(dead, func(a, b deadFid) int { return cmp.Compare(a.fid, b.fid) })
+	for _, d := range dead {
+		d.sf.mu.Lock()
+		if d.sf.open && d.sf.h != nil {
+			d.sf.h.Close()
+		}
+		d.sf.mu.Unlock()
+	}
+	if cap(dead) > 0 {
+		clear(dead)
+		s.cmu.Lock()
+		s.spare = append(s.spare, dead[:0])
+		s.cmu.Unlock()
+	}
+}
+
+// deadFid is a fid of a dead connection, waiting for teardown to close
+// it.
+type deadFid struct {
+	fid uint32
+	sf  *srvFid
 }
 
 // blockReader is the structural interface a handle implements to

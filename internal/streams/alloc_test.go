@@ -1,6 +1,8 @@
 package streams
 
 import (
+	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
 
@@ -119,4 +121,61 @@ func TestAllocsConvStream(t *testing.T) {
 			t.Errorf("Push + Pop of a stateless module allocates %.1f objects, want <= 1", push)
 		}
 	})
+}
+
+// The splitter's whole-frame gate: a block that is exactly one frame,
+// with nothing partial, goes up without a copy. Batch peels its prefix
+// in place, so no block is made or copied: the block the reader gets
+// is the block the device queued. A compressed frame costs its
+// expansion block and nothing more.
+func TestAllocsSplitWholeFrame(t *testing.T) {
+	if block.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	payload := bytes.Repeat([]byte("Tread fid 7 offset 8192 count 8192 "), 8)
+	batchWire := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	batchWire = append(batchWire, payload...)
+	lz, stored := compressFrame(payload, true)
+	if stored {
+		t.Fatal("the payload did not compress")
+	}
+	compressWire := bytes.Clone(lz.Bytes())
+	lz.Free()
+	for _, c := range []struct {
+		mod        string
+		wire       []byte
+		blocksMade int64
+	}{
+		{"batch", batchWire, 0},
+		{"compress", compressWire, 1},
+	} {
+		s := New(1<<30, nil)
+		if err := s.WriteCtl("push " + c.mod); err != nil {
+			t.Fatal(err)
+		}
+		up := func() (made, copied int64) {
+			b := NewBlock(c.wire)
+			b.Delim = true
+			before := block.Snapshot()
+			s.DeviceUp(b)
+			got, err := s.next(false)
+			after := block.Snapshot()
+			if err != nil || got == nil || !bytes.Equal(got.Bytes(), payload) {
+				t.Fatalf("%s: whole frame came up as %v, %v", c.mod, got, err)
+			}
+			got.Free()
+			return after.Allocs - before.Allocs, after.BytesCopied - before.BytesCopied
+		}
+		made, copied := up()
+		if made != c.blocksMade {
+			t.Errorf("%s: %d blocks made for a whole frame, want %d", c.mod, made, c.blocksMade)
+		}
+		if copied != 0 {
+			t.Errorf("%s: %d bytes copied for a whole frame, want 0", c.mod, copied)
+		}
+		if allocs := testing.AllocsPerRun(200, func() { up() }); allocs != 0 {
+			t.Errorf("%s: a whole frame up allocates %.1f objects, want 0", c.mod, allocs)
+		}
+		s.Close()
+	}
 }

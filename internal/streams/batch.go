@@ -23,8 +23,8 @@ import (
 // the max-delay timer (on the stream's clock, so virtual time works)
 // expires, when a control block passes down (ctl is a flush barrier),
 // when a hangup crosses the stream, and when the module is popped.
-// Upstream, the module is the inverse: a streaming splitter that
-// restores each length-prefixed frame as its own delimited block, so
+// Upstream, the module is the inverse: the package's splitter restores
+// each length-prefixed frame as its own delimited block, so
 // message-per-read transports keep their contract through a batch.
 //
 //	push batch [cap [delay]]     e.g. "push batch 2048 2ms"
@@ -38,23 +38,16 @@ const (
 	batchMaxMsg = 1 << 20
 )
 
-// BatchConfig is the programmatic form of the ctl argument string.
-type BatchConfig struct {
+// batchConfig is what the ctl argument string says.
+type batchConfig struct {
 	Cap   int           // flush when this many complete-frame bytes are pending
 	Delay time.Duration // flush this long after the first pending frame
 }
 
-func parseBatchArg(arg any) (BatchConfig, error) {
-	cfg := BatchConfig{Cap: batchDefaultCap, Delay: batchDefaultDelay}
+func parseBatchArg(arg any) (batchConfig, error) {
+	cfg := batchConfig{Cap: batchDefaultCap, Delay: batchDefaultDelay}
 	switch v := arg.(type) {
 	case nil:
-	case BatchConfig:
-		if v.Cap > 0 {
-			cfg.Cap = v.Cap
-		}
-		if v.Delay > 0 {
-			cfg.Delay = v.Delay
-		}
 	case string:
 		fields := strings.Fields(v)
 		if len(fields) > 2 {
@@ -90,7 +83,7 @@ var batchModule = &Qinfo{
 }
 
 type batchState struct {
-	cfg BatchConfig
+	cfg batchConfig
 
 	// Downstream (coalescing) side.
 	mu      sync.Mutex
@@ -100,11 +93,9 @@ type batchState struct {
 	timer   *vclock.Timer
 	gen     uint64 // flush generation, guards a stale timer callback
 	closed  bool
-	errored bool
+	errored bool // an unbatchable message hung the stream up
 
-	// Upstream (splitting) side.
-	rmu     sync.Mutex
-	partial []byte
+	split splitter // upstream
 
 	stats batchStats
 	group *obs.Group
@@ -150,6 +141,8 @@ func batchOpen(q *Queue, arg any) error {
 		return err
 	}
 	st := &batchState{cfg: cfg}
+	st.split.header = batchHeader
+	st.split.frame = st.unframe
 	st.group = (&obs.Group{}).
 		AddAtomic("batch-msgs-in", &st.stats.msgsIn).
 		AddAtomic("batch-blocks-in", &st.stats.blocksIn).
@@ -338,6 +331,30 @@ func (st *batchState) failLocked(up *Queue) {
 	up.Stream().HangupUp()
 }
 
+// batchHeader reads the length prefix at the front of p: the frame's
+// whole length, or 0 while fewer than four bytes are here. A declared
+// length over batchMaxMsg is a frame the coalescer could never have
+// produced: the stream is desynchronized or hostile.
+func batchHeader(p []byte) (n int, bad bool) {
+	if len(p) < 4 {
+		return 0, false
+	}
+	m := int(binary.BigEndian.Uint32(p))
+	if m > batchMaxMsg {
+		return 0, true
+	}
+	return 4 + m, false
+}
+
+// unframe peels the length prefix off a whole frame, in place.
+func (st *batchState) unframe(b *Block) *Block {
+	b.Consume(4)
+	b.Delim = true
+	st.stats.splitFrames.Add(1)
+	st.stats.splitBytes.Add(int64(b.Len()))
+	return b
+}
+
 func batchIput(q *Queue, b *Block) {
 	st := q.Aux.(*batchState)
 	if b.Type == BlockHangup {
@@ -347,64 +364,9 @@ func batchIput(q *Queue, b *Block) {
 		st.mu.Lock()
 		st.emitLocked(q.Other(), causeHangup)
 		st.mu.Unlock()
-		st.rmu.Lock()
-		st.partial = nil
-		st.rmu.Unlock()
-		q.PutNext(b)
-		return
 	}
-	if b.Type != BlockData {
-		q.PutNext(b)
-		return
-	}
-	st.rmu.Lock()
-	if st.errored {
-		st.rmu.Unlock()
-		b.Free()
-		return
-	}
-	// Fastpath: nothing partial and exactly one whole frame in the
-	// block — peel the prefix in place, zero-copy.
-	if len(st.partial) == 0 && b.Len() >= 4 {
-		if n := int(binary.BigEndian.Uint32(b.Bytes())); n <= batchMaxMsg && b.Len() == 4+n {
-			st.stats.splitFrames.Add(1)
-			st.stats.splitBytes.Add(int64(n))
-			st.rmu.Unlock()
-			b.Consume(4)
-			b.Delim = true
-			q.PutNext(b)
-			return
-		}
-	}
-	st.partial = append(st.partial, b.Bytes()...)
-	b.Free()
-	var msgs []*Block
-	for len(st.partial) >= 4 {
-		n := int(binary.BigEndian.Uint32(st.partial))
-		if n > batchMaxMsg {
-			// Strict: a frame the coalescer could never have produced
-			// means the stream is desynchronized or hostile; error out
-			// rather than over-read.
-			st.stats.errs.Add(1)
-			st.errored = true
-			st.partial = nil
-			st.rmu.Unlock()
-			q.Stream().HangupUp()
-			return
-		}
-		if len(st.partial) < 4+n {
-			break
-		}
-		nb := block.Copy(st.partial[4:4+n], 0)
-		nb.Delim = true
-		msgs = append(msgs, nb)
-		st.partial = st.partial[4+n:]
-	}
-	st.stats.splitFrames.Add(int64(len(msgs)))
-	st.rmu.Unlock()
-	for _, m := range msgs {
-		st.stats.splitBytes.Add(int64(m.Len()))
-		q.PutNext(m)
+	if st.split.put(q, b) {
+		st.stats.errs.Add(1)
 	}
 }
 
@@ -441,7 +403,4 @@ func batchClose(q *Queue) {
 	}
 	st.cur = nil
 	st.mu.Unlock()
-	st.rmu.Lock()
-	st.partial = nil
-	st.rmu.Unlock()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -470,5 +471,78 @@ func TestBatchConcurrentWriters(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("message %q delivered %d times", m, n)
 		}
+	}
+}
+
+// A bad frame coming up must not race the writers going down: the
+// splitter's poisoned flag is its own, under its own lock, and a writer
+// learns of the bad frame from the hangup it causes. Real clock and a
+// host goroutine, so the race detector sees the two sides on threads
+// of their own; one round gives it one chance to see them overlap, so
+// there are fifty.
+func TestBatchBadFrameRacesWriter(t *testing.T) {
+	for range 50 {
+		badFrameRacesWriter(t)
+	}
+}
+
+func badFrameRacesWriter(t *testing.T) {
+	s := New(0, func(b *Block) { b.Free() })
+	defer s.Close()
+	if err := s.WriteCtl("push batch 64 1h"); err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		msg := make([]byte, 100)
+		for i := 0; ; i++ {
+			if i == 16 {
+				close(started)
+			}
+			if _, err := s.Write(msg); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	<-started
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], batchMaxMsg+1)
+	upData(s, hdr[:])
+	if n, err := s.Read(make([]byte, 64)); n != 0 || err != io.EOF {
+		t.Fatalf("Read = %d, %v; want EOF", n, err)
+	}
+	if err := <-done; err != ErrHungup {
+		t.Fatalf("writer stopped with %v, want %v", err, ErrHungup)
+	}
+	if errs := moduleSnapshot(t, s)["batch-errs"]; errs != 1 {
+		t.Fatalf("errs %d, want 1", errs)
+	}
+}
+
+// Frames that arrive in one block ahead of a bad header still go up,
+// in order, before the hangup: they were whole and valid.
+func TestBatchFramesAheadOfBadHeaderGoUp(t *testing.T) {
+	s := New(0, nil)
+	defer s.Close()
+	if err := s.WriteCtl("push batch"); err != nil {
+		t.Fatal(err)
+	}
+	var wire []byte
+	for _, m := range []string{"first", "second"} {
+		wire = binary.BigEndian.AppendUint32(wire, uint32(len(m)))
+		wire = append(wire, m...)
+	}
+	wire = binary.BigEndian.AppendUint32(wire, batchMaxMsg+1)
+	upData(s, wire)
+	buf := make([]byte, 64)
+	for _, want := range []string{"first", "second"} {
+		if n, err := s.Read(buf); err != nil || string(buf[:n]) != want {
+			t.Fatalf("Read = %q, %v; want %q", buf[:n], err, want)
+		}
+	}
+	if n, err := s.Read(buf); n != 0 || err != io.EOF {
+		t.Fatalf("Read = %d, %v; want EOF", n, err)
 	}
 }

@@ -2,7 +2,6 @@ package streams
 
 import (
 	"encoding/binary"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/block"
@@ -25,8 +24,8 @@ import (
 // strict: a wrong magic, an unknown method, a declared length over the
 // anti-bomb cap, or an expansion that does not consume its input
 // exactly is an error that hangs the stream up, never an over-read.
-// Both directions work in pooled buffers, and the upstream side is a
-// streaming reassembler, so the module survives byte-stream transports
+// Both directions work in pooled buffers, and the upstream side is the
+// package's splitter, so the module survives byte-stream transports
 // that split or merge frames arbitrarily.
 //
 // The conversation is symmetric: both ends must push the module (in
@@ -41,19 +40,16 @@ const (
 )
 
 var compressModule = &Qinfo{
-	Name:  "compress",
-	Open:  compressOpen,
-	Close: compressClose,
-	Iput:  compressIput,
-	Oput:  compressOput,
+	Name: "compress",
+	Open: compressOpen,
+	Iput: compressIput,
+	Oput: compressOput,
 }
 
 type compressState struct {
 	// Downstream needs no buffer state: each block is framed on the
-	// caller's goroutine. Upstream reassembles.
-	rmu     sync.Mutex
-	partial []byte
-	errored bool
+	// caller's goroutine. Upstream, the splitter reassembles.
+	split splitter
 
 	stats compressStats
 	group *obs.Group
@@ -76,6 +72,8 @@ func compressOpen(q *Queue, arg any) error {
 		}
 	}
 	st := &compressState{}
+	st.split.header = compressLen
+	st.split.frame = st.unframe
 	st.group = (&obs.Group{}).
 		AddAtomic("compress-blocks-in", &st.stats.blocksIn).
 		AddAtomic("compress-bytes-in", &st.stats.bytesIn).
@@ -140,28 +138,14 @@ func compressOput(q *Queue, b *Block) {
 	q.PutNext(bb)
 }
 
-// expandFrame decodes one complete frame (header already validated for
-// completeness) into a fresh pooled block. Returns nil on corrupt
-// compressed data.
-func expandFrame(flags byte, ulen int, payload []byte) *block.Block {
-	if flags&cflagLZ == 0 {
-		if len(payload) != ulen {
-			return nil
-		}
-		return block.Copy(payload, 0)
+// compressHeader reads the header of the frame at the front of p: its
+// flags, its uncompressed length and n, the frame's whole length (0
+// while the header is not all here). bad means no frame can start with
+// these bytes.
+func compressHeader(p []byte) (flags byte, ulen, n int, bad bool) {
+	if len(p) == 0 {
+		return 0, 0, 0, false
 	}
-	bb := block.Alloc(ulen, 0)
-	if err := lzExpand(bb.Bytes(), payload); err != nil {
-		bb.Free()
-		return nil
-	}
-	return bb
-}
-
-// parseCompressHeader validates a frame header prefix. It returns the
-// flags, uncompressed and stored lengths, and ok=false with a hard
-// error when the header can never become valid (vs. just short).
-func parseCompressHeader(p []byte) (flags byte, ulen, clen int, bad bool) {
 	if p[0] != compressMagic {
 		return 0, 0, 0, true
 	}
@@ -170,104 +154,58 @@ func parseCompressHeader(p []byte) (flags byte, ulen, clen int, bad bool) {
 	}
 	flags = p[1]
 	ulen = int(binary.BigEndian.Uint32(p[2:6]))
-	clen = int(binary.BigEndian.Uint32(p[6:10]))
+	clen := int(binary.BigEndian.Uint32(p[6:10]))
 	if flags&^(cflagLZ|cflagDelim) != 0 || ulen > compressMaxULen || clen > compressMaxULen+compressMaxULen/255+16 {
 		return 0, 0, 0, true
 	}
 	if flags&cflagLZ == 0 && clen != ulen {
 		return 0, 0, 0, true
 	}
-	return flags, ulen, clen, false
+	return flags, ulen, compressHdrLen + clen, false
 }
 
-// fail poisons the upstream side and hangs the stream up at its device
-// end. Called with st.rmu held; releases it.
-func (st *compressState) fail(up *Queue) {
-	st.stats.decErrs.Add(1)
-	st.errored = true
-	st.partial = nil
-	st.rmu.Unlock()
-	up.Stream().HangupUp()
+// compressLen is compressHeader in the splitter's form.
+func compressLen(p []byte) (n int, bad bool) {
+	_, _, n, bad = compressHeader(p)
+	return n, bad
+}
+
+// expandLZ expands an LZ payload into a pooled block of exactly ulen
+// bytes, or returns nil when the compressed data is corrupt.
+func expandLZ(payload []byte, ulen int) *Block {
+	bb := block.Alloc(ulen, 0)
+	if err := lzExpand(bb.Bytes(), payload); err != nil {
+		bb.Free()
+		return nil
+	}
+	return bb
+}
+
+// unframe restores a whole frame's payload: a stored one in place, an
+// LZ one by expansion into a block of its own.
+func (st *compressState) unframe(b *Block) *Block {
+	p := b.Bytes()
+	flags, ulen, n, _ := compressHeader(p)
+	out := b
+	if flags&cflagLZ == 0 {
+		b.Consume(compressHdrLen)
+	} else {
+		out = expandLZ(p[compressHdrLen:], ulen)
+		b.Free()
+		if out == nil {
+			return nil
+		}
+	}
+	st.stats.decFrames.Add(1)
+	st.stats.decBytes.Add(int64(ulen))
+	st.stats.decWireBytes.Add(int64(n - compressHdrLen))
+	out.Delim = flags&cflagDelim != 0
+	return out
 }
 
 func compressIput(q *Queue, b *Block) {
 	st := q.Aux.(*compressState)
-	if b.Type != BlockData {
-		if b.Type == BlockHangup {
-			st.rmu.Lock()
-			st.partial = nil
-			st.rmu.Unlock()
-		}
-		q.PutNext(b)
-		return
+	if st.split.put(q, b) {
+		st.stats.decErrs.Add(1)
 	}
-	st.rmu.Lock()
-	if st.errored {
-		st.rmu.Unlock()
-		b.Free()
-		return
-	}
-	// Fastpath: nothing partial and exactly one whole frame.
-	if p := b.Bytes(); len(st.partial) == 0 && len(p) >= compressHdrLen {
-		flags, ulen, clen, bad := parseCompressHeader(p)
-		if bad {
-			st.fail(q)
-			b.Free()
-			return
-		}
-		if len(p) == compressHdrLen+clen {
-			out := expandFrame(flags, ulen, p[compressHdrLen:])
-			if out == nil {
-				st.fail(q)
-				b.Free()
-				return
-			}
-			st.stats.decFrames.Add(1)
-			st.stats.decBytes.Add(int64(ulen))
-			st.stats.decWireBytes.Add(int64(clen))
-			st.rmu.Unlock()
-			b.Free()
-			out.Delim = flags&cflagDelim != 0
-			q.PutNext(out)
-			return
-		}
-	}
-	st.partial = append(st.partial, b.Bytes()...)
-	b.Free()
-	var msgs []*Block
-	for len(st.partial) > 0 {
-		flags, ulen, clen, bad := parseCompressHeader(st.partial)
-		if bad {
-			st.fail(q)
-			return
-		}
-		if len(st.partial) < compressHdrLen || len(st.partial) < compressHdrLen+clen {
-			break
-		}
-		out := expandFrame(flags, ulen, st.partial[compressHdrLen:compressHdrLen+clen])
-		if out == nil {
-			st.fail(q)
-			return
-		}
-		st.stats.decFrames.Add(1)
-		st.stats.decBytes.Add(int64(ulen))
-		st.stats.decWireBytes.Add(int64(clen))
-		out.Delim = flags&cflagDelim != 0
-		msgs = append(msgs, out)
-		st.partial = st.partial[compressHdrLen+clen:]
-	}
-	st.rmu.Unlock()
-	for _, m := range msgs {
-		q.PutNext(m)
-	}
-}
-
-func compressClose(q *Queue) {
-	st, ok := q.Aux.(*compressState)
-	if !ok {
-		return
-	}
-	st.rmu.Lock()
-	st.partial = nil
-	st.rmu.Unlock()
 }

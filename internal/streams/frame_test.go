@@ -78,8 +78,8 @@ func TestFrameRejectsOversizedPrefix(t *testing.T) {
 		t.Fatalf("Read = %d, %v; want EOF", n, err)
 	}
 	<-device // the hangup lets the device end queue past the limit
-	if st := s.topWrite.next.other.Aux.(*batchState); len(st.partial) != 0 {
-		t.Fatalf("splitter holds %d bytes behind a hostile prefix", len(st.partial))
+	if st := s.topWrite.next.other.Aux.(*batchState); len(st.split.partial) != 0 {
+		t.Fatalf("splitter holds %d bytes behind a hostile prefix", len(st.split.partial))
 	}
 	if errs := moduleSnapshot(t, s)["batch-errs"]; errs != 1 {
 		t.Fatalf("errs %d, want 1", errs)

@@ -3,8 +3,8 @@ package streams
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
-	"time"
 )
 
 // drainData carries everything queued at the device end up and pops it
@@ -163,7 +163,7 @@ func FuzzBatchReassembly(f *testing.F) {
 			}
 			b.Free()
 		})
-		if err := tx.Push(batchModule, BatchConfig{Cap: capN, Delay: time.Hour}); err != nil {
+		if err := tx.Push(batchModule, fmt.Sprintf("%d 1h", capN)); err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range msgs {

@@ -22,7 +22,7 @@ import (
 // batchMaxMsg.
 var frameModule = &Qinfo{
 	Name:  "frame",
-	Open:  func(q *Queue, arg any) error { return batchOpen(q, BatchConfig{Cap: 1}) },
+	Open:  func(q *Queue, arg any) error { return batchOpen(q, "1") },
 	Close: batchClose,
 	Drain: batchDrain,
 	Iput:  batchIput,

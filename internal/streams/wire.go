@@ -1,8 +1,8 @@
 package streams
 
 import (
-	"encoding/binary"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -10,20 +10,18 @@ import (
 // packets off the wire, so a conversation dressed with the batch or
 // compress modules shows framed payloads inside its segments. These
 // helpers let the snooper name what it sees without duplicating the
-// module wire formats. They are best-effort by construction — a
-// transport segment may start mid-frame — and never allocate beyond
-// the rendered string.
+// module wire formats: they read frames with the modules' own header
+// readers and expansion. They are best-effort by construction — a
+// transport segment may start mid-frame.
 
 // SnoopCompress reports whether p begins with a compress-module frame
 // and renders its header. ok is false when p cannot start a frame.
 func SnoopCompress(p []byte) (desc string, ok bool) {
-	if len(p) < compressHdrLen || p[0] != compressMagic {
+	flags, ulen, n, bad := compressHeader(p)
+	if bad || n == 0 {
 		return "", false
 	}
-	flags, ulen, clen, bad := parseCompressHeader(p)
-	if bad {
-		return "", false
-	}
+	clen := n - compressHdrLen
 	kind := "stored"
 	if flags&cflagLZ != 0 {
 		kind = "lz"
@@ -33,7 +31,7 @@ func SnoopCompress(p []byte) (desc string, ok bool) {
 		delim = " delim"
 	}
 	part := ""
-	if len(p) < compressHdrLen+clen {
+	if len(p) < n {
 		part = fmt.Sprintf(", %d of %d here", len(p)-compressHdrLen, clen)
 	}
 	return fmt.Sprintf("compress(%s %d -> %d%s%s)", kind, ulen, clen, delim, part), true
@@ -41,27 +39,25 @@ func SnoopCompress(p []byte) (desc string, ok bool) {
 
 // SnoopBatch reports whether p parses as a batch-module wire block —
 // a run of 4-byte big-endian length-prefixed messages — and renders
-// the frame walk. It requires at least one complete frame and that
-// every length stays within the module's message cap, so arbitrary
-// payloads rarely misreport; a trailing partial frame (a segment
-// boundary mid-message) is noted, not rejected.
+// the frame walk. It requires at least one complete frame header and
+// that every length stays within the module's message cap, so
+// arbitrary payloads rarely misreport; a trailing partial frame (a
+// segment boundary mid-message) is noted, not rejected.
 func SnoopBatch(p []byte) (desc string, ok bool) {
 	var sizes []string
-	off := 0
-	for off+4 <= len(p) {
-		n := int(binary.BigEndian.Uint32(p[off : off+4]))
-		if n <= 0 || n > batchMaxMsg {
+	for len(p) > 0 {
+		n, bad := batchHeader(p)
+		if bad || n == 0 {
 			return "", false
 		}
-		if off+4+n > len(p) {
-			sizes = append(sizes, fmt.Sprintf("%d of %d", len(p)-off-4, n))
-			off = len(p)
+		if n > len(p) {
+			sizes = append(sizes, fmt.Sprintf("%d of %d", len(p)-4, n-4))
 			break
 		}
-		sizes = append(sizes, fmt.Sprintf("%d", n))
-		off += 4 + n
+		sizes = append(sizes, strconv.Itoa(n-4))
+		p = p[n:]
 	}
-	if len(sizes) == 0 || off != len(p) {
+	if len(sizes) == 0 {
 		return "", false
 	}
 	return fmt.Sprintf("batch(%d msgs: %s)", len(sizes), strings.Join(sizes, " ")), true
@@ -71,26 +67,25 @@ func SnoopBatch(p []byte) (desc string, ok bool) {
 // the line disciplines, peeling the stack outside-in. Compress sits
 // nearest the wire, so its frame is the outer layer; when the whole
 // frame is in this payload the helper recovers the plaintext (stored
-// directly, LZ by expansion) and walks the batch frames inside.
+// directly, LZ by the module's own expansion) and walks the batch
+// frames inside.
 func SnoopPayload(p []byte) (desc string, ok bool) {
 	d, ok := SnoopCompress(p)
 	if !ok {
 		return SnoopBatch(p)
 	}
-	flags, ulen, clen, bad := parseCompressHeader(p)
-	if bad || len(p) < compressHdrLen+clen {
+	flags, ulen, n, _ := compressHeader(p)
+	if len(p) < n {
 		return d, true // partial frame: the header is all we can say
 	}
-	body := p[compressHdrLen : compressHdrLen+clen]
-	var plain []byte
-	if flags&cflagLZ == 0 {
-		plain = body
-	} else {
-		buf := make([]byte, ulen)
-		if err := lzExpand(buf, body); err != nil {
+	plain := p[compressHdrLen:n]
+	if flags&cflagLZ != 0 {
+		out := expandLZ(plain, ulen)
+		if out == nil {
 			return d, true
 		}
-		plain = buf
+		defer out.Free()
+		plain = out.Bytes()
 	}
 	if inner, iok := SnoopBatch(plain); iok {
 		return d + " " + inner, true

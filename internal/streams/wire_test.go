@@ -62,3 +62,17 @@ func TestSnoopDescribesDisciplinedWire(t *testing.T) {
 		t.Error("empty payload described")
 	}
 }
+
+// An empty delimited write goes out through batch as a zero-length
+// frame, which the module's splitter accepts; the snooper reads frames
+// with the same header reader, so it names it too.
+func TestSnoopNamesEmptyBatchFrame(t *testing.T) {
+	wire := captureWire(t, []string{"batch 4096 1h"}, "")
+	if d, ok := SnoopPayload(wire); !ok || d != "batch(1 msgs: 0)" {
+		t.Errorf("empty write described as %q (ok=%v)", d, ok)
+	}
+	wire = captureWire(t, []string{"batch 4096 1h"}, "", "hi", "")
+	if d, ok := SnoopPayload(wire); !ok || d != "batch(3 msgs: 0 2 0)" {
+		t.Errorf("empty writes around a message described as %q (ok=%v)", d, ok)
+	}
+}

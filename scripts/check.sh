@@ -128,6 +128,17 @@ if grep -rnE 'AfterFunc\(|\.Go\(' --include='*.go' internal/il internal/tcp inte
     exit 1
 fi
 
+echo "== one splitter"
+# A line discipline that frames its messages on the wire (batch, frame,
+# compress) reassembles them upstream through the package's splitter
+# (internal/streams/split.go), the one holder of a partial frame's
+# bytes, its lock and its poisoned flag. A module that keeps a partial
+# buffer of its own is a second reassembler beside it.
+if grep -nE '^[^/]*\bpartial\b' $(ls internal/streams/*.go | grep -v -e '_test\.go$' -e '/split\.go$'); then
+    echo "a streams module reassembles frames on its own (see above)" >&2
+    exit 1
+fi
+
 echo "== bench module: vet + tests (race)"
 # The benchmark is a module of its own (repro/bench, replace repro =>
 # ../), so the ./... patterns above do not reach it.
@@ -157,7 +168,9 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # conversation directory that builds more than the file walked to
 # (netdev TestAllocsConvWalk), or a conversation's stream that costs
 # more than one object, or a pushed module more than one for its two
-# queues (streams TestAllocsConvStream). Without -race there is also no
+# queues (streams TestAllocsConvStream), or a whole frame coming up
+# through the splitter that is copied, or costs more than its
+# expansion block (streams TestAllocsSplitWholeFrame). Without -race there is also no
 # allocation-site recorder (block/race_on.go, which lets leakcheck name
 # a leaked block's site): it takes a stack per Alloc, about 0.8 us, or
 # twelve times an Alloc/Free pair (BenchmarkAllocFree16K, 68 -> 857 ns
