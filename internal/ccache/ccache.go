@@ -72,11 +72,15 @@ type Cache struct {
 }
 
 // cfile is one cached file: its fragments, and the qid.vers they were
-// valid for.
+// valid for. tail, while it is resident, is the short fragment that
+// proves where the file ends: a read past it is answered from it, so
+// the probes a windowed client sends past the end touch neither the
+// backing tree nor the LRU bound.
 type cfile struct {
 	path  uint64
 	vers  uint32
 	frags map[int64]*cfrag
+	tail  *cfrag
 }
 
 // cfrag is one resident fragment. b holds the cache's own reference;
@@ -195,18 +199,29 @@ func (c *Cache) noteVersion(path uint64, vers uint32) {
 
 // dropFileLocked frees every fragment of f. Callers hold c.mu.
 func (c *Cache) dropFileLocked(f *cfile) {
-	for off, fr := range f.frags {
-		c.lru.remove(fr)
-		c.size -= int64(c.frag)
+	for _, fr := range f.frags {
 		c.Invalidations.Add(1)
-		fr.b.Free()
-		delete(f.frags, off)
+		c.unlinkLocked(fr)
+	}
+}
+
+// unlinkLocked takes fr out of the cache and frees the cache's
+// reference. Callers hold c.mu.
+func (c *Cache) unlinkLocked(fr *cfrag) {
+	c.lru.remove(fr)
+	c.size -= int64(c.frag)
+	fr.b.Free()
+	delete(fr.f.frags, fr.off)
+	if fr.f.tail == fr {
+		fr.f.tail = nil
 	}
 }
 
 // invalidateRange drops the fragments overlapping [off, off+n) — the
 // write-through half of the protocol: the backing tree has the new
-// bytes, the stale fragments must not serve another read.
+// bytes, the stale fragments must not serve another read. A write at
+// or past the tail fragment moves the end it proved, so the tail goes
+// too.
 func (c *Cache) invalidateRange(path uint64, off, n int64) {
 	if n <= 0 {
 		return
@@ -217,20 +232,23 @@ func (c *Cache) invalidateRange(path uint64, off, n int64) {
 	if f == nil {
 		return
 	}
+	if f.tail != nil && off >= f.tail.off {
+		c.Invalidations.Add(1)
+		c.unlinkLocked(f.tail)
+	}
 	first := off - off%int64(c.frag)
 	for fo := first; fo < off+n; fo += int64(c.frag) {
 		if fr := f.frags[fo]; fr != nil {
-			c.lru.remove(fr)
-			c.size -= int64(c.frag)
 			c.Invalidations.Add(1)
-			fr.b.Free()
-			delete(f.frags, fo)
+			c.unlinkLocked(fr)
 		}
 	}
 }
 
 // lookup returns a referenced block and window for the fragment at
-// fo, or nil on a miss. The ref is the caller's to Free.
+// fo, or nil on a miss. Past the file's tail fragment the window is
+// empty and the block is the tail's: the end of the file, from cache
+// memory. The ref is the caller's to Free.
 func (c *Cache) lookup(path uint64, fo int64) (*block.Block, []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -238,13 +256,18 @@ func (c *Cache) lookup(path uint64, fo int64) (*block.Block, []byte) {
 	if f == nil {
 		return nil, nil
 	}
-	fr := f.frags[fo]
-	if fr == nil {
+	fr, data := f.frags[fo], []byte(nil)
+	switch {
+	case fr != nil:
+		data = fr.b.Bytes()
+	case f.tail != nil && fo > f.tail.off:
+		fr = f.tail
+	default:
 		return nil, nil
 	}
 	c.lru.remove(fr)
 	c.lru.pushBack(fr)
-	return fr.b.Ref(), fr.b.Bytes()
+	return fr.b.Ref(), data
 }
 
 // insert stores b as the fragment at (path, fo), taking ownership of
@@ -270,16 +293,16 @@ func (c *Cache) insert(path uint64, vers uint32, fo int64, b *block.Block) (*blo
 	}
 	fr := &cfrag{f: f, off: fo, b: b}
 	f.frags[fo] = fr
+	if b.Len() < c.frag && (f.tail == nil || fo < f.tail.off) {
+		f.tail = fr // the file ends inside it
+	}
 	c.lru.pushBack(fr)
 	c.size += int64(c.frag)
 	c.Stores.Add(1)
 	for c.size > c.max && c.lru.head != nil && c.lru.head != fr {
 		victim := c.lru.head
-		c.lru.remove(victim)
-		c.size -= int64(c.frag)
 		c.Evictions.Add(1)
-		victim.b.Free()
-		delete(victim.f.frags, victim.off)
+		c.unlinkLocked(victim)
 		if len(victim.f.frags) == 0 {
 			delete(c.files, victim.f.path)
 		}

@@ -378,3 +378,104 @@ func TestAllocsCacheHitReadBlock(t *testing.T) {
 		t.Fatalf("cache-hit ReadBlock allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestReadsPastEOFHitTheTail: a short fragment proves where the file
+// ends, and every read past it is answered from that fragment while
+// the version holds: one backing read for the file, however many
+// offsets past its end a windowed client probes, and nothing more held
+// against the LRU bound. A write past the end moves it.
+func TestReadsPastEOFHitTheTail(t *testing.T) {
+	const frag, probes = 8192, 100
+	for _, tc := range []struct {
+		name   string
+		size   int
+		stores int64 // the data fragments and the one proving the end
+	}{
+		{"short tail", 3, 1},
+		{"exact multiple", 2 * frag, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(Config{FragSize: frag})
+			defer c.Release()
+			n := newMemNode(pattern(tc.size, 3))
+			h := openCached(t, c, n)
+			defer h.Close()
+			ch := h.(*chandle)
+			read := func(off int64) []byte {
+				b, data, err := ch.ReadBlock(frag, off)
+				if err != nil || b == nil {
+					t.Fatalf("ReadBlock at %d: block %v, %v", off, b, err)
+				}
+				data = bytes.Clone(data)
+				b.Free()
+				return data
+			}
+			for off := int64(0); off <= int64(tc.size); off += frag {
+				read(off)
+			}
+			reads, stores := n.reads.Load(), c.Stores.Load()
+			if stores != tc.stores {
+				t.Errorf("%d fragments stored reading the file once, want %d", stores, tc.stores)
+			}
+			past := (int64(tc.size)/frag + 1) * frag // the first fragment wholly past the end
+			for i := range probes {
+				if data := read(past + int64(i)*frag); len(data) != 0 {
+					t.Fatalf("probe %d past the end read %d bytes", i, len(data))
+				}
+			}
+			if got := n.reads.Load(); got != reads {
+				t.Errorf("%d probes past the end took %d backing reads, want 0", probes, got-reads)
+			}
+			if c.Stores.Load() != stores || c.size != stores*frag {
+				t.Errorf("probes past the end stored %d fragments, %d bytes held; want none added",
+					c.Stores.Load()-stores, c.size)
+			}
+			// A write past the end moves it: the next read there sees the
+			// bytes, not the old end.
+			at := past + 5*frag
+			if _, err := h.Write([]byte("appended"), at); err != nil {
+				t.Fatal(err)
+			}
+			if data := read(at); string(data) != "appended" {
+				t.Errorf("read after a write past the end: %q", data)
+			}
+		})
+	}
+}
+
+// The past-EOF gate: a read answered from the tail fragment stays on
+// the zero-copy path and allocates nothing, as a hit does. A windowed
+// client probes past the end on every transfer.
+func TestAllocsPastEOFReadBlock(t *testing.T) {
+	if block.RaceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	c := New(Config{FragSize: 8192})
+	defer c.Release()
+	n := newMemNode(pattern(8192, 2))
+	h := openCached(t, c, n)
+	defer h.Close()
+	ch := h.(*chandle)
+	for _, off := range []int64{0, 8192} {
+		b, _, err := ch.ReadBlock(8192, off)
+		if err != nil || b == nil {
+			t.Fatalf("prime at %d: %v", off, err)
+		}
+		b.Free()
+	}
+	off := int64(8192)
+	allocs := testing.AllocsPerRun(200, func() {
+		off += 8192
+		b, data, err := ch.ReadBlock(8192, off)
+		if err != nil || b == nil || len(data) != 0 {
+			t.Fatalf("past EOF at %d: block %v, %d bytes, %v", off, b, len(data), err)
+		}
+		b.Free()
+	})
+	if allocs != 0 {
+		t.Fatalf("past-EOF ReadBlock allocates %.1f/op, want 0", allocs)
+	}
+	if n.reads.Load() != 2 {
+		t.Errorf("%d backing reads, want the 2 that primed the cache", n.reads.Load())
+	}
+}

@@ -168,7 +168,9 @@ func (h *chandle) ReadBlock(count int, off int64) (*block.Block, []byte, error) 
 
 // fragment returns a referenced block holding the fragment at fo,
 // filling it from the backing handle on a miss. A fragment at or past
-// EOF comes back empty but real, so repeated EOF probes stay hits.
+// EOF comes back empty but real, so repeated EOF probes stay hits, and
+// once a short fragment has shown where the file ends, every fragment
+// past it is a hit on that one.
 func (h *chandle) fragment(fo int64) (*block.Block, []byte, error) {
 	if b, data := h.c.lookup(h.path, fo); b != nil {
 		h.c.Hits.Add(1)
@@ -186,13 +188,13 @@ func (h *chandle) fragment(fo int64) (*block.Block, []byte, error) {
 		return nil, nil, err
 	}
 	b.Trim(h.c.frag - n)
-	// Empty fragments are cached like any other: when the file length
+	// An empty fragment is cached like any other: when the file length
 	// is an exact multiple of the fragment size, EOF is only
 	// discoverable by reading one fragment past the end, and a
 	// windowed client probes there on every transfer — a thousand
 	// tenants' EOF probes must hit the cache, not re-read the backing
-	// tree. The LRU bounds them and a version move drops them, same as
-	// data fragments.
+	// tree. It is the file's tail, as a short one is: the LRU bounds
+	// it and a version move drops it, same as data fragments.
 	ref, data := h.c.insert(h.path, h.vers, fo, b)
 	return ref, data, nil
 }

@@ -21,7 +21,11 @@
 // receive itself — FCS check, counters, demultiplexing — as the one
 // kernel process §2.4.2's interrupt routine wakes. The sender, which
 // may hold its conversation lock, never runs a receive, so a reply
-// cannot re-enter it.
+// cannot re-enter it. Nor does a receive wait for anything: a stream
+// conversation's copy goes in through the refusing put
+// (streams.Stream.Produce), so a conversation nobody reads loses its
+// frames, counted in overflows as an input ring's would be, and the
+// segment's other stations lose nothing.
 //
 // Like a LANCE, an interface hears only the frames it would accept: a
 // broadcast, a frame addressed to it, and — while one of its
@@ -452,21 +456,16 @@ func (ifc *Interface) demux(frame []byte) {
 			st.deliver(frame)
 			continue
 		}
-		s := st.stream
-		// A conversation nobody reads must not wedge the interface:
-		// the driver drops, like real input-ring overflow. The
-		// threshold sits below the stream's own flow-control limit
-		// so the demultiplexer can never block on one slow reader.
-		if s.QueuedBytes() >= streams.DefaultLimit/2 {
-			ifc.overflows.Add(1)
-			continue
-		}
 		// Stream conversations get their own copy — "each receives a
-		// copy of the incoming packets" — into a pooled block.
-		c.inPackets.Add(1)
+		// copy of the incoming packets" — into a pooled block, which a
+		// conversation nobody reads refuses, like input-ring overflow.
 		b := block.Copy(frame, 0)
 		b.Delim = true
-		s.DeviceUp(b)
+		if st.stream.Produce(b) {
+			c.inPackets.Add(1)
+		} else {
+			ifc.overflows.Add(1)
+		}
 	}
 }
 

@@ -22,7 +22,9 @@ const backingRead = time.Millisecond
 
 // slowNode serves a tree whose file reads take backingRead of
 // simulated time, as a gateway's do when the tree it serves is itself
-// a mount across a network.
+// a mount across a network. Its files are endless: a read at any
+// offset fills the whole buffer, so no read is past the end, which the
+// cache would answer without the backing tree.
 type slowNode struct {
 	vfs.Node
 	ck vclock.Clock
@@ -51,7 +53,8 @@ type slowHandle struct {
 
 func (h slowHandle) Read(p []byte, off int64) (int, error) {
 	h.ck.Sleep(backingRead)
-	return h.Handle.Read(p, off)
+	clear(p)
+	return len(p), nil
 }
 
 // Stable lets the gateway's cache hold the file, so its reads run on
@@ -194,10 +197,10 @@ func TestHotTenantCannotStarvePoliteOnes(t *testing.T) {
 		}
 		got = append(got, fmt.Sprintf("alone %v hot %d reads", alone, n))
 		want := []string{
-			"p1 mean 2.11592ms max 2.5296ms",
-			"p2 mean 2.11592ms max 2.5296ms",
-			"p3 mean 2.16216ms max 2.556ms",
-			"alone 2.0272ms hot 582 reads",
+			"p1 mean 2.274ms max 2.5968ms",
+			"p2 mean 2.2244ms max 2.5968ms",
+			"p3 mean 2.27064ms max 2.5968ms",
+			"alone 2.0784ms hot 599 reads",
 		}
 		if !slices.Equal(got, want) {
 			t.Errorf("latencies under the flood:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

@@ -12,7 +12,12 @@
 //   - No flow control beyond a small outstanding-message window
 //     (§3: "A small outstanding message window prevents too many
 //     incoming messages from being buffered; messages outside the
-//     window are discarded and must be retransmitted").
+//     window are discarded and must be retransmitted"). The receiver's
+//     stream closes the window too: a message it has no room for is
+//     refused at its first packet, unacknowledged and counted
+//     out-of-window, and the sender's query recovers it once the
+//     reader drains. The line that delivers it serves every
+//     conversation on the wire and never waits for one reader.
 //   - Connection setup is a two-way handshake generating initial
 //     sequence numbers at each end; data messages increment them so
 //     the receiver can resequence out-of-order messages.
@@ -569,16 +574,18 @@ func (c *Conn) dataLocked(h header, data []byte) {
 	c.ackLocked(h.ack)
 	switch {
 	case h.id == c.rcvNext:
+		if !c.acceptLocked(h.spec, data) {
+			c.refuseLocked(h.id)
+			return
+		}
 		c.Ring.Emit(obs.EvRecv, int64(h.id), int64(len(data)))
-		c.acceptLocked(h.spec, data)
-		// Drain any buffered successors.
+		// Drain any buffered successors the stream takes.
 		for {
 			m, ok := c.ooo[c.rcvNext]
-			if !ok {
+			if !ok || !c.acceptLocked(m.spec, m.data) {
 				break
 			}
-			delete(c.ooo, c.rcvNext)
-			c.acceptLocked(m.spec, m.data)
+			delete(c.ooo, m.id)
 		}
 		c.sendLocked(msgAck, 0, c.sndNext-1, nil)
 		c.maybeCloseLocked()
@@ -598,35 +605,56 @@ func (c *Conn) dataLocked(h header, data []byte) {
 		}
 		c.ooo[h.id] = packet{h.id, h.spec, append([]byte(nil), data...)}
 	default:
-		// Outside the window: "messages outside the window are
-		// discarded and must be retransmitted" (§3).
-		c.proto.OutOfWindow.Add(1)
-		c.Ring.Emit(obs.EvOutOfOrder, int64(h.id), 0)
+		c.refuseLocked(h.id)
 	}
 }
 
+// refuseLocked discards a data packet outside the window, which ends
+// where a conforming sender's does or where the reader's stream is
+// full: "messages outside the window are discarded and must be
+// retransmitted" (§3).
+func (c *Conn) refuseLocked(id uint32) {
+	c.proto.OutOfWindow.Add(1)
+	c.Ring.Emit(obs.EvOutOfOrder, int64(id), 0)
+}
+
 // acceptLocked consumes one in-order packet, reassembling fragmented
-// messages and delivering complete ones (delimited) upstream.
-func (c *Conn) acceptLocked(spec byte, data []byte) {
-	c.rcvNext++
+// messages and delivering complete ones (delimited) upstream. It
+// reports false, consuming nothing, for the first packet of a message
+// the stream has no room for.
+func (c *Conn) acceptLocked(spec byte, data []byte) bool {
 	if c.closed {
-		return // acknowledged, but nobody reads a closed conversation
+		c.rcvNext++
+		return true // acknowledged, but nobody reads a closed conversation
 	}
-	if len(c.reassembly) > 0 || spec&specEOM == 0 {
-		// A fragment. The scratch is kept for the next message: it
-		// grows to the message size once per conversation instead of
-		// once per message.
-		c.reassembly = append(c.reassembly, data...)
-		if spec&specEOM == 0 {
-			return
+	if spec&specEOM == 0 {
+		// A fragment, acknowledged as it arrives, so the message is
+		// admitted whole at its first. The scratch is kept for the next
+		// message: it grows to the message size once per conversation
+		// instead of once per message.
+		if len(c.reassembly) == 0 && c.Rq.Full() {
+			return false
 		}
+		c.reassembly = append(c.reassembly, data...)
+		c.rcvNext++
+		return true
+	}
+	if len(c.reassembly) > 0 {
+		c.reassembly = append(c.reassembly, data...)
 		data, c.reassembly = c.reassembly, c.reassembly[:0]
 	}
 	// One copy of the borrowed receive bytes into a pooled block,
-	// delivered without re-materializing.
+	// delivered without re-materializing. Only a message in one packet
+	// can be refused here: a longer one was admitted at its first
+	// packet, and nothing but this conversation's input, under Mu,
+	// queues on the stream.
 	b := block.Copy(data, 0)
 	b.Delim = true
-	c.Rq.DeviceUp(b) //netvet:ignore lock-across-send cannot park: DeviceUp only queues and Rq's limit exceeds the window (see xport.Conv.Rq)
+	if !c.Rq.Produce(b) {
+		return false
+	}
+	c.rcvNext++
+	return true
 }
 
 // rtoLocked returns the current retransmission timeout.

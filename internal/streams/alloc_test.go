@@ -89,6 +89,42 @@ func TestAllocsRoundTrip(t *testing.T) {
 	}
 }
 
+// The refusing put's gate: Produce allocates nothing, whether it queues
+// a block or refuses one. A shared line calls it once per frame for
+// every conversation it delivers to, the unread one too.
+func TestAllocsProduce(t *testing.T) {
+	if block.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	payload := make([]byte, 1024)
+	open := New(1<<30, nil)
+	defer open.Close()
+	queued := testing.AllocsPerRun(200, func() {
+		if !open.Produce(NewBlock(payload)) {
+			t.Fatal("Produce refused on an empty stream")
+		}
+		b, err := open.next(false)
+		if b == nil || err != nil {
+			t.Fatalf("next = %v, %v", b, err)
+		}
+		b.Free()
+	})
+	if queued != 0 {
+		t.Errorf("Produce that queues allocates %.1f objects, want 0", queued)
+	}
+	full := New(len(payload), nil)
+	defer full.Close()
+	full.Produce(NewBlock(payload))
+	refused := testing.AllocsPerRun(200, func() {
+		if full.Produce(NewBlock(payload)) {
+			t.Fatal("Produce queued on a full stream")
+		}
+	})
+	if refused != 0 {
+		t.Errorf("Produce that refuses allocates %.1f objects, want 0", refused)
+	}
+}
+
 // The per-conversation gate: a conversation's stream is one object,
 // its chain ends and receive queue inside it, and a pushed module's two
 // queues are one more. Every dial builds streams, so a queue made per

@@ -81,7 +81,8 @@ func NewClock(limit int, ck vclock.Clock, dev DeviceFunc) *Stream {
 // each whole data message to w's Write, the transport's send, however
 // the modules above cut it into blocks. With nothing pushed, Write
 // hands the user's bytes to w directly and returns what w returns.
-// The transport queues what it receives with DeviceUp.
+// The transport queues what it receives with Produce, or, on a line
+// that serves only this conversation, DeviceUp.
 func NewConv(limit int, ck vclock.Clock, w io.Writer) *Stream {
 	s := NewClock(limit, ck, nil)
 	s.out = w
@@ -371,11 +372,38 @@ func (s *Stream) next(wait bool) (*Block, error) {
 // handler does with received data (§2.4.2); the reading process
 // carries it up through the modules. It runs no module code and takes
 // no module-list lock, so it parks only on flow control: while the
-// device end holds the stream's limit, unread. The device sets Delim
-// on a block that ends a message; a device that only borrows its
-// receive buffer copies it first (NewBlock). A device hangs up with
+// device end holds the stream's limit, unread. That park is the
+// sender's backpressure, so only a line that serves this one stream may
+// take it; a line that serves many delivers with Produce. The device
+// sets Delim on a block that ends a message; a device that only borrows
+// its receive buffer copies it first (NewBlock). A device hangs up with
 // HangupUp, not with a block.
 func (s *Stream) DeviceUp(b *Block) { s.rq.queue(b) }
+
+// Produce is DeviceUp that never parks, Plan 9's qproduce: where
+// DeviceUp would wait, while the device end holds the stream's limit,
+// it frees b and reports false. A line that serves many conversations
+// delivers through it, so one that nobody reads cannot hold the others'
+// data behind its own.
+func (s *Stream) Produce(b *Block) bool {
+	q := &s.rq
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.fullLocked() {
+		b.Free()
+		return false
+	}
+	q.putLocked(b)
+	return true
+}
+
+// Full reports whether Produce would refuse now: a device that admits
+// a message before it has the whole of it asks at its first piece.
+func (s *Stream) Full() bool {
+	s.rq.mu.Lock()
+	defer s.rq.mu.Unlock()
+	return s.rq.fullLocked()
+}
 
 // HangupUp hangs the stream up at the device end (§2.4.1): writers
 // fail at once; readers drain what was queued, then the hangup goes up
@@ -409,12 +437,12 @@ func (s *Stream) QueuedBytes() int {
 }
 
 // rcvQueue is the stream's one queue. The device end queues on in,
-// parking while in holds the limit; the reader takes from in, carries
-// each block up through the modules, and what reaches the top waits on
-// top until Read copies it out. One lock guards both lists and the
-// flags. Only the device, the reader and Close touch it, and the
-// reader holds the stream's read lock, so at most one reader ever waits
-// on rwait.
+// parking (DeviceUp) or refused (Produce) while in holds the limit;
+// the reader takes from in, carries each block up through the modules,
+// and what reaches the top waits on top until Read copies it out. One
+// lock guards both lists and the flags. Only the device, the reader and
+// Close touch it, and the reader holds the stream's read lock, so at
+// most one reader ever waits on rwait.
 type rcvQueue struct {
 	mu     sync.Mutex
 	rwait  vclock.Cond // the reader waiting for the device
@@ -433,14 +461,25 @@ func (q *rcvQueue) init(ck vclock.Clock, limit int) {
 	q.wwait.Init(ck, &q.mu)
 }
 
-// queue adds a device's block to in, blocking while in is over the
-// limit (flow control), and wakes the reader.
+// queue adds a device's block to in, blocking while in holds the
+// limit (flow control).
 func (q *rcvQueue) queue(b *Block) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.in.n >= q.limit && !q.closed && !q.hungup {
+	for q.fullLocked() {
 		q.wwait.Wait()
 	}
+	q.putLocked(b)
+}
+
+// fullLocked is flow control's one rule: in holds the limit, and the
+// stream is neither closed nor hung up.
+func (q *rcvQueue) fullLocked() bool {
+	return q.in.n >= q.limit && !q.closed && !q.hungup
+}
+
+// putLocked adds a device's block to in and wakes the reader.
+func (q *rcvQueue) putLocked(b *Block) {
 	if q.closed {
 		b.Free() // data discarded on a dying stream
 		return
@@ -604,7 +643,7 @@ func (l *blist) free() {
 // which relies on every chain in flight finishing on its own. A device
 // write waits only for its transport's window, which the peer's
 // protocol opens as data arrives, and an arrival never waits on a
-// chain: DeviceUp takes no chain lock, and the reader carries what it
+// chain: a delivery takes no chain lock, and the reader carries what it
 // queued only after it has it in hand. Were an arrival put up the
 // chain, it could be held behind a waiting push on the peer, and this
 // end's window with it: four parties, each waiting on the next.

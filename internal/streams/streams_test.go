@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/vclock"
 )
 
@@ -355,6 +356,56 @@ func TestQueuedBytesAndPutbackOrder(t *testing.T) {
 	}
 	if q := s.QueuedBytes(); q != 0 {
 		t.Errorf("drained stream QueuedBytes = %d", q)
+	}
+}
+
+// Produce refuses exactly where DeviceUp would park: while the device
+// end holds the limit, unread, and the stream is neither hung up nor
+// closed. A refused block is freed; what the reader carried up no
+// longer counts against the device end.
+func TestProduceRefusesWhereDeviceUpWouldPark(t *testing.T) {
+	before := block.Snapshot().InFlight
+	s := New(4, nil)
+	buf := make([]byte, 8)
+	produce := func(p string) bool {
+		b := NewBlock([]byte(p))
+		b.Delim = true
+		return s.Produce(b)
+	}
+	if !produce("abc") || s.Full() {
+		t.Fatal("3 bytes under a limit of 4: refused, or Full")
+	}
+	if !produce("de") || !s.Full() {
+		t.Fatal("the put that reaches the limit is queued, and then Full")
+	}
+	if produce("f") {
+		t.Fatal("Produce queued on a full stream")
+	}
+	if q := s.QueuedBytes(); q != 5 {
+		t.Errorf("QueuedBytes = %d, want 5: the refused byte is not queued", q)
+	}
+	if n, err := s.Read(buf[:1]); err != nil || string(buf[:n]) != "a" {
+		t.Fatalf("read %q, %v", buf[:n], err)
+	}
+	if s.Full() || !produce("g") {
+		t.Error("a block the reader carried up still counts against the device end")
+	}
+	for _, want := range []string{"bc", "de", "g"} {
+		if n, err := s.Read(buf); err != nil || string(buf[:n]) != want {
+			t.Fatalf("read %q, %v; want %q", buf[:n], err, want)
+		}
+	}
+	produce("hijk")
+	s.HangupUp()
+	if s.Full() || !produce("l") {
+		t.Error("a hung-up stream refuses: DeviceUp would not park there")
+	}
+	s.Close()
+	if s.Full() || !produce("m") {
+		t.Error("a closed stream refuses: DeviceUp would not park there")
+	}
+	if after := block.Snapshot().InFlight; after != before {
+		t.Errorf("blocks in flight %d -> %d: a refused or discarded block was not freed", before, after)
 	}
 }
 

@@ -429,17 +429,23 @@ func (c *Conn) segment(h header, data []byte) {
 	}
 }
 
-// dataLocked accepts in-order data, buffers out-of-order segments.
+// dataLocked accepts in-order data within the window it advertised,
+// buffers out-of-order segments.
 func (c *Conn) dataLocked(seq uint32, data []byte) {
 	switch {
 	case seq == c.rcvNxt:
-		// The segment, then whatever buffered ones it makes in-order.
-		// TCP does not preserve delimiters: blocks are undelimited so
-		// reads merge across segment boundaries.
+		// The segment, then whatever buffered ones it makes in-order,
+		// as far as the window reaches: the reader has not made room
+		// for what lies beyond it, and the ack tells the sender where
+		// the window ends. TCP does not preserve delimiters: blocks are
+		// undelimited so reads merge across segment boundaries.
 		for d, ok := data, true; ok; d, ok = c.ooo[c.rcvNxt] {
 			delete(c.ooo, c.rcvNxt)
+			d = d[:min(len(d), int(c.rcvWndLocked()))]
+			if len(d) == 0 || !c.Rq.Produce(streams.NewBlock(d)) {
+				break
+			}
 			c.rcvNxt += uint32(len(d))
-			c.Rq.DeviceUp(streams.NewBlock(d)) //netvet:ignore lock-across-send cannot park: DeviceUp only queues and Rq's limit exceeds the window (see xport.Conv.Rq)
 		}
 		c.sendSegLocked(0, c.sndNxt, nil) // immediate ack
 		c.maybeFinLocked()

@@ -16,6 +16,8 @@ package torture
 // A stats file that disagrees with either is lying to the operator.
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -448,6 +450,111 @@ func TestStatsConformanceCleanWire(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestUnreadConversationLeavesLiveOnesAlone: one IL conversation whose
+// acceptor never reads, flooded with 8 KiB messages until its stream
+// holds its limit, shares a segment with three live ones that dial and
+// echo beside it. The live conversations finish at exactly the instants
+// they finish at when that conversation is idle instead, the refused
+// messages show in /net/il/stats as out-of-window, and two runs print
+// the same report. Had the unread stream parked the segment's line, the
+// live conversations would never have finished.
+func TestUnreadConversationLeavesLiveOnesAlone(t *testing.T) {
+	run := func(unread bool) string {
+		var rep strings.Builder
+		v := vclock.NewVirtual()
+		v.Run(func() {
+			w, err := newEtherWorld(v, Scenario{Latency: 200 * time.Microsecond})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer w.close()
+			p1, p2 := il.New(w.st1), il.New(w.st2)
+			defer p1.Close()
+			defer p2.Close()
+			// The control run opens the same conversation and leaves it
+			// idle, so both runs have resolved the same addresses.
+			r := &Report{}
+			dc, ac, ok := dialAccept(v, r, p1, p2, "17200", ip.HostPort(w.a2, 17200))
+			if !ok {
+				t.Errorf("connect: %v", r.Violations)
+				return
+			}
+			defer ac.Close()
+			defer dc.Close() // first: it wakes the flood's parked Write
+			if unread {
+				v.Go(func() {
+					msg := make([]byte, 8<<10)
+					for {
+						if _, err := dc.Write(msg); err != nil {
+							return
+						}
+					}
+				})
+			}
+			v.Sleep(100 * time.Millisecond) // the flood fills the unread stream
+			start := v.Now()
+			wg := vclock.NewWaitGroup(v)
+			done := make([]time.Duration, 3)
+			for i := range done {
+				wg.Add(1)
+				v.Go(func() {
+					defer wg.Done()
+					port := 17300 + i
+					r := &Report{}
+					dc, ac, ok := dialAccept(v, r, p1, p2, fmt.Sprint(port), ip.HostPort(w.a2, uint16(port)))
+					if !ok {
+						t.Errorf("live %d: connect: %v", i, r.Violations)
+						return
+					}
+					defer dc.Close()
+					defer ac.Close()
+					msg, buf := make([]byte, 1<<10), make([]byte, 2<<10)
+					for k := range 16 {
+						dc.Write(msg)
+						n, err := ac.Read(buf)
+						if err == nil {
+							_, err = ac.Write(buf[:n])
+						}
+						if err == nil {
+							n, err = dc.Read(buf)
+						}
+						if err != nil || n != len(msg) {
+							t.Errorf("live %d: round trip %d: %d bytes, %v", i, k, n, err)
+							return
+						}
+					}
+					done[i] = v.Now().Sub(start)
+				})
+			}
+			wg.Wait()
+			for i, d := range done {
+				fmt.Fprintf(&rep, "live %d: done in %v\n", i, d)
+			}
+			fmt.Fprintf(&rep, "out-of-window: %d\n", devStats(t, p2)["out-of-window"])
+		})
+		return rep.String()
+	}
+	idle, crowded := run(false), run(true)
+	if t.Failed() {
+		return
+	}
+	if again := run(true); again != crowded {
+		t.Errorf("same-seed runs differ:\n%s\n%s", crowded, again)
+	}
+	// A dial is three crossings of 200 µs, and each of the sixteen
+	// round trips two. The unread conversation's sender resends the
+	// message it was refused each time a query proves it missing, and
+	// the stream, still full, refuses it again.
+	live := "live 0: done in 7ms\nlive 1: done in 7ms\nlive 2: done in 7ms\n"
+	if want := live + "out-of-window: 0\n"; idle != want {
+		t.Errorf("beside an idle conversation:\n%s\nwant\n%s", idle, want)
+	}
+	if want := live + "out-of-window: 10\n"; crowded != want {
+		t.Errorf("beside an unread conversation:\n%s\nwant\n%s", crowded, want)
 	}
 }
 

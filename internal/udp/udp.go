@@ -8,6 +8,11 @@
 // is prefixed with the remote address and port (4+2 bytes), and writes
 // must carry the same 6-byte prefix to choose their destination — that
 // is how a server answers many clients through one conversation.
+//
+// Datagrams arrive on the line that serves every conversation on the
+// wire, so a conversation's stream that holds its limit unread refuses
+// the next one (streams.Stream.Produce): it is dropped and counted in
+// /net/udp/stats overflows, and the line goes on.
 package udp
 
 import (
@@ -186,9 +191,9 @@ func (c *Conn) Listen() (xport.Conn, error) {
 }
 
 // deliver queues a received datagram, delimited, with the headers-mode
-// prefix when announced. It runs on the medium's receive process, so a
-// conversation nobody reads must not park it: like an Ethernet
-// conversation, it drops below the stream's flow-control limit.
+// prefix when announced. It runs on the medium's receive process, so
+// it delivers through the refusing put: a conversation nobody reads
+// drops the datagram instead of parking the line.
 func (c *Conn) deliver(src ip.Addr, srcPort uint16, data []byte) {
 	c.mu.Lock()
 	if c.closed {
@@ -202,10 +207,6 @@ func (c *Conn) deliver(src ip.Addr, srcPort uint16, data []byte) {
 	announced := c.announced
 	s := c.rstream
 	c.mu.Unlock()
-	if s.QueuedBytes() >= streams.DefaultLimit/2 {
-		c.proto.overflows.Add(1)
-		return
-	}
 	var b *block.Block
 	if announced {
 		b = block.Alloc(AddrHdrLen+len(data), 0)
@@ -218,7 +219,9 @@ func (c *Conn) deliver(src ip.Addr, srcPort uint16, data []byte) {
 		b = streams.NewBlock(data)
 	}
 	b.Delim = true
-	s.DeviceUp(b)
+	if !s.Produce(b) {
+		c.proto.overflows.Add(1)
+	}
 }
 
 // Read implements xport.Conn: one datagram per read.

@@ -162,8 +162,9 @@ func TestDatagramBoundariesPreserved(t *testing.T) {
 // A conversation nobody reads must not stall the Ethernet line its
 // datagrams arrive on: the line's process delivers them, and a delivery
 // that parked on the unread stream's flow control would hold every
-// station's frames behind it. The datagrams past the threshold are
-// dropped and counted, and the next conversation's datagram arrives.
+// station's frames behind it. The datagrams the stream refuses, once
+// it holds its limit, are dropped and counted, and the next
+// conversation's datagram arrives.
 func TestUnreadConversationDoesNotStallTheLine(t *testing.T) {
 	onPair(t, func(ck vclock.Clock, p1, p2 *Proto, _, a2 ip.Addr) {
 		unread, _ := p2.NewConn()
@@ -192,8 +193,9 @@ func TestUnreadConversationDoesNotStallTheLine(t *testing.T) {
 		if n, ok := read(t, ck, other, buf); ok && string(buf[AddrHdrLen:n]) != "last" {
 			t.Errorf("second conversation read %q, want %q", buf[AddrHdrLen:n], "last")
 		}
-		// A datagram is queued while under half the stream's limit.
-		queued := (streams.DefaultLimit/2 + AddrHdrLen + size - 1) / (AddrHdrLen + size)
+		// A datagram is queued while the stream holds less than its
+		// limit, where DeviceUp would park.
+		queued := (streams.DefaultLimit + AddrHdrLen + size - 1) / (AddrHdrLen + size)
 		if q := unread.Stream().QueuedBytes(); q != queued*(AddrHdrLen+size) {
 			t.Errorf("unread conversation holds %d bytes, want %d datagrams' worth", q, queued)
 		}

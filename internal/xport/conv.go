@@ -42,13 +42,15 @@ type Conv struct {
 	// path asserts back to its own type.
 	Self Conn
 	// Rq is the conversation's stream, whose device end is the
-	// protocol's Write. The protocol's receive path calls DeviceUp and
-	// HangupUp on it with Mu held, and neither parks: they only queue at
-	// the device end, running no module and taking no module-list lock
-	// (the reader carries what they queue up through whatever is
-	// pushed), a hangup never waits, and the 4 MiB limit is more than
-	// IL's window (20 messages of at most 45 packets) or TCP's
-	// advertised window lets a peer have in flight.
+	// protocol's Write. The protocol's receive path runs on the line
+	// that serves every conversation on the wire, and calls Produce and
+	// HangupUp on it with Mu held. Neither parks: they only queue at the
+	// device end, running no module and taking no module-list lock (the
+	// reader carries what they queue up through whatever is pushed), a
+	// hangup never waits, and Produce refuses what the 4 MiB limit has
+	// no room for. IL then leaves the message unacknowledged, outside
+	// its window, and TCP never reaches it: it accepts only what its
+	// advertised window, 64 KiB at most, lets in.
 	Rq *streams.Stream
 	// Accepted queues established calls for Listen; Announce makes it.
 	Accepted *vclock.Mailbox[Conn]

@@ -139,6 +139,21 @@ if grep -nE '^[^/]*\bpartial\b' $(ls internal/streams/*.go | grep -v -e '_test\.
     exit 1
 fi
 
+echo "== no shared line parks"
+# A device delivers to a stream with DeviceUp, which parks while the
+# stream holds its limit, only where its line serves that one
+# conversation and the park is its sender's backpressure: URP's circuit
+# leg, Cyclone's fiber, the UART and table1's pipe. Every other line
+# (the Ethernet segment, and UDP, IL and TCP on it) serves many
+# conversations and delivers through the refusing put, Stream.Produce,
+# so one conversation nobody reads cannot stall the rest.
+if grep -rn '\.DeviceUp(' --include='*.go' internal cmd examples | grep -v '_test\.go:' | grep -v testdata \
+    | grep -v -e '^internal/streams/' -e '^internal/urp/urp\.go:' -e '^internal/cyclone/cyclone\.go:' \
+        -e '^internal/uart/uart\.go:' -e '^internal/table1/table1\.go:'; then
+    echo "a line that serves many conversations parks on one (see above)" >&2
+    exit 1
+fi
+
 echo "== bench module: vet + tests (race)"
 # The benchmark is a module of its own (repro/bench, replace repro =>
 # ../), so the ./... patterns above do not reach it.
@@ -170,13 +185,17 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # more than one object, or a pushed module more than one for its two
 # queues (streams TestAllocsConvStream), or a whole frame coming up
 # through the splitter that is copied, or costs more than its
-# expansion block (streams TestAllocsSplitWholeFrame). Without -race there is also no
+# expansion block (streams TestAllocsSplitWholeFrame), or a refusing
+# put that allocates, whether it queues or refuses (streams
+# TestAllocsProduce), or a cache hit or read past a file's end that
+# leaves the zero-copy path (ccache TestAllocsCacheHitReadBlock,
+# TestAllocsPastEOFReadBlock). Without -race there is also no
 # allocation-site recorder (block/race_on.go, which lets leakcheck name
 # a leaked block's site): it takes a stack per Alloc, about 0.8 us, or
 # twelve times an Alloc/Free pair (BenchmarkAllocFree16K, 68 -> 857 ns
 # on a 2-CPU host), so only the race build above pays for it, and these
 # gates and the benchmark measure the allocator as it ships.
-go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/mnt ./internal/core ./internal/cs ./internal/tcp ./internal/urp ./internal/vclock ./internal/ether ./internal/il ./internal/ns ./internal/netdev ./internal/cyclone
+go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ccache ./internal/ninep ./internal/mnt ./internal/core ./internal/cs ./internal/tcp ./internal/urp ./internal/vclock ./internal/ether ./internal/il ./internal/ns ./internal/netdev ./internal/cyclone
 
 echo "== chaos: 100-seed sweep"
 # The discrete-event clock makes a whole seed sweep affordable: every
