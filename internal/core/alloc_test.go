@@ -17,11 +17,21 @@ import (
 // every network past it.
 const maxDialBytes = 12 << 10
 
-// TestAllocsDialBytes: the bytes-per-dial gate. On the virtual clock a
-// call — dial, one echo, hangup, and a simulated second for both ends
-// to let go of the conversation — allocates the same bytes on every
-// run; the gate reads runtime.MemStats.TotalAlloc across twenty calls
-// after three to warm the pools.
+// maxDialObjects bounds the objects of one such call, per network. A
+// conversation directory generated afresh for every walk, a ctl file's
+// closures, or a deadline's, put a call back at 104 (dk) and 78 (il,
+// tcp).
+var maxDialObjects = map[string]uint64{
+	"dk!nj/astro/helix!echo": 74,
+	"il!helix!echo":          48,
+	"tcp!helix!echo":         48,
+}
+
+// TestAllocsDialBytes: the per-dial gate. On the virtual clock a call —
+// dial, one echo, hangup, and a simulated second for both ends to let
+// go of the conversation — allocates the same bytes and objects on
+// every run; the gate reads runtime.MemStats' TotalAlloc and Mallocs
+// across twenty calls after three to warm the pools.
 func TestAllocsDialBytes(t *testing.T) {
 	if block.RaceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -54,10 +64,13 @@ func TestAllocsDialBytes(t *testing.T) {
 				}
 			}
 			runtime.ReadMemStats(&after)
-			per := (after.TotalAlloc - before.TotalAlloc) / n
-			t.Logf("%s: %d bytes, %d objects per call", dest, per, (after.Mallocs-before.Mallocs)/n)
+			per, objs := (after.TotalAlloc-before.TotalAlloc)/n, (after.Mallocs-before.Mallocs)/n
+			t.Logf("%s: %d bytes, %d objects per call", dest, per, objs)
 			if per > maxDialBytes {
 				return fmt.Errorf("a call to %s allocates %d bytes, want <= %d (the echo's buffer made per call again?)", dest, per, maxDialBytes)
+			}
+			if objs > maxDialObjects[dest] {
+				return fmt.Errorf("a call to %s allocates %d objects, want <= %d", dest, objs, maxDialObjects[dest])
 			}
 			return nil
 		})

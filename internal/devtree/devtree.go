@@ -4,18 +4,21 @@
 // paper: "Each device driver is a kernel-resident file system").
 //
 // A device describes its tree with DirNode (directories whose entries
-// may be generated dynamically, like the numbered conversation
-// directories of a protocol device) and FileNode (files whose open
+// are listed and walked to on demand) and FileNode (files whose open
 // produces a Handle). Common handle shapes — read-only generated text,
-// ctl files parsing ASCII commands, byte streams — have ready-made
+// ctl files parsing ASCII commands, query files — have ready-made
 // adapters so drivers contain only their own semantics. The devices
 // with a clone file and numbered conversation directories, the
 // Ethernet driver and the protocol devices, share one conversation
-// table as well: Table.
+// table as well: Table. It generates a conversation's directory from
+// the file list the device gives it, as the kernel's devgen generates
+// entries from a conversation and a file type: the directory and its
+// files are one node array, built on the first walk of a tenancy and
+// walked into without allocating after that, and an open hands the
+// device the tenancy and the file's kind.
 package devtree
 
 import (
-	"slices"
 	"strings"
 	"sync"
 
@@ -29,24 +32,24 @@ var kerndate = uint32(vclock.Epoch.Unix())
 
 // MkDir fills a Dir for a directory with conventional ownership.
 func MkDir(name, owner string, perm uint32) vfs.Dir {
-	return vfs.Dir{
-		Name:  name,
-		Qid:   vfs.Qid{Path: vfs.NewQidPath(), Type: vfs.QTDIR},
-		Mode:  vfs.DMDIR | perm,
-		Uid:   owner,
-		Gid:   owner,
-		Muid:  owner,
-		Atime: kerndate,
-		Mtime: kerndate,
-	}
+	return entry(name, owner, vfs.DMDIR|perm, vfs.NewQidPath())
 }
 
 // MkFile fills a Dir for a plain file.
 func MkFile(name, owner string, perm uint32) vfs.Dir {
+	return entry(name, owner, perm, vfs.NewQidPath())
+}
+
+// entry fills a Dir with mode and the qid path a device gave the file.
+func entry(name, owner string, mode uint32, path uint64) vfs.Dir {
+	typ := uint8(vfs.QTFILE)
+	if mode&vfs.DMDIR != 0 {
+		typ = vfs.QTDIR
+	}
 	return vfs.Dir{
 		Name:  name,
-		Qid:   vfs.Qid{Path: vfs.NewQidPath(), Type: vfs.QTFILE},
-		Mode:  perm,
+		Qid:   vfs.Qid{Path: path, Type: typ},
+		Mode:  mode,
 		Uid:   owner,
 		Gid:   owner,
 		Muid:  owner,
@@ -85,16 +88,17 @@ func (d *DirNode) Open(mode int) (vfs.Handle, error) {
 	if vfs.AccessMode(mode) != vfs.OREAD {
 		return nil, vfs.ErrIsDir
 	}
-	return &dirHandle{d: d}, nil
+	return &dirHandle{list: d.List}, nil
 }
 
-type dirHandle struct{ d *DirNode }
+// dirHandle is an open directory: each read lists it afresh.
+type dirHandle struct{ list func() ([]vfs.Dir, error) }
 
 func (h *dirHandle) ReadDir() ([]vfs.Dir, error) {
-	if h.d.List == nil {
+	if h.list == nil {
 		return nil, nil
 	}
-	return h.d.List()
+	return h.list()
 }
 
 func (h *dirHandle) Read(p []byte, off int64) (int, error) {
@@ -111,22 +115,15 @@ func (h *dirHandle) Write(p []byte, off int64) (int, error) {
 
 func (h *dirHandle) Close() error { return nil }
 
-// LazyDir builds a directory with a fixed list of names whose children
-// are made on demand: a walk builds only the child it reaches, and a
-// listing builds them all, in names' order. child returns nil for a
-// name that is absent, such as a file a conversation has only some of
-// the time. names must not be mutated afterwards.
-func LazyDir(entry vfs.Dir, names []string, child func(name string) vfs.Node) *DirNode {
+// StaticDir is a directory over a fixed name → Node map, listed in
+// order. Neither may be mutated afterwards.
+func StaticDir(entry vfs.Dir, children map[string]vfs.Node, order []string) *DirNode {
 	return &DirNode{
 		Entry: entry,
 		List: func() ([]vfs.Dir, error) {
-			ents := make([]vfs.Dir, 0, len(names))
-			for _, name := range names {
-				c := child(name)
-				if c == nil {
-					continue
-				}
-				d, err := c.Stat()
+			ents := make([]vfs.Dir, 0, len(order))
+			for _, name := range order {
+				d, err := children[name].Stat()
 				if err != nil {
 					return nil, err
 				}
@@ -135,21 +132,12 @@ func LazyDir(entry vfs.Dir, names []string, child func(name string) vfs.Node) *D
 			return ents, nil
 		},
 		Lookup: func(name string) (vfs.Node, error) {
-			if !slices.Contains(names, name) {
-				return nil, vfs.ErrNotExist
-			}
-			if c := child(name); c != nil {
+			if c, ok := children[name]; ok {
 				return c, nil
 			}
 			return nil, vfs.ErrNotExist
 		},
 	}
-}
-
-// StaticDir is a LazyDir over a fixed name → Node map. The map must not
-// be mutated afterwards.
-func StaticDir(entry vfs.Dir, children map[string]vfs.Node, order []string) *DirNode {
-	return LazyDir(entry, order, func(name string) vfs.Node { return children[name] })
 }
 
 // FileNode is a plain file; OpenFn supplies the per-open state.
@@ -191,30 +179,41 @@ func ReadAtString(p []byte, off int64, s string) (int, error) {
 	return copy(p, s[off:]), nil
 }
 
+// snapshot is a generated file's text as a reader pages through it: a
+// read from offset 0, or the first read, generates it afresh, and reads
+// further on serve the same generation.
+type snapshot struct {
+	mu   sync.Mutex
+	got  bool
+	text string
+}
+
+func (s *snapshot) read(p []byte, off int64, get func() (string, error)) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.got || off == 0 {
+		text, err := get()
+		if err != nil {
+			return 0, err
+		}
+		s.text, s.got = text, true
+	}
+	return ReadAtString(p, off, s.text)
+}
+
 // TextHandle snapshots Get() at first read and serves it at offsets, so
 // a reader paging through a status file sees one consistent generation.
 type TextHandle struct {
 	Get func() (string, error)
 
-	mu   sync.Mutex
-	got  bool
-	text string
+	snap snapshot
 }
 
 var _ vfs.Handle = (*TextHandle)(nil)
 
 // Read implements vfs.Handle.
 func (h *TextHandle) Read(p []byte, off int64) (int, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.got || off == 0 {
-		s, err := h.Get()
-		if err != nil {
-			return 0, err
-		}
-		h.text, h.got = s, true
-	}
-	return ReadAtString(p, off, h.text)
+	return h.snap.read(p, off, h.Get)
 }
 
 // Write implements vfs.Handle.
@@ -246,9 +245,7 @@ type CtlHandle struct {
 	Get   func() (string, error)
 	OnEnd func()
 
-	mu   sync.Mutex
-	got  bool
-	text string
+	snap snapshot
 }
 
 var _ vfs.Handle = (*CtlHandle)(nil)
@@ -258,30 +255,23 @@ func (h *CtlHandle) Read(p []byte, off int64) (int, error) {
 	if h.Get == nil {
 		return 0, nil
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.got || off == 0 {
-		s, err := h.Get()
-		if err != nil {
-			return 0, err
-		}
-		h.text, h.got = s, true
-	}
-	return ReadAtString(p, off, h.text)
+	return h.snap.read(p, off, h.Get)
 }
 
-// Write implements vfs.Handle. Each write is one command; a trailing
-// newline is stripped, as Plan 9 ctl files do for echo(1) convenience.
+// Write implements vfs.Handle. Each write is one command (ctlCmd).
 func (h *CtlHandle) Write(p []byte, off int64) (int, error) {
 	if h.Cmd == nil {
 		return 0, vfs.ErrPerm
 	}
-	cmd := strings.TrimSuffix(string(p), "\n")
-	if err := h.Cmd(cmd); err != nil {
+	if err := h.Cmd(ctlCmd(p)); err != nil {
 		return 0, err
 	}
 	return len(p), nil
 }
+
+// ctlCmd is the command a ctl write carries: the write with a trailing
+// newline stripped, as Plan 9 ctl files do for echo(1) convenience.
+func ctlCmd(p []byte) string { return strings.TrimSuffix(string(p), "\n") }
 
 // Close implements vfs.Handle.
 func (h *CtlHandle) Close() error {
@@ -311,8 +301,8 @@ type queryHandle struct {
 	query func(req string) ([]string, error)
 
 	mu    sync.Mutex
-	lines []string // answer lines not yet started
-	rem   string   // unread tail of the current line: short reads resume
+	lines []string // answer lines not yet finished; lines[0] is being read
+	off   int      // bytes of lines[0] read so far, its newline the last
 }
 
 var _ vfs.Handle = (*queryHandle)(nil)
@@ -322,7 +312,7 @@ func (h *queryHandle) Write(p []byte, off int64) (int, error) {
 	lines, err := h.query(string(p))
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.lines, h.rem = nil, ""
+	h.lines, h.off = nil, 0
 	if err != nil {
 		return 0, err
 	}
@@ -330,21 +320,28 @@ func (h *queryHandle) Write(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// Read implements vfs.Handle: one answer line per read. A buffer
-// shorter than the line gets the prefix that fits and the next read
-// resumes mid-line, so no byte of an answer is ever silently lost.
+// Read implements vfs.Handle: one answer line per read, and its
+// newline. A buffer shorter than the line gets the prefix that fits and
+// the next read resumes mid-line, so no byte of an answer is ever
+// silently lost.
 func (h *queryHandle) Read(p []byte, off int64) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.rem == "" {
-		if len(h.lines) == 0 {
-			return 0, nil
-		}
-		h.rem = h.lines[0] + "\n"
-		h.lines = h.lines[1:]
+	if len(h.lines) == 0 {
+		return 0, nil
 	}
-	n := copy(p, h.rem)
-	h.rem = h.rem[n:]
+	line := h.lines[0]
+	n := 0
+	if h.off < len(line) {
+		n = copy(p, line[h.off:])
+	}
+	if h.off+n == len(line) && n < len(p) {
+		p[n] = '\n'
+		n++
+	}
+	if h.off += n; h.off > len(line) {
+		h.lines, h.off = h.lines[1:], 0
+	}
 	return n, nil
 }
 

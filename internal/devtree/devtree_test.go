@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/vfs"
 )
 
@@ -58,47 +59,6 @@ func TestStaticDir(t *testing.T) {
 		t.Errorf("dir write-open = %v", err)
 	}
 	h.Close()
-}
-
-// A LazyDir builds only the child a walk reaches, lists in names'
-// order, and treats a nil child as absent.
-func TestLazyDir(t *testing.T) {
-	built := map[string]int{}
-	dir := LazyDir(MkDir("1", "u", 0555), []string{"ctl", "trace", "data"}, func(name string) vfs.Node {
-		built[name]++
-		if name == "trace" {
-			return nil
-		}
-		return &FileNode{Entry: MkFile(name, "u", 0666)}
-	})
-	n, err := dir.Walk("data")
-	if d, _ := n.Stat(); err != nil || d.Name != "data" {
-		t.Errorf("walk data: %v, %v", n, err)
-	}
-	if len(built) != 1 || built["data"] != 1 {
-		t.Errorf("a walk to data built %v, want data alone", built)
-	}
-	for _, name := range []string{"trace", "missing"} {
-		if _, err := dir.Walk(name); !vfs.SameError(err, vfs.ErrNotExist) {
-			t.Errorf("walk %s = %v, want %v", name, err, vfs.ErrNotExist)
-		}
-	}
-	if built["missing"] != 0 {
-		t.Error("a walk to a name not in the list built a child")
-	}
-	h, err := dir.Open(vfs.OREAD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	ents, err := h.(vfs.DirReader).ReadDir()
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.Name)
-	}
-	if err != nil || strings.Join(names, " ") != "ctl data" {
-		t.Errorf("list = %v, %v; want ctl data", names, err)
-	}
 }
 
 func TestFileNodeBasics(t *testing.T) {
@@ -250,6 +210,30 @@ func TestQueryFile(t *testing.T) {
 	}
 	if got := read(64); got != "" {
 		t.Errorf("read after a failed query = %q", got)
+	}
+}
+
+// TestAllocsQueryRead: reading a cached answer back costs nothing —
+// each line and its newline are served from the answer's own strings,
+// not joined into a new one. check.sh runs this without the race
+// detector (whose instrumentation allocates).
+func TestAllocsQueryRead(t *testing.T) {
+	if block.RaceEnabled {
+		t.Skip("race instrumentation allocates; gated in check.sh without -race")
+	}
+	answer := []string{"/net/il/clone 135.104.9.31!17008", "/net/tcp/clone 135.104.9.31!564"}
+	h := &queryHandle{}
+	buf := make([]byte, 512)
+	if n := testing.AllocsPerRun(1000, func() {
+		h.lines = answer
+		for {
+			n, _ := h.Read(buf, 0)
+			if n == 0 {
+				break
+			}
+		}
+	}); n != 0 {
+		t.Errorf("reading a cached answer allocates %.1f objects, want 0", n)
 	}
 }
 

@@ -36,6 +36,7 @@ type slot[C any] struct {
 	gen  uint64 // tenancies begun
 	refs int    // open files and kernel users of the current tenancy; 0 when free
 	conv C
+	dir  []convNode[C] // the current tenancy's directory, once walked
 }
 
 // NewTable returns a table of n conversations numbered from first.
@@ -99,24 +100,56 @@ func (t *Table[C]) Each(fn func(id int, c C)) {
 	}
 }
 
+// ConvFile is one file of every conversation directory of a device:
+// its name and permissions, and either the text it reads as or the
+// device's kind for it, which the table hands back to the device's open
+// (as Plan 9's devgen yields a qid whose type the device switches on).
+// Has, if set, says whether a conversation has the file at all.
+type ConvFile[C any] struct {
+	Name string
+	Perm uint32
+	Kind int
+	// Text, if set, makes the file read-only text rendered from the
+	// conversation (see Tenancy.text); the device's open never sees it.
+	Text func(C) string
+	Has  func(C) bool
+}
+
+// ConvDirs is how a device's conversation directories are generated:
+// their files, in the order a listing shows them, and the open of every
+// file that is not Text. Open gets the tenancy the walk found, the
+// file's kind and the open mode.
+type ConvDirs[C any] struct {
+	Owner string
+	Files []ConvFile[C]
+	Open  func(n Tenancy[C], kind, mode int) (vfs.Handle, error)
+}
+
 // Root returns the device's top directory: the clone file, the
 // device's own files (extra, such as stats), and a numbered directory
 // per live conversation, listed in that order. clone is the clone
-// file's open: it claims a conversation and returns its ctl file. dir
-// builds the directory of the tenancy a walk to a number finds.
-func (t *Table[C]) Root(name, owner string, clone func(mode int) (vfs.Handle, error),
-	dir func(Tenancy[C]) vfs.Node, extra ...*FileNode) *DirNode {
-	files := append([]*FileNode{{Entry: MkFile("clone", owner, 0666), OpenFn: clone}}, extra...)
+// file's open: it claims a conversation and returns its ctl file. A
+// walk to a number finds the directory dirs generates for the tenancy
+// in that slot: built once per tenancy, on its first walk or listing,
+// as one node array that later walks return pointers into.
+func (t *Table[C]) Root(name string, clone func(mode int) (vfs.Handle, error),
+	dirs *ConvDirs[C], extra ...*FileNode) *DirNode {
+	files := append([]*FileNode{{Entry: MkFile("clone", dirs.Owner, 0666), OpenFn: clone}}, extra...)
 	return &DirNode{
-		Entry: MkDir(name, owner, 0555),
+		Entry: MkDir(name, dirs.Owner, 0555),
 		List: func() ([]vfs.Dir, error) {
-			ents := make([]vfs.Dir, 0, len(files))
+			t.mu.Lock()
+			ents := make([]vfs.Dir, 0, len(files)+len(t.slots))
 			for _, f := range files {
 				ents = append(ents, f.Entry)
 			}
-			t.Each(func(id int, _ C) {
-				ents = append(ents, MkDir(strconv.Itoa(id), owner, 0555))
-			})
+			for _, s := range t.slots {
+				if s.refs > 0 {
+					d, _ := t.dirLocked(s, dirs).Stat()
+					ents = append(ents, d)
+				}
+			}
+			t.mu.Unlock()
 			return ents, nil
 		},
 		Lookup: func(name string) (vfs.Node, error) {
@@ -130,22 +163,107 @@ func (t *Table[C]) Root(name, owner string, clone func(mode int) (vfs.Handle, er
 				return nil, vfs.ErrNotExist
 			}
 			t.mu.Lock()
-			var n Tenancy[C]
+			defer t.mu.Unlock()
 			if i := id - t.first; i < len(t.slots) && t.slots[i].refs > 0 {
-				n = Tenancy[C]{t: t, s: t.slots[i], gen: t.slots[i].gen}
+				return t.dirLocked(t.slots[i], dirs), nil
 			}
-			t.mu.Unlock()
-			if n.s == nil {
-				return nil, vfs.ErrNotExist
-			}
-			return dir(n), nil
+			return nil, vfs.ErrNotExist
 		},
 	}
 }
 
+// dirLocked returns the directory of s's current tenancy, building its
+// node array if this tenancy has none yet: the directory first, then
+// its files, each with the qid it keeps for the tenancy. Callers hold
+// t.mu.
+func (t *Table[C]) dirLocked(s *slot[C], dirs *ConvDirs[C]) *convNode[C] {
+	if len(s.dir) > 0 && s.dir[0].dirs == dirs {
+		return &s.dir[0]
+	}
+	nodes := make([]convNode[C], 1+len(dirs.Files))
+	n := Tenancy[C]{t: t, s: s, gen: s.gen}
+	for i := range nodes {
+		nodes[i] = convNode[C]{dir: nodes, n: n, dirs: dirs, path: vfs.NewQidPath()}
+		if i > 0 {
+			nodes[i].f = &dirs.Files[i-1]
+		}
+	}
+	s.dir = nodes
+	return &nodes[0]
+}
+
+// convNode is a conversation directory (f nil) or one of its files,
+// for one tenancy.
+type convNode[C any] struct {
+	dir  []convNode[C] // the directory, then its files: one allocation
+	n    Tenancy[C]
+	dirs *ConvDirs[C]
+	path uint64 // the qid's path, the same for every walk of the tenancy
+	f    *ConvFile[C]
+}
+
+var _ vfs.Node = (*convNode[any])(nil)
+
+// Stat implements vfs.Node.
+func (x *convNode[C]) Stat() (vfs.Dir, error) {
+	if x.f == nil {
+		return entry(strconv.Itoa(x.n.s.id), x.dirs.Owner, vfs.DMDIR|0555, x.path), nil
+	}
+	return entry(x.f.Name, x.dirs.Owner, x.f.Perm, x.path), nil
+}
+
+// Walk implements vfs.Node: a file of the directory, if the
+// conversation has it.
+func (x *convNode[C]) Walk(name string) (vfs.Node, error) {
+	if x.f != nil {
+		return nil, vfs.ErrNotDir
+	}
+	for i := 1; i < len(x.dir); i++ {
+		if f := &x.dir[i]; f.f.Name == name && f.present() {
+			return f, nil
+		}
+	}
+	return nil, vfs.ErrNotExist
+}
+
+// present reports whether the tenancy's conversation has the file.
+func (x *convNode[C]) present() bool {
+	if x.f.Has == nil {
+		return true
+	}
+	c, err := x.n.Conv()
+	return err == nil && x.f.Has(c)
+}
+
+// Open implements vfs.Node.
+func (x *convNode[C]) Open(mode int) (vfs.Handle, error) {
+	switch {
+	case x.f == nil:
+		if vfs.AccessMode(mode) != vfs.OREAD {
+			return nil, vfs.ErrIsDir
+		}
+		return &dirHandle{list: x.list}, nil
+	case x.f.Text != nil:
+		return x.n.text(mode, x.f.Text)
+	}
+	return x.dirs.Open(x.n, x.f.Kind, mode)
+}
+
+// list lists the directory: the files the conversation has, in order.
+func (x *convNode[C]) list() ([]vfs.Dir, error) {
+	ents := make([]vfs.Dir, 0, len(x.dir)-1)
+	for i := 1; i < len(x.dir); i++ {
+		if f := &x.dir[i]; f.present() {
+			d, _ := f.Stat()
+			ents = append(ents, d)
+		}
+	}
+	return ents, nil
+}
+
 // Tenancy names one occupancy of a slot — the slot and the generation
-// it was claimed at — without holding it open. The files of a
-// conversation directory are built on one, so a node walked to before
+// it was claimed at — without holding it open. A conversation
+// directory's nodes are generated for one, so a node walked to before
 // the slot changed hands finds its own conversation gone rather than
 // the next one.
 type Tenancy[C any] struct {
@@ -153,9 +271,6 @@ type Tenancy[C any] struct {
 	s   *slot[C]
 	gen uint64
 }
-
-// ID returns the conversation number.
-func (n Tenancy[C]) ID() int { return n.s.id }
 
 // live reports whether the tenancy is still running. Callers hold
 // Table.mu.
@@ -172,36 +287,52 @@ func (n Tenancy[C]) Conv() (c C, err error) {
 	return n.s.conv, nil
 }
 
-// File returns a file of the conversation directory whose every open
-// takes a reference to the tenancy and hands it to open for the handle
-// to keep — the ctl and data files. Opening it fails with ErrHungup
-// once the tenancy has ended: a dead conversation is not revived, and
-// the slot's next tenant is not held open by a stranger.
-func (n Tenancy[C]) File(entry vfs.Dir, open func(Ref[C]) vfs.Handle) *FileNode {
-	return &FileNode{Entry: entry, OpenFn: func(int) (vfs.Handle, error) {
-		n.t.mu.Lock()
-		if !n.live() {
-			n.t.mu.Unlock()
-			return nil, vfs.ErrHungup
-		}
-		n.s.refs++
-		n.t.mu.Unlock()
-		return open(Ref[C]{t: n.t, s: n.s}), nil
-	}}
+// Hold takes a reference to the tenancy, for an open ctl or data file
+// to keep. It fails with ErrHungup once the tenancy has ended: a dead
+// conversation is not revived, and the slot's next tenant is not held
+// open by a stranger.
+func (n Tenancy[C]) Hold() (Ref[C], error) {
+	n.t.mu.Lock()
+	defer n.t.mu.Unlock()
+	if !n.live() {
+		return Ref[C]{}, vfs.ErrHungup
+	}
+	n.s.refs++
+	return Ref[C]{t: n.t, s: n.s}, nil
 }
 
-// Text returns a read-only file of the conversation directory that
-// renders the conversation — status, local, remote, type — and reads
-// as ErrHungup once the tenancy has ended. It holds nothing open.
-func (n Tenancy[C]) Text(entry vfs.Dir, text func(C) string) *FileNode {
-	return TextFile(entry, func() (string, error) {
-		c, err := n.Conv()
-		if err != nil {
-			return "", err
-		}
-		return text(c), nil
-	})
+// text opens a read-only file of the tenancy that renders its
+// conversation with text — status, local, remote, type — on the first
+// read and on each read from offset 0, and reads as ErrHungup once the
+// tenancy has ended. It holds nothing open.
+func (n Tenancy[C]) text(mode int, text func(C) string) (vfs.Handle, error) {
+	if vfs.ModeWritable(mode) {
+		return nil, vfs.ErrPerm
+	}
+	return &convText[C]{n: n, text: text}, nil
 }
+
+type convText[C any] struct {
+	n    Tenancy[C]
+	text func(C) string
+	snap snapshot
+}
+
+func (h *convText[C]) Read(p []byte, off int64) (int, error) {
+	return h.snap.read(p, off, h.render)
+}
+
+func (h *convText[C]) render() (string, error) {
+	c, err := h.n.Conv()
+	if err != nil {
+		return "", err
+	}
+	return h.text(c), nil
+}
+
+func (h *convText[C]) Write(p []byte, off int64) (int, error) { return 0, vfs.ErrPerm }
+
+func (h *convText[C]) Close() error { return nil }
 
 // Ref is one counted reference to a tenancy: what an open ctl or data
 // file, or a kernel user of the conversation, holds. It is a value
@@ -243,6 +374,7 @@ func (r *Ref[C]) Release() {
 		s.refs--
 		if last = s.refs == 0; last {
 			conv, s.conv = s.conv, conv
+			s.dir = nil
 		}
 	}
 	r.t.mu.Unlock()
@@ -253,23 +385,35 @@ func (r *Ref[C]) Release() {
 
 // Ctl returns the open ctl file of the conversation r holds, taking
 // the reference over: reading it yields the conversation number, each
-// write is one command for cmd, and closing it releases the reference.
+// write is one command (ctlCmd) for cmd, and closing it releases the
+// reference.
 func (r Ref[C]) Ctl(cmd func(c C, msg string) error) vfs.Handle {
-	h := &convCtl[C]{ref: r}
-	id := strconv.Itoa(r.s.id)
-	h.Get = func() (string, error) { return id, nil }
-	h.Cmd = func(msg string) error {
-		c, err := h.ref.Conv()
-		if err != nil {
-			return err
-		}
-		return cmd(c, msg)
-	}
-	h.OnEnd = h.ref.Release
-	return h
+	return &convCtl[C]{ref: r, id: r.s.id, cmd: cmd}
 }
 
+// convCtl is a conversation's open ctl file.
 type convCtl[C any] struct {
-	CtlHandle
 	ref Ref[C]
+	id  int
+	cmd func(c C, msg string) error
+}
+
+func (h *convCtl[C]) Read(p []byte, off int64) (int, error) {
+	return ReadAtString(p, off, strconv.Itoa(h.id))
+}
+
+func (h *convCtl[C]) Write(p []byte, off int64) (int, error) {
+	c, err := h.ref.Conv()
+	if err != nil {
+		return 0, err
+	}
+	if err := h.cmd(c, ctlCmd(p)); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+func (h *convCtl[C]) Close() error {
+	h.ref.Release()
+	return nil
 }

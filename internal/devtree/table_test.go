@@ -2,6 +2,7 @@ package devtree
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/vfs"
 )
 
@@ -47,15 +49,30 @@ func mustClaim(t *testing.T, tb *Table[*tconv]) (Ref[*tconv], *tconv) {
 	return ref, c
 }
 
-// hold opens a file of the tenancy and returns the reference the open
-// took.
+// hold takes a reference to the tenancy, as an open ctl or data file
+// does.
 func hold(n Tenancy[*tconv]) (*Ref[*tconv], error) {
-	ref := new(Ref[*tconv])
-	_, err := n.File(vfs.Dir{}, func(r Ref[*tconv]) vfs.Handle {
-		*ref = r
-		return nil
-	}).Open(vfs.ORDWR)
-	return ref, err
+	ref, err := n.Hold()
+	return &ref, err
+}
+
+// testDirs generates a test conversation's directory: a ctl file, a
+// text file naming the conversation, and a file only conversations
+// opened with a gate have.
+var testDirs = &ConvDirs[*tconv]{
+	Owner: "u",
+	Files: []ConvFile[*tconv]{
+		{Name: "ctl", Perm: 0666},
+		{Name: "id", Perm: 0444, Text: func(c *tconv) string { return "conv " + strconv.Itoa(c.id) }},
+		{Name: "gate", Perm: 0444, Text: func(*tconv) string { return "" }, Has: func(c *tconv) bool { return c.gate != nil }},
+	},
+	Open: func(n Tenancy[*tconv], kind, mode int) (vfs.Handle, error) {
+		ref, err := n.Hold()
+		if err != nil {
+			return nil, err
+		}
+		return ref.Ctl(func(*tconv, string) error { return nil }), nil
+	},
 }
 
 func names(t *testing.T, d *DirNode) string {
@@ -122,7 +139,7 @@ func TestTableOpenErrorLeavesSlotFree(t *testing.T) {
 		t.Errorf("the failed claim's reference reaches a conversation: %v", err)
 	}
 	ref.Release() // a zero Ref: nothing to release
-	root := tb.Root("dev", "u", nil, nil)
+	root := tb.Root("dev", nil, testDirs)
 	if got := names(t, root); got != "clone" {
 		t.Errorf("after a failed open the device lists %q", got)
 	}
@@ -164,7 +181,7 @@ func TestTableLastReleaseHangsUpUnlocked(t *testing.T) {
 	go func() {
 		// Spin until the slot reads as free: the release is on its way
 		// into the gated hangup.
-		root := tb.Root("dev", "u", nil, nil)
+		root := tb.Root("dev", nil, testDirs)
 		for {
 			ents, _ := root.List()
 			if len(ents) == 1 {
@@ -211,36 +228,27 @@ func TestTableLastReleaseHangsUpUnlocked(t *testing.T) {
 }
 
 // lookupTenancy walks the table's root to a numbered directory and
-// returns the tenancy the device's dir hook was handed.
+// returns the tenancy it was generated for.
 func lookupTenancy(t *testing.T, tb *Table[*tconv], name string) Tenancy[*tconv] {
 	t.Helper()
-	var got Tenancy[*tconv]
-	root := tb.Root("dev", "u", nil, func(n Tenancy[*tconv]) vfs.Node {
-		got = n
-		return &FileNode{}
-	})
-	if _, err := root.Lookup(name); err != nil {
+	n, err := tb.Root("dev", nil, testDirs).Lookup(name)
+	if err != nil {
 		t.Fatalf("walk to %s: %v", name, err)
 	}
-	return got
+	return n.(*convNode[*tconv]).n
 }
 
 func TestTableRootListsInOrder(t *testing.T) {
 	tb := newTestTable(1, 12)
 	stats := TextFile(MkFile("stats", "u", 0444), func() (string, error) { return "s", nil })
-	var walked []int
-	root := tb.Root("ether0", "u",
+	root := tb.Root("ether0",
 		func(int) (vfs.Handle, error) {
 			ref, err := tb.Claim(openConv)
 			if err != nil {
 				return nil, err
 			}
 			return ref.Ctl(func(*tconv, string) error { return nil }), nil
-		},
-		func(n Tenancy[*tconv]) vfs.Node {
-			walked = append(walked, n.ID())
-			return &FileNode{}
-		}, stats)
+		}, testDirs, stats)
 	if got := names(t, root); got != "clone stats" {
 		t.Errorf("empty device lists %q", got)
 	}
@@ -273,11 +281,10 @@ func TestTableRootListsInOrder(t *testing.T) {
 			t.Errorf("walk to %q: %v, want %v", name, err, vfs.ErrNotExist)
 		}
 	}
-	if _, err := root.Lookup("10"); err != nil {
+	if n, err := root.Lookup("10"); err != nil {
 		t.Errorf("walk to a live conversation: %v", err)
-	}
-	if len(walked) != 1 || walked[0] != 10 {
-		t.Errorf("dir hook saw %v, want only conversation 10", walked)
+	} else if d, _ := n.Stat(); d.Name != "10" || !d.IsDir() || d.Uid != "u" {
+		t.Errorf("conversation 10's directory stats as %+v", d)
 	}
 }
 
@@ -300,8 +307,8 @@ func TestTenancyOutlived(t *testing.T) {
 	if c, err := walked.Conv(); err != nil || c != old {
 		t.Errorf("tenancy with one reference left: Conv = %v, %v", c, err)
 	}
-	idText := walked.Text(vfs.Dir{}, func(c *tconv) string { return "conv " + strconv.Itoa(c.id) })
-	if h, err := idText.Open(vfs.OREAD); err != nil {
+	idText := func(c *tconv) string { return "conv " + strconv.Itoa(c.id) }
+	if h, err := walked.text(vfs.OREAD, idText); err != nil {
 		t.Error(err)
 	} else if n, err := h.Read(buf[:], 0); err != nil || string(buf[:n]) != "conv 0" {
 		t.Errorf("text file of a live tenancy: %q, %v", buf[:n], err)
@@ -316,8 +323,7 @@ func TestTenancyOutlived(t *testing.T) {
 	if _, err := hold(walked); !vfs.SameError(err, vfs.ErrHungup) {
 		t.Errorf("ended tenancy reopened: %v, want %v", err, vfs.ErrHungup)
 	}
-	status := walked.Text(vfs.Dir{}, func(c *tconv) string { return strconv.Itoa(c.id) })
-	if h, err := status.Open(vfs.OREAD); err != nil {
+	if h, err := walked.text(vfs.OREAD, idText); err != nil {
 		t.Error(err)
 	} else if _, err := h.Read(make([]byte, 8), 0); !vfs.SameError(err, vfs.ErrHungup) {
 		t.Errorf("text file of an ended tenancy: %v, want %v", err, vfs.ErrHungup)
@@ -392,11 +398,7 @@ func TestTableChurn(t *testing.T) {
 	var all sync.Map
 	var opened, refused atomic.Int64
 	var held [slots]atomic.Bool
-	root := tb.Root("dev", "u", nil, func(n Tenancy[*tconv]) vfs.Node {
-		return n.File(vfs.Dir{}, func(r Ref[*tconv]) vfs.Handle {
-			return r.Ctl(func(*tconv, string) error { return nil })
-		})
-	})
+	root := tb.Root("dev", nil, testDirs)
 	var wg sync.WaitGroup
 	for range workers {
 		wg.Add(1)
@@ -420,7 +422,9 @@ func TestTableChurn(t *testing.T) {
 				// A second file of the conversation, by walking.
 				var file vfs.Handle
 				if n, err := root.Lookup(strconv.Itoa(c.id)); err == nil {
-					file, _ = n.Open(vfs.ORDWR)
+					if n, err = n.Walk("ctl"); err == nil {
+						file, _ = n.Open(vfs.ORDWR)
+					}
 				}
 				root.List()
 				if c.hung.Load() != 0 {
@@ -450,5 +454,136 @@ func TestTableChurn(t *testing.T) {
 	}
 	if got := names(t, root); got != "clone" {
 		t.Errorf("after the churn the device lists %q", got)
+	}
+}
+
+// TestConvDirFiles: a conversation directory lists its files in the
+// device's order, leaves out a file the conversation does not have,
+// and walks only to the files it lists.
+func TestConvDirFiles(t *testing.T) {
+	tb := newTestTable(0, 2)
+	mustClaim(t, tb)
+	if _, err := tb.Claim(func(id int) (*tconv, error) { return &tconv{id: id, gate: make(chan struct{})}, nil }); err != nil {
+		t.Fatal(err)
+	}
+	root := tb.Root("dev", nil, testDirs)
+	for name, want := range map[string]string{"0": "ctl id", "1": "ctl id gate"} {
+		dir, err := root.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := dir.Open(vfs.OREAD)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ents, err := h.(vfs.DirReader).ReadDir()
+		var got []string
+		for _, e := range ents {
+			got = append(got, e.Name)
+			if e.IsDir() || e.Uid != "u" {
+				t.Errorf("%s/%s stats as %+v", name, e.Name, e)
+			}
+		}
+		if err != nil || strings.Join(got, " ") != want {
+			t.Errorf("%s lists %q, %v; want %q", name, got, err, want)
+		}
+		if _, err := dir.Open(vfs.OWRITE); !vfs.SameError(err, vfs.ErrIsDir) {
+			t.Errorf("%s opened for writing: %v", name, err)
+		}
+	}
+	dir, _ := root.Lookup("0")
+	for _, name := range []string{"gate", "missing", ""} {
+		if _, err := dir.Walk(name); !vfs.SameError(err, vfs.ErrNotExist) {
+			t.Errorf("walk %s = %v, want %v", name, err, vfs.ErrNotExist)
+		}
+	}
+	id, err := dir.Walk("id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := id.Walk("x"); !vfs.SameError(err, vfs.ErrNotDir) {
+		t.Errorf("walk under a file = %v, want %v", err, vfs.ErrNotDir)
+	}
+	if _, err := id.Open(vfs.OWRITE); !vfs.SameError(err, vfs.ErrPerm) {
+		t.Errorf("text file opened for writing: %v", err)
+	}
+	h, err := id.Open(vfs.OREAD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 16)
+	if n, err := h.Read(buf, 0); err != nil || string(buf[:n]) != "conv 0" {
+		t.Errorf("id reads %q, %v", buf[:n], err)
+	}
+	if _, err := h.Write([]byte("x"), 0); !vfs.SameError(err, vfs.ErrPerm) {
+		t.Errorf("text file written: %v", err)
+	}
+}
+
+// TestConvDirQids: a conversation's directory and files keep their
+// qids for the whole tenancy, however they are reached, and the slot's
+// next tenancy gets new ones.
+func TestConvDirQids(t *testing.T) {
+	tb := newTestTable(0, 1)
+	root := tb.Root("dev", nil, testDirs)
+	qids := func() []uint64 {
+		dir, err := root.Lookup("0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, _ := dir.Stat()
+		paths := []uint64{d.Qid.Path}
+		for _, name := range []string{"ctl", "id"} {
+			f, err := dir.Walk(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, _ := f.Stat()
+			paths = append(paths, d.Qid.Path)
+		}
+		ents, _ := root.List()
+		return append(paths, ents[len(ents)-1].Qid.Path)
+	}
+	ref, _ := mustClaim(t, tb)
+	first := qids()
+	if again := qids(); !slices.Equal(first, again) {
+		t.Errorf("walked twice in one tenancy: qids %v, then %v", first, again)
+	}
+	if first[0] != first[3] {
+		t.Errorf("the directory's qid %d lists as %d", first[0], first[3])
+	}
+	ref.Release()
+	ref, _ = mustClaim(t, tb)
+	defer ref.Release()
+	for i, p := range qids() {
+		if slices.Contains(first, p) {
+			t.Errorf("the next tenancy reuses qid %d (file %d)", p, i)
+		}
+	}
+}
+
+// TestAllocsConvWalk: walking to a conversation's directory and one of
+// its files again allocates nothing — the table generated the directory
+// on the tenancy's first walk. check.sh runs this without the race
+// detector (whose instrumentation allocates).
+func TestAllocsConvWalk(t *testing.T) {
+	if block.RaceEnabled {
+		t.Skip("race instrumentation allocates; gated in check.sh without -race")
+	}
+	tb := newTestTable(0, 1)
+	ref, _ := mustClaim(t, tb)
+	defer ref.Release()
+	root := tb.Root("dev", nil, testDirs)
+	if n := testing.AllocsPerRun(1000, func() {
+		dir, err := root.Walk("0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dir.Walk("ctl"); err != nil {
+			t.Fatal(err)
+		}
+		dir.Stat()
+	}); n != 0 {
+		t.Errorf("a repeat walk allocates %.1f objects, want 0", n)
 	}
 }

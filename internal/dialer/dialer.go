@@ -59,26 +59,20 @@ func (c *Conn) Close() error {
 // conversation must push the same specs in the same order — the wire
 // format is symmetric, not negotiated.
 func (c *Conn) Push(specs ...string) error {
-	if len(specs) == 0 {
-		return nil
-	}
-	if c.Ctl == nil {
+	if len(specs) > 0 && c.Ctl == nil {
 		return errors.New("dial: connection has no ctl file")
 	}
-	for _, spec := range specs {
-		if _, err := c.Ctl.WriteString(netmsg.Push(spec)); err != nil {
-			return fmt.Errorf("push %s: %w", spec, err)
-		}
-	}
-	return nil
+	return push(c.Ctl, specs)
 }
 
 // Push arms an incoming call before Accept, so the server side of the
 // conversation runs its module stack from the first byte — the
 // counterpart of Conn.Push on the dialing side.
-func (c *Call) Push(specs ...string) error {
+func (c *Call) Push(specs ...string) error { return push(c.ctl, specs) }
+
+func push(ctl *ns.FD, specs []string) error {
 	for _, spec := range specs {
-		if _, err := c.ctl.WriteString(netmsg.Push(spec)); err != nil {
+		if _, err := ctl.WriteString(netmsg.Push(spec)); err != nil {
 			return fmt.Errorf("push %s: %w", spec, err)
 		}
 	}
@@ -86,20 +80,13 @@ func (c *Call) Push(specs ...string) error {
 }
 
 // LocalAddr reads the connection's local file.
-func (c *Conn) LocalAddr(nsp *ns.Namespace) string {
-	b, err := nsp.ReadFile(c.Dir + "/local")
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(b))
-}
+func (c *Conn) LocalAddr(nsp *ns.Namespace) string { return c.addr(nsp, "/local") }
 
 // RemoteAddr reads the connection's remote file.
-func (c *Conn) RemoteAddr(nsp *ns.Namespace) string {
-	b, err := nsp.ReadFile(c.Dir + "/remote")
-	if err != nil {
-		return ""
-	}
+func (c *Conn) RemoteAddr(nsp *ns.Namespace) string { return c.addr(nsp, "/remote") }
+
+func (c *Conn) addr(nsp *ns.Namespace, file string) string {
+	b, _ := nsp.ReadFile(c.Dir + file)
 	return strings.TrimSpace(string(b))
 }
 
@@ -144,52 +131,74 @@ func directTranslate(dest string) ([]string, error) {
 	return []string{"/net/" + parts[0] + "/clone " + addr}, nil
 }
 
-// connectOne opens a clone file and connects it to addr, returning the
-// connection directory, ctl, and data files.
-func connectOne(nsp *ns.Namespace, clone, addr string) (*Conn, error) {
-	ctl, err := nsp.Open(clone, vfs.ORDWR)
-	if err != nil {
-		return nil, err
-	}
+// convDir reads the conversation number from ctl, a clone or listen
+// file just opened, and returns the conversation's directory in dir.
+// what names the read in an error.
+func convDir(ctl *ns.FD, dir, what string) (string, error) {
 	buf := make([]byte, 32)
 	n, err := ctl.ReadAt(buf, 0)
 	if err != nil || n == 0 {
-		ctl.Close()
-		return nil, fmt.Errorf("dial: reading clone: %v", err)
+		return "", fmt.Errorf("%s: %v", what, err)
 	}
-	dir := path.Dir(ns.Clean(clone)) + "/" + strings.TrimSpace(string(buf[:n]))
-	if _, err := ctl.WriteString(netmsg.Connect(addr)); err != nil {
-		ctl.Close()
-		return nil, err
+	return dir + "/" + strings.TrimSpace(string(buf[:n])), nil
+}
+
+// cloneConv opens a clone file, finds the new conversation's
+// directory and writes msg, a connect or an announce, to its ctl file,
+// which it returns open.
+func cloneConv(nsp *ns.Namespace, clone, msg, what string) (*ns.FD, string, error) {
+	ctl, err := nsp.Open(clone, vfs.ORDWR)
+	if err != nil {
+		return nil, "", err
 	}
-	data, err := nsp.Open(dir+"/data", vfs.ORDWR)
+	dir, err := convDir(ctl, path.Dir(ns.Clean(clone)), what+": reading clone")
+	if err == nil {
+		_, err = ctl.WriteString(msg)
+	}
 	if err != nil {
 		ctl.Close()
-		return nil, err
+		return nil, "", err
 	}
-	return &Conn{Data: data, Ctl: ctl, Dir: dir}, nil
+	return ctl, dir, nil
 }
 
 // Dial establishes a connection to dest, trying each translation CS
 // returns until one succeeds (§5.1).
 func Dial(nsp *ns.Namespace, dest string) (*Conn, error) {
+	var c *Conn
+	err := eachClone(nsp, dest, func(clone, addr string) error {
+		ctl, dir, err := cloneConv(nsp, clone, netmsg.Connect(addr), "dial")
+		if err != nil {
+			return err
+		}
+		data, err := nsp.Open(dir+"/data", vfs.ORDWR)
+		if err != nil {
+			ctl.Close()
+			return err
+		}
+		c = &Conn{Data: data, Ctl: ctl, Dir: dir}
+		return nil
+	})
+	return c, err
+}
+
+// eachClone calls try with the clone file and address of each
+// translation CS gives for dest until one succeeds, and returns the
+// last failure.
+func eachClone(nsp *ns.Namespace, dest string, try func(clone, addr string) error) error {
 	lines, err := csLines(nsp, dest)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var lastErr error = ErrNoDest
+	err = ErrNoDest
 	for _, line := range lines {
-		clone, addr, ok := strings.Cut(line, " ")
-		if !ok {
-			continue
+		if clone, addr, ok := strings.Cut(line, " "); ok {
+			if err = try(clone, addr); err == nil {
+				return nil
+			}
 		}
-		c, err := connectOne(nsp, clone, addr)
-		if err == nil {
-			return c, nil
-		}
-		lastErr = err
 	}
-	return nil, lastErr
+	return err
 }
 
 // Listener is an announced service: the held ctl file keeps the
@@ -205,37 +214,15 @@ type Listener struct {
 // receive all services not explicitly announced) and returns the
 // listener.
 func Announce(nsp *ns.Namespace, addr string) (*Listener, error) {
-	lines, err := csLines(nsp, addr)
-	if err != nil {
-		return nil, err
-	}
-	var lastErr error = ErrNoDest
-	for _, line := range lines {
-		clone, a, ok := strings.Cut(line, " ")
-		if !ok {
-			continue
+	var l *Listener
+	err := eachClone(nsp, addr, func(clone, a string) error {
+		ctl, dir, err := cloneConv(nsp, clone, netmsg.Announce(a), "announce")
+		if err == nil {
+			l = &Listener{nsp: nsp, ctl: ctl, Dir: dir}
 		}
-		ctl, err := nsp.Open(clone, vfs.ORDWR)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		buf := make([]byte, 32)
-		n, rerr := ctl.ReadAt(buf, 0)
-		if rerr != nil || n == 0 {
-			ctl.Close()
-			lastErr = fmt.Errorf("announce: reading clone: %v", rerr)
-			continue
-		}
-		dir := path.Dir(ns.Clean(clone)) + "/" + strings.TrimSpace(string(buf[:n]))
-		if _, err := ctl.WriteString(netmsg.Announce(a)); err != nil {
-			ctl.Close()
-			lastErr = err
-			continue
-		}
-		return &Listener{nsp: nsp, ctl: ctl, Dir: dir}, nil
-	}
-	return nil, lastErr
+		return err
+	})
+	return l, err
 }
 
 // Call is an incoming call delivered by Listen, holding the new
@@ -255,13 +242,11 @@ func (l *Listener) Listen() (*Call, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 32)
-	n, err := nctl.ReadAt(buf, 0)
-	if err != nil || n == 0 {
+	dir, err := convDir(nctl, path.Dir(l.Dir), "listen: reading new ctl")
+	if err != nil {
 		nctl.Close()
-		return nil, fmt.Errorf("listen: reading new ctl: %v", err)
+		return nil, err
 	}
-	dir := path.Dir(l.Dir) + "/" + strings.TrimSpace(string(buf[:n]))
 	return &Call{nsp: l.nsp, ctl: nctl, Dir: dir}, nil
 }
 

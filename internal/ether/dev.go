@@ -20,15 +20,15 @@ import (
 // Writing "connect 2048" to ctl sets the packet type; "connect -1"
 // selects all packets; "promiscuous" turns on promiscuous mode.
 type Dev struct {
-	ifc   *Interface
-	owner string
+	ifc  *Interface
+	dirs devtree.ConvDirs[*Conn]
 }
 
 var _ vfs.Device = (*Dev)(nil)
 
 // NewDev wraps an interface in its device file tree.
 func NewDev(ifc *Interface, owner string) *Dev {
-	return &Dev{ifc: ifc, owner: owner}
+	return &Dev{ifc: ifc, dirs: devtree.ConvDirs[*Conn]{Owner: owner, Files: connFiles, Open: openConn}}
 }
 
 // Name implements vfs.Device.
@@ -44,7 +44,7 @@ func (d *Dev) Attach(spec string) (vfs.Node, error) {
 
 // Root returns the top directory of the tree.
 func (d *Dev) Root() vfs.Node {
-	return d.ifc.convs.Root(d.ifc.name, d.owner, d.clone, d.connDir)
+	return d.ifc.convs.Root(d.ifc.name, d.clone, &d.dirs)
 }
 
 // clone is the clone file's open: it reserves a conversation and
@@ -76,35 +76,34 @@ func connCtl(c *Conn, cmd string) error {
 	}
 }
 
-// connNames lists a connection directory in the order a listing shows
-// it.
-var connNames = []string{"ctl", "data", "stats", "type"}
+// The kinds of a connection directory's files that the device opens;
+// the rest are text the table renders.
+const (
+	qctl = iota
+	qdata
+)
 
-// connDir serves one numbered connection directory. A walk builds only
-// the file it reaches.
-func (d *Dev) connDir(n devtree.Tenancy[*Conn]) vfs.Node {
-	return devtree.LazyDir(devtree.MkDir(strconv.Itoa(n.ID()), d.owner, 0555), connNames,
-		func(name string) vfs.Node { return d.connFile(n, name) })
+// connFiles is a connection directory, in the order a listing shows it.
+var connFiles = []devtree.ConvFile[*Conn]{
+	{Name: "ctl", Perm: 0666, Kind: qctl},
+	{Name: "data", Perm: 0666, Kind: qdata},
+	{Name: "stats", Perm: 0444, Text: func(c *Conn) string {
+		return c.ifc.Stats() + fmt.Sprintf("conn %d: type %d in %d out %d\n",
+			c.id, c.Type(), c.inPackets.Load(), c.outPackets.Load())
+	}},
+	{Name: "type", Perm: 0444, Text: func(c *Conn) string { return strconv.Itoa(c.Type()) }},
 }
 
-// connFile builds the file name of the connection directory, or nil if
-// there is none by that name.
-func (d *Dev) connFile(n devtree.Tenancy[*Conn], name string) vfs.Node {
-	mk := func(perm uint32) vfs.Dir { return devtree.MkFile(name, d.owner, perm) }
-	switch name {
-	case "ctl":
-		return n.File(mk(0666), func(r devtree.Ref[*Conn]) vfs.Handle { return r.Ctl(connCtl) })
-	case "data":
-		return n.File(mk(0666), func(r devtree.Ref[*Conn]) vfs.Handle { return &dataHandle{ref: r} })
-	case "stats":
-		return n.Text(mk(0444), func(c *Conn) string {
-			return d.ifc.Stats() + fmt.Sprintf("conn %d: type %d in %d out %d\n",
-				c.id, c.Type(), c.inPackets.Load(), c.outPackets.Load())
-		})
-	case "type":
-		return n.Text(mk(0444), func(c *Conn) string { return strconv.Itoa(c.Type()) })
+// openConn opens the ctl or data file of tenancy n.
+func openConn(n devtree.Tenancy[*Conn], kind, mode int) (vfs.Handle, error) {
+	ref, err := n.Hold()
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if kind == qctl {
+		return ref.Ctl(connCtl), nil
+	}
+	return &dataHandle{ref: ref}, nil
 }
 
 // dataHandle accesses the media: reading returns the next packet of

@@ -44,12 +44,14 @@ type Dev struct {
 	proto xport.Proto
 	owner string
 	convs *devtree.Table[*conv] // conversations 0 … MaxConvs-1
+	dirs  devtree.ConvDirs[*conv]
 }
 
 // conv is what the device keeps per conversation: the protocol's end,
 // which carries the conversation's stream and whatever is pushed on it.
 type conv struct {
 	dev  *Dev
+	id   int
 	conn xport.Conn
 }
 
@@ -57,7 +59,9 @@ var _ vfs.Device = (*Dev)(nil)
 
 // New wraps proto in its file tree.
 func New(proto xport.Proto, owner string) *Dev {
-	return &Dev{proto: proto, owner: owner, convs: devtree.NewTable(0, MaxConvs, func(c *conv) { c.hangup() })}
+	d := &Dev{proto: proto, owner: owner, convs: devtree.NewTable(0, MaxConvs, func(c *conv) { c.hangup() })}
+	d.dirs = devtree.ConvDirs[*conv]{Owner: owner, Files: convFiles, Open: d.open}
+	return d
 }
 
 // Name implements vfs.Device ("tcp", "il", "udp", "dk", "cyc").
@@ -73,7 +77,7 @@ func (d *Dev) Attach(spec string) (vfs.Node, error) {
 
 // Root returns the device's top directory.
 func (d *Dev) Root() vfs.Node {
-	return d.convs.Root(d.proto.Name(), d.owner, d.clone, d.convDir,
+	return d.convs.Root(d.proto.Name(), d.clone, &d.dirs,
 		devtree.TextFile(devtree.MkFile("stats", d.owner, 0444),
 			func() (string, error) { return d.statsText(), nil }))
 }
@@ -88,12 +92,12 @@ func (d *Dev) clone(int) (vfs.Handle, error) {
 // from the protocol, or the one a listen accepted — and returns its ctl
 // file.
 func (d *Dev) place(src func() (xport.Conn, error)) (vfs.Handle, error) {
-	ref, err := d.convs.Claim(func(int) (*conv, error) {
+	ref, err := d.convs.Claim(func(id int) (*conv, error) {
 		conn, err := src()
 		if err != nil {
 			return nil, err
 		}
-		return &conv{dev: d, conn: conn}, nil
+		return &conv{dev: d, id: id, conn: conn}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -194,90 +198,85 @@ func (c *conv) ctl(cmd string) error {
 	}
 }
 
-// convNames lists a conversation directory in the order a listing
-// shows it.
-var convNames = []string{"ctl", "data", "listen", "local", "remote", "stats", "status", "trace"}
+// The kinds of a conversation directory's files that the device opens;
+// the rest are text the table renders.
+const (
+	qctl = iota
+	qdata
+	qlisten
+)
 
-// convDir serves one numbered connection directory. A walk builds only
-// the file it reaches.
-func (d *Dev) convDir(n devtree.Tenancy[*conv]) vfs.Node {
-	return devtree.LazyDir(devtree.MkDir(strconv.Itoa(n.ID()), d.owner, 0555), convNames,
-		func(name string) vfs.Node { return d.convFile(n, name) })
+// convFiles is a conversation directory, in the order a listing shows
+// it.
+var convFiles = []devtree.ConvFile[*conv]{
+	{Name: "ctl", Perm: 0666, Kind: qctl},
+	{Name: "data", Perm: 0666, Kind: qdata},
+	{Name: "listen", Perm: 0666, Kind: qlisten},
+	{Name: "local", Perm: 0444, Text: func(c *conv) string { return c.conn.LocalAddr() + "\n" }},
+	{Name: "remote", Perm: 0444, Text: func(c *conv) string { return c.conn.RemoteAddr() + "\n" }},
+	// The conversation's stats file: one counter group per pushed
+	// module, rendered top first — the per-conversation bill for its
+	// line disciplines. Empty until something is pushed.
+	{Name: "stats", Perm: 0444, Text: (*conv).statsText},
+	{Name: "status", Perm: 0444, Text: func(c *conv) string {
+		return c.dev.proto.Name() + "/" + strconv.Itoa(c.id) + " " + c.conn.Status() + "\n"
+	}},
+	// Only a conversation that carries an event ring has a trace file:
+	// it serves the ring (§6.1's remote diagnosis — arm with "trace
+	// on", read the events back, locally or over an imported /net).
+	{Name: "trace", Perm: 0444, Text: (*conv).traceText, Has: func(c *conv) bool {
+		_, ok := c.conn.(obs.Tracer)
+		return ok
+	}},
 }
 
-// convFile builds the file name of the conversation directory, or nil
-// if the conversation has none by that name.
-func (d *Dev) convFile(n devtree.Tenancy[*conv], name string) vfs.Node {
-	mk := func(perm uint32) vfs.Dir { return devtree.MkFile(name, d.owner, perm) }
-	switch name {
-	case "ctl":
-		return n.File(mk(0666), func(r devtree.Ref[*conv]) vfs.Handle { return r.Ctl((*conv).ctl) })
-	case "data":
-		return n.File(mk(0666), func(r devtree.Ref[*conv]) vfs.Handle { return &dataHandle{ref: r} })
-	case "listen":
-		return &devtree.FileNode{
-			Entry: mk(0666),
-			OpenFn: func(mode int) (vfs.Handle, error) {
-				c, err := n.Conv()
-				if err != nil {
-					return nil, err
-				}
-				// Block until a call arrives; the returned handle is
-				// the ctl file of the new connection.
-				call, err := c.conn.Listen()
-				if err != nil {
-					return nil, err
-				}
-				h, err := d.place(func() (xport.Conn, error) { return call, nil })
-				if err != nil {
-					call.Close() // no slot: refuse the call, with the table unlocked
-				}
-				return h, err
-			},
-		}
-	case "local":
-		return n.Text(mk(0444), func(c *conv) string { return c.conn.LocalAddr() + "\n" })
-	case "remote":
-		return n.Text(mk(0444), func(c *conv) string { return c.conn.RemoteAddr() + "\n" })
-	case "status":
-		return n.Text(mk(0444), func(c *conv) string {
-			return d.proto.Name() + "/" + strconv.Itoa(n.ID()) + " " + c.conn.Status() + "\n"
-		})
-	case "stats":
-		// The conversation's stats file: one counter group per pushed
-		// module, rendered top first — the per-conversation bill for its
-		// line disciplines. Empty until something is pushed.
-		return n.Text(mk(0444), func(c *conv) string {
-			s := c.conn.Stream()
-			if s == nil {
-				return ""
-			}
-			var b strings.Builder
-			for _, g := range s.ModuleStats() {
-				b.WriteString(g.Render())
-			}
-			return b.String()
-		})
-	case "trace":
-		// Only a conversation that carries an event ring has one: it
-		// serves the ring (§6.1's remote diagnosis — arm with "trace
-		// on", read the events back, locally or over an imported /net).
+// open opens the ctl, data or listen file of tenancy n.
+func (d *Dev) open(n devtree.Tenancy[*conv], kind, mode int) (vfs.Handle, error) {
+	if kind == qlisten {
 		c, err := n.Conv()
 		if err != nil {
-			return nil
+			return nil, err
 		}
-		if _, ok := c.conn.(obs.Tracer); !ok {
-			return nil
+		// Block until a call arrives; the returned handle is the ctl
+		// file of the new connection.
+		call, err := c.conn.Listen()
+		if err != nil {
+			return nil, err
 		}
-		return n.Text(mk(0444), func(c *conv) string {
-			r := c.conn.(obs.Tracer).Trace()
-			if r == nil {
-				return ""
-			}
-			return r.TraceText()
-		})
+		h, err := d.place(func() (xport.Conn, error) { return call, nil })
+		if err != nil {
+			call.Close() // no slot: refuse the call, with the table unlocked
+		}
+		return h, err
 	}
-	return nil
+	ref, err := n.Hold()
+	if err != nil {
+		return nil, err
+	}
+	if kind == qctl {
+		return ref.Ctl((*conv).ctl), nil
+	}
+	return &dataHandle{ref: ref}, nil
+}
+
+func (c *conv) statsText() string {
+	s := c.conn.Stream()
+	if s == nil {
+		return ""
+	}
+	var b strings.Builder
+	for _, g := range s.ModuleStats() {
+		b.WriteString(g.Render())
+	}
+	return b.String()
+}
+
+func (c *conv) traceText() string {
+	r := c.conn.(obs.Tracer).Trace()
+	if r == nil {
+		return ""
+	}
+	return r.TraceText()
 }
 
 // dataHandle is the data file: the process end of the conversation's

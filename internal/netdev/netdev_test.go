@@ -3,6 +3,7 @@ package netdev
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -677,6 +678,45 @@ func TestSecondCloseLeavesNextTenantAlone(t *testing.T) {
 			t.Errorf("second close of a released %s handle took the next tenant's directory: %v", file, err)
 		}
 		ctl2.Close()
+	}
+}
+
+// TestQidsLastTheTenancy: a conversation's files keep their qids for
+// the whole tenancy — two walks of /net/fake/0/data give the same qid,
+// as the kernel's generated entries do — and the slot's next tenancy
+// gives new ones, so a client caching by qid cannot mistake one
+// conversation for the next.
+func TestQidsLastTheTenancy(t *testing.T) {
+	nsp := fakeNS()
+	qids := func() []uint64 {
+		var paths []uint64
+		for _, name := range []string{"/net/fake/0", "/net/fake/0/ctl", "/net/fake/0/data", "/net/fake/0/status"} {
+			d, err := nsp.Stat(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths = append(paths, d.Qid.Path)
+		}
+		return paths
+	}
+	ctl, err := nsp.Open("/net/fake/clone", vfs.ORDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := qids()
+	if again := qids(); !slices.Equal(first, again) {
+		t.Errorf("two walks in one tenancy: qids %v, then %v", first, again)
+	}
+	ctl.Close()
+	ctl, err = nsp.Open("/net/fake/clone", vfs.ORDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	for i, p := range qids() {
+		if slices.Contains(first, p) {
+			t.Errorf("the next tenancy of slot 0 reuses qid %d (file %d of %v)", p, i, first)
+		}
 	}
 }
 

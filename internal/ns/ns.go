@@ -349,18 +349,37 @@ func (ns *Namespace) Create(name string, perm uint32, mode int) (*FD, error) {
 	return &FD{ns: ns, name: cname, h: h, dir: d, isDir: perm&vfs.DMDIR != 0}, nil
 }
 
-// ReadFile reads the whole file at name.
+// readChunk is the length of every read ReadFile makes.
+const readChunk = 8192
+
+// ReadFile reads the whole file at name, in reads of readChunk bytes.
+// It reads straight into the result, sized from the length Open
+// statted: the file in whole chunks and one more chunk for the read
+// that finds its end. Only a file that reports no length, as a device
+// file does, or one that has grown since, reads through a chunk of
+// scratch, whose reads are appended to the result.
 func (ns *Namespace) ReadFile(name string) ([]byte, error) {
 	fd, err := ns.Open(name, vfs.OREAD)
 	if err != nil {
 		return nil, err
 	}
 	defer fd.Close()
-	var out []byte
-	buf := make([]byte, 8192)
+	var out, scratch []byte
+	if size := fd.dir.Length; size > 0 {
+		out = make([]byte, 0, (size+readChunk-1)/readChunk*readChunk+readChunk)
+	}
 	for {
-		n, err := fd.Read(buf)
-		out = append(out, buf[:n]...)
+		var n int
+		if cap(out)-len(out) >= readChunk {
+			n, err = fd.Read(out[len(out) : len(out)+readChunk])
+			out = out[:len(out)+n]
+		} else {
+			if scratch == nil {
+				scratch = make([]byte, readChunk)
+			}
+			n, err = fd.Read(scratch)
+			out = append(out, scratch[:n]...)
+		}
 		if err != nil || n == 0 {
 			return out, nil
 		}

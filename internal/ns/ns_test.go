@@ -131,6 +131,76 @@ func TestWriteFileHelper(t *testing.T) {
 	}
 }
 
+// sizedFile stats as length bytes long whatever it holds, as a file
+// that grew after its stat does and as a device file (length 0) does,
+// and records the length of every read.
+type sizedFile struct {
+	length int64
+	data   []byte
+	reads  []int
+}
+
+func (f *sizedFile) Stat() (vfs.Dir, error) {
+	return vfs.Dir{Name: "f", Mode: 0444, Length: f.length}, nil
+}
+func (f *sizedFile) Walk(string) (vfs.Node, error) { return nil, vfs.ErrNotDir }
+func (f *sizedFile) Open(int) (vfs.Handle, error)  { return f, nil }
+func (f *sizedFile) Write([]byte, int64) (int, error) {
+	return 0, vfs.ErrPerm
+}
+func (f *sizedFile) Close() error { return nil }
+
+func (f *sizedFile) Read(p []byte, off int64) (int, error) {
+	f.reads = append(f.reads, len(p))
+	if off >= int64(len(f.data)) {
+		return 0, nil
+	}
+	return copy(p, f.data[off:]), nil
+}
+
+// TestReadFileSizedFromStat: ReadFile reads whole whatever the stat
+// said — the length, more than it (a file that grew), or nothing (a
+// device file) — and every read it makes is 8 KiB long, so nothing on
+// a wire below it changes with the sizing.
+func TestReadFileSizedFromStat(t *testing.T) {
+	data := make([]byte, 20000)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	for _, tc := range []struct {
+		name   string
+		length int64
+		reads  int
+	}{
+		{"exact", 20000, 4},
+		{"grown", 100, 4},
+		{"device", 0, 4},
+		{"chunk", 8192, 2},
+	} {
+		f := &sizedFile{length: tc.length, data: data}
+		if tc.name == "chunk" {
+			f.data = data[:8192]
+		}
+		nsp, _ := newNS(t)
+		if err := nsp.MountNode(f, "/f", MREPL); err != nil {
+			t.Fatal(err)
+		}
+		b, err := nsp.ReadFile("/f")
+		if err != nil || string(b) != string(f.data) {
+			t.Errorf("%s: read %d bytes, %v; want %d", tc.name, len(b), err, len(f.data))
+		}
+		if len(f.reads) != tc.reads {
+			t.Errorf("%s: %d reads, want %d", tc.name, len(f.reads), tc.reads)
+		}
+		for _, n := range f.reads {
+			if n != readChunk {
+				t.Errorf("%s: reads of %v bytes, want every one %d", tc.name, f.reads, readChunk)
+				break
+			}
+		}
+	}
+}
+
 func TestMountReplacesTree(t *testing.T) {
 	nsp, fs := newNS(t)
 	fs.MkdirAll("net", 0775)

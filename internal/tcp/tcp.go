@@ -111,11 +111,20 @@ func (p *Proto) NewConn() (xport.Conn, error) { return p.newConn(), nil }
 func (p *Proto) newConn() *Conn {
 	c := &Conn{proto: p}
 	c.Init(&p.Table, c)
-	c.due.Init(p.Ck, &c.Mu, deathTime, c.dueLocked, c.timeoutLocked, func() {
-		c.Err = vfs.ErrTimedOut
-		c.dieLocked()
-	}, c.EndLocked)
+	c.due.Init(p.Ck, &c.Mu, deathTime, (*owner)(c))
 	return c
+}
+
+// owner is the conversation as its deadline sees it.
+type owner Conn
+
+func (o *owner) Due() time.Time { return (*Conn)(o).dueLocked() }
+func (o *owner) Fire()          { (*Conn)(o).timeoutLocked() }
+func (o *owner) End()           { o.EndLocked() }
+
+func (o *owner) Die() {
+	o.Err = vfs.ErrTimedOut
+	(*Conn)(o).dieLocked()
 }
 
 type header struct {

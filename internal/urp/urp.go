@@ -140,13 +140,22 @@ func NewClock(wire Wire, stats *Stats, ck vclock.Clock) *Conn {
 	c := &Conn{wire: wire, ck: ck, stats: stats}
 	c.rstream = streams.NewConv(1<<22, ck, c)
 	c.cond.Init(ck, &c.mu)
-	c.due.Init(ck, &c.mu, deathTime, c.dueLocked, c.timeoutLocked, func() {
-		c.mu.Unlock()
-		c.hangup()
-		c.mu.Lock()
-	}, c.endLocked)
+	c.due.Init(ck, &c.mu, deathTime, (*owner)(c))
 	wire.Receive(c.input)
 	return c
+}
+
+// owner is the conversation as its deadline sees it.
+type owner Conn
+
+func (o *owner) Due() time.Time { return (*Conn)(o).dueLocked() }
+func (o *owner) Fire()          { (*Conn)(o).timeoutLocked() }
+func (o *owner) End()           { (*Conn)(o).endLocked() }
+
+func (o *owner) Die() {
+	o.mu.Unlock()
+	(*Conn)(o).hangup()
+	o.mu.Lock()
 }
 
 // sendCell frames one cell in a pooled buffer, with capacity slack for

@@ -14,32 +14,44 @@ import (
 // clock: a later one is met by the timer running early and re-arming,
 // and one that goes away stops it.
 type Deadline struct {
-	ck             Clock
-	mu             sync.Locker
-	silence        time.Duration
-	due            func() time.Time
-	fire, die, end func()
+	ck      Clock
+	mu      sync.Locker
+	silence time.Duration
+	o       Owner
 
 	heard   time.Time // the peer last answered, or a wait on it began
 	ends    time.Time // when end runs; zero while it is not set
 	waiting bool      // due was nonzero at the last Update
 	t       *Timer
 	armed   time.Time // when t runs; zero while it is not pending
-	firing  bool      // fire, die or end is running, perhaps without mu
+	firing  bool      // Fire, Die or End is running, perhaps without mu
 }
 
-// Init readies d for an owner locked by mu that gives up on a peer
-// silent for silence. due, fire, die and end run with mu held; fire, die
-// and end may drop it around a send that parks or a lock that comes
-// before mu, and nothing overlaps them.
-func (d *Deadline) Init(ck Clock, mu sync.Locker, silence time.Duration, due func() time.Time, fire, die, end func()) {
-	d.ck, d.mu, d.silence, d.due, d.fire, d.die, d.end = ck, mu, silence, due, fire, die, end
+// Owner is what a Deadline keeps time for. Its methods run with the
+// owner's lock held; Fire, Die and End may drop it around a send that
+// parks or a lock that comes before it, and nothing overlaps them.
+type Owner interface {
+	// Due is when the next resend is due, zero while nothing is
+	// outstanding.
+	Due() time.Time
+	// Fire resends what is due.
+	Fire()
+	// Die gives up on a peer silent too long.
+	Die()
+	// End ends a close's linger, at the instant End set.
+	End()
+}
+
+// Init readies d for an owner o locked by mu that gives up on a peer
+// silent for silence.
+func (d *Deadline) Init(ck Clock, mu sync.Locker, silence time.Duration, o Owner) {
+	d.ck, d.mu, d.silence, d.o = ck, mu, silence, o
 }
 
 // Heard notes the peer answering.
 func (d *Deadline) Heard() { d.heard = d.ck.Now() }
 
-// End has end run once at at, before anything due then; a later End
+// End has the owner's End run once at at, before anything due then; a later End
 // replaces it.
 func (d *Deadline) End(at time.Time) {
 	d.ends = at
@@ -51,7 +63,7 @@ func (d *Deadline) Armed() time.Time { return d.armed }
 
 // next is the earliest of the owner's due time, death and the end.
 func (d *Deadline) next() time.Time {
-	at := d.due()
+	at := d.o.Due()
 	if !d.waiting && !at.IsZero() {
 		d.heard = d.ck.Now()
 	}
@@ -69,7 +81,7 @@ func (d *Deadline) next() time.Time {
 // timer moves to it rather than running early.
 func (d *Deadline) Update() {
 	switch at := d.next(); {
-	case d.firing: // expire updates once fire, die or end returns
+	case d.firing: // expire updates once Fire, Die or End returns
 	case at.IsZero():
 		if !d.armed.IsZero() {
 			d.t.Stop()
@@ -97,11 +109,11 @@ func (d *Deadline) expire() {
 		switch {
 		case !d.ends.IsZero() && !now.Before(d.ends):
 			d.ends = time.Time{}
-			d.end()
+			d.o.End()
 		case now.Before(d.heard.Add(d.silence)):
-			d.fire()
+			d.o.Fire()
 		default:
-			d.die()
+			d.o.Die()
 		}
 		d.firing = false
 	}

@@ -46,10 +46,10 @@ func TestRealTimerReset(t *testing.T) {
 }
 
 // owner is a conversation as far as its deadline can see: something is
-// due at at, or nothing is; fire records when it ran and settles it,
-// and so do death, which gives up on a peer silent for a minute, and
-// the end.
+// due at at, or nothing is; Fire records when it ran and settles it,
+// and so do Die, which gives up on a peer silent for a minute, and End.
 type owner struct {
+	ck                 Clock
 	mu                 sync.Mutex
 	at                 time.Time
 	fired, died, ended []time.Duration
@@ -57,21 +57,23 @@ type owner struct {
 }
 
 func newOwner(ck Clock) *owner {
-	o := &owner{}
-	o.d.Init(ck, &o.mu, time.Minute, func() time.Time { return o.at }, func() {
-		o.fired = append(o.fired, ck.Now().Sub(Epoch))
-		o.at = time.Time{}
-	}, func() {
-		o.died = append(o.died, ck.Now().Sub(Epoch))
-		o.at = time.Time{}
-	}, func() {
-		o.ended = append(o.ended, ck.Now().Sub(Epoch))
-		o.at = time.Time{}
-	})
+	o := &owner{ck: ck}
+	o.d.Init(ck, &o.mu, time.Minute, o)
 	return o
 }
 
-func (o *owner) end(at time.Time) {
+func (o *owner) Due() time.Time { return o.at }
+func (o *owner) Fire()          { o.fired = o.settle(o.fired) }
+func (o *owner) Die()           { o.died = o.settle(o.died) }
+func (o *owner) End()           { o.ended = o.settle(o.ended) }
+
+// settle records the instant in log and leaves nothing due.
+func (o *owner) settle(log []time.Duration) []time.Duration {
+	o.at = time.Time{}
+	return append(log, o.ck.Now().Sub(Epoch))
+}
+
+func (o *owner) endAt(at time.Time) {
 	o.mu.Lock()
 	o.d.End(at)
 	o.mu.Unlock()
@@ -152,18 +154,18 @@ func TestDeadlineEnd(t *testing.T) {
 	ms := func(n int) time.Time { return Epoch.Add(time.Duration(n) * time.Millisecond) }
 	v.Run(func() {
 		o.set(ms(100))
-		o.end(ms(200))
+		o.endAt(ms(200))
 		if got := o.armed(); !got.Equal(ms(100)) {
 			t.Errorf("the clock is armed for %v, want 100ms: a resend comes first", got.Sub(Epoch))
 		}
 		o.set(time.Time{})
-		o.end(ms(300))
+		o.endAt(ms(300))
 		if got := o.armed(); !got.Equal(ms(300)) {
 			t.Errorf("only the end left, yet the clock is armed for %v, want 300ms", got.Sub(Epoch))
 		}
 		v.Sleep(350 * time.Millisecond)
 		o.set(ms(500))
-		o.end(ms(500))
+		o.endAt(ms(500))
 		v.Sleep(time.Second)
 	})
 	if len(o.ended) != 2 || o.ended[0] != 300*time.Millisecond || o.ended[1] != 500*time.Millisecond || len(o.fired) != 0 {
@@ -195,6 +197,21 @@ func TestDeadlineOnRealClock(t *testing.T) {
 	}
 }
 
+// TestAllocsDeadlineInit: readying a conversation's deadline allocates
+// nothing — it takes its owner as an interface over the conversation,
+// not as closures made for it.
+func TestAllocsDeadlineInit(t *testing.T) {
+	if block.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	o := &owner{ck: Real}
+	if n := testing.AllocsPerRun(100, func() {
+		o.d.Init(o.ck, &o.mu, time.Minute, o)
+	}); n != 0 {
+		t.Errorf("Deadline.Init allocates %.1f objects, want 0", n)
+	}
+}
+
 // TestAllocsDeadlineUpdate: moving a deadline later, earlier, or away,
 // or setting its end, allocates nothing — the timer is stopped and reset
 // in place.
@@ -207,7 +224,7 @@ func TestAllocsDeadlineUpdate(t *testing.T) {
 	v.Run(func() {
 		if n := testing.AllocsPerRun(200, func() {
 			now := v.Now()
-			o.end(now.Add(3 * time.Second))
+			o.endAt(now.Add(3 * time.Second))
 			o.set(now.Add(time.Second))
 			o.set(now.Add(2 * time.Second))
 			o.set(now.Add(time.Millisecond))

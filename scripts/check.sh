@@ -176,14 +176,18 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # buffer (ninep TestAllocsRreadRoundTrip, TestAllocsTwriteRoundTrip), a
 # write-behind that copies a sequential write into a buffer of its own
 # (mnt TestAllocsWriteBehind), a call to an echo service past its
-# bytes-per-dial bound, dial to hangup (core TestAllocsDialBytes), a
-# Cyclone receive that copies or draws a buffer instead of wrapping the
-# one the fiber delivered (cyclone TestAllocsReceive), a name walk that
-# allocates beyond the nodes it returns (ns TestAllocsResolve), a
-# conversation directory that builds more than the file walked to
-# (netdev TestAllocsConvWalk), or a conversation's stream that costs
-# more than one object, or a pushed module more than one for its two
-# queues (streams TestAllocsConvStream), or a whole frame coming up
+# bytes- or objects-per-dial bound, dial to hangup (core
+# TestAllocsDialBytes), a Cyclone receive that copies or draws a buffer
+# instead of wrapping the one the fiber delivered (cyclone
+# TestAllocsReceive), a name walk that allocates beyond the nodes it
+# returns (ns TestAllocsResolve), a conversation directory that a repeat
+# walk builds again instead of returning the tenancy's generated nodes
+# (netdev and devtree TestAllocsConvWalk), a query file that joins an
+# answer line to its newline on every read (devtree
+# TestAllocsQueryRead), a deadline made of closures over its
+# conversation (vclock TestAllocsDeadlineInit), or a conversation's
+# stream that costs more than one object, or a pushed module more than
+# one for its two queues (streams TestAllocsConvStream), or a whole frame coming up
 # through the splitter that is copied, or costs more than its
 # expansion block (streams TestAllocsSplitWholeFrame), or a refusing
 # put that allocates, whether it queues or refuses (streams
@@ -195,7 +199,7 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # twelve times an Alloc/Free pair (BenchmarkAllocFree16K, 68 -> 857 ns
 # on a 2-CPU host), so only the race build above pays for it, and these
 # gates and the benchmark measure the allocator as it ships.
-go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ccache ./internal/ninep ./internal/mnt ./internal/core ./internal/cs ./internal/tcp ./internal/urp ./internal/vclock ./internal/ether ./internal/il ./internal/ns ./internal/netdev ./internal/cyclone
+go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ccache ./internal/ninep ./internal/mnt ./internal/core ./internal/cs ./internal/tcp ./internal/urp ./internal/vclock ./internal/ether ./internal/il ./internal/ns ./internal/netdev ./internal/devtree ./internal/cyclone
 
 echo "== chaos: 100-seed sweep"
 # The discrete-event clock makes a whole seed sweep affordable: every
