@@ -20,11 +20,14 @@ const maxDialBytes = 12 << 10
 // maxDialObjects bounds the objects of one such call, per network. A
 // conversation directory generated afresh for every walk, a ctl file's
 // closures, or a deadline's, put a call back at 104 (dk) and 78 (il,
-// tcp).
+// tcp); a Datakit circuit built as two pipes with mailboxes and
+// closures, URP ends that box their wire and grow their windows, a
+// deadline whose first arm makes a closure, or cs answers read into a
+// string a line, put it back at 74 (dk) and 48 (il, tcp).
 var maxDialObjects = map[string]uint64{
-	"dk!nj/astro/helix!echo": 74,
-	"il!helix!echo":          48,
-	"tcp!helix!echo":         48,
+	"dk!nj/astro/helix!echo": 47,
+	"il!helix!echo":          40,
+	"tcp!helix!echo":         40,
 }
 
 // TestAllocsDialBytes: the per-dial gate. On the virtual clock a call —

@@ -152,15 +152,17 @@ func crc16(p []byte) uint16 {
 // fcsLen is the per-cell frame check sequence the hardware appends.
 const fcsLen = 2
 
-// duplexWire adapts a medium.Duplex to urp.Wire, modeling the Datakit
-// hardware framing: every cell carries a CRC-16 FCS. A cell damaged
-// in flight fails the check and is discarded as if lost — URP never
-// sees corrupt data (its cells carry no checksum of their own; the
-// real hardware made the same promise), and it recovers the gap with
-// its REJ/ENQ machinery. Only an impaired circuit can damage a cell,
-// so only there is the CRC computed and checked; elsewhere the two FCS
-// bytes still go on the wire, so the cell's wire time is the same.
-type duplexWire struct {
+// end is one end of a call: the URP engine and, under it, the Datakit
+// hardware's framing of its side of the circuit, in one allocation.
+// Every cell carries a CRC-16 FCS. A cell damaged in flight fails the
+// check and is discarded as if lost — URP never sees corrupt data (its
+// cells carry no checksum of their own; the real hardware made the
+// same promise), and it recovers the gap with its REJ/ENQ machinery.
+// Only an impaired circuit can damage a cell, so only there is the CRC
+// computed and checked; elsewhere the two FCS bytes still go on the
+// wire, so the cell's wire time is the same.
+type end struct {
+	urp  urp.Conn
 	d    *medium.Duplex
 	errs *atomic.Int64
 }
@@ -168,44 +170,43 @@ type duplexWire struct {
 // SendCell frames the cell in place: URP hands over a pool-backed cell
 // with capacity slack, so appending the FCS reuses the same buffer and
 // the framed cell goes on the line with no wire copy, never parking.
-func (w duplexWire) SendCell(p []byte) time.Time {
+func (e *end) SendCell(p []byte) time.Time {
 	var fcs uint16
-	if w.d.Impaired() {
+	if e.d.Impaired() {
 		fcs = crc16(p)
 	}
-	return w.d.Put(append(p, byte(fcs>>8), byte(fcs)))
+	return e.d.Put(append(p, byte(fcs>>8), byte(fcs)))
 }
 
-// Receive puts the hardware's FCS check in front of input, on the
-// circuit's delay line. A cell that fails it goes back to the pool.
-func (w duplexWire) Receive(input func([]byte, error)) {
-	w.d.Receive(func(cell []byte, err error) {
-		if err == nil {
-			var ok bool
-			if cell, ok = w.check(cell); !ok {
-				block.PutBytes(cell)
-				return
-			}
+// receive is the circuit's receiver, on its delivery process: the
+// hardware's FCS check in front of URP. A cell that fails it goes back
+// to the pool.
+func (e *end) receive(cell []byte, err error) {
+	if err == nil {
+		var ok bool
+		if cell, ok = e.check(cell); !ok {
+			block.PutBytes(cell)
+			return
 		}
-		input(cell, err)
-	})
+	}
+	e.urp.Input(cell, err)
 }
 
 // check is the hardware's receive-side FCS check: it returns the cell
 // without its FCS, or false, and counts an error, for a cell too short
 // to carry one or, on an impaired circuit, whose last two bytes are not
 // the CRC of the rest.
-func (w duplexWire) check(cell []byte) ([]byte, bool) {
+func (e *end) check(cell []byte) ([]byte, bool) {
 	n := len(cell) - fcsLen
-	if n < 0 || w.d.Impaired() && crc16(cell[:n]) != uint16(cell[n])<<8|uint16(cell[n+1]) {
-		w.errs.Add(1)
+	if n < 0 || e.d.Impaired() && crc16(cell[:n]) != uint16(cell[n])<<8|uint16(cell[n+1]) {
+		e.errs.Add(1)
 		return cell, false
 	}
 	return cell[:n], true
 }
 
-func (w duplexWire) Close() error {
-	w.d.Close()
+func (e *end) Close() error {
+	e.d.Close()
 	return nil
 }
 
@@ -245,9 +246,13 @@ func (p *Proto) Clock() vclock.Clock { return p.host.sw.profile.Clock }
 // Name implements xport.Proto.
 func (p *Proto) Name() string { return "dk" }
 
-// engine starts URP on one end of a circuit, keeping p's books.
+// engine starts URP on one end of a circuit, keeping p's books, and
+// makes it the end's receiver before anyone writes.
 func (p *Proto) engine(d *medium.Duplex) *urp.Conn {
-	return urp.NewClock(duplexWire{d, &p.FCSErrs}, &p.Stats, d.Clock())
+	e := &end{d: d, errs: &p.FCSErrs}
+	e.urp.Init(e, &p.Stats, d.Clock())
+	d.Receive(e.receive)
+	return &e.urp
 }
 
 // NewConn implements xport.Proto.

@@ -56,7 +56,7 @@ func FuzzCellFCS(f *testing.F) {
 	d, peer := medium.NewDuplex(medium.Profile{Clock: v, Impair: medium.Impairment{Record: true}})
 	f.Cleanup(func() { v.Run(func() { d.Close(); peer.Close() }) })
 	var errs atomic.Int64
-	w := duplexWire{d, &errs}
+	w := &end{d: d, errs: &errs}
 	if !d.Impaired() {
 		f.Fatal("the circuit is not impaired, so nothing checks the FCS")
 	}

@@ -9,12 +9,15 @@
 package dialer
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"path"
+	"slices"
 	"strings"
 
+	"repro/internal/block"
 	"repro/internal/netmsg"
 	"repro/internal/ns"
 	"repro/internal/vfs"
@@ -90,9 +93,10 @@ func (c *Conn) addr(nsp *ns.Namespace, file string) string {
 	return strings.TrimSpace(string(b))
 }
 
-// csLines asks /net/cs to translate dest, returning "clone message"
-// lines.
-func csLines(nsp *ns.Namespace, dest string) ([]string, error) {
+// csLines asks /net/cs to translate dest and returns its answers,
+// "clone message" lines, as one string: every answer is read through
+// one pooled buffer, a line and its newline a read.
+func csLines(nsp *ns.Namespace, dest string) (string, error) {
 	fd, err := nsp.Open("/net/cs/cs", vfs.ORDWR)
 	if err != nil {
 		// No connection server: fall back to a direct translation
@@ -105,42 +109,45 @@ func csLines(nsp *ns.Namespace, dest string) ([]string, error) {
 		// cyclone device): fall back to the direct form.
 		return directTranslate(dest)
 	}
-	var lines []string
-	buf := make([]byte, 512)
+	const chunk = 512 // what each read asks for
+	buf := block.GetBytes(2 * chunk)[:0]
 	for {
-		n, err := fd.ReadAt(buf, 0)
+		buf = slices.Grow(buf, chunk)
+		n, err := fd.ReadAt(buf[len(buf):len(buf)+chunk], 0)
 		if n == 0 || err != nil {
 			break
 		}
-		lines = append(lines, strings.TrimSpace(string(buf[:n])))
+		buf = buf[:len(buf)+n]
 	}
-	if len(lines) == 0 {
+	answers := string(buf)
+	block.PutBytes(buf)
+	if answers == "" {
 		return directTranslate(dest)
 	}
-	return lines, nil
+	return answers, nil
 }
 
 // directTranslate handles explicit "proto!addr!service" destinations
 // without a connection server.
-func directTranslate(dest string) ([]string, error) {
-	parts := strings.Split(dest, "!")
-	if len(parts) < 2 || parts[0] == "net" {
-		return nil, ErrNoDest
+func directTranslate(dest string) (string, error) {
+	proto, addr, ok := strings.Cut(dest, "!")
+	if !ok || proto == "net" {
+		return "", ErrNoDest
 	}
-	addr := strings.Join(parts[1:], "!")
-	return []string{"/net/" + parts[0] + "/clone " + addr}, nil
+	return "/net/" + proto + "/clone " + addr, nil
 }
 
 // convDir reads the conversation number from ctl, a clone or listen
 // file just opened, and returns the conversation's directory in dir.
 // what names the read in an error.
 func convDir(ctl *ns.FD, dir, what string) (string, error) {
-	buf := make([]byte, 32)
+	buf := block.GetBytes(32)
+	defer block.PutBytes(buf)
 	n, err := ctl.ReadAt(buf, 0)
 	if err != nil || n == 0 {
 		return "", fmt.Errorf("%s: %v", what, err)
 	}
-	return dir + "/" + strings.TrimSpace(string(buf[:n])), nil
+	return dir + "/" + string(bytes.TrimSpace(buf[:n])), nil
 }
 
 // cloneConv opens a clone file, finds the new conversation's
@@ -186,13 +193,13 @@ func Dial(nsp *ns.Namespace, dest string) (*Conn, error) {
 // translation CS gives for dest until one succeeds, and returns the
 // last failure.
 func eachClone(nsp *ns.Namespace, dest string, try func(clone, addr string) error) error {
-	lines, err := csLines(nsp, dest)
+	answers, err := csLines(nsp, dest)
 	if err != nil {
 		return err
 	}
 	err = ErrNoDest
-	for _, line := range lines {
-		if clone, addr, ok := strings.Cut(line, " "); ok {
+	for line := range strings.Lines(answers) {
+		if clone, addr, ok := strings.Cut(strings.TrimSpace(line), " "); ok {
 			if err = try(clone, addr); err == nil {
 				return nil
 			}

@@ -9,9 +9,9 @@ import (
 )
 
 func TestDirectTranslateWithoutCS(t *testing.T) {
-	lines, err := directTranslate("tcp!1.2.3.4!999")
-	if err != nil || len(lines) != 1 || lines[0] != "/net/tcp/clone 1.2.3.4!999" {
-		t.Errorf("directTranslate: %v, %v", lines, err)
+	line, err := directTranslate("tcp!1.2.3.4!999")
+	if err != nil || line != "/net/tcp/clone 1.2.3.4!999" {
+		t.Errorf("directTranslate: %q, %v", line, err)
 	}
 	if _, err := directTranslate("net!host!svc"); err == nil {
 		t.Error("net! without cs translated")

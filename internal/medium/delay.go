@@ -15,10 +15,19 @@ import (
 // that instant plus the propagation delay, many items in flight.
 type Delay[T any] struct {
 	ck      vclock.Clock
-	q       *vclock.Mailbox[timed[T]]
-	arrive  func(T)
+	q       vclock.Mailbox[timed[T]]
+	to      arriver[T]
 	started atomic.Bool
 }
+
+// arriver takes each item off a line at its instant. A Pipe is one, so
+// the line inside it needs no closure to reach it.
+type arriver[T any] interface{ arrive(T) }
+
+// arriveFunc is a func as an arriver.
+type arriveFunc[T any] func(T)
+
+func (f arriveFunc[T]) arrive(v T) { f(v) }
 
 type timed[T any] struct {
 	v  T
@@ -32,7 +41,15 @@ type timed[T any] struct {
 // costs one wake; only an item due later waits on the clock. A bound
 // > 0 caps the items waiting on the line; bound <= 0 is unbounded.
 func NewDelay[T any](ck vclock.Clock, bound int, arrive func(T)) *Delay[T] {
-	return &Delay[T]{ck: ck, q: vclock.NewMailbox[timed[T]](ck, bound), arrive: arrive}
+	d := new(Delay[T])
+	d.init(ck, bound, arriveFunc[T](arrive))
+	return d
+}
+
+// init readies a line held inside its owner, delivering to to.
+func (d *Delay[T]) init(ck vclock.Clock, bound int, to arriver[T]) {
+	d.ck, d.to = ck, to
+	d.q.Init(ck, bound)
 }
 
 func (d *Delay[T]) run() {
@@ -44,7 +61,7 @@ func (d *Delay[T]) run() {
 		if t.at.After(d.ck.Now()) {
 			d.ck.SleepUntil(t.at)
 		}
-		d.arrive(t.v)
+		d.to.arrive(t.v)
 	}
 }
 

@@ -59,31 +59,49 @@ type Pipe struct {
 	closed  atomic.Bool
 
 	line  Pacer
-	delay *Delay[[]byte]
-	recv  func(msg []byte, err error) // the receiver, run by the line's process
-	queue *vclock.Mailbox[[]byte]     // the default receiver, which Recv reads
+	delay Delay[[]byte]
+	recv  func(msg []byte, err error) // the receiver Receive installed; nil: the mailbox
+
+	// queue is the default receiver, which Recv reads. It is built the
+	// first time a pipe with no receiver needs it, so a pipe whose
+	// receiver is installed before traffic never has one.
+	once  sync.Once
+	queue *vclock.Mailbox[[]byte]
 }
 
 // NewPipe creates a pipe with the given profile, delivering to a
 // mailbox that Recv reads until Receive installs another receiver.
 func NewPipe(p Profile) *Pipe {
-	ck := vclock.Or(p.Clock)
-	pipe := &Pipe{profile: p, ck: ck, queue: vclock.NewMailbox[[]byte](ck, 1024)}
+	pipe := new(Pipe)
+	pipe.init(p)
+	return pipe
+}
+
+// init readies a pipe held inside its owner.
+func (pipe *Pipe) init(p Profile) {
+	pipe.profile, pipe.ck = p, vclock.Or(p.Clock)
 	if p.Impair.Armed(p.Loss) {
 		pipe.im = NewImpairer(p.Seed+1, p.Loss, p.Impair)
 	}
-	pipe.recv = func(msg []byte, err error) {
-		if err != nil {
-			pipe.queue.Close()
-			return
-		}
-		// A full mailbox parks the line; a closed one takes nothing.
-		if pipe.queue.Send(msg) != nil {
-			block.PutBytes(msg)
-		}
+	pipe.delay.init(pipe.ck, 1024, pipe)
+}
+
+// mailbox returns the default receiver, building it on first use.
+func (p *Pipe) mailbox() *vclock.Mailbox[[]byte] {
+	p.once.Do(func() { p.queue = vclock.NewMailbox[[]byte](p.ck, 1024) })
+	return p.queue
+}
+
+// arrive hands msg, at its instant on the line, to the receiver.
+func (p *Pipe) arrive(msg []byte) {
+	if p.recv != nil {
+		p.recv(msg, nil)
+		return
 	}
-	pipe.delay = NewDelay(ck, 1024, func(msg []byte) { pipe.recv(msg, nil) })
-	return pipe
+	// A full mailbox parks the line; a closed one takes nothing.
+	if p.mailbox().Send(msg) != nil {
+		block.PutBytes(msg)
+	}
 }
 
 // Receive installs recv as the pipe's receiver in place of its mailbox.
@@ -228,7 +246,7 @@ func (p *Pipe) ImpairCounts() Counts {
 // Recv blocks for the next message the default receiver took. After
 // Close it drains what was already delivered, then fails.
 func (p *Pipe) Recv() ([]byte, error) {
-	m, ok := p.queue.Recv()
+	m, ok := p.mailbox().Recv()
 	if !ok {
 		return nil, ErrClosed
 	}
@@ -248,20 +266,36 @@ func (p *Pipe) Close() {
 	if p.im != nil {
 		p.im.Close()
 	}
-	p.recv(nil, ErrClosed)
+	if p.recv != nil {
+		p.recv(nil, ErrClosed)
+	} else {
+		p.mailbox().Close()
+	}
 }
 
-// Duplex is a bidirectional message link built from two pipes.
+// Duplex is one end of a bidirectional message link built from two
+// pipes.
 type Duplex struct {
 	tx *Pipe
 	rx *Pipe
 }
 
-// NewDuplex returns the two ends of a link, each with profile p.
+// circuit is a whole link: both pipes, their lines inside them, and
+// both ends, in one allocation.
+type circuit struct {
+	ab, ba Pipe
+	a, b   Duplex
+}
+
+// NewDuplex returns the two ends of a link, each direction with
+// profile p.
 func NewDuplex(p Profile) (*Duplex, *Duplex) {
-	ab := NewPipe(p)
-	ba := NewPipe(p)
-	return &Duplex{tx: ab, rx: ba}, &Duplex{tx: ba, rx: ab}
+	c := new(circuit)
+	c.ab.init(p)
+	c.ba.init(p)
+	c.a = Duplex{tx: &c.ab, rx: &c.ba}
+	c.b = Duplex{tx: &c.ba, rx: &c.ab}
+	return &c.a, &c.b
 }
 
 // Send transmits toward the peer end.

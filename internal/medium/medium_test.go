@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/vclock"
 )
 
@@ -244,6 +245,52 @@ func TestDuplex(t *testing.T) {
 		}
 		if a.MTU() != 0 {
 			t.Errorf("unlimited MTU = %d", a.MTU())
+		}
+	})
+}
+
+// TestAllocsReceiverBeforeTraffic: a pipe and a duplex whose receivers
+// are installed before traffic never build the default mailbox, and
+// once their lines' rings have grown, a send and its delivery allocate
+// nothing. (TestPipeOrderedDelivery keeps the bare pipe's path, NewPipe
+// then Send then Recv, delivering every message in order.)
+func TestAllocsReceiverBeforeTraffic(t *testing.T) {
+	if block.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	onVirtual(func(ck *vclock.Virtual) {
+		p := NewPipe(Profile{Clock: ck})
+		a, b := NewDuplex(Profile{Clock: ck, Latency: time.Millisecond})
+		heard := 0
+		recv := func(m []byte, err error) {
+			if err == nil {
+				heard++
+				block.PutBytes(m)
+			}
+		}
+		p.Receive(recv)
+		a.Receive(recv)
+		b.Receive(recv)
+		msg := make([]byte, 64)
+		const runs = 100
+		allocs := testing.AllocsPerRun(runs, func() {
+			p.Send(msg)
+			a.Send(msg)
+			b.Send(msg)
+			ck.Sleep(2 * time.Millisecond)
+		})
+		p.Close()
+		a.Close()
+		if allocs != 0 {
+			t.Errorf("a send and its delivery allocate %.1f objects, want 0", allocs)
+		}
+		if want := 3 * (runs + 1); heard != want {
+			t.Errorf("%d messages delivered, want %d", heard, want)
+		}
+		for _, pipe := range []*Pipe{p, a.tx, a.rx} {
+			if pipe.queue != nil {
+				t.Error("a pipe with its receiver installed built the default mailbox")
+			}
 		}
 	})
 }

@@ -3,7 +3,6 @@ package ninep
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -96,8 +95,10 @@ type Client struct {
 	nextFid uint32
 	err     error
 	// free chains the finished Pendings through their next fields,
-	// for the next RPC to reuse.
-	free *Pending
+	// for the next RPC to reuse. It starts as first, so a client whose
+	// RPCs never overlap more than a window's worth makes no Pending.
+	free  *Pending
+	first [DefaultWindow]Pending
 
 	// Mount-driver observability: RPC count and latency, Tflush count,
 	// and the in-flight window high-water mark. The mnt device renders
@@ -106,7 +107,6 @@ type Client struct {
 	Flushes  atomic.Int64
 	RPCHist  obs.Hist
 	WindowHW obs.Watermark
-	stats    *obs.Group
 }
 
 // NewClient starts a 9P client on conn, configured by cfg, and
@@ -121,11 +121,9 @@ func NewClient(conn MsgConn, cfg ClientConfig) (*Client, error) {
 	}
 	cl.wmu.Init(cl.ck)
 	cl.tagFree.Init(cl.ck, &cl.mu)
-	cl.stats = new(obs.Group).
-		AddAtomic("rpcs", &cl.RPCs).
-		AddAtomic("flushes", &cl.Flushes).
-		Add("window-max", cl.WindowHW.Load).
-		AddHist("rpc", &cl.RPCHist)
+	for i := range cl.first {
+		cl.free = cl.newPending(&cl.first[i], cl.free)
+	}
 	cl.ck.Go(cl.demux)
 	if _, err := cl.RPC(&Fcall{Type: Tsession, Chal: "repro"}); err != nil {
 		cl.Close()
@@ -140,8 +138,15 @@ func (cl *Client) Window() int { return cl.cfg.Window }
 // Clock returns the clock the client runs on.
 func (cl *Client) Clock() vclock.Clock { return cl.ck }
 
-// StatsGroup exposes the client's counters and RPC latency histogram.
-func (cl *Client) StatsGroup() *obs.Group { return cl.stats }
+// StatsGroup renders the client's counters and RPC latency histogram
+// as they stand when it is read.
+func (cl *Client) StatsGroup() *obs.Group {
+	return new(obs.Group).
+		AddAtomic("rpcs", &cl.RPCs).
+		AddAtomic("flushes", &cl.Flushes).
+		Add("window-max", cl.WindowHW.Load).
+		AddHist("rpc", &cl.RPCHist)
+}
 
 // Dead reports whether the client has failed or been closed; RPCs on a
 // dead client fail immediately without blocking.
@@ -193,7 +198,8 @@ func (cl *Client) demux() {
 // fail kills the client with err and wakes every waiter. The RPCs in
 // flight wake in tag order (issue order, until the tag space wraps),
 // so on the virtual clock a dead client fails them the same way every
-// run.
+// run. At most maxInFlight RPCs and as many Tflushes are in flight, so
+// their tags sort on the stack.
 func (cl *Client) fail(err error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -201,10 +207,16 @@ func (cl *Client) fail(err error) {
 		cl.err = err
 	}
 	cl.tagFree.Broadcast()
-	for _, tag := range slices.Sorted(maps.Keys(cl.tags)) {
-		if p := cl.tags[tag]; p != nil {
-			p.wake.Broadcast()
+	var buf [2 * maxInFlight]uint16
+	waiting := buf[:0]
+	for tag, p := range cl.tags {
+		if p != nil {
+			waiting = append(waiting, tag)
 		}
+	}
+	slices.Sort(waiting)
+	for _, tag := range waiting {
+		cl.tags[tag].wake.Broadcast()
 	}
 	clear(cl.tags)
 }
@@ -239,8 +251,7 @@ func (cl *Client) allocTag(req uint8, flushExempt bool) (*Pending, error) {
 	if p != nil {
 		cl.free, p.next = p.next, nil
 	} else {
-		p = &Pending{cl: cl}
-		p.wake.Init(cl.ck, &cl.mu)
+		p = cl.newPending(new(Pending), nil)
 	}
 	p.req = req
 	// len(tags) < maxTags here, so a free tag exists and the scan
@@ -257,6 +268,13 @@ func (cl *Client) allocTag(req uint8, flushExempt bool) (*Pending, error) {
 			return p, nil
 		}
 	}
+}
+
+// newPending readies p for cl, chained to next.
+func (cl *Client) newPending(p *Pending, next *Pending) *Pending {
+	p.cl, p.next = cl, next
+	p.wake.Init(cl.ck, &cl.mu)
+	return p
 }
 
 // recycleLocked puts the finished p on the free list. Nothing may

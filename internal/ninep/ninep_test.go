@@ -2,7 +2,9 @@ package ninep
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -330,25 +332,8 @@ func TestClientCloseWakesPendingInIssueOrder(t *testing.T) {
 		var woke []int
 		v := vclock.NewVirtual()
 		v.Run(func() {
-			a, b := NewPipe(v)
-			// The server answers the session and nothing after it.
-			v.Go(func() {
-				for {
-					msg, err := b.ReadMsg()
-					if err != nil {
-						return
-					}
-					f, err := UnmarshalFcall(msg)
-					block.PutBytes(msg)
-					if err == nil && f.Type == Tsession {
-						r, _ := MarshalFcall(&Fcall{Type: Rsession, Tag: f.Tag})
-						b.WriteMsg(r)
-					}
-				}
-			})
-			cl, err := NewClient(a, ClientConfig{Clock: v})
-			if err != nil {
-				t.Error(err)
+			cl, b := sessionOnly(t, v)
+			if cl == nil {
 				return
 			}
 			var ps []*Pending
@@ -386,6 +371,73 @@ func TestClientCloseWakesPendingInIssueOrder(t *testing.T) {
 		if len(woke) != rpcs {
 			t.Fatalf("run %d: %d of %d waiters woke", run, len(woke), rpcs)
 		}
+	}
+}
+
+// sessionOnly starts a client on v whose server answers the session and
+// nothing after it, and returns the client and the server's end.
+func sessionOnly(t *testing.T, v *vclock.Virtual) (*Client, MsgConn) {
+	a, b := NewPipe(v)
+	v.Go(func() {
+		for {
+			msg, err := b.ReadMsg()
+			if err != nil {
+				return
+			}
+			f, err := UnmarshalFcall(msg)
+			block.PutBytes(msg)
+			if err == nil && f.Type == Tsession {
+				r, _ := MarshalFcall(&Fcall{Type: Rsession, Tag: f.Tag})
+				b.WriteMsg(r)
+			}
+		}
+	})
+	cl, err := NewClient(a, ClientConfig{Clock: v})
+	if err != nil {
+		t.Error(err)
+		return nil, nil
+	}
+	return cl, b
+}
+
+// TestFailWakesInTagOrder: sixteen RPCs, more than one group of the tag
+// table's map holds, each wait in a process of their own on a server
+// that never answers, and the client is closed. Every one fails with
+// ErrConnClosed, and they return in tag order: fail walks the tags
+// sorted, not in the map's order.
+func TestFailWakesInTagOrder(t *testing.T) {
+	const rpcs = 16
+	var tags []uint16
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		cl, b := sessionOnly(t, v)
+		if cl == nil {
+			return
+		}
+		defer b.Close()
+		wg := vclock.NewWaitGroup(v)
+		for i := range rpcs {
+			wg.Add(1)
+			v.Go(func() {
+				defer wg.Done()
+				p, err := cl.RPCAsync(&Fcall{Type: Tstat, Fid: uint32(i)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tag := p.tag
+				if _, err := p.Wait(); !errors.Is(err, ErrConnClosed) {
+					t.Errorf("RPC with tag %d: %v, want ErrConnClosed", tag, err)
+				}
+				tags = append(tags, tag)
+			})
+		}
+		v.Sleep(time.Millisecond)
+		cl.Close()
+		wg.Wait()
+	})
+	if len(tags) != rpcs || !slices.IsSorted(tags) {
+		t.Fatalf("RPCs returned with tags %v, want all %d in tag order", tags, rpcs)
 	}
 }
 

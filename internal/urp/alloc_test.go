@@ -20,7 +20,7 @@ func TestAllocsWriteAck(t *testing.T) {
 	var allocs float64
 	v := vclock.NewVirtual()
 	v.Run(func() {
-		c := NewClock(&stubWire{}, nil, v)
+		c := attach(&stubWire{}, nil, v)
 		defer c.Close()
 		msg := make([]byte, BlockSize)
 		allocs = testing.AllocsPerRun(200, func() {

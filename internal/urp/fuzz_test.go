@@ -79,7 +79,7 @@ func FuzzRecv(f *testing.F) {
 		v := vclock.NewVirtual()
 		v.Run(func() {
 			w := &stubWire{}
-			c := NewClock(w, nil, v)
+			c := attach(w, nil, v)
 			defer c.Close()
 			for i := range 3 {
 				if _, err := c.Write([]byte{byte(i)}); err != nil {

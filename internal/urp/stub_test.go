@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/vclock"
 )
 
 // stubWire is a Wire driven by hand: the cells a Conn sends go
@@ -26,4 +27,19 @@ func (w *stubWire) deliver(cell []byte) {
 	p := block.GetBytes(len(cell))
 	copy(p, cell)
 	w.input(p, nil)
+}
+
+// delivering is a test wire that hands what arrives to a function, as a
+// Datakit circuit end hands it to Input.
+type delivering interface {
+	Wire
+	Receive(input func(cell []byte, err error))
+}
+
+// attach starts URP on w, with w delivering to it from the start.
+func attach(w delivering, stats *Stats, ck vclock.Clock) *Conn {
+	c := new(Conn)
+	c.Init(w, stats, ck)
+	w.Receive(c.Input)
+	return c
 }

@@ -7,8 +7,8 @@
 // and a shallow window — are exactly why URP/Datakit is the slowest
 // row of the paper's Table 1, and the simulation keeps them.
 //
-// The protocol runs over any cell transport (the Wire interface);
-// package datakit supplies circuits.
+// The protocol runs over any cell transport (the Wire interface), which
+// hands what arrives to Conn.Input; package datakit supplies circuits.
 package urp
 
 import (
@@ -28,12 +28,11 @@ import (
 // lock held and from the wire's own delivery process) and returns the
 // instant the cell's last bit leaves; the transport may extend p in
 // place within its capacity with link framing such as an FCS, and URP
-// builds cells with tail slack for exactly that. Receive installs the
-// function the transport runs with each arriving cell, which it hands
-// over, and once with an error when it closes.
+// builds cells with tail slack for exactly that. The transport hands
+// each arriving cell to the Conn's Input, and an error once when it
+// closes.
 type Wire interface {
 	SendCell(p []byte) time.Time
-	Receive(func(cell []byte, err error))
 	Close() error
 }
 
@@ -93,14 +92,16 @@ type Conn struct {
 	// Sender: blocks [sndUna, sndNxt) are in flight (mod-8).
 	sndUna   int
 	sndNxt   int
-	unacked  []sentBlock // parallel to seq range
+	unacked  []sentBlock // parallel to seq range; Write never grows it past window
+	window   [Window]sentBlock
 	lastSend time.Time
 	enqSent  bool
 	// retransNeeded has the deadline resend the window, so a volley of
 	// REJs costs one go-back-N pass, not one per REJ.
 	retransNeeded bool
 
-	// Receiver.
+	// Receiver. reassembly is a pooled buffer, moved up a size class
+	// when a message outgrows it and handed up as the message's block.
 	rcvNext    int
 	reassembly []byte
 	// rejSent damps the REJ flood: one REJ per gap, cleared when
@@ -130,19 +131,20 @@ type sentBlock struct {
 	data  []byte
 }
 
-// NewClock starts URP on a wire, with ck driving the protocol timers
-// (enquiry, retransmit, death), and installs the engine as the wire's
-// receiver. stats may be nil.
-func NewClock(wire Wire, stats *Stats, ck vclock.Clock) *Conn {
+// Init starts URP on a wire, in place on a Conn its owner holds (a
+// Datakit call's end), with ck driving the protocol timers (enquiry,
+// retransmit, death). stats may be nil. The wire's owner hands what
+// arrives to Input from before the first write. The Conn must not be
+// copied afterwards.
+func (c *Conn) Init(wire Wire, stats *Stats, ck vclock.Clock) {
 	if stats == nil {
 		stats = &Stats{}
 	}
-	c := &Conn{wire: wire, ck: ck, stats: stats}
+	c.wire, c.ck, c.stats = wire, ck, stats
+	c.unacked = c.window[:0]
 	c.rstream = streams.NewConv(1<<22, ck, c)
 	c.cond.Init(ck, &c.mu)
 	c.due.Init(ck, &c.mu, deathTime, (*owner)(c))
-	wire.Receive(c.input)
-	return c
 }
 
 // owner is the conversation as its deadline sees it.
@@ -222,12 +224,12 @@ func (c *Conn) Read(p []byte) (int, error) { return c.rstream.Read(p) }
 // Stream returns the circuit's stream, whose device end is Write.
 func (c *Conn) Stream() *streams.Stream { return c.rstream }
 
-// input takes one cell off the wire, on the wire's delivery process:
+// Input takes one cell off the wire, on the wire's delivery process:
 // the receive half of the protocol runs there, with no process of its
-// own. The cell is the Conn's; recvData copies at both of its
-// boundaries, so it recycles as soon as the switch returns. An error
-// means the wire has closed.
-func (c *Conn) input(cell []byte, err error) {
+// own. The cell is the Conn's; recvData copies out what it keeps, so
+// the cell recycles as soon as the switch returns. An error means the
+// wire has closed.
+func (c *Conn) Input(cell []byte, err error) {
 	if err != nil {
 		c.hangup()
 		return
@@ -302,15 +304,14 @@ func (c *Conn) recvData(seq int, flags byte, data []byte) {
 		c.sendCell(cellAck, next, 0, nil)
 		return
 	}
-	c.reassembly = append(c.reassembly, data...)
+	c.reassemble(data)
 	var msg *block.Block
 	if flags&flagEOM != 0 {
-		// Hand up a pooled copy and keep the scratch for the next
-		// message: the reassembly buffer grows to the message size
-		// once per circuit instead of once per message.
-		msg = block.Copy(c.reassembly, 0)
+		// The reassembled message goes up as it is: the block adopts
+		// the pooled buffer, and the next message takes another.
+		msg = block.FromBytes(c.reassembly)
 		msg.Delim = true
-		c.reassembly = c.reassembly[:0]
+		c.reassembly = nil
 	}
 	next := c.rcvNext
 	c.mu.Unlock()
@@ -318,6 +319,21 @@ func (c *Conn) recvData(seq int, flags byte, data []byte) {
 		c.rstream.DeviceUp(msg)
 	}
 	c.sendCell(cellAck, next, 0, nil)
+}
+
+// reassemble appends data to the message being put back together. A
+// buffer it outgrows goes back to the pool for one of the next class.
+func (c *Conn) reassemble(data []byte) {
+	n := len(c.reassembly)
+	if n+len(data) > cap(c.reassembly) {
+		buf := block.GetBytes(n + len(data))
+		if c.reassembly != nil {
+			copy(buf, c.reassembly)
+			block.PutBytes(c.reassembly)
+		}
+		c.reassembly = buf[:n]
+	}
+	c.reassembly = append(c.reassembly, data...)
 }
 
 // recvAck drops acknowledged blocks: ack(seq) says the receiver now
@@ -339,8 +355,8 @@ func (c *Conn) recvAck(seq int, rej bool) {
 		block.PutBytes(c.unacked[k].data)
 		c.sndUna = (c.sndUna + 1) % SeqMod
 	}
-	// The rest moves to the front of the array in place (at most
-	// Window entries), so Write's append reuses it.
+	// The rest moves to the front of the window in place, so Write's
+	// append reuses it.
 	n := copy(c.unacked, c.unacked[k:])
 	clear(c.unacked[n:])
 	c.unacked = c.unacked[:n]
@@ -425,7 +441,7 @@ func (c *Conn) Close() error {
 
 // endLocked is the close's end, which the deadline runs when the linger
 // is over and, once the hangup has had 250 ms to propagate, to unplug
-// the wire; the wire's close reaches input, which marks the circuit dead.
+// the wire; the wire's close reaches Input, which marks the circuit dead.
 func (c *Conn) endLocked() {
 	c.cond.Broadcast() // the closer, waiting out the linger
 	if c.hungup {

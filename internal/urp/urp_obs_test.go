@@ -29,7 +29,7 @@ func TestWindowSevenEdge(t *testing.T) {
 	v.Run(func() {
 		tx := medium.NewPipe(medium.Profile{Clock: v})
 		silent := medium.NewPipe(medium.Profile{Clock: v})
-		a := NewClock(wire{tx, silent}, nil, v)
+		a := attach(wire{tx, silent}, nil, v)
 		defer a.Close()
 		a.Trace().Enable(v)
 
@@ -97,7 +97,7 @@ func TestEnquiryTimeout(t *testing.T) {
 		tx := medium.NewPipe(medium.Profile{Clock: v})
 		silent := medium.NewPipe(medium.Profile{Clock: v})
 		stats := &Stats{}
-		a := NewClock(wire{tx, silent}, stats, v)
+		a := attach(wire{tx, silent}, stats, v)
 		defer a.Close()
 		a.Trace().Enable(v)
 
@@ -224,8 +224,8 @@ func TestCloseUnplugsOnTime(t *testing.T) {
 	v.Run(func() {
 		ab, ba := medium.NewPipe(medium.Profile{Clock: v}), medium.NewPipe(medium.Profile{Clock: v})
 		w := &unplugged{wire: wire{ab, ba}, ck: v}
-		a := NewClock(w, nil, v)
-		b := NewClock(wire{ba, ab}, nil, v)
+		a := attach(w, nil, v)
+		b := attach(wire{ba, ab}, nil, v)
 		defer b.Close()
 		a.Write([]byte("bye"))
 		b.Read(make([]byte, 64))
@@ -255,7 +255,7 @@ func TestStuckCloseUnplugsOnTime(t *testing.T) {
 		silent := medium.NewPipe(medium.Profile{Clock: v})
 		w := &unplugged{wire: wire{tx, silent}, ck: v}
 		stats := &Stats{}
-		a := NewClock(w, stats, v)
+		a := attach(w, stats, v)
 		a.Write([]byte("unanswered"))
 		start := v.Now()
 		a.Close()

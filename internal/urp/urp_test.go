@@ -23,8 +23,8 @@ func pair(t *testing.T, p medium.Profile) (*Conn, *Conn, *Stats) {
 	t.Helper()
 	ab, ba := medium.NewPipe(p), medium.NewPipe(p)
 	stats := &Stats{}
-	ca := NewClock(wire{ab, ba}, stats, vclock.Real)
-	cb := NewClock(wire{ba, ab}, stats, vclock.Real)
+	ca := attach(wire{ab, ba}, stats, vclock.Real)
+	cb := attach(wire{ba, ab}, stats, vclock.Real)
 	t.Cleanup(func() { ca.Close(); cb.Close() })
 	return ca, cb, stats
 }
@@ -56,7 +56,7 @@ func TestWindowBlocksSender(t *testing.T) {
 	v.Run(func() {
 		tx := medium.NewPipe(medium.Profile{Clock: v})
 		silent := medium.NewPipe(medium.Profile{Clock: v}) // acks never come back
-		a := NewClock(wire{tx, silent}, nil, v)
+		a := attach(wire{tx, silent}, nil, v)
 		defer a.Close()
 		done := make(chan int, 1)
 		v.Go(func() {
@@ -116,8 +116,8 @@ func TestHangup(t *testing.T) {
 	v := vclock.NewVirtual()
 	v.Run(func() {
 		ab, ba := medium.NewPipe(medium.Profile{Clock: v}), medium.NewPipe(medium.Profile{Clock: v})
-		a := NewClock(wire{ab, ba}, &Stats{}, v)
-		b := NewClock(wire{ba, ab}, &Stats{}, v)
+		a := attach(wire{ab, ba}, &Stats{}, v)
+		b := attach(wire{ba, ab}, &Stats{}, v)
 		defer b.Close()
 		a.Write([]byte("bye"))
 		buf := make([]byte, 64)

@@ -82,6 +82,23 @@ func (t *Timer) Reset(d time.Duration) bool {
 	return t.real.Reset(d)
 }
 
+// start arms the zero Timer t in place to run tk d from now on ck: on
+// the virtual clock the event is t's own, so a timer held inside its
+// owner costs no allocation of its own, and a task over the owner no
+// closure. Any other clock is the real one, whose AfterFunc t takes
+// over.
+func (t *Timer) start(ck Clock, d time.Duration, tk task) {
+	if v, ok := ck.(*Virtual); ok {
+		t.v, t.ev = v, event{fn: tk, index: -1}
+		v.reset(&t.ev, d)
+		return
+	}
+	*t = *ck.AfterFunc(d, tk.run)
+}
+
+// started reports whether start has armed t.
+func (t *Timer) started() bool { return t.v != nil || t.real != nil }
+
 // Or returns ck, or Real when ck is nil. Only medium.NewPipe and cs.New
 // default a zero clock this way, for the host-cost probes that build
 // them without one; every other constructor wants its clock named.

@@ -12,7 +12,9 @@ import (
 // calls Update under its lock wherever that state moves, Heard when the
 // peer answers, End once it closes. Only an earlier deadline touches the
 // clock: a later one is met by the timer running early and re-arming,
-// and one that goes away stops it.
+// and one that goes away stops it. The timer lives inside the Deadline
+// and runs the Deadline itself, so arming it allocates nothing; a
+// Deadline must not be copied once armed.
 type Deadline struct {
 	ck      Clock
 	mu      sync.Locker
@@ -22,7 +24,7 @@ type Deadline struct {
 	heard   time.Time // the peer last answered, or a wait on it began
 	ends    time.Time // when end runs; zero while it is not set
 	waiting bool      // due was nonzero at the last Update
-	t       *Timer
+	t       Timer
 	armed   time.Time // when t runs; zero while it is not pending
 	firing  bool      // Fire, Die or End is running, perhaps without mu
 }
@@ -81,7 +83,7 @@ func (d *Deadline) next() time.Time {
 // timer moves to it rather than running early.
 func (d *Deadline) Update() {
 	switch at := d.next(); {
-	case d.firing: // expire updates once Fire, Die or End returns
+	case d.firing: // run updates once Fire, Die or End returns
 	case at.IsZero():
 		if !d.armed.IsZero() {
 			d.t.Stop()
@@ -89,15 +91,16 @@ func (d *Deadline) Update() {
 		}
 	case d.armed.IsZero() || at.Before(d.armed) || at.Equal(d.ends) && !at.Equal(d.armed):
 		d.armed = at
-		if d.t == nil {
-			d.t = d.ck.AfterFunc(at.Sub(d.ck.Now()), d.expire)
-		} else {
+		if d.t.started() {
 			d.t.Reset(at.Sub(d.ck.Now()))
+		} else {
+			d.t.start(d.ck, at.Sub(d.ck.Now()), d)
 		}
 	}
 }
 
-func (d *Deadline) expire() {
+// run is the timer's expiry: what is due at the instant it runs.
+func (d *Deadline) run() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.firing {

@@ -235,3 +235,24 @@ func TestAllocsDeadlineUpdate(t *testing.T) {
 		}
 	})
 }
+
+// TestAllocsDeadlineFirstArm: a conversation's first resend arms its
+// deadline's clock timer without allocating — the timer is held inside
+// the Deadline and runs it as a task, not through a closure made for it.
+func TestAllocsDeadlineFirstArm(t *testing.T) {
+	if block.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	v := NewVirtual()
+	o := &owner{ck: v}
+	v.Run(func() {
+		if n := testing.AllocsPerRun(200, func() {
+			o.d = Deadline{} // stopped below, so no event points into it
+			o.d.Init(v, &o.mu, time.Minute, o)
+			o.set(v.Now().Add(time.Second))
+			o.set(time.Time{})
+		}); n != 0 {
+			t.Errorf("arming a fresh deadline allocates %.1f objects, want 0", n)
+		}
+	})
+}

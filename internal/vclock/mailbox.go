@@ -33,10 +33,18 @@ type Mailbox[T any] struct {
 // NewMailbox returns a Mailbox bound to ck (nil means Real) holding at
 // most bound items; bound <= 0 means unbounded (Send never blocks).
 func NewMailbox[T any](ck Clock, bound int) *Mailbox[T] {
-	m := &Mailbox[T]{bound: bound}
+	m := new(Mailbox[T])
+	m.Init(ck, bound)
+	return m
+}
+
+// Init readies a Mailbox held inside its owner, as NewMailbox readies
+// one of its own. It must be called before any other method, and the
+// Mailbox must not be copied afterwards.
+func (m *Mailbox[T]) Init(ck Clock, bound int) {
+	m.bound = bound
 	m.ne.Init(ck, &m.mu)
 	m.nf.Init(ck, &m.mu)
-	return m
 }
 
 func (m *Mailbox[T]) pushLocked(v T) {

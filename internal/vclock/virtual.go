@@ -45,7 +45,7 @@ type Virtual struct {
 // allocates only its closure.
 type gor struct {
 	wake chan struct{} // the token, handed to this goroutine
-	fn   func()        // what Go handed it to run next; nil ends an idle goroutine
+	fn   task          // what Go handed it to run next; nil ends an idle goroutine
 	next *gor          // run queue, Cond waiters or free list
 	ev   event         // the timer Sleep and SleepUntil park on
 	op   string        // the primitive it last parked in
@@ -104,9 +104,20 @@ type event struct {
 	at    int64
 	seq   uint64
 	g     *gor
-	fn    func()
+	fn    task
 	index int
 }
+
+// task is what a machine goroutine runs: a func handed to Go or
+// AfterFunc, or a Deadline's expiry, which an interface over the
+// Deadline carries with no closure made for it.
+type task interface{ run() }
+
+// funcTask is a func as a task. A func value fits an interface as it
+// is, so the conversion allocates nothing.
+type funcTask func()
+
+func (f funcTask) run() { f() }
 
 type eventHeap []*event
 
@@ -277,13 +288,13 @@ func (v *Virtual) park(g *gor) {
 // Go registers and starts a machine goroutine.
 func (v *Virtual) Go(f func()) {
 	v.mu.Lock()
-	v.goLocked(f)
+	v.goLocked(funcTask(f))
 	v.mu.Unlock()
 }
 
 // goLocked queues f on an idle host goroutine, or on a new one when
 // none is idle.
-func (v *Virtual) goLocked(f func()) {
+func (v *Virtual) goLocked(f task) {
 	g := v.free.pop()
 	if g == nil {
 		g = &gor{wake: make(chan struct{}, 1)}
@@ -315,7 +326,7 @@ func (v *Virtual) call(g *gor) (again bool) {
 	g.fn = nil
 	returned := false
 	defer func() { again = v.exit(g, returned) }()
-	f()
+	f.run()
 	returned = true
 	return
 }
@@ -451,8 +462,8 @@ func (v *Virtual) SleepUntil(t time.Time) {
 // AfterFunc implements Clock: f runs as a fresh machine goroutine when
 // virtual time reaches now+d.
 func (v *Virtual) AfterFunc(d time.Duration, f func()) *Timer {
-	t := &Timer{v: v, ev: event{fn: f, index: -1}}
-	t.Reset(d)
+	t := new(Timer)
+	t.start(v, d, funcTask(f))
 	return t
 }
 

@@ -185,7 +185,12 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # (netdev and devtree TestAllocsConvWalk), a query file that joins an
 # answer line to its newline on every read (devtree
 # TestAllocsQueryRead), a deadline made of closures over its
-# conversation (vclock TestAllocsDeadlineInit), or a conversation's
+# conversation (vclock TestAllocsDeadlineInit) or whose first arm
+# makes one (vclock TestAllocsDeadlineFirstArm), a pipe with its
+# receiver installed that builds the default mailbox or allocates per
+# send beyond its line's ring (medium TestAllocsReceiverBeforeTraffic),
+# an import past its objects-per-import bound, dial to unmount, over
+# Datakit (exportfs TestAllocsImport), or a conversation's
 # stream that costs more than one object, or a pushed module more than
 # one for its two queues (streams TestAllocsConvStream), or a whole frame coming up
 # through the splitter that is copied, or costs more than its
@@ -199,7 +204,7 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # twelve times an Alloc/Free pair (BenchmarkAllocFree16K, 68 -> 857 ns
 # on a 2-CPU host), so only the race build above pays for it, and these
 # gates and the benchmark measure the allocator as it ships.
-go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ccache ./internal/ninep ./internal/mnt ./internal/core ./internal/cs ./internal/tcp ./internal/urp ./internal/vclock ./internal/ether ./internal/il ./internal/ns ./internal/netdev ./internal/devtree ./internal/cyclone
+go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ccache ./internal/ninep ./internal/mnt ./internal/core ./internal/cs ./internal/tcp ./internal/urp ./internal/vclock ./internal/ether ./internal/il ./internal/ns ./internal/netdev ./internal/devtree ./internal/cyclone ./internal/medium ./internal/exportfs
 
 echo "== chaos: 100-seed sweep"
 # The discrete-event clock makes a whole seed sweep affordable: every
