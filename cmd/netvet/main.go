@@ -1,24 +1,22 @@
-// Command netvet is the repo's concurrency and resource-lifecycle
-// analyzer: a stdlib-only static checker (go/ast + go/types, no
-// x/tools) enforcing the invariants the paper's stream/mux
-// architecture depends on. It walks the whole module and reports:
+// Command netvet is the repo's resource-lifecycle and clock analyzer: a
+// stdlib-only static checker (go/ast + go/types, no x/tools) enforcing
+// the invariants the paper's stream/mux architecture depends on. It
+// walks the whole module and reports:
 //
-//	lock-across-send    sync lock held across a park, or across a call
-//	                    that may park (with the call chain to the park)
 //	unclosed-resource   closeable value dropped without Close
 //	naked-ctl-string    ctl literal bypassing the netmsg helpers
-//	lock-order          cycle in the module-wide lock order graph
 //	realtime            direct time.Now/Sleep/After where a vclock.Clock
 //	                    should be threaded
 //
-// Leaks of goroutines and blocks are runtime gates' business, not
-// netvet's: leakcheck.Main fails a package that ends its tests with
-// either outstanding.
+// Leaks of goroutines and blocks, and locks held across a park, are
+// runtime gates' business, not netvet's: leakcheck.Main fails a package
+// that ends its tests with either outstanding, and a vclock.Lock held
+// when a virtual-clock primitive may park panics there.
 //
 // Usage:
 //
 //	go run ./cmd/netvet ./...
-//	go run ./cmd/netvet -tests -checks lock-across-send ./...
+//	go run ./cmd/netvet -tests -checks realtime ./...
 //	go run ./cmd/netvet -json ./...
 //
 // Deliberate exceptions carry a `//netvet:ignore <checks> <why>`

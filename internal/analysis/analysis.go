@@ -1,33 +1,21 @@
 // Package analysis is netvet's engine: a stdlib-only static analyzer
 // (go/ast + go/parser + go/types, no x/tools) enforcing the
-// concurrency and resource-lifecycle invariants the paper's network
-// organization depends on. The module is a web of cooperating
-// kernel-process analogues — stream put chains, the mount driver's RPC
-// demux, protocol engines — and the checks target the failure shapes
-// such code grows at scale that no runtime gate (the race detector,
-// leakcheck's goroutine and block books, the block package's
-// double-free panic) reliably catches:
+// resource-lifecycle and clock invariants the paper's network
+// organization depends on, in the shapes no runtime gate (the race
+// detector, leakcheck's goroutine and block books, the block package's
+// double-free panic, the virtual clock's held-lock check) catches:
 //
-//	lock-across-send    a sync.Mutex/RWMutex held across a park: a
-//	                    channel operation, a blocking call, one of the
-//	                    virtual clock's primitives — or a call to a
-//	                    function that may reach one, through static and
-//	                    interface calls, with the chain down to the park
 //	unclosed-resource   a closeable value created and dropped without
 //	                    Close/Free/Unmount and without escaping
 //	naked-ctl-string    an ad-hoc ctl message literal bypassing the
 //	                    canonical netmsg formatting helpers
-//	lock-order          a cycle in the whole-module lock acquisition
-//	                    graph, keyed by (type, field), with witness
-//	                    paths for both directions
 //	realtime            a direct time.Now/time.Sleep/time.After call
 //	                    where a vclock.Clock should be threaded, so
 //	                    virtual-time runs stay deterministic
 //
-// The two lock checks are reporters over one held-lock solve (locks.go):
-// one dataflow per function body over the CFG/dataflow engine in cfg.go
-// and dataflow.go, one set of per-function summaries closed over the
-// module's call graph.
+// A lock held across a park is the clock's business, not netvet's: a
+// vclock.Lock counts itself held by the running process, and every
+// primitive that may park panics on entry while one is (vclock/lock.go).
 //
 // A finding is suppressed by a directive comment on its line or the
 // line above:
@@ -44,9 +32,7 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
@@ -62,24 +48,18 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Check, d.Message)
 }
 
-// Check is one named invariant. Run is called once per package to
-// collect; the optional Finish is called once per module after every
-// package ran, for checks (the two lock checks) whose findings are
-// global.
+// Check is one named invariant, run once per package.
 type Check struct {
-	Name   string
-	Doc    string
-	Run    func(p *Pass)
-	Finish func(p *Pass) // optional; p.Pkg is nil
+	Name string
+	Doc  string
+	Run  func(p *Pass)
 }
 
 // Checks returns all checks, in reporting order.
 func Checks() []*Check {
 	return []*Check{
-		lockAcrossSendCheck,
 		unclosedResourceCheck,
 		nakedCtlStringCheck,
-		lockOrderCheck,
 		realtimeCheck,
 	}
 }
@@ -93,8 +73,7 @@ func CheckNames() []string {
 	return names
 }
 
-// Pass is one check running over one package (or, in a Finish call,
-// over the module as a whole, with Pkg nil).
+// Pass is one check running over one package.
 type Pass struct {
 	Fset  *token.FileSet
 	Pkg   *Pkg
@@ -105,13 +84,6 @@ type Pass struct {
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.res.report(p.Fset.Position(pos), p.check.Name, fmt.Sprintf(format, args...))
-}
-
-// Ignored reports whether a directive for the pass's check covers pos:
-// how a check lets a directive remove a fact (a park from a call
-// summary) rather than a diagnostic.
-func (p *Pass) Ignored(pos token.Pos) bool {
-	return p.res.ignored(p.Fset.Position(pos), p.check.Name) != nil
 }
 
 // Directive is one //netvet:ignore comment.
@@ -136,11 +108,7 @@ type Result struct {
 	Ignored    []SuppressedDiag
 	Directives []*Directive
 
-	ignores   map[string]map[int][]*Directive // filename -> line -> directives
-	localPkgs map[string]bool                 // import paths of the loaded packages
-	named     []*types.Named                  // their package-level concrete types
-	impls     map[*types.Func][]*types.Func   // interface method -> module-local implementations
-	locks     *lockFacts                      // the held-lock solve, shared by its reporters
+	ignores map[string]map[int][]*Directive // filename -> line -> directives
 }
 
 // Run executes the checks over every package of the module.
@@ -148,24 +116,6 @@ func Run(mod *Module, checks []*Check) *Result {
 	res := &Result{
 		Suppressed: make(map[string]int),
 		ignores:    make(map[string]map[int][]*Directive),
-		localPkgs:  make(map[string]bool),
-		impls:      make(map[*types.Func][]*types.Func),
-	}
-	for _, pkg := range mod.Pkgs {
-		if pkg.Types == nil {
-			continue
-		}
-		res.localPkgs[pkg.Types.Path()] = true
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, _ := scope.Lookup(name).(*types.TypeName)
-			if tn == nil || tn.IsAlias() {
-				continue
-			}
-			if n, ok := tn.Type().(*types.Named); ok && !types.IsInterface(n) && n.TypeParams().Len() == 0 {
-				res.named = append(res.named, n)
-			}
-		}
 	}
 	for _, pkg := range mod.Pkgs {
 		res.collectDirectives(mod.Fset, pkg)
@@ -173,11 +123,6 @@ func Run(mod *Module, checks []*Check) *Result {
 	for _, pkg := range mod.Pkgs {
 		for _, c := range checks {
 			c.Run(&Pass{Fset: mod.Fset, Pkg: pkg, check: c, res: res})
-		}
-	}
-	for _, c := range checks {
-		if c.Finish != nil {
-			c.Finish(&Pass{Fset: mod.Fset, check: c, res: res})
 		}
 	}
 	// A directive that silenced nothing, although every check it names
@@ -317,16 +262,4 @@ func (r *Result) report(pos token.Position, check, msg string) {
 // path directive errors take.
 func (r *Result) reportRaw(pos token.Position, check, msg string) {
 	r.Diags = append(r.Diags, Diagnostic{Pos: pos, Check: check, Message: msg})
-}
-
-// inspectSkippingFuncLits walks the subtree rooted at n without
-// descending into nested function literals — their bodies run on other
-// goroutines (or later) and are analyzed separately.
-func inspectSkippingFuncLits(n ast.Node, fn func(ast.Node) bool) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		return fn(n)
-	})
 }

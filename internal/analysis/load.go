@@ -290,10 +290,8 @@ func (im *moduleImporter) Import(path string) (*types.Package, error) {
 // newInfo allocates the types.Info maps the checks rely on.
 func newInfo() *types.Info {
 	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Defs: make(map[*ast.Ident]types.Object),
+		Uses: make(map[*ast.Ident]types.Object),
 	}
 }
 

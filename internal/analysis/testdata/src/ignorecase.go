@@ -1,58 +1,50 @@
-// Corpus for the //netvet:ignore directive grammar: a directive needs
-// a known check list and a non-empty reason. Same-line and line-above
-// placement suppress; a bare directive, a reasonless directive, and an
-// unknown check name are themselves errors; a directive naming a
-// different check suppresses nothing and, having matched no finding,
-// is reported as stale.
+// Corpus for the //netvet:ignore directive grammar, on the realtime
+// check: a directive needs a known check list and a non-empty reason.
+// Same-line and line-above placement suppress; a bare directive, a
+// reasonless directive, and an unknown check name (a misspelling, or a
+// check that no longer exists) are themselves errors; a directive
+// naming a different check suppresses nothing and, having matched no
+// finding, is reported as stale.
 package ignorecase
 
-import "sync"
+import "time"
 
-type box struct {
-	mu sync.Mutex
-	ch chan int
+func sameLine() time.Time {
+	return time.Now() //netvet:ignore realtime deliberate: a wall-clock stamp
 }
 
-func sameLine(b *box) {
-	b.mu.Lock()
-	b.ch <- 1 //netvet:ignore lock-across-send deliberate: peer never drains under this lock
-	b.mu.Unlock()
+func lineAbove() time.Time {
+	//netvet:ignore realtime deliberate
+	return time.Now()
 }
 
-func lineAbove(b *box) {
-	b.mu.Lock()
-	//netvet:ignore lock-across-send deliberate
-	b.ch <- 1
-	b.mu.Unlock()
-}
-
-func bareDirective(b *box) {
-	b.mu.Lock()
+func bareDirective() time.Time {
 	//netvet:ignore
 	// want-1 directive "needs a check list and a reason"
-	b.ch <- 1 // want lock-across-send "channel send while holding b.mu"
-	b.mu.Unlock()
+	return time.Now() // want realtime "time.Now reads the real clock"
 }
 
-func reasonlessDirective(b *box) {
-	b.mu.Lock()
-	//netvet:ignore lock-across-send
+func reasonlessDirective() time.Time {
+	//netvet:ignore realtime
 	// want-1 directive "needs a reason"
-	b.ch <- 1 // want lock-across-send "channel send while holding b.mu"
-	b.mu.Unlock()
+	return time.Now() // want realtime "time.Now reads the real clock"
 }
 
-func unknownCheckName(b *box) {
-	b.mu.Lock()
+func unknownCheckName() time.Time {
 	//netvet:ignore no-such-check because reasons
 	// want-1 directive "unknown check"
-	b.ch <- 1 // want lock-across-send "channel send while holding b.mu"
-	b.mu.Unlock()
+	return time.Now() // want realtime "time.Now reads the real clock"
 }
 
-func wrongCheckName(b *box) {
-	b.mu.Lock()
+// A suppression of a retired check is an unknown name too: the virtual
+// clock catches a lock held across a park at run time now.
+func retiredCheckName() time.Time {
+	//netvet:ignore lock-across-send the lock is dropped before the park
+	// want-1 directive "unknown check"
+	return time.Now() // want realtime "time.Now reads the real clock"
+}
+
+func wrongCheckName() time.Time {
 	//netvet:ignore unclosed-resource names a different check
-	b.ch <- 1 // want lock-across-send "channel send while holding b.mu" // want-1 directive "matched no finding"
-	b.mu.Unlock()
+	return time.Now() // want realtime "time.Now reads the real clock" // want-1 directive "matched no finding"
 }

@@ -221,9 +221,11 @@ func FromBytes(p []byte) *Block {
 }
 
 // Control returns a delimited block of type t (Ctl or Hangup) carrying
-// msg — the one constructor of blocks that are not data.
+// msg — the one constructor of blocks that are not data. Its header and
+// buffer come from the pools, as a data block's do.
 func Control(t Type, msg string) *Block {
-	b := FromBytes([]byte(msg))
+	b := Alloc(len(msg), 0)
+	copy(b.Bytes(), msg)
 	b.Type, b.Delim = t, true
 	return b
 }

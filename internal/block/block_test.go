@@ -143,6 +143,32 @@ func TestControl(t *testing.T) {
 	b.Free()
 }
 
+// A hangup and a ctl message come from the pools and go back to them:
+// once the pools are warm, making and freeing them allocates nothing,
+// and the books balance.
+func TestAllocsControl(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	cycle := func() {
+		Control(Hangup, "").Free()
+		Control(Ctl, "push batch 1024 2ms").Free()
+	}
+	cycle()
+	before := Snapshot()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a hangup and a ctl message allocate %.1f, want 0", n)
+	}
+	after := Snapshot()
+	if d := after.InFlight - before.InFlight; d != 0 {
+		t.Errorf("InFlight drifted by %d: a control block did not come back through Free", d)
+	}
+	allocs := after.Allocs - before.Allocs
+	if pooled := after.PoolHits - before.PoolHits + after.PoolMisses - before.PoolMisses; pooled != allocs {
+		t.Errorf("%d of %d control blocks were made outside the pools", allocs-pooled, allocs)
+	}
+}
+
 func TestFromBytes(t *testing.T) {
 	p := []byte("foreign")
 	b := FromBytes(p)

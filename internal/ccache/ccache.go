@@ -22,11 +22,11 @@
 package ccache
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/block"
 	"repro/internal/obs"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -57,7 +57,7 @@ type Cache struct {
 	frag int
 	max  int64
 
-	mu       sync.Mutex
+	mu       vclock.Lock
 	files    map[uint64]*cfile
 	lru      fragList
 	size     int64
@@ -123,19 +123,24 @@ func (l *fragList) remove(fr *cfrag) {
 	fr.prev, fr.next = nil, nil
 }
 
-// New returns an empty cache.
-func New(cfg Config) *Cache {
+// New returns an empty cache whose lock counts nothing.
+func New(cfg Config) *Cache { return NewClock(cfg, nil) }
+
+// NewClock returns an empty cache whose lock counts itself held on ck.
+func NewClock(cfg Config, ck vclock.Clock) *Cache {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = DefaultMaxBytes
 	}
 	if cfg.FragSize <= 0 {
 		cfg.FragSize = DefaultFragSize
 	}
-	return &Cache{
+	c := &Cache{
 		frag:  cfg.FragSize,
 		max:   cfg.MaxBytes,
 		files: make(map[uint64]*cfile),
 	}
+	c.mu.Init(ck)
+	return c
 }
 
 // Release hands the cache's residency back: every fragment's block

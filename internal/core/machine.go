@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/cs"
 	"repro/internal/cyclone"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/tcp"
 	"repro/internal/uart"
 	"repro/internal/udp"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -63,7 +63,7 @@ type Machine struct {
 	CS       *cs.Server
 	Resolver *dnssrv.Resolver
 
-	mu      sync.Mutex
+	mu      vclock.Lock
 	closers []closer
 	mntGone mntBooks // what mounts since dropped from closers did
 	nextCyc int
@@ -145,6 +145,7 @@ func (m *Machine) mntStats() string {
 // NewMachine boots a machine into the world.
 func (w *World) NewMachine(cfg MachineConfig) (*Machine, error) {
 	m := &Machine{Name: cfg.Name, World: w}
+	m.mu.Init(w.Clock())
 	m.Root = ramfs.NewTimed(cfg.Name, w.Clock())
 	for _, d := range []string{"net", "tmp", "lib/ndb", "n", "srv", "dev", "bin"} {
 		if err := m.Root.MkdirAll(d, 0775); err != nil {
@@ -325,7 +326,7 @@ func (m *Machine) AttachUART(n int, end *uart.End) error {
 	m.mu.Lock()
 	dev := m.uartDev
 	if dev == nil {
-		dev = uart.NewDev(m.Name)
+		dev = uart.NewDev(m.Name, m.World.Clock())
 		m.uartDev = dev
 	}
 	m.mu.Unlock()

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"io"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/block"
@@ -38,7 +38,7 @@ func (m *Machine) Serve(addr string, handler Handler, mods ...string) (func(), e
 		return nil, err
 	}
 	ck := m.World.Clock()
-	done := make(chan struct{})
+	var done atomic.Bool
 	ck.Go(func() {
 		for {
 			call, err := l.Listen()
@@ -50,19 +50,15 @@ func (m *Machine) Serve(addr string, handler Handler, mods ...string) (func(), e
 				if !errors.Is(err, vfs.ErrInUse) {
 					return
 				}
-				select {
-				case <-done:
+				if done.Load() {
 					return
-				default:
 				}
 				ck.Sleep(time.Millisecond)
 				continue
 			}
-			select {
-			case <-done:
+			if done.Load() {
 				call.Reject("shutting down")
 				return
-			default:
 			}
 			ck.Go(func() {
 				// Arm the conversation before data opens: once the
@@ -83,12 +79,10 @@ func (m *Machine) Serve(addr string, handler Handler, mods ...string) (func(), e
 			})
 		}
 	})
-	var once sync.Once
 	stop := func() {
-		once.Do(func() {
-			close(done)
+		if done.CompareAndSwap(false, true) {
 			l.Close()
-		})
+		}
 	}
 	m.onClose(stop)
 	return stop, nil

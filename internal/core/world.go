@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/datakit"
 	"repro/internal/ether"
@@ -21,7 +20,7 @@ import (
 // World is a universe of machines and media.
 type World struct {
 	clock    vclock.Clock
-	mu       sync.Mutex
+	mu       vclock.Lock
 	ethers   map[string]*ether.Segment
 	dk       *datakit.Switch
 	db       *ndb.DB
@@ -46,13 +45,15 @@ func NewWorldClock(ndbText string, ck vclock.Clock) (*World, error) {
 		return nil, err
 	}
 	db.HashAll("sys", "dom", "ip", "dk", "tcp", "il", "udp", "ipnet")
-	return &World{
+	w := &World{
 		clock:    ck,
 		ethers:   make(map[string]*ether.Segment),
 		db:       db,
 		ndbText:  []byte(ndbText),
 		machines: make(map[string]*Machine),
-	}, nil
+	}
+	w.mu.Init(ck)
+	return w, nil
 }
 
 // Clock returns the world's clock.

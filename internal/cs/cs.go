@@ -33,7 +33,6 @@ package cs
 
 import (
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/devtree"
@@ -103,7 +102,7 @@ type Server struct {
 	cfg   Config
 	clock vclock.Clock
 
-	mu      sync.Mutex // guards cache and flights; never held across compute
+	mu      vclock.Lock // guards cache and flights; never held across compute
 	cache   map[ckey]*centry
 	flights map[ckey]*flight
 
@@ -134,6 +133,7 @@ func New(cfg Config) *Server {
 		cache:   make(map[ckey]*centry),
 		flights: make(map[ckey]*flight),
 	}
+	s.mu.Init(s.clock)
 	s.stats = new(obs.Group).
 		AddAtomic("queries", &s.Queries).
 		AddAtomic("cache-hits", &s.CacheHits).

@@ -13,8 +13,6 @@
 package cyclone
 
 import (
-	"sync"
-
 	"repro/internal/block"
 	"repro/internal/medium"
 	"repro/internal/streams"
@@ -47,6 +45,7 @@ func NewLink(name string, p medium.Profile) *Link {
 func newEnd(l *Link, name string, wire *medium.Duplex) *End {
 	e := &End{link: l, name: name, wire: wire}
 	e.in = streams.NewConv(0, wire.Clock(), e)
+	e.mu.Init(wire.Clock())
 	e.cond.Init(wire.Clock(), &e.mu)
 	wire.Receive(e.receive)
 	return e
@@ -83,7 +82,7 @@ type End struct {
 	wire *medium.Duplex
 	in   *streams.Stream // the conversation's stream: what the fiber delivers, what Write sends
 
-	mu   sync.Mutex
+	mu   vclock.Lock
 	cond vclock.Cond
 	conn *Conn // conversation currently owning the wire
 }
@@ -99,17 +98,23 @@ func (e *End) Clock() vclock.Clock { return e.wire.Clock() }
 // NewConn implements xport.Proto. The link is point-to-point: one
 // conversation at a time.
 func (e *End) NewConn() (xport.Conn, error) {
-	return &Conn{end: e}, nil
+	return e.newConn(false), nil
 }
 
 // Conn is the (single) conversation on a link end.
 type Conn struct {
 	end *End
 
-	mu        sync.Mutex
+	mu        vclock.Lock
 	attached  bool
 	announced bool
 	closed    bool
+}
+
+func (e *End) newConn(attached bool) *Conn {
+	c := &Conn{end: e, attached: attached}
+	c.mu.Init(e.Clock())
+	return c
 }
 
 var _ xport.Conn = (*Conn)(nil)
@@ -188,7 +193,7 @@ func (c *Conn) Listen() (xport.Conn, error) {
 		}
 		e.cond.Wait()
 	}
-	nc := &Conn{end: e, attached: true}
+	nc := e.newConn(true)
 	e.conn = nc
 	return nc, nil
 }

@@ -247,13 +247,14 @@ func TestEndName(t *testing.T) {
 	})
 }
 
-// TestConcurrentListenClose is the regression test for the lock-order
-// inversion netvet caught: Close used to take e.mu while holding c.mu,
-// while Listen holds e.mu and polls isClosed (c.mu) — a deadlock when
-// a blocked listener and a closing conversation race. Hammer the pair
-// under a watchdog. It stays on the real clock: the inversion needs two
-// host threads inside the locks at once, and the virtual clock runs one
-// goroutine at a time.
+// TestConcurrentListenClose is the regression test for a lock-order
+// inversion: Close used to take e.mu while holding c.mu, while Listen
+// holds e.mu and polls isClosed (c.mu) — a deadlock when a blocked
+// listener and a closing conversation race. Hammer the pair under a
+// watchdog. It stays on the real clock, and is the gate for lock-order
+// cycles: the inversion needs two host threads inside the locks at
+// once, and on the virtual clock, where one goroutine runs at a time
+// and none parks holding a Lock, no Lock is ever contended.
 func TestConcurrentListenClose(t *testing.T) {
 	done := make(chan struct{})
 	go func() {

@@ -13,7 +13,6 @@ package datakit
 import (
 	"errors"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,13 +38,15 @@ var (
 type Switch struct {
 	profile medium.Profile
 
-	mu    sync.Mutex
+	mu    vclock.Lock
 	hosts map[string]*Host
 }
 
 // NewSwitch creates a switch whose circuits have the given profile.
 func NewSwitch(p medium.Profile) *Switch {
-	return &Switch{profile: p, hosts: make(map[string]*Host)}
+	sw := &Switch{profile: p, hosts: make(map[string]*Host)}
+	sw.mu.Init(p.Clock)
+	return sw
 }
 
 // NewHost attaches a station under a hierarchical name.
@@ -56,6 +57,7 @@ func (sw *Switch) NewHost(name string) (*Host, error) {
 		return nil, ErrNameTaken
 	}
 	h := &Host{sw: sw, name: name, listeners: make(map[string]listener)}
+	h.mu.Init(sw.profile.Clock)
 	sw.hosts[name] = h
 	return h, nil
 }
@@ -95,8 +97,10 @@ func (sw *Switch) dial(from *Proto, dest, service string) (*urp.Conn, *medium.Du
 	}
 	a, b := medium.NewDuplex(sw.profile)
 	u := from.engine(a)
-	l.calls.TrySend(&Conn{proto: l.proto, urp: l.proto.engine(b), wire: b, local: h.name + "!" + service,
-		remote: from.host.name, service: service, state: "Established"})
+	c := l.proto.newConn()
+	c.urp, c.wire, c.local = l.proto.engine(b), b, h.name+"!"+service
+	c.remote, c.service, c.state = from.host.name, service, "Established"
+	l.calls.TrySend(c)
 	return u, a, nil
 }
 
@@ -105,7 +109,7 @@ type Host struct {
 	sw   *Switch
 	name string
 
-	mu        sync.Mutex
+	mu        vclock.Lock
 	listeners map[string]listener
 }
 
@@ -257,14 +261,20 @@ func (p *Proto) engine(d *medium.Duplex) *urp.Conn {
 
 // NewConn implements xport.Proto.
 func (p *Proto) NewConn() (xport.Conn, error) {
-	return &Conn{proto: p}, nil
+	return p.newConn(), nil
+}
+
+func (p *Proto) newConn() *Conn {
+	c := &Conn{proto: p}
+	c.mu.Init(p.Clock())
+	return c
 }
 
 // Conn is a Datakit conversation: a URP engine over a circuit.
 type Conn struct {
 	proto *Proto
 
-	mu       sync.Mutex
+	mu       vclock.Lock
 	urp      *urp.Conn
 	wire     *medium.Duplex
 	local    string

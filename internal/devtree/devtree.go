@@ -188,17 +188,22 @@ type snapshot struct {
 	text string
 }
 
+// get runs with s unlocked: it renders another package's state, under
+// that package's locks.
 func (s *snapshot) read(p []byte, off int64, get func() (string, error)) (int, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.got || off == 0 {
-		text, err := get()
-		if err != nil {
+	text, fresh := s.text, !s.got || off == 0
+	s.mu.Unlock()
+	if fresh {
+		var err error
+		if text, err = get(); err != nil {
 			return 0, err
 		}
+		s.mu.Lock()
 		s.text, s.got = text, true
+		s.mu.Unlock()
 	}
-	return ReadAtString(p, off, s.text)
+	return ReadAtString(p, off, text)
 }
 
 // TextHandle snapshots Get() at first read and serves it at offsets, so

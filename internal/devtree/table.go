@@ -2,8 +2,8 @@ package devtree
 
 import (
 	"strconv"
-	"sync"
 
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -25,7 +25,7 @@ type Table[C any] struct {
 	first, n int
 	hangup   func(C)
 
-	mu    sync.Mutex
+	mu    vclock.Lock
 	slots []*slot[C] // slots[i] is conversation first+i; grows on demand up to n
 }
 
@@ -39,11 +39,13 @@ type slot[C any] struct {
 	dir  []convNode[C] // the current tenancy's directory, once walked
 }
 
-// NewTable returns a table of n conversations numbered from first.
-// hangup ends a conversation; the table calls it, with the table
+// NewTable returns a table on ck of n conversations numbered from
+// first. hangup ends a conversation; the table calls it, with the table
 // unlocked, when the conversation's last reference is released.
-func NewTable[C any](first, n int, hangup func(C)) *Table[C] {
-	return &Table[C]{first: first, n: n, hangup: hangup}
+func NewTable[C any](ck vclock.Clock, first, n int, hangup func(C)) *Table[C] {
+	t := &Table[C]{first: first, n: n, hangup: hangup}
+	t.mu.Init(ck)
+	return t
 }
 
 // Claim starts a tenancy in the lowest-numbered free slot and returns

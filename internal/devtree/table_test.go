@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/vclock"
 	"repro/internal/vfs"
 )
 
@@ -31,7 +32,7 @@ func (c *tconv) hangup() {
 }
 
 func newTestTable(first, n int) *Table[*tconv] {
-	return NewTable(first, n, (*tconv).hangup)
+	return NewTable(vclock.Real, first, n, (*tconv).hangup)
 }
 
 func openConv(id int) (*tconv, error) { return &tconv{id: id}, nil }

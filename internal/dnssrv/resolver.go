@@ -3,7 +3,6 @@ package dnssrv
 import (
 	"errors"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/ip"
@@ -27,7 +26,7 @@ type Resolver struct {
 	roots []ip.Addr
 	ck    vclock.Clock
 
-	mu    sync.Mutex
+	mu    vclock.Lock
 	cache map[cacheKey]cacheVal
 	rng   *rand.Rand
 
@@ -49,13 +48,15 @@ type cacheVal struct {
 // from the given root servers.
 func NewResolver(proto *udp.Proto, roots []ip.Addr) *Resolver {
 	ck := proto.Clock()
-	return &Resolver{
+	r := &Resolver{
 		proto: proto,
 		roots: roots,
 		ck:    ck,
 		cache: make(map[cacheKey]cacheVal),
 		rng:   rand.New(rand.NewSource(ck.Now().UnixNano())),
 	}
+	r.mu.Init(ck)
+	return r
 }
 
 // Lookup resolves name/qtype recursively. It returns the answer

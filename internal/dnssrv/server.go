@@ -3,6 +3,7 @@ package dnssrv
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/udp"
 	"repro/internal/xport"
@@ -104,7 +105,7 @@ func (z *Zone) lookup(name string, qtype uint16) (answer, authority, extra []RR,
 type Server struct {
 	zone *Zone
 	conn xport.Conn
-	done chan struct{}
+	done atomic.Bool
 }
 
 // Serve starts an authoritative server for zone on the given UDP
@@ -118,14 +119,14 @@ func Serve(proto *udp.Proto, zone *Zone) (*Server, error) {
 		conn.Close()
 		return nil, err
 	}
-	s := &Server{zone: zone, conn: conn, done: make(chan struct{})}
+	s := &Server{zone: zone, conn: conn}
 	proto.Clock().Go(s.loop)
 	return s, nil
 }
 
 // Close stops the server.
 func (s *Server) Close() {
-	close(s.done)
+	s.done.Store(true)
 	s.conn.Close()
 }
 
@@ -136,10 +137,8 @@ func (s *Server) loop() {
 		if err != nil {
 			return
 		}
-		select {
-		case <-s.done:
+		if s.done.Load() {
 			return
-		default:
 		}
 		if n < udp.AddrHdrLen {
 			continue

@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/block"
@@ -114,7 +113,7 @@ type Segment struct {
 	// a lock; mu serializes the writers that replace it. nil once the
 	// segment has closed. mu also serializes transmissions: the order
 	// frames take it in is wire order.
-	mu       sync.Mutex
+	mu       vclock.Lock
 	stations atomic.Pointer[stations]
 	joined   uint32 // stations ever attached; numbers the next one's address
 
@@ -188,9 +187,10 @@ func NewSegment(name string, p Profile) *Segment {
 		profile: p,
 		ck:      p.Clock,
 	}
+	seg.mu.Init(p.Clock)
 	seg.stations.Store(newStations(nil))
 	if p.Impair.Armed(p.Loss) {
-		seg.im = medium.NewImpairer(p.Seed+1, p.Loss, p.Impair)
+		seg.im = medium.NewImpairer(p.Clock, p.Seed+1, p.Loss, p.Impair)
 	}
 	seg.delay = medium.NewDelay(p.Clock, 0, func(f txFrame) { seg.fanOut(f.from, f.dst, f.b) })
 	return seg
@@ -337,7 +337,7 @@ type Interface struct {
 	name string
 
 	convs  *devtree.Table[*Conn]   // conversations 1 … MaxConns, as in the file tree
-	mu     sync.Mutex              // serializes publishers of active
+	mu     vclock.Lock             // serializes publishers of active
 	active atomic.Pointer[[]*Conn] // snapshot of the live conns, for the lock-free demux
 
 	inPackets  atomic.Int64
@@ -364,8 +364,9 @@ func (seg *Segment) NewInterface(name string) *Interface {
 		seg:   seg,
 		name:  name,
 		addr:  Addr{0x08, 0x00, 0x69, byte(n >> 16), byte(n >> 8), byte(n)},
-		convs: devtree.NewTable(1, MaxConns, (*Conn).hangup),
+		convs: devtree.NewTable(seg.ck, 1, MaxConns, (*Conn).hangup),
 	}
+	ifc.mu.Init(seg.ck)
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
 	if st := seg.stations.Load(); st != nil {
@@ -482,7 +483,7 @@ type Conn struct {
 	// atomic pointer instead of taking the conversation lock.
 	// Configuration changes are rare; frames are not. nil once the
 	// conversation has hung up.
-	mu sync.Mutex
+	mu vclock.Lock
 	rx atomic.Pointer[rxState]
 
 	inPackets  atomic.Int64
@@ -526,6 +527,7 @@ func (ifc *Interface) OpenConn() (*Conn, error) {
 func (ifc *Interface) claim() (devtree.Ref[*Conn], error) {
 	ref, err := ifc.convs.Claim(func(id int) (*Conn, error) {
 		c := &Conn{ifc: ifc, id: id}
+		c.mu.Init(ifc.seg.ck)
 		// The stream carries received frames up to the data file's
 		// readers. Writes to the data file transmit directly
 		// (Transmit), so the device end only frees what reaches it.

@@ -48,7 +48,7 @@ type Server struct {
 // NewServer returns a server exporting nsp per cfg. Connections are
 // attached with ServeConn.
 func NewServer(nsp *ns.Namespace, cfg Config) *Server {
-	s := &Server{nsp: nsp, root: ns.Clean(cfg.Root), cache: ccache.New(ccache.Config{FragSize: ninep.MaxFData})}
+	s := &Server{nsp: nsp, root: ns.Clean(cfg.Root), cache: ccache.NewClock(ccache.Config{FragSize: ninep.MaxFData}, cfg.Clock)}
 	s.srv = ninep.NewServer(s.attach, cfg.Clock)
 	return s
 }

@@ -367,6 +367,7 @@ func (c *Conn) sendLocked(typ, spec byte, id uint32, data []byte) {
 // Write implements xport.Conn: one reliable sequenced message per
 // write, fragmented to the path MTU with the final fragment delimited.
 func (c *Conn) Write(p []byte) (int, error) {
+	vclock.MightPark(c.proto.Ck, "il.Conn.Write")
 	c.Mu.Lock()
 	if c.St != Established && c.St != Syncee {
 		err := c.Err

@@ -1,11 +1,11 @@
 package ip
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/block"
 	"repro/internal/ether"
+	"repro/internal/vclock"
 )
 
 // ARP over the simulated Ethernet: standard 28-byte IPv4-over-Ethernet
@@ -25,17 +25,19 @@ const arpHold = 16
 type arpCache struct {
 	ifc *Ifc
 
-	mu      sync.Mutex
+	mu      vclock.Lock
 	entries map[Addr]ether.Addr
 	pending map[Addr][]*block.Block
 }
 
 func newArpCache(ifc *Ifc) *arpCache {
-	return &arpCache{
+	a := &arpCache{
 		ifc:     ifc,
 		entries: make(map[Addr]ether.Addr),
 		pending: make(map[Addr][]*block.Block),
 	}
+	a.mu.Init(ifc.stack.clk)
+	return a
 }
 
 // send transmits an IP packet to nexthop, resolving its hardware

@@ -2,7 +2,6 @@ package ip
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/block"
@@ -21,7 +20,7 @@ type Handler func(src, dst Addr, payload []byte)
 // ARP, and the transport protocol dispatch table.
 type Stack struct {
 	clk      vclock.Clock
-	mu       sync.RWMutex
+	mu       vclock.Lock
 	ifcs     []*Ifc
 	routes   []Route
 	handlers map[uint8]Handler
@@ -73,6 +72,7 @@ type Route struct {
 // transports built on it) run on ck.
 func NewStack(ck vclock.Clock) *Stack {
 	st := &Stack{clk: ck, handlers: make(map[uint8]Handler)}
+	st.mu.Init(ck)
 	st.loop = medium.NewDelay(ck, 0, func(p loopPkt) {
 		st.deliverLocal(p.proto, p.src, p.dst, p.b.Bytes())
 		p.b.Free()
@@ -170,8 +170,8 @@ func (st *Stack) AddDefaultRoute(gw Addr) {
 
 // Addrs lists the local addresses.
 func (st *Stack) Addrs() []Addr {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	var as []Addr
 	for _, ifc := range st.ifcs {
 		as = append(as, ifc.addr)
@@ -184,8 +184,8 @@ func (st *Stack) IsLocal(a Addr) bool {
 	if a == (Addr{127, 0, 0, 1}) {
 		return true
 	}
-	st.mu.RLock()
-	defer st.mu.RUnlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	for _, ifc := range st.ifcs {
 		if ifc.addr == a {
 			return true
@@ -198,8 +198,8 @@ func (st *Stack) IsLocal(a Addr) bool {
 // subnet wins; otherwise the most specific matching route's gateway,
 // which itself must be on an attached subnet.
 func (st *Stack) route(dst Addr) (*Ifc, Addr, error) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	// Most specific route match.
 	var best *Route
 	for i := range st.routes {
@@ -313,9 +313,9 @@ func (st *Stack) sendRemote(proto uint8, src, dst Addr, b *block.Block) error {
 
 // deliverLocal hands a payload to the registered transport.
 func (st *Stack) deliverLocal(proto uint8, src, dst Addr, payload []byte) {
-	st.mu.RLock()
+	st.mu.Lock()
 	h := st.handlers[proto]
-	st.mu.RUnlock()
+	st.mu.Unlock()
 	if h == nil {
 		st.Unreachable.Add(1)
 		return
@@ -340,9 +340,9 @@ func (ifc *Ifc) recvIP(frame []byte) {
 		return
 	}
 	// Not for us: forward if we are a gateway.
-	st.mu.RLock()
+	st.mu.Lock()
 	fwd := st.forward
-	st.mu.RUnlock()
+	st.mu.Unlock()
 	if !fwd {
 		return
 	}

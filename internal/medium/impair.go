@@ -8,10 +8,10 @@ package medium
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/vclock"
 )
 
 // Window is a scheduled partition in wire-position space: message
@@ -198,7 +198,7 @@ type Impairer struct {
 	loss float64
 	seed int64
 
-	mu     sync.Mutex
+	mu     vclock.Lock
 	index  int64
 	burst  bool       // Gilbert–Elliott state
 	held   []heldMsg  // messages waiting out their reorder hold
@@ -213,9 +213,9 @@ type heldMsg struct {
 	left  int // emissions still to pass before release
 }
 
-// NewImpairer builds an impairer over baseline loss plus the given
-// impairment model, with defaults filled in.
-func NewImpairer(seed int64, loss float64, imp Impairment) *Impairer {
+// NewImpairer builds an impairer on ck over baseline loss plus the
+// given impairment model, with defaults filled in.
+func NewImpairer(ck vclock.Clock, seed int64, loss float64, imp Impairment) *Impairer {
 	if imp.ReorderDepth <= 0 {
 		imp.ReorderDepth = 3
 	}
@@ -225,7 +225,9 @@ func NewImpairer(seed int64, loss float64, imp Impairment) *Impairer {
 	if imp.BurstLoss <= 0 {
 		imp.BurstLoss = 1
 	}
-	return &Impairer{imp: imp, loss: loss, seed: seed}
+	im := &Impairer{imp: imp, loss: loss, seed: seed}
+	im.mu.Init(ck)
+	return im
 }
 
 // mix64 is the SplitMix64 finalizer: a bijective avalanche hash good

@@ -42,7 +42,7 @@ func seqMsg(i int) []byte {
 // and jitter at the same wire positions with the same values.
 func TestImpairerScheduleReplays(t *testing.T) {
 	run := func() ([]Decision, []Emission, Counts) {
-		im := NewImpairer(42, 0.08, nastyImpairment())
+		im := NewImpairer(nil, 42, 0.08, nastyImpairment())
 		var all []Emission
 		for i := range 300 {
 			all = append(all, im.Apply(seqMsg(i), nil)...)
@@ -64,7 +64,7 @@ func TestImpairerScheduleReplays(t *testing.T) {
 		t.Fatalf("counts differ: %v vs %v", c1, c2)
 	}
 	// A different seed must not replay the same schedule.
-	im3 := NewImpairer(43, 0.08, nastyImpairment())
+	im3 := NewImpairer(nil, 43, 0.08, nastyImpairment())
 	for i := range 300 {
 		im3.Apply(seqMsg(i), nil)
 	}
@@ -78,7 +78,7 @@ func TestImpairerScheduleReplays(t *testing.T) {
 }
 
 func TestImpairerPartitionDropsAndHeals(t *testing.T) {
-	im := NewImpairer(1, 0, Impairment{Partitions: []Window{{From: 10, To: 20}}, Record: true})
+	im := NewImpairer(nil, 1, 0, Impairment{Partitions: []Window{{From: 10, To: 20}}, Record: true})
 	for i := range 30 {
 		im.Apply(seqMsg(i), nil)
 	}
@@ -94,7 +94,7 @@ func TestImpairerPartitionDropsAndHeals(t *testing.T) {
 }
 
 func TestImpairerDuplicateEmitsTwoCopies(t *testing.T) {
-	im := NewImpairer(7, 0, Impairment{Duplicate: 1})
+	im := NewImpairer(nil, 7, 0, Impairment{Duplicate: 1})
 	out := im.Apply([]byte("twice"), nil)
 	if len(out) != 2 || !bytes.Equal(out[0].Data, out[1].Data) || string(out[0].Data) != "twice" {
 		t.Fatalf("duplicate emission = %v", out)
@@ -110,7 +110,7 @@ func TestImpairerDuplicateEmitsTwoCopies(t *testing.T) {
 func TestImpairerCorruptionFlipsBitsInCopy(t *testing.T) {
 	orig := seqMsg(9)
 	ref := append([]byte(nil), orig...)
-	im := NewImpairer(11, 0, Impairment{Corrupt: 1, CorruptBits: 2, Record: true})
+	im := NewImpairer(nil, 11, 0, Impairment{Corrupt: 1, CorruptBits: 2, Record: true})
 	out := im.Apply(orig, nil)
 	if len(out) != 1 {
 		t.Fatalf("want 1 emission, got %d", len(out))
@@ -144,7 +144,7 @@ func TestImpairerCorruptionFlipsBitsInCopy(t *testing.T) {
 // of the message whose transmission released it.
 func TestImpairerReorderDisplacementBounded(t *testing.T) {
 	const depth = 3
-	im := NewImpairer(5, 0, Impairment{Reorder: 0.4, ReorderDepth: depth})
+	im := NewImpairer(nil, 5, 0, Impairment{Reorder: 0.4, ReorderDepth: depth})
 	var order []int
 	for i := range 400 {
 		for _, e := range im.Apply(seqMsg(i), i) {
@@ -185,7 +185,7 @@ func TestImpairerReorderDisplacementBounded(t *testing.T) {
 func TestImpairerHoldQueueBounded(t *testing.T) {
 	// Reorder=1 wants to hold everything; the cap must keep the wire
 	// flowing instead of swallowing it.
-	im := NewImpairer(3, 0, Impairment{Reorder: 1, ReorderDepth: 2})
+	im := NewImpairer(nil, 3, 0, Impairment{Reorder: 1, ReorderDepth: 2})
 	emitted := 0
 	for i := range 200 {
 		emitted += len(im.Apply(seqMsg(i), nil))
@@ -200,7 +200,7 @@ func TestImpairerHoldQueueBounded(t *testing.T) {
 }
 
 func TestImpairerBurstLossClusters(t *testing.T) {
-	im := NewImpairer(17, 0, Impairment{BurstP: 0.05, BurstR: 0.3, Record: true})
+	im := NewImpairer(nil, 17, 0, Impairment{BurstP: 0.05, BurstR: 0.3, Record: true})
 	for i := range 2000 {
 		im.Apply(seqMsg(i), nil)
 	}

@@ -81,7 +81,7 @@ func NewPipe(p Profile) *Pipe {
 func (pipe *Pipe) init(p Profile) {
 	pipe.profile, pipe.ck = p, vclock.Or(p.Clock)
 	if p.Impair.Armed(p.Loss) {
-		pipe.im = NewImpairer(p.Seed+1, p.Loss, p.Impair)
+		pipe.im = NewImpairer(p.Clock, p.Seed+1, p.Loss, p.Impair)
 	}
 	pipe.delay.init(pipe.ck, 1024, pipe)
 }

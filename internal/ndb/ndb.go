@@ -272,11 +272,10 @@ func (f *File) lookup(attr, val string) ([]int, bool) {
 type DB struct {
 	Files []*File
 
-	// ScanSearches and HashSearches count lookup paths, for the
+	// scanSearches and hashSearches count lookup paths, for the
 	// staleness tests and the hash-vs-scan experiment.
-	mu           sync.Mutex
-	scanSearches int64
-	hashSearches int64
+	scanSearches atomic.Int64
+	hashSearches atomic.Int64
 }
 
 // New assembles a database from parsed files.
@@ -319,9 +318,7 @@ func (db *DB) Version() int64 {
 
 // Counters returns (hash-path searches, scan-path searches).
 func (db *DB) Counters() (int64, int64) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.hashSearches, db.scanSearches
+	return db.hashSearches.Load(), db.scanSearches.Load()
 }
 
 // Query returns every entry with attr=val, local files first.
@@ -329,13 +326,11 @@ func (db *DB) Query(attr, val string) []Entry {
 	var out []Entry
 	for _, f := range db.Files {
 		idx, hashed := f.lookup(attr, val)
-		db.mu.Lock()
 		if hashed {
-			db.hashSearches++
+			db.hashSearches.Add(1)
 		} else {
-			db.scanSearches++
+			db.scanSearches.Add(1)
 		}
-		db.mu.Unlock()
 		f.mu.RLock()
 		for _, i := range idx {
 			if i < len(f.Entries) {

@@ -59,7 +59,7 @@ var _ vfs.Device = (*Dev)(nil)
 
 // New wraps proto in its file tree.
 func New(proto xport.Proto, owner string) *Dev {
-	d := &Dev{proto: proto, owner: owner, convs: devtree.NewTable(0, MaxConvs, func(c *conv) { c.hangup() })}
+	d := &Dev{proto: proto, owner: owner, convs: devtree.NewTable(proto.Clock(), 0, MaxConvs, func(c *conv) { c.hangup() })}
 	d.dirs = devtree.ConvDirs[*conv]{Owner: owner, Files: convFiles, Open: d.open}
 	return d
 }

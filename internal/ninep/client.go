@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -83,7 +82,7 @@ type Client struct {
 	// the clock.
 	wmu vclock.Mutex
 
-	mu      sync.Mutex
+	mu      vclock.Lock
 	tagFree vclock.Cond // signaled whenever a tag is released
 	// tags holds one entry per outstanding tag. A non-nil Pending
 	// is an RPC awaiting its reply; a nil value is a tag abandoned by
@@ -120,6 +119,7 @@ func NewClient(conn MsgConn, cfg ClientConfig) (*Client, error) {
 		tags: make(map[uint16]*Pending),
 	}
 	cl.wmu.Init(cl.ck)
+	cl.mu.Init(cl.ck)
 	cl.tagFree.Init(cl.ck, &cl.mu)
 	for i := range cl.first {
 		cl.free = cl.newPending(&cl.first[i], cl.free)

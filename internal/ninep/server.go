@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -52,7 +51,7 @@ type Server struct {
 	// in the ready ring, ready to readyTail through their nextReady
 	// fields; pool workers take the front connection, run one of its
 	// requests, and re-append it — round-robin across tenants.
-	dmu              sync.Mutex
+	dmu              vclock.Lock
 	ready, readyTail *SrvConn
 	nworkers         int
 	npend            int // queued requests across all connections
@@ -67,7 +66,7 @@ type Server struct {
 	// either allocates nothing.
 	workerFn, escalateFn func()
 
-	cmu    sync.Mutex
+	cmu    vclock.Lock
 	conns  map[int64]*SrvConn
 	nextID int64
 	// spare holds the buffers dead connections' fids were sorted in,
@@ -89,6 +88,8 @@ func NewServer(attach AttachFunc, ck vclock.Clock) *Server {
 		ck:     ck,
 		conns:  make(map[int64]*SrvConn),
 	}
+	s.dmu.Init(ck)
+	s.cmu.Init(ck)
 	s.workerFn, s.escalateFn = s.worker, s.escalate
 	return s
 }
@@ -106,7 +107,7 @@ type SrvConn struct {
 	// medium, so the lock's waiters park through the clock.
 	wmu vclock.Mutex
 
-	mu    sync.Mutex
+	mu    vclock.Lock
 	uname string // first attach's uname, for the stats bill
 	fids  map[uint32]*srvFid
 	reqs  map[uint16]*srvReq // requests in flight, by tag
@@ -180,10 +181,16 @@ type srvFid struct {
 // ticketQ serializes requests in ticket order: take in arrival order,
 // wait your turn, done when finished.
 type ticketQ struct {
-	mu         sync.Mutex
+	mu         vclock.Lock
 	cond       vclock.Cond
-	inited     bool
 	next, turn uint64
+}
+
+func newTicketQ(ck vclock.Clock) *ticketQ {
+	q := new(ticketQ)
+	q.mu.Init(ck)
+	q.cond.Init(ck, &q.mu)
+	return q
 }
 
 func (q *ticketQ) take() uint64 {
@@ -194,14 +201,10 @@ func (q *ticketQ) take() uint64 {
 	return t
 }
 
-func (q *ticketQ) wait(t uint64, ck vclock.Clock) {
+func (q *ticketQ) wait(t uint64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.turn != t {
-		if !q.inited {
-			q.cond.Init(ck, &q.mu)
-			q.inited = true
-		}
 		q.cond.Wait()
 	}
 }
@@ -209,9 +212,7 @@ func (q *ticketQ) wait(t uint64, ck vclock.Clock) {
 func (q *ticketQ) done() {
 	q.mu.Lock()
 	q.turn++
-	if q.inited {
-		q.cond.Broadcast()
-	}
+	q.cond.Broadcast()
 	q.mu.Unlock()
 }
 
@@ -233,6 +234,7 @@ func (s *Server) ServeConn(conn MsgConn) error {
 		fids: make(map[uint32]*srvFid),
 		reqs: make(map[uint16]*srvReq),
 	}
+	c.mu.Init(s.ck)
 	c.wmu.Init(s.ck)
 	s.cmu.Lock()
 	s.nextID++
@@ -284,7 +286,7 @@ func (s *Server) ServeConn(conn MsgConn) error {
 					}
 					if !st.inline {
 						if sf.rq == nil {
-							sf.rq = new(ticketQ)
+							sf.rq = newTicketQ(s.ck)
 						}
 						st.tq = sf.rq
 					}
@@ -295,7 +297,7 @@ func (s *Server) ServeConn(conn MsgConn) error {
 				c.mu.Lock()
 				if sf := c.fids[f.Fid]; sf != nil {
 					if sf.wq == nil {
-						sf.wq = new(ticketQ)
+						sf.wq = newTicketQ(s.ck)
 					}
 					st.tq = sf.wq
 				}
@@ -499,7 +501,7 @@ func (s *Server) release(c *SrvConn, st *srvReq) {
 func (c *SrvConn) run(st *srvReq) {
 	s := c.s
 	if st.tq != nil {
-		st.tq.wait(st.ticket, s.ck)
+		st.tq.wait(st.ticket)
 	}
 	// A request flushed while queued must not touch the handle: on a
 	// delimited or stream device the read would consume data the

@@ -6,7 +6,7 @@
 package ramfs
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/devtree"
 	"repro/internal/vclock"
@@ -15,7 +15,7 @@ import (
 
 // FS is a RAM file system; it implements vfs.Device.
 type FS struct {
-	mu    sync.RWMutex
+	mu    vclock.Lock
 	root  *file
 	owner string
 
@@ -64,6 +64,7 @@ func NewClock(owner string, ck vclock.Clock) *FS {
 }
 
 func newFS(fs *FS) *FS {
+	fs.mu.Init(fs.ck)
 	fs.root = &file{
 		fs:       fs,
 		dir:      fs.mkDir("/", 0775),
@@ -192,8 +193,8 @@ func (fs *FS) WriteFile(path string, contents []byte, perm uint32) error {
 
 // ReadFile returns a copy of the contents of the plain file at path.
 func (fs *FS) ReadFile(path string) ([]byte, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	f, err := fs.lookupLocked(path)
 	if err != nil {
 		return nil, err
@@ -251,15 +252,15 @@ var (
 
 // Stat implements vfs.Node.
 func (n node) Stat() (vfs.Dir, error) {
-	n.f.fs.mu.RLock()
-	defer n.f.fs.mu.RUnlock()
+	n.f.fs.mu.Lock()
+	defer n.f.fs.mu.Unlock()
 	return n.f.dir, nil
 }
 
 // Walk implements vfs.Node.
 func (n node) Walk(name string) (vfs.Node, error) {
-	n.f.fs.mu.RLock()
-	defer n.f.fs.mu.RUnlock()
+	n.f.fs.mu.Lock()
+	defer n.f.fs.mu.Unlock()
 	if !n.f.dir.IsDir() {
 		return nil, vfs.ErrNotDir
 	}
@@ -417,8 +418,7 @@ type fileHandle struct {
 	f    *file
 	mode int
 
-	mu     sync.Mutex
-	closed bool
+	closed atomic.Bool
 }
 
 var (
@@ -437,8 +437,8 @@ func (h *fileHandle) Read(p []byte, off int64) (int, error) {
 		return 0, vfs.ErrBadUseFd
 	}
 	f := h.f
-	f.fs.mu.RLock()
-	defer f.fs.mu.RUnlock()
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
 	if off >= int64(len(f.data)) {
 		return 0, nil
 	}
@@ -470,13 +470,9 @@ func (h *fileHandle) Write(p []byte, off int64) (int, error) {
 
 // Close implements vfs.Handle.
 func (h *fileHandle) Close() error {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
+	if !h.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	h.closed = true
-	h.mu.Unlock()
 	f := h.f
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
@@ -498,8 +494,8 @@ var (
 // ReadDir implements vfs.DirReader.
 func (h *dirHandle) ReadDir() ([]vfs.Dir, error) {
 	f := h.f
-	f.fs.mu.RLock()
-	defer f.fs.mu.RUnlock()
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
 	ents := make([]vfs.Dir, 0, len(f.order))
 	for _, name := range f.order {
 		ents = append(ents, f.children[name].dir)

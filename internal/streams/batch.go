@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -85,8 +84,9 @@ var batchModule = &Qinfo{
 type batchState struct {
 	cfg batchConfig
 
-	// Downstream (coalescing) side.
-	mu      sync.Mutex
+	// Downstream (coalescing) side. mu is held across the put that
+	// emits a window, which may park.
+	mu      vclock.Mutex
 	pend    *block.Block // pooled accumulation window, nil when empty
 	used    int          // bytes written into pend's window
 	cur     []byte       // current partial (undelimited) message
@@ -141,6 +141,8 @@ func batchOpen(q *Queue, arg any) error {
 		return err
 	}
 	st := &batchState{cfg: cfg}
+	st.mu.Init(q.s.clk)
+	st.split.mu.Init(q.s.clk)
 	st.split.header = batchHeader
 	st.split.frame = st.unframe
 	st.group = (&obs.Group{}).
@@ -182,8 +184,9 @@ func (st *batchState) appendPend(p []byte) {
 // emitLocked flushes the pending window as one delimited wire block
 // out of down's position in the chain. Callers hold st.mu and either
 // the stream's config read lock (put chain, timer) or its write lock
-// (pop drain); the downstream chain never parks on flow control, so
-// holding st.mu across the put keeps flushes ordered without risk.
+// (pop drain). The put may park, in a device write waiting for its
+// transport's window or its line, so st.mu is a vclock.Mutex: holding
+// it across the put keeps flushes in order.
 func (st *batchState) emitLocked(down *Queue, cause flushCause) {
 	st.gen++
 	if st.timer != nil {

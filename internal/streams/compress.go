@@ -72,6 +72,7 @@ func compressOpen(q *Queue, arg any) error {
 		}
 	}
 	st := &compressState{}
+	st.split.mu.Init(q.s.clk)
 	st.split.header = compressLen
 	st.split.frame = st.unframe
 	st.group = (&obs.Group{}).

@@ -1,9 +1,8 @@
 package streams
 
 import (
-	"sync"
-
 	"repro/internal/block"
+	"repro/internal/vclock"
 )
 
 // A splitter is the upstream half of a line discipline that frames its
@@ -29,7 +28,7 @@ type splitter struct {
 	header func(p []byte) (n int, bad bool)
 	frame  func(b *Block) *Block
 
-	mu       sync.Mutex
+	mu       vclock.Lock
 	partial  []byte
 	poisoned bool
 }

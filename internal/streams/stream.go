@@ -3,7 +3,6 @@ package streams
 import (
 	"io"
 	"strings"
-	"sync"
 
 	"repro/internal/block"
 	"repro/internal/obs"
@@ -378,7 +377,10 @@ func (s *Stream) next(wait bool) (*Block, error) {
 // sets Delim on a block that ends a message; a device that only borrows
 // its receive buffer copies it first (NewBlock). A device hangs up with
 // HangupUp, not with a block.
-func (s *Stream) DeviceUp(b *Block) { s.rq.queue(b) }
+func (s *Stream) DeviceUp(b *Block) {
+	vclock.MightPark(s.clk, "Stream.DeviceUp")
+	s.rq.queue(b)
+}
 
 // Produce is DeviceUp that never parks, Plan 9's qproduce: where
 // DeviceUp would wait, while the device end holds the stream's limit,
@@ -444,7 +446,7 @@ func (s *Stream) QueuedBytes() int {
 // Close touch it, and the reader holds the stream's read lock, so at
 // most one reader ever waits on rwait.
 type rcvQueue struct {
-	mu     sync.Mutex
+	mu     vclock.Lock
 	rwait  vclock.Cond // the reader waiting for the device
 	wwait  vclock.Cond // devices waiting for room
 	in     blist       // queued by the device, not yet carried up
@@ -457,6 +459,7 @@ type rcvQueue struct {
 
 func (q *rcvQueue) init(ck vclock.Clock, limit int) {
 	q.limit = limit
+	q.mu.Init(ck)
 	q.rwait.Init(ck, &q.mu)
 	q.wwait.Init(ck, &q.mu)
 }
@@ -648,7 +651,8 @@ func (l *blist) free() {
 // chain, it could be held behind a waiting push on the peer, and this
 // end's window with it: four parties, each waiting on the next.
 type chainLock struct {
-	mu      sync.Mutex
+	ck      vclock.Clock
+	mu      vclock.Lock
 	rcond   vclock.Cond // readers waiting for the writer to leave
 	wcond   vclock.Cond // writers waiting for readers to drain
 	readers int
@@ -657,11 +661,14 @@ type chainLock struct {
 }
 
 func (l *chainLock) init(ck vclock.Clock) {
+	l.ck = ck
+	l.mu.Init(ck)
 	l.rcond.Init(ck, &l.mu)
 	l.wcond.Init(ck, &l.mu)
 }
 
 func (l *chainLock) RLock() {
+	vclock.MightPark(l.ck, "chainLock.RLock")
 	l.mu.Lock()
 	for l.writer || l.wwait > 0 {
 		l.rcond.Wait()
@@ -680,6 +687,7 @@ func (l *chainLock) RUnlock() {
 }
 
 func (l *chainLock) Lock() {
+	vclock.MightPark(l.ck, "chainLock.Lock")
 	l.mu.Lock()
 	l.wwait++
 	for l.writer || l.readers > 0 {

@@ -279,6 +279,7 @@ func (c *Conn) sendSegLocked(flags byte, seq uint32, data []byte) {
 // blocks while the buffer is full — the byte-stream backpressure TCP
 // provides in place of delimiters.
 func (c *Conn) Write(p []byte) (int, error) {
+	vclock.MightPark(c.proto.Ck, "tcp.Conn.Write")
 	total := 0
 	for total < len(p) {
 		c.Mu.Lock()

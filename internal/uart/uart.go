@@ -24,7 +24,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/devtree"
@@ -162,15 +161,17 @@ func (e *End) Close() error {
 type Dev struct {
 	owner string
 
-	mu   sync.Mutex
+	mu   vclock.Lock
 	eias map[int]*End
 }
 
 var _ vfs.Device = (*Dev)(nil)
 
-// NewDev creates an empty UART device.
-func NewDev(owner string) *Dev {
-	return &Dev{owner: owner, eias: make(map[int]*End)}
+// NewDev creates an empty UART device on ck.
+func NewDev(owner string, ck vclock.Clock) *Dev {
+	d := &Dev{owner: owner, eias: make(map[int]*End)}
+	d.mu.Init(ck)
+	return d
 }
 
 // Add attaches a line end as eia<n>.

@@ -113,7 +113,7 @@ func TestListingIsInLineOrder(t *testing.T) {
 		l := NewLine(ck)
 		defer l.Close()
 		c, _ := l.Ends()
-		dev := NewDev("bootes")
+		dev := NewDev("bootes", ck)
 		dev.Add(3, c)
 		dev.Add(1, a)
 		dev.Add(2, b)
@@ -140,8 +140,8 @@ func TestListingIsInLineOrder(t *testing.T) {
 }
 
 func TestFileTreeAndCtl(t *testing.T) {
-	onLine(t, fast, func(_ vclock.Clock, a, _ *End) error {
-		dev := NewDev("bootes")
+	onLine(t, fast, func(ck vclock.Clock, a, _ *End) error {
+		dev := NewDev("bootes", ck)
 		dev.Add(1, a)
 		nsp := ns.New("bootes", ramfs.New("bootes").Root())
 		if err := nsp.MountDevice(dev, "", "/dev", ns.MREPL); err != nil {
@@ -192,8 +192,8 @@ func TestFileTreeAndCtl(t *testing.T) {
 }
 
 func TestDataFileThroughNamespace(t *testing.T) {
-	onLine(t, fast, func(_ vclock.Clock, a, b *End) error {
-		dev := NewDev("bootes")
+	onLine(t, fast, func(ck vclock.Clock, a, b *End) error {
+		dev := NewDev("bootes", ck)
 		dev.Add(1, a)
 		nsp := ns.New("bootes", ramfs.New("bootes").Root())
 		nsp.MountDevice(dev, "", "/dev", ns.MREPL)

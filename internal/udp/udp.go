@@ -17,7 +17,6 @@ package udp
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/block"
@@ -38,7 +37,7 @@ const AddrHdrLen = 6
 type Proto struct {
 	stack *ip.Stack
 
-	mu    sync.Mutex
+	mu    vclock.Lock
 	bound map[uint16]*Conn // local port -> conversation
 	ports xport.Ports
 
@@ -50,6 +49,7 @@ var _ xport.Proto = (*Proto)(nil)
 // New creates the UDP device on a stack and registers its demux.
 func New(stack *ip.Stack) *Proto {
 	p := &Proto{stack: stack, bound: make(map[uint16]*Conn), ports: xport.NewPorts(5000)}
+	p.mu.Init(stack.Clock())
 	stack.Register(ip.ProtoUDP, p.recv)
 	return p
 }
@@ -69,6 +69,7 @@ func (p *Proto) Clock() vclock.Clock { return p.stack.Clock() }
 // NewConn implements xport.Proto.
 func (p *Proto) NewConn() (xport.Conn, error) {
 	c := &Conn{proto: p}
+	c.mu.Init(p.stack.Clock())
 	c.rstream = streams.NewConv(0, p.stack.Clock(), c)
 	return c, nil
 }
@@ -126,7 +127,7 @@ type Conn struct {
 	proto   *Proto
 	rstream *streams.Stream
 
-	mu         sync.Mutex
+	mu         vclock.Lock
 	localPort  uint16
 	remoteAddr ip.Addr
 	remotePort uint16

@@ -12,7 +12,6 @@
 package urp
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -85,7 +84,7 @@ type Conn struct {
 	ck    vclock.Clock
 	stats *Stats
 
-	mu   sync.Mutex
+	mu   vclock.Lock
 	cond vclock.Cond
 	due  vclock.Deadline // when dueLocked comes round, death, or the close's end
 
@@ -143,6 +142,7 @@ func (c *Conn) Init(wire Wire, stats *Stats, ck vclock.Clock) {
 	c.wire, c.ck, c.stats = wire, ck, stats
 	c.unacked = c.window[:0]
 	c.rstream = streams.NewConv(1<<22, ck, c)
+	c.mu.Init(ck)
 	c.cond.Init(ck, &c.mu)
 	c.due.Init(ck, &c.mu, deathTime, (*owner)(c))
 }
@@ -178,6 +178,7 @@ func (c *Conn) sendCell(typ, seq int, flags byte, data []byte) time.Time {
 // while the window is full, and returns once its last bit has left:
 // the writer waits out the wire time, never the line.
 func (c *Conn) Write(p []byte) (int, error) {
+	vclock.MightPark(c.ck, "urp.Conn.Write")
 	total := 0
 	var left time.Time
 	for {

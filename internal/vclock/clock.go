@@ -18,10 +18,11 @@
 // on a raw channel, sync.Cond, or sync.WaitGroup that only another
 // machine goroutine can satisfy: the scheduler cannot see such a park,
 // so the simulation stalls (and, if the waker needs virtual time to
-// advance, deadlocks — Run panics when it detects that). A sync.Mutex
-// is fine only while no holder parks with it held, so its waits resolve
-// without the clock's help; a lock that may be held across a park is a
-// Mutex from this package.
+// advance, deadlocks — Run panics when it detects that). A mutex is
+// fine only while no holder parks with it held, so its waits resolve
+// without the clock's help: a Lock is such a mutex, and the clock
+// fails a park entered with one held. A lock that may be held across a
+// park is a Mutex.
 package vclock
 
 import "time"

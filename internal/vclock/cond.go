@@ -59,6 +59,7 @@ func (c *Cond) wait(op string) {
 		return
 	}
 	v := c.v
+	v.mightPark(op, c.l)
 	v.mu.Lock()
 	g := v.curLocked(op)
 	v.mu.Unlock()

@@ -76,6 +76,7 @@ func (m *Mailbox[T]) popLocked() T {
 // Send enqueues v, blocking while the mailbox is full. It returns
 // ErrClosed if the mailbox is (or becomes) closed before v is queued.
 func (m *Mailbox[T]) Send(v T) error {
+	m.nf.v.mightPark("Mailbox.Send", nil)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for !m.closed && m.bound > 0 && m.cnt >= m.bound {
@@ -105,6 +106,7 @@ func (m *Mailbox[T]) TrySend(v T) bool {
 // Recv dequeues the next value, blocking while the mailbox is empty.
 // ok is false once the mailbox is closed and drained.
 func (m *Mailbox[T]) Recv() (v T, ok bool) {
+	m.ne.v.mightPark("Mailbox.Recv", nil)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for m.cnt == 0 && !m.closed {

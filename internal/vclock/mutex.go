@@ -34,6 +34,7 @@ func (m *Mutex) Init(ck Clock) { m.v, _ = ck.(*Virtual) }
 // Lock acquires m, parking through the clock while another goroutine
 // holds it.
 func (m *Mutex) Lock() {
+	m.v.mightPark("Mutex.Lock", nil)
 	m.mu.Lock()
 	for m.held {
 		if m.free == nil {

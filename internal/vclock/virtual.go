@@ -31,6 +31,12 @@ type Virtual struct {
 	started    bool
 	switches   int64 // host switches: hand-offs of the token to another goroutine
 
+	// nlocks counts the Locks the running process holds, and held
+	// lists them in a race build. Only the token's holder touches
+	// them, and none parks with either nonempty.
+	nlocks int
+	held   heldList
+
 	// back hands the token back to Run once nothing can run: the
 	// simulation is over, drained, or deadlocked.
 	back chan struct{}
@@ -442,6 +448,7 @@ func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 // now+d. Sleep(0) still round-trips through the event heap, so it is
 // a deterministic yield point.
 func (v *Virtual) Sleep(d time.Duration) {
+	v.mightPark("Sleep", nil)
 	if d < 0 {
 		d = 0
 	}
@@ -451,6 +458,7 @@ func (v *Virtual) Sleep(d time.Duration) {
 
 // SleepUntil implements Clock.
 func (v *Virtual) SleepUntil(t time.Time) {
+	v.mightPark("SleepUntil", nil)
 	v.mu.Lock()
 	at := int64(t.Sub(Epoch))
 	if at < v.now {

@@ -36,6 +36,7 @@ func (w *WaitGroup) Done() { w.Add(-1) }
 
 // Wait blocks until the counter reaches zero.
 func (w *WaitGroup) Wait() {
+	w.c.v.mightPark("WaitGroup.Wait", nil)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for w.n > 0 {

@@ -1,8 +1,6 @@
 package xport
 
 import (
-	"sync"
-
 	"repro/internal/ip"
 	"repro/internal/obs"
 	"repro/internal/streams"
@@ -25,7 +23,7 @@ const (
 // exported fields are for the protocol that embeds it; Mu guards all
 // but the ones Init sets.
 type Conv struct {
-	Mu   sync.Mutex
+	Mu   vclock.Lock
 	Cond vclock.Cond // signalled on every state or window change
 
 	St  int    // Closed … Established, then the protocol's own
@@ -68,6 +66,7 @@ var _ obs.Tracer = (*Conv)(nil)
 // Init readies a fresh conversation of table t, embedded in self.
 func (c *Conv) Init(t *Table, self Conn) {
 	c.tab, c.Self = t, self
+	c.Mu.Init(t.Ck)
 	c.Cond.Init(t.Ck, &c.Mu)
 	c.RTT.Init(t.Ck, &t.RTTHist)
 	c.Rq = streams.NewConv(1<<22, t.Ck, self)

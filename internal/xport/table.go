@@ -2,7 +2,6 @@ package xport
 
 import (
 	"math/rand"
-	"sync"
 
 	"repro/internal/ip"
 	"repro/internal/obs"
@@ -86,7 +85,7 @@ type Table struct {
 	states []string
 	spawn  SpawnFunc
 
-	mu        sync.Mutex
+	mu        vclock.Lock
 	conns     map[connKey]*Conv
 	listeners map[uint16]*Conv
 	ports     Ports
@@ -105,6 +104,7 @@ type SpawnFunc func(l *Conv, raddr ip.Addr, rport, lport uint16, peer uint32) *C
 // states names the protocol's conversation states, indexed by Conv.St.
 func (t *Table) Init(stack *ip.Stack, ephemBase uint16, states []string, spawn SpawnFunc) {
 	t.Stack, t.Ck = stack, stack.Clock()
+	t.mu.Init(t.Ck)
 	t.states, t.spawn = states, spawn
 	t.conns = make(map[connKey]*Conv)
 	t.listeners = make(map[uint16]*Conv)

@@ -1,8 +1,10 @@
 #!/bin/sh
 # check.sh — the repo's tier-1 gate: formatting, vet, build, the full
-# test suite under the race detector, netvet (the in-tree concurrency
-# and resource-lifecycle analyzer), seed sweeps of the protocol torture
-# harness, and short fuzz smokes over the wire-facing parsers. Everything must pass for a PR to land.
+# test suite under the race detector (where the virtual clock's
+# held-lock check fails a lock held across a park), netvet (the in-tree
+# resource-lifecycle and clock analyzer), seed sweeps of the protocol
+# torture harness, and short fuzz smokes over the wire-facing parsers.
+# Everything must pass for a PR to land.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -81,6 +83,60 @@ if [ "$real" != "$allow" ]; then
     echo "$real" >&2
     echo "want exactly:" >&2
     echo "$allow" >&2
+    exit 1
+fi
+
+echo "== one lock discipline: who may declare a sync lock"
+# Plan 9's rule that a process never parks holding a lock is a runtime
+# check: a vclock.Lock bound to a virtual clock counts itself held by
+# the running process, and every primitive that may park panics on
+# entry while one is, so a path that holds one across a park fails the
+# first time a test runs it, and the race build panics at the first
+# lock-order inversion among them. A lock that must be held across a
+# park is a vclock.Mutex. A sync.Mutex or RWMutex counts nothing, so outside
+# internal/vclock (the clock itself) the only ones are leaf locks whose
+# critical sections call nothing outside their package but the
+# standard library, each named here with its reason:
+#   block/race_on.go    the race build's allocation-site map
+#   devtree/devtree.go  a status file's snapshot text (the render runs unlocked)
+#   devtree/devtree.go  a query file's answer lines (the query runs unlocked)
+#   dnssrv/server.go    a zone's records, read by the server's loop
+#   medium/medium.go    a Pacer's next free instant: time arithmetic
+#   ndb/ndb.go          a database file's hash tables
+#   ns/fd.go            a descriptor's offset and closed flag
+#   ns/ns.go            the mount table's writers: copy, change, swap
+#   torture/torture.go  a report's violation list
+locks=$(grep -rnE 'sync\.(RW)?Mutex\b' --include='*.go' internal cmd examples | grep -v '_test\.go:' | grep -v testdata \
+    | grep -v '^internal/vclock/' | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' \
+    | sed -E 's/^([^:]*):[0-9]+:[[:space:]]*([A-Za-z_]+[[:space:]]+)?(sync\.(RW)?Mutex).*/\1 \2\3/' | tr -s ' ' | sort)
+allow="internal/block/race_on.go sync.Mutex
+internal/devtree/devtree.go mu sync.Mutex
+internal/devtree/devtree.go mu sync.Mutex
+internal/dnssrv/server.go mu sync.RWMutex
+internal/medium/medium.go mu sync.Mutex
+internal/ndb/ndb.go mu sync.RWMutex
+internal/ns/fd.go mu sync.Mutex
+internal/ns/ns.go mu sync.Mutex
+internal/torture/torture.go mu sync.Mutex"
+if [ "$locks" != "$allow" ]; then
+    echo "non-test sync locks outside internal/vclock:" >&2
+    echo "$locks" >&2
+    echo "want exactly (a new lock is a vclock.Lock, Init on its clock):" >&2
+    echo "$allow" >&2
+    exit 1
+fi
+
+echo "== no raw channels on the clock"
+# A machine process parks only in the clock's primitives, where the
+# scheduler sees it and the held-lock check runs: a channel operation,
+# a select, a sync.WaitGroup or sync.Cond wait is a park neither can
+# see, and a send, receive or range on a channel with a lock held was
+# the channel half of the old static lock-across-send check. Outside
+# the clock, the analyzer and the leak checker (which watch the host),
+# no non-test code uses them.
+if grep -rnE '\bchan\b|\bselect \{|sync\.(WaitGroup|Cond)\b' --include='*.go' internal cmd examples | grep -v '_test\.go:' | grep -v testdata \
+    | grep -v -e '^internal/vclock/' -e '^internal/analysis/' -e '^internal/leakcheck/'; then
+    echo "a raw channel or sync wait in code that runs on the clock (see above)" >&2
     exit 1
 fi
 
@@ -198,13 +254,15 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # put that allocates, whether it queues or refuses (streams
 # TestAllocsProduce), or a cache hit or read past a file's end that
 # leaves the zero-copy path (ccache TestAllocsCacheHitReadBlock,
-# TestAllocsPastEOFReadBlock). Without -race there is also no
+# TestAllocsPastEOFReadBlock), or a hangup or ctl message made outside
+# the block pools (block TestAllocsControl), or a vclock.Lock whose
+# held count allocates (vclock TestAllocsLockUncontended). Without -race there is also no
 # allocation-site recorder (block/race_on.go, which lets leakcheck name
 # a leaked block's site): it takes a stack per Alloc, about 0.8 us, or
 # twelve times an Alloc/Free pair (BenchmarkAllocFree16K, 68 -> 857 ns
 # on a 2-CPU host), so only the race build above pays for it, and these
 # gates and the benchmark measure the allocator as it ships.
-go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ccache ./internal/ninep ./internal/mnt ./internal/core ./internal/cs ./internal/tcp ./internal/urp ./internal/vclock ./internal/ether ./internal/il ./internal/ns ./internal/netdev ./internal/devtree ./internal/cyclone ./internal/medium ./internal/exportfs
+go test -run '^TestAllocs' -count=1 ./internal/block ./internal/streams ./internal/ccache ./internal/ninep ./internal/mnt ./internal/core ./internal/cs ./internal/tcp ./internal/urp ./internal/vclock ./internal/ether ./internal/il ./internal/ns ./internal/netdev ./internal/devtree ./internal/cyclone ./internal/medium ./internal/exportfs
 
 echo "== chaos: 100-seed sweep"
 # The discrete-event clock makes a whole seed sweep affordable: every
@@ -236,8 +294,9 @@ echo "== coverage floors"
 # conversation stands on, and devtree the conversation table every
 # Ethernet and protocol-device conversation lives in; ninep and mnt are
 # the mount path, where one window carries every large transfer; vclock
-# holds every primitive a simulated machine may block in, the one lock
-# that may be held across a park among them, and ns resolves every path
+# holds every primitive a simulated machine may block in, the lock that
+# fails any of them entered with it held and the one lock that may be
+# held across a park, and ns resolves every path
 # on a mount-table snapshot its writers replace under its readers. Three
 # floors are higher: the line disciplines in streams rewrite every byte
 # a dressed conversation carries, cs answers every symbolic dial, so a
@@ -269,7 +328,7 @@ echo "urp.go $(lines internal/urp/urp.go)  vclock/deadline.go $(lines internal/v
 echo "ninep/client.go $(lines internal/ninep/client.go)  mnt/mnt.go $(lines internal/mnt/mnt.go)  exportfs.go $(lines internal/exportfs/exportfs.go)  ninep/server.go $(lines internal/ninep/server.go)  core/services.go $(lines internal/core/services.go)"
 echo "vclock/*.go $(lines $(ls internal/vclock/*.go | grep -v _test.go))  ninep/transport.go $(lines internal/ninep/transport.go)  ns/ns.go $(lines internal/ns/ns.go)"
 echo "block/*.go $(lines $(ls internal/block/*.go | grep -v _test.go))  leakcheck/*.go $(lines $(ls internal/leakcheck/*.go | grep -v _test.go))  streams/*.go $(lines $(ls internal/streams/*.go | grep -v _test.go))"
-echo "analysis/locks.go $(lines internal/analysis/locks.go)  analysis/lockorder.go $(lines internal/analysis/lockorder.go)  analysis/*.go $(lines $(ls internal/analysis/*.go | grep -v _test.go))  cmd/netvet/*.go $(lines $(ls cmd/netvet/*.go | grep -v _test.go))"
+echo "analysis/*.go $(lines $(ls internal/analysis/*.go | grep -v _test.go))  cmd/netvet/*.go $(lines $(ls cmd/netvet/*.go | grep -v _test.go))"
 echo "cs/*.go $(lines $(ls internal/cs/*.go | grep -v _test.go))"
 echo "cmd/*/*.go $(lines $(ls cmd/*/*.go | grep -v _test.go))  examples/*/*.go $(lines $(ls examples/*/*.go | grep -v _test.go))"
 echo "ip/stack.go $(lines internal/ip/stack.go)  ether/ether.go $(lines internal/ether/ether.go)  ether/dev.go $(lines internal/ether/dev.go)  netdev.go $(lines internal/netdev/netdev.go)  devtree/*.go $(lines $(ls internal/devtree/*.go | grep -v _test.go))  medium.go $(lines internal/medium/medium.go)  medium/delay.go $(lines internal/medium/delay.go)  uart.go $(lines internal/uart/uart.go)"
