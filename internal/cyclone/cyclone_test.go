@@ -8,6 +8,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/medium"
 	"repro/internal/vclock"
+	"repro/internal/vfs"
 	"repro/internal/xport"
 )
 
@@ -247,48 +248,50 @@ func TestEndName(t *testing.T) {
 	})
 }
 
-// TestConcurrentListenClose is the regression test for a lock-order
-// inversion: Close used to take e.mu while holding c.mu, while Listen
-// holds e.mu and polls isClosed (c.mu) — a deadlock when a blocked
-// listener and a closing conversation race. Hammer the pair under a
-// watchdog. It stays on the real clock, and is the gate for lock-order
-// cycles: the inversion needs two host threads inside the locks at
-// once, and on the virtual clock, where one goroutine runs at a time
-// and none parks holding a Lock, no Lock is ever contended.
+// TestConcurrentListenClose is the gate for lock-order cycles on a
+// link: e.mu before c.mu, the order Listen takes them in when it polls
+// isClosed with the wire's lock held. A Close that took e.mu still
+// holding c.mu would deadlock with a parked listener on the real clock,
+// but only when the two meet inside sections a few instructions long.
+// Here Listen and Close each take the pair once, in both orders: a
+// listener parks on the busy wire and its conversation is then closed,
+// and a closed conversation is then listened on. On the virtual clock
+// no Lock is ever contended, so nothing can deadlock; a race build
+// records the order each Lock class is taken in and panics at the
+// first inversion, which fails this test on its first run. Without the
+// race detector it checks only what Listen returns.
 func TestConcurrentListenClose(t *testing.T) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			l := NewLink("cyc0", medium.Profile{})
-			ea, _ := l.Ends()
-			holder, _ := ea.NewConn()
-			holder.Connect("") // wire busy: Listen will park on the cond
-			lc, _ := ea.NewConn()
-			lc.Announce("")
-			listened := make(chan struct{})
-			go func() {
-				if nc, err := lc.Listen(); err == nil {
-					nc.Close()
-				}
-				close(listened)
-			}()
-			closed := make(chan struct{})
-			go func() {
-				lc.Close() // old code: e.mu under c.mu — deadlock window
-				close(closed)
-			}()
-			holder.Close() // frees the wire, broadcasts the cond
-			<-listened
-			<-closed
-			l.Close()
+	onLink(t, medium.Profile{}, func(v *vclock.Virtual, l *Link) {
+		ea, _ := l.Ends()
+		holder, _ := ea.NewConn()
+		if err := holder.Connect(""); err != nil { // the wire is busy: Listen parks
+			t.Error(err)
+			return
 		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second): //netvet:ignore realtime a watchdog over host threads racing, which this test is about
-		t.Fatal("deadlock: concurrent Listen+Close never finished")
-	}
+
+		lc, _ := ea.NewConn()
+		lc.Announce("")
+		listened := vclock.NewMailbox[error](v, 1)
+		v.Go(func() {
+			_, err := lc.Listen()
+			listened.Send(err)
+		})
+		v.Sleep(time.Millisecond) // the listener is parked on the wire
+		lc.Close()
+		if err, _ := listened.Recv(); err != vfs.ErrHungup {
+			t.Errorf("Listen parked before Close returned %v, want %v", err, vfs.ErrHungup)
+		}
+
+		lc, _ = ea.NewConn()
+		lc.Announce("")
+		lc.Close()
+		if _, err := lc.Listen(); err != vfs.ErrHungup {
+			t.Errorf("Listen after Close returned %v, want %v", err, vfs.ErrHungup)
+		}
+		// Not deferred: an inversion panics with e.mu held, and a
+		// deferred Close would block the panic's unwinding on it.
+		holder.Close()
+	})
 }
 
 // TestAllocsReceive: a message off the fiber goes up the read stream as

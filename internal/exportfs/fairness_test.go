@@ -118,7 +118,7 @@ func TestHotTenantCannotStarvePoliteOnes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return cl, f
+			return cl, &f
 		}
 
 		// Each read is at a fragment not read before: a cache miss.

@@ -61,16 +61,17 @@ func MountConfig(conn ninep.MsgConn, uname, aname string, cfg Config) (vfs.Node,
 		cl.Close()
 		return nil, nil, err
 	}
-	return newNode(root, cfg.Client.FileTree), cl, nil
+	return &node{fid: root, file: cfg.Client.FileTree}, cl, nil
 }
 
-// node is an unopened remote file; it holds a walked fid. Nothing
-// clunks a walked fid: it stays in the server's fid table until the
-// connection closes, on either clock. On a long-lived mount that grows
-// without bound (one bench lan-cat round ends with 11,601 live server
-// fids); ROADMAP item 18.
+// node is an unopened remote file; it holds a walked fid inline, so a
+// walk costs the node and nothing beside it. Nothing clunks a walked
+// fid: it stays in the server's fid table until the connection closes,
+// on either clock. On a long-lived mount that grows without bound (one
+// bench lan-cat round ends with 11,601 live server fids); ROADMAP item
+// 18.
 type node struct {
-	fid  *ninep.Fid
+	fid  ninep.Fid
 	file bool // file-tree profile
 }
 
@@ -81,8 +82,6 @@ var (
 	_ vfs.Wstater = (*node)(nil)
 )
 
-func newNode(fid *ninep.Fid, file bool) *node { return &node{fid: fid, file: file} }
-
 // Stat implements vfs.Node (Tstat).
 func (n *node) Stat() (vfs.Dir, error) { return n.fid.Stat() }
 
@@ -92,7 +91,7 @@ func (n *node) Walk(name string) (vfs.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newNode(nf, n.file), nil
+	return &node{fid: nf, file: n.file}, nil
 }
 
 // Open implements vfs.Node. The node's fid stays unopened (so the node
@@ -126,7 +125,7 @@ func (n *node) Create(name string, perm uint32, mode int) (vfs.Node, vfs.Handle,
 		f.Clunk()
 		return nil, nil, err
 	}
-	return newNode(nn, n.file), newHandle(f, n.file), nil
+	return &node{fid: nn, file: n.file}, newHandle(f, n.file), nil
 }
 
 // Remove implements vfs.Remover (Tremove); the server clunks the fid.
@@ -135,9 +134,10 @@ func (n *node) Remove() error { return n.fid.Remove() }
 // Wstat implements vfs.Wstater (Twstat).
 func (n *node) Wstat(d vfs.Dir) error { return n.fid.Wstat(d) }
 
-// handle is an open remote file.
+// handle is an open remote file. It holds its opened fid inline, and
+// its two windows point at that fid, so an open costs the handle.
 type handle struct {
-	fid  *ninep.Fid
+	fid  ninep.Fid
 	file bool // file-tree profile: read ahead and write behind
 
 	// mu is held across the handle's RPCs on a file tree, so a second
@@ -176,8 +176,9 @@ type handle struct {
 
 var _ vfs.Handle = (*handle)(nil)
 
-func newHandle(f *ninep.Fid, file bool) *handle {
-	h := &handle{fid: f, file: file, ra: f.NewWindow(), wb: f.NewWindow()}
+func newHandle(f ninep.Fid, file bool) *handle {
+	h := &handle{fid: f, file: file}
+	h.ra, h.wb = h.fid.NewWindow(), h.fid.NewWindow()
 	h.mu.Init(f.Client().Clock())
 	return h
 }

@@ -68,7 +68,7 @@ func roundTripAllocs(t *testing.T, mode int, op func(f *Fid, buf []byte) (int, e
 		}
 		buf := make([]byte, 4096)
 		allocs = testing.AllocsPerRun(200, func() {
-			if _, err := op(f, buf); err != nil {
+			if _, err := op(&f, buf); err != nil {
 				t.Error(err)
 			}
 		})

@@ -471,7 +471,10 @@ func (cl *Client) newFid() uint32 {
 	return cl.nextFid
 }
 
-// Fid is a remote file handle: the client end of a server fid.
+// Fid is a remote file handle: the client end of a server fid. It is a
+// value: Attach, Clone and CloneWalk return one for their caller to
+// hold where it likes, in the mount driver's node or handle itself.
+// Walk, Open and Create move the fid, so they take a pointer.
 type Fid struct {
 	cl  *Client
 	fid uint32
@@ -480,25 +483,25 @@ type Fid struct {
 
 // Attach authenticates uname to the server and returns a fid for the
 // root of the tree named by aname.
-func (cl *Client) Attach(uname, aname string) (*Fid, error) {
+func (cl *Client) Attach(uname, aname string) (Fid, error) {
 	fid := cl.newFid()
 	r, err := cl.RPC(&Fcall{Type: Tattach, Fid: fid, Uname: uname, Aname: aname})
 	if err != nil {
-		return nil, err
+		return Fid{}, err
 	}
-	return &Fid{cl: cl, fid: fid, qid: r.Qid}, nil
+	return Fid{cl: cl, fid: fid, qid: r.Qid}, nil
 }
 
 // Client returns the client the fid lives on.
 func (f *Fid) Client() *Client { return f.cl }
 
 // Clone duplicates the fid (Tclone), like dup(2) on a channel.
-func (f *Fid) Clone() (*Fid, error) {
+func (f *Fid) Clone() (Fid, error) {
 	nf := f.cl.newFid()
 	if _, err := f.cl.RPC(&Fcall{Type: Tclone, Fid: f.fid, Newfid: nf}); err != nil {
-		return nil, err
+		return Fid{}, err
 	}
-	return &Fid{cl: f.cl, fid: nf, qid: f.qid}, nil
+	return Fid{cl: f.cl, fid: nf, qid: f.qid}, nil
 }
 
 // Walk moves the fid one level down the hierarchy (Twalk).
@@ -512,13 +515,13 @@ func (f *Fid) Walk(name string) error {
 }
 
 // CloneWalk clones the fid and walks the clone in one RPC (Tclwalk).
-func (f *Fid) CloneWalk(name string) (*Fid, error) {
+func (f *Fid) CloneWalk(name string) (Fid, error) {
 	nf := f.cl.newFid()
 	r, err := f.cl.RPC(&Fcall{Type: Tclwalk, Fid: f.fid, Newfid: nf, Name: name})
 	if err != nil {
-		return nil, err
+		return Fid{}, err
 	}
-	return &Fid{cl: f.cl, fid: nf, qid: r.Qid}, nil
+	return Fid{cl: f.cl, fid: nf, qid: r.Qid}, nil
 }
 
 // Open prepares the fid for reads and writes (Topen).

@@ -512,7 +512,9 @@ func unmarshalInto(p []byte, f *Fcall) error {
 			}
 			d, err := vfs.UnmarshalDir(p[c.off:])
 			if err != nil {
-				return err
+				// The record is long enough, so a name field
+				// with no NUL is what failed, as in gname.
+				return ErrNameLen
 			}
 			f.Stat = d
 			c.off += vfs.DirRecLen

@@ -2,10 +2,12 @@ package ninep
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
 	"repro/internal/block"
+	"repro/internal/vfs"
 )
 
 // Fuzz9PMessage throws arbitrary bytes at the 9P message parser — the
@@ -29,6 +31,10 @@ func Fuzz9PMessage(f *testing.F) {
 	seed(&Fcall{Type: Twrite, Tag: 3, Fid: 4, Offset: 1 << 20, Count: 5, Data: []byte("hello")})
 	seed(&Fcall{Type: Rerror, Tag: 4, Ename: "phase error"})
 	seed(&Fcall{Type: Rread, Tag: 5, Fid: 6, Count: 7, Data: []byte("goodbye")})
+	seed(&Fcall{Type: Rstat, Tag: 6, Fid: 7, Stat: vfs.Dir{Name: "eia1ctl", Uid: "bootes", Gid: "bootes", Muid: "presotto",
+		Qid: vfs.Qid{Path: 0xcafe, Vers: 3, Type: vfs.QTAPPEND}, Mode: vfs.DMAPPEND | 0666, Atime: 1, Mtime: 2, Length: 4096}})
+	seed(&Fcall{Type: Twstat, Tag: 7, Fid: 8, Stat: vfs.Dir{Name: "renamed", Mode: 0644}})
+	f.Add(rstatNameNoNUL(f))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff})
 
@@ -81,5 +87,40 @@ func inPlace(t *testing.T, p []byte, want *Fcall, err error) {
 	cmp.blk = nil
 	if !reflect.DeepEqual(&cmp, want) {
 		t.Fatalf("decode and UnmarshalFcall disagree:\n%+v\n%+v", &cmp, want)
+	}
+}
+
+// rstatNameNoNUL is an Rstat whose name field holds 28 non-NUL bytes:
+// it once decoded to a 28-byte name that MarshalFcall then refused.
+func rstatNameNoNUL(tb testing.TB) []byte {
+	tb.Helper()
+	p, err := MarshalFcall(&Fcall{Type: Rstat, Tag: 1, Fid: 2, Stat: vfs.Dir{Name: "x"}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const nameAt = 4 + 1 + 2 + 4 // size, type, tag, fid
+	for i := range NameLen {
+		p[nameAt+i] = 'n'
+	}
+	return p
+}
+
+// TestStatNameWithoutNULRejected: the Fuzz9PMessage contract on the
+// counterexample above. The decoder refuses a name field with no NUL,
+// as it does a Twalk's, instead of accepting a message that cannot be
+// marshaled back.
+func TestStatNameWithoutNULRejected(t *testing.T) {
+	p := rstatNameNoNUL(t)
+	fc, err := UnmarshalFcall(p)
+	if err != ErrNameLen {
+		t.Fatalf("UnmarshalFcall = %+v, %v, want ErrNameLen", fc, err)
+	}
+	inPlace(t, p, fc, err)
+	for _, typ := range []uint8{Rstat, Twstat} {
+		for _, d := range []vfs.Dir{{Uid: strings.Repeat("u", NameLen)}, {Gid: strings.Repeat("g", NameLen)}, {Muid: strings.Repeat("m", NameLen)}} {
+			if _, err := MarshalFcall(&Fcall{Type: typ, Stat: d}); err != vfs.ErrNameTooLong {
+				t.Errorf("%s with %+v: MarshalFcall = %v, want vfs.ErrNameTooLong", TypeName(typ), d, err)
+			}
+		}
 	}
 }

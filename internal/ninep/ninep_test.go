@@ -485,7 +485,7 @@ func TestTeardownClosesFidsInFidOrder(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		var fs []*Fid
+		var fs []Fid
 		for range fids {
 			f, err := r.Clone()
 			if err != nil {

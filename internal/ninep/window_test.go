@@ -85,7 +85,7 @@ func openFile(t *testing.T, cl *Client, name string, mode int) *Fid {
 		t.Error(err)
 		return nil
 	}
-	return f
+	return &f
 }
 
 func pattern(n int) []byte {

@@ -12,7 +12,6 @@ import (
 // whose contents are streams ignore the offset, so sequential Read and
 // Write behave as on a connection.
 type FD struct {
-	ns    *Namespace
 	name  string
 	h     vfs.Handle
 	dir   vfs.Dir

@@ -53,23 +53,22 @@ func (n PathNode) Walk(name string) (vfs.Node, error) {
 }
 
 // Open implements vfs.Node; union directories open as their merged
-// listing, exactly as a local process sees them.
+// listing, exactly as a local process sees them. The handle is the
+// resolved node's own, so what it declares (vfs.Stable, vfs.DirReader)
+// reaches a cache or server above the PathNode unchanged.
 func (n PathNode) Open(mode int) (vfs.Handle, error) {
-	fd, err := n.nsp.Open(n.path, mode)
-	if err != nil {
-		return nil, err
-	}
-	return fdHandle{fd: fd}, nil
+	h, _, _, err := n.nsp.open(n.path, mode)
+	return h, err
 }
 
 // Create implements vfs.Creator.
 func (n PathNode) Create(name string, perm uint32, mode int) (vfs.Node, vfs.Handle, error) {
 	child := n.child(name)
-	fd, err := n.nsp.Create(child, perm, mode)
+	h, _, _, err := n.nsp.create(child, perm, mode)
 	if err != nil {
 		return nil, nil, err
 	}
-	return PathNode{nsp: n.nsp, path: child}, fdHandle{fd: fd}, nil
+	return PathNode{nsp: n.nsp, path: child}, h, nil
 }
 
 // Remove implements vfs.Remover.
@@ -77,35 +76,3 @@ func (n PathNode) Remove() error { return n.nsp.Remove(n.path) }
 
 // Wstat implements vfs.Wstater.
 func (n PathNode) Wstat(d vfs.Dir) error { return n.nsp.Wstat(n.path, d) }
-
-// fdHandle adapts an FD to the offset-addressed vfs.Handle interface.
-type fdHandle struct{ fd *FD }
-
-var (
-	_ vfs.Handle    = fdHandle{}
-	_ vfs.DirReader = fdHandle{}
-	_ vfs.Stable    = fdHandle{}
-)
-
-// Stable forwards vfs.Stable from the resolved handle, so a cache
-// above a PathNode (exportfs's ccache layer) can tell stored bytes
-// from live device files through the name-space indirection. A handle
-// that doesn't declare itself defaults to unstable — the safe side.
-func (h fdHandle) Stable() bool {
-	if s, ok := h.fd.Handle().(vfs.Stable); ok {
-		return s.Stable()
-	}
-	return false
-}
-
-// Read implements vfs.Handle.
-func (h fdHandle) Read(p []byte, off int64) (int, error) { return h.fd.ReadAt(p, off) }
-
-// Write implements vfs.Handle.
-func (h fdHandle) Write(p []byte, off int64) (int, error) { return h.fd.WriteAt(p, off) }
-
-// Close implements vfs.Handle.
-func (h fdHandle) Close() error { return h.fd.Close() }
-
-// ReadDir implements vfs.DirReader.
-func (h fdHandle) ReadDir() ([]vfs.Dir, error) { return h.fd.ReadDir() }

@@ -110,7 +110,9 @@ func TestPathNodeCreateRemoveWstat(t *testing.T) {
 	}
 }
 
-func TestFDHandleAdapters(t *testing.T) {
+// TestPathNodeHandleReadsAtOffsets: the handle a PathNode opens is the
+// resolved node's own, offset-addressed for reads and writes.
+func TestPathNodeHandleReadsAtOffsets(t *testing.T) {
 	nsp, fs := pathNodeNS(t)
 	fs.WriteFile("f", []byte("0123456789"), 0664)
 	n := NodeAt(nsp, "/f")

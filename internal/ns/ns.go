@@ -278,19 +278,29 @@ func (ns *Namespace) Remove(name string) error {
 
 // Open opens name with the given mode and returns an FD.
 func (ns *Namespace) Open(name string, mode int) (*FD, error) {
-	first, union, cname, err := ns.resolve(name)
+	h, d, cname, err := ns.open(name, mode)
 	if err != nil {
 		return nil, err
+	}
+	return &FD{name: cname, h: h, dir: d, isDir: d.IsDir()}, nil
+}
+
+// open resolves name and opens it with mode. It returns the handle,
+// the entry Stat gave at open time and the canonical name.
+func (ns *Namespace) open(name string, mode int) (vfs.Handle, vfs.Dir, string, error) {
+	first, union, cname, err := ns.resolve(name)
+	if err != nil {
+		return nil, vfs.Dir{}, "", err
 	}
 	// A directory that is a union point reads as the concatenation
 	// of its members.
 	d, err := first.Stat()
 	if err != nil {
-		return nil, err
+		return nil, vfs.Dir{}, "", err
 	}
 	if d.IsDir() && len(union) > 1 {
 		if vfs.AccessMode(mode) != vfs.OREAD {
-			return nil, vfs.ErrIsDir
+			return nil, vfs.Dir{}, "", vfs.ErrIsDir
 		}
 		var hs []vfs.Handle
 		for _, c := range union {
@@ -303,27 +313,37 @@ func (ns *Namespace) Open(name string, mode int) (*FD, error) {
 			}
 			hs = append(hs, h)
 		}
-		return &FD{ns: ns, name: cname, h: &unionHandle{hs: hs}, dir: d, isDir: true}, nil
+		return &unionHandle{hs: hs}, d, cname, nil
 	}
 	h, err := first.Open(mode)
 	if err != nil {
-		return nil, err
+		return nil, vfs.Dir{}, "", err
 	}
-	return &FD{ns: ns, name: cname, h: h, dir: d, isDir: d.IsDir()}, nil
+	return h, d, cname, nil
 }
 
 // Create creates name (a file, or a directory if perm&DMDIR) and opens
 // it with mode. In a union, creation goes to the first member mounted
 // with MCREATE, as in the kernel.
 func (ns *Namespace) Create(name string, perm uint32, mode int) (*FD, error) {
+	h, d, cname, err := ns.create(name, perm, mode)
+	if err != nil {
+		return nil, err
+	}
+	return &FD{name: cname, h: h, dir: d, isDir: perm&vfs.DMDIR != 0}, nil
+}
+
+// create is Create without the FD: the handle, the entry as created
+// and the canonical name.
+func (ns *Namespace) create(name string, perm uint32, mode int) (vfs.Handle, vfs.Dir, string, error) {
 	cname := Clean(name)
 	dir, base := path.Split(cname)
 	if base == "" || base == "/" {
-		return nil, vfs.ErrBadArg
+		return nil, vfs.Dir{}, "", vfs.ErrBadArg
 	}
 	target, union, _, err := ns.resolve(dir)
 	if err != nil {
-		return nil, err
+		return nil, vfs.Dir{}, "", err
 	}
 	if len(union) > 1 {
 		target = nil
@@ -334,52 +354,53 @@ func (ns *Namespace) Create(name string, perm uint32, mode int) (*FD, error) {
 			}
 		}
 		if target == nil {
-			return nil, vfs.ErrNoCreate
+			return nil, vfs.Dir{}, "", vfs.ErrNoCreate
 		}
 	}
 	cr, ok := target.(vfs.Creator)
 	if !ok {
-		return nil, vfs.ErrPerm
+		return nil, vfs.Dir{}, "", vfs.ErrPerm
 	}
 	_, h, err := cr.Create(base, perm, mode)
 	if err != nil {
-		return nil, err
+		return nil, vfs.Dir{}, "", err
 	}
-	d := vfs.Dir{Name: base, Mode: perm}
-	return &FD{ns: ns, name: cname, h: h, dir: d, isDir: perm&vfs.DMDIR != 0}, nil
+	return h, vfs.Dir{Name: base, Mode: perm}, cname, nil
 }
 
 // readChunk is the length of every read ReadFile makes.
 const readChunk = 8192
 
-// ReadFile reads the whole file at name, in reads of readChunk bytes.
-// It reads straight into the result, sized from the length Open
-// statted: the file in whole chunks and one more chunk for the read
-// that finds its end. Only a file that reports no length, as a device
-// file does, or one that has grown since, reads through a chunk of
-// scratch, whose reads are appended to the result.
+// ReadFile reads the whole file at name, in reads of readChunk bytes
+// at explicit offsets on the handle open returns; it builds no FD. It
+// reads straight into the result, sized from the length open statted:
+// the file in whole chunks and one more chunk for the read that finds
+// its end. Only a file that reports no length, as a device file does,
+// or one that has grown since, reads through a chunk of scratch, whose
+// reads are appended to the result.
 func (ns *Namespace) ReadFile(name string) ([]byte, error) {
-	fd, err := ns.Open(name, vfs.OREAD)
+	h, d, _, err := ns.open(name, vfs.OREAD)
 	if err != nil {
 		return nil, err
 	}
-	defer fd.Close()
+	defer h.Close()
 	var out, scratch []byte
-	if size := fd.dir.Length; size > 0 {
+	if size := d.Length; size > 0 {
 		out = make([]byte, 0, (size+readChunk-1)/readChunk*readChunk+readChunk)
 	}
-	for {
+	for off := int64(0); ; {
 		var n int
 		if cap(out)-len(out) >= readChunk {
-			n, err = fd.Read(out[len(out) : len(out)+readChunk])
+			n, err = h.Read(out[len(out):len(out)+readChunk], off)
 			out = out[:len(out)+n]
 		} else {
 			if scratch == nil {
 				scratch = make([]byte, readChunk)
 			}
-			n, err = fd.Read(scratch)
+			n, err = h.Read(scratch, off)
 			out = append(out, scratch[:n]...)
 		}
+		off += int64(n)
 		if err != nil || n == 0 {
 			return out, nil
 		}

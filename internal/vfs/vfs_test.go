@@ -2,8 +2,11 @@ package vfs
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/block"
 )
 
 func TestQidIsDir(t *testing.T) {
@@ -117,6 +120,59 @@ func TestDirMarshalNameTooLong(t *testing.T) {
 	d := Dir{Name: "this-name-is-way-too-long-for-a-fixed-record"}
 	if _, err := MarshalDir(nil, d); err != ErrNameTooLong {
 		t.Errorf("got %v, want ErrNameTooLong", err)
+	}
+}
+
+// Every name field of a record must hold its NUL: MarshalDir refuses a
+// uid, gid or muid of 28 bytes or more as it does a name, and
+// UnmarshalDir refuses a field of 28 non-NUL bytes, which no record
+// MarshalDir makes could carry.
+func TestDirNamesNeedTheirNUL(t *testing.T) {
+	long := strings.Repeat("u", nameLen)
+	for _, d := range []Dir{{Uid: long}, {Gid: long}, {Muid: long}} {
+		if _, err := MarshalDir(nil, d); err != ErrNameTooLong {
+			t.Errorf("MarshalDir(%+v) = %v, want ErrNameTooLong", d, err)
+		}
+	}
+	for field := range 4 {
+		b, err := MarshalDir(nil, Dir{Name: "n", Uid: "u", Gid: "g", Muid: "m"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(b[field*nameLen:(field+1)*nameLen], long)
+		if d, err := UnmarshalDir(b); err != ErrNameTooLong {
+			t.Errorf("field %d with no NUL: UnmarshalDir = %+v, %v, want ErrNameTooLong", field, d, err)
+		}
+	}
+}
+
+// TestAllocsUnmarshalDir: a record's four names come out as one
+// string, so decoding one costs one object, and none when every name
+// is empty. A decoder that makes a string per field fails here.
+func TestAllocsUnmarshalDir(t *testing.T) {
+	if block.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		d    Dir
+		want float64
+	}{
+		{Dir{Name: "eia1ctl", Uid: "bootes", Gid: "bootes", Muid: "presotto", Length: 1}, 1},
+		{Dir{Name: strings.Repeat("n", nameLen-1), Uid: strings.Repeat("u", nameLen-1), Gid: strings.Repeat("g", nameLen-1), Muid: strings.Repeat("m", nameLen-1)}, 1},
+		{Dir{Qid: Qid{Path: 9}}, 0},
+	} {
+		b, err := MarshalDir(nil, tc.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Dir
+		allocs := testing.AllocsPerRun(100, func() { got, _ = UnmarshalDir(b) })
+		if got != tc.d {
+			t.Errorf("UnmarshalDir = %+v, want %+v", got, tc.d)
+		}
+		if allocs != tc.want {
+			t.Errorf("UnmarshalDir of %+v: %.1f allocs, want %.0f", tc.d, allocs, tc.want)
+		}
 	}
 }
 

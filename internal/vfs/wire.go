@@ -1,9 +1,9 @@
 package vfs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
-	"strings"
 )
 
 // The 1993 9P carries directory entries and stat results as fixed-size
@@ -34,17 +34,10 @@ func putName(p []byte, s string) {
 	copy(p[:nameLen-1], s)
 }
 
-func getName(p []byte) string {
-	s := string(p[:nameLen])
-	if i := strings.IndexByte(s, 0); i >= 0 {
-		s = s[:i]
-	}
-	return s
-}
-
-// MarshalDir appends the fixed-size record for d to p.
+// MarshalDir appends the fixed-size record for d to p. Each of the
+// four names must leave room for its NUL terminator.
 func MarshalDir(p []byte, d Dir) ([]byte, error) {
-	if len(d.Name) >= nameLen {
+	if len(d.Name) >= nameLen || len(d.Uid) >= nameLen || len(d.Gid) >= nameLen || len(d.Muid) >= nameLen {
 		return p, ErrNameTooLong
 	}
 	var rec [DirRecLen]byte
@@ -65,16 +58,32 @@ func MarshalDir(p []byte, d Dir) ([]byte, error) {
 	return append(p, b[:]...), nil
 }
 
-// UnmarshalDir decodes one fixed-size record from p.
+// UnmarshalDir decodes one fixed-size record from p. The four names
+// are copied out as one string, which Name, Uid, Gid and Muid slice, so
+// a record costs one allocation, none when every name is empty. A name
+// field with no NUL is refused, as MarshalDir would refuse its name.
 func UnmarshalDir(p []byte) (Dir, error) {
 	if len(p) < DirRecLen {
 		return Dir{}, errDirTooShort
 	}
+	var names [4 * (nameLen - 1)]byte
+	var ends [4]int
+	n := 0
+	for i := range ends {
+		field := p[i*nameLen : (i+1)*nameLen]
+		k := bytes.IndexByte(field, 0)
+		if k < 0 {
+			return Dir{}, ErrNameTooLong
+		}
+		n += copy(names[n:], field[:k])
+		ends[i] = n
+	}
+	s := string(names[:n])
 	var d Dir
-	d.Name = getName(p[0:])
-	d.Uid = getName(p[nameLen:])
-	d.Gid = getName(p[2*nameLen:])
-	d.Muid = getName(p[3*nameLen:])
+	d.Name = s[:ends[0]]
+	d.Uid = s[ends[0]:ends[1]]
+	d.Gid = s[ends[1]:ends[2]]
+	d.Muid = s[ends[2]:ends[3]]
 	o := 4 * nameLen
 	d.Qid.Path = binary.LittleEndian.Uint64(p[o:])
 	d.Qid.Vers = binary.LittleEndian.Uint32(p[o+8:])

@@ -29,7 +29,12 @@ echo "== go build ./..."
 go build ./...
 
 echo "== go test -race ./..."
-go test -race ./...
+# A held-lock panic is printed before it unwinds, and a deferred cleanup
+# that takes a lock a lower frame holds can block the unwind; the
+# timeout ends such a run in minutes, not at the default ten. The
+# slowest package binaries under -race (storm, analysis) take under a
+# minute on a 2-CPU host.
+go test -race -timeout 5m ./...
 
 echo "== vclock scheduler under the race detector, ten times"
 # A park hands the token straight to the next goroutine and a Go reuses
@@ -231,7 +236,10 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # of reused, or a copy of an Rread's or Twrite's data out of its wire
 # buffer (ninep TestAllocsRreadRoundTrip, TestAllocsTwriteRoundTrip), a
 # write-behind that copies a sequential write into a buffer of its own
-# (mnt TestAllocsWriteBehind), a call to an echo service past its
+# (mnt TestAllocsWriteBehind), a cat through a serial mount that costs a fid
+# beside its node or handle, a string per stat name or an FD per open
+# (mnt TestAllocsCat), a stat record that decodes to more than one
+# string (vfs TestAllocsUnmarshalDir), a call to an echo service past its
 # bytes- or objects-per-dial bound, dial to hangup (core
 # TestAllocsDialBytes), a Cyclone receive that copies or draws a buffer
 # instead of wrapping the one the fiber delivered (cyclone
@@ -262,7 +270,7 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # twelve times an Alloc/Free pair (BenchmarkAllocFree16K, 68 -> 857 ns
 # on a 2-CPU host), so only the race build above pays for it, and these
 # gates and the benchmark measure the allocator as it ships.
-go test -run '^TestAllocs' -count=1 ./internal/block ./internal/streams ./internal/ccache ./internal/ninep ./internal/mnt ./internal/core ./internal/cs ./internal/tcp ./internal/urp ./internal/vclock ./internal/ether ./internal/il ./internal/ns ./internal/netdev ./internal/devtree ./internal/cyclone ./internal/medium ./internal/exportfs
+go test -run '^TestAllocs' -count=1 ./internal/block ./internal/streams ./internal/ccache ./internal/ninep ./internal/mnt ./internal/core ./internal/cs ./internal/tcp ./internal/urp ./internal/vclock ./internal/ether ./internal/il ./internal/ns ./internal/netdev ./internal/devtree ./internal/cyclone ./internal/medium ./internal/exportfs ./internal/vfs
 
 echo "== chaos: 100-seed sweep"
 # The discrete-event clock makes a whole seed sweep affordable: every
