@@ -39,6 +39,7 @@ func NewLink(name string, p medium.Profile) *Link {
 	l := &Link{}
 	l.a = newEnd(l, name, da)
 	l.b = newEnd(l, name, db)
+	l.a.peer, l.b.peer = l.b, l.a
 	return l
 }
 
@@ -51,10 +52,11 @@ func newEnd(l *Link, name string, wire *medium.Duplex) *End {
 	return e
 }
 
-// receive runs on the fiber's delay line: each message goes up the
-// end's read stream as one delimited block. The wire hands over the
-// buffer (the impairer copies per delivery), and the block is that
-// buffer: the one copy on the way in is the reader's.
+// receive runs on the fiber's clock event: each message goes up the
+// end's read stream as one delimited block, which the sender's credit
+// (see Write) has room for. The wire hands over the buffer (the
+// impairer copies per delivery), and the block is that buffer: the one
+// copy on the way in is the reader's.
 func (e *End) receive(msg []byte, err error) {
 	if err != nil {
 		e.in.HangupUp()
@@ -62,7 +64,7 @@ func (e *End) receive(msg []byte, err error) {
 	}
 	b := block.FromBytes(msg)
 	b.Delim = true
-	e.in.DeviceUp(b)
+	e.in.Deliver(b)
 }
 
 // Ends returns the two ends of the link.
@@ -78,6 +80,7 @@ func (l *Link) Close() {
 // End is one machine's VME card.
 type End struct {
 	link *Link
+	peer *End // the other end of the fiber
 	name string
 	wire *medium.Duplex
 	in   *streams.Stream // the conversation's stream: what the fiber delivers, what Write sends
@@ -245,7 +248,13 @@ func (c *Conn) Write(p []byte) (int, error) {
 // Write is the device end of the end's stream: the boards copy
 // straight to the fiber, once — system memory to fiber, as the VME
 // boards do — into a pool-backed buffer the medium takes ownership of.
+// The hardware loses nothing and retransmits nothing, so a message
+// goes out only on credit: room in the peer's stream for it beside
+// what is already on the fiber.
 func (e *End) Write(p []byte) (int, error) {
+	if e.peer.in.Reserve(len(p)) != nil {
+		return 0, vfs.ErrHungup
+	}
 	msg := block.GetBytes(len(p))
 	copy(msg, p)
 	if err := e.wire.SendOwned(msg); err != nil {

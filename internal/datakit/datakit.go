@@ -182,7 +182,7 @@ func (e *end) SendCell(p []byte) time.Time {
 	return e.d.Put(append(p, byte(fcs>>8), byte(fcs)))
 }
 
-// receive is the circuit's receiver, on its delivery process: the
+// receive is the circuit's receiver, on its delay line's event: the
 // hardware's FCS check in front of URP. A cell that fails it goes back
 // to the pool.
 func (e *end) receive(cell []byte, err error) {

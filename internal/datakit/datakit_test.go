@@ -113,13 +113,12 @@ func TestCallSetupAndEcho(t *testing.T) {
 }
 
 // TestSwitchesPacedCircuit pins what a cell costs the scheduler on a
-// paced circuit. Each leg's delay line runs the receiving end's URP
-// input itself, so a one-cell message costs five hand-offs: to the
-// line that takes the cell while the writer waits out its wire time,
-// back to the writer when the cell has left, to the line again when it
-// arrives, to the line that carries its ack back, and back to the
-// writer. A receive goroutine per circuit end adds one hand-off per
-// leg: seven a cell.
+// paced circuit: no hand-off. Each leg's delay line is a clock event
+// that runs the receiving end's URP input itself, on the goroutine that
+// parked, so the cell's arrival and its ack's are function calls while
+// the writer waits out its wire time and then sleeps. A process per
+// line cost five hand-offs a cell (500 here), and a receive goroutine
+// per circuit end one more per leg.
 func TestSwitchesPacedCircuit(t *testing.T) {
 	var oneAtATime int64
 	onCircuit(t, medium.Profile{Latency: time.Millisecond, Bandwidth: 250_000}, "echo", func(v *vclock.Virtual, _, _ *Proto, dc, sc xport.Conn) {
@@ -135,8 +134,8 @@ func TestSwitchesPacedCircuit(t *testing.T) {
 		}
 	})
 	t.Logf("100 one-cell messages on a paced circuit: %d switches", oneAtATime)
-	if oneAtATime != 500 {
-		t.Errorf("100 one-cell messages switched %d times, want 500 (a receive goroutine is back between a line and its URP engine?)", oneAtATime)
+	if oneAtATime != 0 {
+		t.Errorf("100 one-cell messages switched %d times, want 0 (a process is back between a line and its URP engine?)", oneAtATime)
 	}
 }
 

@@ -16,10 +16,11 @@
 // (medium.Delay), due at once on an ideal wire. Only an impaired wire
 // carries and checks an FCS.
 //
-// A frame costs one hand-off between processes: the delay line's
-// process, once it wakes for a frame, runs each hearing station's
-// receive itself — FCS check, counters, demultiplexing — as the one
-// kernel process §2.4.2's interrupt routine wakes. The sender, which
+// A frame costs no hand-off between processes: the delay line's clock
+// event, at the frame's instant, runs each hearing station's receive
+// itself — FCS check, counters, demultiplexing — as §2.4.2's interrupt
+// routine does, and only a reader that waits for the frame is woken.
+// The sender, which
 // may hold its conversation lock, never runs a receive, so a reply
 // cannot re-enter it. Nor does a receive wait for anything: a stream
 // conversation's copy goes in through the refusing put

@@ -584,10 +584,11 @@ func TestAllocsPacedUnicast(t *testing.T) {
 }
 
 // TestSwitchesPacedUnicast pins what a paced frame costs the scheduler
-// in hand-offs: the delay line's process demultiplexes it for the
-// receiving station itself, so a frame costs one wake of the line, and
-// a burst costs one wake however many frames it holds. The line has no
-// process until the first frame starts it, at the cost of that wake.
+// in hand-offs: none. The delay line's clock event demultiplexes it for
+// the receiving station itself, as a function call on the goroutine
+// that parked, so the sender's sleep keeps the token however many
+// frames arrive while it sleeps. (A line with a process of its own
+// cost one wake per frame, 200 and 2 here.)
 func TestSwitchesPacedUnicast(t *testing.T) {
 	var oneAtATime, backToBack int64
 	onSegment(t, Profile{Latency: time.Millisecond, Bandwidth: 1_250_000}, func(seg *Segment) {
@@ -619,15 +620,16 @@ func TestSwitchesPacedUnicast(t *testing.T) {
 		}
 	})
 	t.Logf("100 paced frames: %d switches one at a time, %d back to back", oneAtATime, backToBack)
-	if oneAtATime != 200 || backToBack != 2 {
-		t.Errorf("100 paced frames switched %d times one at a time and %d back to back, want 200 and 2 (a receive goroutine is back between the line and the hook?)", oneAtATime, backToBack)
+	if oneAtATime != 0 || backToBack != 0 {
+		t.Errorf("100 paced frames switched %d times one at a time and %d back to back, want 0 and 0 (a process is back between the line and the hook?)", oneAtATime, backToBack)
 	}
 }
 
 // TestSwitchesIdealBroadcast pins what a broadcast costs the scheduler
-// on a crowded ideal segment: the paced figure, one wake of the delay
-// line, whose process runs all 63 hearing stations' receives. A
-// process per station would cost a hand-off per station.
+// on a crowded ideal segment: the paced figure, none, as the delay
+// line's clock event runs all 63 hearing stations' receives. A process
+// for the line cost two hand-offs a frame (200 here), and a process per
+// station would cost a hand-off per station.
 func TestSwitchesIdealBroadcast(t *testing.T) {
 	var switches int64
 	onSegment(t, Profile{}, func(seg *Segment) {
@@ -654,8 +656,8 @@ func TestSwitchesIdealBroadcast(t *testing.T) {
 		}
 	})
 	t.Logf("100 broadcasts on a 64-station ideal segment: %d switches", switches)
-	if switches != 200 {
-		t.Errorf("100 broadcasts on a 64-station ideal segment switched %d times, want 200 (a reader process per station is back?)", switches)
+	if switches != 0 {
+		t.Errorf("100 broadcasts on a 64-station ideal segment switched %d times, want 0 (a process per line or per station is back?)", switches)
 	}
 }
 

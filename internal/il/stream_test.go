@@ -96,8 +96,9 @@ func TestPushPopWhileWriterParksOnWindow(t *testing.T) {
 
 // TestSwitchesDressedReceive: a message received on a conversation
 // with a module pushed costs the scheduler the hand-offs an undressed
-// one does, four: the reader runs the module, and no process stands
-// between the protocol's delivery and the read.
+// one does, two, to the parked reader and back: the reader runs the
+// module, and no process stands between the wire, the protocol's
+// delivery and the read. (A process per delay line cost two more.)
 func TestSwitchesDressedReceive(t *testing.T) {
 	perMsg := func(mods ...string) int64 {
 		var switches int64
@@ -130,8 +131,8 @@ func TestSwitchesDressedReceive(t *testing.T) {
 	}
 	bare, dressed := perMsg(), perMsg("trace")
 	t.Logf("hand-offs per message received: %d undressed, %d with trace pushed", bare, dressed)
-	if bare != 4 || dressed != 4 {
-		t.Errorf("a message costs %d hand-offs with a module pushed, %d without; want 4 each", dressed, bare)
+	if bare != 2 || dressed != 2 {
+		t.Errorf("a message costs %d hand-offs with a module pushed, %d without; want 2 each", dressed, bare)
 	}
 }
 

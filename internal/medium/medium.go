@@ -2,11 +2,12 @@
 // pipe used to simulate point-to-point media: Datakit circuit legs and
 // Cyclone fibers. Every medium, ideal or paced, the Ethernet segment,
 // the UART and IP's loopback included, is a Pacer booking plus one
-// Delay line whose process runs the receiver: a send books the wire
+// Delay line whose clock event runs the receiver: a send books the wire
 // and puts the message on the line without sleeping out its wire time,
-// and no reader process stands between the line and the receiver. A Profile calibrates
-// latency, bandwidth, maximum transfer unit, and loss so benchmarks can
-// reproduce the relative speeds of the paper's media; the zero Profile
+// and no process stands between the line and the receiver, which never
+// parks. A Profile calibrates latency, bandwidth, maximum transfer
+// unit, and loss so benchmarks can reproduce the relative speeds of
+// the paper's media; the zero Profile
 // is a line with nothing to pace, whose messages are due at once, so
 // tests run at memory speed by the receive path the paced media run.
 //
@@ -51,7 +52,7 @@ var (
 )
 
 // Pipe is a unidirectional ordered message pipe with medium effects:
-// a Pacer booking plus one delay line whose process runs the receiver.
+// a Pacer booking plus one delay line whose event runs the receiver.
 type Pipe struct {
 	profile Profile
 	ck      vclock.Clock
@@ -92,23 +93,28 @@ func (p *Pipe) mailbox() *vclock.Mailbox[[]byte] {
 	return p.queue
 }
 
-// arrive hands msg, at its instant on the line, to the receiver.
-func (p *Pipe) arrive(msg []byte) {
+// arrive hands msg, at its instant on the line, to the receiver. A
+// full mailbox refuses it: the line keeps it in hand until Recv makes
+// room. A closed one takes nothing.
+func (p *Pipe) arrive(msg []byte) bool {
 	if p.recv != nil {
 		p.recv(msg, nil)
-		return
+		return true
 	}
-	// A full mailbox parks the line; a closed one takes nothing.
-	if p.mailbox().Send(msg) != nil {
+	if p.mailbox().TrySend(msg) {
+		return true
+	}
+	if p.closed.Load() {
 		block.PutBytes(msg)
+		return true
 	}
+	return false
 }
 
 // Receive installs recv as the pipe's receiver in place of its mailbox.
-// The line's process runs it with each message at its arrival instant,
-// and Close runs it once with ErrClosed. A pipe serves exactly one
-// receiver, so recv may park (a full read stream) and stall only its
-// own pipe. Install it before any traffic flows.
+// The line's clock event runs it with each message at its arrival
+// instant, and Close runs it once with ErrClosed, so recv must not
+// park. Install it before any traffic flows.
 func (p *Pipe) Receive(recv func(msg []byte, err error)) { p.recv = recv }
 
 // Pacer is the serialization point of a wire: the instant at which its
@@ -181,7 +187,7 @@ func (p *Pipe) SendOwned(msg []byte) error {
 }
 
 // Put is SendOwned that never parks, so the caller may hold its locks
-// across it and a line's process may send on another line: a full line
+// across it and a line's event may send on another line: a full line
 // drops the message, as a lossy wire would, and so does a closed pipe.
 // It returns the instant the message's last bit leaves.
 func (p *Pipe) Put(msg []byte) time.Time {
@@ -250,6 +256,7 @@ func (p *Pipe) Recv() ([]byte, error) {
 	if !ok {
 		return nil, ErrClosed
 	}
+	p.delay.Kick()
 	return m, nil
 }
 

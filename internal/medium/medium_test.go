@@ -376,31 +376,29 @@ func TestDelayPutNeverParks(t *testing.T) {
 	})
 }
 
-// TestDelayIdleLineStartsNoProcess: a line's process starts with its
-// first item, so a line never used costs the scheduler nothing, and the
-// first item wakes a process that hands it on and parks.
+// TestDelayIdleLineStartsNoProcess: a line is its queue and one clock
+// event, never a process: an idle line costs the scheduler nothing, and
+// an item arrives at its instant with no hand-off, as a function call
+// on the goroutine that parked.
 func TestDelayIdleLineStartsNoProcess(t *testing.T) {
 	onVirtual(func(ck *vclock.Virtual) {
 		l := newLine(ck)
 		defer l.Close()
 		s := ck.Switches()
 		ck.Sleep(time.Millisecond)
-		if idle := ck.Switches() - s; idle != 0 {
-			t.Errorf("an idle line cost %d hand-offs, want 0 (a process per line is back?)", idle)
-		}
-		l.put(0, time.Millisecond)
+		l.put(0, 1500*time.Microsecond)
 		ck.Sleep(time.Millisecond)
-		if len(l.arrivals) != 1 {
-			t.Errorf("the first item woke no process: %d arrived", len(l.arrivals))
+		if len(l.arrivals) != 1 || l.at[0] != 1500*time.Microsecond || ck.Switches() != s {
+			t.Errorf("%d arrived, at %v, in %d hand-offs; want one at 1.5ms in none (a process per line is back?)", len(l.arrivals), l.at, ck.Switches()-s)
 		}
 	})
 }
 
 // TestDelayOneProcessUnderConcurrentPuts: senders on host threads race
-// to put the first items on a fresh line, and exactly one process
-// starts: the receiver never runs on two goroutines at once (the race
-// detector would see the second), and each sender's items arrive in
-// its order.
+// to put the first items on a fresh line on the real clock, where a
+// runtime timer runs its event, and the event runs one at a time: the
+// receiver never runs on two goroutines at once (the race detector
+// would see the second), and each sender's items arrive in its order.
 func TestDelayOneProcessUnderConcurrentPuts(t *testing.T) {
 	const senders, each = 8, 100
 	var got [senders][]int // touched only by the line's process
@@ -440,10 +438,10 @@ func TestDelayOneProcessUnderConcurrentPuts(t *testing.T) {
 	}
 }
 
-// TestDelayDueItemsPassInOneWake: items already due when the line's
-// process takes them are handed on at once, with no event-heap round
-// trip, so a burst costs one wake however many items it holds, and a
-// sender's yield at the same instant finds them all arrived.
+// TestDelayDueItemsPassInOneWake: every item due when the line's event
+// fires is handed on by that one event, with no event-heap round trip
+// per item and no hand-off, so a sender's yield at the same instant
+// finds a burst of any size arrived.
 func TestDelayDueItemsPassInOneWake(t *testing.T) {
 	onVirtual(func(ck *vclock.Virtual) {
 		l := newLine(ck)
@@ -454,16 +452,15 @@ func TestDelayDueItemsPassInOneWake(t *testing.T) {
 		}
 		s := ck.Switches()
 		ck.Sleep(0)
-		if got := ck.Switches() - s; len(l.arrivals) != n || got != 2 {
-			t.Errorf("after one yield %d of %d due items arrived in %d hand-offs, want all in 2", len(l.arrivals), n, got)
+		if got := ck.Switches() - s; len(l.arrivals) != n || got != 0 {
+			t.Errorf("after one yield %d of %d due items arrived in %d hand-offs, want all in 0", len(l.arrivals), n, got)
 		}
 	})
 }
 
 // TestDelayCloseReturnsWhatIsInFlight: Close hands back what is in
-// flight, head first, and Put fails after it. The one item the line's
-// process was already waiting out still arrives at its instant; the
-// segment and the pipe hand it to a receiver that has closed too.
+// flight, head first, the item whose instant the event is waiting for
+// included, and Put fails after it: nothing arrives after Close.
 func TestDelayCloseReturnsWhatIsInFlight(t *testing.T) {
 	onVirtual(func(ck *vclock.Virtual) {
 		l := newLine(ck)
@@ -471,7 +468,7 @@ func TestDelayCloseReturnsWhatIsInFlight(t *testing.T) {
 			l.put(i, time.Duration(i+1)*time.Millisecond)
 		}
 		if left := l.Close(); !slices.Equal(left, []int{0, 1, 2}) {
-			t.Errorf("Close before the process ran returned %v, want [0 1 2]", left)
+			t.Errorf("Close before the first arrival returned %v, want [0 1 2]", left)
 		}
 		ck.Sleep(time.Second)
 		if len(l.arrivals) != 0 || l.put(9, 0) {
@@ -485,11 +482,58 @@ func TestDelayCloseReturnsWhatIsInFlight(t *testing.T) {
 		ck.Sleep(1500 * time.Microsecond)
 		left := l.Close()
 		ck.Sleep(time.Second)
-		if !slices.Equal(left, []int{2, 3}) || !slices.Equal(l.arrivals, []int{0, 1}) || l.at[1] != 2*time.Millisecond {
-			t.Errorf("Close at 1.5 ms returned %v; %v arrived at %v, want [2 3], and [0 1] at [1ms 2ms]", left, l.arrivals, l.at)
+		if !slices.Equal(left, []int{1, 2, 3}) || !slices.Equal(l.arrivals, []int{0}) || l.at[0] != time.Millisecond {
+			t.Errorf("Close at 1.5 ms returned %v; %v arrived at %v, want [1 2 3], and [0] at [1ms]", left, l.arrivals, l.at)
 		}
 		if again := l.Close(); again != nil {
 			t.Errorf("a second Close returned %v", again)
+		}
+	})
+}
+
+// refuser is a receiver with room for cap items until drained.
+type refuser struct {
+	got  []int
+	room int
+}
+
+func (r *refuser) arrive(v int) bool {
+	if len(r.got) == r.room {
+		return false
+	}
+	r.got = append(r.got, v)
+	return true
+}
+
+// TestDelayRefusedItemWaitsForKick: a receiver with no room refuses
+// instead of parking; the line keeps the item in hand and hands on
+// nothing more, however long, until the receiver kicks it, and then it
+// loses nothing and keeps the order. The item in hand leaves a slot on
+// a bounded line, as the head a line process held did.
+func TestDelayRefusedItemWaitsForKick(t *testing.T) {
+	onVirtual(func(ck *vclock.Virtual) {
+		r := &refuser{room: 2}
+		d := new(Delay[int])
+		d.init(ck, 3, r)
+		defer d.Close()
+		put := func(from, to int) (n int) {
+			for i := from; i < to && d.Put(i, ck.Now()); i++ {
+				n++
+			}
+			return n
+		}
+		if n := put(0, 4); n != 3 {
+			t.Errorf("a line bounded at 3 took %d items", n)
+		}
+		ck.Sleep(time.Second)
+		if n := put(3, 7); !slices.Equal(r.got, []int{0, 1}) || n != 3 {
+			t.Errorf("a receiver with room for 2 took %v and the line then %d more; want [0 1], and 3 beside the one in hand", r.got, n)
+		}
+		r.room = 10
+		d.Kick()
+		ck.Sleep(0)
+		if !slices.Equal(r.got, []int{0, 1, 2, 3, 4, 5}) {
+			t.Errorf("after the kick the receiver had %v, want [0 1 2 3 4 5]", r.got)
 		}
 	})
 }

@@ -12,6 +12,7 @@
 package ns
 
 import (
+	"io"
 	"maps"
 	"path"
 	"strings"
@@ -377,7 +378,9 @@ const readChunk = 8192
 // the file in whole chunks and one more chunk for the read that finds
 // its end. Only a file that reports no length, as a device file does,
 // or one that has grown since, reads through a chunk of scratch, whose
-// reads are appended to the result.
+// reads are appended to the result. A read that fails ends it with
+// what was read and the read's error; only the end of the file, a read
+// of nothing or io.EOF, ends it with none.
 func (ns *Namespace) ReadFile(name string) ([]byte, error) {
 	h, d, _, err := ns.open(name, vfs.OREAD)
 	if err != nil {
@@ -401,7 +404,12 @@ func (ns *Namespace) ReadFile(name string) ([]byte, error) {
 			out = append(out, scratch[:n]...)
 		}
 		off += int64(n)
-		if err != nil || n == 0 {
+		switch {
+		case err == io.EOF:
+			return out, nil
+		case err != nil:
+			return out, err
+		case n == 0:
 			return out, nil
 		}
 	}

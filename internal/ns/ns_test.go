@@ -201,6 +201,51 @@ func TestReadFileSizedFromStat(t *testing.T) {
 	}
 }
 
+// failingFile is a sizedFile whose reads past its first chunk fail,
+// and whose end of file, when it reaches one, is io.EOF.
+type failingFile struct {
+	sizedFile
+	err error
+}
+
+func (f *failingFile) Open(int) (vfs.Handle, error) { return f, nil }
+
+func (f *failingFile) Read(p []byte, off int64) (int, error) {
+	n, _ := f.sizedFile.Read(p, off)
+	switch {
+	case off >= int64(len(f.data)):
+		return 0, io.EOF
+	case off > 0:
+		return 0, f.err
+	}
+	return n, nil
+}
+
+// TestReadFileSurfacesAFailedRead: a read that fails ends ReadFile with
+// what it had read and the read's error, not as a short file; io.EOF
+// at the end of the file is the end, not a failure.
+func TestReadFileSurfacesAFailedRead(t *testing.T) {
+	data := make([]byte, 20000)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want int
+		err  error
+	}{
+		{"fails", data, readChunk, vfs.ErrHungup},
+		{"eof", data[:100], 100, nil},
+	} {
+		f := &failingFile{sizedFile{length: 100, data: tc.data}, vfs.ErrHungup}
+		nsp, _ := newNS(t)
+		if err := nsp.MountNode(f, "/f", MREPL); err != nil {
+			t.Fatal(err)
+		}
+		if b, err := nsp.ReadFile("/f"); err != tc.err || len(b) != tc.want {
+			t.Errorf("%s: read %d bytes, %v; want %d and %v", tc.name, len(b), err, tc.want, tc.err)
+		}
+	}
+}
+
 func TestMountReplacesTree(t *testing.T) {
 	nsp, fs := newNS(t)
 	fs.MkdirAll("net", 0775)

@@ -14,24 +14,35 @@ import (
 )
 
 // pipeSend is a transport's send for a conversation's stream: each
-// message goes on a medium pipe whole.
-type pipeSend struct{ tx *medium.Pipe }
+// message goes on a medium pipe whole, on credit from the peer's
+// stream, as Cyclone's boards send.
+type pipeSend struct {
+	tx   *medium.Pipe
+	peer *Stream
+}
 
-func (p pipeSend) Write(b []byte) (int, error) { return len(b), p.tx.Send(b) }
+func (p *pipeSend) Write(b []byte) (int, error) {
+	if err := p.peer.Reserve(len(b)); err != nil {
+		return 0, err
+	}
+	return len(b), p.tx.Send(b)
+}
 
 // onConvPair runs body on a virtual clock with the two ends of a
-// conversation in the shape every transport gives one: each end is a
-// stream whose device end writes into a medium pipe, and the peer's
-// pipe delivers what arrives to the stream's device end, delimited, or
-// hangs it up when the pipe closes. body may close a pipe early to hang
-// the peer up.
+// conversation in the shape a transport with no flow control of its
+// own gives one: each end is a stream whose device end writes into a
+// medium pipe, and the peer's pipe delivers what arrives to the
+// stream's device end, delimited, or hangs it up when the pipe closes.
+// body may close a pipe early to hang the peer up.
 func onConvPair(t *testing.T, prof medium.Profile, body func(ck vclock.Clock, a, b *Stream, ab, ba *medium.Pipe)) {
 	t.Helper()
 	v := vclock.NewVirtual()
 	v.Run(func() {
 		prof.Clock = v
 		ab, ba := medium.NewPipe(prof), medium.NewPipe(prof)
-		a, b := NewConv(0, v, pipeSend{ab}), NewConv(0, v, pipeSend{ba})
+		toB, toA := &pipeSend{tx: ab}, &pipeSend{tx: ba}
+		a, b := NewConv(0, v, toB), NewConv(0, v, toA)
+		toB.peer, toA.peer = b, a
 		for _, end := range []struct {
 			rx *medium.Pipe
 			s  *Stream
@@ -43,7 +54,7 @@ func onConvPair(t *testing.T, prof medium.Profile, body func(ck vclock.Clock, a,
 				}
 				blk := block.FromBytes(msg) // the pipe's pooled buffer
 				blk.Delim = true
-				end.s.DeviceUp(blk)
+				end.s.Deliver(blk)
 			})
 		}
 		body(v, a, b, ab, ba)

@@ -81,7 +81,7 @@ func NewClock(limit int, ck vclock.Clock, dev DeviceFunc) *Stream {
 // the modules above cut it into blocks. With nothing pushed, Write
 // hands the user's bytes to w directly and returns what w returns.
 // The transport queues what it receives with Produce, or, on a line
-// that serves only this conversation, DeviceUp.
+// whose sender holds a credit on this stream, Deliver.
 func NewConv(limit int, ck vclock.Clock, w io.Writer) *Stream {
 	s := NewClock(limit, ck, nil)
 	s.out = w
@@ -372,11 +372,12 @@ func (s *Stream) next(wait bool) (*Block, error) {
 // carries it up through the modules. It runs no module code and takes
 // no module-list lock, so it parks only on flow control: while the
 // device end holds the stream's limit, unread. That park is the
-// sender's backpressure, so only a line that serves this one stream may
-// take it; a line that serves many delivers with Produce. The device
-// sets Delim on a block that ends a message; a device that only borrows
-// its receive buffer copies it first (NewBlock). A device hangs up with
-// HangupUp, not with a block.
+// writer's backpressure, so only a writing process may take it, as a
+// pipe's other end does; a wire's delay line runs no process and
+// delivers with Produce, or with Deliver what Reserve paid for. The
+// device sets Delim on a block that ends a message; a device that only
+// borrows its receive buffer copies it first (NewBlock). A device hangs
+// up with HangupUp, not with a block.
 func (s *Stream) DeviceUp(b *Block) {
 	vclock.MightPark(s.clk, "Stream.DeviceUp")
 	s.rq.queue(b)
@@ -397,6 +398,39 @@ func (s *Stream) Produce(b *Block) bool {
 	}
 	q.putLocked(b)
 	return true
+}
+
+// Reserve is a sender's credit on a line with no flow control of its
+// own (the UART, Cyclone's fiber) that delivers to this stream: it
+// parks while the device end, with what earlier reservations still
+// have on the line, holds the stream's limit, then counts n more bytes
+// on the line. The line hands each such block over with Deliver, so
+// its event neither parks nor loses one; a line that dropped a block
+// would keep its bytes counted. It fails once the stream is closed or
+// hung up.
+func (s *Stream) Reserve(n int) error {
+	vclock.MightPark(s.clk, "Stream.Reserve")
+	q := &s.rq
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.in.n+q.owed >= q.limit && !q.closed && !q.hungup {
+		q.wwait.Wait()
+	}
+	if q.closed || q.hungup {
+		return ErrHungup
+	}
+	q.owed += n
+	return nil
+}
+
+// Deliver queues a block Reserve counted on the line. It never parks
+// or refuses.
+func (s *Stream) Deliver(b *Block) {
+	q := &s.rq
+	q.mu.Lock()
+	q.owed = max(q.owed-b.Len(), 0)
+	q.putLocked(b)
+	q.mu.Unlock()
 }
 
 // Full reports whether Produce would refuse now: a device that admits
@@ -451,6 +485,7 @@ type rcvQueue struct {
 	wwait  vclock.Cond // devices waiting for room
 	in     blist       // queued by the device, not yet carried up
 	top    blist       // carried up, not yet read
+	owed   int         // bytes Reserve counted on the line, not yet delivered
 	limit  int
 	closed bool
 	hungup bool // the device hung up: writes fail

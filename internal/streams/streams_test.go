@@ -359,6 +359,51 @@ func TestQueuedBytesAndPutbackOrder(t *testing.T) {
 	}
 }
 
+// Reserve is a sender's credit: it counts what is still on the line
+// beside what the device end holds, and parks the sender, not the
+// line, once the two reach the limit; Deliver queues past the limit,
+// refusing nothing; a read makes room, and a hangup ends the wait.
+func TestReserveCountsWhatIsOnTheLine(t *testing.T) {
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		s := NewClock(10, v, nil)
+		defer s.Close()
+		if s.Reserve(6) != nil || s.Reserve(6) != nil {
+			t.Error("two reservations under the limit failed")
+		}
+		granted := 0
+		var err error
+		v.Go(func() {
+			for err == nil {
+				if err = s.Reserve(1); err == nil {
+					granted++
+				}
+			}
+		})
+		v.Sleep(time.Second)
+		for _, p := range []string{"abcdef", "ghijkl"} {
+			b := NewBlock([]byte(p))
+			b.Delim = true
+			s.Deliver(b)
+		}
+		v.Sleep(time.Second)
+		if granted != 0 || s.QueuedBytes() != 12 {
+			t.Errorf("with 12 bytes on the line and then queued: %d more granted, %d queued; want 0 and 12", granted, s.QueuedBytes())
+		}
+		buf := make([]byte, 8)
+		s.Read(buf)
+		v.Sleep(time.Second)
+		if granted != 4 {
+			t.Errorf("a read of 6 of 12 queued bytes granted %d more bytes, want 4: 6 queued and 4 on the line make the limit", granted)
+		}
+		s.HangupUp()
+		v.Sleep(time.Second)
+		if err != ErrHungup {
+			t.Errorf("the parked sender woke from the hangup with %v, want ErrHungup", err)
+		}
+	})
+}
+
 // Produce refuses exactly where DeviceUp would park: while the device
 // end holds the limit, unread, and the stream is neither hung up nor
 // closed. A refused block is freed; what the reader carried up no

@@ -10,9 +10,9 @@
 // home"); each end is a stream whose device side books its bytes on
 // the transmitter at the configured baud rate (medium.Pacer) and puts
 // them on a delay line (medium.Delay), the wire every medium here
-// shares: the line's process hands them to the peer's stream when their
-// last bit has left, so a write returns once its bytes are on the wire,
-// not once they have crossed it. Serial wires carry bytes, not
+// shares: the line's clock event hands them to the peer's stream when
+// their last bit has left, so a write returns once its bytes are on the
+// wire, not once they have crossed it. Serial wires carry bytes, not
 // messages, so a 9P mount over a UART needs delimiters restored — push
 // the "frame" stream module or use the ninep marshaling adapter,
 // exactly the §2.1/§2.4 arrangement.
@@ -67,7 +67,7 @@ type End struct {
 	baud atomic.Int64
 
 	tx     medium.Pacer                  // the transmitter's serialization point
-	line   *medium.Delay[*streams.Block] // the wire, whose process receives for the peer
+	line   *medium.Delay[*streams.Block] // the wire, whose event receives for the peer
 	stream *streams.Stream
 	closed atomic.Bool
 }
@@ -104,10 +104,12 @@ func (e *End) Baud() int { return int(e.baud.Load()) }
 // transmit is the device-end output put routine: it books the block's
 // bytes at the line rate (10 bits per byte: start + 8 data + stop) and
 // puts the block on the wire to arrive when its last bit has left. The
-// writer waits only while the wire holds lineDepth blocks.
+// writer waits while the wire holds lineDepth blocks, and, as hardware
+// flow control would hold it, while the peer's stream has no room for
+// the block beside what is already on the wire.
 func (e *End) transmit(b *streams.Block) {
 	n := b.Len()
-	if b.Type != streams.BlockData || n == 0 {
+	if b.Type != streams.BlockData || n == 0 || e.peer.stream.Reserve(n) != nil {
 		b.Free()
 		return
 	}
@@ -117,16 +119,17 @@ func (e *End) transmit(b *streams.Block) {
 	}
 }
 
-// arrive runs on the wire's process: it hands the block to the peer as
-// an undelimited byte arrival — serial wires have no record
-// boundaries. The block itself crosses the wire, no copy.
+// arrive runs on the wire's clock event: it hands the block, which the
+// writer's credit has room for, to the peer as an undelimited byte
+// arrival — serial wires have no record boundaries. The block itself
+// crosses the wire, no copy.
 func (e *End) arrive(b *streams.Block) {
 	if e.peer.closed.Load() {
 		b.Free()
 		return
 	}
 	b.Delim = false
-	e.peer.stream.DeviceUp(b)
+	e.peer.stream.Deliver(b)
 }
 
 func (e *End) close() {

@@ -24,7 +24,7 @@ import (
 
 // Wire is a cell transport: ordered, possibly lossy delivery of small
 // cells. SendCell takes ownership of p, never parks (URP sends with its
-// lock held and from the wire's own delivery process) and returns the
+// lock held and from the wire's own clock event) and returns the
 // instant the cell's last bit leaves; the transport may extend p in
 // place within its capacity with link framing such as an FCS, and URP
 // builds cells with tail slack for exactly that. The transport hands
@@ -225,9 +225,9 @@ func (c *Conn) Read(p []byte) (int, error) { return c.rstream.Read(p) }
 // Stream returns the circuit's stream, whose device end is Write.
 func (c *Conn) Stream() *streams.Stream { return c.rstream }
 
-// Input takes one cell off the wire, on the wire's delivery process:
-// the receive half of the protocol runs there, with no process of its
-// own. The cell is the Conn's; recvData copies out what it keeps, so
+// Input takes one cell off the wire, on the wire's clock event: the
+// receive half of the protocol runs there, with no process of its own,
+// and never parks. The cell is the Conn's; recvData copies out what it keeps, so
 // the cell recycles as soon as the switch returns. An error means the
 // wire has closed.
 func (c *Conn) Input(cell []byte, err error) {
@@ -290,6 +290,15 @@ func (c *Conn) recvData(seq int, flags byte, data []byte) {
 		c.mu.Unlock()
 		return
 	}
+	if len(c.reassembly) == 0 && c.rstream.Full() {
+		// No room for a new message: its first cell is refused,
+		// unacknowledged, and the sender's window and enquiry carry
+		// the backpressure. The refusal stands in for the gap's REJ,
+		// which would only have the window resent into a full stream.
+		c.rejSent = true
+		c.mu.Unlock()
+		return
+	}
 	c.rejSent = false
 	c.trace.Emit(obs.EvRecv, int64(seq), int64(len(data)))
 	c.rcvNext = (c.rcvNext + 1) % SeqMod
@@ -301,7 +310,7 @@ func (c *Conn) recvData(seq int, flags byte, data []byte) {
 		c.mu.Unlock()
 		msg := streams.NewBlock(data)
 		msg.Delim = true
-		c.rstream.DeviceUp(msg)
+		c.rstream.Produce(msg)
 		c.sendCell(cellAck, next, 0, nil)
 		return
 	}
@@ -317,7 +326,7 @@ func (c *Conn) recvData(seq int, flags byte, data []byte) {
 	next := c.rcvNext
 	c.mu.Unlock()
 	if msg != nil {
-		c.rstream.DeviceUp(msg)
+		c.rstream.Produce(msg) // admitted at its first cell, so it has room
 	}
 	c.sendCell(cellAck, next, 0, nil)
 }

@@ -130,3 +130,66 @@ func TestHangup(t *testing.T) {
 		}
 	})
 }
+
+// TestFullReaderStallsTheWindow: URP's receiver runs on the wire's
+// clock event and never parks. A reader that stops lets its stream fill
+// to the limit; the receiver then refuses the next message's first
+// cell, acknowledging nothing, so the sender stalls at its window,
+// probing every 52 ms: an enquiry 50 ms after its last send, whose
+// answer, a round trip later, has it resend the window into the full
+// stream. Once the reader drains, the next enquiry's answer has the
+// window resent, and every byte arrives, in order.
+func TestFullReaderStallsTheWindow(t *testing.T) {
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		p := medium.Profile{Latency: time.Millisecond, Clock: v}
+		ab, ba := medium.NewPipe(p), medium.NewPipe(p)
+		stats := &Stats{}
+		a := attach(wire{ab, ba}, stats, v)
+		b := attach(wire{ba, ab}, &Stats{}, v)
+		defer b.Close()
+		defer a.Close()
+		const size, total = Window * BlockSize, 700 // 4.9 MB, past the stream's 4 MiB
+		msg := func(i int) []byte {
+			m := bytes.Repeat([]byte{byte(i)}, size)
+			m[0], m[1] = byte(i>>8), byte(i)
+			return m
+		}
+		written := 0
+		v.Go(func() {
+			for i := range total {
+				if _, err := a.Write(msg(i)); err != nil {
+					return
+				}
+				written++
+			}
+		})
+		v.Sleep(5 * time.Second)
+		stalled, enq := written, stats.Enquiries.Load()
+		v.Sleep(time.Second)
+		queued := b.Stream().QueuedBytes() / size
+		if written != stalled || !b.Stream().Full() || len(a.unacked) != Window || stats.Enquiries.Load() <= enq {
+			t.Errorf("after 6 s: %d messages written (%d a second before), stream full %v, %d blocks unacked, %d enquiries (%d a second before); want the writer stalled at a full window, probing",
+				written, stalled, b.Stream().Full(), len(a.unacked), stats.Enquiries.Load(), enq)
+		}
+		drained := v.Now()
+		buf := make([]byte, size+1)
+		var recovery time.Duration
+		for i := range total {
+			n, err := b.Read(buf)
+			if err != nil || !bytes.Equal(buf[:n], msg(i)) {
+				t.Errorf("message %d: %d bytes, %v; want %d bytes of it, in order", i, n, err, size)
+				return
+			}
+			if i == queued {
+				recovery = v.Since(drained)
+			}
+		}
+		t.Logf("%d messages queued when the reader drained; the next arrived %v later", queued, recovery)
+		// The drain at 6 s falls 6 ms before an enquiry; its answer has
+		// the window resent 2 ms later, landing 1 ms after that.
+		if queued != 586 || recovery != 9*time.Millisecond {
+			t.Errorf("%d messages queued, the next %v after the drain; want 586, and 9ms (the next enquiry, its round trip and the resend's flight)", queued, recovery)
+		}
+	})
+}

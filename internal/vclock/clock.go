@@ -10,7 +10,9 @@
 // Sleep, Cond.Wait, Mailbox send/receive, WaitGroup.Wait, Mutex.Lock.
 // When the runnable queue drains, every machine goroutine is parked and
 // the scheduler advances virtual time to the earliest pending event (a
-// Sleep expiry or AfterFunc). Because hand-off order is a FIFO and timer
+// Sleep expiry, an AfterFunc, or a clock event such as a delay line's
+// arrival, which the scheduler runs itself as a function call, with no
+// process and no hand-off). Because hand-off order is a FIFO and timer
 // order is a (time, sequence) heap, a fixed seed replays the identical
 // interleaving: same wire order, same impairment schedule, same stats.
 //
@@ -70,7 +72,7 @@ func (t *Timer) Stop() bool {
 	case t.v != nil:
 		return t.v.stop(&t.ev)
 	}
-	return t.real.Stop()
+	return t.real != nil && t.real.Stop()
 }
 
 // Reset schedules the function to run d from now, whether or not it
@@ -83,22 +85,39 @@ func (t *Timer) Reset(d time.Duration) bool {
 	return t.real.Reset(d)
 }
 
-// start arms the zero Timer t in place to run tk d from now on ck: on
-// the virtual clock the event is t's own, so a timer held inside its
-// owner costs no allocation of its own, and a task over the owner no
-// closure. Any other clock is the real one, whose AfterFunc t takes
-// over.
-func (t *Timer) start(ck Clock, d time.Duration, tk task) {
-	if v, ok := ck.(*Virtual); ok {
-		t.v, t.ev = v, event{fn: tk, index: -1}
-		v.reset(&t.ev, d)
-		return
-	}
-	*t = *ck.AfterFunc(d, tk.run)
-}
+// Event is the body of a clock event: a function call at an instant
+// that, unlike a process, never parks. A delay line is one.
+type Event interface{ Fire() }
 
-// started reports whether start has armed t.
-func (t *Timer) started() bool { return t.v != nil || t.real != nil }
+// Arm (re)arms t to run e at at as a clock event. On the virtual clock
+// the scheduler runs e itself, on the goroutine that is switching, once
+// every process is parked: e may wake processes, take a Lock and arm
+// events, and a primitive that would park panics ("a clock event may
+// not park"). On the real clock a runtime timer runs e.
+func (t *Timer) Arm(ck Clock, at time.Time, e Event) { t.arm(ck, at, event{h: e}) }
+
+// arm (re)arms t in place to run ev's body at at. On the virtual clock
+// the event is t's own, so a timer held inside its owner costs no
+// allocation of its own, and a body over the owner no closure.
+func (t *Timer) arm(ck Clock, at time.Time, ev event) {
+	v, ok := ck.(*Virtual)
+	switch {
+	case ok:
+		v.mu.Lock()
+		if t.v == nil {
+			ev.index = -1
+			t.v, t.ev = v, ev
+		}
+		v.armLocked(&t.ev, int64(at.Sub(Epoch)))
+		v.mu.Unlock()
+	case t.real != nil:
+		t.real.Reset(at.Sub(ck.Now()))
+	case ev.h != nil:
+		t.real = time.AfterFunc(at.Sub(ck.Now()), ev.h.Fire)
+	default:
+		t.real = time.AfterFunc(at.Sub(ck.Now()), ev.fn.run)
+	}
+}
 
 // Or returns ck, or Real when ck is nil. Only medium.NewPipe and cs.New
 // default a zero clock this way, for the host-cost probes that build

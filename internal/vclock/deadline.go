@@ -91,11 +91,7 @@ func (d *Deadline) Update() {
 		}
 	case d.armed.IsZero() || at.Before(d.armed) || at.Equal(d.ends) && !at.Equal(d.armed):
 		d.armed = at
-		if d.t.started() {
-			d.t.Reset(at.Sub(d.ck.Now()))
-		} else {
-			d.t.start(d.ck, at.Sub(d.ck.Now()), d)
-		}
+		d.t.arm(d.ck, at, event{fn: d})
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // park — Sleep, SleepUntil, Cond.Wait, Mailbox.Send and Recv,
 // WaitGroup.Wait, Mutex.Lock, and whatever calls MightPark — panics on
 // entry while that count is not zero, whether or not the call would
-// park this time. A race build also records where each held Lock was
-// taken, and the panic names it.
+// park this time, as it does from a clock event. A race build also
+// records where each held Lock was taken, and the panic names it.
 //
 // Only one process runs at a time on the virtual clock, and none parks
 // holding a Lock, so a Lock there is never contended: its waiters
@@ -70,19 +70,23 @@ func MightPark(ck Clock, op string) {
 }
 
 // mightPark panics when the running process holds a Lock other than
-// own, the one a Cond.Wait lets go of before it parks. v may be nil,
-// for the real clock, which counts nothing. The message goes to
+// own, the one a Cond.Wait lets go of before it parks, and whenever a
+// clock event is running: an event has no process to park. v may be
+// nil, for the real clock, which counts nothing. The message goes to
 // standard error first: a deferred call on the way out that takes a
 // lock a frame below it holds would block the panic before Go prints
 // it.
 func (v *Virtual) mightPark(op string, own sync.Locker) {
-	if v == nil || v.nlocks == 0 {
+	if v == nil || v.nlocks == 0 && !v.inEvent {
 		return
 	}
-	if l, ok := own.(*Lock); ok && l.v == v && v.nlocks == 1 {
-		return
+	msg := "vclock: a clock event may not park"
+	if !v.inEvent {
+		if l, ok := own.(*Lock); ok && l.v == v && v.nlocks == 1 {
+			return
+		}
+		msg = "vclock: " + v.heldAcross(op, own)
 	}
-	msg := "vclock: " + v.heldAcross(op, own)
 	fmt.Fprintln(os.Stderr, msg)
 	panic(msg)
 }

@@ -169,10 +169,3 @@ func (m *Mailbox[T]) Len() int {
 	defer m.mu.Unlock()
 	return m.cnt
 }
-
-// Closed reports whether Close or CloseDrain has been called.
-func (m *Mailbox[T]) Closed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.closed
-}

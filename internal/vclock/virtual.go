@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -32,10 +31,12 @@ type Virtual struct {
 	switches   int64 // host switches: hand-offs of the token to another goroutine
 
 	// nlocks counts the Locks the running process holds, and held
-	// lists them in a race build. Only the token's holder touches
-	// them, and none parks with either nonempty.
-	nlocks int
-	held   heldList
+	// lists them in a race build; inEvent is set while a clock event
+	// runs. Only the token's holder touches them, and none parks with
+	// a Lock held or from an event.
+	nlocks  int
+	held    heldList
+	inEvent bool
 
 	// back hands the token back to Run once nothing can run: the
 	// simulation is over, drained, or deadlocked.
@@ -99,18 +100,20 @@ func (l *gorList) take(m *gorList) {
 	*m = gorList{}
 }
 
-// event is a pending timer: a sleeper to resume, or an AfterFunc body
-// to spawn. Events fire in (at, seq) order — seq breaks ties in
-// creation order — and fire strictly one at a time, with the woken
-// chain run to quiescence before the next event, so same-instant
-// timers cannot race each other. index is the event's place in the
-// heap, -1 once it has fired or been stopped: Stop takes an event out
-// and Reset puts it back, so a timer re-armed forever allocates once.
+// event is a pending timer: a sleeper to resume, an AfterFunc body to
+// spawn, or a clock event (h) to run. Events fire in (at, seq) order —
+// seq breaks ties in creation order — and fire strictly one at a time,
+// with the woken chain run to quiescence before the next event, so
+// same-instant timers cannot race each other. index is the event's
+// place in the heap, -1 once it has fired or been stopped: Stop takes
+// an event out and Reset puts it back, so a timer re-armed forever
+// allocates once.
 type event struct {
 	at    int64
 	seq   uint64
 	g     *gor
 	fn    task
+	h     Event
 	index int
 }
 
@@ -125,41 +128,56 @@ type funcTask func()
 
 func (f funcTask) run() { f() }
 
+// eventHeap is a binary min-heap on (at, seq), typed: its comparisons
+// and moves are direct calls.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index, h[j].index = i, j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
+func (a *event) before(b *event) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }
+
+func (h *eventHeap) push(ev *event) {
 	ev.index = len(*h)
 	*h = append(*h, ev)
+	h.fix(ev.index)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+
+// remove takes out and returns the event at i.
+func (h *eventHeap) remove(i int) *event {
+	ev, n := (*h)[i], len(*h)-1
+	h.swap(i, n)
+	(*h)[n], *h = nil, (*h)[:n]
+	if i < n {
+		h.fix(i)
+	}
 	ev.index = -1
 	return ev
 }
-func (h eventHeap) peek() *event { return h[0] }
+
+// fix moves the event at i, up or down, to its place.
+func (h eventHeap) fix(i int) {
+	for ; i > 0 && h[i].before(h[(i-1)/2]); i = (i - 1) / 2 {
+		h.swap(i, (i-1)/2)
+	}
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h.swap(i, c)
+	}
+}
+
+func (h eventHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
 
 // sleepLocked parks the running goroutine on its own event until at.
 func (v *Virtual) sleepLocked(op string, at int64) {
 	g := v.curLocked(op)
-	v.seq++
-	g.ev = event{at: at, seq: v.seq, g: g}
-	heap.Push(&v.events, &g.ev)
+	g.ev = event{g: g, index: -1}
+	v.armLocked(&g.ev, at)
 	v.parkLocked(g)
 }
 
@@ -224,9 +242,10 @@ func Simulate(fn func(Clock) error) error {
 
 // nextLocked pops the next goroutine to run, advancing virtual time
 // through pending events as needed: the run queue in FIFO order, then
-// events in (at, seq) order. It is the one place the next goroutine is
-// chosen. nil means nothing can run: the simulation is over, drained
-// past the post-root horizon, or deadlocked, which Run tells apart.
+// events in (at, seq) order, a clock event run on the spot. It is the
+// one place the next goroutine is chosen. nil means nothing can run:
+// the simulation is over, drained past the post-root horizon, or
+// deadlocked, which Run tells apart.
 func (v *Virtual) nextLocked() *gor {
 	for {
 		if g := v.runq.pop(); g != nil {
@@ -235,16 +254,23 @@ func (v *Virtual) nextLocked() *gor {
 		if v.rootDone && v.drainUntil < 0 {
 			v.drainUntil = v.now + drainHorizon
 		}
-		if v.events.Len() == 0 || v.rootDone && v.events.peek().at > v.drainUntil {
+		if len(v.events) == 0 || v.rootDone && v.events[0].at > v.drainUntil {
 			return nil
 		}
-		ev := heap.Pop(&v.events).(*event)
+		ev := v.events.remove(0)
 		if ev.at > v.now {
 			v.now = ev.at
 		}
-		if ev.g != nil {
+		switch {
+		case ev.g != nil:
 			v.runq.push(ev.g)
-		} else if ev.fn != nil {
+		case ev.h != nil: // a clock event runs here, unlocked, and may not park
+			v.inEvent = true
+			v.mu.Unlock()
+			ev.h.Fire()
+			v.mu.Lock()
+			v.inEvent = false
+		case ev.fn != nil:
 			v.goLocked(ev.fn)
 		}
 	}
@@ -449,9 +475,6 @@ func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 // a deterministic yield point.
 func (v *Virtual) Sleep(d time.Duration) {
 	v.mightPark("Sleep", nil)
-	if d < 0 {
-		d = 0
-	}
 	v.mu.Lock()
 	v.sleepLocked("Sleep", v.now+int64(d))
 }
@@ -460,18 +483,14 @@ func (v *Virtual) Sleep(d time.Duration) {
 func (v *Virtual) SleepUntil(t time.Time) {
 	v.mightPark("SleepUntil", nil)
 	v.mu.Lock()
-	at := int64(t.Sub(Epoch))
-	if at < v.now {
-		at = v.now
-	}
-	v.sleepLocked("SleepUntil", at)
+	v.sleepLocked("SleepUntil", int64(t.Sub(Epoch)))
 }
 
 // AfterFunc implements Clock: f runs as a fresh machine goroutine when
 // virtual time reaches now+d.
 func (v *Virtual) AfterFunc(d time.Duration, f func()) *Timer {
 	t := new(Timer)
-	t.start(v, d, funcTask(f))
+	t.arm(v, v.Now().Add(d), event{fn: funcTask(f)})
 	return t
 }
 
@@ -482,24 +501,27 @@ func (v *Virtual) stop(ev *event) bool {
 	if ev.index < 0 {
 		return false
 	}
-	heap.Remove(&v.events, ev.index)
+	v.events.remove(ev.index)
 	return true
 }
 
-// reset (re)schedules ev for now+d with a fresh sequence number, as if
-// it had just been created; it reports whether ev was pending.
+// reset (re)schedules ev for now+d; it reports whether ev was pending.
 func (v *Virtual) reset(ev *event, d time.Duration) bool {
-	if d < 0 {
-		d = 0
-	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	return v.armLocked(ev, v.now+int64(d))
+}
+
+// armLocked (re)schedules ev for at, or now if at has passed, with a
+// fresh sequence number, as if it had just been created; it reports
+// whether ev was pending.
+func (v *Virtual) armLocked(ev *event, at int64) bool {
 	v.seq++
-	ev.at, ev.seq = v.now+int64(d), v.seq
+	ev.at, ev.seq = max(at, v.now), v.seq
 	if ev.index < 0 {
-		heap.Push(&v.events, ev)
+		v.events.push(ev)
 		return false
 	}
-	heap.Fix(&v.events, ev.index)
+	v.events.fix(ev.index)
 	return true
 }

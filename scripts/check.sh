@@ -147,19 +147,23 @@ fi
 
 echo "== one line: no device write sleeps out its wire time"
 # Every medium books its wire on a medium.Pacer and puts what it sends
-# on a medium.Delay, whose process waits out the wire time and runs the
-# receiver; a writer that sleeps in its own put chain (the UART's old
-# transmit) is a second pacing model. Outside the clock itself, the only
-# non-test callers of SleepUntil are the delay line and URP's wait, once
-# a message, for its last cell to leave.
+# on a medium.Delay, a queue whose one clock event runs the receiver at
+# each item's instant; a writer that sleeps in its own put chain (the
+# UART's old transmit) is a second pacing model. Outside the clock
+# itself, the only non-test caller of SleepUntil is URP's wait, once a
+# message, for its last cell to leave.
 sleepers=$(grep -rlE '\.SleepUntil\(' --include='*.go' internal cmd examples | grep -v '_test\.go$' | grep -v testdata | grep -v '^internal/vclock/' | sort)
-allow="internal/medium/delay.go
-internal/urp/urp.go"
+allow="internal/urp/urp.go"
 if [ "$sleepers" != "$allow" ]; then
     echo "non-test files calling SleepUntil:" >&2
     echo "$sleepers" >&2
     echo "want exactly:" >&2
     echo "$allow" >&2
+    exit 1
+fi
+# A wire is a function call: no line, pipe or impairer runs a process.
+if grep -rnE '\.Go\(' --include='*.go' internal/medium | grep -v '_test\.go:'; then
+    echo "package medium starts a process (see above)" >&2
     exit 1
 fi
 
@@ -200,18 +204,19 @@ if grep -nE '^[^/]*\bpartial\b' $(ls internal/streams/*.go | grep -v -e '_test\.
     exit 1
 fi
 
-echo "== no shared line parks"
-# A device delivers to a stream with DeviceUp, which parks while the
-# stream holds its limit, only where its line serves that one
-# conversation and the park is its sender's backpressure: URP's circuit
-# leg, Cyclone's fiber, the UART and table1's pipe. Every other line
-# (the Ethernet segment, and UDP, IL and TCP on it) serves many
-# conversations and delivers through the refusing put, Stream.Produce,
-# so one conversation nobody reads cannot stall the rest.
+echo "== no line parks"
+# A wire's delay line runs its receiver on a clock event, which may not
+# park, so no line delivers with DeviceUp, which parks while the stream
+# holds its limit. The Ethernet segment (UDP, IL and TCP on it) and
+# URP's circuit leg deliver through the refusing put, Stream.Produce,
+# and the protocol's window carries the backpressure; Cyclone's fiber
+# and the UART, which lose nothing and resend nothing, deliver with
+# Stream.Deliver what their sender's credit (Stream.Reserve) paid for.
+# Only table1's pipe, two streams cross-connected on the real clock,
+# delivers from the writing process itself.
 if grep -rn '\.DeviceUp(' --include='*.go' internal cmd examples | grep -v '_test\.go:' | grep -v testdata \
-    | grep -v -e '^internal/streams/' -e '^internal/urp/urp\.go:' -e '^internal/cyclone/cyclone\.go:' \
-        -e '^internal/uart/uart\.go:' -e '^internal/table1/table1\.go:'; then
-    echo "a line that serves many conversations parks on one (see above)" >&2
+    | grep -v -e '^internal/streams/' -e '^internal/table1/table1\.go:'; then
+    echo "a line delivers with a put that parks (see above)" >&2
     exit 1
 fi
 
@@ -250,7 +255,8 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # answer line to its newline on every read (devtree
 # TestAllocsQueryRead), a deadline made of closures over its
 # conversation (vclock TestAllocsDeadlineInit) or whose first arm
-# makes one (vclock TestAllocsDeadlineFirstArm), a pipe with its
+# makes one (vclock TestAllocsDeadlineFirstArm), a clock event whose
+# arming allocates (vclock TestAllocsArmEvent), a pipe with its
 # receiver installed that builds the default mailbox or allocates per
 # send beyond its line's ring (medium TestAllocsReceiverBeforeTraffic),
 # an import past its objects-per-import bound, dial to unmount, over
