@@ -189,6 +189,7 @@ func NewSegment(name string, p Profile) *Segment {
 		ck:      p.Clock,
 	}
 	seg.mu.Init(p.Clock)
+	seg.line.Init(p.Clock)
 	seg.stations.Store(newStations(nil))
 	if p.Impair.Armed(p.Loss) {
 		seg.im = medium.NewImpairer(p.Clock, p.Seed+1, p.Loss, p.Impair)

@@ -81,6 +81,7 @@ func NewPipe(p Profile) *Pipe {
 // init readies a pipe held inside its owner.
 func (pipe *Pipe) init(p Profile) {
 	pipe.profile, pipe.ck = p, vclock.Or(p.Clock)
+	pipe.line.Init(pipe.ck)
 	if p.Impair.Armed(p.Loss) {
 		pipe.im = NewImpairer(p.Clock, p.Seed+1, p.Loss, p.Impair)
 	}
@@ -121,11 +122,16 @@ func (p *Pipe) Receive(recv func(msg []byte, err error)) { p.recv = recv }
 // transmitter is next free. Every paced medium — a pipe, the Ethernet
 // segment, a UART — books its transmissions through one, so what goes
 // out back to back queues behind what is already on the line. The zero
-// Pacer is an idle line.
+// Pacer is an idle line on a plain mutex; Init binds it to its line's
+// clock.
 type Pacer struct {
-	mu   sync.Mutex
+	mu   vclock.Lock
 	free time.Time
 }
+
+// Init binds p's lock to ck, the clock its line runs on. It must be
+// called before p is in use.
+func (p *Pacer) Init(ck vclock.Clock) { p.mu.Init(ck) }
 
 // Reserve books the line for busy, starting when it comes free and no
 // earlier than now, and returns the instant the transmission ends: the

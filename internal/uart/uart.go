@@ -79,6 +79,7 @@ const lineDepth = 64
 func newEnd(ck vclock.Clock) *End {
 	e := &End{ck: ck}
 	e.baud.Store(DefaultBaud)
+	e.tx.Init(ck)
 	e.stream = streams.NewClock(0, ck, e.transmit)
 	e.line = medium.NewDelay(ck, lineDepth, e.arrive)
 	return e

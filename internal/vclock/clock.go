@@ -23,8 +23,10 @@
 // advance, deadlocks — Run panics when it detects that). A mutex is
 // fine only while no holder parks with it held, so its waits resolve
 // without the clock's help: a Lock is such a mutex, and the clock
-// fails a park entered with one held. A lock that may be held across a
-// park is a Mutex.
+// fails a park entered with one held. On a virtual clock the token
+// already excludes every other process, so a bound Lock is only that
+// count: no atomic, no mutex. A lock that may be held across a park is
+// a Mutex.
 package vclock
 
 import "time"

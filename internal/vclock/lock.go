@@ -6,8 +6,8 @@ import (
 	"sync"
 )
 
-// Lock is a sync.Mutex that keeps Plan 9's rule that a process never
-// parks holding a lock (port/taslock.c counts up->nlocks; sleep
+// Lock is mutual exclusion that keeps Plan 9's rule that a process
+// never parks holding a lock (port/taslock.c counts up->nlocks; sleep
 // reports a holder). Bound with Init to a virtual clock, it counts
 // itself held by the running process, and every primitive that may
 // park — Sleep, SleepUntil, Cond.Wait, Mailbox.Send and Recv,
@@ -16,19 +16,26 @@ import (
 // park this time, as it does from a clock event. A race build also
 // records where each held Lock was taken, and the panic names it.
 //
-// Only one process runs at a time on the virtual clock, and none parks
-// holding a Lock, so a Lock there is never contended: its waiters
-// never need the clock's help, and no cycle of Locks can deadlock. One
-// would on the real clock, so a race build also records the order in
-// which Locks, each known by where Init bound it, are taken, and
-// panics at the first inversion. A lock that must be held across a
-// park is a Mutex.
+// On the virtual clock the token is the lock. One process runs at a
+// time, none parks holding a Lock, and a clock event runs only once
+// every process is parked, so whoever takes a Lock finds it free: a
+// bound Lock is the count and nothing else, no atomic and no mutex, and
+// no cycle of Locks can deadlock. The count is a plain field of the
+// clock that only the token's holder touches, so a goroutine that is
+// not the holder taking a bound Lock races on it, and go test -race
+// says so: the race suite is the proof that nothing else takes one. A
+// held Lock taken again, or a cycle of Locks, would deadlock on the
+// real clock, so a race build panics at the second take, and records
+// the order in which Locks, each known by where Init bound it, are
+// taken, panicking at the first inversion. A lock that must be held
+// across a park is a Mutex.
 //
-// The zero Lock is a plain mutex that counts nothing; Init binds it.
+// The zero Lock is a plain mutex that counts nothing, as is a Lock
+// bound to the real clock; Init binds it.
 type Lock struct {
-	mu   sync.Mutex
-	v    *Virtual // nil: not counted
-	site lockSite // its class and where it was taken; race builds only
+	site lockSite   // its class and where it was taken; race builds only
+	mu   sync.Mutex // unused once bound to a virtual clock
+	v    *Virtual   // nil: a plain mutex
 }
 
 var _ sync.Locker = (*Lock)(nil)
@@ -40,13 +47,15 @@ func (l *Lock) Init(ck Clock) {
 	l.site.bind()
 }
 
-// Lock acquires l and counts it held by the running process.
+// Lock acquires l: on a virtual clock it counts it held by the running
+// process, on the real clock it locks its mutex.
 func (l *Lock) Lock() {
-	l.mu.Lock()
 	if v := l.v; v != nil {
 		v.nlocks++
 		v.took(l)
+		return
 	}
+	l.mu.Lock()
 }
 
 // Unlock releases l.
@@ -54,6 +63,7 @@ func (l *Lock) Unlock() {
 	if v := l.v; v != nil {
 		v.nlocks--
 		v.gave(l)
+		return
 	}
 	l.mu.Unlock()
 }

@@ -2,9 +2,12 @@ package vclock
 
 import (
 	"fmt"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/block"
 )
@@ -196,5 +199,134 @@ func TestAllocsLockUncontended(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%T: uncontended Lock/Unlock allocates %.1f", ck, n)
 		}
+	}
+}
+
+// Several processes share one Lock through every hand-off the clock
+// makes: a Cond's Signal and Broadcast, and a Mutex's waiters. Whoever
+// holds the Lock finds no one else inside and the count at one, and
+// each hand-off wakes its waiters in the order they parked.
+func TestLockExcludesAcrossHandOffs(t *testing.T) {
+	const n = 4
+	v := NewVirtual()
+	v.Run(func() {
+		var l Lock
+		l.Init(v)
+		c := NewCond(v, &l)
+		var mu Mutex
+		mu.Init(v)
+		inside, tokens := 0, 0
+		var parked, woke []int
+		// note takes l and appends who to *to, checking that no one else
+		// is inside and that l is the one Lock counted.
+		note := func(to *[]int, who int) {
+			l.Lock()
+			if inside != 0 || v.nlocks != 1 {
+				t.Errorf("process %d: %d inside and %d Lock(s) counted on entry, want 0 and 1", who, inside, v.nlocks)
+			}
+			inside++
+			*to = append(*to, who)
+			inside--
+			l.Unlock()
+		}
+		round := func(how string, wait func(i int), wake func()) {
+			parked, woke = nil, nil
+			wg := NewWaitGroup(v)
+			for i := range n {
+				wg.Add(1)
+				v.Go(func() {
+					defer wg.Done()
+					wait(i)
+				})
+			}
+			v.Sleep(0) // every process runs and parks first
+			wake()
+			wg.Wait()
+			if len(parked) != n || !slices.Equal(woke, parked) {
+				t.Errorf("%s: parked in order %v, woke in order %v", how, parked, woke)
+			}
+			if inside != 0 || v.nlocks != 0 {
+				t.Errorf("%s: %d inside and %d Lock(s) counted after the round, want 0 and 0", how, inside, v.nlocks)
+			}
+		}
+		condWait := func(i int) {
+			note(&parked, i)
+			l.Lock()
+			for tokens == 0 {
+				c.Wait()
+			}
+			tokens--
+			l.Unlock()
+			note(&woke, i)
+		}
+		round("Cond.Signal", condWait, func() {
+			for range n {
+				l.Lock()
+				tokens++
+				c.Signal()
+				l.Unlock()
+				v.Sleep(0)
+			}
+		})
+		round("Cond.Broadcast", condWait, func() {
+			l.Lock()
+			tokens = n
+			c.Broadcast()
+			l.Unlock()
+		})
+		mu.Lock()
+		round("Mutex.Lock", func(i int) {
+			note(&parked, i)
+			mu.Lock()
+			note(&woke, i)
+			v.Sleep(time.Millisecond) // a Mutex may be held across a park
+			mu.Unlock()
+		}, mu.Unlock)
+	})
+}
+
+// A clock event that parks panics, and the panic unwinds through the
+// process that was parking when the scheduler ran it. That process's
+// deferred Unlock of the Lock its Cond.Wait had let go of must not
+// turn the panic into a fatal error that hides it. The panic ends the
+// process, so the scenario runs in a child.
+func TestEventPanicSurvivesDeferredUnlock(t *testing.T) {
+	if os.Getenv("VCLOCK_EVENT_PARKS") == "1" {
+		eventParks()
+		return
+	}
+	out, err := runChild(t, "TestEventPanicSurvivesDeferredUnlock", "VCLOCK_EVENT_PARKS")
+	if err == nil || !strings.Contains(out, "panic: vclock: a clock event may not park") || strings.Contains(out, "fatal error") {
+		t.Fatalf("child exited with %v, want the event's panic and no fatal error:\n%s", err, out)
+	}
+}
+
+// eventParks is TestEventPanicSurvivesDeferredUnlock's child. It never
+// returns: the event's panic ends the process.
+func eventParks() {
+	v := NewVirtual()
+	v.Run(func() {
+		var l Lock
+		l.Init(v)
+		c := NewCond(v, &l)
+		var tm Timer
+		tm.Arm(v, v.Now(), &callEvent{func() { v.Sleep(0) }})
+		l.Lock()
+		defer l.Unlock()
+		c.Wait()
+	})
+	// Run returns once the panicking process hands the token back; the
+	// panic then ends the process.
+	time.Sleep(time.Hour)
+}
+
+// A Lock sits in every conversation and a Mutex in every 9P fid: a
+// build without the race detector keeps them two words and four.
+func TestLockIsSmall(t *testing.T) {
+	if block.RaceEnabled {
+		t.Skip("a race build records where each Lock was taken")
+	}
+	if n, m := unsafe.Sizeof(Lock{}), unsafe.Sizeof(Mutex{}); n > 16 || m > 32 {
+		t.Errorf("Lock is %d bytes and Mutex %d, want <= 16 and <= 32", n, m)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Without the race detector no Lock records where it was taken: a
-// Lock costs a nil check and an increment beyond its mutex.
+// bound Lock costs a nil check and an increment.
 type lockSite struct{}
 
 func (*lockSite) bind() {}

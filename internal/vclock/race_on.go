@@ -40,14 +40,23 @@ var order struct {
 }
 
 // took records where l was taken, checks the order it was taken in
-// against every held Lock, and puts it on v's list. A lock taken while
+// against every held Lock, and puts it on v's list. A Lock already on
+// the list is taken twice, which hangs on the real clock: the run
+// panics now, naming where it was first taken. A lock taken while
 // one of another class is held, where the other has been taken while
 // one of l's class was held, directly or through others, is a cycle
 // that deadlocks on the real clock once two processes meet in it: the
 // run panics now, with both ways round, as lockdep does. On the
 // virtual clock no Lock is contended, so only this check sees it.
 func (v *Virtual) took(l *Lock) {
-	runtime.Callers(3, l.site.pcs[:]) // skip Callers, took and Lock
+	var pcs [4]uintptr
+	runtime.Callers(3, pcs[:]) // skip Callers, took and Lock
+	if l.site.prev != nil || v.held.head == l {
+		msg := "vclock: the lock taken at " + siteOf(l.site.pcs[:]) + " taken again at " + siteOf(pcs[:])
+		fmt.Fprintln(os.Stderr, msg) // as mightPark does
+		panic(msg)
+	}
+	l.site.pcs = pcs
 	l.site.prev, l.site.next = nil, v.held.head
 	if h := v.held.head; h != nil {
 		h.site.prev = l

@@ -478,18 +478,26 @@ func TestForeignParkPanics(t *testing.T) {
 		foreignPark()
 		return
 	}
+	out, err := runChild(t, "TestForeignParkPanics", "VCLOCK_FOREIGN_PARK")
+	if err == nil || !strings.Contains(out, "panic: vclock: Sleep from a goroutine not registered with the virtual clock") {
+		t.Fatalf("child exited with %v, want the not-registered panic:\n%s", err, out)
+	}
+}
+
+// runChild runs the test binary's test name with env set to 1, which
+// makes the test play the child, under a host deadline, and returns
+// the child's output and how it exited.
+func runChild(t *testing.T, name, env string) (string, error) {
 	const deadline = 20 * time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
-	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestForeignParkPanics$")
-	cmd.Env = append(os.Environ(), "VCLOCK_FOREIGN_PARK=1")
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^"+name+"$")
+	cmd.Env = append(os.Environ(), env+"=1")
 	out, err := cmd.CombinedOutput()
 	if ctx.Err() != nil {
 		t.Fatalf("the child still ran after %v instead of panicking:\n%s", deadline, out)
 	}
-	if err == nil || !strings.Contains(string(out), "panic: vclock: Sleep from a goroutine not registered with the virtual clock") {
-		t.Fatalf("child exited with %v, want the not-registered panic:\n%s", err, out)
-	}
+	return string(out), err
 }
 
 // foreignPark is TestForeignParkPanics' child. It never returns: the

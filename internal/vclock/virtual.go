@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -18,7 +19,7 @@ var Epoch = time.Date(1993, time.January, 25, 0, 0, 0, 0, time.UTC)
 // the next pending timer whenever all of them are parked.
 type Virtual struct {
 	mu         sync.Mutex
-	now        int64 // ns since Epoch
+	now        atomic.Int64 // ns since Epoch; written under mu, read by Now without it
 	seq        uint64
 	runq       gorList
 	events     eventHeap
@@ -227,7 +228,7 @@ func (v *Virtual) Run(fn func()) {
 	defer v.mu.Unlock()
 	if v.all != nil && !v.rootDone {
 		n, who := v.parkedLocked()
-		panic(fmt.Sprintf("vclock: simulation deadlock: %d machine goroutine(s) parked with no pending event at T+%v: %s", n, time.Duration(v.now), who))
+		panic(fmt.Sprintf("vclock: simulation deadlock: %d machine goroutine(s) parked with no pending event at T+%v: %s", n, time.Duration(v.now.Load()), who))
 	}
 }
 
@@ -252,14 +253,14 @@ func (v *Virtual) nextLocked() *gor {
 			return g
 		}
 		if v.rootDone && v.drainUntil < 0 {
-			v.drainUntil = v.now + drainHorizon
+			v.drainUntil = v.now.Load() + drainHorizon
 		}
 		if len(v.events) == 0 || v.rootDone && v.events[0].at > v.drainUntil {
 			return nil
 		}
 		ev := v.events.remove(0)
-		if ev.at > v.now {
-			v.now = ev.at
+		if ev.at > v.now.Load() {
+			v.now.Store(ev.at)
 		}
 		switch {
 		case ev.g != nil:
@@ -460,12 +461,9 @@ func (v *Virtual) Switches() int64 {
 	return v.switches
 }
 
-// Now implements Clock.
-func (v *Virtual) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return Epoch.Add(time.Duration(v.now))
-}
+// Now implements Clock. Only nextLocked moves the clock, under the
+// scheduler's lock; Now reads it with one atomic load and no lock.
+func (v *Virtual) Now() time.Time { return Epoch.Add(time.Duration(v.now.Load())) }
 
 // Since implements Clock.
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
@@ -476,7 +474,7 @@ func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 func (v *Virtual) Sleep(d time.Duration) {
 	v.mightPark("Sleep", nil)
 	v.mu.Lock()
-	v.sleepLocked("Sleep", v.now+int64(d))
+	v.sleepLocked("Sleep", v.now.Load()+int64(d))
 }
 
 // SleepUntil implements Clock.
@@ -509,7 +507,7 @@ func (v *Virtual) stop(ev *event) bool {
 func (v *Virtual) reset(ev *event, d time.Duration) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.armLocked(ev, v.now+int64(d))
+	return v.armLocked(ev, v.now.Load()+int64(d))
 }
 
 // armLocked (re)schedules ev for at, or now if at has passed, with a
@@ -517,7 +515,7 @@ func (v *Virtual) reset(ev *event, d time.Duration) bool {
 // whether ev was pending.
 func (v *Virtual) armLocked(ev *event, at int64) bool {
 	v.seq++
-	ev.at, ev.seq = max(at, v.now), v.seq
+	ev.at, ev.seq = max(at, v.now.Load()), v.seq
 	if ev.index < 0 {
 		v.events.push(ev)
 		return false

@@ -106,7 +106,6 @@ echo "== one lock discipline: who may declare a sync lock"
 #   devtree/devtree.go  a status file's snapshot text (the render runs unlocked)
 #   devtree/devtree.go  a query file's answer lines (the query runs unlocked)
 #   dnssrv/server.go    a zone's records, read by the server's loop
-#   medium/medium.go    a Pacer's next free instant: time arithmetic
 #   ndb/ndb.go          a database file's hash tables
 #   ns/fd.go            a descriptor's offset and closed flag
 #   ns/ns.go            the mount table's writers: copy, change, swap
@@ -118,7 +117,6 @@ allow="internal/block/race_on.go sync.Mutex
 internal/devtree/devtree.go mu sync.Mutex
 internal/devtree/devtree.go mu sync.Mutex
 internal/dnssrv/server.go mu sync.RWMutex
-internal/medium/medium.go mu sync.Mutex
 internal/ndb/ndb.go mu sync.RWMutex
 internal/ns/fd.go mu sync.Mutex
 internal/ns/ns.go mu sync.Mutex
