@@ -58,8 +58,12 @@ func run(w io.Writer, ck vclock.Clock, frames int) error {
 	buf := make([]byte, 16)
 	n, _ := ctl.Read(buf)
 	dir := "/net/ether0/" + string(buf[:n])
-	ctl.WriteString(netmsg.Connect("-1"))
-	ctl.WriteString(netmsg.Promiscuous())
+	if _, err := ctl.WriteString(netmsg.Connect("-1")); err != nil {
+		return err
+	}
+	if _, err := ctl.WriteString(netmsg.Promiscuous()); err != nil {
+		return err
+	}
 	data, err := aroot.NS.Open(dir+"/data", vfs.OREAD)
 	if err != nil {
 		return err

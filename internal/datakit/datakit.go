@@ -113,9 +113,6 @@ type Host struct {
 	listeners map[string]listener
 }
 
-// Name returns the station's Datakit name.
-func (h *Host) Name() string { return h.name }
-
 // backlog is how many calls a listener holds unaccepted; a dial past it
 // is refused.
 const backlog = 8

@@ -380,9 +380,6 @@ func (seg *Segment) NewInterface(name string) *Interface {
 // Addr returns the interface's Ethernet address.
 func (ifc *Interface) Addr() Addr { return ifc.addr }
 
-// Name returns the interface name.
-func (ifc *Interface) Name() string { return ifc.name }
-
 // MTU returns the medium MTU.
 func (ifc *Interface) MTU() int { return ifc.seg.MTU() }
 

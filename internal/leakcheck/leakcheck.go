@@ -1,8 +1,9 @@
-// Package leakcheck is the repo's leak gate, for goroutines and for
-// blocks. netvet has no static counterpart for either: a simulated
-// machine starts its goroutines through its clock, where a check of go
-// statements cannot follow them, and a block handed on by ownership
-// (§2.4) is freed wherever its last owner happens to be.
+// Package leakcheck is the repo's leak gate, for goroutines, for
+// blocks and for open files. Each is a runtime book rather than a
+// static check: a simulated machine starts its goroutines through its
+// clock, where a check of go statements cannot follow them, a block
+// handed on by ownership (§2.4) is freed wherever its last owner
+// happens to be, and an FD may be closed by whoever it was passed to.
 //
 // A test that spins up stream queues, protocol engines, or a whole
 // paper-world must wind every goroutine down when its machines close; a
@@ -12,20 +13,22 @@
 // to finish parking out of existence.
 //
 // Once a package's goroutines are gone, every block it allocated must
-// be back: Main fails the package if the block allocator's books show
-// one in flight. A -race build records each live block's allocation
-// site, and the failure names the sites; a plain build reports the
-// count. Raw GetBytes buffers are not gated: they may fall to the
-// garbage collector by design. A raw buffer that becomes a block is
-// gated from then on: the wire buffer a 9P Rread or Twrite was decoded
-// from (its data is read in place), and a message off a Cyclone fiber.
+// be back and every FD it opened through a name space closed: Main
+// fails the package if the block allocator's books show one in flight
+// or ns's book shows one open. A -race build records each live block's
+// allocation site, and the failure names the sites; a plain build, and
+// the FD book always, report the count. Raw GetBytes buffers are not
+// gated: they may fall to the garbage collector by design. A raw
+// buffer that becomes a block is gated from then on: the wire buffer a
+// 9P Rread or Twrite was decoded from (its data is read in place), and
+// a message off a Cyclone fiber.
 //
 // Usage, one line per test (goroutines only: tests that run in
 // parallel share the block books):
 //
 //	defer leakcheck.Check(t)
 //
-// or one gate for a whole package, goroutines and blocks:
+// or one gate for a whole package, goroutines, blocks and FDs:
 //
 //	func TestMain(m *testing.M) { leakcheck.Main(m) }
 package leakcheck
@@ -39,6 +42,7 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/ns"
 )
 
 // maxWait bounds how long a lingering goroutine is given to exit
@@ -59,7 +63,7 @@ func Check(t testing.TB) {
 }
 
 // Main wraps m.Run for packages that take a single gate at process
-// exit, for goroutines and then for blocks.
+// exit, for goroutines and then for blocks and FDs.
 func Main(m *testing.M) {
 	code := m.Run()
 	if code == 0 {
@@ -68,6 +72,9 @@ func Main(m *testing.M) {
 			code = 1
 		} else if msg := unfreed(); msg != "" {
 			fmt.Fprintln(os.Stderr, msg)
+			code = 1
+		} else if n := ns.OpenFDs(); n != 0 {
+			fmt.Fprintf(os.Stderr, "leakcheck: %d FD(s) never closed\n", n)
 			code = 1
 		}
 	}
@@ -93,16 +100,14 @@ func unfreed() string {
 // wait polls for the interesting set to drain, with exponential
 // backoff up to maxWait, and returns whatever is left.
 func wait() []string {
-	//netvet:ignore realtime polls the real runtime for goroutine exit
-	deadline := time.Now().Add(maxWait)
+	deadline := time.Now().Add(maxWait) //netvet:ignore realtime polls the real runtime for goroutine exit
 	delay := time.Millisecond
 	for {
 		leaked := interesting()
 		if len(leaked) == 0 || time.Now().After(deadline) { //netvet:ignore realtime polls the real runtime for goroutine exit
 			return leaked
 		}
-		//netvet:ignore realtime polls the real runtime for goroutine exit
-		time.Sleep(delay)
+		time.Sleep(delay) //netvet:ignore realtime polls the real runtime for goroutine exit
 		if delay < 100*time.Millisecond {
 			delay *= 2
 		}

@@ -2,10 +2,10 @@
 // messages of the paper's protocol devices (§2.3, §5): "connect",
 // "announce", "reject", and the stream configuration verbs "push",
 // "pop", and "hangup". Every producer of a ctl message formats it
-// here; devices parse with Parse. Ad-hoc ctl literals elsewhere are
-// flagged by the naked-ctl-string check of cmd/netvet, so the wire
-// vocabulary cannot drift package by package, and FuzzCtl holds every
-// formatter to what Parse reads back.
+// here; devices parse with Parse. A Write of a ctl verb spelled out
+// elsewhere fails a scripts/check.sh grep, so the wire vocabulary
+// cannot drift package by package, and FuzzCtl holds every formatter
+// to what Parse reads back.
 package netmsg
 
 import "strings"

@@ -64,7 +64,7 @@ func (n PathNode) Open(mode int) (vfs.Handle, error) {
 // Create implements vfs.Creator.
 func (n PathNode) Create(name string, perm uint32, mode int) (vfs.Node, vfs.Handle, error) {
 	child := n.child(name)
-	h, _, _, err := n.nsp.create(child, perm, mode)
+	h, _, err := n.nsp.create(child, perm, mode)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -283,7 +283,8 @@ func (ns *Namespace) Open(name string, mode int) (*FD, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FD{name: cname, h: h, dir: d, isDir: d.IsDir()}, nil
+	openFDs.Add(1)
+	return &FD{name: cname, h: h, isDir: d.IsDir()}, nil
 }
 
 // open resolves name and opens it with mode. It returns the handle,
@@ -327,24 +328,24 @@ func (ns *Namespace) open(name string, mode int) (vfs.Handle, vfs.Dir, string, e
 // it with mode. In a union, creation goes to the first member mounted
 // with MCREATE, as in the kernel.
 func (ns *Namespace) Create(name string, perm uint32, mode int) (*FD, error) {
-	h, d, cname, err := ns.create(name, perm, mode)
+	h, cname, err := ns.create(name, perm, mode)
 	if err != nil {
 		return nil, err
 	}
-	return &FD{name: cname, h: h, dir: d, isDir: perm&vfs.DMDIR != 0}, nil
+	openFDs.Add(1)
+	return &FD{name: cname, h: h, isDir: perm&vfs.DMDIR != 0}, nil
 }
 
-// create is Create without the FD: the handle, the entry as created
-// and the canonical name.
-func (ns *Namespace) create(name string, perm uint32, mode int) (vfs.Handle, vfs.Dir, string, error) {
+// create is Create without the FD: the handle and the canonical name.
+func (ns *Namespace) create(name string, perm uint32, mode int) (vfs.Handle, string, error) {
 	cname := Clean(name)
 	dir, base := path.Split(cname)
 	if base == "" || base == "/" {
-		return nil, vfs.Dir{}, "", vfs.ErrBadArg
+		return nil, "", vfs.ErrBadArg
 	}
 	target, union, _, err := ns.resolve(dir)
 	if err != nil {
-		return nil, vfs.Dir{}, "", err
+		return nil, "", err
 	}
 	if len(union) > 1 {
 		target = nil
@@ -355,18 +356,18 @@ func (ns *Namespace) create(name string, perm uint32, mode int) (vfs.Handle, vfs
 			}
 		}
 		if target == nil {
-			return nil, vfs.Dir{}, "", vfs.ErrNoCreate
+			return nil, "", vfs.ErrNoCreate
 		}
 	}
 	cr, ok := target.(vfs.Creator)
 	if !ok {
-		return nil, vfs.Dir{}, "", vfs.ErrPerm
+		return nil, "", vfs.ErrPerm
 	}
 	_, h, err := cr.Create(base, perm, mode)
 	if err != nil {
-		return nil, vfs.Dir{}, "", err
+		return nil, "", err
 	}
-	return h, vfs.Dir{Name: base, Mode: perm}, cname, nil
+	return h, cname, nil
 }
 
 // readChunk is the length of every read ReadFile makes.

@@ -131,6 +131,41 @@ func TestWriteFileHelper(t *testing.T) {
 	}
 }
 
+// TestOpenFDsBook: Open and Create each put one FD on the book, its
+// first Close takes it off, and a second Close or a failed Open moves
+// nothing.
+func TestOpenFDsBook(t *testing.T) {
+	nsp, fs := newNS(t)
+	fs.WriteFile("f", []byte("x"), 0664)
+	base := OpenFDs()
+	book := func(when string, want int64) {
+		t.Helper()
+		if got := OpenFDs() - base; got != want {
+			t.Errorf("%s: %d FDs open, want %d", when, got, want)
+		}
+	}
+	opened, err := nsp.Open("/f", vfs.OREAD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	book("after Open", 1)
+	created, err := nsp.Create("/g", 0664, vfs.OWRITE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	book("after Create", 2)
+	if _, err := nsp.Open("/absent", vfs.OREAD); err == nil {
+		t.Fatal("Open of an absent file succeeded")
+	}
+	book("after a failed Open", 2)
+	opened.Close()
+	book("after Close", 1)
+	opened.Close()
+	book("after a second Close", 1)
+	created.Close()
+	book("after both are closed", 0)
+}
+
 // sizedFile stats as length bytes long whatever it holds, as a file
 // that grew after its stat does and as a device file (length 0) does,
 // and records the length of every read.

@@ -1,9 +1,10 @@
 #!/bin/sh
 # check.sh — the repo's tier-1 gate: formatting, vet, build, the full
 # test suite under the race detector (where the virtual clock's
-# held-lock check fails a lock held across a park), netvet (the in-tree
-# resource-lifecycle and clock analyzer), seed sweeps of the protocol
-# torture harness, and short fuzz smokes over the wire-facing parsers.
+# held-lock check fails a lock held across a park, and leakcheck's books
+# fail a goroutine, block or FD left over), greps that keep one
+# mechanism per job, seed sweeps of the protocol torture harness, and
+# short fuzz smokes over the wire-facing parsers.
 # Everything must pass for a PR to land.
 set -eu
 
@@ -32,8 +33,8 @@ echo "== go test -race ./..."
 # A held-lock panic is printed before it unwinds, and a deferred cleanup
 # that takes a lock a lower frame holds can block the unwind; the
 # timeout ends such a run in minutes, not at the default ten. The
-# slowest package binaries under -race (storm, analysis) take under a
-# minute on a 2-CPU host.
+# slowest package binary under -race (storm) takes under a minute on a
+# 2-CPU host.
 go test -race -timeout 5m ./...
 
 echo "== vclock scheduler under the race detector, ten times"
@@ -43,29 +44,6 @@ echo "== vclock scheduler under the race detector, ten times"
 # hand-off. The real-clock tests leave the scheduler alone and time the
 # host (TestRealSleepUntilPrecision allows 2 ms), so they stay out.
 go test -race -count=10 -skip '^TestReal' ./internal/vclock
-
-echo "== netvet ./..."
-go run ./cmd/netvet ./...
-
-echo "== netvet realtime: tests that run on the virtual clock"
-# Every paper-world test in these packages, every test of the
-# transports, the devices, 9P, the mount driver, exportfs and the
-# torture harness that waits, and every command and example with its
-# golden test, runs inside vclock.Virtual.Run, so a wall-clock call in
-# one of their files, tests included, is a regression. A test that is
-# about the real clock (a race the detector must see on host threads, a
-# lock that would stop the virtual clock itself, the mount finalizer,
-# leakcheck's grace period) says so with //netvet:ignore realtime
-# <reason>. Converting more packages' tests grows the list.
-rt=$(go run ./cmd/netvet -tests -checks realtime ./... 2>&1) || true
-if ! echo "$rt" | grep -q '^netvet: [0-9]* package'; then
-    echo "$rt" >&2
-    exit 1
-fi
-if echo "$rt" | grep -E '^(internal/(core|dialer|ftp|table1|ether|medium|cs|il|uart|datakit|urp|cyclone|ip|tcp|udp|netdev|dnssrv|xport|ninep|mnt|exportfs|torture|devtree|leakcheck|streams)|cmd|examples)/'; then
-    echo "wall-clock calls in packages whose tests run on the virtual clock (see above)" >&2
-    exit 1
-fi
 
 echo "== one clock: who may name the real clock"
 # Every goroutine the program starts runs on a clock the virtual
@@ -88,6 +66,44 @@ if [ "$real" != "$allow" ]; then
     echo "$real" >&2
     echo "want exactly:" >&2
     echo "$allow" >&2
+    exit 1
+fi
+
+echo "== one clock: no wall-clock call outside vclock"
+# A timestamp or timer that does not go through a vclock.Clock anchors
+# a virtual run to the host and breaks same-seed replay. Outside
+# internal/vclock no non-test file calls the real clock, and neither
+# does a test in a package whose tests run inside vclock.Virtual.Run:
+# every paper-world test, every test of the transports, the devices,
+# 9P, the mount driver, exportfs and the torture harness that waits, and
+# every command and example with its golden test. A call that times the
+# host on purpose (bench's probes, storm's wall-clock half, leakcheck's
+# grace period, a test of a lock that would stop the virtual clock
+# itself) carries //netvet:ignore realtime <reason> on its own line; a
+# marker on a line with no such call is stale. Converting more
+# packages' tests grows the list.
+wall='\btime\.(Now|Since|Until|Sleep|After|AfterFunc|NewTimer|NewTicker|Tick)\('
+onclock='^(internal/(core|dialer|ftp|table1|ether|medium|cs|il|uart|datakit|urp|cyclone|ip|tcp|udp|netdev|dnssrv|xport|ninep|mnt|exportfs|torture|devtree|leakcheck|streams)|cmd|examples)/'
+if { grep -rnE "$wall" --include='*.go' internal cmd examples bench | grep -v '_test\.go:'
+    grep -rnE "$wall" --include='*_test.go' internal cmd examples | grep -E "$onclock"; } \
+    | grep -v -e testdata -e '^internal/vclock/' | grep -v '//netvet:ignore realtime [^[:space:]]'; then
+    echo "wall-clock calls where a vclock.Clock should be threaded (see above)" >&2
+    exit 1
+fi
+if grep -rn '//netvet:ignore realtime' --include='*.go' internal cmd examples bench | grep -vE "$wall"; then
+    echo "//netvet:ignore realtime on a line with no wall-clock call: delete it (see above)" >&2
+    exit 1
+fi
+
+echo "== one ctl vocabulary: netmsg spells the verbs"
+# The ASCII ctl messages are a wire protocol (§2.3, §5): internal/netmsg
+# formats them and the devices parse them, so a writer that spells a
+# verb out itself drifts from both. No non-test Write, WriteString or
+# WriteCtl elsewhere starts its argument with a verb, bare, through
+# []byte( or through fmt.Sprintf(.
+if grep -rnE '\.(Write|WriteString|WriteCtl)\((\[\]byte\(|fmt\.Sprintf\()?"(connect|announce|reject|push|pop|hangup|promiscuous)[ "\\]' \
+    --include='*.go' internal cmd examples bench | grep -v '_test\.go:' | grep -v -e testdata -e '^internal/netmsg/'; then
+    echo "a ctl message spelled out beside the netmsg helpers (see above)" >&2
     exit 1
 fi
 
@@ -135,10 +151,10 @@ echo "== no raw channels on the clock"
 # a select, a sync.WaitGroup or sync.Cond wait is a park neither can
 # see, and a send, receive or range on a channel with a lock held was
 # the channel half of the old static lock-across-send check. Outside
-# the clock, the analyzer and the leak checker (which watch the host),
-# no non-test code uses them.
+# the clock and the leak checker (which watches the host), no non-test
+# code uses them.
 if grep -rnE '\bchan\b|\bselect \{|sync\.(WaitGroup|Cond)\b' --include='*.go' internal cmd examples | grep -v '_test\.go:' | grep -v testdata \
-    | grep -v -e '^internal/vclock/' -e '^internal/analysis/' -e '^internal/leakcheck/'; then
+    | grep -v -e '^internal/vclock/' -e '^internal/leakcheck/'; then
     echo "a raw channel or sync wait in code that runs on the clock (see above)" >&2
     exit 1
 fi
@@ -299,8 +315,7 @@ echo "== stats conformance: /net files vs wire ground truth"
 go test -run '^TestStatsConformance' -count=1 ./internal/torture
 
 echo "== coverage floors"
-# One table, one function. obs rides every hot path; the analyzer is
-# itself load-bearing (this script trusts its verdicts); exportfs is the
+# One table, one function. obs rides every hot path; exportfs is the
 # serving stack's front door; ccache hands out refcounted memory on the
 # gateway's hot path; xport is the scaffold every IL and TCP
 # conversation stands on, and devtree the conversation table every
@@ -322,7 +337,7 @@ floor() {
     fi
     echo "internal/$1 coverage ${cov}% (floor $2%)"
 }
-for f in obs:80 analysis:80 exportfs:80 ccache:80 xport:80 devtree:80 mnt:80 ninep:80 vclock:80 ns:80 il:85 streams:85 cs:85; do
+for f in obs:80 exportfs:80 ccache:80 xport:80 devtree:80 mnt:80 ninep:80 vclock:80 ns:80 il:85 streams:85 cs:85; do
     floor "${f%:*}" "${f#*:}"
 done
 
@@ -340,7 +355,6 @@ echo "urp.go $(lines internal/urp/urp.go)  vclock/deadline.go $(lines internal/v
 echo "ninep/client.go $(lines internal/ninep/client.go)  mnt/mnt.go $(lines internal/mnt/mnt.go)  exportfs.go $(lines internal/exportfs/exportfs.go)  ninep/server.go $(lines internal/ninep/server.go)  core/services.go $(lines internal/core/services.go)"
 echo "vclock/*.go $(lines $(ls internal/vclock/*.go | grep -v _test.go))  ninep/transport.go $(lines internal/ninep/transport.go)  ns/ns.go $(lines internal/ns/ns.go)"
 echo "block/*.go $(lines $(ls internal/block/*.go | grep -v _test.go))  leakcheck/*.go $(lines $(ls internal/leakcheck/*.go | grep -v _test.go))  streams/*.go $(lines $(ls internal/streams/*.go | grep -v _test.go))"
-echo "analysis/*.go $(lines $(ls internal/analysis/*.go | grep -v _test.go))  cmd/netvet/*.go $(lines $(ls cmd/netvet/*.go | grep -v _test.go))"
 echo "cs/*.go $(lines $(ls internal/cs/*.go | grep -v _test.go))"
 echo "cmd/*/*.go $(lines $(ls cmd/*/*.go | grep -v _test.go))  examples/*/*.go $(lines $(ls examples/*/*.go | grep -v _test.go))"
 echo "ip/stack.go $(lines internal/ip/stack.go)  ether/ether.go $(lines internal/ether/ether.go)  ether/dev.go $(lines internal/ether/dev.go)  netdev.go $(lines internal/netdev/netdev.go)  devtree/*.go $(lines $(ls internal/devtree/*.go | grep -v _test.go))  medium.go $(lines internal/medium/medium.go)  medium/delay.go $(lines internal/medium/delay.go)  uart.go $(lines internal/uart/uart.go)"
