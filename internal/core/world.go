@@ -70,7 +70,7 @@ func (w *World) AddEther(name string, p ether.Profile) *ether.Segment {
 	if p.Clock == nil {
 		p.Clock = w.clock
 	}
-	seg := ether.NewSegment(name, p)
+	seg := ether.NewSegment(p)
 	w.ethers[name] = seg
 	return seg
 }

@@ -115,7 +115,7 @@ func onResolver(t *testing.T, body func(r *Resolver)) {
 	t.Helper()
 	v := vclock.NewVirtual()
 	v.Run(func() {
-		seg := ether.NewSegment("e0", ether.Profile{Clock: v})
+		seg := ether.NewSegment(ether.Profile{Clock: v})
 		defer seg.Close()
 		mask := ip.Addr{255, 255, 255, 0}
 		var protos []*udp.Proto
@@ -205,7 +205,7 @@ func TestTimeoutWhenNoServers(t *testing.T) {
 	// goroutine would hang the scheduler.)
 	v := vclock.NewVirtual()
 	v.Run(func() {
-		seg := ether.NewSegment("e0", ether.Profile{Clock: v})
+		seg := ether.NewSegment(ether.Profile{Clock: v})
 		defer seg.Close()
 		st := ip.NewStack(v)
 		defer st.Close()

@@ -105,7 +105,6 @@ func mtu(p Profile) int {
 // interface reaches every other interface that would accept it (medium
 // effects permitting).
 type Segment struct {
-	name    string
 	profile Profile
 	ck      vclock.Clock
 	im      *medium.Impairer // nil on an unimpaired, lossless segment; only its frames carry an FCS
@@ -182,9 +181,8 @@ func (s *stations) hearers(dst Addr) []*Interface {
 // NewSegment creates a segment with the given medium profile. Unlike
 // a pipe's, the profile's Clock is required: the wire's delay line
 // runs on it.
-func NewSegment(name string, p Profile) *Segment {
+func NewSegment(p Profile) *Segment {
 	seg := &Segment{
-		name:    name,
 		profile: p,
 		ck:      p.Clock,
 	}
@@ -218,9 +216,6 @@ func (seg *Segment) ImpairCounts() medium.Counts {
 	}
 	return seg.im.Counts()
 }
-
-// Name returns the segment's name.
-func (seg *Segment) Name() string { return seg.name }
 
 // MTU returns the medium MTU.
 func (seg *Segment) MTU() int { return mtu(seg.profile) }

@@ -25,7 +25,7 @@ func onSegment(t *testing.T, p Profile, body func(seg *Segment)) {
 	v := vclock.NewVirtual()
 	v.Run(func() {
 		p.Clock = v
-		seg := NewSegment("ether0", p)
+		seg := NewSegment(p)
 		defer seg.Close()
 		body(seg)
 	})

@@ -29,7 +29,7 @@ func onVirtualMachines(t *testing.T, prof ether.Profile, tune func(*Proto), body
 	v := vclock.NewVirtual()
 	v.Run(func() {
 		prof.Clock = v
-		seg := ether.NewSegment("e0", prof)
+		seg := ether.NewSegment(prof)
 		defer seg.Close()
 		s1, s2 := ip.NewStack(v), ip.NewStack(v)
 		defer s1.Close()
@@ -766,7 +766,7 @@ func TestLoopbackBothWaysOnVirtualClock(t *testing.T) {
 		defer close(done)
 		v := vclock.NewVirtual()
 		v.Run(func() {
-			seg := ether.NewSegment("e0", ether.Profile{Clock: v})
+			seg := ether.NewSegment(ether.Profile{Clock: v})
 			defer seg.Close()
 			st := ip.NewStack(v)
 			defer st.Close()

@@ -186,7 +186,7 @@ func onTwoHosts(t *testing.T, body func(v *vclock.Virtual, s1, s2 *Stack, a1, a2
 	t.Helper()
 	v := vclock.NewVirtual()
 	v.Run(func() {
-		seg := ether.NewSegment("e0", ether.Profile{Clock: v})
+		seg := ether.NewSegment(ether.Profile{Clock: v})
 		defer seg.Close()
 		s1, s2 := NewStack(v), NewStack(v)
 		defer s1.Close()
@@ -301,7 +301,7 @@ func TestLoopbackKeepsSendOrder(t *testing.T) {
 func TestARPDropsAreCounted(t *testing.T) {
 	v := vclock.NewVirtual()
 	v.Run(func() {
-		seg := ether.NewSegment("e0", ether.Profile{Clock: v})
+		seg := ether.NewSegment(ether.Profile{Clock: v})
 		defer seg.Close()
 		st := NewStack(v)
 		defer st.Close()
@@ -340,8 +340,8 @@ func TestForwardingThroughGateway(t *testing.T) {
 	// shape of the paper's ndb subnet entries with ipgw.
 	v := vclock.NewVirtual()
 	v.Run(func() {
-		segA := ether.NewSegment("eA", ether.Profile{Clock: v})
-		segB := ether.NewSegment("eB", ether.Profile{Clock: v})
+		segA := ether.NewSegment(ether.Profile{Clock: v})
+		segB := ether.NewSegment(ether.Profile{Clock: v})
 		defer segA.Close()
 		defer segB.Close()
 
@@ -396,7 +396,7 @@ func TestForwardingThroughGateway(t *testing.T) {
 func TestDefaultRoute(t *testing.T) {
 	v := vclock.NewVirtual()
 	v.Run(func() {
-		segA := ether.NewSegment("eA", ether.Profile{Clock: v})
+		segA := ether.NewSegment(ether.Profile{Clock: v})
 		defer segA.Close()
 		mask := Addr{255, 255, 255, 0}
 		h := NewStack(v)

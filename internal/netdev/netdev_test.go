@@ -36,7 +36,7 @@ func onWorldWith(t *testing.T, p ether.Profile, body func(ck vclock.Clock, nsA, 
 	v := vclock.NewVirtual()
 	v.Run(func() {
 		p.Clock = v
-		seg := ether.NewSegment("e0", p)
+		seg := ether.NewSegment(p)
 		defer seg.Close()
 		var spaces []*ns.Namespace
 		for _, a := range []ip.Addr{{135, 104, 9, 31}, {135, 104, 53, 11}} {

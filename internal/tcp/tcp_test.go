@@ -418,7 +418,7 @@ func onVirtual(t *testing.T, prof ether.Profile, n int, body func(v *vclock.Virt
 		v := vclock.NewVirtual()
 		v.Run(func() {
 			prof.Clock = v
-			seg := ether.NewSegment("e0", prof)
+			seg := ether.NewSegment(prof)
 			defer seg.Close()
 			var ps []*Proto
 			var as []ip.Addr

@@ -315,7 +315,7 @@ type etherWorld struct {
 
 func newEtherWorld(ck vclock.Clock, s Scenario) (*etherWorld, error) {
 	w := &etherWorld{
-		seg: ether.NewSegment("torture0", ether.Profile{
+		seg: ether.NewSegment(ether.Profile{
 			Latency:   s.Latency,
 			Bandwidth: s.Bandwidth,
 			Loss:      s.Loss,

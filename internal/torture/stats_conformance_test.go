@@ -95,7 +95,7 @@ func TestStatsConformanceIL(t *testing.T) {
 
 	v := vclock.NewVirtual()
 	v.Run(func() {
-		seg := ether.NewSegment("conf0", ether.Profile{
+		seg := ether.NewSegment(ether.Profile{
 			Latency: s.Latency,
 			Loss:    s.Loss,
 			Seed:    s.Seed,
@@ -247,7 +247,7 @@ func TestStatsConformanceCrowdedSegment(t *testing.T) {
 		talkers = [2]int{talkerA, talkerB}
 	)
 	v.Run(func() {
-		seg := ether.NewSegment("crowd0", ether.Profile{
+		seg := ether.NewSegment(ether.Profile{
 			Latency:   200 * time.Microsecond,
 			Bandwidth: 1_250_000,
 			Loss:      0.05,
@@ -660,7 +660,7 @@ func TestStatsConformanceMnt(t *testing.T) {
 
 	v := vclock.NewVirtual()
 	v.Run(func() {
-		seg := ether.NewSegment("conf9p", ether.Profile{
+		seg := ether.NewSegment(ether.Profile{
 			Latency: s.Latency,
 			Loss:    s.Loss,
 			Seed:    s.Seed,

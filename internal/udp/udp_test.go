@@ -19,7 +19,7 @@ func onPair(t *testing.T, body func(ck vclock.Clock, p1, p2 *Proto, a1, a2 ip.Ad
 	t.Helper()
 	v := vclock.NewVirtual()
 	v.Run(func() {
-		seg := ether.NewSegment("e0", ether.Profile{Clock: v})
+		seg := ether.NewSegment(ether.Profile{Clock: v})
 		defer seg.Close()
 		s1, s2 := ip.NewStack(v), ip.NewStack(v)
 		defer s1.Close()

@@ -25,8 +25,10 @@
 // without the clock's help: a Lock is such a mutex, and the clock
 // fails a park entered with one held. On a virtual clock the token
 // already excludes every other process, so a bound Lock is only that
-// count: no atomic, no mutex. A lock that may be held across a park is
-// a Mutex.
+// count: no atomic, no mutex. The token guards the scheduler too: only
+// its holder touches the run queue, the event heap and the clock, and
+// the scheduler takes no lock of its own. A lock that may be held
+// across a park is a Mutex.
 package vclock
 
 import "time"
@@ -37,8 +39,9 @@ import "time"
 //
 // There is deliberately no channel-returning After or Tick: receiving
 // from a raw channel is an unannotated park the virtual scheduler
-// cannot see. Timer callbacks (AfterFunc, and Deadline over it) and
-// Sleep cover every timer shape the engines use.
+// cannot see. A Timer (an AfterFunc, a Deadline's own timer, or a
+// clock event armed with Timer.Arm) and Sleep cover every timer shape
+// the engines use.
 type Clock interface {
 	// Now returns the current (real or virtual) time.
 	Now() time.Time
@@ -58,7 +61,8 @@ type Clock interface {
 	Go(f func())
 }
 
-// Timer is a pending AfterFunc, on one clock or the other.
+// Timer is a pending AfterFunc, a Deadline's timer, or a clock event
+// armed with Arm, on one clock or the other.
 type Timer struct {
 	real *time.Timer
 	v    *Virtual
@@ -71,18 +75,21 @@ func (t *Timer) Stop() bool {
 	switch {
 	case t == nil:
 		return false
-	case t.v != nil:
-		return t.v.stop(&t.ev)
+	case t.v == nil:
+		return t.real != nil && t.real.Stop()
+	case t.ev.index < 0:
+		return false
 	}
-	return t.real != nil && t.real.Stop()
+	t.v.events.remove(t.ev.index)
+	return true
 }
 
 // Reset schedules the function to run d from now, whether or not it
 // has run or been stopped; it reports whether the timer was pending.
 // It allocates nothing.
 func (t *Timer) Reset(d time.Duration) bool {
-	if t.v != nil {
-		return t.v.reset(&t.ev, d)
+	if v := t.v; v != nil {
+		return v.arm(&t.ev, v.now+int64(d))
 	}
 	return t.real.Reset(d)
 }
@@ -105,13 +112,11 @@ func (t *Timer) arm(ck Clock, at time.Time, ev event) {
 	v, ok := ck.(*Virtual)
 	switch {
 	case ok:
-		v.mu.Lock()
 		if t.v == nil {
 			ev.index = -1
 			t.v, t.ev = v, ev
 		}
-		v.armLocked(&t.ev, int64(at.Sub(Epoch)))
-		v.mu.Unlock()
+		v.arm(&t.ev, int64(at.Sub(Epoch)))
 	case t.real != nil:
 		t.real.Reset(at.Sub(ck.Now()))
 	case ev.h != nil:

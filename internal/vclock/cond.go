@@ -60,9 +60,7 @@ func (c *Cond) wait(op string) {
 	}
 	v := c.v
 	v.mightPark(op, c.l)
-	v.mu.Lock()
-	g := v.curLocked(op)
-	v.mu.Unlock()
+	g := v.cur(op)
 	c.waiters.push(g)
 	// L goes before the token does: whoever runs next may want it.
 	c.l.Unlock()
@@ -77,14 +75,9 @@ func (c *Cond) Signal() {
 		c.sc.Signal()
 		return
 	}
-	g := c.waiters.pop()
-	if g == nil {
-		return
+	if g := c.waiters.pop(); g != nil {
+		c.v.runq.push(g)
 	}
-	v := c.v
-	v.mu.Lock()
-	v.runq.push(g)
-	v.mu.Unlock()
 }
 
 // Broadcast wakes all waiters in FIFO order. L must be held under a
@@ -94,11 +87,5 @@ func (c *Cond) Broadcast() {
 		c.sc.Broadcast()
 		return
 	}
-	if c.waiters.head == nil {
-		return
-	}
-	v := c.v
-	v.mu.Lock()
-	v.runq.take(&c.waiters)
-	v.mu.Unlock()
+	c.v.runq.take(&c.waiters)
 }

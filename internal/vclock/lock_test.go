@@ -286,10 +286,12 @@ func TestLockExcludesAcrossHandOffs(t *testing.T) {
 }
 
 // A clock event that parks panics, and the panic unwinds through the
-// process that was parking when the scheduler ran it. That process's
-// deferred Unlock of the Lock its Cond.Wait had let go of must not
-// turn the panic into a fatal error that hides it. The panic ends the
-// process, so the scenario runs in a child.
+// process that was parking when the scheduler ran it, token in hand:
+// the scheduler has no lock of its own to release on the way. That
+// process's deferred Unlock of the Lock its Cond.Wait had let go of
+// must not turn the panic into a fatal error that hides it, and its
+// deferred hand-back passes the token on. The panic ends the process,
+// so the scenario runs in a child.
 func TestEventPanicSurvivesDeferredUnlock(t *testing.T) {
 	if os.Getenv("VCLOCK_EVENT_PARKS") == "1" {
 		eventParks()

@@ -2,9 +2,11 @@ package vclock
 
 import "sync"
 
-// Mutex is mutual exclusion whose waiters park through the clock, and
-// the one lock in this repository that may be held across a park — a
-// paced medium write, an RPC, a Sleep. A sync.Mutex there wedges the
+// Mutex is mutual exclusion whose waiters park through the clock, for
+// a lock that may be held across a park — a paced medium write, an
+// RPC, a Sleep. (The other such lock is streams' chainLock, whose
+// readers hold it across a put chain that may park; it parks its
+// waiters on Conds the same way.) A sync.Mutex there wedges the
 // virtual scheduler: the holder is parked waiting for virtual time to
 // advance, and a second goroutine blocked in sync.Mutex.Lock never
 // yields its scheduler token, so time cannot advance to let the holder

@@ -190,8 +190,6 @@ func hostGoroutines() (host, idle int) {
 
 // freeLen is the length of v's free list.
 func freeLen(v *Virtual) int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	n := 0
 	for g := v.free.head; g != nil; g = g.next {
 		n++
@@ -468,10 +466,10 @@ func TestRunSurvivesGoexit(t *testing.T) {
 
 // A goroutine started with a bare go statement parks on a Cond while a
 // machine goroutine runs, and takes that goroutine's place. The victim's
-// next park must end the process with the not-registered panic; it used
-// to panic holding the scheduler's lock, so the victim's deferred
-// hand-back waited on that lock and the run hung without a word. A
-// regression hangs rather than fails, so the scenario runs in a child
+// next park must end the process with the not-registered panic. The
+// victim no longer holds the token, so its deferred hand-back must
+// touch nothing and wait for nothing, or the run hangs without a word.
+// A regression hangs rather than fails, so the scenario runs in a child
 // process under a host deadline.
 func TestForeignParkPanics(t *testing.T) {
 	if os.Getenv("VCLOCK_FOREIGN_PARK") == "1" {

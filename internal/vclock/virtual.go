@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -17,9 +15,15 @@ var Epoch = time.Date(1993, time.January, 25, 0, 0, 0, 0, time.UTC)
 // Virtual is the discrete-event clock: a cooperative token scheduler
 // over the goroutines registered with Go, advancing simulated time to
 // the next pending timer whenever all of them are parked.
+//
+// The token is the scheduler's lock. Only its holder touches the
+// fields below: the running process, the scheduler running between
+// two of them (and the clock events it fires), or Run while no process
+// runs. A hand-off is a send on the next holder's channel (gor.wake or
+// back), which orders everything one holder did before everything the
+// next does, so nothing else guards them; go test -race is the proof.
 type Virtual struct {
-	mu         sync.Mutex
-	now        atomic.Int64 // ns since Epoch; written under mu, read by Now without it
+	now        int64 // ns since Epoch
 	seq        uint64
 	runq       gorList
 	events     eventHeap
@@ -33,8 +37,7 @@ type Virtual struct {
 
 	// nlocks counts the Locks the running process holds, and held
 	// lists them in a race build; inEvent is set while a clock event
-	// runs. Only the token's holder touches them, and none parks with
-	// a Lock held or from an event.
+	// runs. No process parks with a Lock held or from an event.
 	nlocks  int
 	held    heldList
 	inEvent bool
@@ -174,12 +177,12 @@ func (h eventHeap) swap(i, j int) {
 	h[i].index, h[j].index = i, j
 }
 
-// sleepLocked parks the running goroutine on its own event until at.
-func (v *Virtual) sleepLocked(op string, at int64) {
-	g := v.curLocked(op)
+// sleep parks the running goroutine on its own event until at.
+func (v *Virtual) sleep(op string, at int64) {
+	g := v.cur(op)
 	g.ev = event{g: g, index: -1}
-	v.armLocked(&g.ev, at)
-	v.parkLocked(g)
+	v.arm(&g.ev, at)
+	v.park(g)
 }
 
 // NewVirtual returns a virtual clock positioned at Epoch. Drive it
@@ -195,8 +198,9 @@ const drainHorizon = int64(time.Minute)
 // Run executes fn as the root machine goroutine and drives the
 // scheduler until fn returns and the remaining machine goroutines have
 // wound down. Construction may happen before Run (Go, AfterFunc and
-// the primitives all work from the calling thread then); once Run has
-// started, only machine goroutines may touch the clock.
+// the primitives all work then) on the goroutine that calls Run, or on
+// one ordered before it: Run holds the token until its first hand-off.
+// Once Run has started, only machine goroutines may touch the clock.
 //
 // Run panics if the simulation deadlocks: every machine goroutine
 // parked, no pending timer, and the root function not yet returned.
@@ -206,29 +210,19 @@ const drainHorizon = int64(time.Minute)
 // leak checkers, like any real leak). Idle host goroutines end when
 // Run returns, by panic too.
 func (v *Virtual) Run(fn func()) {
-	v.mu.Lock()
 	if v.started {
-		v.mu.Unlock()
 		panic("vclock: Run called twice")
 	}
 	v.started = true
-	v.mu.Unlock()
 	defer v.endIdle()
 	v.Go(func() {
-		defer func() {
-			v.mu.Lock()
-			v.rootDone = true
-			v.mu.Unlock()
-		}()
+		defer func() { v.rootDone = true }()
 		fn()
 	})
-	v.mu.Lock()
-	v.parkLocked(nil)
-	v.mu.Lock()
-	defer v.mu.Unlock()
+	v.park(nil)
 	if v.all != nil && !v.rootDone {
-		n, who := v.parkedLocked()
-		panic(fmt.Sprintf("vclock: simulation deadlock: %d machine goroutine(s) parked with no pending event at T+%v: %s", n, time.Duration(v.now.Load()), who))
+		n, who := v.parked()
+		panic(fmt.Sprintf("vclock: simulation deadlock: %d machine goroutine(s) parked with no pending event at T+%v: %s", n, time.Duration(v.now), who))
 	}
 }
 
@@ -241,70 +235,62 @@ func Simulate(fn func(Clock) error) error {
 	return err
 }
 
-// nextLocked pops the next goroutine to run, advancing virtual time
-// through pending events as needed: the run queue in FIFO order, then
-// events in (at, seq) order, a clock event run on the spot. It is the
-// one place the next goroutine is chosen. nil means nothing can run:
-// the simulation is over, drained past the post-root horizon, or
+// next pops the next goroutine to run, advancing virtual time through
+// pending events as needed: the run queue in FIFO order, then events
+// in (at, seq) order, a clock event run on the spot. It is the one
+// place the next goroutine is chosen. nil means nothing can run: the
+// simulation is over, drained past the post-root horizon, or
 // deadlocked, which Run tells apart.
-func (v *Virtual) nextLocked() *gor {
+func (v *Virtual) next() *gor {
 	for {
 		if g := v.runq.pop(); g != nil {
 			return g
 		}
 		if v.rootDone && v.drainUntil < 0 {
-			v.drainUntil = v.now.Load() + drainHorizon
+			v.drainUntil = v.now + drainHorizon
 		}
 		if len(v.events) == 0 || v.rootDone && v.events[0].at > v.drainUntil {
 			return nil
 		}
 		ev := v.events.remove(0)
-		if ev.at > v.now.Load() {
-			v.now.Store(ev.at)
-		}
+		v.now = ev.at // arm schedules nothing before now
 		switch {
 		case ev.g != nil:
 			v.runq.push(ev.g)
-		case ev.h != nil: // a clock event runs here, unlocked, and may not park
+		case ev.h != nil: // a clock event runs here and may not park
 			v.inEvent = true
-			v.mu.Unlock()
 			ev.h.Fire()
-			v.mu.Lock()
 			v.inEvent = false
 		case ev.fn != nil:
-			v.goLocked(ev.fn)
+			v.start(ev.fn)
 		}
 	}
 }
 
-// switchLocked hands the token (v.mu held on entry, released inside)
-// straight to the next goroutine, or back to Run when nothing can run.
-// It reports true when the next goroutine is self, which keeps running
-// without a switch; otherwise self no longer holds the token.
-func (v *Virtual) switchLocked(self *gor) bool {
-	next := v.nextLocked()
+// handOff hands the token straight to the next goroutine, or back to
+// Run when nothing can run. It reports true when the next goroutine is
+// self, which keeps running without a switch; otherwise self no longer
+// holds the token.
+func (v *Virtual) handOff(self *gor) bool {
+	next := v.next()
 	v.running = next
-	if next != nil && next != self {
-		v.switches++
-	}
-	v.mu.Unlock()
 	switch {
-	case next == nil:
-		v.back <- struct{}{}
 	case next == self:
 		return true
+	case next == nil:
+		v.back <- struct{}{}
 	default:
+		v.switches++
 		next.wake <- struct{}{}
 	}
 	return false
 }
 
-// parkLocked releases the token (v.mu held on entry, released inside)
-// and blocks until it comes back: to g, or to Run when g is nil — Run
-// holds the token whenever no goroutine does.
-func (v *Virtual) parkLocked(g *gor) {
+// park hands the token on and blocks until it comes back: to g, or to
+// Run when g is nil — Run holds the token whenever no goroutine does.
+func (v *Virtual) park(g *gor) {
 	switch {
-	case v.switchLocked(g):
+	case v.handOff(g):
 	case g == nil:
 		<-v.back
 	default:
@@ -312,22 +298,12 @@ func (v *Virtual) parkLocked(g *gor) {
 	}
 }
 
-// park is parkLocked for a caller that does not hold v.mu.
-func (v *Virtual) park(g *gor) {
-	v.mu.Lock()
-	v.parkLocked(g)
-}
-
 // Go registers and starts a machine goroutine.
-func (v *Virtual) Go(f func()) {
-	v.mu.Lock()
-	v.goLocked(funcTask(f))
-	v.mu.Unlock()
-}
+func (v *Virtual) Go(f func()) { v.start(funcTask(f)) }
 
-// goLocked queues f on an idle host goroutine, or on a new one when
-// none is idle.
-func (v *Virtual) goLocked(f task) {
+// start queues f on an idle host goroutine, or on a new one when none
+// is idle.
+func (v *Virtual) start(f task) {
 	g := v.free.pop()
 	if g == nil {
 		g = &gor{wake: make(chan struct{}, 1)}
@@ -364,14 +340,16 @@ func (v *Virtual) call(g *gor) (again bool) {
 	return
 }
 
-// exit takes g off the live list and hands the token on. Only the
-// holder hands it on: a goroutine whose place a foreign park took (see
-// curLocked) no longer holds it, and no one may be left to take it. A
-// goroutine whose function returned then idles on the free list, and
-// exit reports whether Go handed it another function; one that left by
+// exit takes g off the live list and hands the token on. A goroutine
+// whose place a foreign park took (see cur) no longer holds the token,
+// so it touches nothing and no one is left to take it. A goroutine
+// whose function returned then idles on the free list, and exit
+// reports whether Go handed it another function; one that left by
 // runtime.Goexit (reuse false) is never reused.
 func (v *Virtual) exit(g *gor, reuse bool) bool {
-	v.mu.Lock()
+	if v.running != g {
+		return false
+	}
 	if g.prevLive == nil {
 		v.all = g.nextLive
 	} else {
@@ -383,9 +361,7 @@ func (v *Virtual) exit(g *gor, reuse bool) bool {
 	if reuse {
 		v.free.push(g)
 	}
-	if v.running != g {
-		v.mu.Unlock()
-	} else if v.switchLocked(g) {
+	if v.handOff(g) {
 		return true // an AfterFunc that fired took g, and runs next
 	}
 	return reuse && g.idle()
@@ -400,36 +376,30 @@ func (g *gor) idle() bool {
 
 // endIdle ends every idle host goroutine.
 func (v *Virtual) endIdle() {
-	v.mu.Lock()
-	idle := v.free
-	v.free = gorList{}
-	v.mu.Unlock()
-	for g := idle.pop(); g != nil; g = idle.pop() {
+	for g := v.free.pop(); g != nil; g = v.free.pop() {
 		g.wake <- struct{}{}
 	}
 }
 
-// curLocked returns the currently running machine goroutine, about to
-// park in op; blocking clock operations from unregistered goroutines
-// are a programming error (the scheduler could not know when to resume
+// cur returns the currently running machine goroutine, about to park
+// in op; blocking clock operations from unregistered goroutines are a
+// programming error (the scheduler could not know when to resume
 // them). A goroutine that was never registered and parks while a
-// machine goroutine runs takes that one's place unnoticed; the victim's
-// next park lands here, so the panic releases v.mu first, or the
-// victim's own deferred hand-back would wait on it forever.
-func (v *Virtual) curLocked(op string) *gor {
+// machine goroutine runs takes that one's place unnoticed; the
+// victim's next park lands here.
+func (v *Virtual) cur(op string) *gor {
 	g := v.running
 	if g == nil {
-		v.mu.Unlock()
 		panic("vclock: " + op + " from a goroutine not registered with the virtual clock")
 	}
 	g.op = op
 	return g
 }
 
-// parkedLocked counts the live goroutines and tallies them by the
-// primitive each is parked in, most numerous first: "3 Mailbox.Recv,
-// 1 Mutex.Lock".
-func (v *Virtual) parkedLocked() (n int, who string) {
+// parked counts the live goroutines and tallies them by the primitive
+// each is parked in, most numerous first: "3 Mailbox.Recv, 1
+// Mutex.Lock".
+func (v *Virtual) parked() (n int, who string) {
 	count := map[string]int{}
 	for g := v.all; g != nil; g = g.nextLive {
 		count[g.op]++
@@ -455,15 +425,10 @@ func (v *Virtual) parkedLocked() (n int, who string) {
 // goroutine to another: host context switches, the per-event cost a
 // simulation pays beyond its own work. A goroutine that parks and is
 // itself next to run keeps the token and costs none.
-func (v *Virtual) Switches() int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.switches
-}
+func (v *Virtual) Switches() int64 { return v.switches }
 
-// Now implements Clock. Only nextLocked moves the clock, under the
-// scheduler's lock; Now reads it with one atomic load and no lock.
-func (v *Virtual) Now() time.Time { return Epoch.Add(time.Duration(v.now.Load())) }
+// Now implements Clock. Only next moves the clock.
+func (v *Virtual) Now() time.Time { return Epoch.Add(time.Duration(v.now)) }
 
 // Since implements Clock.
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
@@ -473,15 +438,13 @@ func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 // a deterministic yield point.
 func (v *Virtual) Sleep(d time.Duration) {
 	v.mightPark("Sleep", nil)
-	v.mu.Lock()
-	v.sleepLocked("Sleep", v.now.Load()+int64(d))
+	v.sleep("Sleep", v.now+int64(d))
 }
 
 // SleepUntil implements Clock.
 func (v *Virtual) SleepUntil(t time.Time) {
 	v.mightPark("SleepUntil", nil)
-	v.mu.Lock()
-	v.sleepLocked("SleepUntil", int64(t.Sub(Epoch)))
+	v.sleep("SleepUntil", int64(t.Sub(Epoch)))
 }
 
 // AfterFunc implements Clock: f runs as a fresh machine goroutine when
@@ -492,30 +455,12 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) *Timer {
 	return t
 }
 
-// stop takes ev out of the heap, reporting whether it was pending.
-func (v *Virtual) stop(ev *event) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if ev.index < 0 {
-		return false
-	}
-	v.events.remove(ev.index)
-	return true
-}
-
-// reset (re)schedules ev for now+d; it reports whether ev was pending.
-func (v *Virtual) reset(ev *event, d time.Duration) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.armLocked(ev, v.now.Load()+int64(d))
-}
-
-// armLocked (re)schedules ev for at, or now if at has passed, with a
-// fresh sequence number, as if it had just been created; it reports
-// whether ev was pending.
-func (v *Virtual) armLocked(ev *event, at int64) bool {
+// arm (re)schedules ev for at, or now if at has passed, with a fresh
+// sequence number, as if it had just been created; it reports whether
+// ev was pending.
+func (v *Virtual) arm(ev *event, at int64) bool {
 	v.seq++
-	ev.at, ev.seq = max(at, v.now.Load()), v.seq
+	ev.at, ev.seq = max(at, v.now), v.seq
 	if ev.index < 0 {
 		v.events.push(ev)
 		return false

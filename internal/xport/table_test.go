@@ -60,7 +60,7 @@ var (
 func onStub(t *testing.T, ephemBase uint16, body func(ck vclock.Clock, p *stub)) {
 	t.Helper()
 	vclock.Simulate(func(ck vclock.Clock) error {
-		seg := ether.NewSegment("e0", ether.Profile{Clock: ck})
+		seg := ether.NewSegment(ether.Profile{Clock: ck})
 		defer seg.Close()
 		st := ip.NewStack(ck)
 		defer st.Close()

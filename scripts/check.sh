@@ -40,10 +40,14 @@ go test -race -timeout 5m ./...
 echo "== vclock scheduler under the race detector, ten times"
 # A park hands the token straight to the next goroutine and a Go reuses
 # an idle host goroutine, so the scheduler's state is touched from every
-# machine goroutine; loop the package's tests to shake out a missed
-# hand-off. The real-clock tests leave the scheduler alone and time the
-# host (TestRealSleepUntilPrecision allows 2 ms), so they stay out.
-go test -race -count=10 -skip '^TestReal' ./internal/vclock
+# machine goroutine, and the scheduler takes no lock: only the token's
+# holder may touch its run queue, event heap and clock, and this loop is
+# the proof that only the holder does. It loops vclock's tests, and
+# medium's and ether's, whose delay lines and paced segments arm events
+# from events and from processes, to shake out a missed hand-off. The
+# real-clock tests leave the scheduler alone and time the host
+# (TestRealSleepUntilPrecision allows 2 ms), so they stay out.
+go test -race -count=10 -skip '^TestReal' ./internal/vclock ./internal/medium ./internal/ether
 
 echo "== one clock: who may name the real clock"
 # Every goroutine the program starts runs on a clock the virtual
@@ -114,10 +118,10 @@ echo "== one lock discipline: who may declare a sync lock"
 # entry while one is, so a path that holds one across a park fails the
 # first time a test runs it, and the race build panics at the first
 # lock-order inversion among them. A lock that must be held across a
-# park is a vclock.Mutex. A sync.Mutex or RWMutex counts nothing, so outside
-# internal/vclock (the clock itself) the only ones are leaf locks whose
-# critical sections call nothing outside their package but the
-# standard library, each named here with its reason:
+# park is a vclock.Mutex. A sync.Mutex or RWMutex counts nothing, so the
+# only ones are leaf locks whose critical sections call nothing outside
+# their package but the standard library, each named here with its
+# reason. The virtual scheduler has none: its token is its lock.
 #   block/race_on.go    the race build's allocation-site map
 #   devtree/devtree.go  a status file's snapshot text (the render runs unlocked)
 #   devtree/devtree.go  a query file's answer lines (the query runs unlocked)
@@ -126,8 +130,13 @@ echo "== one lock discipline: who may declare a sync lock"
 #   ns/fd.go            a descriptor's offset and closed flag
 #   ns/ns.go            the mount table's writers: copy, change, swap
 #   torture/torture.go  a report's violation list
+#   vclock/lock.go      a Lock on the real clock (bound to a virtual one, it is a count)
+#   vclock/mailbox.go   a Mailbox's queue, shared with its Cond
+#   vclock/mutex.go     a Mutex's held flag, shared with its waiters' Cond
+#   vclock/race_on.go   the race build's lock-order graph, shared by every clock
+#   vclock/waitgroup.go a WaitGroup's count, shared with its Cond
 locks=$(grep -rnE 'sync\.(RW)?Mutex\b' --include='*.go' internal cmd examples | grep -v '_test\.go:' | grep -v testdata \
-    | grep -v '^internal/vclock/' | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' \
+    | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' \
     | sed -E 's/^([^:]*):[0-9]+:[[:space:]]*([A-Za-z_]+[[:space:]]+)?(sync\.(RW)?Mutex).*/\1 \2\3/' | tr -s ' ' | sort)
 allow="internal/block/race_on.go sync.Mutex
 internal/devtree/devtree.go mu sync.Mutex
@@ -136,9 +145,14 @@ internal/dnssrv/server.go mu sync.RWMutex
 internal/ndb/ndb.go mu sync.RWMutex
 internal/ns/fd.go mu sync.Mutex
 internal/ns/ns.go mu sync.Mutex
-internal/torture/torture.go mu sync.Mutex"
+internal/torture/torture.go mu sync.Mutex
+internal/vclock/lock.go mu sync.Mutex
+internal/vclock/mailbox.go mu sync.Mutex
+internal/vclock/mutex.go mu sync.Mutex
+internal/vclock/race_on.go sync.Mutex
+internal/vclock/waitgroup.go mu sync.Mutex"
 if [ "$locks" != "$allow" ]; then
-    echo "non-test sync locks outside internal/vclock:" >&2
+    echo "non-test sync locks:" >&2
     echo "$locks" >&2
     echo "want exactly (a new lock is a vclock.Lock, Init on its clock):" >&2
     echo "$allow" >&2
@@ -322,7 +336,7 @@ echo "== coverage floors"
 # Ethernet and protocol-device conversation lives in; ninep and mnt are
 # the mount path, where one window carries every large transfer; vclock
 # holds every primitive a simulated machine may block in, the lock that
-# fails any of them entered with it held and the one lock that may be
+# fails any of them entered with it held and the Mutex that may be
 # held across a park, and ns resolves every path
 # on a mount-table snapshot its writers replace under its readers. Three
 # floors are higher: the line disciplines in streams rewrite every byte
