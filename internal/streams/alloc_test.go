@@ -72,7 +72,7 @@ func TestAllocsRoundTrip(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	var s *Stream
-	s = New(1<<30, func(blk *Block) { s.DeviceUp(blk) })
+	s = New(1<<30, func(blk *Block) { s.Produce(blk) })
 	defer s.Close()
 	payload := make([]byte, 1024)
 	buf := make([]byte, 2048)
@@ -193,7 +193,7 @@ func TestAllocsSplitWholeFrame(t *testing.T) {
 			b := NewBlock(c.wire)
 			b.Delim = true
 			before := block.Snapshot()
-			s.DeviceUp(b)
+			s.Produce(b)
 			got, err := s.next(false)
 			after := block.Snapshot()
 			if err != nil || got == nil || !bytes.Equal(got.Bytes(), payload) {

@@ -39,7 +39,7 @@ func BenchmarkStreamWrite16K4Modules(b *testing.B) { benchWrite(b, 4, 16*1024) }
 
 func BenchmarkStreamRoundTrip(b *testing.B) {
 	var s *Stream
-	s = New(1<<30, func(blk *Block) { s.DeviceUp(blk) })
+	s = New(1<<30, func(blk *Block) { s.Produce(blk) })
 	defer s.Close()
 	payload := make([]byte, 1024)
 	buf := make([]byte, 2048)
@@ -59,7 +59,7 @@ func BenchmarkFrameModule(b *testing.B) {
 	// The marshaling module's cost per message: what TCP transport
 	// of 9P pays that IL does not.
 	var s *Stream
-	s = New(1<<30, func(blk *Block) { s.DeviceUp(blk) })
+	s = New(1<<30, func(blk *Block) { s.Produce(blk) })
 	defer s.Close()
 	if err := s.PushName("frame", nil); err != nil {
 		b.Fatal(err)

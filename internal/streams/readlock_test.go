@@ -40,7 +40,7 @@ func TestTwoReadersShareOneStreamOnVirtualClock(t *testing.T) {
 		for _, msg := range []string{"first", "second"} {
 			b := NewBlock([]byte(msg))
 			b.Delim = true
-			s.DeviceUp(b)
+			s.Produce(b)
 		}
 		readers.Wait()
 	})

@@ -367,27 +367,17 @@ func (s *Stream) next(wait bool) (*Block, error) {
 	}
 }
 
-// DeviceUp queues a block at the device end — what a device interrupt
+// Produce queues a block at the device end — what a device interrupt
 // handler does with received data (§2.4.2); the reading process
-// carries it up through the modules. It runs no module code and takes
-// no module-list lock, so it parks only on flow control: while the
-// device end holds the stream's limit, unread. That park is the
-// writer's backpressure, so only a writing process may take it, as a
-// pipe's other end does; a wire's delay line runs no process and
-// delivers with Produce, or with Deliver what Reserve paid for. The
-// device sets Delim on a block that ends a message; a device that only
-// borrows its receive buffer copies it first (NewBlock). A device hangs
-// up with HangupUp, not with a block.
-func (s *Stream) DeviceUp(b *Block) {
-	vclock.MightPark(s.clk, "Stream.DeviceUp")
-	s.rq.queue(b)
-}
-
-// Produce is DeviceUp that never parks, Plan 9's qproduce: where
-// DeviceUp would wait, while the device end holds the stream's limit,
-// it frees b and reports false. A line that serves many conversations
-// delivers through it, so one that nobody reads cannot hold the others'
-// data behind its own.
+// carries it up through the modules. It runs no module code, takes no
+// module-list lock and never parks, Plan 9's qproduce: while the
+// device end holds the stream's limit, unread, it frees b and reports
+// false. A line that serves many conversations delivers through it, so
+// one that nobody reads cannot hold the others' data behind its own; a
+// line that may lose nothing delivers with Deliver what Reserve paid
+// for. The device sets Delim on a block that ends a message; a device
+// that only borrows its receive buffer copies it first (NewBlock). A
+// device hangs up with HangupUp, not with a block.
 func (s *Stream) Produce(b *Block) bool {
 	q := &s.rq
 	q.mu.Lock()
@@ -401,13 +391,15 @@ func (s *Stream) Produce(b *Block) bool {
 }
 
 // Reserve is a sender's credit on a line with no flow control of its
-// own (the UART, Cyclone's fiber) that delivers to this stream: it
-// parks while the device end, with what earlier reservations still
-// have on the line, holds the stream's limit, then counts n more bytes
-// on the line. The line hands each such block over with Deliver, so
-// its event neither parks nor loses one; a line that dropped a block
-// would keep its bytes counted. It fails once the stream is closed or
-// hung up.
+// own (the UART, Cyclone's fiber, a pipe's other end) that delivers to
+// this stream: it parks while the device end, with what earlier
+// reservations still have on the line, holds the stream's limit, then
+// counts n more bytes on the line. It is the device end's one put that
+// parks, and that park is the writer's backpressure, so only a writing
+// process may take it. The line hands each such block over with
+// Deliver, so its event neither parks nor loses one; a line that
+// dropped a block would keep its bytes counted. It fails once the
+// stream is closed or hung up.
 func (s *Stream) Reserve(n int) error {
 	vclock.MightPark(s.clk, "Stream.Reserve")
 	q := &s.rq
@@ -428,9 +420,9 @@ func (s *Stream) Reserve(n int) error {
 func (s *Stream) Deliver(b *Block) {
 	q := &s.rq
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	q.owed = max(q.owed-b.Len(), 0)
 	q.putLocked(b)
-	q.mu.Unlock()
 }
 
 // Full reports whether Produce would refuse now: a device that admits
@@ -473,16 +465,17 @@ func (s *Stream) QueuedBytes() int {
 }
 
 // rcvQueue is the stream's one queue. The device end queues on in,
-// parking (DeviceUp) or refused (Produce) while in holds the limit;
-// the reader takes from in, carries each block up through the modules,
-// and what reaches the top waits on top until Read copies it out. One
-// lock guards both lists and the flags. Only the device, the reader and
+// refused (Produce) while in holds the limit, or on a credit that
+// parked (Reserve) while in and what is on the line held it; the
+// reader takes from in, carries each block up through the modules, and
+// what reaches the top waits on top until Read copies it out. One lock
+// guards both lists and the flags. Only the device, the reader and
 // Close touch it, and the reader holds the stream's read lock, so at
 // most one reader ever waits on rwait.
 type rcvQueue struct {
 	mu     vclock.Lock
 	rwait  vclock.Cond // the reader waiting for the device
-	wwait  vclock.Cond // devices waiting for room
+	wwait  vclock.Cond // senders waiting in Reserve for room
 	in     blist       // queued by the device, not yet carried up
 	top    blist       // carried up, not yet read
 	owed   int         // bytes Reserve counted on the line, not yet delivered
@@ -497,17 +490,6 @@ func (q *rcvQueue) init(ck vclock.Clock, limit int) {
 	q.mu.Init(ck)
 	q.rwait.Init(ck, &q.mu)
 	q.wwait.Init(ck, &q.mu)
-}
-
-// queue adds a device's block to in, blocking while in holds the
-// limit (flow control).
-func (q *rcvQueue) queue(b *Block) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.fullLocked() {
-		q.wwait.Wait()
-	}
-	q.putLocked(b)
 }
 
 // fullLocked is flow control's one rule: in holds the limit, and the

@@ -17,7 +17,7 @@ import (
 func loopback(t *testing.T) *Stream {
 	t.Helper()
 	var s *Stream
-	s = New(0, func(b *Block) { s.DeviceUp(b) })
+	s = New(0, func(b *Block) { deliver(s, b) })
 	t.Cleanup(func() { s.Close() })
 	return s
 }
@@ -27,10 +27,21 @@ func loopback(t *testing.T) *Stream {
 func crossPair(t *testing.T) (*Stream, *Stream) {
 	t.Helper()
 	var a, b *Stream
-	a = New(0, func(blk *Block) { b.DeviceUp(blk) })
-	b = New(0, func(blk *Block) { a.DeviceUp(blk) })
+	a = New(0, func(blk *Block) { deliver(b, blk) })
+	b = New(0, func(blk *Block) { deliver(a, blk) })
 	t.Cleanup(func() { a.Close(); b.Close() })
 	return a, b
+}
+
+// deliver is a pipe end's device: it takes credit for b on s, parking
+// the writer while s holds its limit, and delivers b there; once s is
+// gone it frees b.
+func deliver(s *Stream, b *Block) {
+	if s.Reserve(b.Len()) != nil {
+		b.Free()
+		return
+	}
+	s.Deliver(b)
 }
 
 // modules returns the names of the modules pushed on s, top first.
@@ -49,7 +60,7 @@ func modules(s *Stream) []string {
 func upData(s *Stream, p []byte) {
 	b := NewBlock(p)
 	b.Delim = true
-	s.DeviceUp(b)
+	deliver(s, b)
 }
 
 func TestWriteReadLoopback(t *testing.T) {
@@ -206,7 +217,7 @@ func TestFlowControlBlocksWriters(t *testing.T) {
 	v := vclock.NewVirtual()
 	v.Run(func() {
 		var s *Stream
-		s = NewClock(10, v, func(b *Block) { s.DeviceUp(b) })
+		s = NewClock(10, v, func(b *Block) { deliver(s, b) })
 		defer s.Close()
 		wrote := vclock.NewMailbox[bool](v, 1)
 		v.Go(func() {
@@ -289,7 +300,7 @@ func TestFrameModuleRestoresDelimiters(t *testing.T) {
 			// no delimiters survive.
 			for _, c := range blk.Bytes() {
 				nb := NewBlock([]byte{c})
-				(*dst).DeviceUp(nb)
+				deliver(*dst, nb)
 			}
 			blk.Free()
 		}
@@ -319,7 +330,7 @@ func TestFrameModuleRestoresDelimiters(t *testing.T) {
 
 func TestCtlBlocksSkippedByRead(t *testing.T) {
 	s := loopback(t)
-	s.DeviceUp(NewCtlBlock("module-specific"))
+	s.Produce(NewCtlBlock("module-specific"))
 	s.Write([]byte("data"))
 	buf := make([]byte, 16)
 	n, err := s.Read(buf)
@@ -404,11 +415,11 @@ func TestReserveCountsWhatIsOnTheLine(t *testing.T) {
 	})
 }
 
-// Produce refuses exactly where DeviceUp would park: while the device
-// end holds the limit, unread, and the stream is neither hung up nor
-// closed. A refused block is freed; what the reader carried up no
-// longer counts against the device end.
-func TestProduceRefusesWhereDeviceUpWouldPark(t *testing.T) {
+// Produce refuses exactly where Reserve would park with nothing on the
+// line: while the device end holds the limit, unread, and the stream is
+// neither hung up nor closed. A refused block is freed; what the reader
+// carried up no longer counts against the device end.
+func TestProduceRefusesWhereReserveWouldPark(t *testing.T) {
 	before := block.Snapshot().InFlight
 	s := New(4, nil)
 	buf := make([]byte, 8)
@@ -443,11 +454,11 @@ func TestProduceRefusesWhereDeviceUpWouldPark(t *testing.T) {
 	produce("hijk")
 	s.HangupUp()
 	if s.Full() || !produce("l") {
-		t.Error("a hung-up stream refuses: DeviceUp would not park there")
+		t.Error("a hung-up stream refuses: Reserve would not park there")
 	}
 	s.Close()
 	if s.Full() || !produce("m") {
-		t.Error("a closed stream refuses: DeviceUp would not park there")
+		t.Error("a closed stream refuses: Reserve would not park there")
 	}
 	if after := block.Snapshot().InFlight; after != before {
 		t.Errorf("blocks in flight %d -> %d: a refused or discarded block was not freed", before, after)
@@ -456,19 +467,33 @@ func TestProduceRefusesWhereDeviceUpWouldPark(t *testing.T) {
 
 // A block fanned out by Ref is read-only, and the queue link is part of
 // it: queueing one would thread it onto every holder's list at once.
-func TestDeviceUpOfSharedBlockPanics(t *testing.T) {
-	s := New(0, nil)
-	defer s.Close()
-	b := NewBlock([]byte("shared"))
-	b.Ref()
-	defer func() {
-		if recover() == nil {
-			t.Error("DeviceUp queued a block with two references")
-		}
+// The put that refuses it lets go of the queue's lock on the way out,
+// so the process that recovers parks with no Lock held and can still
+// close the stream.
+func TestDeliverOfSharedBlockPanics(t *testing.T) {
+	v := vclock.NewVirtual()
+	v.Run(func() {
+		s := NewClock(0, v, nil)
+		b := NewBlock([]byte("shared"))
+		b.Ref()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Deliver queued a block with two references")
+				}
+			}()
+			s.Deliver(b)
+		}()
 		b.Free()
 		b.Free()
-	}()
-	s.DeviceUp(b)
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("a park after a Deliver that panicked: %v", r)
+			}
+		}()
+		v.Sleep(time.Millisecond)
+		s.Close()
+	})
 }
 
 func TestReadContiguityUnderConcurrency(t *testing.T) {
@@ -479,7 +504,7 @@ func TestReadContiguityUnderConcurrency(t *testing.T) {
 	v := vclock.NewVirtual()
 	v.Run(func() {
 		var s *Stream
-		s = NewClock(1<<20, v, func(b *Block) { s.DeviceUp(b) })
+		s = NewClock(1<<20, v, func(b *Block) { deliver(s, b) })
 		defer s.Close()
 		const records = 200
 		v.Go(func() {
@@ -569,6 +594,6 @@ func TestStreamByteTransparencyQuick(t *testing.T) {
 
 func loopbackQuiet() *Stream {
 	var s *Stream
-	s = New(1<<24, func(b *Block) { s.DeviceUp(b) })
+	s = New(1<<24, func(b *Block) { deliver(s, b) })
 	return s
 }

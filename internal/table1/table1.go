@@ -235,8 +235,8 @@ func dialSink(nsp *ns.Namespace, dest string, n int) (io.ReadWriteCloser, error)
 func pipePath() Path {
 	mkPipe := func() (*streams.Stream, *streams.Stream) {
 		var a, b *streams.Stream
-		a = streams.New(1<<20, func(blk *streams.Block) { b.DeviceUp(blk) })
-		b = streams.New(1<<20, func(blk *streams.Block) { a.DeviceUp(blk) })
+		a = streams.New(1<<20, func(blk *streams.Block) { pipeTo(b, blk) })
+		b = streams.New(1<<20, func(blk *streams.Block) { pipeTo(a, blk) })
 		return a, b
 	}
 	return Path{
@@ -275,6 +275,18 @@ func pipePath() Path {
 			return streamConn{a, b}, nil
 		},
 	}
+}
+
+// pipeTo is a pipe end's device: as a UART or Cyclone's fiber does,
+// it takes credit for blk on the other end's stream, the writer
+// parking while that stream holds its limit, and delivers blk there;
+// once the other end is gone it frees blk.
+func pipeTo(s *streams.Stream, blk *streams.Block) {
+	if s.Reserve(blk.Len()) != nil {
+		blk.Free()
+		return
+	}
+	s.Deliver(blk)
 }
 
 // streamConn adapts a stream pair end to io.ReadWriteCloser.

@@ -194,7 +194,7 @@ func TestUnreadConversationDoesNotStallTheLine(t *testing.T) {
 			t.Errorf("second conversation read %q, want %q", buf[AddrHdrLen:n], "last")
 		}
 		// A datagram is queued while the stream holds less than its
-		// limit, where DeviceUp would park.
+		// limit, and refused from there on.
 		queued := (streams.DefaultLimit + AddrHdrLen + size - 1) / (AddrHdrLen + size)
 		if q := unread.Stream().QueuedBytes(); q != queued*(AddrHdrLen+size) {
 			t.Errorf("unread conversation holds %d bytes, want %d datagrams' worth", q, queued)

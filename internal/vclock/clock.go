@@ -27,8 +27,9 @@
 // already excludes every other process, so a bound Lock is only that
 // count: no atomic, no mutex. The token guards the scheduler too: only
 // its holder touches the run queue, the event heap and the clock, and
-// the scheduler takes no lock of its own. A lock that may be held
-// across a park is a Mutex.
+// neither the scheduler nor a Mutex, Mailbox or WaitGroup bound to the
+// clock takes a mutex. A lock that may be held across a park is a
+// Mutex.
 package vclock
 
 import "time"

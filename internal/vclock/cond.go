@@ -7,10 +7,10 @@ import "sync"
 // with the scheduler and Signal/Broadcast move waiters to the run
 // queue in FIFO order, so wakeups replay identically run to run.
 //
-// Unlike sync.Cond, the virtual implementation requires L to be held
-// for Signal and Broadcast as well as Wait (the waiter list is guarded
-// by L). Every engine in this repository already signals under its
-// lock, which is the usual discipline anyway.
+// Under a virtual clock the waiter list is guarded by the token, like
+// the rest of the scheduler's state: whoever holds it — a machine
+// goroutine or a clock event — may Signal or Broadcast, with L held or
+// not. Every engine in this repository signals under its lock anyway.
 //
 // The zero Cond is not ready for use; call Init (or NewCond).
 type Cond struct {
@@ -18,7 +18,7 @@ type Cond struct {
 	v *Virtual
 	// sc backs the real-clock mode; unused when v != nil.
 	sc sync.Cond
-	// waiters is the virtual-mode park list, guarded by l.
+	// waiters is the virtual-mode park list, guarded by the token.
 	waiters gorList
 }
 
@@ -33,16 +33,8 @@ func NewCond(ck Clock, l sync.Locker) *Cond {
 // allocation of NewCond. It must be called before any other method
 // and never after the Cond is in use.
 func (c *Cond) Init(ck Clock, l sync.Locker) {
-	v, _ := ck.(*Virtual)
-	c.init(v, l)
-}
-
-// init is Init with the clock already told apart: nil means Real.
-func (c *Cond) init(v *Virtual, l sync.Locker) {
 	c.l = l
-	if v != nil {
-		c.v = v
-	} else {
+	if c.v, _ = ck.(*Virtual); c.v == nil {
 		c.sc.L = l
 	}
 }
@@ -68,8 +60,7 @@ func (c *Cond) wait(op string) {
 	c.l.Lock()
 }
 
-// Signal wakes the longest-waiting goroutine, if any. L must be held
-// under a virtual clock.
+// Signal wakes the longest-waiting goroutine, if any.
 func (c *Cond) Signal() {
 	if c.v == nil {
 		c.sc.Signal()
@@ -80,8 +71,7 @@ func (c *Cond) Signal() {
 	}
 }
 
-// Broadcast wakes all waiters in FIFO order. L must be held under a
-// virtual clock.
+// Broadcast wakes all waiters in FIFO order.
 func (c *Cond) Broadcast() {
 	if c.v == nil {
 		c.sc.Broadcast()

@@ -55,7 +55,7 @@ func TestLockHeldAcrossParkPanics(t *testing.T) {
 			{"WaitGroup.Wait", wg.Wait},
 			{"Mutex.Lock", func() { mu.Lock(); mu.Unlock() }},
 			{"Cond.Wait", func() { cl.Lock(); defer cl.Unlock(); c.Wait() }},
-			{"Stream.DeviceUp", func() { MightPark(v, "Stream.DeviceUp") }},
+			{"Stream.Reserve", func() { MightPark(v, "Stream.Reserve") }},
 		} {
 			msg := parkHolding(v, tc.park)
 			if !strings.Contains(msg, " held across "+tc.op) {

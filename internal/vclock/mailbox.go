@@ -1,9 +1,6 @@
 package vclock
 
-import (
-	"errors"
-	"sync"
-)
+import "errors"
 
 // ErrClosed reports a send on a closed Mailbox.
 var ErrClosed = errors.New("vclock: mailbox closed")
@@ -20,7 +17,7 @@ var ErrClosed = errors.New("vclock: mailbox closed")
 // leftovers back to the closer, for queues whose items need explicit
 // release.
 type Mailbox[T any] struct {
-	mu     sync.Mutex
+	mu     Lock
 	ne     Cond // not empty
 	nf     Cond // not full
 	buf    []T
@@ -43,6 +40,7 @@ func NewMailbox[T any](ck Clock, bound int) *Mailbox[T] {
 // Mailbox must not be copied afterwards.
 func (m *Mailbox[T]) Init(ck Clock, bound int) {
 	m.bound = bound
+	m.mu.Init(ck)
 	m.ne.Init(ck, &m.mu)
 	m.nf.Init(ck, &m.mu)
 }

@@ -71,15 +71,27 @@ func TestMutexExcludesUnderReal(t *testing.T) {
 	}
 }
 
+// On either clock a second Unlock finds the Mutex unlocked and panics.
 func TestMutexUnlockOfUnlockedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Unlock of an unlocked Mutex did not panic")
+	for _, ck := range []Clock{Real, NewVirtual()} {
+		panicked := false
+		unlockTwice := func() {
+			defer func() { panicked = recover() != nil }()
+			var mu Mutex
+			mu.Init(ck)
+			mu.Lock()
+			mu.Unlock()
+			mu.Unlock()
 		}
-	}()
-	var mu Mutex
-	mu.Init(nil)
-	mu.Unlock()
+		if v, ok := ck.(*Virtual); ok {
+			v.Run(unlockTwice)
+		} else {
+			unlockTwice()
+		}
+		if !panicked {
+			t.Errorf("%T: Unlock of an unlocked Mutex did not panic", ck)
+		}
+	}
 }
 
 // The lock sits on every 9P request and reply: taking it uncontended

@@ -49,15 +49,15 @@ type Virtual struct {
 
 // gor is one machine goroutine: a host goroutine that runs the
 // functions Go hands it one after another, idling on the free list
-// between them. It is on one list at a time — the run queue, one
-// Cond's waiters, or the free list — and sleeps on one timer at a
+// between them. It is on one list at a time — the run queue, one Cond's
+// or Mutex's waiters, or the free list — and sleeps on one timer at a
 // time, so it carries its own link and its own event: parking and
 // waking allocate nothing, and a Go that finds an idle goroutine
 // allocates only its closure.
 type gor struct {
 	wake chan struct{} // the token, handed to this goroutine
 	fn   task          // what Go handed it to run next; nil ends an idle goroutine
-	next *gor          // run queue, Cond waiters or free list
+	next *gor          // run queue, waiters or free list
 	ev   event         // the timer Sleep and SleepUntil park on
 	op   string        // the primitive it last parked in
 

@@ -1,12 +1,10 @@
 package vclock
 
-import "sync"
-
 // WaitGroup is a clock-aware sync.WaitGroup replacement: Wait parks
 // cooperatively under a virtual clock instead of blocking the
 // scheduler's token on an invisible sync park.
 type WaitGroup struct {
-	mu sync.Mutex
+	mu Lock
 	c  Cond
 	n  int
 }
@@ -14,6 +12,7 @@ type WaitGroup struct {
 // NewWaitGroup returns a WaitGroup bound to ck (nil means Real).
 func NewWaitGroup(ck Clock) *WaitGroup {
 	w := new(WaitGroup)
+	w.mu.Init(ck)
 	w.c.Init(ck, &w.mu)
 	return w
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/block"
 	"repro/internal/ether"
 	"repro/internal/ip"
 	"repro/internal/vclock"
@@ -379,23 +378,22 @@ func TestShutdownHangsUpEverything(t *testing.T) {
 }
 
 // The shape that once hung IL: a conversation delivering to its own
-// stream with Mu held, through DeviceUp, which parks while the stream
-// is full. The stream here is empty, so the put would not park, and
-// still the put fails on entry: the path is wrong the first time it
-// runs, not the first time the reader falls behind.
-func TestMuHeldAcrossDeviceUpPanics(t *testing.T) {
+// stream with Mu held, through a put that parks while the stream is
+// full, as Reserve, the one such put left, does. The stream here is
+// empty, so Reserve would not park, and still it fails on entry: the
+// path is wrong the first time it runs, not the first time the reader
+// falls behind.
+func TestMuHeldAcrossReservePanics(t *testing.T) {
 	onStub(t, 5000, func(ck vclock.Clock, p *stub) {
 		c := p.newConn()
 		defer c.Close()
-		b := block.Alloc(0, 0)
 		defer func() {
-			if r, _ := recover().(string); !strings.Contains(r, "held across Stream.DeviceUp") {
-				t.Errorf("Mu held across DeviceUp: panic %q, want one naming the put", r)
+			if r, _ := recover().(string); !strings.Contains(r, "held across Stream.Reserve") {
+				t.Errorf("Mu held across Reserve: panic %q, want one naming the put", r)
 			}
 			c.Mu.Unlock()
-			b.Free()
 		}()
 		c.Mu.Lock()
-		c.Rq.DeviceUp(b)
+		c.Rq.Reserve(1)
 	})
 }

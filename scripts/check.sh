@@ -41,8 +41,9 @@ echo "== vclock scheduler under the race detector, ten times"
 # A park hands the token straight to the next goroutine and a Go reuses
 # an idle host goroutine, so the scheduler's state is touched from every
 # machine goroutine, and the scheduler takes no lock: only the token's
-# holder may touch its run queue, event heap and clock, and this loop is
-# the proof that only the holder does. It loops vclock's tests, and
+# holder may touch its run queue, event heap and clock, or the state of
+# a Mutex, Mailbox or WaitGroup bound to the clock, and this loop is the
+# proof that only the holder does. It loops vclock's tests, and
 # medium's and ether's, whose delay lines and paced segments arm events
 # from events and from processes, to shake out a missed hand-off. The
 # real-clock tests leave the scheduler alone and time the host
@@ -121,7 +122,8 @@ echo "== one lock discipline: who may declare a sync lock"
 # park is a vclock.Mutex. A sync.Mutex or RWMutex counts nothing, so the
 # only ones are leaf locks whose critical sections call nothing outside
 # their package but the standard library, each named here with its
-# reason. The virtual scheduler has none: its token is its lock.
+# reason. The virtual scheduler has none, nor do vclock's Mutex,
+# Mailbox and WaitGroup on a virtual clock: the token is their lock.
 #   block/race_on.go    the race build's allocation-site map
 #   devtree/devtree.go  a status file's snapshot text (the render runs unlocked)
 #   devtree/devtree.go  a query file's answer lines (the query runs unlocked)
@@ -131,10 +133,8 @@ echo "== one lock discipline: who may declare a sync lock"
 #   ns/ns.go            the mount table's writers: copy, change, swap
 #   torture/torture.go  a report's violation list
 #   vclock/lock.go      a Lock on the real clock (bound to a virtual one, it is a count)
-#   vclock/mailbox.go   a Mailbox's queue, shared with its Cond
-#   vclock/mutex.go     a Mutex's held flag, shared with its waiters' Cond
+#   vclock/mutex.go     the real clock's lock; bound to a virtual one, the token guards it
 #   vclock/race_on.go   the race build's lock-order graph, shared by every clock
-#   vclock/waitgroup.go a WaitGroup's count, shared with its Cond
 locks=$(grep -rnE 'sync\.(RW)?Mutex\b' --include='*.go' internal cmd examples | grep -v '_test\.go:' | grep -v testdata \
     | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' \
     | sed -E 's/^([^:]*):[0-9]+:[[:space:]]*([A-Za-z_]+[[:space:]]+)?(sync\.(RW)?Mutex).*/\1 \2\3/' | tr -s ' ' | sort)
@@ -147,10 +147,8 @@ internal/ns/fd.go mu sync.Mutex
 internal/ns/ns.go mu sync.Mutex
 internal/torture/torture.go mu sync.Mutex
 internal/vclock/lock.go mu sync.Mutex
-internal/vclock/mailbox.go mu sync.Mutex
 internal/vclock/mutex.go mu sync.Mutex
-internal/vclock/race_on.go sync.Mutex
-internal/vclock/waitgroup.go mu sync.Mutex"
+internal/vclock/race_on.go sync.Mutex"
 if [ "$locks" != "$allow" ]; then
     echo "non-test sync locks:" >&2
     echo "$locks" >&2
@@ -229,22 +227,6 @@ echo "== one splitter"
 # buffer of its own is a second reassembler beside it.
 if grep -nE '^[^/]*\bpartial\b' $(ls internal/streams/*.go | grep -v -e '_test\.go$' -e '/split\.go$'); then
     echo "a streams module reassembles frames on its own (see above)" >&2
-    exit 1
-fi
-
-echo "== no line parks"
-# A wire's delay line runs its receiver on a clock event, which may not
-# park, so no line delivers with DeviceUp, which parks while the stream
-# holds its limit. The Ethernet segment (UDP, IL and TCP on it) and
-# URP's circuit leg deliver through the refusing put, Stream.Produce,
-# and the protocol's window carries the backpressure; Cyclone's fiber
-# and the UART, which lose nothing and resend nothing, deliver with
-# Stream.Deliver what their sender's credit (Stream.Reserve) paid for.
-# Only table1's pipe, two streams cross-connected on the real clock,
-# delivers from the writing process itself.
-if grep -rn '\.DeviceUp(' --include='*.go' internal cmd examples | grep -v '_test\.go:' | grep -v testdata \
-    | grep -v -e '^internal/streams/' -e '^internal/table1/table1\.go:'; then
-    echo "a line delivers with a put that parks (see above)" >&2
     exit 1
 fi
 
